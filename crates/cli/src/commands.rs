@@ -5,7 +5,7 @@ use fedgta_bench::{make_strategy, partition_benchmark, SplitKind, STRATEGY_NAMES
 use fedgta_data::{load_benchmark, save_benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
-use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation, TransportMode};
+use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
 use fedgta_fed::CodecSpec;
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
 use fedgta_nn::models::{ModelConfig, ModelKind};
@@ -524,7 +524,6 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
             };
             let defaults = CommsConfig::default();
             Ok(Some(CommsConfig {
-                mode: TransportMode::Transport,
                 faults,
                 fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
                 deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,

@@ -14,8 +14,8 @@
 //!                      [--postmortem-out crash.pm.jsonl]
 //! fedgta-cli report    trace.jsonl [--profile 10] [--folded out.folded]
 //! fedgta-cli postmortem crash.pm.jsonl
-//! fedgta-cli bench kernels [--mode quick|full] [--out kernels.json]
-//! fedgta-cli bench scale [--mode quick|full] [--out scale.json]
+//! fedgta-cli bench kernels|aggregate|comms|scale [--mode quick|full]
+//!                      [--out report.json]
 //! fedgta-cli convert   --in graph.fgta --out graph.fgta2 [--chunk-rows N]
 //! ```
 

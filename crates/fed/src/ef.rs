@@ -65,6 +65,7 @@
 //! closure or on the driver thread in participant order, so the whole
 //! scheme is bit-identical at any thread count.
 
+use crate::transport::WirePayload;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -101,11 +102,7 @@ impl EfTensor {
     /// Panics if the tensor length changed across rounds — model shapes
     /// are fixed for a federation's lifetime.
     pub fn fold(&mut self, v: &[f32]) -> Folded {
-        if self.reference.is_empty() && self.residual.is_empty() {
-            self.reference = vec![0.0; v.len()];
-            self.residual = vec![0.0; v.len()];
-        }
-        assert_eq!(v.len(), self.reference.len(), "EF tensor length changed across rounds");
+        self.size_for(v.len());
         let target: Vec<f64> = v
             .iter()
             .zip(&self.reference)
@@ -136,29 +133,25 @@ impl EfTensor {
     }
 
     /// Re-anchors the reference at `anchor` — the round's broadcast
-    /// vector, which client and server both hold bitwise.
-    ///
-    /// Without re-anchoring, the reference only tracks this client's own
-    /// accepted deltas, while the tensor it uploads is re-trained from
-    /// the *aggregated* broadcast every round: the gap `v − reference`
-    /// is then dominated by everyone else's progress and a k-sparse
-    /// delta can never catch up (a persistent accuracy floor). Anchoring
-    /// at the broadcast turns the pre-encode delta into *this round's
-    /// local progress plus the residual* — the classic error-feedback
-    /// recursion — and makes the reference mirror trivially consistent:
-    /// both sides reset it from the same broadcast, so cross-round
-    /// mirror drift is structurally impossible for anchored tensors.
+    /// vector, which client and server both hold bitwise (see "Broadcast
+    /// anchoring" in the module docs for why). The residual is kept.
     ///
     /// # Panics
     ///
     /// Panics if the tensor length changed across rounds.
     pub fn rebase(&mut self, anchor: &[f32]) {
-        if self.reference.is_empty() && self.residual.is_empty() {
-            self.reference = vec![0.0; anchor.len()];
-            self.residual = vec![0.0; anchor.len()];
-        }
-        assert_eq!(anchor.len(), self.reference.len(), "EF tensor length changed across rounds");
+        self.size_for(anchor.len());
         self.reference.copy_from_slice(anchor);
+    }
+
+    /// Sizes fresh state for `len`-element tensors; a later length change
+    /// panics.
+    fn size_for(&mut self, len: usize) {
+        if self.reference.is_empty() && self.residual.is_empty() {
+            self.reference = vec![0.0; len];
+            self.residual = vec![0.0; len];
+        }
+        assert_eq!(len, self.reference.len(), "EF tensor length changed across rounds");
     }
 
     /// The server-side inverse of [`EfTensor::commit`]: advances the
@@ -195,6 +188,45 @@ impl EfState {
         }
         &mut self.tensors[t]
     }
+
+    /// Client half, before encoding: re-bases the parameter tensor's
+    /// reference at `anchor` (the broadcast this client just loaded),
+    /// then replaces every codec-routed tensor of `payload` with its
+    /// residual-folded delta. Returns the folds to commit.
+    pub fn fold_payload<R: WirePayload>(
+        &mut self,
+        anchor: Option<&[f32]>,
+        payload: &mut R,
+    ) -> Vec<Folded> {
+        if let Some(a) = anchor {
+            self.tensor(0).rebase(a);
+        }
+        let mut folds = Vec::new();
+        payload.visit_tensors(&mut |v| {
+            let folded = self.tensor(folds.len()).fold(v);
+            v.clear();
+            v.extend_from_slice(&folded.fed);
+            folds.push(folded);
+        });
+        folds
+    }
+
+    /// Client half, after encoding: commits every tensor against
+    /// `decoded` — the local decode of this client's own encoding,
+    /// bitwise what the server decodes from the wire — resolved by the
+    /// scripted acceptance fate.
+    pub fn commit_payload<R: WirePayload>(
+        &mut self,
+        folds: &[Folded],
+        decoded: &mut R,
+        accepted: bool,
+    ) {
+        let mut t = 0usize;
+        decoded.visit_tensors(&mut |d| {
+            self.tensor(t).commit(&folds[t], d, accepted);
+            t += 1;
+        });
+    }
 }
 
 /// The server side of the mirror: per-client references, keyed by
@@ -205,6 +237,30 @@ impl EfState {
 pub struct EfServer {
     /// Per-client reference state (the `residual` halves stay empty).
     pub clients: Mutex<BTreeMap<usize, EfState>>,
+}
+
+impl EfServer {
+    /// Server half: mirrors `client`'s anchored rebase (`anchor` must be
+    /// the bits that client loaded this round), then folds each decoded
+    /// delta of `payload` into the client's reference, leaving the
+    /// reconstructed tensors the strategy aggregates in its place.
+    pub fn reconstruct<R: WirePayload>(
+        &self,
+        client: usize,
+        anchor: Option<&[f32]>,
+        payload: &mut R,
+    ) {
+        let mut map = self.clients.lock().unwrap_or_else(|e| e.into_inner());
+        let state = map.entry(client).or_default();
+        if let Some(a) = anchor {
+            state.tensor(0).rebase(a);
+        }
+        let mut t = 0usize;
+        payload.visit_tensors(&mut |v| {
+            state.tensor(t).apply_delta(v);
+            t += 1;
+        });
+    }
 }
 
 #[cfg(test)]
@@ -268,6 +324,48 @@ mod tests {
             fresh.rebase(&[0.5, 0.5]);
         }));
         assert!(r.is_err(), "length change must panic");
+    }
+
+    #[test]
+    fn payload_round_trip_keeps_client_and_server_mirrors_bitwise_equal() {
+        use crate::codec::CodecSpec;
+        use crate::transport::{decode_upload_routed, encode_upload_routed};
+        type Upload = (Vec<f32>, f64, Vec<f32>, usize);
+        let codec = CodecSpec::parse("topk=2+quant-i8").unwrap().build();
+        let codec = codec.as_ref();
+        let mut client = EfState::default();
+        let server = EfServer::default();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Rounds 1 and 3 are accepted, round 2's upload is lost in flight.
+        for (round, accepted) in [(1usize, true), (2, false), (3, true)] {
+            let anchor = vec![0.1f32 * round as f32; 5];
+            let r = round as f32;
+            let params = vec![1.5 * r, -2.25, 0.125 * r, 7.0, -0.5 * r];
+            let mut sent: Upload = (params, 0.75, vec![3.0 * r, -1.0], 11);
+            // Client: fold → encode → decode own bytes → commit.
+            let folds = client.fold_payload(Some(&anchor), &mut sent);
+            assert_eq!(sent.0, folds[0].fed, "the payload now carries the folded delta");
+            let body = encode_upload_routed(codec, None, 0.5, &sent);
+            let (_, mut own): (f32, Upload) = decode_upload_routed(codec, None, &body).unwrap();
+            client.commit_payload(&folds, &mut own, accepted);
+            if !accepted {
+                continue; // the server never sees this frame
+            }
+            // Server: decode the same bytes → rebase → apply_delta.
+            let (_, mut got): (f32, Upload) = decode_upload_routed(codec, None, &body).unwrap();
+            server.reconstruct(4, Some(&anchor), &mut got);
+            let map = server.clients.lock().unwrap();
+            for t in 0..2 {
+                let (mine, theirs) = (&client.tensors[t].reference, &map[&4].tensors[t].reference);
+                assert_eq!(bits(mine), bits(theirs), "round {round} tensor {t}");
+            }
+            // What the strategy aggregates *is* the mirrored reference.
+            assert_eq!(bits(&got.0), bits(&client.tensors[0].reference));
+            assert_eq!(bits(&got.2), bits(&client.tensors[1].reference));
+            assert_eq!((got.1, got.3), (0.75, 11), "scalars cross untouched");
+        }
+        // The lost round's coordinates were carried, not dropped.
+        assert!(client.tensors[0].residual.iter().any(|r| *r != 0.0));
     }
 
     #[test]

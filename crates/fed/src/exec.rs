@@ -23,7 +23,7 @@
 
 use crate::client::Client;
 use crate::faults::AttemptFate;
-use crate::strategies::RoundCtx;
+use crate::strategies::{Broadcast, RoundCtx};
 use crate::transport::{
     corrupt_frame, decode_broadcast_coded, decode_upload, decode_upload_routed,
     encode_broadcast_coded, encode_upload, encode_upload_routed, CommsRound, Endpoint, MsgKind,
@@ -31,30 +31,9 @@ use crate::transport::{
 };
 use fedgta_graph::io::{Envelope, TraceContext};
 use fedgta_graph::par::par_map_indexed;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Records one participant's local-training wall time into the
-/// `round.client.train_ns` histogram (cached handle; disarmed cost is one
-/// relaxed load in the caller).
-#[inline]
-fn observe_client_train_ns(ns: u64) {
-    use std::sync::{Arc, OnceLock};
-    static H: OnceLock<Arc<fedgta_obs::Histogram>> = OnceLock::new();
-    H.get_or_init(|| fedgta_obs::global().histogram("round.client.train_ns"))
-        .observe(ns);
-}
-
-/// Records one upload's codec encode time into the
-/// `comms.codec.encode_ns` histogram (cached handle; the caller gates on
-/// [`fedgta_obs::metrics_on`]).
-#[inline]
-fn observe_codec_encode_ns(ns: u64) {
-    use std::sync::{Arc, OnceLock};
-    static H: OnceLock<Arc<fedgta_obs::Histogram>> = OnceLock::new();
-    H.get_or_init(|| fedgta_obs::global().histogram("comms.codec.encode_ns"))
-        .observe(ns);
-}
+use std::sync::atomic::Ordering::Relaxed;
 
 /// The outcome of one participant's local step.
 ///
@@ -79,6 +58,24 @@ pub struct LocalResult<R> {
 /// the caller's order exactly, so downstream floating-point reductions
 /// are order-stable regardless of which worker ran which client.
 ///
+/// One pipeline serves every round: dispatch → per client (receive →
+/// load broadcast → timed train → upload) → collect → server-side error
+/// feedback. The four wire stages are methods of the round's
+/// [`CommsRound`] and run only when `ctx.comms` carries one; without it
+/// results return in memory, which *is* the pre-transport simulator. On
+/// the wire, three determinism anchors hold:
+///
+/// 1. *which* clients train, retry, straggle or crash is fixed by the
+///    script before any thread spawns;
+/// 2. [`WirePayload`] encoding is bit-exact, so a decoded upload equals
+///    the in-memory result;
+/// 3. uploads may land in the server mailbox in any interleaving, but
+///    results are reassembled by sender id **in participant order**.
+///
+/// With a clean script (no faults, every participant accepted) the
+/// training calls, their order, and the returned results are therefore
+/// exactly the in-process ones — contract (1) of the transport layer.
+///
 /// # Panics
 ///
 /// Panics on duplicate or out-of-range participant indices, and
@@ -93,462 +90,346 @@ where
     R: Send + WirePayload,
     F: Fn(usize, &mut Client) -> (f32, R) + Sync,
 {
-    match ctx.comms {
-        None => train_direct(clients, participants, ctx, f),
-        Some(comms) => train_over_transport(clients, participants, ctx, comms, f),
-    }
-}
-
-/// The classic in-process path: every participant trains, every result
-/// comes back. Bit-identical to the pre-transport simulator by
-/// construction (it *is* the pre-transport simulator).
-fn train_direct<R, F>(
-    clients: &mut [Client],
-    participants: &[usize],
-    ctx: &RoundCtx<'_>,
-    f: F,
-) -> Vec<LocalResult<R>>
-where
-    R: Send,
-    F: Fn(usize, &mut Client) -> (f32, R) + Sync,
-{
+    let wire = ctx.comms;
+    // On the wire exactly the clients whose scripted request leg
+    // succeeded train — including ones whose upload will be lost or
+    // arrive too late (their local model still moves, like a real
+    // deployment's would; the server just never sees the update).
+    let trainers: Cow<'_, [usize]> = match wire {
+        Some(w) => participants
+            .iter()
+            .copied()
+            .filter(|c| w.script.fate(*c).is_some_and(|fa| fa.trains))
+            .collect(),
+        None => Cow::Borrowed(participants),
+    };
     // The `train` span opens on the driver thread (nesting under the
     // round's span via the thread-local stack); per-client spans run on
     // worker threads and parent onto it explicitly via `span_under`.
-    let span = fedgta_obs::span!("train", participants = participants.len());
+    let span = fedgta_obs::span!("train", participants = trainers.len());
     let parent = span.id();
+    let sent = wire.map(|w| w.dispatch(participants, ctx.broadcast, parent));
     let t0 = ctx.train_clock.is_some().then(std::time::Instant::now);
-    let slots = disjoint_slots(clients, participants);
-    let out = run_slots(slots, ctx.threads, |i, c| {
-        let _cg = fedgta_obs::span_under("client_train", parent)
+    let mut slots = disjoint_slots(clients, &trainers);
+    let trained = par_map_indexed(&mut slots, Some(ctx.threads), |_, (i, c)| {
+        let i = *i;
+        let declared = ctx.broadcast.and_then(|b| b.vector_for(i));
+        let (span_parent, start) = match wire {
+            Some(w) => w.receive(i, parent, declared),
+            None => (parent, declared.map(Cow::Borrowed)),
+        };
+        let cg = fedgta_obs::span_under("client_train", span_parent)
             .with_field("client", fedgta_obs::FieldVal::from(i));
-        // Declared start-of-round broadcast: load the strategy's model for
-        // this participant before its local step (the in-process twin of
-        // the transport path's broadcast frames).
-        if let Some(v) = ctx.broadcast.and_then(|b| b.vector_for(i)) {
+        // Declared start-of-round broadcast: load the strategy's model
+        // for this participant before its local step.
+        if let Some(v) = start.as_deref() {
             c.model.set_params(v);
             c.opt.reset();
         }
         let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
         let (loss, payload) = f(i, c);
         if let Some(ct0) = ct0 {
-            observe_client_train_ns(ct0.elapsed().as_nanos() as u64);
+            fedgta_obs::histogram!("round.client.train_ns")
+                .observe(ct0.elapsed().as_nanos() as u64);
         }
-        LocalResult {
-            client: i,
-            loss,
-            payload,
-        }
-    });
-    if let (Some(t0), Some(clock)) = (t0, ctx.train_clock) {
-        clock.add_ns(t0.elapsed().as_nanos() as u64);
-    }
-    out
-}
-
-/// Trace context for an outbound frame: attached only when tracing is
-/// armed *and* the local span is real, so untraced runs (including
-/// recorder-only runs) keep the version-1 wire layout byte for byte.
-fn wire_trace(parent: u64) -> Option<TraceContext> {
-    (fedgta_obs::trace_on() && parent != 0).then(|| TraceContext {
-        trace_id: fedgta_obs::run_trace_id(),
-        parent_span: parent,
-    })
-}
-
-/// The message path: the server task sends `TrainRequest` envelopes per
-/// the round script, client tasks train on worker threads and upload
-/// their results as checksummed envelopes, and the server decodes the
-/// accepted quorum back out of its mailbox.
-///
-/// Three determinism anchors:
-///
-/// 1. *which* clients train, retry, straggle or crash is fixed by the
-///    script before any thread spawns;
-/// 2. [`WirePayload`] encoding is bit-exact, so a decoded upload equals
-///    the in-memory result the direct path would have produced;
-/// 3. uploads may land in the server mailbox in any interleaving, but
-///    results are reassembled by sender id **in participant order**.
-///
-/// With a clean script (no faults, every participant accepted) the
-/// training calls, their order, and the returned results are exactly the
-/// direct path's — contract (1) of the transport layer.
-fn train_over_transport<R, F>(
-    clients: &mut [Client],
-    participants: &[usize],
-    ctx: &RoundCtx<'_>,
-    comms: &CommsRound<'_>,
-    f: F,
-) -> Vec<LocalResult<R>>
-where
-    R: Send + WirePayload,
-    F: Fn(usize, &mut Client) -> (f32, R) + Sync,
-{
-    let script = comms.script;
-    let transport = comms.transport;
-    let round = comms.round as u32;
-    let corrupted = AtomicU64::new(0);
-    let dropped = AtomicU64::new(0);
-    // Client tasks that will train: exactly the clients whose scripted
-    // request leg succeeded — including ones whose upload will be lost
-    // or arrive too late (their local model still moves, like a real
-    // deployment's would; the server just never sees the update).
-    let trainers: Vec<usize> = participants
-        .iter()
-        .copied()
-        .filter(|c| script.fate(*c).is_some_and(|fa| fa.trains))
-        .collect();
-    let span = fedgta_obs::span!("train", participants = trainers.len());
-    let parent = span.id();
-    // Server task, request leg: one envelope per scripted attempt.
-    // Dropped frames are never enqueued (lost in flight); corrupt frames
-    // are enqueued mangled so the client-side CRC rejection is real.
-    // When tracing is armed each request carries the train span's id as
-    // a wire trace context, so the client side parents its spans by
-    // correlation id off the frame — not through process-local state —
-    // exactly what a real socket transport will need.
-    for &c in participants {
-        let Some(fate) = script.fate(c) else { continue };
-        // With a download codec armed and a broadcast vector declared for
-        // this participant, the request carries the coded model under
-        // [`MsgKind::BroadcastCoded`]; otherwise the frame is the classic
-        // empty-payload `TrainRequest`, byte for byte. Both download-leg
-        // byte tallies are metered here, once per invited participant
-        // (driver thread, participant order — script-deterministic).
-        let coded_bcast = match (comms.codec_down, ctx.broadcast.and_then(|b| b.vector_for(c))) {
-            (Some(down), Some(v)) => {
-                let body = encode_broadcast_coded(down, v);
-                comms
-                    .bytes_down_raw
-                    .fetch_add(8 + 4 * v.len() as u64, Ordering::Relaxed);
-                comms
-                    .bytes_down_encoded
-                    .fetch_add(body.len() as u64, Ordering::Relaxed);
-                Some(body)
+        match wire {
+            Some(w) => {
+                w.upload(i, c, start.as_deref(), loss, payload, cg.id());
+                None
             }
-            _ => None,
-        };
-        let (req_kind, req_body) = match &coded_bcast {
-            Some(body) => (MsgKind::BroadcastCoded, body.clone()),
-            None => (MsgKind::TrainRequest, Vec::new()),
-        };
-        for (n, a) in fate.download.iter().enumerate() {
-            let env = Envelope {
-                kind: req_kind as u8,
-                round,
-                sender: SERVER_ID,
-                seq: n as u32,
-                trace: wire_trace(parent),
-                payload: req_body.clone(),
-            };
-            match a {
-                AttemptFate::Drop => {
-                    dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                AttemptFate::Corrupt { bit_seed } => {
-                    let mut frame = env.encode();
-                    corrupt_frame(&mut frame, *bit_seed);
-                    let _ = transport.send(Endpoint::Client(c), frame);
-                }
-                AttemptFate::Deliver { .. } => {
-                    let _ = transport.send(Endpoint::Client(c), env.encode());
-                }
-            }
-        }
-    }
-    let t0 = ctx.train_clock.is_some().then(std::time::Instant::now);
-    let slots = disjoint_slots(clients, &trainers);
-    run_slots(slots, ctx.threads, |i, c| {
-        // Receive leg first: drain the mailbox, CRC-verify, reject
-        // garbage, and recover the server span id from the frame's
-        // trace context (frames from another run's trace are ignored).
-        let mut requested = false;
-        let mut wire_parent = parent;
-        let mut wire_bcast: Option<Vec<f32>> = None;
-        for frame in transport.drain(Endpoint::Client(i)) {
-            match Envelope::decode(&frame) {
-                Ok(env)
-                    if (env.kind == MsgKind::TrainRequest as u8
-                        || env.kind == MsgKind::BroadcastCoded as u8)
-                        && env.round == round =>
-                {
-                    if env.kind == MsgKind::BroadcastCoded as u8 {
-                        // CRC-valid coded broadcast: decode it with the
-                        // armed download codec (both ends are configured
-                        // from the same CommsConfig). A frame that fails
-                        // here is hostile, not faulted — reject it like
-                        // any other garbage.
-                        match comms.codec_down.map(|d| decode_broadcast_coded(d, &env.payload)) {
-                            Some(Ok(v)) => wire_bcast = Some(v),
-                            _ => {
-                                corrupted.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    }
-                    requested = true;
-                    if let Some(tc) = env.trace {
-                        if tc.trace_id == fedgta_obs::run_trace_id() {
-                            wire_parent = tc.parent_span;
-                        }
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    corrupted.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        assert!(requested, "scripted trainer {i} received no valid request");
-        let _cg = fedgta_obs::span_under("client_train", wire_parent)
-            .with_field("client", fedgta_obs::FieldVal::from(i));
-        let client_span = _cg.id();
-        // Start-of-round model: from the wire when the download codec is
-        // armed (the decoded — possibly lossy — broadcast), else the
-        // strategy's declared vector applied in-process (no codec = the
-        // broadcast never crosses the transport, exactly as before).
-        match comms.codec_down {
-            Some(_) => {
-                if let Some(v) = &wire_bcast {
-                    c.model.set_params(v);
-                    c.opt.reset();
-                }
-            }
-            None => {
-                if let Some(v) = ctx.broadcast.and_then(|b| b.vector_for(i)) {
-                    c.model.set_params(v);
-                    c.opt.reset();
-                }
-            }
-        }
-        let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-        let (loss, mut payload) = f(i, c);
-        if let Some(ct0) = ct0 {
-            observe_client_train_ns(ct0.elapsed().as_nanos() as u64);
-        }
-        let fate = script.fate(i).expect("trainer has a fate");
-        // Upload leg: the real result bytes cross the wire; scripted
-        // corruption mangles the physical frame. With a codec armed the
-        // body is the *encoded* frame — corruption and drops hit the
-        // compressed bytes, and both byte tallies are metered here (once
-        // per trainer, so the tally is script-deterministic).
-        let body = match comms.codec {
-            None => {
-                let body = encode_upload(loss, &payload);
-                comms.bytes_raw.fetch_add(body.len() as u64, Ordering::Relaxed);
-                comms.bytes_encoded.fetch_add(body.len() as u64, Ordering::Relaxed);
-                body
-            }
-            Some(codec) => {
-                // Error feedback: replace each payload tensor with its
-                // residual-folded delta before encoding. The fold and the
-                // commit below touch only this client's own state inside
-                // its exclusive worker closure — deterministic at any
-                // thread count.
-                let folds = comms.ef.map(|_| {
-                    let state = c.ef.get_or_insert_with(Default::default);
-                    // Anchored EF: re-base the parameter tensor's
-                    // reference at the broadcast this client just loaded
-                    // (the wire-decoded one when a download codec is
-                    // armed), so the pre-encode delta is this round's
-                    // local progress plus the residual, not a drifting
-                    // gap against everyone else's aggregate.
-                    let anchor = match comms.codec_down {
-                        Some(_) => wire_bcast.as_deref(),
-                        None => ctx.broadcast.and_then(|b| b.vector_for(i)),
-                    };
-                    if let Some(a) = anchor {
-                        state.tensor(0).rebase(a);
-                    }
-                    let mut folds = Vec::new();
-                    let mut t = 0usize;
-                    payload.visit_tensors(&mut |v| {
-                        let folded = state.tensor(t).fold(v);
-                        v.clear();
-                        v.extend_from_slice(&folded.fed);
-                        folds.push(folded);
-                        t += 1;
-                    });
-                    folds
-                });
-                let raw_len = encode_upload(loss, &payload).len() as u64;
-                let et0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-                let body = encode_upload_routed(codec, comms.codec_sketch, loss, &payload);
-                if let Some(et0) = et0 {
-                    observe_codec_encode_ns(et0.elapsed().as_nanos() as u64);
-                }
-                comms.bytes_raw.fetch_add(raw_len, Ordering::Relaxed);
-                comms.bytes_encoded.fetch_add(body.len() as u64, Ordering::Relaxed);
-                if let Some(folds) = folds {
-                    // Commit against the local decode of our own encoding
-                    // — bitwise what the server decodes from the wire —
-                    // resolved by the scripted acceptance fate (rejected
-                    // uploads carry their full delta to next round).
-                    let (_, mut dec) =
-                        decode_upload_routed::<R>(codec, comms.codec_sketch, &body)
-                            .expect("own coded upload decodes");
-                    let state = c.ef.as_mut().expect("EF state initialized by fold");
-                    let mut t = 0usize;
-                    dec.visit_tensors(&mut |d| {
-                        state.tensor(t).commit(&folds[t], d, fate.accepted);
-                        t += 1;
-                    });
-                }
-                body
-            }
-        };
-        let upload_kind = match comms.codec {
-            None => MsgKind::Upload,
-            Some(_) => MsgKind::UploadCoded,
-        };
-        for (n, a) in fate.upload.iter().enumerate() {
-            match a {
-                AttemptFate::Drop => {
-                    dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                AttemptFate::Corrupt { bit_seed } => {
-                    let mut frame = Envelope {
-                        kind: upload_kind as u8,
-                        round,
-                        sender: i as u32,
-                        seq: n as u32,
-                        trace: wire_trace(client_span),
-                        payload: body.clone(),
-                    }
-                    .encode();
-                    corrupt_frame(&mut frame, *bit_seed);
-                    let _ = transport.send(Endpoint::Server, frame);
-                }
-                AttemptFate::Deliver { .. } => {
-                    let frame = Envelope {
-                        kind: upload_kind as u8,
-                        round,
-                        sender: i as u32,
-                        seq: n as u32,
-                        trace: wire_trace(client_span),
-                        payload: body.clone(),
-                    }
-                    .encode();
-                    let _ = transport.send(Endpoint::Server, frame);
-                }
-            }
+            None => Some(LocalResult { client: i, loss, payload }),
         }
     });
     if let (Some(t0), Some(clock)) = (t0, ctx.train_clock) {
         clock.add_ns(t0.elapsed().as_nanos() as u64);
     }
     drop(span);
-    // Unreachable participants whose request leg delivered only corrupt
-    // frames never train, but their mailbox still holds the garbage —
-    // reject it now so no stale frame leaks into the next round.
-    for &c in participants {
-        let Some(fate) = script.fate(c) else { continue };
-        if fate.trains {
-            continue;
+    match wire.zip(sent) {
+        Some((w, sent)) => {
+            let mut out = w.collect(participants);
+            w.reconstruct(&mut out, &sent, ctx.broadcast);
+            out
         }
-        for frame in transport.drain(Endpoint::Client(c)) {
-            if Envelope::decode(&frame).is_err() {
-                corrupted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        None => trained.into_iter().flatten().collect(),
     }
-    // Server task, collect leg: mailbox arrival order is a thread-race
-    // artifact; decode by sender, then emit accepted results in
-    // participant order so downstream reductions are order-stable.
-    let expected_kind = match comms.codec {
-        None => MsgKind::Upload,
-        Some(_) => MsgKind::UploadCoded,
-    } as u8;
-    let mut by_sender: BTreeMap<u32, (f32, R)> = BTreeMap::new();
-    for frame in transport.drain(Endpoint::Server) {
-        match Envelope::decode(&frame) {
-            Err(_) => {
-                corrupted.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(env) => {
-                if env.kind != expected_kind || env.round != round {
+}
+
+/// The wire stages of [`train_participants`], in pipeline order.
+impl CommsRound<'_> {
+    /// Plays one message's scripted attempts, one envelope each. Dropped
+    /// frames are never enqueued (lost in flight); corrupt frames are
+    /// enqueued mangled so the receiver's CRC rejection is real. When
+    /// tracing is armed each frame carries `span` as its wire trace
+    /// context, so the receiver parents its spans by correlation id off
+    /// the frame — not through process-local state — exactly what a real
+    /// socket transport will need.
+    fn send_attempts(
+        &self,
+        to: Endpoint,
+        attempts: &[AttemptFate],
+        kind: MsgKind,
+        sender: u32,
+        span: u64,
+        body: &[u8],
+    ) {
+        // Attached only when tracing is armed *and* the local span is
+        // real, so untraced runs (including recorder-only runs) keep the
+        // version-1 wire layout byte for byte.
+        let trace = (fedgta_obs::trace_on() && span != 0).then(|| TraceContext {
+            trace_id: fedgta_obs::run_trace_id(),
+            parent_span: span,
+        });
+        for (seq, a) in attempts.iter().enumerate() {
+            let bit_seed = match a {
+                AttemptFate::Drop => {
+                    self.tally.dropped.fetch_add(1, Relaxed);
                     continue;
                 }
-                let decoded = match comms.codec {
-                    None => decode_upload::<R>(&env.payload),
-                    Some(codec) => {
-                        decode_upload_routed::<R>(codec, comms.codec_sketch, &env.payload)
-                    }
-                };
-                match decoded {
-                    Ok(v) => {
-                        by_sender.insert(env.sender, v);
-                    }
-                    Err(_) => {
-                        corrupted.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                AttemptFate::Corrupt { bit_seed } => Some(*bit_seed),
+                AttemptFate::Deliver { .. } => None,
+            };
+            let mut frame = Envelope {
+                kind: kind as u8,
+                round: self.round as u32,
+                sender,
+                seq: seq as u32,
+                trace,
+                payload: body.to_vec(),
             }
+            .encode();
+            if let Some(bit_seed) = bit_seed {
+                corrupt_frame(&mut frame, bit_seed);
+            }
+            let _ = self.transport.send(to, frame);
         }
     }
-    let mut out = Vec::with_capacity(script.accepted.len());
-    for &c in participants {
-        let Some(fate) = script.fate(c) else { continue };
-        if !fate.accepted {
-            continue;
-        }
-        let (loss, mut payload) = by_sender
-            .remove(&(c as u32))
-            .expect("accepted upload arrived intact");
-        // Server half of error feedback: the wire carried a delta — fold
-        // it into this client's reference to reconstruct the tensor the
-        // strategy aggregates. Driver thread, participant order.
-        if let (Some(ef), Some(_)) = (comms.ef, comms.codec) {
-            let mut map = ef.clients.lock().unwrap_or_else(|e| e.into_inner());
-            let state = map.entry(c).or_default();
-            // Mirror the client's anchored rebase: it re-based tensor 0
-            // at the broadcast it loaded this round. With a download
-            // codec armed that was the *wire-decoded* vector, so the
-            // server re-derives the identical bits by round-tripping its
-            // own deterministic encoding.
-            if let Some(v) = ctx.broadcast.and_then(|b| b.vector_for(c)) {
-                let rt = comms.codec_down.map(|down| {
-                    decode_broadcast_coded(down, &encode_broadcast_coded(down, v))
-                        .expect("own broadcast round-trips")
-                });
-                state.tensor(0).rebase(rt.as_deref().unwrap_or(v));
-            }
-            let mut t = 0usize;
-            payload.visit_tensors(&mut |v| {
-                state.tensor(t).apply_delta(v);
-                t += 1;
+
+    /// Counts one received frame rejected as garbage.
+    fn reject(&self) {
+        self.tally.corrupted.fetch_add(1, Relaxed);
+    }
+
+    /// Drains the mailbox `at`, CRC-verifying every frame: garbage is
+    /// rejected, this round's envelopes are yielded.
+    fn inbox(&self, at: Endpoint) -> impl Iterator<Item = Envelope> + '_ {
+        let verify = move |frame: Vec<u8>| {
+            let env = Envelope::decode(&frame).map_err(|_| self.reject()).ok()?;
+            (env.round == self.round as u32).then_some(env)
+        };
+        self.transport.drain(at).into_iter().filter_map(verify)
+    }
+
+    /// Server task, request leg. With a download codec armed and a
+    /// broadcast vector declared for a participant, its request carries
+    /// the coded model under [`MsgKind::BroadcastCoded`]; otherwise the
+    /// frame is the classic empty-payload `TrainRequest`, byte for byte.
+    /// Both download-leg byte tallies are metered here, once per invited
+    /// participant (driver thread, participant order). Returns the coded
+    /// bodies by client for [`Self::reconstruct`].
+    fn dispatch(
+        &self,
+        participants: &[usize],
+        broadcast: Option<Broadcast<'_>>,
+        parent: u64,
+    ) -> BTreeMap<usize, Vec<u8>> {
+        let mut coded = BTreeMap::new();
+        for &c in participants {
+            let Some(fate) = self.script.fate(c) else { continue };
+            let vector = broadcast.and_then(|b| b.vector_for(c));
+            let body = self.legs.down.as_deref().zip(vector).map(|(down, v)| {
+                let body = encode_broadcast_coded(down, v);
+                self.tally.down_raw.fetch_add(8 + 4 * v.len() as u64, Relaxed);
+                self.tally.down_encoded.fetch_add(body.len() as u64, Relaxed);
+                body
             });
+            let (kind, bytes) = match &body {
+                Some(body) => (MsgKind::BroadcastCoded, body.as_slice()),
+                None => (MsgKind::TrainRequest, &[][..]),
+            };
+            let to = Endpoint::Client(c);
+            self.send_attempts(to, &fate.download, kind, SERVER_ID, parent, bytes);
+            coded.extend(body.map(|body| (c, body)));
         }
-        out.push(LocalResult { client: c, loss, payload });
+        coded
     }
-    record_comms_metrics(
-        dropped.load(Ordering::Relaxed),
-        corrupted.load(Ordering::Relaxed),
-        script.total_retries(),
-    );
-    out
+
+    /// Client task, receive leg: reads the mailbox and returns the span
+    /// to parent under — the server's span id off the frame's trace
+    /// context (frames from another run's trace keep the local `parent`)
+    /// — plus the model to start from: the wire-decoded (possibly lossy)
+    /// broadcast when a download codec is armed, else the strategy's
+    /// `declared` vector (no codec = the broadcast never crosses the
+    /// transport).
+    fn receive<'b>(
+        &self,
+        i: usize,
+        parent: u64,
+        declared: Option<&'b [f32]>,
+    ) -> (u64, Option<Cow<'b, [f32]>>) {
+        let down = self.legs.down.as_deref();
+        let mut requested = false;
+        let mut wire_parent = parent;
+        let mut wire_bcast = None;
+        for env in self.inbox(Endpoint::Client(i)) {
+            if env.kind == MsgKind::BroadcastCoded as u8 {
+                // CRC-valid coded broadcast: decode it with the armed
+                // download codec (both ends are configured from the same
+                // CommsConfig). A frame that fails here is hostile, not
+                // faulted — reject it like any other garbage.
+                let Some(Ok(v)) = down.map(|d| decode_broadcast_coded(d, &env.payload)) else {
+                    self.reject();
+                    continue;
+                };
+                wire_bcast = Some(v);
+            } else if env.kind != MsgKind::TrainRequest as u8 {
+                continue;
+            }
+            requested = true;
+            let run = fedgta_obs::run_trace_id();
+            if let Some(tc) = env.trace.filter(|tc| tc.trace_id == run) {
+                wire_parent = tc.parent_span;
+            }
+        }
+        assert!(requested, "scripted trainer {i} received no valid request");
+        let start = match down {
+            Some(_) => wire_bcast.map(Cow::Owned),
+            None => declared.map(Cow::Borrowed),
+        };
+        (wire_parent, start)
+    }
+
+    /// Client task, upload leg: the real result bytes cross the wire;
+    /// scripted corruption mangles the physical frame. With a codec armed
+    /// the body is the *encoded* frame — corruption and drops hit the
+    /// compressed bytes. Both byte tallies are metered here, once per
+    /// trainer. With error feedback armed the payload is first folded
+    /// against `start`, the model this client just loaded (see
+    /// [`crate::ef`]); fold and commit touch only this client's own state
+    /// inside its exclusive worker closure — deterministic at any thread
+    /// count.
+    fn upload<R: WirePayload>(
+        &self,
+        i: usize,
+        c: &mut Client,
+        start: Option<&[f32]>,
+        loss: f32,
+        mut payload: R,
+        client_span: u64,
+    ) {
+        let fate = self.script.fate(i).expect("trainer has a fate");
+        let (kind, raw_len, body) = match self.legs.up.as_deref() {
+            None => {
+                let body = encode_upload(loss, &payload);
+                (MsgKind::Upload, body.len(), body)
+            }
+            Some(codec) => {
+                let sketch = self.legs.sketch.as_deref();
+                let mut state =
+                    self.legs.ef.as_ref().map(|_| c.ef.get_or_insert_with(Default::default));
+                let folds = state.as_mut().map(|s| s.fold_payload(start, &mut payload));
+                let raw_len = encode_upload(loss, &payload).len();
+                let et0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
+                let body = encode_upload_routed(codec, sketch, loss, &payload);
+                if let Some(et0) = et0 {
+                    fedgta_obs::histogram!("comms.codec.encode_ns")
+                        .observe(et0.elapsed().as_nanos() as u64);
+                }
+                if let Some((state, folds)) = state.zip(folds) {
+                    let (_, mut dec) = decode_upload_routed::<R>(codec, sketch, &body)
+                        .expect("own coded upload decodes");
+                    state.commit_payload(&folds, &mut dec, fate.accepted);
+                }
+                (MsgKind::UploadCoded, raw_len, body)
+            }
+        };
+        self.tally.up_raw.fetch_add(raw_len as u64, Relaxed);
+        self.tally.up_encoded.fetch_add(body.len() as u64, Relaxed);
+        self.send_attempts(Endpoint::Server, &fate.upload, kind, i as u32, client_span, &body);
+    }
+
+    /// Server task, collect leg: mailbox arrival order is a thread-race
+    /// artifact; decode by sender, then emit accepted results in
+    /// participant order so downstream reductions are order-stable.
+    fn collect<R: WirePayload>(&self, participants: &[usize]) -> Vec<LocalResult<R>> {
+        // Unreachable participants whose request leg delivered only
+        // corrupt frames never train, but their mailbox still holds the
+        // garbage — reject it now so no stale frame leaks into the next
+        // round.
+        for &c in participants {
+            if self.script.fate(c).is_some_and(|fate| !fate.trains) {
+                self.inbox(Endpoint::Client(c)).for_each(drop);
+            }
+        }
+        let up = self.legs.up.as_deref();
+        let expected_kind = if up.is_some() { MsgKind::UploadCoded } else { MsgKind::Upload };
+        let mut by_sender: BTreeMap<u32, (f32, R)> = BTreeMap::new();
+        for env in self.inbox(Endpoint::Server) {
+            if env.kind != expected_kind as u8 {
+                continue;
+            }
+            let decoded = match up {
+                None => decode_upload::<R>(&env.payload),
+                Some(codec) => {
+                    decode_upload_routed::<R>(codec, self.legs.sketch.as_deref(), &env.payload)
+                }
+            };
+            let Ok(v) = decoded else {
+                self.reject();
+                continue;
+            };
+            by_sender.insert(env.sender, v);
+        }
+        record_comms_metrics(
+            self.tally.dropped.load(Relaxed),
+            self.tally.corrupted.load(Relaxed),
+            self.script.total_retries(),
+        );
+        participants
+            .iter()
+            .filter(|c| self.script.fate(**c).is_some_and(|fate| fate.accepted))
+            .map(|&c| {
+                let (loss, payload) =
+                    by_sender.remove(&(c as u32)).expect("accepted upload arrived intact");
+                LocalResult { client: c, loss, payload }
+            })
+            .collect()
+    }
+
+    /// Server half of error feedback: the wire carried deltas — fold each
+    /// into its client's reference to reconstruct the tensors the
+    /// strategy aggregates. Driver thread, participant order. The mirror
+    /// re-bases at the bits the client loaded: with a download codec
+    /// armed that was the *wire-decoded* vector, which the server
+    /// re-derives by decoding the body `dispatch` sent.
+    fn reconstruct<R: WirePayload>(
+        &self,
+        results: &mut [LocalResult<R>],
+        sent: &BTreeMap<usize, Vec<u8>>,
+        broadcast: Option<Broadcast<'_>>,
+    ) {
+        let (Some(ef), Some(_)) = (&self.legs.ef, &self.legs.up) else { return };
+        for r in results {
+            let anchor = match self.legs.down.as_deref().zip(sent.get(&r.client)) {
+                Some((down, body)) => Some(Cow::Owned(
+                    decode_broadcast_coded(down, body).expect("own broadcast round-trips"),
+                )),
+                None => broadcast.and_then(|b| b.vector_for(r.client)).map(Cow::Borrowed),
+            };
+            ef.reconstruct(r.client, anchor.as_deref(), &mut r.payload);
+        }
+    }
 }
 
 /// Accumulates the transport fault counters into the global registry
 /// (no-op below metrics level).
 #[inline]
 pub(crate) fn record_comms_metrics(dropped: u64, corrupted: u64, retries: u64) {
-    use std::sync::{Arc, OnceLock};
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static DROPPED: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static CORRUPTED: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static RETRIES: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    DROPPED
-        .get_or_init(|| fedgta_obs::global().counter("comms.dropped"))
-        .add(dropped);
-    CORRUPTED
-        .get_or_init(|| fedgta_obs::global().counter("comms.corrupted"))
-        .add(corrupted);
-    RETRIES
-        .get_or_init(|| fedgta_obs::global().counter("comms.retries"))
-        .add(retries);
+    fedgta_obs::counter!("comms.dropped").add(dropped);
+    fedgta_obs::counter!("comms.corrupted").add(corrupted);
+    fedgta_obs::counter!("comms.retries").add(retries);
 }
 
 /// Runs `f(client_index, &mut client)` over an arbitrary subset of
@@ -568,8 +449,8 @@ where
     R: Send,
     F: Fn(usize, &mut Client) -> R + Sync,
 {
-    let slots = disjoint_slots(clients, indices);
-    run_slots(slots, threads, f)
+    let mut slots = disjoint_slots(clients, indices);
+    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| f(*i, c))
 }
 
 /// Mean loss over local results (0 when empty).
@@ -582,57 +463,18 @@ pub fn mean_loss<R>(results: &[LocalResult<R>]) -> f32 {
 }
 
 /// Collects disjoint `&mut Client` references for `indices`, preserving
-/// the caller's order.
-///
-/// Single pass over `clients`: indices are argsorted, references are
-/// picked up in ascending index order, then scattered back to the
-/// caller's positions. Panics on duplicates or out-of-range indices.
+/// the caller's order. Panics on duplicates or out-of-range indices.
 fn disjoint_slots<'a>(
     clients: &'a mut [Client],
     indices: &[usize],
 ) -> Vec<(usize, &'a mut Client)> {
     let n = clients.len();
-    let mut order: Vec<usize> = (0..indices.len()).collect();
-    order.sort_unstable_by_key(|&p| indices[p]);
-    for w in order.windows(2) {
-        assert!(
-            indices[w[0]] != indices[w[1]],
-            "duplicate participant index {}",
-            indices[w[0]]
-        );
-    }
-    if let Some(&p) = order.last() {
-        assert!(
-            indices[p] < n,
-            "participant index {} out of range (federation size {n})",
-            indices[p]
-        );
-    }
-    let mut picked: Vec<Option<(usize, &mut Client)>> = Vec::with_capacity(indices.len());
-    picked.resize_with(indices.len(), || None);
-    let mut rest = clients;
-    let mut base = 0usize;
-    for &pos in &order {
-        let idx = indices[pos];
-        let (_, tail) = std::mem::take(&mut rest).split_at_mut(idx - base);
-        let (slot, tail) = tail.split_first_mut().expect("index in range");
-        picked[pos] = Some((idx, slot));
-        rest = tail;
-        base = idx + 1;
-    }
-    picked
-        .into_iter()
-        .map(|s| s.expect("every slot picked"))
-        .collect()
-}
-
-/// Maps `f` over the slots in parallel, keeping slot order.
-fn run_slots<R, F>(mut slots: Vec<(usize, &mut Client)>, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &mut Client) -> R + Sync,
-{
-    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| f(*i, c))
+    let mut free: Vec<Option<&mut Client>> = clients.iter_mut().map(Some).collect();
+    let mut pick = |i: usize| {
+        assert!(i < n, "participant index {i} out of range (federation size {n})");
+        free[i].take().unwrap_or_else(|| panic!("duplicate participant index {i}"))
+    };
+    indices.iter().map(|&i| (i, pick(i))).collect()
 }
 
 #[cfg(test)]
@@ -697,6 +539,179 @@ mod tests {
         let r = train_participants(&mut clients, &[], &RoundCtx::plain(1), |_, _| (1.0, ()));
         assert!(r.is_empty());
         assert_eq!(mean_loss(&r), 0.0);
+    }
+
+    // ---- wire stages, one test each, against a hand-written script ----
+
+    use crate::codec::CodecSpec;
+    use crate::faults::{ClientFate, RoundScript};
+    use crate::transport::{ChannelTransport, Legs, Transport};
+
+    const OK: AttemptFate = AttemptFate::Deliver { delay_ms: 0 };
+    const BAD: AttemptFate = AttemptFate::Corrupt { bit_seed: 77 };
+    const LOST: AttemptFate = AttemptFate::Drop;
+
+    /// A script from `(client, request attempts, upload attempts, accepted)`
+    /// rows; a client trains iff its last request attempt delivers.
+    fn script(round: usize, rows: &[(usize, &[AttemptFate], &[AttemptFate], bool)]) -> RoundScript {
+        let fates: BTreeMap<usize, ClientFate> = rows
+            .iter()
+            .map(|&(client, download, upload, accepted)| {
+                let fate = ClientFate {
+                    client,
+                    crashed: false,
+                    trains: download.last() == Some(&OK),
+                    download: download.to_vec(),
+                    upload: upload.to_vec(),
+                    arrival_ms: accepted.then_some(1),
+                    retries: 0,
+                    accepted,
+                };
+                (client, fate)
+            })
+            .collect();
+        let accepted = fates.values().filter(|f| f.accepted).map(|f| f.client).collect();
+        RoundScript { round, resample: 0, deadline_ms: 0, fates, accepted, events: Vec::new() }
+    }
+
+    fn wire<'a>(
+        transport: &'a ChannelTransport,
+        script: &'a RoundScript,
+        legs: &'a Legs,
+    ) -> CommsRound<'a> {
+        CommsRound { round: script.round, transport, script, legs, tally: Default::default() }
+    }
+
+    fn quant_i8() -> Option<Box<dyn crate::codec::Codec>> {
+        Some(CodecSpec::parse("quant-i8").unwrap().build())
+    }
+
+    fn frame(kind: MsgKind, round: u32, sender: u32, payload: Vec<u8>) -> Envelope {
+        Envelope { kind: kind as u8, round, sender, seq: 0, trace: None, payload }
+    }
+
+    #[test]
+    fn dispatch_sends_exactly_the_scripted_attempts() {
+        let t = ChannelTransport::new(4);
+        let s = script(5, &[(0, &[LOST, BAD, OK], &[], false), (2, &[OK], &[], false), (3, &[LOST], &[], false)]);
+        let legs = Legs::default();
+        let w = wire(&t, &s, &legs);
+        // Client 1 is a participant the script never sampled: no traffic.
+        let coded = w.dispatch(&[0, 1, 2, 3], None, 0);
+        assert!(coded.is_empty(), "no download codec, no coded bodies");
+        let to0 = t.drain(Endpoint::Client(0));
+        assert_eq!(to0.len(), 2, "the dropped attempt was never enqueued");
+        assert!(Envelope::decode(&to0[0]).is_err(), "the corrupt attempt fails its CRC");
+        let mut want = frame(MsgKind::TrainRequest, 5, SERVER_ID, Vec::new());
+        want.seq = 2;
+        assert_eq!(Envelope::decode(&to0[1]).unwrap(), want);
+        want.seq = 0;
+        assert_eq!(t.drain(Endpoint::Client(2)), vec![want.encode()]);
+        assert!(t.drain(Endpoint::Client(1)).is_empty() && t.drain(Endpoint::Client(3)).is_empty());
+        assert_eq!(w.tally.dropped.load(Relaxed), 2);
+
+        // With a download codec the request carries the coded broadcast,
+        // metered once per invited participant — even one whose every
+        // attempt is then lost.
+        let legs = Legs { down: quant_i8(), ..Legs::default() };
+        let w = wire(&t, &s, &legs);
+        let global = [0.5f32, -1.0, 2.0];
+        let coded = w.dispatch(&[0, 2, 3], Some(Broadcast::Global(&global)), 0);
+        let body = encode_broadcast_coded(legs.down.as_deref().unwrap(), &global);
+        assert_eq!(coded, BTreeMap::from([(0, body.clone()), (2, body.clone()), (3, body.clone())]));
+        assert_eq!(w.tally.down_raw.load(Relaxed), 3 * (8 + 4 * 3));
+        assert_eq!(w.tally.down_encoded.load(Relaxed), 3 * body.len() as u64);
+        let got = Envelope::decode(&t.drain(Endpoint::Client(2))[0]).unwrap();
+        assert_eq!(got, frame(MsgKind::BroadcastCoded, 5, SERVER_ID, body));
+    }
+
+    #[test]
+    fn receive_rejects_wrong_round_foreign_trace_and_undecodable_broadcasts() {
+        let t = ChannelTransport::new(2);
+        let s = script(3, &[(1, &[OK], &[], false)]);
+        let legs = Legs { down: quant_i8(), ..Legs::default() };
+        let down = legs.down.as_deref().unwrap();
+        let w = wire(&t, &s, &legs);
+        let (stale, fresh) = ([9.0f32, 9.0], [1.0f32, -1.0]);
+        let send = |env: Envelope| t.send(Endpoint::Client(1), env.encode()).unwrap();
+        // Another round's broadcast: ignored, not loaded.
+        send(frame(MsgKind::BroadcastCoded, 2, SERVER_ID, encode_broadcast_coded(down, &stale)));
+        // CRC-valid but undecodable under the armed codec: rejected.
+        send(frame(MsgKind::BroadcastCoded, 3, SERVER_ID, vec![0xFF; 3]));
+        // Physically mangled: rejected by CRC.
+        let mut mangled = frame(MsgKind::TrainRequest, 3, SERVER_ID, Vec::new()).encode();
+        corrupt_frame(&mut mangled, 13);
+        t.send(Endpoint::Client(1), mangled).unwrap();
+        // The real request — but stamped with another run's trace id.
+        let mut req = frame(MsgKind::BroadcastCoded, 3, SERVER_ID, encode_broadcast_coded(down, &fresh));
+        let foreign = fedgta_obs::run_trace_id() ^ 2;
+        req.trace = Some(TraceContext { trace_id: foreign, parent_span: 999 });
+        send(req.clone());
+        let (parent, start) = w.receive(1, 42, Some(&stale));
+        assert_eq!(parent, 42, "a foreign trace id must not re-parent the client span");
+        let want = decode_broadcast_coded(down, &req.payload).unwrap();
+        assert_eq!(start.as_deref(), Some(want.as_slice()), "only this round's broadcast loads");
+        assert_eq!(w.tally.corrupted.load(Relaxed), 2);
+        // Same frame under this run's trace id: the wire parent wins.
+        req.trace = Some(TraceContext { trace_id: fedgta_obs::run_trace_id(), parent_span: 777 });
+        send(req);
+        assert_eq!(w.receive(1, 42, None).0, 777);
+    }
+
+    #[test]
+    fn upload_meters_raw_and_encoded_bytes_once_per_trainer() {
+        let mut clients = small_federation(ModelKind::Sgc, 35);
+        let t = ChannelTransport::new(4);
+        let s = script(1, &[(0, &[OK], &[BAD, OK], true), (1, &[OK], &[LOST], false)]);
+        let legs = Legs { up: quant_i8(), ..Legs::default() };
+        let w = wire(&t, &s, &legs);
+        let payload = (vec![0.25f32, -3.0, 1.5, 8.0], 0.5f64);
+        w.upload(0, &mut clients[0], None, 0.75, payload.clone(), 0);
+        w.upload(1, &mut clients[1], None, 0.75, payload.clone(), 0);
+        // One tally per trainer, however many attempts its script plays
+        // (client 0: two frames; client 1: none — its upload is lost).
+        let raw = encode_upload(0.75, &payload).len() as u64;
+        let body = encode_upload_routed(legs.up.as_deref().unwrap(), None, 0.75, &payload);
+        assert!((body.len() as u64) < raw);
+        assert_eq!(w.tally.up_raw.load(Relaxed), 2 * raw);
+        assert_eq!(w.tally.up_encoded.load(Relaxed), 2 * body.len() as u64);
+        assert_eq!(w.tally.dropped.load(Relaxed), 1);
+        let frames = t.drain(Endpoint::Server);
+        assert_eq!(frames.len(), 2);
+        assert!(Envelope::decode(&frames[0]).is_err());
+        let mut want = frame(MsgKind::UploadCoded, 1, 0, body);
+        want.seq = 1;
+        assert_eq!(Envelope::decode(&frames[1]).unwrap(), want);
+    }
+
+    #[test]
+    fn collect_returns_accepted_results_in_participant_order() {
+        let t = ChannelTransport::new(4);
+        // Client 2's upload arrives but the script did not accept it
+        // (a straggler); client 0 never trained and holds garbage.
+        let s = script(
+            4,
+            &[(3, &[OK], &[OK], true), (1, &[OK], &[OK], true), (2, &[OK], &[OK], false), (0, &[BAD], &[], false)],
+        );
+        let legs = Legs::default();
+        let w = wire(&t, &s, &legs);
+        let upload = |round: u32, sender: usize, v: f32| {
+            frame(MsgKind::Upload, round, sender as u32, encode_upload(v, &vec![v; 2])).encode()
+        };
+        let mut mangled = upload(4, 1, 6.0);
+        corrupt_frame(&mut mangled, 5);
+        // Mailbox order is a thread race: 2, 1, garbage, a stale round-3
+        // frame from 3, then 3's real upload.
+        for f in [upload(4, 2, 2.0), upload(4, 1, 1.0), mangled, upload(3, 3, 9.0), upload(4, 3, 3.0)] {
+            t.send(Endpoint::Server, f).unwrap();
+        }
+        w.dispatch(&[0], None, 0);
+        let out: Vec<LocalResult<Vec<f32>>> = w.collect(&[3, 1, 2, 0]);
+        let got: Vec<(usize, f32, Vec<f32>)> =
+            out.into_iter().map(|r| (r.client, r.loss, r.payload)).collect();
+        assert_eq!(got, vec![(3, 3.0, vec![3.0; 2]), (1, 1.0, vec![1.0; 2])]);
+        assert_eq!(w.tally.corrupted.load(Relaxed), 2, "one mangled upload, one mangled request");
+        assert!(t.drain(Endpoint::Client(0)).is_empty(), "no stale frame leaks into the next round");
     }
 
     #[test]

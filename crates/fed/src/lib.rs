@@ -49,7 +49,7 @@ pub use ef::{EfServer, EfState, EfTensor};
 pub use eval::global_test_accuracy;
 pub use exec::{mean_loss, par_clients, train_participants, LocalResult};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan, RoundScript};
-pub use round::{CommsConfig, RoundRecord, SimConfig, Simulation, TransportMode};
+pub use round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 pub use strategies::{Broadcast, RoundCtx, RoundStats, Strategy};
 pub use transport::{ChannelTransport, CommsRound, TensorRouter, Transport, WirePayload};
 

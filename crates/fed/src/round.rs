@@ -8,8 +8,8 @@
 use crate::client::Client;
 use crate::eval::global_test_accuracy;
 use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundScript};
-use crate::strategies::{RoundCtx, Strategy};
-use crate::transport::{ChannelTransport, CommsRound};
+use crate::strategies::{RoundCtx, RoundStats, Strategy};
+use crate::transport::{ChannelTransport, CommsRound, Legs};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -47,25 +47,13 @@ impl Default for SimConfig {
     }
 }
 
-/// How a round moves bytes between the server and its clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportMode {
-    /// The classic in-process function-call round (no envelopes, no
-    /// faults) — the pre-transport simulator.
-    Direct,
-    /// Explicit message rounds over a [`crate::transport::Transport`]
-    /// with the fault script applied.
-    #[default]
-    Transport,
-}
-
 /// Transport + robustness configuration, attached to a [`Simulation`]
-/// via [`Simulation::with_comms`]. With the default fault model (all
-/// rates zero) the transport round is bit-identical to [`TransportMode::Direct`].
+/// via [`Simulation::with_comms`]: rounds then run their wire stages over
+/// a [`ChannelTransport`]. With the default fault model (all rates zero)
+/// and no codec the wire round is bit-identical to the in-process one
+/// (`comms: None`).
 #[derive(Debug, Clone)]
 pub struct CommsConfig {
-    /// Message path selection.
-    pub mode: TransportMode,
     /// The fault model (defaults to fault-free).
     pub faults: FaultConfig,
     /// Chaos seed — independent of the sampling/training seed, so the
@@ -104,7 +92,6 @@ pub struct CommsConfig {
 impl Default for CommsConfig {
     fn default() -> Self {
         Self {
-            mode: TransportMode::Transport,
             faults: FaultConfig::default(),
             fault_seed: 0,
             deadline_ms: 0,
@@ -229,23 +216,19 @@ impl Simulation {
         self
     }
 
-    /// Samples this round's participants: a sorted, duplicate-free subset
-    /// of client indices of size `clamp(round(n · participation), 1, n)`.
-    pub fn sample_participants(&self, rng: &mut StdRng) -> Vec<usize> {
-        sample_participants(self.clients.len(), self.config.participation, rng)
-    }
-
     /// Runs all rounds; returns per-round records. Always evaluates after
     /// the final round.
     ///
-    /// With a [`CommsConfig`] attached (transport mode) each round first
-    /// scripts its fate: the orchestrator invites `round(k·oversample)`
-    /// clients, precomputes every message's fate from the fault seed,
-    /// accepts the first `k` uploads inside the deadline, and — if fewer
-    /// than `min_quorum` survive — re-samples (bounded) or skips the
-    /// round entirely, aggregating nothing. The strategy then replays
-    /// the surviving script over real envelopes. With no `CommsConfig`
-    /// the loop is exactly the pre-transport simulator.
+    /// Every round is plan → execute → evaluate → record. With a
+    /// [`CommsConfig`] attached the plan stage first scripts the round's
+    /// fate: the orchestrator invites `round(k·oversample)` clients,
+    /// precomputes every message's fate from the fault seed, accepts the
+    /// first `k` uploads inside the deadline, and — if fewer than
+    /// `min_quorum` survive — re-samples (bounded) or skips the round
+    /// entirely, aggregating nothing. The strategy then replays the
+    /// surviving script over real envelopes. With no `CommsConfig` the
+    /// plan is a plain participation sample and the round runs
+    /// in-process — exactly the pre-transport simulator.
     ///
     /// When tracing is armed each round emits a span tree
     /// `round > { sample, train > client_train×P, aggregate, eval }` with
@@ -258,37 +241,7 @@ impl Simulation {
         let mut cumulative = 0f64;
         let threads = fedgta_graph::par::resolve_threads(Some(self.config.threads));
         let strategy_name = self.strategy.name();
-        let n = self.clients.len();
-        // Transport machinery lives for the whole run: one mailbox set,
-        // one fault plan (a pure function of the fault seed).
-        let comms_cfg = self
-            .comms
-            .clone()
-            .filter(|c| c.mode == TransportMode::Transport);
-        let transport = comms_cfg.as_ref().map(|_| ChannelTransport::new(n));
-        let plan = comms_cfg
-            .as_ref()
-            .map(|c| FaultPlan::new(c.faults.clone(), c.fault_seed));
-        // A fully lossless chain (identity stages only) is elided at build
-        // time: the executor then sends plain frames, so `--codec identity`
-        // costs zero header bytes — byte-identical to no codec at all.
-        // (Lossless ≡ plain was already the numeric contract; now it holds
-        // for the wire bytes too.)
-        let build_lossy = |spec: &Option<crate::codec::CodecSpec>| {
-            spec.as_ref().filter(|s| !s.is_lossless()).map(|s| s.build())
-        };
-        let codec: Option<Box<dyn crate::codec::Codec>> =
-            comms_cfg.as_ref().and_then(|c| build_lossy(&c.codec));
-        let codec_down: Option<Box<dyn crate::codec::Codec>> =
-            comms_cfg.as_ref().and_then(|c| build_lossy(&c.codec_down));
-        let codec_sketch: Option<Box<dyn crate::codec::Codec>> = comms_cfg
-            .as_ref()
-            .filter(|_| codec.is_some())
-            .and_then(|c| build_lossy(&c.codec_sketch));
-        let ef_server = comms_cfg
-            .as_ref()
-            .filter(|c| c.error_feedback && codec.is_some())
-            .map(|_| crate::ef::EfServer::default());
+        let wire = self.comms.clone().map(|cc| Wire::new(cc, self.clients.len()));
         for round in 1..=self.config.rounds {
             let mut round_span = fedgta_obs::span!(
                 "round",
@@ -296,174 +249,18 @@ impl Simulation {
                 strategy = strategy_name.clone(),
                 threads = threads,
             );
-            // Sampling — and, in transport mode, fault scripting with
-            // quorum checks. Everything here is driver-side arithmetic on
-            // the seeded RNGs, so thread count cannot leak in.
-            let (participants, script, retries) = {
-                let _g = fedgta_obs::span!("sample");
-                match (&comms_cfg, &plan) {
-                    (Some(cc), Some(plan)) => {
-                        let base_k = participation_k(n, self.config.participation);
-                        let invite_k = ((base_k as f64 * cc.oversample).round() as usize)
-                            .clamp(base_k, n.max(1));
-                        let mut retries = 0u64;
-                        let mut resample = 0usize;
-                        loop {
-                            let sampled = sample_k(n, invite_k, &mut rng);
-                            let s = RoundScript::build(
-                                plan,
-                                round,
-                                resample,
-                                &sampled,
-                                base_k,
-                                cc.deadline_ms,
-                            );
-                            retries += s.total_retries();
-                            observe_stragglers(&s);
-                            record_flight_faults(&s.events);
-                            self.fault_events.extend(s.events.iter().cloned());
-                            if s.accepted.len() >= cc.min_quorum.max(1) {
-                                break (sampled, Some(s), retries);
-                            }
-                            // Quorum failure: this draw's traffic never
-                            // replays through the executor, so account its
-                            // faults here, then re-sample or give up.
-                            record_script_faults(&s);
-                            fedgta_obs::recorder::record_note(
-                                "quorum_fail",
-                                round as u64,
-                                s.accepted.len() as u64,
-                            );
-                            if resample >= cc.max_resamples {
-                                break (sampled, None, retries);
-                            }
-                            self.fault_events.push(FaultEvent {
-                                round,
-                                client: usize::MAX,
-                                kind: FaultKind::Resample,
-                                sim_ms: cc.deadline_ms,
-                            });
-                            resample += 1;
-                        }
-                    }
-                    _ => (self.sample_participants(&mut rng), None, 0),
-                }
-            };
-            round_span.record("participants", fedgta_obs::FieldVal::from(participants.len()));
-            let skipped = comms_cfg.is_some() && script.is_none();
-            if skipped {
-                // Terminal quorum failure: note it in the flight recorder
-                // and, if armed, write the postmortem dump — the recorder
-                // ring, the deterministic fault log, and the registry
-                // correlated into one file. The run itself continues
-                // (graceful degradation); the dump is for the operator.
-                fedgta_obs::recorder::record_note("round_skip", round as u64, 0);
-                if let Some(path) = &self.postmortem {
-                    let seed = comms_cfg.as_ref().map_or(0, |c| c.fault_seed);
-                    if let Err(e) = crate::postmortem::write_dump(
-                        path,
-                        "quorum_fail",
-                        round,
-                        seed,
-                        &self.fault_events,
-                    ) {
-                        eprintln!("warning: postmortem dump failed: {e}");
-                    }
-                }
-            }
+            let plan = self.plan_round(round, wire.as_ref(), &mut rng);
+            round_span.record("participants", fedgta_obs::FieldVal::from(plan.participants.len()));
             let train_clock = fedgta_obs::TimeCell::new();
-            let comms_round = match (&script, &transport) {
-                (Some(s), Some(t)) => Some(
-                    CommsRound::new(round, t, s, codec.as_deref())
-                        .with_sketch(codec_sketch.as_deref())
-                        .with_down(codec_down.as_deref())
-                        .with_error_feedback(ef_server.as_ref()),
-                ),
-                _ => None,
-            };
             let t0 = Instant::now();
-            let stats = if skipped {
-                // Graceful degradation, last resort: nothing arrived even
-                // after re-sampling — aggregate nothing, keep all models.
-                crate::strategies::RoundStats {
-                    mean_loss: 0.0,
-                    bytes_uploaded: 0,
-                    bytes_downloaded: 0,
-                }
-            } else if let Some(cr) = &comms_round {
-                let ctx =
-                    RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
-                        .with_train_clock(&train_clock)
-                        .with_comms(cr);
-                self.strategy.round(&mut self.clients, &participants, &ctx)
-            } else {
-                let ctx =
-                    RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
-                        .with_train_clock(&train_clock);
-                self.strategy.round(&mut self.clients, &participants, &ctx)
-            };
-            // Wire-byte truth: what the upload leg actually built and
-            // sent. Direct mode has no wire; mirror the analytic count.
-            let (bytes_raw, bytes_encoded, bytes_down_raw, bytes_down_encoded) =
-                match &comms_round {
-                    Some(cr) => {
-                        use std::sync::atomic::Ordering::Relaxed;
-                        (
-                            cr.bytes_raw.load(Relaxed) as usize,
-                            cr.bytes_encoded.load(Relaxed) as usize,
-                            cr.bytes_down_raw.load(Relaxed) as usize,
-                            cr.bytes_down_encoded.load(Relaxed) as usize,
-                        )
-                    }
-                    None if comms_cfg.is_some() => (0, 0, 0, 0),
-                    None => (stats.bytes_uploaded, stats.bytes_uploaded, 0, 0),
-                };
+            let (stats, wire_bytes) = self.execute_round(round, &plan, wire.as_ref(), &train_clock);
             let round_ns = t0.elapsed().as_nanos() as u64;
             let train_ns = train_clock.take_ns().min(round_ns);
             let aggregate_ns = round_ns - train_ns;
-            let (completed, dropped) = match (&script, comms_cfg.is_some()) {
-                (Some(s), _) => (s.accepted.len(), s.fates.len() - s.accepted.len()),
-                (None, true) => (0, participants.len()),
-                (None, false) => (participants.len(), 0),
-            };
-            let eval_now = round == self.config.rounds
-                || (self.config.eval_every > 0 && round % self.config.eval_every == 0);
-            let mut eval_ns = 0u64;
-            let test_acc = eval_now.then(|| {
-                let _g = fedgta_obs::span!("eval");
-                let e0 = Instant::now();
-                let acc = global_test_accuracy(&mut self.clients);
-                eval_ns = e0.elapsed().as_nanos() as u64;
-                acc
-            });
-            round_span.record("bytes_up", fedgta_obs::FieldVal::from(stats.bytes_uploaded));
-            round_span.record("bytes_down", fedgta_obs::FieldVal::from(stats.bytes_downloaded));
-            round_span.record("completed", fedgta_obs::FieldVal::from(completed));
-            round_span.record("dropped", fedgta_obs::FieldVal::from(dropped));
-            round_span.record("retries", fedgta_obs::FieldVal::from(retries));
-            record_round_metrics(&stats, aggregate_ns);
-            record_codec_metrics(bytes_raw, bytes_encoded, bytes_down_raw, bytes_down_encoded);
-            // Flight-recorder breadcrumbs: deterministic per-round values
-            // only (byte tallies and acceptance counts are functions of
-            // the seeds, never of the clock or thread count), so dumps
-            // stay byte-identical across invocations.
-            if fedgta_obs::recorder::armed() {
-                fedgta_obs::recorder::record_metric("round.completed", round as u64, completed as u64);
-                fedgta_obs::recorder::record_metric("round.bytes_up_raw", round as u64, bytes_raw as u64);
-                fedgta_obs::recorder::record_metric(
-                    "round.bytes_up_encoded",
-                    round as u64,
-                    bytes_encoded as u64,
-                );
-                fedgta_obs::recorder::record_metric(
-                    "round.bytes_down_encoded",
-                    round as u64,
-                    bytes_down_encoded as u64,
-                );
-            }
+            let (test_acc, eval_ns) = self.evaluate(round);
             let elapsed_s = round_ns as f64 / 1e9;
             cumulative += elapsed_s;
-            records.push(RoundRecord {
+            let record = RoundRecord {
                 round,
                 mean_loss: stats.mean_loss,
                 test_acc,
@@ -474,24 +271,111 @@ impl Simulation {
                 eval_s: eval_ns as f64 / 1e9,
                 bytes_uploaded: stats.bytes_uploaded,
                 bytes_downloaded: stats.bytes_downloaded,
-                bytes_uploaded_raw: bytes_raw,
-                bytes_uploaded_encoded: bytes_encoded,
-                bytes_downloaded_raw: bytes_down_raw,
-                bytes_downloaded_encoded: bytes_down_encoded,
+                bytes_uploaded_raw: wire_bytes[0],
+                bytes_uploaded_encoded: wire_bytes[1],
+                bytes_downloaded_raw: wire_bytes[2],
+                bytes_downloaded_encoded: wire_bytes[3],
                 threads,
-                participants_completed: completed,
-                participants_dropped: dropped,
-                retries,
-            });
-            // Live export: when a metrics endpoint is serving, push this
-            // round's summary so `/rounds` reflects the run as it goes.
-            if fedgta_obs::serve::rounds_armed() {
-                fedgta_obs::serve::publish_round(round_summary_json(
-                    records.last().expect("just pushed"),
-                ));
-            }
+                participants_completed: plan.completed,
+                participants_dropped: plan.participants.len() - plan.completed,
+                retries: plan.retries,
+            };
+            publish_round(&mut round_span, &record, aggregate_ns);
+            records.push(record);
         }
         records
+    }
+
+    /// Plan stage: sampling — and, on the wire, fault scripting with
+    /// quorum checks. Everything here is driver-side arithmetic on the
+    /// seeded RNGs, so thread count cannot leak in.
+    fn plan_round(&mut self, round: usize, wire: Option<&Wire>, rng: &mut StdRng) -> RoundPlan {
+        let (n, p) = (self.clients.len(), self.config.participation);
+        let plan = {
+            let _g = fedgta_obs::span!("sample");
+            match wire {
+                Some(w) => w.plan_round(round, n, p, rng, &mut self.fault_events),
+                None => {
+                    let participants = sample_participants(n, p, rng);
+                    let completed = participants.len();
+                    RoundPlan { participants, script: None, retries: 0, completed, skipped: false }
+                }
+            }
+        };
+        if plan.skipped {
+            // Terminal quorum failure: note it in the flight recorder
+            // and, if armed, write the postmortem dump — the recorder
+            // ring, the deterministic fault log, and the registry
+            // correlated into one file. The run itself continues
+            // (graceful degradation); the dump is for the operator.
+            fedgta_obs::recorder::record_note("round_skip", round as u64, 0);
+            if let Some(path) = &self.postmortem {
+                let seed = wire.map_or(0, |w| w.cfg.fault_seed);
+                if let Err(e) = crate::postmortem::write_dump(
+                    path,
+                    "quorum_fail",
+                    round,
+                    seed,
+                    &self.fault_events,
+                ) {
+                    eprintln!("warning: postmortem dump failed: {e}");
+                }
+            }
+        }
+        plan
+    }
+
+    /// Execute stage: one strategy round over the planned participants —
+    /// over `wire` when the plan carries a script — returning its stats
+    /// and the wire-byte tallies `[upload raw, upload encoded, download
+    /// raw, download encoded]`.
+    fn execute_round(
+        &mut self,
+        round: usize,
+        plan: &RoundPlan,
+        wire: Option<&Wire>,
+        train_clock: &fedgta_obs::TimeCell,
+    ) -> (RoundStats, [usize; 4]) {
+        if plan.skipped {
+            // Graceful degradation, last resort: nothing arrived even
+            // after re-sampling — aggregate nothing, keep all models.
+            let stats = RoundStats { mean_loss: 0.0, bytes_uploaded: 0, bytes_downloaded: 0 };
+            return (stats, [0; 4]);
+        }
+        let comms_round = wire.zip(plan.script.as_ref()).map(|(w, script)| CommsRound {
+            round,
+            transport: &w.transport,
+            script,
+            legs: &w.legs,
+            tally: Default::default(),
+        });
+        let mut ctx = RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
+            .with_train_clock(train_clock);
+        ctx.comms = comms_round.as_ref();
+        let stats = self.strategy.round(&mut self.clients, &plan.participants, &ctx);
+        // Wire-byte truth: what the legs actually built and sent. An
+        // in-process round has no wire; mirror the analytic count.
+        let wire_bytes = match comms_round.as_ref().map(|cr| &cr.tally) {
+            Some(t) => [&t.up_raw, &t.up_encoded, &t.down_raw, &t.down_encoded]
+                .map(|bytes| bytes.load(std::sync::atomic::Ordering::Relaxed) as usize),
+            None => [stats.bytes_uploaded, stats.bytes_uploaded, 0, 0],
+        };
+        (stats, wire_bytes)
+    }
+
+    /// Evaluate stage: global test accuracy after `round` when it is due
+    /// (every `eval_every` rounds and always after the last), with the
+    /// nanoseconds it took.
+    fn evaluate(&mut self, round: usize) -> (Option<f64>, u64) {
+        let every = self.config.eval_every;
+        let due = round == self.config.rounds || (every > 0 && round.is_multiple_of(every));
+        if !due {
+            return (None, 0);
+        }
+        let _g = fedgta_obs::span!("eval");
+        let e0 = Instant::now();
+        let acc = global_test_accuracy(&mut self.clients);
+        (Some(acc), e0.elapsed().as_nanos() as u64)
     }
 
     /// Final test accuracy (evaluates now).
@@ -500,53 +384,143 @@ impl Simulation {
     }
 }
 
-/// Accumulates the driver's per-round communication counters and the
-/// aggregation-latency histogram into the global registry (no-op below
-/// [`fedgta_obs::ObsLevel::Metrics`]).
-#[inline]
-fn record_round_metrics(stats: &crate::strategies::RoundStats, aggregate_ns: u64) {
-    use std::sync::{Arc, OnceLock};
-    if !fedgta_obs::metrics_on() {
-        return;
-    }
-    static UP: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DOWN: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static AGG: OnceLock<Arc<fedgta_obs::Histogram>> = OnceLock::new();
-    UP.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes"))
-        .add(stats.bytes_uploaded as u64);
-    DOWN.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes"))
-        .add(stats.bytes_downloaded as u64);
-    AGG.get_or_init(|| fedgta_obs::global().histogram("strategy.aggregate_ns"))
-        .observe(aggregate_ns);
+/// The run-lifetime transport machinery, built from the run's
+/// [`CommsConfig`] in one place: one mailbox set, one fault plan (a pure
+/// function of the fault seed), the armed codec legs and the server's
+/// error-feedback mirror.
+struct Wire {
+    cfg: CommsConfig,
+    transport: ChannelTransport,
+    plan: FaultPlan,
+    legs: Legs,
 }
 
-/// Accumulates the per-round raw/encoded byte splits of both wire legs
-/// into the `comms.upload_bytes_raw` / `comms.upload_bytes_encoded` /
-/// `comms.download_bytes_raw` / `comms.download_bytes_encoded` counters
-/// (no-op below metrics level).
-#[inline]
-fn record_codec_metrics(
-    bytes_raw: usize,
-    bytes_encoded: usize,
-    bytes_down_raw: usize,
-    bytes_down_encoded: usize,
-) {
-    use std::sync::{Arc, OnceLock};
-    if !fedgta_obs::metrics_on() {
-        return;
+impl Wire {
+    fn new(cfg: CommsConfig, n: usize) -> Self {
+        // A fully lossless chain (identity stages only) is elided at build
+        // time: the executor then sends plain frames, so `--codec identity`
+        // costs zero header bytes — byte-identical to no codec at all.
+        let lossy = |spec: &Option<crate::codec::CodecSpec>| {
+            spec.as_ref().filter(|s| !s.is_lossless()).map(|s| s.build())
+        };
+        let up = lossy(&cfg.codec);
+        // The sketch chain routes tensors of a *coded* upload and error
+        // feedback folds *coding* error: neither arms without `up`.
+        let legs = Legs {
+            sketch: up.as_ref().and_then(|_| lossy(&cfg.codec_sketch)),
+            down: lossy(&cfg.codec_down),
+            ef: (cfg.error_feedback && up.is_some()).then(crate::ef::EfServer::default),
+            up,
+        };
+        Self {
+            transport: ChannelTransport::new(n),
+            plan: FaultPlan::new(cfg.faults.clone(), cfg.fault_seed),
+            legs,
+            cfg,
+        }
     }
-    static RAW: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static ENC: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DRAW: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static DENC: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    RAW.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes_raw"))
-        .add(bytes_raw as u64);
-    ENC.get_or_init(|| fedgta_obs::global().counter("comms.upload_bytes_encoded"))
-        .add(bytes_encoded as u64);
-    DRAW.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes_raw"))
-        .add(bytes_down_raw as u64);
-    DENC.get_or_init(|| fedgta_obs::global().counter("comms.download_bytes_encoded"))
-        .add(bytes_down_encoded as u64);
+
+    /// Samples and scripts `round` until a quorum survives or the
+    /// re-sample budget runs out (see [`Simulation::run`]), appending
+    /// every draw's fault events to `log`.
+    fn plan_round(
+        &self,
+        round: usize,
+        n: usize,
+        participation: f64,
+        rng: &mut StdRng,
+        log: &mut Vec<FaultEvent>,
+    ) -> RoundPlan {
+        let cc = &self.cfg;
+        let base_k = participation_k(n, participation);
+        let invite_k =
+            ((base_k as f64 * cc.oversample).round() as usize).clamp(base_k, n.max(1));
+        let mut retries = 0u64;
+        let mut resample = 0usize;
+        loop {
+            let participants = sample_k(n, invite_k, rng);
+            let (plan, deadline) = (&self.plan, cc.deadline_ms);
+            let s = RoundScript::build(plan, round, resample, &participants, base_k, deadline);
+            retries += s.total_retries();
+            observe_draw(&s);
+            log.extend(s.events.iter().cloned());
+            let quorum = s.accepted.len() >= cc.min_quorum.max(1);
+            if !quorum {
+                // This draw's traffic never replays through the executor,
+                // so account its faults here, then re-sample or give up.
+                record_script_faults(&s);
+                let accepted = s.accepted.len() as u64;
+                fedgta_obs::recorder::record_note("quorum_fail", round as u64, accepted);
+            }
+            if quorum || resample >= cc.max_resamples {
+                let completed = if quorum { s.accepted.len() } else { 0 };
+                let script = quorum.then_some(s);
+                return RoundPlan { participants, script, retries, completed, skipped: !quorum };
+            }
+            log.push(FaultEvent {
+                round,
+                client: usize::MAX,
+                kind: FaultKind::Resample,
+                sim_ms: cc.deadline_ms,
+            });
+            resample += 1;
+        }
+    }
+}
+
+/// What the plan stage decided for one round.
+struct RoundPlan {
+    /// The sampled (on the wire: invited) clients, ascending.
+    participants: Vec<usize>,
+    /// The surviving fault script of a wire round; `None` in-process and
+    /// on a skipped round.
+    script: Option<RoundScript>,
+    /// Message retransmissions over every draw of this round.
+    retries: u64,
+    /// Participants whose uploads will be aggregated; the rest are
+    /// dropped (in-process: everyone completes).
+    completed: usize,
+    /// Terminal quorum failure: nothing trains, nothing aggregates.
+    skipped: bool,
+}
+
+/// Record stage: closes the books on one round — span fields, the
+/// `comms.*` byte counters and aggregation-latency histogram (no-op below
+/// [`fedgta_obs::ObsLevel::Metrics`]), flight-recorder breadcrumbs, and
+/// the live `/rounds` export.
+fn publish_round(round_span: &mut fedgta_obs::SpanGuard, r: &RoundRecord, aggregate_ns: u64) {
+    use fedgta_obs::{counter, recorder, FieldVal};
+    round_span.record("bytes_up", FieldVal::from(r.bytes_uploaded));
+    round_span.record("bytes_down", FieldVal::from(r.bytes_downloaded));
+    round_span.record("completed", FieldVal::from(r.participants_completed));
+    round_span.record("dropped", FieldVal::from(r.participants_dropped));
+    round_span.record("retries", FieldVal::from(r.retries));
+    if fedgta_obs::metrics_on() {
+        counter!("comms.upload_bytes").add(r.bytes_uploaded as u64);
+        counter!("comms.download_bytes").add(r.bytes_downloaded as u64);
+        fedgta_obs::histogram!("strategy.aggregate_ns").observe(aggregate_ns);
+        counter!("comms.upload_bytes_raw").add(r.bytes_uploaded_raw as u64);
+        counter!("comms.upload_bytes_encoded").add(r.bytes_uploaded_encoded as u64);
+        counter!("comms.download_bytes_raw").add(r.bytes_downloaded_raw as u64);
+        counter!("comms.download_bytes_encoded").add(r.bytes_downloaded_encoded as u64);
+    }
+    // Flight-recorder breadcrumbs: deterministic per-round values only
+    // (byte tallies and acceptance counts are functions of the seeds,
+    // never of the clock or thread count), so dumps stay byte-identical
+    // across invocations.
+    if recorder::armed() {
+        let round = r.round as u64;
+        recorder::record_metric("round.completed", round, r.participants_completed as u64);
+        recorder::record_metric("round.bytes_up_raw", round, r.bytes_uploaded_raw as u64);
+        recorder::record_metric("round.bytes_up_encoded", round, r.bytes_uploaded_encoded as u64);
+        let down_encoded = r.bytes_downloaded_encoded as u64;
+        recorder::record_metric("round.bytes_down_encoded", round, down_encoded);
+    }
+    // Live export: when a metrics endpoint is serving, push this round's
+    // summary so `/rounds` reflects the run as it goes.
+    if fedgta_obs::serve::rounds_armed() {
+        fedgta_obs::serve::publish_round(round_summary_json(r));
+    }
 }
 
 /// The per-round participant count: `clamp(round(n · participation), 1, n)`.
@@ -579,39 +553,26 @@ pub fn sample_participants(n: usize, participation: f64, rng: &mut StdRng) -> Ve
     sample_k(n, participation_k(n, participation), rng)
 }
 
-/// Observes each straggler's lateness (`arrival − deadline`, simulated
-/// ms) into the `comms.straggler_ms` histogram (no-op below metrics
-/// level).
-#[inline]
-fn observe_stragglers(script: &RoundScript) {
-    use std::sync::{Arc, OnceLock};
-    if !fedgta_obs::metrics_on() {
-        return;
-    }
-    static H: OnceLock<Arc<fedgta_obs::Histogram>> = OnceLock::new();
-    let h = H.get_or_init(|| fedgta_obs::global().histogram("comms.straggler_ms"));
+/// Mirrors a scripted draw into the observability layers: each
+/// straggler's lateness (`arrival − deadline`, simulated ms) into the
+/// `comms.straggler_ms` histogram at metrics level, and every fault event
+/// into the flight recorder while it is armed. Client ids map to the
+/// recorder's `NO_CLIENT` sentinel for round-level events so canonical
+/// dump lines omit them.
+fn observe_draw(script: &RoundScript) {
+    use fedgta_obs::recorder;
+    // Resolved per draw, not per straggler: a metered wire run without
+    // stragglers still exports the (empty) histogram.
+    let lateness = fedgta_obs::metrics_on().then(|| fedgta_obs::histogram!("comms.straggler_ms"));
+    let recording = recorder::armed();
     for e in &script.events {
-        if e.kind == FaultKind::Straggler {
+        if let (Some(h), FaultKind::Straggler) = (lateness, e.kind) {
             h.observe(e.sim_ms.saturating_sub(script.deadline_ms));
         }
-    }
-}
-
-/// Mirrors a scripted draw's fault events into the flight recorder
-/// (no-op while disarmed). Client ids map to the recorder's `NO_CLIENT`
-/// sentinel for round-level events so canonical dump lines omit them.
-#[inline]
-fn record_flight_faults(events: &[FaultEvent]) {
-    if !fedgta_obs::recorder::armed() {
-        return;
-    }
-    for e in events {
-        let client = if e.client == usize::MAX {
-            fedgta_obs::recorder::NO_CLIENT
-        } else {
-            e.client as u64
-        };
-        fedgta_obs::recorder::record_fault(e.kind.name(), e.round as u64, client, e.sim_ms);
+        if recording {
+            let client = if e.client == usize::MAX { recorder::NO_CLIENT } else { e.client as u64 };
+            recorder::record_fault(e.kind.name(), e.round as u64, client, e.sim_ms);
+        }
     }
 }
 
@@ -619,18 +580,19 @@ fn record_flight_faults(events: &[FaultEvent]) {
 /// figures included (the live endpoint is diagnostics, not a determinism
 /// surface).
 fn round_summary_json(r: &RoundRecord) -> String {
-    let acc = match r.test_acc {
-        Some(a) => format!("{a:.6}"),
-        None => "null".to_string(),
+    // JSON has no NaN/Infinity: a diverged round reports `null`.
+    let num = |v: Option<f64>| match v {
+        Some(v) if v.is_finite() => format!("{v:.6}"),
+        _ => "null".to_string(),
     };
     format!(
-        "{{\"round\":{},\"mean_loss\":{:.6},\"test_acc\":{},\"elapsed_s\":{:.6},\
+        "{{\"round\":{},\"mean_loss\":{},\"test_acc\":{},\"elapsed_s\":{:.6},\
          \"completed\":{},\"dropped\":{},\"retries\":{},\"bytes_up_raw\":{},\
          \"bytes_up_encoded\":{},\"bytes_down\":{},\"bytes_down_raw\":{},\
          \"bytes_down_encoded\":{}}}",
         r.round,
-        r.mean_loss,
-        acc,
+        num(Some(r.mean_loss as f64)),
+        num(r.test_acc),
         r.elapsed_s,
         r.participants_completed,
         r.participants_dropped,
@@ -736,10 +698,26 @@ mod tests {
             },
         );
         let mut rng = StdRng::seed_from_u64(0);
-        let p = sim.sample_participants(&mut rng);
+        let p = sample_participants(sim.clients.len(), sim.config.participation, &mut rng);
         assert_eq!(p.len(), 2);
         // Sorted and unique.
         assert!(p.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn diverged_round_summary_stays_valid_json() {
+        let clients = small_federation(ModelKind::Sgc, 53);
+        let cfg = SimConfig { rounds: 1, local_epochs: 1, ..SimConfig::default() };
+        let mut record = Simulation::new(clients, Box::new(FedAvg::new()), cfg).run().remove(0);
+        let healthy = round_summary_json(&record);
+        assert!(fedgta_obs::parse_flat_object(&healthy).is_ok(), "{healthy}");
+        assert!(!healthy.contains("null"));
+        // A diverged round: the loss is NaN and the accuracy overflowed.
+        record.mean_loss = f32::NAN;
+        record.test_acc = Some(f64::INFINITY);
+        let diverged = round_summary_json(&record);
+        assert!(diverged.contains("\"mean_loss\":null,\"test_acc\":null,"), "{diverged}");
+        assert!(fedgta_obs::parse_flat_object(&diverged).is_ok(), "{diverged}");
     }
 
     #[test]
@@ -754,6 +732,7 @@ mod tests {
             },
         );
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(sim.sample_participants(&mut rng).len(), 1);
+        let p = sample_participants(sim.clients.len(), sim.config.participation, &mut rng);
+        assert_eq!(p.len(), 1);
     }
 }

@@ -69,10 +69,10 @@ pub struct RoundCtx<'a> {
     /// without threading timing through every strategy's return value.
     /// Observability only — never read by any strategy.
     pub train_clock: Option<&'a fedgta_obs::TimeCell>,
-    /// Optional transport context: when set, the executor exchanges real
-    /// envelopes over the round's [`crate::transport::Transport`] and
+    /// Optional transport context: when set, the executor runs its wire
+    /// stages over the round's [`crate::transport::Transport`] and
     /// replays its fault script — only the scripted survivors' results
-    /// come back. `None` = the classic in-process direct path.
+    /// come back. `None` skips those stages: results return in memory.
     pub comms: Option<&'a crate::transport::CommsRound<'a>>,
     /// The strategy's start-of-round model broadcast, applied by the
     /// executor to every participant before its training closure runs
@@ -105,15 +105,6 @@ impl<'a> RoundCtx<'a> {
     #[must_use]
     pub fn with_train_clock(mut self, clock: &'a fedgta_obs::TimeCell) -> Self {
         self.train_clock = Some(clock);
-        self
-    }
-
-    /// Attaches the round's transport context (builder style): local
-    /// training now crosses the wire as checksummed envelopes under the
-    /// round's fault script.
-    #[must_use]
-    pub fn with_comms(mut self, comms: &'a crate::transport::CommsRound<'a>) -> Self {
-        self.comms = Some(comms);
         self
     }
 

@@ -64,19 +64,6 @@ pub enum MsgKind {
     BroadcastCoded = 4,
 }
 
-impl MsgKind {
-    /// Parses the envelope discriminant.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(MsgKind::TrainRequest),
-            2 => Some(MsgKind::Upload),
-            3 => Some(MsgKind::UploadCoded),
-            4 => Some(MsgKind::BroadcastCoded),
-            _ => None,
-        }
-    }
-}
-
 /// Errors from a transport.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
@@ -106,8 +93,6 @@ pub trait Transport: Send + Sync {
     fn send(&self, to: Endpoint, frame: Vec<u8>) -> Result<(), TransportError>;
     /// Drains every frame currently queued at `at`, in arrival order.
     fn drain(&self, at: Endpoint) -> Vec<Vec<u8>>;
-    /// Number of client endpoints.
-    fn num_clients(&self) -> usize;
 }
 
 /// In-process transport: one mailbox per endpoint.
@@ -146,17 +131,32 @@ impl Transport for ChannelTransport {
             None => Vec::new(),
         }
     }
+}
 
-    fn num_clients(&self) -> usize {
-        self.clients.len()
-    }
+/// The codec arming of a run's wire legs plus the server's
+/// error-feedback mirror: built once from the run's configuration by the
+/// round driver and borrowed by every [`CommsRound`]. All `None` (the
+/// default) is the plain channel — bit-identical to in-process rounds.
+#[derive(Default)]
+pub(crate) struct Legs {
+    /// Upload codec (`None` = plain [`MsgKind::Upload`] frames).
+    pub(crate) up: Option<Box<dyn Codec>>,
+    /// Sketch codec for the strategy's auxiliary tensors (payload
+    /// tensors after the first); `None` routes them through `up`.
+    pub(crate) sketch: Option<Box<dyn Codec>>,
+    /// Download codec: when set, the server→client broadcast rides the
+    /// request leg as [`MsgKind::BroadcastCoded`] frames.
+    pub(crate) down: Option<Box<dyn Codec>>,
+    /// Server-side error-feedback references; `Some` arms error feedback
+    /// on both ends of the upload leg.
+    pub(crate) ef: Option<crate::ef::EfServer>,
 }
 
 /// The transport context of one orchestrated round, handed to the
 /// executor via [`crate::strategies::RoundCtx::comms`]. When present,
-/// [`crate::exec::train_participants`] routes every local-training
-/// request and upload through `transport` as checksummed envelopes,
-/// replaying the round's deterministic fault `script`.
+/// [`crate::exec::train_participants`] runs its four wire stages —
+/// dispatch, receive, upload, collect — over `transport` as checksummed
+/// envelopes, replaying the round's deterministic fault `script`.
 pub struct CommsRound<'a> {
     /// Round index (1-based, stamped into envelopes).
     pub round: usize,
@@ -164,79 +164,33 @@ pub struct CommsRound<'a> {
     pub transport: &'a dyn Transport,
     /// The precomputed fate of every sampled participant.
     pub script: &'a crate::faults::RoundScript,
-    /// Armed upload codec (`None` = plain [`MsgKind::Upload`] frames).
-    pub codec: Option<&'a dyn Codec>,
-    /// Armed sketch codec for the strategy's auxiliary tensors (payload
-    /// tensors after the first); `None` routes them through `codec`.
-    pub codec_sketch: Option<&'a dyn Codec>,
-    /// Armed download codec: when set, the server→client broadcast rides
-    /// the request leg as [`MsgKind::BroadcastCoded`] frames.
-    pub codec_down: Option<&'a dyn Codec>,
-    /// Server-side error-feedback references; `Some` arms error feedback
-    /// on both ends of the upload leg.
-    pub ef: Option<&'a crate::ef::EfServer>,
-    /// Plain-encoding bytes of every upload body built this round — what
-    /// the round would have cost with no codec. Filled once per trainer
-    /// by the executor (trainers are scripted, so the tally is
-    /// deterministic at any thread count).
-    pub bytes_raw: AtomicU64,
-    /// Upload body bytes that actually crossed the wire (equals
-    /// `bytes_raw` when no codec is armed).
-    pub bytes_encoded: AtomicU64,
-    /// Plain-encoding bytes of every broadcast body built this round
-    /// (filled once per invited participant with a broadcast vector;
-    /// stays 0 with no download codec — the broadcast is then applied
-    /// in-process and never crosses the wire).
-    pub bytes_down_raw: AtomicU64,
-    /// Broadcast body bytes that actually crossed the wire.
-    pub bytes_down_encoded: AtomicU64,
+    /// The run's armed codec legs and error-feedback mirror.
+    pub(crate) legs: &'a Legs,
+    /// What this round's stages metered.
+    pub(crate) tally: Tally,
 }
 
-impl<'a> CommsRound<'a> {
-    /// A round context with zeroed byte tallies.
-    pub fn new(
-        round: usize,
-        transport: &'a dyn Transport,
-        script: &'a crate::faults::RoundScript,
-        codec: Option<&'a dyn Codec>,
-    ) -> Self {
-        Self {
-            round,
-            transport,
-            script,
-            codec,
-            codec_sketch: None,
-            codec_down: None,
-            ef: None,
-            bytes_raw: AtomicU64::new(0),
-            bytes_encoded: AtomicU64::new(0),
-            bytes_down_raw: AtomicU64::new(0),
-            bytes_down_encoded: AtomicU64::new(0),
-        }
-    }
-
-    /// Arms the sketch codec for auxiliary payload tensors (builder
-    /// style).
-    #[must_use]
-    pub fn with_sketch(mut self, sketch: Option<&'a dyn Codec>) -> Self {
-        self.codec_sketch = sketch;
-        self
-    }
-
-    /// Arms the download codec for the broadcast leg (builder style).
-    #[must_use]
-    pub fn with_down(mut self, down: Option<&'a dyn Codec>) -> Self {
-        self.codec_down = down;
-        self
-    }
-
-    /// Arms error feedback with the server's reference store (builder
-    /// style).
-    #[must_use]
-    pub fn with_error_feedback(mut self, ef: Option<&'a crate::ef::EfServer>) -> Self {
-        self.ef = ef;
-        self
-    }
+/// One round's wire tallies, filled by the executor's stages. Trainers
+/// and attempts are scripted, so every count is deterministic at any
+/// thread count.
+#[derive(Default)]
+pub(crate) struct Tally {
+    /// Plain-encoding bytes of every upload body built this round — what
+    /// the round would have cost with no codec (lost uploads included).
+    pub(crate) up_raw: AtomicU64,
+    /// Upload body bytes that actually crossed the wire (equals `up_raw`
+    /// when no codec is armed).
+    pub(crate) up_encoded: AtomicU64,
+    /// Plain-encoding bytes of every broadcast body built this round
+    /// (0 with no download codec: the broadcast is then applied
+    /// in-process and never crosses the wire).
+    pub(crate) down_raw: AtomicU64,
+    /// Broadcast body bytes that actually crossed the wire.
+    pub(crate) down_encoded: AtomicU64,
+    /// Scripted attempts lost in flight (never enqueued).
+    pub(crate) dropped: AtomicU64,
+    /// Frames a receiver rejected (CRC or codec failure).
+    pub(crate) corrupted: AtomicU64,
 }
 
 /// Flips one bit of `frame` (index taken modulo the frame length) — the
@@ -326,32 +280,20 @@ impl WirePayload for () {
     }
 }
 
-impl WirePayload for f32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
-        Ok(f32::from_le_bytes(take(input, 4)?.try_into().unwrap()))
-    }
+macro_rules! impl_wire_scalar {
+    ($($t:ty),+) => {$(
+        impl WirePayload for $t {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
+                let bytes = take(input, std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().unwrap()))
+            }
+        }
+    )+};
 }
-
-impl WirePayload for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
-        Ok(f64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
-    }
-}
-
-impl WirePayload for u64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
-        Ok(u64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
-    }
-}
+impl_wire_scalar!(f32, f64, u64);
 
 impl WirePayload for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -490,28 +432,6 @@ pub fn decode_upload<R: WirePayload>(mut bytes: &[u8]) -> Result<(f32, R), IoErr
     Ok((loss, payload))
 }
 
-/// Encodes one client upload through an armed codec: the self-describing
-/// codec header, then the loss, then the codec-transformed payload.
-/// Travels under [`MsgKind::UploadCoded`].
-pub fn encode_upload_coded<R: WirePayload>(
-    codec: &dyn Codec,
-    loss: f32,
-    payload: &R,
-) -> Vec<u8> {
-    encode_upload_routed(codec, None, loss, payload)
-}
-
-/// Decodes an upload produced by [`encode_upload_coded`]. The header
-/// must match the server's armed codec exactly — a mismatched or
-/// truncated header is rejected as corruption, like any other mangled
-/// frame. Trailing bytes are an error.
-pub fn decode_upload_coded<R: WirePayload>(
-    codec: &dyn Codec,
-    bytes: &[u8],
-) -> Result<(f32, R), IoError> {
-    decode_upload_routed(codec, None, bytes)
-}
-
 fn header_of(codec: &dyn Codec, out: &mut Vec<u8>) {
     let mut stages: Vec<Stage> = Vec::new();
     codec.stages(&mut stages);
@@ -528,11 +448,12 @@ fn expect_header(codec: &dyn Codec, bytes: &mut &[u8]) -> Result<(), IoError> {
     Ok(())
 }
 
-/// The routed generalization of [`encode_upload_coded`]: when a sketch
-/// codec is armed its self-describing header follows the main chain's,
-/// and payload tensors after the first route through it (see
-/// [`TensorRouter`]). With `sketch = None` the bytes are exactly the
-/// pre-sketch [`encode_upload_coded`] layout.
+/// Encodes one client upload through an armed codec: the self-describing
+/// codec header, then the loss, then the codec-transformed payload.
+/// Travels under [`MsgKind::UploadCoded`]. When a sketch codec is armed
+/// its header follows the main chain's, and payload tensors after the
+/// first route through it (see [`TensorRouter`]); with `sketch = None`
+/// the bytes are exactly the pre-sketch single-header layout.
 pub fn encode_upload_routed<R: WirePayload>(
     codec: &dyn Codec,
     sketch: Option<&dyn Codec>,
@@ -550,9 +471,10 @@ pub fn encode_upload_routed<R: WirePayload>(
     out
 }
 
-/// Inverse of [`encode_upload_routed`]. Both headers (when a sketch
-/// codec is armed, config-agreed on both ends) must match exactly;
-/// trailing bytes are an error.
+/// Inverse of [`encode_upload_routed`]. Every header must match the
+/// server's armed codecs exactly (the sketch chain is config-agreed on
+/// both ends) — a mismatched or truncated header is rejected as
+/// corruption, like any other mangled frame. Trailing bytes are an error.
 pub fn decode_upload_routed<R: WirePayload>(
     codec: &dyn Codec,
     sketch: Option<&dyn Codec>,
@@ -609,7 +531,6 @@ mod tests {
         assert!(t.drain(Endpoint::Client(0)).is_empty());
         assert_eq!(t.drain(Endpoint::Client(1)), vec![vec![3]]);
         assert_eq!(t.drain(Endpoint::Server), vec![vec![4]]);
-        assert_eq!(t.num_clients(), 2);
     }
 
     #[test]
@@ -663,24 +584,25 @@ mod tests {
         );
         // Lossless codec: bit-exact round-trip, scalars untouched.
         let ident = CodecSpec::parse("identity").unwrap().build();
-        let bytes = encode_upload_coded(ident.as_ref(), 0.625, &payload);
+        let bytes = encode_upload_routed(ident.as_ref(), None, 0.625, &payload);
         let (loss, back): (f32, (Vec<f32>, f64, Vec<f32>, usize)) =
-            decode_upload_coded(ident.as_ref(), &bytes).unwrap();
+            decode_upload_routed(ident.as_ref(), None, &bytes).unwrap();
         assert_eq!(loss.to_bits(), 0.625f32.to_bits());
         assert_eq!(back, payload);
         // Lossy codec: shapes and scalars survive, tensors approximate.
         let quant = CodecSpec::parse("quant-i8").unwrap().build();
-        let qbytes = encode_upload_coded(quant.as_ref(), 0.625, &payload);
+        let qbytes = encode_upload_routed(quant.as_ref(), None, 0.625, &payload);
         assert!(qbytes.len() < bytes.len());
         let (qloss, qback): (f32, (Vec<f32>, f64, Vec<f32>, usize)) =
-            decode_upload_coded(quant.as_ref(), &qbytes).unwrap();
+            decode_upload_routed(quant.as_ref(), None, &qbytes).unwrap();
         assert_eq!(qloss.to_bits(), 0.625f32.to_bits());
         assert_eq!(qback.1.to_bits(), payload.1.to_bits());
         assert_eq!(qback.3, 42);
         assert_eq!(qback.0.len(), payload.0.len());
         // Decoding under a different armed codec is rejected up front.
-        assert!(decode_upload_coded::<(Vec<f32>, f64, Vec<f32>, usize)>(
+        assert!(decode_upload_routed::<(Vec<f32>, f64, Vec<f32>, usize)>(
             quant.as_ref(),
+            None,
             &bytes
         )
         .is_err());

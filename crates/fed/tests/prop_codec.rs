@@ -23,7 +23,7 @@
 use fedgta_fed::codec::{Chain, Codec, Identity, QuantF16, QuantI8, SketchQuant, TopK};
 use fedgta_fed::ef::EfTensor;
 use fedgta_fed::transport::{
-    corrupt_frame, decode_upload_coded, encode_upload_coded,
+    corrupt_frame, decode_upload_routed, encode_upload_routed,
 };
 use fedgta_graph::io::Envelope;
 use proptest::prelude::*;
@@ -262,7 +262,7 @@ proptest! {
         bit_seed in any::<u64>(),
     ) {
         let codec = Chain::new(vec![Box::new(TopK { k: 16 }), Box::new(QuantI8)]);
-        let body = encode_upload_coded(&codec, loss, &(params, weight));
+        let body = encode_upload_routed(&codec, None, loss, &(params, weight));
         let env = Envelope { kind: 3, round: 1, sender: 4, seq: 0, trace: None, payload: body };
         let mut frame = env.encode();
         corrupt_frame(&mut frame, bit_seed);
@@ -281,23 +281,23 @@ proptest! {
         cut in any::<u64>(),
     ) {
         let codec = QuantI8;
-        let body = encode_upload_coded(&codec, loss, &(params.clone(), 1.0f64));
+        let body = encode_upload_routed(&codec, None, loss, &(params.clone(), 1.0f64));
         // Clean body round-trips (loss bit-exact, shape preserved).
         let (l2, (p2, w2)): (f32, (Vec<f32>, f64)) =
-            decode_upload_coded(&codec, &body).expect("clean coded body decodes");
+            decode_upload_routed(&codec, None, &body).expect("clean coded body decodes");
         prop_assert_eq!(l2.to_bits(), loss.to_bits());
         prop_assert_eq!(p2.len(), params.len());
         prop_assert_eq!(w2.to_bits(), 1.0f64.to_bits());
         // Every strict prefix fails without panicking.
         let short = &body[..(cut % body.len() as u64) as usize];
-        prop_assert!(decode_upload_coded::<(Vec<f32>, f64)>(&codec, short).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&codec, None, short).is_err());
         // Padding fails too — coded bodies are exact-length.
         let mut long = body.clone();
         long.push(0);
-        prop_assert!(decode_upload_coded::<(Vec<f32>, f64)>(&codec, &long).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&codec, None, &long).is_err());
         // A body framed by one codec never decodes under another chain.
-        prop_assert!(decode_upload_coded::<(Vec<f32>, f64)>(&QuantF16, &body).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&QuantF16, None, &body).is_err());
         let chain = Chain::new(vec![Box::new(TopK { k: 8 }), Box::new(QuantI8)]);
-        prop_assert!(decode_upload_coded::<(Vec<f32>, f64)>(&chain, &body).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&chain, None, &body).is_err());
     }
 }

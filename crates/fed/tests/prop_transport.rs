@@ -11,7 +11,7 @@
 
 use fedgta_fed::codec::{decode_header, Codec, QuantI8};
 use fedgta_fed::faults::{FaultConfig, FaultPlan, RoundScript};
-use fedgta_fed::transport::{corrupt_frame, decode_upload, decode_upload_coded, encode_upload, encode_upload_coded};
+use fedgta_fed::transport::{corrupt_frame, decode_upload, decode_upload_routed, encode_upload, encode_upload_routed};
 use fedgta_graph::io::{read_csr, write_csr, write_csr_v2, Envelope};
 use fedgta_graph::EdgeList;
 use proptest::prelude::*;
@@ -93,7 +93,7 @@ proptest! {
         cut in any::<u64>(),
     ) {
         let codec = QuantI8;
-        let body = encode_upload_coded(&codec, loss, &(params, 1.0f64));
+        let body = encode_upload_routed(&codec, None, loss, &(params, 1.0f64));
         // The self-describing header is `u8 count + 5 bytes per stage`;
         // cut inside it specifically — the decoder must fail cleanly on
         // a frame that dies mid-header, not just mid-tensor.
@@ -101,7 +101,7 @@ proptest! {
         codec.stages(&mut stages);
         let header_len = 1 + 5 * stages.len();
         let short = &body[..(cut % header_len as u64) as usize];
-        prop_assert!(decode_upload_coded::<(Vec<f32>, f64)>(&codec, short).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&codec, None, short).is_err());
         // And the header decoder itself never panics on arbitrary bytes.
         let mut garbage = body.clone();
         for b in &mut garbage {

@@ -126,18 +126,12 @@ pub fn spmm(a: &Csr, x: &[f32], cols: usize) -> Result<Vec<f32>> {
 /// when metrics are on; skipped entirely when off.
 #[inline]
 pub(crate) fn record_spmm(rows: usize, nnz: usize, cols: usize) {
-    use std::sync::{Arc, OnceLock};
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static ROWS: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static FLOPS: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    ROWS.get_or_init(|| fedgta_obs::global().counter("spmm.rows"))
-        .add(rows as u64);
+    fedgta_obs::counter!("spmm.rows").add(rows as u64);
     // One multiply-add per stored edge per dense column.
-    FLOPS
-        .get_or_init(|| fedgta_obs::global().counter("spmm.flops"))
-        .add(2 * nnz as u64 * cols as u64);
+    fedgta_obs::counter!("spmm.flops").add(2 * nnz as u64 * cols as u64);
 }
 
 /// Computes `Y = A · X` into a caller-provided buffer (`y.len() == n*cols`).

@@ -50,14 +50,8 @@ fn record_tile_read(bytes: u64) {
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static READS: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    static BYTES: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    READS
-        .get_or_init(|| fedgta_obs::global().counter("graph.store.tile_reads"))
-        .inc();
-    BYTES
-        .get_or_init(|| fedgta_obs::global().counter("graph.store.bytes_read"))
-        .add(bytes);
+    fedgta_obs::counter!("graph.store.tile_reads").inc();
+    fedgta_obs::counter!("graph.store.bytes_read").add(bytes);
 }
 
 /// A file-backed CSR in the v2 chunked layout, readable tile-at-a-time.
@@ -862,23 +856,6 @@ mod tests {
             }
             std::fs::remove_file(&path).unwrap();
         }
-    }
-
-    #[test]
-    fn resident_gauge_rises_and_falls() {
-        let g = skewed_graph(200, 21);
-        let path = tmpdir().join("resident.fgta2");
-        write_csr_v2(&path, &g, 32).unwrap();
-        let before = resident_bytes();
-        {
-            let store = ChunkedCsr::open(&path).unwrap();
-            let mut reader = store.reader().unwrap();
-            let mut tile = TileBuf::new();
-            reader.read_tile(0, &mut tile).unwrap();
-            assert!(resident_bytes() > before, "tile bytes accounted");
-        }
-        assert_eq!(resident_bytes(), before, "all store memory released");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

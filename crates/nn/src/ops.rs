@@ -63,14 +63,10 @@ use fedgta_graph::par::par_chunks_mut;
 /// relaxed level load. Never allocates after the first armed call.
 #[inline]
 fn record_matmul_flops(m: usize, k: usize, n: usize) {
-    use std::sync::{Arc, OnceLock};
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static FLOPS: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    FLOPS
-        .get_or_init(|| fedgta_obs::global().counter("kernel.matmul.flops"))
-        .add(2 * (m as u64) * (k as u64) * (n as u64));
+    fedgta_obs::counter!("kernel.matmul.flops").add(2 * (m as u64) * (k as u64) * (n as u64));
 }
 
 /// Column-block width shared by the register-blocked kernels. Wide enough
@@ -538,14 +534,10 @@ pub fn softmax_rows_inplace(x: &mut Matrix) {
 /// the disarmed path but one level load.
 #[inline]
 fn record_aggregate_axpy_flops(members: usize, plen: usize) {
-    use std::sync::{Arc, OnceLock};
     if !fedgta_obs::metrics_on() {
         return;
     }
-    static FLOPS: OnceLock<Arc<fedgta_obs::Counter>> = OnceLock::new();
-    FLOPS
-        .get_or_init(|| fedgta_obs::global().counter("aggregate.axpy_flops"))
-        .add(2 * (members as u64) * (plen as u64));
+    fedgta_obs::counter!("aggregate.axpy_flops").add(2 * (members as u64) * (plen as u64));
 }
 
 /// Blocked weighted row sum — FedGTA's Eq. 7 personalized-aggregation

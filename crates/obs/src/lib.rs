@@ -205,6 +205,38 @@ macro_rules! span {
     };
 }
 
+/// The global-registry [`Counter`] named `$name`, resolved once per call
+/// site: the handle is cached in a call-site `static`, so every later
+/// evaluation is one lock-free load. Sites gate on [`metrics_on`]
+/// themselves when even that load should be skipped.
+///
+/// ```
+/// fedgta_obs::counter!("doc.example.calls").add(1);
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+            ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::global().counter($name))
+    }};
+}
+
+/// The global-registry [`Histogram`] named `$name`, cached per call site
+/// exactly like [`counter!`].
+///
+/// ```
+/// fedgta_obs::histogram!("doc.example.ns").observe(1_500);
+/// ```
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+            ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::global().histogram($name))
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

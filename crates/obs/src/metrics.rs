@@ -7,17 +7,11 @@
 //! allocation-free and safe inside `par_map_indexed` workers. With
 //! [`crate::ObsLevel::Off`] the RMW is skipped entirely.
 //!
-//! Instrumented sites cache their handle once:
+//! Instrumented sites cache their handle once, in a call-site `static`
+//! behind [`crate::counter!`] / [`crate::histogram!`]:
 //!
 //! ```
-//! use std::sync::{Arc, OnceLock};
-//! use fedgta_obs::{global, Counter};
-//!
-//! fn flops() -> &'static Arc<Counter> {
-//!     static C: OnceLock<Arc<Counter>> = OnceLock::new();
-//!     C.get_or_init(|| global().counter("kernel.matmul.flops"))
-//! }
-//! flops().add(128);
+//! fedgta_obs::counter!("kernel.matmul.flops").add(128);
 //! ```
 
 use crate::metrics_on;

@@ -162,3 +162,22 @@ fn metrics_level_accumulates_without_a_sink() {
     assert!(prom.contains("fedgta_comms_upload_bytes"));
     fedgta_obs::global().reset();
 }
+
+#[test]
+fn a_metered_wire_run_without_stragglers_still_exports_the_straggler_histogram() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fedgta_obs::global().reset();
+    fedgta_obs::set_level(ObsLevel::Metrics);
+    let clients = federation_with(ModelKind::Sgc, 902, 4, 902);
+    let cfg = SimConfig { rounds: 1, local_epochs: 1, ..SimConfig::default() };
+    Simulation::new(clients, Box::new(FedAvg::new()), cfg)
+        .with_comms(fedgta_fed::round::CommsConfig::default())
+        .run();
+    fedgta_obs::set_level(ObsLevel::Off);
+    // Dashboards read an absent series as "no data", an empty one as
+    // "no stragglers": the clean channel must export the latter.
+    let snaps = fedgta_obs::global().snapshot();
+    let lateness = snaps.iter().find(|s| s.name == "comms.straggler_ms");
+    assert_eq!(lateness.map(|s| s.count), Some(0));
+    fedgta_obs::global().reset();
+}

@@ -17,7 +17,7 @@
 //! mutex.
 
 use fedgta_fed::faults::FaultConfig;
-use fedgta_fed::round::{CommsConfig, RoundRecord, SimConfig, Simulation, TransportMode};
+use fedgta_fed::round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::federation_with;
 use fedgta_fed::strategies::{FedAvg, Strategy};
 use fedgta_graph::io::{Envelope, TraceContext};
@@ -125,7 +125,6 @@ fn channel_span_tree_is_isomorphic_to_direct_tree() {
         2,
         3,
         Some(CommsConfig {
-            mode: TransportMode::Transport,
             ..CommsConfig::default()
         }),
     );
@@ -229,7 +228,6 @@ fn quorum_failure_dumps_are_byte_identical_across_threads_and_invocations() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir();
     let comms = || CommsConfig {
-        mode: TransportMode::Transport,
         faults: FaultConfig::parse("crash=1.0").expect("spec"),
         fault_seed: 13,
         min_quorum: 2,
