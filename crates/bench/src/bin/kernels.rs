@@ -47,6 +47,15 @@ fn main() {
         );
         std::process::exit(1);
     }
+    // The weight-gradient kernel runs on the forward micro-kernel; what it
+    // pays on top is the transpose-pack, and that must stay a minor share.
+    if !quick && report.matmul_tn_vs_matmul < 0.6 {
+        eprintln!(
+            "error: matmul_tn only {:.2}x matmul at its worst grid cell (need >= 0.6x)",
+            report.matmul_tn_vs_matmul
+        );
+        std::process::exit(1);
+    }
     // The observability contract: compiled-in hooks at ObsLevel::Off must
     // stay within the 2% budget. Enforced in full mode (quick's single
     // iterations are too noisy for a hard gate, but the number is printed).

@@ -68,6 +68,10 @@ pub struct KernelReport {
     pub matmul_speedup_vs_naive: f64,
     /// Side length of the square anchor (`512` full, `96` quick).
     pub anchor_dim: usize,
+    /// Minimum over grid cells of `matmul_tn GFLOP/s ÷ matmul GFLOP/s`:
+    /// how far the weight-gradient kernel trails the forward kernel it
+    /// shares a micro-kernel with, at its worst shape.
+    pub matmul_tn_vs_matmul: f64,
     /// Cost of the compiled-in observability hook at `ObsLevel::Off`, as
     /// `(instrumented − raw) / raw · 100` on the anchor matmul. The
     /// determinism/overhead contract requires this ≤ 2%; negative values
@@ -367,12 +371,25 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 
     let (obs_overhead_pct, recorder_overhead_pct) = measure_obs_overhead(d, &mut rng);
 
+    let matmul_tn_vs_matmul = results
+        .iter()
+        .filter(|c| c.kernel == "matmul_tn")
+        .map(|tn| {
+            let fwd = results
+                .iter()
+                .find(|c| c.kernel == "matmul" && (c.m, c.k, c.n) == (tn.m, tn.k, tn.n))
+                .expect("every grid cell times matmul");
+            tn.gflops / fwd.gflops
+        })
+        .fold(f64::INFINITY, f64::min);
+
     KernelReport {
         mode: if quick { "quick" } else { "full" },
         threads: fedgta_graph::par::num_threads(),
         results,
         matmul_speedup_vs_naive: blocked_gflops / naive_gflops,
         anchor_dim: d,
+        matmul_tn_vs_matmul,
         obs_overhead_pct,
         recorder_overhead_pct,
     }
@@ -392,6 +409,10 @@ pub fn to_json(r: &KernelReport) -> String {
     s.push_str(&format!(
         "  \"matmul_speedup_vs_naive\": {},\n",
         json_fixed(r.matmul_speedup_vs_naive, 3)
+    ));
+    s.push_str(&format!(
+        "  \"matmul_tn_vs_matmul\": {},\n",
+        json_fixed(r.matmul_tn_vs_matmul, 3)
     ));
     s.push_str(&format!(
         "  \"obs_overhead_pct\": {},\n",
@@ -451,6 +472,10 @@ pub fn render_table(r: &KernelReport) -> String {
     s.push_str(&format!(
         "matmul blocked vs naive at {0}x{0}x{0}: {1:.2}x\n",
         r.anchor_dim, r.matmul_speedup_vs_naive
+    ));
+    s.push_str(&format!(
+        "matmul_tn vs matmul, worst grid cell: {:.2}x (full-mode bar 0.6x)\n",
+        r.matmul_tn_vs_matmul
     ));
     s.push_str(&format!(
         "observability hook overhead at ObsLevel::Off: {:+.2}% (budget 2%)\n",
@@ -536,6 +561,8 @@ mod tests {
         assert!(r.results.iter().all(|k| k.gflops > 0.0));
         let json = to_json(&r);
         assert!(json.contains("\"matmul_speedup_vs_naive\""));
+        assert!(json.contains("\"matmul_tn_vs_matmul\""));
+        assert!(r.matmul_tn_vs_matmul > 0.0 && r.matmul_tn_vs_matmul.is_finite());
         assert!(json.contains("\"variant\": \"naive\""));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(

@@ -35,7 +35,8 @@ fn gen(r: usize, c: usize, seed: u64) -> Matrix {
 }
 
 /// One full supervised epoch: forward (train mode, dropout), hard-label
-/// CE, backward, Adam step, then return every buffer to the pool.
+/// CE, backward (with or without the batch-input gradient — the two call
+/// shapes of `Mlp`), Adam step, then return every buffer to the pool.
 fn epoch(
     mlp: &mut Mlp,
     x: &Matrix,
@@ -43,13 +44,19 @@ fn epoch(
     rows: &[u32],
     opt: &mut Adam,
     ws: &mut Workspace,
+    input_grad: bool,
 ) -> f32 {
     let (logits, cache) = mlp.forward_ws(x, true, ws);
     let (loss, d_logits) = softmax_ce(&logits, labels, rows);
-    let (grads, dx) = mlp.backward_ws(&cache, &d_logits, None, ws);
+    let grads = if input_grad {
+        let (grads, dx) = mlp.backward_input_ws(&cache, &d_logits, None, ws);
+        ws.give_matrix(dx);
+        grads
+    } else {
+        mlp.backward_ws(&cache, &d_logits, None, ws)
+    };
     opt.step(mlp.params_mut(), &grads);
     ws.give(grads);
-    ws.give_matrix(dx);
     ws.give_matrix(d_logits);
     ws.give_matrix(logits);
     cache.recycle(ws);
@@ -66,46 +73,51 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     let x = gen(n, 32, 1);
     let labels: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
     let train_rows: Vec<u32> = (0..n as u32).filter(|i| i % 3 == 0).collect();
-    let mut mlp = Mlp::new(&[32, 64, 7], 0.5, 42);
-    let mut opt = Adam::new(1e-2, 5e-4);
-    let mut ws = Workspace::new();
 
-    // Two warmup epochs: the first populates the workspace pool and
-    // Adam's moment buffers; the second settles best-fit reuse.
-    let l0 = epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws);
-    epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws);
+    // Both backward call shapes — parameter gradients only (SGC/SIGN) and
+    // with the batch-input gradient (GAMLP) — each from a cold pool.
+    for input_grad in [false, true] {
+        let mut mlp = Mlp::new(&[32, 64, 7], 0.5, 42);
+        let mut opt = Adam::new(1e-2, 5e-4);
+        let mut ws = Workspace::new();
 
-    // Steady state: each epoch pays only the loss layer's fresh gradient
-    // matrix, the softmax probability copy, and the two small pointer
-    // `Vec`s holding the forward cache — 4 allocations, a constant
-    // independent of batch size, width, and epoch count. Every f32
-    // buffer on the MLP path proper (activations, dropout masks, grads,
-    // dx) must come from the pool.
-    const EPOCH_BUDGET: u64 = 8;
-    let mut per_epoch = Vec::new();
-    for _ in 0..3 {
-        let before = alloc_count();
-        let loss = epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws);
-        per_epoch.push(alloc_count() - before);
-        assert!(loss.is_finite());
-    }
-    eprintln!("per-epoch heap allocations: {per_epoch:?}");
-    for (e, &count) in per_epoch.iter().enumerate() {
-        assert!(
-            count <= EPOCH_BUDGET,
-            "epoch {e}: {count} heap allocations (budget {EPOCH_BUDGET}); \
-             the workspace pool is leaking buffers"
+        // Two warmup epochs: the first populates the workspace pool and
+        // Adam's moment buffers; the second settles best-fit reuse.
+        let l0 = epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws, input_grad);
+        assert!(l0.is_finite());
+        epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws, input_grad);
+
+        // Steady state: each epoch pays only the loss layer's fresh
+        // gradient matrix, the softmax probability copy, and the two small
+        // pointer `Vec`s holding the forward cache — 4 allocations, a
+        // constant independent of batch size, width, and epoch count.
+        // Every f32 buffer on the MLP path proper (activations, dropout
+        // masks, grads, dx) must come from the pool.
+        const EPOCH_BUDGET: u64 = 8;
+        let mut per_epoch = Vec::new();
+        for _ in 0..3 {
+            let before = alloc_count();
+            let loss = epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws, input_grad);
+            per_epoch.push(alloc_count() - before);
+            assert!(loss.is_finite());
+        }
+        eprintln!("per-epoch heap allocations (input_grad={input_grad}): {per_epoch:?}");
+        for (e, &count) in per_epoch.iter().enumerate() {
+            assert!(
+                count <= EPOCH_BUDGET,
+                "epoch {e}: {count} heap allocations (budget {EPOCH_BUDGET}); \
+                 the workspace pool is leaking buffers"
+            );
+        }
+        assert_eq!(
+            per_epoch[0], per_epoch[1],
+            "per-epoch allocation count is not constant: {per_epoch:?}"
+        );
+        assert_eq!(
+            per_epoch[1], per_epoch[2],
+            "per-epoch allocation count is not constant: {per_epoch:?}"
         );
     }
-    assert_eq!(
-        per_epoch[0], per_epoch[1],
-        "per-epoch allocation count is not constant: {per_epoch:?}"
-    );
-    assert_eq!(
-        per_epoch[1], per_epoch[2],
-        "per-epoch allocation count is not constant: {per_epoch:?}"
-    );
-    assert!(l0.is_finite());
 
     // The `_into` kernels themselves: exactly zero allocations once the
     // output buffers exist.

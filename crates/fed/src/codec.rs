@@ -486,12 +486,20 @@ pub struct TopK {
 impl TopK {
     /// The kept index set: the `k` largest by `(|v| desc, index asc)`,
     /// returned in ascending index order.
+    ///
+    /// O(n) selection, not a full sort: the comparator is a strict total
+    /// order (the index breaks every tie), so the first `k` of a partition
+    /// around rank `k` are the same set a sort would keep.
     pub fn select(vals: &[f32], k: usize) -> Vec<u32> {
         let mut order: Vec<u32> = (0..vals.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let (ma, mb) = (vals[a as usize].abs(), vals[b as usize].abs());
-            mb.total_cmp(&ma).then(a.cmp(&b))
-        });
+        // `k == 0` keeps nothing and `k ≥ len` keeps everything: no rank
+        // to partition around.
+        if (1..order.len()).contains(&k) {
+            order.select_nth_unstable_by(k - 1, |&a, &b| {
+                let (ma, mb) = (vals[a as usize].abs(), vals[b as usize].abs());
+                mb.total_cmp(&ma).then(a.cmp(&b))
+            });
+        }
         order.truncate(k);
         order.sort_unstable();
         order

@@ -24,7 +24,7 @@ use crate::strategies::{weighted_average, RoundCtx, RoundStats, Strategy};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_graph::EdgeList;
 use fedgta_nn::ops::spmm_csr;
-use fedgta_nn::{GraphDataset, Matrix, Mlp};
+use fedgta_nn::{GraphDataset, Matrix, Mlp, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -101,7 +101,7 @@ fn mse_epoch(mlp: &mut Mlp, x: &Matrix, target: &Matrix, lr: f32) -> f32 {
     d.axpy(-1.0, target);
     let loss = d.as_slice().iter().map(|v| v * v).sum::<f32>() / n;
     d.scale(2.0 / n);
-    let (grads, _) = mlp.backward(&cache, &d, None);
+    let grads = mlp.backward_ws(&cache, &d, None, &mut Workspace::new());
     let mut p = mlp.params().to_vec();
     for (pj, gj) in p.iter_mut().zip(&grads) {
         *pj -= lr * gj;

@@ -7,7 +7,9 @@
 //!    per-tensor scale, `quant-f16` within a half-ULP-shaped envelope;
 //! 3. `topk` keeps exactly `min(k, len)` entries, every kept magnitude
 //!    dominates every dropped one, ties break deterministically toward
-//!    the lower index, and kept values survive bit-exactly;
+//!    the lower index, and kept values survive bit-exactly; its O(n)
+//!    selection keeps the same set as a full sort under heavy ties,
+//!    `±0.0` and NaN/Inf bit patterns;
 //! 4. a coded frame is still covered end-to-end by the envelope CRC —
 //!    any single flipped bit is rejected — and truncated or
 //!    codec-mismatched bodies never decode;
@@ -32,6 +34,27 @@ use proptest::prelude::*;
 /// signed zeros, not just the comfortable range.
 fn any_bits_tensor(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(any::<u32>().prop_map(f32::from_bits), 0..max_len)
+}
+
+/// Tensors built to tie: a handful of magnitudes repeated with both
+/// signs — `±0.0`, `±inf`, two NaN payloads of either sign among them —
+/// so the rank-k boundary usually falls inside a run of equal `|v|`.
+fn tied_bits_tensor(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
+    const POOL: [u32; 12] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x3f80_0000, // 1.0
+        0xbf80_0000, // -1.0
+        0x4040_0000, // 3.0
+        0xc040_0000, // -3.0
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x7fc0_0000, // NaN
+        0xffc0_0000, // -NaN, same payload
+        0x7fc0_0001, // NaN, another payload
+        0x0000_0001, // smallest subnormal
+    ];
+    proptest::collection::vec((0usize..POOL.len()).prop_map(|i| f32::from_bits(POOL[i])), 0..max_len)
 }
 
 fn finite_tensor(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -173,6 +196,32 @@ proptest! {
         let mut again = Vec::new();
         codec.encode_tensor(&t, &mut again);
         prop_assert_eq!(&buf, &again);
+    }
+
+    #[test]
+    fn topk_select_equals_the_full_sort_reference(
+        t in tied_bits_tensor(200),
+        k_sel in 0usize..4,
+        k_any in 0usize..220,
+    ) {
+        // The reference `select` replaced: sort every index by
+        // (|v| desc via total_cmp, index asc), keep the first k, re-sort
+        // ascending.
+        let full_sort = |k: usize| {
+            let mut order: Vec<u32> = (0..t.len() as u32).collect();
+            order.sort_by(|&a, &b| {
+                let (ma, mb) = (t[a as usize].abs(), t[b as usize].abs());
+                mb.total_cmp(&ma).then(a.cmp(&b))
+            });
+            order.truncate(k);
+            order.sort_unstable();
+            order
+        };
+        // The edges (0, 1, len − 1, len) plus an arbitrary k, past len too.
+        let k_edge = [0, 1, t.len().saturating_sub(1), t.len()][k_sel];
+        for k in [k_edge, k_any] {
+            prop_assert_eq!(TopK::select(&t, k), full_sort(k), "k = {}", k);
+        }
     }
 
     #[test]

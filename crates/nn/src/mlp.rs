@@ -245,16 +245,53 @@ impl Mlp {
         cur
     }
 
-    /// Exact backward pass through a workspace.
+    /// Exact backward pass through a workspace: the flat parameter
+    /// gradients only.
     ///
     /// `d_logits` is the gradient at the final linear output;
     /// `hidden_grad`, if given, is added to the gradient at the input of
-    /// the final layer. Returns `(flat parameter gradients, gradient
-    /// w.r.t. the batch input)` — both checked out of `ws`; give them back
+    /// the final layer. The result is checked out of `ws`; give it back
     /// after the optimizer step to keep the pool warm. Weight gradients are
     /// written directly into their slots of the flat buffer (no `dW`
     /// temporaries).
+    ///
+    /// The gradient w.r.t. the batch input (`dX = dY₀·W₀ᵀ`, as many FLOPs
+    /// as the whole first forward layer) is **not** computed: a trainer
+    /// whose input is data has no use for it. A caller that does
+    /// differentiate through the input — GAMLP's hop gate — calls
+    /// [`Mlp::backward_input_ws`]; the parameter gradients of the two are
+    /// bitwise equal.
     pub fn backward_ws(
+        &self,
+        cache: &MlpCache,
+        d_logits: &Matrix,
+        hidden_grad: Option<&Matrix>,
+        ws: &mut Workspace,
+    ) -> Vec<f32> {
+        let (grads, d_first) = self.backward_params(cache, d_logits, hidden_grad, ws);
+        ws.give_matrix(d_first);
+        grads
+    }
+
+    /// [`Mlp::backward_ws`] plus the gradient w.r.t. the batch input:
+    /// returns `(flat parameter gradients, dX)`, both checked out of `ws`.
+    pub fn backward_input_ws(
+        &self,
+        cache: &MlpCache,
+        d_logits: &Matrix,
+        hidden_grad: Option<&Matrix>,
+        ws: &mut Workspace,
+    ) -> (Vec<f32>, Matrix) {
+        let (grads, d_first) = self.backward_params(cache, d_logits, hidden_grad, ws);
+        let mut dx = ws.take_matrix(d_first.rows(), self.dims[0]);
+        matmul_nt_into(d_first.view(), self.weight_view(0), dx.as_mut_slice());
+        ws.give_matrix(d_first);
+        (grads, dx)
+    }
+
+    /// The shared body: every layer's `dW`/`db`, walking the gradient down
+    /// to the *output* of layer 0. Returns `(grads, dY₀)`.
+    fn backward_params(
         &self,
         cache: &MlpCache,
         d_logits: &Matrix,
@@ -272,12 +309,11 @@ impl Mlp {
             let (ws_off, bs, be) = self.layer_offsets(l);
             matmul_tn_into(x.view(), d_out.view(), &mut grads[ws_off..bs]);
             col_sums_into(&d_out, &mut grads[bs..be]);
+            if l == 0 {
+                break;
+            }
             let mut dx = ws.take_matrix(rows, self.dims[l]);
             matmul_nt_into(d_out.view(), self.weight_view(l), dx.as_mut_slice());
-            if l == 0 {
-                ws.give_matrix(d_out);
-                return (grads, dx);
-            }
             if l == layers - 1 {
                 if let Some(hg) = hidden_grad {
                     dx.axpy(1.0, hg);
@@ -293,11 +329,11 @@ impl Mlp {
             relu_backward_inplace(&mut dx, &cache.inputs[l]);
             ws.give_matrix(std::mem::replace(&mut d_out, dx));
         }
-        unreachable!("loop always returns at l == 0");
+        (grads, d_out)
     }
 
-    /// Exact backward pass (convenience wrapper over a throwaway
-    /// workspace).
+    /// Exact backward pass with the input gradient (convenience wrapper of
+    /// [`Mlp::backward_input_ws`] over a throwaway workspace).
     pub fn backward(
         &self,
         cache: &MlpCache,
@@ -305,7 +341,7 @@ impl Mlp {
         hidden_grad: Option<&Matrix>,
     ) -> (Vec<f32>, Matrix) {
         let mut ws = Workspace::new();
-        self.backward_ws(cache, d_logits, hidden_grad, &mut ws)
+        self.backward_input_ws(cache, d_logits, hidden_grad, &mut ws)
     }
 }
 
@@ -406,6 +442,29 @@ mod tests {
                     "input ({i},{j}): fd {fd} vs {}",
                     dx.get(i, j)
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_the_input_gradient_leaves_parameter_gradients_bitwise_equal() {
+        for dims in [&[5usize, 3][..], &[5, 9, 3], &[5, 9, 6, 3]] {
+            for with_hidden in [false, true] {
+                let mut mlp = Mlp::new(dims, 0.5, 13);
+                let x = Matrix::from_vec(7, 5, (0..35).map(|i| (i as f32 * 0.37).sin()).collect());
+                let labels: Vec<u32> = (0..7).map(|i| i % 3).collect();
+                let rows: Vec<u32> = (0..7).collect();
+                let mut ws = Workspace::new();
+                let (logits, cache) = mlp.forward_ws(&x, true, &mut ws);
+                let (_, d_logits) = softmax_ce(&logits, &labels, &rows);
+                let hidden = with_hidden.then(|| cache.penultimate().clone());
+                let only = mlp.backward_ws(&cache, &d_logits, hidden.as_ref(), &mut ws);
+                let (with_dx, dx) =
+                    mlp.backward_input_ws(&cache, &d_logits, hidden.as_ref(), &mut ws);
+                assert_eq!(dx.shape(), (7, 5));
+                assert!(only.iter().any(|&g| g != 0.0));
+                let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&only), bits(&with_dx), "dims {dims:?} hidden {with_hidden}");
             }
         }
     }

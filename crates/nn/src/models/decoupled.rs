@@ -149,16 +149,15 @@ impl GraphModel for DecoupledModel {
                 .hidden_hook
                 .as_mut()
                 .map(|h| h(batch, cache.penultimate()));
-            let (mut grads, d_x) =
-                self.head
-                    .backward_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
+            let mut grads = self
+                .head
+                .backward_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
             if let Some(gh) = hooks.grad_hook.as_mut() {
                 gh(self.head.params(), &mut grads);
             }
             opt.step(self.head.params_mut(), &grads);
             // Everything scratch goes back to the arena for the next batch.
             ws.give(grads);
-            ws.give_matrix(d_x);
             ws.give_matrix(d_logits);
             if let Some(hg) = hidden_grad {
                 ws.give_matrix(hg);

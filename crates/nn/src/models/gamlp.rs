@@ -204,9 +204,10 @@ impl GraphModel for Gamlp {
                 .hidden_hook
                 .as_mut()
                 .map(|h| h(batch, cache.penultimate()));
+            // The gate differentiates through the head's input.
             let (head_grads, d_comb) =
                 self.head
-                    .backward_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
+                    .backward_input_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
             let gate_grads = self.gate_grad(&gate, &d_comb, &gathered);
             let mut grads = gate_grads;
             grads.extend_from_slice(&head_grads);

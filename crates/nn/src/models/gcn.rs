@@ -142,6 +142,10 @@ impl Gcn {
             // dW/db land directly in the flat gradient buffer.
             matmul_tn_into(p.view(), d_out.view(), &mut grads[ws_off..bs]);
             col_sums_into(&d_out, &mut grads[bs..be]);
+            if l == 0 {
+                // The input of layer 0 is data: nothing consumes dP₀.
+                break;
+            }
             let w = self.lin.weight_view(l);
             let mut dp = ws.take_matrix(d_out.rows(), w.rows());
             matmul_nt_into(d_out.view(), w, dp.as_mut_slice());
@@ -149,10 +153,6 @@ impl Gcn {
                 if let Some(hg) = hidden_grad {
                     dp.axpy(1.0, hg);
                 }
-            }
-            if l == 0 {
-                ws.give_matrix(dp);
-                break;
             }
             // dX_l = Âᵀ dP = Â dP (symmetric normalization).
             let mut dx = ws.take_matrix(dp.rows(), dp.cols());

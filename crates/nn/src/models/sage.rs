@@ -19,7 +19,7 @@ use crate::loss::{soft_ce, softmax_ce};
 use crate::mlp::Mlp;
 use crate::models::ModelConfig;
 use crate::ops::{
-    col_sums, matmul_bias_into, matmul_bias_relu_into, matmul_nt_into, matmul_tn,
+    col_sums_into, matmul_bias_into, matmul_bias_relu_into, matmul_nt_into, matmul_tn_into,
     relu_backward_inplace, softmax_rows, spmm_csr,
 };
 use crate::optim::Optimizer;
@@ -174,12 +174,11 @@ impl Sage {
         let mut d_out = d_logits.clone();
         for l in (0..layers).rev() {
             let cat = &cache.concat[l];
-            let dw = matmul_tn(cat, &d_out);
-            let db = col_sums(&d_out);
+            // dW/db land directly in the flat gradient buffer.
             let off = self.flat_offset(l);
-            let wlen = dw.as_slice().len();
-            grads[off..off + wlen].copy_from_slice(dw.as_slice());
-            grads[off + wlen..off + wlen + db.len()].copy_from_slice(&db);
+            let (_, bs, be) = self.lins[l].layer_offsets(0);
+            matmul_tn_into(cat.view(), d_out.view(), &mut grads[off..off + bs]);
+            col_sums_into(&d_out, &mut grads[off + bs..off + be]);
             if l == 0 {
                 break;
             }

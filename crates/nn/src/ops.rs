@@ -22,10 +22,17 @@
 //!   four contiguous `B` rows through `chunks_exact` column blocks
 //!   ([`axpy4`]) — the same element-wise accumulation order, so the two
 //!   paths agree bit-for-bit.
-//! - [`matmul_tn_into`] reuses the same `8×16` output tiling with the
-//!   transpose folded into the tile indexing (8 consecutive `kk` rows are
-//!   a contiguous 8-wide block of each `A` row), accumulating in strict
-//!   increasing-`i` order.
+//! - [`matmul_tn_into`] runs on the **same micro-kernel**: a band of 8
+//!   rows of `C = Aᵀ·B` is `(8 × m panel of Aᵀ)·B`, so it transpose-packs
+//!   8 columns of `A` into a stack panel ([`TN_PANEL`] outer steps at a
+//!   time) and calls [`gemm_rows_tile`] / [`gemm_row`] on it. The tile
+//!   loads its accumulators from `out`, so chunked accumulation keeps the
+//!   strict increasing-`i` order. Two measured pitfalls: accumulating
+//!   `acc[rr][l]` straight off the unpacked `A` rows makes LLVM vectorize
+//!   across `rr` with stack gathers (16 → 5.2 GFLOP/s), and sharing
+//!   [`gemm_rows_tile`] under plain `#[inline]` leaves it out of line and
+//!   costs the *forward* kernel a third of its rate (65 → 44 GFLOP/s at
+//!   cora shapes) — hence `#[inline(always)]`.
 //! - [`matmul_nt_into`] computes each output element as a dot product over
 //!   **8 independent accumulator lanes** ([`dot_lanes`]), breaking the
 //!   add-latency chain that serializes a naive dot product.
@@ -131,7 +138,11 @@ const TILE_COLS: usize = 16;
 /// left-to-right chain of binary adds as [`gemm_row`], so the two paths
 /// agree bit-for-bit and the `rows % ROW_BLOCK` tail can fall back to the
 /// single-row kernel.
-#[inline]
+///
+/// `#[inline(always)]`: forward and weight-gradient callers share this
+/// body, and left out of line it loses a third of the forward rate (see
+/// the module header).
+#[inline(always)]
 fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
     debug_assert_eq!(out.len(), ROW_BLOCK * n);
     let k = arows[0].len();
@@ -310,17 +321,24 @@ pub fn matmul_bias_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: &mut 
     });
 }
 
+/// Outer-dimension (`i`) steps per transpose-packed `A` panel in
+/// [`matmul_tn_into`]: `ROW_BLOCK × TN_PANEL` floats (8 KiB) of stack.
+/// Retunable without changing results — accumulation stays strict
+/// increasing-`i` across panels.
+const TN_PANEL: usize = 256;
+
 /// `C = Aᵀ · B` with `A: m×k`, `B: m×n`, written into `out` (`k·n`,
 /// fully overwritten). Allocation-free.
 ///
 /// This is the weight-gradient kernel (`dW = Xᵀ · dY`); `out` may alias a
 /// sub-slice of a flat gradient buffer, which is exactly how
-/// [`crate::mlp::Mlp::backward_ws`] uses it. The transpose is fused into
-/// the tile indexing: an `8×16` register tile of `C` (8 consecutive `kk`
-/// rows — a *contiguous* 8-wide block of each `A` row — times 16 `B`
-/// columns) accumulates across the entire `i` loop, so `C` is written
-/// exactly once and each loaded `B` block serves eight output rows.
-/// Accumulation per element is strict increasing-`i` order.
+/// [`crate::mlp::Mlp::backward_ws`] uses it. A band of [`ROW_BLOCK`]
+/// output rows is `(8 × m panel of Aᵀ)·B`: 8 columns of `A` are
+/// transpose-packed into a stack panel, [`TN_PANEL`] outer steps at a
+/// time, and fed to the forward micro-kernel ([`gemm_rows_tile`], or
+/// [`gemm_row`] per row of a short last band). Both accumulate onto
+/// `out`, so accumulation per element is strict increasing-`i` order
+/// whatever the panel length or band split.
 pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.cols());
     assert_eq!(a.rows(), b.rows(), "matmul_tn outer dim mismatch");
@@ -329,79 +347,36 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     assert_eq!(out.len(), k * n, "matmul_tn output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
     par_chunks_mut(out, k, n, |_, chunk, range| {
-        let rows = range.len();
-        let start = range.start;
-        let rb = rows / ROW_BLOCK * ROW_BLOCK;
-        let mut r = 0;
-        while r < rb {
-            gemm_tn_band(&mut chunk[r * n..(r + ROW_BLOCK) * n], start + r, ad, m, k, bd, n);
-            r += ROW_BLOCK;
-        }
-        // Row tail (`kk` rows beyond the last full tile): one output row
-        // at a time, still strict increasing-i accumulation.
-        while r < rows {
-            let kk = start + r;
-            let orow = &mut chunk[r * n..(r + 1) * n];
-            orow.fill(0.0);
-            for i in 0..m {
-                axpy1(orow, ad[i * k + kk], &bd[i * n..(i + 1) * n]);
+        chunk.fill(0.0);
+        let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
+        // Panels outermost: `B` and `A` stream through once, and the
+        // `TN_PANEL × n` block of `B` stays cached across every band.
+        for i0 in (0..m).step_by(TN_PANEL) {
+            let len = TN_PANEL.min(m - i0);
+            let bblk = &bd[i0 * n..(i0 + len) * n];
+            let mut r = 0;
+            while r < range.len() {
+                let rows = ROW_BLOCK.min(range.len() - r);
+                let kk0 = range.start + r;
+                for ii in 0..len {
+                    let ablk = &ad[(i0 + ii) * k + kk0..][..rows];
+                    for (prow, &av) in panel.iter_mut().zip(ablk) {
+                        prow[ii] = av;
+                    }
+                }
+                let band = &mut chunk[r * n..(r + rows) * n];
+                if rows == ROW_BLOCK {
+                    let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
+                    gemm_rows_tile(band, &arows, bblk, n);
+                } else {
+                    for (rr, prow) in panel.iter().enumerate().take(rows) {
+                        gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
+                    }
+                }
+                r += rows;
             }
-            r += 1;
         }
     });
-}
-
-/// [`ROW_BLOCK`] output rows of `C = Aᵀ·B` starting at row `kk0`,
-/// register-tiled exactly like [`gemm_rows_tile`]: the `8×16` tile
-/// accumulates in strict increasing-`i` order across the whole outer
-/// dimension, `B` blocks are loaded once per eight output rows, and the
-/// band (`out`, length `ROW_BLOCK·n`) is written exactly once.
-#[inline]
-fn gemm_tn_band(out: &mut [f32], kk0: usize, ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize) {
-    debug_assert_eq!(out.len(), ROW_BLOCK * n);
-    let nb = n / TILE_COLS * TILE_COLS;
-    let mut j = 0;
-    while j < nb {
-        // The accumulator tile is stored TRANSPOSED (`acc[l][rr]`): the
-        // contiguous 8-float `A` block makes LLVM vectorize across `rr`,
-        // and with `rr` as the contiguous axis that vectorization hits
-        // plain vector adds instead of stack gather/scatters. The
-        // transposed write-back at the end is amortized over the `i` loop.
-        let mut acc = [[0f32; ROW_BLOCK]; TILE_COLS];
-        for i in 0..m {
-            let bblk: &[f32; TILE_COLS] =
-                bd[i * n + j..i * n + j + TILE_COLS].try_into().unwrap();
-            let ablk: &[f32; ROW_BLOCK] =
-                ad[i * k + kk0..i * k + kk0 + ROW_BLOCK].try_into().unwrap();
-            for (l, a) in acc.iter_mut().enumerate() {
-                let bv = bblk[l];
-                for rr in 0..ROW_BLOCK {
-                    a[rr] += ablk[rr] * bv;
-                }
-            }
-        }
-        for (l, a) in acc.iter().enumerate() {
-            for (rr, &v) in a.iter().enumerate() {
-                out[rr * n + j + l] = v;
-            }
-        }
-        j += TILE_COLS;
-    }
-    // Column tail: scalar per column, same strict i order.
-    while j < n {
-        let mut s = [0f32; ROW_BLOCK];
-        for i in 0..m {
-            let bv = bd[i * n + j];
-            let ablk = &ad[i * k + kk0..i * k + kk0 + ROW_BLOCK];
-            for (rr, sv) in s.iter_mut().enumerate() {
-                *sv += ablk[rr] * bv;
-            }
-        }
-        for (rr, &sv) in s.iter().enumerate() {
-            out[rr * n + j] = sv;
-        }
-        j += 1;
-    }
 }
 
 /// `C = A · Bᵀ` with `A: m×k`, `B: n×k`, written into `out` (`m·n`,
