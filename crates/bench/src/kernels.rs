@@ -17,7 +17,7 @@
 //! `--test` mode shrinks every shape and runs one iteration per cell so CI
 //! can smoke the whole pipeline in under a second.
 
-use fedgta_graph::spmm::spmm_into;
+use fedgta_graph::spmm::{spmm_axpby_into, spmm_into};
 use fedgta_graph::{Csr, EdgeList};
 use fedgta_nn::ops::{
     self, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into,
@@ -35,7 +35,7 @@ pub type AllocCounter = fn() -> u64;
 #[derive(Debug, Clone)]
 pub struct KernelResult {
     /// Kernel name (`matmul`, `matmul_tn`, `matmul_nt`, `matmul_bias_relu`,
-    /// `spmm`).
+    /// `spmm`, `spmm_axpby`).
     pub kernel: &'static str,
     /// `blocked` (this PR's kernels) or `naive` (retained seed scalars).
     pub variant: &'static str,
@@ -72,6 +72,12 @@ pub struct KernelReport {
     /// how far the weight-gradient kernel trails the forward kernel it
     /// shares a micro-kernel with, at its worst shape.
     pub matmul_tn_vs_matmul: f64,
+    /// One label-propagation step at client shape (32 k rows × 16 columns
+    /// in full mode): time of `spmm_into` + the separate `p·β + α·z` sweep
+    /// ÷ time of the fused `spmm_axpby_into`. Reported without a bar: every
+    /// operand is hot in cache here, which a per-client round's are not
+    /// (the traced `core.lp` stage of `sbm1m_sgc_disk` reads 1.33×).
+    pub lp_step_fused_vs_unfused: f64,
     /// Cost of the compiled-in observability hook at `ObsLevel::Off`, as
     /// `(instrumented − raw) / raw · 100` on the anchor matmul. The
     /// determinism/overhead contract requires this ≤ 2%; negative values
@@ -126,6 +132,35 @@ fn measure_obs_overhead(d: usize, rng: &mut StdRng) -> (f64, f64) {
     )
 }
 
+/// Times one label-propagation step both ways on a `grid.lp_rows`-row
+/// lattice with 16 label columns and returns `unfused ÷ fused` (see
+/// [`KernelReport::lp_step_fused_vs_unfused`]).
+fn measure_lp_step(grid: &Grid, rng: &mut StdRng) -> f64 {
+    let (n, cols) = (grid.lp_rows, 16);
+    let a = lattice(n);
+    let x = filled(n, cols, rng);
+    let z = filled(n, cols, rng);
+    let (x, z) = (x.as_slice(), z.as_slice());
+    let mut prop = vec![0f32; n * cols];
+    let mut y = vec![0f32; n * cols];
+    let (ns_unfused, _) = time_fn(
+        || {
+            spmm_into(&a, x, cols, &mut prop);
+            for (o, (&p, &zv)) in y.iter_mut().zip(prop.iter().zip(z)) {
+                *o = p * 0.5 + 0.5 * zv;
+            }
+        },
+        grid.min_ns,
+        grid.max_calls,
+    );
+    let (ns_fused, _) = time_fn(
+        || spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y),
+        grid.min_ns,
+        grid.max_calls,
+    );
+    ns_unfused / ns_fused
+}
+
 fn filled(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     let data: Vec<f32> = (0..rows * cols).map(|_| rng.random::<f32>() - 0.5).collect();
     Matrix::from_vec(rows, cols, data)
@@ -174,6 +209,8 @@ pub(crate) fn count_allocs(counter: Option<AllocCounter>, mut f: impl FnMut()) -
 
 struct Grid {
     rows: Vec<usize>,
+    /// Row count of the label-propagation step comparison.
+    lp_rows: usize,
     feats: Vec<usize>,
     out_cols: usize,
     anchor: usize,
@@ -186,6 +223,7 @@ impl Grid {
         if quick {
             Self {
                 rows: vec![256],
+                lp_rows: 256,
                 feats: vec![32],
                 out_cols: 16,
                 anchor: 96,
@@ -195,6 +233,7 @@ impl Grid {
         } else {
             Self {
                 rows: vec![2_000, 8_000, 32_000],
+                lp_rows: 32_000,
                 feats: vec![64, 128, 500],
                 out_cols: 64,
                 anchor: 512,
@@ -323,6 +362,28 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
                 ns_per_call: ns,
                 allocs_per_call: allocs,
             });
+
+            // spmm_axpby: Y = β·(A · X) + α·Z, label propagation's step
+            // (dX from the cell above is an n × f operand to stand in for Z)
+            let z = out_dx.as_slice();
+            let (ns, _) = time_fn(
+                || spmm_axpby_into(&a, x.as_slice(), f_in, 0.5, 0.5, z, &mut y),
+                grid.min_ns,
+                grid.max_calls,
+            );
+            let allocs = count_allocs(counter, || {
+                spmm_axpby_into(&a, x.as_slice(), f_in, 0.5, 0.5, z, &mut y)
+            });
+            results.push(KernelResult {
+                kernel: "spmm_axpby",
+                variant: "blocked",
+                m: n_rows,
+                k: f_in,
+                n: f_in,
+                gflops: spmm_flops / ns,
+                ns_per_call: ns,
+                allocs_per_call: allocs,
+            });
         }
     }
 
@@ -370,6 +431,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     });
 
     let (obs_overhead_pct, recorder_overhead_pct) = measure_obs_overhead(d, &mut rng);
+    let lp_step_fused_vs_unfused = measure_lp_step(&grid, &mut rng);
 
     let matmul_tn_vs_matmul = results
         .iter()
@@ -390,6 +452,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
         matmul_speedup_vs_naive: blocked_gflops / naive_gflops,
         anchor_dim: d,
         matmul_tn_vs_matmul,
+        lp_step_fused_vs_unfused,
         obs_overhead_pct,
         recorder_overhead_pct,
     }
@@ -413,6 +476,10 @@ pub fn to_json(r: &KernelReport) -> String {
     s.push_str(&format!(
         "  \"matmul_tn_vs_matmul\": {},\n",
         json_fixed(r.matmul_tn_vs_matmul, 3)
+    ));
+    s.push_str(&format!(
+        "  \"lp_step_fused_vs_unfused\": {},\n",
+        json_fixed(r.lp_step_fused_vs_unfused, 3)
     ));
     s.push_str(&format!(
         "  \"obs_overhead_pct\": {},\n",
@@ -476,6 +543,10 @@ pub fn render_table(r: &KernelReport) -> String {
     s.push_str(&format!(
         "matmul_tn vs matmul, worst grid cell: {:.2}x (full-mode bar 0.6x)\n",
         r.matmul_tn_vs_matmul
+    ));
+    s.push_str(&format!(
+        "label-propagation step, spmm + sweep vs fused spmm_axpby: {:.2}x (hot cache, no bar)\n",
+        r.lp_step_fused_vs_unfused
     ));
     s.push_str(&format!(
         "observability hook overhead at ObsLevel::Off: {:+.2}% (budget 2%)\n",
@@ -556,13 +627,15 @@ mod tests {
     #[test]
     fn quick_mode_produces_full_grid_and_valid_json() {
         let r = run(true, None);
-        // 1 row x 1 feat x 5 kernels + 2 anchor rows.
-        assert_eq!(r.results.len(), 7);
+        // 1 row x 1 feat x 6 kernels + 2 anchor rows.
+        assert_eq!(r.results.len(), 8);
         assert!(r.results.iter().all(|k| k.gflops > 0.0));
         let json = to_json(&r);
         assert!(json.contains("\"matmul_speedup_vs_naive\""));
         assert!(json.contains("\"matmul_tn_vs_matmul\""));
         assert!(r.matmul_tn_vs_matmul > 0.0 && r.matmul_tn_vs_matmul.is_finite());
+        assert!(json.contains("\"lp_step_fused_vs_unfused\""));
+        assert!(r.lp_step_fused_vs_unfused > 0.0 && r.lp_step_fused_vs_unfused.is_finite());
         assert!(json.contains("\"variant\": \"naive\""));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(

@@ -6,8 +6,16 @@
 //! smoother of Gasteiger et al. No parameters are trained; this is a pure
 //! sparse-matrix pipeline, which is why FedGTA's client overhead is
 //! training-independent (Table 1).
+//!
+//! Each step is **one** kernel call,
+//! [`spmm_axpby_into`](fedgta_graph::spmm::spmm_axpby_into): the restart
+//! term is applied to the SpMM's register accumulator and the step is
+//! written once, straight into its retained buffer. The bare product
+//! `Ã Ŷˡ⁻¹` never exists in memory, so a step costs the reads of the
+//! adjacency, `Ŷˡ⁻¹` and `Ŷ⁰` plus one write — there is no scratch matrix
+//! and no second sweep.
 
-use fedgta_graph::spmm::spmm_into;
+use fedgta_graph::spmm::spmm_axpby_into;
 use fedgta_graph::Csr;
 use fedgta_nn::Matrix;
 
@@ -17,27 +25,31 @@ use fedgta_nn::Matrix;
 /// Allocating wrapper of [`label_propagation_into`].
 pub fn label_propagation(adj_norm: &Csr, soft_labels: &Matrix, k: usize, alpha: f32) -> Vec<Matrix> {
     let mut steps = Vec::new();
-    let mut prop = Vec::new();
-    label_propagation_into(adj_norm, soft_labels, k, alpha, &mut steps, &mut prop);
+    label_propagation_into(adj_norm, soft_labels, k, alpha, &mut steps, &mut Vec::new());
     steps
 }
 
 /// [`label_propagation`] into persistent buffers: fills `steps` with the
-/// `k` propagated matrices and uses `prop` as the SpMM scratch, **reusing
-/// whatever capacity both already hold**. Once warm (same `n·c·k` shape
-/// round over round, as in FedGTA's Algorithm-1 upload path), this
-/// performs zero heap allocations.
+/// `k` propagated matrices, **reusing whatever capacity they already
+/// hold**. Once warm (same `n·c·k` shape round over round, as in FedGTA's
+/// Algorithm-1 upload path), this performs zero heap allocations.
 ///
-/// The per-element epilogue expression `p·(1−α) + α·ŷ⁰` and its
-/// evaluation order are unchanged from the allocating version, so results
-/// are bit-identical.
+/// `_prop` is **dead**: it was the scratch the bare SpMM product went
+/// through before the restart term moved into the kernel. It is neither
+/// sized, read nor written, and stays in the signature only because the
+/// frozen `benchmark/` package calls this function with six arguments
+/// (ROADMAP item 2 records its removal).
+///
+/// Each element is `p·(1−α) + α·ŷ⁰` with `p` the f32 SpMM row sum —
+/// expression and evaluation order unchanged from the two-pass version,
+/// so results are bit-identical to it.
 pub fn label_propagation_into(
     adj_norm: &Csr,
     soft_labels: &Matrix,
     k: usize,
     alpha: f32,
     steps: &mut Vec<Matrix>,
-    prop: &mut Vec<f32>,
+    _prop: &mut Vec<f32>,
 ) {
     assert_eq!(
         adj_norm.num_nodes(),
@@ -54,18 +66,11 @@ pub fn label_propagation_into(
     for s in steps.iter_mut() {
         s.resize_to(n, c);
     }
-    prop.resize(n * c, 0.0);
     for s in 0..k {
         // Previous step borrowed from the output vec — no `cur` clone.
         let (done, rest) = steps.split_at_mut(s);
-        let dst = &mut rest[0];
         let cur = if s == 0 { y } else { done[s - 1].as_slice() };
-        spmm_into(adj_norm, cur, c, prop);
-        // Fused `(1−α)·prop + α·Ŷ⁰` epilogue straight into the retained
-        // step buffer: zero copies, zero allocations on warm calls.
-        for (o, (&p, &yv)) in dst.as_mut_slice().iter_mut().zip(prop.iter().zip(y)) {
-            *o = p * one_minus + alpha * yv;
-        }
+        spmm_axpby_into(adj_norm, cur, c, one_minus, alpha, y, rest[0].as_mut_slice());
     }
 }
 
@@ -111,10 +116,41 @@ mod tests {
         }
         // Warm call: same shapes ⇒ buffers must not move (no realloc).
         let ptr = steps[0].as_slice().as_ptr();
-        let prop_ptr = prop.as_ptr();
         label_propagation_into(&a, &y, 4, 0.5, &mut steps, &mut prop);
         assert_eq!(steps[0].as_slice().as_ptr(), ptr);
-        assert_eq!(prop.as_ptr(), prop_ptr);
+        // The dead scratch argument is neither sized nor written.
+        assert_eq!(prop, vec![3.0f32; 4]);
+    }
+
+    #[test]
+    fn fused_step_matches_the_two_pass_formulation_bitwise() {
+        // The formulation this module used before the restart term moved
+        // into the kernel: SpMM into a scratch, then a separate sweep.
+        fn two_pass(a: &Csr, y0: &Matrix, k: usize, alpha: f32) -> Vec<Vec<f32>> {
+            let (y, c) = (y0.as_slice(), y0.cols());
+            let one_minus = 1.0 - alpha;
+            let mut prop = vec![0f32; y.len()];
+            let mut steps: Vec<Vec<f32>> = Vec::new();
+            for s in 0..k {
+                fedgta_graph::spmm::spmm_into(a, if s == 0 { y } else { &steps[s - 1] }, c, &mut prop);
+                steps.push(prop.iter().zip(y).map(|(&p, &yv)| p * one_minus + alpha * yv).collect());
+            }
+            steps
+        }
+        let a = line_graph(9);
+        for c in [3usize, 16, 17] {
+            let y = Matrix::from_vec(9, c, (0..9 * c).map(|i| (i as f32 * 0.37).sin().abs()).collect());
+            for alpha in [0.0f32, 0.5, 1.0] {
+                let got = label_propagation(&a, &y, 4, alpha);
+                let want = two_pass(&a, &y, 4, alpha);
+                assert_eq!(got.len(), want.len());
+                for (g, w) in got.iter().zip(&want) {
+                    for (g, w) in g.as_slice().iter().zip(w) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "c={c} α={alpha}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

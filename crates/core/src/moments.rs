@@ -30,12 +30,26 @@ pub fn mixed_moments(steps: &[Matrix], order: usize, kind: MomentKind) -> Vec<f3
     out
 }
 
+/// Class-block width of [`mixed_moments_into`]: 8 `f64` lanes = one
+/// AVX-512 / two AVX2 vectors.
+const LANES: usize = 8;
+
 /// [`mixed_moments`] into persistent buffers: `acc` is the flat
-/// `order × |Y|` `f64` accumulator (`acc[ord·c + j]` replaces the nested
-/// `acc[ord][j]` of the allocating version — same element, same add
-/// order, so results are bit-identical) and `out` receives the sketch.
-/// Both reuse their existing capacity; warm calls with a stable
-/// `k·K·|Y|` shape perform zero heap allocations.
+/// `order × |Y|` `f64` accumulator (`acc[ord·c + j]` holds
+/// `Σᵢ vᵢⱼ^(ord+1)`) and `out` receives the sketch. Both reuse their
+/// existing capacity; warm calls with a stable `k·K·|Y|` shape perform
+/// zero heap allocations.
+///
+/// Rows are processed in **blocks of [`LANES`] classes**: the centered
+/// values and their running powers live in fixed-size arrays, so the
+/// `acc += p; p *= v` recurrence has a compile-time trip count and no
+/// bounds checks, and vectorizes across classes. That changes only which
+/// classes are computed side by side: every `(ord, j)` accumulator still
+/// receives its addends in increasing-`i` order and every power is the
+/// same chain of multiplications, so the sketch is bit-identical to the
+/// element-at-a-time loop. The per-node mean stays the sequential
+/// `row.iter().sum()` for the same reason — a lane-split sum would add
+/// the classes in another order and change its rounding.
 pub fn mixed_moments_into(
     steps: &[Matrix],
     order: usize,
@@ -52,8 +66,6 @@ pub fn mixed_moments_into(
     out.reserve(steps.len() * order * c);
     for step in steps {
         assert_eq!(step.shape(), (n, c), "inconsistent step shapes");
-        // Per-node centered (or raw) values, reused across orders via
-        // running powers. acc[ord·c + j] accumulates Σᵢ vᵢⱼ^(ord+1).
         acc.clear();
         acc.resize(order * c, 0.0);
         for i in 0..n {
@@ -62,11 +74,25 @@ pub fn mixed_moments_into(
                 MomentKind::Central => row.iter().sum::<f32>() / c as f32,
                 MomentKind::Raw => 0.0,
             };
-            for (j, &y) in row.iter().enumerate() {
+            let (blocks, tail) = row.as_chunks::<LANES>();
+            for (b, block) in blocks.iter().enumerate() {
+                let v = block.map(|y| (y - mu) as f64);
+                let mut p = v;
+                for a in acc.chunks_exact_mut(c) {
+                    let a = &mut a.as_chunks_mut::<LANES>().0[b];
+                    for l in 0..LANES {
+                        a[l] += p[l];
+                        p[l] *= v[l];
+                    }
+                }
+            }
+            // The `c % LANES` classes left over, one at a time.
+            let done = c - tail.len();
+            for (j, &y) in tail.iter().enumerate() {
                 let v = (y - mu) as f64;
                 let mut p = v;
                 for ord in 0..order {
-                    acc[ord * c + j] += p;
+                    acc[ord * c + done + j] += p;
                     p *= v;
                 }
             }
@@ -114,6 +140,73 @@ mod tests {
             mixed_moments_into(&steps, 3, kind, &mut acc, &mut out);
             assert_eq!(acc.as_ptr(), ap);
             assert_eq!(out.as_ptr(), op);
+        }
+    }
+
+    /// The element-at-a-time loop the lane-blocked kernel replaced.
+    fn scalar_reference(steps: &[Matrix], order: usize, kind: MomentKind) -> Vec<f32> {
+        let mut out = Vec::new();
+        for step in steps {
+            let (n, c) = step.shape();
+            let mut acc = vec![0f64; order * c];
+            for i in 0..n {
+                let row = step.row(i);
+                let mu = match kind {
+                    MomentKind::Central => row.iter().sum::<f32>() / c as f32,
+                    MomentKind::Raw => 0.0,
+                };
+                for (j, &y) in row.iter().enumerate() {
+                    let v = (y - mu) as f64;
+                    let mut p = v;
+                    for ord in 0..order {
+                        acc[ord * c + j] += p;
+                        p *= v;
+                    }
+                }
+            }
+            let inv = 1.0 / n.max(1) as f64;
+            out.extend(acc.iter().map(|&a| (a * inv) as f32));
+        }
+        out
+    }
+
+    #[test]
+    fn lane_blocked_kernel_matches_scalar_reference_bitwise() {
+        let special = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        for c in [1usize, 7, 8, 9, 16, 17, 40] {
+            for n in [0usize, 1, 1000] {
+                // Finite steps, then one salted with NaN / ±Inf / −0.0.
+                let mut steps: Vec<Matrix> = (0..2)
+                    .map(|s| {
+                        let data = (0..n * c).map(|i| ((s * 19 + i * 7) as f32 * 0.11).sin()).collect();
+                        Matrix::from_vec(n, c, data)
+                    })
+                    .collect();
+                let mut salted = steps[0].clone();
+                for (i, v) in salted.as_mut_slice().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0) {
+                    *v = special[i / 5 % special.len()];
+                }
+                steps.push(salted);
+                // A row of −0.0 only: its mean and centered values are signed zeros.
+                if n > 0 {
+                    steps[0].row_mut(0).fill(-0.0);
+                }
+                for order in [1usize, 3, 20] {
+                    for kind in [MomentKind::Central, MomentKind::Raw] {
+                        let got = mixed_moments(&steps, order, kind);
+                        let want = scalar_reference(&steps, order, kind);
+                        assert_eq!(got.len(), want.len());
+                        // Rust leaves the sign and payload of an arithmetic
+                        // NaN unspecified, so NaN matches NaN; all else by bits.
+                        for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                                "c={c} n={n} order={order} {kind:?} element {j}: {g} vs {w}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -1,9 +1,9 @@
 //! Persistent per-client scratch for FedGTA's Algorithm-1 upload path.
 //!
 //! [`UploadScratch`] owns every buffer `FedGta::client_metrics` touches —
-//! the soft-label prediction matrix, the label-propagation step matrices
-//! and SpMM ping buffer, the moment accumulator, the flattened sketch,
-//! and a cache for the round-invariant feature-moment extension. It is
+//! the soft-label prediction matrix, the label-propagation step matrices,
+//! the moment accumulator, the flattened sketch, and a cache for the
+//! round-invariant feature-moment extension. It is
 //! stowed in [`fedgta_fed::client::Client::metric_scratch`] between
 //! rounds (as `Box<dyn Any + Send>`, keeping `fedgta-fed` independent of
 //! this crate) so warm metric computation performs **zero heap
@@ -58,7 +58,11 @@ pub struct UploadScratch {
     pub soft: Matrix,
     /// Label-propagation steps `[Ŷ¹, …, Ŷᵏ]`.
     pub steps: Vec<Matrix>,
-    /// SpMM scratch row buffer for the LP recurrence.
+    /// **Dead**: was the SpMM scratch of the LP recurrence, which now
+    /// writes each step straight into `steps`. Always empty; kept only
+    /// because the frozen `benchmark/` package passes it to
+    /// [`label_propagation_into`](crate::lp::label_propagation_into)
+    /// (ROADMAP item 2 records its removal).
     pub prop: Vec<f32>,
     /// Flat `order × |Y|` `f64` moment accumulator.
     pub acc: Vec<f64>,

@@ -38,7 +38,24 @@ pub struct FedGta {
 
 impl FedGta {
     /// Creates FedGTA with the given configuration.
+    ///
+    /// # Panics
+    ///
+    /// On `k_lp == 0`, `moment_order == 0` or `alpha` outside `[0, 1]`
+    /// (NaN included). The first two would otherwise panic on a worker
+    /// thread in the middle of round 1; the third yields negative
+    /// "probabilities" that Eq. 4 scores as maximally confident.
     pub fn new(config: FedGtaConfig) -> Self {
+        assert!(config.k_lp >= 1, "FedGtaConfig::k_lp must be at least 1");
+        assert!(
+            config.moment_order >= 1,
+            "FedGtaConfig::moment_order must be at least 1"
+        );
+        assert!(
+            (0.0..=1.0).contains(&config.alpha),
+            "FedGtaConfig::alpha must lie in [0, 1], got {}",
+            config.alpha
+        );
         Self {
             config,
             personalized: Vec::new(),
@@ -251,6 +268,49 @@ mod tests {
     use fedgta_fed::strategies::test_support::small_federation;
     use fedgta_fed::strategies::FedAvg;
     use fedgta_nn::models::ModelKind;
+
+    #[test]
+    #[should_panic(expected = "FedGtaConfig::k_lp")]
+    fn zero_lp_steps_are_rejected_at_construction() {
+        FedGta::new(FedGtaConfig {
+            k_lp: 0,
+            ..FedGtaConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "FedGtaConfig::moment_order")]
+    fn zero_moment_order_is_rejected_at_construction() {
+        FedGta::new(FedGtaConfig {
+            moment_order: 0,
+            ..FedGtaConfig::default()
+        });
+    }
+
+    #[test]
+    fn alpha_outside_the_unit_interval_is_rejected_at_construction() {
+        for alpha in [-0.01f32, 1.01, f32::NAN, f32::INFINITY] {
+            let err = std::panic::catch_unwind(|| {
+                FedGta::new(FedGtaConfig {
+                    alpha,
+                    ..FedGtaConfig::default()
+                })
+            })
+            .err()
+            .unwrap_or_else(|| panic!("alpha {alpha} accepted"));
+            let msg = err.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("FedGtaConfig::alpha"), "{msg}");
+        }
+        // The closed interval's ends are valid restarts.
+        FedGta::new(FedGtaConfig {
+            alpha: 0.0,
+            ..FedGtaConfig::default()
+        });
+        FedGta::new(FedGtaConfig {
+            alpha: 1.0,
+            ..FedGtaConfig::default()
+        });
+    }
 
     #[test]
     fn fedgta_learns() {

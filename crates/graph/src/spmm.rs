@@ -13,6 +13,33 @@
 //! the output row once per neighbor. Per-element accumulation order
 //! (neighbor order) is unchanged, so results are bit-identical to the
 //! straightforward kernel — including across thread counts.
+//!
+//! There is **one** neighbor-scan loop, [`spmm_row_block`], written once
+//! per weight kind (weighted / unweighted) and always at the compile-time
+//! width [`SPMM_BLOCK`]. Its `FULL` const parameter only decides how many
+//! lanes are *stored*: a ragged last block (`cols % SPMM_BLOCK` columns)
+//! reads whole blocks too — the lanes past its width hold the next row's
+//! values, are computed on and thrown away ([`block_at`]) — so a 7- or
+//! 40-column operand runs vector code instead of a scalar loop of runtime
+//! length (1.4× / 1.15× on 7 / 40 hot columns). The ragged instantiation
+//! is kept out of line ([`spmm_row_tail`]): inlined next to the full-block
+//! loop it cost that loop 6–15 % on 16- and 32-column operands.
+//!
+//! Every block ends in an **epilogue** applied to the register accumulator
+//! before the store ([`Epilogue`]). [`spmm_into`] instantiates it with
+//! [`Plain`], which does nothing; [`spmm_axpby_into`] with [`Axpby`],
+//! `acc·β + α·z`, which turns label propagation's
+//! `Ŷˡ = (1−α)·Ã·Ŷˡ⁻¹ + α·Ŷ⁰` into one pass that never writes the bare
+//! product to memory. The epilogue is a generic parameter whose `apply`
+//! is `#[inline(always)]`, as are the row and block functions it is
+//! reached through — never a `dyn`, a function pointer or a closure left
+//! to the inliner's judgement (a closure epilogue of more than a few lines
+//! stayed out of line and was called once per block through memory: ten
+//! clients' label propagation at 270 × 16 took 0.20 ms against the
+//! two-pass form's 0.16, and takes 0.15 inlined). The `Plain` instantiation must compile to the loop with no
+//! epilogue at all — GCN's and SGC's `spmm_into` pay nothing for label
+//! propagation's restart term — and the `Axpby` one must see the block
+//! width as a constant so it vectorizes like the accumulation it follows.
 
 use crate::par::{in_parallel_worker, num_threads, par_chunks_mut_at, resolve_threads};
 use crate::{Csr, GraphError, Result};
@@ -22,86 +49,138 @@ use crate::{Csr, GraphError, Result};
 /// line = two AVX2 / one AVX-512 vector.
 const SPMM_BLOCK: usize = 16;
 
-/// Accumulates `acc[0..W] (+)= w · x[v, jb..jb+W]` over one neighbor list
-/// and stores the block. `W == SPMM_BLOCK` for full blocks so the loop has
-/// a compile-time width; the ragged tail uses the runtime-width variant.
+/// What a block's register accumulator goes through before it is stored.
+/// A trait rather than a closure so that `apply` can be `#[inline(always)]`
+/// (see the module header).
+trait Epilogue: Copy + Sync {
+    /// `acc[..w]` is the block that starts at flat offset `off` of `Y`.
+    fn apply(self, off: usize, acc: &mut [f32; SPMM_BLOCK], w: usize);
+}
+
+/// `Y = A · X`: nothing to do.
+#[derive(Clone, Copy)]
+struct Plain;
+
+impl Epilogue for Plain {
+    #[inline(always)]
+    fn apply(self, _: usize, _: &mut [f32; SPMM_BLOCK], _: usize) {}
+}
+
+/// The [`SPMM_BLOCK`] values of `src` from `r` on, of which the caller uses
+/// the first `w`. Whenever that many lie in bounds — always for a `FULL`
+/// block, and for a ragged last block everywhere but at the very end of
+/// the matrix — the lanes past `w` are simply the next row's values, which
+/// the kernel computes on and never stores; only at the end of `src` are
+/// the `w` values copied into the zeroed `pad`. This is what lets a ragged
+/// block run the same compile-time-width loop as a full one instead of a
+/// scalar loop of runtime length.
+#[inline(always)]
+fn block_at<'a, const FULL: bool>(
+    src: &'a [f32],
+    r: usize,
+    w: usize,
+    pad: &'a mut [f32; SPMM_BLOCK],
+) -> &'a [f32; SPMM_BLOCK] {
+    if FULL || r + SPMM_BLOCK <= src.len() {
+        src[r..r + SPMM_BLOCK].try_into().expect("sliced to SPMM_BLOCK")
+    } else {
+        pad[..w].copy_from_slice(&src[r..r + w]);
+        pad
+    }
+}
+
+/// Accumulates `acc (+)= wt · xj[v·cols..]` over one neighbor list (`xj` is
+/// the dense operand from the block's first column on), applies
+/// `epi(off, acc, w)` and stores the first `w` lanes into `out`. `FULL`
+/// blocks have the compile-time width [`SPMM_BLOCK`]; the ragged last
+/// block (`!FULL`) takes its width from `out`. Lanes are independent, so
+/// what the unused ones hold (see [`block_at`]) cannot reach the stored
+/// ones.
 ///
 /// Operates on bare slices (one row's neighbor ids + optional weights) so
 /// the in-memory [`Csr`] path and the out-of-core tile path in
 /// [`crate::store`] share the exact same inner loop — which is what makes
 /// their outputs bit-identical by construction.
 #[inline(always)]
-fn spmm_row_block(
+fn spmm_row_block<const FULL: bool, E: Epilogue>(
     neigh: &[u32],
     ws: Option<&[f32]>,
-    x: &[f32],
+    xj: &[f32],
     cols: usize,
-    jb: usize,
-    out: &mut [f32], // exactly SPMM_BLOCK long
+    off: usize,
+    out: &mut [f32],
+    epi: E,
 ) {
+    let w = if FULL { SPMM_BLOCK } else { out.len() };
     let mut acc = [0f32; SPMM_BLOCK];
-    match ws {
-        Some(ws) => {
-            for (&v, &w) in neigh.iter().zip(ws) {
-                let src = &x[v as usize * cols + jb..v as usize * cols + jb + SPMM_BLOCK];
-                for l in 0..SPMM_BLOCK {
-                    acc[l] += w * src[l];
-                }
-            }
-        }
-        None => {
-            for &v in neigh {
-                let src = &x[v as usize * cols + jb..v as usize * cols + jb + SPMM_BLOCK];
-                for l in 0..SPMM_BLOCK {
-                    acc[l] += src[l];
-                }
-            }
-        }
-    }
-    out.copy_from_slice(&acc);
-}
-
-/// Ragged-tail version of [`spmm_row_block`] for the final `< SPMM_BLOCK`
-/// columns.
-#[inline(always)]
-fn spmm_row_tail(neigh: &[u32], ws: Option<&[f32]>, x: &[f32], cols: usize, jb: usize, out: &mut [f32]) {
-    let w = out.len();
-    let mut acc = [0f32; SPMM_BLOCK];
+    let mut pad = [0f32; SPMM_BLOCK];
     match ws {
         Some(ws) => {
             for (&v, &wt) in neigh.iter().zip(ws) {
-                let src = &x[v as usize * cols + jb..v as usize * cols + jb + w];
-                for l in 0..w {
+                let src = block_at::<FULL>(xj, v as usize * cols, w, &mut pad);
+                for l in 0..SPMM_BLOCK {
                     acc[l] += wt * src[l];
                 }
             }
         }
         None => {
             for &v in neigh {
-                let src = &x[v as usize * cols + jb..v as usize * cols + jb + w];
-                for l in 0..w {
+                let src = block_at::<FULL>(xj, v as usize * cols, w, &mut pad);
+                for l in 0..SPMM_BLOCK {
                     acc[l] += src[l];
                 }
             }
         }
     }
+    epi.apply(off, &mut acc, w);
     out.copy_from_slice(&acc[..w]);
 }
 
 /// Multiplies one row (given as its neighbor list + optional weights)
-/// against the dense operand, writing the `cols`-wide output row. The
-/// single row kernel behind both the in-memory and the chunked-store SpMM.
-#[inline]
-pub(crate) fn spmm_one_row(neigh: &[u32], ws: Option<&[f32]>, x: &[f32], cols: usize, out: &mut [f32]) {
+/// against the dense operand, writing the `cols`-wide output row that
+/// starts at flat offset `base` of `Y`. The single row kernel behind the
+/// in-memory, the threaded and the chunked-store SpMM.
+#[inline(always)]
+fn spmm_row<E: Epilogue>(
+    neigh: &[u32],
+    ws: Option<&[f32]>,
+    x: &[f32],
+    cols: usize,
+    base: usize,
+    out: &mut [f32],
+    epi: E,
+) {
     let full = cols / SPMM_BLOCK * SPMM_BLOCK;
     let mut jb = 0;
     while jb < full {
-        spmm_row_block(neigh, ws, x, cols, jb, &mut out[jb..jb + SPMM_BLOCK]);
+        spmm_row_block::<true, E>(neigh, ws, &x[jb..], cols, base + jb, &mut out[jb..jb + SPMM_BLOCK], epi);
         jb += SPMM_BLOCK;
     }
     if jb < cols {
-        spmm_row_tail(neigh, ws, x, cols, jb, &mut out[jb..]);
+        spmm_row_tail(neigh, ws, &x[jb..], cols, base + jb, &mut out[jb..], epi);
     }
+}
+
+/// The ragged last block, out of line so that its registers and stack do
+/// not weigh on the full-block loop of [`spmm_row`] (see the module header).
+#[inline(never)]
+fn spmm_row_tail<E: Epilogue>(
+    neigh: &[u32],
+    ws: Option<&[f32]>,
+    xj: &[f32],
+    cols: usize,
+    off: usize,
+    out: &mut [f32],
+    epi: E,
+) {
+    spmm_row_block::<false, E>(neigh, ws, xj, cols, off, out, epi);
+}
+
+/// [`spmm_row`] with the empty epilogue: the plain product row, for the
+/// tile path in [`crate::store`].
+#[inline]
+pub(crate) fn spmm_one_row(neigh: &[u32], ws: Option<&[f32]>, x: &[f32], cols: usize, out: &mut [f32]) {
+    spmm_row(neigh, ws, x, cols, 0, out, Plain);
 }
 
 /// Computes `Y = A · X` into a fresh buffer.
@@ -144,6 +223,44 @@ pub fn spmm_into(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
     spmm_into_raw(a, x, cols, y);
 }
 
+/// Computes `Y = β·(A · X) + α·Z` in one pass (`z.len() == y.len() ==
+/// n*cols`): label propagation's step `Ŷˡ = (1−α)·Ã·Ŷˡ⁻¹ + α·Ŷ⁰` with the
+/// restart term applied to each block's register accumulator, so the bare
+/// product `A · X` is never written to memory or read back.
+///
+/// Each element is `acc·β + α·z` with `acc` the f32 row sum [`spmm_into`]
+/// would have stored — the same expression, in the same order, as
+/// `spmm_into` followed by a separate sweep — so the result is
+/// bit-identical to that two-pass form (a row with no stored edges yields
+/// `0·β + α·z`). Panics on size mismatch; records the same `spmm.rows` /
+/// `spmm.flops` counters as [`spmm_into`] (the epilogue is not counted).
+pub fn spmm_axpby_into(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32], y: &mut [f32]) {
+    assert_eq!(z.len(), y.len());
+    record_spmm(a.num_nodes(), a.num_edges(), cols);
+    spmm_rows(a, x, cols, y, 0, Axpby { beta, alpha, z });
+}
+
+/// The epilogue of [`spmm_axpby_into`]: `acc ← acc·β + α·z[off..]`. `z` is
+/// indexed by `Y`'s flat offsets, so a worker reads exactly the rows it
+/// writes; like the accumulation, it runs all lanes of a ragged block.
+#[derive(Clone, Copy)]
+struct Axpby<'a> {
+    beta: f32,
+    alpha: f32,
+    z: &'a [f32],
+}
+
+impl Epilogue for Axpby<'_> {
+    #[inline(always)]
+    fn apply(self, off: usize, acc: &mut [f32; SPMM_BLOCK], w: usize) {
+        let mut pad = [0f32; SPMM_BLOCK];
+        let z = block_at::<false>(self.z, off, w, &mut pad);
+        for l in 0..SPMM_BLOCK {
+            acc[l] = acc[l] * self.beta + self.alpha * z[l];
+        }
+    }
+}
+
 /// The uninstrumented kernel body — public so the microbenchmark suite can
 /// measure the observability hook's overhead against it. Resolves the
 /// thread count from the environment ([`num_threads`]).
@@ -159,16 +276,22 @@ pub(crate) const MAX_CHUNKS: usize = 64;
 /// [`spmm_into_raw`] with an explicit thread request (`0` = resolve from
 /// the environment) — the property-test hook for pinning thread counts
 /// without racy env mutation.
+#[doc(hidden)]
+pub fn spmm_into_raw_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize) {
+    spmm_rows(a, x, cols, y, threads, Plain);
+}
+
+/// Runs the row kernel with epilogue `epi` over every row of `a`, on
+/// `threads` workers (`0` = resolve from the environment).
 ///
 /// Row chunks are **nonzero-balanced**: boundaries are picked from the CSR
 /// row-pointer prefix sums so each worker handles ~`nnz/threads` stored
 /// edges rather than `rows/threads` rows. On power-law graphs this stops a
 /// single hub row from serializing an equal-row-count chunk. Per-row
-/// arithmetic (neighbor order, column blocking) is untouched, so results
-/// remain bit-identical to the single-threaded kernel for any boundary
-/// placement.
-#[doc(hidden)]
-pub fn spmm_into_raw_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize) {
+/// arithmetic (neighbor order, column blocking, epilogue) is untouched, so
+/// results remain bit-identical to the single-threaded kernel for any
+/// boundary placement.
+fn spmm_rows<E: Epilogue>(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize, epi: E) {
     let n = a.num_nodes();
     assert_eq!(x.len(), n * cols);
     assert_eq!(y.len(), n * cols);
@@ -176,7 +299,7 @@ pub fn spmm_into_raw_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], thr
         for (local, row) in range.enumerate() {
             let out = &mut chunk[local * cols..(local + 1) * cols];
             let u = row as u32;
-            spmm_one_row(a.neighbors(u), a.neighbor_weights(u), x, cols, out);
+            spmm_row(a.neighbors(u), a.neighbor_weights(u), x, cols, row * cols, out, epi);
         }
     };
     let threads = if threads > 0 { resolve_threads(Some(threads)) } else { num_threads() }
@@ -415,6 +538,87 @@ mod tests {
             let mut par = vec![0f32; x.len()];
             spmm_into_raw_threads(&g, &x, cols, &mut par, threads);
             assert_eq!(par, serial, "threads={threads}");
+        }
+    }
+
+    /// The two-pass form `spmm_axpby_into` replaces: the plain kernel into
+    /// a scratch, then the separate `p·β + α·z` sweep.
+    fn axpby_two_pass(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32]) -> Vec<f32> {
+        let mut prop = vec![f32::NAN; x.len()];
+        spmm_into_raw_threads(a, x, cols, &mut prop, 1);
+        prop.iter().zip(z).map(|(&p, &zv)| p * beta + alpha * zv).collect()
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn axpby_epilogue_matches_two_pass_bitwise_at_every_width() {
+        // Node 3 is isolated: its rows must come out as `0·β + α·z`.
+        let mut el = EdgeList::new(4);
+        el.push_undirected(0, 1).unwrap();
+        el.push_undirected(1, 2).unwrap();
+        let unweighted = el.to_csr();
+        let mut el = EdgeList::new(4);
+        for (u, v, w) in [(0, 1, 0.3), (1, 0, 0.7), (1, 2, -1.25), (2, 1, 0.1), (2, 2, 0.6)] {
+            el.push_weighted(u, v, w).unwrap();
+        }
+        let weighted = el.to_csr();
+        assert!(weighted.neighbors(3).is_empty() && weighted.neighbor_weights(3).is_some());
+        for (g, kind) in [(&unweighted, "unweighted"), (&weighted, "weighted")] {
+            for cols in [1usize, 3, 15, 16, 17, 33, 40] {
+                let x: Vec<f32> = (0..4 * cols).map(|i| ((i * 37 % 19) as f32) * 0.25 - 2.0).collect();
+                let z: Vec<f32> = (0..4 * cols).map(|i| ((i * 13 % 11) as f32) * 0.5 - 1.5).collect();
+                for (beta, alpha) in [(0.5f32, 0.5f32), (1.0, 0.0), (0.0, 1.0), (0.3, -1.7)] {
+                    let want = axpby_two_pass(g, &x, cols, beta, alpha, &z);
+                    let mut got = vec![f32::NAN; x.len()]; // garbage: fully overwritten
+                    spmm_axpby_into(g, &x, cols, beta, alpha, &z, &mut got);
+                    assert_same_bits(&got, &want, &format!("{kind} cols={cols} β={beta} α={alpha}"));
+                    for (o, &zv) in got[3 * cols..].iter().zip(&z[3 * cols..]) {
+                        assert_eq!(o.to_bits(), (0.0 * beta + alpha * zv).to_bits(), "isolated row");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn axpby_epilogue_is_thread_count_invariant_on_star_and_skewed_graphs() {
+        let star = {
+            let n = 65u32;
+            let mut el = EdgeList::new(n as usize);
+            for v in 1..n {
+                el.push_undirected(0, v).unwrap();
+            }
+            normalized_adjacency(&el.to_csr(), NormKind::Symmetric)
+        };
+        let skewed = {
+            // Geometric-ish degree skew plus isolated vertices, unweighted.
+            let n = 48u32;
+            let mut el = EdgeList::new(n as usize);
+            for u in 0..8u32 {
+                for v in (u + 1)..(u + 1 + (32 >> u)).min(n) {
+                    el.push_undirected(u, v).unwrap();
+                }
+            }
+            el.to_csr()
+        };
+        for (g, kind) in [(&star, "star"), (&skewed, "skewed")] {
+            let n = g.num_nodes();
+            for cols in [1usize, 7, 16, 33] {
+                let x: Vec<f32> = (0..n * cols).map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0).collect();
+                let z: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.31).sin()).collect();
+                let want = axpby_two_pass(g, &x, cols, 0.5, 0.5, &z);
+                for threads in [1usize, 2, 3, 4, 7, 64] {
+                    let mut got = vec![7f32; x.len()];
+                    spmm_rows(g, &x, cols, &mut got, threads, Axpby { beta: 0.5, alpha: 0.5, z: &z });
+                    assert_same_bits(&got, &want, &format!("{kind} cols={cols} threads={threads}"));
+                }
+            }
         }
     }
 
