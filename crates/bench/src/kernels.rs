@@ -14,13 +14,18 @@
 //! (hidden width … Cora-scale input width), with a 64-wide output. A
 //! square `512³` head-to-head against the retained scalar kernels
 //! (`fedgta_nn::ops::naive`) anchors the before/after comparison.
+//! The client's soft-label pair — the Eq. 3 row softmax and the Eq. 4
+//! entropy sum, both libm-free vectorized kernels — is timed per element at
+//! `32k × {7, 16, 40}` against the scalar libm loops they replaced.
 //! `--test` mode shrinks every shape and runs one iteration per cell so CI
 //! can smoke the whole pipeline in under a second.
 
+use fedgta::confidence::local_smoothing_confidence;
 use fedgta_graph::spmm::{spmm_axpby_into, spmm_into};
 use fedgta_graph::{Csr, EdgeList};
 use fedgta_nn::ops::{
     self, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into,
+    softmax_rows_inplace,
 };
 use fedgta_nn::Matrix;
 use rand::rngs::StdRng;
@@ -55,6 +60,24 @@ pub struct KernelResult {
     pub allocs_per_call: Option<u64>,
 }
 
+/// One timed cell of the soft-label pair (elementwise kernels: no FLOP
+/// rate, the unit is time per matrix element).
+#[derive(Debug, Clone)]
+pub struct SoftLabelResult {
+    /// `softmax` (`softmax_rows_inplace`) or `eq4_entropy`
+    /// (`local_smoothing_confidence`).
+    pub kernel: &'static str,
+    /// Nodes.
+    pub rows: usize,
+    /// Classes.
+    pub cols: usize,
+    /// Wall time per matrix element in nanoseconds.
+    pub ns_per_element: f64,
+    /// Time of the scalar libm loop this kernel replaced ÷ time of the
+    /// kernel. Reported without a bar.
+    pub vs_scalar_libm: f64,
+}
+
 /// The full report: grid results plus the naive-vs-blocked anchor.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
@@ -64,6 +87,8 @@ pub struct KernelReport {
     pub threads: usize,
     /// All timed cells, including the square anchor shapes.
     pub results: Vec<KernelResult>,
+    /// The softmax / Eq. 4 cells.
+    pub soft_labels: Vec<SoftLabelResult>,
     /// `blocked GFLOP/s ÷ naive GFLOP/s` for `matmul` at the anchor shape.
     pub matmul_speedup_vs_naive: f64,
     /// Side length of the square anchor (`512` full, `96` quick).
@@ -94,42 +119,124 @@ pub struct KernelReport {
 /// twin at the anchor shape, returning the overhead percentage for two
 /// configurations: observability forced to `Off`, and `Off` with the
 /// flight recorder armed (the always-on black box a production run
-/// flies with). Uses its own repetition budget so the numbers are
+/// flies with).
+///
+/// The three variants are called **round-robin** and compared by their
+/// fastest call: a 2 % gate cannot be read off three consecutive windows
+/// of means on a shared host, where a neighbour's burst lands in one
+/// window only. Uses its own repetition budget so the numbers are
 /// meaningful even in quick mode.
 fn measure_obs_overhead(d: usize, rng: &mut StdRng) -> (f64, f64) {
     let saved = fedgta_obs::level();
     let rec_was_armed = fedgta_obs::recorder::armed();
     fedgta_obs::set_level(fedgta_obs::ObsLevel::Off);
-    fedgta_obs::recorder::disarm();
     let a = filled(d, d, rng);
     let b = filled(d, d, rng);
     let mut out = vec![0f32; d * d];
-    let (min_ns, max_calls) = (30_000_000u64, 400usize);
-    let (ns_hooked, _) = time_fn(
-        || matmul_into(a.view(), b.view(), &mut out),
-        min_ns,
-        max_calls,
-    );
-    fedgta_obs::recorder::arm_default();
-    let (ns_recorder, _) = time_fn(
-        || matmul_into(a.view(), b.view(), &mut out),
-        min_ns,
-        max_calls,
-    );
-    fedgta_obs::recorder::disarm();
-    let (ns_raw, _) = time_fn(
-        || ops::matmul_into_raw(a.view(), b.view(), &mut out),
-        min_ns,
-        max_calls,
-    );
+    let (budget_ns, max_rounds) = (90_000_000u128, 400usize);
+    // [hooked, hooked with the recorder armed, raw]
+    let mut best = [f64::INFINITY; 3];
+    let start = Instant::now();
+    for round in 0..=max_rounds {
+        for (variant, fastest) in best.iter_mut().enumerate() {
+            if variant == 1 {
+                fedgta_obs::recorder::arm_default();
+            } else {
+                fedgta_obs::recorder::disarm();
+            }
+            let t = Instant::now();
+            if variant == 2 {
+                ops::matmul_into_raw(a.view(), b.view(), &mut out);
+            } else {
+                matmul_into(a.view(), b.view(), &mut out);
+            }
+            let ns = t.elapsed().as_nanos() as f64;
+            // Round 0 is the warmup (operands into cache, pages faulted).
+            if round > 0 {
+                *fastest = fastest.min(ns);
+            }
+        }
+        if round > 0 && start.elapsed().as_nanos() >= budget_ns {
+            break;
+        }
+    }
     if rec_was_armed {
         fedgta_obs::recorder::arm_default();
+    } else {
+        fedgta_obs::recorder::disarm();
     }
     fedgta_obs::set_level(saved);
-    (
-        100.0 * (ns_hooked - ns_raw) / ns_raw,
-        100.0 * (ns_recorder - ns_raw) / ns_raw,
-    )
+    let [hooked, recorder, raw] = best;
+    (100.0 * (hooked - raw) / raw, 100.0 * (recorder - raw) / raw)
+}
+
+/// The row loop `softmax_rows_inplace` replaced: one libm `expf` per
+/// element inside the row-sum chain.
+fn softmax_scalar_libm(x: &mut Matrix) {
+    for i in 0..x.rows() {
+        let row = x.row_mut(i);
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
+}
+
+/// The row loop `local_smoothing_confidence` replaced: one libm `f64`
+/// `ln` per element.
+fn eq4_scalar_libm(y_k: &Matrix, degrees_hat: &[f32]) -> f64 {
+    let ceiling = (-1.0f64).exp();
+    let mut h = 0f64;
+    for (i, &deg) in degrees_hat.iter().enumerate() {
+        let mut row_sum = 0f64;
+        for &p in y_k.row(i) {
+            let p = p as f64;
+            let ent = if p > 0.0 { -p * p.ln() } else { 0.0 };
+            row_sum += ceiling - ent;
+        }
+        h += deg as f64 * row_sum;
+    }
+    h
+}
+
+/// Times the soft-label pair at `grid.lp_rows × {7, 16, 40}`. The softmax
+/// runs in place on its own previous output (a row of probabilities is as
+/// good a logit row as any, and neither side's cost depends on the data),
+/// so no refill copy sits inside the timed call.
+fn measure_soft_labels(grid: &Grid, rng: &mut StdRng) -> Vec<SoftLabelResult> {
+    let rows = grid.lp_rows;
+    let time = |f: &mut dyn FnMut()| time_fn(f, grid.min_ns, grid.max_calls).0;
+    let mut out = Vec::new();
+    for cols in [7usize, 16, 40] {
+        let mut cell = |kernel, ns: f64, ns_scalar: f64| {
+            out.push(SoftLabelResult {
+                kernel,
+                rows,
+                cols,
+                ns_per_element: ns / (rows * cols) as f64,
+                vs_scalar_libm: ns_scalar / ns,
+            });
+        };
+        let mut work = filled(rows, cols, rng);
+        let ns_scalar = time(&mut || softmax_scalar_libm(&mut work));
+        let ns = time(&mut || softmax_rows_inplace(&mut work));
+        cell("softmax", ns, ns_scalar);
+        let degrees: Vec<f32> = (0..rows).map(|i| (i % 13 + 1) as f32).collect();
+        let ns_scalar = time(&mut || {
+            std::hint::black_box(eq4_scalar_libm(&work, &degrees));
+        });
+        let ns = time(&mut || {
+            std::hint::black_box(local_smoothing_confidence(&work, &degrees));
+        });
+        cell("eq4_entropy", ns, ns_scalar);
+    }
+    out
 }
 
 /// Times one label-propagation step both ways on a `grid.lp_rows`-row
@@ -209,7 +316,8 @@ pub(crate) fn count_allocs(counter: Option<AllocCounter>, mut f: impl FnMut()) -
 
 struct Grid {
     rows: Vec<usize>,
-    /// Row count of the label-propagation step comparison.
+    /// Row count of the label-propagation step comparison and of the
+    /// soft-label cells.
     lp_rows: usize,
     feats: Vec<usize>,
     out_cols: usize,
@@ -432,6 +540,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 
     let (obs_overhead_pct, recorder_overhead_pct) = measure_obs_overhead(d, &mut rng);
     let lp_step_fused_vs_unfused = measure_lp_step(&grid, &mut rng);
+    let soft_labels = measure_soft_labels(&grid, &mut rng);
 
     let matmul_tn_vs_matmul = results
         .iter()
@@ -449,6 +558,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
         mode: if quick { "quick" } else { "full" },
         threads: fedgta_graph::par::num_threads(),
         results,
+        soft_labels,
         matmul_speedup_vs_naive: blocked_gflops / naive_gflops,
         anchor_dim: d,
         matmul_tn_vs_matmul,
@@ -509,6 +619,19 @@ pub fn to_json(r: &KernelReport) -> String {
             if i + 1 < r.results.len() { "," } else { "" }
         ));
     }
+    s.push_str("  ],\n  \"soft_labels\": [\n");
+    for (i, k) in r.soft_labels.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"kernel\": {}, \"rows\": {}, \"cols\": {}, \"ns_per_element\": {}, \
+             \"vs_scalar_libm\": {}}}{}\n",
+            json_str(k.kernel),
+            k.rows,
+            k.cols,
+            json_fixed(k.ns_per_element, 3),
+            json_fixed(k.vs_scalar_libm, 3),
+            if i + 1 < r.soft_labels.len() { "," } else { "" }
+        ));
+    }
     s.push_str("  ]\n}\n");
     s
 }
@@ -534,6 +657,12 @@ pub fn render_table(r: &KernelReport) -> String {
         s.push_str(&format!(
             "{:<18} {:>8} {:>7} {:>6} {:>6} {:>10.3} {:>8}\n",
             k.kernel, k.variant, k.m, k.k, k.n, k.gflops, allocs
+        ));
+    }
+    for k in &r.soft_labels {
+        s.push_str(&format!(
+            "{:<18} {:>16} {:>6} {:>9.2} ns/element, {:.2}x the scalar libm loop (no bar)\n",
+            k.kernel, k.rows, k.cols, k.ns_per_element, k.vs_scalar_libm
         ));
     }
     s.push_str(&format!(
@@ -637,6 +766,11 @@ mod tests {
         assert!(json.contains("\"lp_step_fused_vs_unfused\""));
         assert!(r.lp_step_fused_vs_unfused > 0.0 && r.lp_step_fused_vs_unfused.is_finite());
         assert!(json.contains("\"variant\": \"naive\""));
+        // Softmax and Eq. 4 at three class counts each.
+        assert_eq!(r.soft_labels.len(), 6);
+        assert!(r.soft_labels.iter().all(|k| k.ns_per_element > 0.0 && k.vs_scalar_libm > 0.0));
+        assert!(json.contains("\"kernel\": \"softmax\""));
+        assert!(json.contains("\"kernel\": \"eq4_entropy\""));
         // Balanced braces/brackets as a cheap well-formedness check.
         assert_eq!(
             json.matches('{').count(),

@@ -6,8 +6,42 @@
 //! gradient (zero outside the subset) — ready to feed straight into
 //! [`crate::mlp::Mlp::backward`].
 
-use crate::ops::softmax_rows;
+use crate::ops::{softmax_block, SOFTMAX_ROWS};
 use crate::tensor::Matrix;
+
+/// For every `i` in `rows`: writes `softmax(logits[i,·])` into `out[i,·]`
+/// and hands that row to `finish(i, row)`; rows not selected are left
+/// untouched — the softmax runs on the selected rows only, straight into
+/// the caller's (gradient) matrix. Consecutive indices are batched into
+/// runs of up to [`SOFTMAX_ROWS`] rows, so a dense selection exponentiates
+/// flat blocks rather than single rows.
+fn softmax_selected(
+    logits: &Matrix,
+    rows: &[u32],
+    out: &mut Matrix,
+    mut finish: impl FnMut(usize, &mut [f32]),
+) {
+    let cols = logits.cols();
+    if cols == 0 {
+        return;
+    }
+    let mut t = 0;
+    while t < rows.len() {
+        let first = rows[t] as usize;
+        let mut len = 1;
+        while len < SOFTMAX_ROWS && t + len < rows.len() && rows[t + len] as usize == first + len {
+            len += 1;
+        }
+        let span = first * cols..(first + len) * cols;
+        let block = &mut out.as_mut_slice()[span.clone()];
+        block.copy_from_slice(&logits.as_slice()[span]);
+        softmax_block(block, cols);
+        for (k, row) in block.chunks_exact_mut(cols).enumerate() {
+            finish(first + k, row);
+        }
+        t += len;
+    }
+}
 
 /// Hard-label softmax cross-entropy over `rows`.
 ///
@@ -20,21 +54,17 @@ pub fn softmax_ce(logits: &Matrix, labels: &[u32], rows: &[u32]) -> (f32, Matrix
     if rows.is_empty() {
         return (0.0, grad);
     }
-    let probs = softmax_rows(logits);
     let inv = 1.0 / rows.len() as f32;
     let mut loss = 0f64;
-    for &i in rows {
-        let i = i as usize;
+    softmax_selected(logits, rows, &mut grad, |i, g| {
         let y = labels[i] as usize;
-        debug_assert!(y < logits.cols(), "label out of range");
-        let p = probs.get(i, y).max(1e-12);
-        loss += -(p as f64).ln();
-        let g = grad.row_mut(i);
-        for (gj, &pj) in g.iter_mut().zip(probs.row(i)) {
-            *gj = pj * inv;
+        debug_assert!(y < g.len(), "label out of range");
+        loss += -(g[y].max(1e-12) as f64).ln();
+        for gj in g.iter_mut() {
+            *gj *= inv;
         }
         g[y] -= inv;
-    }
+    });
     ((loss / rows.len() as f64) as f32, grad)
 }
 
@@ -49,21 +79,19 @@ pub fn soft_ce(logits: &Matrix, targets: &Matrix, rows: &[u32], weight: f32) -> 
     if rows.is_empty() || weight == 0.0 {
         return (0.0, grad);
     }
-    let probs = softmax_rows(logits);
     let inv = weight / rows.len() as f32;
     let mut loss = 0f64;
-    for &i in rows {
-        let i = i as usize;
+    softmax_selected(logits, rows, &mut grad, |i, g| {
         let mut row_loss = 0f64;
-        let g = grad.row_mut(i);
-        for ((gj, &pj), &tj) in g.iter_mut().zip(probs.row(i)).zip(targets.row(i)) {
+        for (gj, &tj) in g.iter_mut().zip(targets.row(i)) {
+            let pj = *gj;
             *gj = inv * (pj - tj);
             if tj > 0.0 {
                 row_loss += -(tj as f64) * (pj.max(1e-12) as f64).ln();
             }
         }
         loss += row_loss;
-    }
+    });
     (
         (weight as f64 * loss / rows.len() as f64) as f32,
         grad,

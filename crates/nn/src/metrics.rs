@@ -3,20 +3,21 @@
 use crate::tensor::Matrix;
 
 /// Accuracy of `probs` (rows = nodes) against `labels`, restricted to
-/// `rows`. Returns 0 on an empty subset.
+/// `rows` — only those rows of `probs` are read. Returns 0 on an empty
+/// subset.
 pub fn accuracy(probs: &Matrix, labels: &[u32], rows: &[u32]) -> f64 {
     if rows.is_empty() {
         return 0.0;
     }
-    let pred = probs.argmax_rows();
     let correct = rows
         .iter()
-        .filter(|&&i| pred[i as usize] == labels[i as usize])
+        .filter(|&&i| probs.argmax_row(i as usize) == labels[i as usize] as usize)
         .count();
     correct as f64 / rows.len() as f64
 }
 
-/// Macro-averaged F1 over `num_classes` classes, restricted to `rows`.
+/// Macro-averaged F1 over `num_classes` classes, restricted to `rows`
+/// (only those rows of `probs` are read).
 /// Classes absent from the subset contribute F1 = 0 only if they were
 /// predicted; truly absent classes are skipped (scikit-learn convention
 /// with `zero_division=0` over present classes).
@@ -24,12 +25,11 @@ pub fn macro_f1(probs: &Matrix, labels: &[u32], rows: &[u32], num_classes: usize
     if rows.is_empty() {
         return 0.0;
     }
-    let pred = probs.argmax_rows();
     let mut tp = vec![0usize; num_classes];
     let mut fp = vec![0usize; num_classes];
     let mut fnv = vec![0usize; num_classes];
     for &i in rows {
-        let (p, y) = (pred[i as usize] as usize, labels[i as usize] as usize);
+        let (p, y) = (probs.argmax_row(i as usize), labels[i as usize] as usize);
         if p == y {
             tp[y] += 1;
         } else {
@@ -71,6 +71,21 @@ mod tests {
         assert_eq!(accuracy(&probs, &labels, &[0, 1, 2]), 2.0 / 3.0);
         assert_eq!(accuracy(&probs, &labels, &[0, 1]), 1.0);
         assert_eq!(accuracy(&probs, &labels, &[]), 0.0);
+    }
+
+    #[test]
+    fn rows_outside_the_subset_do_not_matter() {
+        // Row 1 is NaN (argmax would say class 0, a "correct" hit) and
+        // row 3 would be a miss: neither is in `rows`, neither may count.
+        let nan = f32::NAN;
+        let probs = Matrix::from_rows(&[&[0.9, 0.1], &[nan, nan], &[0.2, 0.8], &[0.7, 0.3]]);
+        let labels = [0u32, 0, 1, 1];
+        assert_eq!(accuracy(&probs, &labels, &[0, 2]), 1.0);
+        assert!((macro_f1(&probs, &labels, &[0, 2], 2) - 1.0).abs() < 1e-12);
+        // First-maximum tie rule.
+        let tie = Matrix::from_rows(&[&[0.5, 0.5]]);
+        assert_eq!(accuracy(&tie, &[0], &[0]), 1.0);
+        assert_eq!(accuracy(&tie, &[1], &[0]), 0.0);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! allocations per step. The plain [`Mlp::forward`]/[`Mlp::backward`] API
 //! is kept as a convenience wrapper over a throwaway workspace.
 //!
+//! **No input copies**: [`Mlp::forward_ws`] takes the gathered batch by
+//! value, so `MlpCache.inputs[0]` *is* the batch, and [`Mlp::infer_ws`]
+//! reads layer 0 straight from `x` — a feature-matrix-sized buffer never
+//! enters a client's pool.
+//!
 //! **Hidden-gradient injection**: [`Mlp::backward_ws`] accepts an optional
 //! extra gradient on the *input of the final layer* (the model's
 //! penultimate representation). MOON's model-contrastive loss differentiates
@@ -151,16 +156,18 @@ impl Mlp {
 
     /// Full forward pass through a workspace; returns `(logits, cache)`.
     ///
+    /// The batch is taken **by value** and becomes `cache.inputs[0]`
+    /// itself — callers gather a batch into a pooled matrix anyway, and
+    /// [`MlpCache::recycle`] hands it back to the pool with the rest.
     /// `train = true` enables dropout (consuming internal RNG state). All
     /// returned matrices are checked out of `ws`; recycle the cache (and
     /// eventually the logits) to keep the pool warm.
-    pub fn forward_ws(&mut self, x: &Matrix, train: bool, ws: &mut Workspace) -> (Matrix, MlpCache) {
+    pub fn forward_ws(&mut self, x: Matrix, train: bool, ws: &mut Workspace) -> (Matrix, MlpCache) {
         let layers = self.num_layers();
         let rows = x.rows();
         let mut inputs = Vec::with_capacity(layers);
         let mut dropout_masks = Vec::with_capacity(layers.saturating_sub(1));
-        let mut cur = ws.take_matrix(rows, x.cols());
-        cur.copy_from(x);
+        let mut cur = x;
         for l in 0..layers {
             let mut z = ws.take_matrix(rows, self.dims[l + 1]);
             if l + 1 < layers {
@@ -198,10 +205,11 @@ impl Mlp {
         )
     }
 
-    /// Full forward pass (convenience wrapper over a throwaway workspace).
+    /// Full forward pass on a copy of `x` (convenience wrapper over a
+    /// throwaway workspace).
     pub fn forward(&mut self, x: &Matrix, train: bool) -> (Matrix, MlpCache) {
         let mut ws = Workspace::new();
-        self.forward_ws(x, train, &mut ws)
+        self.forward_ws(x.clone(), train, &mut ws)
     }
 
     /// Inference forward (no dropout, no RNG consumption).
@@ -210,39 +218,40 @@ impl Mlp {
         self.infer_ws(x, &mut ws)
     }
 
-    /// Inference forward through a workspace.
-    pub fn infer_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
-        let layers = self.num_layers();
-        let rows = x.rows();
-        let mut cur = ws.take_matrix(rows, x.cols());
-        cur.copy_from(x);
-        for l in 0..layers {
-            let mut z = ws.take_matrix(rows, self.dims[l + 1]);
-            if l + 1 < layers {
-                matmul_bias_relu_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
-            } else {
-                matmul_bias_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
+    /// The ReLU layers `0..upto` at inference, layer 0 reading `x` in
+    /// place (no copy of the input into the pool). `None` when `upto == 0`.
+    fn infer_hidden_ws(&self, x: &Matrix, upto: usize, ws: &mut Workspace) -> Option<Matrix> {
+        let mut cur: Option<Matrix> = None;
+        for l in 0..upto {
+            let mut z = ws.take_matrix(x.rows(), self.dims[l + 1]);
+            let input = cur.as_ref().map_or(x.view(), Matrix::view);
+            matmul_bias_relu_into(input, self.weight_view(l), self.bias(l), z.as_mut_slice());
+            if let Some(prev) = cur.replace(z) {
+                ws.give_matrix(prev);
             }
-            ws.give_matrix(std::mem::replace(&mut cur, z));
         }
         cur
     }
 
+    /// Inference forward through a workspace. `x` is only read: a
+    /// feature-matrix-sized buffer never enters the pool.
+    pub fn infer_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
+        let last = self.num_layers() - 1;
+        let hidden = self.infer_hidden_ws(x, last, ws);
+        let mut z = ws.take_matrix(x.rows(), self.dims[last + 1]);
+        let input = hidden.as_ref().map_or(x.view(), Matrix::view);
+        matmul_bias_into(input, self.weight_view(last), self.bias(last), z.as_mut_slice());
+        if let Some(h) = hidden {
+            ws.give_matrix(h);
+        }
+        z
+    }
+
     /// The penultimate representation for inference (input to final layer).
     pub fn infer_hidden(&self, x: &Matrix) -> Matrix {
-        let layers = self.num_layers();
-        if layers == 1 {
-            return x.clone();
-        }
         let mut ws = Workspace::new();
-        let mut cur = ws.take_matrix(x.rows(), x.cols());
-        cur.copy_from(x);
-        for l in 0..layers - 1 {
-            let mut z = ws.take_matrix(x.rows(), self.dims[l + 1]);
-            matmul_bias_relu_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
-            ws.give_matrix(std::mem::replace(&mut cur, z));
-        }
-        cur
+        self.infer_hidden_ws(x, self.num_layers() - 1, &mut ws)
+            .unwrap_or_else(|| x.clone())
     }
 
     /// Exact backward pass through a workspace: the flat parameter
@@ -375,7 +384,7 @@ mod tests {
         let (a, cache_a) = mlp.forward(&x, false);
         let mut ws = Workspace::new();
         for _ in 0..3 {
-            let (b, cache_b) = mlp.forward_ws(&x, false, &mut ws);
+            let (b, cache_b) = mlp.forward_ws(x.clone(), false, &mut ws);
             assert_eq!(a.as_slice(), b.as_slice());
             assert_eq!(mlp.infer_ws(&x, &mut ws).as_slice(), a.as_slice());
             cache_b.recycle(&mut ws);
@@ -455,7 +464,7 @@ mod tests {
                 let labels: Vec<u32> = (0..7).map(|i| i % 3).collect();
                 let rows: Vec<u32> = (0..7).collect();
                 let mut ws = Workspace::new();
-                let (logits, cache) = mlp.forward_ws(&x, true, &mut ws);
+                let (logits, cache) = mlp.forward_ws(x.clone(), true, &mut ws);
                 let (_, d_logits) = softmax_ce(&logits, &labels, &rows);
                 let hidden = with_hidden.then(|| cache.penultimate().clone());
                 let only = mlp.backward_ws(&cache, &d_logits, hidden.as_ref(), &mut ws);

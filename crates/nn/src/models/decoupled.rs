@@ -11,7 +11,7 @@ use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
 use crate::mlp::Mlp;
 use crate::models::ModelConfig;
-use crate::ops::softmax_rows;
+use crate::ops::softmax_rows_inplace;
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
@@ -126,7 +126,8 @@ impl GraphModel for DecoupledModel {
             }
             let mut xb = ws.take_matrix(batch.len(), features.cols());
             features.gather_rows_into(batch, &mut xb);
-            let (logits, cache) = self.head.forward_ws(&xb, true, &mut ws);
+            // The gathered batch becomes the cache's layer-0 input.
+            let (logits, cache) = self.head.forward_ws(xb, true, &mut ws);
             // Supervised CE over the whole batch (rows are local to batch).
             let labels_b: Vec<u32> = batch.iter().map(|&i| data.labels[i as usize]).collect();
             let rows_b: Vec<u32> = (0..batch.len() as u32).collect();
@@ -164,7 +165,6 @@ impl GraphModel for DecoupledModel {
             }
             cache.recycle(&mut ws);
             ws.give_matrix(logits);
-            ws.give_matrix(xb);
             total_loss += loss as f64;
             steps += 1;
         }
@@ -178,27 +178,22 @@ impl GraphModel for DecoupledModel {
     }
 
     fn predict(&mut self, data: &GraphDataset) -> Matrix {
-        let entry = self.take_combined(data);
-        let mut ws = std::mem::take(&mut self.ws);
-        let logits = self.head.infer_ws(&entry.1, &mut ws);
-        let out = softmax_rows(&logits);
-        ws.give_matrix(logits);
-        self.ws = ws;
-        self.return_combined(entry);
+        let mut out = Matrix::default();
+        self.predict_into(data, &mut out);
         out
     }
 
     fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
-        // Same computation as `predict`, but the softmax runs in place on
-        // the workspace-pooled logits and the result is copied into the
-        // caller's buffer: zero heap allocations once the feature cache
-        // and workspace are warm.
+        // The softmax runs in place on the workspace-pooled logits, which
+        // are then *swapped* with the caller's buffer: no copy, and the
+        // caller's previous buffer (same shape once warm) refills the
+        // pool slot — zero heap allocations once the feature cache and
+        // workspace are warm.
         let entry = self.take_combined(data);
         let mut ws = std::mem::take(&mut self.ws);
         let mut logits = self.head.infer_ws(&entry.1, &mut ws);
-        crate::ops::softmax_rows_inplace(&mut logits);
-        out.resize_to(logits.rows(), logits.cols());
-        out.as_mut_slice().copy_from_slice(logits.as_slice());
+        softmax_rows_inplace(&mut logits);
+        std::mem::swap(out, &mut logits);
         ws.give_matrix(logits);
         self.ws = ws;
         self.return_combined(entry);

@@ -15,7 +15,7 @@ use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
 use crate::mlp::Mlp;
 use crate::models::ModelConfig;
-use crate::ops::softmax_rows;
+use crate::ops::softmax_rows_inplace;
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
@@ -183,7 +183,7 @@ impl GraphModel for Gamlp {
             }
             let gate = self.softmax_gate();
             let (xb, gathered) = Self::combine_rows_ws(hops, &gate, batch, &mut ws);
-            let (logits, cache) = self.head.forward_ws(&xb, true, &mut ws);
+            let (logits, cache) = self.head.forward_ws(xb, true, &mut ws);
             let labels_b: Vec<u32> = batch.iter().map(|&i| data.labels[i as usize]).collect();
             let rows_b: Vec<u32> = (0..batch.len() as u32).collect();
             let (loss, mut d_logits) = softmax_ce(&logits, &labels_b, &rows_b);
@@ -227,7 +227,6 @@ impl GraphModel for Gamlp {
             }
             cache.recycle(&mut ws);
             ws.give_matrix(logits);
-            ws.give_matrix(xb);
             for g in gathered {
                 ws.give_matrix(g);
             }
@@ -252,7 +251,9 @@ impl GraphModel for Gamlp {
             .expect("just cached");
         let gate = self.softmax_gate();
         let x = Self::combine_all(&self.cache[pos].1, &gate);
-        softmax_rows(&self.head.infer(&x))
+        let mut probs = self.head.infer(&x);
+        softmax_rows_inplace(&mut probs);
+        probs
     }
 
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {

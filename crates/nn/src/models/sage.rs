@@ -20,7 +20,7 @@ use crate::mlp::Mlp;
 use crate::models::ModelConfig;
 use crate::ops::{
     col_sums_into, matmul_bias_into, matmul_bias_relu_into, matmul_nt_into, matmul_tn_into,
-    relu_backward_inplace, softmax_rows, spmm_csr,
+    relu_backward_inplace, softmax_rows_inplace, spmm_csr,
 };
 use crate::optim::Optimizer;
 use crate::tensor::{MatView, Matrix};
@@ -297,8 +297,9 @@ impl GraphModel for Sage {
     fn predict(&mut self, data: &GraphDataset) -> Matrix {
         // Inference always uses the exact full-neighborhood mean.
         let adj = data.adj_mean.clone();
-        let (logits, _) = self.forward(data, &adj, false);
-        softmax_rows(&logits)
+        let (mut logits, _) = self.forward(data, &adj, false);
+        softmax_rows_inplace(&mut logits);
+        logits
     }
 
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {

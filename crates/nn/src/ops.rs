@@ -40,6 +40,16 @@
 //!   row is *initialized with the bias*, accumulated, and rectified in one
 //!   pass — no separate `add_bias`/`relu_inplace` sweeps over the matrix.
 //!
+//! - [`softmax_rows_inplace`] (Eq. 3's soft labels, and the cross-entropy
+//!   of every training step) calls **no libm**: per block of 64 rows it
+//!   subtracts the row maximum, runs [`exp_nonpos_inplace`] — a
+//!   branch-free `f32` `exp` for non-positive arguments in plain `*`/`+`
+//!   that vectorizes 16 lanes wide, bits independent of the host's FMA
+//!   support and libc, ≤ 1 ulp, flushing below `2⁻¹²⁶` to `+0`,
+//!   NaN-propagating — over the block as one flat slice, then takes the
+//!   row sum in column order and scales. DESIGN.md §10 records the
+//!   deviations from the libm loop it replaced.
+//!
 //! The seed kernels skipped `A` zeros with a branch in the innermost loop
 //! (`if av == 0.0 { continue }`); that branch defeated vectorization and
 //! cost more than it saved even on post-ReLU activations (~50% zeros), so
@@ -482,24 +492,134 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise softmax in place.
-pub fn softmax_rows_inplace(x: &mut Matrix) {
-    let cols = x.cols();
-    if cols == 0 {
-        return;
+/// `eˣ` for one `x ≤ 0` (see [`exp_nonpos_inplace`]).
+///
+/// Cephes `expf`: `n = round(x·log₂e)`, `r = x − n·ln 2` in two steps
+/// (Cody–Waite, `n·LN2_HI` is exact), a degree-5 polynomial for
+/// `(e^r − 1 − r)/r²`, then `· 2ⁿ`. `n` is rounded by adding
+/// `MAGIC = 1.5·2²³`, which leaves the integer in the low mantissa bits of
+/// `t`: shifting them into the exponent field builds `2ⁿ` with no
+/// float→int conversion. Inputs are clamped at −88 (`n = −127`, whose
+/// exponent field is 0, i.e. a scale of `+0`); the band `n = −126` with
+/// a polynomial below 1 would be subnormal and is flushed by the final
+/// select. Every comparison is false on NaN, so NaN passes through.
+#[inline(always)]
+fn exp_nonpos(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const MAGIC: f32 = 12_582_912.0;
+    const LN2_HI: f32 = 355.0 / 512.0;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const P: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_199_9e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_6e-1,
+        0.5,
+    ];
+    let xc = if x < -88.0 { -88.0 } else { x };
+    let t = xc * LOG2E + MAGIC;
+    let n = t - MAGIC;
+    let r = xc - n * LN2_HI - n * LN2_LO;
+    let p = ((((P[0] * r + P[1]) * r + P[2]) * r + P[3]) * r + P[4]) * r + P[5];
+    let y = p * (r * r) + r + 1.0;
+    let scale = f32::from_bits((t.to_bits() << 23).wrapping_add(0x3f80_0000));
+    let e = y * scale;
+    if e < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        e
     }
-    for i in 0..x.rows() {
-        let row = x.row_mut(i);
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0f32;
+}
+
+/// Elementwise `x ← eˣ` for **non-positive** `x` — the softmax numerator
+/// after the row maximum is subtracted — without calling libm.
+///
+/// Written in plain `*`/`+` (no `mul_add`), so the result bits do not
+/// depend on the host's FMA support or libc; within 1 ulp of the
+/// correctly rounded `f32` result wherever that result is normal
+/// (`x ≥ −87.336 54`). Results below [`f32::MIN_POSITIVE`] flush to `+0`
+/// (`−∞` included), `±0 ↦ 1`, NaN propagates. Positive inputs are outside
+/// the contract. The body is branch-free, so the loop vectorizes (16
+/// `f32` lanes per 512-bit vector); vector lanes and the scalar remainder
+/// execute the same IEEE operations and agree bit for bit.
+pub fn exp_nonpos_inplace(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        *x = exp_nonpos(*x);
+    }
+}
+
+/// Rows per [`softmax_block`] call: 64 rows of logits stay in L1 across
+/// the three passes, and a full block's flat length is a multiple of any
+/// vector width, so only the matrix's last block has a scalar remainder.
+pub(crate) const SOFTMAX_ROWS: usize = 64;
+
+/// The largest non-NaN entry of `row` (`−∞` if there is none). Full
+/// [`LANES`]-wide chunks go through independent compare-selects, so the
+/// chain is not one `maxss` latency per element; the remainder is a
+/// scalar chain. A maximum does not depend on the order it is taken in,
+/// and `v > m` is false on NaN, so this is `f32::max` folded over the row
+/// — up to the sign of a zero, which cannot reach the softmax: `x − (±0)`
+/// differs only for `x = ±0`, and `e^{±0} = 1`.
+#[inline(always)]
+fn row_max(row: &[f32]) -> f32 {
+    let mut m = [f32::NEG_INFINITY; LANES];
+    let mut chunks = row.chunks_exact(LANES);
+    for c in &mut chunks {
+        for l in 0..LANES {
+            if c[l] > m[l] {
+                m[l] = c[l];
+            }
+        }
+    }
+    let mut max = f32::NEG_INFINITY;
+    for &v in &m {
+        if v > max {
+            max = v;
+        }
+    }
+    for &v in chunks.remainder() {
+        if v > max {
+            max = v;
+        }
+    }
+    max
+}
+
+/// Softmax of every `cols`-wide row of the flat `block`, in three passes:
+/// subtract the row maximum, exponentiate the block as one flat slice (an
+/// elementwise pass needs no row boundaries), then the row sum in column
+/// order and the scale.
+pub(crate) fn softmax_block(block: &mut [f32], cols: usize) {
+    for row in block.chunks_exact_mut(cols) {
+        let max = row_max(row);
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
+        }
+    }
+    exp_nonpos_inplace(block);
+    for row in block.chunks_exact_mut(cols) {
+        let mut sum = 0f32;
+        for &v in row.iter() {
+            sum += v;
         }
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;
         }
+    }
+}
+
+/// Row-wise softmax in place (numerically stable, libm-free: see
+/// [`exp_nonpos_inplace`]). A row that is all `−∞`, or contains `+∞` or
+/// NaN, comes out all NaN.
+pub fn softmax_rows_inplace(x: &mut Matrix) {
+    let cols = x.cols();
+    if cols == 0 {
+        return;
+    }
+    for block in x.as_mut_slice().chunks_mut(SOFTMAX_ROWS * cols) {
+        softmax_block(block, cols);
     }
 }
 

@@ -268,20 +268,21 @@ impl Matrix {
         self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
     }
 
+    /// Index of the maximum entry of row `i` (first on ties).
+    pub fn argmax_row(&self, i: usize) -> usize {
+        let row = self.row(i);
+        let mut best = 0usize;
+        for (j, &v) in row.iter().enumerate() {
+            if v > row[best] {
+                best = j;
+            }
+        }
+        best
+    }
+
     /// Index of the maximum entry per row (first on ties).
     pub fn argmax_rows(&self) -> Vec<u32> {
-        (0..self.rows)
-            .map(|i| {
-                let row = self.row(i);
-                let mut best = 0usize;
-                for (j, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = j;
-                    }
-                }
-                best as u32
-            })
-            .collect()
+        (0..self.rows).map(|i| self.argmax_row(i) as u32).collect()
     }
 }
 
