@@ -10,12 +10,15 @@
 //! so the parallel helpers run inline instead of spawning scoped worker
 //! threads, whose stacks would otherwise count against the budget.
 
-use fedgta_bench::alloc::{alloc_count, CountingAlloc};
+use fedgta_bench::alloc::{alloc_bytes, alloc_count, CountingAlloc};
+use fedgta_fed::eval::global_test_accuracy;
+use fedgta_fed::strategies::test_support::federation_with;
 use fedgta_graph::par::refresh_thread_env;
 use fedgta_nn::loss::softmax_ce;
+use fedgta_nn::models::ModelKind;
 use fedgta_nn::ops::{matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into};
 use fedgta_nn::optim::Optimizer;
-use fedgta_nn::{Adam, Matrix, Mlp, Workspace};
+use fedgta_nn::{Adam, Matrix, Mlp, TrainHooks, Workspace};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -133,6 +136,40 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     matmul_nt_into(dy.view(), bt.view(), &mut out_mk);
     let delta = alloc_count() - before;
     assert_eq!(delta, 0, "_into kernels allocated {delta} times");
+
+    // Evaluation on a decoupled federation (SIGN: the widest gathered
+    // rows) whose clients have trained one epoch: scoring allocates the
+    // result vector plus, per client, the probability rows of its test
+    // nodes — nothing the size of a feature, hidden or full logit matrix,
+    // all of which hold more floats than that. This holds from the first
+    // evaluation on: the gathered rows and the logits go through the
+    // buffers training pooled, in pieces that fit them, although every
+    // client here has more test than training nodes.
+    let mut clients = federation_with(ModelKind::Sign, 7, 4, 600);
+    for c in &mut clients {
+        assert!(c.data.test_nodes.len() > c.data.train_nodes.len());
+        c.train_local(1, &mut TrainHooks::none());
+    }
+    let result_rows: usize = clients
+        .iter()
+        .map(|c| c.data.test_nodes.len() * c.data.num_classes)
+        .sum();
+    let mut accs = Vec::new();
+    for call in 0..2 {
+        let (count, bytes) = (alloc_count(), alloc_bytes());
+        accs.push(global_test_accuracy(&mut clients).to_bits());
+        let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
+        eprintln!(
+            "evaluation {call}: {count} allocations, {bytes} bytes ({result_rows} result floats)"
+        );
+        // (+1: the first call makes one more 32-byte allocation.)
+        assert!(count <= clients.len() as u64 + 2, "{count} allocations");
+        assert!(
+            bytes <= (result_rows * 4 + 64 * clients.len()) as u64,
+            "{bytes} bytes allocated for {result_rows} result floats"
+        );
+    }
+    assert_eq!(accs[0], accs[1]);
 
     std::env::remove_var("FEDGTA_THREADS");
     refresh_thread_env();

@@ -6,7 +6,7 @@
 //! graceful round skipping.
 
 use crate::client::Client;
-use crate::eval::global_test_accuracy;
+use crate::eval::micro_average;
 use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundScript};
 use crate::strategies::{RoundCtx, RoundStats, Strategy};
 use crate::transport::{ChannelTransport, CommsRound, Legs};
@@ -257,7 +257,7 @@ impl Simulation {
             let round_ns = t0.elapsed().as_nanos() as u64;
             let train_ns = train_clock.take_ns().min(round_ns);
             let aggregate_ns = round_ns - train_ns;
-            let (test_acc, eval_ns) = self.evaluate(round);
+            let (test_acc, eval_ns) = self.evaluate(round, threads);
             let elapsed_s = round_ns as f64 / 1e9;
             cumulative += elapsed_s;
             let record = RoundRecord {
@@ -365,22 +365,24 @@ impl Simulation {
 
     /// Evaluate stage: global test accuracy after `round` when it is due
     /// (every `eval_every` rounds and always after the last), with the
-    /// nanoseconds it took.
-    fn evaluate(&mut self, round: usize) -> (Option<f64>, u64) {
+    /// nanoseconds it took, on the round's own `threads` workers.
+    fn evaluate(&mut self, round: usize, threads: usize) -> (Option<f64>, u64) {
         let every = self.config.eval_every;
         let due = round == self.config.rounds || (every > 0 && round.is_multiple_of(every));
         if !due {
             return (None, 0);
         }
-        let _g = fedgta_obs::span!("eval");
+        let mut span = fedgta_obs::span!("eval", threads = threads);
         let e0 = Instant::now();
-        let acc = global_test_accuracy(&mut self.clients);
+        let (acc, rows) = micro_average(&mut self.clients, false, Some(threads));
+        span.record("rows", fedgta_obs::FieldVal::from(rows));
         (Some(acc), e0.elapsed().as_nanos() as u64)
     }
 
-    /// Final test accuracy (evaluates now).
+    /// Final test accuracy (evaluates now, on [`SimConfig::threads`]
+    /// workers like the rounds themselves).
     pub fn test_accuracy(&mut self) -> f64 {
-        global_test_accuracy(&mut self.clients)
+        micro_average(&mut self.clients, false, Some(self.config.threads)).0
     }
 }
 

@@ -2,7 +2,10 @@
 //! trains on and the hook bundle federated strategies use to inject
 //! auxiliary objectives.
 
+use crate::mlp::Mlp;
+use crate::ops::softmax_rows_inplace;
 use crate::tensor::Matrix;
+use crate::workspace::Workspace;
 use fedgta_graph::{normalized_adjacency, Csr, NormKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -175,6 +178,48 @@ pub fn make_batches(
         return vec![order];
     }
     order.chunks(batch_size).map(|c| c.to_vec()).collect()
+}
+
+/// Rows of the largest batch [`make_batches`] cuts from `data`'s training
+/// nodes — the most rows training ever gathers into a model's workspace.
+pub(crate) fn max_batch_rows(data: &GraphDataset, batch_size: usize) -> usize {
+    let n = data.train_nodes.len().max(1);
+    if batch_size == 0 {
+        n
+    } else {
+        batch_size.min(n)
+    }
+}
+
+/// The row-separable `predict_rows_into` of a decoupled backbone: `out`
+/// row `r` = `softmax(head(input(rows[r])))`, where `input(piece, ws)`
+/// checks the head's input for a piece of rows out of `ws`.
+///
+/// Rows go through `ws` at most `piece` at a time (callers pass
+/// [`max_batch_rows`]), so inference reuses the buffers training pooled
+/// and never grows a client's resident pool by a test-set-sized gather.
+/// A logit depends on its own input row only and keeps its `k`-order
+/// whatever rows share the GEMM call, so the pieces are invisible in the
+/// result.
+pub(crate) fn head_probs_of_rows(
+    head: &Mlp,
+    rows: &[u32],
+    piece: usize,
+    ws: &mut Workspace,
+    mut input: impl FnMut(&[u32], &mut Workspace) -> Matrix,
+    out: &mut Matrix,
+) {
+    let classes = *head.dims().last().expect("an MLP has at least one layer");
+    out.resize_to(rows.len(), classes);
+    let dst_pieces = out.as_mut_slice().chunks_mut(piece * classes);
+    for (piece_rows, dst) in rows.chunks(piece).zip(dst_pieces) {
+        let x = input(piece_rows, ws);
+        let mut probs = head.infer_ws(&x, ws);
+        softmax_rows_inplace(&mut probs);
+        dst.copy_from_slice(probs.as_slice());
+        ws.give_matrix(probs);
+        ws.give_matrix(x);
+    }
 }
 
 #[cfg(test)]

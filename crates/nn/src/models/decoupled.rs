@@ -5,7 +5,7 @@
 //! is why these models scale (paper Table 1: the propagation term `O(kmf)`
 //! is training-independent).
 
-use super::common::{make_batches, GraphDataset, TrainHooks};
+use super::common::{head_probs_of_rows, make_batches, max_batch_rows, GraphDataset, TrainHooks};
 use super::precompute::{precompute, PrecomputeKind};
 use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
@@ -195,6 +195,20 @@ impl GraphModel for DecoupledModel {
         softmax_rows_inplace(&mut logits);
         std::mem::swap(out, &mut logits);
         ws.give_matrix(logits);
+        self.ws = ws;
+        self.return_combined(entry);
+    }
+
+    fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
+        let entry = self.take_combined(data);
+        let mut ws = std::mem::take(&mut self.ws);
+        let gather = |piece: &[u32], ws: &mut Workspace| {
+            let mut x = ws.take_matrix(piece.len(), entry.1.cols());
+            entry.1.gather_rows_into(piece, &mut x);
+            x
+        };
+        let piece = max_batch_rows(data, self.batch_size);
+        head_probs_of_rows(&self.head, rows, piece, &mut ws, gather, out);
         self.ws = ws;
         self.return_combined(entry);
     }

@@ -9,7 +9,7 @@
 //! exact gradients for both the gate and the head (substitution recorded
 //! in DESIGN.md).
 
-use super::common::{make_batches, GraphDataset, TrainHooks};
+use super::common::{head_probs_of_rows, make_batches, max_batch_rows, GraphDataset, TrainHooks};
 use super::precompute::hop_features;
 use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
@@ -63,16 +63,19 @@ impl Gamlp {
         exps.into_iter().map(|e| e / sum).collect()
     }
 
-    fn hops<'a>(&'a mut self, data: &GraphDataset) -> &'a [Matrix] {
+    /// Position of `data`'s hop features in the cache, computing them on
+    /// a miss (an index, not a borrow: callers go on to use the head, the
+    /// gate and the workspace next to `self.cache[pos].1`).
+    fn hops_pos(&mut self, data: &GraphDataset) -> usize {
         if let Some(pos) = self.cache.iter().position(|(key, _)| *key == data.cache_key) {
-            return &self.cache[pos].1;
+            return pos;
         }
         let hops = hop_features(&data.adj_norm, &data.features, self.k);
         if self.cache.len() >= 2 {
             self.cache.remove(0);
         }
         self.cache.push((data.cache_key, hops));
-        &self.cache.last().unwrap().1
+        self.cache.len() - 1
     }
 
     /// Combine hop rows of `batch` with the current gate (allocating
@@ -162,12 +165,7 @@ impl GraphModel for Gamlp {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
     ) -> f32 {
-        self.hops(data);
-        let pos = self
-            .cache
-            .iter()
-            .position(|(key, _)| *key == data.cache_key)
-            .expect("just cached");
+        let pos = self.hops_pos(data);
         // Check the hop set out of the cache (no per-epoch clone of k+1
         // full matrices); pushed back after the epoch.
         let entry = self.cache.swap_remove(pos);
@@ -243,12 +241,7 @@ impl GraphModel for Gamlp {
     }
 
     fn predict(&mut self, data: &GraphDataset) -> Matrix {
-        self.hops(data);
-        let pos = self
-            .cache
-            .iter()
-            .position(|(key, _)| *key == data.cache_key)
-            .expect("just cached");
+        let pos = self.hops_pos(data);
         let gate = self.softmax_gate();
         let x = Self::combine_all(&self.cache[pos].1, &gate);
         let mut probs = self.head.infer(&x);
@@ -256,13 +249,27 @@ impl GraphModel for Gamlp {
         probs
     }
 
+    fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
+        let gate = self.softmax_gate();
+        let piece = max_batch_rows(data, self.batch_size);
+        let mut ws = std::mem::take(&mut self.ws);
+        let pos = self.hops_pos(data);
+        let hops = &self.cache[pos].1;
+        // Same scale-then-axpy per element as `combine_all`, on the
+        // requested rows only.
+        let combine = |piece: &[u32], ws: &mut Workspace| {
+            let (x, gathered) = Self::combine_rows_ws(hops, &gate, piece, ws);
+            for g in gathered {
+                ws.give_matrix(g);
+            }
+            x
+        };
+        head_probs_of_rows(&self.head, rows, piece, &mut ws, combine, out);
+        self.ws = ws;
+    }
+
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {
-        self.hops(data);
-        let pos = self
-            .cache
-            .iter()
-            .position(|(key, _)| *key == data.cache_key)
-            .expect("just cached");
+        let pos = self.hops_pos(data);
         let gate = self.softmax_gate();
         let x = Self::combine_all(&self.cache[pos].1, &gate);
         self.head.infer_hidden(&x)
@@ -345,7 +352,8 @@ mod tests {
 
         let loss_of = |m: &mut Gamlp| {
             let probs_free_logits = {
-                let hops = m.hops(&data).to_vec();
+                let pos = m.hops_pos(&data);
+                let hops = m.cache[pos].1.clone();
                 let gate = m.softmax_gate();
                 let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
                 let (x, _) = Gamlp::combine_rows(&hops, &gate, &all);
@@ -357,7 +365,8 @@ mod tests {
 
         // Analytic gradients via one full-batch "epoch" with lr 0 — instead
         // compute directly.
-        let hops = m.hops(&data).to_vec();
+        let pos = m.hops_pos(&data);
+        let hops = m.cache[pos].1.clone();
         let gate = m.softmax_gate();
         let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
         let (xb, gathered) = Gamlp::combine_rows(&hops, &gate, &all);

@@ -61,6 +61,18 @@ pub trait GraphModel: Send {
     fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
         *out = self.predict(data);
     }
+    /// Softmax class probabilities of the nodes `rows` only: `out` is
+    /// reshaped to `rows.len() × |Y|` and its row `r` equals row
+    /// `rows[r]` of [`Self::predict`] bit for bit (`rows` may be unsorted
+    /// and repeat). The default runs the full forward and selects;
+    /// backbones whose forward is row-separable (the decoupled family,
+    /// GAMLP) override it to compute nothing but the requested rows —
+    /// what makes scoring a test split cost what the split costs.
+    fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
+        let probs = self.predict(data);
+        out.resize_to(rows.len(), probs.cols());
+        probs.gather_rows_into(rows, out);
+    }
     /// The penultimate representation for every node (MOON's contrastive
     /// anchor).
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix;

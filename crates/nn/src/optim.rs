@@ -15,6 +15,16 @@ pub trait Optimizer: Send {
     fn learning_rate(&self) -> f32;
 }
 
+/// Sizes a state vector to `n` zeros inside the capacity it already has.
+/// `reset` leaves the vectors empty but allocated, so a client that is
+/// reset every round (FedGTA resets every participant) re-zeroes resident
+/// memory instead of `calloc`ing — and page-faulting in — fresh moment
+/// vectors for its first step of the round.
+fn rezero(state: &mut Vec<f32>, n: usize) {
+    state.clear();
+    state.resize(n, 0.0);
+}
+
 /// SGD with optional momentum and weight decay.
 #[derive(Debug, Clone)]
 pub struct Sgd {
@@ -49,7 +59,7 @@ impl Optimizer for Sgd {
             return;
         }
         if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
+            rezero(&mut self.velocity, params.len());
         }
         for ((p, &g), v) in params.iter_mut().zip(grads).zip(&mut self.velocity) {
             let g = g + self.weight_decay * *p;
@@ -106,8 +116,8 @@ impl Optimizer for Adam {
     fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len());
         if self.m.len() != params.len() {
-            self.m = vec![0.0; params.len()];
-            self.v = vec![0.0; params.len()];
+            rezero(&mut self.m, params.len());
+            rezero(&mut self.v, params.len());
             self.t = 0;
         }
         self.t += 1;
@@ -184,6 +194,50 @@ mod tests {
         o.step(&mut p, &[0.0]);
         // No velocity carry-over: zero grad means no movement.
         assert_eq!(p[0], before);
+    }
+
+    /// A reset optimizer's next step equals a fresh optimizer's first step
+    /// bit for bit, and the state vectors stay where they were.
+    fn reset_then_step_matches_fresh<O: Optimizer>(
+        fresh: impl Fn() -> O,
+        state_ptrs: impl Fn(&O) -> Vec<*const f32>,
+    ) {
+        let n = 1000;
+        let grads = |k: usize| -> Vec<f32> {
+            (0..n)
+                .map(|i| ((i * 31 + k * 17) % 23) as f32 / 11.0 - 1.0)
+                .collect()
+        };
+        let start: Vec<f32> = (0..n).map(|i| (i % 13) as f32 / 6.0 - 1.0).collect();
+
+        let mut used = fresh();
+        let mut p = start.clone();
+        for k in 0..3 {
+            used.step(&mut p, &grads(k));
+        }
+        let before = state_ptrs(&used);
+        used.reset();
+        let mut after_reset = start.clone();
+        used.step(&mut after_reset, &grads(7));
+        assert_eq!(state_ptrs(&used), before, "reset moved the state buffers");
+
+        let mut first = start.clone();
+        fresh().step(&mut first, &grads(7));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after_reset), bits(&first));
+    }
+
+    #[test]
+    fn adam_reset_then_step_is_a_fresh_first_step_in_place() {
+        reset_then_step_matches_fresh(
+            || Adam::new(0.02, 5e-4),
+            |o| vec![o.m.as_ptr(), o.v.as_ptr()],
+        );
+    }
+
+    #[test]
+    fn momentum_sgd_reset_then_step_is_a_fresh_first_step_in_place() {
+        reset_then_step_matches_fresh(|| Sgd::new(0.05, 0.9, 5e-4), |o| vec![o.velocity.as_ptr()]);
     }
 
     #[test]

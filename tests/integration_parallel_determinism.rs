@@ -12,8 +12,10 @@ use fedgta::FedGta;
 use fedgta_fed::fgl_models::{FedGl, FedSagePlus};
 use fedgta_fed::round::{RoundRecord, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::federation_with;
-use fedgta_fed::strategies::{FedAvg, FedDc, GcflPlus, Moon, Scaffold, Strategy};
+use fedgta_fed::strategies::{FedAvg, FedDc, FedProx, GcflPlus, Moon, Scaffold, Strategy};
 use fedgta_nn::models::ModelKind;
+use fedgta_obs::{MemorySink, ObsLevel, TraceEvent};
+use std::collections::BTreeMap;
 
 /// Runs a 10-client simulation with an explicit thread count.
 fn run_sim(
@@ -191,4 +193,53 @@ fn oversubscribed_thread_count_is_harmless() {
     let one = run_sim(Box::new(FedAvg::new()), ModelKind::Sgc, 1, 1.0);
     let many = run_sim(Box::new(FedAvg::new()), ModelKind::Sgc, 64, 1.0);
     assert_bit_identical(&one, &many, "FedAvg@64threads");
+}
+
+#[test]
+fn evaluation_scores_the_same_bits_on_the_requested_worker_count() {
+    // The `eval` span reports the worker count evaluation ran on and the
+    // rows it scored. Tracing is process-global and the tests of this
+    // file run concurrently: FedProx is used by none of the others, so
+    // its `round` spans, and the `eval` spans under them, are this test's.
+    let sink = MemorySink::new();
+    fedgta_obs::init_writer(Box::new(sink.clone())).expect("install sink");
+    fedgta_obs::set_level(ObsLevel::Trace);
+    let one = run_sim(Box::new(FedProx::new(0.01)), ModelKind::Sign, 1, 1.0);
+    let four = run_sim(Box::new(FedProx::new(0.01)), ModelKind::Sign, 4, 1.0);
+    fedgta_obs::shutdown();
+    fedgta_obs::set_level(ObsLevel::Off);
+    assert_bit_identical(&one, &four, "FedProx/SIGN");
+    assert!(one.iter().any(|r| r.test_acc.is_some_and(|a| a > 0.0)));
+
+    let test_rows: usize = federation_with(ModelKind::Sign, 900, 10, 900)
+        .iter()
+        .map(|c| c.eval_view().test_nodes.len())
+        .sum();
+    let events = fedgta_obs::parse_trace(&sink.contents()).expect("trace parses");
+    let spans = |wanted: &'static str| {
+        events.iter().filter_map(move |e| match e {
+            TraceEvent::Span {
+                name,
+                id,
+                parent,
+                fields,
+                ..
+            } if name == wanted => Some((*id, *parent, fields)),
+            _ => None,
+        })
+    };
+    let round_threads: BTreeMap<u64, u64> = spans("round")
+        .filter(|(_, _, f)| f["strategy"].as_str() == Some("FedProx"))
+        .map(|(id, _, f)| (id, f["threads"].as_u64().expect("numeric")))
+        .collect();
+    let mut evals_on = BTreeMap::new();
+    for (_, parent, fields) in spans("eval") {
+        if let Some(&requested) = round_threads.get(&parent) {
+            assert_eq!(fields["threads"].as_u64(), Some(requested));
+            assert_eq!(fields["rows"].as_u64(), Some(test_rows as u64));
+            *evals_on.entry(requested).or_insert(0) += 1;
+        }
+    }
+    // Six rounds, evaluated after every second one, per run.
+    assert_eq!(evals_on, BTreeMap::from([(1, 3), (4, 3)]));
 }
