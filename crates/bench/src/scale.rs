@@ -14,8 +14,9 @@
 //!    contiguous-block clients, each client gets a lean decoupled dataset
 //!    ([`GraphDataset::for_decoupled`]), and FedGTA runs ≥ 2 federated
 //!    SGC rounds. The run reports the tracked memory peaks — the
-//!    `workspace.high_water_bytes` arena gauge plus the
-//!    `graph.store.resident_bytes` tile gauge — and hard-asserts their
+//!    `workspace.high_water_bytes` arena gauge, the
+//!    `graph.store.resident_bytes` tile gauge and FedGTA's pooled
+//!    `fedgta.metric_scratch.bytes` — and hard-asserts their
 //!    sum stays under the 4 GiB laptop-class budget, plus the OS-level
 //!    `VmHWM` for honesty (the bench harness itself materializes the
 //!    in-memory comparison baseline, which the budget does not cover).
@@ -103,7 +104,10 @@ pub struct ScaleFedStats {
     pub workspace_hwm_bytes: u64,
     /// `graph.store.resident_bytes` gauge high-water after the run.
     pub store_resident_peak_bytes: u64,
-    /// Sum of the two tracked peaks.
+    /// `fedgta.metric_scratch.bytes` gauge after the run: what FedGTA's
+    /// pool of Algorithm-1 intermediates holds, one instance per worker.
+    pub metric_scratch_bytes: u64,
+    /// Sum of the three tracked peaks.
     pub tracked_peak_bytes: u64,
     /// Tracked peak within [`MEMORY_BUDGET_BYTES`] (hard-asserted).
     pub within_budget: bool,
@@ -436,7 +440,8 @@ pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation
     let reg = fedgta_obs::global();
     let workspace_hwm_bytes = reg.gauge("workspace.high_water_bytes").get();
     let store_resident_peak_bytes = reg.gauge("graph.store.resident_bytes").get();
-    let tracked_peak_bytes = workspace_hwm_bytes + store_resident_peak_bytes;
+    let metric_scratch_bytes = reg.gauge("fedgta.metric_scratch.bytes").get();
+    let tracked_peak_bytes = workspace_hwm_bytes + store_resident_peak_bytes + metric_scratch_bytes;
     let within_budget = tracked_peak_bytes <= MEMORY_BUDGET_BYTES;
     assert!(
         within_budget,
@@ -454,6 +459,7 @@ pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation
         final_acc,
         workspace_hwm_bytes,
         store_resident_peak_bytes,
+        metric_scratch_bytes,
         tracked_peak_bytes,
         within_budget,
         vm_hwm_bytes: vm_hwm_bytes(),
@@ -545,8 +551,14 @@ pub fn to_json(r: &ScaleReport) -> String {
     ));
     s.push_str(&format!(
         "    \"workspace_hwm_bytes\": {}, \"store_resident_peak_bytes\": {}, \
-         \"tracked_peak_bytes\": {}, \"within_budget\": {}, \"vm_hwm_bytes\": {}\n",
-        f.workspace_hwm_bytes, f.store_resident_peak_bytes, f.tracked_peak_bytes, f.within_budget, vm
+         \"metric_scratch_bytes\": {}, \"tracked_peak_bytes\": {}, \"within_budget\": {}, \
+         \"vm_hwm_bytes\": {}\n",
+        f.workspace_hwm_bytes,
+        f.store_resident_peak_bytes,
+        f.metric_scratch_bytes,
+        f.tracked_peak_bytes,
+        f.within_budget,
+        vm
     ));
     s.push_str("  }\n}\n");
     s
@@ -584,8 +596,8 @@ pub fn render_table(r: &ScaleReport) -> String {
     format!(
         "scale bench ({} mode, cols {})\n{}\nfederated: {} nodes / {} edges, {} clients, {} rounds \
          (participation {:.2}) — gen {:.1}s, build {:.1}s, run {:.1}s, final acc {:.3}\n\
-         tracked memory: workspace HWM {:.1} MiB + store resident peak {:.1} MiB = {:.1} MiB \
-         (budget {:.0} MiB, within: {}){}\n",
+         tracked memory: workspace HWM {:.1} MiB + store resident peak {:.1} MiB + FedGTA metric \
+         scratch {:.1} MiB = {:.1} MiB (budget {:.0} MiB, within: {}){}\n",
         r.mode,
         FEATURE_DIM,
         t.render(),
@@ -600,6 +612,7 @@ pub fn render_table(r: &ScaleReport) -> String {
         f.final_acc,
         f.workspace_hwm_bytes as f64 / (1 << 20) as f64,
         f.store_resident_peak_bytes as f64 / (1 << 20) as f64,
+        f.metric_scratch_bytes as f64 / (1 << 20) as f64,
         f.tracked_peak_bytes as f64 / (1 << 20) as f64,
         MEMORY_BUDGET_BYTES as f64 / (1 << 20) as f64,
         f.within_budget,
@@ -639,6 +652,12 @@ mod tests {
         assert!(
             stats.store_resident_peak_bytes > 0,
             "store resident gauge never rose"
+        );
+        // 6 000 nodes in 4 clients: Ŷ⁰ + 5 steps of 1 500 × 16 floats each.
+        assert!(stats.metric_scratch_bytes >= 6 * 1_500 * NUM_CLASSES as u64 * 4);
+        assert_eq!(
+            stats.tracked_peak_bytes,
+            stats.workspace_hwm_bytes + stats.store_resident_peak_bytes + stats.metric_scratch_bytes
         );
         assert!(stats.final_acc > 1.0 / NUM_CLASSES as f64, "no learning signal");
         let _ = std::fs::remove_dir_all(&dir);
@@ -684,7 +703,8 @@ mod tests {
             final_acc: 0.5,
             workspace_hwm_bytes: 1,
             store_resident_peak_bytes: 1,
-            tracked_peak_bytes: 2,
+            metric_scratch_bytes: 1,
+            tracked_peak_bytes: 3,
             within_budget: true,
             vm_hwm_bytes: None,
         };

@@ -1,9 +1,10 @@
-//! Allocation-budget test for FedGTA's Algorithm-1 upload path: once a
-//! client's persistent [`fedgta::UploadScratch`] is warm, every
-//! `FedGta::client_metrics` call — softmax prediction, k-step label
-//! propagation, smoothing confidence, mixed moments, and (when enabled)
-//! the cached feature-moment extension — performs **zero** heap
-//! allocations.
+//! Allocation-budget test for FedGTA's Algorithm-1 upload path: once the
+//! strategy's pooled [`fedgta::UploadScratch`] has grown to its largest
+//! client, every `FedGta::client_metrics` call — softmax prediction, k-step
+//! label propagation, smoothing confidence, mixed moments, and (when
+//! enabled) the per-client cached feature-moment extension — performs
+//! **zero** heap allocations, on one client or alternating between two:
+//! the contract is per strategy, not per client.
 //!
 //! Lives in `fedgta-bench` (not `fedgta`) because the counting allocator
 //! building blocks are here and `fedgta` cannot depend back on `bench`.
@@ -28,6 +29,7 @@ fn warm_client_metrics_performs_zero_heap_allocations() {
     refresh_thread_env();
 
     let mut clients = small_federation(ModelKind::Sgc, 7);
+    assert_ne!(clients[2].data.num_nodes(), clients[3].data.num_nodes());
 
     // Paper-default config, then the feature-moment extension — the
     // latter exercises the round-invariant sketch cache as well.
@@ -43,32 +45,47 @@ fn warm_client_metrics_performs_zero_heap_allocations() {
     ];
 
     for (ci, cfg) in configs.into_iter().enumerate() {
-        let strat = FedGta::new(cfg);
-        let client = &mut clients[ci % 2];
-        // Cold call: builds the scratch (soft-label matrix, LP steps,
-        // accumulators, sketch, feature cache). Second call settles any
-        // capacity growth (the sketch's feature-extension tail).
-        let (h0, m0) = strat.client_metrics(client);
-        let (h0, m0) = (h0, m0.to_vec());
-        strat.client_metrics(client);
+        // One client, then two of different sizes alternating through the
+        // same pooled scratch.
+        for visited in [vec![ci % 2], vec![2, 3]] {
+            let strat = FedGta::new(cfg.clone());
+            let mut m = Vec::new();
+            // Cold calls: grow the pooled scratch (soft-label matrix, LP
+            // steps, accumulator) and the caller's sketch to the largest
+            // client, build each client's feature cache and workspace.
+            // The second pass settles any capacity growth (the sketch's
+            // feature-extension tail).
+            let mut cold = Vec::new();
+            for pass in 0..2 {
+                for &c in &visited {
+                    let h = strat.client_metrics(&mut clients[c], &mut m);
+                    if pass == 0 {
+                        cold.push((h, m.clone()));
+                    }
+                }
+            }
 
-        for call in 0..3 {
-            let before = alloc_count();
-            let (h, m) = strat.client_metrics(client);
-            let allocs = alloc_count() - before;
-            // Warm calls are deterministic replays of the cold call…
-            assert_eq!(h.to_bits(), h0.to_bits(), "config {ci}: H drifted");
-            assert_eq!(m.len(), m0.len(), "config {ci}: sketch length drifted");
-            assert!(
-                m.iter().zip(&m0).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "config {ci}: sketch drifted bitwise"
-            );
-            // …and allocation-free.
-            assert_eq!(
-                allocs, 0,
-                "config {ci} warm call {call}: {allocs} heap allocations \
-                 (budget 0); a scratch buffer is being reallocated"
-            );
+            for call in 0..3 {
+                for (&c, (h0, m0)) in visited.iter().zip(&cold) {
+                    let before = alloc_count();
+                    let h = strat.client_metrics(&mut clients[c], &mut m);
+                    let allocs = alloc_count() - before;
+                    // Warm calls are deterministic replays of the cold call…
+                    assert_eq!(h.to_bits(), h0.to_bits(), "config {ci} client {c}: H drifted");
+                    assert_eq!(m.len(), m0.len(), "config {ci} client {c}: sketch length drifted");
+                    assert!(
+                        m.iter().zip(m0).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "config {ci} client {c}: sketch drifted bitwise"
+                    );
+                    // …and allocation-free.
+                    assert_eq!(
+                        allocs, 0,
+                        "config {ci} client {c} warm call {call}: {allocs} heap allocations \
+                         (budget 0); a scratch buffer is being reallocated"
+                    );
+                }
+            }
+            assert_eq!(strat.pooled_scratch().0, 1, "serial calls share one scratch");
         }
     }
 

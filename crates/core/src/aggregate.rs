@@ -91,6 +91,12 @@ pub fn personalized_aggregate(
 /// Per-element accumulation stays in member order with `f64` carries, so
 /// results are bit-identical to the serial scalar reference at any thread
 /// count.
+///
+/// An upload whose weight source (`confidence`, or `n_train` under "w/o
+/// Conf.") is NaN, infinite or negative is **rejected**: no other client
+/// aggregates it, its own entry is `members = [itself]`, `weights = [1.0]`
+/// (its parameters back, untouched), and the `fedgta.aggregate.rejected`
+/// counter rises by one.
 pub fn personalized_aggregate_into(
     uploads: &[ClientUpload<'_>],
     opts: &AggregateOptions,
@@ -121,31 +127,33 @@ pub fn personalized_aggregate_into(
     for buf in out.iter_mut() {
         buf.resize(plen, 0.0);
     }
+    // Eq. 7 weight sources. A non-finite or negative one — a diverged
+    // client uploads `H = NaN`, a hostile one whatever it likes — would
+    // turn every weight of every set containing it NaN, so its client is
+    // rejected: dropped from everyone else's set and left alone in its own.
+    let raw: Vec<f64> = uploads
+        .iter()
+        .map(|u| if opts.use_confidence { u.confidence } else { u.n_train as f64 })
+        .collect();
+    let valid = |j: usize| raw[j].is_finite() && raw[j] >= 0.0;
+    let rejected = (0..n).filter(|&j| !valid(j)).count();
+    if rejected > 0 && fedgta_obs::metrics_on() {
+        fedgta_obs::counter!("fedgta.aggregate.rejected").add(rejected as u64);
+    }
     let entries = par_map_indexed(&mut out[..], Some(threads), |i, buf| {
-        let members: Vec<usize> = if opts.use_moments {
-            (0..n)
-                .filter(|&j| j == i || sim[i][j] >= epsilon)
-                .collect()
-        } else {
-            (0..n).collect()
-        };
-        // Eq. 7 weights: smoothing confidence, normalized within Iᵢ.
-        let raw: Vec<f64> = members
-            .iter()
-            .map(|&j| {
-                if opts.use_confidence {
-                    uploads[j].confidence
-                } else {
-                    uploads[j].n_train as f64
-                }
+        let members: Vec<usize> = (0..n)
+            .filter(|&j| {
+                j == i || (valid(i) && valid(j) && (!opts.use_moments || sim[i][j] >= epsilon))
             })
             .collect();
-        let total: f64 = raw.iter().sum();
-        let weights: Vec<f32> = if total <= 0.0 {
-            // Degenerate (all-zero confidence): uniform fallback.
-            vec![1.0 / members.len() as f32; members.len()]
+        // Eq. 7 weights: smoothing confidence, normalized within Iᵢ.
+        let total: f64 = members.iter().map(|&j| raw[j]).sum();
+        let weights: Vec<f32> = if total > 0.0 && total.is_finite() {
+            members.iter().map(|&j| (raw[j] / total) as f32).collect()
         } else {
-            raw.iter().map(|&w| (w / total) as f32).collect()
+            // Degenerate (all-zero confidence, a rejected client on its
+            // own, a sum that overflows): uniform fallback.
+            vec![1.0 / members.len() as f32; members.len()]
         };
         weighted_sum_rows_into(&params, &members, &weights, buf);
         AggregationEntry { members, weights }
@@ -340,6 +348,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_client_with_an_invalid_weight_source_is_rejected_not_averaged() {
+        // Ten uploads with equal sketches: Eq. 6 puts everyone in everyone's
+        // set, so before the guard one NaN `H` made all ten aggregates NaN.
+        let n = 10usize;
+        let params: Vec<Vec<f32>> = (0..n).map(|c| vec![c as f32, 1.0 - c as f32, 0.5]).collect();
+        let m = [0.3f32, -0.2, 0.9];
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            for use_moments in [true, false] {
+                let ups: Vec<ClientUpload<'_>> = (0..n)
+                    .map(|c| upload(&params[c], if c == 3 { bad } else { 1.0 + c as f64 }, &m))
+                    .collect();
+                let o = AggregateOptions { use_moments, ..opts(0.5) };
+                let (agg, report) = personalized_aggregate(&ups, &o);
+                let others: Vec<usize> = (0..n).filter(|&c| c != 3).collect();
+                let clean: Vec<ClientUpload<'_>> = others
+                    .iter()
+                    .map(|&c| upload(&params[c], 1.0 + c as f64, &m))
+                    .collect();
+                let (want, _) = personalized_aggregate(&clean, &o);
+                for (&c, want) in others.iter().zip(&want) {
+                    assert_eq!(report.entries[c].members, others, "H = {bad}, client {c}");
+                    // Exactly the aggregate of the nine clean uploads.
+                    assert_eq!(&agg[c], want, "H = {bad}, client {c}");
+                    assert!(agg[c].iter().all(|v| v.is_finite()));
+                }
+                assert_eq!(report.entries[3].members, vec![3]);
+                assert_eq!(report.entries[3].weights, vec![1.0]);
+                assert_eq!(agg[3], params[3], "H = {bad}: own parameters back");
+            }
+        }
+        // "w/o Conf." weighs by `n_train` and never reads the bad `H`.
+        let ups: Vec<ClientUpload<'_>> = (0..n)
+            .map(|c| upload(&params[c], if c == 3 { f64::NAN } else { 1.0 }, &m))
+            .collect();
+        let o = AggregateOptions { use_confidence: false, ..opts(0.5) };
+        let (agg, report) = personalized_aggregate(&ups, &o);
+        assert_eq!(report.entries[0].members.len(), n);
+        assert!(agg.iter().flatten().all(|v| v.is_finite()));
+        // Each rejected upload is counted once per call. No other test of
+        // this binary rejects one, so the global counter is this test's.
+        fedgta_obs::set_level(fedgta_obs::ObsLevel::Metrics);
+        let rejected = fedgta_obs::counter!("fedgta.aggregate.rejected");
+        let before = rejected.get();
+        let ups = vec![
+            upload(&params[0], 1.0, &m),
+            upload(&params[1], f64::NAN, &m),
+            upload(&params[2], -0.5, &m),
+        ];
+        personalized_aggregate(&ups, &opts(0.5));
+        fedgta_obs::set_level(fedgta_obs::ObsLevel::Off);
+        assert_eq!(rejected.get() - before, 2);
     }
 
     #[test]

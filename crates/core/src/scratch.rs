@@ -1,14 +1,22 @@
-//! Persistent per-client scratch for FedGTA's Algorithm-1 upload path.
+//! Scratch for FedGTA's Algorithm-1 upload path, split by lifetime.
 //!
-//! [`UploadScratch`] owns every buffer `FedGta::client_metrics` touches —
-//! the soft-label prediction matrix, the label-propagation step matrices,
-//! the moment accumulator, the flattened sketch, and a cache for the
-//! round-invariant feature-moment extension. It is
-//! stowed in [`fedgta_fed::client::Client::metric_scratch`] between
-//! rounds (as `Box<dyn Any + Send>`, keeping `fedgta-fed` independent of
-//! this crate) so warm metric computation performs **zero heap
-//! allocations** — proven by the counting-allocator harness in the bench
-//! crate.
+//! **State that does not survive the round is not per-client.** The
+//! intermediates of `FedGta::client_metrics` — the soft-label matrix `Ŷ⁰`,
+//! the `k` label-propagation step matrices, the moment accumulator — are
+//! dead once `(H, M)` is computed, so [`UploadScratch`] lives in a checkout
+//! pool owned by the strategy: one instance per concurrently running
+//! worker, sized by the largest client it has served, whatever the client
+//! count. Every buffer is fully rewritten before it is read, so which
+//! instance a worker draws cannot reach a result bit.
+//!
+//! What *is* per client is the round-invariant [`FeatureSketchCache`] of
+//! the feature-moment extension: it is stowed in
+//! [`fedgta_fed::client::Client::metric_scratch`] (as `Box<dyn Any + Send>`,
+//! keeping `fedgta-fed` independent of this crate), and only when the
+//! extension is configured.
+//!
+//! Either way warm metric computation performs **zero heap allocations** —
+//! proven by the counting-allocator harness in the bench crate.
 
 use crate::extensions::{feature_moment_sketch, FeatureMomentConfig};
 use crate::moments::MomentKind;
@@ -21,7 +29,9 @@ use fedgta_nn::Matrix;
 /// the (fixed) hyperparameters — never on the model — so it is computed
 /// once per client and replayed on every later round. The key guards
 /// against mid-run hyperparameter changes (e.g. two `FedGta` instances
-/// sharing clients in tests).
+/// sharing clients in tests). It holds the hyperparameters **alone**, so
+/// a cache must stay with its client: in a pooled [`UploadScratch`] it
+/// would replay one client's sketch for the next.
 #[derive(Debug, Default)]
 pub struct FeatureSketchCache {
     /// `(k, order, kind, dims, weight bits)` of the cached value.
@@ -51,7 +61,7 @@ impl FeatureSketchCache {
     }
 }
 
-/// All buffers of one client's Algorithm-1 metric computation.
+/// The intermediates of one Algorithm-1 metric computation.
 #[derive(Debug, Default)]
 pub struct UploadScratch {
     /// Softmax predictions `Ŷ⁰` (filled by `predict_into`).
@@ -62,16 +72,27 @@ pub struct UploadScratch {
     /// writes each step straight into `steps`. Always empty; kept only
     /// because the frozen `benchmark/` package passes it to
     /// [`label_propagation_into`](crate::lp::label_propagation_into)
-    /// (ROADMAP item 2 records its removal).
+    /// (ROADMAP item 4a records its removal).
     pub prop: Vec<f32>,
     /// Flat `order × |Y|` `f64` moment accumulator.
     pub acc: Vec<f64>,
-    /// The flattened upload sketch `M` (label moments, plus the feature
-    /// extension when configured). Borrowed by the strategy after each
-    /// `client_metrics` call.
+    /// A buffer for the flattened upload sketch `M`, for callers that
+    /// drive the stages by hand (`benchmark/`'s staged round).
+    /// `FedGta::client_metrics` writes its caller's buffer instead.
     pub sketch: Vec<f32>,
-    /// Round-invariant feature-moment sketch cache.
-    pub feat: FeatureSketchCache,
+}
+
+impl UploadScratch {
+    /// Heap bytes this instance retains (capacities, not current shapes);
+    /// the `fedgta.metric_scratch.bytes` gauge sums it over the pool.
+    #[doc(hidden)]
+    pub fn bytes(&self) -> usize {
+        let f32s = self.soft.capacity()
+            + self.steps.iter().map(Matrix::capacity).sum::<usize>()
+            + self.prop.capacity()
+            + self.sketch.capacity();
+        4 * f32s + 8 * self.acc.capacity()
+    }
 }
 
 #[cfg(test)]

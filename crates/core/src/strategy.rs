@@ -20,11 +20,12 @@ use crate::config::FedGtaConfig;
 use crate::confidence::local_smoothing_confidence;
 use crate::lp::label_propagation_into;
 use crate::moments::mixed_moments_into;
-use crate::scratch::UploadScratch;
+use crate::scratch::{FeatureSketchCache, UploadScratch};
 use fedgta_fed::client::Client;
 use fedgta_fed::exec::{mean_loss, train_participants};
 use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
 use fedgta_nn::TrainHooks;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The FedGTA optimization strategy.
 pub struct FedGta {
@@ -34,6 +35,10 @@ pub struct FedGta {
     personalized: Vec<Option<Vec<f32>>>,
     /// The last round's aggregation report (Fig. 3 data).
     last_report: Option<AggregationReport>,
+    /// Checkout pool of Algorithm-1 intermediates: `client_metrics` pops
+    /// an instance (or starts an empty one) and pushes it back, so at most
+    /// one exists per concurrently running worker.
+    scratch: Mutex<Vec<UploadScratch>>,
 }
 
 impl FedGta {
@@ -60,6 +65,7 @@ impl FedGta {
             config,
             personalized: Vec::new(),
             last_report: None,
+            scratch: Mutex::new(Vec::new()),
         }
     }
 
@@ -73,25 +79,35 @@ impl FedGta {
         self.last_report.as_ref()
     }
 
-    /// Computes one client's upload metrics `(H, M)` from its current
-    /// model — Algorithm 1, lines 5–10.
+    /// The scratch pool. Locked only to pop, push or count: no code that
+    /// can panic runs under it.
+    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<UploadScratch>> {
+        self.scratch.lock().expect("metric-scratch pool poisoned")
+    }
+
+    /// `(instances, heap bytes)` the scratch pool holds between calls.
+    #[doc(hidden)]
+    pub fn pooled_scratch(&self) -> (usize, usize) {
+        let pool = self.pool();
+        (pool.len(), pool.iter().map(UploadScratch::bytes).sum())
+    }
+
+    /// Computes one client's upload metrics from its current model —
+    /// Algorithm 1, lines 5–10: returns `H` and writes the sketch `M` into
+    /// `sketch` (cleared first).
     ///
-    /// The returned sketch borrows the client's persistent
-    /// [`UploadScratch`]: every intermediate (soft labels, LP steps,
-    /// moment accumulators, the sketch itself) lives in per-client
-    /// buffers that survive between rounds, so **warm calls perform zero
+    /// No intermediate survives the call, so none belongs to the client:
+    /// soft labels, LP steps and the moment accumulator live in an
+    /// [`UploadScratch`] checked out of the strategy's pool, and every one
+    /// of them is rewritten in full before it is read (`predict_into`
+    /// writes every row of `soft`, each LP step every row of its matrix,
+    /// `acc` is cleared per step) — the instance drawn, and whichever
+    /// client it served last, cannot reach a result bit. Once the pool and
+    /// `sketch` have grown to the largest client, **warm calls perform zero
     /// heap allocations** (proven by the bench crate's counting-allocator
-    /// harness). Callers that need an owned copy (`round`'s cross-thread
-    /// upload payload) call `.to_vec()` on the result.
-    pub fn client_metrics<'a>(&self, client: &'a mut Client) -> (f64, &'a [f32]) {
-        // Check the scratch out of the client — created on first use,
-        // recycled (no downcast failure path in practice) afterwards.
-        let mut scratch: Box<UploadScratch> = match client.metric_scratch.take() {
-            Some(b) => b.downcast::<UploadScratch>().unwrap_or_default(),
-            None => Box::default(),
-        };
-        let s = &mut *scratch;
-        // Disjoint borrows: model (mut) vs data (imm) vs scratch.
+    /// harness).
+    pub fn client_metrics(&self, client: &mut Client, sketch: &mut Vec<f32>) -> f64 {
+        let mut s = self.pool().pop().unwrap_or_default();
         client.model.predict_into(&client.data, &mut s.soft);
         {
             let _lp = fedgta_obs::span!("lp", k = self.config.k_lp);
@@ -104,39 +120,51 @@ impl FedGta {
                 &mut s.prop,
             );
         }
-        let h = local_smoothing_confidence(
-            s.steps.last().expect("k_lp >= 1"),
-            &client.data.degrees_hat,
-        );
-        let _mom = fedgta_obs::span!("moments", order = self.config.moment_order);
+        let h = {
+            let mut span = fedgta_obs::span!("confidence");
+            let h = local_smoothing_confidence(
+                s.steps.last().expect("k_lp >= 1"),
+                &client.data.degrees_hat,
+            );
+            span.record("h", fedgta_obs::FieldVal::from(h));
+            h
+        };
+        let mom = fedgta_obs::span!("moments", order = self.config.moment_order);
         mixed_moments_into(
             &s.steps,
             self.config.moment_order,
             self.config.moment_kind,
             &mut s.acc,
-            &mut s.sketch,
+            sketch,
         );
         if let Some(fm) = &self.config.feature_moments {
             // Round-invariant per client: computed once, replayed from
-            // the cache on every later round.
-            let feat = s.feat.get_or_compute(
+            // the client's own cache on every later round.
+            let mut cache: Box<FeatureSketchCache> = client
+                .metric_scratch
+                .take()
+                .and_then(|b| b.downcast().ok())
+                .unwrap_or_default();
+            sketch.extend_from_slice(cache.get_or_compute(
                 &client.data.adj_norm,
                 &client.data.features,
                 self.config.k_lp,
                 self.config.moment_order,
                 self.config.moment_kind,
                 fm,
-            );
-            s.sketch.extend_from_slice(feat);
+            ));
+            client.metric_scratch = Some(cache);
         }
-        client.metric_scratch = Some(scratch);
-        let sketch = client
-            .metric_scratch
-            .as_deref()
-            .and_then(|a| a.downcast_ref::<UploadScratch>())
-            .map(|s| s.sketch.as_slice())
-            .expect("scratch stored above");
-        (h, sketch)
+        drop(mom);
+        self.pool().push(s);
+        if fedgta_obs::metrics_on() {
+            // High-water of what sits in the pool: the round's last push
+            // sees every worker's instance.
+            static HELD: OnceLock<Arc<fedgta_obs::Gauge>> = OnceLock::new();
+            HELD.get_or_init(|| fedgta_obs::global().gauge("fedgta.metric_scratch.bytes"))
+                .set_max(self.pooled_scratch().1 as u64);
+        }
+        h
     }
 }
 
@@ -176,13 +204,10 @@ impl Strategy for FedGta {
                 ..TrainHooks::none()
             };
             let loss = c.train_local(ctx.epochs, &mut hooks);
-            // Snapshot params/n_train before the metrics call: the sketch
-            // borrows the client's scratch, so `c` stays borrowed until
-            // the upload payload is assembled.
             let params = c.model.params();
-            let n_train = c.n_train();
-            let (h, m) = this.client_metrics(c);
-            (loss, (params, h, m.to_vec(), n_train))
+            let mut m = Vec::new();
+            let h = this.client_metrics(c, &mut m);
+            (loss, (params, h, m, c.n_train()))
         });
         let loss = mean_loss(&results);
         // Last use of the broadcast-carrying ctx: it borrows
@@ -265,7 +290,7 @@ impl Strategy for FedGta {
 mod tests {
     use super::*;
     use fedgta_fed::eval::global_test_accuracy;
-    use fedgta_fed::strategies::test_support::small_federation;
+    use fedgta_fed::strategies::test_support::{federation_with, small_federation};
     use fedgta_fed::strategies::FedAvg;
     use fedgta_nn::models::ModelKind;
 
@@ -370,25 +395,102 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 104);
         let s = FedGta::with_defaults();
         let c = clients[0].data.num_classes;
-        let (h, m) = s.client_metrics(&mut clients[0]);
+        let mut m = vec![7.0; 3]; // stale contents are cleared, not extended
+        let h = s.client_metrics(&mut clients[0], &mut m);
         assert!(h >= 0.0);
         assert_eq!(m.len(), s.config.k_lp * s.config.moment_order * c);
     }
 
     #[test]
     fn metrics_are_stable_across_warm_scratch_calls() {
-        // Second call reuses the persistent scratch; values must be
-        // bit-identical and the sketch buffer must not move.
+        // Second call reuses the pooled scratch; values must be
+        // bit-identical and the caller's sketch buffer must not move.
         let mut clients = small_federation(ModelKind::Sgc, 108);
         let s = FedGta::with_defaults();
-        let (h1, m1) = s.client_metrics(&mut clients[0]);
-        let first: Vec<f32> = m1.to_vec();
-        let ptr1 = m1.as_ptr();
-        let (h2, m2) = s.client_metrics(&mut clients[0]);
+        let mut m = Vec::new();
+        let h1 = s.client_metrics(&mut clients[0], &mut m);
+        let (first, ptr1) = (m.clone(), m.as_ptr());
+        let h2 = s.client_metrics(&mut clients[0], &mut m);
         assert_eq!(h1.to_bits(), h2.to_bits());
-        assert_eq!(m2, &first[..]);
-        assert_eq!(m2.as_ptr(), ptr1, "warm sketch buffer must be reused");
-        assert!(clients[0].metric_scratch.is_some(), "scratch persisted");
+        assert_eq!(m, first);
+        assert_eq!(m.as_ptr(), ptr1, "warm sketch buffer must be reused");
+        assert_eq!(s.pooled_scratch().0, 1, "scratch went back to the pool");
+        assert!(clients[0].metric_scratch.is_none(), "nothing kept per client");
+    }
+
+    /// `(H bits, M bits)` of one `client_metrics` call.
+    fn metrics_bits(s: &FedGta, client: &mut Client) -> (u64, Vec<u32>) {
+        let mut m = Vec::new();
+        let h = s.client_metrics(client, &mut m);
+        (h.to_bits(), m.iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Three clients of strictly decreasing node count: the largest, one
+    /// in between and the smallest of a six-client federation.
+    fn three_sizes(seed: u64) -> Vec<Client> {
+        let mut clients = federation_with(ModelKind::Sgc, seed, 6, 700);
+        clients.sort_by_key(|c| std::cmp::Reverse(c.data.num_nodes()));
+        clients.dedup_by_key(|c| c.data.num_nodes());
+        assert!(clients.len() >= 3, "seed {seed} has no three client sizes");
+        let smallest = clients.pop().expect("three clients");
+        clients.truncate(2);
+        clients.push(smallest);
+        clients
+    }
+
+    #[test]
+    fn one_pooled_scratch_serves_clients_of_any_size_bit_for_bit() {
+        // Large → small → large through one strategy (one pooled instance,
+        // shrunk and regrown) against a fresh strategy — an empty pool —
+        // per call: no stale row leaks through a shrunk `resize_to`, and
+        // with the feature extension no client is served another's cache.
+        for cfg in [FedGtaConfig::default(), FedGtaConfig::with_feature_moments()] {
+            let mut clients = three_sizes(108);
+            let with_cache = cfg.feature_moments.is_some();
+            let shared = FedGta::new(cfg.clone());
+            for visit in [0usize, 2, 1, 2, 0] {
+                let got = metrics_bits(&shared, &mut clients[visit]);
+                // The fresh strategy must not find the shared one's cache.
+                let cold = clients[visit].metric_scratch.take();
+                let want = metrics_bits(&FedGta::new(cfg.clone()), &mut clients[visit]);
+                assert_eq!(got, want, "client {visit}, feature moments {with_cache}");
+                clients[visit].metric_scratch = cold;
+                // Serial calls: one instance, as large as the largest client.
+                let (instances, bytes) = shared.pooled_scratch();
+                let (n, c) = (clients[0].data.num_nodes(), clients[0].data.num_classes);
+                assert_eq!(instances, 1);
+                assert!(bytes >= 4 * (1 + shared.config.k_lp) * n * c, "{bytes} bytes");
+            }
+            // What a client keeps is the feature cache, and only if configured.
+            for c in &clients {
+                let cache = c.metric_scratch.as_ref().map(|b| b.is::<FeatureSketchCache>());
+                assert_eq!(cache, with_cache.then_some(true));
+            }
+        }
+    }
+
+    #[test]
+    fn pool_holds_one_scratch_per_worker_and_threads_do_not_show() {
+        let run = |threads: usize| {
+            let mut clients = federation_with(ModelKind::Sgc, 112, 8, 900);
+            let mut s = FedGta::with_defaults();
+            let parts: Vec<usize> = (0..clients.len()).collect();
+            let mut losses = Vec::new();
+            for _ in 0..2 {
+                let ctx = RoundCtx::with_threads(1, threads);
+                losses.push(s.round(&mut clients, &parts, &ctx).mean_loss.to_bits());
+            }
+            // Full participation: every client went through the pool, and
+            // none of them kept anything.
+            let (instances, bytes) = s.pooled_scratch();
+            assert!((1..=threads).contains(&instances), "{instances} at {threads} threads");
+            assert!(bytes > 0);
+            assert!(clients.iter().all(|c| c.metric_scratch.is_none()));
+            let metrics: Vec<_> = clients.iter_mut().map(|c| metrics_bits(&s, c)).collect();
+            let params: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
+            (losses, metrics, params)
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]
@@ -452,7 +554,8 @@ mod tests {
         let label_len = cfg.k_lp * cfg.moment_order * c;
         let fm = cfg.feature_moments.as_ref().unwrap();
         let feat_len = cfg.k_lp * cfg.moment_order * fm.dims.min(clients[0].data.num_features());
-        let (_, m) = s.client_metrics(&mut clients[0]);
+        let mut m = Vec::new();
+        s.client_metrics(&mut clients[0], &mut m);
         assert_eq!(m.len(), label_len + feat_len);
 
         let mut s = FedGta::new(FedGtaConfig::with_feature_moments());

@@ -22,11 +22,12 @@ pub struct Client {
     pub opt: Box<dyn Optimizer>,
     /// Local-to-global node id map of the training view.
     pub global_ids: Vec<u32>,
-    /// Strategy-owned per-client scratch buffers, persisted across rounds
-    /// (e.g. FedGTA's upload-metric workspace: soft-label matrix, LP
-    /// ping-pong buffers, moment accumulators). Opaque to `fedgta-fed`;
+    /// Strategy-owned state that is per-client *and* outlives the round
+    /// (e.g. FedGTA's round-invariant feature-moment sketch cache; what
+    /// dies with the round — soft labels, LP steps — lives in a pool the
+    /// strategy owns, one instance per worker). Opaque to `fedgta-fed`;
     /// the owning strategy downcasts it. `None` until first use — a
-    /// strategy that never needs scratch pays nothing.
+    /// strategy that never needs it pays nothing.
     pub metric_scratch: Option<Box<dyn std::any::Any + Send>>,
     /// Error-feedback accumulators for the lossy upload codec
     /// ([`crate::ef`]), persisted across rounds like `metric_scratch`.

@@ -215,16 +215,16 @@ impl Mlp {
     /// Inference forward (no dropout, no RNG consumption).
     pub fn infer(&self, x: &Matrix) -> Matrix {
         let mut ws = Workspace::new();
-        self.infer_ws(x, &mut ws)
+        self.infer_ws(x.view(), &mut ws)
     }
 
     /// The ReLU layers `0..upto` at inference, layer 0 reading `x` in
     /// place (no copy of the input into the pool). `None` when `upto == 0`.
-    fn infer_hidden_ws(&self, x: &Matrix, upto: usize, ws: &mut Workspace) -> Option<Matrix> {
+    fn infer_hidden_ws(&self, x: MatView<'_>, upto: usize, ws: &mut Workspace) -> Option<Matrix> {
         let mut cur: Option<Matrix> = None;
         for l in 0..upto {
             let mut z = ws.take_matrix(x.rows(), self.dims[l + 1]);
-            let input = cur.as_ref().map_or(x.view(), Matrix::view);
+            let input = cur.as_ref().map_or(x, Matrix::view);
             matmul_bias_relu_into(input, self.weight_view(l), self.bias(l), z.as_mut_slice());
             if let Some(prev) = cur.replace(z) {
                 ws.give_matrix(prev);
@@ -233,13 +233,14 @@ impl Mlp {
         cur
     }
 
-    /// Inference forward through a workspace. `x` is only read: a
-    /// feature-matrix-sized buffer never enters the pool.
-    pub fn infer_ws(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
+    /// Inference forward through a workspace. `x` is a view and only read:
+    /// callers pass a row range of a cached feature matrix as it lies, and
+    /// a feature-matrix-sized buffer never enters the pool.
+    pub fn infer_ws(&self, x: MatView<'_>, ws: &mut Workspace) -> Matrix {
         let last = self.num_layers() - 1;
         let hidden = self.infer_hidden_ws(x, last, ws);
         let mut z = ws.take_matrix(x.rows(), self.dims[last + 1]);
-        let input = hidden.as_ref().map_or(x.view(), Matrix::view);
+        let input = hidden.as_ref().map_or(x, Matrix::view);
         matmul_bias_into(input, self.weight_view(last), self.bias(last), z.as_mut_slice());
         if let Some(h) = hidden {
             ws.give_matrix(h);
@@ -250,7 +251,7 @@ impl Mlp {
     /// The penultimate representation for inference (input to final layer).
     pub fn infer_hidden(&self, x: &Matrix) -> Matrix {
         let mut ws = Workspace::new();
-        self.infer_hidden_ws(x, self.num_layers() - 1, &mut ws)
+        self.infer_hidden_ws(x.view(), self.num_layers() - 1, &mut ws)
             .unwrap_or_else(|| x.clone())
     }
 
@@ -386,7 +387,7 @@ mod tests {
         for _ in 0..3 {
             let (b, cache_b) = mlp.forward_ws(x.clone(), false, &mut ws);
             assert_eq!(a.as_slice(), b.as_slice());
-            assert_eq!(mlp.infer_ws(&x, &mut ws).as_slice(), a.as_slice());
+            assert_eq!(mlp.infer_ws(x.view(), &mut ws).as_slice(), a.as_slice());
             cache_b.recycle(&mut ws);
             ws.give_matrix(b);
         }

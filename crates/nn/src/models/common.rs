@@ -4,9 +4,10 @@
 
 use crate::mlp::Mlp;
 use crate::ops::softmax_rows_inplace;
-use crate::tensor::Matrix;
+use crate::tensor::{MatView, Matrix};
 use crate::workspace::Workspace;
 use fedgta_graph::{normalized_adjacency, Csr, NormKind};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_DATASET_KEY: AtomicU64 = AtomicU64::new(1);
@@ -191,34 +192,48 @@ pub(crate) fn max_batch_rows(data: &GraphDataset, batch_size: usize) -> usize {
     }
 }
 
-/// The row-separable `predict_rows_into` of a decoupled backbone: `out`
-/// row `r` = `softmax(head(input(rows[r])))`, where `input(piece, ws)`
-/// checks the head's input for a piece of rows out of `ws`.
+/// The head's input for one piece of rows.
+pub(crate) enum HeadInput<'a> {
+    /// Consecutive rows of a cached matrix, read where they lie.
+    Rows(MatView<'a>),
+    /// Rows assembled in a matrix checked out of the piece loop's
+    /// workspace, which takes it back.
+    Pooled(Matrix),
+}
+
+/// The row-separable forward of a decoupled backbone: `out` becomes
+/// `n_rows × |Y|` and its rows `r` = `softmax(head(input(r, ws)))`, where
+/// `input` yields the head's input for a range of output rows.
 ///
 /// Rows go through `ws` at most `piece` at a time (callers pass
 /// [`max_batch_rows`]), so inference reuses the buffers training pooled
-/// and never grows a client's resident pool by a test-set-sized gather.
-/// A logit depends on its own input row only and keeps its `k`-order
-/// whatever rows share the GEMM call, so the pieces are invisible in the
-/// result.
-pub(crate) fn head_probs_of_rows(
+/// and never grows a client's resident pool by an `n`-row logits, hidden
+/// activation or gather. A logit depends on its own input row only and
+/// keeps its `k`-order whatever rows share the GEMM call, so the pieces
+/// are invisible in the result.
+pub(crate) fn head_probs_by_pieces<'a>(
     head: &Mlp,
-    rows: &[u32],
+    n_rows: usize,
     piece: usize,
     ws: &mut Workspace,
-    mut input: impl FnMut(&[u32], &mut Workspace) -> Matrix,
+    mut input: impl FnMut(Range<usize>, &mut Workspace) -> HeadInput<'a>,
     out: &mut Matrix,
 ) {
     let classes = *head.dims().last().expect("an MLP has at least one layer");
-    out.resize_to(rows.len(), classes);
-    let dst_pieces = out.as_mut_slice().chunks_mut(piece * classes);
-    for (piece_rows, dst) in rows.chunks(piece).zip(dst_pieces) {
-        let x = input(piece_rows, ws);
-        let mut probs = head.infer_ws(&x, ws);
+    out.resize_to(n_rows, classes);
+    for (p, dst) in out.as_mut_slice().chunks_mut(piece * classes).enumerate() {
+        let x = input(p * piece..p * piece + dst.len() / classes, ws);
+        let view = match &x {
+            HeadInput::Rows(v) => *v,
+            HeadInput::Pooled(m) => m.view(),
+        };
+        let mut probs = head.infer_ws(view, ws);
         softmax_rows_inplace(&mut probs);
         dst.copy_from_slice(probs.as_slice());
         ws.give_matrix(probs);
-        ws.give_matrix(x);
+        if let HeadInput::Pooled(m) = x {
+            ws.give_matrix(m);
+        }
     }
 }
 

@@ -5,18 +5,20 @@
 //! is why these models scale (paper Table 1: the propagation term `O(kmf)`
 //! is training-independent).
 
-use super::common::{head_probs_of_rows, make_batches, max_batch_rows, GraphDataset, TrainHooks};
+use super::common::{
+    head_probs_by_pieces, make_batches, max_batch_rows, GraphDataset, HeadInput, TrainHooks,
+};
 use super::precompute::{precompute, PrecomputeKind};
 use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
 use crate::mlp::Mlp;
 use crate::models::ModelConfig;
-use crate::ops::softmax_rows_inplace;
 use crate::optim::Optimizer;
-use crate::tensor::Matrix;
+use crate::tensor::{MatView, Matrix};
 use crate::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
 
 /// A decoupled GNN: `head(combine(hops(X)))`.
 #[derive(Clone)]
@@ -68,6 +70,12 @@ impl DecoupledModel {
         let mut m = Self::new(cfg, in_dim, num_classes);
         m.kind = kind;
         m
+    }
+
+    /// The model's scratch arena: tests assert what inference leaves in it.
+    #[doc(hidden)]
+    pub fn workspace(&self) -> &Workspace {
+        &self.ws
     }
 
     /// Checks out the cached combined features for `data`, computing them
@@ -184,32 +192,26 @@ impl GraphModel for DecoupledModel {
     }
 
     fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
-        // The softmax runs in place on the workspace-pooled logits, which
-        // are then *swapped* with the caller's buffer: no copy, and the
-        // caller's previous buffer (same shape once warm) refills the
-        // pool slot — zero heap allocations once the feature cache and
-        // workspace are warm.
+        // Row ranges of the cached combined features, read where they lie.
         let entry = self.take_combined(data);
-        let mut ws = std::mem::take(&mut self.ws);
-        let mut logits = self.head.infer_ws(&entry.1, &mut ws);
-        softmax_rows_inplace(&mut logits);
-        std::mem::swap(out, &mut logits);
-        ws.give_matrix(logits);
-        self.ws = ws;
+        let (x, cols) = (entry.1.as_slice(), entry.1.cols());
+        let rows_of = |r: Range<usize>, _: &mut Workspace| {
+            HeadInput::Rows(MatView::new(r.len(), cols, &x[r.start * cols..r.end * cols]))
+        };
+        let piece = max_batch_rows(data, self.batch_size);
+        head_probs_by_pieces(&self.head, entry.1.rows(), piece, &mut self.ws, rows_of, out);
         self.return_combined(entry);
     }
 
     fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
         let entry = self.take_combined(data);
-        let mut ws = std::mem::take(&mut self.ws);
-        let gather = |piece: &[u32], ws: &mut Workspace| {
-            let mut x = ws.take_matrix(piece.len(), entry.1.cols());
-            entry.1.gather_rows_into(piece, &mut x);
-            x
+        let gather = |r: Range<usize>, ws: &mut Workspace| {
+            let mut x = ws.take_matrix(r.len(), entry.1.cols());
+            entry.1.gather_rows_into(&rows[r], &mut x);
+            HeadInput::Pooled(x)
         };
         let piece = max_batch_rows(data, self.batch_size);
-        head_probs_of_rows(&self.head, rows, piece, &mut ws, gather, out);
-        self.ws = ws;
+        head_probs_by_pieces(&self.head, rows.len(), piece, &mut self.ws, gather, out);
         self.return_combined(entry);
     }
 

@@ -9,7 +9,9 @@
 //! exact gradients for both the gate and the head (substitution recorded
 //! in DESIGN.md).
 
-use super::common::{head_probs_of_rows, make_batches, max_batch_rows, GraphDataset, TrainHooks};
+use super::common::{
+    head_probs_by_pieces, make_batches, max_batch_rows, GraphDataset, HeadInput, TrainHooks,
+};
 use super::precompute::hop_features;
 use super::GraphModel;
 use crate::loss::{soft_ce, softmax_ce};
@@ -257,14 +259,14 @@ impl GraphModel for Gamlp {
         let hops = &self.cache[pos].1;
         // Same scale-then-axpy per element as `combine_all`, on the
         // requested rows only.
-        let combine = |piece: &[u32], ws: &mut Workspace| {
-            let (x, gathered) = Self::combine_rows_ws(hops, &gate, piece, ws);
+        let combine = |r: std::ops::Range<usize>, ws: &mut Workspace| {
+            let (x, gathered) = Self::combine_rows_ws(hops, &gate, &rows[r], ws);
             for g in gathered {
                 ws.give_matrix(g);
             }
-            x
+            HeadInput::Pooled(x)
         };
-        head_probs_of_rows(&self.head, rows, piece, &mut ws, combine, out);
+        head_probs_by_pieces(&self.head, rows.len(), piece, &mut ws, combine, out);
         self.ws = ws;
     }
 

@@ -163,6 +163,12 @@ impl Matrix {
         self.cols = cols;
     }
 
+    /// Elements the buffer holds without reallocating: what a retained
+    /// matrix keeps resident whatever its current shape.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// Row `i` as a slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {

@@ -102,6 +102,12 @@ impl Workspace {
     pub fn pooled(&self) -> usize {
         self.pool.len()
     }
+
+    /// Capacity, in elements, of the largest pooled buffer (for
+    /// tests/diagnostics).
+    pub fn largest_pooled(&self) -> usize {
+        self.pool.iter().map(Vec::capacity).max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]

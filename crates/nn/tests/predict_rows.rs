@@ -3,11 +3,14 @@
 //! the coupled ones through the default (full forward, then select) and the
 //! decoupled family + GAMLP through their row-separable overrides, whose
 //! pieces (batch 16 here, so every non-trivial row set spans several) must
-//! not show in a single bit.
+//! not show in a single bit. And the decoupled family's `predict_into`,
+//! itself run by pieces, against the one-GEMM-per-layer forward it replaced.
 
 use fedgta_graph::EdgeList;
-use fedgta_nn::models::{build_model, ModelConfig, ModelKind};
-use fedgta_nn::{Adam, GraphDataset, Matrix, TrainHooks};
+use fedgta_nn::models::precompute::precompute;
+use fedgta_nn::models::{build_model, DecoupledModel, ModelConfig, ModelKind, PrecomputeKind};
+use fedgta_nn::ops::softmax_rows_inplace;
+use fedgta_nn::{Adam, GraphDataset, GraphModel, Matrix, Mlp, TrainHooks, Workspace};
 
 const CLASSES: usize = 5;
 
@@ -87,6 +90,64 @@ fn requested_rows_equal_the_same_rows_of_the_full_forward_bitwise() {
             }
             // Scoring rows must leave the model able to do the full forward.
             assert_eq!(bits(&model.predict(score)), bits(&full), "{kind:?}");
+        }
+    }
+}
+
+#[test]
+fn pieced_predict_into_equals_the_whole_forward_and_pools_nothing_n_sized() {
+    const PIECE: usize = 16;
+    let kinds = [
+        (ModelKind::Sgc, PrecomputeKind::Sgc),
+        (ModelKind::Sign, PrecomputeKind::Sign),
+        (ModelKind::S2gc, PrecomputeKind::S2gc),
+        (ModelKind::Gbp, PrecomputeKind::Gbp { beta: 0.5 }),
+    ];
+    for (kind, pre) in kinds {
+        for n in [PIECE - 1, PIECE, PIECE + 1, 3 * PIECE + 5] {
+            let cfg = ModelConfig {
+                kind,
+                hidden: 12,
+                layers: 2,
+                k: 2,
+                batch_size: PIECE,
+                beta: 0.5,
+                seed: 5,
+                ..ModelConfig::default()
+            };
+            // Every node trains, so a piece is min(PIECE, n) rows.
+            let mut data = dataset(n, true);
+            data.train_nodes = (0..n as u32).collect();
+            let mut model = DecoupledModel::new(&cfg, data.num_features(), CLASSES);
+            // Non-zero biases too; no training, so the workspace holds
+            // only what inference leaves in it.
+            let params: Vec<f32> = (0..model.num_params())
+                .map(|i| ((i as u64 * 2246822519 % 1009) as f32 / 504.5) - 1.0)
+                .collect();
+            model.set_params(&params);
+
+            // The body `predict_into` had before: the head over all rows
+            // at once, softmax in place.
+            let combined = precompute(pre, &data.adj_norm, &data.features, cfg.k);
+            let mut head = Mlp::new(&[combined.cols(), cfg.hidden, CLASSES], 0.0, 0);
+            head.set_params(&params);
+            let mut whole = head.infer_ws(combined.view(), &mut Workspace::new());
+            softmax_rows_inplace(&mut whole);
+
+            // A stale, wrongly-shaped output, twice (cold, then warm).
+            let mut out = Matrix::zeros(3, 2);
+            for _ in 0..2 {
+                model.predict_into(&data, &mut out);
+                assert_eq!(out.shape(), (n, CLASSES), "{kind:?} n = {n}");
+                assert_eq!(bits(&out), bits(&whole), "{kind:?} n = {n}");
+            }
+            // Nothing wider than a piece of the widest layer stays pooled:
+            // no n-row logits, hidden activation, or swapped-in `out`.
+            let largest = model.workspace().largest_pooled();
+            assert!(largest <= PIECE.min(n) * cfg.hidden, "{kind:?} n = {n}: {largest} floats pooled");
+            if n > 3 * PIECE {
+                assert!(largest < n * CLASSES, "{kind:?}: an n·|Y| buffer is pooled");
+            }
         }
     }
 }

@@ -208,7 +208,7 @@ fn infer_ws_matches_the_caching_forward_pass_and_leaves_x_alone() {
         let before = bits(x.as_slice());
         let mut ws = Workspace::new();
         for _ in 0..2 {
-            let inferred = mlp.infer_ws(&x, &mut ws);
+            let inferred = mlp.infer_ws(x.view(), &mut ws);
             let (logits, cache) = mlp.forward_ws(x.clone(), false, &mut ws);
             assert_eq!(bits(inferred.as_slice()), bits(logits.as_slice()), "dims {dims:?}");
             assert_eq!(bits(mlp.infer(&x).as_slice()), bits(logits.as_slice()));
@@ -220,6 +220,6 @@ fn infer_ws_matches_the_caching_forward_pass_and_leaves_x_alone() {
     }
     // A linear head leaves nothing behind in the pool: no copy of the input.
     let mut cold = Workspace::new();
-    Mlp::new(&[6, 4], 0.0, 1).infer_ws(&gen(37, 6, 3), &mut cold);
+    Mlp::new(&[6, 4], 0.0, 1).infer_ws(gen(37, 6, 3).view(), &mut cold);
     assert_eq!(cold.pooled(), 0);
 }

@@ -932,6 +932,7 @@ pub fn render_report(s: &TraceSummary) -> String {
     let peaks: Vec<(&str, u64)> = [
         ("graph.store.resident_bytes", "graph store resident peak"),
         ("workspace.high_water_bytes", "workspace high-water peak"),
+        ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool"),
     ]
     .iter()
     .filter_map(|&(name, label)| metric(name).filter(|&v| v > 0).map(|v| (label, v)))

@@ -96,9 +96,19 @@ fn traced_run_emits_complete_round_span_tree() {
     }
     // All phases appear in the span-name stats.
     let names: Vec<&str> = summary.span_stats.iter().map(|s| s.name.as_str()).collect();
-    for expected in ["round", "sample", "train", "client_train", "aggregate", "eval", "lp", "moments"] {
+    for expected in ["round", "sample", "train", "client_train", "aggregate", "eval", "lp", "confidence", "moments"] {
         assert!(names.contains(&expected), "missing span name '{expected}' in {names:?}");
     }
+    // Eq. 4 is a stage with a value: every client's `H`, every round.
+    let confidences: Vec<&fedgta_obs::JsonVal> = events
+        .iter()
+        .filter_map(|e| match e {
+            fedgta_obs::TraceEvent::Span { name, fields, .. } if name == "confidence" => fields.get("h"),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(confidences.len(), 4 * records.len());
+    assert!(confidences.iter().all(|h| matches!(h, fedgta_obs::JsonVal::Num(h) if *h > 0.0)));
     // Strategy rollup and metric flush rows made it into the trace.
     assert_eq!(summary.strategies.len(), 1);
     assert_eq!(summary.strategies[0].strategy, "FedGTA");
@@ -110,6 +120,9 @@ fn traced_run_emits_complete_round_span_tree() {
     assert!(summary.metrics.iter().any(|m| m.name == "round.client.train_ns"));
     assert!(summary.metrics.iter().any(|m| m.name == "strategy.aggregate_ns"));
     assert!(summary.metrics.iter().any(|m| m.name == "kernel.matmul.flops"));
+    // The pooled Algorithm-1 scratch is a tracked resource peak.
+    let scratch = summary.metrics.iter().find(|m| m.name == "fedgta.metric_scratch.bytes");
+    assert!(scratch.is_some_and(|m| m.value > 0), "{scratch:?}");
     // The report renders without panicking and mentions the strategy.
     let report = fedgta_obs::render_report(&summary);
     assert!(report.contains("FedGTA"));
