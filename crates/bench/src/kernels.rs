@@ -83,8 +83,6 @@ pub struct SoftLabelResult {
 pub struct KernelReport {
     /// `"quick"` (`--test`) or `"full"`.
     pub mode: &'static str,
-    /// Worker threads the kernels ran with (`FEDGTA_THREADS`).
-    pub threads: usize,
     /// All timed cells, including the square anchor shapes.
     pub results: Vec<KernelResult>,
     /// The softmax / Eq. 4 cells.
@@ -556,7 +554,6 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 
     KernelReport {
         mode: if quick { "quick" } else { "full" },
-        threads: fedgta_graph::par::num_threads(),
         results,
         soft_labels,
         matmul_speedup_vs_naive: blocked_gflops / naive_gflops,
@@ -577,7 +574,9 @@ pub fn to_json(r: &KernelReport) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
-    s.push_str(&format!("  \"threads\": {},\n", r.threads));
+    // Kernels run on the calling thread; the key stays for readers of
+    // earlier BENCH_KERNELS.json files.
+    s.push_str("  \"threads\": 1,\n");
     s.push_str(&format!("  \"anchor_dim\": {},\n", r.anchor_dim));
     s.push_str(&format!(
         "  \"matmul_speedup_vs_naive\": {},\n",
@@ -639,12 +638,7 @@ pub fn to_json(r: &KernelReport) -> String {
 /// Plain-text table for terminal output.
 pub fn render_table(r: &KernelReport) -> String {
     let mut s = String::new();
-    s.push_str(&format!(
-        "kernel bench ({} mode, {} thread{})\n",
-        r.mode,
-        r.threads,
-        if r.threads == 1 { "" } else { "s" }
-    ));
+    s.push_str(&format!("kernel bench ({} mode)\n", r.mode));
     s.push_str(&format!(
         "{:<18} {:>8} {:>7} {:>6} {:>6} {:>10} {:>8}\n",
         "kernel", "variant", "m", "k", "n", "GFLOP/s", "allocs"

@@ -5,15 +5,16 @@
 //!
 //! Lives in `fedgta-bench` (not `fedgta-nn`) because the counting
 //! allocator building blocks are here and `nn` cannot depend back on
-//! `bench`. Kept to a single `#[test]` fn: `#[global_allocator]` is
-//! per-binary and the test pins `FEDGTA_THREADS=1` (process-global env)
-//! so the parallel helpers run inline instead of spawning scoped worker
-//! threads, whose stacks would otherwise count against the budget.
+//! `bench`. Kept to a single `#[test]` fn: the counter behind
+//! `#[global_allocator]` is process-wide, so a concurrent test's
+//! allocations would be charged here. The kernels never spawn and the
+//! evaluation is asked for one thread, so the budget holds whatever
+//! `FEDGTA_THREADS` says (CI runs this file under `FEDGTA_THREADS=4`).
 
 use fedgta_bench::alloc::{alloc_bytes, alloc_count, CountingAlloc};
-use fedgta_fed::eval::global_test_accuracy;
 use fedgta_fed::strategies::test_support::federation_with;
-use fedgta_graph::par::refresh_thread_env;
+use fedgta_fed::strategies::FedAvg;
+use fedgta_fed::{SimConfig, Simulation};
 use fedgta_nn::loss::softmax_ce;
 use fedgta_nn::models::ModelKind;
 use fedgta_nn::ops::{matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into};
@@ -72,10 +73,6 @@ fn epoch(
 
 #[test]
 fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
-    // Inline execution: worker threads would allocate stacks/channels.
-    std::env::set_var("FEDGTA_THREADS", "1");
-    refresh_thread_env();
-
     let n = 128;
     let x = gen(n, 32, 1);
     let labels: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
@@ -154,23 +151,24 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
         .iter()
         .map(|c| c.data.test_nodes.len() * c.data.num_classes)
         .sum();
+    let n_clients = clients.len();
+    // Scored the way a run scores, on the one thread it asks for.
+    let config = SimConfig { threads: 1, ..SimConfig::default() };
+    let mut sim = Simulation::new(clients, Box::new(FedAvg::new()), config);
     let mut accs = Vec::new();
     for call in 0..2 {
         let (count, bytes) = (alloc_count(), alloc_bytes());
-        accs.push(global_test_accuracy(&mut clients).to_bits());
+        accs.push(sim.test_accuracy().to_bits());
         let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
         eprintln!(
             "evaluation {call}: {count} allocations, {bytes} bytes ({result_rows} result floats)"
         );
         // (+1: the first call makes one more 32-byte allocation.)
-        assert!(count <= clients.len() as u64 + 2, "{count} allocations");
+        assert!(count <= n_clients as u64 + 2, "{count} allocations");
         assert!(
-            bytes <= (result_rows * 4 + 64 * clients.len()) as u64,
+            bytes <= (result_rows * 4 + 64 * n_clients) as u64,
             "{bytes} bytes allocated for {result_rows} result floats"
         );
     }
     assert_eq!(accs[0], accs[1]);
-
-    std::env::remove_var("FEDGTA_THREADS");
-    refresh_thread_env();
 }

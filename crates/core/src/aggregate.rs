@@ -41,6 +41,30 @@ pub struct AggregationReport {
     pub similarity: Vec<Vec<f32>>,
     /// One entry per participant, in upload order.
     pub entries: Vec<AggregationEntry>,
+    /// The ε Eq. 6 selected with (the adaptive quantile's value when one
+    /// is configured, else the configured threshold).
+    pub epsilon: f32,
+    /// Uploads rejected for an invalid Eq. 7 weight source.
+    pub rejected: usize,
+}
+
+impl AggregationReport {
+    /// Mean size of the aggregation sets `|Iᵢ|`.
+    pub fn members_mean(&self) -> f64 {
+        let members: usize = self.entries.iter().map(|e| e.members.len()).sum();
+        members as f64 / self.entries.len() as f64
+    }
+
+    /// Fraction of off-diagonal similarity pairs at or above
+    /// [`Self::epsilon`] (0 for a single participant).
+    pub fn sim_above_eps(&self) -> f64 {
+        let n = self.similarity.len();
+        let above = (self.similarity.iter().enumerate())
+            .flat_map(|(i, row)| row.iter().enumerate().filter(move |&(j, _)| j != i))
+            .filter(|&(_, &s)| s >= self.epsilon)
+            .count();
+        above as f64 / (n * (n - 1)).max(1) as f64
+    }
 }
 
 /// Options controlling Eqs. 6–7 (a subset of
@@ -161,6 +185,8 @@ pub fn personalized_aggregate_into(
     AggregationReport {
         similarity: sim,
         entries,
+        epsilon,
+        rejected,
     }
 }
 

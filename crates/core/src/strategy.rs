@@ -25,6 +25,7 @@ use fedgta_fed::client::Client;
 use fedgta_fed::exec::{mean_loss, train_participants};
 use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
 use fedgta_nn::TrainHooks;
+use fedgta_obs::FieldVal;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The FedGTA optimization strategy.
@@ -126,7 +127,7 @@ impl FedGta {
                 s.steps.last().expect("k_lp >= 1"),
                 &client.data.degrees_hat,
             );
-            span.record("h", fedgta_obs::FieldVal::from(h));
+            span.record("h", FieldVal::from(h));
             h
         };
         let mom = fedgta_obs::span!("moments", order = self.config.moment_order);
@@ -230,7 +231,7 @@ impl Strategy for FedGta {
             n_trains.push(n);
         }
         // Algorithm 2: personalized aggregation.
-        let _agg = fedgta_obs::span!(
+        let mut agg = fedgta_obs::span!(
             "aggregate",
             strategy = "FedGTA",
             participants = arrived.len()
@@ -259,6 +260,14 @@ impl Strategy for FedGta {
             .map(|&i| self.personalized[i].take().unwrap_or_default())
             .collect();
         let report = personalized_aggregate_into(&uploads, &opts, threads, &mut aggregated);
+        if fedgta_obs::trace_on() {
+            // The round's decision, not only its duration (`report`'s
+            // "FedGTA decisions" table).
+            agg.record("epsilon", FieldVal::from(report.epsilon as f64));
+            agg.record("members_mean", FieldVal::from(report.members_mean()));
+            agg.record("sim_above_eps", FieldVal::from(report.sim_above_eps()));
+            agg.record("rejected", FieldVal::from(report.rejected));
+        }
         for (&i, buf) in arrived.iter().zip(aggregated) {
             clients[i].model.set_params(&buf);
             // Move — not clone — the aggregate into the personalized

@@ -1,7 +1,9 @@
 //! Eq. 3 and Eq. 5 against a hand derivation, by `to_bits` — the companions
 //! of Eq. 4's pin in `confidence.rs` (DESIGN.md §10.2, §10.3) — and the same
 //! values end to end through `FedGta::client_metrics`, so the pooled upload
-//! path is pinned by values and not only by agreement with itself.
+//! path is pinned by values and not only by agreement with itself. Eq. 6
+//! and Eq. 7, the server's half, have their own three-client example at
+//! the end of the file (DESIGN.md §10.4).
 //!
 //! Every number below is a dyadic rational small enough for an `f32`
 //! (steps) or `f64` (powers and their sums) mantissa, so the code must
@@ -76,9 +78,48 @@
 //!
 //! The two step-2, order-3 entries with 25- and 30-bit numerators are exact
 //! in the `f64` accumulator and round once, in the final cast to `f32`.
+//!
+//! ## Eq. 6: `Iᵢ = { j : cos(Mᵢ, Mⱼ) ≥ ε } ∪ {i}`, and Eq. 7: `W̃ᵢ = Σ_{j∈Iᵢ} (Hⱼ / Σ_{j'∈Iᵢ} Hⱼ') · Wⱼ`
+//!
+//! Three clients whose sketches make every cosine exact:
+//!
+//! ```text
+//!   M₀ = (1, 1, 1,  1)    ‖M₀‖ = √4 = 2
+//!   M₁ = (1, 1, 1, −1)    ‖M₁‖ = √4 = 2
+//!   M₂ = (1, −1, 0, 0)    ‖M₂‖ = √2
+//!
+//!   M₀·M₁ = 1 + 1 + 1 − 1 = 2   cos = 2 / (2·2)  = ½   — exactly ε: the boundary, selected (≥)
+//!   M₀·M₂ = 1 − 1         = 0   cos = 0 / (2·√2) = 0   — below ε
+//!   M₁·M₂ = 1 − 1         = 0   cos = 0
+//!   Mᵢ·Mᵢ / ‖Mᵢ‖² = 1 (for M₂, 2 / (√2·√2) = 1 − 2⁻⁵² in `f64`, which rounds to 1 in `f32`)
+//!
+//!       ⎡ 1  ½  0 ⎤
+//!   S = ⎢ ½  1  0 ⎥   ε = ½   ⇒   I₀ = I₁ = {0, 1},  I₂ = {2}
+//!       ⎣ 0  0  1 ⎦
+//! ```
+//!
+//! With `H = (1, 3, 5)` the weights inside `{0, 1}` are `1/(1+3) = ¼` and
+//! `3/(1+3) = ¾`, and client 2's only weight is `5/5 = 1`. On the dyadic
+//! parameters `W₀ = (4, −8, ½)`, `W₁ = (0, 16, 5/2)`, `W₂ = (7, 7, 7)`:
+//!
+//! ```text
+//!   W̃₀ = W̃₁ = ¼·(4, −8, ½) + ¾·(0, 16, 5/2) = (1, −2 + 12, ⅛ + 15/8) = (1, 10, 2)
+//!   W̃₂ = W₂
+//! ```
+//!
+//! The three other branches of the weight rule, on the same sets:
+//!
+//! ```text
+//!   H = (0, 0, 0): every sum is 0 ⇒ uniform, ½ and ½:    W̃₀ = W̃₁ = (2, 4, 3/2),  W̃₂ = W₂ (weight 1)
+//!   "w/o Conf.", n_train = (3, 1, 9): ¾ and ¼:            W̃₀ = W̃₁ = (3, −6 + 4, ⅜ + ⅝) = (3, −2, 1)
+//!   H = (1, NaN, 5): client 1 is rejected — nobody takes it, it keeps itself:
+//!       I₀ = {0} (1/1 = 1), I₁ = {1} (the fallback's 1/1), I₂ = {2}:   W̃ᵢ = Wᵢ
+//! ```
 
 use fedgta::{
-    label_propagation, local_smoothing_confidence, mixed_moments, FedGta, FedGtaConfig, MomentKind,
+    label_propagation, local_smoothing_confidence, mixed_moments, moment_similarity,
+    personalized_aggregate_into, AggregateOptions, ClientUpload, FedGta, FedGtaConfig, MomentKind,
+    SimilarityKind,
 };
 use fedgta_fed::client::Client;
 use fedgta_graph::EdgeList;
@@ -276,4 +317,101 @@ fn client_metrics_uploads_the_hand_derived_h_and_m_through_the_pool() {
         }
         assert_eq!(strategy.pooled_scratch().0, 1);
     }
+}
+
+/// `M₀, M₁, M₂` and `W₀, W₁, W₂` of the Eq. 6 / Eq. 7 example.
+const SKETCHES: [[f32; 4]; 3] = [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 0.0, 0.0]];
+const PARAMS: [[f32; 3]; 3] = [[4.0, -8.0, 0.5], [0.0, 16.0, 2.5], [7.0, 7.0, 7.0]];
+
+/// Aggregates the example at `ε = ½` with weight sources `h` / `n_train`,
+/// at 1 and at 4 threads, and checks sets, weights and parameters by bits.
+fn assert_aggregate(
+    h: [f64; 3],
+    n_train: [usize; 3],
+    use_confidence: bool,
+    sets: [&[usize]; 3],
+    weights: [&[f32]; 3],
+    params: [[f32; 3]; 3],
+) {
+    let uploads: Vec<ClientUpload<'_>> = (0..3)
+        .map(|i| ClientUpload {
+            params: &PARAMS[i],
+            confidence: h[i],
+            moments: &SKETCHES[i],
+            n_train: n_train[i],
+        })
+        .collect();
+    let opts = AggregateOptions {
+        epsilon: 0.5,
+        epsilon_quantile: None,
+        similarity: SimilarityKind::Cosine,
+        use_moments: true,
+        use_confidence,
+    };
+    for threads in [1, 4] {
+        // Stale, wrongly sized buffers: every element must be overwritten.
+        let mut out = vec![vec![f32::NAN; 5]];
+        let report = personalized_aggregate_into(&uploads, &opts, threads, &mut out);
+        let sim: Vec<Vec<u32>> = report.similarity.iter().map(|r| bits(r)).collect();
+        assert_eq!(sim, [bits(&[1.0, 0.5, 0.0]), bits(&[0.5, 1.0, 0.0]), bits(&[0.0, 0.0, 1.0])]);
+        for i in 0..3 {
+            let e = &report.entries[i];
+            assert_eq!(e.members, sets[i], "I_{i} at {threads} threads");
+            assert_eq!(bits(&e.weights), bits(weights[i]), "weights of {i}: {:?}", e.weights);
+            assert_eq!(bits(&out[i]), bits(&params[i]), "W̃_{i}: {:?}", out[i]);
+        }
+    }
+}
+
+#[test]
+fn eq6_cosine_is_exact_on_the_example_and_the_boundary_pair_is_selected() {
+    let cos = |i: usize, j: usize| moment_similarity(&SKETCHES[i], &SKETCHES[j], SimilarityKind::Cosine);
+    assert_eq!(cos(0, 1).to_bits(), 0.5f32.to_bits());
+    assert_eq!(cos(0, 2).to_bits(), 0f32.to_bits());
+    assert_eq!(cos(1, 2).to_bits(), 0f32.to_bits());
+    // Eq. 7 on Eq. 6's sets: `≥ ε` keeps the pair at exactly ε together
+    // (a strict `>` would leave every client alone with its own model).
+    let merged = [1.0, 10.0, 2.0];
+    assert_aggregate(
+        [1.0, 3.0, 5.0],
+        [10; 3],
+        true,
+        [&[0, 1], &[0, 1], &[2]],
+        [&[0.25, 0.75], &[0.25, 0.75], &[1.0]],
+        [merged, merged, PARAMS[2]],
+    );
+}
+
+#[test]
+fn eq7_fallback_weight_sources_match_the_hand_derivation_bitwise() {
+    let pair: [&[usize]; 3] = [&[0, 1], &[0, 1], &[2]];
+    // All-zero H: uniform inside each set.
+    let uniform = [2.0, 4.0, 1.5];
+    assert_aggregate(
+        [0.0; 3],
+        [10; 3],
+        true,
+        pair,
+        [&[0.5, 0.5], &[0.5, 0.5], &[1.0]],
+        [uniform, uniform, PARAMS[2]],
+    );
+    // "w/o Conf.": n_train weights, H ignored (even a NaN one).
+    let by_size = [3.0, -2.0, 1.0];
+    assert_aggregate(
+        [f64::NAN, 100.0, 0.0],
+        [3, 1, 9],
+        false,
+        pair,
+        [&[0.75, 0.25], &[0.75, 0.25], &[1.0]],
+        [by_size, by_size, PARAMS[2]],
+    );
+    // A NaN H is rejected: out of client 0's set, alone in its own.
+    assert_aggregate(
+        [1.0, f64::NAN, 5.0],
+        [10; 3],
+        true,
+        [&[0], &[1], &[2]],
+        [&[1.0], &[1.0], &[1.0]],
+        PARAMS,
+    );
 }

@@ -18,11 +18,6 @@ impl FedAvg {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The current global parameters (after at least one round).
-    pub fn global_params(&self) -> Option<&[f32]> {
-        self.global.as_deref()
-    }
 }
 
 impl Strategy for FedAvg {

@@ -7,7 +7,7 @@
 //! `hᵢ ← hᵢ + (wᵢ − w_global)` and the server averages the
 //! drift-corrected uploads `wᵢ + hᵢ`.
 
-use super::{weighted_average, RoundCtx, RoundStats, Strategy};
+use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::TrainHooks;
@@ -50,19 +50,17 @@ impl Strategy for FedDc {
             self.drift = vec![vec![0.0; global.len()]; clients.len()];
         }
         let lambda = self.lambda;
-        // Client-parallel local steps: each worker reads the shared global
-        // snapshot and its own drift vector; drift mutation happens below
-        // on the driver in participant order.
+        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
+        // Client-parallel local steps: each worker reads the model the
+        // executor installed and its own drift vector; drift mutation
+        // happens below on the driver in participant order.
         let drift = &self.drift;
-        let results = train_participants(clients, participants, ctx, |i, c| {
-            c.model.set_params(&global);
-            c.opt.reset();
-            // Anchor: w_global − hᵢ.
-            let anchor: Vec<f32> = global
-                .iter()
-                .zip(&drift[i])
-                .map(|(&g, &h)| g - h)
-                .collect();
+        let results = train_participants(clients, participants, &ctx, |i, c| {
+            // Anchor: w_global − hᵢ, with w_global as the wire delivered it.
+            let mut anchor = c.model.params();
+            for (a, &h) in anchor.iter_mut().zip(&drift[i]) {
+                *a -= h;
+            }
             let mut grad_hook = move |w: &[f32], g: &mut [f32]| {
                 for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(&anchor) {
                     *gj += lambda * (wj - aj);

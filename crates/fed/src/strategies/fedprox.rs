@@ -3,7 +3,7 @@
 //! the gradient correction `g ← g + μ(w − w_global)` injected before every
 //! optimizer step.
 
-use super::{weighted_average, RoundCtx, RoundStats, Strategy};
+use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::TrainHooks;
@@ -38,14 +38,14 @@ impl Strategy for FedProx {
             .get_or_insert_with(|| clients[0].model.params())
             .clone();
         let mu = self.mu;
-        // Client-parallel local steps; the proximal anchor is the shared
-        // immutable global snapshot, so workers never contend.
-        let results = train_participants(clients, participants, ctx, |i, c| {
-            c.model.set_params(&global);
-            c.opt.reset();
-            let anchor = &global;
+        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
+        // Client-parallel local steps. The proximal anchor is the model the
+        // executor just installed — what the wire delivered, which under a
+        // lossy download codec is not the server's copy.
+        let results = train_participants(clients, participants, &ctx, |i, c| {
+            let anchor = c.model.params();
             let mut grad_hook = move |w: &[f32], g: &mut [f32]| {
-                for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(anchor) {
+                for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(&anchor) {
                     *gj += mu * (wj - aj);
                 }
             };

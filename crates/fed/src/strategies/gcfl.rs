@@ -12,7 +12,7 @@
 //! projections of the full update vector (32 dims) instead of the raw
 //! `O(f²)` gradients — same sequence geometry at a fraction of the memory.
 
-use super::{l2_norm, sub, weighted_average, RoundCtx, RoundStats, Strategy};
+use super::{l2_norm, sub, weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::train_participants;
 use fedgta_nn::TrainHooks;
@@ -140,17 +140,19 @@ impl Strategy for GcflPlus {
             // Client-parallel local steps within the cluster. `members`
             // may be unsorted after a split; the executor returns results
             // in member order, so the flat loss fold and the weighted
-            // average below match the sequential round bit-for-bit.
-            let results = train_participants(clients, &members, ctx, |i, c| {
-                c.model.set_params(&start);
-                c.opt.reset();
+            // average below match the sequential round bit-for-bit. The
+            // cluster model is this call's broadcast; a member's update is
+            // measured from the model it received.
+            let ctx = ctx.with_broadcast(Broadcast::Global(&start));
+            let results = train_participants(clients, &members, &ctx, |i, c| {
+                let received = c.model.params();
                 let mut hooks = TrainHooks {
                     pseudo: ctx.pseudo_for(i),
                     ..TrainHooks::none()
                 };
                 let loss = c.train_local(ctx.epochs, &mut hooks);
                 let w = c.model.params();
-                let delta = sub(&w, &start);
+                let delta = sub(&w, &received);
                 (loss, (w, delta, c.n_train() as f64))
             });
             // Per-cluster aggregation (GCFL+ interleaves train/aggregate).

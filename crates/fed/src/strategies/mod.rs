@@ -76,8 +76,12 @@ pub struct RoundCtx<'a> {
     pub comms: Option<&'a crate::transport::CommsRound<'a>>,
     /// The strategy's start-of-round model broadcast, applied by the
     /// executor to every participant before its training closure runs
-    /// (through the download codec when one is armed). `None` = the
-    /// strategy manages start-of-round state inside its closure.
+    /// (through the download codec when one is armed). `None` is for a
+    /// strategy that broadcasts nothing ([`LocalOnly`]) — not a second way
+    /// to start a round: a model installed inside the closure never
+    /// reaches the download codec or the error-feedback anchor, so a
+    /// closure reads its anchors off `c.model`, which the executor has
+    /// already loaded.
     pub broadcast: Option<Broadcast<'a>>,
 }
 

@@ -6,7 +6,7 @@
 //! the global model's, and `z_prev` the client's previous local model's.
 //! The exact gradient ∂ℓ/∂z is injected through the hidden-gradient hook.
 
-use super::{weighted_average, RoundCtx, RoundStats, Strategy};
+use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::{Matrix, TrainHooks};
@@ -120,14 +120,15 @@ impl Strategy for Moon {
         let (mu, tau) = (self.mu, self.tau);
         // Client-parallel local steps: each worker computes its anchor
         // representations with its own scratch model, reading only the
-        // shared global snapshot and its own previous-round parameters.
-        // `self.prev` is updated afterwards on the driver.
+        // global model the executor installed and its own previous-round
+        // parameters. `self.prev` is updated afterwards on the driver.
         let prev = &self.prev;
-        let results = train_participants(clients, participants, ctx, |i, c| {
-            // Anchor representations computed with a scratch model.
+        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
+        let results = train_participants(clients, participants, &ctx, |i, c| {
+            // Anchor representations computed with a scratch model, which
+            // starts as a copy of the installed global one.
             let (z_glob, z_prev) = {
                 let mut scratch = c.model.clone();
-                scratch.set_params(&global);
                 let zg = scratch.penultimate(&c.data);
                 let zp = prev[i].as_ref().map(|p| {
                     scratch.set_params(p);
@@ -135,8 +136,6 @@ impl Strategy for Moon {
                 });
                 (zg, zp)
             };
-            c.model.set_params(&global);
-            c.opt.reset();
             let mut hidden_hook = |ids: &[u32], z: &Matrix| -> Matrix {
                 match &z_prev {
                     Some(zp) => {

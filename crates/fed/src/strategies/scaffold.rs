@@ -6,7 +6,7 @@
 //! `cᵢ⁺ = cᵢ − c + (w_global − w_i)/(K·η)`, and the server moves
 //! `w ← w + mean(Δwᵢ)`, `c ← c + (|S|/N)·mean(Δcᵢ)`.
 
-use super::{sub, weighted_average, RoundCtx, RoundStats, Strategy};
+use super::{sub, weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::{Sgd, TrainHooks};
@@ -74,8 +74,8 @@ impl Strategy for Scaffold {
         // mutation (option II) happens below on the driver, in participant
         // order — bit-identical to the sequential round.
         let (c_server, c_clients) = (&self.c_server, &self.c_clients);
-        let results = train_participants(clients, participants, ctx, |i, c| {
-            c.model.set_params(&global);
+        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
+        let results = train_participants(clients, participants, &ctx, |i, c| {
             // SCAFFOLD assumes SGD locally (see struct docs). With heavy-ball
             // momentum β the asymptotic effective step is η/(1−β); the
             // option-II control update uses that effective rate.

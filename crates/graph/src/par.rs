@@ -1,44 +1,44 @@
 //! Deterministic data-parallel helpers built on crossbeam scoped threads.
 //!
+//! Parallelism is something a **caller asks for**: both helpers take the
+//! caller's thread count (or the caller's chunk boundaries) and nothing in
+//! this workspace fans out on its own — a dense kernel or a plain
+//! `spmm_into` runs on the thread that calls it. `FEDGTA_THREADS` has one
+//! meaning: the default of every `threads = 0` ("auto") parameter
+//! ([`resolve_threads`]).
+//!
 //! Work is split into contiguous chunks so results are identical regardless
 //! of the number of worker threads; each output chunk is written by exactly
 //! one thread (no atomics, no locks on the hot path).
 //!
-//! Two granularities share the same determinism contract:
-//!
-//! - [`par_chunks_mut`]: row-chunked kernels (SpMM and friends) splitting
-//!   one output buffer;
 //! - [`par_map_indexed`]: a task scope mapping a closure over disjoint
-//!   `&mut` slots (e.g. federated clients), collecting results **in input
-//!   order** so downstream floating-point reductions are order-stable.
+//!   `&mut` slots (federated clients, Eq. 6/7 server rows), collecting
+//!   results **in input order** so downstream floating-point reductions
+//!   are order-stable;
+//! - [`par_chunks_mut_at`]: one output buffer split at caller-chosen row
+//!   boundaries (the explicit-thread SpMM entries).
 //!
-//! Nested parallelism is suppressed: when a [`par_map_indexed`] worker
-//! calls back into either helper, the inner call runs inline on that
-//! worker. This keeps a client-parallel federated round from multiplying
-//! thread counts (outer × inner) while — by the determinism contract —
-//! changing no results.
+//! Both hand their parts to the one spawn site, [`spawn_each`]. Nested
+//! parallelism is suppressed there: a worker that calls back into either
+//! helper runs the inner call inline. This keeps an explicit-thread call
+//! inside a client-parallel federated round from multiplying thread counts
+//! (outer × inner) while — by the determinism contract — changing no
+//! results.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 thread_local! {
-    /// Set while the current thread is a `par_map_indexed` worker; nested
+    /// Set while the current thread is a [`spawn_each`] worker; nested
     /// parallel helpers then run inline instead of spawning again.
     static IN_PARALLEL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when called from inside a [`par_map_indexed`] worker.
-pub fn in_parallel_worker() -> bool {
+/// True when called from inside a [`par_map_indexed`] or
+/// [`par_chunks_mut_at`] worker — the nested-call guard both helpers
+/// consult, so their callers need not.
+fn in_parallel_worker() -> bool {
     IN_PARALLEL_WORKER.with(|f| f.get())
-}
-
-/// Number of worker threads to use for parallel kernels.
-///
-/// Defaults to available parallelism; override with the
-/// `FEDGTA_THREADS` environment variable (useful for benchmarking the
-/// scaling story or forcing single-threaded determinism checks).
-pub fn num_threads() -> usize {
-    resolve_threads(None)
 }
 
 /// Resolves a worker-thread count: an explicit non-zero request wins,
@@ -49,10 +49,10 @@ pub fn num_threads() -> usize {
 /// plumb a plain `usize` config field (0 = auto) straight through.
 ///
 /// The environment variable and core count are read **once** and cached
-/// for the life of the process: `std::env::var` heap-allocates and this
-/// function sits on the allocation-free kernel hot path (every
-/// [`par_chunks_mut`] call resolves a thread count). Tests that mutate
-/// `FEDGTA_THREADS` must call [`refresh_thread_env`] afterwards.
+/// for the life of the process: `std::env::var` heap-allocates and an
+/// explicit-thread kernel entry resolves its count on every call. Tests
+/// that mutate `FEDGTA_THREADS` must call [`refresh_thread_env`]
+/// afterwards.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
     if let Some(n) = explicit {
         if n > 0 {
@@ -89,10 +89,31 @@ fn read_auto_threads() -> usize {
 
 /// Drops the cached thread-count resolution so the next call re-reads
 /// `FEDGTA_THREADS`. Only needed by tests (and other tooling) that change
-/// the environment variable after the first kernel call.
+/// the environment variable after the first resolution.
 #[doc(hidden)]
 pub fn refresh_thread_env() {
     AUTO_THREADS.store(0, Ordering::Relaxed);
+}
+
+/// The one place this workspace spawns compute threads: runs
+/// `work(part_index, part)` on one scoped worker per part and joins them
+/// all. Every worker is marked [`in_parallel_worker`] for its whole life,
+/// and a worker panic reaches the caller as a panic after the join.
+fn spawn_each<P, W>(parts: impl Iterator<Item = P>, work: W)
+where
+    P: Send,
+    W: Fn(usize, P) + Sync,
+{
+    crossbeam::scope(|scope| {
+        for (idx, part) in parts.enumerate() {
+            let work = &work;
+            scope.spawn(move |_| {
+                IN_PARALLEL_WORKER.with(|flag| flag.set(true));
+                work(idx, part)
+            });
+        }
+    })
+    .expect("parallel worker panicked");
 }
 
 /// Maps `f(index, &mut items[index])` over every item, in parallel across
@@ -122,78 +143,26 @@ where
     let per = n.div_ceil(threads);
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    crossbeam::scope(|scope| {
-        let mut items_rest = &mut items[..];
-        let mut out_rest = &mut out[..];
-        let mut start = 0usize;
-        while start < n {
-            let take = per.min(n - start);
-            let (item_chunk, items_tail) = items_rest.split_at_mut(take);
-            let (out_chunk, out_tail) = out_rest.split_at_mut(take);
-            items_rest = items_tail;
-            out_rest = out_tail;
-            let fr = &f;
-            scope.spawn(move |_| {
-                IN_PARALLEL_WORKER.with(|flag| flag.set(true));
-                for (k, (item, slot)) in item_chunk.iter_mut().zip(out_chunk).enumerate() {
-                    *slot = Some(fr(start + k, item));
-                }
-            });
-            start += take;
+    let parts = items.chunks_mut(per).zip(out.chunks_mut(per));
+    spawn_each(parts, |idx, (item_chunk, out_chunk)| {
+        for (k, (item, slot)) in item_chunk.iter_mut().zip(out_chunk).enumerate() {
+            *slot = Some(f(idx * per + k, item));
         }
-    })
-    .expect("parallel worker panicked");
+    });
     out.into_iter()
         .map(|r| r.expect("worker filled every slot"))
         .collect()
-}
-
-/// Runs `f(chunk_index, out_chunk, row_range)` over `out` split into
-/// `threads` contiguous chunks of `row_size` elements each.
-///
-/// `out.len()` must be `rows * row_size`. When only one thread is available
-/// (or the workload is tiny) the closure runs inline without spawning.
-pub fn par_chunks_mut<F>(out: &mut [f32], rows: usize, row_size: usize, f: F)
-where
-    F: Fn(usize, &mut [f32], std::ops::Range<usize>) + Sync,
-{
-    assert_eq!(out.len(), rows * row_size, "output buffer size mismatch");
-    let threads = num_threads().min(rows.max(1));
-    if threads <= 1 || rows < 2 * threads || in_parallel_worker() {
-        f(0, out, 0..rows);
-        return;
-    }
-    let rows_per = rows.div_ceil(threads);
-    crossbeam::scope(|scope| {
-        let mut rest = out;
-        let mut start = 0usize;
-        let mut idx = 0usize;
-        while start < rows {
-            let end = (start + rows_per).min(rows);
-            let take = (end - start) * row_size;
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let fr = &f;
-            let range = start..end;
-            scope.spawn(move |_| fr(idx, head, range));
-            start = end;
-            idx += 1;
-        }
-    })
-    .expect("parallel worker panicked");
 }
 
 /// Runs `f(chunk_index, out_chunk, row_range)` over `out` split at
 /// caller-chosen row boundaries `bounds` (ascending, `bounds[0] == 0`,
 /// `bounds.last() == rows`), one spawned worker per non-empty chunk.
 ///
-/// This is the load-balanced sibling of [`par_chunks_mut`]: instead of
-/// equal *row counts* per chunk, the caller picks boundaries that equalize
-/// actual *work* (e.g. nonzeros per row chunk for SpMM on power-law
-/// graphs). The determinism contract is unchanged — every row is written
-/// by exactly one worker and per-row arithmetic does not depend on the
-/// chunk it lands in, so results are bit-identical for any boundary
-/// choice or thread count.
+/// The caller picks boundaries that equalize actual *work* rather than
+/// row counts (e.g. nonzeros per row chunk for SpMM on power-law graphs).
+/// Every row is written by exactly one worker and per-row arithmetic does
+/// not depend on the chunk it lands in, so results are bit-identical for
+/// any boundary choice or thread count.
 ///
 /// Runs inline (no spawning) when there is at most one non-empty chunk or
 /// when already inside a parallel worker.
@@ -216,24 +185,13 @@ where
         }
         return;
     }
-    crossbeam::scope(|scope| {
-        let mut rest = out;
-        let mut idx = 0usize;
-        for w in bounds.windows(2) {
-            let (start, end) = (w[0], w[1]);
-            if end == start {
-                continue;
-            }
-            let take = (end - start) * row_size;
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let fr = &f;
-            let range = start..end;
-            scope.spawn(move |_| fr(idx, head, range));
-            idx += 1;
-        }
-    })
-    .expect("parallel worker panicked");
+    let mut rest = out;
+    let parts = bounds.windows(2).filter(|w| w[1] > w[0]).map(|w| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut((w[1] - w[0]) * row_size);
+        rest = tail;
+        (head, w[0]..w[1])
+    });
+    spawn_each(parts, |idx, (chunk, range)| f(idx, chunk, range));
 }
 
 #[cfg(test)]
@@ -247,38 +205,10 @@ mod tests {
     static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
-    fn chunks_cover_all_rows_once() {
-        let rows = 103;
-        let width = 4;
-        let mut out = vec![0f32; rows * width];
-        par_chunks_mut(&mut out, rows, width, |_, chunk, range| {
-            for (local, row) in range.enumerate() {
-                for c in 0..width {
-                    chunk[local * width + c] = (row * width + c) as f32;
-                }
-            }
-        });
-        for (i, &v) in out.iter().enumerate() {
-            assert_eq!(v, i as f32);
-        }
-    }
-
-    #[test]
-    fn single_row_runs_inline() {
-        let mut out = vec![0f32; 3];
-        par_chunks_mut(&mut out, 1, 3, |idx, chunk, range| {
-            assert_eq!(idx, 0);
-            assert_eq!(range, 0..1);
-            chunk.fill(7.0);
-        });
-        assert_eq!(out, vec![7.0; 3]);
-    }
-
-    #[test]
     #[should_panic(expected = "output buffer size mismatch")]
     fn size_mismatch_panics() {
         let mut out = vec![0f32; 5];
-        par_chunks_mut(&mut out, 2, 3, |_, _, _| {});
+        par_chunks_mut_at(&mut out, 3, &[0, 1, 2], |_, _, _| {});
     }
 
     #[test]
@@ -403,6 +333,31 @@ mod tests {
     }
 
     #[test]
+    fn workers_of_both_helpers_are_marked_and_nest_inline() {
+        // Both helpers spawn through `spawn_each`: a worker of either sees
+        // the flag, so an explicit-thread call inside it stays on its thread.
+        let nested_stays_here = || {
+            let me = std::thread::current().id();
+            let mut inner = [0u8; 4];
+            par_map_indexed(&mut inner, Some(4), |_, _| std::thread::current().id() == me)
+                .into_iter()
+                .all(|same| same)
+        };
+        let caller = std::thread::current().id();
+        let on_marked_worker =
+            || in_parallel_worker() && std::thread::current().id() != caller && nested_stays_here();
+        let mut items = [0u8; 4];
+        let got = par_map_indexed(&mut items, Some(2), |_, _| on_marked_worker());
+        assert_eq!(got, vec![true; 4]);
+        let mut out = vec![0f32; 4];
+        par_chunks_mut_at(&mut out, 1, &[0, 2, 4], |_, chunk, _| {
+            chunk.fill(if on_marked_worker() { 1.0 } else { 0.0 });
+        });
+        assert_eq!(out, vec![1.0; 4]);
+        assert!(!in_parallel_worker(), "flag must not leak to the caller");
+    }
+
+    #[test]
     fn resolve_threads_precedence() {
         let _guard = ENV_LOCK.lock().unwrap();
         let saved = std::env::var("FEDGTA_THREADS").ok();
@@ -413,7 +368,6 @@ mod tests {
         // 0 / None fall back to the environment variable.
         assert_eq!(resolve_threads(Some(0)), 7);
         assert_eq!(resolve_threads(None), 7);
-        assert_eq!(num_threads(), 7);
         // An unparsable value is ignored; a zero value clamps to 1.
         std::env::set_var("FEDGTA_THREADS", "0");
         refresh_thread_env();

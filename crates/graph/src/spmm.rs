@@ -3,9 +3,11 @@
 //! `Y = A · X` where `A` is CSR (`n × n`) and `X` is a row-major dense
 //! matrix (`n × f`). This single kernel powers every feature-propagation
 //! step (SGC/SIGN/S²GC/GBP/GAMLP precompute, GCN forward/backward) and
-//! FedGTA's non-parametric label propagation. Rows of `Y` are independent,
-//! so the kernel parallelizes over contiguous row chunks (deterministic
-//! regardless of thread count).
+//! FedGTA's non-parametric label propagation. [`spmm_into`] and
+//! [`spmm_axpby_into`] run on the thread that calls them; rows of `Y` are
+//! independent, so a caller that asks for threads
+//! ([`spmm_into_raw_threads`], `GraphStore::spmm_into_threads`) gets
+//! contiguous nnz-balanced row chunks and the same bits at any count.
 //!
 //! The inner loop is **column-blocked**: each output row is produced in
 //! blocks of [`SPMM_BLOCK`] columns held in a register accumulator while
@@ -41,7 +43,7 @@
 //! propagation's restart term — and the `Axpby` one must see the block
 //! width as a constant so it vectorizes like the accumulation it follows.
 
-use crate::par::{in_parallel_worker, num_threads, par_chunks_mut_at, resolve_threads};
+use crate::par::{par_chunks_mut_at, resolve_threads};
 use crate::{Csr, GraphError, Result};
 
 /// Column-block width: one output sub-row of this many columns lives in a
@@ -213,14 +215,15 @@ pub(crate) fn record_spmm(rows: usize, nnz: usize, cols: usize) {
     fedgta_obs::counter!("spmm.flops").add(2 * nnz as u64 * cols as u64);
 }
 
-/// Computes `Y = A · X` into a caller-provided buffer (`y.len() == n*cols`).
+/// Computes `Y = A · X` into a caller-provided buffer (`y.len() == n*cols`),
+/// on the calling thread.
 ///
 /// Panics on size mismatch (internal hot path; the checked entry point is
 /// [`spmm`]). Records `spmm.rows` / `spmm.flops` counters when metrics are
-/// armed, then delegates to [`spmm_into_raw`].
+/// armed, then runs the body of [`spmm_into_raw_threads`] at one thread.
 pub fn spmm_into(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
     record_spmm(a.num_nodes(), a.num_edges(), cols);
-    spmm_into_raw(a, x, cols, y);
+    spmm_rows(a, x, cols, y, 1, Plain);
 }
 
 /// Computes `Y = β·(A · X) + α·Z` in one pass (`z.len() == y.len() ==
@@ -232,12 +235,13 @@ pub fn spmm_into(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
 /// would have stored — the same expression, in the same order, as
 /// `spmm_into` followed by a separate sweep — so the result is
 /// bit-identical to that two-pass form (a row with no stored edges yields
-/// `0·β + α·z`). Panics on size mismatch; records the same `spmm.rows` /
-/// `spmm.flops` counters as [`spmm_into`] (the epilogue is not counted).
+/// `0·β + α·z`). Runs on the calling thread. Panics on size mismatch;
+/// records the same `spmm.rows` / `spmm.flops` counters as [`spmm_into`]
+/// (the epilogue is not counted).
 pub fn spmm_axpby_into(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32], y: &mut [f32]) {
     assert_eq!(z.len(), y.len());
     record_spmm(a.num_nodes(), a.num_edges(), cols);
-    spmm_rows(a, x, cols, y, 0, Axpby { beta, alpha, z });
+    spmm_rows(a, x, cols, y, 1, Axpby { beta, alpha, z });
 }
 
 /// The epilogue of [`spmm_axpby_into`]: `acc ← acc·β + α·z[off..]`. `z` is
@@ -261,28 +265,21 @@ impl Epilogue for Axpby<'_> {
     }
 }
 
-/// The uninstrumented kernel body — public so the microbenchmark suite can
-/// measure the observability hook's overhead against it. Resolves the
-/// thread count from the environment ([`num_threads`]).
-#[doc(hidden)]
-pub fn spmm_into_raw(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
-    spmm_into_raw_threads(a, x, cols, y, 0);
-}
-
 /// Upper bound on worker chunks: the boundary array lives on the stack so
 /// the kernel stays allocation-free at any thread count.
 pub(crate) const MAX_CHUNKS: usize = 64;
 
-/// [`spmm_into_raw`] with an explicit thread request (`0` = resolve from
-/// the environment) — the property-test hook for pinning thread counts
-/// without racy env mutation.
+/// The uninstrumented kernel body on `threads` workers (`0` = auto, see
+/// [`resolve_threads`]): the entry for a caller that wants one large
+/// product threaded, and what the microbenchmark prices [`spmm_into`]'s
+/// observability hook against.
 #[doc(hidden)]
 pub fn spmm_into_raw_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize) {
     spmm_rows(a, x, cols, y, threads, Plain);
 }
 
 /// Runs the row kernel with epilogue `epi` over every row of `a`, on
-/// `threads` workers (`0` = resolve from the environment).
+/// `threads` workers (`0` = auto).
 ///
 /// Row chunks are **nonzero-balanced**: boundaries are picked from the CSR
 /// row-pointer prefix sums so each worker handles ~`nnz/threads` stored
@@ -302,10 +299,8 @@ fn spmm_rows<E: Epilogue>(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], thread
             spmm_row(a.neighbors(u), a.neighbor_weights(u), x, cols, row * cols, out, epi);
         }
     };
-    let threads = if threads > 0 { resolve_threads(Some(threads)) } else { num_threads() }
-        .min(MAX_CHUNKS)
-        .min(n.max(1));
-    if threads <= 1 || n < 2 * threads || in_parallel_worker() {
+    let threads = resolve_threads(Some(threads)).min(MAX_CHUNKS).min(n.max(1));
+    if threads <= 1 || n < 2 * threads {
         body(0, y, 0..n);
         return;
     }

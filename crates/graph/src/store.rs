@@ -15,7 +15,7 @@
 //! ceiling rather than assert it.
 
 use crate::io::{pread_exact, CsrV2Summary, CsrV2Writer, IoError, V2Meta};
-use crate::par::{in_parallel_worker, num_threads, par_chunks_mut_at, resolve_threads};
+use crate::par::{par_chunks_mut_at, resolve_threads};
 use crate::spmm::spmm_one_row;
 use crate::{Csr, NormKind};
 use std::fs::File;
@@ -375,14 +375,6 @@ impl GraphStore {
         }
     }
 
-    /// The in-memory CSR, if this store is resident.
-    pub fn as_csr(&self) -> Option<&Csr> {
-        match self {
-            GraphStore::Mem(g) => Some(g),
-            GraphStore::Disk(_) => None,
-        }
-    }
-
     /// Materializes the graph in memory (clones the resident case).
     pub fn to_csr(&self) -> Result<Csr, IoError> {
         match self {
@@ -391,7 +383,8 @@ impl GraphStore {
         }
     }
 
-    /// `Y = A · X` with the environment-resolved thread count.
+    /// [`Self::spmm_into_threads`] at `threads = 0` (auto) — unlike
+    /// [`crate::spmm::spmm_into`], which stays on the calling thread.
     pub fn spmm_into(&self, x: &[f32], cols: usize, y: &mut [f32]) -> Result<(), IoError> {
         self.spmm_into_threads(x, cols, y, 0)
     }
@@ -487,10 +480,10 @@ pub fn spmm_chunked_into_threads(
             *err.lock().unwrap() = Some(e);
         }
     };
-    let threads = if threads > 0 { resolve_threads(Some(threads)) } else { num_threads() }
+    let threads = resolve_threads(Some(threads))
         .min(crate::spmm::MAX_CHUNKS)
         .min(a.num_chunks().max(1));
-    if threads <= 1 || in_parallel_worker() || n == 0 {
+    if threads <= 1 || n == 0 {
         if n > 0 {
             body(0, y, 0..n);
         }

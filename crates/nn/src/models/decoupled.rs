@@ -64,14 +64,6 @@ impl DecoupledModel {
         }
     }
 
-    /// Construction with an explicit precompute kind (used by the factory
-    /// for GBP's beta).
-    pub fn with_kind(cfg: &ModelConfig, kind: PrecomputeKind, in_dim: usize, num_classes: usize) -> Self {
-        let mut m = Self::new(cfg, in_dim, num_classes);
-        m.kind = kind;
-        m
-    }
-
     /// The model's scratch arena: tests assert what inference leaves in it.
     #[doc(hidden)]
     pub fn workspace(&self) -> &Workspace {

@@ -152,9 +152,6 @@ pub struct ModelConfig {
     pub batch_size: usize,
     /// GBP's β.
     pub beta: f32,
-    /// GraphSAGE: neighbors sampled per node per training epoch
-    /// (`0` = full-neighborhood mean aggregation).
-    pub sample_neighbors: usize,
     /// Parameter-init / batching seed.
     pub seed: u64,
 }
@@ -169,7 +166,6 @@ impl Default for ModelConfig {
             dropout: 0.0,
             batch_size: 256,
             beta: 0.5,
-            sample_neighbors: 0,
             seed: 0,
         }
     }

@@ -5,8 +5,8 @@
 //! The original trains with sampled neighborhoods; full-neighborhood mean
 //! aggregation is the expectation of that estimator and is exact on the
 //! small per-client subgraphs this reproduction trains on (substitution
-//! recorded in DESIGN.md). Backward through `Ā H` uses the precomputed
-//! transpose `Āᵀ` from the dataset.
+//! recorded in DESIGN.md). Both `Ā` and the precomputed transpose `Āᵀ`
+//! that backward through `Ā H` needs are borrowed from the dataset.
 //!
 //! Because each layer consumes the *doubled* width `[H ‖ ĀH]`, the layers
 //! cannot share one chained [`Mlp`]; each layer owns a single-linear `Mlp`
@@ -24,20 +24,15 @@ use crate::ops::{
 };
 use crate::optim::Optimizer;
 use crate::tensor::{MatView, Matrix};
-use fedgta_graph::{Csr, EdgeList};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// A full-batch GraphSAGE-mean model with optional per-epoch neighbor
-/// sampling (the original's training estimator; `0` = exact mean).
+/// A full-batch GraphSAGE-mean model (exact full-neighborhood mean).
 #[derive(Clone)]
 pub struct Sage {
     /// One single-linear Mlp per SAGE layer: `2·d_l × d_{l+1}`.
     lins: Vec<Mlp>,
     dropout: f32,
-    /// Neighbors sampled per node per training epoch (0 = all).
-    sample: usize,
     rng: StdRng,
 }
 
@@ -63,33 +58,8 @@ impl Sage {
         Self {
             lins,
             dropout: cfg.dropout,
-            sample: cfg.sample_neighbors,
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5851_f42d_4c95_7f2d),
         }
-    }
-
-    /// Draws a sampled mean-aggregator from the full one: per node, keep
-    /// up to `self.sample` random neighbors (self-loops always survive)
-    /// re-normalized to a row-stochastic matrix. Returns `(Ā_s, Ā_sᵀ)`.
-    fn sample_mean_adj(&mut self, data: &GraphDataset) -> (Csr, Csr) {
-        let n = data.adj_mean.num_nodes();
-        let mut el = EdgeList::with_capacity(n, n * (self.sample + 1));
-        let mut pool: Vec<u32> = Vec::new();
-        for u in 0..n as u32 {
-            pool.clear();
-            pool.extend(data.adj_mean.neighbors(u).iter().copied().filter(|&v| v != u));
-            let take = self.sample.min(pool.len());
-            pool.shuffle(&mut self.rng);
-            // Self-loop plus sampled neighbors, uniformly weighted.
-            let w = 1.0 / (take as f32 + 1.0);
-            el.push_weighted(u, u, w).expect("in range");
-            for &v in &pool[..take] {
-                el.push_weighted(u, v, w).expect("in range");
-            }
-        }
-        let a = el.to_csr();
-        let t = a.transpose();
-        (a, t)
     }
 
     fn num_layers(&self) -> usize {
@@ -109,19 +79,14 @@ impl Sage {
         self.lins[..l].iter().map(|m| m.num_params()).sum()
     }
 
-    fn forward(
-        &mut self,
-        data: &GraphDataset,
-        adj: &Csr,
-        train: bool,
-    ) -> (Matrix, SageCache) {
+    fn forward(&mut self, data: &GraphDataset, train: bool) -> (Matrix, SageCache) {
         let layers = self.num_layers();
         let mut concat = Vec::with_capacity(layers);
         let mut hidden_out = Vec::with_capacity(layers - 1);
         let mut dropout_masks = Vec::with_capacity(layers - 1);
         let mut cur = data.features.clone();
         for l in 0..layers {
-            let agg = spmm_csr(adj, &cur);
+            let agg = spmm_csr(&data.adj_mean, &cur);
             let cat = cur.hcat(&agg);
             let w = self.weight(l);
             let mut z = Matrix::zeros(cat.rows(), w.cols());
@@ -164,7 +129,7 @@ impl Sage {
 
     fn backward(
         &self,
-        adj_t: &Csr,
+        data: &GraphDataset,
         cache: &SageCache,
         d_logits: &Matrix,
         hidden_grad: Option<&Matrix>,
@@ -188,7 +153,7 @@ impl Sage {
             let half = cat.cols() / 2;
             let (d_direct, d_agg) = dcat.hsplit(half);
             // dH = d_direct + Āᵀ d_agg.
-            let mut dx = spmm_csr(adj_t, &d_agg);
+            let mut dx = spmm_csr(&data.adj_mean_t, &d_agg);
             dx.axpy(1.0, &d_direct);
             if l == layers - 1 {
                 if let Some(hg) = hidden_grad {
@@ -251,15 +216,7 @@ impl GraphModel for Sage {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
     ) -> f32 {
-        // Per-epoch neighbor sampling (GraphSAGE's stochastic estimator).
-        let sampled = (self.sample > 0).then(|| self.sample_mean_adj(data));
-        let (adj, adj_t) = match &sampled {
-            Some((a, t)) => (a, t),
-            None => (&data.adj_mean, &data.adj_mean_t),
-        };
-        let adj = adj.clone();
-        let adj_t = adj_t.clone();
-        let (logits, cache) = self.forward(data, &adj, true);
+        let (logits, cache) = self.forward(data, true);
         let (loss, mut d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
         if let Some(pl) = hooks.pseudo.as_ref() {
             let rows: Vec<u32> = (0..data.num_nodes() as u32)
@@ -282,7 +239,7 @@ impl GraphModel for Sage {
         } else {
             None
         };
-        let mut grads = self.backward(&adj_t, &cache, &d_logits, hidden_grad.as_ref());
+        let mut grads = self.backward(data, &cache, &d_logits, hidden_grad.as_ref());
         if let Some(gh) = hooks.grad_hook.as_mut() {
             let p = self.params();
             gh(&p, &mut grads);
@@ -295,9 +252,7 @@ impl GraphModel for Sage {
     }
 
     fn predict(&mut self, data: &GraphDataset) -> Matrix {
-        // Inference always uses the exact full-neighborhood mean.
-        let adj = data.adj_mean.clone();
-        let (mut logits, _) = self.forward(data, &adj, false);
+        let (mut logits, _) = self.forward(data, false);
         softmax_rows_inplace(&mut logits);
         logits
     }
@@ -357,39 +312,12 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_sampling_trains_and_stays_stochastic() {
-        let data = toy_dataset(22);
-        let mut c = cfg();
-        c.sample_neighbors = 2;
-        let mut m = Sage::new(&c, data.num_features(), 2);
-        // Two sampled adjacencies from the same data differ (stochastic)…
-        let (a1, _) = m.sample_mean_adj(&data);
-        let (a2, _) = m.sample_mean_adj(&data);
-        assert_ne!(a1, a2, "sampling produced identical draws");
-        // …every row is stochastic and capped at sample+1 entries…
-        for u in 0..a1.num_nodes() as u32 {
-            assert!(a1.degree(u) <= 3);
-            let s: f32 = a1.neighbor_weights(u).unwrap().iter().sum();
-            assert!((s - 1.0).abs() < 1e-5);
-        }
-        // …and training still learns the toy task.
-        let mut opt = Adam::new(0.05, 0.0);
-        for _ in 0..60 {
-            m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
-        }
-        let acc = accuracy(&m.predict(&data), &data.labels, &data.test_nodes);
-        assert!(acc > 0.85, "acc = {acc}");
-    }
-
-    #[test]
     fn sage_gradient_matches_finite_differences() {
         let data = toy_dataset(21);
         let mut m = Sage::new(&cfg(), data.num_features(), 2);
-        let adj = data.adj_mean.clone();
-        let adj_t = data.adj_mean_t.clone();
-        let (logits, cache) = m.forward(&data, &adj, false);
+        let (logits, cache) = m.forward(&data, false);
         let (_, d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
-        let grads = m.backward(&adj_t, &cache, &d_logits, None);
+        let grads = m.backward(&data, &cache, &d_logits, None);
         let eps = 1e-2f32;
         let n = m.num_params();
         for idx in (0..n).step_by(n / 11 + 1) {
@@ -397,10 +325,10 @@ mod tests {
             let orig = p[idx];
             p[idx] = orig + eps;
             m.set_params(&p);
-            let (lp, _) = softmax_ce(&m.forward(&data, &adj, false).0, &data.labels, &data.train_nodes);
+            let (lp, _) = softmax_ce(&m.forward(&data, false).0, &data.labels, &data.train_nodes);
             p[idx] = orig - eps;
             m.set_params(&p);
-            let (lm, _) = softmax_ce(&m.forward(&data, &adj, false).0, &data.labels, &data.train_nodes);
+            let (lm, _) = softmax_ce(&m.forward(&data, false).0, &data.labels, &data.train_nodes);
             p[idx] = orig;
             m.set_params(&p);
             let fd = (lp - lm) / (2.0 * eps);

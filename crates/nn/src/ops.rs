@@ -1,5 +1,5 @@
-//! Dense compute kernels: register-blocked, allocation-free, and parallel
-//! over row chunks.
+//! Dense compute kernels: register-blocked, allocation-free, and run on
+//! the thread that calls them.
 //!
 //! All three transpose variants needed by MLP backprop are provided:
 //! `C = A·B` (forward), `C = Aᵀ·B` (weight gradients), `C = A·Bᵀ`
@@ -59,19 +59,19 @@
 //!
 //! ## Determinism
 //!
-//! Parallelism reuses the deterministic row chunking of
-//! [`fedgta_graph::par`]: every output element is produced by exactly one
-//! worker with a fixed accumulation order, so results are bit-identical
-//! for any thread count. The *fixed order itself* differs from the
-//! pre-blocking kernels (lane-split dot products, no zero-skip), which may
-//! shift floats against old baselines — but never across thread counts.
+//! A dense kernel has no thread count: it never spawns and never reads
+//! `FEDGTA_THREADS`, and every output element has one fixed accumulation
+//! order — so its bits cannot depend on how many workers the *caller*
+//! (a client-parallel round, evaluation, the Eq. 6/7 server rows) runs it
+//! from. The *fixed order itself* differs from the pre-blocking kernels
+//! (lane-split dot products, no zero-skip), which may shift floats against
+//! old baselines.
 //!
 //! A straightforward scalar reference implementation is retained in
 //! [`naive`] for property tests and as the "before" baseline of the kernel
 //! microbenchmarks.
 
 use crate::tensor::{MatView, Matrix};
-use fedgta_graph::par::par_chunks_mut;
 
 /// Records `2·m·k·n` into the `kernel.matmul.flops` counter (all dense
 /// kernel shapes reduce to one multiply-add per `(i,kk,j)` triple). The
@@ -196,26 +196,21 @@ fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: u
     }
 }
 
-/// Runs the multi-row micro-kernel over a chunk of pre-initialized output
-/// rows (`chunk.len() == rows.len() * n`), falling back to [`gemm_row`]
-/// for the `rows % ROW_BLOCK` tail. Bit-identical to calling [`gemm_row`]
-/// on every row.
+/// Runs the multi-row micro-kernel over the `m` pre-initialized rows of
+/// `out` (`out.len() == m * n`), falling back to [`gemm_row`] for the
+/// `m % ROW_BLOCK` tail. Bit-identical to calling [`gemm_row`] on every
+/// row.
 #[inline]
-fn gemm_band(chunk: &mut [f32], rows: std::ops::Range<usize>, ad: &[f32], k: usize, bd: &[f32], n: usize) {
-    let count = rows.len();
-    let start = rows.start;
-    let rb = count / ROW_BLOCK * ROW_BLOCK;
+fn gemm_band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usize) {
+    let rb = m / ROW_BLOCK * ROW_BLOCK;
     let mut r = 0;
     while r < rb {
-        let row = start + r;
-        let arows: [&[f32]; ROW_BLOCK] =
-            std::array::from_fn(|i| &ad[(row + i) * k..(row + i + 1) * k]);
-        gemm_rows_tile(&mut chunk[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
+        let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+        gemm_rows_tile(&mut out[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
         r += ROW_BLOCK;
     }
-    while r < count {
-        let row = start + r;
-        gemm_row(&mut chunk[r * n..(r + 1) * n], &ad[row * k..(row + 1) * k], bd, n);
+    while r < m {
+        gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], bd, n);
         r += 1;
     }
 }
@@ -223,7 +218,7 @@ fn gemm_band(chunk: &mut [f32], rows: std::ops::Range<usize>, ad: &[f32], k: usi
 /// One output row of `C = A·B`: `out += arow · B`, k-blocked by 4.
 ///
 /// `out` must be pre-initialized (zero, or the bias for the fused
-/// epilogue); accumulation order over `k` is fixed and chunk-independent.
+/// epilogue); accumulation order over `k` is fixed.
 #[inline]
 fn gemm_row(out: &mut [f32], arow: &[f32], bd: &[f32], n: usize) {
     let k = arow.len();
@@ -283,11 +278,8 @@ pub fn matmul_into_raw(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let (m, k) = a.shape();
     let n = b.cols();
     assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    par_chunks_mut(out, m, n, |_, chunk, range| {
-        chunk.fill(0.0);
-        gemm_band(chunk, range, ad, k, bd, n);
-    });
+    out.fill(0.0);
+    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
 }
 
 /// Fused hidden-layer epilogue: `out = relu(A·B + bias)` (`bias` is
@@ -300,18 +292,15 @@ pub fn matmul_bias_relu_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: 
     let n = b.cols();
     assert_eq!(bias.len(), n, "bias length mismatch");
     assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    par_chunks_mut(out, m, n, |_, chunk, range| {
-        for orow in chunk.chunks_exact_mut(n) {
-            orow.copy_from_slice(bias);
+    for orow in out.chunks_exact_mut(n) {
+        orow.copy_from_slice(bias);
+    }
+    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
+    for v in out.iter_mut() {
+        if *v < 0.0 {
+            *v = 0.0;
         }
-        gemm_band(chunk, range, ad, k, bd, n);
-        for v in chunk.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-    });
+    }
 }
 
 /// Linear-layer epilogue without activation: `out = A·B + bias`.
@@ -322,13 +311,10 @@ pub fn matmul_bias_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: &mut 
     let n = b.cols();
     assert_eq!(bias.len(), n, "bias length mismatch");
     assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    let (ad, bd) = (a.as_slice(), b.as_slice());
-    par_chunks_mut(out, m, n, |_, chunk, range| {
-        for orow in chunk.chunks_exact_mut(n) {
-            orow.copy_from_slice(bias);
-        }
-        gemm_band(chunk, range, ad, k, bd, n);
-    });
+    for orow in out.chunks_exact_mut(n) {
+        orow.copy_from_slice(bias);
+    }
+    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
 }
 
 /// Outer-dimension (`i`) steps per transpose-packed `A` panel in
@@ -356,37 +342,34 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let n = b.cols();
     assert_eq!(out.len(), k * n, "matmul_tn output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
-    par_chunks_mut(out, k, n, |_, chunk, range| {
-        chunk.fill(0.0);
-        let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
-        // Panels outermost: `B` and `A` stream through once, and the
-        // `TN_PANEL × n` block of `B` stays cached across every band.
-        for i0 in (0..m).step_by(TN_PANEL) {
-            let len = TN_PANEL.min(m - i0);
-            let bblk = &bd[i0 * n..(i0 + len) * n];
-            let mut r = 0;
-            while r < range.len() {
-                let rows = ROW_BLOCK.min(range.len() - r);
-                let kk0 = range.start + r;
-                for ii in 0..len {
-                    let ablk = &ad[(i0 + ii) * k + kk0..][..rows];
-                    for (prow, &av) in panel.iter_mut().zip(ablk) {
-                        prow[ii] = av;
-                    }
+    out.fill(0.0);
+    let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
+    // Panels outermost: `B` and `A` stream through once, and the
+    // `TN_PANEL × n` block of `B` stays cached across every band.
+    for i0 in (0..m).step_by(TN_PANEL) {
+        let len = TN_PANEL.min(m - i0);
+        let bblk = &bd[i0 * n..(i0 + len) * n];
+        let mut r = 0;
+        while r < k {
+            let rows = ROW_BLOCK.min(k - r);
+            for ii in 0..len {
+                let ablk = &ad[(i0 + ii) * k + r..][..rows];
+                for (prow, &av) in panel.iter_mut().zip(ablk) {
+                    prow[ii] = av;
                 }
-                let band = &mut chunk[r * n..(r + rows) * n];
-                if rows == ROW_BLOCK {
-                    let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
-                    gemm_rows_tile(band, &arows, bblk, n);
-                } else {
-                    for (rr, prow) in panel.iter().enumerate().take(rows) {
-                        gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
-                    }
-                }
-                r += rows;
             }
+            let band = &mut out[r * n..(r + rows) * n];
+            if rows == ROW_BLOCK {
+                let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
+                gemm_rows_tile(band, &arows, bblk, n);
+            } else {
+                for (rr, prow) in panel.iter().enumerate().take(rows) {
+                    gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
+                }
+            }
+            r += rows;
         }
-    });
+    }
 }
 
 /// `C = A · Bᵀ` with `A: m×k`, `B: n×k`, written into `out` (`m·n`,
@@ -402,15 +385,13 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let n = b.rows();
     assert_eq!(out.len(), m * n, "matmul_nt output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
-    par_chunks_mut(out, m, n, |_, chunk, range| {
-        for (local, row) in range.enumerate() {
-            let arow = &ad[row * k..(row + 1) * k];
-            let orow = &mut chunk[local * n..(local + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = dot_lanes(arow, &bd[j * k..(j + 1) * k]);
-            }
+    for row in 0..m {
+        let arow = &ad[row * k..(row + 1) * k];
+        let orow = &mut out[row * n..(row + 1) * n];
+        for (j, o) in orow.iter_mut().enumerate() {
+            *o = dot_lanes(arow, &bd[j * k..(j + 1) * k]);
         }
-    });
+    }
 }
 
 /// `C = A · B` into a fresh matrix (allocating wrapper of [`matmul_into`]).

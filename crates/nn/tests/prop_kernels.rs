@@ -1,12 +1,13 @@
 //! Property tests for the register-blocked kernels: agreement with the
-//! retained naive scalar kernels over random shapes, and the determinism
-//! contract (bit-identical output for any worker-thread count).
+//! retained naive scalar kernels over random shapes, bit-identity with
+//! them where the accumulation order is the same, and the determinism
+//! contract of the one kernel entry that takes a thread count.
 
-use fedgta_graph::par::refresh_thread_env;
+use fedgta_graph::spmm::spmm_into_raw_threads;
 use fedgta_graph::EdgeList;
 use fedgta_nn::ops::{
-    self, matmul, matmul_bias_into, matmul_bias_relu_into, matmul_into, matmul_nt, matmul_nt_into,
-    matmul_tn, matmul_tn_into, spmm_csr_into,
+    self, matmul, matmul_bias_into, matmul_bias_relu_into, matmul_into, matmul_nt, matmul_tn,
+    matmul_tn_into, spmm_csr_into,
 };
 use fedgta_nn::Matrix;
 use proptest::prelude::*;
@@ -114,22 +115,67 @@ proptest! {
     }
 }
 
-/// The determinism contract, end to end: every `_into` kernel produces
-/// bit-identical output under `FEDGTA_THREADS=1` and `FEDGTA_THREADS=4`.
-///
-/// A single `#[test]` (not one per kernel) because `FEDGTA_THREADS` is
-/// process-global: the test harness runs tests concurrently and parallel
-/// env mutation would race.
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The kernels built on the forward micro-kernel accumulate every output
+/// element in strict increasing-`k` (`matmul_tn`: increasing-`i`) order —
+/// the order of the scalar loops in `ops::naive` — so they agree with them
+/// by `to_bits`, whatever the tile, band and panel boundaries: `m` around
+/// `matmul_tn`'s 256-step panels, short last bands (`k % 8 ≠ 0`), column
+/// tails (`n % 16 ≠ 0`), an `out` pre-filled with garbage. (`gen` yields no
+/// zero, so `naive`'s zero-skip never fires. `matmul_nt_into` sums in
+/// lanes, not in `naive`'s order; the tolerance tests above cover it.)
+#[test]
+fn forward_kernel_family_matches_naive_bitwise() {
+    for &m in &[0usize, 1, 255, 256, 257, 513] {
+        for &k in &[3usize, 9, 20, 67] {
+            for &n in &[7usize, 16, 17, 40] {
+                let what = format!("m={m} k={k} n={n}");
+                let a = gen(m, k, (m + k) as u64);
+                let dy = gen(m, n, (m + n + 1) as u64);
+                let mut out = vec![f32::NAN; k * n];
+                matmul_tn_into(a.view(), dy.view(), &mut out);
+                assert_eq!(bits(&out), bits(ops::naive::matmul_tn(&a, &dy).as_slice()), "matmul_tn {what}");
+
+                let w = gen(k, n, (k + n + 2) as u64);
+                let mut out = vec![f32::NAN; m * n];
+                matmul_into(a.view(), w.view(), &mut out);
+                assert_eq!(bits(&out), bits(ops::naive::matmul(&a, &w).as_slice()), "matmul {what}");
+
+                // The fused epilogues seed the accumulator with the bias.
+                let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 10.0) * 0.05).collect();
+                let mut want = vec![0f32; m * n];
+                for (i, row) in want.chunks_exact_mut(n).enumerate() {
+                    for (j, o) in row.iter_mut().enumerate() {
+                        *o = (0..k).fold(bias[j], |s, kk| s + a.get(i, kk) * w.get(kk, j));
+                    }
+                }
+                matmul_bias_into(a.view(), w.view(), &bias, &mut out);
+                assert_eq!(bits(&out), bits(&want), "matmul_bias {what}");
+                for v in &mut want {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+                matmul_bias_relu_into(a.view(), w.view(), &bias, &mut out);
+                assert_eq!(bits(&out), bits(&want), "matmul_bias_relu {what}");
+            }
+        }
+    }
+}
+
+/// The determinism contract of the one `_into` kernel that still takes a
+/// thread count: SpMM through its explicit entry is bit-identical at 1 and
+/// 4 threads (and the calling-thread `spmm_csr_into` is the 1-thread run).
+/// The dense kernels have no thread count left to sweep.
 #[test]
 fn into_kernels_bit_identical_across_thread_counts() {
     // Row count well above `2 * threads` so the 4-thread run actually
     // splits; odd sizes so chunk boundaries are ragged.
-    let (m, k, n) = (67usize, 19usize, 23usize);
-    let a = gen(m, k, 11);
-    let w = gen(k, n, 12);
-    let dy = gen(m, n, 13);
-    let bn = gen(n, k, 14);
-    let bias: Vec<f32> = (0..n).map(|i| (i as f32 - 10.0) * 0.05).collect();
+    let (m, k) = (67usize, 19usize);
+    let x = gen(m, k, 11);
     let mut el = EdgeList::new(m);
     for i in 0..m as u32 {
         let j = (i + 1) % m as u32;
@@ -138,46 +184,14 @@ fn into_kernels_bit_identical_across_thread_counts() {
         }
     }
     let csr = el.to_csr();
-
-    let run_all = |threads: &str| -> Vec<Vec<u32>> {
-        std::env::set_var("FEDGTA_THREADS", threads);
-        refresh_thread_env();
-        let mut outs = Vec::new();
-        let mut o = vec![0f32; m * n];
-        matmul_into(a.view(), w.view(), &mut o);
-        outs.push(o.iter().map(|v| v.to_bits()).collect());
-        let mut o = vec![0f32; m * n];
-        matmul_bias_relu_into(a.view(), w.view(), &bias, &mut o);
-        outs.push(o.iter().map(|v| v.to_bits()).collect());
-        let mut o = vec![0f32; m * n];
-        matmul_bias_into(a.view(), w.view(), &bias, &mut o);
-        outs.push(o.iter().map(|v| v.to_bits()).collect());
-        let mut o = vec![0f32; k * n];
-        matmul_tn_into(a.view(), dy.view(), &mut o);
-        outs.push(o.iter().map(|v| v.to_bits()).collect());
-        let mut o = vec![0f32; m * n];
-        matmul_nt_into(a.view(), bn.view(), &mut o);
-        outs.push(o.iter().map(|v| v.to_bits()).collect());
-        let mut y = Matrix::zeros(m, k);
-        spmm_csr_into(&csr, &a, &mut y);
-        outs.push(y.as_slice().iter().map(|v| v.to_bits()).collect());
-        outs
+    let run = |threads: usize| {
+        let mut y = vec![f32::NAN; m * k];
+        spmm_into_raw_threads(&csr, x.as_slice(), k, &mut y, threads);
+        bits(&y)
     };
-
-    let one = run_all("1");
-    let four = run_all("4");
-    std::env::remove_var("FEDGTA_THREADS");
-    refresh_thread_env();
-
-    let names = [
-        "matmul_into",
-        "matmul_bias_relu_into",
-        "matmul_bias_into",
-        "matmul_tn_into",
-        "matmul_nt_into",
-        "spmm_csr_into",
-    ];
-    for ((name, a1), a4) in names.iter().zip(&one).zip(&four) {
-        assert_eq!(a1, a4, "{name} differs between 1 and 4 threads");
-    }
+    let one = run(1);
+    assert_eq!(one, run(4), "spmm differs between 1 and 4 threads");
+    let mut y = Matrix::zeros(m, k);
+    spmm_csr_into(&csr, &x, &mut y);
+    assert_eq!(one, bits(y.as_slice()), "spmm_csr_into is the 1-thread kernel");
 }

@@ -30,6 +30,14 @@ impl JsonVal {
         }
     }
 
+    /// The value as f64, if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonVal::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The value as &str, if textual.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -431,6 +439,22 @@ pub struct RoundRow {
     pub dropped: u64,
     /// Message retransmissions this round (from `retries`).
     pub retries: u64,
+    /// What FedGTA's server decided this round, when its `aggregate` span
+    /// recorded it.
+    pub decision: Option<Decision>,
+}
+
+/// One round's Eq. 6 / Eq. 7 decision, off FedGTA's `aggregate` span.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Decision {
+    /// Effective ε (after the adaptive quantile).
+    pub epsilon: f64,
+    /// Mean aggregation-set size `|Iᵢ|`.
+    pub members_mean: f64,
+    /// Fraction of off-diagonal similarity pairs at or above ε.
+    pub sim_above_eps: f64,
+    /// Uploads rejected for an invalid weight source.
+    pub rejected: u64,
 }
 
 /// Per-client `client_train` aggregate.
@@ -581,7 +605,18 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
                 if let Some(ri) = enclosing_round(*parent, &parents, &round_of_span) {
                     match name.as_str() {
                         "train" => rounds[ri].train_ns += dur_ns,
-                        "aggregate" => rounds[ri].aggregate_ns += dur_ns,
+                        "aggregate" => {
+                            rounds[ri].aggregate_ns += dur_ns;
+                            let num = |key: &str| fields.get(key).and_then(JsonVal::as_f64);
+                            if let Some(epsilon) = num("epsilon") {
+                                rounds[ri].decision = Some(Decision {
+                                    epsilon,
+                                    members_mean: num("members_mean").unwrap_or(0.0),
+                                    sim_above_eps: num("sim_above_eps").unwrap_or(0.0),
+                                    rejected: num("rejected").unwrap_or(0.0) as u64,
+                                });
+                            }
+                        }
                         "eval" => rounds[ri].eval_ns += dur_ns,
                         _ => {}
                     }
@@ -837,6 +872,20 @@ pub fn render_report(s: &TraceSummary) -> String {
                 fmt_ms(r.eval_ns),
                 fmt_bytes(r.bytes_up),
                 fmt_bytes(r.bytes_down),
+            ));
+        }
+    }
+
+    if s.rounds.iter().any(|r| r.decision.is_some()) {
+        out.push_str("\nFedGTA decisions (Eq. 6 sets, Eq. 7 inputs):\n");
+        out.push_str(&format!(
+            "{:<6} {:>6} {:>9} {:>13} {:>13} {:>9}\n",
+            "round", "parts", "epsilon", "members_mean", "sim_above_eps", "rejected"
+        ));
+        for (r, d) in s.rounds.iter().filter_map(|r| r.decision.map(|d| (r, d))) {
+            out.push_str(&format!(
+                "{:<6} {:>6} {:>9.4} {:>13.2} {:>13.3} {:>9}\n",
+                r.round, r.completed, d.epsilon, d.members_mean, d.sim_above_eps, d.rejected
             ));
         }
     }

@@ -109,6 +109,19 @@ fn traced_run_emits_complete_round_span_tree() {
         .collect();
     assert_eq!(confidences.len(), 4 * records.len());
     assert!(confidences.iter().all(|h| matches!(h, fedgta_obs::JsonVal::Num(h) if *h > 0.0)));
+    // Eq. 6/7 is a stage with a decision: the effective ε, the mean set
+    // size, the share of pairs at or above ε and the rejections, per round.
+    for row in &summary.rounds {
+        let d = row.decision.expect("FedGTA's aggregate span carries its decision");
+        assert_eq!(d.epsilon as f32, fedgta::FedGtaConfig::default().epsilon);
+        assert!((0.0..=1.0).contains(&d.sim_above_eps), "{d:?}");
+        // A set is its owner plus every other client at or above ε.
+        assert!((d.members_mean - (1.0 + 3.0 * d.sim_above_eps)).abs() < 1e-9, "{d:?}");
+        assert_eq!(d.rejected, 0);
+    }
+    // Recording the decision reads the report; it moves no result bit.
+    let untraced = run_sim(Box::new(FedGta::with_defaults()), 2, 4);
+    assert_same_numbers(&untraced, &records, "FedGTA untraced vs traced");
     // Strategy rollup and metric flush rows made it into the trace.
     assert_eq!(summary.strategies.len(), 1);
     assert_eq!(summary.strategies[0].strategy, "FedGTA");
@@ -123,9 +136,9 @@ fn traced_run_emits_complete_round_span_tree() {
     // The pooled Algorithm-1 scratch is a tracked resource peak.
     let scratch = summary.metrics.iter().find(|m| m.name == "fedgta.metric_scratch.bytes");
     assert!(scratch.is_some_and(|m| m.value > 0), "{scratch:?}");
-    // The report renders without panicking and mentions the strategy.
+    // The report renders without panicking and carries the decisions table.
     let report = fedgta_obs::render_report(&summary);
-    assert!(report.contains("FedGTA"));
+    assert!(report.contains("FedGTA decisions"), "{report}");
 }
 
 #[test]

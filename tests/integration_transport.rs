@@ -442,6 +442,46 @@ fn plain_broadcasts_never_become_wire_bytes() {
 }
 
 #[test]
+fn every_broadcasting_strategy_sends_its_model_through_the_download_codec() {
+    // A strategy that installs its start-of-round model inside the
+    // training closure hides it from the executor: the download codec
+    // meters nothing and the clients train from the server's exact copy.
+    // Declared, the broadcast is wire bytes and local training starts from
+    // the decoded (lossy) vector — so a round's loss differs from the
+    // clean channel's from the first broadcast on.
+    let down_i8 = || CommsConfig {
+        codec_down: Some(CodecSpec::parse("quant-i8").expect("valid spec")),
+        ..CommsConfig::default()
+    };
+    for (label, make) in all_strategies() {
+        if label == "LocalOnly" {
+            continue;
+        }
+        let (clean, _) = run_sim_light(make(), 2, CommsConfig::default());
+        let (coded, _) = run_sim_light(make(), 2, down_i8());
+        // FedGTA has no personalized model to send before it has
+        // aggregated once.
+        let first = usize::from(label == "FedGTA");
+        for (r, c) in coded.iter().zip(&clean).skip(first) {
+            assert!(
+                r.bytes_downloaded_encoded > 0
+                    && r.bytes_downloaded_encoded < r.bytes_downloaded_raw / 3,
+                "{label} round {}: {} raw broadcast bytes, {} on the wire",
+                r.round,
+                r.bytes_downloaded_raw,
+                r.bytes_downloaded_encoded
+            );
+            assert_ne!(
+                r.mean_loss.to_bits(),
+                c.mean_loss.to_bits(),
+                "{label} round {}: trained from the server's copy, not the decoded broadcast",
+                r.round
+            );
+        }
+    }
+}
+
+#[test]
 fn chaos_with_error_feedback_replays_bit_identically() {
     // The replay-semantics contract under fire: drops, corruption and
     // crashes hit coded uploads while error feedback carries residuals
