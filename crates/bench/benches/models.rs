@@ -27,16 +27,7 @@ fn dataset() -> GraphDataset {
 }
 
 fn cfg(kind: ModelKind) -> ModelConfig {
-    ModelConfig {
-        kind,
-        hidden: 64,
-        layers: if kind == ModelKind::Sgc { 1 } else { 2 },
-        k: 5,
-        beta: 0.15,
-        batch_size: 256,
-        seed: 0,
-        ..ModelConfig::default()
-    }
+    ModelConfig::paper(kind, 64, 0)
 }
 
 fn bench_train_epoch(c: &mut Criterion) {

@@ -15,24 +15,8 @@ use fedgta_nn::models::{ModelConfig, ModelKind};
 fn run_once(dataset: &str, strategy: Box<dyn Strategy>, rounds: usize, seed: u64) -> f64 {
     let bench = load_benchmark(dataset, seed).expect("dataset");
     let parts = partition_benchmark(&bench, SplitKind::Louvain, 10, seed);
-    let clients = build_clients(
-        &bench,
-        &parts,
-        &ClientBuildConfig {
-            model: ModelConfig {
-                kind: ModelKind::Gamlp,
-                hidden: 32,
-                layers: 2,
-                k: 5,
-                beta: 0.15,
-                seed,
-                ..ModelConfig::default()
-            },
-            lr: 0.02,
-            weight_decay: 5e-4,
-            halo: false,
-        },
-    );
+    let model = ModelConfig::paper(ModelKind::Gamlp, 32, seed);
+    let clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(model, false));
     let mut sim = Simulation::new(
         clients,
         strategy,

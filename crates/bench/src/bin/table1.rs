@@ -156,24 +156,13 @@ fn inference_times(full: bool) {
     let parts = partition_benchmark(&bench, SplitKind::Louvain, 10, 0);
     let mut t = Table::new(&["model", "cold (s)", "warm (s)"]);
     for kind in ModelKind::all() {
-        let mut clients = build_clients(
-            &bench,
-            &parts,
-            &ClientBuildConfig {
-                model: ModelConfig {
-                    kind,
-                    hidden: 64,
-                    layers: if kind == ModelKind::Sgc { 1 } else { 2 },
-                    k: 5,
-                    beta: 0.15,
-                    seed: 0,
-                    ..ModelConfig::default()
-                },
-                lr: 0.01,
-                weight_decay: 0.0,
-                halo: false,
-            },
-        );
+        // Inference only: the optimizer never steps, whatever it is set to.
+        let build = ClientBuildConfig {
+            lr: 0.01,
+            weight_decay: 0.0,
+            ..ClientBuildConfig::paper(ModelConfig::paper(kind, 64, 0), false)
+        };
+        let mut clients = build_clients(&bench, &parts, &build);
         // Cold: includes decoupled models' one-time propagation precompute.
         let (_, cold_ns) = fedgta_obs::timed("table1.inference_cold", || {
             for c in clients.iter_mut() {

@@ -250,25 +250,8 @@ fn run_sim(grid: &Grid, strategy: &str, cell: Cell, threads: usize) -> Vec<Round
     let seed = 7u64;
     let bench = load_benchmark(&grid.dataset, seed).expect("known dataset");
     let parts = partition_benchmark(&bench, SplitKind::Louvain, grid.clients, seed);
-    let clients = build_clients(
-        &bench,
-        &parts,
-        &ClientBuildConfig {
-            model: ModelConfig {
-                kind: ModelKind::Sgc,
-                hidden: 32,
-                layers: 1,
-                k: 5,
-                beta: 0.15,
-                batch_size: 256,
-                seed,
-                ..ModelConfig::default()
-            },
-            lr: 0.02,
-            weight_decay: 5e-4,
-            halo: false,
-        },
-    );
+    let model = ModelConfig::paper(ModelKind::Sgc, 32, seed);
+    let clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(model, false));
     let parse = |c: Option<&str>| c.map(|c| CodecSpec::parse(c).expect("valid codec spec"));
     let mut sim = Simulation::new(
         clients,

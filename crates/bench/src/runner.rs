@@ -189,25 +189,8 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
         let bench = load_benchmark(&spec.dataset, seed).expect("known dataset");
         let parts = partition_benchmark(&bench, spec.split, spec.clients, seed);
         let needs_halo = spec.halo || spec.strategy.starts_with("FedGL");
-        let clients = build_clients(
-            &bench,
-            &parts,
-            &ClientBuildConfig {
-                model: ModelConfig {
-                    kind: spec.model,
-                    hidden: spec.hidden,
-                    layers: if spec.model == ModelKind::Sgc { 1 } else { 2 },
-                    k: 5,
-                    beta: 0.15,
-                    batch_size: 256,
-                    seed,
-                    ..ModelConfig::default()
-                },
-                lr: 0.02,
-                weight_decay: 5e-4,
-                halo: needs_halo,
-            },
-        );
+        let model = ModelConfig::paper(spec.model, spec.hidden, seed);
+        let clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(model, needs_halo));
         let mut sim = Simulation::new(
             clients,
             make_strategy(&spec.strategy),
@@ -246,20 +229,8 @@ pub fn run_global(
         let s = seed + run as u64;
         let bench = load_benchmark(dataset, s).expect("known dataset");
         let data = bench.to_dataset();
-        let mut m = build_model(
-            &ModelConfig {
-                kind: model,
-                hidden,
-                layers: if model == ModelKind::Sgc { 1 } else { 2 },
-                k: 5,
-                beta: 0.15,
-                batch_size: 256,
-                seed: s,
-                ..ModelConfig::default()
-            },
-            data.num_features(),
-            data.num_classes,
-        );
+        let cfg = ModelConfig::paper(model, hidden, s);
+        let mut m = build_model(&cfg, data.num_features(), data.num_classes);
         let mut opt = Adam::new(0.02, 5e-4);
         let mut best = 0f64;
         for e in 0..epochs {

@@ -30,7 +30,10 @@ use fedgta_data::{stream_sbm, SbmConfig};
 use fedgta_fed::client::Client;
 use fedgta_fed::round::{SimConfig, Simulation};
 use fedgta_graph::io::{CsrV2Writer, IoError};
-use fedgta_graph::store::{normalize_stream, ChunkedCsr, CsrBuilder, GraphStore, RowSink, TileBuf};
+use fedgta_graph::spmm::spmm_into_raw_threads;
+use fedgta_graph::store::{
+    normalize_stream, spmm_chunked_into_threads, ChunkedCsr, CsrBuilder, RowSink, TileBuf,
+};
 use fedgta_graph::NormKind;
 use fedgta_nn::models::{build_model, ModelConfig, ModelKind};
 use fedgta_nn::{Adam, GraphDataset, Matrix};
@@ -230,11 +233,11 @@ pub fn generate_raw(n: usize, avg_degree: f64, seed: u64, dir: &Path) -> Result<
     })
 }
 
-/// Times `reps` SpMMs through `store` and returns (seconds-per-spmm).
-fn time_spmm(store: &GraphStore, x: &[f32], cols: usize, y: &mut [f32], threads: usize, reps: usize) -> f64 {
+/// Times `reps` runs of one SpMM and returns seconds per run.
+fn time_spmm(reps: usize, mut spmm: impl FnMut()) -> f64 {
     let t0 = Instant::now();
     for _ in 0..reps {
-        store.spmm_into_threads(x, cols, y, threads).expect("spmm");
+        spmm();
     }
     t0.elapsed().as_secs_f64() / reps as f64
 }
@@ -253,8 +256,8 @@ pub fn run_cell(n: usize, avg_degree: f64, seed: u64, dir: &Path, keep_raw: bool
     let norm_s = t0.elapsed().as_secs_f64();
     let edges = summary.edges as usize;
 
-    let disk = GraphStore::open(&norm_path).expect("open normalized v2");
-    let mem = GraphStore::Mem(disk.to_csr().expect("materialize normalized adjacency"));
+    let disk = ChunkedCsr::open(&norm_path).expect("open normalized v2");
+    let mem = disk.to_csr().expect("materialize normalized adjacency");
 
     let cols = FEATURE_DIM;
     let x: Vec<f32> = (0..n * cols).map(|i| hash_unit(seed ^ 0x5eed ^ i as u64)).collect();
@@ -262,12 +265,15 @@ pub fn run_cell(n: usize, avg_degree: f64, seed: u64, dir: &Path, keep_raw: bool
     let mut y = vec![0f32; n * cols];
     let reps = if edges < 2_000_000 { 5 } else { 1 };
 
-    let mem_1t_s = time_spmm(&mem, &x, cols, &mut y_ref, 1, reps);
-    let mem_4t_s = time_spmm(&mem, &x, cols, &mut y, 4, reps);
+    let mem_1t_s = time_spmm(reps, || spmm_into_raw_threads(&mem, &x, cols, &mut y_ref, 1));
+    let mem_4t_s = time_spmm(reps, || spmm_into_raw_threads(&mem, &x, cols, &mut y, 4));
     let mut bit_identical = y == y_ref;
-    let disk_1t_s = time_spmm(&disk, &x, cols, &mut y, 1, reps);
+    let disk_spmm = |y: &mut [f32], threads| {
+        time_spmm(reps, || spmm_chunked_into_threads(&disk, &x, cols, y, threads).expect("spmm"))
+    };
+    let disk_1t_s = disk_spmm(&mut y, 1);
     bit_identical &= y == y_ref;
-    let disk_4t_s = time_spmm(&disk, &x, cols, &mut y, 4, reps);
+    let disk_4t_s = disk_spmm(&mut y, 4);
     bit_identical &= y == y_ref;
     assert!(
         bit_identical,
@@ -387,14 +393,8 @@ pub fn build_scale_clients(raw: &RawGraph, clients: usize, seed: u64) -> Vec<Cli
             };
             let model = build_model(&model_cfg, FEATURE_DIM, NUM_CLASSES);
             Client {
-                id,
-                data,
-                eval_data: None,
-                model,
-                opt: Box::new(Adam::new(0.02, 5e-4)),
                 global_ids: range.map(|v| v as u32).collect(),
-                metric_scratch: None,
-                ef: None,
+                ..Client::new(id, data, model, Box::new(Adam::new(0.02, 5e-4)))
             }
         })
         .collect()

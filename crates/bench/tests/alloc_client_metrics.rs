@@ -4,7 +4,11 @@
 //! label propagation, smoothing confidence, mixed moments, and (when
 //! enabled) the per-client cached feature-moment extension — performs
 //! **zero** heap allocations, on one client or alternating between two:
-//! the contract is per strategy, not per client.
+//! the contract is per strategy, not per client. That holds for the five
+//! backbones whose forward is a head over cached features (SGC, SIGN,
+//! S²GC, GBP and GAMLP, the CLI's default); the two full-batch ones (GCN,
+//! SAGE) allocate only their forward cache's pointer `Vec`s — the same
+//! bytes on a small client and a large one.
 //!
 //! Lives in `fedgta-bench` (not `fedgta`) because the counting allocator
 //! building blocks are here and `fedgta` cannot depend back on `bench`.
@@ -14,7 +18,7 @@
 //! runs this file under `FEDGTA_THREADS=4`).
 
 use fedgta::{FeatureMomentConfig, FedGta, FedGtaConfig};
-use fedgta_bench::alloc::{alloc_count, CountingAlloc};
+use fedgta_bench::alloc::{alloc_bytes, alloc_count, CountingAlloc};
 use fedgta_fed::strategies::test_support::small_federation;
 use fedgta_nn::models::ModelKind;
 
@@ -23,7 +27,50 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_client_metrics_performs_zero_heap_allocations() {
-    let mut clients = small_federation(ModelKind::Sgc, 7);
+    for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp, ModelKind::Gamlp] {
+        head_backbone_is_allocation_free(kind);
+    }
+    for kind in [ModelKind::Gcn, ModelKind::Sage] {
+        full_batch_backbone_allocates_nothing_n_sized(kind);
+    }
+}
+
+/// GCN / SAGE: a warm call allocates the same few bytes whatever the
+/// client's size — nothing with a row per node.
+fn full_batch_backbone_allocates_nothing_n_sized(kind: ModelKind) {
+    let mut clients = small_federation(kind, 7);
+    clients.sort_by_key(|c| c.data.num_nodes());
+    let (small, large) = (0, clients.len() - 1);
+    assert!(clients[small].data.num_nodes() < clients[large].data.num_nodes());
+    let strat = FedGta::new(FedGtaConfig::default());
+    let mut m = Vec::new();
+    // Largest client first, so the pooled scratch never grows afterwards.
+    for _ in 0..2 {
+        for c in [large, small] {
+            strat.client_metrics(&mut clients[c], &mut m);
+        }
+    }
+    let mut seen = Vec::new();
+    for c in [small, large, small] {
+        let (count, bytes) = (alloc_count(), alloc_bytes());
+        strat.client_metrics(&mut clients[c], &mut m);
+        let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
+        eprintln!(
+            "{}: warm client_metrics at n = {}: {count} allocations, {bytes} bytes",
+            kind.name(),
+            clients[c].data.num_nodes()
+        );
+        seen.push((count, bytes));
+    }
+    assert!(
+        seen.iter().all(|s| *s == seen[0]),
+        "{}: allocations grow with n: {seen:?}",
+        kind.name()
+    );
+}
+
+fn head_backbone_is_allocation_free(kind: ModelKind) {
+    let mut clients = small_federation(kind, 7);
     assert_ne!(clients[2].data.num_nodes(), clients[3].data.num_nodes());
 
     // Paper-default config, then the feature-moment extension — the
@@ -66,16 +113,16 @@ fn warm_client_metrics_performs_zero_heap_allocations() {
                     let h = strat.client_metrics(&mut clients[c], &mut m);
                     let allocs = alloc_count() - before;
                     // Warm calls are deterministic replays of the cold call…
-                    assert_eq!(h.to_bits(), h0.to_bits(), "config {ci} client {c}: H drifted");
-                    assert_eq!(m.len(), m0.len(), "config {ci} client {c}: sketch length drifted");
+                    assert_eq!(h.to_bits(), h0.to_bits(), "{kind:?} config {ci} client {c}: H drifted");
+                    assert_eq!(m.len(), m0.len(), "{kind:?} config {ci} client {c}: sketch length drifted");
                     assert!(
                         m.iter().zip(m0).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "config {ci} client {c}: sketch drifted bitwise"
+                        "{kind:?} config {ci} client {c}: sketch drifted bitwise"
                     );
                     // …and allocation-free.
                     assert_eq!(
                         allocs, 0,
-                        "config {ci} client {c} warm call {call}: {allocs} heap allocations \
+                        "{kind:?} config {ci} client {c} warm call {call}: {allocs} heap allocations \
                          (budget 0); a scratch buffer is being reallocated"
                     );
                 }

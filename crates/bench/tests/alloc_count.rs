@@ -1,7 +1,9 @@
 //! Allocation-budget test: one MLP training epoch through a warm
 //! [`Workspace`] performs O(1) heap allocations — a small constant that
-//! does not grow with batch size, layer width, or epoch count — and the
-//! `_into` kernels themselves perform exactly zero.
+//! does not grow with batch size, layer width, or epoch count — the
+//! `_into` kernels themselves perform exactly zero, and a warm epoch of
+//! every one of the seven backbones stays inside one small budget whose
+//! count does not depend on the client's size.
 //!
 //! Lives in `fedgta-bench` (not `fedgta-nn`) because the counting
 //! allocator building blocks are here and `nn` cannot depend back on
@@ -133,6 +135,37 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     matmul_nt_into(dy.view(), bt.view(), &mut out_mk);
     let delta = alloc_count() - before;
     assert_eq!(delta, 0, "_into kernels allocated {delta} times");
+
+    // Every backbone, through the trainer they share: a warm epoch makes
+    // at most `BACKBONE_EPOCH_ALLOCS` heap allocations — the heads' count:
+    // shuffled order, batch list, gathered labels, row ids, the loss
+    // gradient, the forward cache's two pointer `Vec`s — and the same
+    // number on a client four times the size: no activation, gradient,
+    // gathered hop or parameter copy is allocated per epoch.
+    const BACKBONE_EPOCH_ALLOCS: u64 = 7;
+    for kind in ModelKind::all() {
+        let mut seen = Vec::new();
+        for nodes in [600, 2400] {
+            let mut clients = federation_with(kind, 7, 4, nodes);
+            let c = &mut clients[0];
+            // Warm-up: the pool and Adam's moments fill, best-fit settles.
+            c.train_local(5, &mut TrainHooks::none());
+            let (count, bytes) = (alloc_count(), alloc_bytes());
+            let loss = c.train_local(1, &mut TrainHooks::none());
+            let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
+            assert!(loss.is_finite());
+            let n = c.data.num_nodes();
+            eprintln!("{}: warm epoch at n = {n}: {count} allocations, {bytes} bytes", kind.name());
+            assert!(
+                count <= BACKBONE_EPOCH_ALLOCS,
+                "{}: {count} allocations per warm epoch (budget {BACKBONE_EPOCH_ALLOCS})",
+                kind.name()
+            );
+            seen.push((n, count));
+        }
+        assert!(seen[1].0 > 3 * seen[0].0, "the second client is not larger: {seen:?}");
+        assert_eq!(seen[0].1, seen[1].1, "{}: the count grows with n: {seen:?}", kind.name());
+    }
 
     // Evaluation on a decoupled federation (SIGN: the widest gathered
     // rows) whose clients have trained one epoch: scoring allocates the

@@ -123,11 +123,7 @@ USAGE:
                         asserted, then a federated FedGTA run whose tracked
                         peak memory must stay under 4 GiB. 'full' is the
                         10^7-node / ~10^8-edge configuration; scratch files
-                        go to $FEDGTA_SCALE_DIR or the system temp dir)
-  fedgta-cli convert   --in <graph.fgta> --out <graph.fgta2> [--chunk-rows N]
-                       (rewrite a v1 (or v2) CSR graph file into the chunked
-                        v2 layout readable tile-at-a-time; default chunk of
-                        65536 rows)",
+                        go to $FEDGTA_SCALE_DIR or the system temp dir)",
         STRATEGY_NAMES.join("|")
     );
 }
@@ -199,29 +195,6 @@ pub fn bench(a: &Args) -> CliResult {
         std::fs::write(out, json)?;
         println!("wrote {out}");
     }
-    Ok(())
-}
-
-/// `convert`: rewrite a CSR graph file (v1 sequential or v2 chunked) into
-/// the chunked v2 layout, so existing v1 artifacts become readable
-/// tile-at-a-time by the out-of-core [`fedgta_graph::store`] path.
-pub fn convert(a: &Args) -> CliResult {
-    let src = a
-        .str_opt("in")
-        .ok_or("convert needs --in <graph.fgta>")?
-        .to_string();
-    let dst = a
-        .str_opt("out")
-        .ok_or("convert needs --out <graph.fgta2>")?
-        .to_string();
-    let chunk_rows = a.num_or("chunk-rows", fedgta_graph::io::DEFAULT_CHUNK_ROWS)?;
-    let mut r = std::io::BufReader::new(std::fs::File::open(&src)?);
-    let g = fedgta_graph::io::read_csr(&mut r)?;
-    let summary = fedgta_graph::io::write_csr_v2(Path::new(&dst), &g, chunk_rows)?;
-    println!(
-        "wrote {dst}: {} nodes, {} edges, {} rows/chunk, weights: {}",
-        summary.nodes, summary.edges, summary.chunk_rows, summary.has_weights
-    );
     Ok(())
 }
 
@@ -667,25 +640,9 @@ pub fn run(a: &Args) -> CliResult {
 
     let b = load_benchmark(name, seed)?;
     let parts = partition_benchmark(&b, split, clients_n, seed);
-    let clients = build_clients(
-        &b,
-        &parts,
-        &ClientBuildConfig {
-            model: ModelConfig {
-                kind: model,
-                hidden: 32,
-                layers: if model == ModelKind::Sgc { 1 } else { 2 },
-                k: 5,
-                beta: 0.15,
-                batch_size: 256,
-                seed,
-                ..ModelConfig::default()
-            },
-            lr: 0.02,
-            weight_decay: 5e-4,
-            halo: strategy_name.starts_with("FedGL"),
-        },
-    );
+    let halo = strategy_name.starts_with("FedGL");
+    let build = ClientBuildConfig::paper(ModelConfig::paper(model, 32, seed), halo);
+    let clients = build_clients(&b, &parts, &build);
     let comms = parse_comms(a)?;
     let obs = setup_obs(a)?;
     let strategy = make_strategy(&strategy_name);
@@ -853,43 +810,6 @@ mod tests {
     #[test]
     fn datasets_listing_works() {
         datasets().unwrap();
-    }
-
-    #[test]
-    fn convert_requires_flags() {
-        assert!(convert(&args(&["convert"])).is_err());
-        assert!(convert(&args(&["convert", "--in", "x.fgta"])).is_err());
-    }
-
-    #[test]
-    fn convert_v1_to_v2_round_trips() {
-        use fedgta_graph::EdgeList;
-        let dir = std::env::temp_dir();
-        let src = dir.join(format!("fedgta-cli-conv-{}.fgta", std::process::id()));
-        let dst = dir.join(format!("fedgta-cli-conv-{}.fgta2", std::process::id()));
-        let mut el = EdgeList::new(5);
-        el.push_undirected(0, 1).unwrap();
-        el.push_undirected(1, 4).unwrap();
-        el.push_undirected(2, 3).unwrap();
-        let g = el.to_csr();
-        let mut w = std::io::BufWriter::new(std::fs::File::create(&src).unwrap());
-        fedgta_graph::io::write_csr(&mut w, &g).unwrap();
-        drop(w);
-        let a = args(&[
-            "convert",
-            "--in",
-            src.to_str().unwrap(),
-            "--out",
-            dst.to_str().unwrap(),
-            "--chunk-rows",
-            "2",
-        ]);
-        convert(&a).unwrap();
-        let store = fedgta_graph::ChunkedCsr::open(&dst).unwrap();
-        assert_eq!(store.chunk_rows(), 2);
-        assert_eq!(store.to_csr().unwrap(), g);
-        std::fs::remove_file(&src).unwrap();
-        std::fs::remove_file(&dst).unwrap();
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! fedgta-cli postmortem crash.pm.jsonl
 //! fedgta-cli bench kernels|aggregate|comms|scale [--mode quick|full]
 //!                      [--out report.json]
-//! fedgta-cli convert   --in graph.fgta --out graph.fgta2 [--chunk-rows N]
 //! ```
 
 mod args;
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
         "report" => commands::report(&parsed),
         "postmortem" => commands::postmortem(&parsed),
         "bench" => commands::bench(&parsed),
-        "convert" => commands::convert(&parsed),
         "help" | "--help" | "-h" => {
             commands::print_help();
             Ok(())

@@ -257,8 +257,8 @@ impl GraphModel for Fixed {
     fn train_epoch(&mut self, _: &GraphDataset, _: &mut dyn Optimizer, _: &mut TrainHooks<'_>) -> f32 {
         0.0
     }
-    fn predict(&mut self, _: &GraphDataset) -> Matrix {
-        self.0.clone()
+    fn predict_into(&mut self, _: &GraphDataset, out: &mut Matrix) {
+        *out = self.0.clone();
     }
     fn penultimate(&mut self, _: &GraphDataset) -> Matrix {
         self.0.clone()
@@ -269,16 +269,7 @@ impl GraphModel for Fixed {
 }
 
 fn client(id: usize, data: GraphDataset, soft: Matrix) -> Client {
-    Client {
-        id,
-        global_ids: (0..data.num_nodes() as u32).collect(),
-        data,
-        eval_data: None,
-        model: Box::new(Fixed(soft)),
-        opt: Box::new(Adam::new(0.01, 0.0)),
-        metric_scratch: None,
-        ef: None,
-    }
+    Client::new(id, data, Box::new(Fixed(soft)), Box::new(Adam::new(0.01, 0.0)))
 }
 
 #[test]

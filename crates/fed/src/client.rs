@@ -36,6 +36,27 @@ pub struct Client {
 }
 
 impl Client {
+    /// A transductive client over `data` whose local node ids are the
+    /// global ones, with no strategy state yet. A caller with an
+    /// evaluation view or an id map of its own sets those fields.
+    pub fn new(
+        id: usize,
+        data: GraphDataset,
+        model: Box<dyn GraphModel>,
+        opt: Box<dyn Optimizer>,
+    ) -> Self {
+        Self {
+            id,
+            global_ids: (0..data.num_nodes() as u32).collect(),
+            data,
+            eval_data: None,
+            model,
+            opt,
+            metric_scratch: None,
+            ef: None,
+        }
+    }
+
     /// Number of local training nodes (FedAvg's `n_i`).
     pub fn n_train(&self) -> usize {
         self.data.train_nodes.len()
@@ -72,6 +93,19 @@ pub struct ClientBuildConfig {
     /// Materialize 1-hop halo (ghost) nodes so client subgraphs overlap —
     /// required by FedGL/FedSage+.
     pub halo: bool,
+}
+
+impl ClientBuildConfig {
+    /// The optimizer half of [`ModelConfig::paper`]: Adam at `lr = 0.02`
+    /// with weight decay `5e-4`, what the CLI and every table train with.
+    pub fn paper(model: ModelConfig, halo: bool) -> Self {
+        Self {
+            model,
+            lr: 0.02,
+            weight_decay: 5e-4,
+            halo,
+        }
+    }
 }
 
 impl Default for ClientBuildConfig {
@@ -192,15 +226,11 @@ pub fn build_clients(
         let mut model_cfg = cfg.model.clone();
         model_cfg.seed = cfg.model.seed.wrapping_add(id as u64 * 1013);
         let model = build_model(&model_cfg, bench.features.cols(), bench.num_classes);
+        let opt = Box::new(Adam::new(cfg.lr, cfg.weight_decay));
         clients.push(Client {
-            id,
-            data,
             eval_data,
-            model,
-            opt: Box::new(Adam::new(cfg.lr, cfg.weight_decay)),
             global_ids: full_sg.global_ids,
-            metric_scratch: None,
-            ef: None,
+            ..Client::new(id, data, model, opt)
         });
     }
     clients

@@ -59,9 +59,9 @@ pub struct LocalResult<R> {
 /// are order-stable regardless of which worker ran which client.
 ///
 /// One pipeline serves every round: dispatch → per client (receive →
-/// load broadcast → timed train → upload) → collect → server-side error
-/// feedback. The four wire stages are methods of the round's
-/// [`CommsRound`] and run only when `ctx.comms` carries one; without it
+/// load broadcast → timed train → upload filter → upload) → collect →
+/// server-side error feedback. The four wire stages are methods of the
+/// round's [`CommsRound`] and run only when `ctx.comms` carries one; without it
 /// results return in memory, which *is* the pre-transport simulator. On
 /// the wire, three determinism anchors hold:
 ///
@@ -126,11 +126,26 @@ where
             c.model.set_params(v);
             c.opt.reset();
         }
+        // What an upload filter measures the update from: the model this
+        // client starts the round with.
+        let filter = ctx.upload_filter.map(|filter| {
+            let from = start.as_deref().map_or_else(|| Cow::Owned(c.model.params()), Cow::Borrowed);
+            (filter, from)
+        });
         let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-        let (loss, payload) = f(i, c);
+        let (loss, mut payload) = f(i, c);
         if let Some(ct0) = ct0 {
             fedgta_obs::histogram!("round.client.train_ns")
                 .observe(ct0.elapsed().as_nanos() as u64);
+        }
+        if let Some((filter, from)) = filter {
+            let mut tensor = 0usize;
+            payload.visit_tensors(&mut |params| {
+                if tensor == 0 {
+                    filter(i, &from, params);
+                }
+                tensor += 1;
+            });
         }
         match wire {
             Some(w) => {

@@ -128,15 +128,8 @@ impl Strategy for FedGl {
                 weight: self.weight,
             }));
         }
-        let ctx2 = RoundCtx {
-            epochs: ctx.epochs,
-            pseudo: Some(&pseudo),
-            threads: ctx.threads,
-            train_clock: ctx.train_clock,
-            comms: ctx.comms,
-            broadcast: ctx.broadcast,
-        };
-        self.inner.round(clients, participants, &ctx2)
+        let ctx = RoundCtx { pseudo: Some(&pseudo), ..*ctx };
+        self.inner.round(clients, participants, &ctx)
     }
 }
 

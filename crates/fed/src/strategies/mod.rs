@@ -52,7 +52,13 @@ impl<'a> Broadcast<'a> {
     }
 }
 
-/// Per-round context passed by the driver.
+/// What [`RoundCtx::upload_filter`] points at: `f(client, start, params)`.
+pub type UploadFilter<'a> = &'a (dyn Fn(usize, &[f32], &mut [f32]) + Sync);
+
+/// Per-round context passed by the driver. A wrapper strategy that changes
+/// one field copies the rest (`RoundCtx { field, ..*ctx }`), so a field
+/// added here reaches every inner strategy.
+#[derive(Clone, Copy)]
 pub struct RoundCtx<'a> {
     /// Local epochs per round (paper: 3 small / 5 large).
     pub epochs: usize,
@@ -83,6 +89,16 @@ pub struct RoundCtx<'a> {
     /// closure reads its anchors off `c.model`, which the executor has
     /// already loaded.
     pub broadcast: Option<Broadcast<'a>>,
+    /// Optional rewrite of what a participant uploads ([`DpUpload`]). The
+    /// executor calls it with the client's index, the model the client
+    /// started the round from (the installed broadcast, else its
+    /// parameters before training) and payload tensor 0 — the parameter
+    /// tensor, the convention [`crate::ef`] folds by — as soon as the
+    /// training closure returns: transport, codecs, error feedback and
+    /// the strategy's aggregation only ever see what it leaves there. It
+    /// runs on the client's worker thread, so it must not draw from shared
+    /// state.
+    pub upload_filter: Option<UploadFilter<'a>>,
 }
 
 impl<'a> RoundCtx<'a> {
@@ -102,6 +118,7 @@ impl<'a> RoundCtx<'a> {
             train_clock: None,
             comms: None,
             broadcast: None,
+            upload_filter: None,
         }
     }
 
@@ -118,14 +135,7 @@ impl<'a> RoundCtx<'a> {
     /// armed) instead of the training closure doing it silently.
     #[must_use]
     pub fn with_broadcast(&self, b: Broadcast<'a>) -> RoundCtx<'a> {
-        RoundCtx {
-            epochs: self.epochs,
-            pseudo: self.pseudo,
-            threads: self.threads,
-            train_clock: self.train_clock,
-            comms: self.comms,
-            broadcast: Some(b),
-        }
+        RoundCtx { broadcast: Some(b), ..*self }
     }
 
     /// The pseudo-labels for client `i`, if any.

@@ -7,11 +7,18 @@
 //! this wrapper makes the privacy knob explicit and composable with any
 //! strategy, including FedGTA.
 //!
-//! Mechanism note: the wrapper perturbs the *parameters a client exposes*,
-//! by snapshotting each participant's trained parameters, replacing them
-//! with the clipped+noised version for the inner round (so aggregation
-//! only ever sees private values), and keeping the noised result — i.e.
-//! local state is also the private view, as in local DP.
+//! Mechanism: the wrapper arms [`RoundCtx::upload_filter`] and delegates.
+//! The executor applies the filter to each participant's uploaded
+//! parameter tensor, measured from the model the participant started the
+//! round with, the moment local training returns — so the transport, its
+//! codecs and error feedback, and the inner strategy's aggregation only
+//! ever see private values, on the direct and the channel path alike. The
+//! client's own model keeps its trained parameters (they never leave it).
+//!
+//! What is **not** covered: only payload tensor 0, the parameters, is
+//! privatized. The statistics some strategies upload next to them —
+//! FedGTA's confidence `H` and moment sketch, GCFL+'s update `Δ`,
+//! Scaffold's control-variate delta and step count — travel in the clear.
 
 use super::{l2_norm, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
@@ -25,57 +32,40 @@ pub struct DpUpload {
     pub clip: f64,
     /// Noise multiplier σ (noise stddev = σ·C per coordinate).
     pub sigma: f64,
-    rng: StdRng,
-    /// Reference parameters from the previous round per client (the point
-    /// updates are measured from).
-    reference: Vec<Option<Vec<f32>>>,
+    seed: u64,
+    /// Rounds run so far: with the seed and the client index it keys each
+    /// upload's own noise stream, so no draw depends on which worker, or
+    /// in which order, clients finish.
+    rounds: u64,
 }
 
 impl DpUpload {
     /// Wraps `inner` with update clipping bound `clip` and noise
     /// multiplier `sigma` (0 disables noise but keeps clipping).
     pub fn new(inner: Box<dyn Strategy>, clip: f64, sigma: f64, seed: u64) -> Self {
-        Self {
-            inner,
-            clip,
-            sigma,
-            rng: StdRng::seed_from_u64(seed),
-            reference: Vec::new(),
-        }
+        Self { inner, clip, sigma, seed, rounds: 0 }
     }
+}
 
-    fn gaussian(&mut self) -> f64 {
-        // Box–Muller.
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// One standard normal draw (Box–Muller).
+fn gaussian(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.random::<f64>().max(1e-300);
+    let u2: f64 = rng.random::<f64>();
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Clips `params - reference` to L2 ≤ `clip`, adds `N(0, σ²C²)` noise per
+/// coordinate, and leaves `reference + clipped_update + noise` in `params`.
+fn privatize(clip: f64, sigma: f64, rng: &mut StdRng, reference: &[f32], params: &mut [f32]) {
+    for (p, &r) in params.iter_mut().zip(reference) {
+        *p -= r;
     }
-
-    /// Clips `current - reference` to L2 ≤ clip, adds noise, returns the
-    /// privatized parameters `reference + clipped_update + noise`.
-    fn privatize(&mut self, reference: &[f32], current: &[f32]) -> Vec<f32> {
-        let update: Vec<f32> = current
-            .iter()
-            .zip(reference)
-            .map(|(&c, &r)| c - r)
-            .collect();
-        let norm = l2_norm(&update);
-        let scale = if norm > self.clip {
-            (self.clip / norm) as f32
-        } else {
-            1.0
-        };
-        let noise_std = self.sigma * self.clip;
-        (0..update.len())
-            .map(|j| {
-                let noise = if self.sigma > 0.0 {
-                    (noise_std * self.gaussian()) as f32
-                } else {
-                    0.0
-                };
-                reference[j] + scale * update[j] + noise
-            })
-            .collect()
+    let norm = l2_norm(params);
+    let scale = if norm > clip { (clip / norm) as f32 } else { 1.0 };
+    let noise_std = sigma * clip;
+    for (p, &r) in params.iter_mut().zip(reference) {
+        let noise = if sigma > 0.0 { (noise_std * gaussian(rng)) as f32 } else { 0.0 };
+        *p = r + scale * *p + noise;
     }
 }
 
@@ -90,31 +80,19 @@ impl Strategy for DpUpload {
         participants: &[usize],
         ctx: &RoundCtx<'_>,
     ) -> RoundStats {
-        if self.reference.len() != clients.len() {
-            self.reference = vec![None; clients.len()];
-        }
-        // Snapshot pre-round parameters as this round's references.
-        for &i in participants {
-            self.reference[i] = Some(clients[i].model.params());
-        }
-        // The inner strategy trains and aggregates; we then interpose by
-        // privatizing each participant's *post-training* params before the
-        // next round can observe them. To guarantee the server only sees
-        // private values, we run the inner round on a privatized copy:
-        // train locally first via a plain pass-through is not possible
-        // without re-implementing every inner strategy, so the DP boundary
-        // here is after the inner round — each client's outgoing state is
-        // clipped+noised relative to its reference. This matches local-DP
-        // deployments where the client's entire exposed model is noised.
-        let stats = self.inner.round(clients, participants, ctx);
-        let _g = fedgta_obs::span!("privatize", participants = participants.len());
-        for &i in participants {
-            let reference = self.reference[i].take().expect("snapshotted");
-            let current = clients[i].model.params();
-            let private = self.privatize(&reference, &current);
-            clients[i].model.set_params(&private);
-        }
-        stats
+        self.rounds += 1;
+        let (clip, sigma, outer) = (self.clip, self.sigma, ctx.upload_filter);
+        let round_seed = self.seed ^ self.rounds.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let filter = move |client: usize, reference: &[f32], params: &mut [f32]| {
+            let seed = round_seed ^ (client as u64 + 1).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+            privatize(clip, sigma, &mut StdRng::seed_from_u64(seed), reference, params);
+            // A wrapper around this one filters what this one lets out.
+            if let Some(outer) = outer {
+                outer(client, reference, params);
+            }
+        };
+        let ctx = RoundCtx { upload_filter: Some(&filter), ..*ctx };
+        self.inner.round(clients, participants, &ctx)
     }
 }
 
@@ -151,12 +129,42 @@ mod tests {
 
     #[test]
     fn clipping_bounds_update_norm() {
-        let mut s = DpUpload::new(Box::new(FedAvg::new()), 0.5, 0.0, 0);
         let reference = vec![0f32; 100];
-        let current = vec![1f32; 100]; // update norm 10
-        let private = s.privatize(&reference, &current);
+        let mut private = vec![1f32; 100]; // update norm 10
+        privatize(0.5, 0.0, &mut StdRng::seed_from_u64(0), &reference, &mut private);
         let norm = l2_norm(&private);
         assert!((norm - 0.5).abs() < 1e-4, "norm {norm}");
+    }
+
+    #[test]
+    fn the_server_aggregates_the_noised_uploads() {
+        // The uploads, not a local copy the next broadcast overwrites: six
+        // rounds of FedAvg with and without an absurd σ must part ways by
+        // round 2, whose clients start from round 1's noised aggregate.
+        let losses = |dp: bool| {
+            let mut clients = small_federation(ModelKind::Sgc, 7);
+            let inner: Box<dyn Strategy> = Box::new(FedAvg::new());
+            let mut s = if dp { Box::new(DpUpload::new(inner, 5.0, 10.0, 1)) } else { inner };
+            let parts: Vec<usize> = (0..clients.len()).collect();
+            let round = |_| s.round(&mut clients, &parts, &RoundCtx::plain(2)).mean_loss.to_bits();
+            (0..6).map(round).collect::<Vec<_>>()
+        };
+        let (plain, private) = (losses(false), losses(true));
+        assert_eq!(plain[0], private[0], "round 1 trains from the same initial models");
+        assert_ne!(plain[1], private[1], "round 2 never saw round 1's noise");
+    }
+
+    #[test]
+    fn a_wrapper_around_a_wrapper_keeps_both_filters() {
+        // Clip to 5 inside, to 0.01 outside: the aggregate moves by at most
+        // the outer bound.
+        let mut clients = small_federation(ModelKind::Sgc, 7);
+        let before = clients[0].model.params();
+        let inner = DpUpload::new(Box::new(FedAvg::new()), 5.0, 0.0, 0);
+        let mut s = DpUpload::new(Box::new(inner), 0.01, 0.0, 0);
+        s.round(&mut clients, &[0, 1, 2, 3], &RoundCtx::plain(2));
+        let moved = l2_norm(&crate::strategies::sub(&clients[0].model.params(), &before));
+        assert!(moved > 0.0 && moved <= 0.01 + 1e-6, "moved {moved}");
     }
 
     #[test]

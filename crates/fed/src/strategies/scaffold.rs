@@ -6,7 +6,7 @@
 //! `cᵢ⁺ = cᵢ − c + (w_global − w_i)/(K·η)`, and the server moves
 //! `w ← w + mean(Δwᵢ)`, `c ← c + (|S|/N)·mean(Δcᵢ)`.
 
-use super::{sub, weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::{sub, Broadcast, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::{Sgd, TrainHooks};
@@ -130,7 +130,6 @@ impl Strategy for Scaffold {
             new_global[j] += (sum_dw[j] / m) as f32;
             self.c_server[j] += ((arrived as f64 / n_total as f64) * sum_dc[j] / m) as f32;
         }
-        let _ = weighted_average; // (FedAvg-style weighting unused: SCAFFOLD averages uniformly)
         for c in clients.iter_mut() {
             c.model.set_params(&new_global);
         }

@@ -31,7 +31,7 @@ pub mod traversal;
 pub use coo::EdgeList;
 pub use csr::Csr;
 pub use norm::{normalized_adjacency, NormKind};
-pub use store::{ChunkedCsr, CsrBuilder, GraphStore, RowSink, TileBuf, TileReader};
+pub use store::{ChunkedCsr, CsrBuilder, RowSink, TileBuf, TileReader};
 pub use subgraph::{halo_subgraph, induced_subgraph, Subgraph};
 
 /// Errors produced by graph construction and kernels.

@@ -6,7 +6,7 @@
 //! FedGTA's non-parametric label propagation. [`spmm_into`] and
 //! [`spmm_axpby_into`] run on the thread that calls them; rows of `Y` are
 //! independent, so a caller that asks for threads
-//! ([`spmm_into_raw_threads`], `GraphStore::spmm_into_threads`) gets
+//! ([`spmm_into_raw_threads`], `store::spmm_chunked_into_threads`) gets
 //! contiguous nnz-balanced row chunks and the same bits at any count.
 //!
 //! The inner loop is **column-blocked**: each output row is produced in

@@ -2,9 +2,8 @@
 //!
 //! [`ChunkedCsr`] reads the v2 `FGTA` layout ([`crate::io`]) one row chunk
 //! at a time through positioned reads, so the resident set is O(tile)
-//! regardless of graph size. [`GraphStore`] unifies it with the in-memory
-//! [`Csr`] behind one SpMM/propagate surface; the disk path shares the
-//! exact per-row kernel with the in-memory path
+//! regardless of graph size. Its SpMM ([`spmm_chunked_into_threads`])
+//! shares the exact per-row kernel with the in-memory path
 //! ([`crate::spmm::spmm_one_row`]), which makes out-of-core results
 //! **bit-identical** to in-memory ones by construction — per-row
 //! arithmetic never depends on which tile (or thread) a row lands in.
@@ -339,102 +338,6 @@ impl TileReader<'_> {
         tile.rows = range;
         tile.reaccount();
         record_tile_read(total as u64);
-        Ok(())
-    }
-}
-
-/// One graph, resident either in memory or on disk — the abstraction the
-/// propagation pipeline consumes so precompute neither knows nor cares
-/// where the adjacency lives.
-pub enum GraphStore {
-    /// Fully in-memory CSR.
-    Mem(Csr),
-    /// File-backed chunked CSR.
-    Disk(ChunkedCsr),
-}
-
-impl GraphStore {
-    /// Opens a v2 file as an out-of-core store.
-    pub fn open(path: &Path) -> Result<Self, IoError> {
-        Ok(GraphStore::Disk(ChunkedCsr::open(path)?))
-    }
-
-    /// Node count.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            GraphStore::Mem(g) => g.num_nodes(),
-            GraphStore::Disk(c) => c.num_nodes(),
-        }
-    }
-
-    /// Stored directed edge count.
-    pub fn num_edges(&self) -> usize {
-        match self {
-            GraphStore::Mem(g) => g.num_edges(),
-            GraphStore::Disk(c) => c.num_edges(),
-        }
-    }
-
-    /// Materializes the graph in memory (clones the resident case).
-    pub fn to_csr(&self) -> Result<Csr, IoError> {
-        match self {
-            GraphStore::Mem(g) => Ok(g.clone()),
-            GraphStore::Disk(c) => c.to_csr(),
-        }
-    }
-
-    /// [`Self::spmm_into_threads`] at `threads = 0` (auto) — unlike
-    /// [`crate::spmm::spmm_into`], which stays on the calling thread.
-    pub fn spmm_into(&self, x: &[f32], cols: usize, y: &mut [f32]) -> Result<(), IoError> {
-        self.spmm_into_threads(x, cols, y, 0)
-    }
-
-    /// `Y = A · X` with an explicit thread request (`0` = auto). Both
-    /// variants are bit-identical to [`crate::spmm::spmm_into`] on the
-    /// equivalent in-memory graph, at any thread count.
-    pub fn spmm_into_threads(&self, x: &[f32], cols: usize, y: &mut [f32], threads: usize) -> Result<(), IoError> {
-        match self {
-            GraphStore::Mem(g) => {
-                crate::spmm::record_spmm(g.num_nodes(), g.num_edges(), cols);
-                crate::spmm::spmm_into_raw_threads(g, x, cols, y, threads);
-                Ok(())
-            }
-            GraphStore::Disk(c) => spmm_chunked_into_threads(c, x, cols, y, threads),
-        }
-    }
-
-    /// Leaves `A^k · X` in `out` using caller-provided ping-pong buffers
-    /// (the out-of-core sibling of [`crate::spmm::propagate_k_into`]).
-    pub fn propagate_k_into(
-        &self,
-        x: &[f32],
-        cols: usize,
-        k: usize,
-        out: &mut [f32],
-        scratch: &mut [f32],
-    ) -> Result<(), IoError> {
-        let n = self.num_nodes();
-        assert_eq!(x.len(), n * cols, "propagate dense operand size");
-        assert_eq!(out.len(), x.len(), "propagate out buffer size");
-        assert_eq!(scratch.len(), x.len(), "propagate scratch buffer size");
-        if k == 0 {
-            out.copy_from_slice(x);
-            return Ok(());
-        }
-        self.spmm_into(x, cols, out)?;
-        let mut flip = false;
-        for _ in 1..k {
-            let (src, dst) = if flip {
-                (&mut *scratch, &mut *out)
-            } else {
-                (&mut *out, &mut *scratch)
-            };
-            self.spmm_into(src, cols, dst)?;
-            flip = !flip;
-        }
-        if flip {
-            out.copy_from_slice(scratch);
-        }
         Ok(())
     }
 }
@@ -801,26 +704,6 @@ mod tests {
             let mut disk = vec![0f32; x.len()];
             spmm_chunked_into_threads(&store, &x, cols, &mut disk, threads).unwrap();
             assert_eq!(disk, mem, "threads={threads}");
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn store_propagate_matches_in_memory() {
-        let g = normalized_adjacency(&skewed_graph(120, 7), NormKind::Symmetric);
-        let path = tmpdir().join("prop.fgta2");
-        write_csr_v2(&path, &g, 32).unwrap();
-        let store = GraphStore::open(&path).unwrap();
-        let cols = 9usize;
-        let x: Vec<f32> = (0..120 * cols).map(|i| ((i % 13) as f32) * 0.3 - 1.5).collect();
-        for k in 0..4 {
-            let want = crate::spmm::propagate_k(&g, &x, cols, k).unwrap();
-            let mut out = vec![1f32; x.len()];
-            let mut scratch = vec![2f32; x.len()];
-            store.propagate_k_into(&x, cols, k, &mut out, &mut scratch).unwrap();
-            for (a, b) in out.iter().zip(&want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "k={k}");
-            }
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -4,7 +4,9 @@
 //! Layout: for each layer `l` the flat buffer stores `W_l`
 //! (`dims[l] × dims[l+1]`, row-major) followed by `b_l` (`dims[l+1]`).
 //! Hidden layers apply ReLU then (inverted) dropout; the final layer is
-//! linear — pair with [`crate::loss::softmax_ce`].
+//! linear — pair with [`crate::loss::softmax_ce`]. An owner with a few
+//! parameters of its own (GAMLP's hop gate) keeps them in front of layer 0
+//! ([`Mlp::with_extra`]), so optimizer and federation see one vector.
 //!
 //! **Allocation-free hot path**: [`Mlp::forward_ws`] / [`Mlp::backward_ws`]
 //! take a [`Workspace`] and check every activation, cache matrix, and
@@ -41,9 +43,48 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct Mlp {
     dims: Vec<usize>,
+    /// Leading parameters the layers do not read ([`Mlp::with_extra`]).
+    extra: usize,
     params: Vec<f32>,
     dropout: f32,
     rng: StdRng,
+}
+
+/// Inverted dropout, forward: in training at `p > 0` keeps each element of
+/// `z` with probability `1 − p` scaled by `1/(1 − p)` and zeroes the rest —
+/// one RNG draw per element, in storage order — and returns the mask (`0`
+/// or `1/keep`, checked out of `ws`) for [`dropout_backward`]. Otherwise
+/// `None`, and no draw.
+pub(crate) fn dropout_forward(
+    z: &mut Matrix,
+    p: f32,
+    train: bool,
+    rng: &mut StdRng,
+    ws: &mut Workspace,
+) -> Option<Vec<f32>> {
+    (train && p > 0.0).then(|| {
+        let keep = 1.0 - p;
+        let inv = 1.0 / keep;
+        let mut mask = ws.take(z.as_slice().len());
+        for (m, v) in mask.iter_mut().zip(z.as_mut_slice()) {
+            if rng.random::<f32>() < keep {
+                *m = inv;
+                *v *= inv;
+            } else {
+                *v = 0.0;
+            }
+        }
+        mask
+    })
+}
+
+/// Inverted dropout, backward: `grad ⊙ mask`.
+pub(crate) fn dropout_backward(grad: &mut Matrix, mask: Option<&Vec<f32>>) {
+    if let Some(mask) = mask {
+        for (g, &m) in grad.as_mut_slice().iter_mut().zip(mask) {
+            *g *= m;
+        }
+    }
 }
 
 /// Forward cache for one batch: everything backward needs.
@@ -80,10 +121,18 @@ impl Mlp {
     /// `dims` must have at least 2 entries. `dropout` applies to hidden
     /// activations during training only.
     pub fn new(dims: &[usize], dropout: f32, seed: u64) -> Self {
+        Self::with_extra(dims, dropout, seed, 0)
+    }
+
+    /// [`Mlp::new`] with `extra` zero-initialized parameters in front of
+    /// layer 0 in the flat buffer: the layers never read them, the owner
+    /// does ([`Mlp::extra`]) and writes their gradient into the first
+    /// `extra` slots of what the backward pass returns.
+    pub fn with_extra(dims: &[usize], dropout: f32, seed: u64, extra: usize) -> Self {
         assert!(dims.len() >= 2, "an MLP needs at least one layer");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut params = vec![0f32; Self::param_count(dims)];
-        let mut off = 0;
+        let mut params = vec![0f32; extra + Self::param_count(dims)];
+        let mut off = extra;
         for l in 0..dims.len() - 1 {
             let (fi, fo) = (dims[l], dims[l + 1]);
             xavier_uniform(&mut params[off..off + fi * fo], fi, fo, &mut rng);
@@ -91,10 +140,17 @@ impl Mlp {
         }
         Self {
             dims: dims.to_vec(),
+            extra,
             params,
             dropout,
             rng,
         }
+    }
+
+    /// The owner's leading parameters (empty unless built
+    /// [`Mlp::with_extra`]).
+    pub fn extra(&self) -> &[f32] {
+        &self.params[..self.extra]
     }
 
     fn param_count(dims: &[usize]) -> usize {
@@ -134,7 +190,7 @@ impl Mlp {
 
     pub(crate) fn layer_offsets(&self, l: usize) -> (usize, usize, usize) {
         // returns (w_start, b_start, end)
-        let mut off = 0;
+        let mut off = self.extra;
         for i in 0..l {
             off += self.dims[i] * self.dims[i + 1] + self.dims[i + 1];
         }
@@ -172,23 +228,7 @@ impl Mlp {
             let mut z = ws.take_matrix(rows, self.dims[l + 1]);
             if l + 1 < layers {
                 matmul_bias_relu_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
-                let mask = if train && self.dropout > 0.0 {
-                    let keep = 1.0 - self.dropout;
-                    let inv = 1.0 / keep;
-                    let mut mask = ws.take(rows * self.dims[l + 1]);
-                    for (m, v) in mask.iter_mut().zip(z.as_mut_slice()) {
-                        if self.rng.random::<f32>() < keep {
-                            *m = inv;
-                            *v *= inv;
-                        } else {
-                            *m = 0.0;
-                            *v = 0.0;
-                        }
-                    }
-                    Some(mask)
-                } else {
-                    None
-                };
+                let mask = dropout_forward(&mut z, self.dropout, train, &mut self.rng, ws);
                 dropout_masks.push(mask);
             } else {
                 matmul_bias_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
@@ -331,11 +371,7 @@ impl Mlp {
             }
             // Backward through dropout then ReLU of hidden layer l-1
             // (cache.inputs[l] is that layer's post-dropout output).
-            if let Some(mask) = &cache.dropout_masks[l - 1] {
-                for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-                    *g *= m;
-                }
-            }
+            dropout_backward(&mut dx, cache.dropout_masks[l - 1].as_ref());
             relu_backward_inplace(&mut dx, &cache.inputs[l]);
             ws.give_matrix(std::mem::replace(&mut d_out, dx));
         }
@@ -532,6 +568,30 @@ mod tests {
         let a = mlp.infer(&x);
         let b = mlp.infer(&x);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_draw_equal_to_keep_drops_the_element() {
+        // `draw < keep`, not `<=`: no run of a golden cell can tell the two
+        // apart (a 24-bit draw hits `keep` once in 2²⁴), so the boundary is
+        // pinned here, with the seed whose first draw is exactly 0.5.
+        const SEED: u64 = 50_435_301;
+        assert_eq!(StdRng::seed_from_u64(SEED).random::<f32>(), 0.5);
+        let mut ws = Workspace::new();
+        let mut z = Matrix::from_vec(1, 1, vec![3.0]);
+        let mask = dropout_forward(&mut z, 0.5, true, &mut StdRng::seed_from_u64(SEED), &mut ws);
+        assert_eq!((z.as_slice(), mask.as_deref()), (&[0.0][..], Some(&[0.0][..])));
+        // Backward by the same mask; no mask, no change — and no draw
+        // outside training or at p = 0.
+        let mut g = Matrix::from_vec(1, 2, vec![1.5, -2.0]);
+        dropout_backward(&mut g, Some(&vec![2.0, 0.0]));
+        assert_eq!(g.as_slice(), &[3.0, 0.0]);
+        dropout_backward(&mut g, None);
+        assert_eq!(g.as_slice(), &[3.0, 0.0]);
+        let mut rng = StdRng::seed_from_u64(SEED);
+        assert!(dropout_forward(&mut z, 0.5, false, &mut rng, &mut ws).is_none());
+        assert!(dropout_forward(&mut z, 0.0, true, &mut rng, &mut ws).is_none());
+        assert_eq!(rng, StdRng::seed_from_u64(SEED));
     }
 
     #[test]

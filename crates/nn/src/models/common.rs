@@ -1,13 +1,12 @@
-//! Shared data structures for graph models: the dataset view a model
-//! trains on and the hook bundle federated strategies use to inject
-//! auxiliary objectives.
+//! What every backbone shares: the dataset view a model trains on, the
+//! hook bundle federated strategies use to inject auxiliary objectives,
+//! and the one place each hook is consulted ([`supervise`], [`step`]).
 
-use crate::mlp::Mlp;
-use crate::ops::softmax_rows_inplace;
-use crate::tensor::{MatView, Matrix};
-use crate::workspace::Workspace;
+use crate::loss::{soft_ce, softmax_ce};
+use crate::optim::Optimizer;
+use crate::tensor::Matrix;
 use fedgta_graph::{normalized_adjacency, Csr, NormKind};
-use std::ops::Range;
+use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static NEXT_DATASET_KEY: AtomicU64 = AtomicU64::new(1);
@@ -55,24 +54,11 @@ impl GraphDataset {
         val_nodes: Vec<u32>,
         test_nodes: Vec<u32>,
     ) -> Self {
-        assert_eq!(graph.num_nodes(), features.rows(), "feature row mismatch");
-        assert_eq!(graph.num_nodes(), labels.len(), "label length mismatch");
-        let adj_norm = normalized_adjacency(graph, NormKind::Symmetric);
         let adj_mean = normalized_adjacency(graph, NormKind::RowStochastic);
-        let adj_mean_t = adj_mean.transpose();
-        let degrees_hat = graph.with_self_loops().weighted_degrees();
         Self {
-            adj_norm,
+            adj_mean_t: adj_mean.transpose(),
             adj_mean,
-            adj_mean_t,
-            features,
-            labels,
-            num_classes,
-            train_nodes,
-            val_nodes,
-            test_nodes,
-            degrees_hat,
-            cache_key: NEXT_DATASET_KEY.fetch_add(1, Ordering::Relaxed),
+            ..Self::for_decoupled(graph, features, labels, num_classes, train_nodes, val_nodes, test_nodes)
         }
     }
 
@@ -165,13 +151,52 @@ impl<'a> TrainHooks<'a> {
     }
 }
 
+/// The one supervised step of every backbone's `train_epoch`, between its
+/// forward and its backward pass — everything a strategy can add to the
+/// loss is consulted here and nowhere else: hard-label CE on the `labeled`
+/// rows, FedGL's soft CE on the rows whose node carries a pseudo-label,
+/// then MOON's hook on the penultimate representation. Returns `(loss,
+/// d_logits, hidden_grad)`.
+///
+/// `labels[r]` and `nodes[r]` are the label and the node id of logits row
+/// `r`: the full-batch backbones pass `data.labels`, `data.train_nodes`
+/// and the identity map, the mini-batch heads the batch's labels, `0..b`
+/// and the batch.
+pub(crate) fn supervise(
+    logits: &Matrix,
+    labels: &[u32],
+    labeled: &[u32],
+    nodes: &[u32],
+    penultimate: &Matrix,
+    hooks: &mut TrainHooks<'_>,
+) -> (f32, Matrix, Option<Matrix>) {
+    let (loss, mut d_logits) = softmax_ce(logits, labels, labeled);
+    if let Some(pl) = hooks.pseudo {
+        let rows: Vec<u32> = (0..nodes.len() as u32)
+            .filter(|&r| pl.mask[nodes[r as usize] as usize])
+            .collect();
+        if !rows.is_empty() {
+            let targets = pl.targets.gather_rows(nodes);
+            let (_, d_extra) = soft_ce(logits, &targets, &rows, pl.weight);
+            d_logits.axpy(1.0, &d_extra);
+        }
+    }
+    let hidden_grad = hooks.hidden_hook.as_mut().map(|h| h(nodes, penultimate));
+    (loss, d_logits, hidden_grad)
+}
+
+/// The one optimizer step: the strategy's gradient hook (FedProx, Scaffold,
+/// FedDC) reads the parameters and may rewrite `grads`, then `opt` steps.
+pub(crate) fn step(params: &mut [f32], grads: &mut [f32], opt: &mut dyn Optimizer, hooks: &mut TrainHooks<'_>) {
+    if let Some(gh) = hooks.grad_hook.as_mut() {
+        gh(params, grads);
+    }
+    opt.step(params, grads);
+}
+
 /// Splits `nodes` into shuffled mini-batches of `batch_size`
 /// (`0` = single full batch). Returns owned batches.
-pub fn make_batches(
-    nodes: &[u32],
-    batch_size: usize,
-    rng: &mut rand::rngs::StdRng,
-) -> Vec<Vec<u32>> {
+pub fn make_batches(nodes: &[u32], batch_size: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
     use rand::seq::SliceRandom;
     let mut order = nodes.to_vec();
     order.shuffle(rng);
@@ -181,67 +206,10 @@ pub fn make_batches(
     order.chunks(batch_size).map(|c| c.to_vec()).collect()
 }
 
-/// Rows of the largest batch [`make_batches`] cuts from `data`'s training
-/// nodes — the most rows training ever gathers into a model's workspace.
-pub(crate) fn max_batch_rows(data: &GraphDataset, batch_size: usize) -> usize {
-    let n = data.train_nodes.len().max(1);
-    if batch_size == 0 {
-        n
-    } else {
-        batch_size.min(n)
-    }
-}
-
-/// The head's input for one piece of rows.
-pub(crate) enum HeadInput<'a> {
-    /// Consecutive rows of a cached matrix, read where they lie.
-    Rows(MatView<'a>),
-    /// Rows assembled in a matrix checked out of the piece loop's
-    /// workspace, which takes it back.
-    Pooled(Matrix),
-}
-
-/// The row-separable forward of a decoupled backbone: `out` becomes
-/// `n_rows × |Y|` and its rows `r` = `softmax(head(input(r, ws)))`, where
-/// `input` yields the head's input for a range of output rows.
-///
-/// Rows go through `ws` at most `piece` at a time (callers pass
-/// [`max_batch_rows`]), so inference reuses the buffers training pooled
-/// and never grows a client's resident pool by an `n`-row logits, hidden
-/// activation or gather. A logit depends on its own input row only and
-/// keeps its `k`-order whatever rows share the GEMM call, so the pieces
-/// are invisible in the result.
-pub(crate) fn head_probs_by_pieces<'a>(
-    head: &Mlp,
-    n_rows: usize,
-    piece: usize,
-    ws: &mut Workspace,
-    mut input: impl FnMut(Range<usize>, &mut Workspace) -> HeadInput<'a>,
-    out: &mut Matrix,
-) {
-    let classes = *head.dims().last().expect("an MLP has at least one layer");
-    out.resize_to(n_rows, classes);
-    for (p, dst) in out.as_mut_slice().chunks_mut(piece * classes).enumerate() {
-        let x = input(p * piece..p * piece + dst.len() / classes, ws);
-        let view = match &x {
-            HeadInput::Rows(v) => *v,
-            HeadInput::Pooled(m) => m.view(),
-        };
-        let mut probs = head.infer_ws(view, ws);
-        softmax_rows_inplace(&mut probs);
-        dst.copy_from_slice(probs.as_slice());
-        ws.give_matrix(probs);
-        if let HeadInput::Pooled(m) = x {
-            ws.give_matrix(m);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedgta_graph::EdgeList;
-    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn tiny() -> GraphDataset {

@@ -9,156 +9,121 @@
 //! exact gradients for both the gate and the head (substitution recorded
 //! in DESIGN.md).
 
-use super::common::{
-    head_probs_by_pieces, make_batches, max_batch_rows, GraphDataset, HeadInput, TrainHooks,
-};
+use super::common::{GraphDataset, TrainHooks};
+use super::head::{BatchedHead, HeadInput};
 use super::precompute::hop_features;
-use super::GraphModel;
-use crate::loss::{soft_ce, softmax_ce};
+use super::{GraphModel, ModelConfig};
 use crate::mlp::Mlp;
-use crate::models::ModelConfig;
-use crate::ops::softmax_rows_inplace;
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::ops::Range;
 
 /// GAMLP: learned softmax gate over hop features + MLP head.
+///
+/// The gate logits `a ∈ R^{k+1}` are the head's leading parameters
+/// ([`Mlp::with_extra`]): one flat vector `[a | head]` for the optimizer
+/// and the federation.
 #[derive(Clone)]
 pub struct Gamlp {
-    /// Gate logits `a ∈ R^{k+1}`.
-    gate: Vec<f32>,
-    head: Mlp,
     k: usize,
-    batch_size: usize,
-    rng: StdRng,
-    /// Hop-feature cache keyed by dataset identity.
-    cache: Vec<(u64, Vec<Matrix>)>,
-    /// Scratch arena for gathered/combined batches (empty after `clone()`).
-    ws: Workspace,
+    /// The head, over the hop features of each dataset seen.
+    inner: BatchedHead<Vec<Matrix>>,
+}
+
+/// `softmax(a)` in a buffer checked out of `ws`.
+fn softmax_gate(a: &[f32], ws: &mut Workspace) -> Vec<f32> {
+    let max = a.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut s = ws.take(a.len());
+    for (s, &a) in s.iter_mut().zip(a) {
+        *s = (a - max).exp();
+    }
+    let sum: f32 = s.iter().sum();
+    for s in &mut s {
+        *s /= sum;
+    }
+    s
+}
+
+/// The `rows` of every hop in one tall matrix out of `ws`: hop `l` fills
+/// rows `l·b..(l+1)·b`, `b = rows.len()`.
+fn gather_hops(hops: &[Matrix], rows: &[u32], ws: &mut Workspace) -> Matrix {
+    let mut tall = ws.take_matrix(hops.len() * rows.len(), hops[0].cols());
+    for (l, hop) in hops.iter().enumerate() {
+        for (r, &i) in rows.iter().enumerate() {
+            tall.row_mut(l * rows.len() + r).copy_from_slice(hop.row(i as usize));
+        }
+    }
+    tall
+}
+
+/// The `hops` equal row blocks of a [`gather_hops`] matrix, as flat slices.
+fn hop_slices(tall: &Matrix, hops: usize) -> impl Iterator<Item = &[f32]> {
+    let len = tall.as_slice().len() / hops;
+    (0..hops).map(move |l| &tall.as_slice()[l * len..(l + 1) * len])
+}
+
+/// `Σ gate[l] · hops[l]` in a `rows × cols` matrix out of `ws`: scale by
+/// `gate[0]`, then one axpy per further hop, per element in hop order.
+fn combine<'a>(
+    gate: &[f32],
+    mut hops: impl Iterator<Item = &'a [f32]>,
+    (rows, cols): (usize, usize),
+    ws: &mut Workspace,
+) -> Matrix {
+    let mut out = ws.take_matrix(rows, cols);
+    let first = hops.next().expect("hop 0 is the input");
+    for (o, &h) in out.as_mut_slice().iter_mut().zip(first) {
+        *o = h * gate[0];
+    }
+    for (hop, &s) in hops.zip(&gate[1..]) {
+        for (o, &h) in out.as_mut_slice().iter_mut().zip(hop) {
+            *o += s * h;
+        }
+    }
+    out
+}
+
+/// Gate gradient via the softmax Jacobian, into `out` (`k + 1` slots).
+fn gate_grad<'a>(gate: &[f32], d_comb: &Matrix, hops: impl Iterator<Item = &'a [f32]>, out: &mut [f32]) {
+    // dL/ds_l = <d_comb, H_l>.
+    for (ds, hop) in out.iter_mut().zip(hops) {
+        *ds = d_comb.as_slice().iter().zip(hop).map(|(&a, &b)| a * b).sum::<f32>();
+    }
+    let dot: f32 = gate.iter().zip(out.iter()).map(|(&s, &d)| s * d).sum();
+    for (d, &s) in out.iter_mut().zip(gate) {
+        *d = s * (*d - dot);
+    }
 }
 
 impl Gamlp {
     /// Builds GAMLP for `in_dim` features and `num_classes`.
     pub fn new(cfg: &ModelConfig, in_dim: usize, num_classes: usize) -> Self {
-        let mut dims = vec![in_dim];
-        for _ in 0..cfg.layers.saturating_sub(1) {
-            dims.push(cfg.hidden);
-        }
-        dims.push(num_classes);
         Self {
-            gate: vec![0.0; cfg.k + 1],
-            head: Mlp::new(&dims, cfg.dropout, cfg.seed),
             k: cfg.k,
-            batch_size: cfg.batch_size,
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0xc2b2_ae3d_27d4_eb4f),
-            cache: Vec::new(),
-            ws: Workspace::new(),
+            inner: BatchedHead::new(cfg, in_dim, num_classes, cfg.k + 1, 0xc2b2_ae3d_27d4_eb4f),
         }
     }
 
-    fn softmax_gate(&self) -> Vec<f32> {
-        let max = self.gate.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = self.gate.iter().map(|&a| (a - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        exps.into_iter().map(|e| e / sum).collect()
-    }
-
-    /// Position of `data`'s hop features in the cache, computing them on
-    /// a miss (an index, not a borrow: callers go on to use the head, the
-    /// gate and the workspace next to `self.cache[pos].1`).
-    fn hops_pos(&mut self, data: &GraphDataset) -> usize {
-        if let Some(pos) = self.cache.iter().position(|(key, _)| *key == data.cache_key) {
-            return pos;
-        }
-        let hops = hop_features(&data.adj_norm, &data.features, self.k);
-        if self.cache.len() >= 2 {
-            self.cache.remove(0);
-        }
-        self.cache.push((data.cache_key, hops));
-        self.cache.len() - 1
-    }
-
-    /// Combine hop rows of `batch` with the current gate (allocating
-    /// wrapper of [`Self::combine_rows_ws`]; test/reference path).
-    #[cfg(test)]
-    fn combine_rows(hops: &[Matrix], gate: &[f32], batch: &[u32]) -> (Matrix, Vec<Matrix>) {
-        let mut ws = Workspace::new();
-        Self::combine_rows_ws(hops, gate, batch, &mut ws)
-    }
-
-    /// Allocation-free [`Self::combine_rows`]: gathered rows and the
-    /// combined batch come from (and return to) the workspace.
-    fn combine_rows_ws(
-        hops: &[Matrix],
-        gate: &[f32],
-        batch: &[u32],
-        ws: &mut Workspace,
-    ) -> (Matrix, Vec<Matrix>) {
-        let gathered: Vec<Matrix> = hops
-            .iter()
-            .map(|h| {
-                let mut g = ws.take_matrix(batch.len(), h.cols());
-                h.gather_rows_into(batch, &mut g);
-                g
-            })
-            .collect();
-        let mut out = ws.take_matrix(batch.len(), hops[0].cols());
-        out.copy_from(&gathered[0]);
-        out.scale(gate[0]);
-        for (l, g) in gathered.iter().enumerate().skip(1) {
-            out.axpy(gate[l], g);
-        }
-        (out, gathered)
-    }
-
-    /// Gate-combine over *all* nodes: the identity gather is skipped, so
-    /// inference never copies every hop matrix.
-    fn combine_all(hops: &[Matrix], gate: &[f32]) -> Matrix {
-        let mut out = hops[0].clone();
-        out.scale(gate[0]);
-        for (l, h) in hops.iter().enumerate().skip(1) {
-            out.axpy(gate[l], h);
-        }
-        out
-    }
-
-    /// Gate gradient via the softmax Jacobian.
-    fn gate_grad(&self, gate: &[f32], d_comb: &Matrix, gathered: &[Matrix]) -> Vec<f32> {
-        // dL/ds_l = <d_comb, H_l>.
-        let ds: Vec<f32> = gathered
-            .iter()
-            .map(|h| {
-                d_comb
-                    .as_slice()
-                    .iter()
-                    .zip(h.as_slice())
-                    .map(|(&a, &b)| a * b)
-                    .sum::<f32>()
-            })
-            .collect();
-        let dot: f32 = gate.iter().zip(&ds).map(|(&s, &d)| s * d).sum();
-        gate.iter().zip(&ds).map(|(&s, &d)| s * (d - dot)).collect()
+    /// Checks out the hop features of `data` (computed on a miss); hand
+    /// them back with `self.inner.give_features`.
+    fn take_hops(&mut self, data: &GraphDataset) -> (u64, Vec<Matrix>) {
+        let k = self.k;
+        self.inner.take_features(data, || hop_features(&data.adj_norm, &data.features, k))
     }
 }
 
 impl GraphModel for Gamlp {
     fn num_params(&self) -> usize {
-        self.gate.len() + self.head.num_params()
+        self.inner.head.num_params()
     }
 
     fn params(&self) -> Vec<f32> {
-        let mut out = self.gate.clone();
-        out.extend_from_slice(self.head.params());
-        out
+        self.inner.head.params().to_vec()
     }
 
     fn set_params(&mut self, p: &[f32]) {
-        assert_eq!(p.len(), self.num_params(), "param length mismatch");
-        let g = self.gate.len();
-        self.gate.copy_from_slice(&p[..g]);
-        self.head.set_params(&p[g..]);
+        self.inner.head.set_params(p);
     }
 
     fn train_epoch(
@@ -167,114 +132,74 @@ impl GraphModel for Gamlp {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
     ) -> f32 {
-        let pos = self.hops_pos(data);
-        // Check the hop set out of the cache (no per-epoch clone of k+1
-        // full matrices); pushed back after the epoch.
-        let entry = self.cache.swap_remove(pos);
+        let entry = self.take_hops(data);
         let hops = &entry.1;
-        let mut ws = std::mem::take(&mut self.ws);
-
-        let batches = make_batches(&data.train_nodes, self.batch_size, &mut self.rng);
-        let mut total_loss = 0f64;
-        let mut steps = 0usize;
-        for batch in &batches {
-            if batch.is_empty() {
-                continue;
-            }
-            let gate = self.softmax_gate();
-            let (xb, gathered) = Self::combine_rows_ws(hops, &gate, batch, &mut ws);
-            let (logits, cache) = self.head.forward_ws(xb, true, &mut ws);
-            let labels_b: Vec<u32> = batch.iter().map(|&i| data.labels[i as usize]).collect();
-            let rows_b: Vec<u32> = (0..batch.len() as u32).collect();
-            let (loss, mut d_logits) = softmax_ce(&logits, &labels_b, &rows_b);
-            if let Some(pl) = hooks.pseudo.as_ref() {
-                let rows_pl: Vec<u32> = batch
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &n)| pl.mask[n as usize])
-                    .map(|(b, _)| b as u32)
-                    .collect();
-                if !rows_pl.is_empty() {
-                    let targets_b = pl.targets.gather_rows(batch);
-                    let (_, d_extra) = soft_ce(&logits, &targets_b, &rows_pl, pl.weight);
-                    d_logits.axpy(1.0, &d_extra);
-                }
-            }
-            let hidden_grad = hooks
-                .hidden_hook
-                .as_mut()
-                .map(|h| h(batch, cache.penultimate()));
-            // The gate differentiates through the head's input.
-            let (head_grads, d_comb) =
-                self.head
-                    .backward_input_ws(&cache, &d_logits, hidden_grad.as_ref(), &mut ws);
-            let gate_grads = self.gate_grad(&gate, &d_comb, &gathered);
-            let mut grads = gate_grads;
-            grads.extend_from_slice(&head_grads);
-            if let Some(gh) = hooks.grad_hook.as_mut() {
-                let p = self.params();
-                gh(&p, &mut grads);
-            }
-            let mut flat = self.params();
-            opt.step(&mut flat, &grads);
-            self.set_params(&flat);
-            // Scratch back to the arena for the next batch.
-            ws.give(head_grads);
-            ws.give_matrix(d_comb);
-            ws.give_matrix(d_logits);
-            if let Some(hg) = hidden_grad {
-                ws.give_matrix(hg);
-            }
-            cache.recycle(&mut ws);
-            ws.give_matrix(logits);
-            for g in gathered {
-                ws.give_matrix(g);
-            }
-            total_loss += loss as f64;
-            steps += 1;
-        }
-        self.ws = ws;
-        self.cache.push(entry);
-        if steps == 0 {
-            0.0
-        } else {
-            (total_loss / steps as f64) as f32
-        }
+        // A batch is the gate-combination of its rows of every hop; the
+        // gathered rows and the gate are kept for the gate's gradient.
+        let gate_combine = |head: &Mlp, batch: &[u32], ws: &mut Workspace| {
+            let gate = softmax_gate(head.extra(), ws);
+            let gathered = gather_hops(hops, batch, ws);
+            let shape = (batch.len(), gathered.cols());
+            let xb = combine(&gate, hop_slices(&gathered, gate.len()), shape, ws);
+            (xb, (gate, gathered))
+        };
+        let loss = self.inner.train_epoch(
+            data,
+            opt,
+            hooks,
+            gate_combine,
+            |head, cache, d_logits, hidden_grad, (gate, gathered), ws| {
+                // The gate differentiates through the head's input.
+                let (mut grads, d_comb) = head.backward_input_ws(cache, d_logits, hidden_grad, ws);
+                let hops = hop_slices(&gathered, gate.len());
+                gate_grad(&gate, &d_comb, hops, &mut grads[..gate.len()]);
+                ws.give_matrix(d_comb);
+                ws.give_matrix(gathered);
+                ws.give(gate);
+                grads
+            },
+        );
+        self.inner.give_features(entry);
+        loss
     }
 
-    fn predict(&mut self, data: &GraphDataset) -> Matrix {
-        let pos = self.hops_pos(data);
-        let gate = self.softmax_gate();
-        let x = Self::combine_all(&self.cache[pos].1, &gate);
-        let mut probs = self.head.infer(&x);
-        softmax_rows_inplace(&mut probs);
-        probs
+    fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
+        let entry = self.take_hops(data);
+        let (hops, cols) = (&entry.1, entry.1[0].cols());
+        let gate = softmax_gate(self.inner.head.extra(), &mut self.inner.ws);
+        // Row ranges of the cached hops, combined where they lie.
+        let combine_range = |r: Range<usize>, ws: &mut Workspace| {
+            let slices = hops.iter().map(|h| &h.as_slice()[r.start * cols..r.end * cols]);
+            HeadInput::Pooled(combine(&gate, slices, (r.len(), cols), ws))
+        };
+        self.inner.probs_by_pieces(data, hops[0].rows(), combine_range, out);
+        self.inner.ws.give(gate);
+        self.inner.give_features(entry);
     }
 
     fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
-        let gate = self.softmax_gate();
-        let piece = max_batch_rows(data, self.batch_size);
-        let mut ws = std::mem::take(&mut self.ws);
-        let pos = self.hops_pos(data);
-        let hops = &self.cache[pos].1;
-        // Same scale-then-axpy per element as `combine_all`, on the
-        // requested rows only.
-        let combine = |r: std::ops::Range<usize>, ws: &mut Workspace| {
-            let (x, gathered) = Self::combine_rows_ws(hops, &gate, &rows[r], ws);
-            for g in gathered {
-                ws.give_matrix(g);
-            }
+        let entry = self.take_hops(data);
+        let gate = softmax_gate(self.inner.head.extra(), &mut self.inner.ws);
+        // The same scale-then-axpy per element, on the requested rows only.
+        let combine_rows = |r: Range<usize>, ws: &mut Workspace| {
+            let gathered = gather_hops(&entry.1, &rows[r.clone()], ws);
+            let x = combine(&gate, hop_slices(&gathered, gate.len()), (r.len(), gathered.cols()), ws);
+            ws.give_matrix(gathered);
             HeadInput::Pooled(x)
         };
-        head_probs_by_pieces(&self.head, rows.len(), piece, &mut ws, combine, out);
-        self.ws = ws;
+        self.inner.probs_by_pieces(data, rows.len(), combine_rows, out);
+        self.inner.ws.give(gate);
+        self.inner.give_features(entry);
     }
 
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {
-        let pos = self.hops_pos(data);
-        let gate = self.softmax_gate();
-        let x = Self::combine_all(&self.cache[pos].1, &gate);
-        self.head.infer_hidden(&x)
+        let entry = self.take_hops(data);
+        let shape = entry.1[0].shape();
+        let mut ws = Workspace::new();
+        let gate = softmax_gate(self.inner.head.extra(), &mut ws);
+        let x = combine(&gate, entry.1.iter().map(Matrix::as_slice), shape, &mut ws);
+        self.inner.give_features(entry);
+        self.inner.head.infer_hidden(&x)
     }
 
     fn clone_box(&self) -> Box<dyn GraphModel> {
@@ -285,6 +210,7 @@ impl GraphModel for Gamlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::softmax_ce;
     use crate::metrics::accuracy;
     use crate::models::decoupled::tests::toy_dataset;
     use crate::models::ModelKind;
@@ -312,7 +238,7 @@ mod tests {
     #[test]
     fn gate_starts_uniform() {
         let m = Gamlp::new(&cfg(), 4, 2);
-        let s = m.softmax_gate();
+        let s = softmax_gate(m.inner.head.extra(), &mut Workspace::new());
         for &v in &s {
             assert!((v - 0.25).abs() < 1e-6);
         }
@@ -338,7 +264,7 @@ mod tests {
         for _ in 0..10 {
             m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
         }
-        assert!(m.gate.iter().any(|&a| a.abs() > 1e-4), "gate never updated");
+        assert!(m.inner.head.extra().iter().any(|&a| a.abs() > 1e-4), "gate never updated");
     }
 
     #[test]
@@ -352,32 +278,27 @@ mod tests {
         }
         m.set_params(&p);
 
+        // The gate, every node's rows of every hop, and their combination.
+        let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
+        let hops = hop_features(&data.adj_norm, &data.features, 3);
+        let combined = |m: &Gamlp| {
+            let mut ws = Workspace::new();
+            let gate = softmax_gate(m.inner.head.extra(), &mut ws);
+            let gathered = gather_hops(&hops, &all, &mut ws);
+            let x = combine(&gate, hop_slices(&gathered, gate.len()), hops[0].shape(), &mut ws);
+            (gate, gathered, x)
+        };
         let loss_of = |m: &mut Gamlp| {
-            let probs_free_logits = {
-                let pos = m.hops_pos(&data);
-                let hops = m.cache[pos].1.clone();
-                let gate = m.softmax_gate();
-                let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
-                let (x, _) = Gamlp::combine_rows(&hops, &gate, &all);
-                m.head.infer(&x)
-            };
-            let rows = data.train_nodes.clone();
-            softmax_ce(&probs_free_logits, &data.labels, &rows).0
+            let logits = m.inner.head.infer(&combined(m).2);
+            softmax_ce(&logits, &data.labels, &data.train_nodes).0
         };
 
-        // Analytic gradients via one full-batch "epoch" with lr 0 — instead
-        // compute directly.
-        let pos = m.hops_pos(&data);
-        let hops = m.cache[pos].1.clone();
-        let gate = m.softmax_gate();
-        let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
-        let (xb, gathered) = Gamlp::combine_rows(&hops, &gate, &all);
-        let (logits, cache) = m.head.forward(&xb, false);
+        // Analytic gradients of the full-batch loss, computed directly.
+        let (gate, gathered, xb) = combined(&m);
+        let (logits, cache) = m.inner.head.forward(&xb, false);
         let (_, d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
-        let (head_grads, d_comb) = m.head.backward(&cache, &d_logits, None);
-        let gate_grads = m.gate_grad(&gate, &d_comb, &gathered);
-        let mut grads = gate_grads;
-        grads.extend(head_grads);
+        let (mut grads, d_comb) = m.inner.head.backward(&cache, &d_logits, None);
+        gate_grad(&gate, &d_comb, hop_slices(&gathered, gate.len()), &mut grads[..4]);
 
         let eps = 1e-2f32;
         let n = m.num_params();

@@ -13,11 +13,18 @@
 //! Decoupled models precompute propagated features once per dataset
 //! (cached by the dataset's identity key) — the scalability property the
 //! paper's Table 1 relies on.
+//!
+//! A backbone supplies a forward and a backward; everything a federated
+//! strategy can reach — the supervised loss, the three [`TrainHooks`]
+//! injection points, the optimizer step — is written once, in
+//! [`common`], and all seven train through it.
 
 pub mod common;
+pub mod coupled;
 pub mod decoupled;
 pub mod gamlp;
 pub mod gcn;
+mod head;
 pub mod precompute;
 pub mod sage;
 
@@ -51,15 +58,18 @@ pub trait GraphModel: Send {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
     ) -> f32;
-    /// Softmax class probabilities for every node (`n × |Y|`).
-    fn predict(&mut self, data: &GraphDataset) -> Matrix;
-    /// [`Self::predict`] into a caller-provided buffer, reshaped as
-    /// needed. The default delegates to `predict` (one allocation);
-    /// decoupled backbones override it with a fully workspace-pooled
-    /// path so warm calls perform **zero heap allocations** — the
-    /// property FedGTA's per-round upload pipeline relies on.
-    fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
-        *out = self.predict(data);
+    /// Softmax class probabilities for every node (`n × |Y|`) into a
+    /// caller-provided buffer, reshaped as needed. Scratch comes from the
+    /// model's workspace: a warm call of a head backbone (the decoupled
+    /// family, GAMLP) performs **zero heap allocations** and a full-batch
+    /// one none that grows with `n` — the property FedGTA's per-round
+    /// upload pipeline relies on.
+    fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix);
+    /// [`Self::predict_into`] a fresh matrix.
+    fn predict(&mut self, data: &GraphDataset) -> Matrix {
+        let mut out = Matrix::default();
+        self.predict_into(data, &mut out);
+        out
     }
     /// Softmax class probabilities of the nodes `rows` only: `out` is
     /// reshaped to `rows.len() × |Y|` and its row `r` equals row
@@ -154,6 +164,33 @@ pub struct ModelConfig {
     pub beta: f32,
     /// Parameter-init / batching seed.
     pub seed: u64,
+}
+
+impl ModelConfig {
+    /// The recipe behind every table of the reproduction (CLI `run`, the
+    /// bench runner, the comms bench): `k = 5` propagation steps, GBP's
+    /// β = 0.15, batches of 256, two layers — except SGC, whose head is the
+    /// paper's single linear layer.
+    pub fn paper(kind: ModelKind, hidden: usize, seed: u64) -> Self {
+        Self {
+            kind,
+            hidden,
+            layers: if kind == ModelKind::Sgc { 1 } else { 2 },
+            k: 5,
+            beta: 0.15,
+            batch_size: 256,
+            seed,
+            ..Self::default()
+        }
+    }
+
+    /// Layer widths `[in, hidden × (layers − 1), classes]`.
+    pub(crate) fn widths(&self, in_dim: usize, num_classes: usize) -> Vec<usize> {
+        let mut widths = vec![in_dim];
+        widths.resize(self.layers.max(1), self.hidden);
+        widths.push(num_classes);
+        widths
+    }
 }
 
 impl Default for ModelConfig {

@@ -9,10 +9,9 @@
 //! - **S²GC**: average all hops;
 //! - **GBP**: weighted average with `wₗ = β(1−β)ˡ`.
 
+use crate::ops::spmm_csr_into;
 use crate::tensor::Matrix;
-use fedgta_graph::io::IoError;
 use fedgta_graph::spmm::propagate_steps_into;
-use fedgta_graph::store::GraphStore;
 use fedgta_graph::Csr;
 
 /// How hop features are combined into the model input.
@@ -92,74 +91,53 @@ pub fn combine(kind: PrecomputeKind, hops: &[Matrix]) -> Matrix {
     }
 }
 
-/// One-shot helper: propagate and combine.
+/// Propagates and combines in one pass — [`combine`] over
+/// [`hop_features`] to the bit, the readable reference it is tested
+/// against, without holding hops the kind is done with: SGC ping-pongs two
+/// buffers, S²GC and GBP fold each hop into a running accumulator as it
+/// appears, and only SIGN, whose output *is* every hop side by side, ends
+/// up with `k + 1` of them — written straight into their columns.
 pub fn precompute(kind: PrecomputeKind, adj_norm: &Csr, features: &Matrix, k: usize) -> Matrix {
-    combine(kind, &hop_features(adj_norm, features, k))
-}
-
-/// Out-of-core sibling of [`precompute`]: the adjacency is consumed
-/// through a [`GraphStore`], so a file-backed graph is streamed tile by
-/// tile and never materialized.
-///
-/// The per-row SpMM kernel is shared with the in-memory path and the hop
-/// combination applies the same operations in the same order, so for the
-/// equivalent graph the result is **bit-identical** to [`precompute`] at
-/// any thread count. Hop retention is kind-aware: SGC ping-pongs two
-/// buffers, S²GC/GBP fold hops into a running accumulator (three dense
-/// matrices resident), and only SIGN — whose output is all hops
-/// concatenated — holds `k + 1`.
-pub fn precompute_store(
-    kind: PrecomputeKind,
-    adj_norm: &GraphStore,
-    features: &Matrix,
-    k: usize,
-) -> Result<Matrix, IoError> {
-    let (n, cols) = features.shape();
-    assert_eq!(adj_norm.num_nodes(), n, "adjacency/feature row mismatch");
-    match kind {
-        PrecomputeKind::Sgc => {
-            let mut out = vec![0f32; n * cols];
-            let mut scratch = vec![0f32; n * cols];
-            adj_norm.propagate_k_into(features.as_slice(), cols, k, &mut out, &mut scratch)?;
-            Ok(Matrix::from_vec(n, cols, out))
+    let (n, f) = features.shape();
+    let mut cur = features.clone();
+    let mut next = Matrix::zeros(n, f);
+    let mut out = match kind {
+        PrecomputeKind::Sgc => Matrix::default(),
+        _ => Matrix::zeros(n, kind.out_dim(f, k)),
+    };
+    let mut w = 0.0;
+    for l in 0..=k {
+        if l > 0 {
+            spmm_csr_into(adj_norm, &cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
         }
-        PrecomputeKind::Sign => {
-            let mut out = features.clone();
-            let mut cur = features.clone();
-            let mut next = vec![0f32; n * cols];
-            for _ in 0..k {
-                adj_norm.spmm_into(cur.as_slice(), cols, &mut next)?;
-                cur = Matrix::from_vec(n, cols, next.clone());
-                out = out.hcat(&cur);
+        match kind {
+            PrecomputeKind::Sgc => {}
+            PrecomputeKind::Sign => {
+                for i in 0..n {
+                    out.row_mut(i)[l * f..(l + 1) * f].copy_from_slice(cur.row(i));
+                }
             }
-            Ok(out)
-        }
-        PrecomputeKind::S2gc => {
-            let mut out = features.clone();
-            let mut cur = features.clone();
-            let mut next = vec![0f32; n * cols];
-            for _ in 0..k {
-                adj_norm.spmm_into(cur.as_slice(), cols, &mut next)?;
-                cur = Matrix::from_vec(n, cols, std::mem::replace(&mut next, vec![0f32; n * cols]));
-                out.axpy(1.0, &cur);
+            PrecomputeKind::S2gc if l == 0 => out.copy_from(&cur),
+            PrecomputeKind::S2gc => out.axpy(1.0, &cur),
+            PrecomputeKind::Gbp { beta } if l == 0 => {
+                out.copy_from(&cur);
+                out.scale(beta);
+                w = beta;
             }
-            out.scale(1.0 / (k as f32 + 1.0));
-            Ok(out)
-        }
-        PrecomputeKind::Gbp { beta } => {
-            let mut out = features.clone();
-            out.scale(beta);
-            let mut cur = features.clone();
-            let mut next = vec![0f32; n * cols];
-            let mut w = beta;
-            for _ in 0..k {
-                adj_norm.spmm_into(cur.as_slice(), cols, &mut next)?;
-                cur = Matrix::from_vec(n, cols, std::mem::replace(&mut next, vec![0f32; n * cols]));
+            PrecomputeKind::Gbp { beta } => {
                 w *= 1.0 - beta;
                 out.axpy(w, &cur);
             }
-            Ok(out)
         }
+    }
+    match kind {
+        PrecomputeKind::Sgc => cur,
+        PrecomputeKind::S2gc => {
+            out.scale(1.0 / (k as f32 + 1.0));
+            out
+        }
+        _ => out,
     }
 }
 
@@ -226,42 +204,25 @@ mod tests {
         assert_eq!(p, x);
     }
 
-    const ALL_KINDS: [PrecomputeKind; 4] = [
-        PrecomputeKind::Sgc,
-        PrecomputeKind::Sign,
-        PrecomputeKind::S2gc,
-        PrecomputeKind::Gbp { beta: 0.3 },
-    ];
-
     #[test]
     fn store_precompute_matches_in_memory_bitwise() {
+        // The one-pass, hop-dropping body against the readable reference,
+        // by `to_bits` (`Matrix == Matrix` would let `0.0 == -0.0` pass).
         let (a, x) = setup();
-        let mem = fedgta_graph::store::GraphStore::Mem(a.clone());
-        for kind in ALL_KINDS {
+        let kinds = [
+            PrecomputeKind::Sgc,
+            PrecomputeKind::Sign,
+            PrecomputeKind::S2gc,
+            PrecomputeKind::Gbp { beta: 0.3 },
+        ];
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for kind in kinds {
             for k in 0..4 {
-                let want = precompute(kind, &a, &x, k);
-                let got = precompute_store(kind, &mem, &x, k).unwrap();
-                assert_eq!(got, want, "{kind:?} k={k}");
+                let want = combine(kind, &hop_features(&a, &x, k));
+                let got = precompute(kind, &a, &x, k);
+                assert_eq!(got.shape(), want.shape(), "{kind:?} k={k}");
+                assert_eq!(bits(&got), bits(&want), "{kind:?} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn disk_precompute_matches_in_memory_bitwise() {
-        let (a, x) = setup();
-        let path = std::env::temp_dir().join(format!(
-            "fedgta-precompute-{}-{:?}.fgta2",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        fedgta_graph::io::write_csr_v2(&path, &a, 2).unwrap();
-        let disk = fedgta_graph::store::GraphStore::open(&path).unwrap();
-        for kind in ALL_KINDS {
-            let want = precompute(kind, &a, &x, 3);
-            let got = precompute_store(kind, &disk, &x, 3).unwrap();
-            assert_eq!(got, want, "{kind:?}");
-        }
-        drop(disk);
-        std::fs::remove_file(&path).unwrap();
     }
 }

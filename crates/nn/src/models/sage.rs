@@ -8,270 +8,81 @@
 //! recorded in DESIGN.md). Both `Ā` and the precomputed transpose `Āᵀ`
 //! that backward through `Ā H` needs are borrowed from the dataset.
 //!
-//! Because each layer consumes the *doubled* width `[H ‖ ĀH]`, the layers
-//! cannot share one chained [`Mlp`]; each layer owns a single-linear `Mlp`
-//! used as flat parameter storage, and the model concatenates their
-//! buffers for the federated flat-vector view.
+//! Forward, backward and training are [`Coupled`]'s; GraphSAGE is the
+//! convolution `lift(H) = [H ‖ Ā·H]`, so each layer's weight block is
+//! `2·d_l × d_{l+1}`.
 
-use super::common::{GraphDataset, TrainHooks};
-use super::GraphModel;
-use crate::loss::{soft_ce, softmax_ce};
+use super::common::GraphDataset;
+use super::coupled::{Conv, Coupled, LayerCache};
 use crate::mlp::Mlp;
-use crate::models::ModelConfig;
-use crate::ops::{
-    col_sums_into, matmul_bias_into, matmul_bias_relu_into, matmul_nt_into, matmul_tn_into,
-    relu_backward_inplace, softmax_rows_inplace, spmm_csr,
-};
-use crate::optim::Optimizer;
-use crate::tensor::{MatView, Matrix};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::ops::spmm_csr_into;
+use crate::tensor::Matrix;
+use crate::workspace::Workspace;
 
 /// A full-batch GraphSAGE-mean model (exact full-neighborhood mean).
+pub type Sage = Coupled<SageConv>;
+
+/// `lift(H) = [H ‖ Ā·H]`; the penultimate representation is the hidden
+/// state entering the last layer, `H_{L−1}` (the features when `L = 1`).
 #[derive(Clone)]
-pub struct Sage {
-    /// One single-linear Mlp per SAGE layer: `2·d_l × d_{l+1}`.
-    lins: Vec<Mlp>,
-    dropout: f32,
-    rng: StdRng,
-}
+pub struct SageConv;
 
-struct SageCache {
-    /// Concatenated input `[H ‖ ĀH]` per layer.
-    concat: Vec<Matrix>,
-    hidden_out: Vec<Matrix>,
-    dropout_masks: Vec<Option<Vec<f32>>>,
-}
+impl Conv for SageConv {
+    const FAN_IN: usize = 2;
+    const RNG_SALT: u64 = 0x5851_f42d_4c95_7f2d;
 
-impl Sage {
-    /// Builds an `L`-layer GraphSAGE (`cfg.layers`, min 1).
-    pub fn new(cfg: &ModelConfig, in_dim: usize, num_classes: usize) -> Self {
-        let layers = cfg.layers.max(1);
-        let mut widths = vec![in_dim];
-        for _ in 0..layers - 1 {
-            widths.push(cfg.hidden);
-        }
-        widths.push(num_classes);
-        let lins = (0..layers)
-            .map(|l| Mlp::new(&[2 * widths[l], widths[l + 1]], 0.0, cfg.seed.wrapping_add(l as u64)))
-            .collect();
-        Self {
-            lins,
-            dropout: cfg.dropout,
-            rng: StdRng::seed_from_u64(cfg.seed ^ 0x5851_f42d_4c95_7f2d),
-        }
-    }
-
-    fn num_layers(&self) -> usize {
-        self.lins.len()
-    }
-
-    fn weight(&self, l: usize) -> MatView<'_> {
-        self.lins[l].weight_view(0)
-    }
-
-    fn bias(&self, l: usize) -> &[f32] {
-        self.lins[l].bias(0)
-    }
-
-    /// Flat offset of layer `l` inside the concatenated parameter view.
-    fn flat_offset(&self, l: usize) -> usize {
-        self.lins[..l].iter().map(|m| m.num_params()).sum()
-    }
-
-    fn forward(&mut self, data: &GraphDataset, train: bool) -> (Matrix, SageCache) {
-        let layers = self.num_layers();
-        let mut concat = Vec::with_capacity(layers);
-        let mut hidden_out = Vec::with_capacity(layers - 1);
-        let mut dropout_masks = Vec::with_capacity(layers - 1);
-        let mut cur = data.features.clone();
-        for l in 0..layers {
-            let agg = spmm_csr(&data.adj_mean, &cur);
-            let cat = cur.hcat(&agg);
-            let w = self.weight(l);
-            let mut z = Matrix::zeros(cat.rows(), w.cols());
-            if l + 1 < layers {
-                matmul_bias_relu_into(cat.view(), w, self.bias(l), z.as_mut_slice());
-                concat.push(cat);
-                let mask = if train && self.dropout > 0.0 {
-                    let keep = 1.0 - self.dropout;
-                    let inv = 1.0 / keep;
-                    let mut mask = vec![0f32; z.rows() * z.cols()];
-                    for (m, v) in mask.iter_mut().zip(z.as_mut_slice()) {
-                        if self.rng.random::<f32>() < keep {
-                            *m = inv;
-                            *v *= inv;
-                        } else {
-                            *v = 0.0;
-                        }
-                    }
-                    Some(mask)
-                } else {
-                    None
-                };
-                dropout_masks.push(mask);
-                hidden_out.push(z.clone());
-            } else {
-                matmul_bias_into(cat.view(), w, self.bias(l), z.as_mut_slice());
-                concat.push(cat);
-            }
-            cur = z;
-        }
-        (
-            cur,
-            SageCache {
-                concat,
-                hidden_out,
-                dropout_masks,
-            },
-        )
-    }
-
-    fn backward(
-        &self,
-        data: &GraphDataset,
-        cache: &SageCache,
-        d_logits: &Matrix,
-        hidden_grad: Option<&Matrix>,
-    ) -> Vec<f32> {
-        let layers = self.num_layers();
-        let mut grads = vec![0f32; self.num_params()];
-        let mut d_out = d_logits.clone();
-        for l in (0..layers).rev() {
-            let cat = &cache.concat[l];
-            // dW/db land directly in the flat gradient buffer.
-            let off = self.flat_offset(l);
-            let (_, bs, be) = self.lins[l].layer_offsets(0);
-            matmul_tn_into(cat.view(), d_out.view(), &mut grads[off..off + bs]);
-            col_sums_into(&d_out, &mut grads[off + bs..off + be]);
-            if l == 0 {
-                break;
-            }
-            let w = self.weight(l);
-            let mut dcat = Matrix::zeros(d_out.rows(), w.rows());
-            matmul_nt_into(d_out.view(), w, dcat.as_mut_slice());
-            let half = cat.cols() / 2;
-            let (d_direct, d_agg) = dcat.hsplit(half);
-            // dH = d_direct + Āᵀ d_agg.
-            let mut dx = spmm_csr(&data.adj_mean_t, &d_agg);
-            dx.axpy(1.0, &d_direct);
-            if l == layers - 1 {
-                if let Some(hg) = hidden_grad {
-                    dx.axpy(1.0, hg);
-                }
-            }
-            if let Some(mask) = &cache.dropout_masks[l - 1] {
-                for (g, &m) in dx.as_mut_slice().iter_mut().zip(mask) {
-                    *g *= m;
-                }
-            }
-            relu_backward_inplace(&mut dx, &cache.hidden_out[l - 1]);
-            d_out = dx;
-        }
-        grads
-    }
-
-    /// Hidden representation `H_{L-1}` entering the final layer.
-    fn hidden_rep(&mut self, data: &GraphDataset) -> Matrix {
-        let layers = self.num_layers();
-        let mut cur = data.features.clone();
-        for l in 0..layers - 1 {
-            let agg = spmm_csr(&data.adj_mean, &cur);
-            let cat = cur.hcat(&agg);
-            let w = self.weight(l);
-            let mut z = Matrix::zeros(cat.rows(), w.cols());
-            matmul_bias_relu_into(cat.view(), w, self.bias(l), z.as_mut_slice());
-            cur = z;
-        }
-        cur
-    }
-}
-
-impl GraphModel for Sage {
-    fn num_params(&self) -> usize {
-        self.lins.iter().map(|m| m.num_params()).sum()
-    }
-
-    fn params(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        for m in &self.lins {
-            out.extend_from_slice(m.params());
-        }
-        out
-    }
-
-    fn set_params(&mut self, p: &[f32]) {
-        assert_eq!(p.len(), self.num_params(), "param length mismatch");
-        let mut off = 0;
-        for m in &mut self.lins {
-            let n = m.num_params();
-            m.set_params(&p[off..off + n]);
-            off += n;
-        }
-    }
-
-    fn train_epoch(
-        &mut self,
-        data: &GraphDataset,
-        opt: &mut dyn Optimizer,
-        hooks: &mut TrainHooks<'_>,
-    ) -> f32 {
-        let (logits, cache) = self.forward(data, true);
-        let (loss, mut d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
-        if let Some(pl) = hooks.pseudo.as_ref() {
-            let rows: Vec<u32> = (0..data.num_nodes() as u32)
-                .filter(|&i| pl.mask[i as usize])
-                .collect();
-            if !rows.is_empty() {
-                let (_, d_extra) = soft_ce(&logits, &pl.targets, &rows, pl.weight);
-                d_logits.axpy(1.0, &d_extra);
-            }
-        }
-        // MOON's anchor: the hidden representation entering the final layer.
-        let hidden_grad = if let Some(h) = hooks.hidden_hook.as_mut() {
-            let layers = self.lins.len();
-            if layers >= 2 {
-                let all: Vec<u32> = (0..data.num_nodes() as u32).collect();
-                Some(h(&all, &cache.hidden_out[layers - 2]))
-            } else {
-                None
-            }
-        } else {
-            None
+    /// One Xavier stream per layer, seeded `seed + l`.
+    fn init(widths: &[usize], seed: u64) -> Vec<f32> {
+        let layer = |(l, w): (usize, &[usize])| {
+            Mlp::new(&[2 * w[0], w[1]], 0.0, seed.wrapping_add(l as u64)).params().to_vec()
         };
-        let mut grads = self.backward(data, &cache, &d_logits, hidden_grad.as_ref());
-        if let Some(gh) = hooks.grad_hook.as_mut() {
-            let p = self.params();
-            gh(&p, &mut grads);
+        widths.windows(2).enumerate().flat_map(layer).collect()
+    }
+
+    fn lift(data: &GraphDataset, h: &Matrix, ws: &mut Workspace) -> Matrix {
+        let mut agg = ws.take_matrix(h.rows(), h.cols());
+        spmm_csr_into(&data.adj_mean, h, &mut agg);
+        let mut cat = ws.take_matrix(h.rows(), 2 * h.cols());
+        h.hcat_into(&agg, &mut cat);
+        ws.give_matrix(agg);
+        cat
+    }
+
+    fn lower(
+        data: &GraphDataset,
+        dcat: Matrix,
+        hidden_grad: Option<&Matrix>,
+        ws: &mut Workspace,
+    ) -> Matrix {
+        let (n, half) = (dcat.rows(), dcat.cols() / 2);
+        let mut d_direct = ws.take_matrix(n, half);
+        let mut d_agg = ws.take_matrix(n, half);
+        dcat.hsplit_into(&mut d_direct, &mut d_agg);
+        // dH = d_direct + Āᵀ d_agg.
+        let mut dx = ws.take_matrix(n, half);
+        spmm_csr_into(&data.adj_mean_t, &d_agg, &mut dx);
+        dx.axpy(1.0, &d_direct);
+        if let Some(hg) = hidden_grad {
+            dx.axpy(1.0, hg);
         }
-        // Step each layer's slice with one logical flat step.
-        let mut flat = self.params();
-        opt.step(&mut flat, &grads);
-        self.set_params(&flat);
-        loss
+        for m in [dcat, d_direct, d_agg] {
+            ws.give_matrix(m);
+        }
+        dx
     }
 
-    fn predict(&mut self, data: &GraphDataset) -> Matrix {
-        let (mut logits, _) = self.forward(data, false);
-        softmax_rows_inplace(&mut logits);
-        logits
-    }
-
-    fn penultimate(&mut self, data: &GraphDataset) -> Matrix {
-        self.hidden_rep(data)
-    }
-
-    fn clone_box(&self) -> Box<dyn GraphModel> {
-        Box::new(self.clone())
+    fn penultimate<'a>(data: &'a GraphDataset, cache: &'a LayerCache) -> &'a Matrix {
+        cache.hidden_out.last().unwrap_or(&data.features)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::softmax_ce;
     use crate::metrics::accuracy;
     use crate::models::decoupled::tests::toy_dataset;
-    use crate::models::ModelKind;
+    use crate::models::{GraphModel, ModelConfig, ModelKind, TrainHooks};
     use crate::optim::Adam;
 
     fn cfg() -> ModelConfig {

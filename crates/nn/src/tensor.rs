@@ -232,14 +232,20 @@ impl Matrix {
 
     /// Horizontal concatenation `[self ‖ other]` (same row count).
     pub fn hcat(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
+        self.hcat_into(other, &mut out);
+        out
+    }
+
+    /// [`Self::hcat`] into a caller-provided `rows × (cols + other.cols)`
+    /// matrix.
+    pub fn hcat_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(self.rows, other.rows, "hcat row mismatch");
-        let cols = self.cols + other.cols;
-        let mut out = Matrix::zeros(self.rows, cols);
+        assert_eq!(out.shape(), (self.rows, self.cols + other.cols), "hcat_into shape mismatch");
         for i in 0..self.rows {
             out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
             out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
         }
-        out
     }
 
     /// Splits columns at `at`: returns (left `rows×at`, right `rows×(cols-at)`).
@@ -247,11 +253,20 @@ impl Matrix {
         assert!(at <= self.cols);
         let mut left = Matrix::zeros(self.rows, at);
         let mut right = Matrix::zeros(self.rows, self.cols - at);
+        self.hsplit_into(&mut left, &mut right);
+        (left, right)
+    }
+
+    /// [`Self::hsplit`] into caller-provided matrices, split at
+    /// `left.cols()`.
+    pub fn hsplit_into(&self, left: &mut Matrix, right: &mut Matrix) {
+        let at = left.cols;
+        assert_eq!(left.shape(), (self.rows, at), "hsplit_into left shape mismatch");
+        assert_eq!(right.shape(), (self.rows, self.cols - at), "hsplit_into right shape mismatch");
         for i in 0..self.rows {
             left.row_mut(i).copy_from_slice(&self.row(i)[..at]);
             right.row_mut(i).copy_from_slice(&self.row(i)[at..]);
         }
-        (left, right)
     }
 
     /// `self += alpha * other` (same shape).
