@@ -15,8 +15,9 @@
 //!    ([`GraphDataset::for_decoupled`]), and FedGTA runs ≥ 2 federated
 //!    SGC rounds. The run reports the tracked memory peaks — the
 //!    `workspace.high_water_bytes` arena gauge, the
-//!    `graph.store.resident_bytes` tile gauge and FedGTA's pooled
-//!    `fedgta.metric_scratch.bytes` — and hard-asserts their
+//!    `graph.store.resident_bytes` tile gauge, FedGTA's pooled
+//!    `fedgta.metric_scratch.bytes` and the per-worker training kits'
+//!    `fed.kits.bytes` — and hard-asserts their
 //!    sum stays under the 4 GiB laptop-class budget, plus the OS-level
 //!    `VmHWM` for honesty (the bench harness itself materializes the
 //!    in-memory comparison baseline, which the budget does not cover).
@@ -110,7 +111,10 @@ pub struct ScaleFedStats {
     /// `fedgta.metric_scratch.bytes` gauge after the run: what FedGTA's
     /// pool of Algorithm-1 intermediates holds, one instance per worker.
     pub metric_scratch_bytes: u64,
-    /// Sum of the three tracked peaks.
+    /// `fed.kits.bytes` gauge after the run: the arenas and optimizer
+    /// moments the run lends its clients, one kit per worker.
+    pub kits_bytes: u64,
+    /// Sum of the four tracked peaks.
     pub tracked_peak_bytes: u64,
     /// Tracked peak within [`MEMORY_BUDGET_BYTES`] (hard-asserted).
     pub within_budget: bool,
@@ -441,7 +445,9 @@ pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation
     let workspace_hwm_bytes = reg.gauge("workspace.high_water_bytes").get();
     let store_resident_peak_bytes = reg.gauge("graph.store.resident_bytes").get();
     let metric_scratch_bytes = reg.gauge("fedgta.metric_scratch.bytes").get();
-    let tracked_peak_bytes = workspace_hwm_bytes + store_resident_peak_bytes + metric_scratch_bytes;
+    let kits_bytes = reg.gauge("fed.kits.bytes").get();
+    let tracked_peak_bytes =
+        workspace_hwm_bytes + store_resident_peak_bytes + metric_scratch_bytes + kits_bytes;
     let within_budget = tracked_peak_bytes <= MEMORY_BUDGET_BYTES;
     assert!(
         within_budget,
@@ -460,6 +466,7 @@ pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation
         workspace_hwm_bytes,
         store_resident_peak_bytes,
         metric_scratch_bytes,
+        kits_bytes,
         tracked_peak_bytes,
         within_budget,
         vm_hwm_bytes: vm_hwm_bytes(),
@@ -551,11 +558,12 @@ pub fn to_json(r: &ScaleReport) -> String {
     ));
     s.push_str(&format!(
         "    \"workspace_hwm_bytes\": {}, \"store_resident_peak_bytes\": {}, \
-         \"metric_scratch_bytes\": {}, \"tracked_peak_bytes\": {}, \"within_budget\": {}, \
-         \"vm_hwm_bytes\": {}\n",
+         \"metric_scratch_bytes\": {}, \"kits_bytes\": {}, \"tracked_peak_bytes\": {}, \
+         \"within_budget\": {}, \"vm_hwm_bytes\": {}\n",
         f.workspace_hwm_bytes,
         f.store_resident_peak_bytes,
         f.metric_scratch_bytes,
+        f.kits_bytes,
         f.tracked_peak_bytes,
         f.within_budget,
         vm
@@ -597,7 +605,7 @@ pub fn render_table(r: &ScaleReport) -> String {
         "scale bench ({} mode, cols {})\n{}\nfederated: {} nodes / {} edges, {} clients, {} rounds \
          (participation {:.2}) — gen {:.1}s, build {:.1}s, run {:.1}s, final acc {:.3}\n\
          tracked memory: workspace HWM {:.1} MiB + store resident peak {:.1} MiB + FedGTA metric \
-         scratch {:.1} MiB = {:.1} MiB (budget {:.0} MiB, within: {}){}\n",
+         scratch {:.1} MiB + worker kits {:.1} MiB = {:.1} MiB (budget {:.0} MiB, within: {}){}\n",
         r.mode,
         FEATURE_DIM,
         t.render(),
@@ -613,6 +621,7 @@ pub fn render_table(r: &ScaleReport) -> String {
         f.workspace_hwm_bytes as f64 / (1 << 20) as f64,
         f.store_resident_peak_bytes as f64 / (1 << 20) as f64,
         f.metric_scratch_bytes as f64 / (1 << 20) as f64,
+        f.kits_bytes as f64 / (1 << 20) as f64,
         f.tracked_peak_bytes as f64 / (1 << 20) as f64,
         MEMORY_BUDGET_BYTES as f64 / (1 << 20) as f64,
         f.within_budget,
@@ -655,9 +664,14 @@ mod tests {
         );
         // 6 000 nodes in 4 clients: Ŷ⁰ + 5 steps of 1 500 × 16 floats each.
         assert!(stats.metric_scratch_bytes >= 6 * 1_500 * NUM_CLASSES as u64 * 4);
+        // The kits hold at least one worker's Adam moments.
+        assert!(stats.kits_bytes >= 2 * 4 * (FEATURE_DIM + 1) as u64 * NUM_CLASSES as u64);
         assert_eq!(
             stats.tracked_peak_bytes,
-            stats.workspace_hwm_bytes + stats.store_resident_peak_bytes + stats.metric_scratch_bytes
+            stats.workspace_hwm_bytes
+                + stats.store_resident_peak_bytes
+                + stats.metric_scratch_bytes
+                + stats.kits_bytes
         );
         assert!(stats.final_acc > 1.0 / NUM_CLASSES as f64, "no learning signal");
         let _ = std::fs::remove_dir_all(&dir);
@@ -704,7 +718,8 @@ mod tests {
             workspace_hwm_bytes: 1,
             store_resident_peak_bytes: 1,
             metric_scratch_bytes: 1,
-            tracked_peak_bytes: 3,
+            kits_bytes: 1,
+            tracked_peak_bytes: 4,
             within_budget: true,
             vm_hwm_bytes: None,
         };

@@ -3,7 +3,8 @@
 //! does not grow with batch size, layer width, or epoch count — the
 //! `_into` kernels themselves perform exactly zero, and a warm epoch of
 //! every one of the seven backbones stays inside one small budget whose
-//! count does not depend on the client's size.
+//! count does not depend on the client's size — and leaves the arena's
+//! buffer count and bytes where it found them: every `give` has a `take`.
 //!
 //! Lives in `fedgta-bench` (not `fedgta-nn`) because the counting
 //! allocator building blocks are here and `nn` cannot depend back on
@@ -16,8 +17,8 @@
 use fedgta_bench::alloc::{alloc_bytes, alloc_count, CountingAlloc};
 use fedgta_fed::strategies::test_support::federation_with;
 use fedgta_fed::strategies::FedAvg;
-use fedgta_fed::{SimConfig, Simulation};
-use fedgta_nn::loss::softmax_ce;
+use fedgta_fed::{RoundCtx, SimConfig, Simulation};
+use fedgta_nn::loss::softmax_ce_into;
 use fedgta_nn::models::ModelKind;
 use fedgta_nn::ops::{matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into};
 use fedgta_nn::optim::Optimizer;
@@ -41,7 +42,7 @@ fn gen(r: usize, c: usize, seed: u64) -> Matrix {
 }
 
 /// One full supervised epoch: forward (train mode, dropout), hard-label
-/// CE, backward (with or without the batch-input gradient — the two call
+/// CE into a pooled gradient matrix, backward (with or without the batch-input gradient — the two call
 /// shapes of `Mlp`), Adam step, then return every buffer to the pool.
 fn epoch(
     mlp: &mut Mlp,
@@ -57,7 +58,8 @@ fn epoch(
     let mut xb = ws.take_matrix(x.rows(), x.cols());
     xb.copy_from(x);
     let (logits, cache) = mlp.forward_ws(xb, true, ws);
-    let (loss, d_logits) = softmax_ce(&logits, labels, rows);
+    let mut d_logits = ws.take_matrix(logits.rows(), logits.cols());
+    let loss = softmax_ce_into(&logits, labels, rows, &mut d_logits);
     let grads = if input_grad {
         let (grads, dx) = mlp.backward_input_ws(&cache, &d_logits, None, ws);
         ws.give_matrix(dx);
@@ -93,20 +95,21 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
         assert!(l0.is_finite());
         epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws, input_grad);
 
-        // Steady state: each epoch pays only the loss layer's fresh
-        // gradient matrix (the softmax is written straight into it — no
-        // probability copy) and the two small pointer `Vec`s holding the
-        // forward cache — 3 allocations, a constant independent of batch
-        // size, width, and epoch count. Every f32 buffer on the MLP path
-        // proper (batch, activations, dropout masks, grads, dx) must come
-        // from the pool.
-        const EPOCH_ALLOCS: u64 = 3;
+        // Steady state: each epoch pays only the two small pointer `Vec`s
+        // holding the forward cache — 2 allocations, a constant
+        // independent of batch size, width, and epoch count. Every f32
+        // buffer (batch, activations, dropout masks, the loss gradient the
+        // softmax is written straight into, grads, dx) must come from the
+        // pool — and go back to it: the pool ends every epoch as it began.
+        const EPOCH_ALLOCS: u64 = 2;
+        let pooled = (ws.pooled(), ws.bytes());
         let mut per_epoch = Vec::new();
         for _ in 0..3 {
             let before = alloc_count();
             let loss = epoch(&mut mlp, &x, &labels, &train_rows, &mut opt, &mut ws, input_grad);
             per_epoch.push(alloc_count() - before);
             assert!(loss.is_finite());
+            assert_eq!((ws.pooled(), ws.bytes()), pooled, "the pool grew over a warm epoch");
         }
         eprintln!("per-epoch heap allocations (input_grad={input_grad}): {per_epoch:?}");
         for (e, &count) in per_epoch.iter().enumerate() {
@@ -138,18 +141,30 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
 
     // Every backbone, through the trainer they share: a warm epoch makes
     // at most `BACKBONE_EPOCH_ALLOCS` heap allocations — the heads' count:
-    // shuffled order, batch list, gathered labels, row ids, the loss
-    // gradient, the forward cache's two pointer `Vec`s — and the same
-    // number on a client four times the size: no activation, gradient,
-    // gathered hop or parameter copy is allocated per epoch.
-    const BACKBONE_EPOCH_ALLOCS: u64 = 7;
+    // shuffled order, batch list, gathered labels, row ids, the forward
+    // cache's two pointer `Vec`s — and the same number on a client four
+    // times the size: no activation, gradient, gathered hop or parameter
+    // copy is allocated per epoch. Nor does the arena ratchet: what it
+    // pools after warm epoch 2 is what it pools after warm epoch 12.
+    const BACKBONE_EPOCH_ALLOCS: u64 = 6;
+    let arena = |c: &mut fedgta_fed::Client| {
+        let mut ws = Workspace::new();
+        c.model.swap_workspace(&mut ws);
+        let held = (ws.pooled(), ws.bytes());
+        c.model.swap_workspace(&mut ws);
+        held
+    };
     for kind in ModelKind::all() {
         let mut seen = Vec::new();
         for nodes in [600, 2400] {
             let mut clients = federation_with(kind, 7, 4, nodes);
             let c = &mut clients[0];
             // Warm-up: the pool and Adam's moments fill, best-fit settles.
-            c.train_local(5, &mut TrainHooks::none());
+            c.train_local(2, &mut TrainHooks::none());
+            let after_two = arena(c);
+            assert!(after_two.1 > 0, "{}: training went through no arena", kind.name());
+            c.train_local(10, &mut TrainHooks::none());
+            assert_eq!(arena(c), after_two, "{}: (buffers, bytes) pooled", kind.name());
             let (count, bytes) = (alloc_count(), alloc_bytes());
             let loss = c.train_local(1, &mut TrainHooks::none());
             let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
@@ -168,26 +183,30 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     }
 
     // Evaluation on a decoupled federation (SIGN: the widest gathered
-    // rows) whose clients have trained one epoch: scoring allocates the
+    // rows) whose clients have trained one round: scoring allocates the
     // result vector plus, per client, the probability rows of its test
     // nodes — nothing the size of a feature, hidden or full logit matrix,
     // all of which hold more floats than that. This holds from the first
     // evaluation on: the gathered rows and the logits go through the
-    // buffers training pooled, in pieces that fit them, although every
-    // client here has more test than training nodes.
-    let mut clients = federation_with(ModelKind::Sign, 7, 4, 600);
-    for c in &mut clients {
+    // buffers training left in the worker's kit, in pieces that fit them,
+    // although every client here has more test than training nodes.
+    let clients = federation_with(ModelKind::Sign, 7, 4, 600);
+    for c in &clients {
         assert!(c.data.test_nodes.len() > c.data.train_nodes.len());
-        c.train_local(1, &mut TrainHooks::none());
     }
     let result_rows: usize = clients
         .iter()
         .map(|c| c.data.test_nodes.len() * c.data.num_classes)
         .sum();
     let n_clients = clients.len();
-    // Scored the way a run scores, on the one thread it asks for.
+    // Trained and scored the way a run does — through the run's kits, on
+    // the one thread it asks for — but with no evaluation before the first
+    // one measured.
     let config = SimConfig { threads: 1, ..SimConfig::default() };
     let mut sim = Simulation::new(clients, Box::new(FedAvg::new()), config);
+    let mut ctx = RoundCtx::with_threads(1, 1);
+    ctx.kits = Some(&sim.kits);
+    sim.strategy.round(&mut sim.clients, &[0, 1, 2, 3], &ctx);
     let mut accs = Vec::new();
     for call in 0..2 {
         let (count, bytes) = (alloc_count(), alloc_bytes());

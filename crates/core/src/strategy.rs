@@ -23,10 +23,10 @@ use crate::moments::mixed_moments_into;
 use crate::scratch::{FeatureSketchCache, UploadScratch};
 use fedgta_fed::client::Client;
 use fedgta_fed::exec::{mean_loss, train_participants};
+use fedgta_fed::kit::Pool;
 use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
 use fedgta_nn::TrainHooks;
 use fedgta_obs::FieldVal;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// The FedGTA optimization strategy.
 pub struct FedGta {
@@ -36,10 +36,10 @@ pub struct FedGta {
     personalized: Vec<Option<Vec<f32>>>,
     /// The last round's aggregation report (Fig. 3 data).
     last_report: Option<AggregationReport>,
-    /// Checkout pool of Algorithm-1 intermediates: `client_metrics` pops
-    /// an instance (or starts an empty one) and pushes it back, so at most
-    /// one exists per concurrently running worker.
-    scratch: Mutex<Vec<UploadScratch>>,
+    /// Checkout pool of Algorithm-1 intermediates: `client_metrics` takes
+    /// an instance and gives it back, so at most one exists per
+    /// concurrently running worker.
+    scratch: Pool<UploadScratch>,
 }
 
 impl FedGta {
@@ -66,7 +66,7 @@ impl FedGta {
             config,
             personalized: Vec::new(),
             last_report: None,
-            scratch: Mutex::new(Vec::new()),
+            scratch: Pool::default(),
         }
     }
 
@@ -80,17 +80,10 @@ impl FedGta {
         self.last_report.as_ref()
     }
 
-    /// The scratch pool. Locked only to pop, push or count: no code that
-    /// can panic runs under it.
-    fn pool(&self) -> std::sync::MutexGuard<'_, Vec<UploadScratch>> {
-        self.scratch.lock().expect("metric-scratch pool poisoned")
-    }
-
     /// `(instances, heap bytes)` the scratch pool holds between calls.
     #[doc(hidden)]
     pub fn pooled_scratch(&self) -> (usize, usize) {
-        let pool = self.pool();
-        (pool.len(), pool.iter().map(UploadScratch::bytes).sum())
+        self.scratch.held(UploadScratch::bytes)
     }
 
     /// Computes one client's upload metrics from its current model —
@@ -108,7 +101,7 @@ impl FedGta {
     /// heap allocations** (proven by the bench crate's counting-allocator
     /// harness).
     pub fn client_metrics(&self, client: &mut Client, sketch: &mut Vec<f32>) -> f64 {
-        let mut s = self.pool().pop().unwrap_or_default();
+        let mut s = self.scratch.take();
         client.model.predict_into(&client.data, &mut s.soft);
         {
             let _lp = fedgta_obs::span!("lp", k = self.config.k_lp);
@@ -157,14 +150,7 @@ impl FedGta {
             client.metric_scratch = Some(cache);
         }
         drop(mom);
-        self.pool().push(s);
-        if fedgta_obs::metrics_on() {
-            // High-water of what sits in the pool: the round's last push
-            // sees every worker's instance.
-            static HELD: OnceLock<Arc<fedgta_obs::Gauge>> = OnceLock::new();
-            HELD.get_or_init(|| fedgta_obs::global().gauge("fedgta.metric_scratch.bytes"))
-                .set_max(self.pooled_scratch().1 as u64);
-        }
+        self.scratch.give(s);
         h
     }
 }
@@ -211,6 +197,13 @@ impl Strategy for FedGta {
             (loss, (params, h, m, c.n_train()))
         });
         let loss = mean_loss(&results);
+        if fedgta_obs::metrics_on() {
+            // Read with every worker's instance back in the pool, next to
+            // the run's `fed.kits.*` reading.
+            fedgta_obs::global()
+                .gauge("fedgta.metric_scratch.bytes")
+                .set_max(self.pooled_scratch().1 as u64);
+        }
         // Last use of the broadcast-carrying ctx: it borrows
         // `self.personalized`, which the aggregation below mutates.
         let threads = ctx.threads;
@@ -299,9 +292,12 @@ impl Strategy for FedGta {
 mod tests {
     use super::*;
     use fedgta_fed::eval::global_test_accuracy;
+    use fedgta_fed::kit::Kit;
     use fedgta_fed::strategies::test_support::{federation_with, small_federation};
-    use fedgta_fed::strategies::FedAvg;
+    use fedgta_fed::strategies::{FedAvg, LocalOnly};
+    use fedgta_fed::{SimConfig, Simulation};
     use fedgta_nn::models::ModelKind;
+    use fedgta_nn::{OptState, Workspace};
 
     #[test]
     #[should_panic(expected = "FedGtaConfig::k_lp")]
@@ -500,6 +496,69 @@ mod tests {
             (losses, metrics, params)
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// `(arena bytes, optimizer-state bytes)` a client holds itself.
+    fn own_scratch(c: &mut Client) -> (usize, usize) {
+        let (mut ws, mut state) = (Workspace::new(), OptState::default());
+        c.model.swap_workspace(&mut ws);
+        c.opt.swap_state(&mut state);
+        let held = (ws.bytes(), state.bytes());
+        c.model.swap_workspace(&mut ws);
+        c.opt.swap_state(&mut state);
+        held
+    }
+
+    #[test]
+    fn a_run_holds_one_kit_per_worker_and_its_clients_hold_no_scratch() {
+        // Runs `rounds` 1-epoch rounds; returns the bytes its kits hold.
+        let run = |strategy: Box<dyn Strategy>, kind: ModelKind, rounds: usize, threads: usize| {
+            let clients = federation_with(kind, 113, 8, 900);
+            let config = SimConfig { rounds, local_epochs: 1, threads, ..SimConfig::default() };
+            let mut sim = Simulation::new(clients, strategy, config);
+            sim.run();
+            let (instances, bytes) = sim.kits.held(Kit::bytes);
+            assert!((1..=threads).contains(&instances), "{instances} kits at {threads} threads");
+            assert!(bytes > 0);
+            // Arena and moments both went back with the kit: FedGTA's
+            // clients trained round 1 on moments of their own (nothing was
+            // broadcast yet) and lost them at round 2's reset.
+            for c in &mut sim.clients {
+                assert_eq!(own_scratch(c), (0, 0), "client {} at {threads} threads", c.id);
+            }
+            bytes
+        };
+        for kind in [ModelKind::Sign, ModelKind::Gcn] {
+            for threads in [1, 4] {
+                run(Box::new(FedGta::with_defaults()), kind, 2, threads);
+                run(Box::new(FedAvg::new()), kind, 2, threads);
+            }
+            // Nothing ratchets: ten more rounds through the same kit leave
+            // it the size two did (one worker, so one fixed serving order).
+            let two = run(Box::new(FedGta::with_defaults()), kind, 2, 1);
+            assert_eq!(run(Box::new(FedGta::with_defaults()), kind, 12, 1), two, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_client_nobody_broadcasts_to_trains_on_its_own_persistent_moments() {
+        // `LocalOnly` never resets an optimizer, so the executor lends it
+        // nothing: three 1-epoch rounds are three epochs trained directly.
+        let mut direct = small_federation(ModelKind::Sign, 114);
+        for c in &mut direct {
+            c.train_local(3, &mut TrainHooks::none());
+        }
+        let config = SimConfig { rounds: 3, local_epochs: 1, threads: 2, ..SimConfig::default() };
+        let clients = small_federation(ModelKind::Sign, 114);
+        let mut sim = Simulation::new(clients, Box::new(LocalOnly::new()), config);
+        sim.run();
+        let bits = |c: &Client| c.model.params().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (c, d) in sim.clients.iter_mut().zip(&direct) {
+            assert_eq!(bits(c), bits(d), "client {}", c.id);
+            let (arena, moments) = own_scratch(c);
+            assert_eq!(arena, 0);
+            assert_eq!(moments, 2 * 4 * c.model.num_params(), "Adam's m and v stay with the client");
+        }
     }
 
     #[test]

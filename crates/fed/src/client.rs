@@ -15,10 +15,14 @@ pub struct Client {
     /// Inductive evaluation view (full local subgraph including test
     /// nodes); `None` means transductive — evaluate on `data`.
     pub eval_data: Option<GraphDataset>,
-    /// The local model.
+    /// The local model: its parameters, and what it caches of `data`. Its
+    /// scratch arena stays empty while a run drives the client — the
+    /// worker lends one for each turn ([`crate::kit`]).
     pub model: Box<dyn GraphModel>,
-    /// The local optimizer (state persists across rounds unless a strategy
-    /// resets it after replacing parameters).
+    /// The local optimizer. Its moment vectors persist across rounds for
+    /// as long as nothing resets them; from the first broadcast on — the
+    /// executor resets the optimizer at every one — a run lends it a
+    /// worker's vectors for the turn and the client keeps none.
     pub opt: Box<dyn Optimizer>,
     /// Local-to-global node id map of the training view.
     pub global_ids: Vec<u32>,

@@ -8,6 +8,7 @@
 //! nodes in the federation.
 
 use crate::client::Client;
+use crate::kit::{lend, Kit, Pool};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_nn::Matrix;
 
@@ -34,14 +35,18 @@ fn client_accuracy(c: &mut Client, val: bool) -> (f64, usize) {
 
 /// Micro-averaged accuracy and the number of rows scored. Per-client
 /// accuracies are computed client-parallel on `threads` workers (`None` /
-/// `Some(0)` = auto) and reduced on the caller's thread in client order —
-/// deterministic for any thread count.
+/// `Some(0)` = auto), each through an arena lent from `kits`, and reduced
+/// on the caller's thread in client order — deterministic for any thread
+/// count.
 pub(crate) fn micro_average(
     clients: &mut [Client],
     val: bool,
     threads: Option<usize>,
+    kits: Option<&Pool<Kit>>,
 ) -> (f64, usize) {
-    let per_client = par_map_indexed(clients, threads, |_, c| client_accuracy(c, val));
+    let per_client = par_map_indexed(clients, threads, |_, c| {
+        lend(kits, c, false, |c| client_accuracy(c, val))
+    });
     let mut correct = 0f64;
     let mut total = 0usize;
     for (acc, n) in per_client {
@@ -54,12 +59,12 @@ pub(crate) fn micro_average(
 
 /// Micro-averaged test accuracy across all clients.
 pub fn global_test_accuracy(clients: &mut [Client]) -> f64 {
-    micro_average(clients, false, None).0
+    micro_average(clients, false, None, None).0
 }
 
 /// Micro-averaged validation accuracy across all clients.
 pub fn global_val_accuracy(clients: &mut [Client]) -> f64 {
-    micro_average(clients, true, None).0
+    micro_average(clients, true, None, None).0
 }
 
 #[cfg(test)]
@@ -141,7 +146,7 @@ mod tests {
         clients[1].data.test_nodes.clear();
         clients[4].data.test_nodes.clear();
         let scored: usize = clients.iter().map(|c| c.data.test_nodes.len()).sum();
-        assert_eq!(micro_average(&mut clients, false, Some(1)).1, scored);
+        assert_eq!(micro_average(&mut clients, false, Some(1), None).1, scored);
         assert_eq!(probe.forwards.lock().unwrap().len(), 4);
     }
 

@@ -13,8 +13,10 @@
 //!
 //! Why this is safe to parallelize:
 //!
-//! - each [`Client`] owns its model, optimizer and dataset — no shared
-//!   mutable state between participants;
+//! - each [`Client`] owns its dataset, its model's parameters and, when
+//!   nothing resets it, its optimizer's moments; the scratch it trains
+//!   through is a [`crate::kit::Kit`] its worker holds exclusively for the
+//!   turn — no shared mutable state between participants;
 //! - closures only capture shared *immutable* round state (the global
 //!   parameters, per-client anchors, configuration);
 //! - any strategy state touched by more than one client (control variates,
@@ -23,6 +25,7 @@
 
 use crate::client::Client;
 use crate::faults::AttemptFate;
+use crate::kit::{lend, Kit, Pool};
 use crate::strategies::{Broadcast, RoundCtx};
 use crate::transport::{
     corrupt_frame, decode_broadcast_coded, decode_upload, decode_upload_routed,
@@ -60,7 +63,14 @@ pub struct LocalResult<R> {
 ///
 /// One pipeline serves every round: dispatch → per client (receive →
 /// load broadcast → timed train → upload filter → upload) → collect →
-/// server-side error feedback. The four wire stages are methods of the
+/// server-side error feedback. With `ctx.kits` set, the worker lends the
+/// client a [`crate::kit::Kit`] for that whole turn: its arena, and —
+/// only when a declared broadcast makes the executor `reset()` the
+/// optimizer anyway — its moment vectors (the client's own are dead at
+/// that point and are freed). A client nobody broadcasts to keeps training
+/// on its own moments, which persist across rounds.
+///
+/// The four wire stages are methods of the
 /// round's [`CommsRound`] and run only when `ctx.comms` carries one; without it
 /// results return in memory, which *is* the pre-transport simulator. On
 /// the wire, three determinism anchors hold:
@@ -120,40 +130,45 @@ where
         };
         let cg = fedgta_obs::span_under("client_train", span_parent)
             .with_field("client", fedgta_obs::FieldVal::from(i));
-        // Declared start-of-round broadcast: load the strategy's model
-        // for this participant before its local step.
-        if let Some(v) = start.as_deref() {
-            c.model.set_params(v);
-            c.opt.reset();
-        }
-        // What an upload filter measures the update from: the model this
-        // client starts the round with.
-        let filter = ctx.upload_filter.map(|filter| {
-            let from = start.as_deref().map_or_else(|| Cow::Owned(c.model.params()), Cow::Borrowed);
-            (filter, from)
-        });
-        let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-        let (loss, mut payload) = f(i, c);
-        if let Some(ct0) = ct0 {
-            fedgta_obs::histogram!("round.client.train_ns")
-                .observe(ct0.elapsed().as_nanos() as u64);
-        }
-        if let Some((filter, from)) = filter {
-            let mut tensor = 0usize;
-            payload.visit_tensors(&mut |params| {
-                if tensor == 0 {
-                    filter(i, &from, params);
-                }
-                tensor += 1;
-            });
-        }
-        match wire {
-            Some(w) => {
-                w.upload(i, c, start.as_deref(), loss, payload, cg.id());
-                None
+        // The worker's kit for the whole turn — with its moment vectors
+        // exactly when the optimizer is reset below.
+        lend(ctx.kits, c, start.is_some(), |c| {
+            // Declared start-of-round broadcast: load the strategy's model
+            // for this participant before its local step.
+            if let Some(v) = start.as_deref() {
+                c.model.set_params(v);
+                c.opt.reset();
             }
-            None => Some(LocalResult { client: i, loss, payload }),
-        }
+            // What an upload filter measures the update from: the model
+            // this client starts the round with.
+            let filter = ctx.upload_filter.map(|filter| {
+                let from =
+                    start.as_deref().map_or_else(|| Cow::Owned(c.model.params()), Cow::Borrowed);
+                (filter, from)
+            });
+            let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
+            let (loss, mut payload) = f(i, c);
+            if let Some(ct0) = ct0 {
+                fedgta_obs::histogram!("round.client.train_ns")
+                    .observe(ct0.elapsed().as_nanos() as u64);
+            }
+            if let Some((filter, from)) = filter {
+                let mut tensor = 0usize;
+                payload.visit_tensors(&mut |params| {
+                    if tensor == 0 {
+                        filter(i, &from, params);
+                    }
+                    tensor += 1;
+                });
+            }
+            match wire {
+                Some(w) => {
+                    w.upload(i, c, start.as_deref(), loss, payload, cg.id());
+                    None
+                }
+                None => Some(LocalResult { client: i, loss, payload }),
+            }
+        })
     });
     if let (Some(t0), Some(clock)) = (t0, ctx.train_clock) {
         clock.add_ns(t0.elapsed().as_nanos() as u64);
@@ -453,11 +468,13 @@ pub(crate) fn record_comms_metrics(dropped: u64, corrupted: u64, retries: u64) {
 /// The evaluation/prediction sibling of [`train_participants`] for code
 /// that maps over clients without the loss bookkeeping — e.g. FedGL's
 /// prediction fusion or global accuracy. Same ordering and uniqueness
-/// contract.
+/// contract; `kits` lends each client's model a worker's arena for the
+/// call.
 pub fn par_clients<R, F>(
     clients: &mut [Client],
     indices: &[usize],
     threads: usize,
+    kits: Option<&Pool<Kit>>,
     f: F,
 ) -> Vec<R>
 where
@@ -465,7 +482,7 @@ where
     F: Fn(usize, &mut Client) -> R + Sync,
 {
     let mut slots = disjoint_slots(clients, indices);
-    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| f(*i, c))
+    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| lend(kits, c, false, |c| f(*i, c)))
 }
 
 /// Mean loss over local results (0 when empty).

@@ -41,10 +41,10 @@ impl FedGl {
 
     /// Fuses per-node predictions across clients into global soft labels.
     ///
-    /// Per-client prediction runs client-parallel (`threads` as in
-    /// [`RoundCtx::threads`], 0 = auto); the fusion sums stay on the
-    /// driver in client order, so the result is thread-count-independent.
-    fn fuse_predictions(&self, clients: &mut [Client], threads: usize) -> (Matrix, Vec<bool>) {
+    /// Per-client prediction runs client-parallel on `ctx.threads` workers
+    /// through their lent arenas; the fusion sums stay on the driver in
+    /// client order, so the result is thread-count-independent.
+    fn fuse_predictions(&self, clients: &mut [Client], ctx: &RoundCtx<'_>) -> (Matrix, Vec<bool>) {
         let num_classes = clients[0].data.num_classes;
         let num_global = clients
             .iter()
@@ -55,7 +55,8 @@ impl FedGl {
         let mut sum = Matrix::zeros(num_global, num_classes);
         let mut count = vec![0u32; num_global];
         let all: Vec<usize> = (0..clients.len()).collect();
-        let predictions = par_clients(clients, &all, threads, |_, c| c.model.predict(&c.data));
+        let predictions =
+            par_clients(clients, &all, ctx.threads, ctx.kits, |_, c| c.model.predict(&c.data));
         for (c, probs) in clients.iter().zip(&predictions) {
             for (local, &g) in c.global_ids.iter().enumerate() {
                 if local >= c.data.num_nodes() {
@@ -102,7 +103,7 @@ impl Strategy for FedGl {
         if self.rounds_seen <= self.warmup {
             return self.inner.round(clients, participants, ctx);
         }
-        let (global_soft, confident) = self.fuse_predictions(clients, ctx.threads);
+        let (global_soft, confident) = self.fuse_predictions(clients, ctx);
         // Per-client pseudo-label payloads over *local* node ids.
         let mut pseudo: Vec<Option<PseudoLabels>> = Vec::with_capacity(clients.len());
         for c in clients.iter() {
@@ -210,7 +211,7 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(3));
         }
-        let (_, confident) = s.fuse_predictions(&mut clients, 0);
+        let (_, confident) = s.fuse_predictions(&mut clients, &RoundCtx::plain(0));
         assert!(
             confident.iter().any(|&c| c),
             "no node ever became confident"

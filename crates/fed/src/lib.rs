@@ -18,6 +18,9 @@
 //! - [`exec::train_participants`]: the deterministic client-parallel
 //!   executor every strategy runs its local steps through — bit-identical
 //!   results for any worker-thread count;
+//! - [`kit`]: the per-worker training scratch (arena + optimizer moments)
+//!   a run lends a client for the length of its turn, so a client between
+//!   rounds is its data and one parameter vector;
 //! - [`transport`] + [`faults`]: the explicit server/client message path
 //!   (CRC-checksummed envelopes over a [`transport::Transport`]) and the
 //!   seeded fault-injection layer behind the straggler-tolerant round
@@ -38,6 +41,7 @@ pub mod eval;
 pub mod exec;
 pub mod faults;
 pub mod fgl_models;
+pub mod kit;
 pub mod postmortem;
 pub mod round;
 pub mod strategies;

@@ -8,6 +8,7 @@
 use crate::client::Client;
 use crate::eval::micro_average;
 use crate::faults::{FaultConfig, FaultEvent, FaultKind, FaultPlan, RoundScript};
+use crate::kit::{Kit, Pool};
 use crate::strategies::{RoundCtx, RoundStats, Strategy};
 use crate::transport::{ChannelTransport, CommsRound, Legs};
 use rand::rngs::StdRng;
@@ -185,6 +186,10 @@ pub struct Simulation {
     /// deterministic function of the fault seed — see
     /// [`crate::postmortem`].
     pub postmortem: Option<std::path::PathBuf>,
+    /// The run's pool of per-worker training scratch ([`crate::kit`]):
+    /// every round and every evaluation lends from it, so it holds at most
+    /// one kit per worker thread, whatever the client count.
+    pub kits: Pool<Kit>,
 }
 
 impl Simulation {
@@ -197,6 +202,7 @@ impl Simulation {
             comms: None,
             fault_events: Vec::new(),
             postmortem: None,
+            kits: Pool::default(),
         }
     }
 
@@ -280,7 +286,7 @@ impl Simulation {
                 participants_dropped: plan.participants.len() - plan.completed,
                 retries: plan.retries,
             };
-            publish_round(&mut round_span, &record, aggregate_ns);
+            publish_round(&mut round_span, &record, aggregate_ns, &self.kits);
             records.push(record);
         }
         records
@@ -352,6 +358,7 @@ impl Simulation {
         let mut ctx = RoundCtx::with_threads(self.config.local_epochs, self.config.threads)
             .with_train_clock(train_clock);
         ctx.comms = comms_round.as_ref();
+        ctx.kits = Some(&self.kits);
         let stats = self.strategy.round(&mut self.clients, &plan.participants, &ctx);
         // Wire-byte truth: what the legs actually built and sent. An
         // in-process round has no wire; mirror the analytic count.
@@ -374,7 +381,7 @@ impl Simulation {
         }
         let mut span = fedgta_obs::span!("eval", threads = threads);
         let e0 = Instant::now();
-        let (acc, rows) = micro_average(&mut self.clients, false, Some(threads));
+        let (acc, rows) = micro_average(&mut self.clients, false, Some(threads), Some(&self.kits));
         span.record("rows", fedgta_obs::FieldVal::from(rows));
         (Some(acc), e0.elapsed().as_nanos() as u64)
     }
@@ -382,7 +389,7 @@ impl Simulation {
     /// Final test accuracy (evaluates now, on [`SimConfig::threads`]
     /// workers like the rounds themselves).
     pub fn test_accuracy(&mut self) -> f64 {
-        micro_average(&mut self.clients, false, Some(self.config.threads)).0
+        micro_average(&mut self.clients, false, Some(self.config.threads), Some(&self.kits)).0
     }
 }
 
@@ -487,10 +494,15 @@ struct RoundPlan {
 }
 
 /// Record stage: closes the books on one round — span fields, the
-/// `comms.*` byte counters and aggregation-latency histogram (no-op below
-/// [`fedgta_obs::ObsLevel::Metrics`]), flight-recorder breadcrumbs, and
-/// the live `/rounds` export.
-fn publish_round(round_span: &mut fedgta_obs::SpanGuard, r: &RoundRecord, aggregate_ns: u64) {
+/// `comms.*` byte counters, aggregation-latency histogram and what the kit
+/// pool holds (no-op below [`fedgta_obs::ObsLevel::Metrics`]),
+/// flight-recorder breadcrumbs, and the live `/rounds` export.
+fn publish_round(
+    round_span: &mut fedgta_obs::SpanGuard,
+    r: &RoundRecord,
+    aggregate_ns: u64,
+    kits: &Pool<Kit>,
+) {
     use fedgta_obs::{counter, recorder, FieldVal};
     round_span.record("bytes_up", FieldVal::from(r.bytes_uploaded));
     round_span.record("bytes_down", FieldVal::from(r.bytes_downloaded));
@@ -505,6 +517,9 @@ fn publish_round(round_span: &mut fedgta_obs::SpanGuard, r: &RoundRecord, aggreg
         counter!("comms.upload_bytes_encoded").add(r.bytes_uploaded_encoded as u64);
         counter!("comms.download_bytes_raw").add(r.bytes_downloaded_raw as u64);
         counter!("comms.download_bytes_encoded").add(r.bytes_downloaded_encoded as u64);
+        let (instances, bytes) = kits.held(Kit::bytes);
+        fedgta_obs::global().gauge("fed.kits.instances").set(instances as u64);
+        fedgta_obs::global().gauge("fed.kits.bytes").set(bytes as u64);
     }
     // Flight-recorder breadcrumbs: deterministic per-round values only
     // (byte tallies and acceptance counts are functions of the seeds,

@@ -25,6 +25,7 @@ pub use privacy::DpUpload;
 pub use scaffold::Scaffold;
 
 use crate::client::Client;
+use crate::kit::{Kit, Pool};
 use fedgta_nn::models::PseudoLabels;
 
 /// The start-of-round model broadcast a strategy hands the executor:
@@ -99,6 +100,12 @@ pub struct RoundCtx<'a> {
     /// runs on the client's worker thread, so it must not draw from shared
     /// state.
     pub upload_filter: Option<UploadFilter<'a>>,
+    /// The run's pool of per-worker training scratch ([`crate::kit`]): the
+    /// executor, evaluation and FedGL's prediction pass lend a client a kit
+    /// for the length of its turn. `None` (a context built without a
+    /// [`crate::Simulation`]) lends nothing — every model and optimizer
+    /// then uses its own arena and state. Never changes a result.
+    pub kits: Option<&'a Pool<Kit>>,
 }
 
 impl<'a> RoundCtx<'a> {
@@ -119,6 +126,7 @@ impl<'a> RoundCtx<'a> {
             comms: None,
             broadcast: None,
             upload_filter: None,
+            kits: None,
         }
     }
 

@@ -31,7 +31,7 @@ pub mod workspace;
 
 pub use mlp::Mlp;
 pub use models::{GraphDataset, GraphModel, TrainHooks};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, OptState, Optimizer, Sgd};
 pub use tensor::{MatView, Matrix};
 pub use workspace::Workspace;
 

@@ -4,7 +4,9 @@
 //! soft-target CE (FedGL's pseudo-label supervision) are computed over an
 //! explicit row subset, returning the mean loss and the full-shape logits
 //! gradient (zero outside the subset) — ready to feed straight into
-//! [`crate::mlp::Mlp::backward`].
+//! [`crate::mlp::Mlp::backward`]. The `_into` forms write the gradient
+//! into a zeroed matrix of the caller's, which a trainer checks out of its
+//! workspace and gives back.
 
 use crate::ops::{softmax_block, SOFTMAX_ROWS};
 use crate::tensor::Matrix;
@@ -49,14 +51,22 @@ fn softmax_selected(
 /// (softmax(logits[i,·]) − onehot(labels[i])) / |rows|` for selected rows
 /// and zero elsewhere.
 pub fn softmax_ce(logits: &Matrix, labels: &[u32], rows: &[u32]) -> (f32, Matrix) {
-    assert_eq!(logits.rows(), labels.len(), "labels length mismatch");
     let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    (softmax_ce_into(logits, labels, rows, &mut grad), grad)
+}
+
+/// [`softmax_ce`] with `d_logits` written into `grad`, a zeroed matrix of
+/// `logits`' shape (a trainer checks it out of its workspace); returns the
+/// mean loss.
+pub fn softmax_ce_into(logits: &Matrix, labels: &[u32], rows: &[u32], grad: &mut Matrix) -> f32 {
+    assert_eq!(logits.rows(), labels.len(), "labels length mismatch");
+    assert_eq!(logits.shape(), grad.shape(), "gradient shape mismatch");
     if rows.is_empty() {
-        return (0.0, grad);
+        return 0.0;
     }
     let inv = 1.0 / rows.len() as f32;
     let mut loss = 0f64;
-    softmax_selected(logits, rows, &mut grad, |i, g| {
+    softmax_selected(logits, rows, grad, |i, g| {
         let y = labels[i] as usize;
         debug_assert!(y < g.len(), "label out of range");
         loss += -(g[y].max(1e-12) as f64).ln();
@@ -65,23 +75,30 @@ pub fn softmax_ce(logits: &Matrix, labels: &[u32], rows: &[u32]) -> (f32, Matrix
         }
         g[y] -= inv;
     });
-    ((loss / rows.len() as f64) as f32, grad)
+    (loss / rows.len() as f64) as f32
 }
 
-/// Soft-target cross-entropy over `rows`, scaled by `weight`.
+/// Soft-target cross-entropy over `rows`, scaled by `weight`, with the
+/// logits gradient written into `grad`, a zeroed matrix of `logits`' shape.
 ///
-/// `targets` rows must be probability vectors. Returns `(weighted mean
-/// loss, d_logits)` with `d_logits[i,·] = weight · (softmax − target) /
-/// |rows|` on selected rows.
-pub fn soft_ce(logits: &Matrix, targets: &Matrix, rows: &[u32], weight: f32) -> (f32, Matrix) {
+/// `targets` rows must be probability vectors. Returns the weighted mean
+/// loss; `grad[i,·] = weight · (softmax − target) / |rows|` on selected
+/// rows.
+pub fn soft_ce_into(
+    logits: &Matrix,
+    targets: &Matrix,
+    rows: &[u32],
+    weight: f32,
+    grad: &mut Matrix,
+) -> f32 {
     assert_eq!(logits.shape(), targets.shape(), "target shape mismatch");
-    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    assert_eq!(logits.shape(), grad.shape(), "gradient shape mismatch");
     if rows.is_empty() || weight == 0.0 {
-        return (0.0, grad);
+        return 0.0;
     }
     let inv = weight / rows.len() as f32;
     let mut loss = 0f64;
-    softmax_selected(logits, rows, &mut grad, |i, g| {
+    softmax_selected(logits, rows, grad, |i, g| {
         let mut row_loss = 0f64;
         for (gj, &tj) in g.iter_mut().zip(targets.row(i)) {
             let pj = *gj;
@@ -92,15 +109,17 @@ pub fn soft_ce(logits: &Matrix, targets: &Matrix, rows: &[u32], weight: f32) -> 
         }
         loss += row_loss;
     });
-    (
-        (weight as f64 * loss / rows.len() as f64) as f32,
-        grad,
-    )
+    (weight as f64 * loss / rows.len() as f64) as f32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn soft_ce(logits: &Matrix, targets: &Matrix, rows: &[u32], weight: f32) -> (f32, Matrix) {
+        let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+        (soft_ce_into(logits, targets, rows, weight, &mut grad), grad)
+    }
 
     #[test]
     fn perfect_prediction_has_low_loss_small_grad() {

@@ -2,9 +2,10 @@
 //! hook bundle federated strategies use to inject auxiliary objectives,
 //! and the one place each hook is consulted ([`supervise`], [`step`]).
 
-use crate::loss::{soft_ce, softmax_ce};
+use crate::loss::{soft_ce_into, softmax_ce_into};
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
+use crate::workspace::Workspace;
 use fedgta_graph::{normalized_adjacency, Csr, NormKind};
 use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +157,8 @@ impl<'a> TrainHooks<'a> {
 /// loss is consulted here and nowhere else: hard-label CE on the `labeled`
 /// rows, FedGL's soft CE on the rows whose node carries a pseudo-label,
 /// then MOON's hook on the penultimate representation. Returns `(loss,
-/// d_logits, hidden_grad)`.
+/// d_logits, hidden_grad)`; `d_logits` is checked out of `ws` and the
+/// caller gives it back, `hidden_grad` is the hook's own.
 ///
 /// `labels[r]` and `nodes[r]` are the label and the node id of logits row
 /// `r`: the full-batch backbones pass `data.labels`, `data.train_nodes`
@@ -169,16 +171,20 @@ pub(crate) fn supervise(
     nodes: &[u32],
     penultimate: &Matrix,
     hooks: &mut TrainHooks<'_>,
+    ws: &mut Workspace,
 ) -> (f32, Matrix, Option<Matrix>) {
-    let (loss, mut d_logits) = softmax_ce(logits, labels, labeled);
+    let mut d_logits = ws.take_matrix(logits.rows(), logits.cols());
+    let loss = softmax_ce_into(logits, labels, labeled, &mut d_logits);
     if let Some(pl) = hooks.pseudo {
         let rows: Vec<u32> = (0..nodes.len() as u32)
             .filter(|&r| pl.mask[nodes[r as usize] as usize])
             .collect();
         if !rows.is_empty() {
             let targets = pl.targets.gather_rows(nodes);
-            let (_, d_extra) = soft_ce(logits, &targets, &rows, pl.weight);
+            let mut d_extra = ws.take_matrix(logits.rows(), logits.cols());
+            soft_ce_into(logits, &targets, &rows, pl.weight, &mut d_extra);
             d_logits.axpy(1.0, &d_extra);
+            ws.give_matrix(d_extra);
         }
     }
     let hidden_grad = hooks.hidden_hook.as_mut().map(|h| h(nodes, penultimate));

@@ -77,7 +77,8 @@ pub struct Coupled<C> {
     params: Vec<f32>,
     dropout: f32,
     rng: StdRng,
-    /// Scratch arena for activations/gradients (empty after `clone()`).
+    /// The scratch arena activations and gradients go through: the model's
+    /// own (empty after `clone()`) unless the caller swapped one in.
     ws: Workspace,
     conv: PhantomData<C>,
 }
@@ -209,7 +210,7 @@ impl<C: Conv> GraphModel for Coupled<C> {
         let nodes: Vec<u32> = (0..data.num_nodes() as u32).collect();
         let z = C::penultimate(data, &cache);
         let (loss, d_logits, hidden_grad) =
-            supervise(&logits, &data.labels, &data.train_nodes, &nodes, z, hooks);
+            supervise(&logits, &data.labels, &data.train_nodes, &nodes, z, hooks, &mut self.ws);
         let mut grads = self.backward(data, &cache, &d_logits, hidden_grad.as_ref());
         step(&mut self.params, &mut grads, opt, hooks);
         cache.recycle(&mut self.ws);
@@ -234,6 +235,10 @@ impl<C: Conv> GraphModel for Coupled<C> {
         cache.recycle(&mut self.ws);
         self.ws.give_matrix(logits);
         z
+    }
+
+    fn swap_workspace(&mut self, ws: &mut Workspace) {
+        std::mem::swap(&mut self.ws, ws);
     }
 
     fn clone_box(&self) -> Box<dyn GraphModel> {

@@ -41,12 +41,6 @@ impl DecoupledModel {
         }
     }
 
-    /// The model's scratch arena: tests assert what inference leaves in it.
-    #[doc(hidden)]
-    pub fn workspace(&self) -> &Workspace {
-        &self.inner.ws
-    }
-
     /// Checks out the combined features of `data` (computed on a miss);
     /// hand them back with `self.inner.give_features`.
     fn take_combined(&mut self, data: &GraphDataset) -> (u64, Matrix) {
@@ -117,6 +111,10 @@ impl GraphModel for DecoupledModel {
         let h = self.inner.head.infer_hidden(&entry.1);
         self.inner.give_features(entry);
         h
+    }
+
+    fn swap_workspace(&mut self, ws: &mut Workspace) {
+        std::mem::swap(&mut self.inner.ws, ws);
     }
 
     fn clone_box(&self) -> Box<dyn GraphModel> {

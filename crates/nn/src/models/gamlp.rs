@@ -202,6 +202,10 @@ impl GraphModel for Gamlp {
         self.inner.head.infer_hidden(&x)
     }
 
+    fn swap_workspace(&mut self, ws: &mut Workspace) {
+        std::mem::swap(&mut self.inner.ws, ws);
+    }
+
     fn clone_box(&self) -> Box<dyn GraphModel> {
         Box::new(self.clone())
     }

@@ -33,7 +33,8 @@ pub(crate) struct BatchedHead<F> {
     /// Tiny cache of propagated features keyed by dataset identity (a
     /// client alternates between at most its train view and an eval view).
     pub cache: Vec<(u64, F)>,
-    /// Scratch arena for batches/activations (empty after `clone()`).
+    /// The scratch arena batches and activations go through: the head's
+    /// own (empty after `clone()`) unless the caller swapped one in.
     pub ws: Workspace,
 }
 
@@ -108,15 +109,14 @@ impl<F> BatchedHead<F> {
             let labels: Vec<u32> = batch.iter().map(|&i| data.labels[i as usize]).collect();
             let rows: Vec<u32> = (0..batch.len() as u32).collect();
             let (loss, d_logits, hidden_grad) =
-                supervise(&logits, &labels, &rows, batch, cache.penultimate(), hooks);
+                supervise(&logits, &labels, &rows, batch, cache.penultimate(), hooks, ws);
             let mut grads = backward(head, &cache, &d_logits, hidden_grad.as_ref(), kept, ws);
             step(head.params_mut(), &mut grads, opt, hooks);
-            // Everything scratch goes back to the arena for the next batch.
+            // Everything checked out of the arena goes back for the next
+            // batch (`hidden_grad` is the hook's own allocation: pooling it
+            // would grow the arena by a buffer per batch).
             ws.give(grads);
             ws.give_matrix(d_logits);
-            if let Some(hg) = hidden_grad {
-                ws.give_matrix(hg);
-            }
             cache.recycle(ws);
             ws.give_matrix(logits);
             total_loss += loss as f64;

@@ -37,6 +37,7 @@ pub use sage::Sage;
 
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
+use crate::workspace::Workspace;
 
 /// A trainable node-classification model over a [`GraphDataset`].
 ///
@@ -86,6 +87,14 @@ pub trait GraphModel: Send {
     /// The penultimate representation for every node (MOON's contrastive
     /// anchor).
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix;
+    /// Exchanges the model's scratch arena with `ws` (a model without one
+    /// does nothing). Every backbone starts with an empty arena of its own
+    /// and fills it when driven by hand; a caller that runs many models on
+    /// few workers swaps a worker's arena in for the length of a model's
+    /// turn and swaps it back out, so no model keeps scratch between
+    /// turns. [`Workspace::take`] zero-fills: the arena swapped in cannot
+    /// reach a result.
+    fn swap_workspace(&mut self, _ws: &mut Workspace) {}
     /// Clones into a boxed trait object.
     fn clone_box(&self) -> Box<dyn GraphModel>;
 }

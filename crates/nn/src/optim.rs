@@ -13,13 +13,39 @@ pub trait Optimizer: Send {
     fn reset(&mut self);
     /// The configured learning rate.
     fn learning_rate(&self) -> f32;
+    /// Exchanges the moment vectors with `state` (a stateless optimizer
+    /// has none: the default does nothing). This is how an optimizer that
+    /// is [`reset`](Self::reset) at every start of a turn trains on
+    /// vectors lent for the turn instead of keeping its own between
+    /// turns: swap, `reset`, train, swap back. The first step after a
+    /// `reset` re-zeroes whatever vectors it finds, so their contents and
+    /// their previous borrower cannot reach a result.
+    fn swap_state(&mut self, _state: &mut OptState) {}
+}
+
+/// An optimizer's moment vectors apart from its hyper-parameters: Adam's
+/// `m` and `v`, momentum SGD's velocity (`second` stays empty).
+#[derive(Debug, Default)]
+pub struct OptState {
+    /// First-moment estimate / velocity.
+    pub first: Vec<f32>,
+    /// Second-moment estimate.
+    pub second: Vec<f32>,
+}
+
+impl OptState {
+    /// Heap bytes the vectors retain (capacities).
+    pub fn bytes(&self) -> usize {
+        (self.first.capacity() + self.second.capacity()) * std::mem::size_of::<f32>()
+    }
 }
 
 /// Sizes a state vector to `n` zeros inside the capacity it already has.
-/// `reset` leaves the vectors empty but allocated, so a client that is
-/// reset every round (FedGTA resets every participant) re-zeroes resident
-/// memory instead of `calloc`ing — and page-faulting in — fresh moment
-/// vectors for its first step of the round.
+/// `reset` leaves the vectors empty but allocated, so an optimizer that is
+/// reset at every start of a turn (the executor resets on every broadcast)
+/// re-zeroes resident memory — its own, or the vectors a worker lends it —
+/// instead of `calloc`ing, and page-faulting in, fresh moment vectors for
+/// its first step of the round.
 fn rezero(state: &mut Vec<f32>, n: usize) {
     state.clear();
     state.resize(n, 0.0);
@@ -74,6 +100,10 @@ impl Optimizer for Sgd {
 
     fn learning_rate(&self) -> f32 {
         self.lr
+    }
+
+    fn swap_state(&mut self, state: &mut OptState) {
+        std::mem::swap(&mut self.velocity, &mut state.first);
     }
 }
 
@@ -141,6 +171,11 @@ impl Optimizer for Adam {
 
     fn learning_rate(&self) -> f32 {
         self.lr
+    }
+
+    fn swap_state(&mut self, state: &mut OptState) {
+        std::mem::swap(&mut self.m, &mut state.first);
+        std::mem::swap(&mut self.v, &mut state.second);
     }
 }
 

@@ -7,13 +7,19 @@
 //! when its capacity suffices), and [`Workspace::give`] returns it for the
 //! next step. After a one-epoch warmup the pool is saturated and steady-
 //! state training performs **O(1) heap allocations per epoch** (verified
-//! by `crates/nn/tests/alloc_count.rs` with a counting allocator).
+//! by `crates/bench/tests/alloc_count.rs` with a counting allocator).
+//! Every `give` in the trainers returns a buffer a `take` handed out, so a
+//! warm epoch leaves the pool's buffer count and bytes where it found them.
 //!
 //! The arena is deliberately dumb — a best-fit scan over at most
-//! [`MAX_POOLED`] buffers, no size classes, no thread-safety. Each model
-//! owns one (models are `Send`, not `Sync`, and federated clients are
-//! disjoint `&mut` slots under [`fedgta_graph::par::par_map_indexed`]), so
-//! a lock-free single-owner pool is exactly right.
+//! [`MAX_POOLED`] buffers, no size classes, no thread-safety: whoever runs
+//! a model holds the arena it runs through. A model starts with an empty
+//! one of its own and uses it when driven by hand; a federated run lends
+//! it one per *worker* for the length of a client's turn
+//! ([`crate::GraphModel::swap_workspace`]), so what a client keeps between
+//! rounds is not scratch. [`Workspace::take`] zero-fills, so which arena a
+//! model runs through — and what ran through it before — cannot reach a
+//! result.
 //!
 //! `Clone` yields an **empty** workspace: pooled scratch is an optimization,
 //! not state, and cloning a model (e.g. broadcasting global parameters to
@@ -107,6 +113,12 @@ impl Workspace {
     /// tests/diagnostics).
     pub fn largest_pooled(&self) -> usize {
         self.pool.iter().map(Vec::capacity).max().unwrap_or(0)
+    }
+
+    /// Heap bytes the pooled buffers retain (capacities).
+    #[doc(hidden)]
+    pub fn bytes(&self) -> usize {
+        self.pool.iter().map(|b| b.capacity() * std::mem::size_of::<f32>()).sum()
     }
 }
 

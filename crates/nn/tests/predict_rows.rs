@@ -143,7 +143,9 @@ fn pieced_predict_into_equals_the_whole_forward_and_pools_nothing_n_sized() {
             }
             // Nothing wider than a piece of the widest layer stays pooled:
             // no n-row logits, hidden activation, or swapped-in `out`.
-            let largest = model.workspace().largest_pooled();
+            let mut arena = Workspace::new();
+            model.swap_workspace(&mut arena);
+            let largest = arena.largest_pooled();
             assert!(largest <= PIECE.min(n) * cfg.hidden, "{kind:?} n = {n}: {largest} floats pooled");
             if n > 3 * PIECE {
                 assert!(largest < n * CLASSES, "{kind:?}: an n·|Y| buffer is pooled");

@@ -978,10 +978,12 @@ pub fn render_report(s: &TraceSummary) -> String {
     }
 
     // Peak-memory gauges: the budgets scale runs are graded against.
+    let kits = format!("worker kits (x{})", metric("fed.kits.instances").unwrap_or(0));
     let peaks: Vec<(&str, u64)> = [
         ("graph.store.resident_bytes", "graph store resident peak"),
         ("workspace.high_water_bytes", "workspace high-water peak"),
         ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool"),
+        ("fed.kits.bytes", kits.as_str()),
     ]
     .iter()
     .filter_map(|&(name, label)| metric(name).filter(|&v| v > 0).map(|v| (label, v)))
@@ -1151,6 +1153,8 @@ mod tests {
             "{\"ev\":\"metric\",\"name\":\"comms.download_bytes_raw\",\"kind\":\"counter\",\"value\":8192,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}\n",
             "{\"ev\":\"metric\",\"name\":\"comms.download_bytes_encoded\",\"kind\":\"counter\",\"value\":4096,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}\n",
             "{\"ev\":\"metric\",\"name\":\"graph.store.resident_bytes\",\"kind\":\"gauge\",\"value\":78643200,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}\n",
+            "{\"ev\":\"metric\",\"name\":\"fed.kits.instances\",\"kind\":\"gauge\",\"value\":2,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}\n",
+            "{\"ev\":\"metric\",\"name\":\"fed.kits.bytes\",\"kind\":\"gauge\",\"value\":3145728,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}\n",
         );
         t = t.replace("{\"ev\":\"end\"}\n", &format!("{extra}{{\"ev\":\"end\"}}\n"));
         let s = summarize(&parse_trace(&t).unwrap());
@@ -1163,6 +1167,7 @@ mod tests {
         assert!(rendered.contains("resource peaks:"));
         assert!(rendered.contains("graph store resident peak"));
         assert!(rendered.contains("75.0MiB"));
+        assert!(rendered.contains("worker kits (x2)") && rendered.contains("3072.0KiB"), "{rendered}");
         // Without the counters the sections stay absent — and an
         // upload-only trace renders no download row.
         let bare = render_report(&summarize(&parse_trace(&sample_trace()).unwrap()));

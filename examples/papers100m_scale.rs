@@ -63,10 +63,11 @@ fn run_full() {
     );
     println!(
         "tracked peak memory: workspace {:.1} MiB + store tiles {:.1} MiB + metric scratch {:.1} MiB \
-         = {:.1} MiB (budget {} MiB)",
+         + worker kits {:.1} MiB = {:.1} MiB (budget {} MiB)",
         stats.workspace_hwm_bytes as f64 / (1 << 20) as f64,
         stats.store_resident_peak_bytes as f64 / (1 << 20) as f64,
         stats.metric_scratch_bytes as f64 / (1 << 20) as f64,
+        stats.kits_bytes as f64 / (1 << 20) as f64,
         stats.tracked_peak_bytes as f64 / (1 << 20) as f64,
         scale::MEMORY_BUDGET_BYTES >> 20
     );

@@ -13,6 +13,7 @@ use fedgta::FedGta;
 use fedgta_data::{generate_from_spec, DatasetSpec, Task};
 use fedgta_fed::client::{build_clients, Client, ClientBuildConfig};
 use fedgta_fed::fgl_models::FedGl;
+use fedgta_fed::kit::Kit;
 use fedgta_fed::round::{SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::small_federation;
 use fedgta_fed::strategies::{FedAvg, FedProx, Strategy};
@@ -104,6 +105,11 @@ fn cells() -> Vec<Cell> {
 
 /// `name params=<fnv1a per client> acc=<f64 bits>` for one cell.
 fn line(cell: &Cell, threads: usize) -> String {
+    line_with(cell, threads, |_| {})
+}
+
+/// [`line`] after `prepare` has had its way with the simulation.
+fn line_with(cell: &Cell, threads: usize, prepare: impl FnOnce(&mut Simulation)) -> String {
     let (name, clients, strategy, rounds) = *cell;
     let config = SimConfig {
         rounds,
@@ -114,6 +120,7 @@ fn line(cell: &Cell, threads: usize) -> String {
         threads,
     };
     let mut sim = Simulation::new(clients(), strategy(), config);
+    prepare(&mut sim);
     sim.run();
     let mut out = format!("{name} params=");
     for (i, c) in sim.clients.iter().enumerate() {
@@ -124,9 +131,13 @@ fn line(cell: &Cell, threads: usize) -> String {
     out
 }
 
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/backbones.txt")
+}
+
 #[test]
 fn backbone_bits_match_the_golden_file_at_one_and_four_threads() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/backbones.txt");
+    let path = golden_path();
     let golden = std::fs::read_to_string(&path).unwrap_or_default();
     let header: Vec<&str> = golden.lines().filter(|l| l.starts_with('#')).collect();
     let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
@@ -149,5 +160,37 @@ fn backbone_bits_match_the_golden_file_at_one_and_four_threads() {
     assert_eq!(want.len(), got.len(), "cell count: golden file vs test");
     for (w, g) in want.iter().zip(&got) {
         assert_eq!(w, g, "golden bits moved");
+    }
+}
+
+/// "Every lent buffer is rewritten before it is read", checked instead of
+/// argued: the run starts with its kit pool pre-filled — one kit per worker
+/// — with NaN arena buffers large enough to serve every `take`, and NaN
+/// moment vectors of exactly the parameter count (the length at which an
+/// optimizer that was *not* reset would keep them). Not a bit moves.
+#[test]
+fn kits_full_of_nan_cannot_reach_a_result_bit() {
+    let poison = |sim: &mut Simulation| {
+        let params = sim.clients[0].model.num_params();
+        for _ in 0..4 {
+            let mut kit = Kit::default();
+            for _ in 0..24 {
+                kit.ws.give(vec![f32::NAN; 1 << 16]);
+            }
+            kit.opt.first = vec![f32::NAN; params];
+            kit.opt.second = vec![f32::NAN; params];
+            sim.kits.give(kit);
+        }
+    };
+    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    let prox_gcn: Cell =
+        ("FedProx/GCN", || small_federation(ModelKind::Gcn, SEED), || Box::new(FedProx::new(0.1)), 3);
+    let cells = cells();
+    let gta_sign = cells.iter().find(|c| c.0 == "FedGTA/SIGN").expect("cell");
+    for threads in [1, 4] {
+        let dirty = line_with(gta_sign, threads, poison);
+        assert!(golden.lines().any(|l| l == dirty), "{threads} threads: {dirty}");
+        // No golden line for this pair: the clean run is the reference.
+        assert_eq!(line_with(&prox_gcn, threads, poison), line(&prox_gcn, 1), "{threads} threads");
     }
 }
