@@ -1,5 +1,5 @@
 //! Upload-codec communication benchmark: the bytes-vs-accuracy Pareto
-//! sweep behind `BENCH_COMMS.json` (`fedgta-cli bench comms`).
+//! sweep behind `BENCH_COMMS.json` (`repro comms`).
 //!
 //! Each cell arms one communication configuration — an upload codec
 //! chain, optionally error feedback, a download (broadcast) codec, or a
@@ -158,7 +158,7 @@ fn spec_name(chain: &str) -> String {
     CodecSpec::parse(chain).expect("valid codec spec").name()
 }
 
-/// Overrides for the sweep's dataset/size knobs (CLI pass-through;
+/// Overrides for the sweep's dataset/size knobs (`repro comms` flags;
 /// `None` keeps the mode's default).
 #[derive(Debug, Clone, Default)]
 pub struct Overrides {
@@ -317,13 +317,9 @@ fn value_compression(cell: &Cell) -> Option<f64> {
     }
 }
 
-/// Runs the sweep with the default grid. `quick` is the CI smoke grid.
-pub fn run(quick: bool) -> CommsReport {
-    run_with(quick, &Overrides::default())
-}
-
-/// Runs the sweep with `--dataset/--rounds/--clients` overrides applied.
-pub fn run_with(quick: bool, over: &Overrides) -> CommsReport {
+/// Runs the sweep (`quick` is the CI smoke grid) with the
+/// `--dataset/--rounds/--clients` overrides applied.
+pub fn run(quick: bool, over: &Overrides) -> CommsReport {
     let grid = Grid::new(quick, over);
     let mut results = Vec::new();
     for strategy in &grid.strategies {
@@ -519,7 +515,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_meters_compression_and_stays_deterministic() {
-        let r = run(true);
+        let r = run(true, &Overrides::default());
         assert_eq!(r.results.len(), 5);
         let plain = &r.results[0];
         assert_eq!(plain.codec, "none");

@@ -1,5 +1,5 @@
-//! Plain-text table rendering and JSON emission helpers for the
-//! experiment binaries (the vendored serde shim is a no-op, so every
+//! Plain-text table rendering and JSON emission helpers for `repro`'s
+//! artefacts and suites (the vendored serde shim is a no-op, so every
 //! report serializes itself by hand — these helpers keep that output
 //! machine-parseable).
 
@@ -105,11 +105,6 @@ impl Table {
             out.push_str(&line(row, &width));
         }
         out
-    }
-
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

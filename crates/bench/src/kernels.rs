@@ -1,13 +1,8 @@
 //! Kernel microbenchmark suite: GFLOP/s and allocation counts for the
 //! register-blocked dense kernels and the column-blocked SpMM.
 //!
-//! Two entry points consume this module:
-//!
-//! - the `kernels` bench binary (`cargo run --release -p fedgta-bench --bin
-//!   kernels`), which installs a counting allocator and writes
-//!   `BENCH_KERNELS.json`;
-//! - `fedgta-cli bench kernels [--test ...]`, the runner subcommand (no
-//!   allocator instrumentation — allocation counts are reported as `null`).
+//! Run by `repro kernels [--full]`, which installs the counting allocator
+//! (`--full --out BENCH_KERNELS.json` re-takes the committed file).
 //!
 //! The shape grid follows the training hot path: row counts `n ∈ {2k, 8k,
 //! 32k}` (nodes per client subgraph) × feature widths `f ∈ {64, 128, 500}`
@@ -17,7 +12,7 @@
 //! The client's soft-label pair — the Eq. 3 row softmax and the Eq. 4
 //! entropy sum, both libm-free vectorized kernels — is timed per element at
 //! `32k × {7, 16, 40}` against the scalar libm loops they replaced.
-//! `--test` mode shrinks every shape and runs one iteration per cell so CI
+//! Quick mode shrinks every shape and runs one iteration per cell so CI
 //! can smoke the whole pipeline in under a second.
 
 use fedgta::confidence::local_smoothing_confidence;
@@ -81,7 +76,7 @@ pub struct SoftLabelResult {
 /// The full report: grid results plus the naive-vs-blocked anchor.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
-    /// `"quick"` (`--test`) or `"full"`.
+    /// `"quick"` or `"full"`.
     pub mode: &'static str,
     /// All timed cells, including the square anchor shapes.
     pub results: Vec<KernelResult>,
@@ -350,7 +345,7 @@ impl Grid {
     }
 }
 
-/// Runs the suite. `quick` is the CI `--test` mode; `counter` enables
+/// Runs the suite. `quick` is the CI smoke grid; `counter` enables
 /// allocation counting when the host binary installed [`crate::alloc`].
 pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     let grid = Grid::new(quick);
@@ -682,65 +677,32 @@ pub fn render_table(r: &KernelReport) -> String {
     s
 }
 
-/// Compares a fresh report against a `BENCH_KERNELS.json` baseline:
-/// returns an error naming the anchor regression when the blocked anchor
-/// matmul lost more than `tolerance_pct` GFLOP/s, `Ok(None)` when the
-/// baseline has no comparable anchor cell.
-pub fn check_against_baseline(
-    report: &KernelReport,
-    baseline_json: &str,
-    tolerance_pct: f64,
-) -> Result<Option<f64>, String> {
-    // Each result row in our hand-rolled JSON is one flat object per line.
-    let mut baseline_anchor: Option<f64> = None;
-    for line in baseline_json.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if !t.starts_with("{\"kernel\"") {
-            continue;
-        }
-        let obj = fedgta_obs::parse_flat_object(t)?;
-        let get_s = |k: &str| obj.get(k).and_then(|v| v.as_str().map(str::to_string));
-        let get_n = |k: &str| obj.get(k).and_then(|v| v.as_u64());
-        if get_s("kernel").as_deref() == Some("matmul")
-            && get_s("variant").as_deref() == Some("blocked")
-            && get_n("m") == Some(report.anchor_dim as u64)
-            && get_n("k") == Some(report.anchor_dim as u64)
-            && get_n("n") == Some(report.anchor_dim as u64)
-        {
-            // gflops is a float; the flat parser keeps numbers as f64 text
-            // fallback — re-parse from the raw line for robustness.
-            if let Some(pos) = t.find("\"gflops\":") {
-                let rest = &t[pos + 9..];
-                let end = rest.find(',').unwrap_or(rest.len());
-                if let Ok(v) = rest[..end].trim().parse::<f64>() {
-                    baseline_anchor = Some(v);
-                }
-            }
-        }
+/// The full-mode acceptance bars, so a regression fails the run instead of
+/// sitting in a stale JSON file. Quick mode's single iterations are too
+/// noisy for a hard gate and pass unchecked.
+pub fn bars(r: &KernelReport) -> Result<(), String> {
+    if r.mode != "full" {
+        return Ok(());
     }
-    let Some(base) = baseline_anchor else {
-        return Ok(None);
-    };
-    let now = report
-        .results
-        .iter()
-        .find(|c| {
-            c.kernel == "matmul"
-                && c.variant == "blocked"
-                && c.m == report.anchor_dim
-                && c.k == report.anchor_dim
-                && c.n == report.anchor_dim
-        })
-        .map(|c| c.gflops)
-        .ok_or("report has no anchor matmul cell")?;
-    let regression_pct = 100.0 * (base - now) / base;
-    if regression_pct > tolerance_pct {
+    if r.matmul_speedup_vs_naive < 2.0 {
         return Err(format!(
-            "anchor matmul regressed {regression_pct:.2}% vs baseline \
-             ({base:.2} → {now:.2} GFLOP/s, budget {tolerance_pct}%)"
+            "blocked matmul only {:.2}x naive at {}^3 (need >= 2.0x)",
+            r.matmul_speedup_vs_naive, r.anchor_dim
         ));
     }
-    Ok(Some(regression_pct))
+    // The weight-gradient kernel runs on the forward micro-kernel; what it
+    // pays on top is the transpose-pack, and that must stay a minor share.
+    if r.matmul_tn_vs_matmul < 0.6 {
+        return Err(format!("matmul_tn only {:.2}x matmul at its worst grid cell (need >= 0.6x)", r.matmul_tn_vs_matmul));
+    }
+    // Compiled-in hooks at ObsLevel::Off, and the same with the flight
+    // recorder armed (it records per span, never per kernel op).
+    for (what, pct) in [("ObsLevel::Off hook", r.obs_overhead_pct), ("flight-recorder-armed hook", r.recorder_overhead_pct)] {
+        if pct > 2.0 {
+            return Err(format!("{what} overhead {pct:.2}% exceeds 2% budget"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,36 +1,28 @@
-//! # fedgta-bench — shared experiment runner
+//! # fedgta-bench — the reproduction harness
 //!
-//! Every table/figure binary (`src/bin/table*.rs`, `src/bin/fig*.rs`)
-//! builds on this runner: it loads a synthetic benchmark, partitions it
-//! with Louvain or Metis, constructs the federation, runs a strategy for
-//! `R` rounds over `runs` seeds, and reports `mean ± std` best test
-//! accuracy — the exact protocol behind the paper's tables.
+//! [`runner`] is the experiment protocol behind the paper's tables: load a
+//! synthetic benchmark, partition it with Louvain or Metis, build the
+//! federation, run a strategy for `R` rounds over `runs` seeds, report
+//! `mean ± std` best test accuracy. [`tables`] and [`artefacts`] describe
+//! every table and figure over it, [`claims`] what the paper says about
+//! them, and [`repro`] runs both; [`kernels`], [`aggregate`], [`comms`]
+//! and [`scale`] are the four microbenchmark suites. The `repro` binary is
+//! the one entry point to all of it.
 
 pub mod aggregate;
 pub mod alloc;
+pub mod artefacts;
+pub mod claims;
 pub mod comms;
 pub mod format;
 pub mod kernels;
 pub mod plot;
+pub mod repro;
 pub mod runner;
 pub mod scale;
+pub mod tables;
 
-pub use format::{fmt_pm, Table};
-pub use plot::{render_chart, Series};
 pub use runner::{
     make_strategy, partition_benchmark, run_experiment, run_global, ExperimentResult,
-    ExperimentSpec, SplitKind, STRATEGY_NAMES,
+    ExperimentSpec, SplitKind, StrategySpec, STRATEGY_NAMES,
 };
-
-/// Parses the common `--quick` (default) / `--full` flag from argv.
-pub fn is_full_run() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// Parses `--flag value` style overrides from argv.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}

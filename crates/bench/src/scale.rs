@@ -1,5 +1,5 @@
 //! Out-of-core scale benchmark: the sweep behind `BENCH_SCALE.json`
-//! (`fedgta-cli bench scale`).
+//! (`repro scale`).
 //!
 //! Two sections:
 //!

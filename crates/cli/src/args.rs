@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 pub struct Args {
     /// The first positional argument.
     pub command: String,
-    /// An optional second positional argument (e.g. `bench kernels`).
+    /// An optional second positional argument (e.g. `report trace.jsonl`).
     /// Only allowed directly after the command, before any flags.
     pub subcommand: Option<String>,
     flags: BTreeMap<String, String>,
@@ -137,10 +137,10 @@ mod tests {
 
     #[test]
     fn parses_optional_subcommand() {
-        let a = parse(&["bench", "kernels", "--mode", "quick"]).unwrap();
-        assert_eq!(a.command, "bench");
-        assert_eq!(a.subcommand.as_deref(), Some("kernels"));
-        assert_eq!(a.str_or("mode", "full"), "quick");
+        let a = parse(&["report", "trace.jsonl", "--profile", "5"]).unwrap();
+        assert_eq!(a.command, "report");
+        assert_eq!(a.subcommand.as_deref(), Some("trace.jsonl"));
+        assert_eq!(a.str_or("profile", "0"), "5");
     }
 
     #[test]

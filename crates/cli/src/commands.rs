@@ -98,104 +98,11 @@ USAGE:
   fedgta-cli postmortem <dump.jsonl>
                        (human-readable timeline of a --postmortem-out
                         flight-recorder dump: events, fault log, registry)
-  fedgta-cli bench kernels [--mode quick|full] [--out <file.json>]
-                       (GFLOP/s of the blocked compute kernels; 'quick' is
-                        the CI smoke grid, 'full' the training-shaped grid)
-  fedgta-cli bench aggregate [--mode quick|full] [--out <file.json>]
-                       (server-round microbench: parallel similarity +
-                        blocked personalized aggregation over participants
-                        x parameter-length, 1 vs 4 threads, bit-identity
-                        checked on every cell)
-  fedgta-cli bench comms [--mode quick|full] [--out <file.json>]
-                       [--dataset <name>] [--rounds N] [--clients N]
-                       (bytes-vs-accuracy Pareto sweep of upload codecs x
-                        strategies — error-feedback, download-leg and
-                        moment-sketch rows included; every cell checked
-                        bit-identical at 1 vs 4 threads, lossless cells
-                        checked against the plain-upload baseline,
-                        error-feedback cells asserted to beat their bare
-                        codec's accuracy. --dataset/--rounds/--clients
-                        override the mode's default grid)
-  fedgta-cli bench scale [--mode quick|full] [--out <file.json>]
-                       (out-of-core scale sweep: streamed SBM generation +
-                        normalization to the chunked v2 layout, in-memory vs
-                        file-backed SpMM at 1/4 threads with bit-identity
-                        asserted, then a federated FedGTA run whose tracked
-                        peak memory must stay under 4 GiB. 'full' is the
-                        10^7-node / ~10^8-edge configuration; scratch files
-                        go to $FEDGTA_SCALE_DIR or the system temp dir)",
+
+The paper's tables and figures and the kernels / aggregate / comms / scale
+microbenchmarks are `cargo run --release -p fedgta-bench --bin repro -- <target>`.",
         STRATEGY_NAMES.join("|")
     );
-}
-
-/// `bench kernels` / `bench aggregate`: run a microbenchmark suite.
-pub fn bench(a: &Args) -> CliResult {
-    let suite = match a.subcommand.as_deref() {
-        Some(s @ ("kernels" | "aggregate" | "comms" | "scale")) => s,
-        Some(other) => {
-            return Err(format!(
-                "unknown bench suite '{other}' (try 'kernels', 'aggregate', 'comms' or 'scale')"
-            )
-            .into())
-        }
-        None => return Err("bench needs a suite, e.g. 'fedgta-cli bench kernels'".into()),
-    };
-    let mode = a.str_or("mode", "full");
-    let quick = match mode.as_str() {
-        "quick" => true,
-        "full" => false,
-        other => return Err(format!("unknown --mode '{other}' (quick|full)").into()),
-    };
-    // No counting allocator in the CLI binary (it would tax every other
-    // subcommand); allocation counts come from the dedicated bench
-    // binaries (`kernels`, `aggregate`) and are reported as '-' here.
-    let (table, json) = match suite {
-        "kernels" => {
-            let report = fedgta_bench::kernels::run(quick, None);
-            (
-                fedgta_bench::kernels::render_table(&report),
-                fedgta_bench::kernels::to_json(&report),
-            )
-        }
-        "comms" => {
-            let over = fedgta_bench::comms::Overrides {
-                dataset: a.str_opt("dataset").map(str::to_string),
-                rounds: match a.str_opt("rounds") {
-                    Some(_) => Some(a.num_or("rounds", 0usize)?),
-                    None => None,
-                },
-                clients: match a.str_opt("clients") {
-                    Some(_) => Some(a.num_or("clients", 0usize)?),
-                    None => None,
-                },
-            };
-            let report = fedgta_bench::comms::run_with(quick, &over);
-            (
-                fedgta_bench::comms::render_table(&report),
-                fedgta_bench::comms::to_json(&report),
-            )
-        }
-        "scale" => {
-            let report = fedgta_bench::scale::run(quick);
-            (
-                fedgta_bench::scale::render_table(&report),
-                fedgta_bench::scale::to_json(&report),
-            )
-        }
-        _ => {
-            let report = fedgta_bench::aggregate::run(quick, None);
-            (
-                fedgta_bench::aggregate::render_table(&report),
-                fedgta_bench::aggregate::to_json(&report),
-            )
-        }
-    };
-    print!("{table}");
-    if let Some(out) = a.str_opt("out") {
-        std::fs::write(out, json)?;
-        println!("wrote {out}");
-    }
-    Ok(())
 }
 
 /// Observability outputs resolved from `--obs`, `--trace-out`,
@@ -810,12 +717,6 @@ mod tests {
     #[test]
     fn datasets_listing_works() {
         datasets().unwrap();
-    }
-
-    #[test]
-    fn bench_rejects_unknown_suite() {
-        let err = bench(&args(&["bench", "nope"])).unwrap_err().to_string();
-        assert!(err.contains("scale"), "suite hint should mention scale: {err}");
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //!                      [--postmortem-out crash.pm.jsonl]
 //! fedgta-cli report    trace.jsonl [--profile 10] [--folded out.folded]
 //! fedgta-cli postmortem crash.pm.jsonl
-//! fedgta-cli bench kernels|aggregate|comms|scale [--mode quick|full]
-//!                      [--out report.json]
 //! ```
+//!
+//! The paper's tables and figures and the four microbenchmark suites are
+//! `fedgta-bench`'s `repro` binary, not subcommands here.
 
 mod args;
 mod commands;
@@ -42,7 +43,6 @@ fn main() -> ExitCode {
         "run" => commands::run(&parsed),
         "report" => commands::report(&parsed),
         "postmortem" => commands::postmortem(&parsed),
-        "bench" => commands::bench(&parsed),
         "help" | "--help" | "-h" => {
             commands::print_help();
             Ok(())
