@@ -254,9 +254,9 @@ pub fn bars(r: &AggregateReport) -> Result<(), String> {
     Ok(())
 }
 
-/// Hand-rolled JSON (the vendored serde shim is a no-op, so the report
-/// serializes itself). Floats route through [`crate::format::json_fixed`]
-/// so a NaN cell (e.g. a timing ratio on a degenerate grid) renders as
+/// Hand-rolled JSON (the workspace has no serialization dependency, so
+/// the report serializes itself). Floats route through
+/// [`crate::format::json_fixed`] so a NaN cell (e.g. a timing ratio on a degenerate grid) renders as
 /// `null` instead of breaking the parser.
 pub fn to_json(r: &AggregateReport) -> String {
     use crate::format::{json_fixed, json_str};

@@ -1,35 +1,16 @@
 //! Plain-text table rendering and JSON emission helpers for `repro`'s
-//! artefacts and suites (the vendored serde shim is a no-op, so every
-//! report serializes itself by hand — these helpers keep that output
-//! machine-parseable).
+//! artefacts and suites (the workspace has no serialization dependency,
+//! so every report serializes itself by hand — these helpers keep that
+//! output machine-parseable).
 
 /// `mean ± std` in percent, matching the paper's table cells.
 pub fn fmt_pm(mean: f64, std: f64) -> String {
     format!("{:.1}±{:.1}", 100.0 * mean, 100.0 * std)
 }
 
-/// Escapes `s` for use inside a JSON string literal (quotes/backslashes
-/// escaped, control characters as `\u00XX`; surrounding quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A quoted, escaped JSON string literal.
 pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", json_escape(s))
+    format!("\"{}\"", fedgta_obs::sink::json_escape(s))
 }
 
 /// A JSON number: finite values via `{}` (round-trip formatting),
@@ -115,15 +96,6 @@ mod tests {
     #[test]
     fn fmt_pm_is_percent() {
         assert_eq!(fmt_pm(0.823, 0.004), "82.3±0.4");
-    }
-
-    #[test]
-    fn json_strings_escape_hostile_input() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_str("x\"y"), "\"x\\\"y\"");
     }
 
     #[test]

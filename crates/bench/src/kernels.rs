@@ -560,10 +560,11 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     }
 }
 
-/// Hand-rolled JSON (the vendored serde shim is a no-op, so the report
-/// serializes itself). Strings go through [`crate::format::json_str`] and
-/// floats through [`crate::format::json_fixed`] so hostile names and
-/// NaN/Inf cells cannot break the artifact.
+/// Hand-rolled JSON (the workspace has no serialization dependency, so
+/// the report serializes itself). Strings go through
+/// [`crate::format::json_str`] and floats through
+/// [`crate::format::json_fixed`] so hostile names and NaN/Inf cells
+/// cannot break the artifact.
 pub fn to_json(r: &KernelReport) -> String {
     use crate::format::{json_fixed, json_str};
     let mut s = String::with_capacity(4096);

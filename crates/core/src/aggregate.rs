@@ -10,7 +10,6 @@
 use crate::similarity::{similarity_matrix_threads, SimilarityKind};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_nn::ops::weighted_sum_rows_into;
-use serde::Serialize;
 
 /// One client's upload as seen by the server.
 pub struct ClientUpload<'a> {
@@ -26,7 +25,7 @@ pub struct ClientUpload<'a> {
 }
 
 /// What the server did for one client (Fig. 3's raw data).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AggregationEntry {
     /// Indices (into the participant list) this client aggregated with.
     pub members: Vec<usize>,
@@ -35,7 +34,7 @@ pub struct AggregationEntry {
 }
 
 /// Per-round aggregation transparency report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AggregationReport {
     /// Pairwise similarity matrix over participants.
     pub similarity: Vec<Vec<f32>>,
@@ -428,6 +427,26 @@ mod tests {
         personalized_aggregate(&ups, &opts(0.5));
         fedgta_obs::set_level(fedgta_obs::ObsLevel::Off);
         assert_eq!(rejected.get() - before, 2);
+    }
+
+    #[test]
+    fn a_nan_sketch_under_adaptive_epsilon_aggregates_alone() {
+        // A diverged client uploads a NaN sketch: its similarities are NaN,
+        // which used to panic the adaptive quantile's sort.
+        let params: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32; 3]).collect();
+        let good = [0.3f32, -0.2, 0.9];
+        let bad = [f32::NAN; 3];
+        let ups: Vec<ClientUpload<'_>> = (0..4)
+            .map(|c| upload(&params[c], 1.0, if c == 2 { &bad } else { &good }))
+            .collect();
+        let o = AggregateOptions { epsilon_quantile: Some(0.5), ..opts(0.0) };
+        let (agg, report) = personalized_aggregate(&ups, &o);
+        assert!(report.epsilon.is_finite());
+        assert_eq!(report.entries[2].members, vec![2]);
+        assert_eq!(agg[2], params[2]);
+        for c in [0, 1, 3] {
+            assert_eq!(report.entries[c].members, vec![0, 1, 3], "client {c}");
+        }
     }
 
     #[test]

@@ -3,10 +3,9 @@
 use crate::extensions::FeatureMomentConfig;
 use crate::moments::MomentKind;
 use crate::similarity::SimilarityKind;
-use serde::{Deserialize, Serialize};
 
 /// FedGTA configuration (paper §3.1 defaults; §4.1 search ranges).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FedGtaConfig {
     /// Label-propagation steps `k` (paper default 5).
     pub k_lp: usize,

@@ -15,32 +15,34 @@ use crate::moments::{mixed_moments, MomentKind};
 use fedgta_graph::spmm::propagate_steps_into;
 use fedgta_graph::Csr;
 use fedgta_nn::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-round ε selection from the observed similarity distribution.
 ///
 /// Given the pairwise similarity matrix of the current participants,
-/// returns the `quantile`-th value of the off-diagonal entries. A quantile
-/// of `0.8` keeps roughly the top 20% most-similar pairs connected,
-/// regardless of how concentrated the sketches are on this dataset —
-/// removing the per-dataset ε grid search of the paper's §4.1.
+/// returns the `quantile`-th value of the finite off-diagonal entries. A
+/// quantile of `0.8` keeps roughly the top 20% most-similar pairs
+/// connected, regardless of how concentrated the sketches are on this
+/// dataset — removing the per-dataset ε grid search of the paper's §4.1.
+///
+/// A diverged client's NaN sketch yields NaN similarities; they are left
+/// out of the quantile and already fail Eq. 6's `sim ≥ ε`.
 pub fn adaptive_epsilon(similarity: &[Vec<f32>], quantile: f64) -> f32 {
     let n = similarity.len();
     let mut off: Vec<f32> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
     for (i, row) in similarity.iter().enumerate() {
-        off.extend_from_slice(&row[(i + 1).min(row.len())..]);
+        off.extend(row[(i + 1).min(row.len())..].iter().filter(|s| s.is_finite()));
     }
     if off.is_empty() {
-        return 1.0; // single client: isolation is the only option
+        return 1.0; // single client (or no finite pair): isolation is the only option
     }
-    off.sort_unstable_by(|a, b| a.partial_cmp(b).expect("similarities are finite"));
+    off.sort_unstable_by(f32::total_cmp);
     let q = quantile.clamp(0.0, 1.0);
     let idx = ((off.len() - 1) as f64 * q).round() as usize;
     off[idx]
 }
 
 /// Configuration for the propagated-feature moment extension.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureMomentConfig {
     /// How many leading feature dimensions to sketch (caps upload size;
     /// the sketch grows as `k · K · dims`).

@@ -46,7 +46,5 @@ pub use lp::label_propagation;
 pub use lp::label_propagation_into;
 pub use moments::{mixed_moments, mixed_moments_into, MomentKind};
 pub use scratch::UploadScratch;
-pub use similarity::{
-    moment_similarity, similarity_matrix, similarity_matrix_threads, SimilarityKind,
-};
+pub use similarity::{moment_similarity, similarity_matrix_threads, SimilarityKind};
 pub use strategy::FedGta;

@@ -7,10 +7,9 @@
 //! yields the flattened `M ∈ R^{k·K·|Y|}` sketch the client uploads.
 
 use fedgta_nn::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Central (paper's example) vs raw moments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MomentKind {
     /// Subtract the per-node class-mean before exponentiation.
     Central,

@@ -4,10 +4,8 @@
 //! notes it "can be replaced with any reasonable metric"; a negative-L2
 //! variant is provided for the ablation benches.
 
-use serde::{Deserialize, Serialize};
-
 /// Which similarity to apply to moment sketches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimilarityKind {
     /// Cosine similarity (paper default), range `[-1, 1]`.
     Cosine,
@@ -45,18 +43,12 @@ pub fn moment_similarity(a: &[f32], b: &[f32], kind: SimilarityKind) -> f32 {
     }
 }
 
-/// Full pairwise similarity matrix (`n × n`, diagonal = self-similarity).
+/// Full pairwise similarity matrix (`n × n`, diagonal = self-similarity)
+/// with an explicit worker-thread request (`0` = resolve from
+/// `FEDGTA_THREADS` / core count).
 ///
 /// Takes borrowed sketch slices so callers (the server aggregation path)
-/// hand over upload buffers without a per-round copy. Thread count is
-/// resolved from the environment; see [`similarity_matrix_threads`] for
-/// the explicit-thread variant and the bit-identity argument.
-pub fn similarity_matrix(sketches: &[&[f32]], kind: SimilarityKind) -> Vec<Vec<f32>> {
-    similarity_matrix_threads(sketches, kind, 0)
-}
-
-/// [`similarity_matrix`] with an explicit worker-thread request
-/// (`0` = resolve from `FEDGTA_THREADS` / core count).
+/// hand over upload buffers without a per-round copy.
 ///
 /// Rows are independent, so the matrix is computed **row-parallel** via
 /// [`fedgta_graph::par::par_map_indexed`]: worker `i` fills the full row
@@ -126,7 +118,7 @@ mod tests {
     #[allow(clippy::needless_range_loop)] // (i, j) indexing mirrors S(i,j)
     fn matrix_is_symmetric_with_unit_diagonal() {
         let sk: Vec<&[f32]> = vec![&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]];
-        let m = similarity_matrix(&sk, SimilarityKind::Cosine);
+        let m = similarity_matrix_threads(&sk, SimilarityKind::Cosine, 0);
         for i in 0..3 {
             assert!((m[i][i] - 1.0).abs() < 1e-6);
             for j in 0..3 {

@@ -1,9 +1,7 @@
 //! Dataset specifications mirroring the paper's Table 2.
 
-use serde::{Deserialize, Serialize};
-
 /// Transductive vs inductive evaluation protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Task {
     /// Test nodes are present (unlabeled) in the training graph.
     Transductive,
@@ -16,7 +14,7 @@ pub enum Task {
 /// `nodes`/`features`/`classes` mirror Table 2 (large graphs scaled per
 /// DESIGN.md §3.1); `avg_degree` mirrors the paper's `m/n` ratio capped at
 /// 25 for the single-CPU budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Canonical lowercase name (e.g. `"cora"`).
     pub name: &'static str,

@@ -1,4 +1,4 @@
-//! Deterministic data-parallel helpers built on crossbeam scoped threads.
+//! Deterministic data-parallel helpers built on `std::thread::scope`.
 //!
 //! Parallelism is something a **caller asks for**: both helpers take the
 //! caller's thread count (or the caller's chunk boundaries) and nothing in
@@ -104,16 +104,15 @@ where
     P: Send,
     W: Fn(usize, P) + Sync,
 {
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (idx, part) in parts.enumerate() {
             let work = &work;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 IN_PARALLEL_WORKER.with(|flag| flag.set(true));
                 work(idx, part)
             });
         }
-    })
-    .expect("parallel worker panicked");
+    });
 }
 
 /// Maps `f(index, &mut items[index])` over every item, in parallel across
@@ -302,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parallel worker panicked")]
+    #[should_panic(expected = "a scoped thread panicked")]
     fn map_indexed_propagates_worker_panics() {
         let mut items: Vec<u32> = (0..8).collect();
         par_map_indexed(&mut items, Some(4), |i, _| {

@@ -6,9 +6,9 @@
 //! keeps the format trivially valid: one JSON object per line, first line
 //! the schema header.
 //!
-//! The serde shim in this workspace is a no-op, so events serialize
-//! themselves with a small hand-rolled JSON writer (same idiom as
-//! `fedgta_bench::kernels::to_json`).
+//! The workspace has no serialization dependency, so events serialize
+//! themselves with a small hand-rolled JSON writer; [`json_escape`] is
+//! the one string escaper, shared with `fedgta_bench::format`.
 
 use crate::metrics::{MetricSnapshot, Registry};
 use crate::span::FieldVal;
@@ -23,8 +23,10 @@ static SINK: Mutex<Option<SharedWriter>> = Mutex::new(None);
 /// Cheap installed-check so disarmed spans never touch the mutex.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal (quotes and
+/// backslashes escaped, control characters as `\u00XX`; surrounding
+/// quotes not included).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -192,7 +194,7 @@ mod tests {
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("plain"), "plain");
         assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
+        assert_eq!(json_escape("x\ny\tz"), "x\\ny\\tz");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 

@@ -86,7 +86,7 @@ mod tests {
         let wg = path(100);
         let mut rng = StdRng::seed_from_u64(0);
         let parts = grow_initial(&wg, 7, &mut rng);
-        let mut sizes = vec![0usize; 7];
+        let mut sizes = [0usize; 7];
         for &p in &parts {
             sizes[p as usize] += 1;
         }
@@ -115,7 +115,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(2);
         let parts = grow_initial(&wg, 3, &mut rng);
-        let mut sizes = vec![0usize; 3];
+        let mut sizes = [0usize; 3];
         for &p in &parts {
             sizes[p as usize] += 1;
         }

@@ -73,8 +73,8 @@ fn user_supplied_edge_list_trains_federated() {
     let graph = parse_edge_list_text(&text, n).unwrap();
     let labels: Vec<u32> = (0..n).map(|i| (i / blob % 2) as u32).collect();
     let mut feats = Matrix::zeros(n, 4);
-    for i in 0..n {
-        let c = labels[i] as f32;
+    for (i, &label) in labels.iter().enumerate() {
+        let c = label as f32;
         for j in 0..4 {
             feats.set(i, j, c * 2.0 - 1.0 + ((i * 31 + j * 17) % 11) as f32 / 11.0);
         }

@@ -141,7 +141,8 @@ fn driver_state_strategies_stay_deterministic() {
     // (drift) and GCFL+ (clustered aggregation) all mutate per-client
     // strategy state each round — exactly the code that must stay on the
     // driver for thread-count independence.
-    let cases: Vec<(&str, fn() -> Box<dyn Strategy>)> = vec![
+    type MakeStrategy = fn() -> Box<dyn Strategy>;
+    let cases: Vec<(&str, MakeStrategy)> = vec![
         ("Scaffold", || Box::new(Scaffold::new())),
         ("MOON", || Box::new(Moon::new(1.0, 0.5))),
         ("FedDC", || Box::new(FedDc::new(0.01))),

@@ -92,7 +92,10 @@ fn assert_bit_identical(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
     }
 }
 
-fn all_strategies() -> Vec<(&'static str, fn() -> Box<dyn Strategy>)> {
+/// A fresh-strategy constructor, so each run starts from clean state.
+type MakeStrategy = fn() -> Box<dyn Strategy>;
+
+fn all_strategies() -> Vec<(&'static str, MakeStrategy)> {
     vec![
         ("FedAvg", || Box::new(FedAvg::new())),
         ("FedProx", || Box::new(FedProx::new(0.01))),
