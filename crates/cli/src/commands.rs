@@ -35,21 +35,23 @@ USAGE:
                         defaults to 'trace' when --trace-out is given,
                         'metrics' when --metrics-out is given, else 'off')
                        [--trace-out <file.jsonl>]   (structured span trace,
-                        schema fedgta-trace/1 — feed to 'report')
+                        schema fedgta-trace/2 — feed to 'report')
                        [--metrics-out <file.prom>]  (Prometheus text
                         snapshot of the metric registry at exit)
                        [--serve-metrics <addr:port>] (live HTTP endpoint
                         for the duration of the run: /metrics is the
                         Prometheus text exposition — cumulative histogram
                         buckets included — /healthz a JSON liveness probe,
-                        /rounds the per-round summaries so far. Implies
+                        /rounds the per-round summaries so far, one object
+                        per round with the trace's round-span keys. Implies
                         --obs metrics; port 0 picks a free port, the bound
                         address is printed)
                        [--postmortem-out <file.jsonl>] (black-box dump:
                         on a terminal quorum failure or a panic, write the
                         flight recorder's last events + the deterministic
-                        fault log + the metric registry. Same fault seed ⇒
-                        byte-identical dump; render with 'postmortem')
+                        fault log + the metric registry, as a fedgta-trace/2
+                        file. Same fault seed ⇒ byte-identical dump; render
+                        with 'report')
                        [--transport direct|channel] (message path; 'channel'
                         routes every round over the in-process transport with
                         FGTM envelopes + CRC. Defaults to 'channel' when any
@@ -90,14 +92,12 @@ USAGE:
                         routed separately from the parameter tensor;
                         'sketch[=G]' quantizes per G-sized moment group with
                         shared scale tables. Needs --codec armed)
-  fedgta-cli report <trace.jsonl> [--profile N] [--folded <file>]
-                       (per-round / per-client / per-strategy latency and
-                        byte tables from a --trace-out file; --profile N
-                        appends the top-N spans by self-time, --folded
-                        writes flamegraph-ready folded stacks)
-  fedgta-cli postmortem <dump.jsonl>
-                       (human-readable timeline of a --postmortem-out
-                        flight-recorder dump: events, fault log, registry)
+  fedgta-cli report <file.jsonl> [--profile N] [--folded <file>]
+                       (a --trace-out trace as per-round / per-client /
+                        per-strategy tables, or a --postmortem-out dump as
+                        its timeline; damaged lines are listed, not fatal;
+                        --profile N appends the top-N spans by self-time,
+                        --folded writes flamegraph-ready folded stacks)
 
 The paper's tables and figures and the kernels / aggregate / comms / scale
 microbenchmarks are `cargo run --release -p fedgta-bench --bin repro -- <target>`.",
@@ -171,7 +171,6 @@ fn finish_obs(setup: ObsSetup) -> Result<(), Box<dyn Error>> {
     }
     if let Some(server) = setup.server {
         server.stop();
-        fedgta_obs::serve::reset_rounds();
     }
     fedgta_obs::recorder::disarm();
     if setup.armed {
@@ -181,19 +180,22 @@ fn finish_obs(setup: ObsSetup) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `report`: summarize a `--trace-out` JSONL file into latency/byte
-/// tables; `--profile N` appends a per-span self-time table (top N hot
-/// spans) and `--folded <file>` writes flamegraph-ready folded stacks.
+/// `report`: render a `--trace-out` trace as latency/byte tables, or a
+/// `--postmortem-out` dump as its timeline; `--profile N` appends a
+/// per-span self-time table (top N hot spans) and `--folded <file>`
+/// writes flamegraph-ready folded stacks.
 pub fn report(a: &Args) -> CliResult {
     let path = a
         .subcommand
         .as_deref()
         .or_else(|| a.str_opt("trace"))
-        .ok_or("report needs a trace file, e.g. 'fedgta-cli report trace.jsonl'")?;
+        .ok_or("report needs a trace or dump file, e.g. 'fedgta-cli report trace.jsonl'")?;
     let text = std::fs::read_to_string(path)?;
-    let events = fedgta_obs::parse_trace(&text)?;
-    let summary = fedgta_obs::summarize(&events);
-    print!("{}", fedgta_obs::render_report(&summary));
+    let (events, damaged) = fedgta_obs::parse_events(&text);
+    if events.is_empty() {
+        return Err(format!("{path}: no readable events ({} damaged lines)", damaged.len()).into());
+    }
+    print!("{}", render(&events, &damaged));
     let profile_topk = match a.str_opt("profile") {
         None => None,
         Some(v) => Some(v.parse::<usize>().map_err(|_| format!("--profile needs a span count, got '{v}'"))?),
@@ -210,139 +212,20 @@ pub fn report(a: &Args) -> CliResult {
     Ok(())
 }
 
-/// `postmortem`: render a flight-recorder dump (written on quorum
-/// failure, panic, or via `--postmortem-out`) as a human-readable
-/// timeline.
-pub fn postmortem(a: &Args) -> CliResult {
-    let path = a
-        .subcommand
-        .as_deref()
-        .or_else(|| a.str_opt("dump"))
-        .ok_or("postmortem needs a dump file, e.g. 'fedgta-cli postmortem crash.pm.jsonl'")?;
-    let text = std::fs::read_to_string(path)?;
-    print!("{}", render_postmortem(&text)?);
-    Ok(())
-}
-
-/// Formats a postmortem dump: header, flight events grouped by kind,
-/// the deterministic fault log, then the registry snapshot. Damaged
-/// lines are reported, not fatal — a postmortem reader must work on the
-/// files a dying process managed to write.
-fn render_postmortem(text: &str) -> Result<String, Box<dyn Error>> {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let mut flights: Vec<String> = Vec::new();
-    let mut faults: Vec<String> = Vec::new();
-    let mut metrics: Vec<String> = Vec::new();
-    let mut damaged: Vec<String> = Vec::new();
-    let mut trailer = String::new();
-    let get_u64 = |m: &std::collections::BTreeMap<String, fedgta_obs::JsonVal>, k: &str| {
-        m.get(k).and_then(|v| v.as_u64())
+/// A dump (its header names a `reason`) as a timeline, anything else as
+/// the trace tables — then the damaged lines, if any.
+fn render(events: &[fedgta_obs::TraceEvent], damaged: &[String]) -> String {
+    let mut out = match events.first() {
+        Some(fedgta_obs::TraceEvent::Meta { reason: Some(_), .. }) => fedgta_obs::render_dump(events),
+        _ => fedgta_obs::render_report(&fedgta_obs::summarize(events)),
     };
-    for (lineno, line) in text.lines().enumerate() {
-        let obj = match fedgta_obs::parse_flat_object(line) {
-            Ok(o) => o,
-            Err(e) => {
-                damaged.push(format!("line {}: {e}", lineno + 1));
-                continue;
-            }
-        };
-        let ev = obj.get("ev").and_then(|v| v.as_str()).unwrap_or("?");
-        match ev {
-            "postmortem" => {
-                writeln!(
-                    out,
-                    "postmortem: reason={} round={} fault_seed={} (schema {})",
-                    obj.get("reason").and_then(|v| v.as_str()).unwrap_or("?"),
-                    get_u64(&obj, "round").unwrap_or(0),
-                    get_u64(&obj, "fault_seed").unwrap_or(0),
-                    obj.get("schema").and_then(|v| v.as_str()).unwrap_or("?"),
-                )?;
-            }
-            "flight" => {
-                let kind = obj.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
-                let name = obj.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                let round = get_u64(&obj, "round").unwrap_or(0);
-                let mut s = format!("  [{kind:<6}] round {round:<4} {name}");
-                if let Some(c) = get_u64(&obj, "client") {
-                    let _ = write!(s, " client {c}");
-                }
-                if let Some(v) = get_u64(&obj, "value") {
-                    let _ = write!(s, " value {v}");
-                }
-                if let Some(ms) = get_u64(&obj, "sim_ms") {
-                    let _ = write!(s, " @{ms}ms");
-                }
-                flights.push(s);
-            }
-            "fault" => {
-                let mut s = format!(
-                    "  round {:<4} {:<14}",
-                    get_u64(&obj, "round").unwrap_or(0),
-                    obj.get("kind").and_then(|v| v.as_str()).unwrap_or("?"),
-                );
-                match get_u64(&obj, "client") {
-                    Some(c) => {
-                        let _ = write!(s, " client {c:<4}");
-                    }
-                    None => s.push_str(" (round-level)"),
-                }
-                let _ = write!(s, " @{}ms", get_u64(&obj, "sim_ms").unwrap_or(0));
-                faults.push(s);
-            }
-            "pm_metric" => {
-                let name = obj.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                let kind = obj.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
-                metrics.push(match kind {
-                    "counter" => format!(
-                        "  counter   {name} = {}",
-                        get_u64(&obj, "value").unwrap_or(0)
-                    ),
-                    "histogram" => format!(
-                        "  histogram {name} ({} samples)",
-                        get_u64(&obj, "count").unwrap_or(0)
-                    ),
-                    _ => format!("  {kind:<9} {name} (value omitted: thread-dependent)"),
-                });
-            }
-            "pm_end" => {
-                trailer = format!(
-                    "{} events in the ring, {} older events evicted",
-                    get_u64(&obj, "events").unwrap_or(0),
-                    get_u64(&obj, "dropped_events").unwrap_or(0),
-                );
-            }
-            other => damaged.push(format!("line {}: unknown event '{other}'", lineno + 1)),
-        }
-    }
-    if !flights.is_empty() {
-        writeln!(out, "\nflight recorder (canonical order):")?;
-        for l in &flights {
-            writeln!(out, "{l}")?;
-        }
-    }
-    if !faults.is_empty() {
-        writeln!(out, "\nfault log (deterministic, orchestrator order):")?;
-        for l in &faults {
-            writeln!(out, "{l}")?;
-        }
-    }
-    if !metrics.is_empty() {
-        writeln!(out, "\nmetric registry at dump time:")?;
-        for l in &metrics {
-            writeln!(out, "{l}")?;
-        }
-    }
-    if !trailer.is_empty() {
-        writeln!(out, "\n{trailer}")?;
-    }
     if !damaged.is_empty() {
-        writeln!(out, "\ndamaged lines ({}):", damaged.len())?;
-        for l in &damaged {
-            writeln!(out, "  {l}")?;
+        out.push_str(&format!("\ndamaged lines ({}):\n", damaged.len()));
+        for l in damaged {
+            out.push_str(&format!("  {l}\n"));
         }
     }
-    Ok(out)
+    out
 }
 
 /// Builds the transport/robustness config from `--transport`, `--faults`,
@@ -655,7 +538,7 @@ pub fn run(a: &Args) -> CliResult {
         if skipped > 0 {
             if let Some(p) = &pm_path {
                 println!(
-                    "postmortem dump written to {} (render with 'fedgta-cli postmortem {}')",
+                    "postmortem dump written to {} (render with 'fedgta-cli report {}')",
                     p.display(),
                     p.display()
                 );
@@ -757,7 +640,7 @@ mod tests {
             "--clients", "4", "--trace-out", &p,
         ]);
         run(&a).unwrap();
-        // The trace parses under the fedgta-trace/1 schema and has rounds.
+        // The trace parses under the current schema and has rounds.
         let text = std::fs::read_to_string(&path).unwrap();
         let events = fedgta_obs::parse_trace(&text).unwrap();
         let summary = fedgta_obs::summarize(&events);
@@ -797,10 +680,13 @@ mod tests {
             ]);
             run(&a).unwrap();
             dumps.push(std::fs::read(&pm).unwrap());
-            // The renderer accepts it.
-            let rendered = render_postmortem(std::str::from_utf8(&dumps[i]).unwrap()).unwrap();
-            assert!(rendered.contains("reason=quorum_fail"));
+            // `report` renders it as a timeline.
+            let (events, damaged) = fedgta_obs::parse_events(std::str::from_utf8(&dumps[i]).unwrap());
+            let rendered = render(&events, &damaged);
+            assert!(rendered.contains("reason=quorum_fail"), "{rendered}");
             assert!(rendered.contains("crash"));
+            assert!(damaged.is_empty(), "{damaged:?}");
+            report(&args(&["report", &p])).unwrap();
             let _ = std::fs::remove_file(&pm);
         }
         assert_eq!(dumps[0], dumps[1], "same-seed postmortem dumps must be byte-identical");
@@ -824,14 +710,30 @@ mod tests {
     }
 
     #[test]
-    fn postmortem_requires_a_path_and_survives_damage() {
-        assert!(postmortem(&args(&["postmortem"])).is_err());
-        // A damaged dump renders with the damage reported, not a panic.
-        let rendered = render_postmortem(
-            "{\"ev\":\"postmortem\",\"schema\":\"fedgta-postmortem/1\",\"reason\":\"panic\",\"round\":0,\"fault_seed\":0}\nnot json at all\n{\"ev\":\"pm_end\",\"events\":0,\"dropped_events\":0}",
-        )
+    fn report_lists_the_damaged_lines_of_a_cut_trace_or_dump() {
+        let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let path = std::env::temp_dir().join(format!("fedgta-cli-cut-{}.jsonl", std::process::id()));
+        let p = path.to_string_lossy().to_string();
+        run(&args(&[
+            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "2",
+            "--clients", "4", "--trace-out", &p,
+        ]))
         .unwrap();
-        assert!(rendered.contains("reason=panic"));
+        // A run killed mid-write: the file ends inside a line.
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.truncate(text.len() - 40);
+        std::fs::write(&path, &text).unwrap();
+        report(&args(&["report", &p])).unwrap();
+        let (events, damaged) = fedgta_obs::parse_events(&text);
+        assert_eq!(damaged.len(), 1, "{damaged:?}");
+        let rendered = render(&events, &damaged);
+        assert!(rendered.contains("per-round breakdown") && rendered.contains("damaged lines (1)"));
+        let _ = std::fs::remove_file(&path);
+        // A damaged dump still renders as its timeline.
+        let dump = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"panic\"}\nnot json\n";
+        let (events, damaged) = fedgta_obs::parse_events(dump);
+        let rendered = render(&events, &damaged);
+        assert!(rendered.contains("postmortem: reason=panic round=0"), "{rendered}");
         assert!(rendered.contains("damaged lines (1)"));
     }
 

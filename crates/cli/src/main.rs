@@ -13,7 +13,7 @@
 //!                      [--serve-metrics 127.0.0.1:9090]
 //!                      [--postmortem-out crash.pm.jsonl]
 //! fedgta-cli report    trace.jsonl [--profile 10] [--folded out.folded]
-//! fedgta-cli postmortem crash.pm.jsonl
+//! fedgta-cli report    crash.pm.jsonl
 //! ```
 //!
 //! The paper's tables and figures and the four microbenchmark suites are
@@ -42,7 +42,6 @@ fn main() -> ExitCode {
         "partition" => commands::partition(&parsed),
         "run" => commands::run(&parsed),
         "report" => commands::report(&parsed),
-        "postmortem" => commands::postmortem(&parsed),
         "help" | "--help" | "-h" => {
             commands::print_help();
             Ok(())

@@ -26,7 +26,7 @@ use fedgta_fed::exec::{mean_loss, train_participants};
 use fedgta_fed::kit::Pool;
 use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
 use fedgta_nn::TrainHooks;
-use fedgta_obs::FieldVal;
+use fedgta_obs::JsonVal;
 
 /// The FedGTA optimization strategy.
 pub struct FedGta {
@@ -120,7 +120,7 @@ impl FedGta {
                 s.steps.last().expect("k_lp >= 1"),
                 &client.data.degrees_hat,
             );
-            span.record("h", FieldVal::from(h));
+            span.record("h", JsonVal::from(h));
             h
         };
         let mom = fedgta_obs::span!("moments", order = self.config.moment_order);
@@ -256,10 +256,10 @@ impl Strategy for FedGta {
         if fedgta_obs::trace_on() {
             // The round's decision, not only its duration (`report`'s
             // "FedGTA decisions" table).
-            agg.record("epsilon", FieldVal::from(report.epsilon as f64));
-            agg.record("members_mean", FieldVal::from(report.members_mean()));
-            agg.record("sim_above_eps", FieldVal::from(report.sim_above_eps()));
-            agg.record("rejected", FieldVal::from(report.rejected));
+            agg.record("epsilon", JsonVal::from(report.epsilon as f64));
+            agg.record("members_mean", JsonVal::from(report.members_mean()));
+            agg.record("sim_above_eps", JsonVal::from(report.sim_above_eps()));
+            agg.record("rejected", JsonVal::from(report.rejected));
         }
         for (&i, buf) in arrived.iter().zip(aggregated) {
             clients[i].model.set_params(&buf);

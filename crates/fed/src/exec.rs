@@ -129,7 +129,7 @@ where
             None => (parent, declared.map(Cow::Borrowed)),
         };
         let cg = fedgta_obs::span_under("client_train", span_parent)
-            .with_field("client", fedgta_obs::FieldVal::from(i));
+            .with_field("client", fedgta_obs::JsonVal::from(i));
         // The worker's kit for the whole turn — with its moment vectors
         // exactly when the optimizer is reset below.
         lend(ctx.kits, c, start.is_some(), |c| {

@@ -42,7 +42,6 @@ pub mod exec;
 pub mod faults;
 pub mod fgl_models;
 pub mod kit;
-pub mod postmortem;
 pub mod round;
 pub mod strategies;
 pub mod transport;

@@ -184,7 +184,7 @@ pub struct Simulation {
     /// Where to write a postmortem dump when a round is skipped after
     /// exhausting its resample budget (`None` = no dump). The dump is a
     /// deterministic function of the fault seed — see
-    /// [`crate::postmortem`].
+    /// [`fedgta_obs::recorder::dump_string`].
     pub postmortem: Option<std::path::PathBuf>,
     /// The run's pool of per-worker training scratch ([`crate::kit`]):
     /// every round and every evaluation lends from it, so it holds at most
@@ -249,14 +249,10 @@ impl Simulation {
         let strategy_name = self.strategy.name();
         let wire = self.comms.clone().map(|cc| Wire::new(cc, self.clients.len()));
         for round in 1..=self.config.rounds {
-            let mut round_span = fedgta_obs::span!(
-                "round",
-                round = round,
-                strategy = strategy_name.clone(),
-                threads = threads,
-            );
+            // Its fields are recorded once the round is over (see
+            // `publish_round`).
+            let mut round_span = fedgta_obs::span_named("round");
             let plan = self.plan_round(round, wire.as_ref(), &mut rng);
-            round_span.record("participants", fedgta_obs::FieldVal::from(plan.participants.len()));
             let train_clock = fedgta_obs::TimeCell::new();
             let t0 = Instant::now();
             let (stats, wire_bytes) = self.execute_round(round, &plan, wire.as_ref(), &train_clock);
@@ -286,7 +282,7 @@ impl Simulation {
                 participants_dropped: plan.participants.len() - plan.completed,
                 retries: plan.retries,
             };
-            publish_round(&mut round_span, &record, aggregate_ns, &self.kits);
+            publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, &self.kits);
             records.push(record);
         }
         records
@@ -317,13 +313,15 @@ impl Simulation {
             fedgta_obs::recorder::record_note("round_skip", round as u64, 0);
             if let Some(path) = &self.postmortem {
                 let seed = wire.map_or(0, |w| w.cfg.fault_seed);
-                if let Err(e) = crate::postmortem::write_dump(
-                    path,
+                let log: Vec<_> = self.fault_events.iter().map(trace_fault).collect();
+                let dump = fedgta_obs::recorder::dump_string(
                     "quorum_fail",
-                    round,
+                    round as u64,
                     seed,
-                    &self.fault_events,
-                ) {
+                    Some(&log),
+                    fedgta_obs::global(),
+                );
+                if let Err(e) = std::fs::write(path, dump) {
                     eprintln!("warning: postmortem dump failed: {e}");
                 }
             }
@@ -382,7 +380,7 @@ impl Simulation {
         let mut span = fedgta_obs::span!("eval", threads = threads);
         let e0 = Instant::now();
         let (acc, rows) = micro_average(&mut self.clients, false, Some(threads), Some(&self.kits));
-        span.record("rows", fedgta_obs::FieldVal::from(rows));
+        span.record("rows", fedgta_obs::JsonVal::from(rows));
         (Some(acc), e0.elapsed().as_nanos() as u64)
     }
 
@@ -493,22 +491,28 @@ struct RoundPlan {
     skipped: bool,
 }
 
-/// Record stage: closes the books on one round — span fields, the
-/// `comms.*` byte counters, aggregation-latency histogram and what the kit
-/// pool holds (no-op below [`fedgta_obs::ObsLevel::Metrics`]),
-/// flight-recorder breadcrumbs, and the live `/rounds` export.
+/// Record stage: closes the books on one round — the round's field list
+/// (on its span and, when a metrics endpoint serves, as its `/rounds`
+/// element), the `comms.*` byte counters, aggregation-latency histogram
+/// and what the kit pool holds (no-op below
+/// [`fedgta_obs::ObsLevel::Metrics`]), and flight-recorder breadcrumbs.
 fn publish_round(
     round_span: &mut fedgta_obs::SpanGuard,
     r: &RoundRecord,
+    strategy: &str,
     aggregate_ns: u64,
     kits: &Pool<Kit>,
 ) {
-    use fedgta_obs::{counter, recorder, FieldVal};
-    round_span.record("bytes_up", FieldVal::from(r.bytes_uploaded));
-    round_span.record("bytes_down", FieldVal::from(r.bytes_downloaded));
-    round_span.record("completed", FieldVal::from(r.participants_completed));
-    round_span.record("dropped", FieldVal::from(r.participants_dropped));
-    round_span.record("retries", FieldVal::from(r.retries));
+    use fedgta_obs::{counter, recorder, serve};
+    if round_span.id() != 0 || serve::rounds_armed() {
+        let fields = round_fields(r, strategy);
+        if serve::rounds_armed() {
+            serve::publish_round(&fields);
+        }
+        for (k, v) in fields {
+            round_span.record(k, v);
+        }
+    }
     if fedgta_obs::metrics_on() {
         counter!("comms.upload_bytes").add(r.bytes_uploaded as u64);
         counter!("comms.download_bytes").add(r.bytes_downloaded as u64);
@@ -527,17 +531,37 @@ fn publish_round(
     // across invocations.
     if recorder::armed() {
         let round = r.round as u64;
-        recorder::record_metric("round.completed", round, r.participants_completed as u64);
-        recorder::record_metric("round.bytes_up_raw", round, r.bytes_uploaded_raw as u64);
-        recorder::record_metric("round.bytes_up_encoded", round, r.bytes_uploaded_encoded as u64);
+        recorder::record_note("round.completed", round, r.participants_completed as u64);
+        recorder::record_note("round.bytes_up_raw", round, r.bytes_uploaded_raw as u64);
+        recorder::record_note("round.bytes_up_encoded", round, r.bytes_uploaded_encoded as u64);
         let down_encoded = r.bytes_downloaded_encoded as u64;
-        recorder::record_metric("round.bytes_down_encoded", round, down_encoded);
+        recorder::record_note("round.bytes_down_encoded", round, down_encoded);
     }
-    // Live export: when a metrics endpoint is serving, push this round's
-    // summary so `/rounds` reflects the run as it goes.
-    if fedgta_obs::serve::rounds_armed() {
-        fedgta_obs::serve::publish_round(round_summary_json(r));
-    }
+}
+
+/// One round's fields: the keys of its `round` span and of its `/rounds`
+/// element alike. An unevaluated or diverged round's non-finite
+/// `test_acc` / `mean_loss` is written as `null`.
+fn round_fields(r: &RoundRecord, strategy: &str) -> Vec<(&'static str, fedgta_obs::JsonVal)> {
+    let participants = r.participants_completed + r.participants_dropped;
+    vec![
+        ("round", r.round.into()),
+        ("strategy", strategy.into()),
+        ("threads", r.threads.into()),
+        ("participants", participants.into()),
+        ("completed", r.participants_completed.into()),
+        ("dropped", r.participants_dropped.into()),
+        ("retries", r.retries.into()),
+        ("mean_loss", (r.mean_loss as f64).into()),
+        ("test_acc", r.test_acc.unwrap_or(f64::NAN).into()),
+        ("elapsed_s", r.elapsed_s.into()),
+        ("bytes_up", r.bytes_uploaded.into()),
+        ("bytes_down", r.bytes_downloaded.into()),
+        ("bytes_up_raw", r.bytes_uploaded_raw.into()),
+        ("bytes_up_encoded", r.bytes_uploaded_encoded.into()),
+        ("bytes_down_raw", r.bytes_downloaded_raw.into()),
+        ("bytes_down_encoded", r.bytes_downloaded_encoded.into()),
+    ]
 }
 
 /// The per-round participant count: `clamp(round(n · participation), 1, n)`.
@@ -593,33 +617,15 @@ fn observe_draw(script: &RoundScript) {
     }
 }
 
-/// One round's `/rounds` summary as a flat JSON object — wall-clock
-/// figures included (the live endpoint is diagnostics, not a determinism
-/// surface).
-fn round_summary_json(r: &RoundRecord) -> String {
-    // JSON has no NaN/Infinity: a diverged round reports `null`.
-    let num = |v: Option<f64>| match v {
-        Some(v) if v.is_finite() => format!("{v:.6}"),
-        _ => "null".to_string(),
-    };
-    format!(
-        "{{\"round\":{},\"mean_loss\":{},\"test_acc\":{},\"elapsed_s\":{:.6},\
-         \"completed\":{},\"dropped\":{},\"retries\":{},\"bytes_up_raw\":{},\
-         \"bytes_up_encoded\":{},\"bytes_down\":{},\"bytes_down_raw\":{},\
-         \"bytes_down_encoded\":{}}}",
-        r.round,
-        num(Some(r.mean_loss as f64)),
-        num(r.test_acc),
-        r.elapsed_s,
-        r.participants_completed,
-        r.participants_dropped,
-        r.retries,
-        r.bytes_uploaded_raw,
-        r.bytes_uploaded_encoded,
-        r.bytes_downloaded,
-        r.bytes_downloaded_raw,
-        r.bytes_downloaded_encoded,
-    )
+/// An orchestrator fault in the event vocabulary of a postmortem dump;
+/// round-level events (resamples) carry no client.
+fn trace_fault(e: &FaultEvent) -> fedgta_obs::TraceEvent {
+    fedgta_obs::TraceEvent::Fault {
+        round: e.round as u64,
+        client: (e.client != usize::MAX).then_some(e.client as u64),
+        kind: e.kind.name().to_string(),
+        sim_ms: e.sim_ms,
+    }
 }
 
 /// Accounts an *abandoned* draw's faults into the `comms.*` counters —
@@ -726,15 +732,28 @@ mod tests {
         let clients = small_federation(ModelKind::Sgc, 53);
         let cfg = SimConfig { rounds: 1, local_epochs: 1, ..SimConfig::default() };
         let mut record = Simulation::new(clients, Box::new(FedAvg::new()), cfg).run().remove(0);
-        let healthy = round_summary_json(&record);
+        let healthy = fedgta_obs::json_object(&round_fields(&record, "FedAvg"));
         assert!(fedgta_obs::parse_flat_object(&healthy).is_ok(), "{healthy}");
         assert!(!healthy.contains("null"));
         // A diverged round: the loss is NaN and the accuracy overflowed.
         record.mean_loss = f32::NAN;
         record.test_acc = Some(f64::INFINITY);
-        let diverged = round_summary_json(&record);
+        let diverged = fedgta_obs::json_object(&round_fields(&record, "FedAvg"));
         assert!(diverged.contains("\"mean_loss\":null,\"test_acc\":null,"), "{diverged}");
         assert!(fedgta_obs::parse_flat_object(&diverged).is_ok(), "{diverged}");
+    }
+
+    #[test]
+    fn fault_events_map_to_dump_faults_without_a_round_level_client() {
+        let crash = FaultEvent { round: 3, client: 1, kind: FaultKind::Crash, sim_ms: 40 };
+        let resample =
+            FaultEvent { round: 3, client: usize::MAX, kind: FaultKind::Resample, sim_ms: 0 };
+        assert_eq!(
+            trace_fault(&crash).to_json(),
+            "{\"ev\":\"fault\",\"round\":3,\"client\":1,\"kind\":\"crash\",\"sim_ms\":40}"
+        );
+        let round_level = "{\"ev\":\"fault\",\"round\":3,\"kind\":\"resample\"}";
+        assert_eq!(trace_fault(&resample).to_json(), round_level);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   every hot path allocation-free and nearly branch-free; `Metrics`
 //!   arms the preallocated atomic counters/gauges/histograms; `Trace`
 //!   additionally opens spans and streams one JSONL event per span close.
+//!   An armed flight recorder opens spans at any level, to capture
+//!   their closes in its ring.
 //! - [`metrics::Registry`]: named [`Counter`]s, [`Gauge`]s (max/set) and
 //!   log2-bucketed [`Histogram`]s, global by default
 //!   ([`metrics::global`]) or injected for tests. Renders a
@@ -19,16 +21,18 @@
 //!   parent stacks, and explicit cross-thread parenting
 //!   ([`span::span_under`]) so per-client spans opened inside
 //!   `par_map_indexed` workers still hang off the round's `train` span.
+//! - [`trace`]: the one event vocabulary, [`TraceEvent`], with its one
+//!   JSON writer and one lossy reader ([`parse_events`]), and the
+//!   aggregation of events into per-round / per-client / per-span-name
+//!   tables (p50/p95/max, bytes, throughput) or a dump timeline — the
+//!   engine behind `fedgta-cli report` — plus a self-time profiler
+//!   emitting hot-span tables and folded stacks.
 //! - [`sink`]: the JSONL event stream (`--trace-out trace.jsonl`),
-//!   schema-versioned (`fedgta-trace/1`), thread-safe behind one mutex.
-//! - [`trace`]: parses a JSONL trace back into events and aggregates it
-//!   into per-round / per-client / per-span-name tables (p50/p95/max,
-//!   bytes, throughput) — the engine behind `fedgta-cli report` — plus a
-//!   self-time profiler emitting hot-span tables and folded stacks.
+//!   schema-versioned ([`TRACE_SCHEMA`]), thread-safe behind one mutex.
 //! - [`recorder`]: the always-on flight recorder — a fixed-capacity ring
-//!   of recent span-close/metric/fault events with a hard memory bound,
-//!   serialized to a canonical postmortem dump on quorum failure or
-//!   panic.
+//!   of recent span-close/fault/note events with a hard memory bound,
+//!   serialized to a canonical postmortem dump (the same schema, the
+//!   same events) on quorum failure or panic.
 //! - [`serve`]: a zero-dependency `TcpListener` endpoint (`/metrics`,
 //!   `/healthz`, `/rounds`) for live scraping of the global registry
 //!   while a run is in flight.
@@ -51,12 +55,11 @@ pub mod trace;
 
 pub use metrics::{global, Counter, Gauge, Histogram, MetricKind, Registry};
 pub use sink::{init_jsonl, init_writer, shutdown, trace_installed, MemorySink};
-pub use span::{
-    current_span_id, now_ns, run_trace_id, span_named, span_under, FieldVal, SpanGuard,
-};
+pub use span::{current_span_id, now_ns, run_trace_id, span_named, span_under, SpanGuard};
 pub use trace::{
-    parse_flat_object, parse_trace, parse_trace_lossy, profile, render_folded, render_profile,
-    render_report, summarize, JsonVal, Profile, ProfileRow, TraceEvent, TraceSummary,
+    json_object, parse_events, parse_flat_object, parse_trace, profile, render_dump,
+    render_folded, render_profile, render_report, summarize, JsonVal, Profile, ProfileRow,
+    TraceEvent, TraceSummary,
 };
 
 /// Serializes unit tests that touch process-global observability state
@@ -66,8 +69,9 @@ pub(crate) static TEST_GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Trace schema identifier written as the first JSONL line and checked by
-/// the parser. Bump on breaking event-shape changes.
+/// Schema identifier of traces and postmortem dumps alike, written as
+/// the first JSONL line and checked by the strict parser. Bump on
+/// breaking event-shape changes.
 ///
 /// Schema history (additive changes do not bump the version — readers
 /// must tolerate unknown fields and default missing ones to zero):
@@ -76,7 +80,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 ///   `completed` / `dropped` / `retries` fields recording how many
 ///   sampled clients finished vs. were lost to faults or straggler
 ///   deadlines, and how many transport retries the round incurred.
-pub const TRACE_SCHEMA: &str = "fedgta-trace/1";
+/// - `fedgta-trace/2`: dumps (formerly `fedgta-postmortem/1`) share the
+///   schema: new `fault` / `note` events, a `meta` header with a dump's
+///   `reason` / `round` / `fault_seed`, zero fixed fields left out, and
+///   round spans carrying the `/rounds` keys.
+pub const TRACE_SCHEMA: &str = "fedgta-trace/2";
 
 /// Process-global observability level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -192,7 +200,7 @@ impl TimeCell {
 /// let _g2 = fedgta_obs::span!("aggregate", strategy = "FedAvg");
 /// ```
 ///
-/// Values may be anything convertible into [`span::FieldVal`]: unsigned
+/// Values may be anything convertible into a [`JsonVal`]: unsigned
 /// integers, floats, `&'static str` / `String`. With tracing off this
 /// compiles to a disarmed guard and performs no allocation.
 #[macro_export]
@@ -201,7 +209,7 @@ macro_rules! span {
         $crate::span_named($name)
     };
     ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
-        $crate::span_named($name)$(.with_field(stringify!($k), $crate::FieldVal::from($v)))+
+        $crate::span_named($name)$(.with_field(stringify!($k), $crate::JsonVal::from($v)))+
     };
 }
 

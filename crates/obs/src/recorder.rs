@@ -4,10 +4,11 @@
 //! The JSONL trace sink ([`crate::sink`]) is post-hoc: it is only useful
 //! once a run has ended and only when the operator remembered to pass
 //! `--trace-out`. The flight recorder covers the opposite case — the run
-//! that *fails*. It records the last `capacity` span-close / metric /
-//! fault / note events into a preallocated ring, and on quorum failure,
-//! round skip, or panic the orchestrator serializes the ring into a
-//! postmortem JSONL dump (see [`dump_string`]).
+//! that *fails*. It records the last `capacity` span-close / fault /
+//! note events into a preallocated ring, and on quorum failure, round
+//! skip, or panic the orchestrator serializes the ring into a postmortem
+//! dump (see [`dump_string`]): a `fedgta-trace/2` file whose events are
+//! ordinary [`TraceEvent`]s, read back by the same reader as a trace.
 //!
 //! ## Memory bound
 //!
@@ -22,20 +23,22 @@
 //! ## Determinism
 //!
 //! Postmortem dumps must be byte-identical for the same fault seed at any
-//! thread count. Raw ring contents are not (wall-clock timestamps,
-//! cross-thread interleaving), so [`dump_string`] canonicalizes: it drops
-//! timestamps, durations, span ids and thread ids, serializes each event
-//! to a flat-JSON line, and sorts the lines. Event *sets* are
+//! thread count. Raw ring contents are not (span durations, cross-thread
+//! interleaving), so [`dump_string`] canonicalizes: it leaves durations
+//! out, serializes each event through [`TraceEvent::to_json`], and sorts
+//! the lines. Event *sets* are
 //! deterministic (span counts are structural, fault events are a pure
 //! function of the seed), so the sorted dump is too — provided the run
 //! fits the ring. When the ring wraps, `events_dropped` is nonzero and
 //! eviction order may race; the dump records the drop count so a diff
 //! catches it.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use crate::metrics::{MetricKind, Registry};
+use crate::{TraceEvent, TRACE_SCHEMA};
 
 /// Default ring capacity (events). ~224 KiB of preallocated memory.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -43,35 +46,19 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// Sentinel for "no client" in [`FlightEvent::client`].
 pub const NO_CLIENT: u64 = u64::MAX;
 
-/// Postmortem dump schema identifier (first line of every dump).
-pub const POSTMORTEM_SCHEMA: &str = "fedgta-postmortem/1";
-
 /// What kind of event a ring slot holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlightKind {
     /// A span closed; `value` is its duration in ns (canonicalized away
     /// in dumps).
     Span,
-    /// A deterministic metric observation published by the orchestrator
-    /// (e.g. per-round byte tallies); `value` is the observed value.
-    Metric,
     /// A fault-layer event (drop/corrupt/crash/...); `value` is the
     /// simulated-time ms at which it fired.
     Fault,
-    /// A lifecycle annotation (round start, quorum failure, round skip);
-    /// `value` is context-dependent.
+    /// A lifecycle annotation (quorum failure, round skip) or a
+    /// deterministic per-round observation (byte tallies); `value` is
+    /// name-dependent.
     Note,
-}
-
-impl FlightKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            FlightKind::Span => "span",
-            FlightKind::Metric => "metric",
-            FlightKind::Fault => "fault",
-            FlightKind::Note => "note",
-        }
-    }
 }
 
 /// One fixed-size ring slot. `Copy` + `&'static str` name keep the ring
@@ -80,17 +67,33 @@ impl FlightKind {
 pub struct FlightEvent {
     /// Monotonic sequence number (process-global, never reused).
     pub seq: u64,
-    /// Nanoseconds since the process trace origin. Excluded from
-    /// canonical dumps.
-    pub ts_ns: u64,
     pub kind: FlightKind,
     pub name: &'static str,
     /// Federated round the event belongs to, or 0 when not applicable.
     pub round: u64,
     /// Client id, or [`NO_CLIENT`].
     pub client: u64,
-    /// Kind-dependent payload (duration ns / metric value / sim ms).
+    /// Kind-dependent payload (duration ns / sim ms / note value).
     pub value: u64,
+}
+
+impl FlightEvent {
+    /// The event in the dump vocabulary, wall-clock fields left out.
+    fn canonical(&self) -> TraceEvent {
+        let name = self.name.to_string();
+        let client = (self.client != NO_CLIENT).then_some(self.client);
+        match self.kind {
+            FlightKind::Span => {
+                let mut fields = BTreeMap::from([("round".to_string(), self.round.into())]);
+                fields.extend(client.map(|c| ("client".to_string(), c.into())));
+                TraceEvent::Span { name, id: 0, parent: 0, tid: 0, ts_ns: 0, dur_ns: 0, fields }
+            }
+            FlightKind::Fault => {
+                TraceEvent::Fault { round: self.round, client, kind: name, sim_ms: self.value }
+            }
+            FlightKind::Note => TraceEvent::Note { name, round: self.round, value: self.value },
+        }
+    }
 }
 
 struct Ring {
@@ -184,9 +187,8 @@ fn record(kind: FlightKind, name: &'static str, round: u64, client: u64, value: 
     if !armed() {
         return;
     }
-    let ts_ns = crate::now_ns();
     if let Some(r) = RING.lock().unwrap().as_mut() {
-        r.push(FlightEvent { seq: 0, ts_ns, kind, name, round, client, value });
+        r.push(FlightEvent { seq: 0, kind, name, round, client, value });
     }
 }
 
@@ -197,19 +199,13 @@ pub fn record_span_close(name: &'static str, round: u64, client: u64, dur_ns: u6
     record(FlightKind::Span, name, round, client, dur_ns);
 }
 
-/// Record a deterministic metric observation.
-#[inline]
-pub fn record_metric(name: &'static str, round: u64, value: u64) {
-    record(FlightKind::Metric, name, round, NO_CLIENT, value);
-}
-
 /// Record a fault-layer event.
 #[inline]
 pub fn record_fault(name: &'static str, round: u64, client: u64, sim_ms: u64) {
     record(FlightKind::Fault, name, round, client, sim_ms);
 }
 
-/// Record a lifecycle note.
+/// Record a lifecycle note or a deterministic per-round observation.
 #[inline]
 pub fn record_note(name: &'static str, round: u64, value: u64) {
     record(FlightKind::Note, name, round, NO_CLIENT, value);
@@ -235,105 +231,46 @@ pub fn capacity() -> usize {
     RING.lock().unwrap().as_ref().map(|r| r.buf.capacity()).unwrap_or(0)
 }
 
-/// Serialize one flight event to its canonical flat-JSON line: no
-/// timestamp, no duration for spans, fields in a fixed order.
-fn canonical_line(ev: &FlightEvent) -> String {
-    let mut s = String::with_capacity(96);
-    s.push_str("{\"ev\":\"flight\",\"kind\":\"");
-    s.push_str(ev.kind.as_str());
-    s.push_str("\",\"name\":\"");
-    // Names are static identifiers; escape defensively anyway.
-    for c in ev.name.chars() {
-        match c {
-            '"' | '\\' => {
-                s.push('\\');
-                s.push(c);
-            }
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push_str("\",\"round\":");
-    s.push_str(&ev.round.to_string());
-    if ev.client != NO_CLIENT {
-        s.push_str(",\"client\":");
-        s.push_str(&ev.client.to_string());
-    }
-    match ev.kind {
-        // Span durations are wall-clock: canonicalized away.
-        FlightKind::Span => {}
-        FlightKind::Metric | FlightKind::Note => {
-            s.push_str(",\"value\":");
-            s.push_str(&ev.value.to_string());
-        }
-        FlightKind::Fault => {
-            s.push_str(",\"sim_ms\":");
-            s.push_str(&ev.value.to_string());
-        }
-    }
-    s.push('}');
-    s
-}
-
-/// Build a canonical postmortem dump.
-///
-/// Layout (one flat-JSON object per line):
-/// 1. header: `{"ev":"postmortem","schema":...,"reason":...,"round":...,"fault_seed":...}`
-/// 2. canonicalized flight events, line-sorted for thread-count
-///    independence
-/// 3. `extra_lines` verbatim (the orchestrator appends its correlated
-///    `FaultEvent` log here — already deterministic, kept in order)
-/// 4. registry snapshot: counters by value, histograms by sample count.
-///    Gauge *values* are intentionally omitted: the memory-peak gauges
-///    (`workspace.high_water_bytes`, `graph.store.resident_bytes`) are
-///    legitimately thread-count-dependent and would break dump
-///    byte-identity; they remain visible via `/metrics` and `report`.
-/// 5. trailer: `{"ev":"pm_end","events":N,"dropped_events":M}`
+/// Build a canonical postmortem dump, a [`TRACE_SCHEMA`] file: a `meta`
+/// header with `reason` / `round` / `fault_seed`; the ring's events,
+/// line-sorted for thread-count independence (its faults left out when
+/// the caller passes its complete `fault_log`, written next, in order);
+/// the registry — counters by value, histograms by sample count, gauge
+/// *values* left out (the memory-peak gauges are thread-count-dependent;
+/// `/metrics` and `report` still show them); notes `recorder.events` and
+/// `recorder.evicted` (lost to wrapping); and the `end` marker.
 pub fn dump_string(
     reason: &str,
-    round: usize,
+    round: u64,
     fault_seed: u64,
-    extra_lines: &[String],
+    fault_log: Option<&[TraceEvent]>,
     registry: &Registry,
 ) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str(&format!(
-        "{{\"ev\":\"postmortem\",\"schema\":\"{}\",\"reason\":\"{}\",\"round\":{},\"fault_seed\":{}}}\n",
-        POSTMORTEM_SCHEMA, reason, round, fault_seed
-    ));
+    let reason = Some(reason.to_string());
+    let mut lines =
+        vec![TraceEvent::Meta { schema: TRACE_SCHEMA.into(), reason, round, fault_seed }.to_json()];
     let events = snapshot();
-    let mut lines: Vec<String> = events.iter().map(canonical_line).collect();
-    lines.sort_unstable();
-    for l in &lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-    for l in extra_lines {
-        out.push_str(l);
-        out.push('\n');
-    }
-    for s in registry.snapshot() {
-        match s.kind {
-            MetricKind::Counter => out.push_str(&format!(
-                "{{\"ev\":\"pm_metric\",\"name\":\"{}\",\"kind\":\"counter\",\"value\":{}}}\n",
-                s.name, s.value
-            )),
-            MetricKind::Gauge => out.push_str(&format!(
-                "{{\"ev\":\"pm_metric\",\"name\":\"{}\",\"kind\":\"gauge\"}}\n",
-                s.name
-            )),
-            MetricKind::Histogram => out.push_str(&format!(
-                "{{\"ev\":\"pm_metric\",\"name\":\"{}\",\"kind\":\"histogram\",\"count\":{}}}\n",
-                s.name, s.count
-            )),
-        }
-    }
-    out.push_str(&format!(
-        "{{\"ev\":\"pm_end\",\"events\":{},\"dropped_events\":{}}}\n",
-        events.len(),
-        events_dropped()
-    ));
-    out
+    let mut ring: Vec<String> = events
+        .iter()
+        .filter(|e| fault_log.is_none() || e.kind != FlightKind::Fault)
+        .map(|e| e.canonical().to_json())
+        .collect();
+    ring.sort_unstable();
+    lines.extend(ring);
+    lines.extend(fault_log.unwrap_or_default().iter().map(TraceEvent::to_json));
+    let metrics = registry.snapshot().into_iter().map(|s| TraceEvent::Metric {
+        value: if s.kind == MetricKind::Counter { s.value } else { 0 },
+        count: s.count,
+        kind: s.kind.as_str().to_string(),
+        name: s.name,
+        p50: 0,
+        p95: 0,
+        max: 0,
+    });
+    let counts = [("recorder.events", events.len() as u64), ("recorder.evicted", events_dropped())]
+        .map(|(name, value)| TraceEvent::Note { name: name.to_string(), round: 0, value });
+    lines.extend(metrics.chain(counts).chain([TraceEvent::End]).map(|e| e.to_json()));
+    lines.join("\n") + "\n"
 }
 
 /// Install a panic hook that writes a postmortem dump to `path` before
@@ -349,7 +286,7 @@ pub fn install_panic_dump(path: std::path::PathBuf) {
             .or_else(|| info.payload().downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "panic".to_string());
         record_note("panic", 0, msg.len() as u64);
-        let dump = dump_string("panic", 0, 0, &[], crate::global());
+        let dump = dump_string("panic", 0, 0, None, crate::global());
         let _ = std::fs::write(&path, dump);
         prev(info);
     }));
@@ -358,7 +295,6 @@ pub fn install_panic_dump(path: std::path::PathBuf) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
 
     #[test]
     fn ring_wraps_and_counts_drops() {
@@ -397,33 +333,73 @@ mod tests {
         crate::set_level(crate::ObsLevel::Metrics);
         reg.counter("c").add(7);
         reg.histogram("h").observe(3);
+        reg.gauge("g").set(9);
         crate::set_level(crate::ObsLevel::Off);
 
         arm(16);
         reset();
         record_span_close("train", 2, NO_CLIENT, 12345);
         record_fault("up_drop", 2, 1, 120);
-        record_metric("round.bytes_up", 2, 4096);
-        let a = dump_string("quorum-failure", 2, 42, &[], &reg);
+        record_note("round.bytes_up", 2, 4096);
+        let a = dump_string("quorum-failure", 2, 42, None, &reg);
 
         // Same events in a different arrival order, different durations.
         reset();
-        record_metric("round.bytes_up", 2, 4096);
+        record_note("round.bytes_up", 2, 4096);
         record_span_close("train", 2, NO_CLIENT, 99999);
         record_fault("up_drop", 2, 1, 120);
-        let b = dump_string("quorum-failure", 2, 42, &[], &reg);
+        let b = dump_string("quorum-failure", 2, 42, None, &reg);
         assert_eq!(a, b, "canonical dump must not depend on arrival order or wall-clock");
 
-        assert!(a.starts_with("{\"ev\":\"postmortem\",\"schema\":\"fedgta-postmortem/1\""));
-        assert!(a.contains("\"kind\":\"fault\",\"name\":\"up_drop\",\"round\":2,\"client\":1,\"sim_ms\":120"));
-        assert!(a.contains("\"kind\":\"span\",\"name\":\"train\",\"round\":2}"));
-        assert!(a.contains("\"name\":\"c\",\"kind\":\"counter\",\"value\":7"));
-        assert!(a.contains("\"name\":\"h\",\"kind\":\"histogram\",\"count\":1"));
-        assert!(a.trim_end().ends_with("{\"ev\":\"pm_end\",\"events\":3,\"dropped_events\":0}"));
-        // Every dump line must be parseable by the workspace flat-JSON parser.
-        for line in a.lines() {
-            crate::parse_flat_object(line).expect("dump line is flat JSON");
-        }
+        let header = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"quorum-failure\",\"round\":2,\"fault_seed\":42}";
+        assert!(a.starts_with(header), "{a}");
+        assert!(a.contains("{\"ev\":\"fault\",\"round\":2,\"client\":1,\"kind\":\"up_drop\",\"sim_ms\":120}"));
+        assert!(a.contains("{\"ev\":\"span\",\"name\":\"train\",\"round\":2}"));
+        assert!(a.contains("{\"ev\":\"metric\",\"name\":\"c\",\"kind\":\"counter\",\"value\":7}"));
+        assert!(a.contains("{\"ev\":\"metric\",\"name\":\"g\",\"kind\":\"gauge\"}"), "gauge value left out");
+        assert!(a.contains("{\"ev\":\"metric\",\"name\":\"h\",\"kind\":\"histogram\",\"count\":1}"));
+        assert!(a.contains("{\"ev\":\"note\",\"name\":\"recorder.events\",\"value\":3}"));
+        assert!(a.ends_with("{\"ev\":\"end\"}\n"));
+        // A caller's fault log stands in for the ring's faults.
+        let log = [TraceEvent::Fault { round: 2, client: None, kind: "resample".into(), sim_ms: 5 }];
+        let c = dump_string("quorum-failure", 2, 42, Some(&log), &reg);
+        assert!(!c.contains("up_drop") && c.contains("\"kind\":\"resample\""), "{c}");
+        // Every dump line is an event of the one vocabulary.
+        crate::parse_trace(&a).expect("dump reads as a fedgta-trace/2 file");
+        disarm();
+    }
+
+    #[test]
+    fn dump_embeds_fault_log_between_flights_and_metrics() {
+        let _g = crate::TEST_GLOBAL_LOCK.lock().unwrap();
+        disarm();
+        let reg = Registry::new();
+        crate::set_level(crate::ObsLevel::Metrics);
+        reg.counter("c").add(1);
+        crate::set_level(crate::ObsLevel::Off);
+
+        arm(16);
+        reset();
+        record_span_close("train", 1, 0, 7);
+        record_fault("crash", 1, 0, 0);
+        let log = [
+            TraceEvent::Fault { round: 1, client: Some(0), kind: "crash".into(), sim_ms: 0 },
+            TraceEvent::Fault { round: 1, client: None, kind: "resample".into(), sim_ms: 100 },
+        ];
+        let dump = dump_string("quorum-failure", 1, 7, Some(&log), &reg);
+        let lines: Vec<&str> = dump.lines().collect();
+        assert!(lines[0].contains("\"ev\":\"meta\"") && lines[0].contains("\"fault_seed\":7"));
+        let pos = |needle: &str| lines.iter().position(|l| l.contains(needle)).expect(needle);
+        let span = pos("\"ev\":\"span\"");
+        let faults: Vec<usize> =
+            (0..lines.len()).filter(|&i| lines[i].contains("\"ev\":\"fault\"")).collect();
+        // The log is written whole and in order; the ring's own fault is not repeated.
+        assert_eq!(faults.len(), 2, "{dump}");
+        assert!(lines[faults[0]].contains("\"kind\":\"crash\""));
+        assert!(lines[faults[1]].contains("\"kind\":\"resample\"") && !lines[faults[1]].contains("client"));
+        assert!(span < faults[0] && faults[1] < pos("\"ev\":\"metric\""), "{dump}");
+        assert_eq!(*lines.last().unwrap(), "{\"ev\":\"end\"}");
+        crate::parse_trace(&dump).expect("dump reads as a fedgta-trace/2 file");
         disarm();
     }
 }

@@ -7,7 +7,8 @@
 //!   global registry, including cumulative log2 histogram buckets.
 //! - `GET /healthz`  — JSON liveness: uptime, flight-recorder state.
 //! - `GET /rounds`   — JSON array of per-round summaries published by
-//!   the orchestrator via [`publish_round`].
+//!   the orchestrator via [`publish_round`]: each element carries exactly
+//!   the keys of that round's `round` span in a trace.
 //!
 //! The server is read-only and observation-only: it renders snapshots of
 //! atomics and never feeds anything back into the simulation, so arming
@@ -20,8 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Per-round JSON summaries for `/rounds`. Bounded: the orchestrator
-/// publishes one small line per round.
+use crate::{json_object, JsonVal};
+
+/// Per-round JSON summaries for `/rounds`, one small object per round
+/// since the server started: it grows with the run, unbounded.
 static ROUNDS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 static ROUNDS_ARMED: AtomicBool = AtomicBool::new(false);
 
@@ -32,28 +35,13 @@ pub fn rounds_armed() -> bool {
     ROUNDS_ARMED.load(Ordering::Relaxed)
 }
 
-/// Append one round summary (must already be a JSON object literal).
-pub fn publish_round(json: String) {
-    ROUNDS.lock().unwrap().push(json);
-}
-
-/// Drop published round summaries (test isolation / new run).
-pub fn reset_rounds() {
-    ROUNDS.lock().unwrap().clear();
+/// Append one round summary: the round's field list, as one object.
+pub fn publish_round(fields: &[(&str, JsonVal)]) {
+    ROUNDS.lock().unwrap().push(json_object(fields));
 }
 
 fn rounds_json() -> String {
-    let g = ROUNDS.lock().unwrap();
-    let mut out = String::with_capacity(g.iter().map(|s| s.len() + 1).sum::<usize>() + 2);
-    out.push('[');
-    for (i, line) in g.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(line);
-    }
-    out.push(']');
-    out
+    format!("[{}]", ROUNDS.lock().unwrap().join(","))
 }
 
 /// Handle to a running metrics server. Dropping it stops the server.
@@ -94,10 +82,12 @@ impl Drop for MetricsServer {
 }
 
 /// Bind `addr` (e.g. `127.0.0.1:9464`, port 0 for ephemeral) and serve
-/// until the returned handle is stopped or dropped.
+/// until the returned handle is stopped or dropped. `/rounds` starts
+/// empty: it shows this server's run, never an earlier one's.
 pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
+    ROUNDS.lock().unwrap().clear();
     ROUNDS_ARMED.store(true, Ordering::Relaxed);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
@@ -163,16 +153,17 @@ fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
 }
 
 fn healthz_json() -> String {
-    format!(
-        "{{\"status\":\"ok\",\"uptime_ns\":{},\"obs_level\":{},\"recorder_armed\":{},\"recorder_capacity\":{},\"events_recorded\":{},\"events_dropped\":{},\"rounds_published\":{}}}",
-        crate::now_ns(),
-        crate::level() as u8,
-        crate::recorder::armed(),
-        crate::recorder::capacity(),
-        crate::recorder::events_recorded(),
-        crate::recorder::events_dropped(),
-        ROUNDS.lock().unwrap().len()
-    )
+    use crate::recorder;
+    json_object(&[
+        ("status", "ok".into()),
+        ("uptime_ns", crate::now_ns().into()),
+        ("obs_level", (crate::level() as u32).into()),
+        ("recorder_armed", (recorder::armed() as u32).into()),
+        ("recorder_capacity", recorder::capacity().into()),
+        ("events_recorded", recorder::events_recorded().into()),
+        ("events_dropped", recorder::events_dropped().into()),
+        ("rounds_published", ROUNDS.lock().unwrap().len().into()),
+    ])
 }
 
 /// Minimal HTTP GET against a served endpoint; test/CI helper so the
@@ -207,11 +198,9 @@ mod tests {
         assert!(body.contains("\"status\":\"ok\""));
         crate::parse_flat_object(body.trim()).expect("healthz is flat JSON");
 
-        publish_round("{\"round\":1,\"loss\":0.5}".to_string());
+        publish_round(&[("round", 1u64.into()), ("mean_loss", f64::NAN.into())]);
         let (_, rounds) = http_get(addr, "/rounds").unwrap();
-        assert!(rounds.starts_with('[') && rounds.ends_with(']'));
-        assert!(rounds.contains("\"round\":1"));
-        reset_rounds();
+        assert_eq!(rounds, "[{\"round\":1,\"mean_loss\":null}]");
 
         let (status, _) = http_get(addr, "/metrics").unwrap();
         assert!(status.contains("200"));
@@ -223,5 +212,11 @@ mod tests {
         // Port is released: rebinding the same addr succeeds.
         let again = TcpListener::bind(addr);
         assert!(again.is_ok(), "listener released its port");
+        drop(again);
+
+        // A new server starts with an empty `/rounds`, not the last run's.
+        let server = serve("127.0.0.1:0").expect("bind ephemeral");
+        assert_eq!(http_get(server.addr(), "/rounds").unwrap().1, "[]");
+        server.stop();
     }
 }

@@ -6,13 +6,11 @@
 //! keeps the format trivially valid: one JSON object per line, first line
 //! the schema header.
 //!
-//! The workspace has no serialization dependency, so events serialize
-//! themselves with a small hand-rolled JSON writer; [`json_escape`] is
-//! the one string escaper, shared with `fedgta_bench::format`.
+//! The workspace has no serialization dependency, so every line is a
+//! [`TraceEvent`] through [`TraceEvent::to_json`]; [`json_escape`] is the
+//! one string escaper, shared with `fedgta_bench::format`.
 
-use crate::metrics::{MetricSnapshot, Registry};
-use crate::span::FieldVal;
-use crate::TRACE_SCHEMA;
+use crate::{TraceEvent, TRACE_SCHEMA};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -42,43 +40,28 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn write_line(line: &str) {
-    let mut guard = SINK.lock().expect("trace sink poisoned");
-    if let Some(w) = guard.as_mut() {
-        // Trace IO must never abort a simulation: drop events on error.
-        let _ = writeln!(w, "{line}");
-    }
-}
-
 /// True when a trace sink is installed.
 #[inline]
 pub fn trace_installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)
 }
 
-fn install(mut w: SharedWriter) -> std::io::Result<()> {
-    writeln!(
-        w,
-        "{{\"ev\":\"meta\",\"schema\":\"{}\",\"threads_hint\":{}}}",
-        TRACE_SCHEMA,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    )?;
-    *SINK.lock().expect("trace sink poisoned") = Some(w);
-    INSTALLED.store(true, Ordering::Relaxed);
-    Ok(())
-}
-
 /// Installs a JSONL sink writing to `path` (truncates) and writes the
 /// schema header line.
 pub fn init_jsonl(path: &std::path::Path) -> std::io::Result<()> {
     let f = std::fs::File::create(path)?;
-    install(Box::new(std::io::BufWriter::new(f)))
+    init_writer(Box::new(std::io::BufWriter::new(f)))
 }
 
-/// Installs an arbitrary writer as the sink (tests use an in-memory
-/// buffer; see [`MemorySink`]).
-pub fn init_writer(w: Box<dyn Write + Send>) -> std::io::Result<()> {
-    install(w)
+/// Installs an arbitrary writer as the sink and writes the schema header
+/// line (tests use an in-memory buffer; see [`MemorySink`]).
+pub fn init_writer(mut w: SharedWriter) -> std::io::Result<()> {
+    let header =
+        TraceEvent::Meta { schema: TRACE_SCHEMA.into(), reason: None, round: 0, fault_seed: 0 };
+    writeln!(w, "{}", header.to_json())?;
+    *SINK.lock().expect("trace sink poisoned") = Some(w);
+    INSTALLED.store(true, Ordering::Relaxed);
+    Ok(())
 }
 
 /// An `Arc<Mutex<Vec<u8>>>`-backed writer for in-process round-trip
@@ -109,75 +92,34 @@ impl Write for MemorySink {
     }
 }
 
-/// Emits one span-close event (called from [`crate::span::SpanGuard`]'s
-/// drop; no-op without a sink).
-pub(crate) fn write_span(
-    name: &str,
-    id: u64,
-    parent: u64,
-    tid: u64,
-    start_ns: u64,
-    dur_ns: u64,
-    fields: &[(&'static str, FieldVal)],
-) {
-    if !trace_installed() {
-        return;
-    }
-    let mut line = String::with_capacity(128);
-    line.push_str(&format!(
-        "{{\"ev\":\"span\",\"name\":\"{}\",\"id\":{id},\"parent\":{parent},\"tid\":{tid},\
-         \"ts_ns\":{start_ns},\"dur_ns\":{dur_ns}",
-        json_escape(name)
-    ));
-    for (k, v) in fields {
-        match v {
-            FieldVal::U64(u) => line.push_str(&format!(",\"{}\":{u}", json_escape(k))),
-            FieldVal::F64(f) if f.is_finite() => {
-                line.push_str(&format!(",\"{}\":{f}", json_escape(k)))
-            }
-            FieldVal::F64(_) => line.push_str(&format!(",\"{}\":null", json_escape(k))),
-            FieldVal::Text(s) => {
-                line.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(s)))
-            }
+/// Writes one event as a JSONL line (no-op without a sink). Trace IO
+/// must never abort a simulation: events are dropped on error.
+pub fn write_event(ev: &TraceEvent) {
+    if trace_installed() {
+        if let Some(w) = SINK.lock().expect("trace sink poisoned").as_mut() {
+            let _ = writeln!(w, "{}", ev.to_json());
         }
     }
-    line.push('}');
-    write_line(&line);
 }
 
-/// Writes one `metric` event per entry of a registry snapshot (the
-/// "metric flush" events of the schema).
-pub fn flush_metrics_from(registry: &Registry) {
-    if !trace_installed() {
-        return;
-    }
-    for s in registry.snapshot() {
-        write_metric(&s);
-    }
-}
-
-fn write_metric(s: &MetricSnapshot) {
-    write_line(&format!(
-        "{{\"ev\":\"metric\",\"name\":\"{}\",\"kind\":\"{}\",\"value\":{},\"count\":{},\
-         \"p50\":{},\"p95\":{},\"max\":{}}}",
-        json_escape(&s.name),
-        s.kind.as_str(),
-        s.value,
-        s.count,
-        s.p50,
-        s.p95,
-        s.max
-    ));
-}
-
-/// Flushes the global registry's metrics into the trace, writes the end
-/// marker, flushes and uninstalls the sink. Idempotent.
+/// Writes one `metric` event per entry of the global registry, the end
+/// marker, then flushes and uninstalls the sink. Idempotent.
 pub fn shutdown() {
     if !trace_installed() {
         return;
     }
-    flush_metrics_from(crate::metrics::global());
-    write_line("{\"ev\":\"end\"}");
+    for s in crate::metrics::global().snapshot() {
+        write_event(&TraceEvent::Metric {
+            kind: s.kind.as_str().to_string(),
+            name: s.name,
+            value: s.value,
+            count: s.count,
+            p50: s.p50,
+            p95: s.p95,
+            max: s.max,
+        });
+    }
+    write_event(&TraceEvent::End);
     let mut guard = SINK.lock().expect("trace sink poisoned");
     if let Some(w) = guard.as_mut() {
         let _ = w.flush();

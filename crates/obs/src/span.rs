@@ -12,53 +12,11 @@
 //! whose drop does nothing — no allocation, no sink traffic.
 
 use crate::sink;
-use crate::trace_on;
+use crate::{trace_on, JsonVal, TraceEvent};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// One span field value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldVal {
-    /// Unsigned integer (ids, counts, bytes).
-    U64(u64),
-    /// Float (ratios, seconds).
-    F64(f64),
-    /// Owned or static text (strategy names, dataset names).
-    Text(String),
-}
-
-impl From<u64> for FieldVal {
-    fn from(v: u64) -> Self {
-        Self::U64(v)
-    }
-}
-impl From<usize> for FieldVal {
-    fn from(v: usize) -> Self {
-        Self::U64(v as u64)
-    }
-}
-impl From<u32> for FieldVal {
-    fn from(v: u32) -> Self {
-        Self::U64(v as u64)
-    }
-}
-impl From<f64> for FieldVal {
-    fn from(v: f64) -> Self {
-        Self::F64(v)
-    }
-}
-impl From<&str> for FieldVal {
-    fn from(v: &str) -> Self {
-        Self::Text(v.to_string())
-    }
-}
-impl From<String> for FieldVal {
-    fn from(v: String) -> Self {
-        Self::Text(v)
-    }
-}
 
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
@@ -108,7 +66,7 @@ pub struct SpanGuard {
     name: &'static str,
     start_ns: u64,
     t0: Option<Instant>,
-    fields: Vec<(&'static str, FieldVal)>,
+    fields: Vec<(&'static str, JsonVal)>,
 }
 
 impl SpanGuard {
@@ -145,14 +103,14 @@ impl SpanGuard {
 
     /// Builder-style field attachment (no-op when disarmed).
     #[must_use]
-    pub fn with_field(mut self, key: &'static str, val: FieldVal) -> Self {
+    pub fn with_field(mut self, key: &'static str, val: JsonVal) -> Self {
         self.record(key, val);
         self
     }
 
     /// Attaches or overwrites a field after creation — e.g. byte counts
     /// only known at the end of the spanned phase.
-    pub fn record(&mut self, key: &'static str, val: FieldVal) {
+    pub fn record(&mut self, key: &'static str, val: JsonVal) {
         if self.id == 0 {
             return;
         }
@@ -183,30 +141,26 @@ impl Drop for SpanGuard {
             }
         });
         let dur_ns = self.t0.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-        sink::write_span(
-            self.name,
-            self.id,
-            self.parent,
-            thread_ord(),
-            self.start_ns,
-            dur_ns,
-            &self.fields,
-        );
         if crate::recorder::armed() {
             // The flight recorder keys events by (round, client) when the
-            // span carried them as integer fields.
-            let mut round = 0u64;
-            let mut client = crate::recorder::NO_CLIENT;
-            for (k, v) in &self.fields {
-                if let FieldVal::U64(u) = v {
-                    match *k {
-                        "round" => round = *u,
-                        "client" => client = *u,
-                        _ => {}
-                    }
-                }
-            }
+            // span carried them as numeric fields.
+            let field = |key| {
+                self.fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| v.as_u64())
+            };
+            let round = field("round").unwrap_or(0);
+            let client = field("client").unwrap_or(crate::recorder::NO_CLIENT);
             crate::recorder::record_span_close(self.name, round, client, dur_ns);
+        }
+        if sink::trace_installed() {
+            sink::write_event(&TraceEvent::Span {
+                name: self.name.to_string(),
+                id: self.id,
+                parent: self.parent,
+                tid: thread_ord(),
+                ts_ns: self.start_ns,
+                dur_ns,
+                fields: self.fields.drain(..).map(|(k, v)| (k.to_string(), v)).collect(),
+            });
         }
     }
 }

@@ -1,24 +1,48 @@
-//! Trace parsing and aggregation — the engine behind `fedgta-cli report`.
-//!
-//! Reads the JSONL stream the [`crate::sink`] writes (one flat JSON
-//! object per line), validates the schema header, reconstructs the span
-//! tree from `id`/`parent` links, and aggregates per-round, per-client,
-//! per-strategy and per-span-name tables with exact p50/p95/max (the
-//! full duration lists are kept — traces are round-granular, not
-//! per-kernel, so memory is never a concern).
+//! The one event vocabulary, [`TraceEvent`] — written by the trace sink,
+//! the flight recorder's dumps and `/rounds` through one writer, read
+//! back by one lossy reader ([`parse_events`]) — and `fedgta-cli report`:
+//! the span tree rebuilt from `id`/`parent` links and aggregated into
+//! per-round, per-client, per-strategy and per-span-name tables with exact
+//! p50/p95/max (traces are round-granular, so the full duration lists are
+//! kept), or a dump rendered as a timeline.
 
+use crate::sink::json_escape;
 use crate::TRACE_SCHEMA;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// A parsed flat JSON value.
+/// One flat JSON value — a span field as recorded and as read back.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonVal {
-    /// Any number (integers round-trip exactly below 2^53).
+    /// Any number (integers round-trip exactly below 2^53; non-finite
+    /// values are written as `null`).
     Num(f64),
     /// A string.
     Str(String),
     /// `null`, `true`, `false` (booleans map to 1/0).
     Null,
+}
+
+macro_rules! num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonVal {
+            fn from(v: $t) -> Self {
+                Self::Num(v as f64)
+            }
+        }
+    )*};
+}
+num_from!(u64, usize, u32, f64);
+
+impl From<&str> for JsonVal {
+    fn from(v: &str) -> Self {
+        Self::Str(v.to_string())
+    }
+}
+impl From<String> for JsonVal {
+    fn from(v: String) -> Self {
+        Self::Str(v)
+    }
 }
 
 impl JsonVal {
@@ -47,13 +71,24 @@ impl JsonVal {
     }
 }
 
-/// One event from the JSONL stream.
+/// One event of a trace or a postmortem dump — one JSON line each.
+///
+/// Numeric fields other than a span's free-form `fields` are written
+/// only when non-zero and read back as 0 when missing, so a dump's
+/// spans (which drop the wall-clock `id` / `parent` / `tid` / `ts_ns` /
+/// `dur_ns`) are ordinary span events.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// The schema header (first line).
     Meta {
         /// Schema identifier (must equal [`TRACE_SCHEMA`]).
         schema: String,
+        /// Why a postmortem dump was written; `None` in a trace.
+        reason: Option<String>,
+        /// The round a dump was written in.
+        round: u64,
+        /// The fault seed of the dumped run.
+        fault_seed: u64,
     },
     /// A closed span.
     Span {
@@ -89,13 +124,96 @@ pub enum TraceEvent {
         /// Histogram exact max.
         max: u64,
     },
+    /// A fault-layer event (drop, corrupt, crash, resample, …).
+    Fault {
+        /// Round it fired in.
+        round: u64,
+        /// Affected client; `None` for round-level events.
+        client: Option<u64>,
+        /// What happened (`crash`, `up-drop`, …).
+        kind: String,
+        /// Simulated milliseconds from round start.
+        sim_ms: u64,
+    },
+    /// A lifecycle annotation or per-round observation (`round_skip`,
+    /// `quorum_fail`, `round.completed`, …).
+    Note {
+        /// Note name.
+        name: String,
+        /// Round it belongs to.
+        round: u64,
+        /// Name-dependent value.
+        value: u64,
+    },
     /// End-of-trace marker.
     End,
+}
+
+impl TraceEvent {
+    /// The event as one JSON line (no newline) — every obs output goes
+    /// through here and [`json_object`].
+    pub fn to_json(&self) -> String {
+        let text = |k, v: &str| Some((k, JsonVal::from(v)));
+        let num = |k, v: &u64| (*v != 0).then(|| (k, JsonVal::from(*v)));
+        let pairs: Vec<Option<(&str, JsonVal)>> = match self {
+            Self::Meta { schema, reason, round, fault_seed } => vec![
+                text("ev", "meta"),
+                text("schema", schema),
+                reason.as_deref().and_then(|r| text("reason", r)),
+                num("round", round),
+                num("fault_seed", fault_seed),
+            ],
+            Self::Span { name, id, parent, tid, ts_ns, dur_ns, fields } => {
+                let mut pairs = vec![text("ev", "span"), text("name", name), num("id", id)];
+                pairs.extend([num("parent", parent), num("tid", tid), num("ts_ns", ts_ns)]);
+                pairs.push(num("dur_ns", dur_ns));
+                pairs.extend(fields.iter().map(|(k, v)| Some((k.as_str(), v.clone()))));
+                pairs
+            }
+            Self::Metric { name, kind, value, count, p50, p95, max } => {
+                let mut pairs = vec![text("ev", "metric"), text("name", name), text("kind", kind)];
+                pairs.extend([num("value", value), num("count", count), num("p50", p50)]);
+                pairs.extend([num("p95", p95), num("max", max)]);
+                pairs
+            }
+            Self::Fault { round, client, kind, sim_ms } => vec![
+                text("ev", "fault"),
+                num("round", round),
+                client.map(|c| ("client", c.into())),
+                text("kind", kind),
+                num("sim_ms", sim_ms),
+            ],
+            Self::Note { name, round, value } => {
+                vec![text("ev", "note"), text("name", name), num("round", round), num("value", value)]
+            }
+            Self::End => vec![text("ev", "end")],
+        };
+        json_object(&pairs.into_iter().flatten().collect::<Vec<_>>())
+    }
+}
+
+/// The one JSON writer: a flat object from `(key, value)` pairs, strings
+/// through [`json_escape`], non-finite numbers as `null` (JSON has
+/// neither NaN nor Infinity). A `/rounds` element is exactly a `round`
+/// span's fields through here.
+pub fn json_object(pairs: &[(&str, JsonVal)]) -> String {
+    let mut out = String::from("{");
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "," };
+        let _ = match v {
+            JsonVal::Str(s) => write!(out, "{sep}\"{}\":\"{}\"", json_escape(k), json_escape(s)),
+            JsonVal::Num(n) if n.is_finite() => write!(out, "{sep}\"{}\":{n}", json_escape(k)),
+            _ => write!(out, "{sep}\"{}\":null", json_escape(k)),
+        };
+    }
+    out.push('}');
+    out
 }
 
 // --- minimal flat-JSON parser ---------------------------------------------
 
 struct Cursor<'a> {
+    s: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -113,12 +231,7 @@ impl<'a> Cursor<'a> {
             self.i += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {} in {:?}",
-                c as char,
-                self.i,
-                String::from_utf8_lossy(self.b)
-            ))
+            Err(format!("expected '{}' at byte {} in {:?}", c as char, self.i, self.s))
         }
     }
 
@@ -146,29 +259,21 @@ impl<'a> Cursor<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("short \\u escape")?;
+                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
                             self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
                 }
-                c => {
-                    // Re-assemble multi-byte UTF-8 transparently.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let end = start + len;
-                    let chunk = self.b.get(start..end).ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    self.i = end;
+                c if c.is_ascii() => out.push(c as char),
+                _ => {
+                    // The input is a `&str`, so a multi-byte character is
+                    // whole: copy it.
+                    let ch = self.s[self.i - 1..].chars().next().unwrap_or('\u{fffd}');
+                    out.push(ch);
+                    self.i += ch.len_utf8() - 1;
                 }
             }
         }
@@ -178,17 +283,14 @@ impl<'a> Cursor<'a> {
     fn value(&mut self) -> Result<JsonVal, String> {
         match self.peek() {
             Some(b'"') => Ok(JsonVal::Str(self.string()?)),
-            Some(b'n') => {
-                self.literal(b"null")?;
-                Ok(JsonVal::Null)
-            }
-            Some(b't') => {
-                self.literal(b"true")?;
-                Ok(JsonVal::Num(1.0))
-            }
-            Some(b'f') => {
-                self.literal(b"false")?;
-                Ok(JsonVal::Num(0.0))
+            Some(b'n' | b't' | b'f') => {
+                let literals = [("null", JsonVal::Null), ("true", 1.0.into()), ("false", 0.0.into())];
+                let (lit, v) = literals
+                    .into_iter()
+                    .find(|(lit, _)| self.s[self.i..].starts_with(lit))
+                    .ok_or("expected null, true or false")?;
+                self.i += lit.len();
+                Ok(v)
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
@@ -197,7 +299,7 @@ impl<'a> Cursor<'a> {
                 {
                     self.i += 1;
                 }
-                let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
+                let s = &self.s[start..self.i];
                 // JSON has no infinities: overlong digit strings / huge
                 // exponents that overflow f64 are malformed input, not
                 // values.
@@ -209,69 +311,40 @@ impl<'a> Cursor<'a> {
             other => Err(format!("unexpected value start {other:?}")),
         }
     }
-
-    fn literal(&mut self, lit: &[u8]) -> Result<(), String> {
-        self.skip_ws();
-        if self.b.get(self.i..self.i + lit.len()) == Some(lit) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected literal {}", String::from_utf8_lossy(lit)))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
 }
 
 /// Parses one flat JSON object line (string / number / null / bool
 /// values only — the trace schema never nests).
 pub fn parse_flat_object(line: &str) -> Result<BTreeMap<String, JsonVal>, String> {
-    let mut c = Cursor {
-        b: line.as_bytes(),
-        i: 0,
-    };
+    let mut c = Cursor { s: line, b: line.as_bytes(), i: 0 };
     c.expect(b'{')?;
     let mut map = BTreeMap::new();
-    if c.peek() == Some(b'}') {
-        c.expect(b'}')?;
-        return Ok(map);
-    }
-    loop {
+    while c.peek() != Some(b'}') {
+        if !map.is_empty() {
+            c.expect(b',')?;
+        }
         let key = c.string()?;
         c.expect(b':')?;
-        let val = c.value()?;
-        map.insert(key, val);
-        match c.peek() {
-            Some(b',') => {
-                c.expect(b',')?;
-            }
-            Some(b'}') => {
-                c.expect(b'}')?;
-                c.skip_ws();
-                if c.i != c.b.len() {
-                    return Err("trailing garbage after object".into());
-                }
-                return Ok(map);
-            }
-            other => return Err(format!("expected ',' or '}}', got {other:?}")),
-        }
+        map.insert(key, c.value()?);
+    }
+    c.expect(b'}')?;
+    c.skip_ws();
+    if c.i != c.b.len() {
+        return Err("trailing garbage after object".into());
+    }
+    Ok(map)
+}
+
+/// A fixed numeric field: 0 when missing, an error when present but not
+/// a non-negative number.
+fn num(m: &BTreeMap<String, JsonVal>, k: &str) -> Result<u64, String> {
+    match m.get(k) {
+        None => Ok(0),
+        Some(v) => v.as_u64().ok_or_else(|| format!("invalid numeric field '{k}'")),
     }
 }
 
-fn req_u64(m: &BTreeMap<String, JsonVal>, k: &str) -> Result<u64, String> {
-    m.get(k)
-        .and_then(JsonVal::as_u64)
-        .ok_or_else(|| format!("missing/invalid numeric field '{k}'"))
-}
-
-fn req_str(m: &BTreeMap<String, JsonVal>, k: &str) -> Result<String, String> {
+fn text(m: &BTreeMap<String, JsonVal>, k: &str) -> Result<String, String> {
     m.get(k)
         .and_then(JsonVal::as_str)
         .map(|s| s.to_string())
@@ -280,89 +353,88 @@ fn req_str(m: &BTreeMap<String, JsonVal>, k: &str) -> Result<String, String> {
 
 /// Parses one JSONL line into an event (no schema-position checks).
 fn parse_event_line(line: &str) -> Result<TraceEvent, String> {
-    let obj = parse_flat_object(line)?;
-    let ev = req_str(&obj, "ev")?;
-    match ev.as_str() {
-        "meta" => Ok(TraceEvent::Meta {
-            schema: req_str(&obj, "schema")?,
-        }),
+    let m = &parse_flat_object(line)?;
+    Ok(match text(m, "ev")?.as_str() {
+        "meta" => TraceEvent::Meta {
+            schema: text(m, "schema")?,
+            reason: text(m, "reason").ok(),
+            round: num(m, "round")?,
+            fault_seed: num(m, "fault_seed")?,
+        },
         "span" => {
-            let mut fields = obj.clone();
+            let mut fields = m.clone();
             for k in ["ev", "name", "id", "parent", "tid", "ts_ns", "dur_ns"] {
                 fields.remove(k);
             }
-            Ok(TraceEvent::Span {
-                name: req_str(&obj, "name")?,
-                id: req_u64(&obj, "id")?,
-                parent: req_u64(&obj, "parent")?,
-                tid: req_u64(&obj, "tid")?,
-                ts_ns: req_u64(&obj, "ts_ns")?,
-                dur_ns: req_u64(&obj, "dur_ns")?,
+            TraceEvent::Span {
+                name: text(m, "name")?,
+                id: num(m, "id")?,
+                parent: num(m, "parent")?,
+                tid: num(m, "tid")?,
+                ts_ns: num(m, "ts_ns")?,
+                dur_ns: num(m, "dur_ns")?,
                 fields,
-            })
-        }
-        "metric" => Ok(TraceEvent::Metric {
-            name: req_str(&obj, "name")?,
-            kind: req_str(&obj, "kind")?,
-            value: req_u64(&obj, "value")?,
-            count: req_u64(&obj, "count")?,
-            p50: req_u64(&obj, "p50")?,
-            p95: req_u64(&obj, "p95")?,
-            max: req_u64(&obj, "max")?,
-        }),
-        "end" => Ok(TraceEvent::End),
-        other => Err(format!("unknown event '{other}'")),
-    }
-}
-
-/// Parses a full JSONL trace. Strict: the first line must be the schema
-/// header with a matching version, every line must be a valid event.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse_event_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if events.is_empty() {
-            match &parsed {
-                TraceEvent::Meta { schema } if schema == TRACE_SCHEMA => {}
-                TraceEvent::Meta { schema } => {
-                    return Err(format!(
-                        "unsupported trace schema '{schema}' (expected '{TRACE_SCHEMA}')"
-                    ))
-                }
-                _ => return Err("trace does not start with a schema header".into()),
             }
         }
-        events.push(parsed);
-    }
-    if events.is_empty() {
-        return Err("empty trace".into());
-    }
-    Ok(events)
+        "metric" => TraceEvent::Metric {
+            name: text(m, "name")?,
+            kind: text(m, "kind")?,
+            value: num(m, "value")?,
+            count: num(m, "count")?,
+            p50: num(m, "p50")?,
+            p95: num(m, "p95")?,
+            max: num(m, "max")?,
+        },
+        "fault" => TraceEvent::Fault {
+            round: num(m, "round")?,
+            client: m.get("client").map(|_| num(m, "client")).transpose()?,
+            kind: text(m, "kind")?,
+            sim_ms: num(m, "sim_ms")?,
+        },
+        "note" => TraceEvent::Note {
+            name: text(m, "name")?,
+            round: num(m, "round")?,
+            value: num(m, "value")?,
+        },
+        "end" => TraceEvent::End,
+        other => return Err(format!("unknown event '{other}'")),
+    })
 }
 
-/// Lenient trace parse for damaged inputs: truncated tails, interleaved
-/// garbage, or a missing header never abort the whole read. Every valid
-/// line becomes an event; every invalid one becomes a
-/// `"line N: <reason>"` entry in the error list. Used by crash-path
-/// tooling (`fedgta-cli postmortem`, partial traces) where the strict
-/// reader's all-or-nothing contract would discard the evidence you are
-/// trying to look at.
-pub fn parse_trace_lossy(text: &str) -> (Vec<TraceEvent>, Vec<String>) {
+/// The one reader: every line of a trace or a dump that parses becomes
+/// an event, every other non-blank line a `"line N: <reason>"` entry in
+/// the damage list. Truncated tails, interleaved garbage or a missing
+/// header never abort the read — a crashed run's files are the evidence.
+pub fn parse_events(text: &str) -> (Vec<TraceEvent>, Vec<String>) {
     let mut events = Vec::new();
-    let mut errors = Vec::new();
+    let mut damaged = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         match parse_event_line(line) {
             Ok(ev) => events.push(ev),
-            Err(e) => errors.push(format!("line {}: {e}", lineno + 1)),
+            Err(e) => damaged.push(format!("line {}: {e}", lineno + 1)),
         }
     }
-    (events, errors)
+    (events, damaged)
+}
+
+/// Strict read: [`parse_events`] with no damaged line and a
+/// [`TRACE_SCHEMA`] header first.
+pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
+    let (events, damaged) = parse_events(text);
+    if let Some(first) = damaged.into_iter().next() {
+        return Err(first);
+    }
+    match events.first() {
+        Some(TraceEvent::Meta { schema, .. }) if schema == TRACE_SCHEMA => Ok(events),
+        Some(TraceEvent::Meta { schema, .. }) => {
+            Err(format!("unsupported trace schema '{schema}' (expected '{TRACE_SCHEMA}')"))
+        }
+        Some(_) => Err("trace does not start with a schema header".into()),
+        None => Err("empty trace".into()),
+    }
 }
 
 // --- aggregation -----------------------------------------------------------
@@ -479,25 +551,6 @@ pub struct StrategyStat {
     pub bytes_down: u64,
 }
 
-/// A flushed metric row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricRow {
-    /// Metric name.
-    pub name: String,
-    /// Kind (`counter`/`gauge`/`histogram`).
-    pub kind: String,
-    /// Value (sum for histograms).
-    pub value: u64,
-    /// Histogram count.
-    pub count: u64,
-    /// Histogram p50 bound.
-    pub p50: u64,
-    /// Histogram p95 bound.
-    pub p95: u64,
-    /// Histogram max.
-    pub max: u64,
-}
-
 /// The aggregated view of one trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
@@ -511,9 +564,23 @@ pub struct TraceSummary {
     pub clients: Vec<ClientStat>,
     /// Per-strategy stats, name-sorted.
     pub strategies: Vec<StrategyStat>,
-    /// Metric flush rows.
-    pub metrics: Vec<MetricRow>,
+    /// The flushed [`TraceEvent::Metric`] events, in trace order.
+    pub metrics: Vec<TraceEvent>,
 }
+
+impl TraceSummary {
+    /// The flushed value of metric `name` (sum for histograms).
+    pub fn metric(&self, name: &str) -> Option<u64> {
+        self.metrics.iter().find_map(|m| match m {
+            TraceEvent::Metric { name: n, value, .. } if n == name => Some(*value),
+            _ => None,
+        })
+    }
+}
+
+/// Parent chains are shallow (round > train > client_train); walks up
+/// them stop after this many hops, so a cycle in damaged input ends.
+const MAX_DEPTH: usize = 64;
 
 /// Walks up the parent chain to find the enclosing `round` span id.
 fn enclosing_round(
@@ -521,7 +588,10 @@ fn enclosing_round(
     parents: &BTreeMap<u64, u64>,
     round_of_span: &BTreeMap<u64, usize>,
 ) -> Option<usize> {
-    while parent != 0 {
+    for _ in 0..MAX_DEPTH {
+        if parent == 0 {
+            break;
+        }
         if let Some(&ri) = round_of_span.get(&parent) {
             return Some(ri);
         }
@@ -555,31 +625,18 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
         {
             parents.insert(*id, *parent);
             if name == "round" {
-                let idx = rounds.len();
-                round_of_span.insert(*id, idx);
+                let n = |k: &str| fields.get(k).and_then(JsonVal::as_u64).unwrap_or(0);
+                round_of_span.insert(*id, rounds.len());
                 rounds.push(RoundRow {
-                    round: fields.get("round").and_then(JsonVal::as_u64).unwrap_or(0),
-                    strategy: fields
-                        .get("strategy")
-                        .and_then(JsonVal::as_str)
-                        .unwrap_or("")
-                        .to_string(),
+                    round: n("round"),
+                    strategy: fields.get("strategy").and_then(JsonVal::as_str).unwrap_or("").into(),
                     total_ns: *dur_ns,
-                    bytes_up: fields.get("bytes_up").and_then(JsonVal::as_u64).unwrap_or(0),
-                    bytes_down: fields
-                        .get("bytes_down")
-                        .and_then(JsonVal::as_u64)
-                        .unwrap_or(0),
-                    participants: fields
-                        .get("participants")
-                        .and_then(JsonVal::as_u64)
-                        .unwrap_or(0),
-                    completed: fields
-                        .get("completed")
-                        .and_then(JsonVal::as_u64)
-                        .unwrap_or(0),
-                    dropped: fields.get("dropped").and_then(JsonVal::as_u64).unwrap_or(0),
-                    retries: fields.get("retries").and_then(JsonVal::as_u64).unwrap_or(0),
+                    bytes_up: n("bytes_up"),
+                    bytes_down: n("bytes_down"),
+                    participants: n("participants"),
+                    completed: n("completed"),
+                    dropped: n("dropped"),
+                    retries: n("retries"),
                     ..RoundRow::default()
                 });
             }
@@ -622,23 +679,7 @@ pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
                     }
                 }
             }
-            TraceEvent::Metric {
-                name,
-                kind,
-                value,
-                count,
-                p50,
-                p95,
-                max,
-            } => metrics.push(MetricRow {
-                name: name.clone(),
-                kind: kind.clone(),
-                value: *value,
-                count: *count,
-                p50: *p50,
-                p95: *p95,
-                max: *max,
-            }),
+            TraceEvent::Metric { .. } => metrics.push(ev.clone()),
             _ => {}
         }
     }
@@ -747,21 +788,17 @@ pub fn profile(events: &[TraceEvent]) -> Profile {
         if parent == 0 || !spans.contains_key(&parent) {
             wall_ns += dur;
         }
-        // Build the name path root→self. Parent chains are shallow
-        // (round > train > client_train), so the walk is cheap; a cycle
-        // (corrupt input) is broken by the visited guard.
+        // Build the name path root→self ([`MAX_DEPTH`] breaks a cycle).
         let mut path = vec![name];
         let mut up = parent;
-        let mut hops = 0;
-        while up != 0 && hops < 64 {
+        for _ in 0..MAX_DEPTH {
             match spans.get(&up) {
-                Some(&(pname, pparent, _)) => {
+                Some(&(pname, pparent, _)) if up != 0 => {
                     path.push(pname);
                     up = pparent;
                 }
-                None => break,
+                _ => break,
             }
-            hops += 1;
         }
         path.reverse();
         if self_ns > 0 {
@@ -945,7 +982,6 @@ pub fn render_report(s: &TraceSummary) -> String {
     // reduction 1×). The download row appears only when a download codec
     // actually framed broadcasts — plain broadcasts never become wire
     // bytes.
-    let metric = |name: &str| s.metrics.iter().find(|m| m.name == name).map(|m| m.value);
     let legs: Vec<(&str, u64, u64)> = [
         ("uploads", "comms.upload_bytes_raw", "comms.upload_bytes_encoded"),
         (
@@ -955,7 +991,7 @@ pub fn render_report(s: &TraceSummary) -> String {
         ),
     ]
     .iter()
-    .filter_map(|&(leg, raw, enc)| match (metric(raw), metric(enc)) {
+    .filter_map(|&(leg, raw, enc)| match (s.metric(raw), s.metric(enc)) {
         (Some(r), Some(e)) if r > 0 => Some((leg, r, e)),
         _ => None,
     })
@@ -978,7 +1014,7 @@ pub fn render_report(s: &TraceSummary) -> String {
     }
 
     // Peak-memory gauges: the budgets scale runs are graded against.
-    let kits = format!("worker kits (x{})", metric("fed.kits.instances").unwrap_or(0));
+    let kits = format!("worker kits (x{})", s.metric("fed.kits.instances").unwrap_or(0));
     let peaks: Vec<(&str, u64)> = [
         ("graph.store.resident_bytes", "graph store resident peak"),
         ("workspace.high_water_bytes", "workspace high-water peak"),
@@ -986,7 +1022,7 @@ pub fn render_report(s: &TraceSummary) -> String {
         ("fed.kits.bytes", kits.as_str()),
     ]
     .iter()
-    .filter_map(|&(name, label)| metric(name).filter(|&v| v > 0).map(|v| (label, v)))
+    .filter_map(|&(name, label)| s.metric(name).filter(|&v| v > 0).map(|v| (label, v)))
     .collect();
     if !peaks.is_empty() {
         out.push_str("\nresource peaks:\n");
@@ -1019,11 +1055,56 @@ pub fn render_report(s: &TraceSummary) -> String {
             "name", "kind", "value", "count", "p50", "p95"
         ));
         for m in &s.metrics {
-            out.push_str(&format!(
-                "{:<32} {:<10} {:>14} {:>9} {:>10} {:>10}\n",
-                m.name, m.kind, m.value, m.count, m.p50, m.p95
-            ));
+            if let TraceEvent::Metric { name, kind, value, count, p50, p95, .. } = m {
+                out.push_str(&format!(
+                    "{name:<32} {kind:<10} {value:>14} {count:>9} {p50:>10} {p95:>10}\n"
+                ));
+            }
         }
+    }
+    out
+}
+
+/// Renders a postmortem dump as a timeline: its header, the flight
+/// recorder's spans and notes in canonical order, the fault log, and
+/// the metric registry at dump time.
+pub fn render_dump(events: &[TraceEvent]) -> String {
+    let (mut flights, mut faults, mut metrics) = (Vec::new(), Vec::new(), Vec::new());
+    let mut out = String::new();
+    for ev in events {
+        match ev {
+            TraceEvent::Meta { schema, reason, round, fault_seed } => out.push_str(&format!(
+                "postmortem: reason={} round={round} fault_seed={fault_seed} (schema {schema})\n",
+                reason.as_deref().unwrap_or("?")
+            )),
+            TraceEvent::Span { name, fields, .. } => {
+                let n = |k: &str| fields.get(k).and_then(JsonVal::as_u64);
+                let client = n("client").map_or(String::new(), |c| format!(" client {c}"));
+                let round = n("round").unwrap_or(0);
+                flights.push(format!("  [span ] round {round:<4} {name}{client}"));
+            }
+            TraceEvent::Note { name, round, value } => {
+                flights.push(format!("  [note ] round {round:<4} {name} value {value}"));
+            }
+            TraceEvent::Fault { round, client, kind, sim_ms } => {
+                let who = client.map_or("(round-level)".to_string(), |c| format!("client {c:<4}"));
+                faults.push(format!("  round {round:<4} {kind:<14} {who} @{sim_ms}ms"));
+            }
+            TraceEvent::Metric { name, kind, value, count, .. } => metrics.push(match kind.as_str() {
+                "counter" => format!("  counter   {name} = {value}"),
+                "histogram" => format!("  histogram {name} ({count} samples)"),
+                _ => format!("  {kind:<9} {name} (value omitted: thread-dependent)"),
+            }),
+            TraceEvent::End => {}
+        }
+    }
+    let sections = [
+        ("flight recorder (canonical order)", flights),
+        ("fault log (deterministic, orchestrator order)", faults),
+        ("metric registry at dump time", metrics),
+    ];
+    for (title, lines) in sections.iter().filter(|(_, lines)| !lines.is_empty()) {
+        let _ = write!(out, "\n{title}:\n{}\n", lines.join("\n"));
     }
     out
 }
@@ -1065,7 +1146,7 @@ mod tests {
     }
 
     fn sample_trace() -> String {
-        let mut t = String::from("{\"ev\":\"meta\",\"schema\":\"fedgta-trace/1\"}\n");
+        let mut t = format!("{{\"ev\":\"meta\",\"schema\":\"{TRACE_SCHEMA}\"}}\n");
         // round 1 (id 1) > train (2) > client_train (3,4); aggregate (5); eval (6)
         t.push_str("{\"ev\":\"span\",\"name\":\"client_train\",\"id\":3,\"parent\":2,\"tid\":2,\"ts_ns\":10,\"dur_ns\":100,\"client\":0}\n");
         t.push_str("{\"ev\":\"span\",\"name\":\"client_train\",\"id\":4,\"parent\":2,\"tid\":3,\"ts_ns\":10,\"dur_ns\":300,\"client\":1}\n");
@@ -1112,7 +1193,7 @@ mod tests {
         let mut t = sample_trace();
         t.insert_str(0, "garbage not json\n");
         t.push_str("{\"ev\":\"span\",\"name\":\"trunc");
-        let (events, errors) = parse_trace_lossy(&t);
+        let (events, errors) = parse_events(&t);
         // All 9 original events survive; the two damaged lines are reported.
         assert_eq!(events.len(), 9);
         assert_eq!(errors.len(), 2);
@@ -1184,6 +1265,18 @@ mod tests {
         );
         let up_rendered = render_report(&summarize(&parse_trace(&up_only).unwrap()));
         assert!(!up_rendered.contains("downloads"), "zero download leg omitted");
+    }
+
+    #[test]
+    fn parent_cycles_summarize_and_render() {
+        let span = |id, parent| {
+            format!("{{\"ev\":\"span\",\"name\":\"train\",\"id\":{id},\"parent\":{parent}}}")
+        };
+        for text in [span(1, 1), format!("{}\n{}", span(1, 2), span(2, 1))] {
+            let (events, _) = parse_events(&text);
+            assert!(render_report(&summarize(&events)).contains("train"));
+            assert!(render_profile(&profile(&events), 5).contains("train"));
+        }
     }
 
     #[test]

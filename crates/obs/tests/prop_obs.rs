@@ -7,8 +7,9 @@
 //! per-thread increment schedule) and checks the aggregate.
 
 use fedgta_obs::metrics::{bucket_index, bucket_upper, HIST_BUCKETS};
-use fedgta_obs::{set_level, ObsLevel, Registry};
+use fedgta_obs::{parse_events, set_level, JsonVal, ObsLevel, Registry, TraceEvent};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Serializes tests that flip the process-global obs level.
@@ -161,7 +162,7 @@ proptest! {
 // --- fuzzing the hand-rolled JSONL trace parser ----------------------------
 //
 // The parser reads operator-supplied files (`fedgta-cli report <path>`,
-// `postmortem <path>`), so hostile or damaged input must *error*, never
+// traces and postmortem dumps alike), so hostile or damaged input must *error*, never
 // panic or loop: truncated lines, invalid `\u` escapes, overlong numbers,
 // interleaved garbage. And the lossy reader must still recover every
 // valid line around the damage.
@@ -169,7 +170,7 @@ proptest! {
 /// One well-formed trace: header, a span, a metric, the end marker.
 fn valid_trace_lines() -> Vec<String> {
     vec![
-        "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/1\"}".to_string(),
+        format!("{{\"ev\":\"meta\",\"schema\":\"{}\"}}", fedgta_obs::TRACE_SCHEMA),
         "{\"ev\":\"span\",\"name\":\"round\",\"id\":1,\"parent\":0,\"tid\":1,\"ts_ns\":5,\"dur_ns\":700,\"round\":1,\"strategy\":\"FedAvg\"}".to_string(),
         "{\"ev\":\"metric\",\"name\":\"comms.upload_bytes\",\"kind\":\"counter\",\"value\":9,\"count\":0,\"p50\":0,\"p95\":0,\"max\":0}".to_string(),
         "{\"ev\":\"end\"}".to_string(),
@@ -186,7 +187,7 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes).into_owned();
         let _ = fedgta_obs::parse_flat_object(&text);
         let _ = fedgta_obs::parse_trace(&text);
-        let (_events, _errors) = fedgta_obs::parse_trace_lossy(&text);
+        let (_events, _errors) = fedgta_obs::parse_events(&text);
     }
 
     /// Every strict prefix of a valid line is an error (the closing brace
@@ -209,7 +210,7 @@ proptest! {
         text.push('\n');
         text.push_str(truncated);
         prop_assert!(fedgta_obs::parse_trace(&text).is_err());
-        let (events, errors) = fedgta_obs::parse_trace_lossy(&text);
+        let (events, errors) = fedgta_obs::parse_events(&text);
         prop_assert_eq!(events.len(), 4);
         prop_assert_eq!(errors.len(), 1);
     }
@@ -272,9 +273,75 @@ proptest! {
         }
         let text = lines.join("\n");
         prop_assert!(fedgta_obs::parse_trace(&text).is_err());
-        let (events, errors) = fedgta_obs::parse_trace_lossy(&text);
+        let (events, errors) = fedgta_obs::parse_events(&text);
         prop_assert_eq!(events.len(), valid.len(), "all valid lines recovered");
         prop_assert_eq!(errors.len(), inserted, "every garbage line reported");
         prop_assert!(events.iter().any(|e| matches!(e, fedgta_obs::TraceEvent::End)));
+    }
+}
+
+// --- the one writer and the one reader agree ------------------------------
+
+/// String pieces that stress the escaper: quotes, backslashes, control
+/// characters, non-ASCII text, and literal `\u` sequences that must stay
+/// text rather than be decoded.
+const PIECES: [&str; 14] = [
+    "a", "Z9", "\"", "\\", "\n", "\t", "\r", "\u{1}", "\u{1f}", "é", "→😀", "\\u00e9", "\\u", " /",
+];
+
+/// Field values; the non-finite ones must come back `null`.
+const FLOATS: [f64; 10] =
+    [0.5, -2.25, 0.0, 1e300, 5e-324, f64::MAX, -1e-7, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every variant goes through `TraceEvent::to_json` as one line and
+    /// comes back from `parse_events` unchanged: strings byte for byte,
+    /// integers below 2^53 exactly (zero is left out and read as 0),
+    /// finite floats exactly, non-finite floats as `null`.
+    #[test]
+    fn every_event_round_trips_through_the_one_writer_and_reader(
+        pieces in proptest::collection::vec(proptest::collection::vec(0usize..PIECES.len(), 0..8), 6),
+        raw in proptest::collection::vec((0u64..3, 0u64..(1u64 << 53)), 8),
+        values in proptest::collection::vec(0usize..FLOATS.len() + 2, 0..5),
+        some in (any::<bool>(), any::<bool>()),
+    ) {
+        let s: Vec<String> = pieces.iter().map(|ix| ix.iter().map(|&i| PIECES[i]).collect()).collect();
+        let n: Vec<u64> = raw.iter().map(|&(z, v)| if z == 0 { 0 } else { v }).collect();
+        let (mut fields, mut read_back) = (BTreeMap::new(), BTreeMap::new());
+        for (i, &v) in values.iter().enumerate() {
+            let (value, back) = match FLOATS.get(v) {
+                Some(&f) if f.is_finite() => (JsonVal::Num(f), JsonVal::Num(f)),
+                Some(&f) => (JsonVal::Num(f), JsonVal::Null),
+                None if v == FLOATS.len() => (JsonVal::Str(s[i].clone()), JsonVal::Str(s[i].clone())),
+                None => (JsonVal::Null, JsonVal::Null),
+            };
+            fields.insert(format!("f{i}.{}", s[5 - i]), value);
+            read_back.insert(format!("f{i}.{}", s[5 - i]), back);
+        }
+        let span = |fields| TraceEvent::Span {
+            name: s[2].clone(), id: n[0], parent: n[1], tid: n[2], ts_ns: n[3], dur_ns: n[4], fields,
+        };
+        let events = [
+            TraceEvent::Meta {
+                schema: s[0].clone(), reason: some.0.then(|| s[1].clone()), round: n[0], fault_seed: n[1],
+            },
+            span(fields),
+            TraceEvent::Metric {
+                name: s[3].clone(), kind: s[4].clone(), value: n[0], count: n[5], p50: n[6], p95: n[7], max: n[2],
+            },
+            TraceEvent::Fault { round: n[3], client: some.1.then_some(n[5]), kind: s[5].clone(), sim_ms: n[6] },
+            TraceEvent::Note { name: s[1].clone(), round: n[7], value: n[4] },
+            TraceEvent::End,
+        ];
+        let lines: Vec<String> = events.iter().map(TraceEvent::to_json).collect();
+        // One event, one line — and no raw control character anywhere.
+        prop_assert!(lines.iter().all(|l| l.chars().all(|c| c >= ' ')), "{lines:?}");
+        let (back, damaged) = parse_events(&lines.join("\n"));
+        prop_assert!(damaged.is_empty(), "{damaged:?}");
+        let mut expected = events.to_vec();
+        expected[1] = span(read_back);
+        prop_assert_eq!(back, expected);
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end observability contract: a traced simulation emits a
-//! parseable `fedgta-trace/1` span tree covering
+//! parseable `fedgta-trace/2` span tree covering
 //! `round > { sample, train > client_train×P, aggregate, eval }`, the
 //! report aggregator reconstructs rounds/clients/strategies from it, and
 //! — the hard invariant — tracing changes **no numeric result** at any
@@ -125,17 +125,17 @@ fn traced_run_emits_complete_round_span_tree() {
     // Strategy rollup and metric flush rows made it into the trace.
     assert_eq!(summary.strategies.len(), 1);
     assert_eq!(summary.strategies[0].strategy, "FedGTA");
-    assert!(
-        summary.metrics.iter().any(|m| m.name == "comms.upload_bytes"),
-        "metric flush missing comms.upload_bytes: {:?}",
-        summary.metrics.iter().map(|m| &m.name).collect::<Vec<_>>()
-    );
-    assert!(summary.metrics.iter().any(|m| m.name == "round.client.train_ns"));
-    assert!(summary.metrics.iter().any(|m| m.name == "strategy.aggregate_ns"));
-    assert!(summary.metrics.iter().any(|m| m.name == "kernel.matmul.flops"));
+    for name in [
+        "comms.upload_bytes",
+        "round.client.train_ns",
+        "strategy.aggregate_ns",
+        "kernel.matmul.flops",
+    ] {
+        assert!(summary.metric(name).is_some(), "metric flush missing {name}");
+    }
     // The pooled Algorithm-1 scratch is a tracked resource peak.
-    let scratch = summary.metrics.iter().find(|m| m.name == "fedgta.metric_scratch.bytes");
-    assert!(scratch.is_some_and(|m| m.value > 0), "{scratch:?}");
+    let scratch = summary.metric("fedgta.metric_scratch.bytes");
+    assert!(scratch.is_some_and(|v| v > 0), "{scratch:?}");
     // The report renders without panicking and carries the decisions table.
     let report = fedgta_obs::render_report(&summary);
     assert!(report.contains("FedGTA decisions"), "{report}");

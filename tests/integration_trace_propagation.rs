@@ -213,7 +213,6 @@ fn recorder_and_live_endpoint_change_no_bits() {
         let records = sim.run();
         let p = params(&sim);
         server.stop();
-        fedgta_obs::serve::reset_rounds();
         fedgta_obs::recorder::disarm();
         assert_same_numbers(&bare_records, &records, &format!("bare vs armed@{threads}"));
         assert_eq!(bare_params.len(), p.len());
@@ -255,9 +254,36 @@ fn quorum_failure_dumps_are_byte_identical_across_threads_and_invocations() {
     assert!(text.contains("\"fault_seed\":13"));
     assert!(text.contains("\"kind\":\"crash\""));
     assert!(text.contains("\"name\":\"round_skip\""));
-    // Every line of the dump is parseable flat JSON.
-    for line in text.lines() {
-        fedgta_obs::parse_flat_object(line).expect("dump line parses");
+    // The dump is a file of the trace schema: every line one known event.
+    fedgta_obs::parse_trace(&text).expect("dump reads as a trace-schema file");
+}
+
+#[test]
+fn rounds_elements_carry_the_round_span_keys() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let sink = MemorySink::new();
+    fedgta_obs::init_writer(Box::new(sink.clone())).expect("install sink");
+    fedgta_obs::set_level(ObsLevel::Trace);
+    let server = fedgta_obs::serve::serve("127.0.0.1:0").expect("bind");
+    build_sim(1, 2, None).run();
+    let (_, rounds) = fedgta_obs::serve::http_get(server.addr(), "/rounds").expect("scrape");
+    server.stop();
+    fedgta_obs::shutdown();
+    fedgta_obs::set_level(ObsLevel::Off);
+    fedgta_obs::global().reset();
+    // `[{..},{..}]` of flat objects; no value here holds a brace.
+    let elements = rounds.trim_start_matches("[{").trim_end_matches("}]").split("},{");
+    let events = fedgta_obs::parse_trace(&sink.contents()).expect("trace parses");
+    let spans = events.iter().filter_map(|e| match e {
+        fedgta_obs::TraceEvent::Span { name, fields, .. } if name == "round" => Some(fields),
+        _ => None,
+    });
+    let pairs: Vec<_> = elements.zip(spans).collect();
+    assert_eq!(pairs.len(), 2);
+    for (element, span) in pairs {
+        let element = fedgta_obs::parse_flat_object(&format!("{{{element}}}")).expect("parses");
+        assert!(element.keys().eq(span.keys()), "{element:?} vs {span:?}");
+        assert!(["mean_loss", "test_acc", "bytes_up_raw"].iter().all(|k| span.contains_key(*k)));
     }
 }
 
@@ -288,7 +314,6 @@ fn live_metrics_scrape_mid_run_is_valid_prometheus_text() {
     let (hstatus, health) = fedgta_obs::serve::http_get(addr, "/healthz").expect("scrape /healthz");
     let records = worker.join().expect("sim thread");
     server.stop();
-    fedgta_obs::serve::reset_rounds();
     fedgta_obs::set_level(ObsLevel::Off);
     fedgta_obs::global().reset();
     assert_eq!(records.len(), 6);
