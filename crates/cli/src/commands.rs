@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use fedgta_bench::{make_strategy, partition_benchmark, SplitKind, STRATEGY_NAMES};
-use fedgta_data::{load_benchmark, save_benchmark, SPECS};
+use fedgta_data::{load_benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
 use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
@@ -22,7 +22,6 @@ pub fn print_help() {
 USAGE:
   fedgta-cli datasets
   fedgta-cli inspect   --dataset <name> [--seed N]
-  fedgta-cli generate  --dataset <name> --out <file.fgtb> [--seed N]
   fedgta-cli partition --dataset <name> [--method louvain|metis] [--clients N]
   fedgta-cli run       --dataset <name> [--strategy {}]
                        [--model gcn|sage|sgc|sign|s2gc|gbp|gamlp]
@@ -356,21 +355,6 @@ pub fn inspect(a: &Args) -> CliResult {
         b.split.train.len(),
         b.split.val.len(),
         b.split.test.len()
-    );
-    Ok(())
-}
-
-/// `generate`: write a benchmark to disk.
-pub fn generate(a: &Args) -> CliResult {
-    let name = a.str_opt("dataset").ok_or("missing --dataset")?;
-    let out = a.str_opt("out").ok_or("missing --out")?;
-    let seed = a.num_or("seed", 0u64)?;
-    let b = load_benchmark(name, seed)?;
-    save_benchmark(&b, Path::new(out))?;
-    println!(
-        "wrote {name} (seed {seed}, {} nodes, {} edges) to {out}",
-        b.graph.num_nodes(),
-        b.graph.num_edges() / 2
     );
     Ok(())
 }

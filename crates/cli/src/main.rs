@@ -3,7 +3,6 @@
 //! ```text
 //! fedgta-cli datasets
 //! fedgta-cli inspect   --dataset cora [--seed 0]
-//! fedgta-cli generate  --dataset cora --out cora.fgtb [--seed 0]
 //! fedgta-cli partition --dataset cora --method louvain --clients 10
 //! fedgta-cli run       --dataset cora --strategy FedGTA --model gamlp
 //!                      [--clients 10] [--rounds 30] [--epochs 3]
@@ -38,7 +37,6 @@ fn main() -> ExitCode {
     let result = match parsed.command.as_str() {
         "datasets" => commands::datasets(),
         "inspect" => commands::inspect(&parsed),
-        "generate" => commands::generate(&parsed),
         "partition" => commands::partition(&parsed),
         "run" => commands::run(&parsed),
         "report" => commands::report(&parsed),

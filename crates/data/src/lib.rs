@@ -16,14 +16,12 @@
 //! [`catalog`] mirrors each paper dataset's node/feature/class counts
 //! (large graphs scaled down; see DESIGN.md §3.1). Everything is seeded.
 
-pub mod cache;
 pub mod catalog;
 pub mod features;
 pub mod sbm;
 pub mod spec;
 pub mod splits;
 
-pub use cache::{load_benchmark_cached, read_benchmark, save_benchmark};
 pub use catalog::{generate_from_spec, load_benchmark, spec_by_name, Benchmark, SPECS};
 pub use sbm::{generate_sbm, stream_sbm, SbmConfig, SbmGraph, StreamedSbm};
 pub use spec::{DatasetSpec, Task};

@@ -12,8 +12,7 @@
 use fedgta_fed::codec::{decode_header, Codec, QuantI8};
 use fedgta_fed::faults::{FaultConfig, FaultPlan, RoundScript};
 use fedgta_fed::transport::{corrupt_frame, decode_upload, decode_upload_routed, encode_upload, encode_upload_routed};
-use fedgta_graph::io::{read_csr, write_csr, write_csr_v2, Envelope};
-use fedgta_graph::EdgeList;
+use fedgta_graph::io::Envelope;
 use proptest::prelude::*;
 
 proptest! {
@@ -109,81 +108,6 @@ proptest! {
         }
         let mut input = garbage.as_slice();
         let _ = decode_header(&mut input);
-    }
-
-    #[test]
-    fn truncated_csr_streams_error_without_panicking(
-        n in 1usize..12,
-        edges in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
-        cut in any::<u64>(),
-    ) {
-        let mut el = EdgeList::new(n);
-        for (u, v) in &edges {
-            el.push(*u as u32 % n as u32, *v as u32 % n as u32).unwrap();
-        }
-        let g = el.to_csr();
-        let mut bytes = Vec::new();
-        write_csr(&mut bytes, &g).expect("serializes");
-        // The full stream round-trips…
-        let back = read_csr(&mut bytes.as_slice()).expect("clean stream reads");
-        prop_assert_eq!(back.num_nodes(), g.num_nodes());
-        prop_assert_eq!(back.num_edges(), g.num_edges());
-        // …and every strict prefix errors instead of panicking or
-        // fabricating a graph.
-        let short = &bytes[..(cut % bytes.len() as u64) as usize];
-        prop_assert!(read_csr(&mut &short[..]).is_err(), "prefix of len {} read as a graph", short.len());
-    }
-
-    #[test]
-    fn v2_files_roundtrip_and_reject_truncation_and_tampering(
-        n in 1usize..12,
-        edges in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
-        chunk_rows in 1usize..6,
-        cut in any::<u64>(),
-        pos in any::<u64>(),
-        xor in 1u8..=255,
-    ) {
-        let mut el = EdgeList::new(n);
-        for (u, v) in &edges {
-            el.push(*u as u32 % n as u32, *v as u32 % n as u32).unwrap();
-        }
-        let g = el.to_csr();
-        let path = std::env::temp_dir().join(format!(
-            "fedgta-prop-v2-{}-{:?}.fgta2",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        write_csr_v2(&path, &g, chunk_rows).expect("v2 writes");
-        let bytes = std::fs::read(&path).expect("file reads");
-        std::fs::remove_file(&path).expect("cleanup");
-
-        // The full stream round-trips bit-exactly through the v1 entry
-        // point (which dispatches on the version byte)…
-        let back = read_csr(&mut bytes.as_slice()).expect("clean v2 stream reads");
-        prop_assert_eq!(&back, &g);
-
-        // …every strict prefix errors instead of panicking or fabricating
-        // a graph…
-        let short = &bytes[..(cut % bytes.len() as u64) as usize];
-        prop_assert!(read_csr(&mut &short[..]).is_err(), "v2 prefix of len {} read as a graph", short.len());
-
-        // …a corrupted chunk directory is always caught (every directory
-        // entry is cross-checked against the offsets at chunk boundaries)…
-        let num_chunks = n.div_ceil(chunk_rows);
-        let dir_len = 8 * (num_chunks + 1);
-        let mut bad = bytes.clone();
-        let p = 64 + (pos % dir_len as u64) as usize;
-        bad[p] ^= xor;
-        prop_assert!(read_csr(&mut bad.as_slice()).is_err(), "tampered dir byte {p} accepted");
-
-        // …and a flipped header byte either errors or still decodes the
-        // same graph (padding bytes are the only inert positions).
-        let mut bad = bytes.clone();
-        let p = (pos % 64) as usize;
-        bad[p] ^= xor;
-        if let Ok(tampered) = read_csr(&mut bad.as_slice()) {
-            prop_assert_eq!(&tampered, &g, "tampered header byte {} changed the graph", p);
-        }
     }
 
     #[test]

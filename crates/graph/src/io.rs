@@ -1,27 +1,15 @@
-//! Binary serialization of CSR graphs.
+//! Binary serialization of CSR graphs, plus the transport's wire envelope.
 //!
-//! A small, versioned, self-describing little-endian codec (no external
-//! format crate): magic `FGTA`, version byte, node/edge counts, then the
-//! offset, index, and optional weight arrays. Used by the dataset cache in
-//! `fedgta-data` and usable for shipping client subgraphs across real
-//! transports.
-//!
-//! Two on-disk layouts share the magic:
-//!
-//! - **v1** — a plain sequential stream (header, offsets, indices,
-//!   weights). Fine for subgraph-sized payloads; decoding materializes the
-//!   whole graph.
-//! - **v2** — the out-of-core layout: a fixed 64-byte header with explicit
-//!   section positions, a *row-chunk directory* (cumulative edge counts at
-//!   every `chunk_rows` row boundary), then 8-byte-aligned offset / index /
-//!   weight sections. The directory lets a reader locate any row chunk's
-//!   offsets, indices, and weights with three positioned reads, so the
-//!   graph can be consumed tile-at-a-time ([`crate::store::ChunkedCsr`])
-//!   with a resident set of O(tile) instead of O(graph). The same layout
-//!   read sequentially decodes chunk-at-a-time: allocations are committed
-//!   only as each chunk's bytes actually arrive and every chunk boundary is
-//!   cross-checked against the directory, so truncated or hostile streams
-//!   fail cheaply.
+//! One versioned, self-describing little-endian graph format (no external
+//! format crate), magic `FGTA`, version 2: a fixed 64-byte header with
+//! explicit section positions, a *row-chunk directory* (cumulative edge
+//! counts at every `chunk_rows` row boundary), then 8-byte-aligned offset /
+//! index / weight sections. The directory lets a reader locate any row
+//! chunk's offsets, indices, and weights with three positioned reads, so
+//! the graph can be consumed tile-at-a-time ([`crate::store::ChunkedCsr`],
+//! the one reader) with a resident set of O(tile) instead of O(graph).
+//! [`CsrV2Writer`] streams rows in; [`write_csr_v2`] writes an in-memory
+//! graph.
 
 use crate::Csr;
 use std::fs::File;
@@ -29,7 +17,6 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"FGTA";
-const VERSION: u8 = 1;
 /// Version byte of the chunked out-of-core layout.
 pub const VERSION_V2: u8 = 2;
 /// Fixed v2 header size in bytes.
@@ -44,18 +31,14 @@ pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
 /// per chunk).
 pub const MAX_DECODE_CHUNKS: u64 = 1 << 22;
 
-/// Sanity ceiling on decoded node counts (`read_csr`): a node id must fit
-/// in the `u32` column-index encoding anyway, so anything larger is a
-/// corrupt or hostile length field, not a real graph.
+/// Sanity ceiling on a header's node count: a node id must fit in the
+/// `u32` column-index encoding anyway, so anything larger is a corrupt or
+/// hostile length field, not a real graph.
 pub const MAX_DECODE_NODES: u64 = 1 << 32;
-/// Sanity ceiling on decoded edge counts (`read_csr`). Covers the
-/// 10⁸-edge scale the roadmap targets with an order of magnitude to
-/// spare; a larger value means the stream is lying.
+/// Sanity ceiling on a header's edge count. Covers the 10⁸-edge scale the
+/// roadmap targets with an order of magnitude to spare; a larger value
+/// means the file is lying.
 pub const MAX_DECODE_EDGES: u64 = 1 << 33;
-/// Elements pre-allocated ahead of decoding. Arrays larger than this grow
-/// geometrically as bytes actually arrive, so a truncated stream fails at
-/// the read — never by committing count-field-sized memory up front.
-const PREALLOC_CLAMP: usize = 1 << 20;
 
 /// Errors from graph (de)serialization.
 #[derive(Debug)]
@@ -88,98 +71,6 @@ impl std::fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-/// Serializes a CSR graph to a writer.
-pub fn write_csr<W: Write>(w: &mut W, g: &Csr) -> Result<(), IoError> {
-    w.write_all(MAGIC)?;
-    w.write_all(&[VERSION])?;
-    write_u64(w, g.num_nodes() as u64)?;
-    write_u64(w, g.num_edges() as u64)?;
-    w.write_all(&[u8::from(g.weights().is_some())])?;
-    for &off in g.indptr() {
-        write_u64(w, off as u64)?;
-    }
-    for &idx in g.indices() {
-        w.write_all(&idx.to_le_bytes())?;
-    }
-    if let Some(weights) = g.weights() {
-        for &wt in weights {
-            w.write_all(&wt.to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Deserializes a CSR graph from a reader, validating structure.
-///
-/// Accepts both layouts: v1 decodes sequentially as before; v2 streams
-/// chunk-at-a-time against the chunk directory (see [`read_csr_v2_from`]),
-/// so memory is committed only as validated chunk bytes arrive.
-pub fn read_csr<R: Read>(r: &mut R) -> Result<Csr, IoError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(IoError::BadMagic);
-    }
-    let mut ver = [0u8; 1];
-    r.read_exact(&mut ver)?;
-    if ver[0] == VERSION_V2 {
-        return read_csr_v2_from(r);
-    }
-    if ver[0] != VERSION {
-        return Err(IoError::BadVersion(ver[0]));
-    }
-    let n64 = read_u64(r)?;
-    let m64 = read_u64(r)?;
-    if n64 > MAX_DECODE_NODES || m64 > MAX_DECODE_EDGES {
-        return Err(IoError::Corrupt("node/edge count exceeds sanity limit"));
-    }
-    let n = n64 as usize;
-    let m = m64 as usize;
-    let mut has_w = [0u8; 1];
-    r.read_exact(&mut has_w)?;
-    // Pre-allocate only a clamped amount: the counts are untrusted until
-    // the bytes behind them actually arrive.
-    let mut indptr = Vec::with_capacity((n + 1).min(PREALLOC_CLAMP));
-    for _ in 0..=n {
-        indptr.push(read_u64(r)? as usize);
-    }
-    if indptr.first() != Some(&0) || indptr.last() != Some(&m) {
-        return Err(IoError::Corrupt("offset array endpoints"));
-    }
-    if indptr.windows(2).any(|w| w[0] > w[1]) {
-        return Err(IoError::Corrupt("offsets not monotone"));
-    }
-    let mut indices = Vec::with_capacity(m.min(PREALLOC_CLAMP));
-    let mut b4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut b4)?;
-        indices.push(u32::from_le_bytes(b4));
-    }
-    let weights = if has_w[0] == 1 {
-        let mut w = Vec::with_capacity(m.min(PREALLOC_CLAMP));
-        for _ in 0..m {
-            r.read_exact(&mut b4)?;
-            w.push(f32::from_le_bytes(b4));
-        }
-        Some(w)
-    } else {
-        None
-    };
-    let g = Csr::from_raw_parts(indptr, indices, weights);
-    g.validate().map_err(|_| IoError::Corrupt("column index out of range"))?;
-    Ok(g)
-}
 
 // ---------------------------------------------------------------------
 // v2: the chunked out-of-core layout.
@@ -299,41 +190,44 @@ impl V2Meta {
         Ok(())
     }
 
-    /// Parses the 59 header bytes that follow the magic + version prefix.
-    pub(crate) fn parse_tail(b: &[u8; 59]) -> Result<V2Meta, IoError> {
-        let has_weights = match b[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(IoError::Corrupt("bad has_weights flag")),
-        };
-        let u64_at = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-        let meta = V2Meta {
-            nodes: u64_at(3),
-            edges: u64_at(11),
-            chunk_rows: u64_at(19),
-            has_weights,
-            dir_pos: u64_at(27),
-            offsets_pos: u64_at(35),
-            indices_pos: u64_at(43),
-            weights_pos: u64_at(51),
-        };
-        meta.validate()?;
-        Ok(meta)
+    /// Bytes a conforming file with this header spans: the end of the
+    /// weights section when weighted, else of the indices section.
+    pub fn file_len(&self) -> u64 {
+        if self.has_weights {
+            self.weights_pos + 4 * self.edges
+        } else {
+            self.indices_pos + 4 * self.edges
+        }
     }
 
     /// Reads and validates a v2 header from the start of `file`.
     pub fn read_from(file: &File) -> Result<V2Meta, IoError> {
-        let mut head = [0u8; V2_HEADER as usize];
-        pread_exact(file, 0, &mut head)?;
-        if &head[0..4] != MAGIC {
+        let mut h = [0u8; V2_HEADER as usize];
+        pread_exact(file, 0, &mut h)?;
+        if &h[0..4] != MAGIC {
             return Err(IoError::BadMagic);
         }
-        if head[4] != VERSION_V2 {
-            return Err(IoError::BadVersion(head[4]));
+        if h[4] != VERSION_V2 {
+            return Err(IoError::BadVersion(h[4]));
         }
-        let mut tail = [0u8; 59];
-        tail.copy_from_slice(&head[5..64]);
-        Self::parse_tail(&tail)
+        let has_weights = match h[5] {
+            0 => false,
+            1 => true,
+            _ => return Err(IoError::Corrupt("bad has_weights flag")),
+        };
+        let u64_at = |o: usize| u64::from_le_bytes(h[o..o + 8].try_into().unwrap());
+        let meta = V2Meta {
+            nodes: u64_at(8),
+            edges: u64_at(16),
+            chunk_rows: u64_at(24),
+            has_weights,
+            dir_pos: u64_at(32),
+            offsets_pos: u64_at(40),
+            indices_pos: u64_at(48),
+            weights_pos: u64_at(56),
+        };
+        meta.validate()?;
+        Ok(meta)
     }
 
     fn header_bytes(&self) -> [u8; V2_HEADER as usize] {
@@ -350,101 +244,6 @@ impl V2Meta {
         h[56..64].copy_from_slice(&self.weights_pos.to_le_bytes());
         h
     }
-}
-
-/// Streams `count × size` bytes in bounded batches through `f`, reusing one
-/// ~1 MiB buffer: the decoder never commits memory a truncated stream
-/// hasn't actually delivered.
-fn read_batched<R: Read>(
-    r: &mut R,
-    count: u64,
-    size: usize,
-    mut f: impl FnMut(&[u8]),
-) -> Result<(), IoError> {
-    const BATCH_BYTES: u64 = 1 << 20;
-    let batch = (BATCH_BYTES / size as u64).max(1);
-    let mut buf = vec![0u8; (batch.min(count.max(1)) as usize) * size];
-    let mut left = count;
-    while left > 0 {
-        let take = left.min(batch) as usize * size;
-        r.read_exact(&mut buf[..take])?;
-        f(&buf[..take]);
-        left -= (take / size) as u64;
-    }
-    Ok(())
-}
-
-/// Sequential v2 decode body (magic + version already consumed).
-///
-/// Chunk-granular streaming: the directory is read first, then the offsets
-/// for each chunk are validated against it as they arrive (monotone within
-/// the chunk, endpoints matching the directory), then indices/weights
-/// follow. Vec growth tracks delivered bytes, so a stream lying about its
-/// counts fails at the first missing chunk without large reservations.
-fn read_csr_v2_from<R: Read>(r: &mut R) -> Result<Csr, IoError> {
-    let mut tail = [0u8; 59];
-    r.read_exact(&mut tail)?;
-    let meta = V2Meta::parse_tail(&tail)?;
-    let m = meta.edges as usize;
-    let nc = meta.num_chunks();
-    // Chunk directory.
-    let mut dir: Vec<u64> = Vec::new();
-    read_batched(r, nc as u64 + 1, 8, |bytes| {
-        for c in bytes.chunks_exact(8) {
-            dir.push(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-    })?;
-    if dir.first() != Some(&0) || dir.last() != Some(&meta.edges) {
-        return Err(IoError::Corrupt("chunk directory endpoints"));
-    }
-    if dir.windows(2).any(|w| w[0] > w[1]) {
-        return Err(IoError::Corrupt("chunk directory not monotone"));
-    }
-    // Offsets, validated against the directory at every chunk boundary.
-    let chunk_rows = meta.chunk_rows as usize;
-    let mut indptr: Vec<usize> = Vec::new();
-    let mut bad = false;
-    read_batched(r, meta.nodes + 1, 8, |bytes| {
-        for c in bytes.chunks_exact(8) {
-            let v = u64::from_le_bytes(c.try_into().unwrap());
-            let i = indptr.len();
-            if v > meta.edges
-                || (i.is_multiple_of(chunk_rows) && i / chunk_rows < dir.len() && dir[i / chunk_rows] != v)
-                || indptr.last().is_some_and(|&p| (p as u64) > v)
-            {
-                bad = true;
-            }
-            indptr.push(v as usize);
-        }
-    })?;
-    if bad || indptr.last() != Some(&m) {
-        return Err(IoError::Corrupt("offsets inconsistent with chunk directory"));
-    }
-    // Indices.
-    let mut indices: Vec<u32> = Vec::new();
-    read_batched(r, meta.edges, 4, |bytes| {
-        for c in bytes.chunks_exact(4) {
-            indices.push(u32::from_le_bytes(c.try_into().unwrap()));
-        }
-    })?;
-    // Alignment padding, then weights.
-    let weights = if meta.has_weights {
-        let pad = (meta.weights_pos - (meta.indices_pos + 4 * meta.edges)) as usize;
-        let mut skip = [0u8; 8];
-        r.read_exact(&mut skip[..pad])?;
-        let mut w: Vec<f32> = Vec::new();
-        read_batched(r, meta.edges, 4, |bytes| {
-            for c in bytes.chunks_exact(4) {
-                w.push(f32::from_le_bytes(c.try_into().unwrap()));
-            }
-        })?;
-        Some(w)
-    } else {
-        None
-    };
-    let g = Csr::from_raw_parts(indptr, indices, weights);
-    g.validate().map_err(|_| IoError::Corrupt("column index out of range"))?;
-    Ok(g)
 }
 
 /// What a finished v2 write produced.
@@ -684,8 +483,8 @@ impl Drop for CsrV2Writer {
 
 /// Writes an in-memory CSR to `path` in the v2 layout. Weighted-ness is
 /// preserved exactly (a source with an explicit all-1.0 weight vector keeps
-/// its weights section), so `write_csr_v2` → [`read_csr`] round-trips
-/// bitwise.
+/// its weights section), so `write_csr_v2` → [`crate::store::ChunkedCsr`]
+/// → `to_csr` round-trips bitwise.
 pub fn write_csr_v2(path: &Path, g: &Csr, chunk_rows: usize) -> Result<CsrV2Summary, IoError> {
     let mut w = CsrV2Writer::create(path, g.num_nodes(), chunk_rows)?;
     if g.weights().is_some() {
@@ -874,7 +673,7 @@ impl Envelope {
 /// files) use.
 pub fn parse_edge_list_text(text: &str, num_nodes: usize) -> Result<Csr, IoError> {
     let mut el = crate::EdgeList::new(num_nodes);
-    for (lineno, line) in text.lines().enumerate() {
+    for line in text.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -887,7 +686,13 @@ pub fn parse_edge_list_text(text: &str, num_nodes: usize) -> Result<Csr, IoError
         let u: u32 = u.parse().map_err(|_| IoError::Corrupt("bad source id"))?;
         let v: u32 = v.parse().map_err(|_| IoError::Corrupt("bad target id"))?;
         let w: Option<f32> = match parts.next() {
-            Some(w) => Some(w.parse().map_err(|_| IoError::Corrupt("bad weight"))?),
+            Some(w) => {
+                let w: f32 = w.parse().map_err(|_| IoError::Corrupt("bad weight"))?;
+                if !w.is_finite() {
+                    return Err(IoError::Corrupt("non-finite weight"));
+                }
+                Some(w)
+            }
             None => None,
         };
         if parts.next().is_some() {
@@ -901,7 +706,6 @@ pub fn parse_edge_list_text(text: &str, num_nodes: usize) -> Result<Csr, IoError
         if u != v {
             push(&mut el, v, u).map_err(|_| IoError::Corrupt("node id out of range"))?;
         }
-        let _ = lineno;
     }
     Ok(el.to_csr())
 }
@@ -909,6 +713,7 @@ pub fn parse_edge_list_text(text: &str, num_nodes: usize) -> Result<Csr, IoError
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ChunkedCsr;
     use crate::EdgeList;
 
     fn sample() -> Csr {
@@ -917,6 +722,28 @@ mod tests {
         el.push_undirected(1, 2).unwrap();
         el.push_weighted(3, 4, 2.5).unwrap();
         el.to_csr()
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("fedgta-io-test-{}-{name}.fgta2", std::process::id()))
+    }
+
+    /// The bytes `write_csr_v2` produces for `g` at 2 rows per chunk.
+    fn file_bytes(g: &Csr, name: &str) -> Vec<u8> {
+        let path = tmp(name);
+        write_csr_v2(&path, g, 2).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        bytes
+    }
+
+    /// Decodes `bytes` through the one reader, from a temp file.
+    fn decode(bytes: &[u8], name: &str) -> Result<Csr, IoError> {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let got = ChunkedCsr::open(&path).and_then(|s| s.to_csr());
+        std::fs::remove_file(&path).unwrap();
+        got
     }
 
     #[test]
@@ -935,15 +762,18 @@ mod tests {
         assert!(parse_edge_list_text("0 x", 2).is_err());
         assert!(parse_edge_list_text("0 1 1.0 extra", 2).is_err());
         assert!(parse_edge_list_text("0 9", 2).is_err());
+        for line in ["0 1 NaN", "0 1 inf", "0 1 -inf"] {
+            assert!(
+                matches!(parse_edge_list_text(line, 2), Err(IoError::Corrupt("non-finite weight"))),
+                "{line:?} accepted"
+            );
+        }
     }
 
     #[test]
     fn roundtrip_weighted() {
         let g = sample();
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &g).unwrap();
-        let back = read_csr(&mut buf.as_slice()).unwrap();
-        assert_eq!(back, g);
+        assert_eq!(decode(&file_bytes(&g, "rt-w"), "rt-w").unwrap(), g);
     }
 
     #[test]
@@ -951,72 +781,86 @@ mod tests {
         let mut el = EdgeList::new(3);
         el.push_undirected(0, 2).unwrap();
         let g = el.to_csr();
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &g).unwrap();
-        let back = read_csr(&mut buf.as_slice()).unwrap();
+        let back = decode(&file_bytes(&g, "rt-u"), "rt-u").unwrap();
         assert_eq!(back, g);
         assert!(back.weights().is_none());
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let buf = b"NOPE\x01".to_vec();
-        assert!(matches!(read_csr(&mut buf.as_slice()), Err(IoError::BadMagic)));
+        let mut buf = file_bytes(&sample(), "magic");
+        buf[0..4].copy_from_slice(b"NOPE");
+        assert!(matches!(decode(&buf, "magic"), Err(IoError::BadMagic)));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &sample()).unwrap();
-        buf[4] = 99;
-        assert!(matches!(read_csr(&mut buf.as_slice()), Err(IoError::BadVersion(99))));
+        // Version 1, the retired sequential layout, is as unknown as 99.
+        let mut buf = file_bytes(&sample(), "version");
+        for v in [1, 99] {
+            buf[4] = v;
+            assert!(matches!(decode(&buf, "version"), Err(IoError::BadVersion(x)) if x == v));
+        }
     }
 
     #[test]
     fn truncated_stream_rejected() {
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &sample()).unwrap();
+        let mut buf = file_bytes(&sample(), "trunc");
         buf.truncate(buf.len() / 2);
-        assert!(read_csr(&mut buf.as_slice()).is_err());
+        assert!(decode(&buf, "trunc").is_err());
     }
 
     #[test]
     fn hostile_counts_rejected_before_allocation() {
-        // A stream claiming 2^60 nodes must error out immediately instead
-        // of attempting an exabyte-scale `Vec` reservation.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"FGTA\x01");
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes()); // nodes
-        buf.extend_from_slice(&4u64.to_le_bytes()); // edges
-        buf.push(0);
-        assert!(matches!(
-            read_csr(&mut buf.as_slice()),
-            Err(IoError::Corrupt("node/edge count exceeds sanity limit"))
-        ));
-        // Same for a hostile edge count.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"FGTA\x01");
-        buf.extend_from_slice(&4u64.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        buf.push(0);
-        assert!(matches!(
-            read_csr(&mut buf.as_slice()),
-            Err(IoError::Corrupt("node/edge count exceeds sanity limit"))
-        ));
+        // A header claiming 2^60 nodes or edges must error out immediately
+        // instead of attempting an exabyte-scale `Vec` reservation.
+        let clean = file_bytes(&sample(), "hostile");
+        for field in [8..16, 16..24] {
+            let mut buf = clean.clone();
+            buf[field].copy_from_slice(&(1u64 << 60).to_le_bytes());
+            assert!(matches!(
+                decode(&buf, "hostile"),
+                Err(IoError::Corrupt("node/edge count exceeds sanity limit"))
+            ));
+        }
     }
 
     #[test]
     fn truncated_stream_with_large_claimed_counts_errors_cheaply() {
-        // Counts under the sanity limit but far beyond the actual bytes:
-        // the clamped preallocation means this fails at the read, without
-        // ever committing count-sized memory.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"FGTA\x01");
-        buf.extend_from_slice(&(1u64 << 27).to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 28).to_le_bytes());
-        buf.push(0);
-        buf.extend_from_slice(&[0u8; 64]); // a token amount of data
-        assert!(matches!(read_csr(&mut buf.as_slice()), Err(IoError::Io(_))));
+        // 80 bytes: a consistent header for 1 node and 2^33 edges (under
+        // the sanity limit) plus its directory [0, 2^33], and no sections.
+        // The file-length check must refuse it before anything sizes a
+        // buffer by the claimed edge count.
+        let meta = V2Meta {
+            nodes: 1,
+            edges: 1 << 33,
+            chunk_rows: 1,
+            has_weights: false,
+            dir_pos: V2_HEADER,
+            offsets_pos: V2_HEADER + 16,
+            indices_pos: V2_HEADER + 32,
+            weights_pos: 0,
+        };
+        meta.validate().unwrap();
+        let mut buf = meta.header_bytes().to_vec();
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 33).to_le_bytes());
+        assert_eq!(buf.len(), 80);
+        assert!(matches!(
+            decode(&buf, "short"),
+            Err(IoError::Corrupt("file shorter than its header claims"))
+        ));
+    }
+
+    #[test]
+    fn corrupt_index_rejected() {
+        let g = sample();
+        let mut buf = file_bytes(&g, "index");
+        // Overwrite the last column index with an out-of-range node id.
+        let indices_pos = u64::from_le_bytes(buf[48..56].try_into().unwrap()) as usize;
+        let last = indices_pos + 4 * (g.num_edges() - 1);
+        buf[last..last + 4].copy_from_slice(&999u32.to_le_bytes());
+        assert!(matches!(decode(&buf, "index"), Err(IoError::Corrupt(_))));
     }
 
     #[test]
@@ -1150,20 +994,5 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn corrupt_index_rejected() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_csr(&mut buf, &g).unwrap();
-        // Overwrite the last column index with an out-of-range node id
-        // (weights follow indices: 6 edges * 4 bytes of weights at tail).
-        let widx = buf.len() - g.num_edges() * 4 - 4;
-        buf[widx..widx + 4].copy_from_slice(&999u32.to_le_bytes());
-        assert!(matches!(
-            read_csr(&mut buf.as_slice()),
-            Err(IoError::Corrupt(_))
-        ));
     }
 }

@@ -68,11 +68,16 @@ pub struct ChunkedCsr {
 }
 
 impl ChunkedCsr {
-    /// Opens and validates a v2 file: header sanity, directory monotone
-    /// with correct endpoints.
+    /// Opens and validates a v2 file: header sanity, a file long enough
+    /// for every section the header claims, directory monotone with
+    /// correct endpoints. Every later allocation is sized by counts the
+    /// file length already bounds.
     pub fn open(path: &Path) -> Result<Self, IoError> {
         let file = File::open(path)?;
         let meta = V2Meta::read_from(&file)?;
+        if file.metadata()?.len() < meta.file_len() {
+            return Err(IoError::Corrupt("file shorter than its header claims"));
+        }
         let nc = meta.num_chunks();
         let mut dir_bytes = vec![0u8; 8 * (nc + 1)];
         pread_exact(&file, meta.dir_pos, &mut dir_bytes)?;
@@ -138,8 +143,8 @@ impl ChunkedCsr {
         Ok(TileReader { store: self, file: File::open(&self.path)? })
     }
 
-    /// Fully materializes the graph in memory (for graphs small enough —
-    /// tests, migration, the in-memory arm of benchmarks).
+    /// Fully materializes the graph in memory, for graphs small enough to
+    /// hold whole.
     pub fn to_csr(&self) -> Result<Csr, IoError> {
         let mut reader = self.reader()?;
         let mut tile = TileBuf::new();
@@ -619,17 +624,12 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_matches_chunked_and_sequential() {
+    fn v2_roundtrip_matches_in_memory() {
         let g = skewed_graph(300, 1);
         let path = tmpdir().join("roundtrip.fgta2");
         let sum = write_csr_v2(&path, &g, 64).unwrap();
         assert_eq!(sum.nodes, 300);
         assert_eq!(sum.edges as usize, g.num_edges());
-        // Sequential decode (read_csr) sees the same graph bitwise.
-        let mut f = File::open(&path).unwrap();
-        let seq = crate::io::read_csr(&mut f).unwrap();
-        assert_eq!(seq, g);
-        // Chunked materialization too.
         let store = ChunkedCsr::open(&path).unwrap();
         assert_eq!(store.num_nodes(), 300);
         assert_eq!(store.to_csr().unwrap(), g);
@@ -750,31 +750,35 @@ mod tests {
     #[test]
     fn truncated_and_hostile_v2_rejected() {
         let g = skewed_graph(100, 31);
-        let path = tmpdir().join("hostile.fgta2");
+        let dir = tmpdir();
+        let path = dir.join("hostile.fgta2");
         write_csr_v2(&path, &g, 16).unwrap();
         let clean = std::fs::read(&path).unwrap();
+        let bad_path = dir.join("hostile-bad.fgta2");
+        let read = |bytes: &[u8]| {
+            std::fs::write(&bad_path, bytes).unwrap();
+            ChunkedCsr::open(&bad_path).and_then(|s| s.to_csr())
+        };
         // Truncations at every section boundary and a few interior points.
         for cut in [5usize, 40, 64, 80, clean.len() / 2, clean.len() - 3] {
-            let mut f = &clean[..cut.min(clean.len() - 1)];
-            assert!(crate::io::read_csr(&mut f).is_err(), "cut={cut}");
+            assert!(read(&clean[..cut.min(clean.len() - 1)]).is_err(), "cut={cut}");
         }
         // Hostile chunk count: chunk_rows = 1 with a huge node count would
         // need a directory bigger than the sanity ceiling.
         let mut bad = clean.clone();
-        bad[8..16].copy_from_slice(&(MAX_DECODE_NODES_LOCAL).to_le_bytes());
+        bad[8..16].copy_from_slice(&crate::io::MAX_DECODE_NODES.to_le_bytes());
         bad[24..32].copy_from_slice(&1u64.to_le_bytes());
-        assert!(crate::io::read_csr(&mut bad.as_slice()).is_err());
+        assert!(read(&bad).is_err());
         // Directory tampering: bump an interior entry.
         let mut bad = clean.clone();
         let dirmid = 64 + 8 * 3;
         let v = u64::from_le_bytes(bad[dirmid..dirmid + 8].try_into().unwrap());
         bad[dirmid..dirmid + 8].copy_from_slice(&(v + 1).to_le_bytes());
-        assert!(crate::io::read_csr(&mut bad.as_slice()).is_err(), "directory tamper undetected");
-        assert!(ChunkedCsr::open(&path).is_ok());
+        assert!(read(&bad).is_err(), "directory tamper undetected");
+        assert_eq!(read(&clean).unwrap(), g);
         std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&bad_path).unwrap();
     }
-
-    const MAX_DECODE_NODES_LOCAL: u64 = crate::io::MAX_DECODE_NODES;
 
     #[test]
     fn empty_graph_v2_roundtrip() {

@@ -1,14 +1,29 @@
-//! Property-based tests for the graph engine's core invariants.
+//! Property-based tests for the graph engine's core invariants and for the
+//! one graph file format (`FGTA` v2) under truncation and tampering.
 
+use fedgta_graph::io::{write_csr_v2, IoError, V2Meta, V2_HEADER};
 use fedgta_graph::{
     metrics::modularity,
     norm::{normalized_adjacency, NormKind},
     spmm::{propagate_steps, spmm, spmm_into_raw_threads},
     subgraph::{halo_subgraph, induced_subgraph},
     traversal::connected_components,
-    Csr, EdgeList,
+    ChunkedCsr, Csr, EdgeList,
 };
 use proptest::prelude::*;
+
+/// Decodes `bytes` through the one reader, from a per-thread temp file.
+fn decode(bytes: &[u8]) -> Result<Csr, IoError> {
+    let path = std::env::temp_dir().join(format!(
+        "fedgta-prop-v2-{}-{:?}.fgta2",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, bytes).expect("temp file writes");
+    let got = ChunkedCsr::open(&path).and_then(|s| s.to_csr());
+    std::fs::remove_file(&path).expect("cleanup");
+    got
+}
 
 /// Strategy: a random undirected graph with up to `max_n` nodes.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Csr> {
@@ -173,5 +188,80 @@ proptest! {
             .collect();
         let q = modularity(&g, &community);
         prop_assert!((-1.0..=1.0).contains(&q), "q = {}", q);
+    }
+
+    #[test]
+    fn v2_files_roundtrip_and_reject_truncation_and_tampering(
+        n in 1usize..12,
+        edges in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..40),
+        chunk_rows in 1usize..6,
+        cut in any::<u64>(),
+        pos in any::<u64>(),
+        xor in 1u8..=255,
+        extra_nodes in 0u64..1 << 20,
+        extra_edges in 0u64..1 << 32,
+    ) {
+        let mut el = EdgeList::new(n);
+        for (u, v) in &edges {
+            el.push(*u as u32 % n as u32, *v as u32 % n as u32).unwrap();
+        }
+        let g = el.to_csr();
+        let path = std::env::temp_dir().join(format!(
+            "fedgta-prop-v2-src-{}-{:?}.fgta2",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        write_csr_v2(&path, &g, chunk_rows).expect("v2 writes");
+        let bytes = std::fs::read(&path).expect("file reads");
+        std::fs::remove_file(&path).expect("cleanup");
+
+        // The full file round-trips bit-exactly…
+        prop_assert_eq!(&decode(&bytes).expect("clean v2 file reads"), &g);
+
+        // …every strict prefix errors instead of panicking or fabricating
+        // a graph…
+        let short = &bytes[..(cut % bytes.len() as u64) as usize];
+        prop_assert!(decode(short).is_err(), "v2 prefix of len {} read as a graph", short.len());
+
+        // …a corrupted chunk directory is always caught (every directory
+        // entry is cross-checked against the offsets at chunk boundaries)…
+        let num_chunks = n.div_ceil(chunk_rows);
+        let dir_len = 8 * (num_chunks + 1);
+        let mut bad = bytes.clone();
+        let p = 64 + (pos % dir_len as u64) as usize;
+        bad[p] ^= xor;
+        prop_assert!(decode(&bad).is_err(), "tampered dir byte {p} accepted");
+
+        // …a flipped header byte either errors or still decodes the same
+        // graph (padding bytes are the only inert positions)…
+        let mut bad = bytes.clone();
+        let p = (pos % 64) as usize;
+        bad[p] ^= xor;
+        if let Ok(tampered) = decode(&bad) {
+            prop_assert_eq!(&tampered, &g, "tampered header byte {} changed the graph", p);
+        }
+
+        // …and a self-consistent header whose counts outgrow the file
+        // errors before any count-sized allocation.
+        prop_assume!(extra_nodes + extra_edges > 0);
+        let nodes = n as u64 + extra_nodes;
+        let edges = g.num_edges() as u64 + extra_edges;
+        let chunks = nodes.div_ceil(chunk_rows as u64);
+        let meta = V2Meta {
+            nodes,
+            edges,
+            chunk_rows: chunk_rows as u64,
+            has_weights: false,
+            dir_pos: V2_HEADER,
+            offsets_pos: V2_HEADER + 8 * (chunks + 1),
+            indices_pos: V2_HEADER + 8 * (chunks + 1) + 8 * (nodes + 1),
+            weights_pos: 0,
+        };
+        prop_assert!(meta.validate().is_ok(), "header must pass validation on its own");
+        let mut bad = bytes.clone();
+        for (at, v) in [(8, nodes), (16, edges), (40, meta.offsets_pos), (48, meta.indices_pos)] {
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        prop_assert!(decode(&bad).is_err(), "header claiming {nodes} nodes / {edges} edges accepted");
     }
 }

@@ -1,8 +1,8 @@
 //! Integration tests for the extension features: adaptive aggregation,
-//! feature moments, DP uploads, dataset caching, and real-data ingestion.
+//! feature moments, DP uploads, and real-data ingestion.
 
 use fedgta::{FedGta, FedGtaConfig};
-use fedgta_data::{load_benchmark_cached, Benchmark};
+use fedgta_data::Benchmark;
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::eval::global_test_accuracy;
 use fedgta_fed::strategies::test_support::small_federation;
@@ -38,19 +38,6 @@ fn dp_wrapped_fedgta_runs() {
         s.round(&mut clients, &all, &RoundCtx::plain(2));
     }
     assert!(global_test_accuracy(&mut clients) > 0.5);
-}
-
-#[test]
-fn cached_benchmark_feeds_a_federation() {
-    let dir = std::env::temp_dir().join(format!("fedgta-it-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let bench = load_benchmark_cached("cora", 77, &dir).unwrap();
-    let bench2 = load_benchmark_cached("cora", 77, &dir).unwrap(); // from disk
-    assert_eq!(bench.graph, bench2.graph);
-    let parts = metis_kway(&bench2.graph, 4, &MetisConfig::default()).unwrap();
-    let clients = build_clients(&bench2, &parts, &ClientBuildConfig::default());
-    assert_eq!(clients.len(), 4);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
