@@ -16,7 +16,7 @@ use fedgta_fed::fgl_models::FedGl;
 use fedgta_fed::kit::Kit;
 use fedgta_fed::round::{SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::small_federation;
-use fedgta_fed::strategies::{FedAvg, FedProx, Strategy};
+use fedgta_fed::strategies::{FedAvg, FedDc, FedProx, GcflPlus, Scaffold, Strategy};
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use fedgta_partition::{communities_to_clients, louvain, LouvainConfig};
 use std::fmt::Write as _;
@@ -86,6 +86,15 @@ fn fedgl() -> Box<dyn Strategy> {
     Box::new(s)
 }
 
+/// GCFL+ with `aggressive_gap_forces_a_split`'s recipe: `gap < 1` and a
+/// one-round warm-up, so the federation splits by round 2 and the later
+/// rounds train and average each cluster on its own.
+fn gcfl() -> Box<dyn Strategy> {
+    let mut s = GcflPlus::new(3, 0.5);
+    s.warmup = 1;
+    Box::new(s)
+}
+
 fn cells() -> Vec<Cell> {
     vec![
         ("FedGTA/GCN", || small_federation(ModelKind::Gcn, SEED), fedgta, 3),
@@ -95,6 +104,9 @@ fn cells() -> Vec<Cell> {
         ("FedGTA/S2GC", || small_federation(ModelKind::S2gc, SEED), fedgta, 3),
         ("FedGTA/GBP", || small_federation(ModelKind::Gbp, SEED), fedgta, 3),
         ("FedProx/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedProx::new(0.1)), 3),
+        ("FedDC/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedDc::new(0.01)), 3),
+        ("Scaffold/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(Scaffold::new()), 3),
+        ("GCFL+/SGC", || small_federation(ModelKind::Sgc, SEED), gcfl, 6),
         ("FedGL+FedAvg/SGC/halo", || federation(ModelKind::Sgc, 0.0, 0, true), fedgl, 5),
         ("FedGL+FedAvg/GCN/halo", || federation(ModelKind::Gcn, 0.0, 0, true), fedgl, 5),
         ("FedAvg/GCN/dropout", || federation(ModelKind::Gcn, 0.5, 0, false), fedavg, 3),
