@@ -1,17 +1,15 @@
 //! FedAvg (McMahan et al. 2017) — the data-size-weighted baseline
 //! (paper Eq. 2) — and the Local-only reference of Fig. 1(b).
 
-use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
+use super::{RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants};
+use crate::exec::{mean_loss, train_participants, LocalResult};
 use fedgta_nn::TrainHooks;
 
 /// Classic FedAvg: all participants start from the global model, train
 /// locally, and the server averages parameters weighted by `n_i / n`.
-#[derive(Default)]
-pub struct FedAvg {
-    global: Option<Vec<f32>>,
-}
+pub type FedAvg = Averaged<Plain>;
 
 impl FedAvg {
     /// Creates a FedAvg strategy.
@@ -20,51 +18,20 @@ impl FedAvg {
     }
 }
 
-impl Strategy for FedAvg {
-    fn name(&self) -> String {
-        "FedAvg".into()
+/// FedAvg's objective: local training adds nothing, the server averages.
+#[derive(Default)]
+pub struct Plain;
+
+impl Objective for Plain {
+    const NAME: &'static str = "FedAvg";
+    type Upload = Weighted;
+
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Weighted) {
+        train_weighted(i, c, ctx, TrainHooks::none())
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        let global = self
-            .global
-            .get_or_insert_with(|| clients[0].model.params())
-            .clone();
-        // The start-of-round model is a declared broadcast: the executor
-        // loads it (through the download codec when armed) before each
-        // participant's closure runs. Local steps run client-parallel;
-        // results come back in participant order, so the weighted average
-        // below is order-stable.
-        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
-        let results = train_participants(clients, participants, &ctx, |i, c| {
-            let mut hooks = TrainHooks {
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            (loss, (c.model.params(), c.n_train() as f64))
-        });
-        let loss = mean_loss(&results);
-        let _agg = fedgta_obs::span!("aggregate", strategy = "FedAvg");
-        let uploads: Vec<(Vec<f32>, f64)> = results.into_iter().map(|r| r.payload).collect();
-        let bytes_uploaded = uploads.iter().map(|(p, _)| p.len() * 4 + 8).sum();
-        let new_global = weighted_average(&uploads);
-        // Every client (participant or not) receives the averaged model.
-        let bytes_downloaded = clients.len() * (new_global.len() * 4 + 8);
-        for c in clients.iter_mut() {
-            c.model.set_params(&new_global);
-        }
-        self.global = Some(new_global);
-        RoundStats {
-            mean_loss: loss,
-            bytes_uploaded,
-            bytes_downloaded,
-        }
+    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
+        Server::Average(arrived.into_iter().map(|r| r.payload).collect())
     }
 }
 

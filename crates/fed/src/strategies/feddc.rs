@@ -7,105 +7,70 @@
 //! `hᵢ ← hᵢ + (wᵢ − w_global)` and the server averages the
 //! drift-corrected uploads `wᵢ + hᵢ`.
 
-use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{Averaged, Objective, Server, Weighted};
+use super::fedprox::train_proximal;
+use super::RoundCtx;
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants};
-use fedgta_nn::TrainHooks;
+use crate::exec::LocalResult;
 
-/// FedDC state.
-pub struct FedDc {
-    /// Penalty coefficient λ.
-    pub lambda: f32,
-    global: Option<Vec<f32>>,
-    drift: Vec<Vec<f32>>,
-}
+/// FedDC with penalty coefficient `lambda`.
+pub type FedDc = Averaged<DriftCorrected>;
 
 impl FedDc {
     /// Creates FedDC with penalty λ.
     pub fn new(lambda: f32) -> Self {
-        Self {
+        DriftCorrected {
             lambda,
-            global: None,
             drift: Vec::new(),
         }
+        .into()
     }
 }
 
-impl Strategy for FedDc {
-    fn name(&self) -> String {
-        "FedDC".into()
+/// FedDC's objective: a penalty anchored at the drift-shifted global
+/// model, and drift-corrected uploads.
+pub struct DriftCorrected {
+    /// Penalty coefficient λ.
+    pub lambda: f32,
+    drift: Vec<Vec<f32>>,
+}
+
+impl Objective for DriftCorrected {
+    const NAME: &'static str = "FedDC";
+    type Upload = Weighted;
+
+    fn prepare(&mut self, clients: usize, plen: usize) {
+        if self.drift.len() != clients {
+            self.drift = vec![vec![0.0; plen]; clients];
+        }
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        let global = self
-            .global
-            .get_or_insert_with(|| clients[0].model.params())
-            .clone();
-        if self.drift.len() != clients.len() {
-            self.drift = vec![vec![0.0; global.len()]; clients.len()];
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Weighted) {
+        // Anchor: w_global − hᵢ, with w_global as the wire delivered it.
+        let mut anchor = c.model.params();
+        for (a, &h) in anchor.iter_mut().zip(&self.drift[i]) {
+            *a -= h;
         }
-        let lambda = self.lambda;
-        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
-        // Client-parallel local steps: each worker reads the model the
-        // executor installed and its own drift vector; drift mutation
-        // happens below on the driver in participant order.
-        let drift = &self.drift;
-        let results = train_participants(clients, participants, &ctx, |i, c| {
-            // Anchor: w_global − hᵢ, with w_global as the wire delivered it.
-            let mut anchor = c.model.params();
-            for (a, &h) in anchor.iter_mut().zip(&drift[i]) {
-                *a -= h;
+        train_proximal(i, c, ctx, self.lambda, anchor)
+    }
+
+    fn server(&mut self, global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
+        let corrected = arrived.into_iter().map(|r| {
+            let (mut w, n) = r.payload;
+            for ((wj, hj), &gj) in w.iter_mut().zip(&mut self.drift[r.client]).zip(global) {
+                *hj += *wj - gj;
+                *wj += *hj;
             }
-            let mut grad_hook = move |w: &[f32], g: &mut [f32]| {
-                for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(&anchor) {
-                    *gj += lambda * (wj - aj);
-                }
-            };
-            let mut hooks = TrainHooks {
-                grad_hook: Some(&mut grad_hook),
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            (loss, (c.model.params(), c.n_train() as f64))
+            (w, n)
         });
-        let loss = mean_loss(&results);
-        let _agg = fedgta_obs::span!("aggregate", strategy = "FedDC");
-        let mut uploads = Vec::with_capacity(results.len());
-        for r in &results {
-            let i = r.client;
-            let (w_i, n) = &r.payload;
-            // Drift update and drift-corrected upload.
-            let mut corrected = vec![0f32; global.len()];
-            for j in 0..global.len() {
-                self.drift[i][j] += w_i[j] - global[j];
-                corrected[j] = w_i[j] + self.drift[i][j];
-            }
-            uploads.push((corrected, *n));
-        }
-        let bytes_uploaded = uploads.iter().map(|(p, _)| p.len() * 4 + 8).sum();
-        let new_global = weighted_average(&uploads);
-        let bytes_downloaded = clients.len() * (new_global.len() * 4 + 8);
-        for c in clients.iter_mut() {
-            c.model.set_params(&new_global);
-        }
-        self.global = Some(new_global);
-        RoundStats {
-            mean_loss: loss,
-            bytes_uploaded,
-            bytes_downloaded,
-        }
+        Server::Average(corrected.collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{federation_accuracy, small_federation};
+    use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
 
@@ -125,8 +90,8 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 14);
         let mut s = FedDc::new(0.01);
         s.round(&mut clients, &[0], &RoundCtx::plain(1));
-        assert!(s.drift[0].iter().any(|&v| v != 0.0));
-        assert!(s.drift[1].iter().all(|&v| v == 0.0));
+        assert!(s.objective.drift[0].iter().any(|&v| v != 0.0));
+        assert!(s.objective.drift[1].iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -3,81 +3,67 @@
 //! the gradient correction `g ← g + μ(w − w_global)` injected before every
 //! optimizer step.
 
-use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
+use super::RoundCtx;
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants};
+use crate::exec::LocalResult;
 use fedgta_nn::TrainHooks;
 
 /// FedProx with proximal coefficient `mu`.
-pub struct FedProx {
-    /// Proximal coefficient μ (paper grid: {0.001, 0.01, 0.1}).
-    pub mu: f32,
-    global: Option<Vec<f32>>,
-}
+pub type FedProx = Averaged<Proximal>;
 
 impl FedProx {
     /// Creates FedProx with the given μ.
     pub fn new(mu: f32) -> Self {
-        Self { mu, global: None }
+        Proximal { mu }.into()
     }
 }
 
-impl Strategy for FedProx {
-    fn name(&self) -> String {
-        "FedProx".into()
+/// FedProx's objective: the proximal pull towards the installed model.
+pub struct Proximal {
+    /// Proximal coefficient μ (paper grid: {0.001, 0.01, 0.1}).
+    pub mu: f32,
+}
+
+/// Local training pulled towards `anchor`: `g ← g + coeff·(w − anchor)`,
+/// the gradient of `(coeff/2)‖w − anchor‖²`, before every optimizer step.
+pub(super) fn train_proximal(
+    i: usize,
+    c: &mut Client,
+    ctx: &RoundCtx<'_>,
+    coeff: f32,
+    anchor: Vec<f32>,
+) -> (f32, Weighted) {
+    let mut grad_hook = move |w: &[f32], g: &mut [f32]| {
+        for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(&anchor) {
+            *gj += coeff * (wj - aj);
+        }
+    };
+    let mut hooks = TrainHooks::none();
+    hooks.grad_hook = Some(&mut grad_hook);
+    train_weighted(i, c, ctx, hooks)
+}
+
+impl Objective for Proximal {
+    const NAME: &'static str = "FedProx";
+    type Upload = Weighted;
+
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Weighted) {
+        // The anchor is what the wire delivered, which under a lossy
+        // download codec is not the server's copy.
+        let anchor = c.model.params();
+        train_proximal(i, c, ctx, self.mu, anchor)
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        let global = self
-            .global
-            .get_or_insert_with(|| clients[0].model.params())
-            .clone();
-        let mu = self.mu;
-        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
-        // Client-parallel local steps. The proximal anchor is the model the
-        // executor just installed — what the wire delivered, which under a
-        // lossy download codec is not the server's copy.
-        let results = train_participants(clients, participants, &ctx, |i, c| {
-            let anchor = c.model.params();
-            let mut grad_hook = move |w: &[f32], g: &mut [f32]| {
-                for ((gj, &wj), &aj) in g.iter_mut().zip(w).zip(&anchor) {
-                    *gj += mu * (wj - aj);
-                }
-            };
-            let mut hooks = TrainHooks {
-                grad_hook: Some(&mut grad_hook),
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            (loss, (c.model.params(), c.n_train() as f64))
-        });
-        let loss = mean_loss(&results);
-        let _agg = fedgta_obs::span!("aggregate", strategy = "FedProx");
-        let uploads: Vec<(Vec<f32>, f64)> = results.into_iter().map(|r| r.payload).collect();
-        let bytes_uploaded = uploads.iter().map(|(p, _)| p.len() * 4 + 8).sum();
-        let new_global = weighted_average(&uploads);
-        let bytes_downloaded = clients.len() * (new_global.len() * 4 + 8);
-        for c in clients.iter_mut() {
-            c.model.set_params(&new_global);
-        }
-        self.global = Some(new_global);
-        RoundStats {
-            mean_loss: loss,
-            bytes_uploaded,
-            bytes_downloaded,
-        }
+    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
+        Server::Average(arrived.into_iter().map(|r| r.payload).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{federation_accuracy, small_federation};
+    use super::super::Strategy;
     use super::super::{l2_norm, sub};
     use super::*;
     use fedgta_nn::models::ModelKind;

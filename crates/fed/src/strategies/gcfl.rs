@@ -12,9 +12,10 @@
 //! projections of the full update vector (32 dims) instead of the raw
 //! `O(f²)` gradients — same sequence geometry at a fraction of the memory.
 
-use super::{l2_norm, sub, weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{step, train_weighted, Objective, Server};
+use super::{l2_norm, sub, RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
-use crate::exec::train_participants;
+use crate::exec::LocalResult;
 use fedgta_nn::TrainHooks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,6 +32,7 @@ pub struct GcflPlus {
     pub warmup: usize,
     clusters: Vec<Vec<usize>>,
     cluster_params: Vec<Vec<f32>>,
+    updates: Updates,
     sequences: Vec<Vec<Vec<f32>>>,
     projection: Vec<f32>,
     rounds_seen: usize,
@@ -45,6 +47,7 @@ impl GcflPlus {
             warmup: 3,
             clusters: Vec::new(),
             cluster_params: Vec::new(),
+            updates: Updates { deltas: Vec::new() },
             sequences: Vec::new(),
             projection: Vec::new(),
             rounds_seen: 0,
@@ -87,6 +90,33 @@ impl GcflPlus {
     }
 }
 
+/// A cluster's objective: FedAvg's, plus each arrival's update `Δ`
+/// measured from the model it received, kept for the split check.
+struct Updates {
+    deltas: Vec<Option<Vec<f32>>>,
+}
+
+impl Objective for Updates {
+    const NAME: &'static str = "GCFL+";
+    type Upload = (Vec<f32>, Vec<f32>, f64);
+
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Self::Upload) {
+        let received = c.model.params();
+        let (loss, (w, n)) = train_weighted(i, c, ctx, TrainHooks::none());
+        let delta = sub(&w, &received);
+        (loss, (w, delta, n))
+    }
+
+    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Self::Upload>>) -> Server {
+        let uploads = arrived.into_iter().map(|r| {
+            let (w, delta, n) = r.payload;
+            self.deltas[r.client] = Some(delta);
+            (w, n)
+        });
+        Server::Average(uploads.collect())
+    }
+}
+
 /// DTW distance between two sequences of equal-dim vectors with Euclidean
 /// local cost.
 pub fn dtw_distance(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
@@ -122,13 +152,9 @@ impl Strategy for GcflPlus {
     ) -> RoundStats {
         self.ensure_state(clients);
         self.rounds_seen += 1;
-        let mut loss = 0f32;
-        let mut n_arrived = 0usize;
-        let mut bytes_downloaded = 0usize;
-        let mut deltas: Vec<Option<Vec<f32>>> = vec![None; clients.len()];
-        // Per cluster: train members, aggregate.
+        self.updates.deltas = vec![None; clients.len()];
+        let (mut stats, mut arrived) = (RoundStats::default(), 0);
         for k in 0..self.clusters.len() {
-            let start = self.cluster_params[k].clone();
             let members: Vec<usize> = self.clusters[k]
                 .iter()
                 .copied()
@@ -137,46 +163,21 @@ impl Strategy for GcflPlus {
             if members.is_empty() {
                 continue;
             }
-            // Client-parallel local steps within the cluster. `members`
-            // may be unsorted after a split; the executor returns results
-            // in member order, so the flat loss fold and the weighted
-            // average below match the sequential round bit-for-bit. The
-            // cluster model is this call's broadcast; a member's update is
-            // measured from the model it received.
-            let ctx = ctx.with_broadcast(Broadcast::Global(&start));
-            let results = train_participants(clients, &members, &ctx, |i, c| {
-                let received = c.model.params();
-                let mut hooks = TrainHooks {
-                    pseudo: ctx.pseudo_for(i),
-                    ..TrainHooks::none()
-                };
-                let loss = c.train_local(ctx.epochs, &mut hooks);
-                let w = c.model.params();
-                let delta = sub(&w, &received);
-                (loss, (w, delta, c.n_train() as f64))
-            });
-            // Per-cluster aggregation (GCFL+ interleaves train/aggregate).
-            let _agg = fedgta_obs::span!("aggregate", strategy = "GCFL+", cluster = k);
-            let mut uploads = Vec::with_capacity(members.len());
-            for r in results {
-                loss += r.loss;
-                let (w, delta, n) = r.payload;
-                deltas[r.client] = Some(delta);
-                uploads.push((w, n));
-            }
-            n_arrived += uploads.len();
-            if uploads.is_empty() {
-                // Every member's upload was lost to faults: the cluster
-                // keeps its previous model this round.
-                continue;
-            }
-            let agg = weighted_average(&uploads);
-            bytes_downloaded += self.clusters[k].len() * (agg.len() * 4 + 8);
-            for &i in &self.clusters[k] {
-                clients[i].model.set_params(&agg);
-            }
-            self.cluster_params[k] = agg;
+            // `members` may be unsorted after a split; results come back in
+            // member order, so the flat loss fold matches the sequential
+            // round bit for bit. A cluster whose every upload was lost to
+            // faults keeps its previous model this round.
+            arrived += step(
+                &mut self.updates,
+                clients,
+                &members,
+                &self.clusters[k],
+                &mut self.cluster_params[k],
+                ctx,
+                &mut stats,
+            );
         }
+        let deltas = std::mem::take(&mut self.updates.deltas);
         // Update gradient-signature sequences.
         for (i, d) in deltas.iter().enumerate() {
             if let Some(d) = d {
@@ -250,12 +251,8 @@ impl Strategy for GcflPlus {
             self.clusters = new_clusters;
             self.cluster_params = new_params;
         }
-        let plen = self.cluster_params.first().map_or(0, |p| p.len());
-        RoundStats {
-            mean_loss: loss / n_arrived.max(1) as f32,
-            bytes_uploaded: n_arrived * (plen * 4 + 8),
-            bytes_downloaded,
-        }
+        stats.mean_loss /= arrived.max(1) as f32;
+        stats
     }
 }
 

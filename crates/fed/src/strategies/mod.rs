@@ -7,7 +7,12 @@
 //! FedGTA is "a personalized optimization strategy" that can wrap any
 //! local model — and here it implements exactly this trait (from the
 //! `fedgta` crate), next to the six baselines.
+//!
+//! A FedAvg-family baseline is a local objective and a server rule: FedAvg,
+//! FedProx, FedDC, MOON and Scaffold are [`Objective`]s of the one round
+//! [`Averaged`] runs ([`averaged`]), and GCFL+ runs each cluster through it.
 
+pub mod averaged;
 pub mod feddc;
 pub mod fedavg;
 pub mod fedprox;
@@ -16,6 +21,7 @@ pub mod moon;
 pub mod privacy;
 pub mod scaffold;
 
+pub use averaged::{Averaged, Objective, Server, Weighted};
 pub use feddc::FedDc;
 pub use fedavg::{FedAvg, LocalOnly};
 pub use fedprox::FedProx;
@@ -153,7 +159,7 @@ impl<'a> RoundCtx<'a> {
 }
 
 /// Statistics reported by one round.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundStats {
     /// Mean local training loss over participants.
     pub mean_loss: f32,
@@ -179,20 +185,24 @@ pub trait Strategy: Send {
     ) -> RoundStats;
 }
 
-/// `Σ wᵢ·paramsᵢ / Σ wᵢ` over uploaded parameter vectors.
+/// `Σ wᵢ·paramsᵢ / Σ wᵢ` over uploaded parameter vectors. A zero total —
+/// no upload has a training node — weighs the uploads alike, the uniform
+/// fallback of Eq. 7.
 pub fn weighted_average(uploads: &[(Vec<f32>, f64)]) -> Vec<f32> {
     assert!(!uploads.is_empty(), "cannot average zero uploads");
     let len = uploads[0].0.len();
+    let (uniform, total) = match uploads.iter().map(|(_, w)| w).sum::<f64>() {
+        total if total > 0.0 => (false, total),
+        _ => (true, uploads.len() as f64),
+    };
     let mut out = vec![0f64; len];
-    let mut total = 0f64;
     for (p, w) in uploads {
         assert_eq!(p.len(), len, "inconsistent parameter lengths");
-        total += w;
+        let w = if uniform { 1.0 } else { *w };
         for (o, &v) in out.iter_mut().zip(p) {
             *o += w * v as f64;
         }
     }
-    assert!(total > 0.0, "zero total weight");
     out.iter().map(|&v| (v / total) as f32).collect()
 }
 

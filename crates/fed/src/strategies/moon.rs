@@ -6,31 +6,35 @@
 //! the global model's, and `z_prev` the client's previous local model's.
 //! The exact gradient ∂ℓ/∂z is injected through the hidden-gradient hook.
 
-use super::{weighted_average, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
+use super::RoundCtx;
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants};
+use crate::exec::LocalResult;
 use fedgta_nn::{Matrix, TrainHooks};
 
-/// MOON state and hyperparameters.
-pub struct Moon {
-    /// Contrastive weight μ.
-    pub mu: f32,
-    /// Temperature τ.
-    pub tau: f32,
-    global: Option<Vec<f32>>,
-    prev: Vec<Option<Vec<f32>>>,
-}
+/// MOON with contrastive weight `mu` and temperature `tau`.
+pub type Moon = Averaged<Contrastive>;
 
 impl Moon {
     /// Creates MOON with contrastive weight `mu` and temperature `tau`.
     pub fn new(mu: f32, tau: f32) -> Self {
-        Self {
+        Contrastive {
             mu,
             tau,
-            global: None,
             prev: Vec::new(),
         }
+        .into()
     }
+}
+
+/// MOON's objective: the model-contrastive term on the penultimate
+/// representation, anchored at the global and the previous local model.
+pub struct Contrastive {
+    /// Contrastive weight μ.
+    pub mu: f32,
+    /// Temperature τ.
+    pub tau: f32,
+    prev: Vec<Option<Vec<f32>>>,
 }
 
 /// Cosine similarity of two equal-length vectors (0 when either is ~zero).
@@ -99,87 +103,54 @@ pub fn contrastive_loss_grad(
     ((loss / n.max(1) as f64) as f32 * mu, grad)
 }
 
-impl Strategy for Moon {
-    fn name(&self) -> String {
-        "MOON".into()
+impl Objective for Contrastive {
+    const NAME: &'static str = "MOON";
+    type Upload = Weighted;
+
+    fn prepare(&mut self, clients: usize, _plen: usize) {
+        if self.prev.len() != clients {
+            self.prev = vec![None; clients];
+        }
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        if self.prev.len() != clients.len() {
-            self.prev = vec![None; clients.len()];
-        }
-        let global = self
-            .global
-            .get_or_insert_with(|| clients[0].model.params())
-            .clone();
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Weighted) {
         let (mu, tau) = (self.mu, self.tau);
-        // Client-parallel local steps: each worker computes its anchor
-        // representations with its own scratch model, reading only the
-        // global model the executor installed and its own previous-round
-        // parameters. `self.prev` is updated afterwards on the driver.
-        let prev = &self.prev;
-        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
-        let results = train_participants(clients, participants, &ctx, |i, c| {
-            // Anchor representations computed with a scratch model, which
-            // starts as a copy of the installed global one.
-            let (z_glob, z_prev) = {
-                let mut scratch = c.model.clone();
-                let zg = scratch.penultimate(&c.data);
-                let zp = prev[i].as_ref().map(|p| {
-                    scratch.set_params(p);
-                    scratch.penultimate(&c.data)
-                });
-                (zg, zp)
-            };
-            let mut hidden_hook = |ids: &[u32], z: &Matrix| -> Matrix {
-                match &z_prev {
-                    Some(zp) => {
-                        let zg_b = z_glob.gather_rows(ids);
-                        let zp_b = zp.gather_rows(ids);
-                        let (_, g) = contrastive_loss_grad(z, &zg_b, &zp_b, mu, tau);
-                        g
-                    }
-                    None => Matrix::zeros(z.rows(), z.cols()),
-                }
-            };
-            let mut hooks = TrainHooks {
-                hidden_hook: Some(&mut hidden_hook),
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            (loss, (c.model.params(), c.n_train() as f64))
-        });
-        let loss = mean_loss(&results);
-        let _agg = fedgta_obs::span!("aggregate", strategy = "MOON");
-        let mut uploads = Vec::with_capacity(results.len());
-        for r in results {
+        // Anchor representations computed with a scratch model, which
+        // starts as a copy of the installed global one.
+        let (z_glob, z_prev) = {
+            let mut scratch = c.model.clone();
+            let zg = scratch.penultimate(&c.data);
+            let zp = self.prev[i].as_ref().map(|p| {
+                scratch.set_params(p);
+                scratch.penultimate(&c.data)
+            });
+            (zg, zp)
+        };
+        let mut hidden_hook = |ids: &[u32], z: &Matrix| match &z_prev {
+            Some(zp) => {
+                let (zg_b, zp_b) = (z_glob.gather_rows(ids), zp.gather_rows(ids));
+                contrastive_loss_grad(z, &zg_b, &zp_b, mu, tau).1
+            }
+            None => Matrix::zeros(z.rows(), z.cols()),
+        };
+        let mut hooks = TrainHooks::none();
+        hooks.hidden_hook = Some(&mut hidden_hook);
+        train_weighted(i, c, ctx, hooks)
+    }
+
+    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
+        let uploads = arrived.into_iter().map(|r| {
             self.prev[r.client] = Some(r.payload.0.clone());
-            uploads.push(r.payload);
-        }
-        let bytes_uploaded = uploads.iter().map(|(p, _)| p.len() * 4 + 8).sum();
-        let new_global = weighted_average(&uploads);
-        let bytes_downloaded = clients.len() * (new_global.len() * 4 + 8);
-        for c in clients.iter_mut() {
-            c.model.set_params(&new_global);
-        }
-        self.global = Some(new_global);
-        RoundStats {
-            mean_loss: loss,
-            bytes_uploaded,
-            bytes_downloaded,
-        }
+            r.payload
+        });
+        Server::Average(uploads.collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{federation_accuracy, small_federation};
+    use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
 
@@ -235,8 +206,8 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 12);
         let mut s = Moon::new(1.0, 0.5);
         s.round(&mut clients, &[0, 2], &RoundCtx::plain(1));
-        assert!(s.prev[0].is_some());
-        assert!(s.prev[1].is_none());
-        assert!(s.prev[2].is_some());
+        assert!(s.objective.prev[0].is_some());
+        assert!(s.objective.prev[1].is_none());
+        assert!(s.objective.prev[2].is_some());
     }
 }

@@ -6,149 +6,118 @@
 //! `cᵢ⁺ = cᵢ − c + (w_global − w_i)/(K·η)`, and the server moves
 //! `w ← w + mean(Δwᵢ)`, `c ← c + (|S|/N)·mean(Δcᵢ)`.
 
-use super::{sub, Broadcast, RoundCtx, RoundStats, Strategy};
+use super::averaged::{train_weighted, Averaged, Objective, Server};
+use super::{sub, RoundCtx};
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants};
+use crate::exec::LocalResult;
 use fedgta_nn::{Sgd, TrainHooks};
 use std::cell::Cell;
 
-/// SCAFFOLD state.
-///
-/// SCAFFOLD's control-variate correction is derived for plain SGD; running
-/// it under adaptive optimizers destabilizes the correction (the paper's
-/// own Scaffold rows use SGD-style local updates). The strategy therefore
-/// swaps each participating client onto SGD with `sgd_lr`.
-pub struct Scaffold {
-    /// Local SGD learning rate used while this strategy drives a client.
-    pub sgd_lr: f32,
-    global: Option<Vec<f32>>,
-    c_server: Vec<f32>,
-    c_clients: Vec<Vec<f32>>,
-}
-
-impl Default for Scaffold {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// SCAFFOLD with zero-initialized control variates.
+pub type Scaffold = Averaged<Controlled>;
 
 impl Scaffold {
     /// Creates SCAFFOLD with zero-initialized control variates.
     pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// SCAFFOLD's objective: control-variate-corrected local SGD, option-II
+/// control updates and `w ← w + mean(Δwᵢ)` on the server.
+///
+/// SCAFFOLD's control-variate correction is derived for plain SGD; running
+/// it under adaptive optimizers destabilizes the correction (the paper's
+/// own Scaffold rows use SGD-style local updates). The objective therefore
+/// swaps each participating client onto SGD with `sgd_lr`.
+pub struct Controlled {
+    /// Local SGD learning rate used while this strategy drives a client.
+    pub sgd_lr: f32,
+    c_server: Vec<f32>,
+    c_clients: Vec<Vec<f32>>,
+}
+
+impl Default for Controlled {
+    fn default() -> Self {
         Self {
             sgd_lr: 0.1,
-            global: None,
             c_server: Vec::new(),
             c_clients: Vec::new(),
         }
     }
-
-    fn ensure_state(&mut self, clients: &[Client]) {
-        if self.global.is_none() {
-            let p = clients[0].model.params();
-            self.c_server = vec![0.0; p.len()];
-            self.c_clients = vec![vec![0.0; p.len()]; clients.len()];
-            self.global = Some(p);
-        }
-    }
 }
 
-impl Strategy for Scaffold {
-    fn name(&self) -> String {
-        "Scaffold".into()
+impl Objective for Controlled {
+    const NAME: &'static str = "Scaffold";
+    /// Parameters, local step count, effective learning rate.
+    type Upload = (Vec<f32>, usize, f32);
+
+    fn prepare(&mut self, clients: usize, plen: usize) {
+        if self.c_clients.len() != clients {
+            self.c_server = vec![0.0; plen];
+            self.c_clients = vec![vec![0.0; plen]; clients];
+        }
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        self.ensure_state(clients);
-        let global = self.global.clone().expect("initialized");
-        let n_total = clients.len();
-        let sgd_lr = self.sgd_lr;
-        // Client-parallel local steps: each worker reads only the shared
-        // global snapshot and its *own* control variate, so the corrected
-        // gradients are unaffected by execution order. All control-variate
-        // mutation (option II) happens below on the driver, in participant
-        // order — bit-identical to the sequential round.
-        let (c_server, c_clients) = (&self.c_server, &self.c_clients);
-        let ctx = ctx.with_broadcast(Broadcast::Global(&global));
-        let results = train_participants(clients, participants, &ctx, |i, c| {
-            // SCAFFOLD assumes SGD locally (see struct docs). With heavy-ball
-            // momentum β the asymptotic effective step is η/(1−β); the
-            // option-II control update uses that effective rate.
-            let momentum = 0.9f32;
-            c.opt = Box::new(Sgd::new(sgd_lr, momentum, 0.0));
-            let lr = c.opt.learning_rate() / (1.0 - momentum);
-            let correction: Vec<f32> = sub(c_server, &c_clients[i]);
-            let steps = Cell::new(0usize);
-            let mut grad_hook = |_w: &[f32], g: &mut [f32]| {
-                for (gj, &cj) in g.iter_mut().zip(&correction) {
-                    *gj += cj;
-                }
-                steps.set(steps.get() + 1);
-            };
-            let mut hooks = TrainHooks {
-                grad_hook: Some(&mut grad_hook),
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            (loss, (c.model.params(), steps.get().max(1), lr))
-        });
-        let loss = mean_loss(&results);
-        let _agg = fedgta_obs::span!("aggregate", strategy = "Scaffold");
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Self::Upload) {
+        // With heavy-ball momentum β the asymptotic effective step is
+        // η/(1−β); the option-II control update uses that effective rate.
+        let momentum = 0.9f32;
+        c.opt = Box::new(Sgd::new(self.sgd_lr, momentum, 0.0));
+        let lr = c.opt.learning_rate() / (1.0 - momentum);
+        let correction: Vec<f32> = sub(&self.c_server, &self.c_clients[i]);
+        let steps = Cell::new(0usize);
+        let mut grad_hook = |_w: &[f32], g: &mut [f32]| {
+            for (gj, &cj) in g.iter_mut().zip(&correction) {
+                *gj += cj;
+            }
+            steps.set(steps.get() + 1);
+        };
+        let mut hooks = TrainHooks::none();
+        hooks.grad_hook = Some(&mut grad_hook);
+        let (loss, (w, _)) = train_weighted(i, c, ctx, hooks);
+        (loss, (w, steps.get().max(1), lr))
+    }
+
+    fn server(&mut self, global: &[f32], arrived: Vec<LocalResult<Self::Upload>>) -> Server {
         // Under the fault-injecting transport only the accepted quorum's
         // results come back; all server math scales by what actually
         // arrived, not by what was asked for.
-        let arrived = results.len();
+        let m = arrived.len() as f64;
         let mut sum_dw = vec![0f64; global.len()];
         let mut sum_dc = vec![0f64; global.len()];
-        for r in &results {
-            let i = r.client;
+        for r in &arrived {
             let (w_i, k, lr) = &r.payload;
-            // Option II client-control update (driver-side, participant
-            // order).
             let scale = 1.0 / (*k as f32 * lr);
-            let mut dc = vec![0f32; global.len()];
+            let c_i = &mut self.c_clients[r.client];
             for j in 0..global.len() {
-                let ci_new =
-                    self.c_clients[i][j] - self.c_server[j] + scale * (global[j] - w_i[j]);
-                dc[j] = ci_new - self.c_clients[i][j];
-                self.c_clients[i][j] = ci_new;
-            }
-            for j in 0..global.len() {
+                let ci_new = c_i[j] - self.c_server[j] + scale * (global[j] - w_i[j]);
                 sum_dw[j] += (w_i[j] - global[j]) as f64;
-                sum_dc[j] += dc[j] as f64;
+                sum_dc[j] += (ci_new - c_i[j]) as f64;
+                c_i[j] = ci_new;
             }
         }
-        let m = arrived.max(1) as f64;
-        let mut new_global = global.clone();
-        for j in 0..new_global.len() {
-            new_global[j] += (sum_dw[j] / m) as f32;
-            self.c_server[j] += ((arrived as f64 / n_total as f64) * sum_dc[j] / m) as f32;
+        let participation = m / self.c_clients.len() as f64;
+        let mut next = global.to_vec();
+        for j in 0..next.len() {
+            next[j] += (sum_dw[j] / m) as f32;
+            self.c_server[j] += (participation * sum_dc[j] / m) as f32;
         }
-        for c in clients.iter_mut() {
-            c.model.set_params(&new_global);
-        }
-        self.global = Some(new_global);
-        RoundStats {
-            mean_loss: loss,
-            // SCAFFOLD ships the model update and the control update.
-            bytes_uploaded: arrived * (2 * global.len() * 4 + 8),
-            // Down: every client gets the new model; participants would
-            // additionally need the server control next round.
-            bytes_downloaded: clients.len() * (global.len() * 4 + 8)
-                + arrived * (global.len() * 4 + 8),
-        }
+        Server::Model(next)
+    }
+
+    /// SCAFFOLD ships the model update and the control update; every
+    /// client gets the new model, and each arrival the server control.
+    fn bytes(plen: usize, arrived: usize, receivers: usize) -> (usize, usize) {
+        let msg = 4 * plen + 8;
+        (arrived * (8 * plen + 8), receivers * msg + arrived * msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{federation_accuracy, small_federation};
+    use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
 
@@ -171,8 +140,8 @@ mod tests {
         for _ in 0..2 {
             s.round(&mut clients, &parts, &RoundCtx::plain(1));
         }
-        assert!(s.c_server.iter().any(|&v| v != 0.0));
-        assert!(s.c_clients[0].iter().any(|&v| v != 0.0));
+        assert!(s.objective.c_server.iter().any(|&v| v != 0.0));
+        assert!(s.objective.c_clients[0].iter().any(|&v| v != 0.0));
     }
 
     #[test]
@@ -180,7 +149,7 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 10);
         let mut s = Scaffold::new();
         s.round(&mut clients, &[1], &RoundCtx::plain(1));
-        assert!(s.c_clients[1].iter().any(|&v| v != 0.0));
-        assert!(s.c_clients[0].iter().all(|&v| v == 0.0));
+        assert!(s.objective.c_clients[1].iter().any(|&v| v != 0.0));
+        assert!(s.objective.c_clients[0].iter().all(|&v| v == 0.0));
     }
 }

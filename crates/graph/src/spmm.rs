@@ -327,83 +327,12 @@ fn spmm_rows<E: Epilogue>(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], thread
     par_chunks_mut_at(y, cols, &bounds[..=threads], body);
 }
 
-/// Sparse × vector: `y = A · x`.
-pub fn spmv(a: &Csr, x: &[f32]) -> Result<Vec<f32>> {
-    spmm(a, x, 1)
-}
-
-/// Repeatedly propagates: returns `A^k · X` (allocating wrapper of
-/// [`propagate_k_into`]).
-pub fn propagate_k(a: &Csr, x: &[f32], cols: usize, k: usize) -> Result<Vec<f32>> {
-    let mut out = x.to_vec();
-    let mut scratch = vec![0f32; x.len()];
-    propagate_k_into(a, x, cols, k, &mut out, &mut scratch)?;
-    Ok(out)
-}
-
-/// Repeatedly propagates into caller-provided ping-pong buffers: leaves
-/// `A^k · X` in `out` (`scratch` is clobbered). Both buffers must have
-/// `x.len()` elements; no allocation is performed.
-pub fn propagate_k_into(
-    a: &Csr,
-    x: &[f32],
-    cols: usize,
-    k: usize,
-    out: &mut [f32],
-    scratch: &mut [f32],
-) -> Result<()> {
-    let n = a.num_nodes();
-    if x.len() != n * cols {
-        return Err(GraphError::DimensionMismatch {
-            expected: n * cols,
-            found: x.len(),
-            context: "propagate_k dense operand",
-        });
-    }
-    assert_eq!(out.len(), x.len(), "propagate_k_into out buffer size");
-    assert_eq!(scratch.len(), x.len(), "propagate_k_into scratch buffer size");
-    if k == 0 {
-        out.copy_from_slice(x);
-        return Ok(());
-    }
-    // First step reads x directly (no copy); remaining steps ping-pong.
-    spmm_into(a, x, cols, out);
-    let mut flip = false;
-    for _ in 1..k {
-        let (src, dst) = if flip {
-            (&mut *scratch, &mut *out)
-        } else {
-            (&mut *out, &mut *scratch)
-        };
-        spmm_into(a, src, cols, dst);
-        flip = !flip;
-    }
-    if flip {
-        out.copy_from_slice(scratch);
-    }
-    Ok(())
-}
-
-/// Returns all propagation steps `[X, A·X, A²·X, …, A^k·X]` (k+1 matrices).
-///
-/// Used by SIGN/GAMLP-style hop-feature models and by FedGTA's mixed
-/// moments, which need every intermediate step. Allocating wrapper of
-/// [`propagate_steps_into`], which borrows `X` instead of cloning it.
-pub fn propagate_steps(a: &Csr, x: &[f32], cols: usize, k: usize) -> Result<Vec<Vec<f32>>> {
-    let mut hops = Vec::with_capacity(k);
-    propagate_steps_into(a, x, cols, k, &mut hops)?;
-    let mut steps = Vec::with_capacity(k + 1);
-    steps.push(x.to_vec());
-    steps.extend(hops);
-    Ok(steps)
-}
-
-/// Borrowing/into-workspace variant of [`propagate_steps`]: fills `hops`
-/// with the `k` *propagated* steps `[A·X, …, A^k·X]`, reusing whatever
-/// buffers `hops` already holds (capacity permitting). The input `X` is
-/// only borrowed — callers that need hop 0 keep their own reference, and
-/// callers that never use it (FedGTA's feature-moment sketch) skip the
-/// copy entirely.
+/// Fills `hops` with the `k` *propagated* steps `[A·X, …, A^k·X]`, reusing
+/// whatever buffers `hops` already holds (capacity permitting): the hops
+/// SIGN/GAMLP-style models and FedGTA's feature moments need. The input
+/// `X` is only borrowed — callers that need hop 0 keep their own
+/// reference, and callers that never use it (FedGTA's feature-moment
+/// sketch) skip the copy entirely.
 pub fn propagate_steps_into(
     a: &Csr,
     x: &[f32],
@@ -450,7 +379,7 @@ mod tests {
     fn unweighted_spmm_sums_neighbors() {
         let g = path3();
         let x = vec![1.0, 10.0, 100.0]; // one column
-        let y = spmv(&g, &x).unwrap();
+        let y = spmm(&g, &x, 1).unwrap();
         assert_eq!(y, vec![10.0, 101.0, 10.0]);
     }
 
@@ -621,68 +550,23 @@ mod tests {
     fn dimension_mismatch_rejected() {
         let g = path3();
         assert!(spmm(&g, &[1.0, 2.0], 1).is_err());
-        assert!(propagate_k(&g, &[1.0], 1, 2).is_err());
-        assert!(propagate_steps(&g, &[1.0], 1, 2).is_err());
         let mut hops = Vec::new();
         assert!(propagate_steps_into(&g, &[1.0], 1, 2, &mut hops).is_err());
-    }
-
-    #[test]
-    fn propagate_k_equals_repeated_spmm() {
-        let g = normalized_adjacency(&path3(), NormKind::Symmetric);
-        let x = vec![1.0, 0.0, 0.0, 1.0, 0.5, 0.5];
-        let once = spmm(&g, &x, 2).unwrap();
-        let twice = spmm(&g, &once, 2).unwrap();
-        let pk = propagate_k(&g, &x, 2, 2).unwrap();
-        for (a, b) in pk.iter().zip(&twice) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn propagate_k_zero_is_identity() {
-        let g = path3();
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(propagate_k(&g, &x, 1, 0).unwrap(), x);
-    }
-
-    #[test]
-    fn propagate_k_into_is_allocation_compatible_with_wrapper() {
-        let g = normalized_adjacency(&path3(), NormKind::RowStochastic);
-        let x = vec![0.2, 0.4, 0.6, 0.1, 0.3, 0.5];
-        for k in 0..5 {
-            let via_wrapper = propagate_k(&g, &x, 2, k).unwrap();
-            let mut out = vec![7.0; 6]; // garbage: must be fully overwritten
-            let mut scratch = vec![9.0; 6];
-            propagate_k_into(&g, &x, 2, k, &mut out, &mut scratch).unwrap();
-            assert_eq!(out, via_wrapper, "k={k}");
-        }
-    }
-
-    #[test]
-    fn propagate_steps_returns_all_hops() {
-        let g = normalized_adjacency(&path3(), NormKind::RowStochastic);
-        let x = vec![1.0, 2.0, 3.0];
-        let steps = propagate_steps(&g, &x, 1, 3).unwrap();
-        assert_eq!(steps.len(), 4);
-        assert_eq!(steps[0], x);
-        let manual = spmv(&g, &steps[2]).unwrap();
-        assert_eq!(steps[3], manual);
     }
 
     #[test]
     fn propagate_steps_into_reuses_buffers_and_skips_hop_zero() {
         let g = normalized_adjacency(&path3(), NormKind::Symmetric);
         let x = vec![1.0, 0.5, 0.25];
-        let full = propagate_steps(&g, &x, 1, 3).unwrap();
         // Pre-seed with stale oversized buffers: they must be reused.
         let mut hops = vec![vec![9.0f32; 8], vec![8.0f32; 2]];
         let caps: Vec<usize> = hops.iter().map(|h| h.capacity()).collect();
         propagate_steps_into(&g, &x, 1, 3, &mut hops).unwrap();
         assert_eq!(hops.len(), 3);
-        assert_eq!(hops[0], full[1]);
-        assert_eq!(hops[1], full[2]);
-        assert_eq!(hops[2], full[3]);
+        // Hop l is one product of hop l − 1, hop 0 being X itself.
+        assert_eq!(hops[0], spmm(&g, &x, 1).unwrap());
+        assert_eq!(hops[1], spmm(&g, &hops[0], 1).unwrap());
+        assert_eq!(hops[2], spmm(&g, &hops[1], 1).unwrap());
         assert!(hops[0].capacity() >= caps[0].min(8), "buffer was reused");
     }
 
@@ -691,7 +575,7 @@ mod tests {
         // Row-stochastic A keeps values in the convex hull of inputs.
         let g = normalized_adjacency(&path3(), NormKind::RowStochastic);
         let x = vec![0.0, 1.0, 0.5];
-        let y = spmv(&g, &x).unwrap();
+        let y = spmm(&g, &x, 1).unwrap();
         for &v in &y {
             assert!((0.0..=1.0).contains(&v));
         }
