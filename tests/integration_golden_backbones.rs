@@ -10,7 +10,7 @@
 //! and commit the diff (the header lines starting with `#` are kept).
 
 use fedgta::FedGta;
-use fedgta_data::{generate_from_spec, DatasetSpec, Task};
+use fedgta_data::{generate_from_spec, spec_by_name, DatasetSpec, Task};
 use fedgta_fed::client::{build_clients, Client, ClientBuildConfig};
 use fedgta_fed::fgl_models::FedGl;
 use fedgta_fed::kit::Kit;
@@ -57,6 +57,19 @@ fn federation(kind: ModelKind, dropout: f32, batch_size: usize, halo: bool) -> V
     };
     let cfg = ClientBuildConfig { model, lr: 0.03, weight_decay: 0.0, halo };
     build_clients(&bench, &parts, &cfg)
+}
+
+/// The inductive protocol on the catalog's Flickr recipe at 2 000 nodes:
+/// each client trains on the graph induced on its train nodes and is
+/// scored on its full subgraph, so a client holds two datasets and
+/// evaluation reads the second.
+fn inductive(kind: ModelKind) -> Vec<Client> {
+    let spec = DatasetSpec { nodes: 2000, ..*spec_by_name("flickr").unwrap() };
+    let bench = generate_from_spec(&spec, SEED);
+    let comm = louvain(&bench.graph, &LouvainConfig::default());
+    let parts = communities_to_clients(&comm, 4).unwrap();
+    let model = ModelConfig { kind, hidden: 16, layers: 2, k: 2, seed: SEED, ..ModelConfig::default() };
+    build_clients(&bench, &parts, &ClientBuildConfig { model, lr: 0.03, weight_decay: 0.0, halo: false })
 }
 
 fn fnv1a(params: &[f32]) -> u64 {
@@ -112,6 +125,7 @@ fn cells() -> Vec<Cell> {
         ("FedAvg/GCN/dropout", || federation(ModelKind::Gcn, 0.5, 0, false), fedavg, 3),
         ("FedAvg/SAGE/dropout", || federation(ModelKind::Sage, 0.5, 0, false), fedavg, 3),
         ("FedAvg/SIGN/dropout/batch32", || federation(ModelKind::Sign, 0.5, 32, false), fedavg, 3),
+        ("FedGTA/SIGN/inductive", || inductive(ModelKind::Sign), fedgta, 3),
     ]
 }
 
