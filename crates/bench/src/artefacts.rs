@@ -130,8 +130,8 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
     let parts = partition_benchmark(&bench, SplitKind::Louvain, 10, 0);
     let rows = ModelKind::all().map(|kind| {
         let mut clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(ModelConfig::paper(kind, 64, 0), false));
-        // Cold includes a decoupled model's one-time propagation precompute;
-        // warm is the deployment steady state.
+        // Cold includes GAMLP's one-time hop precompute (the decoupled
+        // family propagated at client build); warm is the steady state.
         let seconds = ["table1.inference_cold", "table1.inference_warm"].map(|span| {
             let (_, ns) = timed(span, || clients.iter_mut().for_each(|c| drop(c.model.predict(&c.data))));
             ns as f64 / 1e9

@@ -228,9 +228,10 @@ pub fn run_global(spec: &ExperimentSpec) -> ExperimentResult {
     let accs: Vec<f64> = (0..spec.runs as u64)
         .map(|run| {
             let seed = spec.seed + run;
-            let data = load_benchmark(&spec.dataset, seed).expect("known dataset").to_dataset();
+            let raw = load_benchmark(&spec.dataset, seed).expect("known dataset").to_dataset();
             let cfg = ModelConfig::paper(spec.model, HIDDEN, seed);
-            let mut m = build_model(&cfg, data.num_features(), data.num_classes);
+            let mut m = build_model(&cfg, raw.num_features(), raw.num_classes);
+            let data = m.prepare(raw);
             let mut opt = Adam::new(0.02, 5e-4);
             let mut best = 0f64;
             for e in 0..epochs {

@@ -353,7 +353,8 @@ fn extract_client_graphs(store: &ChunkedCsr, n: usize, clients: usize) -> Vec<fe
 
 /// Builds the federated clients from a generated raw graph: lean
 /// decoupled datasets (no mean-aggregation matrices), deterministic
-/// features/splits, SGC backbones.
+/// features/splits, SGC backbones. `Client::new` propagates each client's
+/// features in place, so none keeps its raw `X`.
 pub fn build_scale_clients(raw: &RawGraph, clients: usize, seed: u64) -> Vec<Client> {
     let store = ChunkedCsr::open(&raw.path).expect("open raw v2");
     let n = store.num_nodes();
@@ -674,6 +675,40 @@ mod tests {
                 + stats.kits_bytes
         );
         assert!(stats.final_acc > 1.0 / NUM_CLASSES as f64, "no learning signal");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scale_clients_hold_their_propagation_and_predict_as_before() {
+        use fedgta_graph::par::par_map_indexed;
+        use fedgta_nn::models::precompute::{combine, hop_features};
+        use fedgta_nn::models::PrecomputeKind;
+        use fedgta_nn::ops::softmax_rows_inplace;
+        use fedgta_nn::{Mlp, Workspace};
+        let dir = scratch_dir().join("clients-test");
+        let raw = generate_raw(4_096, 6.0, 9, &dir).expect("generate");
+        let mut clients = build_scale_clients(&raw, 4, 9);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for threads in [1, 4] {
+            let got = par_map_indexed(&mut clients, Some(threads), |_, c| c.model.predict(&c.data));
+            for (c, probs) in clients.iter().zip(&got) {
+                let n = c.global_ids.len();
+                assert_eq!(c.data.features.shape(), (n, FEATURE_DIM));
+                assert_eq!(c.data.propagated, Some((PrecomputeKind::Sgc, 2)));
+                // The raw features, and the head over their propagation
+                // as a model used to cache it.
+                let mut x = Matrix::zeros(n, FEATURE_DIM);
+                for (local, &g) in c.global_ids.iter().enumerate() {
+                    node_features(g, raw.labels[g as usize], 9, x.row_mut(local));
+                }
+                let combined = combine(PrecomputeKind::Sgc, &hop_features(&c.data.adj_norm, &x, 2));
+                let mut head = Mlp::new(&[FEATURE_DIM, NUM_CLASSES], 0.0, 0);
+                head.set_params(&c.model.params());
+                let mut want = head.infer_ws(combined.view(), &mut Workspace::new());
+                softmax_rows_inplace(&mut want);
+                assert_eq!(bits(probs), bits(&want), "client {} at {threads} threads", c.id);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,7 +2,8 @@
 //! strategy's pooled [`fedgta::UploadScratch`] has grown to its largest
 //! client, every `FedGta::client_metrics` call — softmax prediction, k-step
 //! label propagation, smoothing confidence, mixed moments, and (when
-//! enabled) the per-client cached feature-moment extension — performs
+//! enabled, on GAMLP: the extension reads raw features, which a decoupled
+//! client no longer holds) the per-client cached feature-moment extension — performs
 //! **zero** heap allocations, on one client or alternating between two:
 //! the contract is per strategy, not per client. That holds for the five
 //! backbones whose forward is a head over cached features (SGC, SIGN,
@@ -87,6 +88,9 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
     ];
 
     for (ci, cfg) in configs.into_iter().enumerate() {
+        if cfg.feature_moments.is_some() && clients[0].data.propagated.is_some() {
+            continue; // refused: the client's features are propagated
+        }
         // One client, then two of different sizes alternating through the
         // same pooled scratch.
         for visited in [vec![ci % 2], vec![2, 3]] {

@@ -139,7 +139,9 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     let delta = alloc_count() - before;
     assert_eq!(delta, 0, "_into kernels allocated {delta} times");
 
-    // Every backbone, through the trainer they share: a warm epoch makes
+    // Every backbone, through the trainer they share, on clients from
+    // `build_clients` (a decoupled one's features already propagated by
+    // `prepare`): a warm epoch makes
     // at most `BACKBONE_EPOCH_ALLOCS` heap allocations — the heads' count:
     // shuffled order, batch list, gathered labels, row ids, the forward
     // cache's two pointer `Vec`s — and the same number on a client four

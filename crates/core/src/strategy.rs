@@ -132,6 +132,13 @@ impl FedGta {
             sketch,
         );
         if let Some(fm) = &self.config.feature_moments {
+            assert!(
+                client.data.propagated.is_none(),
+                "FedGTA's feature moments propagate raw features, but client {}'s already are ({:?}): \
+                 pair them with a backbone that reads raw features (GCN, SAGE, GAMLP)",
+                client.id,
+                client.data.propagated
+            );
             // Round-invariant per client: computed once, replayed from
             // the client's own cache on every later round.
             let mut cache: Box<FeatureSketchCache> = client
@@ -431,9 +438,10 @@ mod tests {
     }
 
     /// Three clients of strictly decreasing node count: the largest, one
-    /// in between and the smallest of a six-client federation.
+    /// in between and the smallest of a six-client federation, on GAMLP —
+    /// a backbone the feature extension can read raw features under.
     fn three_sizes(seed: u64) -> Vec<Client> {
-        let mut clients = federation_with(ModelKind::Sgc, seed, 6, 700);
+        let mut clients = federation_with(ModelKind::Gamlp, seed, 6, 700);
         clients.sort_by_key(|c| std::cmp::Reverse(c.data.num_nodes()));
         clients.dedup_by_key(|c| c.data.num_nodes());
         assert!(clients.len() >= 3, "seed {seed} has no three client sizes");
@@ -615,7 +623,7 @@ mod tests {
 
     #[test]
     fn feature_moment_extension_learns_and_extends_sketch() {
-        let mut clients = small_federation(ModelKind::Sgc, 111);
+        let mut clients = small_federation(ModelKind::Gamlp, 111);
         let s = FedGta::new(FedGtaConfig::with_feature_moments());
         let cfg = &s.config;
         let c = clients[0].data.num_classes;
@@ -632,6 +640,13 @@ mod tests {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
         assert!(global_test_accuracy(&mut clients) > 0.6);
+    }
+
+    #[test]
+    #[should_panic(expected = "FedGTA's feature moments propagate raw features, but client 0's already are")]
+    fn feature_moments_refuse_a_propagated_client() {
+        let mut clients = small_federation(ModelKind::Sgc, 111);
+        FedGta::new(FedGtaConfig::with_feature_moments()).client_metrics(&mut clients[0], &mut Vec::new());
     }
 
     #[test]

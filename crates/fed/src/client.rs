@@ -10,14 +10,17 @@ use fedgta_partition::Partition;
 pub struct Client {
     /// Client index (position in the simulation's client vector).
     pub id: usize,
-    /// The training view of the local subgraph.
+    /// The training view of the local subgraph, prepared for `model`
+    /// ([`GraphModel::prepare`]: a decoupled model's clients hold their
+    /// propagated features, not their raw ones).
     pub data: GraphDataset,
     /// Inductive evaluation view (full local subgraph including test
-    /// nodes); `None` means transductive — evaluate on `data`.
+    /// nodes), prepared like `data`; `None` means transductive — evaluate
+    /// on `data`.
     pub eval_data: Option<GraphDataset>,
-    /// The local model: its parameters, and what it caches of `data`. Its
-    /// scratch arena stays empty while a run drives the client — the
-    /// worker lends one for each turn ([`crate::kit`]).
+    /// The local model: its parameters (GAMLP also caches its hops of
+    /// `data`). Its scratch arena stays empty while a run drives the
+    /// client — the worker lends one for each turn ([`crate::kit`]).
     pub model: Box<dyn GraphModel>,
     /// The local optimizer. Its moment vectors persist across rounds for
     /// as long as nothing resets them; from the first broadcast on — the
@@ -40,15 +43,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// A transductive client over `data` whose local node ids are the
-    /// global ones, with no strategy state yet. A caller with an
-    /// evaluation view or an id map of its own sets those fields.
+    /// A transductive client over `data`, prepared for `model` here, whose
+    /// local node ids are the global ones, with no strategy state yet. A
+    /// caller with an evaluation view or an id map of its own sets those
+    /// fields (and prepares the view).
     pub fn new(
         id: usize,
         data: GraphDataset,
         model: Box<dyn GraphModel>,
         opt: Box<dyn Optimizer>,
     ) -> Self {
+        let data = model.prepare(data);
         Self {
             id,
             global_ids: (0..data.num_nodes() as u32).collect(),
@@ -69,6 +74,12 @@ impl Client {
     /// The dataset evaluation should run on.
     pub fn eval_view(&self) -> &GraphDataset {
         self.eval_data.as_ref().unwrap_or(&self.data)
+    }
+
+    /// Heap bytes of what the client holds between rounds: its datasets
+    /// and its model's parameter vector.
+    pub fn bytes(&self) -> usize {
+        self.data.bytes() + self.eval_data.as_ref().map_or(0, GraphDataset::bytes) + 4 * self.model.num_params()
     }
 
     /// Runs `epochs` local epochs with the given hooks; returns mean loss.
@@ -123,50 +134,40 @@ impl Default for ClientBuildConfig {
     }
 }
 
+/// Split membership of every global node, built once per federation:
+/// bit 0 train, bit 1 validation, bit 2 test.
+fn split_flags(bench: &Benchmark) -> Vec<u8> {
+    let mut flags = vec![0u8; bench.graph.num_nodes()];
+    for (bit, nodes) in [&bench.split.train, &bench.split.val, &bench.split.test].into_iter().enumerate() {
+        for &v in nodes {
+            flags[v as usize] |= 1 << bit;
+        }
+    }
+    flags
+}
+
 /// Builds the local [`GraphDataset`] for one subgraph view.
 ///
 /// Only *owned* nodes receive labels and split membership; halo nodes are
 /// present for message passing but never supervised or evaluated.
-fn subgraph_dataset(sg: &Subgraph, bench: &Benchmark, train_only: bool) -> GraphDataset {
-    let n = sg.global_ids.len();
+fn subgraph_dataset(sg: &Subgraph, bench: &Benchmark, flags: &[u8], train_only: bool) -> GraphDataset {
     let features = bench.features.gather_rows(&sg.global_ids);
     let labels: Vec<u32> = sg
         .global_ids
         .iter()
         .map(|&g| bench.labels[g as usize])
         .collect();
-    let mut in_train = vec![false; bench.graph.num_nodes()];
-    let mut in_val = vec![false; bench.graph.num_nodes()];
-    let mut in_test = vec![false; bench.graph.num_nodes()];
-    for &v in &bench.split.train {
-        in_train[v as usize] = true;
-    }
-    for &v in &bench.split.val {
-        in_val[v as usize] = true;
-    }
-    for &v in &bench.split.test {
-        in_test[v as usize] = true;
-    }
-    let mut train = Vec::new();
-    let mut val = Vec::new();
-    let mut test = Vec::new();
-    for local in 0..n {
-        if local >= sg.num_owned {
-            break; // halo suffix carries no supervision
-        }
-        let g = sg.global_ids[local] as usize;
-        if in_train[g] {
-            train.push(local as u32);
-        }
-        if !train_only {
-            if in_val[g] {
-                val.push(local as u32);
-            }
-            if in_test[g] {
-                test.push(local as u32);
+    let mut splits = [Vec::new(), Vec::new(), Vec::new()];
+    let kept = if train_only { 1 } else { 3 };
+    // The halo suffix carries no supervision.
+    for (local, &g) in sg.global_ids[..sg.num_owned].iter().enumerate() {
+        for (bit, split) in splits[..kept].iter_mut().enumerate() {
+            if flags[g as usize] & (1 << bit) != 0 {
+                split.push(local as u32);
             }
         }
     }
+    let [train, val, test] = splits;
     GraphDataset::new(
         &sg.graph,
         features,
@@ -184,13 +185,15 @@ fn subgraph_dataset(sg: &Subgraph, bench: &Benchmark, train_only: bool) -> Graph
 /// evaluation share the graph). Inductive benchmarks give a training view
 /// whose graph is induced on the client's train nodes only, plus a full
 /// evaluation view — test nodes and their edges are invisible during
-/// training, matching the paper's Flickr/Reddit protocol.
+/// training, matching the paper's Flickr/Reddit protocol. Both views are
+/// prepared for the client's model.
 pub fn build_clients(
     bench: &Benchmark,
     partition: &Partition,
     cfg: &ClientBuildConfig,
 ) -> Vec<Client> {
     let members = partition.members();
+    let flags = split_flags(bench);
     let mut clients = Vec::with_capacity(members.len());
     for (id, nodes) in members.iter().enumerate() {
         if nodes.is_empty() {
@@ -202,26 +205,22 @@ pub fn build_clients(
             induced_subgraph(&bench.graph, nodes).expect("nonempty client")
         };
         let (data, eval_data) = match bench.spec.task {
-            Task::Transductive => (subgraph_dataset(&full_sg, bench, false), None),
+            Task::Transductive => (subgraph_dataset(&full_sg, bench, &flags, false), None),
             Task::Inductive => {
                 // Training graph: induced on owned train nodes only.
-                let mut in_train = vec![false; bench.graph.num_nodes()];
-                for &v in &bench.split.train {
-                    in_train[v as usize] = true;
-                }
                 let train_nodes: Vec<u32> = nodes
                     .iter()
                     .copied()
-                    .filter(|&v| in_train[v as usize])
+                    .filter(|&v| flags[v as usize] & 1 != 0)
                     .collect();
-                let eval_view = subgraph_dataset(&full_sg, bench, false);
+                let eval_view = subgraph_dataset(&full_sg, bench, &flags, false);
                 if train_nodes.is_empty() {
                     (eval_view, None)
                 } else {
                     let train_sg =
                         induced_subgraph(&bench.graph, &train_nodes).expect("nonempty");
                     (
-                        subgraph_dataset(&train_sg, bench, true),
+                        subgraph_dataset(&train_sg, bench, &flags, true),
                         Some(eval_view),
                     )
                 }
@@ -232,7 +231,7 @@ pub fn build_clients(
         let model = build_model(&model_cfg, bench.features.cols(), bench.num_classes);
         let opt = Box::new(Adam::new(cfg.lr, cfg.weight_decay));
         clients.push(Client {
-            eval_data,
+            eval_data: eval_data.map(|d| model.prepare(d)),
             global_ids: full_sg.global_ids,
             ..Client::new(id, data, model, opt)
         });

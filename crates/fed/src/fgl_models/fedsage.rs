@@ -116,7 +116,18 @@ impl FedSagePlus {
     /// The per-client generator training is client-parallel (`threads` as
     /// in [`RoundCtx::threads`], 0 = auto); hide-mask sampling and graph
     /// mending stay sequential because they share one RNG stream.
+    ///
+    /// # Panics
+    /// If a client's features are a decoupled model's propagation: the
+    /// generator learns and writes raw neighbour features.
     fn mend_all(&self, clients: &mut [Client], threads: usize) {
+        if let Some(c) = clients.iter().find(|c| c.data.propagated.is_some()) {
+            panic!(
+                "FedSage+ generates raw neighbour features, but client {}'s are propagated ({:?}): \
+                 pair it with a backbone that reads raw features (GCN, SAGE, GAMLP)",
+                c.id, c.data.propagated
+            );
+        }
         if clients.is_empty() {
             return;
         }
@@ -272,7 +283,7 @@ impl FedSagePlus {
                 c.data.val_nodes.clone(),
                 c.data.test_nodes.clone(),
             );
-            c.data = mended;
+            c.data = c.model.prepare(mended);
             // Eval view keeps the same mended training graph in the
             // transductive case (eval_data stays as-is when inductive).
         }
@@ -334,6 +345,13 @@ mod tests {
         // SAGE sees only 2 hops, which caps it on this noise-calibrated
         // task; the bar checks learning, not parity with deeper backbones.
         assert!(acc > 0.5, "acc {acc}");
+    }
+
+    #[test]
+    #[should_panic(expected = "FedSage+ generates raw neighbour features, but client 0's are propagated")]
+    fn a_propagated_client_is_refused() {
+        let mut clients = small_federation(ModelKind::Sgc, 71);
+        FedSagePlus::new(Box::new(FedAvg::new())).mend_all(&mut clients, 0);
     }
 
     #[test]

@@ -282,7 +282,7 @@ impl Simulation {
                 participants_dropped: plan.participants.len() - plan.completed,
                 retries: plan.retries,
             };
-            publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, &self.kits);
+            publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, &self.kits, &self.clients);
             records.push(record);
         }
         records
@@ -493,8 +493,8 @@ struct RoundPlan {
 
 /// Record stage: closes the books on one round — the round's field list
 /// (on its span and, when a metrics endpoint serves, as its `/rounds`
-/// element), the `comms.*` byte counters, aggregation-latency histogram
-/// and what the kit pool holds (no-op below
+/// element), the `comms.*` byte counters, aggregation-latency histogram,
+/// what the kit pool and the clients hold (no-op below
 /// [`fedgta_obs::ObsLevel::Metrics`]), and flight-recorder breadcrumbs.
 fn publish_round(
     round_span: &mut fedgta_obs::SpanGuard,
@@ -502,6 +502,7 @@ fn publish_round(
     strategy: &str,
     aggregate_ns: u64,
     kits: &Pool<Kit>,
+    clients: &[Client],
 ) {
     use fedgta_obs::{counter, recorder, serve};
     if round_span.id() != 0 || serve::rounds_armed() {
@@ -524,6 +525,8 @@ fn publish_round(
         let (instances, bytes) = kits.held(Kit::bytes);
         fedgta_obs::global().gauge("fed.kits.instances").set(instances as u64);
         fedgta_obs::global().gauge("fed.kits.bytes").set(bytes as u64);
+        let held: usize = clients.iter().map(Client::bytes).sum();
+        fedgta_obs::global().gauge("fed.clients.bytes").set(held as u64);
     }
     // Flight-recorder breadcrumbs: deterministic per-round values only
     // (byte tallies and acceptance counts are functions of the seeds,

@@ -2,6 +2,7 @@
 //! hook bundle federated strategies use to inject auxiliary objectives,
 //! and the one place each hook is consulted ([`supervise`], [`step`]).
 
+use super::precompute::PrecomputeKind;
 use crate::loss::{soft_ce_into, softmax_ce_into};
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
@@ -38,9 +39,11 @@ pub struct GraphDataset {
     /// Weighted degrees of `Â = A + I` (the `D̂_ii` FedGTA's smoothing
     /// confidence weights by).
     pub degrees_hat: Vec<f32>,
-    /// Identity key for propagated-feature caches (unique per dataset
-    /// instance; cloning keeps the key because the contents are equal).
+    /// Identity key for GAMLP's hop cache (a clone, equal, keeps it).
     pub cache_key: u64,
+    /// `None` while `features` are the raw `X`; `Some((kind, k))` once a
+    /// decoupled model's `prepare` replaced them by their propagation.
+    pub propagated: Option<(PrecomputeKind, usize)>,
 }
 
 impl GraphDataset {
@@ -99,6 +102,7 @@ impl GraphDataset {
             test_nodes,
             degrees_hat,
             cache_key: NEXT_DATASET_KEY.fetch_add(1, Ordering::Relaxed),
+            propagated: None,
         }
     }
 
@@ -107,9 +111,17 @@ impl GraphDataset {
         self.features.rows()
     }
 
-    /// Input feature dimension.
+    /// The raw feature dimension `f` (SIGN's propagation is `(k + 1)·f` wide).
     pub fn num_features(&self) -> usize {
-        self.features.cols()
+        self.features.cols() / self.propagated.map_or(1, |(kind, k)| kind.out_dim(1, k))
+    }
+
+    /// Heap bytes held: features, adjacencies, labels, splits and degrees.
+    pub fn bytes(&self) -> usize {
+        let csr = |a: &Csr| 8 * a.indptr().len() + 4 * a.num_edges() + a.weights().map_or(0, |w| 4 * w.len());
+        let ids = self.labels.len() + self.train_nodes.len() + self.val_nodes.len() + self.test_nodes.len();
+        let adjacencies: usize = [&self.adj_norm, &self.adj_mean, &self.adj_mean_t].map(csr).iter().sum();
+        4 * (self.features.as_slice().len() + ids + self.degrees_hat.len()) + adjacencies
     }
 }
 

@@ -1,9 +1,9 @@
 //! The decoupled backbone family: SGC, SIGN, S²GC, GBP.
 //!
-//! Feature propagation happens once per dataset ([`precompute`]); training
-//! is then plain mini-batch MLP training on the combined features — which
-//! is why these models scale (paper Table 1: the propagation term `O(kmf)`
-//! is training-independent).
+//! Feature propagation happens once per dataset ([`GraphModel::prepare`]),
+//! which keeps only its result; training is then plain mini-batch MLP
+//! training on those rows — which is why these models scale (paper Table 1:
+//! the propagation term `O(kmf)` is training-independent).
 
 use super::common::{GraphDataset, TrainHooks};
 use super::head::{BatchedHead, HeadInput};
@@ -15,13 +15,13 @@ use crate::tensor::{MatView, Matrix};
 use crate::workspace::Workspace;
 use std::ops::Range;
 
-/// A decoupled GNN: `head(combine(hops(X)))`.
+/// A decoupled GNN: `head(combine(hops(X)))`, where `prepare` computed
+/// `combine(hops(X))` into the dataset.
 #[derive(Clone)]
 pub struct DecoupledModel {
     kind: PrecomputeKind,
     k: usize,
-    /// The head, over the combined features of each dataset seen.
-    inner: BatchedHead<Matrix>,
+    inner: BatchedHead,
 }
 
 impl DecoupledModel {
@@ -41,15 +41,23 @@ impl DecoupledModel {
         }
     }
 
-    /// Checks out the combined features of `data` (computed on a miss);
-    /// hand them back with `self.inner.give_features`.
-    fn take_combined(&mut self, data: &GraphDataset) -> (u64, Matrix) {
-        let (kind, k) = (self.kind, self.k);
-        self.inner.take_features(data, || precompute(kind, &data.adj_norm, &data.features, k))
+    /// The features of `data`, which must be this model's propagation.
+    fn features<'a>(&self, data: &'a GraphDataset) -> &'a Matrix {
+        let (kind, k, has) = (self.kind, self.k, data.propagated);
+        let hint = "pass it through GraphModel::prepare";
+        assert!(has == Some((kind, k)), "{kind:?} with k = {k} reads propagated features, the dataset's are {has:?}: {hint}");
+        &data.features
     }
 }
 
 impl GraphModel for DecoupledModel {
+    fn prepare(&self, mut data: GraphDataset) -> GraphDataset {
+        assert_eq!(data.propagated, None, "features already propagated");
+        data.features = precompute(self.kind, &data.adj_norm, std::mem::take(&mut data.features), self.k);
+        data.propagated = Some((self.kind, self.k));
+        data
+    }
+
     fn num_params(&self) -> usize {
         self.inner.head.num_params()
     }
@@ -68,49 +76,41 @@ impl GraphModel for DecoupledModel {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
     ) -> f32 {
-        let entry = self.take_combined(data);
-        let features = &entry.1;
-        // A batch is its rows of the combined features; upstream of it is
-        // data, so the head's input gradient is never computed.
+        let features = self.features(data);
+        // A batch is its rows of the propagated features; upstream of it
+        // is data, so the head's input gradient is never computed.
         let gather = |_: &Mlp, batch: &[u32], ws: &mut Workspace| {
             let mut xb = ws.take_matrix(batch.len(), features.cols());
             features.gather_rows_into(batch, &mut xb);
             (xb, ())
         };
-        let loss = self.inner.train_epoch(data, opt, hooks, gather, |head, cache, d, hg, (), ws| {
+        self.inner.train_epoch(data, opt, hooks, gather, |head, cache, d, hg, (), ws| {
             head.backward_ws(cache, d, hg, ws)
-        });
-        self.inner.give_features(entry);
-        loss
+        })
     }
 
     fn predict_into(&mut self, data: &GraphDataset, out: &mut Matrix) {
-        // Row ranges of the cached combined features, read where they lie.
-        let entry = self.take_combined(data);
-        let (x, cols) = (entry.1.as_slice(), entry.1.cols());
+        // Row ranges of the propagated features, read where they lie.
+        let features = self.features(data);
+        let (x, cols) = (features.as_slice(), features.cols());
         let rows_of = |r: Range<usize>, _: &mut Workspace| {
             HeadInput::Rows(MatView::new(r.len(), cols, &x[r.start * cols..r.end * cols]))
         };
-        self.inner.probs_by_pieces(data, entry.1.rows(), rows_of, out);
-        self.inner.give_features(entry);
+        self.inner.probs_by_pieces(data, features.rows(), rows_of, out);
     }
 
     fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
-        let entry = self.take_combined(data);
+        let features = self.features(data);
         let gather = |r: Range<usize>, ws: &mut Workspace| {
-            let mut x = ws.take_matrix(r.len(), entry.1.cols());
-            entry.1.gather_rows_into(&rows[r], &mut x);
+            let mut x = ws.take_matrix(r.len(), features.cols());
+            features.gather_rows_into(&rows[r], &mut x);
             HeadInput::Pooled(x)
         };
         self.inner.probs_by_pieces(data, rows.len(), gather, out);
-        self.inner.give_features(entry);
     }
 
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {
-        let entry = self.take_combined(data);
-        let h = self.inner.head.infer_hidden(&entry.1);
-        self.inner.give_features(entry);
-        h
+        self.inner.head.infer_hidden(self.features(data))
     }
 
     fn swap_workspace(&mut self, ws: &mut Workspace) {
@@ -171,12 +171,17 @@ pub(crate) mod tests {
         }
     }
 
+    /// A model of `kind` and `toy_dataset(seed)` prepared for it.
+    fn prepared(kind: ModelKind, seed: u64) -> (DecoupledModel, GraphDataset) {
+        let m = DecoupledModel::new(&cfg(kind), 4, 2);
+        let data = m.prepare(toy_dataset(seed));
+        (m, data)
+    }
+
     #[test]
     fn all_decoupled_variants_learn_the_toy_task() {
         for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp] {
-            let data = toy_dataset(1);
-            let c = cfg(kind);
-            let mut m = DecoupledModel::new(&c, data.num_features(), 2);
+            let (mut m, data) = prepared(kind, 1);
             let mut opt = Adam::new(0.05, 0.0);
             for _ in 0..30 {
                 m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
@@ -189,9 +194,7 @@ pub(crate) mod tests {
 
     #[test]
     fn params_roundtrip_changes_predictions() {
-        let data = toy_dataset(2);
-        let c = cfg(ModelKind::Sign);
-        let mut m = DecoupledModel::new(&c, data.num_features(), 2);
+        let (mut m, data) = prepared(ModelKind::Sign, 2);
         let p0 = m.params();
         let mut opt = Adam::new(0.05, 0.0);
         for _ in 0..5 {
@@ -206,9 +209,7 @@ pub(crate) mod tests {
 
     #[test]
     fn grad_hook_sees_every_step() {
-        let data = toy_dataset(3);
-        let c = cfg(ModelKind::Sgc);
-        let mut m = DecoupledModel::new(&c, data.num_features(), 2);
+        let (mut m, data) = prepared(ModelKind::Sgc, 3);
         let mut opt = Adam::new(0.01, 0.0);
         let mut calls = 0usize;
         let mut hook = |_p: &[f32], _g: &mut [f32]| calls += 1;
@@ -222,19 +223,35 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cache_reused_across_epochs() {
-        let data = toy_dataset(4);
-        let c = cfg(ModelKind::S2gc);
-        let mut m = DecoupledModel::new(&c, data.num_features(), 2);
-        let mut opt = Adam::new(0.01, 0.0);
-        m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
-        assert_eq!(m.inner.cache.len(), 1);
-        m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
-        assert_eq!(m.inner.cache.len(), 1);
-        // Evaluating on a second dataset adds a second entry, not more.
-        let other = toy_dataset(5);
-        m.predict(&other);
-        m.predict(&data);
-        assert_eq!(m.inner.cache.len(), 2);
+    fn prepare_propagates_once_and_the_model_reads_the_dataset() {
+        for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp] {
+            let raw = toy_dataset(4);
+            let m = DecoupledModel::new(&cfg(kind), 4, 2);
+            let want = precompute(m.kind, &raw.adj_norm, raw.features.clone(), 2);
+            let mut data = m.prepare(raw);
+            assert_eq!(data.features, want, "{kind:?}");
+            assert_eq!(data.propagated, Some((m.kind, 2)));
+            assert_eq!(data.num_features(), 4, "{kind:?}: the raw width");
+            // Nothing is cached: the next forward reads what the dataset
+            // holds now.
+            let mut m = m;
+            let before = m.predict(&data);
+            data.features.scale(0.0);
+            assert_ne!(m.predict(&data), before, "{kind:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pass it through GraphModel::prepare")]
+    fn an_unprepared_dataset_is_refused() {
+        let data = toy_dataset(5);
+        DecoupledModel::new(&cfg(ModelKind::S2gc), 4, 2).predict(&data);
+    }
+
+    #[test]
+    #[should_panic(expected = "pass it through GraphModel::prepare")]
+    fn a_dataset_prepared_for_another_kind_is_refused() {
+        let (_, data) = prepared(ModelKind::Sgc, 5);
+        DecoupledModel::new(&cfg(ModelKind::S2gc), 4, 2).predict(&data);
     }
 }

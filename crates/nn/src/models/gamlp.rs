@@ -27,8 +27,9 @@ use std::ops::Range;
 #[derive(Clone)]
 pub struct Gamlp {
     k: usize,
-    /// The head, over the hop features of each dataset seen.
-    inner: BatchedHead<Vec<Matrix>>,
+    inner: BatchedHead,
+    /// Hops of the last two datasets seen (a client's train and eval view).
+    cache: Vec<(u64, Vec<Matrix>)>,
 }
 
 /// `softmax(a)` in a buffer checked out of `ws`.
@@ -102,14 +103,20 @@ impl Gamlp {
         Self {
             k: cfg.k,
             inner: BatchedHead::new(cfg, in_dim, num_classes, cfg.k + 1, 0xc2b2_ae3d_27d4_eb4f),
+            cache: Vec::new(),
         }
     }
 
-    /// Checks out the hop features of `data` (computed on a miss); hand
-    /// them back with `self.inner.give_features`.
+    /// Checks out `data`'s hops (computed on a miss) for `self.cache.push` to
+    /// take back, leaving `self` free for the head: no per-epoch clone.
     fn take_hops(&mut self, data: &GraphDataset) -> (u64, Vec<Matrix>) {
-        let k = self.k;
-        self.inner.take_features(data, || hop_features(&data.adj_norm, &data.features, k))
+        if let Some(pos) = self.cache.iter().position(|(key, _)| *key == data.cache_key) {
+            return self.cache.swap_remove(pos);
+        }
+        if self.cache.len() >= 2 {
+            self.cache.remove(0);
+        }
+        (data.cache_key, hop_features(&data.adj_norm, &data.features, self.k))
     }
 }
 
@@ -159,7 +166,7 @@ impl GraphModel for Gamlp {
                 grads
             },
         );
-        self.inner.give_features(entry);
+        self.cache.push(entry);
         loss
     }
 
@@ -174,7 +181,7 @@ impl GraphModel for Gamlp {
         };
         self.inner.probs_by_pieces(data, hops[0].rows(), combine_range, out);
         self.inner.ws.give(gate);
-        self.inner.give_features(entry);
+        self.cache.push(entry);
     }
 
     fn predict_rows_into(&mut self, data: &GraphDataset, rows: &[u32], out: &mut Matrix) {
@@ -189,7 +196,7 @@ impl GraphModel for Gamlp {
         };
         self.inner.probs_by_pieces(data, rows.len(), combine_rows, out);
         self.inner.ws.give(gate);
-        self.inner.give_features(entry);
+        self.cache.push(entry);
     }
 
     fn penultimate(&mut self, data: &GraphDataset) -> Matrix {
@@ -198,7 +205,7 @@ impl GraphModel for Gamlp {
         let mut ws = Workspace::new();
         let gate = softmax_gate(self.inner.head.extra(), &mut ws);
         let x = combine(&gate, entry.1.iter().map(Matrix::as_slice), shape, &mut ws);
-        self.inner.give_features(entry);
+        self.cache.push(entry);
         self.inner.head.infer_hidden(&x)
     }
 

@@ -13,7 +13,7 @@ use std::ops::Range;
 
 /// The head's input for one piece of rows.
 pub(crate) enum HeadInput<'a> {
-    /// Consecutive rows of a cached matrix, read where they lie.
+    /// Consecutive rows of a resident matrix, read where they lie.
     Rows(MatView<'a>),
     /// Rows assembled in a matrix checked out of the piece loop's
     /// workspace, which takes it back.
@@ -21,24 +21,21 @@ pub(crate) enum HeadInput<'a> {
 }
 
 /// What the decoupled family and GAMLP share: an MLP head trained by
-/// mini-batches on features of type `F` cached per dataset, and the scratch
-/// arena its training and its inference both run through. The two differ
-/// only in how a batch's head input is built (gather vs gate-combine) and
-/// in what lies upstream of it (data vs the hop gate), which they pass in.
+/// mini-batches, and the scratch arena its training and its inference both
+/// run through. The two differ only in how a batch's head input is built
+/// (gather vs gate-combine) and in what lies upstream of it (data vs the
+/// hop gate), which they pass in.
 #[derive(Clone)]
-pub(crate) struct BatchedHead<F> {
+pub(crate) struct BatchedHead {
     pub head: Mlp,
     batch_size: usize,
     rng: StdRng,
-    /// Tiny cache of propagated features keyed by dataset identity (a
-    /// client alternates between at most its train view and an eval view).
-    pub cache: Vec<(u64, F)>,
     /// The scratch arena batches and activations go through: the head's
     /// own (empty after `clone()`) unless the caller swapped one in.
     pub ws: Workspace,
 }
 
-impl<F> BatchedHead<F> {
+impl BatchedHead {
     /// A head of `cfg.layers` linear layers from `head_in` inputs
     /// (`cfg.layers == 1`: the linear head of the SGC paper; deeper heads
     /// insert `cfg.hidden`-wide ReLU layers) behind `extra` parameters of
@@ -49,28 +46,8 @@ impl<F> BatchedHead<F> {
             head: Mlp::with_extra(&dims, cfg.dropout, cfg.seed, extra),
             batch_size: cfg.batch_size,
             rng: StdRng::seed_from_u64(cfg.seed ^ salt),
-            cache: Vec::new(),
             ws: Workspace::new(),
         }
-    }
-
-    /// Checks out the cached features of `data`, computing them on a miss.
-    /// The caller hands the entry back with [`Self::give_features`] —
-    /// checking it *out* (instead of borrowing it) leaves `self` free for
-    /// the head and the workspace next to it, with no per-epoch clone.
-    pub fn take_features(&mut self, data: &GraphDataset, compute: impl FnOnce() -> F) -> (u64, F) {
-        if let Some(pos) = self.cache.iter().position(|(k, _)| *k == data.cache_key) {
-            return self.cache.swap_remove(pos);
-        }
-        if self.cache.len() >= 2 {
-            self.cache.remove(0);
-        }
-        (data.cache_key, compute())
-    }
-
-    /// Returns a checked-out cache entry (most-recently-used last).
-    pub fn give_features(&mut self, entry: (u64, F)) {
-        self.cache.push(entry);
     }
 
     /// Rows of the largest batch training cuts from `data` — the most rows

@@ -10,9 +10,9 @@
 //! | GBP | decoupled | MLP on `Σ β(1−β)ˡ Âˡ X` |
 //! | GAMLP | decoupled | MLP on a learned softmax gate over hop features |
 //!
-//! Decoupled models precompute propagated features once per dataset
-//! (cached by the dataset's identity key) — the scalability property the
-//! paper's Table 1 relies on.
+//! A decoupled model propagates a dataset's features once, in
+//! [`GraphModel::prepare`], and the dataset holds the result in place of
+//! its raw `X` — the scalability property the paper's Table 1 relies on.
 //!
 //! A backbone supplies a forward and a backward; everything a federated
 //! strategy can reach — the supervised loss, the three [`TrainHooks`]
@@ -43,9 +43,13 @@ use crate::workspace::Workspace;
 ///
 /// All parameters live in one flat `f32` buffer so federated strategies
 /// can aggregate models as opaque vectors. `predict`/`penultimate` take
-/// `&mut self` because decoupled models lazily cache propagated features
-/// per dataset.
+/// `&mut self` because they run through the model's scratch arena.
 pub trait GraphModel: Send {
+    /// `data` made ready for this model, once, before it trains or predicts
+    /// on it: the identity, but for the decoupled family's propagation.
+    fn prepare(&self, data: GraphDataset) -> GraphDataset {
+        data
+    }
     /// Total parameter count.
     fn num_params(&self) -> usize;
     /// Snapshot of the flat parameter buffer.

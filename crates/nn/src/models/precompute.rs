@@ -93,13 +93,13 @@ pub fn combine(kind: PrecomputeKind, hops: &[Matrix]) -> Matrix {
 
 /// Propagates and combines in one pass — [`combine`] over
 /// [`hop_features`] to the bit, the readable reference it is tested
-/// against, without holding hops the kind is done with: SGC ping-pongs two
-/// buffers, S²GC and GBP fold each hop into a running accumulator as it
-/// appears, and only SIGN, whose output *is* every hop side by side, ends
+/// against, without holding hops the kind is done with: SGC ping-pongs `X`'s
+/// own buffer and one more, S²GC and GBP fold each hop into a running sum as
+/// it appears, and only SIGN, whose output *is* every hop side by side, ends
 /// up with `k + 1` of them — written straight into their columns.
-pub fn precompute(kind: PrecomputeKind, adj_norm: &Csr, features: &Matrix, k: usize) -> Matrix {
+pub fn precompute(kind: PrecomputeKind, adj_norm: &Csr, features: Matrix, k: usize) -> Matrix {
     let (n, f) = features.shape();
-    let mut cur = features.clone();
+    let mut cur = features;
     let mut next = Matrix::zeros(n, f);
     let mut out = match kind {
         PrecomputeKind::Sgc => Matrix::default(),
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn sign_concatenates_dims() {
         let (a, x) = setup();
-        let p = precompute(PrecomputeKind::Sign, &a, &x, 2);
+        let p = precompute(PrecomputeKind::Sign, &a, x, 2);
         assert_eq!(p.shape(), (3, 6));
         assert_eq!(PrecomputeKind::Sign.out_dim(2, 2), 6);
     }
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn beta_one_reduces_gbp_to_raw_features() {
         let (a, x) = setup();
-        let p = precompute(PrecomputeKind::Gbp { beta: 1.0 }, &a, &x, 3);
+        let p = precompute(PrecomputeKind::Gbp { beta: 1.0 }, &a, x.clone(), 3);
         assert_eq!(p, x);
     }
 
@@ -219,10 +219,15 @@ mod tests {
         for kind in kinds {
             for k in 0..4 {
                 let want = combine(kind, &hop_features(&a, &x, k));
-                let got = precompute(kind, &a, &x, k);
+                let got = precompute(kind, &a, x.clone(), k);
                 assert_eq!(got.shape(), want.shape(), "{kind:?} k={k}");
                 assert_eq!(bits(&got), bits(&want), "{kind:?} k={k}");
             }
         }
+        // SGC copies nothing: after an even number of ping-pongs the
+        // result lies in the very buffer `X` came in.
+        let input = x.clone();
+        let at = input.as_slice().as_ptr();
+        assert_eq!(precompute(PrecomputeKind::Sgc, &a, input, 2).as_slice().as_ptr(), at);
     }
 }

@@ -4,10 +4,11 @@
 //! decoupled family + GAMLP through their row-separable overrides, whose
 //! pieces (batch 16 here, so every non-trivial row set spans several) must
 //! not show in a single bit. And the decoupled family's `predict_into`,
-//! itself run by pieces, against the one-GEMM-per-layer forward it replaced.
+//! itself run by pieces over the dataset `prepare` propagated, against the
+//! one-GEMM-per-layer forward over `combine(hop_features(X))` it replaced.
 
 use fedgta_graph::EdgeList;
-use fedgta_nn::models::precompute::precompute;
+use fedgta_nn::models::precompute::{combine, hop_features};
 use fedgta_nn::models::{build_model, DecoupledModel, ModelConfig, ModelKind, PrecomputeKind};
 use fedgta_nn::ops::softmax_rows_inplace;
 use fedgta_nn::{Adam, GraphDataset, GraphModel, Matrix, Mlp, TrainHooks, Workspace};
@@ -52,8 +53,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
 #[test]
 fn requested_rows_equal_the_same_rows_of_the_full_forward_bitwise() {
     // Transductive: train and score on one view. Inductive: train on the
-    // 60-node training view, score on the 90-node evaluation view (a
-    // second feature cache entry for the decoupled models).
+    // 60-node training view, score on the 90-node evaluation view (each
+    // prepared for the model, as a client's two views are).
     let transductive = dataset(90, false);
     let (train_view, eval_view) = (dataset(60, true), dataset(90, false));
     for kind in ModelKind::all() {
@@ -68,6 +69,7 @@ fn requested_rows_equal_the_same_rows_of_the_full_forward_bitwise() {
         };
         for (train, score) in [(&transductive, &transductive), (&train_view, &eval_view)] {
             let mut model = build_model(&cfg, train.num_features(), CLASSES);
+            let (train, score) = (&model.prepare(train.clone()), &model.prepare(score.clone()));
             let mut opt = Adam::new(0.02, 5e-4);
             for _ in 0..2 {
                 model.train_epoch(train, &mut opt, &mut TrainHooks::none());
@@ -116,9 +118,9 @@ fn pieced_predict_into_equals_the_whole_forward_and_pools_nothing_n_sized() {
                 ..ModelConfig::default()
             };
             // Every node trains, so a piece is min(PIECE, n) rows.
-            let mut data = dataset(n, true);
-            data.train_nodes = (0..n as u32).collect();
-            let mut model = DecoupledModel::new(&cfg, data.num_features(), CLASSES);
+            let mut raw = dataset(n, true);
+            raw.train_nodes = (0..n as u32).collect();
+            let mut model = DecoupledModel::new(&cfg, raw.num_features(), CLASSES);
             // Non-zero biases too; no training, so the workspace holds
             // only what inference leaves in it.
             let params: Vec<f32> = (0..model.num_params())
@@ -127,8 +129,9 @@ fn pieced_predict_into_equals_the_whole_forward_and_pools_nothing_n_sized() {
             model.set_params(&params);
 
             // The body `predict_into` had before: the head over all rows
-            // at once, softmax in place.
-            let combined = precompute(pre, &data.adj_norm, &data.features, cfg.k);
+            // of the readable propagation at once, softmax in place.
+            let combined = combine(pre, &hop_features(&raw.adj_norm, &raw.features, cfg.k));
+            let data = model.prepare(raw);
             let mut head = Mlp::new(&[combined.cols(), cfg.hidden, CLASSES], 0.0, 0);
             head.set_params(&params);
             let mut whole = head.infer_ws(combined.view(), &mut Workspace::new());

@@ -14,11 +14,13 @@ use fedgta_partition::{metis_kway, MetisConfig};
 
 #[test]
 fn adaptive_and_feature_moment_variants_run_end_to_end() {
-    for cfg in [
-        FedGtaConfig::adaptive(0.7),
-        FedGtaConfig::with_feature_moments(),
+    // The feature extension reads raw features: GAMLP keeps them, SGC
+    // clients hold their propagation instead.
+    for (cfg, kind) in [
+        (FedGtaConfig::adaptive(0.7), ModelKind::Sgc),
+        (FedGtaConfig::with_feature_moments(), ModelKind::Gamlp),
     ] {
-        let mut clients = small_federation(ModelKind::Sgc, 300);
+        let mut clients = small_federation(kind, 300);
         let mut s = FedGta::new(cfg);
         let all: Vec<usize> = (0..clients.len()).collect();
         for _ in 0..10 {

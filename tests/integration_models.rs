@@ -1,12 +1,16 @@
 //! Cross-crate model-behaviour tests: checkpoint round-trips through the
-//! federation, personalization survives evaluation views, and flat-vector
-//! interchange between backbones of the same architecture.
+//! federation, personalization survives evaluation views, flat-vector
+//! interchange between backbones of the same architecture, and what a
+//! decoupled client holds after it is built.
 
 use fedgta_fed::strategies::test_support::small_federation;
+use fedgta_graph::par::par_map_indexed;
 use fedgta_nn::io::{load_params, save_params};
-use fedgta_nn::models::{build_model, ModelConfig, ModelKind};
 use fedgta_nn::metrics::accuracy;
-use fedgta_nn::{Adam, TrainHooks};
+use fedgta_nn::models::precompute::{combine, hop_features};
+use fedgta_nn::models::{build_model, ModelConfig, ModelKind, PrecomputeKind};
+use fedgta_nn::ops::softmax_rows_inplace;
+use fedgta_nn::{Adam, Matrix, Mlp, TrainHooks, Workspace};
 
 #[test]
 fn checkpoint_transfers_a_trained_model_between_processes() {
@@ -81,5 +85,49 @@ fn training_improves_over_initialization_for_every_backbone() {
             "{}: {before:.3} -> {after:.3}",
             kind.name()
         );
+    }
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn a_decoupled_client_holds_its_propagation_and_predicts_as_before() {
+    // The same clients' raw datasets: GAMLP's `prepare` is the identity.
+    let raw = small_federation(ModelKind::Gamlp, 403);
+    let kinds = [
+        (ModelKind::Sgc, PrecomputeKind::Sgc),
+        (ModelKind::Sign, PrecomputeKind::Sign),
+        (ModelKind::S2gc, PrecomputeKind::S2gc),
+        (ModelKind::Gbp, PrecomputeKind::Gbp { beta: 0.5 }),
+    ];
+    for (kind, pre) in kinds {
+        let mut clients = small_federation(kind, 403);
+        for c in &mut clients {
+            c.train_local(1, &mut TrainHooks::none());
+        }
+        for threads in [1, 4] {
+            let got = par_map_indexed(&mut clients, Some(threads), |_, c| c.model.predict(&c.data));
+            for ((c, r), probs) in clients.iter().zip(&raw).zip(&got) {
+                let (n, f) = r.data.features.shape();
+                assert_eq!(c.data.features.shape(), (n, pre.out_dim(f, 2)), "{kind:?}");
+                assert_eq!(c.data.propagated, Some((pre, 2)), "{kind:?}");
+                // The input a model used to compute and cache on first
+                // use, through the same head.
+                let combined = combine(pre, &hop_features(&r.data.adj_norm, &r.data.features, 2));
+                let mut head = Mlp::new(&[combined.cols(), 16, 4], 0.0, 0);
+                head.set_params(&c.model.params());
+                let mut want = head.infer_ws(combined.view(), &mut Workspace::new());
+                softmax_rows_inplace(&mut want);
+                assert_eq!(bits(probs), bits(&want), "{kind:?} client {} at {threads} threads", c.id);
+            }
+        }
+        // Nothing is cached beside the dataset: a forward reads what the
+        // client holds now.
+        let c = &mut clients[0];
+        let before = c.model.predict(&c.data);
+        c.data.features.scale(0.0);
+        assert_ne!(bits(&c.model.predict(&c.data)), bits(&before), "{kind:?}");
     }
 }

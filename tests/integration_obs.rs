@@ -207,3 +207,28 @@ fn a_metered_wire_run_without_stragglers_still_exports_the_straggler_histogram()
     assert_eq!(lateness.map(|s| s.count), Some(0));
     fedgta_obs::global().reset();
 }
+
+#[test]
+fn the_clients_gauge_holds_a_decoupled_clients_features_once() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fedgta_obs::global().reset();
+    fedgta_obs::set_level(ObsLevel::Metrics);
+    let clients = federation_with(ModelKind::Sgc, 903, 4, 903);
+    let cfg = SimConfig { rounds: 1, local_epochs: 1, ..SimConfig::default() };
+    let mut sim = Simulation::new(clients, Box::new(FedAvg::new()), cfg);
+    sim.run();
+    fedgta_obs::set_level(ObsLevel::Off);
+    let snaps = fedgta_obs::global().snapshot();
+    let held = snaps.iter().find(|s| s.name == "fed.clients.bytes").expect("clients gauge").value;
+    fedgta_obs::global().reset();
+    // The same clients' raw datasets (GAMLP reads raw features), plus the
+    // parameter vectors, plus the n × f propagated copy an SGC model kept
+    // beside its dataset's raw X before the dataset held the copy instead.
+    let raw: usize = federation_with(ModelKind::Gamlp, 903, 4, 903).iter().map(|c| c.data.bytes()).sum();
+    let params: usize = sim.clients.iter().map(|c| 4 * c.model.num_params()).sum();
+    let n: usize = sim.clients.iter().map(|c| c.data.num_nodes()).sum();
+    let (f, cached) = (16, 4 * n * 16);
+    assert_eq!(sim.clients[0].data.features.cols(), f);
+    assert_eq!(held as usize, raw + params);
+    assert_eq!(held as usize + 4 * n * f, raw + cached + params, "one n·f·4 copy fewer");
+}
