@@ -14,13 +14,17 @@ use fedgta_data::{generate_from_spec, spec_by_name, DatasetSpec, Task};
 use fedgta_fed::client::{build_clients, Client, ClientBuildConfig};
 use fedgta_fed::fgl_models::FedGl;
 use fedgta_fed::kit::Kit;
-use fedgta_fed::round::{SimConfig, Simulation};
+use fedgta_fed::faults::FaultConfig;
+use fedgta_fed::round::{CommsConfig, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::small_federation;
-use fedgta_fed::strategies::{FedAvg, FedDc, FedProx, GcflPlus, Scaffold, Strategy};
+use fedgta_fed::strategies::{
+    FedAvg, FedDc, FedProx, GcflPlus, RoundCtx, RoundStats, Scaffold, Strategy,
+};
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use fedgta_partition::{communities_to_clients, louvain, LouvainConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 const SEED: u64 = 2023;
 
@@ -80,8 +84,40 @@ fn fnv1a(params: &[f32]) -> u64 {
     h
 }
 
-/// One cell: its name, its clients, its strategy, its round count.
-type Cell = (&'static str, fn() -> Vec<Client>, fn() -> Box<dyn Strategy>, usize);
+/// One cell: its name, its clients, its strategy, its round count, the
+/// share of clients sampled per round and the transport it runs over
+/// (`None`: in memory).
+struct Cell {
+    name: &'static str,
+    clients: fn() -> Vec<Client>,
+    strategy: fn() -> Box<dyn Strategy>,
+    rounds: usize,
+    participation: f64,
+    comms: Option<fn() -> CommsConfig>,
+}
+
+/// A full-participation, in-memory cell.
+fn cell(
+    name: &'static str,
+    clients: fn() -> Vec<Client>,
+    strategy: fn() -> Box<dyn Strategy>,
+    rounds: usize,
+) -> Cell {
+    Cell { name, clients, strategy, rounds, participation: 1.0, comms: None }
+}
+
+/// The channel transport losing 30 % of all messages, with no retry: a
+/// client whose request is lost sits the round out, one whose upload is
+/// lost trained for nothing.
+fn lossy_channel() -> CommsConfig {
+    CommsConfig {
+        faults: FaultConfig::parse("drop=0.3,retries=0").unwrap(),
+        fault_seed: LOSSY_FAULT_SEED,
+        ..CommsConfig::default()
+    }
+}
+
+const LOSSY_FAULT_SEED: u64 = 5;
 
 fn fedgta() -> Box<dyn Strategy> {
     Box::new(FedGta::with_defaults())
@@ -110,22 +146,27 @@ fn gcfl() -> Box<dyn Strategy> {
 
 fn cells() -> Vec<Cell> {
     vec![
-        ("FedGTA/GCN", || small_federation(ModelKind::Gcn, SEED), fedgta, 3),
-        ("FedGTA/SAGE", || small_federation(ModelKind::Sage, SEED), fedgta, 3),
-        ("FedGTA/SGC", || small_federation(ModelKind::Sgc, SEED), fedgta, 3),
-        ("FedGTA/SIGN", || small_federation(ModelKind::Sign, SEED), fedgta, 3),
-        ("FedGTA/S2GC", || small_federation(ModelKind::S2gc, SEED), fedgta, 3),
-        ("FedGTA/GBP", || small_federation(ModelKind::Gbp, SEED), fedgta, 3),
-        ("FedProx/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedProx::new(0.1)), 3),
-        ("FedDC/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedDc::new(0.01)), 3),
-        ("Scaffold/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(Scaffold::new()), 3),
-        ("GCFL+/SGC", || small_federation(ModelKind::Sgc, SEED), gcfl, 6),
-        ("FedGL+FedAvg/SGC/halo", || federation(ModelKind::Sgc, 0.0, 0, true), fedgl, 5),
-        ("FedGL+FedAvg/GCN/halo", || federation(ModelKind::Gcn, 0.0, 0, true), fedgl, 5),
-        ("FedAvg/GCN/dropout", || federation(ModelKind::Gcn, 0.5, 0, false), fedavg, 3),
-        ("FedAvg/SAGE/dropout", || federation(ModelKind::Sage, 0.5, 0, false), fedavg, 3),
-        ("FedAvg/SIGN/dropout/batch32", || federation(ModelKind::Sign, 0.5, 32, false), fedavg, 3),
-        ("FedGTA/SIGN/inductive", || inductive(ModelKind::Sign), fedgta, 3),
+        cell("FedGTA/GCN", || small_federation(ModelKind::Gcn, SEED), fedgta, 3),
+        cell("FedGTA/SAGE", || small_federation(ModelKind::Sage, SEED), fedgta, 3),
+        cell("FedGTA/SGC", || small_federation(ModelKind::Sgc, SEED), fedgta, 3),
+        cell("FedGTA/SIGN", || small_federation(ModelKind::Sign, SEED), fedgta, 3),
+        cell("FedGTA/S2GC", || small_federation(ModelKind::S2gc, SEED), fedgta, 3),
+        cell("FedGTA/GBP", || small_federation(ModelKind::Gbp, SEED), fedgta, 3),
+        cell("FedProx/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedProx::new(0.1)), 3),
+        cell("FedDC/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedDc::new(0.01)), 3),
+        cell("Scaffold/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(Scaffold::new()), 3),
+        cell("GCFL+/SGC", || small_federation(ModelKind::Sgc, SEED), gcfl, 6),
+        cell("FedGL+FedAvg/SGC/halo", || federation(ModelKind::Sgc, 0.0, 0, true), fedgl, 5),
+        cell("FedGL+FedAvg/GCN/halo", || federation(ModelKind::Gcn, 0.0, 0, true), fedgl, 5),
+        cell("FedAvg/GCN/dropout", || federation(ModelKind::Gcn, 0.5, 0, false), fedavg, 3),
+        cell("FedAvg/SAGE/dropout", || federation(ModelKind::Sage, 0.5, 0, false), fedavg, 3),
+        cell("FedAvg/SIGN/dropout/batch32", || federation(ModelKind::Sign, 0.5, 32, false), fedavg, 3),
+        cell("FedGTA/SIGN/inductive", || inductive(ModelKind::Sign), fedgta, 3),
+        Cell {
+            participation: 0.5,
+            comms: Some(lossy_channel),
+            ..cell("FedGTA/SIGN/half/lossy", || small_federation(ModelKind::Sign, SEED), fedgta, 5)
+        },
     ]
 }
 
@@ -136,19 +177,21 @@ fn line(cell: &Cell, threads: usize) -> String {
 
 /// [`line`] after `prepare` has had its way with the simulation.
 fn line_with(cell: &Cell, threads: usize, prepare: impl FnOnce(&mut Simulation)) -> String {
-    let (name, clients, strategy, rounds) = *cell;
     let config = SimConfig {
-        rounds,
+        rounds: cell.rounds,
         local_epochs: 2,
-        participation: 1.0,
+        participation: cell.participation,
         eval_every: 0,
         seed: SEED,
         threads,
     };
-    let mut sim = Simulation::new(clients(), strategy(), config);
+    let mut sim = Simulation::new((cell.clients)(), (cell.strategy)(), config);
+    if let Some(comms) = cell.comms {
+        sim = sim.with_comms(comms());
+    }
     prepare(&mut sim);
     sim.run();
-    let mut out = format!("{name} params=");
+    let mut out = format!("{} params=", cell.name);
     for (i, c) in sim.clients.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         write!(out, "{sep}{:016x}", fnv1a(&c.model.params())).unwrap();
@@ -170,7 +213,7 @@ fn backbone_bits_match_the_golden_file_at_one_and_four_threads() {
     let cells = cells();
     let got: Vec<String> = cells.iter().map(|c| line(c, 1)).collect();
     for (cell, one) in cells.iter().zip(&got) {
-        assert_eq!(&line(cell, 4), one, "{}: 4 threads differ from 1", cell.0);
+        assert_eq!(&line(cell, 4), one, "{}: 4 threads differ from 1", cell.name);
     }
     if std::env::var_os("FEDGTA_GOLDEN_BLESS").is_some() {
         let mut text = header.join("\n");
@@ -209,14 +252,62 @@ fn kits_full_of_nan_cannot_reach_a_result_bit() {
         }
     };
     let golden = std::fs::read_to_string(golden_path()).expect("golden file");
-    let prox_gcn: Cell =
-        ("FedProx/GCN", || small_federation(ModelKind::Gcn, SEED), || Box::new(FedProx::new(0.1)), 3);
+    let prox_gcn =
+        cell("FedProx/GCN", || small_federation(ModelKind::Gcn, SEED), || Box::new(FedProx::new(0.1)), 3);
     let cells = cells();
-    let gta_sign = cells.iter().find(|c| c.0 == "FedGTA/SIGN").expect("cell");
+    let gta_sign = cells.iter().find(|c| c.name == "FedGTA/SIGN").expect("cell");
     for threads in [1, 4] {
         let dirty = line_with(gta_sign, threads, poison);
         assert!(golden.lines().any(|l| l == dirty), "{threads} threads: {dirty}");
         // No golden line for this pair: the clean run is the reference.
         assert_eq!(line_with(&prox_gcn, threads, poison), line(&prox_gcn, 1), "{threads} threads");
     }
+}
+
+/// Forwards to the cell's strategy after logging `(round, client,
+/// accepted)` for every client the round's fault script lets train.
+struct Logged {
+    inner: Box<dyn Strategy>,
+    turns: Arc<Mutex<Vec<(usize, usize, bool)>>>,
+}
+
+impl Strategy for Logged {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn round(&mut self, clients: &mut [Client], participants: &[usize], ctx: &RoundCtx<'_>) -> RoundStats {
+        let script = ctx.comms.expect("the lossy cell runs over the wire").script;
+        let trained = participants.iter().filter_map(|&c| script.fate(c).filter(|f| f.trains));
+        self.turns.lock().unwrap().extend(trained.map(|f| (script.round, f.client, f.accepted)));
+        self.inner.round(clients, participants, ctx)
+    }
+}
+
+/// The lossy cell reaches the two cases a FedGTA client can be in before
+/// the server holds a model for it: a client whose first upload is lost
+/// and who trains again with no vector to start from (on the moments it
+/// kept), and a client whose first turn comes after round 1.
+#[test]
+fn the_lossy_cell_loses_a_first_upload_and_starts_a_client_late() {
+    let cells = cells();
+    let lossy = cells.iter().find(|c| c.comms.is_some()).expect("a cell over the wire");
+    let turns = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&turns);
+    let dirty = line_with(lossy, 1, move |sim| {
+        let inner = std::mem::replace(&mut sim.strategy, fedavg());
+        sim.strategy = Box::new(Logged { inner, turns: log });
+    });
+    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    assert!(golden.lines().any(|l| l == dirty), "logging moved a bit: {dirty}");
+    let turns = turns.lock().unwrap();
+    let of = |c: usize| turns.iter().filter(move |t| t.1 == c).map(|&(round, _, accepted)| (round, accepted));
+    let clients = 0..(lossy.clients)().len();
+    let relearns = clients.clone().find(|&c| {
+        let mut mine = of(c);
+        mine.next().is_some_and(|(_, accepted)| !accepted) && mine.next().is_some()
+    });
+    let late = clients.clone().find(|&c| of(c).next().is_some_and(|(round, _)| round > 1));
+    assert!(relearns.is_some(), "no client lost its first upload and trained again: {turns:?}");
+    assert!(late.is_some(), "every client's first turn was in round 1: {turns:?}");
 }
