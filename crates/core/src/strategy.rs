@@ -25,6 +25,7 @@ use fedgta_fed::client::Client;
 use fedgta_fed::exec::{mean_loss, train_participants};
 use fedgta_fed::kit::Pool;
 use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
+use fedgta_fed::ParamTensor;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::JsonVal;
 
@@ -198,10 +199,11 @@ impl Strategy for FedGta {
                 ..TrainHooks::none()
             };
             let loss = c.train_local(ctx.epochs, &mut hooks);
-            let params = c.model.params();
             let mut m = Vec::new();
             let h = this.client_metrics(c, &mut m);
-            (loss, (params, h, m, c.n_train()))
+            // `W` is the model as trained: read in place at aggregation,
+            // copied only by a stage that needs bytes of its own.
+            (loss, (ParamTensor::Resident, h, m, c.n_train()))
         });
         let loss = mean_loss(&results);
         if fedgta_obs::metrics_on() {
@@ -218,7 +220,7 @@ impl Strategy for FedGta {
         // uploads arrive; aggregation is over whoever actually reported
         // (identical to `participants` on the no-fault path).
         let mut arrived: Vec<usize> = Vec::with_capacity(results.len());
-        let mut params: Vec<Vec<f32>> = Vec::with_capacity(results.len());
+        let mut params: Vec<ParamTensor> = Vec::with_capacity(results.len());
         let mut confidences: Vec<f64> = Vec::with_capacity(results.len());
         let mut sketches: Vec<Vec<f32>> = Vec::with_capacity(results.len());
         let mut n_trains: Vec<usize> = Vec::with_capacity(results.len());
@@ -238,7 +240,7 @@ impl Strategy for FedGta {
         );
         let uploads: Vec<ClientUpload<'_>> = (0..arrived.len())
             .map(|p| ClientUpload {
-                params: &params[p],
+                params: params[p].resolve(clients[arrived[p]].model.param_slice()),
                 confidence: confidences[p],
                 moments: &sketches[p],
                 n_train: n_trains[p],
@@ -268,6 +270,18 @@ impl Strategy for FedGta {
             agg.record("sim_above_eps", JsonVal::from(report.sim_above_eps()));
             agg.record("rejected", JsonVal::from(report.rejected));
         }
+        // Upload = model weights + moment sketch + confidence scalar.
+        let bytes_uploaded = uploads
+            .iter()
+            .map(|u| u.params.len() * 4 + u.moments.len() * 4 + 8)
+            .sum();
+        // Download = each participant's personalized aggregate, and
+        // nothing else — the server sends no confidence scalar back, and
+        // absent clients receive nothing (they keep their old personal
+        // model).
+        let bytes_downloaded = uploads.iter().map(|u| u.params.len() * 4).sum();
+        // The uploads may read the models the install below overwrites.
+        drop(uploads);
         for (&i, buf) in arrived.iter().zip(aggregated) {
             clients[i].model.set_params(&buf);
             // Move — not clone — the aggregate into the personalized
@@ -276,17 +290,6 @@ impl Strategy for FedGta {
             self.personalized[i] = Some(buf);
         }
         self.last_report = Some(report);
-        // Upload = model weights + moment sketch + confidence scalar.
-        let bytes_uploaded = (0..arrived.len())
-            .map(|p| params[p].len() * 4 + sketches[p].len() * 4 + 8)
-            .sum();
-        // Download = each participant's personalized aggregate, and
-        // nothing else — the server sends no confidence scalar back, and
-        // absent clients receive nothing (they keep their old personal
-        // model).
-        let bytes_downloaded = (0..arrived.len())
-            .map(|p| params[p].len() * 4)
-            .sum();
         RoundStats {
             mean_loss: loss,
             bytes_uploaded,
@@ -530,7 +533,8 @@ mod tests {
             assert!(bytes > 0);
             // Arena and moments both went back with the kit: FedGTA's
             // clients trained round 1 on moments of their own (nothing was
-            // broadcast yet) and lost them at round 2's reset.
+            // broadcast yet) and lost them as the turn ended, their
+            // uploads having arrived.
             for c in &mut sim.clients {
                 assert_eq!(own_scratch(c), (0, 0), "client {} at {threads} threads", c.id);
             }

@@ -247,11 +247,8 @@ fn eq5_mixed_moments_match_the_hand_derivation_bitwise() {
 struct Fixed(Matrix);
 
 impl GraphModel for Fixed {
-    fn num_params(&self) -> usize {
-        0
-    }
-    fn params(&self) -> Vec<f32> {
-        Vec::new()
+    fn param_slice(&self) -> &[f32] {
+        &[]
     }
     fn set_params(&mut self, _: &[f32]) {}
     fn train_epoch(&mut self, _: &GraphDataset, _: &mut dyn Optimizer, _: &mut TrainHooks<'_>) -> f32 {

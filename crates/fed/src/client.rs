@@ -23,9 +23,10 @@ pub struct Client {
     /// client — the worker lends one for each turn ([`crate::kit`]).
     pub model: Box<dyn GraphModel>,
     /// The local optimizer. Its moment vectors persist across rounds for
-    /// as long as nothing resets them; from the first broadcast on — the
-    /// executor resets the optimizer at every one — a run lends it a
-    /// worker's vectors for the turn and the client keeps none.
+    /// as long as nothing will reset them; a turn that starts from a
+    /// broadcast — the executor resets the optimizer at every one — trains
+    /// on a worker's vectors, and a turn after which the client will start
+    /// from one frees its own, so the client keeps none from then on.
     pub opt: Box<dyn Optimizer>,
     /// Local-to-global node id map of the training view.
     pub global_ids: Vec<u32>,
@@ -76,10 +77,13 @@ impl Client {
         self.eval_data.as_ref().unwrap_or(&self.data)
     }
 
-    /// Heap bytes of what the client holds between rounds: its datasets
-    /// and its model's parameter vector.
+    /// Heap bytes of what the client holds between rounds: its datasets,
+    /// its model's parameter vector, its optimizer's moments and its
+    /// error-feedback state.
     pub fn bytes(&self) -> usize {
-        self.data.bytes() + self.eval_data.as_ref().map_or(0, GraphDataset::bytes) + 4 * self.model.num_params()
+        let data = self.data.bytes() + self.eval_data.as_ref().map_or(0, GraphDataset::bytes);
+        let state = self.opt.state_bytes() + self.ef.as_ref().map_or(0, crate::ef::EfState::bytes);
+        data + 4 * self.model.num_params() + state
     }
 
     /// Runs `epochs` local epochs with the given hooks; returns mean loss.

@@ -180,6 +180,12 @@ pub struct EfState {
 }
 
 impl EfState {
+    /// Heap bytes the references and residuals retain (capacities).
+    pub fn bytes(&self) -> usize {
+        let tensor = |t: &EfTensor| 4 * t.reference.capacity() + 8 * t.residual.capacity();
+        self.tensors.iter().map(tensor).sum()
+    }
+
     /// The accumulator for payload tensor `t`, growing the state on
     /// first touch.
     pub fn tensor(&mut self, t: usize) -> &mut EfTensor {

@@ -8,7 +8,7 @@
 //! nodes in the federation.
 
 use crate::client::Client;
-use crate::kit::{lend, Kit, Pool};
+use crate::kit::{lend, Kit, Moments, Pool};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_nn::Matrix;
 
@@ -45,7 +45,7 @@ pub(crate) fn micro_average(
     kits: Option<&Pool<Kit>>,
 ) -> (f64, usize) {
     let per_client = par_map_indexed(clients, threads, |_, c| {
-        lend(kits, c, false, |c| client_accuracy(c, val))
+        lend(kits, c, Moments::Keep, |c| client_accuracy(c, val))
     });
     let mut correct = 0f64;
     let mut total = 0usize;
@@ -87,11 +87,8 @@ mod tests {
     }
 
     impl GraphModel for Probe {
-        fn num_params(&self) -> usize {
-            0
-        }
-        fn params(&self) -> Vec<f32> {
-            Vec::new()
+        fn param_slice(&self) -> &[f32] {
+            &[]
         }
         fn set_params(&mut self, _: &[f32]) {}
         fn train_epoch(

@@ -13,10 +13,10 @@
 //!
 //! Why this is safe to parallelize:
 //!
-//! - each [`Client`] owns its dataset, its model's parameters and, when
-//!   nothing resets it, its optimizer's moments; the scratch it trains
-//!   through is a [`crate::kit::Kit`] its worker holds exclusively for the
-//!   turn — no shared mutable state between participants;
+//! - each [`Client`] owns its dataset, its model's parameters and, while
+//!   nothing will reset them, its optimizer's moments; the scratch it
+//!   trains through is a [`crate::kit::Kit`] its worker holds exclusively
+//!   for the turn — no shared mutable state between participants;
 //! - closures only capture shared *immutable* round state (the global
 //!   parameters, per-client anchors, configuration);
 //! - any strategy state touched by more than one client (control variates,
@@ -25,7 +25,7 @@
 
 use crate::client::Client;
 use crate::faults::AttemptFate;
-use crate::kit::{lend, Kit, Pool};
+use crate::kit::{lend, Kit, Moments, Pool};
 use crate::strategies::{Broadcast, RoundCtx};
 use crate::transport::{
     corrupt_frame, decode_broadcast_coded, decode_upload, decode_upload_routed,
@@ -65,10 +65,20 @@ pub struct LocalResult<R> {
 /// load broadcast → timed train → upload filter → upload) → collect →
 /// server-side error feedback. With `ctx.kits` set, the worker lends the
 /// client a [`crate::kit::Kit`] for that whole turn: its arena, and —
-/// only when a declared broadcast makes the executor `reset()` the
+/// only when a broadcast vector makes the executor `reset()` the
 /// optimizer anyway — its moment vectors (the client's own are dead at
-/// that point and are freed). A client nobody broadcasts to keeps training
-/// on its own moments, which persist across rounds.
+/// that point and are freed). A turn that starts from no vector trains on
+/// the client's own moments; under a declared broadcast whose upload will
+/// reach the server (always in memory, `fate.accepted` on the wire) they
+/// die with the turn, because the server then holds a vector for the
+/// client's next one ([`Broadcast`]'s arrival contract). A client nobody
+/// broadcasts to, or whose upload is lost, keeps them.
+///
+/// A payload's [`crate::ParamTensor::Resident`] tensor is given bytes of
+/// its own ([`WirePayload::own_resident`]) only where a stage needs them:
+/// before the upload filter, the error-feedback fold and encoding. In
+/// memory with no filter it returns still resident, for the strategy to
+/// read off the client's model.
 ///
 /// The four wire stages are methods of the
 /// round's [`CommsRound`] and run only when `ctx.comms` carries one; without it
@@ -131,8 +141,17 @@ where
         let cg = fedgta_obs::span_under("client_train", span_parent)
             .with_field("client", fedgta_obs::JsonVal::from(i));
         // The worker's kit for the whole turn — with its moment vectors
-        // exactly when the optimizer is reset below.
-        lend(ctx.kits, c, start.is_some(), |c| {
+        // exactly when the optimizer is reset below. A turn from no vector
+        // trains on the client's own, which die with it when the client's
+        // next turn is sure to start from a vector (`Broadcast`'s arrival
+        // contract).
+        let arrives = wire.is_none_or(|w| w.script.fate(i).is_some_and(|fa| fa.accepted));
+        let moments = match start {
+            Some(_) => Moments::Lend,
+            None if ctx.broadcast.is_some() && arrives => Moments::Drop,
+            None => Moments::Keep,
+        };
+        lend(ctx.kits, c, moments, |c| {
             // Declared start-of-round broadcast: load the strategy's model
             // for this participant before its local step.
             if let Some(v) = start.as_deref() {
@@ -153,6 +172,7 @@ where
                     .observe(ct0.elapsed().as_nanos() as u64);
             }
             if let Some((filter, from)) = filter {
+                payload.own_resident(c.model.param_slice());
                 let mut tensor = 0usize;
                 payload.visit_tensors(&mut |params| {
                     if tensor == 0 {
@@ -347,6 +367,7 @@ impl CommsRound<'_> {
         client_span: u64,
     ) {
         let fate = self.script.fate(i).expect("trainer has a fate");
+        payload.own_resident(c.model.param_slice());
         let (kind, raw_len, body) = match self.legs.up.as_deref() {
             None => {
                 let body = encode_upload(loss, &payload);
@@ -482,7 +503,9 @@ where
     F: Fn(usize, &mut Client) -> R + Sync,
 {
     let mut slots = disjoint_slots(clients, indices);
-    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| lend(kits, c, false, |c| f(*i, c)))
+    par_map_indexed(&mut slots, Some(threads), |_, (i, c)| {
+        lend(kits, c, Moments::Keep, |c| f(*i, c))
+    })
 }
 
 /// Mean loss over local results (0 when empty).
@@ -744,6 +767,104 @@ mod tests {
         assert_eq!(got, vec![(3, 3.0, vec![3.0; 2]), (1, 1.0, vec![1.0; 2])]);
         assert_eq!(w.tally.corrupted.load(Relaxed), 2, "one mangled upload, one mangled request");
         assert!(t.drain(Endpoint::Client(0)).is_empty(), "no stale frame leaks into the next round");
+    }
+
+    // ---- what a turn leaves the client holding ----
+
+    use crate::transport::ParamTensor;
+    use fedgta_nn::TrainHooks;
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One epoch, uploading the model as trained.
+    fn one_epoch(_: usize, c: &mut Client) -> (f32, ParamTensor) {
+        (c.train_local(1, &mut TrainHooks::none()), ParamTensor::Resident)
+    }
+
+    #[test]
+    fn a_first_turn_whose_upload_arrives_ends_holding_no_moments() {
+        // FedGTA's round 1: a declared per-client broadcast with no vector
+        // yet. Every upload arrives, so every client's next turn starts
+        // from a vector and a reset — its moments die with this turn.
+        let mut clients = small_federation(ModelKind::Sign, 36);
+        let (none, kits) = (vec![None; clients.len()], Pool::default());
+        let ctx = RoundCtx {
+            broadcast: Some(Broadcast::PerClient(&none)),
+            kits: Some(&kits),
+            ..RoundCtx::with_threads(1, 2)
+        };
+        let results = train_participants(&mut clients, &[0, 1, 2, 3], &ctx, one_epoch);
+        assert_eq!(results.len(), 4);
+        for c in &clients {
+            assert_eq!(c.opt.state_bytes(), 0, "client {}", c.id);
+        }
+        // Nobody broadcasts: the moments stay, as `LocalOnly`'s do.
+        let ctx = RoundCtx { broadcast: None, ..ctx };
+        train_participants(&mut clients, &[0, 1, 2, 3], &ctx, one_epoch);
+        for c in &clients {
+            assert_eq!(c.opt.state_bytes(), 2 * 4 * c.model.num_params(), "client {}", c.id);
+        }
+    }
+
+    #[test]
+    fn a_client_whose_upload_is_lost_keeps_its_moments_and_trains_on_them() {
+        let mut clients = small_federation(ModelKind::Sign, 37);
+        let mut by_hand = small_federation(ModelKind::Sign, 37);
+        let (none, kits) = (vec![None; clients.len()], Pool::default());
+        let t = ChannelTransport::new(4);
+        let legs = Legs::default();
+        let turn = |clients: &mut [Client], s: &RoundScript| {
+            let w = wire(&t, s, &legs);
+            let ctx = RoundCtx {
+                comms: Some(&w),
+                broadcast: Some(Broadcast::PerClient(&none)),
+                kits: Some(&kits),
+                ..RoundCtx::with_threads(1, 2)
+            };
+            train_participants(clients, &[0, 1], &ctx, one_epoch)
+        };
+        // Round 1: client 0's upload is lost, client 1's arrives.
+        let lost_and_arrived = [(0, &[OK][..], &[LOST][..], false), (1, &[OK], &[OK], true)];
+        let got = turn(&mut clients, &script(1, &lost_and_arrived));
+        assert_eq!(got.iter().map(|r| r.client).collect::<Vec<_>>(), [1]);
+        let p = clients[0].model.num_params();
+        assert_eq!(clients[0].opt.state_bytes(), 2 * 4 * p, "the lost upload's moments stay");
+        assert_eq!(clients[1].opt.state_bytes(), 0);
+        // Round 2: still no vector for client 0, so it trains on from the
+        // moments it kept — two epochs trained by hand, bit for bit.
+        let got = turn(&mut clients, &script(2, &[(0, &[OK], &[OK], true)]));
+        by_hand[0].train_local(2, &mut TrainHooks::none());
+        assert_eq!(bits(clients[0].model.param_slice()), bits(by_hand[0].model.param_slice()));
+        let ParamTensor::Owned(uploaded) = &got[0].payload else {
+            panic!("a decoded upload is owned")
+        };
+        assert_eq!(bits(uploaded), bits(by_hand[0].model.param_slice()));
+        assert_eq!(clients[0].opt.state_bytes(), 0);
+    }
+
+    #[test]
+    fn an_in_memory_upload_stays_resident_until_a_stage_needs_its_bytes() {
+        let mut clients = small_federation(ModelKind::Sgc, 38);
+        let got = train_participants(&mut clients, &[0, 1], &RoundCtx::plain(1), one_epoch);
+        assert!(got.iter().all(|r| r.payload == ParamTensor::Resident));
+        // An upload filter rewrites the tensor, so it gets bytes of its own
+        // first: the client's model, then the filter's edit.
+        let filter = |_: usize, _: &[f32], p: &mut [f32]| p[0] += 1.0;
+        let ctx = RoundCtx { upload_filter: Some(&filter), ..RoundCtx::plain(1) };
+        let got = train_participants(&mut clients, &[0, 1], &ctx, one_epoch);
+        for r in got {
+            let mut want = clients[r.client].model.params();
+            want[0] += 1.0;
+            assert_eq!(r.payload, ParamTensor::Owned(want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a resident parameter tensor reached `encode`")]
+    fn a_resident_tensor_that_reaches_encode_panics_naming_the_stage() {
+        encode_upload(0.5, &(ParamTensor::Resident, 1.0f64));
     }
 
     #[test]

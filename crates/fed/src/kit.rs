@@ -2,13 +2,19 @@
 //!
 //! **State that does not survive the round is not per-client.** A model's
 //! scratch arena is dead the moment its forward or backward returns, and
-//! the optimizer's moment vectors are dead whenever the executor is about
-//! to `reset()` them — so neither is held by the 128 clients of a large
-//! federation between rounds. A [`Kit`] holds one of each; the run owns a
-//! [`Pool`] of kits ([`crate::Simulation::kits`]), reached through
+//! the optimizer's moment vectors are dead whenever the client's next turn
+//! starts with a `reset()` — so neither is held by the 128 clients of a
+//! large federation between rounds. A [`Kit`] holds one of each; the run
+//! owns a [`Pool`] of kits ([`crate::Simulation::kits`]), reached through
 //! [`crate::RoundCtx::kits`], and a worker checks one out per client turn.
 //! At most one kit per concurrently running worker exists, grown to the
 //! largest client it has served.
+//!
+//! What a turn does with the client's own moments is a [`Moments`]: a turn
+//! that starts with a `reset()` trains on the kit's; a turn that does not,
+//! but after which the client will start from a broadcast, trains on the
+//! client's own and frees them as it ends; any other turn leaves them with
+//! the client.
 //!
 //! Which kit a worker draws, and which client it served last, cannot reach
 //! a result bit: [`Workspace::take`] zero-fills every buffer it hands out,
@@ -17,7 +23,8 @@
 //!
 //! A context without a pool ([`crate::RoundCtx::plain`], a caller driving
 //! `Client::train_local` by hand) lends nothing: model and optimizer then
-//! use their own, initially empty, arena and state.
+//! use their own, initially empty, arena and state ([`Moments::Drop`]
+//! still frees the moments at the end of the turn).
 
 use crate::client::Client;
 use fedgta_nn::{OptState, Workspace};
@@ -69,30 +76,53 @@ impl Kit {
     }
 }
 
+/// What a turn does with the client's own optimizer moments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Moments {
+    /// Nothing resets them before the client's next turn: it trains on
+    /// them and keeps them.
+    Keep,
+    /// The turn starts with a `reset()`: the client trains on the kit's
+    /// vectors, and its own — dead already — are freed.
+    Lend,
+    /// The turn does not start with a `reset()`, but the client's next
+    /// one does: it trains on its own moments, which are freed as the turn
+    /// ends.
+    Drop,
+}
+
 /// Runs `f` on `c` with a kit checked out of `kits` for the call: its
-/// arena lent to the model and, with `moments`, its moment vectors to the
-/// optimizer. `moments` is for a caller whose `f` starts by `reset()`ing
-/// the optimizer — the client's own moments are dead then, and are freed.
-/// `kits: None` lends nothing.
+/// arena lent to the model and, under [`Moments::Lend`], its moment
+/// vectors to the optimizer. `kits: None` lends nothing; [`Moments::Drop`]
+/// frees the client's moments after `f` either way.
 pub(crate) fn lend<R>(
     kits: Option<&Pool<Kit>>,
     c: &mut Client,
-    moments: bool,
+    moments: Moments,
     f: impl FnOnce(&mut Client) -> R,
 ) -> R {
-    let Some(pool) = kits else { return f(c) };
-    let mut kit = pool.take();
-    c.model.swap_workspace(&mut kit.ws);
-    if moments {
-        c.opt.swap_state(&mut kit.opt);
-        kit.opt = OptState::default();
+    let lent = moments == Moments::Lend;
+    let out = match kits {
+        None => f(c),
+        Some(pool) => {
+            let mut kit = pool.take();
+            c.model.swap_workspace(&mut kit.ws);
+            if lent {
+                c.opt.swap_state(&mut kit.opt);
+                kit.opt = OptState::default();
+            }
+            let out = f(c);
+            c.model.swap_workspace(&mut kit.ws);
+            if lent {
+                c.opt.swap_state(&mut kit.opt);
+            }
+            pool.give(kit);
+            out
+        }
+    };
+    if moments == Moments::Drop {
+        c.opt.swap_state(&mut OptState::default());
     }
-    let out = f(c);
-    c.model.swap_workspace(&mut kit.ws);
-    if moments {
-        c.opt.swap_state(&mut kit.opt);
-    }
-    pool.give(kit);
     out
 }
 

@@ -54,7 +54,9 @@ pub use exec::{mean_loss, par_clients, train_participants, LocalResult};
 pub use faults::{FaultConfig, FaultEvent, FaultPlan, RoundScript};
 pub use round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 pub use strategies::{Broadcast, RoundCtx, RoundStats, Strategy};
-pub use transport::{ChannelTransport, CommsRound, TensorRouter, Transport, WirePayload};
+pub use transport::{
+    ChannelTransport, CommsRound, ParamTensor, TensorRouter, Transport, WirePayload,
+};
 
 /// Errors from the federated simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -40,12 +40,22 @@ use fedgta_nn::models::PseudoLabels;
 /// strategy setting parameters inside its training closure — lets the
 /// transport path route the broadcast through the armed download codec
 /// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes.
+///
+/// **Arrival contract.** A strategy that declares a broadcast holds a
+/// vector for every client whose upload has reached it: `Global` always
+/// has one, and a `PerClient` entry goes `None → Some` when that client's
+/// upload arrives and never back. The executor relies on it: a client that
+/// trains from no vector and whose upload will arrive starts its next turn
+/// from a vector and a reset, so its optimizer moments die with this turn
+/// ([`crate::exec::train_participants`]).
 #[derive(Clone, Copy)]
 pub enum Broadcast<'a> {
     /// One shared global model for every participant (FedAvg family).
     Global(&'a [f32]),
     /// A personalized model per federation index (FedGTA); `None` entries
-    /// mean "no broadcast yet" — the client trains from where it is.
+    /// mean "no broadcast yet" — the client trains from where it is, on
+    /// the moments it holds. An entry turns `Some` when the client's
+    /// upload arrives, and stays so.
     PerClient(&'a [Option<Vec<f32>>]),
 }
 
@@ -94,7 +104,10 @@ pub struct RoundCtx<'a> {
     /// to start a round: a model installed inside the closure never
     /// reaches the download codec or the error-feedback anchor, so a
     /// closure reads its anchors off `c.model`, which the executor has
-    /// already loaded.
+    /// already loaded. Declaring one is a promise ([`Broadcast`]'s arrival
+    /// contract): every client whose upload arrives has a vector in every
+    /// later round — the executor frees such a client's moments when a
+    /// turn from no vector ends.
     pub broadcast: Option<Broadcast<'a>>,
     /// Optional rewrite of what a participant uploads ([`DpUpload`]). The
     /// executor calls it with the client's index, the model the client

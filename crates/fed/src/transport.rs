@@ -262,6 +262,79 @@ pub trait WirePayload: Sized {
     /// error-feedback layer folds residuals (client) and applies deltas
     /// (server) through. Non-tensor fields are skipped.
     fn visit_tensors(&mut self, _f: &mut dyn FnMut(&mut Vec<f32>)) {}
+    /// Gives every [`ParamTensor::Resident`] field bytes of its own,
+    /// copied from `model` — the uploading client's parameters. The
+    /// executor calls it before the stages that need a payload's bytes:
+    /// the upload filter, the error-feedback fold and encoding.
+    fn own_resident(&mut self, _model: &[f32]) {}
+}
+
+/// An upload's parameter tensor, read in place until a stage needs bytes
+/// of its own. A strategy that uploads its client's model unchanged
+/// returns [`ParamTensor::Resident`] instead of a copy; the executor turns
+/// it into [`ParamTensor::Owned`] ([`WirePayload::own_resident`]) before
+/// the upload filter, the error-feedback fold and encoding, and a payload
+/// that returns in memory past none of them reaches the strategy still
+/// resident — the strategy reads it off the client's model
+/// ([`ParamTensor::resolve`]) before installing anything there. Encodes
+/// byte for byte as `Vec<f32>` does and decodes owned.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ParamTensor {
+    /// Its bits are the uploading client's model parameters.
+    Resident,
+    /// A tensor of its own.
+    Owned(Vec<f32>),
+}
+
+impl ParamTensor {
+    /// The tensor's bits; `model` is the uploading client's parameters.
+    pub fn resolve<'a>(&'a self, model: &'a [f32]) -> &'a [f32] {
+        match self {
+            ParamTensor::Resident => model,
+            ParamTensor::Owned(v) => v,
+        }
+    }
+}
+
+/// A stage that needs a tensor's bytes met a [`ParamTensor::Resident`]
+/// one: the executor did not own it first.
+fn resident_reached(stage: &str) -> ! {
+    panic!(
+        "a resident parameter tensor reached `{stage}`: the executor must own it first \
+         (WirePayload::own_resident)"
+    )
+}
+
+impl WirePayload for ParamTensor {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ParamTensor::Owned(v) => v.encode(out),
+            ParamTensor::Resident => resident_reached("encode"),
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
+        Vec::decode(input).map(ParamTensor::Owned)
+    }
+    fn encode_coded(&self, router: &mut TensorRouter<'_>, out: &mut Vec<u8>) {
+        match self {
+            ParamTensor::Owned(v) => v.encode_coded(router, out),
+            ParamTensor::Resident => resident_reached("encode_coded"),
+        }
+    }
+    fn decode_coded(input: &mut &[u8], router: &mut TensorRouter<'_>) -> Result<Self, IoError> {
+        Vec::decode_coded(input, router).map(ParamTensor::Owned)
+    }
+    fn visit_tensors(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
+        match self {
+            ParamTensor::Owned(v) => f(v),
+            ParamTensor::Resident => resident_reached("visit_tensors"),
+        }
+    }
+    fn own_resident(&mut self, model: &[f32]) {
+        if let ParamTensor::Resident = self {
+            *self = ParamTensor::Owned(model.to_vec());
+        }
+    }
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], IoError> {
@@ -385,6 +458,11 @@ impl<T: WirePayload> WirePayload for Option<T> {
             v.visit_tensors(f);
         }
     }
+    fn own_resident(&mut self, model: &[f32]) {
+        if let Some(v) = self {
+            v.own_resident(model);
+        }
+    }
 }
 
 macro_rules! impl_wire_tuple {
@@ -404,6 +482,9 @@ macro_rules! impl_wire_tuple {
             }
             fn visit_tensors(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
                 $(self.$idx.visit_tensors(f);)+
+            }
+            fn own_resident(&mut self, model: &[f32]) {
+                $(self.$idx.own_resident(model);)+
             }
         }
     };
@@ -560,6 +641,26 @@ mod tests {
                    payload.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         assert_eq!(back.1.to_bits(), payload.1.to_bits());
         assert_eq!(back.3, 42);
+    }
+
+    #[test]
+    fn an_owned_param_tensor_is_a_vec_on_the_wire() {
+        use crate::codec::CodecSpec;
+        let model = vec![1.5f32, -0.0, f32::MIN_POSITIVE, 3.25e-7];
+        let mut payload = (ParamTensor::Resident, 0.25f64, vec![9.75f32]);
+        payload.own_resident(&model);
+        assert_eq!(payload.0, ParamTensor::Owned(model.clone()));
+        let plain = (model.clone(), 0.25f64, vec![9.75f32]);
+        assert_eq!(encode_upload(0.5, &payload), encode_upload(0.5, &plain));
+        let quant = CodecSpec::parse("quant-i8").unwrap().build();
+        let coded = encode_upload_routed(quant.as_ref(), None, 0.5, &payload);
+        assert_eq!(coded, encode_upload_routed(quant.as_ref(), None, 0.5, &plain));
+        let bytes = encode_upload(0.5, &plain);
+        let (_, back): (f32, (ParamTensor, f64, Vec<f32>)) = decode_upload(&bytes).unwrap();
+        assert_eq!(back, payload);
+        // Owning twice keeps the tensor it has.
+        payload.own_resident(&[7.0; 4]);
+        assert_eq!(payload.0.resolve(&[]), model.as_slice());
     }
 
     #[test]

@@ -186,12 +186,8 @@ impl<C: Conv> Coupled<C> {
 }
 
 impl<C: Conv> GraphModel for Coupled<C> {
-    fn num_params(&self) -> usize {
-        self.params.len()
-    }
-
-    fn params(&self) -> Vec<f32> {
-        self.params.clone()
+    fn param_slice(&self) -> &[f32] {
+        &self.params
     }
 
     fn set_params(&mut self, p: &[f32]) {

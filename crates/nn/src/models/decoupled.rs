@@ -58,12 +58,8 @@ impl GraphModel for DecoupledModel {
         data
     }
 
-    fn num_params(&self) -> usize {
-        self.inner.head.num_params()
-    }
-
-    fn params(&self) -> Vec<f32> {
-        self.inner.head.params().to_vec()
+    fn param_slice(&self) -> &[f32] {
+        self.inner.head.params()
     }
 
     fn set_params(&mut self, p: &[f32]) {

@@ -50,10 +50,16 @@ pub trait GraphModel: Send {
     fn prepare(&self, data: GraphDataset) -> GraphDataset {
         data
     }
+    /// The flat parameter buffer, read in place.
+    fn param_slice(&self) -> &[f32];
     /// Total parameter count.
-    fn num_params(&self) -> usize;
+    fn num_params(&self) -> usize {
+        self.param_slice().len()
+    }
     /// Snapshot of the flat parameter buffer.
-    fn params(&self) -> Vec<f32>;
+    fn params(&self) -> Vec<f32> {
+        self.param_slice().to_vec()
+    }
     /// Replaces all parameters (length must match [`Self::num_params`]).
     fn set_params(&mut self, p: &[f32]);
     /// Runs one local training epoch; returns the mean supervised loss.

@@ -21,6 +21,10 @@ pub trait Optimizer: Send {
     /// `reset` re-zeroes whatever vectors it finds, so their contents and
     /// their previous borrower cannot reach a result.
     fn swap_state(&mut self, _state: &mut OptState) {}
+    /// Heap bytes the moment vectors retain (a stateless optimizer: 0).
+    fn state_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// An optimizer's moment vectors apart from its hyper-parameters: Adam's
@@ -105,6 +109,10 @@ impl Optimizer for Sgd {
     fn swap_state(&mut self, state: &mut OptState) {
         std::mem::swap(&mut self.velocity, &mut state.first);
     }
+
+    fn state_bytes(&self) -> usize {
+        self.velocity.capacity() * std::mem::size_of::<f32>()
+    }
 }
 
 /// Adam (Kingma & Ba 2015) with decoupled-ish L2 (added to the gradient,
@@ -176,6 +184,10 @@ impl Optimizer for Adam {
     fn swap_state(&mut self, state: &mut OptState) {
         std::mem::swap(&mut self.m, &mut state.first);
         std::mem::swap(&mut self.v, &mut state.second);
+    }
+
+    fn state_bytes(&self) -> usize {
+        (self.m.capacity() + self.v.capacity()) * std::mem::size_of::<f32>()
     }
 }
 

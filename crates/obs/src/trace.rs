@@ -1020,7 +1020,7 @@ pub fn render_report(s: &TraceSummary) -> String {
         ("workspace.high_water_bytes", "workspace high-water peak"),
         ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool"),
         ("fed.kits.bytes", kits.as_str()),
-        ("fed.clients.bytes", "client datasets + params"),
+        ("fed.clients.bytes", "client data, params, state"),
     ]
     .iter()
     .filter_map(|&(name, label)| s.metric(name).filter(|&v| v > 0).map(|v| (label, v)))

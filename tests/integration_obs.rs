@@ -232,3 +232,25 @@ fn the_clients_gauge_holds_a_decoupled_clients_features_once() {
     assert_eq!(held as usize, raw + params);
     assert_eq!(held as usize + 4 * n * f, raw + cached + params, "one n·f·4 copy fewer");
 }
+
+#[test]
+fn the_clients_gauge_after_fedgtas_first_round_is_datasets_and_parameters() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    fedgta_obs::global().reset();
+    fedgta_obs::set_level(ObsLevel::Metrics);
+    let clients = federation_with(ModelKind::Sign, 904, 4, 904);
+    let cfg = SimConfig { rounds: 1, local_epochs: 1, ..SimConfig::default() };
+    let mut sim = Simulation::new(clients, Box::new(FedGta::with_defaults()), cfg);
+    sim.run();
+    fedgta_obs::set_level(ObsLevel::Off);
+    let snaps = fedgta_obs::global().snapshot();
+    let held = snaps.iter().find(|s| s.name == "fed.clients.bytes").expect("clients gauge").value;
+    fedgta_obs::global().reset();
+    // Round 1 trained every client on moments of its own (nothing was
+    // broadcast yet); every upload arrived, so each client's next turn
+    // starts from its personalized model and a reset, and none kept them.
+    let data: usize = sim.clients.iter().map(|c| c.data.bytes()).sum();
+    let params: usize = sim.clients.iter().map(|c| 4 * c.model.num_params()).sum();
+    assert!(sim.clients.iter().all(|c| c.eval_data.is_none() && c.ef.is_none()));
+    assert_eq!(held as usize, data + params);
+}
