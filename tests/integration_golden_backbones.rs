@@ -9,14 +9,14 @@
 //! `FEDGTA_GOLDEN_BLESS=1 cargo test --test integration_golden_backbones`
 //! and commit the diff (the header lines starting with `#` are kept).
 
-use fedgta::FedGta;
+use fedgta::{FedGta, FedGtaConfig};
 use fedgta_data::{generate_from_spec, spec_by_name, DatasetSpec, Task};
 use fedgta_fed::client::{build_clients, Client, ClientBuildConfig};
 use fedgta_fed::fgl_models::FedGl;
 use fedgta_fed::kit::Kit;
 use fedgta_fed::faults::FaultConfig;
 use fedgta_fed::round::{CommsConfig, SimConfig, Simulation};
-use fedgta_fed::strategies::test_support::small_federation;
+use fedgta_fed::strategies::test_support::{federation_with, small_federation};
 use fedgta_fed::strategies::{
     FedAvg, FedDc, FedProx, GcflPlus, RoundCtx, RoundStats, Scaffold, Strategy,
 };
@@ -138,11 +138,23 @@ fn fedgl() -> Box<dyn Strategy> {
 /// GCFL+ with `aggressive_gap_forces_a_split`'s recipe: `gap < 1` and a
 /// one-round warm-up, so the federation splits by round 2 and the later
 /// rounds train and average each cluster on its own.
-fn gcfl() -> Box<dyn Strategy> {
+fn gcfl_plus() -> GcflPlus {
     let mut s = GcflPlus::new(3, 0.5);
     s.warmup = 1;
-    Box::new(s)
+    s
 }
+
+fn gcfl() -> Box<dyn Strategy> {
+    Box::new(gcfl_plus())
+}
+
+/// [`lossy_channel`] under the fault seed that makes the GCFL+ cell split
+/// and then leave a cluster with no arrival.
+fn gcfl_lossy_channel() -> CommsConfig {
+    CommsConfig { fault_seed: GCFL_FAULT_SEED, ..lossy_channel() }
+}
+
+const GCFL_FAULT_SEED: u64 = 4;
 
 fn cells() -> Vec<Cell> {
     vec![
@@ -167,8 +179,27 @@ fn cells() -> Vec<Cell> {
             comms: Some(lossy_channel),
             ..cell("FedGTA/SIGN/half/lossy", || small_federation(ModelKind::Sign, SEED), fedgta, 5)
         },
+        Cell {
+            participation: 0.5,
+            comms: Some(gcfl_lossy_channel),
+            ..cell("GCFL+/SGC/half/lossy", || small_federation(ModelKind::Sgc, SEED), gcfl, GCFL_LOSSY_ROUNDS)
+        },
+        cell(
+            "FedGTA(w/o Conf.)/SGC",
+            || federation_with(ModelKind::Sgc, SEED, 8, 900),
+            || Box::new(FedGta::new(FedGtaConfig::without_confidence())),
+            3,
+        ),
+        cell(
+            "FedGTA(w/o Mom.)/SGC",
+            || small_federation(ModelKind::Sgc, SEED),
+            || Box::new(FedGta::new(FedGtaConfig::without_moments())),
+            3,
+        ),
     ]
 }
+
+const GCFL_LOSSY_ROUNDS: usize = 8;
 
 /// `name params=<fnv1a per client> acc=<f64 bits>` for one cell.
 fn line(cell: &Cell, threads: usize) -> String {
@@ -310,4 +341,51 @@ fn the_lossy_cell_loses_a_first_upload_and_starts_a_client_late() {
     let late = clients.clone().find(|&c| of(c).next().is_some_and(|(round, _)| round > 1));
     assert!(relearns.is_some(), "no client lost its first upload and trained again: {turns:?}");
     assert!(late.is_some(), "every client's first turn was in round 1: {turns:?}");
+}
+
+/// One GCFL+ round as seen from outside: the clusters it trained, and the
+/// participants whose upload arrived.
+type ClusterRound = (Vec<Vec<usize>>, Vec<usize>);
+
+/// Forwards to GCFL+ after noting its clusters and the round's arrivals.
+struct Watched {
+    inner: GcflPlus,
+    rounds: Arc<Mutex<Vec<ClusterRound>>>,
+}
+
+impl Strategy for Watched {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn round(&mut self, clients: &mut [Client], participants: &[usize], ctx: &RoundCtx<'_>) -> RoundStats {
+        let script = ctx.comms.expect("the GCFL+ lossy cell runs over the wire").script;
+        let arrived = participants.iter().copied().filter(|&c| script.fate(c).is_some_and(|f| f.accepted));
+        let seen = (self.inner.clusters().to_vec(), arrived.collect());
+        self.rounds.lock().unwrap().push(seen);
+        self.inner.round(clients, participants, ctx)
+    }
+}
+
+/// The lossy GCFL+ cell splits its one cluster, and in a later round one
+/// cluster has arrivals while another has none and keeps its model.
+#[test]
+fn the_lossy_gcfl_cell_splits_and_leaves_a_cluster_without_arrivals() {
+    let cells = cells();
+    let cell = cells.iter().find(|c| c.name == "GCFL+/SGC/half/lossy").expect("cell");
+    let rounds = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&rounds);
+    let dirty = line_with(cell, 1, move |sim| {
+        sim.strategy = Box::new(Watched { inner: gcfl_plus(), rounds: log });
+    });
+    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    assert!(golden.lines().any(|l| l == dirty), "watching moved a bit: {dirty}");
+    let rounds = rounds.lock().unwrap();
+    let has_arrival = |cluster: &[usize], arrived: &[usize]| cluster.iter().any(|c| arrived.contains(c));
+    let idle = rounds.iter().position(|(clusters, arrived)| {
+        clusters.len() > 1
+            && clusters.iter().any(|k| has_arrival(k, arrived))
+            && clusters.iter().any(|k| !has_arrival(k, arrived))
+    });
+    assert!(idle.is_some(), "no round left a cluster without arrivals after a split: {rounds:?}");
 }
