@@ -12,7 +12,7 @@ use fedgta::{label_propagation, local_smoothing_confidence, mixed_moments, FedGt
 use fedgta_data::{generate_from_spec, load_benchmark, Benchmark, DatasetSpec, Task, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::eval::global_test_accuracy;
-use fedgta_fed::strategies::{weighted_average, RoundCtx, Strategy};
+use fedgta_fed::strategies::{RoundCtx, Row, Strategy};
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use fedgta_nn::Matrix;
@@ -101,8 +101,10 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
         let all: Vec<Vec<f32>> = (0..n).map(|i| (0..params).map(|j| ((i * j) % 97) as f32 / 97.0).collect()).collect();
         let sketches: Vec<Vec<f32>> = (0..n).map(|i| (0..sketch).map(|j| ((i + j) % 13) as f32 / 13.0).collect()).collect();
         let (_, fedavg) = timed("table1.fedavg_aggregate", || {
-            let uploads: Vec<(Vec<f32>, f64)> = all.iter().map(|p| (p.clone(), 1.0)).collect();
-            weighted_average(&uploads)
+            let p: Vec<&[f32]> = all.iter().map(|p| p.as_slice()).collect();
+            let mut global = Vec::new();
+            Row::average((0..n).map(|i| (i, 1.0))).apply(&p, &mut global);
+            global
         });
         let uploads: Vec<ClientUpload<'_>> = (0..n)
             .map(|i| ClientUpload { params: &all[i], confidence: 1.0 + i as f64, moments: &sketches[i], n_train: 10 })
@@ -260,7 +262,7 @@ pub fn fig3(full: bool, out: &mut String, cells: &mut Cells) {
         let acc = global_test_accuracy(&mut clients);
         eprintln!("[fig3] round {round}: acc {acc:.3}");
         if acc > best.0 {
-            best = (acc, strategy.last_report().cloned());
+            best = (acc, strategy.objective.last_report().cloned());
         }
     }
     let (acc, report) = (best.0, best.1.expect("at least one round"));

@@ -67,8 +67,8 @@ pub fn make_strategy(name: &str) -> Box<dyn Strategy> {
         "FedDC" => Box::new(FedDc::new(0.01)),
         "GCFL+" => Box::new(GcflPlus::new(5, 1.1)),
         "FedGTA" => Box::new(FedGta::with_defaults()),
-        "FedGTA-noMom" => Box::new(FedGta::new(FedGtaConfig::without_moments())),
-        "FedGTA-noConf" => Box::new(FedGta::new(FedGtaConfig::without_confidence())),
+        "FedGTA-noMom" => Box::new(FedGta::from(FedGtaConfig::without_moments())),
+        "FedGTA-noConf" => Box::new(FedGta::from(FedGtaConfig::without_confidence())),
         other => panic!("unknown strategy '{other}'"),
     }
 }
@@ -260,6 +260,25 @@ mod tests {
         }
         assert_eq!(make_strategy("FedGL+FedAvg").name(), "FedGL+FedAvg");
         assert_eq!(make_strategy("FedSage++MOON").name(), "FedSage++MOON");
+    }
+
+    #[test]
+    fn a_round_with_no_arrival_keeps_every_model() {
+        use fedgta_fed::client::Client;
+        use fedgta_fed::strategies::test_support::small_federation;
+        use fedgta_fed::strategies::{RoundCtx, RoundStats};
+        let bits = |clients: &[Client]| -> Vec<Vec<u32>> {
+            clients.iter().map(|c| c.model.param_slice().iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        let wrapped = STRATEGY_NAMES.iter().flat_map(|n| [format!("FedGL+{n}"), format!("FedSage++{n}")]);
+        for name in STRATEGY_NAMES.iter().map(|n| n.to_string()).chain(wrapped) {
+            // GCN: FedSage+ mends raw features, which a decoupled client no longer holds.
+            let mut clients = small_federation(ModelKind::Gcn, 3);
+            let before = bits(&clients);
+            let stats = make_strategy(&name).round(&mut clients, &[], &RoundCtx::plain(1));
+            assert_eq!(stats, RoundStats::default(), "{name}");
+            assert_eq!(bits(&clients), before, "{name}");
+        }
     }
 
     #[test]

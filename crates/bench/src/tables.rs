@@ -45,7 +45,7 @@ const OPTIMIZERS: [StrategySpec; 7] = [FEDAVG, s!("FedProx"), s!("Scaffold"), MO
 const BASELINES: &[&str] = &["FedAvg", "FedProx", "Scaffold", "MOON", "FedDC", "GCFL+"];
 
 fn gta(cfg: FedGtaConfig) -> Box<dyn Strategy> {
-    Box::new(FedGta::new(cfg))
+    Box::new(FedGta::from(cfg))
 }
 
 fn dp(sigma: f64) -> Box<dyn Strategy> {

@@ -43,18 +43,18 @@ fn full_batch_backbone_allocates_nothing_n_sized(kind: ModelKind) {
     clients.sort_by_key(|c| c.data.num_nodes());
     let (small, large) = (0, clients.len() - 1);
     assert!(clients[small].data.num_nodes() < clients[large].data.num_nodes());
-    let strat = FedGta::new(FedGtaConfig::default());
+    let strat = FedGta::from(FedGtaConfig::default());
     let mut m = Vec::new();
     // Largest client first, so the pooled scratch never grows afterwards.
     for _ in 0..2 {
         for c in [large, small] {
-            strat.client_metrics(&mut clients[c], &mut m);
+            strat.objective.client_metrics(&mut clients[c], &mut m);
         }
     }
     let mut seen = Vec::new();
     for c in [small, large, small] {
         let (count, bytes) = (alloc_count(), alloc_bytes());
-        strat.client_metrics(&mut clients[c], &mut m);
+        strat.objective.client_metrics(&mut clients[c], &mut m);
         let (count, bytes) = (alloc_count() - count, alloc_bytes() - bytes);
         eprintln!(
             "{}: warm client_metrics at n = {}: {count} allocations, {bytes} bytes",
@@ -94,7 +94,7 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
         // One client, then two of different sizes alternating through the
         // same pooled scratch.
         for visited in [vec![ci % 2], vec![2, 3]] {
-            let strat = FedGta::new(cfg.clone());
+            let strat = FedGta::from(cfg.clone());
             let mut m = Vec::new();
             // Cold calls: grow the pooled scratch (soft-label matrix, LP
             // steps, accumulator) and the caller's sketch to the largest
@@ -104,7 +104,7 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
             let mut cold = Vec::new();
             for pass in 0..2 {
                 for &c in &visited {
-                    let h = strat.client_metrics(&mut clients[c], &mut m);
+                    let h = strat.objective.client_metrics(&mut clients[c], &mut m);
                     if pass == 0 {
                         cold.push((h, m.clone()));
                     }
@@ -114,7 +114,7 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
             for call in 0..3 {
                 for (&c, (h0, m0)) in visited.iter().zip(&cold) {
                     let before = alloc_count();
-                    let h = strat.client_metrics(&mut clients[c], &mut m);
+                    let h = strat.objective.client_metrics(&mut clients[c], &mut m);
                     let allocs = alloc_count() - before;
                     // Warm calls are deterministic replays of the cold call…
                     assert_eq!(h.to_bits(), h0.to_bits(), "{kind:?} config {ci} client {c}: H drifted");
@@ -131,7 +131,7 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
                     );
                 }
             }
-            assert_eq!(strat.pooled_scratch().0, 1, "serial calls share one scratch");
+            assert_eq!(strat.objective.pooled_scratch().0, 1, "serial calls share one scratch");
         }
     }
 }

@@ -57,7 +57,7 @@ fn federation() -> Vec<Client> {
 }
 
 /// A warm round stays under `1/BOUND_DIVISOR` of one parameter copy per
-/// participant: 7 774 of 271 440 bytes here, where exporting each upload
+/// participant: 8 847 of 271 440 bytes here, where exporting each upload
 /// allocated 279 214.
 const BOUND_DIVISOR: usize = 20;
 
@@ -68,7 +68,7 @@ fn a_warm_in_memory_fedgta_round_copies_no_upload() {
     let mut fedgta = FedGta::with_defaults();
     let kits: Pool<Kit> = Pool::default();
     let ctx = RoundCtx { kits: Some(&kits), ..RoundCtx::with_threads(1, 1) };
-    // Round 1 allocates the personalized store; round 2 the kit's moments.
+    // Round 1 allocates the store's personalized slots; round 2 the kit's moments.
     for _ in 0..2 {
         fedgta.round(&mut clients, &participants, &ctx);
     }

@@ -1,15 +1,17 @@
-//! Personalized server-side aggregation (paper Eq. 7).
+//! Personalized server-side aggregation (paper Eqs. 6–7) as rows of the
+//! collaboration matrix `W`.
 //!
 //! For each participating client `i`:
 //! `Iᵢ = { j : sim(Mᵢ, Mⱼ) ≥ ε } ∪ {i}` and
-//! `W̃ᵢ = Σ_{j∈Iᵢ} (Hⱼ / Σ_{j'∈Iᵢ} Hⱼ') Wⱼ`.
+//! `W̃ᵢ = Σ_{j∈Iᵢ} (Hⱼ / Σ_{j'∈Iᵢ} Hⱼ') Wⱼ` — row `i` of `W` holds `Iᵢ` and
+//! those weights, and the server's one row kernel applies it
+//! ([`fedgta_fed::strategies::apply_rows`]).
 //!
 //! The returned [`AggregationReport`] carries the per-client aggregation
 //! sets and weights — the exact data the paper's Fig. 3 visualizes.
 
 use crate::similarity::{similarity_matrix_threads, SimilarityKind};
-use fedgta_graph::par::par_map_indexed;
-use fedgta_nn::ops::weighted_sum_rows_into;
+use fedgta_fed::strategies::{apply_rows, Row};
 
 /// One client's upload as seen by the server.
 pub struct ClientUpload<'a> {
@@ -24,14 +26,9 @@ pub struct ClientUpload<'a> {
     pub n_train: usize,
 }
 
-/// What the server did for one client (Fig. 3's raw data).
-#[derive(Debug, Clone)]
-pub struct AggregationEntry {
-    /// Indices (into the participant list) this client aggregated with.
-    pub members: Vec<usize>,
-    /// The normalized weight of each member (parallel to `members`).
-    pub weights: Vec<f32>,
-}
+/// What the server did for one client (Fig. 3's raw data): its row of `W`,
+/// members indexing the upload list, weights normalized, no divisor.
+pub type AggregationEntry = Row;
 
 /// Per-round aggregation transparency report.
 #[derive(Debug, Clone)]
@@ -97,29 +94,12 @@ pub fn personalized_aggregate(
     (out, report)
 }
 
-/// [`personalized_aggregate`] into reusable server-side buffers, with an
-/// explicit worker-thread request (`0` = resolve from the environment).
-///
-/// `out` is resized to one `plen`-element buffer per upload, **reusing
-/// whatever buffers it already holds** — on warm rounds the server
-/// performs no parameter-sized allocations. Both halves of the server
-/// round are client-parallel over independent output rows:
-///
-/// - Eq. 6: [`similarity_matrix_threads`] fills one similarity row per
-///   worker (bitwise-symmetric metric ⇒ identical to triangle+mirror);
-/// - Eq. 7: each client's member set, weights, and blocked
-///   [`weighted_sum_rows_into`] axpy run on that client's worker, writing
-///   only its own `out[i]`.
-///
-/// Per-element accumulation stays in member order with `f64` carries, so
-/// results are bit-identical to the serial scalar reference at any thread
-/// count.
-///
-/// An upload whose weight source (`confidence`, or `n_train` under "w/o
-/// Conf.") is NaN, infinite or negative is **rejected**: no other client
-/// aggregates it, its own entry is `members = [itself]`, `weights = [1.0]`
-/// (its parameters back, untouched), and the `fedgta.aggregate.rejected`
-/// counter rises by one.
+/// [`personalized_aggregate`] into reusable buffers — `out` gets one
+/// `plen`-element buffer per upload, **reusing the ones it holds** — on
+/// `threads` workers (`0` = resolve from the environment): Eq. 6/7 rows
+/// ([`personalized_rows`]), then the row kernel ([`apply_rows`]), the
+/// calls FedGTA's server rule and the round make. Bit-identical to the
+/// serial scalar reference at any thread count.
 pub fn personalized_aggregate_into(
     uploads: &[ClientUpload<'_>],
     opts: &AggregateOptions,
@@ -127,60 +107,73 @@ pub fn personalized_aggregate_into(
     out: &mut Vec<Vec<f32>>,
 ) -> AggregationReport {
     assert!(!uploads.is_empty(), "no uploads to aggregate");
-    let n = uploads.len();
     let plen = uploads[0].params.len();
     for u in uploads {
         assert_eq!(u.params.len(), plen, "inconsistent parameter lengths");
     }
     let sketches: Vec<&[f32]> = uploads.iter().map(|u| u.moments).collect();
+    let sources: Vec<f64> = (uploads.iter())
+        .map(|u| if opts.use_confidence { u.confidence } else { u.n_train as f64 })
+        .collect();
+    let report = personalized_rows(&sketches, &sources, opts, threads);
+    let params: Vec<&[f32]> = uploads.iter().map(|u| u.params).collect();
+    out.resize_with(uploads.len(), Vec::new);
+    apply_rows(&params, &report.entries, out, threads);
+    report
+}
+
+/// Eqs. 6–7 as rows of `W`, one per upload over the uploads, from each
+/// upload's moment sketch and Eq. 7 weight source (`H`, or `n_train` under
+/// "w/o Conf."). Eq. 6's similarity rows run on `threads` workers.
+///
+/// An upload whose weight source is NaN, infinite or negative is
+/// **rejected**: no other client aggregates it, its own row is
+/// `members = [itself]`, `weights = [1.0]` (its parameters back,
+/// untouched), and the `fedgta.aggregate.rejected` counter rises by one.
+pub fn personalized_rows(
+    sketches: &[&[f32]],
+    sources: &[f64],
+    opts: &AggregateOptions,
+    threads: usize,
+) -> AggregationReport {
+    let n = sketches.len();
+    assert_eq!(sources.len(), n, "one weight source per sketch");
     let sim = {
         let _g = fedgta_obs::span!("similarity", participants = n as u64);
-        similarity_matrix_threads(&sketches, opts.similarity, threads)
+        similarity_matrix_threads(sketches, opts.similarity, threads)
     };
     let epsilon = match opts.epsilon_quantile {
         Some(q) => crate::extensions::adaptive_epsilon(&sim, q),
         None => opts.epsilon,
     };
-
-    let params: Vec<&[f32]> = uploads.iter().map(|u| u.params).collect();
-    out.truncate(n);
-    while out.len() < n {
-        out.push(Vec::new());
-    }
-    for buf in out.iter_mut() {
-        buf.resize(plen, 0.0);
-    }
-    // Eq. 7 weight sources. A non-finite or negative one — a diverged
-    // client uploads `H = NaN`, a hostile one whatever it likes — would
-    // turn every weight of every set containing it NaN, so its client is
-    // rejected: dropped from everyone else's set and left alone in its own.
-    let raw: Vec<f64> = uploads
-        .iter()
-        .map(|u| if opts.use_confidence { u.confidence } else { u.n_train as f64 })
-        .collect();
-    let valid = |j: usize| raw[j].is_finite() && raw[j] >= 0.0;
+    // A non-finite or negative weight source — a diverged client uploads
+    // `H = NaN`, a hostile one whatever it likes — would turn every weight
+    // of every set containing it NaN, so its client is rejected: dropped
+    // from everyone else's set and left alone in its own.
+    let valid = |j: usize| sources[j].is_finite() && sources[j] >= 0.0;
     let rejected = (0..n).filter(|&j| !valid(j)).count();
     if rejected > 0 && fedgta_obs::metrics_on() {
         fedgta_obs::counter!("fedgta.aggregate.rejected").add(rejected as u64);
     }
-    let entries = par_map_indexed(&mut out[..], Some(threads), |i, buf| {
-        let members: Vec<usize> = (0..n)
-            .filter(|&j| {
-                j == i || (valid(i) && valid(j) && (!opts.use_moments || sim[i][j] >= epsilon))
-            })
-            .collect();
-        // Eq. 7 weights: smoothing confidence, normalized within Iᵢ.
-        let total: f64 = members.iter().map(|&j| raw[j]).sum();
-        let weights: Vec<f32> = if total > 0.0 && total.is_finite() {
-            members.iter().map(|&j| (raw[j] / total) as f32).collect()
-        } else {
-            // Degenerate (all-zero confidence, a rejected client on its
-            // own, a sum that overflows): uniform fallback.
-            vec![1.0 / members.len() as f32; members.len()]
-        };
-        weighted_sum_rows_into(&params, &members, &weights, buf);
-        AggregationEntry { members, weights }
-    });
+    let entries = (0..n)
+        .map(|i| {
+            let members: Vec<usize> = (0..n)
+                .filter(|&j| {
+                    j == i || (valid(i) && valid(j) && (!opts.use_moments || sim[i][j] >= epsilon))
+                })
+                .collect();
+            // Eq. 7 weights: the sources, normalized within Iᵢ.
+            let total: f64 = members.iter().map(|&j| sources[j]).sum();
+            let weights: Vec<f32> = if total > 0.0 && total.is_finite() {
+                members.iter().map(|&j| (sources[j] / total) as f32).collect()
+            } else {
+                // Degenerate (all-zero confidence, a rejected client on its
+                // own, a sum that overflows): uniform fallback.
+                vec![1.0 / members.len() as f32; members.len()]
+            };
+            Row { members, weights, divisor: None }
+        })
+        .collect();
     AggregationReport {
         similarity: sim,
         entries,

@@ -21,9 +21,12 @@
 //!    for each client, the set `Iᵢ = {j : sim(Mᵢ, Mⱼ) ≥ ε} ∪ {i}` and the
 //!    personalized average `W̃ᵢ = Σ_{j∈Iᵢ} (Hⱼ/ΣH) Wⱼ`.
 //!
-//! [`strategy::FedGta`] packages the pipeline as a
-//! [`fedgta_fed::Strategy`], drop-in next to FedAvg/FedProx/…, with
-//! ablation switches for Table 6 (`use_moments`, `use_confidence`).
+//! [`strategy::TopologyAware`] packages the pipeline as an
+//! [`fedgta_fed::strategies::Objective`] — steps 1–3 its local step, step
+//! 4 its server rule, one row of `W` per arriving client — and
+//! [`strategy::FedGta`] runs it through the one aggregating round, drop-in
+//! next to FedAvg/FedProx/…, with ablation switches for Table 6
+//! (`use_moments`, `use_confidence`).
 
 pub mod aggregate;
 pub mod config;
@@ -36,8 +39,8 @@ pub mod similarity;
 pub mod strategy;
 
 pub use aggregate::{
-    personalized_aggregate, personalized_aggregate_into, AggregateOptions, AggregationEntry,
-    AggregationReport, ClientUpload,
+    personalized_aggregate, personalized_aggregate_into, personalized_rows, AggregateOptions,
+    AggregationEntry, AggregationReport, ClientUpload,
 };
 pub use config::FedGtaConfig;
 pub use extensions::{adaptive_epsilon, feature_moment_sketch, FeatureMomentConfig};
@@ -47,4 +50,4 @@ pub use lp::label_propagation_into;
 pub use moments::{mixed_moments, mixed_moments_into, MomentKind};
 pub use scratch::UploadScratch;
 pub use similarity::{moment_similarity, similarity_matrix_threads, SimilarityKind};
-pub use strategy::FedGta;
+pub use strategy::{FedGta, TopologyAware};

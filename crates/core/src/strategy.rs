@@ -1,58 +1,45 @@
-//! FedGTA as a [`fedgta_fed::Strategy`] — Algorithms 1 & 2 of the paper.
-//!
-//! Per round:
-//! 1. every participant trains locally from its *personalized* parameters
-//!    (Algorithm 1, lines 2–4);
+//! FedGTA as an [`Objective`] — Algorithms 1 & 2 of the paper — run by
+//! the one aggregating round ([`FedGta`]). Per round:
+//! 1. every participant trains locally from its *personalized* parameters,
+//!    its own slot of the model store (Algorithm 1, lines 2–4);
 //! 2. the client computes its topology-aware soft labels via
 //!    non-parametric LP, its smoothing confidence `H`, and its moment
 //!    sketch `M` (lines 5–10) and "uploads" them;
-//! 3. the server forms each client's aggregation set by moment similarity
-//!    and returns the confidence-weighted personalized average
-//!    (Algorithm 2).
+//! 3. the server forms each arrival's aggregation set by moment similarity
+//!    and its confidence weights: its row of `W` (Algorithm 2).
 //!
 //! Non-participants keep their previous personalized parameters — FedGTA
 //! is robust to partial participation (paper Fig. 6).
 
-use crate::aggregate::{
-    personalized_aggregate_into, AggregateOptions, AggregationReport, ClientUpload,
-};
+use crate::aggregate::{personalized_rows, AggregateOptions, AggregationReport};
 use crate::config::FedGtaConfig;
 use crate::confidence::local_smoothing_confidence;
 use crate::lp::label_propagation_into;
 use crate::moments::mixed_moments_into;
 use crate::scratch::{FeatureSketchCache, UploadScratch};
 use fedgta_fed::client::Client;
-use fedgta_fed::exec::{mean_loss, train_participants};
+use fedgta_fed::exec::LocalResult;
 use fedgta_fed::kit::Pool;
-use fedgta_fed::strategies::{RoundCtx, RoundStats, Strategy};
+use fedgta_fed::strategies::{
+    Arrivals, Averaged, Collaboration, Next, Objective, RoundCtx, Store,
+};
 use fedgta_fed::ParamTensor;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::JsonVal;
 
-/// The FedGTA optimization strategy.
-pub struct FedGta {
-    /// Hyperparameters (paper defaults via `FedGtaConfig::default()`).
-    pub config: FedGtaConfig,
-    /// Per-client personalized parameters (`W̃ᵢ` between rounds).
-    personalized: Vec<Option<Vec<f32>>>,
-    /// The last round's aggregation report (Fig. 3 data).
-    last_report: Option<AggregationReport>,
-    /// Checkout pool of Algorithm-1 intermediates: `client_metrics` takes
-    /// an instance and gives it back, so at most one exists per
-    /// concurrently running worker.
-    scratch: Pool<UploadScratch>,
-}
+/// FedGTA: [`TopologyAware`] through the one aggregating round.
+/// `FedGta::with_defaults()` has the paper's hyperparameters,
+/// `FedGta::from(config)` any others.
+pub type FedGta = Averaged<TopologyAware>;
 
-impl FedGta {
-    /// Creates FedGTA with the given configuration.
-    ///
+impl From<FedGtaConfig> for FedGta {
     /// # Panics
     ///
     /// On `k_lp == 0`, `moment_order == 0` or `alpha` outside `[0, 1]`
     /// (NaN included). The first two would otherwise panic on a worker
     /// thread in the middle of round 1; the third yields negative
     /// "probabilities" that Eq. 4 scores as maximally confident.
-    pub fn new(config: FedGtaConfig) -> Self {
+    fn from(config: FedGtaConfig) -> Self {
         assert!(config.k_lp >= 1, "FedGtaConfig::k_lp must be at least 1");
         assert!(
             config.moment_order >= 1,
@@ -63,19 +50,25 @@ impl FedGta {
             "FedGtaConfig::alpha must lie in [0, 1], got {}",
             config.alpha
         );
-        Self {
-            config,
-            personalized: Vec::new(),
-            last_report: None,
-            scratch: Pool::default(),
-        }
+        TopologyAware { config, ..TopologyAware::default() }.into()
     }
+}
 
-    /// Creates FedGTA with paper-default hyperparameters.
-    pub fn with_defaults() -> Self {
-        Self::new(FedGtaConfig::default())
-    }
+/// FedGTA's objective: local training plus the Algorithm-1 upload metrics;
+/// Eqs. 6–7 as the server rule.
+#[derive(Default)]
+pub struct TopologyAware {
+    /// Hyperparameters (paper defaults via `FedGtaConfig::default()`).
+    pub config: FedGtaConfig,
+    /// The last round's aggregation report (Fig. 3 data).
+    last_report: Option<AggregationReport>,
+    /// Checkout pool of Algorithm-1 intermediates: `client_metrics` takes
+    /// an instance and gives it back, so at most one exists per
+    /// concurrently running worker.
+    scratch: Pool<UploadScratch>,
+}
 
+impl TopologyAware {
     /// The most recent aggregation report (populated after each round).
     pub fn last_report(&self) -> Option<&AggregationReport> {
         self.last_report.as_ref()
@@ -85,6 +78,16 @@ impl FedGta {
     #[doc(hidden)]
     pub fn pooled_scratch(&self) -> (usize, usize) {
         self.scratch.held(UploadScratch::bytes)
+    }
+
+    fn options(&self) -> AggregateOptions {
+        AggregateOptions {
+            epsilon: self.config.epsilon,
+            epsilon_quantile: self.config.epsilon_quantile,
+            similarity: self.config.similarity,
+            use_moments: self.config.use_moments,
+            use_confidence: self.config.use_confidence,
+        }
     }
 
     /// Computes one client's upload metrics from its current model —
@@ -163,49 +166,42 @@ impl FedGta {
     }
 }
 
-impl Strategy for FedGta {
+impl Objective for TopologyAware {
+    const NAME: &'static str = "FedGTA";
+    /// `(W, H, M, n_train)`.
+    type Upload = (ParamTensor, f64, Vec<f32>, usize);
+
     fn name(&self) -> String {
-        if self.config.use_moments && self.config.use_confidence {
-            "FedGTA".into()
-        } else if !self.config.use_moments {
-            "FedGTA(w/o Mom.)".into()
-        } else {
-            "FedGTA(w/o Conf.)".into()
+        match (self.config.use_moments, self.config.use_confidence) {
+            (true, true) => "FedGTA",
+            (false, _) => "FedGTA(w/o Mom.)",
+            (true, false) => "FedGTA(w/o Conf.)",
         }
+        .into()
     }
 
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        if self.personalized.len() != clients.len() {
-            self.personalized = vec![None; clients.len()];
-        }
-        // Algorithm 1: local update + metric computation, client-parallel.
-        // Each participant's personalized snapshot is a declared per-client
-        // broadcast — the executor loads it (through the download codec
-        // when armed) before the closure runs; `None` entries (first round)
-        // train from wherever the client is. Each worker reads only the
-        // shared config (through `&self`); all `self` mutation happens
-        // after aggregation on the driver, in participant order.
-        let this = &*self;
-        let ctx = ctx.with_broadcast(fedgta_fed::Broadcast::PerClient(&this.personalized));
-        let ctx = &ctx;
-        let results = train_participants(clients, participants, ctx, |i, c| {
-            let mut hooks = TrainHooks {
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
-            let loss = c.train_local(ctx.epochs, &mut hooks);
-            let mut m = Vec::new();
-            let h = this.client_metrics(c, &mut m);
-            // `W` is the model as trained: read in place at aggregation,
-            // copied only by a stage that needs bytes of its own.
-            (loss, (ParamTensor::Resident, h, m, c.n_train()))
-        });
-        let loss = mean_loss(&results);
+    /// A client gets its slot when its first upload arrives.
+    fn store(&self, clients: &[Client]) -> Store {
+        Store::empty(clients.len())
+    }
+
+    /// Algorithm 1: local update + metric computation. `W` is the model as
+    /// trained: read in place at aggregation, copied only by a stage that
+    /// needs bytes of its own.
+    fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Self::Upload) {
+        let mut hooks = TrainHooks {
+            pseudo: ctx.pseudo_for(i),
+            ..TrainHooks::none()
+        };
+        let loss = c.train_local(ctx.epochs, &mut hooks);
+        let mut m = Vec::new();
+        let h = self.client_metrics(c, &mut m);
+        (loss, (ParamTensor::Resident, h, m, c.n_train()))
+    }
+
+    /// Algorithm 2: one Eq. 6/7 row per arrival, into its own slot; absent
+    /// clients keep their model.
+    fn server(&mut self, round: Arrivals<'_, Self::Upload>) -> Collaboration {
         if fedgta_obs::metrics_on() {
             // Read with every worker's instance back in the pool, next to
             // the run's `fed.kits.*` reading.
@@ -213,88 +209,40 @@ impl Strategy for FedGta {
                 .gauge("fedgta.metric_scratch.bytes")
                 .set_max(self.pooled_scratch().1 as u64);
         }
-        // Last use of the broadcast-carrying ctx: it borrows
-        // `self.personalized`, which the aggregation below mutates.
-        let threads = ctx.threads;
-        // Under the fault-injecting transport only the accepted quorum's
-        // uploads arrive; aggregation is over whoever actually reported
-        // (identical to `participants` on the no-fault path).
-        let mut arrived: Vec<usize> = Vec::with_capacity(results.len());
-        let mut params: Vec<ParamTensor> = Vec::with_capacity(results.len());
-        let mut confidences: Vec<f64> = Vec::with_capacity(results.len());
-        let mut sketches: Vec<Vec<f32>> = Vec::with_capacity(results.len());
-        let mut n_trains: Vec<usize> = Vec::with_capacity(results.len());
-        for r in results {
-            let (p, h, m, n) = r.payload;
-            arrived.push(r.client);
-            params.push(p);
-            confidences.push(h);
-            sketches.push(m);
-            n_trains.push(n);
-        }
-        // Algorithm 2: personalized aggregation.
-        let mut agg = fedgta_obs::span!(
-            "aggregate",
-            strategy = "FedGTA",
-            participants = arrived.len()
-        );
-        let uploads: Vec<ClientUpload<'_>> = (0..arrived.len())
-            .map(|p| ClientUpload {
-                params: params[p].resolve(clients[arrived[p]].model.param_slice()),
-                confidence: confidences[p],
-                moments: &sketches[p],
-                n_train: n_trains[p],
-            })
+        let opts = self.options();
+        let sketches: Vec<&[f32]> = round.results.iter().map(|r| r.payload.2.as_slice()).collect();
+        let sources: Vec<f64> = (round.results.iter())
+            .map(|r| if opts.use_confidence { r.payload.1 } else { r.payload.3 as f64 })
             .collect();
-        let opts = AggregateOptions {
-            epsilon: self.config.epsilon,
-            epsilon_quantile: self.config.epsilon_quantile,
-            similarity: self.config.similarity,
-            use_moments: self.config.use_moments,
-            use_confidence: self.config.use_confidence,
-        };
-        // Recycle last round's personalized buffers as the aggregation
-        // outputs: on warm rounds the server allocates no parameter-sized
-        // memory. `ctx.threads` parallelizes Eq. 6 similarity rows and the
-        // per-client Eq. 7 axpy (bit-identical at any thread count).
-        let mut aggregated: Vec<Vec<f32>> = arrived
-            .iter()
-            .map(|&i| self.personalized[i].take().unwrap_or_default())
-            .collect();
-        let report = personalized_aggregate_into(&uploads, &opts, threads, &mut aggregated);
+        let report = personalized_rows(&sketches, &sources, &opts, round.threads);
         if fedgta_obs::trace_on() {
             // The round's decision, not only its duration (`report`'s
             // "FedGTA decisions" table).
-            agg.record("epsilon", JsonVal::from(report.epsilon as f64));
-            agg.record("members_mean", JsonVal::from(report.members_mean()));
-            agg.record("sim_above_eps", JsonVal::from(report.sim_above_eps()));
-            agg.record("rejected", JsonVal::from(report.rejected));
+            round.span.record("epsilon", JsonVal::from(report.epsilon as f64));
+            round.span.record("members_mean", JsonVal::from(report.members_mean()));
+            round.span.record("sim_above_eps", JsonVal::from(report.sim_above_eps()));
+            round.span.record("rejected", JsonVal::from(report.rejected));
         }
-        // Upload = model weights + moment sketch + confidence scalar.
-        let bytes_uploaded = uploads
-            .iter()
-            .map(|u| u.params.len() * 4 + u.moments.len() * 4 + 8)
-            .sum();
-        // Download = each participant's personalized aggregate, and
-        // nothing else — the server sends no confidence scalar back, and
-        // absent clients receive nothing (they keep their old personal
-        // model).
-        let bytes_downloaded = uploads.iter().map(|u| u.params.len() * 4).sum();
-        // The uploads may read the models the install below overwrites.
-        drop(uploads);
-        for (&i, buf) in arrived.iter().zip(aggregated) {
-            clients[i].model.set_params(&buf);
-            // Move — not clone — the aggregate into the personalized
-            // store: `set_params` already copied it into the model, so
-            // the seed's second per-round parameter memcpy is gone.
-            self.personalized[i] = Some(buf);
-        }
+        let w = (round.results.iter().zip(&report.entries))
+            .map(|(r, row)| {
+                round.store.assign(r.client, r.client);
+                (r.client, Next::Row(row.clone()))
+            })
+            .collect();
         self.last_report = Some(report);
-        RoundStats {
-            mean_loss: loss,
-            bytes_uploaded,
-            bytes_downloaded,
-        }
+        w
+    }
+
+    /// Up: weights + sketch + confidence. Down: each arrival's personalized
+    /// model and nothing else (no scalar back, nothing to absent clients).
+    fn bytes(
+        &self,
+        plen: usize,
+        arrived: &[LocalResult<Self::Upload>],
+        receivers: usize,
+    ) -> (usize, usize) {
+        let up = arrived.iter().map(|r| 4 * plen + 4 * r.payload.2.len() + 8).sum();
+        (up, receivers * 4 * plen)
     }
 }
 
@@ -304,7 +252,7 @@ mod tests {
     use fedgta_fed::eval::global_test_accuracy;
     use fedgta_fed::kit::Kit;
     use fedgta_fed::strategies::test_support::{federation_with, small_federation};
-    use fedgta_fed::strategies::{FedAvg, LocalOnly};
+    use fedgta_fed::strategies::{FedAvg, LocalOnly, Strategy};
     use fedgta_fed::{SimConfig, Simulation};
     use fedgta_nn::models::ModelKind;
     use fedgta_nn::{OptState, Workspace};
@@ -312,7 +260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "FedGtaConfig::k_lp")]
     fn zero_lp_steps_are_rejected_at_construction() {
-        FedGta::new(FedGtaConfig {
+        let _ = FedGta::from(FedGtaConfig {
             k_lp: 0,
             ..FedGtaConfig::default()
         });
@@ -321,7 +269,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "FedGtaConfig::moment_order")]
     fn zero_moment_order_is_rejected_at_construction() {
-        FedGta::new(FedGtaConfig {
+        let _ = FedGta::from(FedGtaConfig {
             moment_order: 0,
             ..FedGtaConfig::default()
         });
@@ -331,7 +279,7 @@ mod tests {
     fn alpha_outside_the_unit_interval_is_rejected_at_construction() {
         for alpha in [-0.01f32, 1.01, f32::NAN, f32::INFINITY] {
             let err = std::panic::catch_unwind(|| {
-                FedGta::new(FedGtaConfig {
+                FedGta::from(FedGtaConfig {
                     alpha,
                     ..FedGtaConfig::default()
                 })
@@ -342,11 +290,11 @@ mod tests {
             assert!(msg.contains("FedGtaConfig::alpha"), "{msg}");
         }
         // The closed interval's ends are valid restarts.
-        FedGta::new(FedGtaConfig {
+        let _ = FedGta::from(FedGtaConfig {
             alpha: 0.0,
             ..FedGtaConfig::default()
         });
-        FedGta::new(FedGtaConfig {
+        let _ = FedGta::from(FedGtaConfig {
             alpha: 1.0,
             ..FedGtaConfig::default()
         });
@@ -370,7 +318,7 @@ mod tests {
         let mut s = FedGta::with_defaults();
         let parts: Vec<usize> = (0..clients.len()).collect();
         s.round(&mut clients, &parts, &RoundCtx::plain(1));
-        let report = s.last_report().expect("report after round");
+        let report = s.objective.last_report().expect("report after round");
         assert_eq!(report.entries.len(), clients.len());
         for (i, e) in report.entries.iter().enumerate() {
             assert!(e.members.contains(&i), "self missing from I_{i}");
@@ -382,7 +330,7 @@ mod tests {
     #[test]
     fn personalization_can_differ_across_clients() {
         let mut clients = small_federation(ModelKind::Sgc, 102);
-        let mut s = FedGta::new(FedGtaConfig {
+        let mut s = FedGta::from(FedGtaConfig {
             epsilon: 0.999, // near-exclusive: most clients aggregate alone
             ..FedGtaConfig::default()
         });
@@ -411,9 +359,9 @@ mod tests {
         let s = FedGta::with_defaults();
         let c = clients[0].data.num_classes;
         let mut m = vec![7.0; 3]; // stale contents are cleared, not extended
-        let h = s.client_metrics(&mut clients[0], &mut m);
+        let h = s.objective.client_metrics(&mut clients[0], &mut m);
         assert!(h >= 0.0);
-        assert_eq!(m.len(), s.config.k_lp * s.config.moment_order * c);
+        assert_eq!(m.len(), s.objective.config.k_lp * s.objective.config.moment_order * c);
     }
 
     #[test]
@@ -423,20 +371,20 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 108);
         let s = FedGta::with_defaults();
         let mut m = Vec::new();
-        let h1 = s.client_metrics(&mut clients[0], &mut m);
+        let h1 = s.objective.client_metrics(&mut clients[0], &mut m);
         let (first, ptr1) = (m.clone(), m.as_ptr());
-        let h2 = s.client_metrics(&mut clients[0], &mut m);
+        let h2 = s.objective.client_metrics(&mut clients[0], &mut m);
         assert_eq!(h1.to_bits(), h2.to_bits());
         assert_eq!(m, first);
         assert_eq!(m.as_ptr(), ptr1, "warm sketch buffer must be reused");
-        assert_eq!(s.pooled_scratch().0, 1, "scratch went back to the pool");
+        assert_eq!(s.objective.pooled_scratch().0, 1, "scratch went back to the pool");
         assert!(clients[0].metric_scratch.is_none(), "nothing kept per client");
     }
 
     /// `(H bits, M bits)` of one `client_metrics` call.
     fn metrics_bits(s: &FedGta, client: &mut Client) -> (u64, Vec<u32>) {
         let mut m = Vec::new();
-        let h = s.client_metrics(client, &mut m);
+        let h = s.objective.client_metrics(client, &mut m);
         (h.to_bits(), m.iter().map(|v| v.to_bits()).collect())
     }
 
@@ -463,19 +411,19 @@ mod tests {
         for cfg in [FedGtaConfig::default(), FedGtaConfig::with_feature_moments()] {
             let mut clients = three_sizes(108);
             let with_cache = cfg.feature_moments.is_some();
-            let shared = FedGta::new(cfg.clone());
+            let shared = FedGta::from(cfg.clone());
             for visit in [0usize, 2, 1, 2, 0] {
                 let got = metrics_bits(&shared, &mut clients[visit]);
                 // The fresh strategy must not find the shared one's cache.
                 let cold = clients[visit].metric_scratch.take();
-                let want = metrics_bits(&FedGta::new(cfg.clone()), &mut clients[visit]);
+                let want = metrics_bits(&FedGta::from(cfg.clone()), &mut clients[visit]);
                 assert_eq!(got, want, "client {visit}, feature moments {with_cache}");
                 clients[visit].metric_scratch = cold;
                 // Serial calls: one instance, as large as the largest client.
-                let (instances, bytes) = shared.pooled_scratch();
+                let (instances, bytes) = shared.objective.pooled_scratch();
                 let (n, c) = (clients[0].data.num_nodes(), clients[0].data.num_classes);
                 assert_eq!(instances, 1);
-                assert!(bytes >= 4 * (1 + shared.config.k_lp) * n * c, "{bytes} bytes");
+                assert!(bytes >= 4 * (1 + shared.objective.config.k_lp) * n * c, "{bytes} bytes");
             }
             // What a client keeps is the feature cache, and only if configured.
             for c in &clients {
@@ -498,7 +446,7 @@ mod tests {
             }
             // Full participation: every client went through the pool, and
             // none of them kept anything.
-            let (instances, bytes) = s.pooled_scratch();
+            let (instances, bytes) = s.objective.pooled_scratch();
             assert!((1..=threads).contains(&instances), "{instances} at {threads} threads");
             assert!(bytes > 0);
             assert!(clients.iter().all(|c| c.metric_scratch.is_none()));
@@ -595,7 +543,7 @@ mod tests {
     fn ablations_still_learn() {
         for cfg in [FedGtaConfig::without_moments(), FedGtaConfig::without_confidence()] {
             let mut clients = small_federation(ModelKind::Sgc, 105);
-            let mut s = FedGta::new(cfg);
+            let mut s = FedGta::from(cfg);
             let parts: Vec<usize> = (0..clients.len()).collect();
             for _ in 0..10 {
                 s.round(&mut clients, &parts, &RoundCtx::plain(2));
@@ -609,7 +557,7 @@ mod tests {
     #[test]
     fn adaptive_epsilon_extension_learns_and_varies_threshold() {
         let mut clients = small_federation(ModelKind::Sgc, 110);
-        let mut s = FedGta::new(FedGtaConfig::adaptive(0.8));
+        let mut s = FedGta::from(FedGtaConfig::adaptive(0.8));
         let parts: Vec<usize> = (0..clients.len()).collect();
         for _ in 0..10 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
@@ -617,7 +565,7 @@ mod tests {
         assert!(global_test_accuracy(&mut clients) > 0.6);
         // Quantile 0.8 keeps only the most-similar pairs: the threshold is
         // selective, so no client may aggregate with the whole federation.
-        let report = s.last_report().unwrap();
+        let report = s.objective.last_report().unwrap();
         let n = clients.len();
         assert!(
             report.entries.iter().all(|e| e.members.len() < n),
@@ -628,17 +576,17 @@ mod tests {
     #[test]
     fn feature_moment_extension_learns_and_extends_sketch() {
         let mut clients = small_federation(ModelKind::Gamlp, 111);
-        let s = FedGta::new(FedGtaConfig::with_feature_moments());
-        let cfg = &s.config;
+        let s = FedGta::from(FedGtaConfig::with_feature_moments());
+        let cfg = &s.objective.config;
         let c = clients[0].data.num_classes;
         let label_len = cfg.k_lp * cfg.moment_order * c;
         let fm = cfg.feature_moments.as_ref().unwrap();
         let feat_len = cfg.k_lp * cfg.moment_order * fm.dims.min(clients[0].data.num_features());
         let mut m = Vec::new();
-        s.client_metrics(&mut clients[0], &mut m);
+        s.objective.client_metrics(&mut clients[0], &mut m);
         assert_eq!(m.len(), label_len + feat_len);
 
-        let mut s = FedGta::new(FedGtaConfig::with_feature_moments());
+        let mut s = FedGta::from(FedGtaConfig::with_feature_moments());
         let parts: Vec<usize> = (0..clients.len()).collect();
         for _ in 0..10 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
@@ -650,7 +598,7 @@ mod tests {
     #[should_panic(expected = "FedGTA's feature moments propagate raw features, but client 0's already are")]
     fn feature_moments_refuse_a_propagated_client() {
         let mut clients = small_federation(ModelKind::Sgc, 111);
-        FedGta::new(FedGtaConfig::with_feature_moments()).client_metrics(&mut clients[0], &mut Vec::new());
+        FedGta::from(FedGtaConfig::with_feature_moments()).objective.client_metrics(&mut clients[0], &mut Vec::new());
     }
 
     #[test]

@@ -285,7 +285,7 @@ fn client_metrics_uploads_the_hand_derived_h_and_m_through_the_pool() {
     let h = local_smoothing_confidence(&last, &[4.0, 16.0, 16.0, 4.0]);
     assert!(h.is_finite() && h > 0.0);
     for kind in [MomentKind::Central, MomentKind::Raw] {
-        let strategy = FedGta::new(FedGtaConfig {
+        let strategy = FedGta::from(FedGtaConfig {
             k_lp: 2,
             alpha: 0.5,
             moment_order: 3,
@@ -295,15 +295,15 @@ fn client_metrics_uploads_the_hand_derived_h_and_m_through_the_pool() {
         let mut m = Vec::new();
         for visit in 0..3 {
             if visit == 1 {
-                strategy.client_metrics(&mut other, &mut m);
+                strategy.objective.client_metrics(&mut other, &mut m);
                 assert_eq!(m.len(), 2 * 3 * 2);
                 continue;
             }
-            let got = strategy.client_metrics(&mut example, &mut m);
+            let got = strategy.objective.client_metrics(&mut example, &mut m);
             assert_eq!(got.to_bits(), h.to_bits(), "{kind:?} visit {visit}: H = {got}");
             assert_eq!(bits(&m), bits(&expected_sketch(kind)), "{kind:?} visit {visit}: {m:?}");
         }
-        assert_eq!(strategy.pooled_scratch().0, 1);
+        assert_eq!(strategy.objective.pooled_scratch().0, 1);
     }
 }
 

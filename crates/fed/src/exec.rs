@@ -600,6 +600,7 @@ mod tests {
 
     use crate::codec::CodecSpec;
     use crate::faults::{ClientFate, RoundScript};
+    use crate::strategies::Store;
     use crate::transport::{ChannelTransport, Legs, Transport};
 
     const OK: AttemptFate = AttemptFate::Deliver { delay_ms: 0 };
@@ -671,7 +672,8 @@ mod tests {
         let legs = Legs { down: quant_i8(), ..Legs::default() };
         let w = wire(&t, &s, &legs);
         let global = [0.5f32, -1.0, 2.0];
-        let coded = w.dispatch(&[0, 2, 3], Some(Broadcast::Global(&global)), 0);
+        let shared = Store::shared(global.to_vec(), 4);
+        let coded = w.dispatch(&[0, 2, 3], Some(&shared), 0);
         let body = encode_broadcast_coded(legs.down.as_deref().unwrap(), &global);
         assert_eq!(coded, BTreeMap::from([(0, body.clone()), (2, body.clone()), (3, body.clone())]));
         assert_eq!(w.tally.down_raw.load(Relaxed), 3 * (8 + 4 * 3));
@@ -785,13 +787,13 @@ mod tests {
 
     #[test]
     fn a_first_turn_whose_upload_arrives_ends_holding_no_moments() {
-        // FedGTA's round 1: a declared per-client broadcast with no vector
+        // FedGTA's round 1: a declared broadcast with no slot for anyone
         // yet. Every upload arrives, so every client's next turn starts
         // from a vector and a reset — its moments die with this turn.
         let mut clients = small_federation(ModelKind::Sign, 36);
-        let (none, kits) = (vec![None; clients.len()], Pool::default());
+        let (none, kits) = (Store::empty(clients.len()), Pool::default());
         let ctx = RoundCtx {
-            broadcast: Some(Broadcast::PerClient(&none)),
+            broadcast: Some(&none),
             kits: Some(&kits),
             ..RoundCtx::with_threads(1, 2)
         };
@@ -812,14 +814,14 @@ mod tests {
     fn a_client_whose_upload_is_lost_keeps_its_moments_and_trains_on_them() {
         let mut clients = small_federation(ModelKind::Sign, 37);
         let mut by_hand = small_federation(ModelKind::Sign, 37);
-        let (none, kits) = (vec![None; clients.len()], Pool::default());
+        let (none, kits) = (Store::empty(clients.len()), Pool::default());
         let t = ChannelTransport::new(4);
         let legs = Legs::default();
         let turn = |clients: &mut [Client], s: &RoundScript| {
             let w = wire(&t, s, &legs);
             let ctx = RoundCtx {
                 comms: Some(&w),
-                broadcast: Some(Broadcast::PerClient(&none)),
+                broadcast: Some(&none),
                 kits: Some(&kits),
                 ..RoundCtx::with_threads(1, 2)
             };

@@ -20,7 +20,7 @@
 //! graphs (the paper uses GraphSAGE locally).
 
 use crate::client::Client;
-use crate::strategies::{weighted_average, RoundCtx, RoundStats, Strategy};
+use crate::strategies::{Row, RoundCtx, RoundStats, Strategy};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_graph::EdgeList;
 use fedgta_nn::ops::spmm_csr;
@@ -230,7 +230,11 @@ impl FedSagePlus {
                     }
                     (local.params(), t.weight)
                 });
-            global_gen.set_params(&weighted_average(&uploads));
+            // FedAvg's row, weighted by each task's visible-node count.
+            let p: Vec<&[f32]> = uploads.iter().map(|u| u.0.as_slice()).collect();
+            let mut next = Vec::new();
+            Row::average(uploads.iter().map(|u| u.1).enumerate()).apply(&p, &mut next);
+            global_gen.set_params(&next);
         }
 
         // --- Mend every client's graph ------------------------------------

@@ -1,10 +1,10 @@
 //! FedAvg (McMahan et al. 2017) — the data-size-weighted baseline
 //! (paper Eq. 2) — and the Local-only reference of Fig. 1(b).
 
-use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
-use super::{RoundCtx, RoundStats, Strategy};
+use super::averaged::{average, train_weighted};
+use super::{Arrivals, Averaged, Collaboration, Objective, RoundCtx, RoundStats, Strategy, Weighted};
 use crate::client::Client;
-use crate::exec::{mean_loss, train_participants, LocalResult};
+use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::TrainHooks;
 
 /// Classic FedAvg: all participants start from the global model, train
@@ -30,8 +30,8 @@ impl Objective for Plain {
         train_weighted(i, c, ctx, TrainHooks::none())
     }
 
-    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
-        Server::Average(arrived.into_iter().map(|r| r.payload).collect())
+    fn server(&mut self, round: Arrivals<'_, Weighted>) -> Collaboration {
+        average(round.results)
     }
 }
 

@@ -7,11 +7,10 @@
 //! `hᵢ ← hᵢ + (wᵢ − w_global)` and the server averages the
 //! drift-corrected uploads `wᵢ + hᵢ`.
 
-use super::averaged::{Averaged, Objective, Server, Weighted};
+use super::averaged::{average, Arrivals, Averaged, Collaboration, Objective, Weighted};
 use super::fedprox::train_proximal;
 use super::RoundCtx;
 use crate::client::Client;
-use crate::exec::LocalResult;
 
 /// FedDC with penalty coefficient `lambda`.
 pub type FedDc = Averaged<DriftCorrected>;
@@ -54,16 +53,16 @@ impl Objective for DriftCorrected {
         train_proximal(i, c, ctx, self.lambda, anchor)
     }
 
-    fn server(&mut self, global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
-        let corrected = arrived.into_iter().map(|r| {
-            let (mut w, n) = r.payload;
-            for ((wj, hj), &gj) in w.iter_mut().zip(&mut self.drift[r.client]).zip(global) {
+    fn server(&mut self, round: Arrivals<'_, Weighted>) -> Collaboration {
+        let global = round.store.model(0);
+        for r in round.results.iter_mut() {
+            let (w, drift) = (&mut r.payload.0, &mut self.drift[r.client]);
+            for ((wj, hj), &gj) in w.iter_mut().zip(drift).zip(global) {
                 *hj += *wj - gj;
                 *wj += *hj;
             }
-            (w, n)
-        });
-        Server::Average(corrected.collect())
+        }
+        average(round.results)
     }
 }
 

@@ -3,10 +3,9 @@
 //! the gradient correction `g ← g + μ(w − w_global)` injected before every
 //! optimizer step.
 
-use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
-use super::RoundCtx;
+use super::averaged::{average, train_weighted};
+use super::{Arrivals, Averaged, Collaboration, Objective, RoundCtx, Weighted};
 use crate::client::Client;
-use crate::exec::LocalResult;
 use fedgta_nn::TrainHooks;
 
 /// FedProx with proximal coefficient `mu`.
@@ -55,8 +54,8 @@ impl Objective for Proximal {
         train_proximal(i, c, ctx, self.mu, anchor)
     }
 
-    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
-        Server::Average(arrived.into_iter().map(|r| r.payload).collect())
+    fn server(&mut self, round: Arrivals<'_, Weighted>) -> Collaboration {
+        average(round.results)
     }
 }
 

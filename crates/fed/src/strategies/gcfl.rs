@@ -12,66 +12,49 @@
 //! projections of the full update vector (32 dims) instead of the raw
 //! `O(f²)` gradients — same sequence geometry at a fraction of the memory.
 
-use super::averaged::{step, train_weighted, Objective, Server};
-use super::{l2_norm, sub, RoundCtx, RoundStats, Strategy};
+use super::averaged::{train_weighted, Arrivals, Averaged, Collaboration, Next, Objective, Row};
+use super::{l2_norm, sub, RoundCtx};
 use crate::client::Client;
-use crate::exec::LocalResult;
 use fedgta_nn::TrainHooks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const SIGNATURE_DIM: usize = 32;
 
-/// GCFL+ state and hyperparameters.
-pub struct GcflPlus {
+/// GCFL+: one slot of the model store per cluster.
+pub type GcflPlus = Averaged<Clustered>;
+
+impl GcflPlus {
+    /// Creates GCFL+ with window `T` and split gap factor.
+    pub fn new(window: usize, gap: f32) -> Self {
+        Clustered { window: window.max(2), gap, warmup: 3, ..Clustered::default() }.into()
+    }
+
+    /// Current cluster membership; cluster `k` trains from slot `k`.
+    pub fn clusters(&self) -> &[Vec<usize>] {
+        &self.objective.clusters
+    }
+}
+
+/// GCFL+'s objective: FedAvg's training plus each arrival's update `Δ`
+/// from the model it received; the server averages each cluster into its
+/// slot and splits a cluster whose updates disagree.
+#[derive(Default)]
+pub struct Clustered {
     /// Window size `T` of gradient sequences (paper grid: 2–10).
     pub window: usize,
     /// Split trigger: `max‖Δw‖ > gap · mean‖Δw‖` within a cluster.
     pub gap: f32,
     /// Rounds to observe before allowing any split.
     pub warmup: usize,
+    /// Members of each cluster, in the order its row sums them.
     clusters: Vec<Vec<usize>>,
-    cluster_params: Vec<Vec<f32>>,
-    updates: Updates,
     sequences: Vec<Vec<Vec<f32>>>,
     projection: Vec<f32>,
     rounds_seen: usize,
 }
 
-impl GcflPlus {
-    /// Creates GCFL+ with window `T` and split gap factor.
-    pub fn new(window: usize, gap: f32) -> Self {
-        Self {
-            window: window.max(2),
-            gap,
-            warmup: 3,
-            clusters: Vec::new(),
-            cluster_params: Vec::new(),
-            updates: Updates { deltas: Vec::new() },
-            sequences: Vec::new(),
-            projection: Vec::new(),
-            rounds_seen: 0,
-        }
-    }
-
-    /// Current cluster membership (for inspection/tests).
-    pub fn clusters(&self) -> &[Vec<usize>] {
-        &self.clusters
-    }
-
-    fn ensure_state(&mut self, clients: &[Client]) {
-        if self.clusters.is_empty() {
-            let p = clients[0].model.params();
-            self.clusters = vec![(0..clients.len()).collect()];
-            self.cluster_params = vec![p.clone()];
-            self.sequences = vec![Vec::new(); clients.len()];
-            let mut rng = StdRng::seed_from_u64(0x6cf1);
-            self.projection = (0..SIGNATURE_DIM * p.len().min(4096))
-                .map(|_| rng.random_range(-1.0f32..1.0))
-                .collect();
-        }
-    }
-
+impl Clustered {
     /// Fixed random projection of an update vector to `SIGNATURE_DIM`.
     fn signature(&self, delta: &[f32]) -> Vec<f32> {
         let cols = self.projection.len() / SIGNATURE_DIM;
@@ -88,17 +71,61 @@ impl GcflPlus {
         }
         sig
     }
+
+    /// The GCFL criterion on `cluster`'s arrived updates, then its DTW
+    /// bipartition: `Some([stays, leaves])` when it splits.
+    fn split(&self, cluster: &[usize], deltas: &[Option<Vec<f32>>]) -> Option<[Vec<usize>; 2]> {
+        let norms: Vec<f64> =
+            cluster.iter().filter_map(|&i| deltas[i].as_ref().map(|d| l2_norm(d))).collect();
+        if cluster.len() < 2 || norms.len() < 2 || self.sequences[cluster[0]].len() < 2 {
+            return None;
+        }
+        let mean = norms.iter().sum::<f64>() / norms.len() as f64;
+        let max = norms.iter().copied().fold(0.0, f64::max);
+        let disagree = max > self.gap as f64 * mean;
+        if !disagree {
+            return None;
+        }
+        // Bipartition by DTW distance: seeds = farthest pair.
+        let seq = |i: usize| &self.sequences[i];
+        let mut far = (cluster[0], cluster[1], -1.0f64);
+        for (a, &x) in cluster.iter().enumerate() {
+            for &y in &cluster[a + 1..] {
+                let d = dtw_distance(seq(x), seq(y));
+                if d > far.2 {
+                    far = (x, y, d);
+                }
+            }
+        }
+        let (sa, sb, _) = far;
+        let (mut ca, mut cb) = (vec![sa], vec![sb]);
+        for &i in cluster.iter().filter(|&&i| i != sa && i != sb) {
+            if dtw_distance(seq(i), seq(sa)) <= dtw_distance(seq(i), seq(sb)) {
+                ca.push(i);
+            } else {
+                cb.push(i);
+            }
+        }
+        Some([ca, cb])
+    }
 }
 
-/// A cluster's objective: FedAvg's, plus each arrival's update `Δ`
-/// measured from the model it received, kept for the split check.
-struct Updates {
-    deltas: Vec<Option<Vec<f32>>>,
-}
-
-impl Objective for Updates {
+impl Objective for Clustered {
     const NAME: &'static str = "GCFL+";
+    /// Parameters, update `Δ`, `n_train`.
     type Upload = (Vec<f32>, Vec<f32>, f64);
+
+    fn prepare(&mut self, clients: usize, plen: usize) {
+        if self.clusters.is_empty() {
+            self.clusters = vec![(0..clients).collect()];
+            self.sequences = vec![Vec::new(); clients];
+            let mut rng = StdRng::seed_from_u64(0x6cf1);
+            self.projection = (0..SIGNATURE_DIM * plen.min(4096))
+                .map(|_| rng.random_range(-1.0f32..1.0))
+                .collect();
+        }
+        self.rounds_seen += 1;
+    }
 
     fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Self::Upload) {
         let received = c.model.params();
@@ -107,13 +134,49 @@ impl Objective for Updates {
         (loss, (w, delta, n))
     }
 
-    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Self::Upload>>) -> Server {
-        let uploads = arrived.into_iter().map(|r| {
-            let (w, delta, n) = r.payload;
-            self.deltas[r.client] = Some(delta);
-            (w, n)
-        });
-        Server::Average(uploads.collect())
+    /// One FedAvg row per cluster with an arrival, in member order (a
+    /// cluster with none keeps its model); a split's leavers get a new
+    /// slot and the same row.
+    fn server(&mut self, round: Arrivals<'_, Self::Upload>) -> Collaboration {
+        let clients = self.sequences.len();
+        // Each client's `(arrival index, n_train)`, and its update.
+        let (mut arrival, mut deltas) = (vec![None; clients], vec![None; clients]);
+        for (p, r) in round.results.iter_mut().enumerate() {
+            arrival[r.client] = Some((p, r.payload.2));
+            deltas[r.client] = Some(std::mem::take(&mut r.payload.1));
+        }
+        let mut rows: Vec<Option<Row>> = (self.clusters.iter())
+            .map(|cluster| {
+                let pairs: Vec<(usize, f64)> = cluster.iter().filter_map(|&i| arrival[i]).collect();
+                (!pairs.is_empty()).then(|| Row::average(pairs))
+            })
+            .collect();
+        // Update gradient-signature sequences.
+        for (i, d) in deltas.iter().enumerate() {
+            if let Some(d) = d {
+                let sig = self.signature(d);
+                let seq = &mut self.sequences[i];
+                seq.push(sig);
+                while seq.len() > self.window {
+                    seq.remove(0); // window ≤ 10: O(window) shift is fine
+                }
+            }
+        }
+        if self.rounds_seen > self.warmup {
+            for k in 0..self.clusters.len() {
+                if let Some([stays, leaves]) = self.split(&self.clusters[k], &deltas) {
+                    let slot = self.clusters.len();
+                    for &i in &leaves {
+                        round.store.assign(i, slot);
+                    }
+                    rows.push(rows[k].clone());
+                    self.clusters[k] = stays;
+                    self.clusters.push(leaves);
+                }
+            }
+        }
+        let written = rows.into_iter().enumerate();
+        written.filter_map(|(k, row)| Some((k, Next::Row(row?)))).collect()
     }
 }
 
@@ -139,126 +202,10 @@ pub fn dtw_distance(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
     d[n * (m + 1) + m]
 }
 
-impl Strategy for GcflPlus {
-    fn name(&self) -> String {
-        "GCFL+".into()
-    }
-
-    fn round(
-        &mut self,
-        clients: &mut [Client],
-        participants: &[usize],
-        ctx: &RoundCtx<'_>,
-    ) -> RoundStats {
-        self.ensure_state(clients);
-        self.rounds_seen += 1;
-        self.updates.deltas = vec![None; clients.len()];
-        let (mut stats, mut arrived) = (RoundStats::default(), 0);
-        for k in 0..self.clusters.len() {
-            let members: Vec<usize> = self.clusters[k]
-                .iter()
-                .copied()
-                .filter(|m| participants.contains(m))
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            // `members` may be unsorted after a split; results come back in
-            // member order, so the flat loss fold matches the sequential
-            // round bit for bit. A cluster whose every upload was lost to
-            // faults keeps its previous model this round.
-            arrived += step(
-                &mut self.updates,
-                clients,
-                &members,
-                &self.clusters[k],
-                &mut self.cluster_params[k],
-                ctx,
-                &mut stats,
-            );
-        }
-        let deltas = std::mem::take(&mut self.updates.deltas);
-        // Update gradient-signature sequences.
-        for (i, d) in deltas.iter().enumerate() {
-            if let Some(d) = d {
-                let sig = self.signature(d);
-                let seq = &mut self.sequences[i];
-                seq.push(sig);
-                while seq.len() > self.window {
-                    seq.remove(0); // window ≤ 10: O(window) shift is fine
-                }
-            }
-        }
-        // Split check per cluster (GCFL criterion + DTW bipartition).
-        if self.rounds_seen > self.warmup {
-            let mut new_clusters = Vec::new();
-            let mut new_params = Vec::new();
-            for (k, cluster) in self.clusters.iter().enumerate() {
-                let norms: Vec<f64> = cluster
-                    .iter()
-                    .filter_map(|&i| deltas[i].as_ref().map(|d| l2_norm(d)))
-                    .collect();
-                let can_split = cluster.len() > 1
-                    && norms.len() > 1
-                    && self.sequences[cluster[0]].len() >= 2;
-                let (mean, max) = if norms.is_empty() {
-                    (0.0, 0.0)
-                } else {
-                    (
-                        norms.iter().sum::<f64>() / norms.len() as f64,
-                        norms.iter().copied().fold(0.0, f64::max),
-                    )
-                };
-                if can_split && max > self.gap as f64 * mean {
-                    // Bipartition by DTW distance: seeds = farthest pair.
-                    let ids = cluster.clone();
-                    let mut far = (ids[0], ids[1], -1.0f64);
-                    for a in 0..ids.len() {
-                        for b in (a + 1)..ids.len() {
-                            let d = dtw_distance(
-                                &self.sequences[ids[a]],
-                                &self.sequences[ids[b]],
-                            );
-                            if d > far.2 {
-                                far = (ids[a], ids[b], d);
-                            }
-                        }
-                    }
-                    let (sa, sb, _) = far;
-                    let mut ca = vec![sa];
-                    let mut cb = vec![sb];
-                    for &i in &ids {
-                        if i == sa || i == sb {
-                            continue;
-                        }
-                        let da = dtw_distance(&self.sequences[i], &self.sequences[sa]);
-                        let db = dtw_distance(&self.sequences[i], &self.sequences[sb]);
-                        if da <= db {
-                            ca.push(i);
-                        } else {
-                            cb.push(i);
-                        }
-                    }
-                    new_params.push(self.cluster_params[k].clone());
-                    new_params.push(self.cluster_params[k].clone());
-                    new_clusters.push(ca);
-                    new_clusters.push(cb);
-                } else {
-                    new_clusters.push(cluster.clone());
-                    new_params.push(self.cluster_params[k].clone());
-                }
-            }
-            self.clusters = new_clusters;
-            self.cluster_params = new_params;
-        }
-        stats.mean_loss /= arrived.max(1) as f32;
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_support::{federation_accuracy, small_federation};
+    use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
 
@@ -309,7 +256,7 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 18);
         // gap < 1 means max > gap·mean always holds once sequences exist.
         let mut s = GcflPlus::new(3, 0.5);
-        s.warmup = 1;
+        s.objective.warmup = 1;
         let parts: Vec<usize> = (0..clients.len()).collect();
         for _ in 0..6 {
             s.round(&mut clients, &parts, &RoundCtx::plain(1));

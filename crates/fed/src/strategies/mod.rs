@@ -8,9 +8,12 @@
 //! local model — and here it implements exactly this trait (from the
 //! `fedgta` crate), next to the six baselines.
 //!
-//! A FedAvg-family baseline is a local objective and a server rule: FedAvg,
-//! FedProx, FedDC, MOON and Scaffold are [`Objective`]s of the one round
-//! [`Averaged`] runs ([`averaged`]), and GCFL+ runs each cluster through it.
+//! Every aggregating strategy is an [`Objective`] — a local objective and
+//! a server rule returning the collaboration matrix `W` — run by the one
+//! round of [`Averaged`], which owns the only model store and applies
+//! `P′ = W·P`: FedAvg, FedProx, FedDC, MOON and Scaffold write one shared
+//! slot, GCFL+ one per cluster, FedGTA (the `fedgta` crate) one per
+//! client. [`LocalOnly`] aggregates nothing and keeps a round of its own.
 
 pub mod averaged;
 pub mod feddc;
@@ -21,7 +24,9 @@ pub mod moon;
 pub mod privacy;
 pub mod scaffold;
 
-pub use averaged::{Averaged, Objective, Server, Weighted};
+pub use averaged::{
+    apply_rows, Arrivals, Averaged, Collaboration, Next, Objective, Row, Store, Weighted,
+};
 pub use feddc::FedDc;
 pub use fedavg::{FedAvg, LocalOnly};
 pub use fedprox::FedProx;
@@ -34,40 +39,17 @@ use crate::client::Client;
 use crate::kit::{Kit, Pool};
 use fedgta_nn::models::PseudoLabels;
 
-/// The start-of-round model broadcast a strategy hands the executor:
-/// the parameter vector each participant loads (and resets its optimizer
-/// for) *before* local training. Declaring it here — instead of each
-/// strategy setting parameters inside its training closure — lets the
-/// transport path route the broadcast through the armed download codec
+/// The start-of-round model broadcast: a view of the strategy's model
+/// store, each participant loading its slot's model (and resetting its
+/// optimizer) before local training — through the armed download codec
 /// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes.
 ///
-/// **Arrival contract.** A strategy that declares a broadcast holds a
-/// vector for every client whose upload has reached it: `Global` always
-/// has one, and a `PerClient` entry goes `None → Some` when that client's
-/// upload arrives and never back. The executor relies on it: a client that
-/// trains from no vector and whose upload will arrive starts its next turn
-/// from a vector and a reset, so its optimizer moments die with this turn
+/// **Arrival contract.** A client's slot goes `None → Some` when its upload
+/// arrives (or earlier) and never back: a client that trains from no
+/// vector and whose upload will arrive starts its next turn from a vector
+/// and a reset, so the executor frees its moments as this turn ends
 /// ([`crate::exec::train_participants`]).
-#[derive(Clone, Copy)]
-pub enum Broadcast<'a> {
-    /// One shared global model for every participant (FedAvg family).
-    Global(&'a [f32]),
-    /// A personalized model per federation index (FedGTA); `None` entries
-    /// mean "no broadcast yet" — the client trains from where it is, on
-    /// the moments it holds. An entry turns `Some` when the client's
-    /// upload arrives, and stays so.
-    PerClient(&'a [Option<Vec<f32>>]),
-}
-
-impl<'a> Broadcast<'a> {
-    /// The vector client `i` starts this round from, if any.
-    pub fn vector_for(&self, i: usize) -> Option<&'a [f32]> {
-        match self {
-            Broadcast::Global(g) => Some(g),
-            Broadcast::PerClient(p) => p.get(i).and_then(|v| v.as_deref()),
-        }
-    }
-}
+pub type Broadcast<'a> = &'a Store;
 
 /// What [`RoundCtx::upload_filter`] points at: `f(client, start, params)`.
 pub type UploadFilter<'a> = &'a (dyn Fn(usize, &[f32], &mut [f32]) + Sync);
@@ -97,17 +79,13 @@ pub struct RoundCtx<'a> {
     /// replays its fault script — only the scripted survivors' results
     /// come back. `None` skips those stages: results return in memory.
     pub comms: Option<&'a crate::transport::CommsRound<'a>>,
-    /// The strategy's start-of-round model broadcast, applied by the
-    /// executor to every participant before its training closure runs
-    /// (through the download codec when one is armed). `None` is for a
-    /// strategy that broadcasts nothing ([`LocalOnly`]) — not a second way
-    /// to start a round: a model installed inside the closure never
-    /// reaches the download codec or the error-feedback anchor, so a
-    /// closure reads its anchors off `c.model`, which the executor has
-    /// already loaded. Declaring one is a promise ([`Broadcast`]'s arrival
-    /// contract): every client whose upload arrives has a vector in every
-    /// later round — the executor frees such a client's moments when a
-    /// turn from no vector ends.
+    /// The strategy's model store, each participant with a slot loading it
+    /// before its training closure runs ([`Broadcast`], with its arrival
+    /// contract). `None` is for a strategy that broadcasts nothing
+    /// ([`LocalOnly`]) — not a second way to start a round: a model
+    /// installed inside the closure never reaches the download codec or the
+    /// error-feedback anchor, so a closure reads its anchors off `c.model`,
+    /// which the executor has already loaded.
     pub broadcast: Option<Broadcast<'a>>,
     /// Optional rewrite of what a participant uploads ([`DpUpload`]). The
     /// executor calls it with the client's index, the model the client
@@ -156,15 +134,6 @@ impl<'a> RoundCtx<'a> {
         self
     }
 
-    /// A copy of this context carrying a start-of-round broadcast —
-    /// strategies call this at the top of `round()` so the executor
-    /// distributes models (and meters/compresses the download leg when
-    /// armed) instead of the training closure doing it silently.
-    #[must_use]
-    pub fn with_broadcast(&self, b: Broadcast<'a>) -> RoundCtx<'a> {
-        RoundCtx { broadcast: Some(b), ..*self }
-    }
-
     /// The pseudo-labels for client `i`, if any.
     pub fn pseudo_for(&self, i: usize) -> Option<&'a PseudoLabels> {
         self.pseudo.and_then(|p| p.get(i)).and_then(|p| p.as_ref())
@@ -196,27 +165,6 @@ pub trait Strategy: Send {
         participants: &[usize],
         ctx: &RoundCtx<'_>,
     ) -> RoundStats;
-}
-
-/// `Σ wᵢ·paramsᵢ / Σ wᵢ` over uploaded parameter vectors. A zero total —
-/// no upload has a training node — weighs the uploads alike, the uniform
-/// fallback of Eq. 7.
-pub fn weighted_average(uploads: &[(Vec<f32>, f64)]) -> Vec<f32> {
-    assert!(!uploads.is_empty(), "cannot average zero uploads");
-    let len = uploads[0].0.len();
-    let (uniform, total) = match uploads.iter().map(|(_, w)| w).sum::<f64>() {
-        total if total > 0.0 => (false, total),
-        _ => (true, uploads.len() as f64),
-    };
-    let mut out = vec![0f64; len];
-    for (p, w) in uploads {
-        assert_eq!(p.len(), len, "inconsistent parameter lengths");
-        let w = if uniform { 1.0 } else { *w };
-        for (o, &v) in out.iter_mut().zip(p) {
-            *o += w * v as f64;
-        }
-    }
-    out.iter().map(|&v| (v / total) as f32).collect()
 }
 
 /// Elementwise `a - b`.
@@ -301,7 +249,10 @@ mod tests {
 
     #[test]
     fn weighted_average_weights_proportionally() {
-        let avg = weighted_average(&[(vec![1.0, 0.0], 1.0), (vec![0.0, 1.0], 3.0)]);
+        // FedAvg's weighted average is one row through the kernel.
+        let (a, b) = ([1.0f32, 0.0], [0.0f32, 1.0]);
+        let mut avg = Vec::new();
+        Row::average([(0, 1.0), (1, 3.0)]).apply(&[&a, &b], &mut avg);
         assert!((avg[0] - 0.25).abs() < 1e-6);
         assert!((avg[1] - 0.75).abs() < 1e-6);
     }
@@ -309,7 +260,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot average zero uploads")]
     fn empty_average_panics() {
-        weighted_average(&[]);
+        Row::average(std::iter::empty());
     }
 
     #[test]

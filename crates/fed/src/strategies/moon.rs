@@ -6,10 +6,9 @@
 //! the global model's, and `z_prev` the client's previous local model's.
 //! The exact gradient ∂ℓ/∂z is injected through the hidden-gradient hook.
 
-use super::averaged::{train_weighted, Averaged, Objective, Server, Weighted};
-use super::RoundCtx;
+use super::averaged::{average, train_weighted};
+use super::{Arrivals, Averaged, Collaboration, Objective, RoundCtx, Weighted};
 use crate::client::Client;
-use crate::exec::LocalResult;
 use fedgta_nn::{Matrix, TrainHooks};
 
 /// MOON with contrastive weight `mu` and temperature `tau`.
@@ -138,12 +137,11 @@ impl Objective for Contrastive {
         train_weighted(i, c, ctx, hooks)
     }
 
-    fn server(&mut self, _global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
-        let uploads = arrived.into_iter().map(|r| {
+    fn server(&mut self, round: Arrivals<'_, Weighted>) -> Collaboration {
+        for r in round.results.iter() {
             self.prev[r.client] = Some(r.payload.0.clone());
-            r.payload
-        });
-        Server::Average(uploads.collect())
+        }
+        average(round.results)
     }
 }
 

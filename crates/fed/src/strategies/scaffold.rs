@@ -6,7 +6,7 @@
 //! `cᵢ⁺ = cᵢ − c + (w_global − w_i)/(K·η)`, and the server moves
 //! `w ← w + mean(Δwᵢ)`, `c ← c + (|S|/N)·mean(Δcᵢ)`.
 
-use super::averaged::{train_weighted, Averaged, Objective, Server};
+use super::averaged::{train_weighted, Arrivals, Averaged, Collaboration, Next, Objective};
 use super::{sub, RoundCtx};
 use crate::client::Client;
 use crate::exec::LocalResult;
@@ -79,14 +79,15 @@ impl Objective for Controlled {
         (loss, (w, steps.get().max(1), lr))
     }
 
-    fn server(&mut self, global: &[f32], arrived: Vec<LocalResult<Self::Upload>>) -> Server {
+    fn server(&mut self, round: Arrivals<'_, Self::Upload>) -> Collaboration {
         // Under the fault-injecting transport only the accepted quorum's
         // results come back; all server math scales by what actually
         // arrived, not by what was asked for.
+        let (global, arrived) = (round.store.model(0), &*round.results);
         let m = arrived.len() as f64;
         let mut sum_dw = vec![0f64; global.len()];
         let mut sum_dc = vec![0f64; global.len()];
-        for r in &arrived {
+        for r in arrived {
             let (w_i, k, lr) = &r.payload;
             let scale = 1.0 / (*k as f32 * lr);
             let c_i = &mut self.c_clients[r.client];
@@ -103,13 +104,18 @@ impl Objective for Controlled {
             next[j] += (sum_dw[j] / m) as f32;
             self.c_server[j] += (participation * sum_dc[j] / m) as f32;
         }
-        Server::Model(next)
+        vec![(0, Next::Model(next))]
     }
 
     /// SCAFFOLD ships the model update and the control update; every
     /// client gets the new model, and each arrival the server control.
-    fn bytes(plen: usize, arrived: usize, receivers: usize) -> (usize, usize) {
-        let msg = 4 * plen + 8;
+    fn bytes(
+        &self,
+        plen: usize,
+        arrived: &[LocalResult<Self::Upload>],
+        receivers: usize,
+    ) -> (usize, usize) {
+        let (msg, arrived) = (4 * plen + 8, arrived.len());
         (arrived * (8 * plen + 8), receivers * msg + arrived * msg)
     }
 }

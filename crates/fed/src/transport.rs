@@ -267,6 +267,12 @@ pub trait WirePayload: Sized {
     /// executor calls it before the stages that need a payload's bytes:
     /// the upload filter, the error-feedback fold and encoding.
     fn own_resident(&mut self, _model: &[f32]) {}
+    /// Tensor 0 — the parameters, the row this upload adds to the server's
+    /// `P` — read off `model`, the uploading client's parameters, when
+    /// [`ParamTensor::Resident`]. `None` for a payload without tensors.
+    fn params<'a>(&'a self, _model: &'a [f32]) -> Option<&'a [f32]> {
+        None
+    }
 }
 
 /// An upload's parameter tensor, read in place until a stage needs bytes
@@ -335,6 +341,9 @@ impl WirePayload for ParamTensor {
             *self = ParamTensor::Owned(model.to_vec());
         }
     }
+    fn params<'a>(&'a self, model: &'a [f32]) -> Option<&'a [f32]> {
+        Some(self.resolve(model))
+    }
 }
 
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], IoError> {
@@ -400,6 +409,9 @@ impl WirePayload for Vec<f32> {
     }
     fn visit_tensors(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
         f(self);
+    }
+    fn params<'a>(&'a self, _model: &'a [f32]) -> Option<&'a [f32]> {
+        Some(self)
     }
 }
 
@@ -485,6 +497,9 @@ macro_rules! impl_wire_tuple {
             }
             fn own_resident(&mut self, model: &[f32]) {
                 $(self.$idx.own_resident(model);)+
+            }
+            fn params<'a>(&'a self, model: &'a [f32]) -> Option<&'a [f32]> {
+                self.0.params(model)
             }
         }
     };

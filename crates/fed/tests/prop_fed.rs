@@ -2,10 +2,19 @@
 
 use fedgta_fed::round::sample_participants;
 use fedgta_fed::strategies::gcfl::dtw_distance;
-use fedgta_fed::strategies::{l2_norm, sub, weighted_average};
+use fedgta_fed::strategies::{l2_norm, sub, Row};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// FedAvg's Eq. 2 over `(params, n_train)` uploads: one row through the
+/// server's row kernel.
+fn fedavg(uploads: &[(Vec<f32>, f64)]) -> Vec<f32> {
+    let p: Vec<&[f32]> = uploads.iter().map(|u| u.0.as_slice()).collect();
+    let mut out = Vec::new();
+    Row::average(uploads.iter().map(|u| u.1).enumerate()).apply(&p, &mut out);
+    out
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -16,14 +25,14 @@ proptest! {
             proptest::collection::vec(-5.0f32..5.0, 4),
             1..6,
         ),
-        weights in proptest::collection::vec(0.1f64..10.0, 6),
+        weights in proptest::collection::vec(1u32..10_000, 6),
     ) {
         let ups: Vec<(Vec<f32>, f64)> = params
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.clone(), weights[i % weights.len()]))
+            .map(|(i, p)| (p.clone(), weights[i % weights.len()] as f64))
             .collect();
-        let avg = weighted_average(&ups);
+        let avg = fedavg(&ups);
         for j in 0..4 {
             let lo = params.iter().map(|p| p[j]).fold(f32::INFINITY, f32::min);
             let hi = params.iter().map(|p| p[j]).fold(f32::NEG_INFINITY, f32::max);
@@ -34,9 +43,9 @@ proptest! {
     #[test]
     fn weighted_average_identity_on_single_upload(
         p in proptest::collection::vec(-5.0f32..5.0, 1..10),
-        w in 0.1f64..100.0,
+        w in 1u32..100_000,
     ) {
-        let avg = weighted_average(&[(p.clone(), w)]);
+        let avg = fedavg(&[(p.clone(), w as f64)]);
         for (a, b) in avg.iter().zip(&p) {
             prop_assert!((a - b).abs() < 1e-5);
         }
@@ -48,14 +57,14 @@ proptest! {
             proptest::collection::vec(-2.0f32..2.0, 3),
             2..5,
         ),
-        scale in 0.5f64..20.0,
+        scale in 1u32..20,
     ) {
         let w: Vec<f64> = (1..=params.len()).map(|i| i as f64).collect();
-        let a = weighted_average(
+        let a = fedavg(
             &params.iter().cloned().zip(w.iter().copied()).collect::<Vec<_>>(),
         );
-        let b = weighted_average(
-            &params.iter().cloned().zip(w.iter().map(|&x| x * scale)).collect::<Vec<_>>(),
+        let b = fedavg(
+            &params.iter().cloned().zip(w.iter().map(|&x| x * scale as f64)).collect::<Vec<_>>(),
         );
         for (x, y) in a.iter().zip(&b) {
             prop_assert!((x - y).abs() < 1e-4);

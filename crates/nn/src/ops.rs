@@ -616,10 +616,12 @@ fn record_aggregate_axpy_flops(members: usize, plen: usize) {
     fedgta_obs::counter!("aggregate.axpy_flops").add(2 * (members as u64) * (plen as u64));
 }
 
-/// Blocked weighted row sum — FedGTA's Eq. 7 personalized-aggregation
-/// kernel: `out[j] = Σ_m weights[m] · params[members[m]][j]`, accumulated
-/// in `f64` and rounded once, overwriting `out` (no zero-fill pass, no
-/// per-call `vec![0f64; plen]`).
+/// Blocked weighted row sum — the server's one aggregation kernel, one
+/// row of `P′ = W·P`: `out[j] = Σ_m weights[m] · params[members[m]][j]`,
+/// accumulated in `f64` and rounded once, overwriting `out` (no zero-fill
+/// pass, no per-call `vec![0f64; plen]`). With a `divisor` `d` the store is
+/// `(acc / d) as f32` instead of `acc as f32`: FedAvg's `Σw·p / Σw` divides
+/// once, after the sum, while Eq. 7's weights arrive normalised.
 ///
 /// The parameter axis is processed in [`COL_BLOCK`]-wide register
 /// accumulators while the member list streams past — the dense-GEMM
@@ -635,10 +637,26 @@ pub fn weighted_sum_rows_into(
     params: &[&[f32]],
     members: &[usize],
     weights: &[f32],
+    divisor: Option<f64>,
     out: &mut [f32],
 ) {
     assert_eq!(members.len(), weights.len(), "one weight per member");
     record_aggregate_axpy_flops(members.len(), out.len());
+    // One monomorphized loop per store rule: no branch per element.
+    match divisor {
+        Some(d) => sum_rows_into(params, members, weights, out, |acc| (acc / d) as f32),
+        None => sum_rows_into(params, members, weights, out, |acc| acc as f32),
+    }
+}
+
+#[inline(always)]
+fn sum_rows_into(
+    params: &[&[f32]],
+    members: &[usize],
+    weights: &[f32],
+    out: &mut [f32],
+    store: impl Fn(f64) -> f32,
+) {
     let plen = out.len();
     let full = plen / COL_BLOCK * COL_BLOCK;
     let mut jb = 0usize;
@@ -652,7 +670,7 @@ pub fn weighted_sum_rows_into(
             }
         }
         for l in 0..COL_BLOCK {
-            out[jb + l] = acc[l] as f32;
+            out[jb + l] = store(acc[l]);
         }
         jb += COL_BLOCK;
     }
@@ -667,12 +685,12 @@ pub fn weighted_sum_rows_into(
             }
         }
         for (l, a) in acc.iter().enumerate().take(w) {
-            out[jb + l] = *a as f32;
+            out[jb + l] = store(*a);
         }
     }
     // Zero members leaves the register accumulators at 0.0, which the
-    // store loops above have already written — overwrite semantics hold
-    // even for an empty member set.
+    // store loops above have already written (divided, when a divisor is
+    // set) — overwrite semantics hold even for an empty member set.
 }
 
 /// Sparse-dense product wrapper: `Y = A · X` for a CSR adjacency.
@@ -839,11 +857,14 @@ mod tests {
                     *o += w as f64 * p as f64;
                 }
             }
-            let want: Vec<f32> = agg.iter().map(|&v| v as f32).collect();
-            let mut got = vec![9f32; plen]; // garbage: must be overwritten
-            weighted_sum_rows_into(&params, &members, &weights, &mut got);
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "plen={plen}");
+            // A divisor divides the f64 sum once, before the one rounding.
+            for divisor in [None, Some(3.0f64)] {
+                let want: Vec<f32> = agg.iter().map(|&v| (v / divisor.unwrap_or(1.0)) as f32).collect();
+                let mut got = vec![9f32; plen]; // garbage: must be overwritten
+                weighted_sum_rows_into(&params, &members, &weights, divisor, &mut got);
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "plen={plen}, divisor {divisor:?}");
+                }
             }
         }
     }
@@ -851,7 +872,7 @@ mod tests {
     #[test]
     fn weighted_sum_rows_empty_members_zeroes_out() {
         let mut out = vec![5f32; 20];
-        weighted_sum_rows_into(&[], &[], &[], &mut out);
+        weighted_sum_rows_into(&[], &[], &[], None, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
     }
 

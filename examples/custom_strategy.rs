@@ -1,13 +1,17 @@
 //! Adding your own baseline as an [`Objective`]: what a participant does
-//! in local training, and what the server makes of the uploads.
-//! [`Averaged`] runs the round around it — broadcast, client-parallel
-//! training through the executor (and, with `--transport channel`, the
-//! wire, its faults and codecs), aggregation, install — exactly as it does
-//! for FedAvg, FedProx, FedDC, MOON and Scaffold.
+//! in local training, and what the server makes of the uploads — the
+//! collaboration matrix `W`, one entry per model slot it writes.
+//! [`Averaged`] runs the round around it — broadcast from its model store,
+//! client-parallel training through the executor (and, with `--transport
+//! channel`, the wire, its faults and codecs), `P′ = W·P`, install —
+//! exactly as it does for FedAvg, FedProx, FedDC, MOON, Scaffold, GCFL+
+//! and FedGTA.
 //!
-//! Here the objective is a coordinate-wise **trimmed mean** (a classic
-//! Byzantine-robust variant of FedAvg) in ~30 lines, raced against FedAvg
-//! and FedGTA on a Non-iid split.
+//! Most server rules are a weighted [`Row`] over the arrivals (FedAvg's is
+//! `Row::average` of each arrival's `n_train`). A coordinate-wise
+//! **trimmed mean** (a classic Byzantine-robust variant of FedAvg) is not,
+//! so it hands the round its computed model instead ([`Next::Model`]), in
+//! ~30 lines, raced against FedAvg and FedGTA on a Non-iid split.
 //!
 //! ```sh
 //! cargo run --release --example custom_strategy
@@ -15,12 +19,11 @@
 
 use fedgta_suite::core::FedGta;
 use fedgta_suite::fed::client::Client;
-use fedgta_suite::fed::exec::LocalResult;
 use fedgta_suite::fed::round::{best_accuracy, SimConfig, Simulation};
 use fedgta_suite::fed::strategies::averaged::train_weighted;
 use fedgta_suite::fed::strategies::test_support::small_federation;
 use fedgta_suite::fed::strategies::{
-    Averaged, FedAvg, Objective, RoundCtx, Server, Strategy, Weighted,
+    Arrivals, Averaged, Collaboration, FedAvg, Next, Objective, RoundCtx, Strategy, Weighted,
 };
 use fedgta_suite::nn::models::ModelKind;
 use fedgta_suite::nn::TrainHooks;
@@ -38,13 +41,15 @@ impl Objective for TrimmedMean {
         train_weighted(i, c, ctx, TrainHooks::none())
     }
 
-    fn server(&mut self, global: &[f32], arrived: Vec<LocalResult<Weighted>>) -> Server {
+    /// Slot 0, the model every client shares, becomes the trimmed mean.
+    fn server(&mut self, round: Arrivals<'_, Weighted>) -> Collaboration {
+        let arrived = &*round.results;
         let m = arrived.len();
         let trim = usize::from(m > 2); // drop min & max when we can
         let mut column = vec![0f32; m];
-        let model = (0..global.len())
+        let model = (0..round.store.model(0).len())
             .map(|j| {
-                for (s, r) in column.iter_mut().zip(&arrived) {
+                for (s, r) in column.iter_mut().zip(arrived) {
                     *s = r.payload.0[j];
                 }
                 column.sort_unstable_by(f32::total_cmp);
@@ -52,7 +57,7 @@ impl Objective for TrimmedMean {
                 kept.iter().sum::<f32>() / kept.len() as f32
             })
             .collect();
-        Server::Model(model)
+        vec![(0, Next::Model(model))]
     }
 }
 

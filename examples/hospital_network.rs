@@ -102,7 +102,7 @@ fn main() {
     println!("FedGTA diagnosis accuracy: {:.1}%", 100.0 * gta_acc);
 
     // Who aggregates with whom? (Fig. 3 of the paper, on this network.)
-    let report = gta.last_report().expect("round ran");
+    let report = gta.objective.last_report().expect("round ran");
     println!("\nFedGTA aggregation sets (hospital: partners with weights):");
     for (h, e) in report.entries.iter().enumerate() {
         let members: Vec<String> = e

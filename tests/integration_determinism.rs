@@ -54,7 +54,7 @@ fn fedgta_aggregation_sets_are_reproducible() {
         for _ in 0..3 {
             s.round(&mut clients, &all, &RoundCtx::plain(2));
         }
-        s.last_report().unwrap().clone()
+        s.objective.last_report().unwrap().clone()
     };
     let a = run();
     let b = run();

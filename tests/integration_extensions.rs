@@ -21,7 +21,7 @@ fn adaptive_and_feature_moment_variants_run_end_to_end() {
         (FedGtaConfig::with_feature_moments(), ModelKind::Gamlp),
     ] {
         let mut clients = small_federation(kind, 300);
-        let mut s = FedGta::new(cfg);
+        let mut s = FedGta::from(cfg);
         let all: Vec<usize> = (0..clients.len()).collect();
         for _ in 0..10 {
             s.round(&mut clients, &all, &RoundCtx::plain(2));

@@ -140,7 +140,7 @@ fn fedgl() -> Box<dyn Strategy> {
 /// rounds train and average each cluster on its own.
 fn gcfl_plus() -> GcflPlus {
     let mut s = GcflPlus::new(3, 0.5);
-    s.warmup = 1;
+    s.objective.warmup = 1;
     s
 }
 
@@ -187,13 +187,13 @@ fn cells() -> Vec<Cell> {
         cell(
             "FedGTA(w/o Conf.)/SGC",
             || federation_with(ModelKind::Sgc, SEED, 8, 900),
-            || Box::new(FedGta::new(FedGtaConfig::without_confidence())),
+            || Box::new(FedGta::from(FedGtaConfig::without_confidence())),
             3,
         ),
         cell(
             "FedGTA(w/o Mom.)/SGC",
             || small_federation(ModelKind::Sgc, SEED),
-            || Box::new(FedGta::new(FedGtaConfig::without_moments())),
+            || Box::new(FedGta::from(FedGtaConfig::without_moments())),
             3,
         ),
     ]

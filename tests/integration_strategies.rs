@@ -41,8 +41,8 @@ fn every_optimization_strategy_learns() {
         (Box::new(FedDc::new(0.01)), 0.55),
         (Box::new(GcflPlus::new(5, 2.0)), 0.55),
         (Box::new(FedGta::with_defaults()), 0.55),
-        (Box::new(FedGta::new(FedGtaConfig::without_moments())), 0.45),
-        (Box::new(FedGta::new(FedGtaConfig::without_confidence())), 0.45),
+        (Box::new(FedGta::from(FedGtaConfig::without_moments())), 0.45),
+        (Box::new(FedGta::from(FedGtaConfig::without_confidence())), 0.45),
     ];
     for (s, bar) in strategies {
         let name = s.name();
