@@ -9,15 +9,21 @@
 //! (hidden width … Cora-scale input width), with a 64-wide output. A
 //! square `512³` head-to-head against the retained scalar kernels
 //! (`fedgta_nn::ops::naive`) anchors the before/after comparison.
+//! The SpMM grid runs on a degree-uniform ring lattice; the
+//! `spmm_sbm_client` / `spmm_axpby_sbm_client` cells repeat both SpMM
+//! kernels on one `sbm1m_sgc_disk` client's shape (31 250 rows, ≈ 5.5
+//! stored entries per row of varying count, 16 label columns), the
+//! operand label propagation runs on.
 //! The client's soft-label pair — the Eq. 3 row softmax and the Eq. 4
 //! entropy sum, both libm-free vectorized kernels — is timed per element at
 //! `32k × {7, 16, 40}` against the scalar libm loops they replaced.
-//! Quick mode shrinks every shape and runs one iteration per cell so CI
-//! can smoke the whole pipeline in under a second.
+//! Quick mode shrinks every shape but the client-shaped one and runs one
+//! iteration per cell so CI can smoke the whole pipeline in under a second.
 
 use fedgta::confidence::local_smoothing_confidence;
+use fedgta_data::{generate_sbm, SbmConfig};
 use fedgta_graph::spmm::{spmm_axpby_into, spmm_into};
-use fedgta_graph::{Csr, EdgeList};
+use fedgta_graph::{normalized_adjacency, Csr, EdgeList, NormKind};
 use fedgta_nn::ops::{
     self, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into,
     softmax_rows_inplace,
@@ -35,7 +41,8 @@ pub type AllocCounter = fn() -> u64;
 #[derive(Debug, Clone)]
 pub struct KernelResult {
     /// Kernel name (`matmul`, `matmul_tn`, `matmul_nt`, `matmul_bias_relu`,
-    /// `spmm`, `spmm_axpby`).
+    /// `spmm`, `spmm_axpby`, and the client-shaped `spmm_sbm_client`,
+    /// `spmm_axpby_sbm_client`).
     pub kernel: &'static str,
     /// `blocked` (this PR's kernels) or `naive` (retained seed scalars).
     pub variant: &'static str,
@@ -266,8 +273,11 @@ fn filled(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Ring-lattice graph: node `i` links to `i±1..=i±5` (≈10 neighbors),
-/// deterministic and degree-uniform — a stand-in for a client subgraph.
+/// Ring-lattice graph: node `i` links to `i±1..=i±5`, deterministic and
+/// degree-uniform. Every row has exactly 10 neighbors, so the SpMM's
+/// neighbor-loop exit is always predicted: this operand prices the
+/// kernel's arithmetic and gathers, not a client subgraph (that is
+/// [`sbm_client`]).
 fn lattice(n: usize) -> Csr {
     let mut el = EdgeList::new(n);
     for i in 0..n as u32 {
@@ -279,6 +289,32 @@ fn lattice(n: usize) -> Csr {
         }
     }
     el.to_csr()
+}
+
+/// Rows, mean undirected degree and label columns of [`sbm_client`]: one
+/// `sbm1m_sgc_disk` client is a 31 250-row range of a 10⁶-node, degree-8
+/// SBM that keeps the ≈ 4.5 edges per node falling inside its range.
+const SBM_CLIENT: (usize, f64, usize) = (31_250, 4.3, 16);
+
+/// A client-shaped propagation operand, generated in memory and
+/// symmetric-normalized with self-loops: ≈ 5.5 stored entries per row.
+/// Like the `sbm1m_sgc_disk` client it stands in for, it is 16 contiguous
+/// blocks of ≈ 1 953 rows whose edges stay inside their block (the edges
+/// a client keeps are its range's within-block ones), with the scale
+/// workload's power-law degree spread. Unlike [`lattice`], row degrees
+/// vary from row to row, as they do in every client's label propagation.
+fn sbm_client(rows: usize, avg_degree: f64) -> Csr {
+    let cfg = SbmConfig {
+        n: rows,
+        num_classes: 16,
+        blocks_per_class: 1,
+        avg_degree,
+        p_block: 1.0,
+        p_class: 0.0,
+        degree_spread: 3.0,
+        seed: 0x5b_c11e,
+    };
+    normalized_adjacency(&generate_sbm(&cfg).graph, NormKind::Symmetric)
 }
 
 /// Times `f` (called repeatedly) and returns (ns/call, calls made).
@@ -487,6 +523,47 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
             });
         }
     }
+
+    // --- Client-shaped SpMM: label propagation on an sbm1m client ------
+    let (rows, avg_degree, cols) = SBM_CLIENT;
+    let a = sbm_client(rows, avg_degree);
+    let x = filled(rows, cols, &mut rng);
+    let z = filled(rows, cols, &mut rng);
+    let (x, z) = (x.as_slice(), z.as_slice());
+    let mut y = vec![0f32; rows * cols];
+    let flops = 2.0 * a.num_edges() as f64 * cols as f64;
+    let (ns, _) = time_fn(
+        || spmm_into(&a, x, cols, &mut y),
+        grid.min_ns,
+        grid.max_calls,
+    );
+    results.push(KernelResult {
+        kernel: "spmm_sbm_client",
+        variant: "blocked",
+        m: rows,
+        k: cols,
+        n: cols,
+        gflops: flops / ns,
+        ns_per_call: ns,
+        allocs_per_call: count_allocs(counter, || spmm_into(&a, x, cols, &mut y)),
+    });
+    let (ns, _) = time_fn(
+        || spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y),
+        grid.min_ns,
+        grid.max_calls,
+    );
+    results.push(KernelResult {
+        kernel: "spmm_axpby_sbm_client",
+        variant: "blocked",
+        m: rows,
+        k: cols,
+        n: cols,
+        gflops: flops / ns,
+        ns_per_call: ns,
+        allocs_per_call: count_allocs(counter, || {
+            spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y)
+        }),
+    });
 
     // --- Square anchor: blocked vs retained naive scalars -------------
     let d = grid.anchor;
@@ -713,10 +790,17 @@ mod tests {
     #[test]
     fn quick_mode_produces_full_grid_and_valid_json() {
         let r = run(true, None);
-        // 1 row x 1 feat x 6 kernels + 2 anchor rows.
-        assert_eq!(r.results.len(), 8);
+        // 1 row x 1 feat x 6 kernels + 2 client-shaped SpMM rows + 2 anchor rows.
+        assert_eq!(r.results.len(), 10);
+        let client = r
+            .results
+            .iter()
+            .find(|k| k.kernel == "spmm_sbm_client")
+            .expect("client-shaped cell");
+        assert_eq!((client.m, client.k), (SBM_CLIENT.0, SBM_CLIENT.2));
         assert!(r.results.iter().all(|k| k.gflops > 0.0));
         let json = to_json(&r);
+        assert!(json.contains("\"kernel\": \"spmm_axpby_sbm_client\""));
         assert!(json.contains("\"matmul_speedup_vs_naive\""));
         assert!(json.contains("\"matmul_tn_vs_matmul\""));
         assert!(r.matmul_tn_vs_matmul > 0.0 && r.matmul_tn_vs_matmul.is_finite());
