@@ -13,7 +13,10 @@
 //! written once, straight into its retained buffer. The bare product
 //! `Ã Ŷˡ⁻¹` never exists in memory, so a step costs the reads of the
 //! adjacency, `Ŷˡ⁻¹` and `Ŷ⁰` plus one write — there is no scratch matrix
-//! and no second sweep.
+//! and no second sweep. On a client graph of a few neighbors per row those
+//! reads are not the bound: the mispredicted exit of each row's short
+//! neighbor loop is, and the SpMM's degree-ordered row schedule (see
+//! [`fedgta_graph::spmm`]) is what takes it away.
 
 use fedgta_graph::spmm::spmm_axpby_into;
 use fedgta_graph::Csr;

@@ -13,10 +13,70 @@ pub struct Csr {
     indptr: Vec<usize>,
     indices: Vec<u32>,
     weights: Option<Vec<f32>>,
+    /// The SpMM row schedule, one byte per row: the rows of each
+    /// [`SCHEDULE_TILE`]-row tile `t` as offsets from `t·SCHEDULE_TILE`,
+    /// in stable ascending order of degree (degrees from
+    /// `SCHEDULE_TILE − 1` on count as one). [`crate::spmm`] visits a
+    /// tile's rows in this order so that rows of equal neighbor count run
+    /// back to back and the neighbor loop's exit branch is predicted (see
+    /// its module header). Empty when that order is row order in every
+    /// tile — no edges, or degrees that never fall within a tile — so such
+    /// a graph holds no schedule. A function of `indptr` alone, built once
+    /// by [`Csr::from_raw_parts`], so `clone` and `==` carry it without
+    /// changing what they mean.
+    schedule: Vec<u8>,
+}
+
+/// Rows per tile of [`Csr`]'s SpMM row schedule: the size that measured
+/// best on `sbm1m` client graphs (see [`crate::spmm`]), small enough that
+/// a tile's output rows stay in L1 while they are written out of order
+/// and that a row's offset fits a byte.
+pub(crate) const SCHEDULE_TILE: usize = 64;
+
+/// A tile's offsets in row order: the schedule of a tile that needs none.
+static ROW_ORDER: [u8; SCHEDULE_TILE] = {
+    let mut order = [0u8; SCHEDULE_TILE];
+    let mut o = 0;
+    while o < SCHEDULE_TILE {
+        order[o] = o as u8;
+        o += 1;
+    }
+    order
+};
+
+/// [`Csr`]'s row schedule over `indptr` (see the field's doc): a counting
+/// sort per tile, whose keys stop at `SCHEDULE_TILE − 1` so that a tile's
+/// counts fit on the stack. A row that long pays one mispredicted exit
+/// over dozens of iterations, so ordering it further would buy nothing.
+fn degree_schedule(indptr: &[usize]) -> Vec<u8> {
+    let n = indptr.len().saturating_sub(1);
+    let key = |r: usize| (indptr[r + 1] - indptr[r]).min(SCHEDULE_TILE - 1);
+    if (1..n).all(|r| r % SCHEDULE_TILE == 0 || key(r - 1) <= key(r)) {
+        return Vec::new();
+    }
+    let mut schedule = vec![0u8; n];
+    for t0 in (0..n).step_by(SCHEDULE_TILE) {
+        let rows = t0..(t0 + SCHEDULE_TILE).min(n);
+        // `slot[k]`: where the next row of key `k` goes, from `t0`.
+        let mut slot = [0u8; SCHEDULE_TILE + 1];
+        for r in rows.clone() {
+            slot[key(r) + 1] += 1;
+        }
+        for k in 1..=SCHEDULE_TILE {
+            slot[k] += slot[k - 1];
+        }
+        for r in rows {
+            let k = key(r);
+            schedule[t0 + slot[k] as usize] = (r - t0) as u8;
+            slot[k] += 1;
+        }
+    }
+    schedule
 }
 
 impl Csr {
-    /// Assembles a CSR from raw parts.
+    /// Assembles a CSR from raw parts — the one constructor every `Csr`
+    /// goes through, which builds its SpMM row schedule.
     ///
     /// Invariants (checked by debug assertions): `indptr` is monotone,
     /// starts at 0, ends at `indices.len()`; weights, if given, match the
@@ -29,10 +89,12 @@ impl Csr {
         if let Some(w) = &weights {
             debug_assert_eq!(w.len(), indices.len());
         }
+        let schedule = degree_schedule(&indptr);
         Self {
             indptr,
             indices,
             weights,
+            schedule,
         }
     }
 
@@ -115,6 +177,19 @@ impl Csr {
     #[inline]
     pub fn weights(&self) -> Option<&[f32]> {
         self.weights.as_deref()
+    }
+
+    /// The rows of the [`SCHEDULE_TILE`]-row tile that starts at row `t0`,
+    /// as offsets from `t0` in the order the SpMM visits them (see the
+    /// `schedule` field).
+    #[inline]
+    pub(crate) fn tile_schedule(&self, t0: usize) -> &[u8] {
+        let len = (self.num_nodes() - t0).min(SCHEDULE_TILE);
+        if self.schedule.is_empty() {
+            &ROW_ORDER[..len]
+        } else {
+            &self.schedule[t0..t0 + len]
+        }
     }
 
     /// Whether node `u` has an edge to `v` (binary search: O(log deg)).
@@ -227,6 +302,33 @@ impl Csr {
     }
 }
 
+/// A test graph whose row degrees the SpMM row schedule has to reorder:
+/// row `u` has `(u / 3) % (max_degree + 1)` out-edges — runs of three
+/// equal degrees, and rows with none — to `(u + 1 + 7d) % n`, distinct
+/// while `7 · max_degree < n`, except row `hub`, which links to every row.
+/// Weighted edges carry negative and positive weights.
+#[cfg(test)]
+pub(crate) fn skewed_rows(n: u32, max_degree: u32, hub: u32, weighted: bool) -> Csr {
+    assert!(7 * max_degree < n && hub < n);
+    let mut el = crate::EdgeList::new(n as usize);
+    let mut push = |u: u32, v: u32| {
+        if weighted {
+            el.push_weighted(u, v, ((u * 31 + v * 17) % 23) as f32 * 0.125 - 1.4)
+                .unwrap();
+        } else {
+            el.push(u, v).unwrap();
+        }
+    };
+    for u in 0..n {
+        if u == hub {
+            (0..n).for_each(|v| push(u, v));
+        } else {
+            (0..(u / 3) % (max_degree + 1)).for_each(|d| push(u, (u + 1 + 7 * d) % n));
+        }
+    }
+    el.to_csr()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,6 +403,47 @@ mod tests {
     fn validate_catches_out_of_range() {
         let g = Csr::from_raw_parts(vec![0, 1], vec![7], None);
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn schedule_is_a_stable_degree_sort_of_each_tile_and_travels_with_clone() {
+        // 150 rows: two full tiles and a ragged one; the hub's degree is
+        // past the last key.
+        let g = skewed_rows(150, 9, 70, false);
+        assert!(g.degree(70) >= SCHEDULE_TILE);
+        let tiles = |g: &Csr| -> Vec<Vec<u8>> {
+            (0..g.num_nodes())
+                .step_by(SCHEDULE_TILE)
+                .map(|t0| g.tile_schedule(t0).to_vec())
+                .collect()
+        };
+        for (tile, got) in tiles(&g).iter().enumerate() {
+            let t0 = tile * SCHEDULE_TILE;
+            let mut want: Vec<u8> = (0..got.len() as u8).collect();
+            want.sort_by_key(|&o| g.degree(t0 as u32 + o as u32).min(SCHEDULE_TILE - 1)); // stable
+            assert_eq!(got, &want, "tile at {t0}");
+        }
+        assert_eq!(
+            *tiles(&g)[1].last().unwrap() as usize,
+            70 - SCHEDULE_TILE,
+            "the hub goes last"
+        );
+        let copy = g.clone();
+        assert_eq!(tiles(&copy), tiles(&g));
+        assert_eq!(copy, g);
+        // Row order needs no schedule; the accessor still walks every row.
+        let mut cycle = EdgeList::new(70);
+        (0..70).for_each(|u| cycle.push_undirected(u, (u + 1) % 70).unwrap());
+        for g in [Csr::empty(100), Csr::empty(0), cycle.to_csr()] {
+            assert!(g.schedule.is_empty());
+            let walked: Vec<u8> = tiles(&g).concat();
+            assert_eq!(
+                walked,
+                (0..g.num_nodes())
+                    .map(|r| (r % SCHEDULE_TILE) as u8)
+                    .collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
