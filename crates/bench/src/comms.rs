@@ -18,9 +18,8 @@
 //!   download codec is armed (`null` otherwise — plain broadcasts never
 //!   become wire bytes).
 //! - **value_compression** — the analytic bits-per-value ratio of the
-//!   quantizer alone (32/8 = 4.0 for `quant-i8`, 32/16 = 2.0 for
-//!   `quant-f16`), `null` for chains whose ratio depends on tensor
-//!   shape (top-k).
+//!   quantizer alone (32/8 = 4.0 for `quant-i8`), `null` for chains
+//!   whose ratio depends on tensor shape (top-k).
 //! - **best_acc / acc_delta_pp** — best global test accuracy and its
 //!   delta (percentage points) against the plain-upload baseline of the
 //!   same strategy.
@@ -98,7 +97,6 @@ pub struct CommsReport {
 pub const CODECS: &[&str] = &[
     "none",
     "identity",
-    "quant-f16",
     "quant-i8",
     "topk=64",
     "topk=64+quant-i8",
@@ -311,7 +309,6 @@ fn value_compression(cell: &Cell) -> Option<f64> {
     }
     match cell.codec {
         None | Some("identity") => Some(1.0),
-        Some("quant-f16") => Some(2.0),
         Some("quant-i8") => Some(4.0),
         _ => None,
     }

@@ -4,10 +4,12 @@
 //! parser, and the CLI's surface is small enough that a 100-line parser
 //! with good error messages beats pulling one in.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command line: a command, an optional subcommand, and
-/// `--key value` flags.
+/// `--key value` flags. Every lookup records its key, so a flag no
+/// command asked for can be reported instead of silently ignored.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Args {
     /// The first positional argument.
@@ -16,6 +18,7 @@ pub struct Args {
     /// Only allowed directly after the command, before any flags.
     pub subcommand: Option<String>,
     flags: BTreeMap<String, String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from parsing or flag lookup.
@@ -78,23 +81,41 @@ impl Args {
             command,
             subcommand,
             flags,
+            read: RefCell::default(),
         })
+    }
+
+    fn get(&self, key: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(key.to_string());
+        self.flags.get(key)
+    }
+
+    /// Errs, naming them, when flags were given that no lookup has read
+    /// (a typo or a retired option).
+    pub fn reject_unread(&self) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread: Vec<String> =
+            self.flags.keys().filter(|k| !read.contains(*k)).map(|k| format!("--{k}")).collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        Err(format!("'{}' does not take {}", self.command, unread.join(", ")))
     }
 
     /// A string flag with a default.
     pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.flags.get(key).cloned().unwrap_or_else(|| default.to_string())
+        self.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
     /// An optional string flag.
     pub fn str_opt(&self, key: &str) -> Option<&str> {
-        self.flags.get(key).map(|s| s.as_str())
+        self.get(key).map(|s| s.as_str())
     }
 
     /// A boolean switch: present with no value (or `true`/`1`) is on;
     /// absent, `false` or `0` is off.
     pub fn bool_flag(&self, key: &str) -> Result<bool, ArgError> {
-        match self.flags.get(key).map(|s| s.as_str()) {
+        match self.get(key).map(|s| s.as_str()) {
             None => Ok(false),
             Some("true") | Some("1") => Ok(true),
             Some("false") | Some("0") => Ok(false),
@@ -107,7 +128,7 @@ impl Args {
 
     /// A parsed numeric flag with a default.
     pub fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.flags.get(key) {
+        match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {
                 flag: key.to_string(),

@@ -72,12 +72,10 @@ USAGE:
                        [--max-resamples N]     (bounded re-sampling attempts
                         after a quorum failure; default 2)
                        [--codec <chain>]       (upload codec chain, '+'-joined:
-                        identity, quant-i8, quant-f16, topk[=N] — e.g.
+                        identity, quant-i8, topk[=N] — e.g.
                         'topk=64+quant-i8'. 'none' (default) = plain uploads;
                         lossless chains are bit-identical to plain. Implies
                         --transport channel)
-                       [--codec-arg k=N]       (codec parameter overrides;
-                        'k' sets TopK's kept-entry count)
                        [--error-feedback]      (per-client residual accumulator:
                         each round folds the previous round's coding error into
                         the tensor before encoding, so lossy chains converge
@@ -112,13 +110,14 @@ struct ObsSetup {
     server: Option<fedgta_obs::serve::MetricsServer>,
 }
 
-/// Arms the global observability level and, when requested, the JSONL
+/// Reads and validates the observability flags and returns what arms
+/// them: the global observability level and, when requested, the JSONL
 /// trace sink and the live `/metrics` endpoint. `--obs` defaults to the
 /// weakest level that satisfies the requested outputs, so `--trace-out
 /// t.jsonl` alone "just works". The flight recorder is always armed for
 /// a run — its fixed ring is the black box a postmortem reads — and its
 /// spans never touch any numeric result.
-fn setup_obs(a: &Args) -> Result<ObsSetup, Box<dyn Error>> {
+fn setup_obs(a: &Args) -> Result<impl FnOnce() -> std::io::Result<ObsSetup>, Box<dyn Error>> {
     let trace_out = a.str_opt("trace-out").map(str::to_string);
     let metrics_out = a.str_opt("metrics-out").map(str::to_string);
     let serve_addr = a.str_opt("serve-metrics").map(str::to_string);
@@ -135,27 +134,29 @@ fn setup_obs(a: &Args) -> Result<ObsSetup, Box<dyn Error>> {
     if trace_out.is_some() && level != fedgta_obs::ObsLevel::Trace {
         return Err("--trace-out needs --obs trace".into());
     }
-    if let Some(path) = &trace_out {
-        fedgta_obs::init_jsonl(Path::new(path))?;
-        println!("tracing to {path} (schema {})", fedgta_obs::TRACE_SCHEMA);
-    }
-    fedgta_obs::set_level(level);
-    // The black box: always armed for a run, emptied at takeoff so a
-    // dump holds exactly this run's tail.
-    fedgta_obs::recorder::arm_default();
-    fedgta_obs::recorder::reset();
-    let server = match &serve_addr {
-        Some(addr) => {
-            let s = fedgta_obs::serve::serve(addr)?;
-            println!("serving /metrics /healthz /rounds on http://{}", s.addr());
-            Some(s)
+    Ok(move || {
+        if let Some(path) = &trace_out {
+            fedgta_obs::init_jsonl(Path::new(path))?;
+            println!("tracing to {path} (schema {})", fedgta_obs::TRACE_SCHEMA);
         }
-        None => None,
-    };
-    Ok(ObsSetup {
-        metrics_out,
-        armed: level != fedgta_obs::ObsLevel::Off,
-        server,
+        fedgta_obs::set_level(level);
+        // The black box: always armed for a run, emptied at takeoff so a
+        // dump holds exactly this run's tail.
+        fedgta_obs::recorder::arm_default();
+        fedgta_obs::recorder::reset();
+        let server = match &serve_addr {
+            Some(addr) => {
+                let s = fedgta_obs::serve::serve(addr)?;
+                println!("serving /metrics /healthz /rounds on http://{}", s.addr());
+                Some(s)
+            }
+            None => None,
+        };
+        Ok(ObsSetup {
+            metrics_out,
+            armed: level != fedgta_obs::ObsLevel::Off,
+            server,
+        })
     })
 }
 
@@ -229,15 +230,15 @@ fn render(events: &[fedgta_obs::TraceEvent], damaged: &[String]) -> String {
 
 /// Builds the transport/robustness config from `--transport`, `--faults`,
 /// `--fault-seed`, `--deadline`, `--min-quorum`, `--oversample`,
-/// `--max-resamples`, `--codec`, `--codec-arg`, `--codec-down`,
-/// `--codec-sketch` and `--error-feedback`. Returns `None` for
+/// `--max-resamples`, `--codec`, `--codec-down`, `--codec-sketch` and
+/// `--error-feedback`. Returns `None` for
 /// the direct (pre-transport) message path. The transport defaults to
 /// `channel` as soon as any robustness or codec flag is present, so
 /// `--faults drop=0.1` or `--codec quant-i8` alone "just works".
 fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     let robust_flags = [
         "faults", "fault-seed", "deadline", "min-quorum", "oversample", "max-resamples",
-        "codec", "codec-arg", "codec-down", "codec-sketch", "error-feedback",
+        "codec", "codec-down", "codec-sketch", "error-feedback",
     ];
     // `--codec none` is an explicit request for plain uploads, not a
     // robustness flag — it must not flip the transport default.
@@ -255,13 +256,7 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
             Some(spec) => Ok(Some(CodecSpec::parse(spec)?)),
         }
     };
-    let codec = match a.str_opt("codec") {
-        None | Some("none") => None,
-        Some(spec) => Some(CodecSpec::parse_with(spec, &a.str_or("codec-arg", ""))?),
-    };
-    if codec.is_none() && a.str_opt("codec-arg").is_some() {
-        return Err("--codec-arg needs a --codec chain".into());
-    }
+    let codec = parse_chain("codec")?;
     let codec_down = parse_chain("codec-down")?;
     let codec_sketch = parse_chain("codec-sketch")?;
     let error_feedback = a.bool_flag("error-feedback")?;
@@ -411,14 +406,18 @@ pub fn run(a: &Args) -> CliResult {
     let split = parse_split(&a.str_or("split", "louvain"))?;
     let model = parse_model(&a.str_or("model", "gamlp"))?;
     let strategy_name = a.str_or("strategy", "FedGTA");
+    let comms = parse_comms(a)?;
+    let arm_obs = setup_obs(a)?;
+    let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
+    let save_params = a.str_opt("save-params");
+    a.reject_unread()?;
 
     let b = load_benchmark(name, seed)?;
     let parts = partition_benchmark(&b, split, clients_n, seed);
     let halo = strategy_name.starts_with("FedGL");
     let build = ClientBuildConfig::paper(ModelConfig::paper(model, 32, seed), halo);
     let clients = build_clients(&b, &parts, &build);
-    let comms = parse_comms(a)?;
-    let obs = setup_obs(a)?;
+    let obs = arm_obs()?;
     let strategy = make_strategy(&strategy_name);
     println!(
         "running {} on {name}: {} clients ({} split), {rounds} rounds × {epochs} epochs, participation {participation}, {} threads",
@@ -462,7 +461,6 @@ pub fn run(a: &Args) -> CliResult {
     if let Some(cc) = comms.clone() {
         sim = sim.with_comms(cc);
     }
-    let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
     if let Some(p) = &pm_path {
         sim = sim.with_postmortem(p.clone());
         fedgta_obs::recorder::install_panic_dump(p.clone());
@@ -551,7 +549,7 @@ pub fn run(a: &Args) -> CliResult {
         }
     }
     finish_obs(obs)?;
-    if let Some(path) = a.str_opt("save-params") {
+    if let Some(path) = save_params {
         let mut f = std::fs::File::create(path)?;
         fedgta_nn::io::save_params(&mut f, &sim.clients[0].model.params())?;
         println!("saved client-0 model parameters to {path}");
@@ -746,10 +744,7 @@ mod tests {
         // --codec alone flips the transport default to 'channel'.
         let cc = parse_comms(&args(&["run", "--codec", "quant-i8"])).unwrap().unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "quant-i8");
-        // --codec-arg overrides TopK's k.
-        let cc = parse_comms(&args(&["run", "--codec", "topk+quant-i8", "--codec-arg", "k=32"]))
-            .unwrap()
-            .unwrap();
+        let cc = parse_comms(&args(&["run", "--codec", "topk=32+quant-i8"])).unwrap().unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "topk=32+quant-i8");
         // 'none' means plain uploads and leaves the transport on 'direct'.
         assert!(parse_comms(&args(&["run", "--codec", "none"])).unwrap().is_none());
@@ -758,10 +753,9 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(cc.codec.is_none());
-        // Invalid chains and orphan --codec-arg are rejected.
+        // Invalid chains are rejected.
         assert!(parse_comms(&args(&["run", "--codec", "zip"])).is_err());
         assert!(parse_comms(&args(&["run", "--codec", "quant-i8+quant-f16"])).is_err());
-        assert!(parse_comms(&args(&["run", "--codec-arg", "k=8"])).is_err());
         assert!(parse_comms(&args(&["run", "--transport", "direct", "--codec", "quant-i8"])).is_err());
     }
 
@@ -796,6 +790,19 @@ mod tests {
     fn obs_flag_rejects_unknown_level() {
         let a = args(&["run", "--obs", "loud"]);
         assert!(setup_obs(&a).is_err());
+    }
+
+    #[test]
+    fn run_refuses_flags_it_never_reads() {
+        // `--round` (for `--rounds`) used to run the 30-round default;
+        // `--codec-arg` was retired for `topk=N`. Both fail before any
+        // work, naming the flag.
+        for extra in [&["--round", "1"][..], &["--codec", "topk", "--codec-arg", "k=8"]] {
+            let mut words = vec!["run", "--dataset", "cora", "--model", "sgc", "--clients", "2"];
+            words.extend_from_slice(extra);
+            let err = run(&args(&words)).unwrap_err().to_string();
+            assert!(err.contains(&format!("does not take {}", extra[extra.len() - 2])), "{err}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    match result.and_then(|()| Ok(parsed.reject_unread()?)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

@@ -313,9 +313,9 @@ pub fn generate_from_spec(spec: &DatasetSpec, seed: u64) -> Benchmark {
         },
     );
     // Irreducible label noise: real benchmarks carry mislabeled nodes, which
-    // is why no method reaches 100% in the paper's tables. Flipping 8% of
-    // observed labels *after* feature generation caps accuracy near the
-    // paper's ~92–93% ceilings without touching the underlying structure.
+    // is why no method reaches 100% in the paper's tables. Flipping 5% of
+    // observed labels *after* feature generation caps accuracy near 95%
+    // without touching the underlying structure.
     let mut labels = sbm.labels.clone();
     {
         use rand::{Rng, SeedableRng};

@@ -13,14 +13,13 @@
 //!
 //! A codec is a chain of **stages** transforming a typed intermediate
 //! [`Repr`] — a tensor that is dense or sparse (kept indices) with
-//! values stored as f32, f16 or 8-bit quantized. Stages compose because
+//! values stored as f32 or 8-bit quantized. Stages compose because
 //! they transform the *representation*, not bytes:
 //!
 //! - [`TopK`] turns a dense f32 tensor into a sparse one (largest-|v|
 //!   entries, deterministic tie order);
-//! - [`QuantI8`] / [`QuantF16`] re-encode the values of a dense *or*
-//!   sparse tensor (per-tensor affine scale+zero-point, resp. IEEE
-//!   binary16 with round-to-nearest-even);
+//! - [`QuantI8`] re-encodes the values of a dense *or* sparse tensor
+//!   (per-tensor affine scale+zero-point);
 //! - [`Identity`] passes anything through (the lossless reference);
 //! - [`Chain`] runs stages forward on encode, backward on decode, so
 //!   `topk=64+quant-i8` ships 64 indices + 64 *bytes* per tensor.
@@ -45,8 +44,6 @@ use fedgta_graph::io::IoError;
 pub const STAGE_IDENTITY: u8 = 0;
 /// Wire id of the [`QuantI8`] stage.
 pub const STAGE_QUANT_I8: u8 = 1;
-/// Wire id of the [`QuantF16`] stage.
-pub const STAGE_QUANT_F16: u8 = 2;
 /// Wire id of the [`TopK`] stage.
 pub const STAGE_TOPK: u8 = 3;
 /// Wire id of the [`SketchQuant`] stage (grouped affine i8 with a
@@ -76,8 +73,6 @@ pub struct Stage {
 pub enum Values {
     /// Raw little-endian f32 bits (lossless).
     F32(Vec<f32>),
-    /// IEEE binary16 bit patterns.
-    F16(Vec<u16>),
     /// Per-tensor affine quantization: `v ≈ zero + q · scale`.
     I8 {
         /// Quantization step `(max − min) / 255` (0 ⇒ constant tensor).
@@ -107,7 +102,6 @@ impl Values {
     fn count(&self) -> usize {
         match self {
             Values::F32(v) => v.len(),
-            Values::F16(v) => v.len(),
             Values::I8 { data, .. } => data.len(),
             Values::I8Grouped { data, .. } => data.len(),
         }
@@ -152,7 +146,6 @@ impl Repr {
         out.extend_from_slice(&self.len.to_le_bytes());
         let kind: u8 = match &self.vals {
             Values::F32(_) => 0,
-            Values::F16(_) => 1,
             Values::I8 { .. } => 2,
             Values::I8Grouped { .. } => 3,
         };
@@ -165,11 +158,6 @@ impl Repr {
         }
         match &self.vals {
             Values::F32(v) => {
-                for x in v {
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            Values::F16(v) => {
                 for x in v {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
@@ -234,12 +222,7 @@ impl Repr {
                     .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
                     .collect(),
             ),
-            1 => Values::F16(
-                take(input, count * 2)?
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            ),
+            1 => return Err(IoError::Corrupt("retired binary16 tensor storage")),
             2 => {
                 let scale = f32::from_le_bytes(take(input, 4)?.try_into().unwrap());
                 let zero = f32::from_le_bytes(take(input, 4)?.try_into().unwrap());
@@ -382,88 +365,6 @@ impl Codec for QuantI8 {
             return Err(IoError::Corrupt("bad quantization parameters"));
         }
         let vals = Values::F32(Self::dequantize(*scale, *zero, data));
-        Ok(Repr { len: r.len, idx: r.idx, vals })
-    }
-    fn is_lossless(&self) -> bool {
-        false
-    }
-}
-
-/// IEEE binary16 quantization with round-to-nearest-even and the
-/// standard overflow-to-infinity semantics. 4 bytes/value → 2. Relative
-/// error ≤ 2⁻¹¹ for values in the binary16 normal range.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuantF16;
-
-/// Converts an f32 to its IEEE binary16 bit pattern (round to nearest,
-/// ties to even; NaN payloads collapse to a canonical quiet NaN).
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let b = x.to_bits();
-    let sign = ((b >> 16) & 0x8000) as u16;
-    let abs = b & 0x7fff_ffff;
-    if abs >= 0x7f80_0000 {
-        // Inf stays inf; every NaN becomes the canonical quiet NaN.
-        return if abs > 0x7f80_0000 { sign | 0x7e00 } else { sign | 0x7c00 };
-    }
-    let exp = (abs >> 23) as i32 - 127 + 15;
-    let mant = abs & 0x7f_ffff;
-    if exp >= 0x1f {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if exp <= 0 {
-        // Subnormal half (or rounds to zero below 2^-24).
-        if exp < -10 {
-            return sign;
-        }
-        let full = mant | 0x80_0000;
-        let shift = (14 - exp) as u32;
-        let half = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let tie = 1u32 << (shift - 1);
-        let round_up = (rem > tie) as u32 | ((rem == tie) as u32 & (half & 1));
-        return sign | (half + round_up) as u16;
-    }
-    let half = ((exp as u32) << 10) | (mant >> 13);
-    let rem = mant & 0x1fff;
-    let round_up = (rem > 0x1000) as u32 | ((rem == 0x1000) as u32 & (half & 1));
-    // Mantissa overflow carries into the exponent — correct rounding,
-    // including the 65504 → inf boundary.
-    sign | (half + round_up) as u16
-}
-
-/// Converts an IEEE binary16 bit pattern to f32 (exact: every half
-/// value is representable in f32).
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h & 0x8000) as u32) << 16;
-    let exp = (h >> 10) & 0x1f;
-    let mant = (h & 0x3ff) as u32;
-    if exp == 0x1f {
-        return f32::from_bits(sign | 0x7f80_0000 | (mant << 13));
-    }
-    if exp != 0 {
-        return f32::from_bits(sign | ((exp as u32 + 112) << 23) | (mant << 13));
-    }
-    // Subnormal half: value = ±mant · 2⁻²⁴, exact in f32.
-    let v = mant as f32 * f32::from_bits(0x3380_0000);
-    if sign != 0 { -v } else { v }
-}
-
-impl Codec for QuantF16 {
-    fn stages(&self, out: &mut Vec<Stage>) {
-        out.push(Stage { id: STAGE_QUANT_F16, param: 0 });
-    }
-    fn stage_encode(&self, r: Repr) -> Repr {
-        let Values::F32(vals) = &r.vals else {
-            panic!("quant-f16 requires f32 stage input — put quantization last in the chain");
-        };
-        let vals = Values::F16(vals.iter().map(|&v| f32_to_f16_bits(v)).collect());
-        Repr { len: r.len, idx: r.idx, vals }
-    }
-    fn stage_decode(&self, r: Repr) -> Result<Repr, IoError> {
-        let Values::F16(bits) = &r.vals else {
-            return Err(IoError::Corrupt("codec stage mismatch (expected f16 values)"));
-        };
-        let vals = Values::F32(bits.iter().map(|&h| f16_bits_to_f32(h)).collect());
         Ok(Repr { len: r.len, idx: r.idx, vals })
     }
     fn is_lossless(&self) -> bool {
@@ -659,33 +560,10 @@ pub struct CodecSpec {
 
 impl CodecSpec {
     /// Parses a chain spec like `"identity"`, `"quant-i8"`,
-    /// `"topk=64"`, or `"topk=64+quant-f16"`. Stage aliases: `id`,
-    /// `i8`, `f16`, `topk`. A sparsifier must precede a quantizer, and
-    /// at most one of each may appear.
+    /// `"topk=64"`, or `"topk=64+quant-i8"`. Stage aliases: `id`,
+    /// `i8`, `topk`. A sparsifier must precede a quantizer, and at most
+    /// one of each may appear.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        Self::parse_with(spec, "")
-    }
-
-    /// Like [`CodecSpec::parse`] with `--codec-arg` style overrides:
-    /// comma-separated `key=value` pairs. Recognized key: `k` (TopK's
-    /// kept-entry count; overrides any `topk=N` in the spec).
-    pub fn parse_with(spec: &str, args: &str) -> Result<Self, String> {
-        let mut k_override: Option<u32> = None;
-        for pair in args.split(',').filter(|p| !p.is_empty()) {
-            let (key, val) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("bad codec arg '{pair}' (expected key=value)"))?;
-            match key.trim() {
-                "k" => {
-                    k_override = Some(
-                        val.trim()
-                            .parse()
-                            .map_err(|_| format!("bad codec arg value '{val}' for k"))?,
-                    )
-                }
-                other => return Err(format!("unknown codec arg '{other}' (known: k)")),
-            }
-        }
         let mut stages = Vec::new();
         for token in spec.split('+') {
             let token = token.trim();
@@ -703,11 +581,7 @@ impl CodecSpec {
             let stage = match name {
                 "identity" | "id" => Stage { id: STAGE_IDENTITY, param: 0 },
                 "quant-i8" | "i8" => Stage { id: STAGE_QUANT_I8, param: 0 },
-                "quant-f16" | "f16" => Stage { id: STAGE_QUANT_F16, param: 0 },
-                "topk" => Stage {
-                    id: STAGE_TOPK,
-                    param: k_override.or(param).unwrap_or(64),
-                },
+                "topk" => Stage { id: STAGE_TOPK, param: param.unwrap_or(64) },
                 "sketch" | "sketch-i8" => Stage {
                     id: STAGE_SKETCH,
                     param: param.unwrap_or(8),
@@ -715,7 +589,7 @@ impl CodecSpec {
                 other => {
                     return Err(format!(
                         "unknown codec stage '{other}' \
-                         (identity|quant-i8|quant-f16|topk[=k]|sketch[=group])"
+                         (identity|quant-i8|topk[=k]|sketch[=group])"
                     ))
                 }
             };
@@ -741,7 +615,7 @@ impl CodecSpec {
         for s in &self.stages {
             match s.id {
                 STAGE_IDENTITY => {}
-                STAGE_QUANT_I8 | STAGE_QUANT_F16 => {
+                STAGE_QUANT_I8 => {
                     if seen_quant {
                         return Err("at most one quantization stage per chain".into());
                     }
@@ -780,7 +654,6 @@ impl CodecSpec {
             match s.id {
                 STAGE_IDENTITY => Box::new(Identity),
                 STAGE_QUANT_I8 => Box::new(QuantI8),
-                STAGE_QUANT_F16 => Box::new(QuantF16),
                 STAGE_TOPK => Box::new(TopK { k: s.param }),
                 STAGE_SKETCH => Box::new(SketchQuant { group: s.param }),
                 other => unreachable!("validated spec with stage id {other}"),
@@ -800,7 +673,6 @@ impl CodecSpec {
             .map(|s| match s.id {
                 STAGE_IDENTITY => "identity".to_string(),
                 STAGE_QUANT_I8 => "quant-i8".to_string(),
-                STAGE_QUANT_F16 => "quant-f16".to_string(),
                 STAGE_TOPK => format!("topk={}", s.param),
                 STAGE_SKETCH => format!("sketch={}", s.param),
                 other => format!("stage{other}"),
@@ -888,42 +760,6 @@ mod tests {
         // Extreme dynamic range must not overflow the scale to inf.
         let back = roundtrip(&QuantI8, &[f32::MAX, f32::MIN]);
         assert!(back.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn f16_conversion_matches_known_values() {
-        for (f, bits) in [
-            (0.0f32, 0x0000u16),
-            (-0.0, 0x8000),
-            (1.0, 0x3c00),
-            (-2.0, 0xc000),
-            (65504.0, 0x7bff), // max finite half
-            (65520.0, 0x7c00), // rounds up to +inf
-            (6.1035156e-5, 0x0400), // min normal half
-            (5.9604645e-8, 0x0001), // min subnormal half
-            (f32::INFINITY, 0x7c00),
-        ] {
-            assert_eq!(f32_to_f16_bits(f), bits, "converting {f}");
-        }
-        assert_eq!(f16_bits_to_f32(0x3c00), 1.0);
-        assert_eq!(f16_bits_to_f32(0x7bff), 65504.0);
-        assert!(f16_bits_to_f32(0x7e00).is_nan());
-        // Round-to-nearest-even at a tie: 1 + 2^-11 is exactly between
-        // two halves and must round to the even mantissa (1.0).
-        assert_eq!(f32_to_f16_bits(1.0 + 2f32.powi(-11)), 0x3c00);
-        assert_eq!(f32_to_f16_bits(1.0 + 3.0 * 2f32.powi(-11)), 0x3c02);
-    }
-
-    #[test]
-    fn f16_roundtrip_is_idempotent() {
-        // Every f16-representable value survives f16→f32→f16 exactly.
-        for h in (0u16..=0xffff).step_by(7) {
-            let f = f16_bits_to_f32(h);
-            if f.is_nan() {
-                continue;
-            }
-            assert_eq!(f32_to_f16_bits(f), h, "half bits {h:#06x}");
-        }
     }
 
     #[test]
@@ -1027,18 +863,15 @@ mod tests {
     fn spec_parses_validates_and_names() {
         assert_eq!(CodecSpec::parse("identity").unwrap().name(), "identity");
         assert_eq!(CodecSpec::parse("topk=32+i8").unwrap().name(), "topk=32+quant-i8");
-        assert_eq!(
-            CodecSpec::parse_with("topk+f16", "k=128").unwrap().name(),
-            "topk=128+quant-f16"
-        );
+        assert_eq!(CodecSpec::parse("topk").unwrap().name(), "topk=64");
         assert!(CodecSpec::parse("").is_err());
         assert!(CodecSpec::parse("gzip").is_err());
         assert!(CodecSpec::parse("quant-i8+topk=4").is_err(), "topk after quant");
-        assert!(CodecSpec::parse("i8+f16").is_err(), "two quantizers");
+        assert!(CodecSpec::parse("i8+i8").is_err(), "two quantizers");
         assert!(CodecSpec::parse("topk=0").is_err());
-        assert!(CodecSpec::parse_with("i8", "j=2").is_err());
+        assert!(CodecSpec::parse("i8=2").is_err(), "i8 takes no parameter");
         assert!(CodecSpec::parse("identity").unwrap().is_lossless());
-        assert!(!CodecSpec::parse("f16").unwrap().is_lossless());
+        assert!(!CodecSpec::parse("i8").unwrap().is_lossless());
         // The sketch stage is a quantizer: parameterized, exclusive with
         // the other quantizers, and must follow any sparsifier.
         assert_eq!(CodecSpec::parse("sketch=7").unwrap().name(), "sketch=7");

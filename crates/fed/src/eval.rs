@@ -12,14 +12,13 @@ use crate::kit::{lend, Kit, Moments, Pool};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_nn::Matrix;
 
-/// One client's accuracy on its test (or validation) nodes and their
-/// count. Only those rows are scored
-/// ([`fedgta_nn::GraphModel::predict_rows_into`]); a client with none
-/// returns before any forward.
-fn client_accuracy(c: &mut Client, val: bool) -> (f64, usize) {
+/// One client's accuracy on its test nodes and their count. Only those
+/// rows are scored ([`fedgta_nn::GraphModel::predict_rows_into`]); a
+/// client with none returns before any forward.
+fn client_accuracy(c: &mut Client) -> (f64, usize) {
     // Disjoint field borrows: `model` (mut) and `eval_data`/`data` (imm).
     let view = c.eval_data.as_ref().unwrap_or(&c.data);
-    let nodes = if val { &view.val_nodes } else { &view.test_nodes };
+    let nodes = &view.test_nodes;
     if nodes.is_empty() {
         return (0.0, 0);
     }
@@ -33,19 +32,18 @@ fn client_accuracy(c: &mut Client, val: bool) -> (f64, usize) {
     (correct as f64 / nodes.len() as f64, nodes.len())
 }
 
-/// Micro-averaged accuracy and the number of rows scored. Per-client
+/// Micro-averaged test accuracy and the number of rows scored. Per-client
 /// accuracies are computed client-parallel on `threads` workers (`None` /
 /// `Some(0)` = auto), each through an arena lent from `kits`, and reduced
 /// on the caller's thread in client order — deterministic for any thread
 /// count.
 pub(crate) fn micro_average(
     clients: &mut [Client],
-    val: bool,
     threads: Option<usize>,
     kits: Option<&Pool<Kit>>,
 ) -> (f64, usize) {
     let per_client = par_map_indexed(clients, threads, |_, c| {
-        lend(kits, c, Moments::Keep, |c| client_accuracy(c, val))
+        lend(kits, c, Moments::Keep, client_accuracy)
     });
     let mut correct = 0f64;
     let mut total = 0usize;
@@ -59,12 +57,7 @@ pub(crate) fn micro_average(
 
 /// Micro-averaged test accuracy across all clients.
 pub fn global_test_accuracy(clients: &mut [Client]) -> f64 {
-    micro_average(clients, false, None, None).0
-}
-
-/// Micro-averaged validation accuracy across all clients.
-pub fn global_val_accuracy(clients: &mut [Client]) -> f64 {
-    micro_average(clients, true, None, None).0
+    micro_average(clients, None, None).0
 }
 
 #[cfg(test)]
@@ -127,8 +120,6 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 40);
         let acc = global_test_accuracy(&mut clients);
         assert!((0.0..=1.0).contains(&acc));
-        let vacc = global_val_accuracy(&mut clients);
-        assert!((0.0..=1.0).contains(&vacc));
     }
 
     #[test]
@@ -143,7 +134,7 @@ mod tests {
         clients[1].data.test_nodes.clear();
         clients[4].data.test_nodes.clear();
         let scored: usize = clients.iter().map(|c| c.data.test_nodes.len()).sum();
-        assert_eq!(micro_average(&mut clients, false, Some(1), None).1, scored);
+        assert_eq!(micro_average(&mut clients, Some(1), None).1, scored);
         assert_eq!(probe.forwards.lock().unwrap().len(), 4);
     }
 

@@ -62,15 +62,6 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// True when any failure mode can fire.
-    pub fn any_faults(&self) -> bool {
-        self.drop > 0.0
-            || self.corrupt > 0.0
-            || self.crash > 0.0
-            || self.delay_ms > 0
-            || (self.slow_frac > 0.0 && self.slow_mult > 1.0)
-    }
-
     /// Parses a `--faults` spec: comma-separated `key=value` pairs, e.g.
     /// `drop=0.1,corrupt=0.01,crash=0.02,delay=20,slow=0.25x4`.
     ///
@@ -511,8 +502,6 @@ mod tests {
         assert_eq!(c.compute_ms, 5);
         assert_eq!(c.retry_limit, 2);
         assert_eq!(c.backoff_ms, 10);
-        assert!(c.any_faults());
-        assert!(!FaultConfig::default().any_faults());
         assert!(FaultConfig::parse("").is_ok());
     }
 

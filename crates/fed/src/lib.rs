@@ -25,7 +25,7 @@
 //!   (CRC-checksummed envelopes over a [`transport::Transport`]) and the
 //!   seeded fault-injection layer behind the straggler-tolerant round
 //!   orchestrator ([`round::CommsConfig`]);
-//! - [`codec`]: composable upload codecs (identity, int8/f16
+//! - [`codec`]: composable upload codecs (identity, int8
 //!   quantization, top-k sparsification, moment-sketch grouping, chains)
 //!   compressing the client→server leg before the envelope CRC — armed
 //!   via [`round::CommsConfig::codec`], lossless chains bit-identical to
@@ -47,7 +47,7 @@ pub mod strategies;
 pub mod transport;
 
 pub use client::{build_clients, Client, ClientBuildConfig};
-pub use codec::{Chain, Codec, CodecSpec, Identity, QuantF16, QuantI8, SketchQuant, TopK};
+pub use codec::{Chain, Codec, CodecSpec, Identity, QuantI8, SketchQuant, TopK};
 pub use ef::{EfServer, EfState, EfTensor};
 pub use eval::global_test_accuracy;
 pub use exec::{mean_loss, par_clients, train_participants, LocalResult};

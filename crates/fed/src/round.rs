@@ -379,7 +379,7 @@ impl Simulation {
         }
         let mut span = fedgta_obs::span!("eval", threads = threads);
         let e0 = Instant::now();
-        let (acc, rows) = micro_average(&mut self.clients, false, Some(threads), Some(&self.kits));
+        let (acc, rows) = micro_average(&mut self.clients, Some(threads), Some(&self.kits));
         span.record("rows", fedgta_obs::JsonVal::from(rows));
         (Some(acc), e0.elapsed().as_nanos() as u64)
     }
@@ -387,7 +387,7 @@ impl Simulation {
     /// Final test accuracy (evaluates now, on [`SimConfig::threads`]
     /// workers like the rounds themselves).
     pub fn test_accuracy(&mut self) -> f64 {
-        micro_average(&mut self.clients, false, Some(self.config.threads), Some(&self.kits)).0
+        micro_average(&mut self.clients, Some(self.config.threads), Some(&self.kits)).0
     }
 }
 
@@ -646,12 +646,6 @@ fn record_script_faults(script: &RoundScript) {
     crate::exec::record_comms_metrics(dropped, corrupted, script.total_retries());
 }
 
-/// Total bytes uploaded across all recorded rounds (the communication
-/// cost a deployment would pay).
-pub fn total_bytes(records: &[RoundRecord]) -> usize {
-    records.iter().map(|r| r.bytes_uploaded).sum()
-}
-
 /// The best (maximum) test accuracy across records — the number the
 /// paper's tables report (best round over federated training).
 pub fn best_accuracy(records: &[RoundRecord]) -> f64 {
@@ -707,7 +701,6 @@ mod tests {
             assert_eq!(r.eval_s > 0.0, r.test_acc.is_some(), "round {}", r.round);
             assert!(r.threads >= 1);
         }
-        assert!(total_bytes(&records) > 0);
         assert!(records.iter().all(|r| r.bytes_uploaded > 0));
         assert!(records.iter().all(|r| r.bytes_downloaded > 0));
     }

@@ -75,7 +75,7 @@ impl Strategy for LocalOnly {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{federation_accuracy, small_federation};
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::*;
     use fedgta_nn::models::ModelKind;
 
@@ -96,11 +96,11 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 3);
         let mut s = FedAvg::new();
         let parts: Vec<usize> = (0..clients.len()).collect();
-        let before = federation_accuracy(&mut clients);
+        let before = global_test_accuracy(&mut clients);
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        let after = federation_accuracy(&mut clients);
+        let after = global_test_accuracy(&mut clients);
         assert!(after > before + 0.2, "acc {before} -> {after}");
         assert!(after > 0.7, "acc {after}");
     }
@@ -133,6 +133,6 @@ mod tests {
         for _ in 0..20 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        assert!(federation_accuracy(&mut clients) > 0.6);
+        assert!(global_test_accuracy(&mut clients) > 0.6);
     }
 }

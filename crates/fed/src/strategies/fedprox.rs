@@ -61,7 +61,7 @@ impl Objective for Proximal {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{federation_accuracy, small_federation};
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::super::{l2_norm, sub};
     use super::*;
@@ -75,7 +75,7 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        assert!(federation_accuracy(&mut clients) > 0.7);
+        assert!(global_test_accuracy(&mut clients) > 0.7);
     }
 
     #[test]

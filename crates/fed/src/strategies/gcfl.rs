@@ -204,7 +204,7 @@ pub fn dtw_distance(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{federation_accuracy, small_federation};
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
@@ -238,7 +238,7 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        let acc = federation_accuracy(&mut clients);
+        let acc = global_test_accuracy(&mut clients);
         assert!(acc > 0.65, "acc {acc}");
     }
 

@@ -236,11 +236,6 @@ pub mod test_support {
             },
         )
     }
-
-    /// Global test accuracy over all clients.
-    pub fn federation_accuracy(clients: &mut [Client]) -> f64 {
-        crate::eval::global_test_accuracy(clients)
-    }
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl Strategy for DpUpload {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{federation_accuracy, small_federation};
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::FedAvg;
     use super::*;
     use fedgta_nn::models::ModelKind;
@@ -175,7 +175,7 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        let acc = federation_accuracy(&mut clients);
+        let acc = global_test_accuracy(&mut clients);
         assert!(acc > 0.55, "mild DP accuracy {acc}");
     }
 
@@ -188,7 +188,7 @@ mod tests {
         for _ in 0..5 {
             s.round(&mut clients, &parts, &RoundCtx::plain(1));
         }
-        let acc = federation_accuracy(&mut clients);
+        let acc = global_test_accuracy(&mut clients);
         assert!(acc < 0.6, "noise had no effect: acc {acc}");
     }
 

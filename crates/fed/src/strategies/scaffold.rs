@@ -122,7 +122,7 @@ impl Objective for Controlled {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{federation_accuracy, small_federation};
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
     use fedgta_nn::models::ModelKind;
@@ -135,7 +135,7 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(2));
         }
-        assert!(federation_accuracy(&mut clients) > 0.65);
+        assert!(global_test_accuracy(&mut clients) > 0.65);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! 1. lossless chains (identity, and any stack of identities) round-trip
 //!    every tensor **bitwise**, NaN payloads and signed zeros included;
 //! 2. lossy codecs have *bounded* error: `quant-i8` within the
-//!    per-tensor scale, `quant-f16` within a half-ULP-shaped envelope;
+//!    per-tensor scale;
 //! 3. `topk` keeps exactly `min(k, len)` entries, every kept magnitude
 //!    dominates every dropped one, ties break deterministically toward
 //!    the lower index, and kept values survive bit-exactly; its O(n)
@@ -22,7 +22,7 @@
 //!    scale, so per-value error is bounded by the *group's* range, not
 //!    the tensor's.
 
-use fedgta_fed::codec::{Chain, Codec, Identity, QuantF16, QuantI8, SketchQuant, TopK};
+use fedgta_fed::codec::{Chain, Codec, Identity, QuantI8, SketchQuant, TopK};
 use fedgta_fed::ef::EfTensor;
 use fedgta_fed::transport::{
     corrupt_frame, decode_upload_routed, encode_upload_routed,
@@ -139,21 +139,6 @@ proptest! {
                 (b - v).abs() <= scale.max(f32::EPSILON),
                 "|{b} - {v}| > scale {scale}"
             );
-        }
-    }
-
-    #[test]
-    fn quant_f16_error_is_half_ulp_shaped(t in proptest::collection::vec(-60000.0f32..60000.0, 0..256)) {
-        let codec = QuantF16;
-        let mut buf = Vec::new();
-        codec.encode_tensor(&t, &mut buf);
-        let back = codec.decode_tensor(&mut buf.as_slice()).expect("decodes");
-        prop_assert_eq!(back.len(), t.len());
-        for (&v, &b) in t.iter().zip(&back) {
-            // Normal range: relative half-ULP (2⁻¹¹) with headroom;
-            // subnormal range: the absolute half-step 2⁻²⁵.
-            let bound = (v.abs() / 1024.0).max(3.0e-8);
-            prop_assert!((b - v).abs() <= bound, "|{b} - {v}| > {bound}");
         }
     }
 
@@ -345,8 +330,38 @@ proptest! {
         long.push(0);
         prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&codec, None, &long).is_err());
         // A body framed by one codec never decodes under another chain.
-        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&QuantF16, None, &body).is_err());
+        prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&Identity, None, &body).is_err());
         let chain = Chain::new(vec![Box::new(TopK { k: 8 }), Box::new(QuantI8)]);
         prop_assert!(decode_upload_routed::<(Vec<f32>, f64)>(&chain, None, &body).is_err());
+    }
+}
+
+/// The binary16 codec is retired: its value-storage byte (1) and stage id
+/// (2) are hostile input, and its stage names no longer parse.
+#[test]
+fn retired_f16_wire_ids_are_rejected() {
+    use fedgta_fed::codec::{CodecSpec, Repr};
+    // A dense two-value tensor in binary16 storage: len, flags, bits.
+    let mut repr = 2u32.to_le_bytes().to_vec();
+    repr.push(1);
+    repr.extend_from_slice(&[0x00, 0x3c, 0x00, 0xc0]);
+    assert!(Repr::deserialize(&mut repr.as_slice()).is_err());
+    // The upload the binary16 codec wrote: header advertising stage 2,
+    // the loss, then that tensor.
+    let mut body = vec![1u8, 2, 0, 0, 0, 0];
+    body.extend_from_slice(&0.5f32.to_le_bytes());
+    body.extend_from_slice(&repr);
+    for spec in ["identity", "quant-i8", "topk=64", "sketch=8", "topk=1+quant-i8", "topk=2+sketch=2"] {
+        let codec = CodecSpec::parse(spec).unwrap().build();
+        assert!(decode_upload_routed::<Vec<f32>>(codec.as_ref(), None, &body).is_err(), "{spec}");
+        let sketch = SketchQuant { group: 7 };
+        assert!(
+            decode_upload_routed::<Vec<f32>>(codec.as_ref(), Some(&sketch), &body).is_err(),
+            "{spec} + sketch"
+        );
+    }
+    for name in ["quant-f16", "f16", "topk=8+f16"] {
+        let err = CodecSpec::parse(name).unwrap_err();
+        assert!(err.contains("identity|quant-i8|topk[=k]|sketch[=group]"), "{name}: {err}");
     }
 }

@@ -21,12 +21,8 @@ const MAGIC: &[u8; 4] = b"FGTA";
 pub const VERSION_V2: u8 = 2;
 /// Fixed v2 header size in bytes.
 pub const V2_HEADER: u64 = 64;
-/// Default rows per chunk for v2 files: 64Ki rows keeps the per-tile
-/// offset array at 512 KiB and, at the 10-edges-per-node scale the roadmap
-/// targets, tile index+weight buffers in the single-digit MiB range.
-pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
 /// Sanity ceiling on the v2 chunk count: bounds the directory allocation
-/// for hostile headers (a real writer at `DEFAULT_CHUNK_ROWS` needs ~153
+/// for hostile headers (a real writer at 2¹⁶ rows per chunk needs ~153
 /// chunks for 10⁷ nodes; 4Mi chunks covers `MAX_DECODE_NODES` at 1Ki rows
 /// per chunk).
 pub const MAX_DECODE_CHUNKS: u64 = 1 << 22;

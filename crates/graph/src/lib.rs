@@ -26,7 +26,6 @@ pub mod par;
 pub mod spmm;
 pub mod store;
 pub mod subgraph;
-pub mod traversal;
 
 pub use coo::EdgeList;
 pub use csr::Csr;

@@ -64,37 +64,6 @@ pub fn modularity(g: &Csr, community: &[u32]) -> f64 {
     q
 }
 
-/// Mean local clustering coefficient (Watts–Strogatz): for each node with
-/// degree ≥ 2, the fraction of its neighbor pairs that are themselves
-/// connected, averaged over such nodes. Self-loops are ignored.
-pub fn clustering_coefficient(g: &Csr) -> f64 {
-    let n = g.num_nodes();
-    let mut sum = 0f64;
-    let mut counted = 0usize;
-    for u in 0..n as u32 {
-        let neigh: Vec<u32> = g.neighbors(u).iter().copied().filter(|&v| v != u).collect();
-        let d = neigh.len();
-        if d < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for i in 0..d {
-            for j in (i + 1)..d {
-                if g.has_edge(neigh[i], neigh[j]) {
-                    links += 1;
-                }
-            }
-        }
-        sum += 2.0 * links as f64 / (d * (d - 1)) as f64;
-        counted += 1;
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        sum / counted as f64
-    }
-}
-
 /// Summary degree statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
@@ -171,35 +140,6 @@ mod tests {
         let (g, _) = two_cliques();
         let q = modularity(&g, &[0; 6]);
         assert!(q.abs() < 1e-9);
-    }
-
-    #[test]
-    fn clustering_coefficient_of_triangle_is_one() {
-        let mut el = EdgeList::new(3);
-        el.push_undirected(0, 1).unwrap();
-        el.push_undirected(1, 2).unwrap();
-        el.push_undirected(0, 2).unwrap();
-        let g = el.to_csr();
-        assert!((clustering_coefficient(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clustering_coefficient_of_star_is_zero() {
-        let mut el = EdgeList::new(4);
-        for i in 1..4u32 {
-            el.push_undirected(0, i).unwrap();
-        }
-        let g = el.to_csr();
-        assert_eq!(clustering_coefficient(&g), 0.0);
-    }
-
-    #[test]
-    fn clustering_coefficient_two_cliques() {
-        let (g, _) = two_cliques();
-        // Nodes 0,1,4,5 are in perfect triangles (cc 1); nodes 2,3 have
-        // degree 3 with 1 of 3 neighbor pairs linked (cc 1/3).
-        let expect = (4.0 * 1.0 + 2.0 / 3.0) / 6.0;
-        assert!((clustering_coefficient(&g) - expect).abs() < 1e-12);
     }
 
     #[test]

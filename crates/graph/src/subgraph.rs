@@ -37,11 +37,6 @@ impl Subgraph {
             .ok()
             .map(|i| (self.num_owned + i) as u32)
     }
-
-    /// True when a local node is owned (not a ghost).
-    pub fn is_owned(&self, local: u32) -> bool {
-        (local as usize) < self.num_owned
-    }
 }
 
 fn sorted_unique(nodes: &[u32]) -> Vec<u32> {
@@ -197,8 +192,6 @@ mod tests {
         // Owned {0}; ghosts {1, 3}.
         assert_eq!(sg.num_owned, 1);
         assert_eq!(sg.global_ids, vec![0, 1, 3]);
-        assert!(sg.is_owned(0));
-        assert!(!sg.is_owned(1));
         // Edges 0↔1 and 0↔3 in both directions; none between ghosts 1,3.
         assert_eq!(sg.graph.num_edges(), 4);
         assert!(sg.graph.is_symmetric());

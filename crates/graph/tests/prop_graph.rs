@@ -7,7 +7,6 @@ use fedgta_graph::{
     norm::{normalized_adjacency, NormKind},
     spmm::{propagate_steps_into, spmm, spmm_into_raw_threads},
     subgraph::{halo_subgraph, induced_subgraph},
-    traversal::connected_components,
     ChunkedCsr, Csr, EdgeList,
 };
 use proptest::prelude::*;
@@ -167,18 +166,6 @@ proptest! {
         prop_assert_eq!(hal.num_owned, ind.graph.num_nodes());
         prop_assert!(hal.graph.num_edges() >= ind.graph.num_edges());
         prop_assert!(hal.graph.is_symmetric());
-    }
-
-    #[test]
-    fn components_partition_nodes(g in arb_graph(25, 60)) {
-        let comp = connected_components(&g);
-        prop_assert_eq!(comp.len(), g.num_nodes());
-        // Endpoints of every edge share a component.
-        for u in 0..g.num_nodes() as u32 {
-            for &v in g.neighbors(u) {
-                prop_assert_eq!(comp[u as usize], comp[v as usize]);
-            }
-        }
     }
 
     #[test]

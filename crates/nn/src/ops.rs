@@ -439,13 +439,6 @@ pub fn col_sums_into(x: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// Column sums (allocating wrapper of [`col_sums_into`]).
-pub fn col_sums(x: &Matrix) -> Vec<f32> {
-    let mut out = vec![0f32; x.cols()];
-    col_sums_into(x, &mut out);
-    out
-}
-
 /// In-place ReLU; returns nothing, the mask is recoverable from the output
 /// (`y > 0`).
 pub fn relu_inplace(x: &mut Matrix) {
@@ -989,7 +982,9 @@ mod tests {
         let mut x = Matrix::zeros(3, 2);
         add_bias(&mut x, &[1.0, -2.0]);
         assert_eq!(x.row(2), &[1.0, -2.0]);
-        assert_eq!(col_sums(&x), vec![3.0, -6.0]);
+        let mut sums = [7.0; 2];
+        col_sums_into(&x, &mut sums);
+        assert_eq!(sums, [3.0, -6.0]);
     }
 
     #[test]

@@ -248,17 +248,8 @@ impl Matrix {
         }
     }
 
-    /// Splits columns at `at`: returns (left `rows×at`, right `rows×(cols-at)`).
-    pub fn hsplit(&self, at: usize) -> (Matrix, Matrix) {
-        assert!(at <= self.cols);
-        let mut left = Matrix::zeros(self.rows, at);
-        let mut right = Matrix::zeros(self.rows, self.cols - at);
-        self.hsplit_into(&mut left, &mut right);
-        (left, right)
-    }
-
-    /// [`Self::hsplit`] into caller-provided matrices, split at
-    /// `left.cols()`.
+    /// Splits columns into caller-provided matrices at `left.cols()`:
+    /// `left` gets the first `left.cols()` columns, `right` the rest.
     pub fn hsplit_into(&self, left: &mut Matrix, right: &mut Matrix) {
         let at = left.cols;
         assert_eq!(left.shape(), (self.rows, at), "hsplit_into left shape mismatch");
@@ -300,11 +291,6 @@ impl Matrix {
         }
         best
     }
-
-    /// Index of the maximum entry per row (first on ties).
-    pub fn argmax_rows(&self) -> Vec<u32> {
-        (0..self.rows).map(|i| self.argmax_row(i) as u32).collect()
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +324,8 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
         let c = a.hcat(&b);
         assert_eq!(c.row(0), &[1.0, 2.0, 5.0]);
-        let (l, r) = c.hsplit(2);
+        let (mut l, mut r) = (Matrix::zeros(2, 2), Matrix::zeros(2, 1));
+        c.hsplit_into(&mut l, &mut r);
         assert_eq!(l, a);
         assert_eq!(r, b);
     }
@@ -377,11 +364,5 @@ mod tests {
         let mut out = Matrix::zeros(2, 1);
         m.gather_rows_into(&[2, 1], &mut out);
         assert_eq!(out.as_slice(), &[3.0, 2.0]);
-    }
-
-    #[test]
-    fn argmax_rows_first_on_ties() {
-        let m = Matrix::from_rows(&[&[1.0, 3.0, 3.0], &[5.0, 2.0, 1.0]]);
-        assert_eq!(m.argmax_rows(), vec![1, 0]);
     }
 }

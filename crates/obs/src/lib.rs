@@ -182,11 +182,6 @@ impl TimeCell {
         self.0.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Current accumulated nanoseconds.
-    pub fn get_ns(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
     /// Resets to zero, returning the previous value.
     pub fn take_ns(&self) -> u64 {
         self.0.swap(0, Ordering::Relaxed)
@@ -273,8 +268,7 @@ mod tests {
         let c = TimeCell::new();
         c.add_ns(5);
         c.add_ns(7);
-        assert_eq!(c.get_ns(), 12);
         assert_eq!(c.take_ns(), 12);
-        assert_eq!(c.get_ns(), 0);
+        assert_eq!(c.take_ns(), 0);
     }
 }

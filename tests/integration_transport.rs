@@ -239,7 +239,7 @@ fn codec_comms(spec: &str) -> CommsConfig {
 
 /// The codec chains the determinism contract is checked over: every
 /// stage kind alone plus a sparsify→quantize chain.
-const CODEC_SPECS: &[&str] = &["identity", "quant-i8", "quant-f16", "topk=32", "topk=16+quant-i8"];
+const CODEC_SPECS: &[&str] = &["identity", "quant-i8", "topk=32", "topk=16+quant-i8"];
 
 /// A lighter federation for the codec × strategy sweep (the full grid is
 /// |codecs| × |strategies| × 2 thread counts).
