@@ -11,6 +11,7 @@ use fedgta_graph::metrics::{degree_stats, edge_homophily};
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use std::error::Error;
 use std::path::Path;
+use std::time::Instant;
 
 type CliResult = Result<(), Box<dyn Error>>;
 
@@ -361,13 +362,15 @@ pub fn partition(a: &Args) -> CliResult {
     let clients = a.num_or("clients", 10usize)?;
     let split = parse_split(&a.str_or("method", "louvain"))?;
     let b = load_benchmark(name, seed)?;
+    let t = Instant::now();
     let parts = partition_benchmark(&b, split, clients, seed);
+    let split_s = t.elapsed().as_secs_f64();
+    let cut = parts.edge_cut(&b.graph);
     println!(
-        "{} split of {name}: {} clients, edge cut {} ({:.1}% of edges)",
+        "{} split of {name}: {} clients, edge cut {cut} ({:.1}% of edges) in {split_s:.2} s",
         split.name(),
         parts.num_parts,
-        parts.edge_cut(&b.graph),
-        100.0 * parts.edge_cut(&b.graph) as f64 / (b.graph.num_edges() / 2).max(1) as f64,
+        100.0 * cut as f64 / (b.graph.num_edges() / 2).max(1) as f64,
     );
     let q = parts.quality(&b.graph, &b.labels);
     println!(

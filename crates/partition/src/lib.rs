@@ -147,12 +147,15 @@ impl Partition {
 }
 
 /// Errors from partitioning.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PartitionError {
     /// Requested more parts than nodes.
     TooManyParts { parts: usize, nodes: usize },
     /// Requested zero parts.
     ZeroParts,
+    /// An edge weight [`metis_kway`] cannot read as a multiplicity: not an
+    /// integer in `1..=2²⁴`.
+    EdgeWeight { node: u32, neighbor: u32, weight: f32 },
 }
 
 impl std::fmt::Display for PartitionError {
@@ -162,6 +165,10 @@ impl std::fmt::Display for PartitionError {
                 write!(f, "cannot split {nodes} nodes into {parts} parts")
             }
             PartitionError::ZeroParts => write!(f, "number of parts must be positive"),
+            PartitionError::EdgeWeight { node, neighbor, weight } => write!(
+                f,
+                "edge {node} -> {neighbor} has weight {weight}; Metis takes integer multiplicities in 1..=16777216"
+            ),
         }
     }
 }

@@ -12,7 +12,7 @@ use rand::Rng;
 
 /// Produces an initial `k`-way assignment on the coarsest level.
 pub(crate) fn grow_initial(wg: &WorkGraph, k: usize, rng: &mut StdRng) -> Vec<u32> {
-    let n = wg.graph.num_nodes();
+    let n = wg.num_nodes();
     debug_assert!(k >= 1 && k <= n);
     // Full BFS order covering every component.
     let mut seen = vec![false; n];
@@ -32,7 +32,7 @@ pub(crate) fn grow_initial(wg: &WorkGraph, k: usize, rng: &mut StdRng) -> Vec<u3
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
             order.push(u);
-            for &v in wg.graph.neighbors(u) {
+            for &v in wg.row(u).0 {
                 if !seen[v as usize] {
                     seen[v as usize] = true;
                     queue.push_back(v);
@@ -41,10 +41,10 @@ pub(crate) fn grow_initial(wg: &WorkGraph, k: usize, rng: &mut StdRng) -> Vec<u3
         }
     }
 
-    let total: f64 = wg.vwgt.iter().sum();
+    let total = wg.vwgt.iter().sum::<i64>() as f64;
     let mut parts = vec![0u32; n];
     let mut part = 0u32;
-    let mut acc = 0.0;
+    let mut acc = 0i64;
     let mut assigned_in_part = 0usize;
     let mut remaining_nodes = n;
     for &u in &order {
@@ -52,7 +52,7 @@ pub(crate) fn grow_initial(wg: &WorkGraph, k: usize, rng: &mut StdRng) -> Vec<u3
         let remaining_parts = k as u32 - part;
         let target = total * (part as f64 + 1.0) / k as f64;
         let must_close = remaining_nodes == remaining_parts as usize && assigned_in_part > 0;
-        if part + 1 < k as u32 && assigned_in_part > 0 && (acc >= target || must_close) {
+        if part + 1 < k as u32 && assigned_in_part > 0 && (acc as f64 >= target || must_close) {
             part += 1;
             assigned_in_part = 0;
         }
@@ -75,10 +75,7 @@ mod tests {
         for i in 1..n as u32 {
             el.push_undirected(i - 1, i).unwrap();
         }
-        WorkGraph {
-            graph: el.to_csr(),
-            vwgt: vec![1.0; n],
-        }
+        WorkGraph::from_input(&el.to_csr()).unwrap()
     }
 
     #[test]
@@ -109,10 +106,7 @@ mod tests {
 
     #[test]
     fn covers_disconnected_components() {
-        let wg = WorkGraph {
-            graph: Csr::empty(6),
-            vwgt: vec![1.0; 6],
-        };
+        let wg = WorkGraph::from_input(&Csr::empty(6)).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let parts = grow_initial(&wg, 3, &mut rng);
         let mut sizes = [0usize; 3];
@@ -125,14 +119,14 @@ mod tests {
     #[test]
     fn weighted_nodes_balance_by_weight() {
         let mut wg = path(10);
-        wg.vwgt = vec![1.0, 1.0, 1.0, 1.0, 1.0, 5.0, 5.0, 5.0, 5.0, 5.0];
+        wg.vwgt = vec![1, 1, 1, 1, 1, 5, 5, 5, 5, 5];
         let mut rng = StdRng::seed_from_u64(3);
         let parts = grow_initial(&wg, 2, &mut rng);
-        let mut w = vec![0f64; 2];
+        let mut w = vec![0i64; 2];
         for (u, &p) in parts.iter().enumerate() {
             w[p as usize] += wg.vwgt[u];
         }
         // 30 total; each side should be within [9, 21].
-        assert!(w[0] >= 9.0 && w[0] <= 21.0, "weights {w:?}");
+        assert!(w[0] >= 9 && w[0] <= 21, "weights {w:?}");
     }
 }

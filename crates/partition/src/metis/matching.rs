@@ -5,14 +5,13 @@
 //! Matched pairs collapse into one super-node; unmatched nodes carry over.
 
 use super::WorkGraph;
-use fedgta_graph::EdgeList;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 /// One level of coarsening. Returns the coarse graph and the
 /// fine-node → coarse-node map.
 pub(crate) fn coarsen(fine: &WorkGraph, rng: &mut StdRng) -> (WorkGraph, Vec<u32>) {
-    let n = fine.graph.num_nodes();
+    let n = fine.num_nodes();
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.shuffle(rng);
 
@@ -22,12 +21,12 @@ pub(crate) fn coarsen(fine: &WorkGraph, rng: &mut StdRng) -> (WorkGraph, Vec<u32
         if mate[u as usize] != UNMATCHED {
             continue;
         }
-        let mut best: Option<(f32, u32)> = None;
-        for (k, &v) in fine.graph.neighbors(u).iter().enumerate() {
+        let mut best: Option<(i64, u32)> = None;
+        let (adj, wgt) = fine.row(u);
+        for (&v, &w) in adj.iter().zip(wgt) {
             if v == u || mate[v as usize] != UNMATCHED {
                 continue;
             }
-            let w = fine.graph.edge_weight_at(u, k);
             let better = match best {
                 None => true,
                 Some((bw, bv)) => w > bw || (w == bw && v < bv),
@@ -47,58 +46,60 @@ pub(crate) fn coarsen(fine: &WorkGraph, rng: &mut StdRng) -> (WorkGraph, Vec<u32
 
     // Assign coarse ids: the smaller endpoint of each pair owns the id.
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut owner = Vec::new();
     for u in 0..n as u32 {
         if map[u as usize] != u32::MAX {
             continue;
         }
-        let m = mate[u as usize];
-        map[u as usize] = next;
-        if m != u && m != u32::MAX {
-            map[m as usize] = next;
-        }
-        next += 1;
+        let c = owner.len() as u32;
+        map[u as usize] = c;
+        map[mate[u as usize] as usize] = c;
+        owner.push(u);
     }
 
-    // Build the coarse graph: merge parallel edges, drop self-loops
-    // (intra-super-node weight does not affect the cut).
-    let coarse_n = next as usize;
-    let mut vwgt = vec![0f64; coarse_n];
-    for u in 0..n {
-        vwgt[map[u] as usize] += fine.vwgt[u];
-    }
-    let mut el = EdgeList::new(coarse_n);
-    for u in 0..n as u32 {
-        let cu = map[u as usize];
-        for (k, &v) in fine.graph.neighbors(u).iter().enumerate() {
-            let cv = map[v as usize];
-            if cu != cv {
-                let w = fine.graph.edge_weight_at(u, k);
-                el.push_weighted(cu, cv, w).expect("coarse ids in range");
+    // Build each coarse row from its members' rows: parallel edges merge
+    // in a dense accumulator, self-loops drop (intra-super-node weight does
+    // not affect the cut). Weights are positive, so a zero marks a neighbor
+    // not yet seen.
+    let coarse_n = owner.len();
+    let mut xadj = Vec::with_capacity(coarse_n + 1);
+    xadj.push(0);
+    let mut adjncy: Vec<u32> = Vec::new();
+    let mut adjwgt = Vec::new();
+    let mut vwgt = Vec::with_capacity(coarse_n);
+    let mut acc = vec![0i64; coarse_n];
+    for (c, &u) in owner.iter().enumerate() {
+        let m = mate[u as usize];
+        let members: &[u32] = if m == u { &[u] } else { &[u, m] };
+        vwgt.push(members.iter().map(|&x| fine.vwgt[x as usize]).sum());
+        let start = adjncy.len();
+        for &x in members {
+            let (adj, wgt) = fine.row(x);
+            for (&v, &w) in adj.iter().zip(wgt) {
+                let cv = map[v as usize];
+                if cv as usize != c {
+                    if acc[cv as usize] == 0 {
+                        adjncy.push(cv);
+                    }
+                    acc[cv as usize] += w;
+                }
             }
         }
+        adjncy[start..].sort_unstable();
+        adjwgt.extend(adjncy[start..].iter().map(|&cv| std::mem::take(&mut acc[cv as usize])));
+        xadj.push(adjncy.len());
     }
-    (
-        WorkGraph {
-            graph: el.to_csr(),
-            vwgt,
-        },
-        map,
-    )
+    (WorkGraph { xadj, adjncy, adjwgt, vwgt }, map)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedgta_graph::Csr;
+    use fedgta_graph::{Csr, EdgeList};
     use rand::SeedableRng;
 
     fn wg(g: Csr) -> WorkGraph {
-        let n = g.num_nodes();
-        WorkGraph {
-            graph: g,
-            vwgt: vec![1.0; n],
-        }
+        WorkGraph::from_input(&g).unwrap()
     }
 
     #[test]
@@ -110,11 +111,13 @@ mod tests {
         let fine = wg(el.to_csr());
         let mut rng = StdRng::seed_from_u64(0);
         let (coarse, map) = coarsen(&fine, &mut rng);
-        assert!(coarse.graph.num_nodes() <= 6); // at least some pairs merged
+        assert!(coarse.num_nodes() <= 6); // at least some pairs merged
         assert_eq!(map.len(), 8);
-        // Node weights conserve total mass.
-        let total: f64 = coarse.vwgt.iter().sum();
-        assert_eq!(total, 8.0);
+        // Node and edge weights conserve total mass: 7 path edges, less
+        // the ones inside a pair.
+        assert_eq!(coarse.vwgt.iter().sum::<i64>(), 8);
+        let inside = (1..8).filter(|&i| map[i - 1] == map[i]).count() as i64;
+        assert_eq!(coarse.adjwgt.iter().sum::<i64>(), 2 * (7 - inside));
     }
 
     #[test]
@@ -146,8 +149,10 @@ mod tests {
         let fine = wg(el.to_csr());
         let mut rng = StdRng::seed_from_u64(1);
         let (coarse, _) = coarsen(&fine, &mut rng);
-        for u in 0..coarse.graph.num_nodes() as u32 {
-            assert!(!coarse.graph.has_edge(u, u));
+        for u in 0..coarse.num_nodes() as u32 {
+            let row = coarse.row(u).0;
+            assert!(!row.contains(&u));
+            assert!(row.windows(2).all(|w| w[0] < w[1]), "row {u} sorted, no duplicates: {row:?}");
         }
     }
 }

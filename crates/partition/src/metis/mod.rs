@@ -44,24 +44,81 @@ impl Default for MetisConfig {
     }
 }
 
-/// A graph level in the multilevel hierarchy: weighted adjacency plus node
-/// weights (number of original nodes collapsed into each super-node).
+/// The largest edge weight [`metis_kway`] accepts: `2²⁴`, the last point up
+/// to which an `f32` holds every integer, so every weight it accepts is the
+/// multiplicity it reads as.
+const MAX_EDGE_WEIGHT: f32 = (1u32 << 24) as f32;
+
+/// A graph level in the multilevel hierarchy: integer CSR adjacency (edge
+/// weights are multiplicities, METIS's `adjwgt`) plus node weights (number
+/// of original nodes collapsed into each super-node).
 #[derive(Debug, Clone)]
 pub(crate) struct WorkGraph {
-    pub graph: Csr,
-    pub vwgt: Vec<f64>,
+    pub xadj: Vec<usize>,
+    pub adjncy: Vec<u32>,
+    pub adjwgt: Vec<i64>,
+    pub vwgt: Vec<i64>,
 }
 
 impl WorkGraph {
-    fn from_input(g: &Csr) -> Self {
-        WorkGraph {
-            graph: g.clone(),
-            vwgt: vec![1.0; g.num_nodes()],
+    /// Level 0: `g` with unit node weights, or the first edge whose weight
+    /// is not an integer in `1..=2²⁴`.
+    pub(crate) fn from_input(g: &Csr) -> Result<Self, PartitionError> {
+        let adjwgt = match g.weights() {
+            None => vec![1; g.num_edges()],
+            Some(w) => {
+                if let Some(e) = w.iter().position(|&x| !(x >= 1.0 && x <= MAX_EDGE_WEIGHT && x.fract() == 0.0)) {
+                    let node = g.indptr().partition_point(|&start| start <= e) - 1;
+                    return Err(PartitionError::EdgeWeight {
+                        node: node as u32,
+                        neighbor: g.indices()[e],
+                        weight: w[e],
+                    });
+                }
+                w.iter().map(|&x| x as i64).collect()
+            }
+        };
+        Ok(WorkGraph {
+            xadj: g.indptr().to_vec(),
+            adjncy: g.indices().to_vec(),
+            adjwgt,
+            vwgt: vec![1; g.num_nodes()],
+        })
+    }
+
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.vwgt.len()
+    }
+
+    /// Node `u`'s neighbors and the parallel edge weights.
+    #[inline]
+    pub(crate) fn row(&self, u: u32) -> (&[u32], &[i64]) {
+        let r = self.xadj[u as usize]..self.xadj[u as usize + 1];
+        (&self.adjncy[r.clone()], &self.adjwgt[r])
+    }
+
+    /// Total weight of the edges crossing `parts`, each undirected edge
+    /// counted once.
+    pub(crate) fn cut(&self, parts: &[u32]) -> i64 {
+        let mut cut = 0;
+        for u in 0..self.num_nodes() as u32 {
+            let (adj, wgt) = self.row(u);
+            for (&v, &w) in adj.iter().zip(wgt) {
+                if v > u && parts[u as usize] != parts[v as usize] {
+                    cut += w;
+                }
+            }
         }
+        cut
     }
 }
 
 /// Partitions an undirected (symmetric CSR) graph into `k` balanced parts.
+///
+/// Edge weights are integer multiplicities, as in METIS: every weight must
+/// be an integer in `1..=2²⁴` (an unweighted graph has all ones), and
+/// [`PartitionError::EdgeWeight`] names the first node with an edge that is
+/// not.
 pub fn metis_kway(g: &Csr, k: usize, config: &MetisConfig) -> Result<Partition, PartitionError> {
     if k == 0 {
         return Err(PartitionError::ZeroParts);
@@ -70,23 +127,24 @@ pub fn metis_kway(g: &Csr, k: usize, config: &MetisConfig) -> Result<Partition, 
     if k > n {
         return Err(PartitionError::TooManyParts { parts: k, nodes: n });
     }
+    let input = WorkGraph::from_input(g)?;
     if k == 1 {
         return Ok(Partition::new(vec![0; n]));
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
 
     // Phase 1: coarsen.
-    let mut levels: Vec<WorkGraph> = vec![WorkGraph::from_input(g)];
+    let mut levels: Vec<WorkGraph> = vec![input];
     let mut maps: Vec<Vec<u32>> = Vec::new(); // fine node -> coarse node per level
     let target = (config.coarsen_factor * k).max(64);
     loop {
         let cur = levels.last().unwrap();
-        if cur.graph.num_nodes() <= target {
+        if cur.num_nodes() <= target {
             break;
         }
         let (coarse, map) = matching::coarsen(cur, &mut rng);
         // Diminishing returns: stop if we shrank by < 10%.
-        if coarse.graph.num_nodes() as f64 > 0.9 * cur.graph.num_nodes() as f64 {
+        if coarse.num_nodes() as f64 > 0.9 * cur.num_nodes() as f64 {
             break;
         }
         maps.push(map);
@@ -96,18 +154,15 @@ pub fn metis_kway(g: &Csr, k: usize, config: &MetisConfig) -> Result<Partition, 
     // Phase 2: initial partition of the coarsest graph.
     let coarsest = levels.last().unwrap();
     let mut parts = initial::grow_initial(coarsest, k, &mut rng);
-    refine::refine(coarsest, &mut parts, k, config, &mut rng);
+    let cut = coarsest.cut(&parts);
+    let mut cut = refine::refine(coarsest, &mut parts, cut, k, config, &mut rng);
 
-    // Phase 3: uncoarsen and refine.
+    // Phase 3: uncoarsen and refine. A projected partition cuts exactly the
+    // coarse one's weight: a coarse edge sums the fine edges it stands for.
     for lvl in (0..maps.len()).rev() {
         let fine = &levels[lvl];
-        let map = &maps[lvl];
-        let mut fine_parts = vec![0u32; fine.graph.num_nodes()];
-        for (v, &cv) in map.iter().enumerate() {
-            fine_parts[v] = parts[cv as usize];
-        }
-        parts = fine_parts;
-        refine::refine(fine, &mut parts, k, config, &mut rng);
+        parts = maps[lvl].iter().map(|&cv| parts[cv as usize]).collect();
+        cut = refine::refine(fine, &mut parts, cut, k, config, &mut rng);
     }
     Ok(Partition::new(parts))
 }
@@ -178,6 +233,40 @@ mod tests {
         ));
         let one = metis_kway(&g, 1, &MetisConfig::default()).unwrap();
         assert_eq!(one.num_parts, 1);
+    }
+
+    /// A 12-node ring whose edge 4–5 weighs `w` both ways.
+    fn ring_with_weight(w: f32) -> Csr {
+        let mut el = EdgeList::new(12);
+        for i in 0..12u32 {
+            let j = (i + 1) % 12;
+            let wij = if (i, j) == (4, 5) { w } else { 1.0 };
+            el.push_weighted(i, j, wij).unwrap();
+            el.push_weighted(j, i, wij).unwrap();
+        }
+        el.to_csr()
+    }
+
+    #[test]
+    fn refuses_weights_that_are_not_multiplicities() {
+        let max = (1u32 << 24) as f32;
+        for w in [0.0, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.5, 2.0 * max] {
+            let err = metis_kway(&ring_with_weight(w), 3, &MetisConfig::default()).unwrap_err();
+            match err {
+                PartitionError::EdgeWeight { node, neighbor, weight } => {
+                    assert_eq!((node, neighbor), (4, 5), "weight {w}");
+                    assert_eq!(weight.to_bits(), w.to_bits());
+                }
+                other => panic!("weight {w}: {other:?}"),
+            }
+            assert!(err.to_string().starts_with("edge 4 -> 5 has weight"), "{err}");
+            // k = 1 takes no partitioning, but the same contract.
+            assert!(metis_kway(&ring_with_weight(w), 1, &MetisConfig::default()).is_err());
+        }
+        for w in [1.0, 7.0, max] {
+            let p = metis_kway(&ring_with_weight(w), 3, &MetisConfig::default()).unwrap();
+            assert_eq!(p.num_parts, 3, "weight {w}");
+        }
     }
 
     #[test]

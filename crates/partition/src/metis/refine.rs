@@ -12,49 +12,49 @@ use super::{MetisConfig, WorkGraph};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Refines `parts` in place for up to `config.refine_passes` sweeps.
+/// Refines `parts`, whose cut is `cut`, in place for up to
+/// `config.refine_passes` sweeps; returns the cut of the result.
+///
+/// Every weight is an integer, so gains and the cut are exact: the cut is
+/// carried by subtracting each move's gain, and debug builds check it
+/// against a recount after every pass.
 pub(crate) fn refine(
     wg: &WorkGraph,
     parts: &mut [u32],
+    mut cut: i64,
     k: usize,
     config: &MetisConfig,
     rng: &mut StdRng,
-) {
-    let n = wg.graph.num_nodes();
+) -> i64 {
+    let n = wg.num_nodes();
     debug_assert_eq!(parts.len(), n);
-    let total: f64 = wg.vwgt.iter().sum();
+    debug_assert_eq!(cut, wg.cut(parts), "cut handed to refine");
+    let total = wg.vwgt.iter().sum::<i64>() as f64;
     let ideal = total / k as f64;
-    let max_vwgt = wg.vwgt.iter().copied().fold(0.0f64, f64::max);
+    let max_vwgt = wg.vwgt.iter().copied().max().unwrap_or(0) as f64;
     // At least one-vertex slack above ideal, or moves can deadlock on
-    // perfectly balanced partitions (METIS applies the same rule).
-    let max_w = (config.imbalance * ideal).max(ideal + max_vwgt);
+    // perfectly balanced partitions (METIS applies the same rule). Part
+    // weights are integers, so `w ≤ x` is `w ≤ ⌊x⌋` and `w ≥ x` is `w ≥ ⌈x⌉`.
+    let max_w = (config.imbalance * ideal).max(ideal + max_vwgt).floor() as i64;
     // Never let a part drop below half the ideal weight (keeps parts
     // nonempty and roughly balanced from below).
-    let min_w = 0.5 * total / k as f64;
+    let min_w = (0.5 * total / k as f64).ceil() as i64;
 
-    let mut part_w = vec![0f64; k];
+    let mut part_w = vec![0i64; k];
     for (u, &p) in parts.iter().enumerate() {
         part_w[p as usize] += wg.vwgt[u];
     }
 
-    // Scratch: edge weight from a node to each part.
-    let mut w_to = vec![0f64; k];
+    // Scratch: edge weight from the visited node to each part, valid where
+    // `stamp` holds the visit's number; `touched` lists the other parts in
+    // first-touch order.
+    let mut w_to = vec![0i64; k];
+    let mut stamp = vec![usize::MAX; k];
+    let mut visit = 0usize;
     let mut touched: Vec<u32> = Vec::with_capacity(8);
 
-    let cut_of = |parts: &[u32]| -> f64 {
-        let mut cut = 0.0;
-        for u in 0..n as u32 {
-            for (idx, &v) in wg.graph.neighbors(u).iter().enumerate() {
-                if v > u && parts[u as usize] != parts[v as usize] {
-                    cut += wg.graph.edge_weight_at(u, idx) as f64;
-                }
-            }
-        }
-        cut
-    };
-
     let mut best_parts = parts.to_vec();
-    let mut best_cut = cut_of(parts);
+    let mut best_cut = cut;
 
     for pass in 0..config.refine_passes {
         // Zero-gain plateau moves only on odd passes, so even passes can
@@ -64,56 +64,54 @@ pub(crate) fn refine(
         for u in 0..n as u32 {
             let pu = parts[u as usize];
             touched.clear();
-            let mut boundary = false;
-            for (idx, &v) in wg.graph.neighbors(u).iter().enumerate() {
+            stamp[pu as usize] = visit;
+            w_to[pu as usize] = 0;
+            let (adj, wgt) = wg.row(u);
+            for (&v, &w) in adj.iter().zip(wgt) {
                 if v == u {
                     continue;
                 }
                 let pv = parts[v as usize];
-                if pv != pu {
-                    boundary = true;
-                }
-                if w_to[pv as usize] == 0.0 {
+                if stamp[pv as usize] != visit {
+                    stamp[pv as usize] = visit;
+                    w_to[pv as usize] = 0;
                     touched.push(pv);
                 }
-                w_to[pv as usize] += wg.graph.edge_weight_at(u, idx) as f64;
+                w_to[pv as usize] += w;
             }
-            if boundary {
-                let internal = w_to[pu as usize];
-                let wu = wg.vwgt[u as usize];
-                let mut best: Option<(f64, u32)> = None;
-                for &p in &touched {
-                    if p == pu {
-                        continue;
-                    }
-                    let gain = w_to[p as usize] - internal;
-                    let fits =
-                        part_w[p as usize] + wu <= max_w && part_w[pu as usize] - wu >= min_w;
-                    let acceptable = gain > 1e-12
-                        || (allow_plateau && gain.abs() <= 1e-12 && rng.random_bool(0.5));
-                    if acceptable && fits {
-                        let better = match best {
-                            None => true,
-                            Some((bg, bp)) => gain > bg || (gain == bg && p < bp),
-                        };
-                        if better {
-                            best = Some((gain, p));
-                        }
-                    }
-                }
-                if let Some((_, p)) = best {
-                    parts[u as usize] = p;
-                    part_w[pu as usize] -= wu;
-                    part_w[p as usize] += wu;
-                    moved += 1;
-                }
+            visit += 1;
+            // Boundary nodes only: a neighbor in another part.
+            if touched.is_empty() {
+                continue;
             }
+            let internal = w_to[pu as usize];
+            let wu = wg.vwgt[u as usize];
+            let leaves_enough = part_w[pu as usize] - wu >= min_w;
+            let mut best: Option<(i64, u32)> = None;
             for &p in &touched {
-                w_to[p as usize] = 0.0;
+                let gain = w_to[p as usize] - internal;
+                let fits = part_w[p as usize] + wu <= max_w && leaves_enough;
+                let acceptable = gain > 0 || (allow_plateau && gain == 0 && rng.random_bool(0.5));
+                if acceptable && fits {
+                    let better = match best {
+                        None => true,
+                        Some((bg, bp)) => gain > bg || (gain == bg && p < bp),
+                    };
+                    if better {
+                        best = Some((gain, p));
+                    }
+                }
+            }
+            if let Some((gain, p)) = best {
+                parts[u as usize] = p;
+                part_w[pu as usize] -= wu;
+                part_w[p as usize] += wu;
+                cut -= gain;
+                moved += 1;
             }
         }
-        let cut = cut_of(parts);
-        if cut < best_cut - 1e-12 {
+        debug_assert_eq!(cut, wg.cut(parts), "carried cut after pass {pass}");
+        if cut < best_cut {
             best_cut = cut;
             best_parts.copy_from_slice(parts);
         }
@@ -123,32 +121,48 @@ pub(crate) fn refine(
     }
     // Never return something worse than the best assignment seen.
     parts.copy_from_slice(&best_parts);
+    best_cut
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Partition;
-    use fedgta_graph::EdgeList;
+    use fedgta_graph::{Csr, EdgeList};
     use rand::SeedableRng;
+
+    /// Two `m`-cliques (`0..m`, `m..2m`) joined by the bridge `0`–`m`.
+    fn two_cliques(m: usize) -> EdgeList {
+        let mut el = EdgeList::new(2 * m);
+        for b in 0..2 {
+            for i in 0..m {
+                for j in (i + 1)..m {
+                    el.push_undirected((b * m + i) as u32, (b * m + j) as u32).unwrap();
+                }
+            }
+        }
+        el.push_undirected(0, m as u32).unwrap();
+        el
+    }
+
+    /// `g` as a level without the input check, so that refinement can be
+    /// handed a weight `metis_kway` refuses.
+    fn unchecked(g: &Csr) -> WorkGraph {
+        WorkGraph {
+            xadj: g.indptr().to_vec(),
+            adjncy: g.indices().to_vec(),
+            adjwgt: (0..g.num_nodes() as u32)
+                .flat_map(|u| (0..g.degree(u)).map(move |e| g.edge_weight_at(u, e) as i64))
+                .collect(),
+            vwgt: vec![1; g.num_nodes()],
+        }
+    }
 
     #[test]
     fn refinement_reduces_cut_on_shuffled_cliques() {
         // Two 10-cliques + bridge, with a deliberately bad start.
-        let mut el = EdgeList::new(20);
-        for b in 0..2 {
-            for i in 0..10usize {
-                for j in (i + 1)..10 {
-                    el.push_undirected((b * 10 + i) as u32, (b * 10 + j) as u32).unwrap();
-                }
-            }
-        }
-        el.push_undirected(0, 10).unwrap();
-        let g = el.to_csr();
-        let wg = WorkGraph {
-            vwgt: vec![1.0; 20],
-            graph: g.clone(),
-        };
+        let g = two_cliques(10).to_csr();
+        let wg = WorkGraph::from_input(&g).unwrap();
         // Bad start: alternate parts (a perfectly balanced plateau).
         let mut parts: Vec<u32> = (0..20).map(|i| (i % 2) as u32).collect();
         let before = Partition::new(parts.clone()).edge_cut(&g);
@@ -157,8 +171,9 @@ mod tests {
             refine_passes: 40,
             ..MetisConfig::default()
         };
-        refine(&wg, &mut parts, 2, &cfg, &mut rng);
+        let carried = refine(&wg, &mut parts, before as i64, 2, &cfg, &mut rng);
         let after = Partition::new(parts.clone()).edge_cut(&g);
+        assert_eq!(carried, after as i64);
         assert!(after < before, "cut {before} -> {after}");
         assert!(after <= 10, "cut {before} -> {after}");
     }
@@ -172,36 +187,61 @@ mod tests {
             el.push_undirected(0, i).unwrap();
         }
         let g = el.to_csr();
-        let wg = WorkGraph {
-            vwgt: vec![1.0; 21],
-            graph: g,
-        };
+        let wg = WorkGraph::from_input(&g).unwrap();
         let mut parts: Vec<u32> = (0..21).map(|i| if i < 11 { 0 } else { 1 }).collect();
         let mut rng = StdRng::seed_from_u64(0);
-        refine(&wg, &mut parts, 2, &MetisConfig::default(), &mut rng);
+        let cut = wg.cut(&parts);
+        refine(&wg, &mut parts, cut, 2, &MetisConfig::default(), &mut rng);
         let sizes = Partition::new(parts).sizes();
         assert!(sizes[0] >= 6 && sizes[1] >= 6, "sizes {sizes:?}");
     }
 
     #[test]
     fn never_regresses_from_a_good_start() {
-        let mut el = EdgeList::new(8);
-        for b in 0..2 {
-            for i in 0..4usize {
-                for j in (i + 1)..4 {
-                    el.push_undirected((b * 4 + i) as u32, (b * 4 + j) as u32).unwrap();
+        let g = two_cliques(4).to_csr();
+        let wg = WorkGraph::from_input(&g).unwrap();
+        let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
+        let mut rng = StdRng::seed_from_u64(9);
+        assert_eq!(refine(&wg, &mut parts, 1, 2, &MetisConfig::default(), &mut rng), 1);
+        assert_eq!(Partition::new(parts).edge_cut(&g), 1);
+    }
+
+    /// A part is a candidate once per visit however its first edge weighs.
+    /// Before stamps marked first touch, `w_to == 0` did: a zero-weight
+    /// edge left its part unmarked, so the part entered `touched` again at
+    /// the next edge into it and a plateau pass drew the RNG twice for it.
+    /// Node 18 hangs off two 9-cliques by one edge each (4 and 13), so its
+    /// gain is 0 on plateau passes; the zero-weight edge 18–0 comes first in
+    /// its row and reaches the part that edge 18–4 reaches. It must change
+    /// nothing: not the result, not one draw.
+    #[test]
+    fn a_zero_weight_first_touch_draws_nothing() {
+        let mut plain = EdgeList::new(19);
+        for b in 0..2u32 {
+            for i in 0..9 {
+                for j in (i + 1)..9 {
+                    plain.push_undirected(b * 9 + i, b * 9 + j).unwrap();
                 }
             }
         }
-        el.push_undirected(0, 4).unwrap();
-        let g = el.to_csr();
-        let wg = WorkGraph {
-            vwgt: vec![1.0; 8],
-            graph: g.clone(),
-        };
-        let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let mut rng = StdRng::seed_from_u64(9);
-        refine(&wg, &mut parts, 2, &MetisConfig::default(), &mut rng);
-        assert_eq!(Partition::new(parts).edge_cut(&g), 1);
+        plain.push_undirected(0, 9).unwrap();
+        plain.push_undirected(18, 4).unwrap();
+        plain.push_undirected(18, 13).unwrap();
+        let mut zero = plain.clone();
+        zero.push_weighted(18, 0, 0.0).unwrap();
+        zero.push_weighted(0, 18, 0.0).unwrap();
+        let (plain, zero) = (unchecked(&plain.to_csr()), unchecked(&zero.to_csr()));
+        assert_eq!(zero.row(18), (&[0, 4, 13][..], &[0, 1, 1][..]));
+        let cfg = MetisConfig { refine_passes: 40, ..MetisConfig::default() };
+        for seed in 0..8 {
+            let run = |wg: &WorkGraph| {
+                let mut parts: Vec<u32> = (0..19).map(|i| (i % 2) as u32).collect();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let cut = wg.cut(&parts);
+                let cut = refine(wg, &mut parts, cut, 2, &cfg, &mut rng);
+                (parts, cut, rng.random::<u64>())
+            };
+            assert_eq!(run(&plain), run(&zero), "seed {seed}");
+        }
     }
 }

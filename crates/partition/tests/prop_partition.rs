@@ -24,8 +24,38 @@ fn arb_connected(max_n: usize) -> impl Strategy<Value = Csr> {
     })
 }
 
+/// A random multigraph: up to `3n` undirected edges with weights 1–5;
+/// repeated pairs merge into one edge of summed weight. Up to 400 nodes,
+/// so that most cases coarsen before the initial partition.
+fn arb_multigraph() -> impl Strategy<Value = Csr> {
+    (16usize..=400).prop_flat_map(|n| {
+        proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..=5), 0..3 * n).prop_map(move |edges| {
+            let mut el = EdgeList::new(n);
+            for (u, v, w) in edges {
+                if u != v {
+                    el.push_weighted(u, v, w as f32).unwrap();
+                    el.push_weighted(v, u, w as f32).unwrap();
+                }
+            }
+            el.to_csr()
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Metis on weighted multigraphs, connected or not. Refinement carries
+    /// the cut by subtracting each move's gain; a debug build (the tier-1
+    /// one) asserts after every pass that it equals a recount.
+    #[test]
+    fn metis_splits_weighted_multigraphs(g in arb_multigraph(), k in 2usize..=16, seed in 0u64..4) {
+        let p = metis_kway(&g, k, &MetisConfig { seed, ..MetisConfig::default() }).unwrap();
+        prop_assert_eq!(p.parts.len(), g.num_nodes());
+        prop_assert_eq!(p.num_parts, k);
+        let sizes = p.sizes();
+        prop_assert!(sizes.iter().all(|&s| s > 0), "sizes {:?}", sizes);
+    }
 
     #[test]
     fn louvain_assignment_is_total_and_nonneg_modularity(g in arb_connected(60)) {
