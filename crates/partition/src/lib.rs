@@ -167,7 +167,8 @@ impl std::fmt::Display for PartitionError {
             PartitionError::ZeroParts => write!(f, "number of parts must be positive"),
             PartitionError::EdgeWeight { node, neighbor, weight } => write!(
                 f,
-                "edge {node} -> {neighbor} has weight {weight}; Metis takes integer multiplicities in 1..=16777216"
+                "edge {node} -> {neighbor} has weight {weight}; \
+                 Metis takes integer multiplicities in 1..=16777216"
             ),
         }
     }

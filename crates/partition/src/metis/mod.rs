@@ -67,7 +67,8 @@ impl WorkGraph {
         let adjwgt = match g.weights() {
             None => vec![1; g.num_edges()],
             Some(w) => {
-                if let Some(e) = w.iter().position(|&x| !(x >= 1.0 && x <= MAX_EDGE_WEIGHT && x.fract() == 0.0)) {
+                let multiplicity = |x: f32| (1.0..=MAX_EDGE_WEIGHT).contains(&x) && x.fract() == 0.0;
+                if let Some(e) = w.iter().position(|&x| !multiplicity(x)) {
                     let node = g.indptr().partition_point(|&start| start <= e) - 1;
                     return Err(PartitionError::EdgeWeight {
                         node: node as u32,

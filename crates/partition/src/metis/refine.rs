@@ -131,29 +131,13 @@ mod tests {
     use fedgta_graph::{Csr, EdgeList};
     use rand::SeedableRng;
 
-    /// Two `m`-cliques (`0..m`, `m..2m`) joined by the bridge `0`–`m`.
-    fn two_cliques(m: usize) -> EdgeList {
-        let mut el = EdgeList::new(2 * m);
-        for b in 0..2 {
-            for i in 0..m {
-                for j in (i + 1)..m {
-                    el.push_undirected((b * m + i) as u32, (b * m + j) as u32).unwrap();
-                }
-            }
-        }
-        el.push_undirected(0, m as u32).unwrap();
-        el
-    }
-
     /// `g` as a level without the input check, so that refinement can be
     /// handed a weight `metis_kway` refuses.
     fn unchecked(g: &Csr) -> WorkGraph {
         WorkGraph {
             xadj: g.indptr().to_vec(),
             adjncy: g.indices().to_vec(),
-            adjwgt: (0..g.num_nodes() as u32)
-                .flat_map(|u| (0..g.degree(u)).map(move |e| g.edge_weight_at(u, e) as i64))
-                .collect(),
+            adjwgt: g.weights().map_or(vec![1; g.num_edges()], |w| w.iter().map(|&x| x as i64).collect()),
             vwgt: vec![1; g.num_nodes()],
         }
     }
@@ -161,7 +145,16 @@ mod tests {
     #[test]
     fn refinement_reduces_cut_on_shuffled_cliques() {
         // Two 10-cliques + bridge, with a deliberately bad start.
-        let g = two_cliques(10).to_csr();
+        let mut el = EdgeList::new(20);
+        for b in 0..2 {
+            for i in 0..10usize {
+                for j in (i + 1)..10 {
+                    el.push_undirected((b * 10 + i) as u32, (b * 10 + j) as u32).unwrap();
+                }
+            }
+        }
+        el.push_undirected(0, 10).unwrap();
+        let g = el.to_csr();
         let wg = WorkGraph::from_input(&g).unwrap();
         // Bad start: alternate parts (a perfectly balanced plateau).
         let mut parts: Vec<u32> = (0..20).map(|i| (i % 2) as u32).collect();
@@ -198,7 +191,16 @@ mod tests {
 
     #[test]
     fn never_regresses_from_a_good_start() {
-        let g = two_cliques(4).to_csr();
+        let mut el = EdgeList::new(8);
+        for b in 0..2 {
+            for i in 0..4usize {
+                for j in (i + 1)..4 {
+                    el.push_undirected((b * 4 + i) as u32, (b * 4 + j) as u32).unwrap();
+                }
+            }
+        }
+        el.push_undirected(0, 4).unwrap();
+        let g = el.to_csr();
         let wg = WorkGraph::from_input(&g).unwrap();
         let mut parts = vec![0, 0, 0, 0, 1, 1, 1, 1];
         let mut rng = StdRng::seed_from_u64(9);
