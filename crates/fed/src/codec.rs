@@ -317,13 +317,7 @@ pub struct QuantI8;
 
 impl QuantI8 {
     fn quantize(vals: &[f32]) -> (f32, f32, Vec<u8>) {
-        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
-        for &v in vals {
-            if v.is_finite() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
+        let (lo, hi) = finite_min_max(vals);
         if lo > hi {
             // No finite values at all: everything maps to 0.0.
             return (0.0, 0.0, vec![0; vals.len()]);
@@ -332,10 +326,8 @@ impl QuantI8 {
         if scale <= 0.0 {
             return (0.0, lo, vec![0; vals.len()]);
         }
-        let data = vals
-            .iter()
-            .map(|&v| ((v as f64 - lo as f64) / scale as f64).round().clamp(0.0, 255.0) as u8)
-            .collect();
+        let (lo64, scale64) = (lo as f64, scale as f64);
+        let data = vals.iter().map(|&v| level((v as f64 - lo64) / scale64)).collect();
         (scale, lo, data)
     }
 
@@ -344,6 +336,88 @@ impl QuantI8 {
             .map(|&q| (zero as f64 + q as f64 * scale as f64) as f32)
             .collect()
     }
+}
+
+/// Lanes of [`finite_min_max`]'s independent compare-select chains.
+const MINMAX_LANES: usize = 16;
+
+/// `(min, max)` over the finite values of `vals`, `(+∞, −∞)` when there
+/// are none — bit for bit the sequential `lo.min(v)` / `hi.max(v)` fold
+/// over them ([`finite_min_max_seq`]).
+///
+/// [`MINMAX_LANES`] independent compare-select chains, each seeing a
+/// non-finite value as the identity, then the remainder in order. A
+/// non-zero extremum is one value with one bit pattern, so any order finds
+/// the fold's bits. A zero extremum is not: which of `+0.0` and `−0.0`
+/// the fold keeps depends on where each sits, so that rare case re-runs
+/// the fold itself.
+fn finite_min_max(vals: &[f32]) -> (f32, f32) {
+    let mut lo = [f32::INFINITY; MINMAX_LANES];
+    let mut hi = [f32::NEG_INFINITY; MINMAX_LANES];
+    let mut chunks = vals.chunks_exact(MINMAX_LANES);
+    for c in &mut chunks {
+        for l in 0..MINMAX_LANES {
+            // `|v| < ∞` is false exactly for NaN and ±∞.
+            let finite = c[l].abs() < f32::INFINITY;
+            let (vl, vh) = if finite { (c[l], c[l]) } else { (f32::INFINITY, f32::NEG_INFINITY) };
+            lo[l] = if vl < lo[l] { vl } else { lo[l] };
+            hi[l] = if vh > hi[l] { vh } else { hi[l] };
+        }
+    }
+    let (mut min, mut max) = (f32::INFINITY, f32::NEG_INFINITY);
+    for l in 0..MINMAX_LANES {
+        min = if lo[l] < min { lo[l] } else { min };
+        max = if hi[l] > max { hi[l] } else { max };
+    }
+    for &v in chunks.remainder() {
+        if v.is_finite() {
+            min = min.min(v);
+            max = max.max(v);
+        }
+    }
+    if min == 0.0 || max == 0.0 {
+        return finite_min_max_seq(vals);
+    }
+    (min, max)
+}
+
+/// The sequential fold [`finite_min_max`] reproduces, and its fallback
+/// when an extremum is a signed zero.
+fn finite_min_max_seq(vals: &[f32]) -> (f32, f32) {
+    let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+    for &v in vals {
+        if v.is_finite() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+    }
+    (lo, hi)
+}
+
+/// The quantization level of `x = (v − zero) / scale`: exactly
+/// `x.round().clamp(0.0, 255.0) as u8` (round half away from zero; NaN to
+/// 0, as the saturating cast takes it), with no libm call and no
+/// float-to-int cast, so the map over a tensor vectorizes. Clamping first
+/// changes nothing: `round` is monotone and fixes 0 and 255. On the clamped
+/// `c ∈ [0, 255]`, adding `2⁵²` rounds `c` to an integer `r`, ties to even,
+/// and leaves `r` in the sum's low mantissa bits; `r` and `c − r` are then
+/// exact, and `c − r = 0.5` is the one tie that rounding went down from,
+/// where half away from zero goes up.
+#[inline(always)]
+fn level(x: f64) -> u8 {
+    const MAGIC: f64 = 4_503_599_627_370_496.0;
+    let c = if x >= 0.0 {
+        if x <= 255.0 {
+            x
+        } else {
+            255.0
+        }
+    } else {
+        0.0
+    };
+    let m = c + MAGIC;
+    let r = m - MAGIC;
+    (m.to_bits() as u8) + (c - r >= 0.5) as u8
 }
 
 impl Codec for QuantI8 {
@@ -388,22 +462,74 @@ impl TopK {
     /// The kept index set: the `k` largest by `(|v| desc, index asc)`,
     /// returned in ascending index order.
     ///
-    /// O(n) selection, not a full sort: the comparator is a strict total
-    /// order (the index breaks every tie), so the first `k` of a partition
-    /// around rank `k` are the same set a sort would keep.
+    /// A counting selection over the sign-cleared bits `|v|.to_bits()`,
+    /// whose integer order is exactly `|v|`'s `total_cmp` order (NaN above
+    /// +∞). One pass counts the keys' top 12 bits (the exponent and three
+    /// mantissa bits) and finds the bucket that holds the k-th largest
+    /// key. A second pass keeps every index of a higher bucket and gathers
+    /// the bucket's own keys, each packed with its index as one `u64` that
+    /// orders by `(key desc, index asc)`; selecting among those few picks
+    /// the rest — at equal magnitude the lower indices, as a sort by
+    /// `(|v| desc, index asc)` does. The two ascending runs then merge, in
+    /// place: two allocations per call, the result and the bucket.
     pub fn select(vals: &[f32], k: usize) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..vals.len() as u32).collect();
-        // `k == 0` keeps nothing and `k ≥ len` keeps everything: no rank
-        // to partition around.
-        if (1..order.len()).contains(&k) {
-            order.select_nth_unstable_by(k - 1, |&a, &b| {
-                let (ma, mb) = (vals[a as usize].abs(), vals[b as usize].abs());
-                mb.total_cmp(&ma).then(a.cmp(&b))
-            });
+        const SHIFT: u32 = 19;
+        let n = vals.len();
+        if k >= n {
+            return (0..n as u32).collect();
         }
-        order.truncate(k);
-        order.sort_unstable();
-        order
+        let mut kept = Vec::with_capacity(k);
+        if k == 0 {
+            return kept;
+        }
+        let key = |v: f32| v.to_bits() & 0x7fff_ffff;
+        let mut hist = [0u32; 1 << (31 - SHIFT)];
+        for &v in vals {
+            hist[(key(v) >> SHIFT) as usize] += 1;
+        }
+        // The bucket of the k-th largest key, and that key's rank in it.
+        let (mut bucket, mut rank) = (hist.len(), k);
+        loop {
+            bucket -= 1;
+            let count = hist[bucket] as usize;
+            if count >= rank {
+                break;
+            }
+            rank -= count;
+        }
+        let mut in_bucket: Vec<u64> = Vec::with_capacity(hist[bucket] as usize);
+        let bucket = bucket as u32;
+        for (i, &v) in vals.iter().enumerate() {
+            let kv = key(v);
+            match (kv >> SHIFT).cmp(&bucket) {
+                std::cmp::Ordering::Greater => kept.push(i as u32),
+                std::cmp::Ordering::Equal => in_bucket.push(u64::from(0x7fff_ffff - kv) << 32 | i as u64),
+                std::cmp::Ordering::Less => {}
+            }
+        }
+        in_bucket.select_nth_unstable(rank - 1);
+        let chosen = &mut in_bucket[..rank];
+        for t in chosen.iter_mut() {
+            *t &= 0xffff_ffff;
+        }
+        chosen.sort_unstable();
+        // Merge the two ascending runs from the back, into `kept`'s room.
+        let (mut a, mut c) = (kept.len(), rank);
+        kept.resize(k, 0);
+        for w in (0..k).rev() {
+            if c == 0 {
+                break;
+            }
+            if a > 0 && kept[a - 1] > chosen[c - 1] as u32 {
+                kept[w] = kept[a - 1];
+                a -= 1;
+            } else {
+                kept[w] = chosen[c - 1] as u32;
+                c -= 1;
+            }
+        }
+        debug_assert_eq!(kept.len(), k);
+        kept
     }
 }
 
@@ -719,6 +845,164 @@ pub fn decode_header(input: &mut &[u8]) -> Result<Vec<Stage>, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The quantizer as it was before the lane-split extrema and the
+    /// inline rounding: the oracle [`QuantI8::quantize`] must match bit
+    /// for bit.
+    fn quantize_oracle(vals: &[f32]) -> (f32, f32, Vec<u8>) {
+        let (mut lo, mut hi) = (f32::INFINITY, f32::NEG_INFINITY);
+        for &v in vals {
+            if v.is_finite() {
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+        }
+        if lo > hi {
+            return (0.0, 0.0, vec![0; vals.len()]);
+        }
+        let scale = ((hi as f64 - lo as f64) / 255.0) as f32;
+        if scale <= 0.0 {
+            return (0.0, lo, vec![0; vals.len()]);
+        }
+        let data = vals
+            .iter()
+            .map(|&v| ((v as f64 - lo as f64) / scale as f64).round().clamp(0.0, 255.0) as u8)
+            .collect();
+        (scale, lo, data)
+    }
+
+    /// The comparator selection [`TopK::select`] replaced: the oracle.
+    fn select_oracle(vals: &[f32], k: usize) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..vals.len() as u32).collect();
+        if (1..order.len()).contains(&k) {
+            order.select_nth_unstable_by(k - 1, |&a, &b| {
+                let (ma, mb) = (vals[a as usize].abs(), vals[b as usize].abs());
+                mb.total_cmp(&ma).then(a.cmp(&b))
+            });
+        }
+        order.truncate(k);
+        order.sort_unstable();
+        order
+    }
+
+    fn assert_quantize_matches(vals: &[f32], what: &str) {
+        let (s, z, d) = QuantI8::quantize(vals);
+        let (os, oz, od) = quantize_oracle(vals);
+        assert_eq!((s.to_bits(), z.to_bits()), (os.to_bits(), oz.to_bits()), "scale/zero: {what}");
+        assert_eq!(d, od, "levels: {what}");
+    }
+
+    /// A seeded xorshift stream.
+    fn stream(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    }
+
+    #[test]
+    fn quantize_equals_the_sequential_quantizer_on_adversarial_tensors() {
+        // Exact halves: zero 1.0, scale exactly 1.0, so `x` is the value
+        // minus one — every `k + 0.5` level rounds away from zero.
+        let halves: Vec<f32> = (0..40).map(|i| 1.0 + i as f32 * 6.5).chain([256.0, 1.0]).collect();
+        assert_eq!(QuantI8::quantize(&halves).0, 1.0);
+        assert_quantize_matches(&halves, "exact halves");
+        // A signed-zero extremum in every lane position and in the
+        // remainder, with the other zero before or after it.
+        for len in [1usize, 15, 16, 17, 33, 64, 70] {
+            for at in 0..len {
+                for (first, second) in [(0.0f32, -0.0f32), (-0.0, 0.0)] {
+                    let mut t: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+                    t[at] = first;
+                    t[(at + len / 2) % len] = second;
+                    assert_quantize_matches(&t, &format!("zero min len {len} at {at}"));
+                    let neg: Vec<f32> = t.iter().map(|v| -v).collect();
+                    assert_quantize_matches(&neg, &format!("zero max len {len} at {at}"));
+                }
+            }
+        }
+        // Raw bit patterns: NaN payloads, infinities, subnormals, extremes.
+        let mut next = stream(7);
+        for len in [0usize, 1, 5, 16, 31, 100, 257, 1000] {
+            for _ in 0..20 {
+                let t: Vec<f32> = (0..len).map(|_| f32::from_bits(next() as u32)).collect();
+                assert_quantize_matches(&t, &format!("bits len {len}"));
+                let few: Vec<f32> = (0..len).map(|_| (next() % 9) as f32 - 4.0).collect();
+                assert_quantize_matches(&few, &format!("few levels len {len}"));
+            }
+        }
+        for t in [vec![f32::NAN; 20], vec![f32::INFINITY, f32::NEG_INFINITY], vec![3.5; 33], vec![f32::MAX, f32::MIN]] {
+            assert_quantize_matches(&t, "degenerate");
+        }
+    }
+
+    #[test]
+    fn level_rounds_half_away_from_zero_exactly() {
+        let oracle = |x: f64| x.round().clamp(0.0, 255.0) as u8;
+        for x in [0.0, -0.0, 0.5, 1.5, 2.5, 254.5, 255.0, 255.4, 255.5, 300.0, -0.5, -3.0, 0.49999999999999994] {
+            assert_eq!(level(x), oracle(x), "{x}");
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 5e-324, 1e300] {
+            assert_eq!(level(x), oracle(x), "{x}");
+        }
+        // Every half and quarter step across the range, the neighbours of
+        // each half, and raw bit patterns.
+        for i in -40..=1100 {
+            let x = i as f64 * 0.25;
+            for x in [x, f64::from_bits(x.to_bits() + 1), f64::from_bits(x.to_bits().wrapping_sub(1))] {
+                assert_eq!(level(x), oracle(x), "{x:e}");
+            }
+        }
+        let mut next = stream(3);
+        for _ in 0..100_000 {
+            let x = f64::from_bits(next());
+            assert_eq!(level(x), oracle(x), "{x:e}");
+            let y = (next() % 600_000) as f64 / 2000.0 - 20.0;
+            assert_eq!(level(y), oracle(y), "{y:e}");
+        }
+    }
+
+    #[test]
+    fn counting_selection_equals_the_comparator_selection() {
+        let mut next = stream(11);
+        // Sign-cleared keys of every kind, and magnitudes that tie.
+        let pool = [0.0f32, -0.0, 1.0, -1.0, 3.0, -3.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        for len in [1usize, 2, 7, 64, 65, 300, 1000] {
+            for trial in 0..12 {
+                let t: Vec<f32> = match trial % 3 {
+                    0 => (0..len).map(|_| f32::from_bits(next() as u32)).collect(),
+                    1 => (0..len).map(|_| pool[(next() % pool.len() as u64) as usize]).collect(),
+                    _ => (0..len).map(|_| ((next() % 41) as f32 - 20.0) * 0.25).collect(),
+                };
+                for k in [0, 1, 2, len / 3, len / 2, len.saturating_sub(1), len, len + 5] {
+                    assert_eq!(TopK::select(&t, k), select_oracle(&t, k), "len {len} k {k} trial {trial}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn wire_kernels_equal_their_oracles_on_random_tensors(
+            bits in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..600),
+            few in proptest::collection::vec(0u32..7, 0..600),
+            k in 0usize..700,
+        ) {
+            let raw: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+            let tied: Vec<f32> = few.iter().map(|&q| (q as f32 - 3.0) * 0.5).collect();
+            for t in [&raw, &tied] {
+                proptest::prop_assert_eq!(TopK::select(t, k), select_oracle(t, k));
+                let (s, z, d) = QuantI8::quantize(t);
+                let (os, oz, od) = quantize_oracle(t);
+                proptest::prop_assert_eq!((s.to_bits(), z.to_bits(), d), (os.to_bits(), oz.to_bits(), od));
+            }
+        }
+    }
 
     fn roundtrip(codec: &dyn Codec, t: &[f32]) -> Vec<f32> {
         let mut buf = Vec::new();

@@ -69,6 +69,13 @@ use crate::transport::WirePayload;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+/// The exact pre-encode delta of one coordinate: `(v − reference) +
+/// residual`, in f64.
+#[inline(always)]
+fn target(v: f32, reference: f32, residual: f64) -> f64 {
+    (v as f64 - reference as f64) + residual
+}
+
 /// Per-tensor error-feedback state: the server-mirrored reference and
 /// the f64 residual (client side only; the server uses `reference`
 /// alone).
@@ -83,7 +90,9 @@ pub struct EfTensor {
 }
 
 /// The pre-encode fold of one round: the f32 tensor to feed the codec
-/// and the exact f64 target it rounds from.
+/// and the exact f64 target it rounds from. What [`EfTensor::fold`]
+/// returns; the executor folds in place instead
+/// ([`EfState::fold_payload`]), to the same bits.
 #[derive(Debug, Clone)]
 pub struct Folded {
     /// What the codec encodes: `target` rounded to f32.
@@ -107,10 +116,35 @@ impl EfTensor {
             .iter()
             .zip(&self.reference)
             .zip(&self.residual)
-            .map(|((&v, &r), &res)| (v as f64 - r as f64) + res)
+            .map(|((&v, &r), &res)| target(v, r, res))
             .collect();
         let fed = target.iter().map(|&t| t as f32).collect();
         Folded { fed, target }
+    }
+
+    /// [`EfTensor::fold`] without a [`Folded`]: `v` becomes `fed` in place
+    /// and the residual holds `target` until [`EfTensor::commit_in_place`]
+    /// — so a round allocates nothing, and the bits are `fold`'s.
+    fn fold_in_place(&mut self, v: &mut [f32]) {
+        self.size_for(v.len());
+        for ((v, &r), res) in v.iter_mut().zip(&self.reference).zip(self.residual.iter_mut()) {
+            *res = target(*v, r, *res);
+            *v = *res as f32;
+        }
+    }
+
+    /// [`EfTensor::commit`] after [`EfTensor::fold_in_place`]: the
+    /// residual already holds `target`, which is what a rejected upload
+    /// carries; an accepted one advances the reference by `decoded` and
+    /// keeps `target − decoded`.
+    fn commit_in_place(&mut self, decoded: &[f32], accepted: bool) {
+        assert_eq!(decoded.len(), self.reference.len(), "EF decode length mismatch");
+        if accepted {
+            for ((r, res), &d) in self.reference.iter_mut().zip(self.residual.iter_mut()).zip(decoded) {
+                *r += d;
+                *res -= d as f64;
+            }
+        }
     }
 
     /// Commits one round's outcome. `decoded` is the client's local
@@ -198,38 +232,28 @@ impl EfState {
     /// Client half, before encoding: re-bases the parameter tensor's
     /// reference at `anchor` (the broadcast this client just loaded),
     /// then replaces every codec-routed tensor of `payload` with its
-    /// residual-folded delta. Returns the folds to commit.
-    pub fn fold_payload<R: WirePayload>(
-        &mut self,
-        anchor: Option<&[f32]>,
-        payload: &mut R,
-    ) -> Vec<Folded> {
+    /// residual-folded delta, in place. Until [`EfState::commit_payload`]
+    /// each residual holds its tensor's exact target, so the round needs
+    /// no buffer of its own.
+    pub fn fold_payload<R: WirePayload>(&mut self, anchor: Option<&[f32]>, payload: &mut R) {
         if let Some(a) = anchor {
             self.tensor(0).rebase(a);
         }
-        let mut folds = Vec::new();
+        let mut t = 0usize;
         payload.visit_tensors(&mut |v| {
-            let folded = self.tensor(folds.len()).fold(v);
-            v.clear();
-            v.extend_from_slice(&folded.fed);
-            folds.push(folded);
+            self.tensor(t).fold_in_place(v);
+            t += 1;
         });
-        folds
     }
 
-    /// Client half, after encoding: commits every tensor against
-    /// `decoded` — the local decode of this client's own encoding,
-    /// bitwise what the server decodes from the wire — resolved by the
-    /// scripted acceptance fate.
-    pub fn commit_payload<R: WirePayload>(
-        &mut self,
-        folds: &[Folded],
-        decoded: &mut R,
-        accepted: bool,
-    ) {
+    /// Client half, after encoding: commits every tensor
+    /// [`EfState::fold_payload`] folded against `decoded` — the local
+    /// decode of this client's own encoding, bitwise what the server
+    /// decodes from the wire — resolved by the scripted acceptance fate.
+    pub fn commit_payload<R: WirePayload>(&mut self, decoded: &mut R, accepted: bool) {
         let mut t = 0usize;
         decoded.visit_tensors(&mut |d| {
-            self.tensor(t).commit(&folds[t], d, accepted);
+            self.tensor(t).commit_in_place(d, accepted);
             t += 1;
         });
     }
@@ -349,11 +373,24 @@ mod tests {
             let params = vec![1.5 * r, -2.25, 0.125 * r, 7.0, -0.5 * r];
             let mut sent: Upload = (params, 0.75, vec![3.0 * r, -1.0], 11);
             // Client: fold → encode → decode own bytes → commit.
-            let folds = client.fold_payload(Some(&anchor), &mut sent);
-            assert_eq!(sent.0, folds[0].fed, "the payload now carries the folded delta");
+            let mut by_hand = client.clone();
+            by_hand.tensor(0).rebase(&anchor);
+            let folds = [by_hand.tensor(0).fold(&sent.0), by_hand.tensor(1).fold(&sent.2)];
+            client.fold_payload(Some(&anchor), &mut sent);
+            assert_eq!(bits(&sent.0), bits(&folds[0].fed), "the payload now carries the folded delta");
+            assert_eq!(bits(&sent.2), bits(&folds[1].fed));
             let body = encode_upload_routed(codec, None, 0.5, &sent);
             let (_, mut own): (f32, Upload) = decode_upload_routed(codec, None, &body).unwrap();
-            client.commit_payload(&folds, &mut own, accepted);
+            client.commit_payload(&mut own, accepted);
+            // In place, bit for bit what `fold` + `commit` leave.
+            by_hand.tensor(0).commit(&folds[0], &own.0, accepted);
+            by_hand.tensor(1).commit(&folds[1], &own.2, accepted);
+            for t in 0..2 {
+                let (mine, theirs) = (&client.tensors[t], &by_hand.tensors[t]);
+                assert_eq!(bits(&mine.reference), bits(&theirs.reference), "round {round} tensor {t}");
+                let res_bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(res_bits(&mine.residual), res_bits(&theirs.residual), "round {round} tensor {t}");
+            }
             if !accepted {
                 continue; // the server never sees this frame
             }

@@ -377,18 +377,20 @@ impl CommsRound<'_> {
                 let sketch = self.legs.sketch.as_deref();
                 let mut state =
                     self.legs.ef.as_ref().map(|_| c.ef.get_or_insert_with(Default::default));
-                let folds = state.as_mut().map(|s| s.fold_payload(start, &mut payload));
-                let raw_len = encode_upload(loss, &payload).len();
+                if let Some(state) = state.as_mut() {
+                    state.fold_payload(start, &mut payload);
+                }
+                let raw_len = loss.encoded_len() + payload.encoded_len();
                 let et0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
                 let body = encode_upload_routed(codec, sketch, loss, &payload);
                 if let Some(et0) = et0 {
                     fedgta_obs::histogram!("comms.codec.encode_ns")
                         .observe(et0.elapsed().as_nanos() as u64);
                 }
-                if let Some((state, folds)) = state.zip(folds) {
+                if let Some(state) = state {
                     let (_, mut dec) = decode_upload_routed::<R>(codec, sketch, &body)
                         .expect("own coded upload decodes");
-                    state.commit_payload(&folds, &mut dec, fate.accepted);
+                    state.commit_payload(&mut dec, fate.accepted);
                 }
                 (MsgKind::UploadCoded, raw_len, body)
             }

@@ -244,6 +244,9 @@ impl<'a> TensorRouter<'a> {
 pub trait WirePayload: Sized {
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
+    /// `encode`'s byte count, computed without encoding: what the round
+    /// meters as the upload's raw (plain-encoding) size.
+    fn encoded_len(&self) -> usize;
     /// Decodes one value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, IoError>;
     /// Codec-aware encoding: `Vec<f32>` tensors route through the
@@ -318,6 +321,12 @@ impl WirePayload for ParamTensor {
             ParamTensor::Resident => resident_reached("encode"),
         }
     }
+    fn encoded_len(&self) -> usize {
+        match self {
+            ParamTensor::Owned(v) => v.encoded_len(),
+            ParamTensor::Resident => resident_reached("encoded_len"),
+        }
+    }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Vec::decode(input).map(ParamTensor::Owned)
     }
@@ -357,6 +366,9 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], IoError> {
 
 impl WirePayload for () {
     fn encode(&self, _out: &mut Vec<u8>) {}
+    fn encoded_len(&self) -> usize {
+        0
+    }
     fn decode(_input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(())
     }
@@ -367,6 +379,9 @@ macro_rules! impl_wire_scalar {
         impl WirePayload for $t {
             fn encode(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$t>()
             }
             fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
                 let bytes = take(input, std::mem::size_of::<$t>())?;
@@ -381,6 +396,9 @@ impl WirePayload for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         Ok(u64::decode(input)? as usize)
     }
@@ -392,6 +410,9 @@ impl WirePayload for Vec<f32> {
         for v in self {
             out.extend_from_slice(&v.to_le_bytes());
         }
+    }
+    fn encoded_len(&self) -> usize {
+        8 + 4 * self.len()
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         let n = u64::decode(input)? as usize;
@@ -422,6 +443,9 @@ impl WirePayload for Vec<f64> {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
+    fn encoded_len(&self) -> usize {
+        8 + 8 * self.len()
+    }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         let n = u64::decode(input)? as usize;
         let bytes = take(input, n.checked_mul(8).ok_or(IoError::Corrupt("length overflow"))?)?;
@@ -441,6 +465,9 @@ impl<T: WirePayload> WirePayload for Option<T> {
                 v.encode(out);
             }
         }
+    }
+    fn encoded_len(&self) -> usize {
+        1 + self.as_ref().map_or(0, T::encoded_len)
     }
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         match take(input, 1)?[0] {
@@ -482,6 +509,9 @@ macro_rules! impl_wire_tuple {
         impl<$($name: WirePayload),+> WirePayload for ($($name,)+) {
             fn encode(&self, out: &mut Vec<u8>) {
                 $(self.$idx.encode(out);)+
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ self.$idx.encoded_len())+
             }
             fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
                 Ok(($($name::decode(input)?,)+))
@@ -676,6 +706,24 @@ mod tests {
         // Owning twice keeps the tensor it has.
         payload.own_resident(&[7.0; 4]);
         assert_eq!(payload.0.resolve(&[]), model.as_slice());
+    }
+
+    #[test]
+    fn encoded_len_is_the_plain_encoding_length() {
+        fn check<R: WirePayload>(p: &R) {
+            let mut out = Vec::new();
+            p.encode(&mut out);
+            assert_eq!(p.encoded_len(), out.len());
+        }
+        check(&());
+        check(&(0.5f32, 1.25f64, 7u64, 9usize));
+        check(&(vec![1.5f32; 13], vec![2.5f64; 3]));
+        check(&(ParamTensor::Owned(vec![0.25; 8455]), 0.75f64, vec![3.0f32; 42], 270usize));
+        check(&(Some(vec![1.0f32; 5]), None::<Vec<f32>>));
+        check(&(Vec::<f32>::new(), Some(0.5f32), (1.0f32, vec![2.0f32])));
+        // An upload's raw length: the loss, then the payload.
+        let payload = (vec![0.25f32; 9], 4usize);
+        assert_eq!(0.5f32.encoded_len() + payload.encoded_len(), encode_upload(0.5, &payload).len());
     }
 
     #[test]

@@ -552,27 +552,63 @@ const ENVELOPE_HEADER: usize = 4 + 1 + 1 + 4 + 4 + 4 + 8;
 /// `payload_len`.
 const TRACE_CONTEXT_BYTES: usize = 8 + 8;
 
+/// Bytes [`crc32`] consumes per step: one table per byte of the step.
+const CRC_SLICES: usize = 16;
+
+/// The slice-by-16 tables, built at compile time. `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table of the reflected polynomial `0xEDB88320`;
+/// `CRC_TABLES[s][b]` is the CRC register after byte `b` is followed by
+/// `s` zero bytes, so the 16 lookups of one step are independent and their
+/// XOR is the register after all 16 bytes.
+const CRC_TABLES: [[u32; 256]; CRC_SLICES] = {
+    let mut t = [[0u32; 256]; CRC_SLICES];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut s = 1;
+    while s < CRC_SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[s - 1][i];
+            t[s][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
+    }
+    t
+};
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`.
 ///
 /// Detects all single-bit and burst errors shorter than 32 bits — the
-/// guarantee the envelope's corruption rejection rests on.
+/// guarantee the envelope's corruption rejection rests on. Slice-by-16:
+/// each step folds the register into the first four of 16 bytes and looks
+/// all 16 up in [`CRC_TABLES`] at once; the last `len % 16` bytes go
+/// byte at a time. The value is the byte-at-a-time CRC's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // Byte-at-a-time table, built once.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
+    let t = &CRC_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut steps = bytes.chunks_exact(CRC_SLICES);
+    for b in &mut steps {
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize];
+        for (s, &byte) in b[4..].iter().enumerate() {
+            crc ^= t[11 - s][byte as usize];
+        }
+    }
+    for &b in steps.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -990,5 +1026,44 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC-32 the sliced one replaced, one bit at a time and sharing
+    /// no table with it: the oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bitwise_crc_at_every_length_and_offset() {
+        let bytes: Vec<u8> = (0..600u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..CRC_SLICES {
+            for end in start..bytes.len() {
+                let s = &bytes[start..end];
+                assert_eq!(crc32(s), crc32_bitwise(s), "bytes {start}..{end}");
+            }
+        }
+        for fill in [0x00u8, 0xFF] {
+            let s = vec![fill; 77];
+            assert_eq!(crc32(&s), crc32_bitwise(&s));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sliced_crc32_equals_the_bitwise_crc_on_random_frames(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 }

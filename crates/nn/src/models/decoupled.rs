@@ -13,6 +13,7 @@ use crate::mlp::Mlp;
 use crate::optim::Optimizer;
 use crate::tensor::{MatView, Matrix};
 use crate::workspace::Workspace;
+use fedgta_graph::Csr;
 use std::ops::Range;
 
 /// A decoupled GNN: `head(combine(hops(X)))`, where `prepare` computed
@@ -55,6 +56,16 @@ impl GraphModel for DecoupledModel {
         assert_eq!(data.propagated, None, "features already propagated");
         data.features = precompute(self.kind, &data.adj_norm, std::mem::take(&mut data.features), self.k);
         data.propagated = Some((self.kind, self.k));
+        // Only GraphSAGE and FedSage+ read the mean-aggregation pair, and
+        // FedSage+ refuses decoupled backbones: a prepared dataset is left
+        // as lean as `GraphDataset::for_decoupled` builds one (and one
+        // built that way keeps the empty pair it has).
+        let n = data.num_nodes();
+        for adj in [&mut data.adj_mean, &mut data.adj_mean_t] {
+            if adj.num_edges() > 0 {
+                *adj = Csr::empty(n);
+            }
+        }
         data
     }
 
@@ -222,11 +233,20 @@ pub(crate) mod tests {
     fn prepare_propagates_once_and_the_model_reads_the_dataset() {
         for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp] {
             let raw = toy_dataset(4);
+            assert!(raw.adj_mean.num_edges() > 0 && raw.adj_mean_t.num_edges() > 0);
+            let (n, raw_bytes) = (raw.num_nodes(), raw.bytes());
             let m = DecoupledModel::new(&cfg(kind), 4, 2);
             let want = precompute(m.kind, &raw.adj_norm, raw.features.clone(), 2);
             let mut data = m.prepare(raw);
             assert_eq!(data.features, want, "{kind:?}");
             assert_eq!(data.propagated, Some((m.kind, 2)));
+            // The mean-aggregation pair no decoupled model reads is gone.
+            for adj in [&data.adj_mean, &data.adj_mean_t] {
+                assert_eq!((adj.num_nodes(), adj.num_edges()), (n, 0), "{kind:?}");
+            }
+            if kind != ModelKind::Sign {
+                assert!(data.bytes() < raw_bytes, "{kind:?}");
+            }
             assert_eq!(data.num_features(), 4, "{kind:?}: the raw width");
             // Nothing is cached: the next forward reads what the dataset
             // holds now.

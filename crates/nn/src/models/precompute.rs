@@ -64,9 +64,13 @@ pub fn combine(kind: PrecomputeKind, hops: &[Matrix]) -> Matrix {
     match kind {
         PrecomputeKind::Sgc => hops[k].clone(),
         PrecomputeKind::Sign => {
-            let mut out = hops[0].clone();
-            for h in &hops[1..] {
-                out = out.hcat(h);
+            // One `(k + 1)·f`-wide matrix, each hop copied into its columns.
+            let (n, f) = hops[0].shape();
+            let mut out = Matrix::zeros(n, kind.out_dim(f, k));
+            for (l, h) in hops.iter().enumerate() {
+                for i in 0..n {
+                    out.row_mut(i)[l * f..(l + 1) * f].copy_from_slice(h.row(i));
+                }
             }
             out
         }

@@ -16,7 +16,11 @@
 //!   ([`gemm_rows_tile`]): the `C` tile lives in registers across the
 //!   entire `k` loop, each loaded `B` block serves eight output rows (8×
 //!   less `B` traffic than a row-at-a-time axpy), and every output element
-//!   is read and written exactly once. Row tails fall back to
+//!   is read and written exactly once. A column tail (`n % 16`: cora's 7
+//!   classes, arxiv's 40) runs the same tile, reading 16 lanes of each `B`
+//!   row in place — the lanes past `n` are computed and never stored —
+//!   and the last few rows, where that read would run past `B`, from a
+//!   zero-padded copy ([`ColumnTail`]). Row tails fall back to
 //!   [`gemm_row`], which processes
 //!   **4 k-steps per iteration**, broadcasting four `A` scalars against
 //!   four contiguous `B` rows through `chunks_exact` column blocks
@@ -35,7 +39,10 @@
 //!   cora shapes) — hence `#[inline(always)]`.
 //! - [`matmul_nt_into`] computes each output element as a dot product over
 //!   **8 independent accumulator lanes** ([`dot_lanes`]), breaking the
-//!   add-latency chain that serializes a naive dot product.
+//!   add-latency chain that serializes a naive dot product. With fewer
+//!   than 8 inner steps (a 7-class layer's input gradient) the lanes stay
+//!   zero and the product is the sequential tail sum, which is the tile's
+//!   chain: whole row bands then run the register tile on a packed `Bᵀ`.
 //! - [`matmul_bias_relu_into`] fuses the hidden-layer epilogue: the output
 //!   row is *initialized with the bias*, accumulated, and rectified in one
 //!   pass — no separate `add_bias`/`relu_inplace` sweeps over the matrix.
@@ -136,11 +143,50 @@ const ROW_BLOCK: usize = 8;
 /// results: per-element accumulation order is width-independent.
 const TILE_COLS: usize = 16;
 
-/// A [`ROW_BLOCK`]-row band of `C = A·B` at once: an outer-product
-/// micro-kernel holding an `8×16` register tile of `C` across the whole
-/// `k` loop, so every loaded `B` block serves eight output rows (8× less
-/// `B` traffic than a row-at-a-time axpy) and each output element is read
-/// and written exactly once.
+/// The register tile itself: `out[r·n + j + l] += Σ_kk arows[r][kk] ·
+/// b[kk·stride + off + l]` for the `ROW_BLOCK` rows and the first `w ≤
+/// TILE_COLS` lanes, with the whole `8×16` accumulator block held in
+/// registers across the `k` loop. Every `B` block read is `TILE_COLS`
+/// wide: lanes `w..` accumulate against whatever `b` holds there (the next
+/// row's first columns, or a padded copy's zeros) and are never stored.
+/// Accumulation per element is strict increasing-`k` order.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile_into(
+    out: &mut [f32],
+    n: usize,
+    j: usize,
+    w: usize,
+    arows: &[&[f32]; ROW_BLOCK],
+    b: &[f32],
+    stride: usize,
+    off: usize,
+) {
+    let mut acc = [[0f32; TILE_COLS]; ROW_BLOCK];
+    for (r, a) in acc.iter_mut().enumerate() {
+        a[..w].copy_from_slice(&out[r * n + j..r * n + j + w]);
+    }
+    for kk in 0..arows[0].len() {
+        let b = &b[kk * stride + off..kk * stride + off + TILE_COLS];
+        for (r, a) in acc.iter_mut().enumerate() {
+            let av = arows[r][kk];
+            for l in 0..TILE_COLS {
+                a[l] += av * b[l];
+            }
+        }
+    }
+    for (r, a) in acc.iter().enumerate() {
+        out[r * n + j..r * n + j + w].copy_from_slice(&a[..w]);
+    }
+}
+
+/// A [`ROW_BLOCK`]-row band of `C = A·B` at once, over its full
+/// [`TILE_COLS`]-wide column blocks: an outer-product micro-kernel holding
+/// an `8×16` register tile of `C` across the whole `k` loop
+/// ([`tile_into`]), so every loaded `B` block serves eight output rows (8×
+/// less `B` traffic than a row-at-a-time axpy) and each output element is
+/// read and written exactly once. The `n % TILE_COLS` column tail is
+/// [`ColumnTail`]'s.
 ///
 /// `out` is the band of contiguous output rows (length `ROW_BLOCK·n`),
 /// pre-initialized (zeros, or the bias for the fused epilogue).
@@ -155,58 +201,86 @@ const TILE_COLS: usize = 16;
 #[inline(always)]
 fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
     debug_assert_eq!(out.len(), ROW_BLOCK * n);
-    let k = arows[0].len();
     let nb = n / TILE_COLS * TILE_COLS;
     let mut j = 0;
     while j < nb {
-        let mut acc = [[0f32; TILE_COLS]; ROW_BLOCK];
-        for (r, a) in acc.iter_mut().enumerate() {
-            a.copy_from_slice(&out[r * n + j..r * n + j + TILE_COLS]);
-        }
-        for kk in 0..k {
-            let b = &bd[kk * n + j..kk * n + j + TILE_COLS];
-            for (r, a) in acc.iter_mut().enumerate() {
-                let av = arows[r][kk];
-                for l in 0..TILE_COLS {
-                    a[l] += av * b[l];
-                }
-            }
-        }
-        for (r, a) in acc.iter().enumerate() {
-            out[r * n + j..r * n + j + TILE_COLS].copy_from_slice(a);
-        }
+        tile_into(out, n, j, TILE_COLS, arows, bd, n, j);
         j += TILE_COLS;
     }
-    // Column tail: scalar per column, same strict k order.
-    while j < n {
-        let mut s = [0f32; ROW_BLOCK];
-        for (r, sv) in s.iter_mut().enumerate() {
-            *sv = out[r * n + j];
+}
+
+/// The `n % TILE_COLS` column tail of `B` (`rows × n`), run through the
+/// register tile. The tile reads 16 lanes from column `j0` of a `B` row;
+/// lanes past `n` are the next row's first columns, computed and never
+/// stored. Only the last rows, where that read would run past `B`, are read
+/// from a zero-padded copy of their tail columns, packed once per call.
+/// Each stored element sees the same strict increasing-`k` chain as the
+/// scalar tail loop this replaces, so the bits are that loop's.
+struct ColumnTail {
+    /// First tail column.
+    j0: usize,
+    /// Rows `0..direct` are read from `B` in place.
+    direct: usize,
+    /// Rows `direct..`, `TILE_COLS` wide and zero-padded. A row is read in
+    /// place when `row·n + j0 + 16 ≤ rows·n`, which fails for at most
+    /// `⌈16 / n⌉ ≤ 16` rows.
+    pad: [f32; TILE_COLS * TILE_COLS],
+}
+
+impl ColumnTail {
+    /// `None` when `n` is a whole number of tiles.
+    fn new(bd: &[f32], rows: usize, n: usize) -> Option<Self> {
+        let j0 = n / TILE_COLS * TILE_COLS;
+        if j0 == n {
+            return None;
         }
-        for kk in 0..k {
-            let bv = bd[kk * n + j];
-            for (r, sv) in s.iter_mut().enumerate() {
-                *sv += arows[r][kk] * bv;
-            }
+        let direct = match (rows * n).checked_sub(j0 + TILE_COLS) {
+            Some(room) => (room / n + 1).min(rows),
+            None => 0,
+        };
+        let mut pad = [0f32; TILE_COLS * TILE_COLS];
+        for (row, dst) in (direct..rows).zip(pad.chunks_exact_mut(TILE_COLS)) {
+            dst[..n - j0].copy_from_slice(&bd[row * n + j0..(row + 1) * n]);
         }
-        for (r, &sv) in s.iter().enumerate() {
-            out[r * n + j] = sv;
+        Some(Self { j0, direct, pad })
+    }
+
+    /// Adds `arows · B[r0..r0 + len, j0..n]` into the tail columns of the
+    /// `ROW_BLOCK`-row `band`, for `len = arows[i].len()`: the rows before
+    /// `direct` in place, the rest from the padded copy.
+    #[inline(always)]
+    fn run(&self, band: &mut [f32], n: usize, arows: &[&[f32]; ROW_BLOCK], bd: &[f32], r0: usize) {
+        let (j0, w, len) = (self.j0, n - self.j0, arows[0].len());
+        let split = self.direct.saturating_sub(r0).min(len);
+        if split > 0 {
+            let head: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &arows[i][..split]);
+            tile_into(band, n, j0, w, &head, &bd[r0 * n..], n, j0);
         }
-        j += 1;
+        if split < len {
+            let rest: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &arows[i][split..]);
+            let pad = &self.pad[(r0 + split - self.direct) * TILE_COLS..];
+            tile_into(band, n, j0, w, &rest, pad, TILE_COLS, 0);
+        }
     }
 }
 
 /// Runs the multi-row micro-kernel over the `m` pre-initialized rows of
-/// `out` (`out.len() == m * n`), falling back to [`gemm_row`] for the
+/// `out` (`out.len() == m * n`) — full column blocks, then the column tail
+/// ([`ColumnTail`]) — falling back to [`gemm_row`] for the
 /// `m % ROW_BLOCK` tail. Bit-identical to calling [`gemm_row`] on every
 /// row.
 #[inline]
 fn gemm_band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usize) {
     let rb = m / ROW_BLOCK * ROW_BLOCK;
+    let tail = if rb > 0 { ColumnTail::new(bd, k, n) } else { None };
     let mut r = 0;
     while r < rb {
         let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
-        gemm_rows_tile(&mut out[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
+        let band = &mut out[r * n..(r + ROW_BLOCK) * n];
+        gemm_rows_tile(band, &arows, bd, n);
+        if let Some(tail) = &tail {
+            tail.run(band, n, &arows, bd, 0);
+        }
         r += ROW_BLOCK;
     }
     while r < m {
@@ -344,6 +418,7 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let (ad, bd) = (a.as_slice(), b.as_slice());
     out.fill(0.0);
     let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
+    let tail = if k >= ROW_BLOCK { ColumnTail::new(bd, m, n) } else { None };
     // Panels outermost: `B` and `A` stream through once, and the
     // `TN_PANEL × n` block of `B` stays cached across every band.
     for i0 in (0..m).step_by(TN_PANEL) {
@@ -362,6 +437,9 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
             if rows == ROW_BLOCK {
                 let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
                 gemm_rows_tile(band, &arows, bblk, n);
+                if let Some(tail) = &tail {
+                    tail.run(band, n, &arows, bd, i0);
+                }
             } else {
                 for (rr, prow) in panel.iter().enumerate().take(rows) {
                     gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
@@ -385,7 +463,17 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     let n = b.rows();
     assert_eq!(out.len(), m * n, "matmul_nt output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
-    for row in 0..m {
+    let first = if k < LANES { matmul_nt_short_into(ad, m, k, bd, n, out) } else { 0 };
+    nt_dot_rows(ad, k, bd, n, first..m, out);
+}
+
+/// Rows `rows` of `C = A·Bᵀ` into `out` (all of `C`), one [`dot_lanes`]
+/// product per element. Out of line: inlined after `matmul_nt_into`'s
+/// `k < LANES` test, the `k ≥ 8` it implies made the compiler build a dot
+/// product 3–4× slower.
+#[inline(never)]
+fn nt_dot_rows(ad: &[f32], k: usize, bd: &[f32], n: usize, rows: std::ops::Range<usize>, out: &mut [f32]) {
+    for row in rows {
         let arow = &ad[row * k..(row + 1) * k];
         let orow = &mut out[row * n..(row + 1) * n];
         for (j, o) in orow.iter_mut().enumerate() {
@@ -393,6 +481,43 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
         }
     }
 }
+
+/// [`matmul_nt_into`] with `k < LANES` inner steps (a 7-class layer's
+/// input gradient). Every product is then `dot_lanes`' tail: its lanes
+/// stay +0.0 and sum to +0.0, and `+0.0 + t` is `t` for the tail sum `t`
+/// (which starts at +0.0, so it is never −0.0). The tail sum is the
+/// register tile's strict increasing-`k` chain from a zeroed `out`, so
+/// whole bands run the tile on `Bᵀ`, packed and zero-padded per
+/// [`NT_COLS`] output columns. Returns the rows done: the `m % ROW_BLOCK`
+/// left are [`nt_dot_rows`]'.
+fn matmul_nt_short_into(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) -> usize {
+    let rb = m / ROW_BLOCK * ROW_BLOCK;
+    out[..rb * n].fill(0.0);
+    let mut bt = [0f32; LANES * NT_COLS];
+    for c0 in (0..n).step_by(NT_COLS) {
+        let cols = NT_COLS.min(n - c0);
+        let stride = cols.div_ceil(TILE_COLS) * TILE_COLS;
+        for kk in 0..k {
+            let dst = &mut bt[kk * stride..(kk + 1) * stride];
+            for (jj, d) in dst.iter_mut().enumerate() {
+                *d = if jj < cols { bd[(c0 + jj) * k + kk] } else { 0.0 };
+            }
+        }
+        for r in (0..rb).step_by(ROW_BLOCK) {
+            let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+            let band = &mut out[r * n..(r + ROW_BLOCK) * n];
+            for jb in (0..cols).step_by(TILE_COLS) {
+                let w = TILE_COLS.min(cols - jb);
+                tile_into(band, n, c0 + jb, w, &arows, &bt, stride, jb);
+            }
+        }
+    }
+    rb
+}
+
+/// Output columns per packed `Bᵀ` block of [`matmul_nt_into`]'s short-`k`
+/// path: `LANES × NT_COLS` floats (2 KiB) of stack.
+const NT_COLS: usize = 64;
 
 /// `C = A · B` into a fresh matrix (allocating wrapper of [`matmul_into`]).
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
@@ -817,6 +942,234 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kernels as they were before column tails and short dot
+    /// products ran through the register tile: a scalar column tail per
+    /// band and a lane-split dot product per element. The oracle the
+    /// tiled paths must match bit for bit.
+    mod oracle {
+        use super::super::{dot_lanes, gemm_row, ROW_BLOCK, TILE_COLS, TN_PANEL};
+
+        fn rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
+            let k = arows[0].len();
+            let nb = n / TILE_COLS * TILE_COLS;
+            let mut j = 0;
+            while j < nb {
+                let mut acc = [[0f32; TILE_COLS]; ROW_BLOCK];
+                for (r, a) in acc.iter_mut().enumerate() {
+                    a.copy_from_slice(&out[r * n + j..r * n + j + TILE_COLS]);
+                }
+                for kk in 0..k {
+                    let b = &bd[kk * n + j..kk * n + j + TILE_COLS];
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let av = arows[r][kk];
+                        for l in 0..TILE_COLS {
+                            a[l] += av * b[l];
+                        }
+                    }
+                }
+                for (r, a) in acc.iter().enumerate() {
+                    out[r * n + j..r * n + j + TILE_COLS].copy_from_slice(a);
+                }
+                j += TILE_COLS;
+            }
+            // Column tail: scalar per column, same strict k order.
+            while j < n {
+                let mut s = [0f32; ROW_BLOCK];
+                for (r, sv) in s.iter_mut().enumerate() {
+                    *sv = out[r * n + j];
+                }
+                for kk in 0..k {
+                    let bv = bd[kk * n + j];
+                    for (r, sv) in s.iter_mut().enumerate() {
+                        *sv += arows[r][kk] * bv;
+                    }
+                }
+                for (r, &sv) in s.iter().enumerate() {
+                    out[r * n + j] = sv;
+                }
+                j += 1;
+            }
+        }
+
+        /// `out += A·B` over pre-initialized rows.
+        pub fn band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usize) {
+            let rb = m / ROW_BLOCK * ROW_BLOCK;
+            let mut r = 0;
+            while r < rb {
+                let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+                rows_tile(&mut out[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
+                r += ROW_BLOCK;
+            }
+            while r < m {
+                gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], bd, n);
+                r += 1;
+            }
+        }
+
+        /// `Aᵀ·B` (`A: m×k`, `B: m×n`).
+        pub fn tn(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize) -> Vec<f32> {
+            let mut out = vec![0f32; k * n];
+            let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
+            for i0 in (0..m).step_by(TN_PANEL) {
+                let len = TN_PANEL.min(m - i0);
+                let bblk = &bd[i0 * n..(i0 + len) * n];
+                let mut r = 0;
+                while r < k {
+                    let rows = ROW_BLOCK.min(k - r);
+                    for ii in 0..len {
+                        let ablk = &ad[(i0 + ii) * k + r..][..rows];
+                        for (prow, &av) in panel.iter_mut().zip(ablk) {
+                            prow[ii] = av;
+                        }
+                    }
+                    let band = &mut out[r * n..(r + rows) * n];
+                    if rows == ROW_BLOCK {
+                        let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
+                        rows_tile(band, &arows, bblk, n);
+                    } else {
+                        for (rr, prow) in panel.iter().enumerate().take(rows) {
+                            gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
+                        }
+                    }
+                    r += rows;
+                }
+            }
+            out
+        }
+
+        /// `A·Bᵀ` (`A: m×k`, `B: n×k`), one lane-split dot per element.
+        pub fn nt(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize) -> Vec<f32> {
+            let mut out = vec![0f32; m * n];
+            for row in 0..m {
+                for j in 0..n {
+                    out[row * n + j] = dot_lanes(&ad[row * k..(row + 1) * k], &bd[j * k..(j + 1) * k]);
+                }
+            }
+            out
+        }
+    }
+
+    /// Result bits, every NaN as the one canonical NaN: which NaN payload
+    /// an add of two NaNs keeps is not fixed by Rust's float semantics
+    /// (the compiler may commute the operands), so a NaN only has to stay
+    /// a NaN. Every other value compares bit for bit, signed zeros and
+    /// infinities included.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| if x.is_nan() { f32::NAN.to_bits() } else { x.to_bits() }).collect()
+    }
+
+    /// Raw bit patterns from a seeded stream: ordinary values mostly, with
+    /// NaN payloads of both signs, ±∞, ±0 and subnormals mixed in.
+    fn hostile(len: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match x % 151 {
+                    0 => f32::from_bits(0x7fc0_0000 | (x >> 40) as u32 & 0xff),
+                    1 => f32::from_bits(0xffc0_0001),
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4..=14 => 0.0,
+                    15..=25 => -0.0,
+                    26..=30 => f32::from_bits((x >> 41) as u32 & 0x007f_ffff),
+                    _ => ((x >> 40) as f32 / (1u64 << 23) as f32 - 1.0) * 3.0,
+                }
+            })
+            .collect()
+    }
+
+    fn finite(len: usize, seed: u64) -> Vec<f32> {
+        hostile(len, seed).into_iter().map(|v| if v.is_finite() { v } else { 0.5 }).collect()
+    }
+
+    /// Column tails of every width, `k` across the tail panel's boundary,
+    /// row counts with and without a row tail.
+    const TAIL_SHAPES: &[(usize, usize, usize)] = &[
+        (8, 1, 1),
+        (16, 32, 7),
+        (270, 32, 7),
+        (187, 128, 40),
+        (9, 255, 3),
+        (24, 256, 15),
+        (17, 257, 17),
+        (8, 513, 33),
+        (3, 20, 5),
+        (40, 0, 9),
+    ];
+
+    #[test]
+    fn tiled_column_tails_equal_the_scalar_tail_bit_for_bit() {
+        for (seed, &(m, k, n)) in TAIL_SHAPES.iter().enumerate() {
+            for gen in [finite, hostile] {
+                let (a, b) = (gen(m * k, 2 * seed as u64 + 1), gen(k * n, 2 * seed as u64 + 2));
+                let bias = gen(n, seed as u64 + 99);
+                let mut want = vec![0f32; m * n];
+                oracle::band(&mut want, m, &a, k, &b, n);
+                let mut got = vec![f32::NAN; m * n];
+                matmul_into(MatView::new(m, k, &a), MatView::new(k, n, &b), &mut got);
+                assert_eq!(bits(&got), bits(&want), "matmul {m}x{k}x{n}");
+                let mut want: Vec<f32> = (0..m).flat_map(|_| bias.iter().copied()).collect();
+                oracle::band(&mut want, m, &a, k, &b, n);
+                matmul_bias_into(MatView::new(m, k, &a), MatView::new(k, n, &b), &bias, &mut got);
+                assert_eq!(bits(&got), bits(&want), "matmul_bias {m}x{k}x{n}");
+                for v in want.iter_mut() {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+                matmul_bias_relu_into(MatView::new(m, k, &a), MatView::new(k, n, &b), &bias, &mut got);
+                assert_eq!(bits(&got), bits(&want), "matmul_bias_relu {m}x{k}x{n}");
+                // Aᵀ·B with A: m×k and B: m×n.
+                let b2 = gen(m * n, seed as u64 + 7);
+                let mut got = vec![f32::NAN; k * n];
+                matmul_tn_into(MatView::new(m, k, &a), MatView::new(m, n, &b2), &mut got);
+                assert_eq!(bits(&got), bits(&oracle::tn(&a, m, k, &b2, n)), "matmul_tn {m}x{k}x{n}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_dot_products_through_the_tile_equal_dot_lanes_bit_for_bit() {
+        for k in 0..=9 {
+            for &(m, n) in &[(8, 7), (270, 32), (19, 300), (1, 5), (16, 16), (23, 513)] {
+                for gen in [finite, hostile] {
+                    let (a, b) = (gen(m * k, (k * 31 + m) as u64), gen(n * k, (k * 17 + n) as u64));
+                    let mut got = vec![f32::NAN; m * n];
+                    matmul_nt_into(MatView::new(m, k, &a), MatView::new(n, k, &b), &mut got);
+                    assert_eq!(bits(&got), bits(&oracle::nt(&a, m, k, &b, n)), "matmul_nt {m}x{k}x{n}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn tiled_kernels_equal_their_oracles_on_random_shapes(
+            m in 0usize..40, k in 0usize..300, n in 0usize..50, seed in 0u64..1_000_000,
+        ) {
+            let (a, b) = (hostile(m * k, seed), hostile(k * n, seed + 1));
+            let mut want = vec![0f32; m * n];
+            oracle::band(&mut want, m, &a, k, &b, n);
+            let mut got = vec![f32::NAN; m * n];
+            matmul_into(MatView::new(m, k, &a), MatView::new(k, n, &b), &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&want));
+            let b2 = hostile(m * n, seed + 2);
+            let mut got = vec![f32::NAN; k * n];
+            matmul_tn_into(MatView::new(m, k, &a), MatView::new(m, n, &b2), &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&oracle::tn(&a, m, k, &b2, n)));
+            let ks = k % 9;
+            let (a3, b3) = (hostile(m * ks, seed + 3), hostile(n * ks, seed + 4));
+            let mut got = vec![f32::NAN; m * n];
+            matmul_nt_into(MatView::new(m, ks, &a3), MatView::new(n, ks, &b3), &mut got);
+            proptest::prop_assert_eq!(bits(&got), bits(&oracle::nt(&a3, m, ks, &b3, n)));
+        }
+    }
 
     fn assert_close(a: &Matrix, b: &Matrix) {
         assert_eq!(a.shape(), b.shape());

@@ -130,11 +130,11 @@ fn ef_upload(
     mut payload: Upload,
     accepted: bool,
 ) -> Vec<u8> {
-    let folds = state.fold_payload(Some(anchor), &mut payload);
+    state.fold_payload(Some(anchor), &mut payload);
     let body = encode_upload_routed(codec, Some(sketch), 0.625, &payload);
     let (_, mut own) =
         decode_upload_routed::<Upload>(codec, Some(sketch), &body).expect("own upload decodes");
-    state.commit_payload(&folds, &mut own, accepted);
+    state.commit_payload(&mut own, accepted);
     body
 }
 

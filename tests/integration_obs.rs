@@ -221,10 +221,18 @@ fn the_clients_gauge_holds_a_decoupled_clients_features_once() {
     let snaps = fedgta_obs::global().snapshot();
     let held = snaps.iter().find(|s| s.name == "fed.clients.bytes").expect("clients gauge").value;
     fedgta_obs::global().reset();
-    // The same clients' raw datasets (GAMLP reads raw features), plus the
-    // parameter vectors, plus the n × f propagated copy an SGC model kept
-    // beside its dataset's raw X before the dataset held the copy instead.
-    let raw: usize = federation_with(ModelKind::Gamlp, 903, 4, 903).iter().map(|c| c.data.bytes()).sum();
+    // The same clients' raw datasets (GAMLP reads raw features) without
+    // the mean-aggregation adjacencies a decoupled model's `prepare` drops,
+    // plus the parameter vectors, plus the n × f propagated copy an SGC
+    // model kept beside its dataset's raw X before the dataset held the
+    // copy instead.
+    let lean = |c: &fedgta_fed::Client| {
+        let mut d = c.data.clone();
+        d.adj_mean = fedgta_graph::Csr::empty(d.num_nodes());
+        d.adj_mean_t = fedgta_graph::Csr::empty(d.num_nodes());
+        d.bytes()
+    };
+    let raw: usize = federation_with(ModelKind::Gamlp, 903, 4, 903).iter().map(lean).sum();
     let params: usize = sim.clients.iter().map(|c| 4 * c.model.num_params()).sum();
     let n: usize = sim.clients.iter().map(|c| c.data.num_nodes()).sum();
     let (f, cached) = (16, 4 * n * 16);
