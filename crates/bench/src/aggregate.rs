@@ -259,7 +259,7 @@ pub fn bars(r: &AggregateReport) -> Result<(), String> {
 /// [`crate::format::json_fixed`] so a NaN cell (e.g. a timing ratio on a degenerate grid) renders as
 /// `null` instead of breaking the parser.
 pub fn to_json(r: &AggregateReport) -> String {
-    use crate::format::{json_fixed, json_str};
+    use crate::format::{json_fixed, json_opt, json_rows, json_str};
     let mut s = String::with_capacity(2048);
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
@@ -270,25 +270,15 @@ pub fn to_json(r: &AggregateReport) -> String {
     ));
     s.push_str(&format!("  \"speedup_4v1\": {},\n", json_fixed(r.speedup_4v1, 3)));
     s.push_str(&format!("  \"bit_identical\": {},\n", r.bit_identical));
-    s.push_str("  \"results\": [\n");
-    for (i, c) in r.results.iter().enumerate() {
-        let allocs = match c.allocs_per_call {
-            Some(a) => a.to_string(),
-            None => "null".to_string(),
-        };
-        s.push_str(&format!(
-            "    {{\"participants\": {}, \"plen\": {}, \"threads\": {}, \
-             \"ns_per_call\": {}, \"gbps\": {}, \"allocs_per_call\": {}}}{}\n",
-            c.participants,
-            c.plen,
-            c.threads,
-            json_fixed(c.ns_per_call, 0),
-            json_fixed(c.gbps, 4),
-            allocs,
-            if i + 1 < r.results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    json_rows(&mut s, "results", &r.results, |c| [
+        ("participants", c.participants.to_string()),
+        ("plen", c.plen.to_string()),
+        ("threads", c.threads.to_string()),
+        ("ns_per_call", json_fixed(c.ns_per_call, 0)),
+        ("gbps", json_fixed(c.gbps, 4)),
+        ("allocs_per_call", json_opt(c.allocs_per_call)),
+    ]);
+    s.push_str("\n}\n");
     s
 }
 
@@ -306,10 +296,7 @@ pub fn render_table(r: &AggregateReport) -> String {
         "participants", "plen", "threads", "us/call", "GB/s", "allocs"
     ));
     for c in &r.results {
-        let allocs = match c.allocs_per_call {
-            Some(a) => a.to_string(),
-            None => "-".to_string(),
-        };
+        let allocs = c.allocs_per_call.map_or_else(|| "-".to_string(), |a| a.to_string());
         s.push_str(&format!(
             "{:>12} {:>8} {:>8} {:>12.1} {:>8.3} {:>8}\n",
             c.participants,

@@ -30,7 +30,7 @@
 //! and error-feedback cells assert they beat their bare-codec twin's
 //! accuracy (the whole point of carrying the residual).
 
-use crate::format::{json_f64, json_fixed, json_str, Table};
+use crate::format::{json_f64, json_fixed, json_opt, json_rows, json_str, Table};
 use crate::runner::{make_strategy, partition_benchmark, SplitKind};
 use fedgta_data::load_benchmark;
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
@@ -424,46 +424,24 @@ pub fn to_json(r: &CommsReport) -> String {
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
     s.push_str(&format!("  \"dataset\": {},\n", json_str(&r.dataset)));
     s.push_str(&format!("  \"rounds\": {},\n", r.rounds));
-    s.push_str("  \"results\": [\n");
-    for (i, c) in r.results.iter().enumerate() {
-        let vc = match c.value_compression {
-            Some(v) => json_fixed(v, 1),
-            None => "null".to_string(),
-        };
-        let dr = match c.down_reduction {
-            Some(v) => json_fixed(v, 3),
-            None => "null".to_string(),
-        };
-        let mp = match c.matches_plain {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
-        s.push_str(&format!(
-            "    {{\"strategy\": {}, \"codec\": {}, \"lossless\": {}, \
-             \"error_feedback\": {}, \
-             \"bytes_raw\": {}, \"bytes_encoded\": {}, \"wire_reduction\": {}, \
-             \"bytes_down_raw\": {}, \"bytes_down_encoded\": {}, \"down_reduction\": {}, \
-             \"value_compression\": {}, \"best_acc\": {}, \"acc_delta_pp\": {}, \
-             \"bit_identical_threads\": {}, \"matches_plain\": {}}}{}\n",
-            json_str(&c.strategy),
-            json_str(&c.codec),
-            c.lossless,
-            c.error_feedback,
-            c.bytes_raw,
-            c.bytes_encoded,
-            json_fixed(c.wire_reduction, 3),
-            c.bytes_down_raw,
-            c.bytes_down_encoded,
-            dr,
-            vc,
-            json_f64(c.best_acc),
-            json_fixed(c.acc_delta_pp, 2),
-            c.bit_identical_threads,
-            mp,
-            if i + 1 < r.results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    json_rows(&mut s, "results", &r.results, |c| [
+        ("strategy", json_str(&c.strategy)),
+        ("codec", json_str(&c.codec)),
+        ("lossless", c.lossless.to_string()),
+        ("error_feedback", c.error_feedback.to_string()),
+        ("bytes_raw", c.bytes_raw.to_string()),
+        ("bytes_encoded", c.bytes_encoded.to_string()),
+        ("wire_reduction", json_fixed(c.wire_reduction, 3)),
+        ("bytes_down_raw", c.bytes_down_raw.to_string()),
+        ("bytes_down_encoded", c.bytes_down_encoded.to_string()),
+        ("down_reduction", json_opt(c.down_reduction.map(|v| json_fixed(v, 3)))),
+        ("value_compression", json_opt(c.value_compression.map(|v| json_fixed(v, 1)))),
+        ("best_acc", json_f64(c.best_acc)),
+        ("acc_delta_pp", json_fixed(c.acc_delta_pp, 2)),
+        ("bit_identical_threads", c.bit_identical_threads.to_string()),
+        ("matches_plain", json_opt(c.matches_plain)),
+    ]);
+    s.push_str("\n}\n");
     s
 }
 

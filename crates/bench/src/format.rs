@@ -33,6 +33,28 @@ pub fn json_fixed(v: f64, decimals: usize) -> String {
     }
 }
 
+/// An optional JSON value: `null` when absent.
+pub fn json_opt(v: Option<impl std::fmt::Display>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
+/// Appends a report's row array: `  "name": [`, one `    {"key": value,
+/// …}` line per row with a comma after every row but the last, then
+/// `  ]` (what follows the array is the caller's). `fields` renders a
+/// row's values as JSON.
+pub fn json_rows<T, F>(s: &mut String, name: &str, rows: &[T], fields: impl Fn(&T) -> F)
+where
+    F: IntoIterator<Item = (&'static str, String)>,
+{
+    s.push_str(&format!("  \"{name}\": [\n"));
+    for (i, row) in rows.iter().enumerate() {
+        let cells: Vec<String> = fields(row).into_iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        s.push_str(&format!("    {{{}}}{comma}\n", cells.join(", ")));
+    }
+    s.push_str("  ]");
+}
+
 /// A simple aligned text table.
 pub struct Table {
     header: Vec<String>,

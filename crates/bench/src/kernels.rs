@@ -418,12 +418,50 @@ impl Grid {
     }
 }
 
+/// How a cell is timed: [`time_fn`] over the grid's budget, or
+/// [`time_small`] for a microsecond-scale kernel.
+#[derive(Clone, Copy)]
+enum Timing {
+    Grid { min_ns: u64, max_calls: usize },
+    Small { budget_ns: u64 },
+}
+
+/// The cells recorded so far, in run order.
+struct Cells {
+    timing: Timing,
+    counter: Option<AllocCounter>,
+    results: Vec<KernelResult>,
+}
+
+impl Cells {
+    /// Times `call` (`flops` per call), counts the allocations of one more
+    /// call and records the cell; returns its GFLOP/s.
+    fn record(
+        &mut self,
+        kernel: &'static str,
+        variant: &'static str,
+        (m, k, n): (usize, usize, usize),
+        flops: f64,
+        mut call: impl FnMut(),
+    ) -> f64 {
+        let ns = match self.timing {
+            Timing::Grid { min_ns, max_calls } => time_fn(&mut call, min_ns, max_calls).0,
+            Timing::Small { budget_ns } => time_small(&mut call, budget_ns),
+        };
+        let allocs_per_call = count_allocs(self.counter, call);
+        let gflops = flops / ns;
+        self.results.push(KernelResult { kernel, variant, m, k, n, gflops, ns_per_call: ns, allocs_per_call });
+        gflops
+    }
+}
+
 /// Runs the suite. `quick` is the CI smoke grid; `counter` enables
 /// allocation counting when the host binary installed [`crate::alloc`].
 pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     let grid = Grid::new(quick);
     let mut rng = StdRng::seed_from_u64(0x5eed_be4c);
-    let mut results = Vec::new();
+    let grid_timing = Timing::Grid { min_ns: grid.min_ns, max_calls: grid.max_calls };
+    let mut cells = Cells { timing: grid_timing, counter, results: Vec::new() };
 
     // --- Dense grid: training-shaped operands -------------------------
     for &n_rows in &grid.rows {
@@ -436,127 +474,26 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
             let mut out_fwd = vec![0f32; n_rows * h];
             let mut out_dw = vec![0f32; f_in * h];
             let mut out_dx = vec![0f32; n_rows * f_in];
-            let flops_fwd = 2.0 * n_rows as f64 * f_in as f64 * h as f64;
-
-            // matmul: Z = X · W
-            let (ns, _) = time_fn(
-                || matmul_into(x.view(), w.view(), &mut out_fwd),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs =
-                count_allocs(counter, || matmul_into(x.view(), w.view(), &mut out_fwd));
-            results.push(KernelResult {
-                kernel: "matmul",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: h,
-                gflops: flops_fwd / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-            });
-
-            // fused epilogue: Z = relu(X · W + b)
-            let (ns, _) = time_fn(
-                || matmul_bias_relu_into(x.view(), w.view(), &bias, &mut out_fwd),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs = count_allocs(counter, || {
+            let (shape, flops) = ((n_rows, f_in, h), 2.0 * (n_rows * f_in * h) as f64);
+            // Z = X · W, then the fused epilogue relu(X · W + b)
+            cells.record("matmul", "blocked", shape, flops, || matmul_into(x.view(), w.view(), &mut out_fwd));
+            cells.record("matmul_bias_relu", "blocked", shape, flops, || {
                 matmul_bias_relu_into(x.view(), w.view(), &bias, &mut out_fwd)
             });
-            results.push(KernelResult {
-                kernel: "matmul_bias_relu",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: h,
-                gflops: flops_fwd / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-            });
+            // dW = Xᵀ · dY and dX = dY · Wᵀ
+            cells.record("matmul_tn", "blocked", shape, flops, || matmul_tn_into(x.view(), dy.view(), &mut out_dw));
+            cells.record("matmul_nt", "blocked", shape, flops, || matmul_nt_into(dy.view(), w.view(), &mut out_dx));
 
-            // matmul_tn: dW = Xᵀ · dY
-            let (ns, _) = time_fn(
-                || matmul_tn_into(x.view(), dy.view(), &mut out_dw),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs =
-                count_allocs(counter, || matmul_tn_into(x.view(), dy.view(), &mut out_dw));
-            results.push(KernelResult {
-                kernel: "matmul_tn",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: h,
-                gflops: flops_fwd / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-            });
-
-            // matmul_nt: dX = dY · Wᵀ
-            let (ns, _) = time_fn(
-                || matmul_nt_into(dy.view(), w.view(), &mut out_dx),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs =
-                count_allocs(counter, || matmul_nt_into(dy.view(), w.view(), &mut out_dx));
-            results.push(KernelResult {
-                kernel: "matmul_nt",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: h,
-                gflops: flops_fwd / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-            });
-
-            // spmm: Y = A · X over the ring lattice (≈10 nnz/row)
+            // spmm: Y = A · X over the ring lattice (≈10 nnz/row), then
+            // label propagation's step Y = β·(A · X) + α·Z (dX from the
+            // cell above is an n × f operand to stand in for Z)
             let a = lattice(n_rows);
-            let nnz = a.num_edges();
             let mut y = vec![0f32; n_rows * f_in];
-            let spmm_flops = 2.0 * nnz as f64 * f_in as f64;
-            let (ns, _) = time_fn(
-                || spmm_into(&a, x.as_slice(), f_in, &mut y),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs = count_allocs(counter, || spmm_into(&a, x.as_slice(), f_in, &mut y));
-            results.push(KernelResult {
-                kernel: "spmm",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: f_in,
-                gflops: spmm_flops / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
-            });
-
-            // spmm_axpby: Y = β·(A · X) + α·Z, label propagation's step
-            // (dX from the cell above is an n × f operand to stand in for Z)
+            let (shape, flops) = ((n_rows, f_in, f_in), 2.0 * (a.num_edges() * f_in) as f64);
+            cells.record("spmm", "blocked", shape, flops, || spmm_into(&a, x.as_slice(), f_in, &mut y));
             let z = out_dx.as_slice();
-            let (ns, _) = time_fn(
-                || spmm_axpby_into(&a, x.as_slice(), f_in, 0.5, 0.5, z, &mut y),
-                grid.min_ns,
-                grid.max_calls,
-            );
-            let allocs = count_allocs(counter, || {
+            cells.record("spmm_axpby", "blocked", shape, flops, || {
                 spmm_axpby_into(&a, x.as_slice(), f_in, 0.5, 0.5, z, &mut y)
-            });
-            results.push(KernelResult {
-                kernel: "spmm_axpby",
-                variant: "blocked",
-                m: n_rows,
-                k: f_in,
-                n: f_in,
-                gflops: spmm_flops / ns,
-                ns_per_call: ns,
-                allocs_per_call: allocs,
             });
         }
     }
@@ -568,42 +505,14 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     let z = filled(rows, cols, &mut rng);
     let (x, z) = (x.as_slice(), z.as_slice());
     let mut y = vec![0f32; rows * cols];
-    let flops = 2.0 * a.num_edges() as f64 * cols as f64;
-    let (ns, _) = time_fn(
-        || spmm_into(&a, x, cols, &mut y),
-        grid.min_ns,
-        grid.max_calls,
-    );
-    results.push(KernelResult {
-        kernel: "spmm_sbm_client",
-        variant: "blocked",
-        m: rows,
-        k: cols,
-        n: cols,
-        gflops: flops / ns,
-        ns_per_call: ns,
-        allocs_per_call: count_allocs(counter, || spmm_into(&a, x, cols, &mut y)),
-    });
-    let (ns, _) = time_fn(
-        || spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y),
-        grid.min_ns,
-        grid.max_calls,
-    );
-    results.push(KernelResult {
-        kernel: "spmm_axpby_sbm_client",
-        variant: "blocked",
-        m: rows,
-        k: cols,
-        n: cols,
-        gflops: flops / ns,
-        ns_per_call: ns,
-        allocs_per_call: count_allocs(counter, || {
-            spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y)
-        }),
+    let (shape, flops) = ((rows, cols, cols), 2.0 * (a.num_edges() * cols) as f64);
+    cells.record("spmm_sbm_client", "blocked", shape, flops, || spmm_into(&a, x, cols, &mut y));
+    cells.record("spmm_axpby_sbm_client", "blocked", shape, flops, || {
+        spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y)
     });
 
     // --- Small shapes: the output layers of cora and arxiv clients ----
-    let budget_ns = if quick { 20_000_000 } else { 300_000_000 };
+    cells.timing = Timing::Small { budget_ns: if quick { 20_000_000 } else { 300_000_000 } };
     for &(kernel, m, k, n) in SMALL_SHAPES {
         let a = filled(m, k, &mut rng);
         let (b, out_len) = match kernel {
@@ -612,66 +521,27 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
             _ => (filled(n, k, &mut rng), m * n),
         };
         let mut out = vec![0f32; out_len];
-        let mut call = || match kernel {
+        cells.record(kernel, "blocked", (m, k, n), 2.0 * (m * k * n) as f64, || match kernel {
             "matmul" => matmul_into(a.view(), b.view(), &mut out),
             "matmul_tn" => matmul_tn_into(a.view(), b.view(), &mut out),
             _ => matmul_nt_into(a.view(), b.view(), &mut out),
-        };
-        let ns = time_small(&mut call, budget_ns);
-        results.push(KernelResult {
-            kernel,
-            variant: "blocked",
-            m,
-            k,
-            n,
-            gflops: 2.0 * (m * k * n) as f64 / ns,
-            ns_per_call: ns,
-            allocs_per_call: count_allocs(counter, call),
         });
     }
 
     // --- Square anchor: blocked vs retained naive scalars -------------
+    cells.timing = grid_timing;
     let d = grid.anchor;
     let a = filled(d, d, &mut rng);
     let b = filled(d, d, &mut rng);
     let mut out = vec![0f32; d * d];
-    let flops = 2.0 * (d as f64).powi(3);
-    let (ns_blocked, _) = time_fn(
-        || matmul_into(a.view(), b.view(), &mut out),
-        grid.min_ns,
-        grid.max_calls,
-    );
-    let blocked_gflops = flops / ns_blocked;
-    results.push(KernelResult {
-        kernel: "matmul",
-        variant: "blocked",
-        m: d,
-        k: d,
-        n: d,
-        gflops: blocked_gflops,
-        ns_per_call: ns_blocked,
-        allocs_per_call: count_allocs(counter, || {
-            matmul_into(a.view(), b.view(), &mut out)
-        }),
+    let flops = 2.0 * (d * d * d) as f64;
+    let blocked_gflops = cells.record("matmul", "blocked", (d, d, d), flops, || matmul_into(a.view(), b.view(), &mut out));
+    // The naive kernel allocates its output: it has no `_into` count.
+    cells.counter = None;
+    let naive_gflops = cells.record("matmul", "naive", (d, d, d), flops, || {
+        std::hint::black_box(ops::naive::matmul(&a, &b));
     });
-    let (ns_naive, _) = time_fn(
-        || {
-            std::hint::black_box(ops::naive::matmul(&a, &b));
-        },
-        grid.min_ns,
-        grid.max_calls,
-    );
-    let naive_gflops = flops / ns_naive;
-    results.push(KernelResult {
-        kernel: "matmul",
-        variant: "naive",
-        m: d,
-        k: d,
-        n: d,
-        gflops: naive_gflops,
-        ns_per_call: ns_naive,
-        allocs_per_call: None,
-    });
+    let results = cells.results;
 
     let (obs_overhead_pct, recorder_overhead_pct) = measure_obs_overhead(d, &mut rng);
     let lp_step_fused_vs_unfused = measure_lp_step(&grid, &mut rng);
@@ -708,7 +578,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 /// [`crate::format::json_fixed`] so hostile names and NaN/Inf cells
 /// cannot break the artifact.
 pub fn to_json(r: &KernelReport) -> String {
-    use crate::format::{json_fixed, json_str};
+    use crate::format::{json_fixed, json_opt, json_rows, json_str};
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
@@ -716,60 +586,34 @@ pub fn to_json(r: &KernelReport) -> String {
     // earlier BENCH_KERNELS.json files.
     s.push_str("  \"threads\": 1,\n");
     s.push_str(&format!("  \"anchor_dim\": {},\n", r.anchor_dim));
-    s.push_str(&format!(
-        "  \"matmul_speedup_vs_naive\": {},\n",
-        json_fixed(r.matmul_speedup_vs_naive, 3)
-    ));
-    s.push_str(&format!(
-        "  \"matmul_tn_vs_matmul\": {},\n",
-        json_fixed(r.matmul_tn_vs_matmul, 3)
-    ));
-    s.push_str(&format!(
-        "  \"lp_step_fused_vs_unfused\": {},\n",
-        json_fixed(r.lp_step_fused_vs_unfused, 3)
-    ));
-    s.push_str(&format!(
-        "  \"obs_overhead_pct\": {},\n",
-        json_fixed(r.obs_overhead_pct, 3)
-    ));
-    s.push_str(&format!(
-        "  \"recorder_overhead_pct\": {},\n",
-        json_fixed(r.recorder_overhead_pct, 3)
-    ));
-    s.push_str("  \"results\": [\n");
-    for (i, k) in r.results.iter().enumerate() {
-        let allocs = match k.allocs_per_call {
-            Some(a) => a.to_string(),
-            None => "null".to_string(),
-        };
-        s.push_str(&format!(
-            "    {{\"kernel\": {}, \"variant\": {}, \"m\": {}, \"k\": {}, \"n\": {}, \
-             \"gflops\": {}, \"ns_per_call\": {}, \"allocs_per_call\": {}}}{}\n",
-            json_str(k.kernel),
-            json_str(k.variant),
-            k.m,
-            k.k,
-            k.n,
-            json_fixed(k.gflops, 4),
-            json_fixed(k.ns_per_call, 0),
-            allocs,
-            if i + 1 < r.results.len() { "," } else { "" }
-        ));
+    for (key, v) in [
+        ("matmul_speedup_vs_naive", r.matmul_speedup_vs_naive),
+        ("matmul_tn_vs_matmul", r.matmul_tn_vs_matmul),
+        ("lp_step_fused_vs_unfused", r.lp_step_fused_vs_unfused),
+        ("obs_overhead_pct", r.obs_overhead_pct),
+        ("recorder_overhead_pct", r.recorder_overhead_pct),
+    ] {
+        s.push_str(&format!("  \"{key}\": {},\n", json_fixed(v, 3)));
     }
-    s.push_str("  ],\n  \"soft_labels\": [\n");
-    for (i, k) in r.soft_labels.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"kernel\": {}, \"rows\": {}, \"cols\": {}, \"ns_per_element\": {}, \
-             \"vs_scalar_libm\": {}}}{}\n",
-            json_str(k.kernel),
-            k.rows,
-            k.cols,
-            json_fixed(k.ns_per_element, 3),
-            json_fixed(k.vs_scalar_libm, 3),
-            if i + 1 < r.soft_labels.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
+    json_rows(&mut s, "results", &r.results, |k| [
+        ("kernel", json_str(k.kernel)),
+        ("variant", json_str(k.variant)),
+        ("m", k.m.to_string()),
+        ("k", k.k.to_string()),
+        ("n", k.n.to_string()),
+        ("gflops", json_fixed(k.gflops, 4)),
+        ("ns_per_call", json_fixed(k.ns_per_call, 0)),
+        ("allocs_per_call", json_opt(k.allocs_per_call)),
+    ]);
+    s.push_str(",\n");
+    json_rows(&mut s, "soft_labels", &r.soft_labels, |k| [
+        ("kernel", json_str(k.kernel)),
+        ("rows", k.rows.to_string()),
+        ("cols", k.cols.to_string()),
+        ("ns_per_element", json_fixed(k.ns_per_element, 3)),
+        ("vs_scalar_libm", json_fixed(k.vs_scalar_libm, 3)),
+    ]);
+    s.push_str("\n}\n");
     s
 }
 
@@ -782,10 +626,7 @@ pub fn render_table(r: &KernelReport) -> String {
         "kernel", "variant", "m", "k", "n", "GFLOP/s", "allocs"
     ));
     for k in &r.results {
-        let allocs = match k.allocs_per_call {
-            Some(a) => a.to_string(),
-            None => "-".to_string(),
-        };
+        let allocs = k.allocs_per_call.map_or_else(|| "-".to_string(), |a| a.to_string());
         s.push_str(&format!(
             "{:<18} {:>8} {:>7} {:>6} {:>6} {:>10.3} {:>8}\n",
             k.kernel, k.variant, k.m, k.k, k.n, k.gflops, allocs
