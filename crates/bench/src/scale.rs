@@ -25,13 +25,13 @@
 //! Full mode runs the 10⁷-node / ~10⁸-edge configuration; quick mode is
 //! the ~10⁶-node CI smoke.
 
-use crate::format::{json_f64, json_fixed, json_str, Table};
+use crate::format::{json_f64, json_fixed, json_opt, json_rows, json_str, Table};
 use crate::runner::make_strategy;
 use fedgta_data::{stream_sbm, SbmConfig};
 use fedgta_fed::client::Client;
 use fedgta_fed::round::{SimConfig, Simulation};
 use fedgta_graph::io::{CsrV2Writer, IoError};
-use fedgta_graph::spmm::spmm_into_raw_threads;
+use fedgta_graph::spmm::spmm_into_threads;
 use fedgta_graph::store::{
     normalize_stream, spmm_chunked_into_threads, ChunkedCsr, CsrBuilder, RowSink, TileBuf,
 };
@@ -269,8 +269,8 @@ pub fn run_cell(n: usize, avg_degree: f64, seed: u64, dir: &Path, keep_raw: bool
     let mut y = vec![0f32; n * cols];
     let reps = if edges < 2_000_000 { 5 } else { 1 };
 
-    let mem_1t_s = time_spmm(reps, || spmm_into_raw_threads(&mem, &x, cols, &mut y_ref, 1));
-    let mem_4t_s = time_spmm(reps, || spmm_into_raw_threads(&mem, &x, cols, &mut y, 4));
+    let mem_1t_s = time_spmm(reps, || spmm_into_threads(&mem, &x, cols, &mut y_ref, 1));
+    let mem_4t_s = time_spmm(reps, || spmm_into_threads(&mem, &x, cols, &mut y, 4));
     let mut bit_identical = y == y_ref;
     let disk_spmm = |y: &mut [f32], threads| {
         time_spmm(reps, || spmm_chunked_into_threads(&disk, &x, cols, y, threads).expect("spmm"))
@@ -518,29 +518,22 @@ pub fn to_json(r: &ScaleReport) -> String {
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
     s.push_str(&format!("  \"memory_budget_bytes\": {},\n", MEMORY_BUDGET_BYTES));
-    s.push_str("  \"cells\": [\n");
-    for (i, c) in r.cells.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"nodes\": {}, \"edges\": {}, \"cols\": {}, \"gen_s\": {}, \"norm_s\": {}, \
-             \"mem_1t_s\": {}, \"mem_4t_s\": {}, \"disk_1t_s\": {}, \"disk_4t_s\": {}, \
-             \"disk_edges_per_s\": {}, \"bit_identical\": {}}}{}\n",
-            c.nodes,
-            c.edges,
-            c.cols,
-            json_fixed(c.gen_s, 3),
-            json_fixed(c.norm_s, 3),
-            json_fixed(c.mem_1t_s, 4),
-            json_fixed(c.mem_4t_s, 4),
-            json_fixed(c.disk_1t_s, 4),
-            json_fixed(c.disk_4t_s, 4),
-            json_fixed(c.disk_edges_per_s, 0),
-            c.bit_identical,
-            if i + 1 < r.cells.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
+    json_rows(&mut s, "cells", &r.cells, |c| [
+        ("nodes", c.nodes.to_string()),
+        ("edges", c.edges.to_string()),
+        ("cols", c.cols.to_string()),
+        ("gen_s", json_fixed(c.gen_s, 3)),
+        ("norm_s", json_fixed(c.norm_s, 3)),
+        ("mem_1t_s", json_fixed(c.mem_1t_s, 4)),
+        ("mem_4t_s", json_fixed(c.mem_4t_s, 4)),
+        ("disk_1t_s", json_fixed(c.disk_1t_s, 4)),
+        ("disk_4t_s", json_fixed(c.disk_4t_s, 4)),
+        ("disk_edges_per_s", json_fixed(c.disk_edges_per_s, 0)),
+        ("bit_identical", c.bit_identical.to_string()),
+    ]);
+    s.push_str(",\n");
     let f = &r.fed;
-    let vm = f.vm_hwm_bytes.map_or_else(|| "null".to_string(), |v| v.to_string());
+    let vm = json_opt(f.vm_hwm_bytes);
     s.push_str("  \"federated\": {\n");
     s.push_str(&format!(
         "    \"nodes\": {}, \"edges\": {}, \"clients\": {}, \"rounds\": {}, \"participation\": {},\n",

@@ -26,17 +26,15 @@ pub struct ClientUpload<'a> {
     pub n_train: usize,
 }
 
-/// What the server did for one client (Fig. 3's raw data): its row of `W`,
-/// members indexing the upload list, weights normalized, no divisor.
-pub type AggregationEntry = Row;
-
 /// Per-round aggregation transparency report.
 #[derive(Debug, Clone)]
 pub struct AggregationReport {
     /// Pairwise similarity matrix over participants.
     pub similarity: Vec<Vec<f32>>,
-    /// One entry per participant, in upload order.
-    pub entries: Vec<AggregationEntry>,
+    /// What the server did for each participant, in upload order (Fig. 3's
+    /// raw data): its row of `W`, members indexing the upload list, weights
+    /// normalized, no divisor.
+    pub entries: Vec<Row>,
     /// The ε Eq. 6 selected with (the adaptive quantile's value when one
     /// is configured, else the configured threshold).
     pub epsilon: f32,

@@ -40,7 +40,7 @@ pub mod strategy;
 
 pub use aggregate::{
     personalized_aggregate, personalized_aggregate_into, personalized_rows, AggregateOptions,
-    AggregationEntry, AggregationReport, ClientUpload,
+    AggregationReport, ClientUpload,
 };
 pub use config::FedGtaConfig;
 pub use extensions::{adaptive_epsilon, feature_moment_sketch, FeatureMomentConfig};

@@ -14,9 +14,10 @@
 use crate::aggregate::{personalized_rows, AggregateOptions, AggregationReport};
 use crate::config::FedGtaConfig;
 use crate::confidence::local_smoothing_confidence;
+use crate::extensions::feature_moment_sketch;
 use crate::lp::label_propagation_into;
 use crate::moments::mixed_moments_into;
-use crate::scratch::{FeatureSketchCache, UploadScratch};
+use crate::scratch::UploadScratch;
 use fedgta_fed::client::Client;
 use fedgta_fed::exec::LocalResult;
 use fedgta_fed::kit::Pool;
@@ -26,6 +27,8 @@ use fedgta_fed::strategies::{
 use fedgta_fed::ParamTensor;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::JsonVal;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// FedGTA: [`TopologyAware`] through the one aggregating round.
 /// `FedGta::with_defaults()` has the paper's hyperparameters,
@@ -66,6 +69,12 @@ pub struct TopologyAware {
     /// an instance and gives it back, so at most one exists per
     /// concurrently running worker.
     scratch: Pool<UploadScratch>,
+    /// The feature-moment extension's sketch of each client served, by
+    /// client id. It reads only the client's graph and raw features, which
+    /// never change, so it is computed on the client's first call and
+    /// replayed on every later one. Empty unless `config.feature_moments`
+    /// is set.
+    feature_sketches: Mutex<HashMap<usize, Vec<f32>>>,
 }
 
 impl TopologyAware {
@@ -100,9 +109,11 @@ impl TopologyAware {
     /// of them is rewritten in full before it is read (`predict_into`
     /// writes every row of `soft`, each LP step every row of its matrix,
     /// `acc` is cleared per step) — the instance drawn, and whichever
-    /// client it served last, cannot reach a result bit. Once the pool and
-    /// `sketch` have grown to the largest client, **warm calls perform zero
-    /// heap allocations** (proven by the bench crate's counting-allocator
+    /// client it served last, cannot reach a result bit. The one value that
+    /// outlives the call, the feature-moment extension's sketch, stays with
+    /// the strategy under the client's id. Once the pool and `sketch` have
+    /// grown to the largest client, **warm calls perform zero heap
+    /// allocations** (proven by the bench crate's counting-allocator
     /// harness).
     pub fn client_metrics(&self, client: &mut Client, sketch: &mut Vec<f32>) -> f64 {
         let mut s = self.scratch.take();
@@ -143,22 +154,15 @@ impl TopologyAware {
                 client.id,
                 client.data.propagated
             );
-            // Round-invariant per client: computed once, replayed from
-            // the client's own cache on every later round.
-            let mut cache: Box<FeatureSketchCache> = client
-                .metric_scratch
-                .take()
-                .and_then(|b| b.downcast().ok())
-                .unwrap_or_default();
-            sketch.extend_from_slice(cache.get_or_compute(
-                &client.data.adj_norm,
-                &client.data.features,
-                self.config.k_lp,
-                self.config.moment_order,
-                self.config.moment_kind,
-                fm,
-            ));
-            client.metric_scratch = Some(cache);
+            let cache = || self.feature_sketches.lock().expect("feature sketch cache poisoned");
+            let cached = cache().get(&client.id).map(|f| sketch.extend_from_slice(f)).is_some();
+            if !cached {
+                // Outside the lock: the workers' first rounds overlap.
+                let (data, c) = (&client.data, &self.config);
+                let f = feature_moment_sketch(&data.adj_norm, &data.features, c.k_lp, c.moment_order, c.moment_kind, fm);
+                sketch.extend_from_slice(&f);
+                cache().insert(client.id, f);
+            }
         }
         drop(mom);
         self.scratch.give(s);
@@ -378,7 +382,7 @@ mod tests {
         assert_eq!(m, first);
         assert_eq!(m.as_ptr(), ptr1, "warm sketch buffer must be reused");
         assert_eq!(s.objective.pooled_scratch().0, 1, "scratch went back to the pool");
-        assert!(clients[0].metric_scratch.is_none(), "nothing kept per client");
+        assert!(s.objective.feature_sketches.lock().unwrap().is_empty(), "nothing kept per client");
     }
 
     /// `(H bits, M bits)` of one `client_metrics` call.
@@ -405,31 +409,34 @@ mod tests {
     #[test]
     fn one_pooled_scratch_serves_clients_of_any_size_bit_for_bit() {
         // Large → small → large through one strategy (one pooled instance,
-        // shrunk and regrown) against a fresh strategy — an empty pool —
-        // per call: no stale row leaks through a shrunk `resize_to`, and
-        // with the feature extension no client is served another's cache.
+        // shrunk and regrown) against a fresh strategy — an empty pool, no
+        // sketch kept — per call: no stale row leaks through a shrunk
+        // `resize_to`, and with the feature extension each client's sketch
+        // is computed once and replayed to that client alone.
         for cfg in [FedGtaConfig::default(), FedGtaConfig::with_feature_moments()] {
             let mut clients = three_sizes(108);
             let with_cache = cfg.feature_moments.is_some();
             let shared = FedGta::from(cfg.clone());
+            let mut first_buffer = HashMap::new();
             for visit in [0usize, 2, 1, 2, 0] {
                 let got = metrics_bits(&shared, &mut clients[visit]);
-                // The fresh strategy must not find the shared one's cache.
-                let cold = clients[visit].metric_scratch.take();
                 let want = metrics_bits(&FedGta::from(cfg.clone()), &mut clients[visit]);
                 assert_eq!(got, want, "client {visit}, feature moments {with_cache}");
-                clients[visit].metric_scratch = cold;
                 // Serial calls: one instance, as large as the largest client.
                 let (instances, bytes) = shared.objective.pooled_scratch();
                 let (n, c) = (clients[0].data.num_nodes(), clients[0].data.num_classes);
                 assert_eq!(instances, 1);
                 assert!(bytes >= 4 * (1 + shared.objective.config.k_lp) * n * c, "{bytes} bytes");
+                // A replay reads the buffer the client's first call filled.
+                let id = clients[visit].id;
+                if let Some(f) = shared.objective.feature_sketches.lock().unwrap().get(&id) {
+                    assert_eq!(*first_buffer.entry(id).or_insert(f.as_ptr()), f.as_ptr(), "client {visit} recomputed");
+                }
             }
-            // What a client keeps is the feature cache, and only if configured.
-            for c in &clients {
-                let cache = c.metric_scratch.as_ref().map(|b| b.is::<FeatureSketchCache>());
-                assert_eq!(cache, with_cache.then_some(true));
-            }
+            // What the strategy keeps is one sketch per client served, and
+            // only if the extension is configured.
+            let kept = shared.objective.feature_sketches.lock().unwrap().len();
+            assert_eq!(kept, if with_cache { clients.len() } else { 0 });
         }
     }
 
@@ -445,11 +452,11 @@ mod tests {
                 losses.push(s.round(&mut clients, &parts, &ctx).mean_loss.to_bits());
             }
             // Full participation: every client went through the pool, and
-            // none of them kept anything.
+            // nothing was kept for any of them.
             let (instances, bytes) = s.objective.pooled_scratch();
             assert!((1..=threads).contains(&instances), "{instances} at {threads} threads");
             assert!(bytes > 0);
-            assert!(clients.iter().all(|c| c.metric_scratch.is_none()));
+            assert!(s.objective.feature_sketches.lock().unwrap().is_empty());
             let metrics: Vec<_> = clients.iter_mut().map(|c| metrics_bits(&s, c)).collect();
             let params: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
             (losses, metrics, params)

@@ -30,16 +30,9 @@ pub struct Client {
     pub opt: Box<dyn Optimizer>,
     /// Local-to-global node id map of the training view.
     pub global_ids: Vec<u32>,
-    /// Strategy-owned state that is per-client *and* outlives the round
-    /// (e.g. FedGTA's round-invariant feature-moment sketch cache; what
-    /// dies with the round — soft labels, LP steps — lives in a pool the
-    /// strategy owns, one instance per worker). Opaque to `fedgta-fed`;
-    /// the owning strategy downcasts it. `None` until first use — a
-    /// strategy that never needs it pays nothing.
-    pub metric_scratch: Option<Box<dyn std::any::Any + Send>>,
     /// Error-feedback accumulators for the lossy upload codec
-    /// ([`crate::ef`]), persisted across rounds like `metric_scratch`.
-    /// `None` until the first round with error feedback armed.
+    /// ([`crate::ef`]), persisted across rounds. `None` until the first
+    /// round with error feedback armed.
     pub ef: Option<crate::ef::EfState>,
 }
 
@@ -62,7 +55,6 @@ impl Client {
             eval_data: None,
             model,
             opt,
-            metric_scratch: None,
             ef: None,
         }
     }

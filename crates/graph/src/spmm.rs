@@ -6,7 +6,7 @@
 //! FedGTA's non-parametric label propagation. [`spmm_into`] and
 //! [`spmm_axpby_into`] run on the thread that calls them; rows of `Y` are
 //! independent, so a caller that asks for threads
-//! ([`spmm_into_raw_threads`], `store::spmm_chunked_into_threads`) gets
+//! ([`spmm_into_threads`], `store::spmm_chunked_into_threads`) gets
 //! contiguous nnz-balanced row chunks and the same bits at any count.
 //!
 //! Rows are visited in **degree order within 64-row tiles**: every
@@ -245,10 +245,9 @@ pub(crate) fn record_spmm(rows: usize, nnz: usize, cols: usize) {
 ///
 /// Panics on size mismatch (internal hot path; the checked entry point is
 /// [`spmm`]). Records `spmm.rows` / `spmm.flops` counters when metrics are
-/// armed, then runs the body of [`spmm_into_raw_threads`] at one thread.
+/// armed: [`spmm_into_threads`] at one thread.
 pub fn spmm_into(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
-    record_spmm(a.num_nodes(), a.num_edges(), cols);
-    spmm_rows(a, x, cols, y, 1, Plain);
+    spmm_into_threads(a, x, cols, y, 1);
 }
 
 /// Computes `Y = β·(A · X) + α·Z` in one pass (`z.len() == y.len() ==
@@ -294,12 +293,12 @@ impl Epilogue for Axpby<'_> {
 /// the kernel stays allocation-free at any thread count.
 pub(crate) const MAX_CHUNKS: usize = 64;
 
-/// The uninstrumented kernel body on `threads` workers (`0` = auto, see
+/// [`spmm_into`] on `threads` workers (`0` = auto, see
 /// [`resolve_threads`]): the entry for a caller that wants one large
-/// product threaded, and what the microbenchmark prices [`spmm_into`]'s
-/// observability hook against.
-#[doc(hidden)]
-pub fn spmm_into_raw_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize) {
+/// product threaded. Records the same counters as [`spmm_into`].
+#[inline]
+pub fn spmm_into_threads(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], threads: usize) {
+    record_spmm(a.num_nodes(), a.num_edges(), cols);
     spmm_rows(a, x, cols, y, threads, Plain);
 }
 
@@ -530,7 +529,7 @@ mod tests {
                     for threads in [1usize, 2, 3, 7, 64] {
                         let what = format!("{what} threads={threads}");
                         got.fill(7.0);
-                        spmm_into_raw_threads(&g, &x, cols, &mut got, threads);
+                        spmm_into_threads(&g, &x, cols, &mut got, threads);
                         assert_same_bits_or_nan(&got, &want, &what);
                         got.fill(7.0);
                         spmm_rows(
@@ -570,10 +569,10 @@ mod tests {
                     .map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0)
                     .collect();
                 let mut serial = vec![0f32; x.len()];
-                spmm_into_raw_threads(&g, &x, cols, &mut serial, 1);
+                spmm_into_threads(&g, &x, cols, &mut serial, 1);
                 for threads in [2usize, 3, 4, 7, 64] {
                     let mut par = vec![7f32; x.len()]; // garbage: fully overwritten
-                    spmm_into_raw_threads(&g, &x, cols, &mut par, threads);
+                    spmm_into_threads(&g, &x, cols, &mut par, threads);
                     for (a, b) in par.iter().zip(&serial) {
                         assert_eq!(
                             a.to_bits(),
@@ -600,10 +599,10 @@ mod tests {
         let cols = 5usize;
         let x: Vec<f32> = (0..n as usize * cols).map(|i| (i as f32 * 0.31).sin()).collect();
         let mut serial = vec![0f32; x.len()];
-        spmm_into_raw_threads(&g, &x, cols, &mut serial, 1);
+        spmm_into_threads(&g, &x, cols, &mut serial, 1);
         for threads in [2usize, 4, 8, 16] {
             let mut par = vec![0f32; x.len()];
-            spmm_into_raw_threads(&g, &x, cols, &mut par, threads);
+            spmm_into_threads(&g, &x, cols, &mut par, threads);
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -612,7 +611,7 @@ mod tests {
     /// a scratch, then the separate `p·β + α·z` sweep.
     fn axpby_two_pass(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32]) -> Vec<f32> {
         let mut prop = vec![f32::NAN; x.len()];
-        spmm_into_raw_threads(a, x, cols, &mut prop, 1);
+        spmm_into_threads(a, x, cols, &mut prop, 1);
         prop.iter().zip(z).map(|(&p, &zv)| p * beta + alpha * zv).collect()
     }
 

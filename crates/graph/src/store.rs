@@ -172,7 +172,7 @@ impl ChunkedCsr {
 
     /// nnz-balanced chunk-aligned row boundaries for `threads` workers:
     /// the out-of-core sibling of the prefix-sum split in
-    /// [`crate::spmm::spmm_into_raw_threads`], computed from the chunk
+    /// [`crate::spmm::spmm_into_threads`], computed from the chunk
     /// directory instead of the full offsets array.
     fn balanced_bounds(&self, threads: usize, bounds: &mut Vec<usize>) {
         let n = self.num_nodes();

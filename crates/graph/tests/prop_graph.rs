@@ -5,7 +5,7 @@ use fedgta_graph::io::{write_csr_v2, IoError, V2Meta, V2_HEADER};
 use fedgta_graph::{
     metrics::modularity,
     norm::{normalized_adjacency, NormKind},
-    spmm::{propagate_steps_into, spmm, spmm_into_raw_threads},
+    spmm::{propagate_steps_into, spmm, spmm_into_threads},
     subgraph::{halo_subgraph, induced_subgraph},
     ChunkedCsr, Csr, EdgeList,
 };
@@ -123,8 +123,8 @@ proptest! {
         let x: Vec<f32> = (0..n * cols).map(|i| ((i * 37 % 113) as f32) * 0.17 - 9.0).collect();
         let mut serial = vec![0f32; n * cols];
         let mut par = vec![7f32; n * cols];
-        spmm_into_raw_threads(&g, &x, cols, &mut serial, 1);
-        spmm_into_raw_threads(&g, &x, cols, &mut par, threads);
+        spmm_into_threads(&g, &x, cols, &mut serial, 1);
+        spmm_into_threads(&g, &x, cols, &mut par, threads);
         for (a, b) in serial.iter().zip(&par) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }

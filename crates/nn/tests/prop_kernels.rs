@@ -3,7 +3,7 @@
 //! them where the accumulation order is the same, and the determinism
 //! contract of the one kernel entry that takes a thread count.
 
-use fedgta_graph::spmm::spmm_into_raw_threads;
+use fedgta_graph::spmm::spmm_into_threads;
 use fedgta_graph::EdgeList;
 use fedgta_nn::ops::{
     self, matmul, matmul_bias_into, matmul_bias_relu_into, matmul_into, matmul_nt, matmul_tn,
@@ -186,7 +186,7 @@ fn into_kernels_bit_identical_across_thread_counts() {
     let csr = el.to_csr();
     let run = |threads: usize| {
         let mut y = vec![f32::NAN; m * k];
-        spmm_into_raw_threads(&csr, x.as_slice(), k, &mut y, threads);
+        spmm_into_threads(&csr, x.as_slice(), k, &mut y, threads);
         bits(&y)
     };
     let one = run(1);
