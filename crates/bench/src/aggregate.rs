@@ -13,7 +13,7 @@
 //! can smoke the pipeline in well under a second. [`bars`] holds what a
 //! run must meet.
 
-use crate::kernels::{count_allocs, time_fn, AllocCounter};
+use crate::kernels::{AllocCounter, Timing};
 use fedgta::{AggregateOptions, ClientUpload, SimilarityKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -109,8 +109,7 @@ impl Uploads {
 struct Grid {
     participants: Vec<usize>,
     plens: Vec<usize>,
-    min_ns: u64,
-    max_calls: usize,
+    timing: Timing,
 }
 
 impl Grid {
@@ -119,15 +118,13 @@ impl Grid {
             Self {
                 participants: vec![8],
                 plens: vec![4_096],
-                min_ns: 0,
-                max_calls: 1,
+                timing: Timing::Grid { min_ns: 0, max_calls: 1 },
             }
         } else {
             Self {
                 participants: vec![8, 32, 128],
                 plens: vec![10_000, 100_000],
-                min_ns: 100_000_000,
-                max_calls: 40,
+                timing: Timing::Grid { min_ns: 100_000_000, max_calls: 40 },
             }
         }
     }
@@ -169,14 +166,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> AggregateReport {
                 // parameter-sized memory.
                 let mut out: Vec<Vec<f32>> = Vec::new();
                 fedgta::personalized_aggregate_into(&views, &opts, threads, &mut out);
-                let (ns, _) = time_fn(
-                    || {
-                        fedgta::personalized_aggregate_into(&views, &opts, threads, &mut out);
-                    },
-                    grid.min_ns,
-                    grid.max_calls,
-                );
-                let allocs = count_allocs(counter, || {
+                let (ns, allocs) = grid.timing.measure(counter, || {
                     fedgta::personalized_aggregate_into(&views, &opts, threads, &mut out);
                 });
                 // Determinism contract: bit-identical at any thread count.

@@ -215,7 +215,7 @@ fn eq4_scalar_libm(y_k: &Matrix, degrees_hat: &[f32]) -> f64 {
 /// so no refill copy sits inside the timed call.
 fn measure_soft_labels(grid: &Grid, rng: &mut StdRng) -> Vec<SoftLabelResult> {
     let rows = grid.lp_rows;
-    let time = |f: &mut dyn FnMut()| time_fn(f, grid.min_ns, grid.max_calls).0;
+    let time = |f: &mut dyn FnMut()| time_fn(f, grid.min_ns, grid.max_calls);
     let mut out = Vec::new();
     for cols in [7usize, 16, 40] {
         let mut cell = |kernel, ns: f64, ns_scalar: f64| {
@@ -254,21 +254,14 @@ fn measure_lp_step(grid: &Grid, rng: &mut StdRng) -> f64 {
     let (x, z) = (x.as_slice(), z.as_slice());
     let mut prop = vec![0f32; n * cols];
     let mut y = vec![0f32; n * cols];
-    let (ns_unfused, _) = time_fn(
-        || {
-            spmm_into(&a, x, cols, &mut prop);
-            for (o, (&p, &zv)) in y.iter_mut().zip(prop.iter().zip(z)) {
-                *o = p * 0.5 + 0.5 * zv;
-            }
-        },
-        grid.min_ns,
-        grid.max_calls,
-    );
-    let (ns_fused, _) = time_fn(
-        || spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y),
-        grid.min_ns,
-        grid.max_calls,
-    );
+    let unfused = || {
+        spmm_into(&a, x, cols, &mut prop);
+        for (o, (&p, &zv)) in y.iter_mut().zip(prop.iter().zip(z)) {
+            *o = p * 0.5 + 0.5 * zv;
+        }
+    };
+    let ns_unfused = time_fn(unfused, grid.min_ns, grid.max_calls);
+    let ns_fused = time_fn(|| spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y), grid.min_ns, grid.max_calls);
     ns_unfused / ns_fused
 }
 
@@ -354,10 +347,9 @@ fn sbm_client(rows: usize, avg_degree: f64) -> Csr {
     normalized_adjacency(&generate_sbm(&cfg).graph, NormKind::Symmetric)
 }
 
-/// Times `f` (called repeatedly) and returns (ns/call, calls made).
-/// Runs one warmup call, then batches until `min_ns` elapsed or `max_calls`.
-/// Shared with the [`crate::aggregate`] suite.
-pub(crate) fn time_fn(mut f: impl FnMut(), min_ns: u64, max_calls: usize) -> (f64, usize) {
+/// Times `f` (called repeatedly) and returns ns per call. Runs one warmup
+/// call, then calls until `min_ns` elapsed or `max_calls`.
+fn time_fn(mut f: impl FnMut(), min_ns: u64, max_calls: usize) -> f64 {
     f(); // warmup (pulls operands into cache, faults pages)
     let start = Instant::now();
     let mut calls = 0usize;
@@ -366,13 +358,13 @@ pub(crate) fn time_fn(mut f: impl FnMut(), min_ns: u64, max_calls: usize) -> (f6
         calls += 1;
         let elapsed = start.elapsed().as_nanos() as u64;
         if elapsed >= min_ns || calls >= max_calls {
-            return (elapsed as f64 / calls as f64, calls);
+            return elapsed as f64 / calls as f64;
         }
     }
 }
 
 /// Allocations across one call of `f` (0 expected for `_into` kernels).
-pub(crate) fn count_allocs(counter: Option<AllocCounter>, mut f: impl FnMut()) -> Option<u64> {
+fn count_allocs(counter: Option<AllocCounter>, mut f: impl FnMut()) -> Option<u64> {
     counter.map(|c| {
         let before = c();
         f();
@@ -418,12 +410,25 @@ impl Grid {
     }
 }
 
-/// How a cell is timed: [`time_fn`] over the grid's budget, or
-/// [`time_small`] for a microsecond-scale kernel.
+/// How a cell is timed: [`time_fn`] over a grid's budget, or
+/// [`time_small`] for a microsecond-scale kernel. Shared with the
+/// [`crate::aggregate`] suite.
 #[derive(Clone, Copy)]
-enum Timing {
+pub(crate) enum Timing {
     Grid { min_ns: u64, max_calls: usize },
     Small { budget_ns: u64 },
+}
+
+impl Timing {
+    /// Times `call`, then counts the allocations of one more call:
+    /// `(ns per call, allocations)`.
+    pub(crate) fn measure(self, counter: Option<AllocCounter>, mut call: impl FnMut()) -> (f64, Option<u64>) {
+        let ns = match self {
+            Timing::Grid { min_ns, max_calls } => time_fn(&mut call, min_ns, max_calls),
+            Timing::Small { budget_ns } => time_small(&mut call, budget_ns),
+        };
+        (ns, count_allocs(counter, call))
+    }
 }
 
 /// The cells recorded so far, in run order.
@@ -434,21 +439,17 @@ struct Cells {
 }
 
 impl Cells {
-    /// Times `call` (`flops` per call), counts the allocations of one more
-    /// call and records the cell; returns its GFLOP/s.
+    /// Measures `call` (`flops` per call) and records the cell; returns its
+    /// GFLOP/s.
     fn record(
         &mut self,
         kernel: &'static str,
         variant: &'static str,
         (m, k, n): (usize, usize, usize),
         flops: f64,
-        mut call: impl FnMut(),
+        call: impl FnMut(),
     ) -> f64 {
-        let ns = match self.timing {
-            Timing::Grid { min_ns, max_calls } => time_fn(&mut call, min_ns, max_calls).0,
-            Timing::Small { budget_ns } => time_small(&mut call, budget_ns),
-        };
-        let allocs_per_call = count_allocs(self.counter, call);
+        let (ns, allocs_per_call) = self.timing.measure(self.counter, call);
         let gflops = flops / ns;
         self.results.push(KernelResult { kernel, variant, m, k, n, gflops, ns_per_call: ns, allocs_per_call });
         gflops

@@ -157,7 +157,8 @@ impl TopologyAware {
             let cache = || self.feature_sketches.lock().expect("feature sketch cache poisoned");
             let cached = cache().get(&client.id).map(|f| sketch.extend_from_slice(f)).is_some();
             if !cached {
-                // Outside the lock: the workers' first rounds overlap.
+                // Computed outside the lock, so workers serving different
+                // clients' first calls do not wait for each other.
                 let (data, c) = (&client.data, &self.config);
                 let f = feature_moment_sketch(&data.adj_norm, &data.features, c.k_lp, c.moment_order, c.moment_kind, fm);
                 sketch.extend_from_slice(&f);

@@ -156,7 +156,7 @@ fn scale_reports() -> [(&'static str, ScaleReport); 2] {
         disk_1t_s: secs * 1.5,
         disk_4t_s: f64::NAN,
         disk_edges_per_s: edges as f64 / (secs * 1.5),
-        bit_identical: nodes % 2 == 0,
+        bit_identical: nodes.is_multiple_of(2),
     };
     let fed = |vm_hwm_bytes: Option<u64>, final_acc: f64| ScaleFedStats {
         nodes: 1_000_000,
