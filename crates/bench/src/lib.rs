@@ -23,6 +23,6 @@ pub mod scale;
 pub mod tables;
 
 pub use runner::{
-    make_strategy, partition_benchmark, run_experiment, run_global, ExperimentResult,
+    make_strategy, partition_benchmark, run_experiment, run_global, strategy_named, ExperimentResult,
     ExperimentSpec, SplitKind, StrategySpec, STRATEGY_NAMES,
 };

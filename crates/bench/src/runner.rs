@@ -47,18 +47,23 @@ pub struct StrategySpec {
     pub make: fn() -> Box<dyn Strategy>,
 }
 
-/// Builds a strategy by name (paper-default hyperparameters).
-///
-/// `FedGL+X` / `FedSage++X` wrap the named inner strategy with the FGL
-/// Model baselines (Table 5).
+/// Builds a strategy by name (paper-default hyperparameters); panics on a
+/// name [`strategy_named`] does not know.
 pub fn make_strategy(name: &str) -> Box<dyn Strategy> {
+    strategy_named(name).unwrap_or_else(|| panic!("unknown strategy '{name}'"))
+}
+
+/// A strategy by name, or `None` for an unknown one: one of
+/// [`STRATEGY_NAMES`], or `FedGL+X` / `FedSage++X`, which wrap the named
+/// inner strategy with the FGL Model baselines (Table 5).
+pub fn strategy_named(name: &str) -> Option<Box<dyn Strategy>> {
     if let Some(inner) = name.strip_prefix("FedGL+") {
-        return Box::new(FedGl::new(make_strategy(inner)));
+        return Some(Box::new(FedGl::new(strategy_named(inner)?)));
     }
     if let Some(inner) = name.strip_prefix("FedSage++") {
-        return Box::new(FedSagePlus::new(make_strategy(inner)));
+        return Some(Box::new(FedSagePlus::new(strategy_named(inner)?)));
     }
-    match name {
+    let strategy: Box<dyn Strategy> = match name {
         "Local" => Box::new(LocalOnly::new()),
         "FedAvg" => Box::new(FedAvg::new()),
         "FedProx" => Box::new(FedProx::new(0.01)),
@@ -69,8 +74,9 @@ pub fn make_strategy(name: &str) -> Box<dyn Strategy> {
         "FedGTA" => Box::new(FedGta::with_defaults()),
         "FedGTA-noMom" => Box::new(FedGta::from(FedGtaConfig::without_moments())),
         "FedGTA-noConf" => Box::new(FedGta::from(FedGtaConfig::without_confidence())),
-        other => panic!("unknown strategy '{other}'"),
-    }
+        _ => return None,
+    };
+    Some(strategy)
 }
 
 /// Partitions a benchmark into `n_clients` federated subgraphs.
@@ -260,6 +266,9 @@ mod tests {
         }
         assert_eq!(make_strategy("FedGL+FedAvg").name(), "FedGL+FedAvg");
         assert_eq!(make_strategy("FedSage++MOON").name(), "FedSage++MOON");
+        for unknown in ["Nope", "FedGL+", "FedSage++Nope", "fedavg"] {
+            assert!(strategy_named(unknown).is_none(), "{unknown}");
+        }
     }
 
     #[test]
@@ -272,8 +281,9 @@ mod tests {
         };
         let wrapped = STRATEGY_NAMES.iter().flat_map(|n| [format!("FedGL+{n}"), format!("FedSage++{n}")]);
         for name in STRATEGY_NAMES.iter().map(|n| n.to_string()).chain(wrapped) {
-            // GCN: FedSage+ mends raw features, which a decoupled client no longer holds.
-            let mut clients = small_federation(ModelKind::Gcn, 3);
+            // FedSage+ mends raw features, which only a SAGE (or GAMLP) client still holds.
+            let model = if name.starts_with("FedSage++") { ModelKind::Sage } else { ModelKind::Gcn };
+            let mut clients = small_federation(model, 3);
             let before = bits(&clients);
             let stats = make_strategy(&name).round(&mut clients, &[], &RoundCtx::plain(1));
             assert_eq!(stats, RoundStats::default(), "{name}");

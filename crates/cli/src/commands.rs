@@ -1,7 +1,7 @@
 //! Subcommand implementations.
 
 use crate::args::Args;
-use fedgta_bench::{make_strategy, partition_benchmark, SplitKind, STRATEGY_NAMES};
+use fedgta_bench::{partition_benchmark, strategy_named, SplitKind, STRATEGY_NAMES};
 use fedgta_data::{load_benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
@@ -409,6 +409,10 @@ pub fn run(a: &Args) -> CliResult {
     let split = parse_split(&a.str_or("split", "louvain"))?;
     let model = parse_model(&a.str_or("model", "gamlp"))?;
     let strategy_name = a.str_or("strategy", "FedGTA");
+    let strategy = strategy_named(&strategy_name).ok_or_else(|| {
+        let known = STRATEGY_NAMES.join("|");
+        format!("unknown strategy '{strategy_name}' ({known}, each also as FedGL+X or FedSage++X)")
+    })?;
     let comms = parse_comms(a)?;
     let arm_obs = setup_obs(a)?;
     let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
@@ -421,7 +425,6 @@ pub fn run(a: &Args) -> CliResult {
     let build = ClientBuildConfig::paper(ModelConfig::paper(model, 32, seed), halo);
     let clients = build_clients(&b, &parts, &build);
     let obs = arm_obs()?;
-    let strategy = make_strategy(&strategy_name);
     println!(
         "running {} on {name}: {} clients ({} split), {rounds} rounds × {epochs} epochs, participation {participation}, {} threads",
         strategy.name(),
@@ -603,6 +606,13 @@ mod tests {
     fn partition_reports() {
         let a = args(&["partition", "--dataset", "cora", "--clients", "4", "--method", "metis"]);
         partition(&a).unwrap();
+    }
+
+    #[test]
+    fn an_unknown_strategy_is_an_error_before_anything_loads() {
+        let a = args(&["run", "--dataset", "no-such-dataset", "--strategy", "Nope"]);
+        let err = run(&a).unwrap_err().to_string();
+        assert!(err.starts_with("unknown strategy 'Nope'") && err.contains("FedGTA"), "{err}");
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub struct UploadScratch {
 
 impl UploadScratch {
     /// Heap bytes this instance retains (capacities, not current shapes);
-    /// the `fedgta.metric_scratch.bytes` gauge sums it over the pool.
+    /// the `fedgta.metric_scratch.bytes` gauge sums it over the pool and
+    /// adds the feature-moment sketches the strategy keeps.
     #[doc(hidden)]
     pub fn bytes(&self) -> usize {
         let f32s = self.soft.capacity()

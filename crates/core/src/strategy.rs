@@ -89,6 +89,12 @@ impl TopologyAware {
         self.scratch.held(UploadScratch::bytes)
     }
 
+    /// Heap bytes of the feature-moment sketches kept per client.
+    fn kept_sketch_bytes(&self) -> usize {
+        let sketches = self.feature_sketches.lock().expect("feature sketch cache poisoned");
+        sketches.values().map(|f| 4 * f.len()).sum()
+    }
+
     fn options(&self) -> AggregateOptions {
         AggregateOptions {
             epsilon: self.config.epsilon,
@@ -150,7 +156,7 @@ impl TopologyAware {
             assert!(
                 client.data.propagated.is_none(),
                 "FedGTA's feature moments propagate raw features, but client {}'s already are ({:?}): \
-                 pair them with a backbone that reads raw features (GCN, SAGE, GAMLP)",
+                 pair them with a backbone that reads raw features (SAGE, GAMLP)",
                 client.id,
                 client.data.propagated
             );
@@ -209,10 +215,10 @@ impl Objective for TopologyAware {
     fn server(&mut self, round: Arrivals<'_, Self::Upload>) -> Collaboration {
         if fedgta_obs::metrics_on() {
             // Read with every worker's instance back in the pool, next to
-            // the run's `fed.kits.*` reading.
+            // the run's `fed.kits.*` reading; the kept sketches count too.
             fedgta_obs::global()
                 .gauge("fedgta.metric_scratch.bytes")
-                .set_max(self.pooled_scratch().1 as u64);
+                .set_max((self.pooled_scratch().1 + self.kept_sketch_bytes()) as u64);
         }
         let opts = self.options();
         let sketches: Vec<&[f32]> = round.results.iter().map(|r| r.payload.2.as_slice()).collect();
@@ -605,8 +611,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "FedGTA's feature moments propagate raw features, but client 0's already are")]
     fn feature_moments_refuse_a_propagated_client() {
-        let mut clients = small_federation(ModelKind::Sgc, 111);
-        FedGta::from(FedGtaConfig::with_feature_moments()).objective.client_metrics(&mut clients[0], &mut Vec::new());
+        let metrics = |kind| {
+            let s = FedGta::from(FedGtaConfig::with_feature_moments());
+            s.objective.client_metrics(&mut small_federation(kind, 111)[0], &mut Vec::new())
+        };
+        // A GCN client holds its first layer's `Â·X`.
+        let gcn = std::panic::catch_unwind(|| metrics(ModelKind::Gcn)).expect_err("GCN is refused");
+        assert!(gcn.downcast_ref::<String>().is_some_and(|m| m.contains("already are (Some((Sgc, 1)))")));
+        metrics(ModelKind::Sgc);
     }
 
     #[test]

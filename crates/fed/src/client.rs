@@ -12,7 +12,8 @@ pub struct Client {
     pub id: usize,
     /// The training view of the local subgraph, prepared for `model`
     /// ([`GraphModel::prepare`]: a decoupled model's clients hold their
-    /// propagated features, not their raw ones).
+    /// propagated features, a GCN's its first layer's `Â·X`, not their raw
+    /// ones).
     pub data: GraphDataset,
     /// Inductive evaluation view (full local subgraph including test
     /// nodes), prepared like `data`; `None` means transductive — evaluate

@@ -118,13 +118,13 @@ impl FedSagePlus {
     /// mending stay sequential because they share one RNG stream.
     ///
     /// # Panics
-    /// If a client's features are a decoupled model's propagation: the
-    /// generator learns and writes raw neighbour features.
+    /// If a client's features are a propagation (GCN's, a decoupled
+    /// model's): the generator learns and writes raw neighbour features.
     fn mend_all(&self, clients: &mut [Client], threads: usize) {
         if let Some(c) = clients.iter().find(|c| c.data.propagated.is_some()) {
             panic!(
                 "FedSage+ generates raw neighbour features, but client {}'s are propagated ({:?}): \
-                 pair it with a backbone that reads raw features (GCN, SAGE, GAMLP)",
+                 pair it with a backbone that reads raw features (SAGE, GAMLP)",
                 c.id, c.data.propagated
             );
         }
@@ -354,8 +354,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "FedSage+ generates raw neighbour features, but client 0's are propagated")]
     fn a_propagated_client_is_refused() {
-        let mut clients = small_federation(ModelKind::Sgc, 71);
-        FedSagePlus::new(Box::new(FedAvg::new())).mend_all(&mut clients, 0);
+        let mend = |kind| FedSagePlus::new(Box::new(FedAvg::new())).mend_all(&mut small_federation(kind, 71), 0);
+        // A GCN client holds its first layer's `Â·X`.
+        let gcn = std::panic::catch_unwind(|| mend(ModelKind::Gcn)).expect_err("GCN is refused");
+        assert!(gcn.downcast_ref::<String>().is_some_and(|m| m.contains("are propagated (Some((Sgc, 1)))")));
+        mend(ModelKind::Sgc);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! hook bundle federated strategies use to inject auxiliary objectives,
 //! and the one place each hook is consulted ([`supervise`], [`step`]).
 
-use super::precompute::PrecomputeKind;
+use super::precompute::{precompute, PrecomputeKind};
 use crate::loss::{soft_ce_into, softmax_ce_into};
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
@@ -42,7 +42,8 @@ pub struct GraphDataset {
     /// Identity key for GAMLP's hop cache (a clone, equal, keeps it).
     pub cache_key: u64,
     /// `None` while `features` are the raw `X`; `Some((kind, k))` once a
-    /// decoupled model's `prepare` replaced them by their propagation.
+    /// model's `prepare` replaced them by their propagation (the decoupled
+    /// family's input, GCN's first-layer `Â·X`).
     pub propagated: Option<(PrecomputeKind, usize)>,
 }
 
@@ -114,6 +115,30 @@ impl GraphDataset {
     /// The raw feature dimension `f` (SIGN's propagation is `(k + 1)·f` wide).
     pub fn num_features(&self) -> usize {
         self.features.cols() / self.propagated.map_or(1, |(kind, k)| kind.out_dim(1, k))
+    }
+
+    /// The dataset with its features replaced by their `kind` propagation in
+    /// `k` steps (`None`: as it is), stamped so, and the mean-aggregation pair
+    /// emptied: only GraphSAGE and FedSage+ read it, and both need raw `X`.
+    pub(crate) fn propagate(mut self, how: Option<(PrecomputeKind, usize)>) -> Self {
+        let Some((kind, k)) = how else { return self };
+        assert_eq!(self.propagated, None, "features already propagated");
+        self.features = precompute(kind, &self.adj_norm, std::mem::take(&mut self.features), k);
+        self.propagated = Some((kind, k));
+        let n = self.num_nodes();
+        for adj in [&mut self.adj_mean, &mut self.adj_mean_t] {
+            if adj.num_edges() > 0 {
+                *adj = Csr::empty(n);
+            }
+        }
+        self
+    }
+
+    /// The features, which must be the propagation `want` (`None`: raw X).
+    pub(crate) fn features_as(&self, want: Option<(PrecomputeKind, usize)>) -> &Matrix {
+        let (has, hint) = (self.propagated, "pass it through GraphModel::prepare");
+        assert!(has == want, "the model reads features propagated as {want:?}, the dataset's are {has:?}: {hint}");
+        &self.features
     }
 
     /// Heap bytes held: features, adjacencies, labels, splits and degrees.

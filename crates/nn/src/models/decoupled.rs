@@ -7,13 +7,12 @@
 
 use super::common::{GraphDataset, TrainHooks};
 use super::head::{BatchedHead, HeadInput};
-use super::precompute::{precompute, PrecomputeKind};
+use super::precompute::PrecomputeKind;
 use super::{GraphModel, ModelConfig, ModelKind};
 use crate::mlp::Mlp;
 use crate::optim::Optimizer;
 use crate::tensor::{MatView, Matrix};
 use crate::workspace::Workspace;
-use fedgta_graph::Csr;
 use std::ops::Range;
 
 /// A decoupled GNN: `head(combine(hops(X)))`, where `prepare` computed
@@ -44,29 +43,13 @@ impl DecoupledModel {
 
     /// The features of `data`, which must be this model's propagation.
     fn features<'a>(&self, data: &'a GraphDataset) -> &'a Matrix {
-        let (kind, k, has) = (self.kind, self.k, data.propagated);
-        let hint = "pass it through GraphModel::prepare";
-        assert!(has == Some((kind, k)), "{kind:?} with k = {k} reads propagated features, the dataset's are {has:?}: {hint}");
-        &data.features
+        data.features_as(Some((self.kind, self.k)))
     }
 }
 
 impl GraphModel for DecoupledModel {
-    fn prepare(&self, mut data: GraphDataset) -> GraphDataset {
-        assert_eq!(data.propagated, None, "features already propagated");
-        data.features = precompute(self.kind, &data.adj_norm, std::mem::take(&mut data.features), self.k);
-        data.propagated = Some((self.kind, self.k));
-        // Only GraphSAGE and FedSage+ read the mean-aggregation pair, and
-        // FedSage+ refuses decoupled backbones: a prepared dataset is left
-        // as lean as `GraphDataset::for_decoupled` builds one (and one
-        // built that way keeps the empty pair it has).
-        let n = data.num_nodes();
-        for adj in [&mut data.adj_mean, &mut data.adj_mean_t] {
-            if adj.num_edges() > 0 {
-                *adj = Csr::empty(n);
-            }
-        }
-        data
+    fn prepare(&self, data: GraphDataset) -> GraphDataset {
+        data.propagate(Some((self.kind, self.k)))
     }
 
     fn param_slice(&self) -> &[f32] {
@@ -132,6 +115,7 @@ impl GraphModel for DecoupledModel {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::models::precompute::precompute;
     use crate::metrics::accuracy;
     use crate::optim::Adam;
     use fedgta_graph::EdgeList;

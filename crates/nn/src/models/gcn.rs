@@ -5,9 +5,12 @@
 //! Forward, backward and training are [`Coupled`]'s; GCN is the
 //! convolution `lift(H) = Â·H`. Because `Â` is symmetric, the backward
 //! propagation reuses the same matrix (`Âᵀ = Â`).
+//! The first layer's `Â·X` reads no parameter: `prepare` computes it once
+//! (SGC's propagation at `k = 1`) and a GCN client holds it in place of `X`.
 
 use super::common::GraphDataset;
 use super::coupled::{Conv, Coupled, LayerCache};
+use super::precompute::PrecomputeKind;
 use crate::mlp::Mlp;
 use crate::ops::spmm_csr_into;
 use crate::tensor::Matrix;
@@ -24,6 +27,7 @@ pub struct GcnConv;
 impl Conv for GcnConv {
     const FAN_IN: usize = 1;
     const RNG_SALT: u64 = 0xda94_2042_e4dd_58b5;
+    const PREPARED: Option<(PrecomputeKind, usize)> = Some((PrecomputeKind::Sgc, 1));
 
     /// One Xavier stream through all layers — an MLP's initialization.
     fn init(widths: &[usize], seed: u64) -> Vec<f32> {
@@ -51,8 +55,8 @@ impl Conv for GcnConv {
         dx
     }
 
-    fn penultimate<'a>(_: &'a GraphDataset, cache: &'a LayerCache) -> &'a Matrix {
-        cache.inputs.last().expect("≥1 layer")
+    fn penultimate<'a>(data: &'a GraphDataset, cache: &'a LayerCache) -> &'a Matrix {
+        cache.input(data, cache.inputs.len() - 1)
     }
 }
 
@@ -76,8 +80,9 @@ mod tests {
 
     #[test]
     fn gcn_learns_the_toy_task() {
-        let data = toy_dataset(10);
-        let mut m = Gcn::new(&cfg(), data.num_features(), 2);
+        let raw = toy_dataset(10);
+        let mut m = Gcn::new(&cfg(), raw.num_features(), 2);
+        let data = m.prepare(raw);
         let mut opt = Adam::new(0.05, 0.0);
         for _ in 0..60 {
             m.train_epoch(&data, &mut opt, &mut TrainHooks::none());
@@ -88,8 +93,9 @@ mod tests {
 
     #[test]
     fn gcn_gradient_matches_finite_differences() {
-        let data = toy_dataset(11);
-        let mut m = Gcn::new(&cfg(), data.num_features(), 2);
+        let raw = toy_dataset(11);
+        let mut m = Gcn::new(&cfg(), raw.num_features(), 2);
+        let data = m.prepare(raw);
         let (logits, cache) = m.forward(&data, false);
         let (_, d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
         let grads = m.backward(&data, &cache, &d_logits, None);
@@ -117,9 +123,17 @@ mod tests {
 
     #[test]
     fn penultimate_shape_is_hidden_width() {
-        let data = toy_dataset(12);
-        let mut m = Gcn::new(&cfg(), data.num_features(), 2);
+        let raw = toy_dataset(12);
+        let mut m = Gcn::new(&cfg(), raw.num_features(), 2);
+        let data = m.prepare(raw);
         let h = m.penultimate(&data);
         assert_eq!(h.shape(), (data.num_nodes(), 16));
+    }
+
+    #[test]
+    #[should_panic(expected = "pass it through GraphModel::prepare")]
+    fn an_unprepared_dataset_is_refused() {
+        let data = toy_dataset(13);
+        Gcn::new(&cfg(), data.num_features(), 2).predict(&data);
     }
 }

@@ -13,6 +13,7 @@
 //! A decoupled model propagates a dataset's features once, in
 //! [`GraphModel::prepare`], and the dataset holds the result in place of
 //! its raw `X` — the scalability property the paper's Table 1 relies on.
+//! GCN does the same for its first layer's `Â·X`.
 //!
 //! A backbone supplies a forward and a backward; everything a federated
 //! strategy can reach — the supervised loss, the three [`TrainHooks`]
@@ -46,7 +47,7 @@ use crate::workspace::Workspace;
 /// `&mut self` because they run through the model's scratch arena.
 pub trait GraphModel: Send {
     /// `data` made ready for this model, once, before it trains or predicts
-    /// on it: the identity, but for the decoupled family's propagation.
+    /// on it: the identity, but for the decoupled family's and GCN's propagation.
     fn prepare(&self, data: GraphDataset) -> GraphDataset {
         data
     }

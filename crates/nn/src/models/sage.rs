@@ -14,6 +14,7 @@
 
 use super::common::GraphDataset;
 use super::coupled::{Conv, Coupled, LayerCache};
+use super::precompute::PrecomputeKind;
 use crate::mlp::Mlp;
 use crate::ops::spmm_csr_into;
 use crate::tensor::Matrix;
@@ -30,6 +31,8 @@ pub struct SageConv;
 impl Conv for SageConv {
     const FAN_IN: usize = 2;
     const RNG_SALT: u64 = 0x5851_f42d_4c95_7f2d;
+    /// `[X ‖ Ā·X]` would double the features a client holds.
+    const PREPARED: Option<(PrecomputeKind, usize)> = None;
 
     /// One Xavier stream per layer, seeded `seed + l`.
     fn init(widths: &[usize], seed: u64) -> Vec<f32> {

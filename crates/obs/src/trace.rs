@@ -1018,7 +1018,7 @@ pub fn render_report(s: &TraceSummary) -> String {
     let peaks: Vec<(&str, u64)> = [
         ("graph.store.resident_bytes", "graph store resident peak"),
         ("workspace.high_water_bytes", "workspace high-water peak"),
-        ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool"),
+        ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool + kept sketches"),
         ("fed.kits.bytes", kits.as_str()),
         ("fed.clients.bytes", "client data, params, state"),
     ]
