@@ -1,10 +1,11 @@
 //! Allocation contract of a warm in-memory FedGTA round: the server reads
 //! each arrived upload's parameters off its client's model in place
-//! (`fedgta_fed::ParamTensor::Resident`), so once the round's pools are
-//! warm — the personalized aggregates recycled as Eq. 7's outputs, the
-//! worker's kit grown, the upload scratch pooled — a round allocates a
-//! small fraction of one parameter-vector copy per participant, which is
-//! what exporting every upload used to cost on its own.
+//! (`fedgta_fed::ParamTensor::Resident`) and writes Eq. 7's personalized
+//! model back there, block by block through the store's pooled scratch, so
+//! once the round's pools are warm — that scratch, the worker's kit grown,
+//! the upload scratch pooled — a round allocates a small fraction of one
+//! parameter-vector copy per participant, which is what exporting every
+//! upload used to cost on its own, and the store holds no vector at all.
 //!
 //! Lives in `fedgta-bench` for the counting allocator, as one `#[test]`:
 //! the counter is process-wide. The round runs on one worker, so nothing
@@ -57,7 +58,7 @@ fn federation() -> Vec<Client> {
 }
 
 /// A warm round stays under `1/BOUND_DIVISOR` of one parameter copy per
-/// participant: 8 847 of 271 440 bytes here, where exporting each upload
+/// participant: 9 511 of 271 440 bytes here, where exporting each upload
 /// allocated 279 214.
 const BOUND_DIVISOR: usize = 20;
 
@@ -68,7 +69,7 @@ fn a_warm_in_memory_fedgta_round_copies_no_upload() {
     let mut fedgta = FedGta::with_defaults();
     let kits: Pool<Kit> = Pool::default();
     let ctx = RoundCtx { kits: Some(&kits), ..RoundCtx::with_threads(1, 1) };
-    // Round 1 allocates the store's personalized slots; round 2 the kit's moments.
+    // Round 1 allocates the store's scratch; round 2 the kit's moments.
     for _ in 0..2 {
         fedgta.round(&mut clients, &participants, &ctx);
     }
@@ -80,6 +81,7 @@ fn a_warm_in_memory_fedgta_round_copies_no_upload() {
         rounds.push(alloc_bytes() - before);
     }
     eprintln!("warm FedGTA rounds allocated {rounds:?} bytes; one upload copy per participant: {copies}");
+    assert_eq!(fedgta.store_bytes(), 0, "the store keeps a personalized model of its own");
     for bytes in rounds {
         assert!(
             (bytes as usize) < copies / BOUND_DIVISOR,

@@ -5,6 +5,7 @@ use fedgta_bench::{partition_benchmark, strategy_named, SplitKind, STRATEGY_NAME
 use fedgta_data::{load_benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
+use fedgta_fed::fgl_models::FedSagePlus;
 use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
 use fedgta_fed::CodecSpec;
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
@@ -413,6 +414,10 @@ pub fn run(a: &Args) -> CliResult {
         let known = STRATEGY_NAMES.join("|");
         format!("unknown strategy '{strategy_name}' ({known}, each also as FedGL+X or FedSage++X)")
     })?;
+    if strategy_name.contains("FedSage++") && model.propagates() {
+        let why = FedSagePlus::NEEDS_RAW_FEATURES;
+        return Err(format!("'{strategy_name}' cannot run on --model {}: {why}", model.name()).into());
+    }
     let comms = parse_comms(a)?;
     let arm_obs = setup_obs(a)?;
     let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
@@ -815,6 +820,21 @@ mod tests {
             words.extend_from_slice(extra);
             let err = run(&args(&words)).unwrap_err().to_string();
             assert!(err.contains(&format!("does not take {}", extra[extra.len() - 2])), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_refuses_fedsage_on_a_propagating_backbone_before_anything_loads() {
+        for model in ["gcn", "sgc", "sign", "s2gc", "gbp"] {
+            let words = ["run", "--dataset", "no-such-dataset", "--strategy", "FedSage++FedAvg", "--model", model];
+            let err = run(&args(&words)).unwrap_err().to_string();
+            assert!(err.ends_with(FedSagePlus::NEEDS_RAW_FEATURES), "{model}: {err}");
+        }
+        // SAGE and GAMLP pass the check and fail only at the missing dataset.
+        for model in ["sage", "gamlp"] {
+            let words = ["run", "--dataset", "no-such-dataset", "--strategy", "FedSage++FedAvg", "--model", model];
+            let err = run(&args(&words)).unwrap_err().to_string();
+            assert!(!err.contains("FedSage+ needs"), "{model}: {err}");
         }
     }
 

@@ -250,7 +250,9 @@ impl GraphModel for Fixed {
     fn param_slice(&self) -> &[f32] {
         &[]
     }
-    fn set_params(&mut self, _: &[f32]) {}
+    fn param_slice_mut(&mut self) -> &mut [f32] {
+        &mut []
+    }
     fn train_epoch(&mut self, _: &GraphDataset, _: &mut dyn Optimizer, _: &mut TrainHooks<'_>) -> f32 {
         0.0
     }

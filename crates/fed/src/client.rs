@@ -20,8 +20,10 @@ pub struct Client {
     /// on `data`.
     pub eval_data: Option<GraphDataset>,
     /// The local model: its parameters (GAMLP also caches its hops of
-    /// `data`). Its scratch arena stays empty while a run drives the
-    /// client — the worker lends one for each turn ([`crate::kit`]).
+    /// `data`) — in memory also the client's personal slot of the server's
+    /// model store, which keeps no copy ([`crate::strategies::Store`]). Its
+    /// scratch arena stays empty while a run drives the client — the
+    /// worker lends one for each turn ([`crate::kit`]).
     pub model: Box<dyn GraphModel>,
     /// The local optimizer. Its moment vectors persist across rounds for
     /// as long as nothing will reset them; a turn that starts from a

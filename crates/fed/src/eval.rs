@@ -83,7 +83,9 @@ mod tests {
         fn param_slice(&self) -> &[f32] {
             &[]
         }
-        fn set_params(&mut self, _: &[f32]) {}
+        fn param_slice_mut(&mut self) -> &mut [f32] {
+            &mut []
+        }
         fn train_epoch(
             &mut self,
             _: &GraphDataset,

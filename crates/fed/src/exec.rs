@@ -65,14 +65,16 @@ pub struct LocalResult<R> {
 /// load broadcast → timed train → upload filter → upload) → collect →
 /// server-side error feedback. With `ctx.kits` set, the worker lends the
 /// client a [`crate::kit::Kit`] for that whole turn: its arena, and —
-/// only when a broadcast vector makes the executor `reset()` the
-/// optimizer anyway — its moment vectors (the client's own are dead at
-/// that point and are freed). A turn that starts from no vector trains on
-/// the client's own moments; under a declared broadcast whose upload will
-/// reach the server (always in memory, `fate.accepted` on the wire) they
-/// die with the turn, because the server then holds a vector for the
-/// client's next one ([`Broadcast`]'s arrival contract). A client nobody
-/// broadcasts to, or whose upload is lost, keeps them.
+/// only when the client's slot in the broadcast makes the executor
+/// `reset()` the optimizer anyway — its moment vectors (the client's own
+/// are dead at that point and are freed). A resident slot
+/// ([`crate::strategies::Store`]) is loaded by nothing, but resets all
+/// the same. A turn that starts from no slot trains on the client's own
+/// moments; under a declared broadcast whose upload will reach the server
+/// (always in memory, `fate.accepted` on the wire) they die with the turn,
+/// because the client then has a slot for its next one ([`Broadcast`]'s
+/// arrival contract). A client nobody broadcasts to, or whose upload is
+/// lost, keeps them.
 ///
 /// A payload's [`crate::ParamTensor::Resident`] tensor is given bytes of
 /// its own ([`WirePayload::own_resident`]) only where a stage needs them:
@@ -133,6 +135,9 @@ where
     let mut slots = disjoint_slots(clients, &trainers);
     let trained = par_map_indexed(&mut slots, Some(ctx.threads), |_, (i, c)| {
         let i = *i;
+        // A client with a slot starts from it — loaded below, or already
+        // its model when the slot is resident — with a reset optimizer.
+        let holds = ctx.broadcast.is_some_and(|b| b.holds(i));
         let declared = ctx.broadcast.and_then(|b| b.vector_for(i));
         let (span_parent, start) = match wire {
             Some(w) => w.receive(i, parent, declared),
@@ -141,21 +146,25 @@ where
         let cg = fedgta_obs::span_under("client_train", span_parent)
             .with_field("client", fedgta_obs::JsonVal::from(i));
         // The worker's kit for the whole turn — with its moment vectors
-        // exactly when the optimizer is reset below. A turn from no vector
+        // exactly when the optimizer is reset below. A turn from no slot
         // trains on the client's own, which die with it when the client's
-        // next turn is sure to start from a vector (`Broadcast`'s arrival
+        // next turn is sure to start from a slot (`Broadcast`'s arrival
         // contract).
         let arrives = wire.is_none_or(|w| w.script.fate(i).is_some_and(|fa| fa.accepted));
-        let moments = match start {
-            Some(_) => Moments::Lend,
-            None if ctx.broadcast.is_some() && arrives => Moments::Drop,
-            None => Moments::Keep,
+        let moments = if holds {
+            Moments::Lend
+        } else if ctx.broadcast.is_some() && arrives {
+            Moments::Drop
+        } else {
+            Moments::Keep
         };
         lend(ctx.kits, c, moments, |c| {
             // Declared start-of-round broadcast: load the strategy's model
             // for this participant before its local step.
             if let Some(v) = start.as_deref() {
                 c.model.set_params(v);
+            }
+            if holds {
                 c.opt.reset();
             }
             // What an upload filter measures the update from: the model
@@ -846,6 +855,52 @@ mod tests {
         };
         assert_eq!(bits(uploaded), bits(by_hand[0].model.param_slice()));
         assert_eq!(clients[0].opt.state_bytes(), 0);
+    }
+
+    #[test]
+    fn after_a_lost_upload_the_next_broadcast_is_encoded_from_the_servers_slot() {
+        use crate::strategies::{Arrivals, Averaged, Collaboration, Next, Objective, Row, Strategy};
+        /// One slot per client, written with the client's own upload.
+        struct Own;
+        impl Objective for Own {
+            const NAME: &'static str = "own";
+            type Upload = ParamTensor;
+            fn store(&self, clients: &[Client]) -> Store {
+                Store::empty(clients.len())
+            }
+            fn train(&self, i: usize, c: &mut Client, _: &RoundCtx<'_>) -> (f32, ParamTensor) {
+                one_epoch(i, c)
+            }
+            fn server(&mut self, round: Arrivals<'_, ParamTensor>) -> Collaboration {
+                let arrived = round.results.iter().enumerate();
+                (arrived.map(|(p, r)| {
+                    round.store.assign(r.client, r.client);
+                    (r.client, Next::Row(Row { members: vec![p], weights: vec![1.0], divisor: None }))
+                }))
+                .collect()
+            }
+        }
+        let mut clients = small_federation(ModelKind::Sgc, 39);
+        let mut own = Averaged::from(Own);
+        let (t, legs) = (ChannelTransport::new(4), Legs::default());
+        let mut round = |clients: &mut [Client], s: &RoundScript| {
+            let w = wire(&t, s, &legs);
+            own.round(clients, &[0, 1], &RoundCtx { comms: Some(&w), ..RoundCtx::with_threads(1, 2) });
+        };
+        // Round 1: both uploads arrive, and each slot is installed.
+        round(&mut clients, &script(1, &[(0, &[OK], &[OK], true), (1, &[OK], &[OK], true)]));
+        let slot = clients[0].model.params();
+        // Round 2: client 0 trains from its slot, but its upload is lost.
+        round(&mut clients, &script(2, &[(0, &[OK], &[LOST], false), (1, &[OK], &[OK], true)]));
+        assert_ne!(bits(clients[0].model.param_slice()), bits(&slot), "the lost turn trained");
+        assert_eq!(own.store().vector_for(0).map(bits), Some(bits(&slot)));
+        // Round 3's broadcast to client 0 is the slot's exact bits, coded.
+        let down = Legs { down: quant_i8(), ..Legs::default() };
+        let s3 = script(3, &[(0, &[OK], &[OK], true)]);
+        let coded = wire(&t, &s3, &down).dispatch(&[0], Some(own.store()), 0);
+        let codec = quant_i8().unwrap();
+        assert_eq!(coded[&0], encode_broadcast_coded(codec.as_ref(), &slot));
+        assert_ne!(coded[&0], encode_broadcast_coded(codec.as_ref(), clients[0].model.param_slice()));
     }
 
     #[test]

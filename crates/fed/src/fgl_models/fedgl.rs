@@ -93,6 +93,10 @@ impl Strategy for FedGl {
         format!("FedGL+{}", self.inner.name())
     }
 
+    fn store_bytes(&self) -> usize {
+        self.inner.store_bytes()
+    }
+
     fn round(
         &mut self,
         clients: &mut [Client],

@@ -111,6 +111,14 @@ fn mse_epoch(mlp: &mut Mlp, x: &Matrix, target: &Matrix, lr: f32) -> f32 {
 }
 
 impl FedSagePlus {
+    /// Why FedSage+ refuses a backbone that
+    /// [`fedgta_nn::models::ModelKind::propagates`]: its
+    /// clients no longer hold the raw features the generator learns and
+    /// writes. A caller checks the backbone before it builds clients; the
+    /// strategy checks the prepared data before it mends.
+    pub const NEEDS_RAW_FEATURES: &'static str =
+        "FedSage+ needs a backbone that reads raw features (sage, gamlp)";
+
     /// Trains NeighGen federatedly and mends every client's graph.
     ///
     /// The per-client generator training is client-parallel (`threads` as
@@ -123,9 +131,10 @@ impl FedSagePlus {
     fn mend_all(&self, clients: &mut [Client], threads: usize) {
         if let Some(c) = clients.iter().find(|c| c.data.propagated.is_some()) {
             panic!(
-                "FedSage+ generates raw neighbour features, but client {}'s are propagated ({:?}): \
-                 pair it with a backbone that reads raw features (SAGE, GAMLP)",
-                c.id, c.data.propagated
+                "FedSage+ generates raw neighbour features, but client {}'s are propagated ({:?}): {}",
+                c.id,
+                c.data.propagated,
+                Self::NEEDS_RAW_FEATURES
             );
         }
         if clients.is_empty() {
@@ -299,6 +308,10 @@ impl Strategy for FedSagePlus {
         format!("FedSage++{}", self.inner.name())
     }
 
+    fn store_bytes(&self) -> usize {
+        self.inner.store_bytes()
+    }
+
     fn round(
         &mut self,
         clients: &mut [Client],
@@ -359,6 +372,14 @@ mod tests {
         let gcn = std::panic::catch_unwind(|| mend(ModelKind::Gcn)).expect_err("GCN is refused");
         assert!(gcn.downcast_ref::<String>().is_some_and(|m| m.contains("are propagated (Some((Sgc, 1)))")));
         mend(ModelKind::Sgc);
+    }
+
+    #[test]
+    fn propagates_names_the_backbones_mend_all_refuses() {
+        for kind in ModelKind::all() {
+            let propagated = small_federation(kind, 72).iter().all(|c| c.data.propagated.is_some());
+            assert_eq!(kind.propagates(), propagated, "{kind:?}");
+        }
     }
 
     #[test]

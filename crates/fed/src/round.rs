@@ -282,7 +282,8 @@ impl Simulation {
                 participants_dropped: plan.participants.len() - plan.completed,
                 retries: plan.retries,
             };
-            publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, &self.kits, &self.clients);
+            let held = Held { kits: &self.kits, clients: &self.clients, store: self.strategy.store_bytes() };
+            publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, held);
             records.push(record);
         }
         records
@@ -491,18 +492,25 @@ struct RoundPlan {
     skipped: bool,
 }
 
+/// What the run holds between rounds, as [`publish_round`] gauges it.
+struct Held<'a> {
+    kits: &'a Pool<Kit>,
+    clients: &'a [Client],
+    /// The strategy's model store ([`Strategy::store_bytes`]).
+    store: usize,
+}
+
 /// Record stage: closes the books on one round — the round's field list
 /// (on its span and, when a metrics endpoint serves, as its `/rounds`
 /// element), the `comms.*` byte counters, aggregation-latency histogram,
-/// what the kit pool and the clients hold (no-op below
+/// what the kit pool, the clients and the model store hold (no-op below
 /// [`fedgta_obs::ObsLevel::Metrics`]), and flight-recorder breadcrumbs.
 fn publish_round(
     round_span: &mut fedgta_obs::SpanGuard,
     r: &RoundRecord,
     strategy: &str,
     aggregate_ns: u64,
-    kits: &Pool<Kit>,
-    clients: &[Client],
+    held: Held<'_>,
 ) {
     use fedgta_obs::{counter, recorder, serve};
     if round_span.id() != 0 || serve::rounds_armed() {
@@ -522,11 +530,12 @@ fn publish_round(
         counter!("comms.upload_bytes_encoded").add(r.bytes_uploaded_encoded as u64);
         counter!("comms.download_bytes_raw").add(r.bytes_downloaded_raw as u64);
         counter!("comms.download_bytes_encoded").add(r.bytes_downloaded_encoded as u64);
-        let (instances, bytes) = kits.held(Kit::bytes);
+        let (instances, bytes) = held.kits.held(Kit::bytes);
         fedgta_obs::global().gauge("fed.kits.instances").set(instances as u64);
         fedgta_obs::global().gauge("fed.kits.bytes").set(bytes as u64);
-        let held: usize = clients.iter().map(Client::bytes).sum();
-        fedgta_obs::global().gauge("fed.clients.bytes").set(held as u64);
+        let clients: usize = held.clients.iter().map(Client::bytes).sum();
+        fedgta_obs::global().gauge("fed.clients.bytes").set(clients as u64);
+        fedgta_obs::global().gauge("fed.store.bytes").set(held.store as u64);
     }
     // Flight-recorder breadcrumbs: deterministic per-round values only
     // (byte tallies and acceptance counts are functions of the seeds,

@@ -1,14 +1,21 @@
 //! The one round every aggregating strategy runs: an [`Objective`]'s
 //! server rule returns the collaboration matrix `W` — for each slot of the
 //! model [`Store`] it writes, a weighted [`Row`] over the round's arrivals
-//! — and [`Averaged`] applies `P′ = W·P` with one row kernel
-//! ([`fedgta_nn::ops::weighted_sum_rows_into`]).
+//! — and [`Averaged`] applies `P′ = W·P` with one blocked row kernel
+//! ([`fedgta_nn::ops::weighted_sum_rows_into`] on column blocks).
+//!
+//! In memory a personal slot — one the rule gave a client of its own, as
+//! FedGTA's does — lives in that client's model, so a personalized model
+//! (Eq. 7) is never held twice, and its row is applied in place. On the wire every slot keeps a buffer of
+//! its own: there the server's slot and the client's model really differ
+//! (a lost upload leaves the slot behind the model, and the slot is what
+//! the server re-sends and anchors error feedback on).
 
 use super::{RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
 use crate::exec::{train_participants, LocalResult};
 use crate::transport::WirePayload;
-use fedgta_graph::par::par_map_indexed;
+use fedgta_graph::par::{par_map_indexed, resolve_threads};
 use fedgta_nn::ops::weighted_sum_rows_into;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::SpanGuard;
@@ -59,11 +66,116 @@ impl Row {
     }
 }
 
-/// `outs[k] = rows[k] · P`, one row per worker of `threads` (0 = auto):
+/// `outs[k] = rows[k] · P`, each resized to `P`'s width, on `threads`
+/// workers (0 = auto): the blocked kernel the round applies `W` with,
 /// bit-identical at any thread count.
 pub fn apply_rows(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], threads: usize) {
     assert_eq!(rows.len(), outs.len(), "one output per row");
-    par_map_indexed(outs, Some(threads), |k, out| rows[k].apply(p, out));
+    let plen = p.first().map_or(0, |r| r.len());
+    let sources: Vec<Source<'_>> = p.iter().map(|&row| Source::Fixed(row)).collect();
+    let mut targets: Vec<&mut [f32]> = (outs.iter_mut())
+        .map(|out| {
+            out.resize(plen, 0.0);
+            out.as_mut_slice()
+        })
+        .collect();
+    let dest: Vec<usize> = (0..rows.len()).collect();
+    apply_blocked(&sources, rows, &dest, &mut targets, &mut Vec::new(), threads);
+}
+
+/// Columns per block of [`apply_blocked`]: a 4 KiB page of each row.
+const APPLY_BLOCK: usize = 1024;
+
+/// Where [`apply_blocked`] reads one row of `P`.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// A vector no row writes.
+    Fixed(&'a [f32]),
+    /// Target `t`, which some row also writes.
+    Target(usize),
+}
+
+/// `targets[dest[k]] = rows[k] · P` for every row `k`, in place: a row may
+/// read a target that it or another row writes. Workers of `threads`
+/// split the columns into contiguous runs of [`APPLY_BLOCK`]-wide blocks,
+/// and each block's outputs for every row go into the worker's part of
+/// `scratch` (`rows × APPLY_BLOCK`, pooled by the caller) before any is
+/// written back. Each row of a block is one
+/// [`weighted_sum_rows_into`] call on sub-slices, whose every element sums
+/// its members in order, so no bit — and no `aggregate.axpy_flops` count —
+/// depends on the block width or the thread count. Allocates a few small
+/// vectors per call and per worker, none per block.
+fn apply_blocked(
+    p: &[Source<'_>],
+    rows: &[Row],
+    dest: &[usize],
+    targets: &mut [&mut [f32]],
+    scratch: &mut Vec<f32>,
+    threads: usize,
+) {
+    assert_eq!(rows.len(), dest.len(), "one destination per row");
+    let Some(plen) = targets.first().map(|t| t.len()).filter(|_| !rows.is_empty()) else {
+        return;
+    };
+    assert!(targets.iter().all(|t| t.len() == plen), "targets of unequal lengths");
+    let blocks = plen.div_ceil(APPLY_BLOCK);
+    let workers = resolve_threads(Some(threads)).min(blocks).max(1);
+    let stride = rows.len() * APPLY_BLOCK;
+    scratch.resize(workers * stride, 0.0);
+    // Worker `w` owns blocks `[w·blocks/workers, (w+1)·blocks/workers)` of
+    // every target, and one `rows × APPLY_BLOCK` part of the scratch.
+    let edge = |w: usize| (w * blocks / workers * APPLY_BLOCK).min(plen);
+    let mut parts: Vec<Part<'_>> = (0..workers)
+        .zip(scratch.chunks_mut(stride))
+        .map(|(w, scratch)| Part { start: edge(w), cols: Vec::with_capacity(targets.len()), scratch })
+        .collect();
+    for target in targets.iter_mut() {
+        let mut rest: &mut [f32] = target;
+        for (w, part) in parts.iter_mut().enumerate() {
+            let (mine, next) = std::mem::take(&mut rest).split_at_mut(edge(w + 1) - edge(w));
+            part.cols.push(mine);
+            rest = next;
+        }
+    }
+    par_map_indexed(&mut parts, Some(threads), |_, Part { start, cols, scratch }| {
+        let end = *start + cols[0].len();
+        let mut views: Vec<&[f32]> = Vec::with_capacity(p.len());
+        let mut b0 = *start;
+        while b0 < end {
+            let b1 = (b0 + APPLY_BLOCK).min(end);
+            let (lo, hi) = (b0 - *start, b1 - *start);
+            // Every row reads the block before any of it is written back.
+            let mut block = recycle(views);
+            block.extend(p.iter().map(|src| match *src {
+                Source::Fixed(v) => &v[b0..b1],
+                Source::Target(t) => &cols[t][lo..hi],
+            }));
+            for (row, out) in rows.iter().zip(scratch.chunks_mut(APPLY_BLOCK)) {
+                weighted_sum_rows_into(&block, &row.members, &row.weights, row.divisor, &mut out[..hi - lo]);
+            }
+            views = recycle(block);
+            for (&t, out) in dest.iter().zip(scratch.chunks(APPLY_BLOCK)) {
+                cols[t][lo..hi].copy_from_slice(&out[..hi - lo]);
+            }
+            b0 = b1;
+        }
+    });
+}
+
+/// One worker's share of [`apply_blocked`]: columns `start..` of every
+/// target, and its part of the scratch.
+struct Part<'a> {
+    start: usize,
+    cols: Vec<&'a mut [f32]>,
+    scratch: &'a mut [f32],
+}
+
+/// An emptied `views`, its allocation kept for borrows of another block:
+/// std collects a mapped `vec::IntoIter` into its source allocation when
+/// the element layouts match.
+fn recycle<'b>(mut views: Vec<&[f32]>) -> Vec<&'b [f32]> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 /// What a server rule writes into one slot.
@@ -90,76 +202,198 @@ pub fn average(arrived: &[LocalResult<Weighted>]) -> Collaboration {
 /// The round's only model store: the slot models, and the slot each client
 /// trains from — `None` until the client first gets a broadcast, and never
 /// `None` again ([`super::Broadcast`]'s arrival contract).
+///
+/// In memory a slot of a store that starts [`Self::empty`] — the rule
+/// gives arrivals slots of their own, as FedGTA's does — that exactly one
+/// client holds and that `W` writes with a row is *resident*: its model is
+/// its holder's parameters, written there in place, and the store keeps no
+/// buffer for it. A [`Self::shared`] store keeps a buffer for every slot
+/// (a rule may read the broadcast model after its holders trained, as
+/// Scaffold's does). A resident slot keeps its
+/// holder — assigning another client onto it, or its holder off it,
+/// panics — and `W` writes it in every round its holder's upload arrives,
+/// since the holder's training has moved the only copy. A store with a
+/// resident slot never starts a wire round.
 #[derive(Debug, Default)]
 pub struct Store {
     slots: Vec<Vec<f32>>,
     slot_of: Vec<Option<usize>>,
+    /// Whether the store started empty, so its slots may become resident.
+    personal: bool,
+    resident: Vec<bool>,
+    /// The blocked kernel's `rows × block` scratch, per worker.
+    scratch: Vec<f32>,
 }
 
 impl Store {
     /// One slot holding `model`, which all `clients` clients train from.
     pub fn shared(model: Vec<f32>, clients: usize) -> Self {
-        Self { slots: vec![model], slot_of: vec![Some(0); clients] }
+        let (slots, resident) = (vec![model], vec![false]);
+        Self { slots, slot_of: vec![Some(0); clients], resident, ..Self::default() }
     }
 
     /// No slot yet: the server rule assigns each client one as it arrives.
     pub fn empty(clients: usize) -> Self {
-        Self { slots: Vec::new(), slot_of: vec![None; clients] }
+        Self { slot_of: vec![None; clients], personal: true, ..Self::default() }
     }
 
     /// Slot `slot`'s model.
+    ///
+    /// # Panics
+    ///
+    /// If the slot is resident: its model is its holder's parameters.
     pub fn model(&self, slot: usize) -> &[f32] {
+        assert!(!self.resident[slot], "slot {slot} lives in its holder's model");
         &self.slots[slot]
     }
 
-    /// The vector client `i` starts its next turn from, if any.
+    /// Whether client `i` has a slot: it then starts each turn from it,
+    /// with a reset optimizer.
+    pub fn holds(&self, i: usize) -> bool {
+        self.slot_of.get(i).is_some_and(Option::is_some)
+    }
+
+    /// The vector client `i` starts its next turn from, if it has a slot
+    /// that is not resident (a resident one already is its model).
     pub fn vector_for(&self, i: usize) -> Option<&[f32]> {
-        Some(&self.slots[self.slot_of.get(i).copied().flatten()?])
+        let slot = self.slot_of.get(i).copied().flatten()?;
+        (!self.resident[slot]).then(|| self.slots[slot].as_slice())
+    }
+
+    /// Heap bytes of the slot buffers: none for a resident slot.
+    pub fn bytes(&self) -> usize {
+        self.slots.iter().map(|s| 4 * s.len()).sum()
     }
 
     /// Moves `client` to `slot`, creating it (empty until `W` writes it)
     /// when it is past the last one.
+    ///
+    /// # Panics
+    ///
+    /// If that moves a client onto or off a resident slot.
     pub fn assign(&mut self, client: usize, slot: usize) {
+        let from = self.slot_of[client];
+        if from != Some(slot) {
+            let resident = |s: usize| self.resident.get(s) == Some(&true);
+            assert!(
+                !from.is_some_and(resident) && !resident(slot),
+                "client {client} cannot move from slot {from:?} to slot {slot}: \
+                 a resident slot keeps its holder"
+            );
+        }
         self.grow(slot);
         self.slot_of[client] = Some(slot);
     }
 
     fn grow(&mut self, slot: usize) {
-        self.slots.resize_with(self.slots.len().max(slot + 1), Vec::new);
+        let len = self.slots.len().max(slot + 1);
+        self.slots.resize_with(len, Vec::new);
+        self.resident.resize(len, false);
     }
 
-    /// Applies `W`, each row into its slot's own buffer (warm rounds
-    /// allocate no parameter-sized memory); returns which slots it wrote.
-    fn write(&mut self, w: Collaboration, p: &[&[f32]], threads: usize) -> Vec<bool> {
+    /// Applies `W` over `p`, one `(client, row)` per arrival: the upload's
+    /// own tensor, or `None` when it is the client's model. In memory a row
+    /// whose personal slot exactly one client holds goes into that client's
+    /// model and the slot becomes resident; every other row goes into its
+    /// slot's own buffer (warm rounds allocate no parameter-sized memory).
+    /// One blocked kernel applies them all, so a row may read a model
+    /// another row overwrites. Returns which slots it wrote.
+    fn write(
+        &mut self,
+        w: Collaboration,
+        clients: &mut [Client],
+        p: &[(usize, Option<&[f32]>)],
+        in_memory: bool,
+        threads: usize,
+    ) -> Vec<bool> {
+        // Per slot: `None` with no holder, `Some(None)` with several.
+        let mut holder: Vec<Option<Option<usize>>> = vec![None; self.slots.len()];
+        for (i, slot) in self.slot_of.iter().enumerate() {
+            if let Some(h) = slot.and_then(|s| holder.get_mut(s)) {
+                *h = Some(h.map_or(Some(i), |_| None));
+            }
+        }
         let mut written = vec![false; self.slots.len()];
+        let plen = clients.first().map_or(0, |c| c.model.num_params());
+        let mut in_place: Vec<(usize, Row)> = Vec::new();
         let (mut targets, mut rows, mut outs) = (Vec::new(), Vec::new(), Vec::new());
         for (slot, next) in w {
             self.grow(slot);
             written.resize(self.slots.len(), false);
             assert!(!std::mem::replace(&mut written[slot], true), "W writes slot {slot} twice");
+            let alone = holder.get(slot).copied().flatten().flatten();
+            self.resident[slot] = false;
             match next {
                 Next::Model(model) => self.slots[slot] = model,
-                Next::Row(row) => {
-                    targets.push(slot);
-                    rows.push(row);
-                    outs.push(std::mem::take(&mut self.slots[slot]));
-                }
+                Next::Row(row) => match alone.filter(|_| in_memory && self.personal) {
+                    Some(client) => {
+                        self.resident[slot] = true;
+                        self.slots[slot] = Vec::new();
+                        in_place.push((client, row));
+                    }
+                    None => {
+                        targets.push(slot);
+                        rows.push(row);
+                        let mut out = std::mem::take(&mut self.slots[slot]);
+                        out.resize(plen, 0.0);
+                        outs.push(out);
+                    }
+                },
             }
         }
-        apply_rows(p, &rows, &mut outs, threads);
+        for &(client, _) in p {
+            if let Some(slot) = self.slot_of[client].filter(|&s| self.resident[s]) {
+                assert!(written[slot], "W leaves resident slot {slot} behind its holder's upload");
+            }
+        }
+        // Targets: the in-place rows' models, in client order, then the
+        // slots' buffers; `P` reads every other model where it lies.
+        let mut target: Vec<Option<usize>> = vec![None; clients.len()];
+        for &(client, _) in &in_place {
+            target[client] = Some(0);
+        }
+        let mut models: Vec<&[f32]> = Vec::with_capacity(clients.len());
+        let mut views: Vec<&mut [f32]> = Vec::with_capacity(in_place.len() + outs.len());
+        for (c, t) in clients.iter_mut().zip(&mut target) {
+            let model = c.model.param_slice_mut();
+            match t {
+                Some(t) => {
+                    *t = views.len();
+                    views.push(model);
+                    models.push(&[]);
+                }
+                None => models.push(model),
+            }
+        }
+        let mut dest: Vec<usize> = in_place.iter().filter_map(|&(client, _)| target[client]).collect();
+        dest.extend(views.len()..views.len() + outs.len());
+        views.extend(outs.iter_mut().map(Vec::as_mut_slice));
+        let sources: Vec<Source<'_>> = (p.iter())
+            .map(|&(client, own)| match (own, target[client]) {
+                (Some(row), _) => Source::Fixed(row),
+                (None, Some(t)) => Source::Target(t),
+                (None, None) => Source::Fixed(models[client]),
+            })
+            .collect();
+        let all_rows: Vec<Row> = in_place.into_iter().map(|(_, row)| row).chain(rows).collect();
+        apply_blocked(&sources, &all_rows, &dest, &mut views, &mut self.scratch, threads);
+        drop(views);
         for (slot, out) in targets.into_iter().zip(outs) {
             self.slots[slot] = out;
         }
         written
     }
 
-    /// Installs each written slot on every client assigned to it; returns
-    /// how many clients received a model.
+    /// Installs each written slot that is not resident on every client
+    /// assigned to it (a resident one was written into its holder's model);
+    /// returns how many clients received a model.
     fn install(&self, clients: &mut [Client], written: &[bool]) -> usize {
         let mut receivers = 0;
         for (c, slot) in clients.iter_mut().zip(&self.slot_of) {
             if let Some(slot) = slot.filter(|&s| written[s]) {
-                c.model.set_params(&self.slots[slot]);
+                if !self.resident[slot] {
+                    c.model.set_params(&self.slots[slot]);
+                }
                 receivers += 1;
             }
         }
@@ -261,14 +495,26 @@ impl<O: Default> Averaged<O> {
     }
 }
 
+impl<O> Averaged<O> {
+    /// The model store as the last round left it.
+    pub fn store(&self) -> &Store {
+        &self.store
+    }
+}
+
 impl<O: Objective> Strategy for Averaged<O> {
     fn name(&self) -> String {
         self.objective.name()
     }
 
+    fn store_bytes(&self) -> usize {
+        self.store.bytes()
+    }
+
     /// Participants train from their slots, the server rule turns what
     /// arrived into `W`, and every client assigned to a slot `W` writes
-    /// installs it. With no arrival every model stays.
+    /// installs it — in memory, a resident slot's row is written straight
+    /// into its holder's model. With no arrival every model stays.
     fn round(
         &mut self,
         clients: &mut [Client],
@@ -278,7 +524,15 @@ impl<O: Objective> Strategy for Averaged<O> {
         if self.store.slot_of.len() != clients.len() {
             self.store = self.objective.store(clients);
         }
-        self.objective.prepare(clients.len(), clients[0].model.num_params());
+        // A wire round broadcasts, re-sends and anchors error feedback on
+        // the server's own slots.
+        let in_memory = ctx.comms.is_none();
+        assert!(
+            in_memory || !self.store.resident.contains(&true),
+            "a store whose slots live in the clients' models cannot start a wire round"
+        );
+        let plen = clients[0].model.num_params();
+        self.objective.prepare(clients.len(), plen);
         let trainer = &self.objective;
         let sent = RoundCtx { broadcast: Some(&self.store), ..*ctx };
         let mut arrived =
@@ -295,14 +549,17 @@ impl<O: Objective> Strategy for Averaged<O> {
             threads: ctx.threads,
             span: &mut span,
         });
-        // `P` may read the models the install overwrites.
-        let p: Vec<&[f32]> = (arrived.iter())
-            .map(|r| r.payload.params(clients[r.client].model.param_slice()))
-            .collect::<Option<_>>()
-            .expect("an upload's tensor 0 is its parameters");
-        let plen = p[0].len();
-        let written = self.store.write(w, &p, ctx.threads);
-        drop(p);
+        // `P`: each arrival's own tensor, or `None` where it is its client's
+        // model — which `W` may overwrite.
+        let p: Vec<(usize, Option<&[f32]>)> = (arrived.iter())
+            .map(|r| {
+                let model = clients[r.client].model.param_slice();
+                let row = r.payload.params(model).expect("an upload's tensor 0 is its parameters");
+                let own = !std::ptr::eq(row, model);
+                (r.client, own.then(|| r.payload.params(&[])).flatten())
+            })
+            .collect();
+        let written = self.store.write(w, clients, &p, in_memory, ctx.threads);
         let receivers = self.store.install(clients, &written);
         let (bytes_uploaded, bytes_downloaded) = self.objective.bytes(plen, &arrived, receivers);
         RoundStats { mean_loss, bytes_uploaded, bytes_downloaded }
@@ -436,21 +693,78 @@ mod tests {
 
     #[test]
     fn a_slot_nobody_is_assigned_to_is_written_but_installed_nowhere() {
-        let mut clients = small_federation(ModelKind::Sgc, 3);
-        let before: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
-        let mut store = Store::empty(clients.len());
-        store.assign(1, 1);
-        let (a, b) = (vec![1.0f32; before[0].len()], vec![3.0f32; before[0].len()]);
-        let w = vec![
-            (1, Next::Row(Row::average([(0, 1.0), (1, 1.0)]))),
-            (4, Next::Model(b.clone())),
+        for in_memory in [false, true] {
+            let mut clients = small_federation(ModelKind::Sgc, 3);
+            let before: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
+            let plen = before[0].len();
+            let mut store = Store::empty(clients.len());
+            store.assign(1, 1);
+            let (a, b) = (vec![1.0f32; plen], vec![3.0f32; plen]);
+            let w = vec![
+                (1, Next::Row(Row::average([(0, 1.0), (1, 1.0)]))),
+                (4, Next::Model(b.clone())),
+            ];
+            let written = store.write(w, &mut clients, &[(0, Some(&a)), (2, Some(&b))], in_memory, 1);
+            assert_eq!(written, [false, true, false, false, true]);
+            assert_eq!(store.install(&mut clients, &written), 1);
+            assert_eq!(clients[1].model.params(), vec![2.0; plen]);
+            for i in [0, 2, 3] {
+                assert_eq!(clients[i].model.params(), before[i], "client {i}");
+            }
+            // In memory slot 1 is client 1's model, and only slot 4 has a
+            // buffer; on the wire both do.
+            let slots = if in_memory { 1 } else { 2 };
+            assert_eq!(store.bytes(), slots * 4 * plen, "in memory: {in_memory}");
+            assert_eq!(store.vector_for(1).is_none(), in_memory);
+        }
+    }
+
+    /// The out-of-place apply the blocked kernel replaced: one row per
+    /// worker, each into a buffer of its own.
+    fn apply_rows_oracle(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], threads: usize) {
+        par_map_indexed(outs, Some(threads), |k, out| rows[k].apply(p, out));
+    }
+
+    #[test]
+    fn the_blocked_in_place_apply_keeps_the_oracles_bits() {
+        // Seven models; arrival `m` is the model row `m` writes, uploaded in
+        // place, but arrival 6 uploads a filtered tensor of its own. Rows 0
+        // and 1 read each other's destination, rows 2–4 a cycle, row 5 only
+        // itself, and row 6 the owned upload and arrival 0 into a model no
+        // row reads.
+        let row = |members: &[usize], weights: &[f32], divisor| Row {
+            members: members.to_vec(),
+            weights: weights.to_vec(),
+            divisor,
+        };
+        let rows = [
+            row(&[1, 0], &[0.25, 0.75], None),
+            row(&[0, 1], &[3.0, 5.0], Some(8.0)),
+            row(&[3], &[1.0], None),
+            row(&[4, 2], &[0.5, 0.5], None),
+            row(&[2], &[0.3], None),
+            row(&[5], &[0.7], Some(0.9)),
+            row(&[6, 0], &[2.0, 1.0], Some(3.0)),
         ];
-        let written = store.write(w, &[&a, &b], 1);
-        assert_eq!(written, [false, true, false, false, true]);
-        assert_eq!(store.install(&mut clients, &written), 1);
-        assert_eq!(clients[1].model.params(), vec![2.0; a.len()]);
-        for i in [0, 2, 3] {
-            assert_eq!(clients[i].model.params(), before[i], "client {i}");
+        // Row `k` writes target `dest[k]`, listed out of order.
+        let dest = [1usize, 0, 4, 2, 3, 6, 5];
+        for plen in [5, APPLY_BLOCK, 2 * APPLY_BLOCK + 37] {
+            let models: Vec<Vec<f32>> = uploads(7, plen, |_| 0.0).into_iter().map(|u| u.0).collect();
+            let filtered: Vec<f32> = models[dest[6]].iter().map(|v| v * 0.5 + 0.125).collect();
+            let mut oracle_p: Vec<&[f32]> = (0..6).map(|m| models[dest[m]].as_slice()).collect();
+            oracle_p.push(&filtered);
+            let mut want = vec![Vec::new(); rows.len()];
+            apply_rows_oracle(&oracle_p, &rows, &mut want, 1);
+            for threads in [1, 4] {
+                let mut got = models.clone();
+                let mut targets: Vec<&mut [f32]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                let mut sources: Vec<Source<'_>> = dest[..6].iter().map(|&t| Source::Target(t)).collect();
+                sources.push(Source::Fixed(&filtered));
+                apply_blocked(&sources, &rows, &dest, &mut targets, &mut Vec::new(), threads);
+                for (k, &t) in dest.iter().enumerate() {
+                    assert_eq!(bits(&got[t]), bits(&want[k]), "row {k}, plen {plen}, {threads} threads");
+                }
+            }
         }
     }
 }

@@ -40,9 +40,10 @@ use crate::kit::{Kit, Pool};
 use fedgta_nn::models::PseudoLabels;
 
 /// The start-of-round model broadcast: a view of the strategy's model
-/// store, each participant loading its slot's model (and resetting its
-/// optimizer) before local training — through the armed download codec
-/// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes.
+/// store, each participant with a slot loading its model (and resetting
+/// its optimizer) before local training — through the armed download codec
+/// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes. A
+/// resident slot ([`Store`]) is its holder's model already: nothing loads.
 ///
 /// **Arrival contract.** A client's slot goes `None → Some` when its upload
 /// arrives (or earlier) and never back: a client that trains from no
@@ -165,6 +166,11 @@ pub trait Strategy: Send {
         participants: &[usize],
         ctx: &RoundCtx<'_>,
     ) -> RoundStats;
+    /// Heap bytes of the model store the strategy keeps between rounds
+    /// ([`Store::bytes`]); 0 for one that keeps none.
+    fn store_bytes(&self) -> usize {
+        0
+    }
 }
 
 /// Elementwise `a - b`.

@@ -74,6 +74,10 @@ impl Strategy for DpUpload {
         format!("DP({})", self.inner.name())
     }
 
+    fn store_bytes(&self) -> usize {
+        self.inner.store_bytes()
+    }
+
     fn round(
         &mut self,
         clients: &mut [Client],

@@ -212,9 +212,8 @@ impl<C: Conv> GraphModel for Coupled<C> {
         &self.params
     }
 
-    fn set_params(&mut self, p: &[f32]) {
-        assert_eq!(p.len(), self.params.len(), "param length mismatch");
-        self.params.copy_from_slice(p);
+    fn param_slice_mut(&mut self) -> &mut [f32] {
+        &mut self.params
     }
 
     fn train_epoch(

@@ -56,8 +56,8 @@ impl GraphModel for DecoupledModel {
         self.inner.head.params()
     }
 
-    fn set_params(&mut self, p: &[f32]) {
-        self.inner.head.set_params(p);
+    fn param_slice_mut(&mut self) -> &mut [f32] {
+        self.inner.head.params_mut()
     }
 
     fn train_epoch(

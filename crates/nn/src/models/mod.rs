@@ -53,6 +53,9 @@ pub trait GraphModel: Send {
     }
     /// The flat parameter buffer, read in place.
     fn param_slice(&self) -> &[f32];
+    /// The flat parameter buffer, written in place: an aggregation that
+    /// stores a client's next model straight into it.
+    fn param_slice_mut(&mut self) -> &mut [f32];
     /// Total parameter count.
     fn num_params(&self) -> usize {
         self.param_slice().len()
@@ -62,7 +65,11 @@ pub trait GraphModel: Send {
         self.param_slice().to_vec()
     }
     /// Replaces all parameters (length must match [`Self::num_params`]).
-    fn set_params(&mut self, p: &[f32]);
+    fn set_params(&mut self, p: &[f32]) {
+        let params = self.param_slice_mut();
+        assert_eq!(p.len(), params.len(), "param length mismatch");
+        params.copy_from_slice(p);
+    }
     /// Runs one local training epoch; returns the mean supervised loss.
     fn train_epoch(
         &mut self,
@@ -148,6 +155,13 @@ impl ModelKind {
             ModelKind::Gbp => "GBP",
             ModelKind::Gamlp => "GAMLP",
         }
+    }
+
+    /// Whether [`GraphModel::prepare`] replaces a dataset's raw features by
+    /// a propagation (it then sets [`GraphDataset::propagated`]): every
+    /// backbone but GraphSAGE and GAMLP.
+    pub fn propagates(self) -> bool {
+        !matches!(self, ModelKind::Sage | ModelKind::Gamlp)
     }
 
     /// All seven backbones.

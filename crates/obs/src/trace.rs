@@ -1021,6 +1021,7 @@ pub fn render_report(s: &TraceSummary) -> String {
         ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool + kept sketches"),
         ("fed.kits.bytes", kits.as_str()),
         ("fed.clients.bytes", "client data, params, state"),
+        ("fed.store.bytes", "server model store slots"),
     ]
     .iter()
     .filter_map(|&(name, label)| s.metric(name).filter(|&v| v > 0).map(|v| (label, v)))

@@ -9,7 +9,7 @@
 //! global, so every test here serializes on one mutex.
 
 use fedgta::FedGta;
-use fedgta_fed::round::{RoundRecord, SimConfig, Simulation};
+use fedgta_fed::round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::federation_with;
 use fedgta_fed::strategies::{FedAvg, Strategy};
 use fedgta_nn::models::ModelKind;
@@ -289,4 +289,34 @@ fn the_clients_gauge_after_fedgtas_first_round_is_datasets_and_parameters() {
     let params: usize = sim.clients.iter().map(|c| 4 * c.model.num_params()).sum();
     assert!(sim.clients.iter().all(|c| c.eval_data.is_none() && c.ef.is_none()));
     assert_eq!(held as usize, data + params);
+}
+
+#[test]
+fn the_store_gauge_counts_a_slot_buffer_only_where_the_server_keeps_one() {
+    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let gauge = |strategy: Box<dyn Strategy>, wire: bool| {
+        fedgta_obs::global().reset();
+        fedgta_obs::set_level(ObsLevel::Metrics);
+        let clients = federation_with(ModelKind::Sgc, 906, 4, 906);
+        let cfg = SimConfig { rounds: 2, local_epochs: 1, threads: 1, ..SimConfig::default() };
+        let mut sim = Simulation::new(clients, strategy, cfg);
+        if wire {
+            sim = sim.with_comms(CommsConfig::default());
+        }
+        sim.run();
+        fedgta_obs::set_level(ObsLevel::Off);
+        let bytes = fedgta_obs::global().gauge("fed.store.bytes").get() as usize;
+        fedgta_obs::global().reset();
+        assert_eq!(bytes, sim.strategy.store_bytes());
+        (bytes, sim.clients.len(), sim.clients[0].model.num_params())
+    };
+    // In memory each personalized model is its client's parameters.
+    assert_eq!(gauge(Box::new(FedGta::with_defaults()), false).0, 0);
+    // FedAvg's one shared slot.
+    let (bytes, _, plen) = gauge(Box::new(FedAvg::new()), false);
+    assert_eq!(bytes, 4 * plen);
+    // On the wire the server keeps every client's slot: what it re-sends
+    // after a lost upload and anchors error feedback on.
+    let (bytes, n, plen) = gauge(Box::new(FedGta::with_defaults()), true);
+    assert_eq!(bytes, n * 4 * plen);
 }
