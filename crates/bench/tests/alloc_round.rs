@@ -58,7 +58,7 @@ fn federation() -> Vec<Client> {
 }
 
 /// A warm round stays under `1/BOUND_DIVISOR` of one parameter copy per
-/// participant: 9 511 of 271 440 bytes here, where exporting each upload
+/// participant: 8 431 of 271 440 bytes here, where exporting each upload
 /// allocated 279 214.
 const BOUND_DIVISOR: usize = 20;
 

@@ -32,20 +32,19 @@ USAGE:
                        [--threads N]           (0 = auto; results are
                                                 identical for any value)
                        [--save-params <file>]  (checkpoint of client 0's model)
-                       [--obs off|metrics|trace]  (observability level;
-                        defaults to 'trace' when --trace-out is given,
-                        'metrics' when --metrics-out is given, else 'off')
                        [--trace-out <file.jsonl>]   (structured span trace,
-                        schema fedgta-trace/2 — feed to 'report')
+                        schema fedgta-trace/2 — feed to 'report'; arms
+                        metrics and spans)
                        [--metrics-out <file.prom>]  (Prometheus text
-                        snapshot of the metric registry at exit)
+                        snapshot of the metric registry at exit; arms
+                        metrics)
                        [--serve-metrics <addr:port>] (live HTTP endpoint
                         for the duration of the run: /metrics is the
                         Prometheus text exposition — cumulative histogram
                         buckets included — /healthz a JSON liveness probe,
                         /rounds the per-round summaries so far, one object
-                        per round with the trace's round-span keys. Implies
-                        --obs metrics; port 0 picks a free port, the bound
+                        per round with the trace's round-span keys. Arms
+                        metrics; port 0 picks a free port, the bound
                         address is printed)
                        [--postmortem-out <file.jsonl>] (black-box dump:
                         on a terminal quorum failure or a panic, write the
@@ -53,11 +52,11 @@ USAGE:
                         fault log + the metric registry, as a fedgta-trace/2
                         file. Same fault seed ⇒ byte-identical dump; render
                         with 'report')
-                       [--transport direct|channel] (message path; 'channel'
-                        routes every round over the in-process transport with
-                        FGTM envelopes + CRC. Defaults to 'channel' when any
-                        fault/robustness flag is given, else 'direct'; with
-                        no faults both paths are bit-identical)
+                       Any flag from --faults to --codec-sketch routes every
+                       round over the in-process channel transport (FGTM
+                       envelopes + CRC) instead of the direct path; with no
+                       fault and no lossy codec both are bit-identical
+                       ('--fault-seed 0' alone is a clean channel run).
                        [--faults <spec>]       (fault injection, e.g.
                         'drop=0.1,corrupt=0.05,crash=0.02,delay=20,slow=0.25x4,
                         retries=3,backoff=50' — all decisions derive from
@@ -76,8 +75,7 @@ USAGE:
                        [--codec <chain>]       (upload codec chain, '+'-joined:
                         identity, quant-i8, topk[=N] — e.g.
                         'topk=64+quant-i8'. 'none' (default) = plain uploads;
-                        lossless chains are bit-identical to plain. Implies
-                        --transport channel)
+                        lossless chains are bit-identical to plain)
                        [--error-feedback]      (per-client residual accumulator:
                         each round folds the previous round's coding error into
                         the tensor before encoding, so lossy chains converge
@@ -85,7 +83,7 @@ USAGE:
                        [--codec-down <chain>]  (broadcast codec for the
                         server→client download leg, same chain syntax as
                         --codec; 'none' (default) keeps plain broadcasts
-                        byte-identical. Implies --transport channel)
+                        byte-identical)
                        [--codec-sketch <chain>] (codec for the auxiliary
                         payload tensors — FedGTA's LP moment statistics —
                         routed separately from the parameter tensor;
@@ -104,39 +102,34 @@ microbenchmarks are `cargo run --release -p fedgta-bench --bin repro -- <target>
     );
 }
 
-/// Observability outputs resolved from `--obs`, `--trace-out`,
-/// `--metrics-out`, `--serve-metrics`.
+/// Observability outputs resolved from `--trace-out`, `--metrics-out`
+/// and `--serve-metrics`.
 struct ObsSetup {
     metrics_out: Option<String>,
     armed: bool,
     server: Option<fedgta_obs::serve::MetricsServer>,
 }
 
-/// Reads and validates the observability flags and returns what arms
-/// them: the global observability level and, when requested, the JSONL
-/// trace sink and the live `/metrics` endpoint. `--obs` defaults to the
-/// weakest level that satisfies the requested outputs, so `--trace-out
-/// t.jsonl` alone "just works". The flight recorder is always armed for
-/// a run — its fixed ring is the black box a postmortem reads — and its
-/// spans never touch any numeric result.
-fn setup_obs(a: &Args) -> Result<impl FnOnce() -> std::io::Result<ObsSetup>, Box<dyn Error>> {
+/// Reads the observability flags and returns what arms them: the global
+/// observability level — the weakest that serves the requested outputs:
+/// `Trace` for `--trace-out`, `Metrics` for `--metrics-out` or
+/// `--serve-metrics`, else `Off` — and, when requested, the JSONL trace
+/// sink and the live `/metrics` endpoint. The flight recorder is always
+/// armed for a run — its fixed ring is the black box a postmortem reads —
+/// and its spans never touch any numeric result.
+fn setup_obs(a: &Args) -> impl FnOnce() -> std::io::Result<ObsSetup> {
+    use fedgta_obs::ObsLevel;
     let trace_out = a.str_opt("trace-out").map(str::to_string);
     let metrics_out = a.str_opt("metrics-out").map(str::to_string);
     let serve_addr = a.str_opt("serve-metrics").map(str::to_string);
-    let default_level = if trace_out.is_some() {
-        "trace"
+    let level = if trace_out.is_some() {
+        ObsLevel::Trace
     } else if metrics_out.is_some() || serve_addr.is_some() {
-        "metrics"
+        ObsLevel::Metrics
     } else {
-        "off"
+        ObsLevel::Off
     };
-    let level_str = a.str_or("obs", default_level);
-    let level = fedgta_obs::ObsLevel::parse(&level_str)
-        .ok_or_else(|| format!("unknown --obs '{level_str}' (off|metrics|trace)"))?;
-    if trace_out.is_some() && level != fedgta_obs::ObsLevel::Trace {
-        return Err("--trace-out needs --obs trace".into());
-    }
-    Ok(move || {
+    move || {
         if let Some(path) = &trace_out {
             fedgta_obs::init_jsonl(Path::new(path))?;
             println!("tracing to {path} (schema {})", fedgta_obs::TRACE_SCHEMA);
@@ -154,12 +147,8 @@ fn setup_obs(a: &Args) -> Result<impl FnOnce() -> std::io::Result<ObsSetup>, Box
             }
             None => None,
         };
-        Ok(ObsSetup {
-            metrics_out,
-            armed: level != fedgta_obs::ObsLevel::Off,
-            server,
-        })
-    })
+        Ok(ObsSetup { metrics_out, armed: level != ObsLevel::Off, server })
+    }
 }
 
 /// Flushes and disarms observability: writes the Prometheus snapshot if
@@ -230,21 +219,20 @@ fn render(events: &[fedgta_obs::TraceEvent], damaged: &[String]) -> String {
     out
 }
 
-/// Builds the transport/robustness config from `--transport`, `--faults`,
-/// `--fault-seed`, `--deadline`, `--min-quorum`, `--oversample`,
-/// `--max-resamples`, `--codec`, `--codec-down`, `--codec-sketch` and
-/// `--error-feedback`. Returns `None` for
-/// the direct (pre-transport) message path. The transport defaults to
-/// `channel` as soon as any robustness or codec flag is present, so
-/// `--faults drop=0.1` or `--codec quant-i8` alone "just works".
+/// Builds the transport/robustness config from `--faults`, `--fault-seed`,
+/// `--deadline`, `--min-quorum`, `--oversample`, `--max-resamples`,
+/// `--codec`, `--codec-down`, `--codec-sketch` and `--error-feedback`.
+/// The run goes over the channel transport exactly when one of them is
+/// given (`--fault-seed 0` alone is a clean channel run); `None` is the
+/// direct message path.
 fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     let robust_flags = [
         "faults", "fault-seed", "deadline", "min-quorum", "oversample", "max-resamples",
         "codec", "codec-down", "codec-sketch", "error-feedback",
     ];
     // `--codec none` is an explicit request for plain uploads, not a
-    // robustness flag — it must not flip the transport default.
-    let any_robust = robust_flags.iter().any(|k| {
+    // robustness flag — it must not move the run onto the channel.
+    let channel = robust_flags.iter().any(|k| {
         a.str_opt(k).is_some_and(|v| {
             let explicit_off = (matches!(*k, "codec" | "codec-down" | "codec-sketch")
                 && v == "none")
@@ -268,35 +256,26 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     if codec_sketch.is_some() && codec.is_none() {
         return Err("--codec-sketch needs a --codec chain for the model tensor".into());
     }
-    let transport = a.str_or("transport", if any_robust { "channel" } else { "direct" });
-    match transport.as_str() {
-        "direct" => {
-            if any_robust {
-                return Err("--transport direct is incompatible with fault/robustness/codec flags".into());
-            }
-            Ok(None)
-        }
-        "channel" => {
-            let faults = match a.str_opt("faults") {
-                Some(spec) => FaultConfig::parse(spec)?,
-                None => FaultConfig::default(),
-            };
-            let defaults = CommsConfig::default();
-            Ok(Some(CommsConfig {
-                faults,
-                fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
-                deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
-                min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
-                oversample: a.num_or("oversample", defaults.oversample)?,
-                max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
-                codec,
-                codec_down,
-                codec_sketch,
-                error_feedback,
-            }))
-        }
-        other => Err(format!("unknown --transport '{other}' (direct|channel)").into()),
+    if !channel {
+        return Ok(None);
     }
+    let faults = match a.str_opt("faults") {
+        Some(spec) => FaultConfig::parse(spec)?,
+        None => FaultConfig::default(),
+    };
+    let defaults = CommsConfig::default();
+    Ok(Some(CommsConfig {
+        faults,
+        fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
+        deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
+        min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
+        oversample: a.num_or("oversample", defaults.oversample)?,
+        max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
+        codec,
+        codec_down,
+        codec_sketch,
+        error_feedback,
+    }))
 }
 
 fn parse_split(s: &str) -> Result<SplitKind, String> {
@@ -419,7 +398,7 @@ pub fn run(a: &Args) -> CliResult {
         return Err(format!("'{strategy_name}' cannot run on --model {}: {why}", model.name()).into());
     }
     let comms = parse_comms(a)?;
-    let arm_obs = setup_obs(a)?;
+    let arm_obs = setup_obs(a);
     let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
     let save_params = a.str_opt("save-params");
     a.reject_unread()?;
@@ -741,40 +720,35 @@ mod tests {
     fn comms_flags_parse_and_validate() {
         // No robustness flags → direct path, no config.
         assert!(parse_comms(&args(&["run"])).unwrap().is_none());
-        // Any robustness flag defaults the transport to 'channel'.
+        // Any robustness flag moves the run onto the channel.
         let cc = parse_comms(&args(&["run", "--faults", "drop=0.2,delay=10", "--min-quorum", "2"]))
             .unwrap()
             .unwrap();
         assert_eq!(cc.faults.drop, 0.2);
         assert_eq!(cc.faults.delay_ms, 10);
         assert_eq!(cc.min_quorum, 2);
-        // Explicit channel with no faults is the clean transport.
-        let clean = parse_comms(&args(&["run", "--transport", "channel"])).unwrap().unwrap();
+        // The fault seed alone is the clean channel.
+        let clean = parse_comms(&args(&["run", "--fault-seed", "0"])).unwrap().unwrap();
         assert_eq!(clean.faults.drop, 0.0);
-        // Contradictory and malformed specs are rejected.
-        assert!(parse_comms(&args(&["run", "--transport", "direct", "--faults", "drop=0.1"])).is_err());
-        assert!(parse_comms(&args(&["run", "--transport", "postal"])).is_err());
+        // Malformed specs are rejected.
         assert!(parse_comms(&args(&["run", "--faults", "drop=2.0"])).is_err());
     }
 
     #[test]
     fn codec_flags_parse_and_validate() {
-        // --codec alone flips the transport default to 'channel'.
+        // --codec alone moves the run onto the channel.
         let cc = parse_comms(&args(&["run", "--codec", "quant-i8"])).unwrap().unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "quant-i8");
         let cc = parse_comms(&args(&["run", "--codec", "topk=32+quant-i8"])).unwrap().unwrap();
         assert_eq!(cc.codec.as_ref().unwrap().name(), "topk=32+quant-i8");
-        // 'none' means plain uploads and leaves the transport on 'direct'.
+        // 'none' means plain uploads and leaves the run on the direct path;
+        // beside another channel flag it arms no codec.
         assert!(parse_comms(&args(&["run", "--codec", "none"])).unwrap().is_none());
-        // Explicit channel + 'none' keeps the transport but arms no codec.
-        let cc = parse_comms(&args(&["run", "--transport", "channel", "--codec", "none"]))
-            .unwrap()
-            .unwrap();
+        let cc = parse_comms(&args(&["run", "--fault-seed", "0", "--codec", "none"])).unwrap().unwrap();
         assert!(cc.codec.is_none());
         // Invalid chains are rejected.
         assert!(parse_comms(&args(&["run", "--codec", "zip"])).is_err());
         assert!(parse_comms(&args(&["run", "--codec", "quant-i8+quant-f16"])).is_err());
-        assert!(parse_comms(&args(&["run", "--transport", "direct", "--codec", "quant-i8"])).is_err());
     }
 
     #[test]
@@ -805,17 +779,13 @@ mod tests {
     }
 
     #[test]
-    fn obs_flag_rejects_unknown_level() {
-        let a = args(&["run", "--obs", "loud"]);
-        assert!(setup_obs(&a).is_err());
-    }
-
-    #[test]
     fn run_refuses_flags_it_never_reads() {
         // `--round` (for `--rounds`) used to run the 30-round default;
-        // `--codec-arg` was retired for `topk=N`. Both fail before any
+        // `--codec-arg` was retired for `topk=N`, `--obs` and `--transport`
+        // for what the output and channel flags imply. All fail before any
         // work, naming the flag.
-        for extra in [&["--round", "1"][..], &["--codec", "topk", "--codec-arg", "k=8"]] {
+        let retired = [&["--obs", "trace"][..], &["--transport", "channel"], &["--codec", "topk", "--codec-arg", "k=8"]];
+        for extra in [&["--round", "1"][..]].into_iter().chain(retired) {
             let mut words = vec!["run", "--dataset", "cora", "--model", "sgc", "--clients", "2"];
             words.extend_from_slice(extra);
             let err = run(&args(&words)).unwrap_err().to_string();

@@ -7,7 +7,7 @@
 //! fedgta-cli run       --dataset cora --strategy FedGTA --model gamlp
 //!                      [--clients 10] [--rounds 30] [--epochs 3]
 //!                      [--split louvain] [--participation 1.0] [--seed 0]
-//!                      [--obs off|metrics|trace] [--trace-out trace.jsonl]
+//!                      [--trace-out trace.jsonl]
 //!                      [--metrics-out metrics.prom]
 //!                      [--serve-metrics 127.0.0.1:9090]
 //!                      [--postmortem-out crash.pm.jsonl]

@@ -191,9 +191,9 @@ impl Objective for TopologyAware {
         .into()
     }
 
-    /// A client gets its slot when its first upload arrives.
+    /// Slot `i` is client `i`'s, held from its first upload that arrives.
     fn store(&self, clients: &[Client]) -> Store {
-        Store::empty(clients.len())
+        Store::personal(clients.len())
     }
 
     /// Algorithm 1: local update + metric computation. `W` is the model as
@@ -235,10 +235,7 @@ impl Objective for TopologyAware {
             round.span.record("rejected", JsonVal::from(report.rejected));
         }
         let w = (round.results.iter().zip(&report.entries))
-            .map(|(r, row)| {
-                round.store.assign(r.client, r.client);
-                (r.client, Next::Row(row.clone()))
-            })
+            .map(|(r, row)| (r.client, Next::Row(row.clone())))
             .collect();
         self.last_report = Some(report);
         w

@@ -67,14 +67,14 @@ pub struct LocalResult<R> {
 /// client a [`crate::kit::Kit`] for that whole turn: its arena, and —
 /// only when the client's slot in the broadcast makes the executor
 /// `reset()` the optimizer anyway — its moment vectors (the client's own
-/// are dead at that point and are freed). A resident slot
-/// ([`crate::strategies::Store`]) is loaded by nothing, but resets all
-/// the same. A turn that starts from no slot trains on the client's own
-/// moments; under a declared broadcast whose upload will reach the server
-/// (always in memory, `fate.accepted` on the wire) they die with the turn,
-/// because the client then has a slot for its next one ([`Broadcast`]'s
-/// arrival contract). A client nobody broadcasts to, or whose upload is
-/// lost, keeps them.
+/// are dead at that point and are freed). A personal slot that lives in
+/// its client's model ([`crate::strategies::Store`]) is loaded by nothing,
+/// but resets all the same. A turn that starts from no slot trains on the
+/// client's own moments; under a declared broadcast whose upload will
+/// reach the server (always in memory, `fate.accepted` on the wire) they
+/// die with the turn, because the client then has a slot for its next one
+/// ([`Broadcast`]'s arrival contract). A client nobody broadcasts to, or
+/// whose upload is lost, keeps them.
 ///
 /// A payload's [`crate::ParamTensor::Resident`] tensor is given bytes of
 /// its own ([`WirePayload::own_resident`]) only where a stage needs them:
@@ -136,7 +136,7 @@ where
     let trained = par_map_indexed(&mut slots, Some(ctx.threads), |_, (i, c)| {
         let i = *i;
         // A client with a slot starts from it — loaded below, or already
-        // its model when the slot is resident — with a reset optimizer.
+        // its model when the slot lives there — with a reset optimizer.
         let holds = ctx.broadcast.is_some_and(|b| b.holds(i));
         let declared = ctx.broadcast.and_then(|b| b.vector_for(i));
         let (span_parent, start) = match wire {
@@ -802,7 +802,7 @@ mod tests {
         // yet. Every upload arrives, so every client's next turn starts
         // from a vector and a reset — its moments die with this turn.
         let mut clients = small_federation(ModelKind::Sign, 36);
-        let (none, kits) = (Store::empty(clients.len()), Pool::default());
+        let (none, kits) = (Store::personal(clients.len()), Pool::default());
         let ctx = RoundCtx {
             broadcast: Some(&none),
             kits: Some(&kits),
@@ -825,7 +825,7 @@ mod tests {
     fn a_client_whose_upload_is_lost_keeps_its_moments_and_trains_on_them() {
         let mut clients = small_federation(ModelKind::Sign, 37);
         let mut by_hand = small_federation(ModelKind::Sign, 37);
-        let (none, kits) = (Store::empty(clients.len()), Pool::default());
+        let (none, kits) = (Store::personal(clients.len()), Pool::default());
         let t = ChannelTransport::new(4);
         let legs = Legs::default();
         let turn = |clients: &mut [Client], s: &RoundScript| {
@@ -866,18 +866,15 @@ mod tests {
             const NAME: &'static str = "own";
             type Upload = ParamTensor;
             fn store(&self, clients: &[Client]) -> Store {
-                Store::empty(clients.len())
+                Store::personal(clients.len())
             }
             fn train(&self, i: usize, c: &mut Client, _: &RoundCtx<'_>) -> (f32, ParamTensor) {
                 one_epoch(i, c)
             }
             fn server(&mut self, round: Arrivals<'_, ParamTensor>) -> Collaboration {
                 let arrived = round.results.iter().enumerate();
-                (arrived.map(|(p, r)| {
-                    round.store.assign(r.client, r.client);
-                    (r.client, Next::Row(Row { members: vec![p], weights: vec![1.0], divisor: None }))
-                }))
-                .collect()
+                let own = |p| Next::Row(Row { members: vec![p], weights: vec![1.0], divisor: None });
+                arrived.map(|(p, r)| (r.client, own(p))).collect()
             }
         }
         let mut clients = small_federation(ModelKind::Sgc, 39);

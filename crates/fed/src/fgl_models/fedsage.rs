@@ -28,34 +28,27 @@ use fedgta_nn::{GraphDataset, Matrix, Mlp, Workspace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Fraction of nodes hidden for generator self-supervision.
+const HIDE_FRAC: f64 = 0.2;
+/// Local epochs per generator round.
+const GEN_EPOCHS: usize = 10;
+/// Federated generator rounds.
+const GEN_ROUNDS: usize = 3;
+/// Maximum generated neighbors per node (paper's `g` grid: {2,5,10}).
+const MAX_GEN: usize = 2;
+/// Seed for hiding/noise.
+const SEED: u64 = 0;
+
 /// FedSage+ wrapper strategy.
 pub struct FedSagePlus {
     inner: Box<dyn Strategy>,
-    /// Fraction of nodes hidden for generator self-supervision.
-    pub hide_frac: f64,
-    /// Local epochs per generator round.
-    pub gen_epochs: usize,
-    /// Federated generator rounds.
-    pub gen_rounds: usize,
-    /// Maximum generated neighbors per node (paper's `g` grid: {2,5,10}).
-    pub max_gen: usize,
-    /// Seed for hiding/noise.
-    pub seed: u64,
     mended: bool,
 }
 
 impl FedSagePlus {
     /// Wraps `inner` with FedSage+'s graph mending.
     pub fn new(inner: Box<dyn Strategy>) -> Self {
-        Self {
-            inner,
-            hide_frac: 0.2,
-            gen_epochs: 10,
-            gen_rounds: 3,
-            max_gen: 2,
-            seed: 0,
-            mended: false,
-        }
+        Self { inner, mended: false }
     }
 }
 
@@ -141,7 +134,7 @@ impl FedSagePlus {
             return;
         }
         let f = clients[0].data.num_features();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(SEED);
 
         // --- Build self-supervision views per client ---------------------
         struct GenTask {
@@ -153,7 +146,7 @@ impl FedSagePlus {
         let mut tasks = Vec::with_capacity(clients.len());
         for c in clients.iter() {
             let n = c.data.num_nodes();
-            let hidden: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < self.hide_frac).collect();
+            let hidden: Vec<bool> = (0..n).map(|_| rng.random::<f64>() < HIDE_FRAC).collect();
             let visible: Vec<u32> = (0..n as u32).filter(|&v| !hidden[v as usize]).collect();
             if visible.is_empty() {
                 continue;
@@ -225,15 +218,14 @@ impl FedSagePlus {
         // from the same starting parameters — independent work, run
         // client-parallel; the weighted average happens on the driver in
         // task order (bit-identical for any thread count).
-        let mut global_gen = NeighGen::new(f, self.seed ^ 0x51de);
-        let gen_epochs = self.gen_epochs;
-        for _ in 0..self.gen_rounds {
+        let mut global_gen = NeighGen::new(f, SEED ^ 0x51de);
+        for _ in 0..GEN_ROUNDS {
             let start = global_gen.params();
             let uploads: Vec<(Vec<f32>, f64)> =
                 par_map_indexed(&mut tasks, Some(threads), |_, t| {
                     let mut local = NeighGen::new(f, 0);
                     local.set_params(&start);
-                    for _ in 0..gen_epochs {
+                    for _ in 0..GEN_EPOCHS {
                         mse_epoch(&mut local.dgen, &t.input, &t.d_target, 0.01);
                         mse_epoch(&mut local.fgen, &t.input, &t.f_target, 0.01);
                     }
@@ -255,7 +247,7 @@ impl FedSagePlus {
             let mut extra_feats: Vec<(u32, Vec<f32>)> = Vec::new(); // (attach-to, features)
             for v in 0..n {
                 let k = counts.get(v, 0).round().max(0.0) as usize;
-                for _ in 0..k.min(self.max_gen) {
+                for _ in 0..k.min(MAX_GEN) {
                     let noise: Vec<f32> = feats
                         .row(v)
                         .iter()

@@ -4,12 +4,15 @@
 //! — and [`Averaged`] applies `P′ = W·P` with one blocked row kernel
 //! ([`fedgta_nn::ops::weighted_sum_rows_into`] on column blocks).
 //!
-//! In memory a personal slot — one the rule gave a client of its own, as
-//! FedGTA's does — lives in that client's model, so a personalized model
-//! (Eq. 7) is never held twice, and its row is applied in place. On the wire every slot keeps a buffer of
-//! its own: there the server's slot and the client's model really differ
-//! (a lost upload leaves the slot behind the model, and the slot is what
-//! the server re-sends and anchors error feedback on).
+//! A store is [`Store::shared`] (FedAvg's one slot, GCFL+'s clusters) or
+//! [`Store::personal`]: slot `i` is client `i`'s, as FedGTA's Eq. 7 gives
+//! every client a model of its own. In memory a personal slot lives in its
+//! client's model, so a personalized model is never held twice, and `W`
+//! is applied to the arrivals' models in place. On the wire every slot
+//! keeps a buffer of its own: there the server's slot and the client's
+//! model really differ (a lost upload leaves the slot behind the model,
+//! and the slot is what the server re-sends and anchors error feedback
+//! on).
 
 use super::{RoundCtx, RoundStats, Strategy};
 use crate::client::Client;
@@ -70,6 +73,11 @@ impl Row {
 /// workers (0 = auto): the blocked kernel the round applies `W` with,
 /// bit-identical at any thread count.
 pub fn apply_rows(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], threads: usize) {
+    apply_pooled(p, rows, outs, &mut Vec::new(), threads);
+}
+
+/// [`apply_rows`] with the kernel's scratch pooled by the caller.
+fn apply_pooled(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], scratch: &mut Vec<f32>, threads: usize) {
     assert_eq!(rows.len(), outs.len(), "one output per row");
     let plen = p.first().map_or(0, |r| r.len());
     let sources: Vec<Source<'_>> = p.iter().map(|&row| Source::Fixed(row)).collect();
@@ -80,7 +88,7 @@ pub fn apply_rows(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], threads: us
         })
         .collect();
     let dest: Vec<usize> = (0..rows.len()).collect();
-    apply_blocked(&sources, rows, &dest, &mut targets, &mut Vec::new(), threads);
+    apply_blocked(&sources, rows, &dest, &mut targets, scratch, threads);
 }
 
 /// Columns per block of [`apply_blocked`]: a 4 KiB page of each row.
@@ -203,24 +211,25 @@ pub fn average(arrived: &[LocalResult<Weighted>]) -> Collaboration {
 /// trains from — `None` until the client first gets a broadcast, and never
 /// `None` again ([`super::Broadcast`]'s arrival contract).
 ///
-/// In memory a slot of a store that starts [`Self::empty`] — the rule
-/// gives arrivals slots of their own, as FedGTA's does — that exactly one
-/// client holds and that `W` writes with a row is *resident*: its model is
-/// its holder's parameters, written there in place, and the store keeps no
-/// buffer for it. A [`Self::shared`] store keeps a buffer for every slot
-/// (a rule may read the broadcast model after its holders trained, as
-/// Scaffold's does). A resident slot keeps its
-/// holder — assigning another client onto it, or its holder off it,
-/// panics — and `W` writes it in every round its holder's upload arrives,
-/// since the holder's training has moved the only copy. A store with a
-/// resident slot never starts a wire round.
+/// A [`Self::shared`] store starts with one slot that every client trains
+/// from; a rule may add slots and move clients between them
+/// ([`Self::assign`], as GCFL+'s splits do). Each of its slots keeps a
+/// buffer of its own, so a rule may read the broadcast model after its
+/// holders trained, as Scaffold's does. In a [`Self::personal`] store slot
+/// `i` is client `i`'s own, held from the first round `W` writes it. In
+/// memory its model *is* client `i`'s parameters: `W` is applied there in
+/// place and the store keeps no buffer, so `W` writes every arrival's slot
+/// in every round (the arrival's training has moved the only copy), and
+/// the store never starts a wire round after.
 #[derive(Debug, Default)]
 pub struct Store {
     slots: Vec<Vec<f32>>,
     slot_of: Vec<Option<usize>>,
-    /// Whether the store started empty, so its slots may become resident.
+    /// Whether slot `i` is client `i`'s own.
     personal: bool,
-    resident: Vec<bool>,
+    /// Whether the slots live in the clients' models: a personal store
+    /// written in memory.
+    in_place: bool,
     /// The blocked kernel's `rows × block` scratch, per worker.
     scratch: Vec<f32>,
 }
@@ -228,22 +237,23 @@ pub struct Store {
 impl Store {
     /// One slot holding `model`, which all `clients` clients train from.
     pub fn shared(model: Vec<f32>, clients: usize) -> Self {
-        let (slots, resident) = (vec![model], vec![false]);
-        Self { slots, slot_of: vec![Some(0); clients], resident, ..Self::default() }
+        Self { slots: vec![model], slot_of: vec![Some(0); clients], ..Self::default() }
     }
 
-    /// No slot yet: the server rule assigns each client one as it arrives.
-    pub fn empty(clients: usize) -> Self {
-        Self { slot_of: vec![None; clients], personal: true, ..Self::default() }
+    /// Slot `i` for each client `i` of `clients`, held from the round `W`
+    /// first writes it.
+    pub fn personal(clients: usize) -> Self {
+        let (slots, slot_of) = (vec![Vec::new(); clients], vec![None; clients]);
+        Self { slots, slot_of, personal: true, ..Self::default() }
     }
 
     /// Slot `slot`'s model.
     ///
     /// # Panics
     ///
-    /// If the slot is resident: its model is its holder's parameters.
+    /// If the slots live in the clients' models.
     pub fn model(&self, slot: usize) -> &[f32] {
-        assert!(!self.resident[slot], "slot {slot} lives in its holder's model");
+        assert!(!self.in_place, "slot {slot} lives in its client's model");
         &self.slots[slot]
     }
 
@@ -254,33 +264,27 @@ impl Store {
     }
 
     /// The vector client `i` starts its next turn from, if it has a slot
-    /// that is not resident (a resident one already is its model).
+    /// that is not its model already.
     pub fn vector_for(&self, i: usize) -> Option<&[f32]> {
-        let slot = self.slot_of.get(i).copied().flatten()?;
-        (!self.resident[slot]).then(|| self.slots[slot].as_slice())
+        let slot = self.slot_of.get(i).copied().flatten().filter(|_| !self.in_place)?;
+        Some(&self.slots[slot])
     }
 
-    /// Heap bytes of the slot buffers: none for a resident slot.
+    /// Heap bytes of the slot buffers: none for slots that live in the
+    /// clients' models.
     pub fn bytes(&self) -> usize {
         self.slots.iter().map(|s| 4 * s.len()).sum()
     }
 
-    /// Moves `client` to `slot`, creating it (empty until `W` writes it)
-    /// when it is past the last one.
+    /// Moves `client` to `slot` of a shared store, creating the slot
+    /// (empty until `W` writes it) when it is past the last one.
     ///
     /// # Panics
     ///
-    /// If that moves a client onto or off a resident slot.
+    /// On a personal store, whose slot `i` is client `i`'s.
     pub fn assign(&mut self, client: usize, slot: usize) {
-        let from = self.slot_of[client];
-        if from != Some(slot) {
-            let resident = |s: usize| self.resident.get(s) == Some(&true);
-            assert!(
-                !from.is_some_and(resident) && !resident(slot),
-                "client {client} cannot move from slot {from:?} to slot {slot}: \
-                 a resident slot keeps its holder"
-            );
-        }
+        let fixed = "a personal store's slots are fixed";
+        assert!(!self.personal, "client {client} cannot move to slot {slot}: {fixed}");
         self.grow(slot);
         self.slot_of[client] = Some(slot);
     }
@@ -288,16 +292,16 @@ impl Store {
     fn grow(&mut self, slot: usize) {
         let len = self.slots.len().max(slot + 1);
         self.slots.resize_with(len, Vec::new);
-        self.resident.resize(len, false);
     }
 
-    /// Applies `W` over `p`, one `(client, row)` per arrival: the upload's
-    /// own tensor, or `None` when it is the client's model. In memory a row
-    /// whose personal slot exactly one client holds goes into that client's
-    /// model and the slot becomes resident; every other row goes into its
-    /// slot's own buffer (warm rounds allocate no parameter-sized memory).
-    /// One blocked kernel applies them all, so a row may read a model
-    /// another row overwrites. Returns which slots it wrote.
+    /// Applies `W` over `p`, one `(client, tensor)` per arrival: the
+    /// upload's own tensor, or `None` when it is the client's model. In
+    /// memory a personal store's `W` writes exactly the arrivals' slots, in
+    /// arrival order and with rows, into the arrivals' models, and one
+    /// blocked kernel applies them in place, so a row may read a model
+    /// another row overwrites. Otherwise every row goes into its slot's own
+    /// buffer (warm rounds allocate no parameter-sized memory). Returns
+    /// which slots it wrote.
     fn write(
         &mut self,
         w: Collaboration,
@@ -306,92 +310,65 @@ impl Store {
         in_memory: bool,
         threads: usize,
     ) -> Vec<bool> {
-        // Per slot: `None` with no holder, `Some(None)` with several.
-        let mut holder: Vec<Option<Option<usize>>> = vec![None; self.slots.len()];
-        for (i, slot) in self.slot_of.iter().enumerate() {
-            if let Some(h) = slot.and_then(|s| holder.get_mut(s)) {
-                *h = Some(h.map_or(Some(i), |_| None));
-            }
-        }
         let mut written = vec![false; self.slots.len()];
-        let plen = clients.first().map_or(0, |c| c.model.num_params());
-        let mut in_place: Vec<(usize, Row)> = Vec::new();
-        let (mut targets, mut rows, mut outs) = (Vec::new(), Vec::new(), Vec::new());
-        for (slot, next) in w {
+        for &(slot, _) in &w {
             self.grow(slot);
             written.resize(self.slots.len(), false);
             assert!(!std::mem::replace(&mut written[slot], true), "W writes slot {slot} twice");
-            let alone = holder.get(slot).copied().flatten().flatten();
-            self.resident[slot] = false;
+            if self.personal {
+                self.slot_of[slot] = Some(slot);
+            }
+        }
+        if self.personal && in_memory {
+            let arrivals = p.iter().map(|&(client, _)| client);
+            assert!(w.iter().map(|&(slot, _)| slot).eq(arrivals), "W writes the arrivals' slots, in arrival order");
+            let rows: Vec<Row> = (w.into_iter())
+                .map(|(slot, next)| match next {
+                    Next::Row(row) => row,
+                    Next::Model(_) => panic!("slot {slot} lives in its client's model: W writes it with a row"),
+                })
+                .collect();
+            let mut models: Vec<Option<&mut [f32]>> =
+                clients.iter_mut().map(|c| Some(c.model.param_slice_mut())).collect();
+            let mut targets: Vec<&mut [f32]> =
+                p.iter().map(|&(client, _)| models[client].take().expect("one arrival per slot")).collect();
+            let sources: Vec<Source<'_>> = (p.iter().enumerate())
+                .map(|(m, &(_, own))| own.map_or(Source::Target(m), Source::Fixed))
+                .collect();
+            let dest: Vec<usize> = (0..rows.len()).collect();
+            apply_blocked(&sources, &rows, &dest, &mut targets, &mut self.scratch, threads);
+            self.in_place = true;
+            return written;
+        }
+        let (mut slots, mut rows, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+        for (slot, next) in w {
             match next {
                 Next::Model(model) => self.slots[slot] = model,
-                Next::Row(row) => match alone.filter(|_| in_memory && self.personal) {
-                    Some(client) => {
-                        self.resident[slot] = true;
-                        self.slots[slot] = Vec::new();
-                        in_place.push((client, row));
-                    }
-                    None => {
-                        targets.push(slot);
-                        rows.push(row);
-                        let mut out = std::mem::take(&mut self.slots[slot]);
-                        out.resize(plen, 0.0);
-                        outs.push(out);
-                    }
-                },
-            }
-        }
-        for &(client, _) in p {
-            if let Some(slot) = self.slot_of[client].filter(|&s| self.resident[s]) {
-                assert!(written[slot], "W leaves resident slot {slot} behind its holder's upload");
-            }
-        }
-        // Targets: the in-place rows' models, in client order, then the
-        // slots' buffers; `P` reads every other model where it lies.
-        let mut target: Vec<Option<usize>> = vec![None; clients.len()];
-        for &(client, _) in &in_place {
-            target[client] = Some(0);
-        }
-        let mut models: Vec<&[f32]> = Vec::with_capacity(clients.len());
-        let mut views: Vec<&mut [f32]> = Vec::with_capacity(in_place.len() + outs.len());
-        for (c, t) in clients.iter_mut().zip(&mut target) {
-            let model = c.model.param_slice_mut();
-            match t {
-                Some(t) => {
-                    *t = views.len();
-                    views.push(model);
-                    models.push(&[]);
+                Next::Row(row) => {
+                    slots.push(slot);
+                    rows.push(row);
+                    outs.push(std::mem::take(&mut self.slots[slot]));
                 }
-                None => models.push(model),
             }
         }
-        let mut dest: Vec<usize> = in_place.iter().filter_map(|&(client, _)| target[client]).collect();
-        dest.extend(views.len()..views.len() + outs.len());
-        views.extend(outs.iter_mut().map(Vec::as_mut_slice));
-        let sources: Vec<Source<'_>> = (p.iter())
-            .map(|&(client, own)| match (own, target[client]) {
-                (Some(row), _) => Source::Fixed(row),
-                (None, Some(t)) => Source::Target(t),
-                (None, None) => Source::Fixed(models[client]),
-            })
+        let p: Vec<&[f32]> = (p.iter())
+            .map(|&(client, own)| own.unwrap_or(clients[client].model.param_slice()))
             .collect();
-        let all_rows: Vec<Row> = in_place.into_iter().map(|(_, row)| row).chain(rows).collect();
-        apply_blocked(&sources, &all_rows, &dest, &mut views, &mut self.scratch, threads);
-        drop(views);
-        for (slot, out) in targets.into_iter().zip(outs) {
+        apply_pooled(&p, &rows, &mut outs, &mut self.scratch, threads);
+        for (slot, out) in slots.into_iter().zip(outs) {
             self.slots[slot] = out;
         }
         written
     }
 
-    /// Installs each written slot that is not resident on every client
-    /// assigned to it (a resident one was written into its holder's model);
+    /// Installs each written slot on every client assigned to it (in
+    /// memory a personal slot was written into its client's model);
     /// returns how many clients received a model.
     fn install(&self, clients: &mut [Client], written: &[bool]) -> usize {
         let mut receivers = 0;
         for (c, slot) in clients.iter_mut().zip(&self.slot_of) {
             if let Some(slot) = slot.filter(|&s| written[s]) {
-                if !self.resident[slot] {
+                if !self.in_place {
                     c.model.set_params(&self.slots[slot]);
                 }
                 receivers += 1;
@@ -407,7 +384,7 @@ pub struct Arrivals<'a, U> {
     /// as the rule leaves them (FedDC rewrites them).
     pub results: &'a mut [LocalResult<U>],
     /// The store before `W`: the models broadcast this round, and each
-    /// client's slot, which the rule may change.
+    /// client's slot, which a rule over a shared store may change.
     pub store: &'a mut Store,
     /// Worker threads for the rule's own parallel work.
     pub threads: usize,
@@ -513,8 +490,8 @@ impl<O: Objective> Strategy for Averaged<O> {
 
     /// Participants train from their slots, the server rule turns what
     /// arrived into `W`, and every client assigned to a slot `W` writes
-    /// installs it — in memory, a resident slot's row is written straight
-    /// into its holder's model. With no arrival every model stays.
+    /// installs it — in memory, a personal slot's row is written straight
+    /// into its client's model. With no arrival every model stays.
     fn round(
         &mut self,
         clients: &mut [Client],
@@ -528,7 +505,7 @@ impl<O: Objective> Strategy for Averaged<O> {
         // the server's own slots.
         let in_memory = ctx.comms.is_none();
         assert!(
-            in_memory || !self.store.resident.contains(&true),
+            in_memory || !self.store.in_place,
             "a store whose slots live in the clients' models cannot start a wire round"
         );
         let plen = clients[0].model.num_params();
@@ -693,11 +670,14 @@ mod tests {
 
     #[test]
     fn a_slot_nobody_is_assigned_to_is_written_but_installed_nowhere() {
+        // GCFL+'s case: a shared store, a client moved to a new slot, and a
+        // slot nobody holds written with a model. Every slot keeps a buffer,
+        // in memory as on the wire.
         for in_memory in [false, true] {
             let mut clients = small_federation(ModelKind::Sgc, 3);
             let before: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
             let plen = before[0].len();
-            let mut store = Store::empty(clients.len());
+            let mut store = Store::shared(vec![0.5; plen], clients.len());
             store.assign(1, 1);
             let (a, b) = (vec![1.0f32; plen], vec![3.0f32; plen]);
             let w = vec![
@@ -711,12 +691,56 @@ mod tests {
             for i in [0, 2, 3] {
                 assert_eq!(clients[i].model.params(), before[i], "client {i}");
             }
-            // In memory slot 1 is client 1's model, and only slot 4 has a
-            // buffer; on the wire both do.
-            let slots = if in_memory { 1 } else { 2 };
-            assert_eq!(store.bytes(), slots * 4 * plen, "in memory: {in_memory}");
-            assert_eq!(store.vector_for(1).is_none(), in_memory);
+            assert_eq!(store.bytes(), 3 * 4 * plen, "in memory: {in_memory}");
+            assert_eq!(store.vector_for(0), Some(&vec![0.5; plen][..]));
+            assert_eq!(store.vector_for(1), Some(&vec![2.0; plen][..]));
         }
+    }
+
+    #[test]
+    fn a_personal_slot_is_its_clients_model_in_memory_and_a_buffer_on_the_wire() {
+        for in_memory in [false, true] {
+            let mut clients = small_federation(ModelKind::Sgc, 3);
+            let (n, plen) = (clients.len(), clients[0].model.num_params());
+            let mut store = Store::personal(n);
+            assert!((0..n).all(|i| !store.holds(i) && store.vector_for(i).is_none()));
+            // Arrivals: client 2 uploads its model in place, client 0 a
+            // tensor of its own; both rows read both, before either is
+            // written.
+            clients[2].model.set_params(&vec![3.0; plen]);
+            let own = vec![1.0f32; plen];
+            let row = || Next::Row(Row::average([(0, 1.0), (1, 1.0)]));
+            let w = vec![(2, row()), (0, row())];
+            let written = store.write(w, &mut clients, &[(2, None), (0, Some(&own))], in_memory, 1);
+            assert_eq!(written, (0..n).map(|i| i == 0 || i == 2).collect::<Vec<_>>());
+            assert_eq!(store.install(&mut clients, &written), 2);
+            for (i, &written) in written.iter().enumerate() {
+                assert_eq!(store.holds(i), written, "client {i}");
+            }
+            for i in [0, 2] {
+                assert_eq!(clients[i].model.params(), vec![2.0; plen], "client {i}");
+            }
+            // In memory each slot is its client's model; on the wire it is
+            // a buffer the client starts its next turn from.
+            let (bytes, start) = if in_memory { (0, None) } else { (2 * 4 * plen, Some(vec![2.0; plen])) };
+            assert_eq!(store.bytes(), bytes, "in memory: {in_memory}");
+            assert_eq!(store.vector_for(2).map(<[f32]>::to_vec), start, "in memory: {in_memory}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a personal store's slots are fixed")]
+    fn a_personal_store_refuses_to_move_a_client() {
+        Store::personal(2).assign(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "W writes it with a row")]
+    fn a_slot_that_lives_in_its_clients_model_refuses_a_model() {
+        let mut clients = small_federation(ModelKind::Sgc, 3);
+        let mut store = Store::personal(clients.len());
+        let model = clients[0].model.params();
+        store.write(vec![(0, Next::Model(model))], &mut clients, &[(0, None)], true, 1);
     }
 
     /// The out-of-place apply the blocked kernel replaced: one row per

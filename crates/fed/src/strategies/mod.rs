@@ -42,8 +42,9 @@ use fedgta_nn::models::PseudoLabels;
 /// The start-of-round model broadcast: a view of the strategy's model
 /// store, each participant with a slot loading its model (and resetting
 /// its optimizer) before local training — through the armed download codec
-/// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes. A
-/// resident slot ([`Store`]) is its holder's model already: nothing loads.
+/// ([`crate::round::CommsConfig::codec_down`]) as real wire bytes. In
+/// memory a personal slot ([`Store`]) is its client's model already:
+/// nothing loads.
 ///
 /// **Arrival contract.** A client's slot goes `None → Some` when its upload
 /// arrives (or earlier) and never back: a client that trains from no

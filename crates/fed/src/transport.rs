@@ -436,74 +436,6 @@ impl WirePayload for Vec<f32> {
     }
 }
 
-impl WirePayload for Vec<f64> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for v in self {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 8 * self.len()
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
-        let n = u64::decode(input)? as usize;
-        let bytes = take(input, n.checked_mul(8).ok_or(IoError::Corrupt("length overflow"))?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-}
-
-impl<T: WirePayload> WirePayload for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, T::encoded_len)
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
-        match take(input, 1)?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
-            _ => Err(IoError::Corrupt("bad option tag")),
-        }
-    }
-    fn encode_coded(&self, router: &mut TensorRouter<'_>, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode_coded(router, out);
-            }
-        }
-    }
-    fn decode_coded(input: &mut &[u8], router: &mut TensorRouter<'_>) -> Result<Self, IoError> {
-        match take(input, 1)?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_coded(input, router)?)),
-            _ => Err(IoError::Corrupt("bad option tag")),
-        }
-    }
-    fn visit_tensors(&mut self, f: &mut dyn FnMut(&mut Vec<f32>)) {
-        if let Some(v) = self {
-            v.visit_tensors(f);
-        }
-    }
-    fn own_resident(&mut self, model: &[f32]) {
-        if let Some(v) = self {
-            v.own_resident(model);
-        }
-    }
-}
-
 macro_rules! impl_wire_tuple {
     ($($name:ident : $idx:tt),+) => {
         impl<$($name: WirePayload),+> WirePayload for ($($name,)+) {
@@ -717,10 +649,9 @@ mod tests {
         }
         check(&());
         check(&(0.5f32, 1.25f64, 7u64, 9usize));
-        check(&(vec![1.5f32; 13], vec![2.5f64; 3]));
+        check(&vec![1.5f32; 13]);
         check(&(ParamTensor::Owned(vec![0.25; 8455]), 0.75f64, vec![3.0f32; 42], 270usize));
-        check(&(Some(vec![1.0f32; 5]), None::<Vec<f32>>));
-        check(&(Vec::<f32>::new(), Some(0.5f32), (1.0f32, vec![2.0f32])));
+        check(&(Vec::<f32>::new(), (1.0f32, vec![2.0f32])));
         // An upload's raw length: the loss, then the payload.
         let payload = (vec![0.25f32; 9], 4usize);
         assert_eq!(0.5f32.encoded_len() + payload.encoded_len(), encode_upload(0.5, &payload).len());

@@ -98,27 +98,6 @@ pub enum ObsLevel {
     Trace = 2,
 }
 
-impl ObsLevel {
-    /// Parses `off` / `metrics` / `trace` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "off" | "0" => Some(Self::Off),
-            "metrics" | "1" => Some(Self::Metrics),
-            "trace" | "2" => Some(Self::Trace),
-            _ => None,
-        }
-    }
-
-    /// Display name (`off` / `metrics` / `trace`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Off => "off",
-            Self::Metrics => "metrics",
-            Self::Trace => "trace",
-        }
-    }
-}
-
 static LEVEL: AtomicU8 = AtomicU8::new(ObsLevel::Off as u8);
 
 /// Current observability level.
@@ -243,15 +222,6 @@ macro_rules! histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn level_parse_roundtrip() {
-        for l in [ObsLevel::Off, ObsLevel::Metrics, ObsLevel::Trace] {
-            assert_eq!(ObsLevel::parse(l.name()), Some(l));
-        }
-        assert_eq!(ObsLevel::parse("TRACE"), Some(ObsLevel::Trace));
-        assert_eq!(ObsLevel::parse("verbose"), None);
-    }
 
     #[test]
     fn timed_returns_value_and_duration() {

@@ -2,8 +2,8 @@
 //! in local training, and what the server makes of the uploads — the
 //! collaboration matrix `W`, one entry per model slot it writes.
 //! [`Averaged`] runs the round around it — broadcast from its model store,
-//! client-parallel training through the executor (and, with `--transport
-//! channel`, the wire, its faults and codecs), `P′ = W·P`, install —
+//! client-parallel training through the executor (and, under a fault or
+//! codec flag, the wire, its faults and codecs), `P′ = W·P`, install —
 //! exactly as it does for FedAvg, FedProx, FedDC, MOON, Scaffold, GCFL+
 //! and FedGTA.
 //!

@@ -23,8 +23,9 @@ use fedgta_fed::strategies::{
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use fedgta_partition::{communities_to_clients, louvain, LouvainConfig};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+
+mod golden;
 
 const SEED: u64 = 2023;
 
@@ -74,14 +75,6 @@ fn inductive(kind: ModelKind) -> Vec<Client> {
     let parts = communities_to_clients(&comm, 4).unwrap();
     let model = ModelConfig { kind, hidden: 16, layers: 2, k: 2, seed: SEED, ..ModelConfig::default() };
     build_clients(&bench, &parts, &ClientBuildConfig { model, lr: 0.03, weight_decay: 0.0, halo: false })
-}
-
-fn fnv1a(params: &[f32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in params.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
-        h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One cell: its name, its clients, its strategy, its round count, the
@@ -225,42 +218,23 @@ fn line_with(cell: &Cell, threads: usize, prepare: impl FnOnce(&mut Simulation))
     let mut out = format!("{} params=", cell.name);
     for (i, c) in sim.clients.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
-        write!(out, "{sep}{:016x}", fnv1a(&c.model.params())).unwrap();
+        let bits = c.model.param_slice().iter().flat_map(|v| v.to_bits().to_le_bytes());
+        write!(out, "{sep}{:016x}", golden::fnv1a(bits)).unwrap();
     }
     write!(out, " acc={:016x}", sim.test_accuracy().to_bits()).unwrap();
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/backbones.txt")
-}
+const GOLDEN: &str = "backbones.txt";
 
 #[test]
 fn backbone_bits_match_the_golden_file_at_one_and_four_threads() {
-    let path = golden_path();
-    let golden = std::fs::read_to_string(&path).unwrap_or_default();
-    let header: Vec<&str> = golden.lines().filter(|l| l.starts_with('#')).collect();
-    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
     let cells = cells();
     let got: Vec<String> = cells.iter().map(|c| line(c, 1)).collect();
     for (cell, one) in cells.iter().zip(&got) {
         assert_eq!(&line(cell, 4), one, "{}: 4 threads differ from 1", cell.name);
     }
-    if std::env::var_os("FEDGTA_GOLDEN_BLESS").is_some() {
-        let mut text = header.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        text.push_str(&got.join("\n"));
-        text.push('\n');
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    assert_eq!(want.len(), got.len(), "cell count: golden file vs test");
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w, g, "golden bits moved");
-    }
+    golden::check(GOLDEN, &got);
 }
 
 /// "Every lent buffer is rewritten before it is read", checked instead of
@@ -282,7 +256,7 @@ fn kits_full_of_nan_cannot_reach_a_result_bit() {
             sim.kits.give(kit);
         }
     };
-    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    let golden = golden::read(GOLDEN);
     let prox_gcn =
         cell("FedProx/GCN", || small_federation(ModelKind::Gcn, SEED), || Box::new(FedProx::new(0.1)), 3);
     let cells = cells();
@@ -329,7 +303,7 @@ fn the_lossy_cell_loses_a_first_upload_and_starts_a_client_late() {
         let inner = std::mem::replace(&mut sim.strategy, fedavg());
         sim.strategy = Box::new(Logged { inner, turns: log });
     });
-    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    let golden = golden::read(GOLDEN);
     assert!(golden.lines().any(|l| l == dirty), "logging moved a bit: {dirty}");
     let turns = turns.lock().unwrap();
     let of = |c: usize| turns.iter().filter(move |t| t.1 == c).map(|&(round, _, accepted)| (round, accepted));
@@ -378,7 +352,7 @@ fn the_lossy_gcfl_cell_splits_and_leaves_a_cluster_without_arrivals() {
     let dirty = line_with(cell, 1, move |sim| {
         sim.strategy = Box::new(Watched { inner: gcfl_plus(), rounds: log });
     });
-    let golden = std::fs::read_to_string(golden_path()).expect("golden file");
+    let golden = golden::read(GOLDEN);
     assert!(golden.lines().any(|l| l == dirty), "watching moved a bit: {dirty}");
     let rounds = rounds.lock().unwrap();
     let has_arrival = |cluster: &[usize], arrived: &[usize]| cluster.iter().any(|c| arrived.contains(c));

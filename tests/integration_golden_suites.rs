@@ -20,19 +20,12 @@ use fedgta_bench::aggregate::{self, AggregateReport, AggregateResult};
 use fedgta_bench::comms::{self, CommsReport, CommsResult};
 use fedgta_bench::kernels::{self, KernelReport, KernelResult, SoftLabelResult};
 use fedgta_bench::scale::{self, ScaleCell, ScaleFedStats, ScaleReport};
-use std::path::PathBuf;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+mod golden;
 
 /// One golden line: a name, then the text's length and hash.
 fn pin(name: &str, text: &str) -> String {
-    format!("{name} len={} fnv={:016x}", text.len(), fnv1a(text.as_bytes()))
+    format!("{name} len={} fnv={:016x}", text.len(), golden::fnv1a(text.bytes()))
 }
 
 fn kernel_cell(kernel: &'static str, variant: &'static str, mnk: (usize, usize, usize), allocs: Option<u64>) -> KernelResult {
@@ -210,29 +203,7 @@ fn lines() -> Vec<String> {
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/suites.txt")
-}
-
 #[test]
 fn suite_output_matches_the_golden_file() {
-    let path = golden_path();
-    let golden = std::fs::read_to_string(&path).unwrap_or_default();
-    let header: Vec<&str> = golden.lines().filter(|l| l.starts_with('#')).collect();
-    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
-    let got = lines();
-    if std::env::var_os("FEDGTA_GOLDEN_BLESS").is_some() {
-        let mut text = header.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        text.push_str(&got.join("\n"));
-        text.push('\n');
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    assert_eq!(want.len(), got.len(), "line count: golden file vs test");
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w, g, "golden suite output moved");
-    }
+    golden::check("suites.txt", &lines());
 }

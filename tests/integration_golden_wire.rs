@@ -21,7 +21,8 @@ use fedgta_fed::transport::{
     ParamTensor,
 };
 use fedgta_graph::io::{crc32, Envelope, TraceContext};
-use std::path::PathBuf;
+
+mod golden;
 
 /// The FedGTA upload: parameters, smoothing confidence, moment sketch and
 /// training-node count.
@@ -33,17 +34,10 @@ const CHAINS: &[&str] = &["quant-i8", "topk=512+quant-i8", "topk=64+quant-i8", "
 /// The length of the model the `cora_gcn_wire` benchmark workload uploads.
 const MODEL_LEN: usize = 8455;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One golden line: a name, then the bytes' length, hash and CRC-32.
 fn pin(name: &str, bytes: &[u8]) -> String {
-    format!("{name} len={} fnv={:016x} crc={:08x}", bytes.len(), fnv1a(bytes), crc32(bytes))
+    let fnv = golden::fnv1a(bytes.iter().copied());
+    format!("{name} len={} fnv={fnv:016x} crc={:08x}", bytes.len(), crc32(bytes))
 }
 
 /// A deterministic xorshift stream (no RNG crate, so the inputs can never
@@ -205,29 +199,7 @@ fn lines() -> Vec<String> {
     out
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire.txt")
-}
-
 #[test]
 fn wire_frames_match_the_golden_file() {
-    let path = golden_path();
-    let golden = std::fs::read_to_string(&path).unwrap_or_default();
-    let header: Vec<&str> = golden.lines().filter(|l| l.starts_with('#')).collect();
-    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
-    let got = lines();
-    if std::env::var_os("FEDGTA_GOLDEN_BLESS").is_some() {
-        let mut text = header.join("\n");
-        if !text.is_empty() {
-            text.push('\n');
-        }
-        text.push_str(&got.join("\n"));
-        text.push('\n');
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    assert_eq!(want.len(), got.len(), "line count: golden file vs test");
-    for (w, g) in want.iter().zip(&got) {
-        assert_eq!(w, g, "golden wire frame moved");
-    }
+    golden::check("wire.txt", &lines());
 }
