@@ -10,6 +10,7 @@ use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
 use fedgta_fed::CodecSpec;
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
 use fedgta_nn::models::{ModelConfig, ModelKind};
+use fedgta_obs::{TraceEvent, TraceSummary};
 use std::error::Error;
 use std::path::Path;
 use std::time::Instant;
@@ -89,11 +90,11 @@ USAGE:
                         routed separately from the parameter tensor;
                         'sketch[=G]' quantizes per G-sized moment group with
                         shared scale tables. Needs --codec armed)
-  fedgta-cli report <file.jsonl> [--profile N] [--folded <file>]
+  fedgta-cli report <file.jsonl> [--folded <file>]
                        (a --trace-out trace as per-round / per-client /
-                        per-strategy tables, or a --postmortem-out dump as
-                        its timeline; damaged lines are listed, not fatal;
-                        --profile N appends the top-N spans by self-time,
+                        per-strategy tables and a per-span table hottest
+                        self time first, or a --postmortem-out dump as its
+                        timeline; damaged lines are listed, not fatal;
                         --folded writes flamegraph-ready folded stacks)
 
 The paper's tables and figures and the kernels / aggregate / comms / scale
@@ -171,10 +172,10 @@ fn finish_obs(setup: ObsSetup) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// `report`: render a `--trace-out` trace as latency/byte tables, or a
-/// `--postmortem-out` dump as its timeline; `--profile N` appends a
-/// per-span self-time table (top N hot spans) and `--folded <file>`
-/// writes flamegraph-ready folded stacks.
+/// `report`: render a `--trace-out` trace as latency/byte tables — the
+/// span table sorted by self time — or a `--postmortem-out` dump as its
+/// timeline; `--folded <file>` writes the trace's flamegraph-ready folded
+/// stacks.
 pub fn report(a: &Args) -> CliResult {
     let path = a
         .subcommand
@@ -186,29 +187,21 @@ pub fn report(a: &Args) -> CliResult {
     if events.is_empty() {
         return Err(format!("{path}: no readable events ({} damaged lines)", damaged.len()).into());
     }
-    print!("{}", render(&events, &damaged));
-    let profile_topk = match a.str_opt("profile") {
-        None => None,
-        Some(v) => Some(v.parse::<usize>().map_err(|_| format!("--profile needs a span count, got '{v}'"))?),
-    };
-    if let Some(topk) = profile_topk {
-        let p = fedgta_obs::profile(&events);
-        print!("{}", fedgta_obs::render_profile(&p, topk.max(1)));
-    }
+    let summary = fedgta_obs::summarize(&events);
+    print!("{}", render(&events, &summary, &damaged));
     if let Some(out) = a.str_opt("folded") {
-        let p = fedgta_obs::profile(&events);
-        std::fs::write(out, fedgta_obs::render_folded(&p))?;
+        std::fs::write(out, fedgta_obs::render_folded(&summary))?;
         println!("wrote folded stacks to {out} (feed to flamegraph.pl / inferno)");
     }
     Ok(())
 }
 
 /// A dump (its header names a `reason`) as a timeline, anything else as
-/// the trace tables — then the damaged lines, if any.
-fn render(events: &[fedgta_obs::TraceEvent], damaged: &[String]) -> String {
+/// the trace's tables — then the damaged lines, if any.
+fn render(events: &[TraceEvent], summary: &TraceSummary, damaged: &[String]) -> String {
     let mut out = match events.first() {
-        Some(fedgta_obs::TraceEvent::Meta { reason: Some(_), .. }) => fedgta_obs::render_dump(events),
-        _ => fedgta_obs::render_report(&fedgta_obs::summarize(events)),
+        Some(TraceEvent::Meta { reason: Some(_), .. }) => fedgta_obs::render_dump(events),
+        _ => fedgta_obs::render_report(summary),
     };
     if !damaged.is_empty() {
         out.push_str(&format!("\ndamaged lines ({}):\n", damaged.len()));
@@ -625,12 +618,13 @@ mod tests {
         let summary = fedgta_obs::summarize(&events);
         assert_eq!(summary.rounds.len(), 2);
         assert!(summary.rounds.iter().all(|r| r.bytes_up > 0));
-        // And the report command renders it, with the profiler armed.
+        // And the report command renders it, with folded stacks.
         let folded = std::env::temp_dir()
             .join(format!("fedgta-cli-folded-{}.txt", std::process::id()));
         let fp = folded.to_string_lossy().to_string();
-        let r = args(&["report", &p, "--profile", "5", "--folded", &fp]);
+        let r = args(&["report", &p, "--folded", &fp]);
         report(&r).unwrap();
+        r.reject_unread().unwrap();
         let stacks = std::fs::read_to_string(&folded).unwrap();
         assert!(
             stacks.lines().any(|l| l.starts_with("round") && l.contains(' ')),
@@ -661,7 +655,7 @@ mod tests {
             dumps.push(std::fs::read(&pm).unwrap());
             // `report` renders it as a timeline.
             let (events, damaged) = fedgta_obs::parse_events(std::str::from_utf8(&dumps[i]).unwrap());
-            let rendered = render(&events, &damaged);
+            let rendered = render(&events, &fedgta_obs::summarize(&events), &damaged);
             assert!(rendered.contains("reason=quorum_fail"), "{rendered}");
             assert!(rendered.contains("crash"));
             assert!(damaged.is_empty(), "{damaged:?}");
@@ -705,13 +699,13 @@ mod tests {
         report(&args(&["report", &p])).unwrap();
         let (events, damaged) = fedgta_obs::parse_events(&text);
         assert_eq!(damaged.len(), 1, "{damaged:?}");
-        let rendered = render(&events, &damaged);
+        let rendered = render(&events, &fedgta_obs::summarize(&events), &damaged);
         assert!(rendered.contains("per-round breakdown") && rendered.contains("damaged lines (1)"));
         let _ = std::fs::remove_file(&path);
         // A damaged dump still renders as its timeline.
         let dump = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"panic\"}\nnot json\n";
         let (events, damaged) = fedgta_obs::parse_events(dump);
-        let rendered = render(&events, &damaged);
+        let rendered = render(&events, &fedgta_obs::summarize(&events), &damaged);
         assert!(rendered.contains("postmortem: reason=panic round=0"), "{rendered}");
         assert!(rendered.contains("damaged lines (1)"));
     }
@@ -770,6 +764,18 @@ mod tests {
             "--fault-seed", "7", "--deadline", "500",
         ]);
         run(&a).unwrap();
+    }
+
+    #[test]
+    fn report_refuses_the_retired_profile_flag() {
+        // The span table carries self time, so nothing reads `--profile`.
+        let path = std::env::temp_dir().join(format!("fedgta-cli-profile-{}.jsonl", std::process::id()));
+        let trace = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\"}\n{\"ev\":\"span\",\"name\":\"round\",\"id\":1}\n";
+        std::fs::write(&path, trace).unwrap();
+        let a = args(&["report", &path.to_string_lossy(), "--profile", "5"]);
+        report(&a).unwrap();
+        assert_eq!(a.reject_unread().unwrap_err(), "'report' does not take --profile");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!                      [--metrics-out metrics.prom]
 //!                      [--serve-metrics 127.0.0.1:9090]
 //!                      [--postmortem-out crash.pm.jsonl]
-//! fedgta-cli report    trace.jsonl [--profile 10] [--folded out.folded]
+//! fedgta-cli report    trace.jsonl [--folded out.folded]
 //! fedgta-cli report    crash.pm.jsonl
 //! ```
 //!

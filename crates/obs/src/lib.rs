@@ -22,11 +22,11 @@
 //!   ([`span::span_under`]) so per-client spans opened inside
 //!   `par_map_indexed` workers still hang off the round's `train` span.
 //! - [`trace`]: the one event vocabulary, [`TraceEvent`], with its one
-//!   JSON writer and one lossy reader ([`parse_events`]), and the
-//!   aggregation of events into per-round / per-client / per-span-name
-//!   tables (p50/p95/max, bytes, throughput) or a dump timeline — the
-//!   engine behind `fedgta-cli report` — plus a self-time profiler
-//!   emitting hot-span tables and folded stacks.
+//!   JSON writer and one lossy reader ([`parse_events`]), and
+//!   [`summarize`]: one walk over the span tree that yields per-round /
+//!   per-client / per-strategy / per-span-name tables (p50/p95/max, self
+//!   time, bytes, throughput) and folded flamegraph stacks — the engine
+//!   behind `fedgta-cli report`, which renders a dump as a timeline.
 //! - [`sink`]: the JSONL event stream (`--trace-out trace.jsonl`),
 //!   schema-versioned ([`TRACE_SCHEMA`]), thread-safe behind one mutex.
 //! - [`recorder`]: the always-on flight recorder — a fixed-capacity ring
@@ -57,9 +57,8 @@ pub use metrics::{global, Counter, Gauge, Histogram, MetricKind, Registry};
 pub use sink::{init_jsonl, init_writer, shutdown, trace_installed, MemorySink};
 pub use span::{current_span_id, now_ns, run_trace_id, span_named, span_under, SpanGuard};
 pub use trace::{
-    json_object, parse_events, parse_flat_object, parse_trace, profile, render_dump,
-    render_folded, render_profile, render_report, summarize, JsonVal, Profile, ProfileRow,
-    TraceEvent, TraceSummary,
+    json_object, parse_events, parse_flat_object, parse_trace, render_dump, render_folded,
+    render_report, summarize, JsonVal, TraceEvent, TraceSummary,
 };
 
 /// Serializes unit tests that touch process-global observability state

@@ -264,77 +264,66 @@ impl Registry {
     /// The counter named `name`, registering it on first use.
     ///
     /// # Panics
-    /// Panics if `name` is already registered as a different kind.
+    /// Panics if `name` is already registered as a different kind — as do
+    /// [`Self::gauge`] and [`Self::histogram`].
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.inner.lock().expect("registry poisoned");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric '{name}' already registered with a different kind"),
-        }
+        self.handle(name, Metric::Counter, |m| match m {
+            Metric::Counter(c) => Some(c),
+            _ => None,
+        })
     }
 
     /// The gauge named `name`, registering it on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.inner.lock().expect("registry poisoned");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric '{name}' already registered with a different kind"),
-        }
+        self.handle(name, Metric::Gauge, |m| match m {
+            Metric::Gauge(g) => Some(g),
+            _ => None,
+        })
     }
 
     /// The histogram named `name`, registering it on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        self.handle(name, Metric::Histogram, |m| match m {
+            Metric::Histogram(h) => Some(h),
+            _ => None,
+        })
+    }
+
+    /// The metric named `name` as `T`, registered through `wrap` on first
+    /// use and read back through `of`.
+    fn handle<T: Default>(
+        &self,
+        name: &str,
+        wrap: fn(Arc<T>) -> Metric,
+        of: fn(&Metric) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
         let mut m = self.inner.lock().expect("registry poisoned");
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric '{name}' already registered with a different kind"),
-        }
+        let metric = m.entry(name.to_string()).or_insert_with(|| wrap(Arc::default()));
+        of(metric)
+            .cloned()
+            .unwrap_or_else(|| panic!("metric '{name}' already registered with a different kind"))
     }
 
     /// Point-in-time snapshot of every registered metric, name-sorted.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         let m = self.inner.lock().expect("registry poisoned");
         m.iter()
-            .map(|(name, metric)| match metric {
-                Metric::Counter(c) => MetricSnapshot {
+            .map(|(name, metric)| {
+                let (kind, value, h) = match metric {
+                    Metric::Counter(c) => (MetricKind::Counter, c.get(), None),
+                    Metric::Gauge(g) => (MetricKind::Gauge, g.get(), None),
+                    Metric::Histogram(h) => (MetricKind::Histogram, h.sum(), Some(h)),
+                };
+                MetricSnapshot {
                     name: name.clone(),
-                    kind: MetricKind::Counter,
-                    value: c.get(),
-                    count: 0,
-                    p50: 0,
-                    p95: 0,
-                    max: 0,
-                    buckets: Vec::new(),
-                },
-                Metric::Gauge(g) => MetricSnapshot {
-                    name: name.clone(),
-                    kind: MetricKind::Gauge,
-                    value: g.get(),
-                    count: 0,
-                    p50: 0,
-                    p95: 0,
-                    max: 0,
-                    buckets: Vec::new(),
-                },
-                Metric::Histogram(h) => MetricSnapshot {
-                    name: name.clone(),
-                    kind: MetricKind::Histogram,
-                    value: h.sum(),
-                    count: h.count(),
-                    p50: h.quantile(0.50),
-                    p95: h.quantile(0.95),
-                    max: h.max(),
-                    buckets: h.bucket_counts(),
-                },
+                    kind,
+                    value,
+                    count: h.map_or(0, |h| h.count()),
+                    p50: h.map_or(0, |h| h.quantile(0.50)),
+                    p95: h.map_or(0, |h| h.quantile(0.95)),
+                    max: h.map_or(0, |h| h.max()),
+                    buckets: h.map_or_else(Vec::new, |h| h.bucket_counts()),
+                }
             })
             .collect()
     }
@@ -366,11 +355,9 @@ impl Registry {
         for s in self.snapshot() {
             let base = prometheus_name(&s.name);
             match s.kind {
-                MetricKind::Counter => {
-                    out.push_str(&format!("# TYPE {base} counter\n{base} {}\n", s.value));
-                }
-                MetricKind::Gauge => {
-                    out.push_str(&format!("# TYPE {base} gauge\n{base} {}\n", s.value));
+                MetricKind::Counter | MetricKind::Gauge => {
+                    let kind = s.kind.as_str();
+                    out.push_str(&format!("# TYPE {base} {kind}\n{base} {}\n", s.value));
                 }
                 MetricKind::Histogram => {
                     out.push_str(&format!("# TYPE {base} histogram\n"));

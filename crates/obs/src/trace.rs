@@ -444,7 +444,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 pub struct DurStats {
     /// Sample count.
     pub count: usize,
-    /// Total nanoseconds.
+    /// Total nanoseconds (saturating: damaged durations never overflow).
     pub total_ns: u64,
     /// Median (exact, nearest-rank).
     pub p50_ns: u64,
@@ -465,7 +465,7 @@ impl DurStats {
         let rank = |q: f64| xs[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
         Self {
             count: n,
-            total_ns: xs.iter().sum(),
+            total_ns: xs.iter().fold(0, |a, &x| a.saturating_add(x)),
             p50_ns: rank(0.50),
             p95_ns: rank(0.95),
             max_ns: xs[n - 1],
@@ -473,13 +473,23 @@ impl DurStats {
     }
 }
 
-/// Per-span-name aggregate.
+/// The statistics of one key: a span name, a client id or a strategy.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanStat {
-    /// Span name.
-    pub name: String,
-    /// Duration statistics over all occurrences.
+pub struct Stat<K> {
+    /// The span name, client id (a `client_train` span's `client` field)
+    /// or strategy name.
+    pub key: K,
+    /// Duration statistics over the key's spans (a strategy's: its rounds).
     pub stats: DurStats,
+    /// A span name's summed self time: each span's duration minus its
+    /// direct children's, at least zero — children that run concurrently
+    /// on workers (`train` over `client_train`) can outlast their parent.
+    /// 0 for clients and strategies.
+    pub self_ns: u64,
+    /// Bytes uploaded over a strategy's rounds (0 for other keys).
+    pub bytes_up: u64,
+    /// Bytes downloaded over a strategy's rounds (0 for other keys).
+    pub bytes_down: u64,
 }
 
 /// One reconstructed round.
@@ -491,11 +501,11 @@ pub struct RoundRow {
     pub strategy: String,
     /// Total round duration.
     pub total_ns: u64,
-    /// Summed `train` child span durations.
+    /// Summed `train` descendant span durations.
     pub train_ns: u64,
-    /// Summed `aggregate` child span durations.
+    /// Summed `aggregate` descendant span durations.
     pub aggregate_ns: u64,
-    /// Summed `eval` child span durations.
+    /// Summed `eval` descendant span durations.
     pub eval_ns: u64,
     /// Bytes uploaded (from the round span's `bytes_up` field).
     pub bytes_up: u64,
@@ -529,41 +539,27 @@ pub struct Decision {
     pub rejected: u64,
 }
 
-/// Per-client `client_train` aggregate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClientStat {
-    /// Client id (from the span's `client` field).
-    pub client: u64,
-    /// Duration statistics over that client's training spans.
-    pub stats: DurStats,
-}
-
-/// Per-strategy aggregate over its rounds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StrategyStat {
-    /// Strategy name.
-    pub strategy: String,
-    /// Round-duration statistics.
-    pub stats: DurStats,
-    /// Total bytes uploaded across its rounds.
-    pub bytes_up: u64,
-    /// Total bytes downloaded across its rounds.
-    pub bytes_down: u64,
-}
-
 /// The aggregated view of one trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSummary {
     /// Total span events.
     pub span_events: usize,
-    /// Per-name span stats, name-sorted.
-    pub span_stats: Vec<SpanStat>,
+    /// Per-name span stats, by self time (largest first), then by name.
+    pub span_stats: Vec<Stat<String>>,
     /// Reconstructed rounds, round-sorted.
     pub rounds: Vec<RoundRow>,
     /// Per-client training stats, client-sorted.
-    pub clients: Vec<ClientStat>,
-    /// Per-strategy stats, name-sorted.
-    pub strategies: Vec<StrategyStat>,
+    pub clients: Vec<Stat<u64>>,
+    /// Per-strategy round stats and bytes, name-sorted.
+    pub strategies: Vec<Stat<String>>,
+    /// Folded call stacks: `("root;child;leaf", self_ns)` per distinct
+    /// name path with self time, path-sorted — one `path weight` line
+    /// each in [`render_folded`], the input format of standard flamegraph
+    /// tooling.
+    pub folded: Vec<(String, u64)>,
+    /// Summed duration of root spans (parent id 0 or unknown): what
+    /// self-time percentages are taken against.
+    pub wall_ns: u64,
     /// The flushed [`TraceEvent::Metric`] events, in trace order.
     pub metrics: Vec<TraceEvent>,
 }
@@ -578,288 +574,149 @@ impl TraceSummary {
     }
 }
 
-/// Parent chains are shallow (round > train > client_train); walks up
-/// them stop after this many hops, so a cycle in damaged input ends.
+/// Parent chains are shallow (round > train > client_train > lp); the
+/// ancestry walk stops after this many hops, so a cycle in damaged input
+/// ends.
 const MAX_DEPTH: usize = 64;
 
-/// Walks up the parent chain to find the enclosing `round` span id.
-fn enclosing_round(
-    mut parent: u64,
-    parents: &BTreeMap<u64, u64>,
-    round_of_span: &BTreeMap<u64, usize>,
-) -> Option<usize> {
-    for _ in 0..MAX_DEPTH {
-        if parent == 0 {
-            break;
-        }
-        if let Some(&ri) = round_of_span.get(&parent) {
-            return Some(ri);
-        }
-        parent = parents.get(&parent).copied().unwrap_or(0);
-    }
-    None
+/// Adds `x` to `sum`, saturating: a damaged duration or byte count must
+/// not overflow a total.
+fn add(sum: &mut u64, x: u64) {
+    *sum = sum.saturating_add(x);
 }
 
-/// Aggregates parsed events into tables.
+/// Aggregates parsed events into tables, in one walk over one index of
+/// the spans (by id; the last span wins a repeated id). A span's direct
+/// children's summed durations give its self time; its ancestry, nearest
+/// first, gives its enclosing round — whose phase sums and decision it
+/// feeds — and its folded-stack path. A span without ancestors is a root,
+/// and roots sum to the wall time.
 pub fn summarize(events: &[TraceEvent]) -> TraceSummary {
-    let mut by_name: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    let mut by_client: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut parents: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut rounds: Vec<RoundRow> = Vec::new();
-    let mut round_of_span: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut metrics = Vec::new();
-    let mut span_events = 0usize;
-
-    // First pass: parent links + round rows (so phase spans that close
-    // *before* their round span still resolve — we match by ancestry in a
-    // second pass).
+    let (mut spans, mut rows) = (Vec::new(), Vec::new());
+    let (mut index, mut child_ns) = (BTreeMap::new(), BTreeMap::<u64, u64>::new());
     for ev in events {
-        if let TraceEvent::Span {
-            name,
-            id,
-            parent,
-            fields,
-            dur_ns,
-            ..
-        } = ev
-        {
-            parents.insert(*id, *parent);
-            if name == "round" {
-                let n = |k: &str| fields.get(k).and_then(JsonVal::as_u64).unwrap_or(0);
-                round_of_span.insert(*id, rounds.len());
-                rounds.push(RoundRow {
-                    round: n("round"),
-                    strategy: fields.get("strategy").and_then(JsonVal::as_str).unwrap_or("").into(),
-                    total_ns: *dur_ns,
-                    bytes_up: n("bytes_up"),
-                    bytes_down: n("bytes_down"),
-                    participants: n("participants"),
-                    completed: n("completed"),
-                    dropped: n("dropped"),
-                    retries: n("retries"),
-                    ..RoundRow::default()
-                });
-            }
+        let TraceEvent::Span { name, id, parent, dur_ns, fields, .. } = ev else { continue };
+        index.insert(*id, spans.len());
+        spans.push((name.as_str(), *id, *parent, *dur_ns, fields));
+        if *parent != 0 {
+            add(child_ns.entry(*parent).or_default(), *dur_ns);
         }
+        let n = |k: &str| fields.get(k).and_then(JsonVal::as_u64).unwrap_or(0);
+        rows.push((name == "round").then(|| RoundRow {
+            round: n("round"),
+            strategy: fields.get("strategy").and_then(JsonVal::as_str).unwrap_or("").into(),
+            total_ns: *dur_ns,
+            bytes_up: n("bytes_up"),
+            bytes_down: n("bytes_down"),
+            participants: n("participants"),
+            completed: n("completed"),
+            dropped: n("dropped"),
+            retries: n("retries"),
+            ..RoundRow::default()
+        }));
     }
 
-    for ev in events {
-        match ev {
-            TraceEvent::Span {
-                name,
-                parent,
-                dur_ns,
-                fields,
-                ..
-            } => {
-                span_events += 1;
-                by_name.entry(name.clone()).or_default().push(*dur_ns);
-                if name == "client_train" {
-                    if let Some(c) = fields.get("client").and_then(JsonVal::as_u64) {
-                        by_client.entry(c).or_default().push(*dur_ns);
-                    }
-                }
-                if let Some(ri) = enclosing_round(*parent, &parents, &round_of_span) {
-                    match name.as_str() {
-                        "train" => rounds[ri].train_ns += dur_ns,
-                        "aggregate" => {
-                            rounds[ri].aggregate_ns += dur_ns;
-                            let num = |key: &str| fields.get(key).and_then(JsonVal::as_f64);
-                            if let Some(epsilon) = num("epsilon") {
-                                rounds[ri].decision = Some(Decision {
-                                    epsilon,
-                                    members_mean: num("members_mean").unwrap_or(0.0),
-                                    sim_above_eps: num("sim_above_eps").unwrap_or(0.0),
-                                    rejected: num("rejected").unwrap_or(0.0) as u64,
-                                });
-                            }
-                        }
-                        "eval" => rounds[ri].eval_ns += dur_ns,
-                        _ => {}
-                    }
+    let mut by_name: BTreeMap<String, Acc> = BTreeMap::new();
+    let mut by_client: BTreeMap<u64, Acc> = BTreeMap::new();
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    let mut wall_ns = 0;
+    let mut ancestors = Vec::new();
+    for &(name, id, parent, dur, fields) in &spans {
+        let self_ns = dur.saturating_sub(child_ns.get(&id).copied().unwrap_or(0));
+        let stat = by_name.entry(name.to_string()).or_default();
+        stat.durs.push(dur);
+        add(&mut stat.self_ns, self_ns);
+        if name == "client_train" {
+            if let Some(c) = fields.get("client").and_then(JsonVal::as_u64) {
+                by_client.entry(c).or_default().durs.push(dur);
+            }
+        }
+        ancestors.clear();
+        let mut up = parent;
+        while let Some(&i) = index.get(&up).filter(|_| up != 0 && ancestors.len() < MAX_DEPTH) {
+            ancestors.push(i);
+            up = spans[i].2;
+        }
+        if ancestors.is_empty() {
+            add(&mut wall_ns, dur);
+        }
+        if self_ns > 0 {
+            let path: Vec<&str> =
+                ancestors.iter().rev().map(|&i| spans[i].0).chain([name]).collect();
+            add(folded.entry(path.join(";")).or_default(), self_ns);
+        }
+        let round = ancestors.iter().find(|&&i| rows[i].is_some());
+        let Some(r) = round.and_then(|&i| rows[i].as_mut()) else { continue };
+        match name {
+            "train" => add(&mut r.train_ns, dur),
+            "eval" => add(&mut r.eval_ns, dur),
+            "aggregate" => {
+                add(&mut r.aggregate_ns, dur);
+                let num = |key: &str| fields.get(key).and_then(JsonVal::as_f64);
+                if let Some(epsilon) = num("epsilon") {
+                    r.decision = Some(Decision {
+                        epsilon,
+                        members_mean: num("members_mean").unwrap_or(0.0),
+                        sim_above_eps: num("sim_above_eps").unwrap_or(0.0),
+                        rejected: num("rejected").unwrap_or(0.0) as u64,
+                    });
                 }
             }
-            TraceEvent::Metric { .. } => metrics.push(ev.clone()),
             _ => {}
         }
     }
 
+    let mut rounds: Vec<RoundRow> = rows.into_iter().flatten().collect();
     rounds.sort_by_key(|r| r.round);
-    let mut by_strategy: BTreeMap<String, (Vec<u64>, u64, u64)> = BTreeMap::new();
+    let mut by_strategy: BTreeMap<String, Acc> = BTreeMap::new();
     for r in &rounds {
-        let e = by_strategy.entry(r.strategy.clone()).or_default();
-        e.0.push(r.total_ns);
-        e.1 += r.bytes_up;
-        e.2 += r.bytes_down;
+        let stat = by_strategy.entry(r.strategy.clone()).or_default();
+        stat.durs.push(r.total_ns);
+        add(&mut stat.bytes_up, r.bytes_up);
+        add(&mut stat.bytes_down, r.bytes_down);
     }
-
+    let metrics = events.iter().filter(|ev| matches!(ev, TraceEvent::Metric { .. }));
+    let mut span_stats = stats(by_name);
+    span_stats.sort_by_key(|s| std::cmp::Reverse(s.self_ns));
     TraceSummary {
-        span_events,
-        span_stats: by_name
-            .into_iter()
-            .map(|(name, xs)| SpanStat {
-                name,
-                stats: DurStats::from_samples(xs),
-            })
-            .collect(),
+        span_events: spans.len(),
+        span_stats,
         rounds,
-        clients: by_client
-            .into_iter()
-            .map(|(client, xs)| ClientStat {
-                client,
-                stats: DurStats::from_samples(xs),
-            })
-            .collect(),
-        strategies: by_strategy
-            .into_iter()
-            .map(|(strategy, (xs, up, down))| StrategyStat {
-                strategy,
-                stats: DurStats::from_samples(xs),
-                bytes_up: up,
-                bytes_down: down,
-            })
-            .collect(),
-        metrics,
-    }
-}
-
-// --- self-time profiling ---------------------------------------------------
-
-/// Per-span-name self-time aggregate (see [`profile`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileRow {
-    /// Span name.
-    pub name: String,
-    /// Occurrences.
-    pub count: usize,
-    /// Summed wall-clock durations.
-    pub total_ns: u64,
-    /// Summed self time: duration minus the summed durations of direct
-    /// children. For spans whose children run *concurrently* on workers
-    /// (`train` over `client_train`), child time can exceed the parent's
-    /// wall clock; self time saturates at zero rather than going
-    /// negative — "no time unaccounted for".
-    pub self_ns: u64,
-}
-
-/// Output of [`profile`]: hot-span rows plus folded stacks.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Profile {
-    /// Per-name rows, sorted by `self_ns` descending (name-ascending
-    /// tiebreak).
-    pub rows: Vec<ProfileRow>,
-    /// Folded call stacks: `("root;child;leaf", self_ns)` per distinct
-    /// name path, path-sorted — one `path weight` line each in
-    /// [`render_folded`], the input format of standard flamegraph
-    /// tooling.
-    pub folded: Vec<(String, u64)>,
-    /// Summed duration of root spans (parent id 0 or unknown): the
-    /// denominator for self-time percentages.
-    pub wall_ns: u64,
-}
-
-/// Computes per-span self time and folded stacks from parsed events.
-pub fn profile(events: &[TraceEvent]) -> Profile {
-    // id → (name, parent, dur)
-    let mut spans: BTreeMap<u64, (&str, u64, u64)> = BTreeMap::new();
-    for ev in events {
-        if let TraceEvent::Span {
-            name, id, parent, dur_ns, ..
-        } = ev
-        {
-            spans.insert(*id, (name.as_str(), *parent, *dur_ns));
-        }
-    }
-    let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-    for &(_, parent, dur) in spans.values() {
-        if parent != 0 {
-            *child_ns.entry(parent).or_default() += dur;
-        }
-    }
-    let mut by_name: BTreeMap<&str, (usize, u64, u64)> = BTreeMap::new();
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    let mut wall_ns = 0u64;
-    for (&id, &(name, parent, dur)) in &spans {
-        let self_ns = dur.saturating_sub(child_ns.get(&id).copied().unwrap_or(0));
-        let e = by_name.entry(name).or_default();
-        e.0 += 1;
-        e.1 += dur;
-        e.2 += self_ns;
-        if parent == 0 || !spans.contains_key(&parent) {
-            wall_ns += dur;
-        }
-        // Build the name path root→self ([`MAX_DEPTH`] breaks a cycle).
-        let mut path = vec![name];
-        let mut up = parent;
-        for _ in 0..MAX_DEPTH {
-            match spans.get(&up) {
-                Some(&(pname, pparent, _)) if up != 0 => {
-                    path.push(pname);
-                    up = pparent;
-                }
-                _ => break,
-            }
-        }
-        path.reverse();
-        if self_ns > 0 {
-            *folded.entry(path.join(";")).or_default() += self_ns;
-        }
-    }
-    let mut rows: Vec<ProfileRow> = by_name
-        .into_iter()
-        .map(|(name, (count, total_ns, self_ns))| ProfileRow {
-            name: name.to_string(),
-            count,
-            total_ns,
-            self_ns,
-        })
-        .collect();
-    rows.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.name.cmp(&b.name)));
-    Profile {
-        rows,
+        clients: stats(by_client),
+        strategies: stats(by_strategy),
         folded: folded.into_iter().collect(),
         wall_ns,
+        metrics: metrics.cloned().collect(),
     }
 }
 
-/// Renders the top-`topk` hot spans by self time as a terminal table.
-pub fn render_profile(p: &Profile, topk: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "self-time profile: {} span names, wall {} ms\n\n",
-        p.rows.len(),
-        fmt_ms(p.wall_ns)
-    ));
-    out.push_str(&format!(
-        "{:<20} {:>7} {:>12} {:>12} {:>7}\n",
-        "span", "count", "total ms", "self ms", "self%"
-    ));
-    for r in p.rows.iter().take(topk.max(1)) {
-        let pct = if p.wall_ns > 0 {
-            100.0 * r.self_ns as f64 / p.wall_ns as f64
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "{:<20} {:>7} {:>12} {:>12} {:>6.1}%\n",
-            r.name,
-            r.count,
-            fmt_ms(r.total_ns),
-            fmt_ms(r.self_ns),
-            pct,
-        ));
-    }
-    out
+/// What one key's [`Stat`] is gathered from.
+#[derive(Default)]
+struct Acc {
+    durs: Vec<u64>,
+    self_ns: u64,
+    bytes_up: u64,
+    bytes_down: u64,
+}
+
+/// Each key's gathered [`Acc`] as its [`Stat`], key-sorted.
+fn stats<K>(by_key: BTreeMap<K, Acc>) -> Vec<Stat<K>> {
+    by_key
+        .into_iter()
+        .map(|(key, a)| Stat {
+            key,
+            stats: DurStats::from_samples(a.durs),
+            self_ns: a.self_ns,
+            bytes_up: a.bytes_up,
+            bytes_down: a.bytes_down,
+        })
+        .collect()
 }
 
 /// Renders folded stacks, one `path weight` line per entry — pipe into
 /// `flamegraph.pl` / `inferno-flamegraph` as-is.
-pub fn render_folded(p: &Profile) -> String {
-    let mut out = String::new();
-    for (path, w) in &p.folded {
-        out.push_str(&format!("{path} {w}\n"));
-    }
-    out
+pub fn render_folded(s: &TraceSummary) -> String {
+    s.folded.iter().map(|(path, w)| format!("{path} {w}\n")).collect()
 }
 
 fn fmt_ms(ns: u64) -> String {
@@ -876,142 +733,110 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
+/// Appends a titled table — a header, then one line per row — whose
+/// columns `cols` states once, as `|`-separated specs: `<W name` for a
+/// column `W` wide whose cells are left-aligned, `>W name` for
+/// right-aligned cells. A table without rows is left out.
+fn table(out: &mut String, title: &str, cols: &str, rows: impl IntoIterator<Item = Vec<String>>) {
+    let cols: Vec<(&str, &str)> =
+        cols.split('|').map(|c| c.split_once(' ').unwrap_or((c, ""))).collect();
+    let mut rows = rows.into_iter().peekable();
+    if rows.peek().is_none() {
+        return;
+    }
+    let _ = writeln!(out, "\n{title}:");
+    let header = cols.iter().map(|&(_, name)| name.to_string()).collect();
+    for cells in std::iter::once(header).chain(rows) {
+        let padded: Vec<String> = (cells.iter().zip(&cols))
+            .map(|(c, &(spec, _))| {
+                let width = spec[1..].parse().unwrap_or(0);
+                if spec.starts_with('<') { format!("{c:<width$}") } else { format!("{c:>width$}") }
+            })
+            .collect();
+        let _ = writeln!(out, "{}", padded.join(" "));
+    }
+}
+
 /// Renders the summary as the `fedgta-cli report` terminal tables.
 pub fn render_report(s: &TraceSummary) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
+    let mut out = format!(
         "trace: {} span events, {} rounds, {} clients, {} metrics\n",
         s.span_events,
         s.rounds.len(),
         s.clients.len(),
         s.metrics.len()
-    ));
+    );
+    let or_dash = |s: &str| if s.is_empty() { "-".to_string() } else { s.to_string() };
+    let n = |x: u64| x.to_string();
 
-    if !s.rounds.is_empty() {
-        out.push_str("\nper-round breakdown (ms):\n");
-        out.push_str(&format!(
-            "{:<6} {:<14} {:>6} {:>4} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-            "round", "strategy", "parts", "ok", "drop", "rty", "total", "train", "aggregate",
-            "eval", "up", "down"
-        ));
-        for r in &s.rounds {
-            out.push_str(&format!(
-                "{:<6} {:<14} {:>6} {:>4} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-                r.round,
-                if r.strategy.is_empty() { "-" } else { &r.strategy },
-                r.participants,
-                r.completed,
-                r.dropped,
-                r.retries,
-                fmt_ms(r.total_ns),
-                fmt_ms(r.train_ns),
-                fmt_ms(r.aggregate_ns),
-                fmt_ms(r.eval_ns),
-                fmt_bytes(r.bytes_up),
-                fmt_bytes(r.bytes_down),
-            ));
-        }
-    }
+    table(
+        &mut out,
+        "per-round breakdown (ms)",
+        "<6 round|<14 strategy|>6 parts|>4 ok|>5 drop|>4 rty|>10 total|>10 train|>10 aggregate|>10 eval|>10 up|>10 down",
+        s.rounds.iter().map(|r| {
+            let mut row = vec![n(r.round), or_dash(&r.strategy)];
+            row.extend([r.participants, r.completed, r.dropped, r.retries].map(n));
+            row.extend([r.total_ns, r.train_ns, r.aggregate_ns, r.eval_ns].map(fmt_ms));
+            row.extend([r.bytes_up, r.bytes_down].map(fmt_bytes));
+            row
+        }),
+    );
 
-    if s.rounds.iter().any(|r| r.decision.is_some()) {
-        out.push_str("\nFedGTA decisions (Eq. 6 sets, Eq. 7 inputs):\n");
-        out.push_str(&format!(
-            "{:<6} {:>6} {:>9} {:>13} {:>13} {:>9}\n",
-            "round", "parts", "epsilon", "members_mean", "sim_above_eps", "rejected"
-        ));
-        for (r, d) in s.rounds.iter().filter_map(|r| r.decision.map(|d| (r, d))) {
-            out.push_str(&format!(
-                "{:<6} {:>6} {:>9.4} {:>13.2} {:>13.3} {:>9}\n",
-                r.round, r.completed, d.epsilon, d.members_mean, d.sim_above_eps, d.rejected
-            ));
-        }
-    }
+    table(
+        &mut out,
+        "FedGTA decisions (Eq. 6 sets, Eq. 7 inputs)",
+        "<6 round|>6 parts|>9 epsilon|>13 members_mean|>13 sim_above_eps|>9 rejected",
+        s.rounds.iter().filter_map(|r| {
+            let d = r.decision?;
+            Some(vec![
+                n(r.round),
+                n(r.completed),
+                format!("{:.4}", d.epsilon),
+                format!("{:.2}", d.members_mean),
+                format!("{:.3}", d.sim_above_eps),
+                n(d.rejected),
+            ])
+        }),
+    );
 
-    if !s.clients.is_empty() {
-        out.push_str("\nper-client local training (ms):\n");
-        out.push_str(&format!(
-            "{:<8} {:>7} {:>10} {:>10} {:>10}\n",
-            "client", "rounds", "p50", "p95", "max"
-        ));
-        for c in &s.clients {
-            out.push_str(&format!(
-                "{:<8} {:>7} {:>10} {:>10} {:>10}\n",
-                c.client,
-                c.stats.count,
-                fmt_ms(c.stats.p50_ns),
-                fmt_ms(c.stats.p95_ns),
-                fmt_ms(c.stats.max_ns),
-            ));
-        }
-    }
+    table(
+        &mut out,
+        "per-client local training (ms)",
+        "<8 client|>7 rounds|>10 p50|>10 p95|>10 max",
+        s.clients.iter().map(|c| stat_row(n(c.key), &c.stats)),
+    );
 
-    if !s.strategies.is_empty() {
-        out.push_str("\nper-strategy rounds:\n");
-        out.push_str(&format!(
-            "{:<16} {:>7} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-            "strategy", "rounds", "p50 ms", "p95 ms", "max ms", "upload", "throughput"
-        ));
-        for st in &s.strategies {
-            let thr = if st.stats.total_ns > 0 {
-                format!(
-                    "{}/s",
-                    fmt_bytes(
-                        ((st.bytes_up + st.bytes_down) as f64
-                            / (st.stats.total_ns as f64 / 1e9))
-                            .round() as u64
-                    )
-                )
-            } else {
-                "-".into()
-            };
-            out.push_str(&format!(
-                "{:<16} {:>7} {:>10} {:>10} {:>10} {:>10} {:>12}\n",
-                if st.strategy.is_empty() { "-" } else { &st.strategy },
-                st.stats.count,
-                fmt_ms(st.stats.p50_ns),
-                fmt_ms(st.stats.p95_ns),
-                fmt_ms(st.stats.max_ns),
-                fmt_bytes(st.bytes_up),
-                thr,
-            ));
-        }
-    }
+    table(
+        &mut out,
+        "per-strategy rounds",
+        "<16 strategy|>7 rounds|>10 p50 ms|>10 p95 ms|>10 max ms|>10 upload|>12 throughput",
+        s.strategies.iter().map(|st| {
+            let secs = st.stats.total_ns as f64 / 1e9;
+            let rate = st.bytes_up.saturating_add(st.bytes_down) as f64 / secs;
+            let thr = if secs > 0.0 { format!("{}/s", fmt_bytes(rate.round() as u64)) } else { "-".into() };
+            let mut row = stat_row(or_dash(&st.key), &st.stats);
+            row.extend([fmt_bytes(st.bytes_up), thr]);
+            row
+        }),
+    );
 
     // Codec effect per wire leg: the raw/encoded byte counters the
     // transport meters on every coded round (identity codec ⇒ equal,
     // reduction 1×). The download row appears only when a download codec
     // actually framed broadcasts — plain broadcasts never become wire
     // bytes.
-    let legs: Vec<(&str, u64, u64)> = [
+    let legs = [
         ("uploads", "comms.upload_bytes_raw", "comms.upload_bytes_encoded"),
-        (
-            "downloads",
-            "comms.download_bytes_raw",
-            "comms.download_bytes_encoded",
-        ),
-    ]
-    .iter()
-    .filter_map(|&(leg, raw, enc)| match (s.metric(raw), s.metric(enc)) {
-        (Some(r), Some(e)) if r > 0 => Some((leg, r, e)),
-        _ => None,
-    })
-    .collect();
-    if !legs.is_empty() {
-        out.push_str("\ncodec (wire bytes):\n");
-        out.push_str(&format!(
-            "{:<10} {:<12} {:<12} {:>9}\n",
-            "leg", "raw", "encoded", "reduction"
-        ));
-        for (leg, raw, enc) in legs {
-            out.push_str(&format!(
-                "{:<10} {:<12} {:<12} {:>8.2}x\n",
-                leg,
-                fmt_bytes(raw),
-                fmt_bytes(enc),
-                raw as f64 / enc.max(1) as f64,
-            ));
+        ("downloads", "comms.download_bytes_raw", "comms.download_bytes_encoded"),
+    ];
+    let legs = legs.iter().filter_map(|&(leg, raw, enc)| match (s.metric(raw), s.metric(enc)) {
+        (Some(r), Some(e)) if r > 0 => {
+            let reduction = format!("{:.2}x", r as f64 / e.max(1) as f64);
+            Some(vec![leg.to_string(), fmt_bytes(r), fmt_bytes(e), reduction])
         }
-    }
+        _ => None,
+    });
+    table(&mut out, "codec (wire bytes)", "<10 leg|<12 raw|<12 encoded|>9 reduction", legs);
 
     // Peak-memory gauges: the budgets scale runs are graded against.
     let kits = format!("worker kits (x{})", s.metric("fed.kits.instances").unwrap_or(0));
@@ -1033,38 +858,40 @@ pub fn render_report(s: &TraceSummary) -> String {
         }
     }
 
-    out.push_str("\nspan summary (ms):\n");
-    out.push_str(&format!(
-        "{:<20} {:>7} {:>10} {:>10} {:>10} {:>12}\n",
-        "span", "count", "p50", "p95", "max", "total"
-    ));
-    for sp in &s.span_stats {
-        out.push_str(&format!(
-            "{:<20} {:>7} {:>10} {:>10} {:>10} {:>12}\n",
-            sp.name,
-            sp.stats.count,
-            fmt_ms(sp.stats.p50_ns),
-            fmt_ms(sp.stats.p95_ns),
-            fmt_ms(sp.stats.max_ns),
-            fmt_ms(sp.stats.total_ns),
-        ));
-    }
+    table(
+        &mut out,
+        &format!("span summary (ms), by self time; self% of {} ms wall", fmt_ms(s.wall_ns)),
+        "<20 span|>7 count|>10 p50|>10 p95|>10 max|>12 total|>12 self ms|>7 self%",
+        s.span_stats.iter().map(|sp| {
+            let pct = if s.wall_ns > 0 { 100.0 * sp.self_ns as f64 / s.wall_ns as f64 } else { 0.0 };
+            let mut row = stat_row(sp.key.clone(), &sp.stats);
+            row.extend([fmt_ms(sp.stats.total_ns), fmt_ms(sp.self_ns), format!("{pct:.1}%")]);
+            row
+        }),
+    );
 
-    if !s.metrics.is_empty() {
-        out.push_str("\nmetrics at flush:\n");
-        out.push_str(&format!(
-            "{:<32} {:<10} {:>14} {:>9} {:>10} {:>10}\n",
-            "name", "kind", "value", "count", "p50", "p95"
-        ));
-        for m in &s.metrics {
-            if let TraceEvent::Metric { name, kind, value, count, p50, p95, .. } = m {
-                out.push_str(&format!(
-                    "{name:<32} {kind:<10} {value:>14} {count:>9} {p50:>10} {p95:>10}\n"
-                ));
+    table(
+        &mut out,
+        "metrics at flush",
+        "<32 name|<10 kind|>14 value|>9 count|>10 p50|>10 p95",
+        s.metrics.iter().filter_map(|m| match m {
+            TraceEvent::Metric { name, kind, value, count, p50, p95, .. } => {
+                let mut row = vec![name.clone(), kind.clone()];
+                row.extend([*value, *count, *p50, *p95].map(n));
+                Some(row)
             }
-        }
-    }
+            _ => None,
+        }),
+    );
     out
+}
+
+/// The cells every duration table starts a row with: the key, the
+/// sample count, then p50, p95 and max in ms.
+fn stat_row(key: String, d: &DurStats) -> Vec<String> {
+    let mut row = vec![key, d.count.to_string()];
+    row.extend([d.p50_ns, d.p95_ns, d.max_ns].map(fmt_ms));
+    row
 }
 
 /// Renders a postmortem dump as a timeline: its header, the flight
@@ -1178,7 +1005,7 @@ mod tests {
         assert_eq!(r.bytes_down, 2000);
         assert_eq!(r.participants, 2);
         assert_eq!(s.clients.len(), 2);
-        assert_eq!(s.clients[0].client, 0);
+        assert_eq!(s.clients[0].key, 0);
         assert_eq!(s.clients[0].stats.max_ns, 100);
         assert_eq!(s.clients[1].stats.p50_ns, 300);
         assert_eq!(s.strategies.len(), 1);
@@ -1206,25 +1033,25 @@ mod tests {
 
     #[test]
     fn profile_computes_self_time_and_folded_stacks() {
-        let events = parse_trace(&sample_trace()).unwrap();
-        let p = profile(&events);
+        let s = summarize(&parse_trace(&sample_trace()).unwrap());
         // round dur 700, children 400+50+25 ⇒ self 225. train's children
         // sum to exactly its duration ⇒ self 0.
-        let row = |name: &str| p.rows.iter().find(|r| r.name == name).unwrap();
+        let row = |name: &str| s.span_stats.iter().find(|r| r.key == name).unwrap();
         assert_eq!(row("round").self_ns, 225);
-        assert_eq!(row("round").total_ns, 700);
+        assert_eq!(row("round").stats.total_ns, 700);
         assert_eq!(row("train").self_ns, 0);
         assert_eq!(row("client_train").self_ns, 400);
-        assert_eq!(p.wall_ns, 700, "one root span");
-        // Rows are sorted by self time descending.
-        assert!(p.rows[0].self_ns >= p.rows[1].self_ns);
-        let folded = render_folded(&p);
+        assert_eq!(s.wall_ns, 700, "one root span");
+        // Rows are sorted by self time descending, then by name.
+        let keys: Vec<&str> = s.span_stats.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["client_train", "round", "aggregate", "eval", "train"]);
+        let folded = render_folded(&s);
         assert!(folded.contains("round;train;client_train 400\n"));
         assert!(folded.contains("round 225\n"));
         assert!(!folded.contains("round;train 0"), "zero-weight paths omitted");
-        let table = render_profile(&p, 10);
-        assert!(table.contains("self%"));
-        assert!(table.contains("client_train"));
+        let table = render_report(&s);
+        assert!(table.contains("self ms") && table.contains("self%"), "{table}");
+        assert!(table.contains("57.1%"), "client_train's 400 of 700 ns wall:\n{table}");
     }
 
     #[test]
@@ -1276,9 +1103,30 @@ mod tests {
         };
         for text in [span(1, 1), format!("{}\n{}", span(1, 2), span(2, 1))] {
             let (events, _) = parse_events(&text);
-            assert!(render_report(&summarize(&events)).contains("train"));
-            assert!(render_profile(&profile(&events), 5).contains("train"));
+            let s = summarize(&events);
+            assert!(render_report(&s).contains("train"));
+            assert_eq!(s.span_stats[0].self_ns, 0, "each span of a cycle is the other's child");
         }
+    }
+
+    #[test]
+    fn hostile_durations_saturate_every_total() {
+        let span = |name: &str, id, parent, dur: &str| {
+            format!("{{\"ev\":\"span\",\"name\":\"{name}\",\"id\":{id},\"parent\":{parent},\"dur_ns\":{dur},\"round\":1,\"strategy\":\"S\",\"bytes_up\":1e19}}\n")
+        };
+        let mut t = span("train", 2, 1, "1e19") + &span("train", 3, 1, "1e19");
+        t += &span("round", 1, 0, "1e19");
+        t += &span("round", 4, 0, "1e19");
+        let (events, damaged) = parse_events(&t);
+        assert!(damaged.is_empty(), "{damaged:?}");
+        let s = summarize(&events);
+        assert_eq!(s.rounds[0].train_ns, u64::MAX);
+        let train = s.span_stats.iter().find(|r| r.key == "train").unwrap();
+        assert_eq!(train.stats.total_ns, u64::MAX);
+        assert_eq!(s.wall_ns, u64::MAX);
+        assert_eq!(s.strategies[0].bytes_up, u64::MAX);
+        assert_eq!(s.strategies[0].stats.total_ns, u64::MAX);
+        assert!(render_report(&s).contains("train"));
     }
 
     #[test]

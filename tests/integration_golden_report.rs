@@ -144,7 +144,7 @@ fn obs_renderings_match_golden() {
     let summary = fedgta_obs::summarize(&events);
     let mut got = vec![pin("render_report", &fedgta_obs::render_report(&summary))];
     got.push(pin("render_dump", &fedgta_obs::render_dump(&dump())));
-    got.push(pin("render_folded", &fedgta_obs::render_folded(&fedgta_obs::profile(&events))));
+    got.push(pin("render_folded", &fedgta_obs::render_folded(&summary)));
 
     fedgta_obs::set_level(ObsLevel::Metrics);
     let registry = Registry::new();

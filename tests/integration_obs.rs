@@ -92,10 +92,10 @@ fn traced_run_emits_complete_round_span_tree() {
     // Every client trained every round.
     assert_eq!(summary.clients.len(), 4);
     for c in &summary.clients {
-        assert_eq!(c.stats.count, records.len(), "client {}", c.client);
+        assert_eq!(c.stats.count, records.len(), "client {}", c.key);
     }
     // All phases appear in the span-name stats.
-    let names: Vec<&str> = summary.span_stats.iter().map(|s| s.name.as_str()).collect();
+    let names: Vec<&str> = summary.span_stats.iter().map(|s| s.key.as_str()).collect();
     for expected in ["round", "sample", "train", "client_train", "aggregate", "eval", "lp", "confidence", "moments"] {
         assert!(names.contains(&expected), "missing span name '{expected}' in {names:?}");
     }
@@ -124,7 +124,7 @@ fn traced_run_emits_complete_round_span_tree() {
     assert_same_numbers(&untraced, &records, "FedGTA untraced vs traced");
     // Strategy rollup and metric flush rows made it into the trace.
     assert_eq!(summary.strategies.len(), 1);
-    assert_eq!(summary.strategies[0].strategy, "FedGTA");
+    assert_eq!(summary.strategies[0].key, "FedGTA");
     for name in [
         "comms.upload_bytes",
         "round.client.train_ns",
