@@ -370,10 +370,7 @@ impl Registry {
                     let mut cum = 0u64;
                     for (i, &c) in s.buckets.iter().enumerate().take(hi + 1) {
                         cum += c;
-                        out.push_str(&format!(
-                            "{base}_bucket{{le=\"{}\"}} {cum}\n",
-                            bucket_le(i)
-                        ));
+                        out.push_str(&format!("{base}_bucket{{le=\"{}\"}} {cum}\n", bucket_le(i)));
                     }
                     out.push_str(&format!("{base}_bucket{{le=\"+Inf\"}} {}\n", s.count));
                     out.push_str(&format!("{base}_sum {}\n", s.value));

@@ -353,15 +353,21 @@ mod tests {
 
         let header = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"quorum-failure\",\"round\":2,\"fault_seed\":42}";
         assert!(a.starts_with(header), "{a}");
-        assert!(a.contains("{\"ev\":\"fault\",\"round\":2,\"client\":1,\"kind\":\"up_drop\",\"sim_ms\":120}"));
+        assert!(a.contains(
+            "{\"ev\":\"fault\",\"round\":2,\"client\":1,\"kind\":\"up_drop\",\"sim_ms\":120}"
+        ));
         assert!(a.contains("{\"ev\":\"span\",\"name\":\"train\",\"round\":2}"));
         assert!(a.contains("{\"ev\":\"metric\",\"name\":\"c\",\"kind\":\"counter\",\"value\":7}"));
-        assert!(a.contains("{\"ev\":\"metric\",\"name\":\"g\",\"kind\":\"gauge\"}"), "gauge value left out");
+        assert!(
+            a.contains("{\"ev\":\"metric\",\"name\":\"g\",\"kind\":\"gauge\"}"),
+            "gauge value left out"
+        );
         assert!(a.contains("{\"ev\":\"metric\",\"name\":\"h\",\"kind\":\"histogram\",\"count\":1}"));
         assert!(a.contains("{\"ev\":\"note\",\"name\":\"recorder.events\",\"value\":3}"));
         assert!(a.ends_with("{\"ev\":\"end\"}\n"));
         // A caller's fault log stands in for the ring's faults.
-        let log = [TraceEvent::Fault { round: 2, client: None, kind: "resample".into(), sim_ms: 5 }];
+        let log =
+            [TraceEvent::Fault { round: 2, client: None, kind: "resample".into(), sim_ms: 5 }];
         let c = dump_string("quorum-failure", 2, 42, Some(&log), &reg);
         assert!(!c.contains("up_drop") && c.contains("\"kind\":\"resample\""), "{c}");
         // Every dump line is an event of the one vocabulary.
@@ -396,7 +402,10 @@ mod tests {
         // The log is written whole and in order; the ring's own fault is not repeated.
         assert_eq!(faults.len(), 2, "{dump}");
         assert!(lines[faults[0]].contains("\"kind\":\"crash\""));
-        assert!(lines[faults[1]].contains("\"kind\":\"resample\"") && !lines[faults[1]].contains("client"));
+        assert!(
+            lines[faults[1]].contains("\"kind\":\"resample\"")
+                && !lines[faults[1]].contains("client")
+        );
         assert!(span < faults[0] && faults[1] < pos("\"ev\":\"metric\""), "{dump}");
         assert_eq!(*lines.last().unwrap(), "{\"ev\":\"end\"}");
         crate::parse_trace(&dump).expect("dump reads as a fedgta-trace/2 file");

@@ -91,18 +91,16 @@ pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
     ROUNDS_ARMED.store(true, Ordering::Relaxed);
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
-    let handle = std::thread::Builder::new()
-        .name("fedgta-metrics".into())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                if let Ok(stream) = conn {
-                    let _ = handle_conn(stream);
-                }
+    let handle = std::thread::Builder::new().name("fedgta-metrics".into()).spawn(move || {
+        for conn in listener.incoming() {
+            if stop2.load(Ordering::SeqCst) {
+                break;
             }
-        })?;
+            if let Ok(stream) = conn {
+                let _ = handle_conn(stream);
+            }
+        }
+    })?;
     Ok(MetricsServer { addr: bound, stop, handle: Some(handle) })
 }
 
@@ -141,7 +139,11 @@ fn handle_conn(mut stream: TcpStream) -> std::io::Result<()> {
             ),
             "/healthz" => ("200 OK", "application/json", healthz_json()),
             "/rounds" => ("200 OK", "application/json", rounds_json()),
-            _ => ("404 Not Found", "text/plain; charset=utf-8", "routes: /metrics /healthz /rounds\n".to_string()),
+            _ => (
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "routes: /metrics /healthz /rounds\n".to_string(),
+            ),
         }
     };
     let resp = format!(

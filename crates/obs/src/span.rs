@@ -72,27 +72,13 @@ pub struct SpanGuard {
 impl SpanGuard {
     /// A guard that records nothing.
     fn disarmed() -> Self {
-        Self {
-            id: 0,
-            parent: 0,
-            name: "",
-            start_ns: 0,
-            t0: None,
-            fields: Vec::new(),
-        }
+        Self { id: 0, parent: 0, name: "", start_ns: 0, t0: None, fields: Vec::new() }
     }
 
     fn armed(name: &'static str, parent: u64) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
-        Self {
-            id,
-            parent,
-            name,
-            start_ns: now_ns(),
-            t0: Some(Instant::now()),
-            fields: Vec::new(),
-        }
+        Self { id, parent, name, start_ns: now_ns(), t0: Some(Instant::now()), fields: Vec::new() }
     }
 
     /// This span's id (0 when tracing was off at creation). Pass to
@@ -144,9 +130,8 @@ impl Drop for SpanGuard {
         if crate::recorder::armed() {
             // The flight recorder keys events by (round, client) when the
             // span carried them as numeric fields.
-            let field = |key| {
-                self.fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| v.as_u64())
-            };
+            let field =
+                |key| self.fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| v.as_u64());
             let round = field("round").unwrap_or(0);
             let client = field("client").unwrap_or(crate::recorder::NO_CLIENT);
             crate::recorder::record_span_close(self.name, round, client, dur_ns);

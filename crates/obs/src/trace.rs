@@ -184,7 +184,12 @@ impl TraceEvent {
                 num("sim_ms", sim_ms),
             ],
             Self::Note { name, round, value } => {
-                vec![text("ev", "note"), text("name", name), num("round", round), num("value", value)]
+                vec![
+                    text("ev", "note"),
+                    text("name", name),
+                    num("round", round),
+                    num("value", value),
+                ]
             }
             Self::End => vec![text("ev", "end")],
         };
@@ -284,7 +289,8 @@ impl<'a> Cursor<'a> {
         match self.peek() {
             Some(b'"') => Ok(JsonVal::Str(self.string()?)),
             Some(b'n' | b't' | b'f') => {
-                let literals = [("null", JsonVal::Null), ("true", 1.0.into()), ("false", 0.0.into())];
+                let literals =
+                    [("null", JsonVal::Null), ("true", 1.0.into()), ("false", 0.0.into())];
                 let (lit, v) = literals
                     .into_iter()
                     .find(|(lit, _)| self.s[self.i..].starts_with(lit))
@@ -750,7 +756,11 @@ fn table(out: &mut String, title: &str, cols: &str, rows: impl IntoIterator<Item
         let padded: Vec<String> = (cells.iter().zip(&cols))
             .map(|(c, &(spec, _))| {
                 let width = spec[1..].parse().unwrap_or(0);
-                if spec.starts_with('<') { format!("{c:<width$}") } else { format!("{c:>width$}") }
+                if spec.starts_with('<') {
+                    format!("{c:<width$}")
+                } else {
+                    format!("{c:>width$}")
+                }
             })
             .collect();
         let _ = writeln!(out, "{}", padded.join(" "));
@@ -813,7 +823,11 @@ pub fn render_report(s: &TraceSummary) -> String {
         s.strategies.iter().map(|st| {
             let secs = st.stats.total_ns as f64 / 1e9;
             let rate = st.bytes_up.saturating_add(st.bytes_down) as f64 / secs;
-            let thr = if secs > 0.0 { format!("{}/s", fmt_bytes(rate.round() as u64)) } else { "-".into() };
+            let thr = if secs > 0.0 {
+                format!("{}/s", fmt_bytes(rate.round() as u64))
+            } else {
+                "-".into()
+            };
             let mut row = stat_row(or_dash(&st.key), &st.stats);
             row.extend([fmt_bytes(st.bytes_up), thr]);
             row
@@ -863,7 +877,8 @@ pub fn render_report(s: &TraceSummary) -> String {
         &format!("span summary (ms), by self time; self% of {} ms wall", fmt_ms(s.wall_ns)),
         "<20 span|>7 count|>10 p50|>10 p95|>10 max|>12 total|>12 self ms|>7 self%",
         s.span_stats.iter().map(|sp| {
-            let pct = if s.wall_ns > 0 { 100.0 * sp.self_ns as f64 / s.wall_ns as f64 } else { 0.0 };
+            let pct =
+                if s.wall_ns > 0 { 100.0 * sp.self_ns as f64 / s.wall_ns as f64 } else { 0.0 };
             let mut row = stat_row(sp.key.clone(), &sp.stats);
             row.extend([fmt_ms(sp.stats.total_ns), fmt_ms(sp.self_ns), format!("{pct:.1}%")]);
             row
@@ -919,11 +934,13 @@ pub fn render_dump(events: &[TraceEvent]) -> String {
                 let who = client.map_or("(round-level)".to_string(), |c| format!("client {c:<4}"));
                 faults.push(format!("  round {round:<4} {kind:<14} {who} @{sim_ms}ms"));
             }
-            TraceEvent::Metric { name, kind, value, count, .. } => metrics.push(match kind.as_str() {
-                "counter" => format!("  counter   {name} = {value}"),
-                "histogram" => format!("  histogram {name} ({count} samples)"),
-                _ => format!("  {kind:<9} {name} (value omitted: thread-dependent)"),
-            }),
+            TraceEvent::Metric { name, kind, value, count, .. } => {
+                metrics.push(match kind.as_str() {
+                    "counter" => format!("  counter   {name} = {value}"),
+                    "histogram" => format!("  histogram {name} ({count} samples)"),
+                    _ => format!("  {kind:<9} {name} (value omitted: thread-dependent)"),
+                })
+            }
             TraceEvent::End => {}
         }
     }
@@ -944,10 +961,9 @@ mod tests {
 
     #[test]
     fn flat_object_parses_all_value_kinds() {
-        let m = parse_flat_object(
-            r#"{"a":1,"b":-2.5,"c":"x\"y","d":null,"e":true,"f":false,"g":1e3}"#,
-        )
-        .unwrap();
+        let m =
+            parse_flat_object(r#"{"a":1,"b":-2.5,"c":"x\"y","d":null,"e":true,"f":false,"g":1e3}"#)
+                .unwrap();
         assert_eq!(m["a"], JsonVal::Num(1.0));
         assert_eq!(m["b"], JsonVal::Num(-2.5));
         assert_eq!(m["c"], JsonVal::Str("x\"y".into()));
@@ -1077,7 +1093,10 @@ mod tests {
         assert!(rendered.contains("resource peaks:"));
         assert!(rendered.contains("graph store resident peak"));
         assert!(rendered.contains("75.0MiB"));
-        assert!(rendered.contains("worker kits (x2)") && rendered.contains("3072.0KiB"), "{rendered}");
+        assert!(
+            rendered.contains("worker kits (x2)") && rendered.contains("3072.0KiB"),
+            "{rendered}"
+        );
         // Without the counters the sections stay absent — and an
         // upload-only trace renders no download row.
         let bare = render_report(&summarize(&parse_trace(&sample_trace()).unwrap()));

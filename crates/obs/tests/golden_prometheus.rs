@@ -48,10 +48,7 @@ fn exposition_is_structurally_valid_prometheus_text() {
             let name = it.next().expect("TYPE line has a metric name");
             let kind = it.next().expect("TYPE line has a kind");
             assert!(name.starts_with("fedgta_"), "namespaced: {line}");
-            assert!(
-                matches!(kind, "counter" | "gauge" | "histogram"),
-                "known kind: {line}"
-            );
+            assert!(matches!(kind, "counter" | "gauge" | "histogram"), "known kind: {line}");
             continue;
         }
         // Sample line: `name value` or `name{le="bound"} value`.
