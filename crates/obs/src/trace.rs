@@ -755,7 +755,8 @@ fn table(out: &mut String, title: &str, cols: &str, rows: impl IntoIterator<Item
     for cells in std::iter::once(header).chain(rows) {
         let padded: Vec<String> = (cells.iter().zip(&cols))
             .map(|(c, &(spec, _))| {
-                let width = spec[1..].parse().unwrap_or(0);
+                let width: usize =
+                    spec[1..].parse().expect("a column spec is `<W name` or `>W name`");
                 if spec.starts_with('<') {
                     format!("{c:<width$}")
                 } else {
