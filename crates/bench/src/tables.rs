@@ -468,9 +468,9 @@ pub const FIG6: &[Claim] = &[
     mechanism_check!("f6", "fig6"),
 ];
 
-/// The extensions study (DESIGN.md §5): the paper's two future-work
-/// directions and the DP upload wrapper against base FedGTA (GAMLP,
-/// Louvain 10 clients).
+/// The extensions study (DESIGN.md §5): adaptive ε, the paper's
+/// future-work aggregation, and the DP upload wrapper against base FedGTA
+/// (GAMLP, Louvain 10 clients).
 pub fn extensions(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] = if full { &["cora", "amazon-photo", "ogbn-arxiv"] } else { &["cora", "amazon-photo"] };
     let (rounds, runs) = if full { (60, 3) } else { (25, 2) };
@@ -478,7 +478,6 @@ pub fn extensions(full: bool) -> Vec<TableSpec> {
         s!("FedGTA (fixed ε=0.5)" => gta(FedGtaConfig::default())),
         s!("FedGTA adaptive ε (q=0.8)" => gta(FedGtaConfig::adaptive(0.8))),
         s!("FedGTA adaptive ε (q=0.5)" => gta(FedGtaConfig::adaptive(0.5))),
-        s!("FedGTA + feature moments" => gta(FedGtaConfig::with_feature_moments())),
         s!("DP(FedGTA) σ=0.002" => dp(0.002)),
         s!("DP(FedGTA) σ=0.01" => dp(0.01)),
     ];

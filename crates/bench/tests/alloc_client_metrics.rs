@@ -1,9 +1,7 @@
 //! Allocation-budget test for FedGTA's Algorithm-1 upload path: once the
 //! strategy's pooled [`fedgta::UploadScratch`] has grown to its largest
 //! client, every `FedGta::client_metrics` call — softmax prediction, k-step
-//! label propagation, smoothing confidence, mixed moments, and (when
-//! enabled, on GAMLP: the extension reads raw features, which a decoupled
-//! client no longer holds) the per-client cached feature-moment extension — performs
+//! label propagation, smoothing confidence, mixed moments — performs
 //! **zero** heap allocations, on one client or alternating between two:
 //! the contract is per strategy, not per client. That holds for the five
 //! backbones whose forward is a head over cached features (SGC, SIGN,
@@ -18,7 +16,7 @@
 //! here. Nothing on this path spawns, whatever `FEDGTA_THREADS` says (CI
 //! runs this file under `FEDGTA_THREADS=4`).
 
-use fedgta::{FeatureMomentConfig, FedGta, FedGtaConfig};
+use fedgta::{FedGta, FedGtaConfig};
 use fedgta_bench::alloc::{alloc_bytes, alloc_count, CountingAlloc};
 use fedgta_fed::strategies::test_support::small_federation;
 use fedgta_nn::models::ModelKind;
@@ -74,64 +72,45 @@ fn head_backbone_is_allocation_free(kind: ModelKind) {
     let mut clients = small_federation(kind, 7);
     assert_ne!(clients[2].data.num_nodes(), clients[3].data.num_nodes());
 
-    // Paper-default config, then the feature-moment extension — the
-    // latter exercises the round-invariant sketch cache as well.
-    let configs = [
-        FedGtaConfig::default(),
-        FedGtaConfig {
-            feature_moments: Some(FeatureMomentConfig {
-                dims: 4,
-                weight: 0.5,
-            }),
-            ..FedGtaConfig::default()
-        },
-    ];
-
-    for (ci, cfg) in configs.into_iter().enumerate() {
-        if cfg.feature_moments.is_some() && clients[0].data.propagated.is_some() {
-            continue; // refused: the client's features are propagated
-        }
-        // One client, then two of different sizes alternating through the
-        // same pooled scratch.
-        for visited in [vec![ci % 2], vec![2, 3]] {
-            let strat = FedGta::from(cfg.clone());
-            let mut m = Vec::new();
-            // Cold calls: grow the pooled scratch (soft-label matrix, LP
-            // steps, accumulator) and the caller's sketch to the largest
-            // client, build each client's feature cache and workspace.
-            // The second pass settles any capacity growth (the sketch's
-            // feature-extension tail).
-            let mut cold = Vec::new();
-            for pass in 0..2 {
-                for &c in &visited {
-                    let h = strat.objective.client_metrics(&mut clients[c], &mut m);
-                    if pass == 0 {
-                        cold.push((h, m.clone()));
-                    }
+    // One client, then two of different sizes alternating through the
+    // same pooled scratch.
+    for visited in [vec![0], vec![2, 3]] {
+        let strat = FedGta::from(FedGtaConfig::default());
+        let mut m = Vec::new();
+        // Cold calls: grow the pooled scratch (soft-label matrix, LP steps,
+        // accumulator) and the caller's sketch to the largest client, and
+        // each client's workspace. The second pass settles any capacity
+        // growth.
+        let mut cold = Vec::new();
+        for pass in 0..2 {
+            for &c in &visited {
+                let h = strat.objective.client_metrics(&mut clients[c], &mut m);
+                if pass == 0 {
+                    cold.push((h, m.clone()));
                 }
             }
-
-            for call in 0..3 {
-                for (&c, (h0, m0)) in visited.iter().zip(&cold) {
-                    let before = alloc_count();
-                    let h = strat.objective.client_metrics(&mut clients[c], &mut m);
-                    let allocs = alloc_count() - before;
-                    // Warm calls are deterministic replays of the cold call…
-                    assert_eq!(h.to_bits(), h0.to_bits(), "{kind:?} config {ci} client {c}: H drifted");
-                    assert_eq!(m.len(), m0.len(), "{kind:?} config {ci} client {c}: sketch length drifted");
-                    assert!(
-                        m.iter().zip(m0).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "{kind:?} config {ci} client {c}: sketch drifted bitwise"
-                    );
-                    // …and allocation-free.
-                    assert_eq!(
-                        allocs, 0,
-                        "{kind:?} config {ci} client {c} warm call {call}: {allocs} heap allocations \
-                         (budget 0); a scratch buffer is being reallocated"
-                    );
-                }
-            }
-            assert_eq!(strat.objective.pooled_scratch().0, 1, "serial calls share one scratch");
         }
+
+        for call in 0..3 {
+            for (&c, (h0, m0)) in visited.iter().zip(&cold) {
+                let before = alloc_count();
+                let h = strat.objective.client_metrics(&mut clients[c], &mut m);
+                let allocs = alloc_count() - before;
+                // Warm calls are deterministic replays of the cold call…
+                assert_eq!(h.to_bits(), h0.to_bits(), "{kind:?} client {c}: H drifted");
+                assert_eq!(m.len(), m0.len(), "{kind:?} client {c}: sketch length drifted");
+                assert!(
+                    m.iter().zip(m0).all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kind:?} client {c}: sketch drifted bitwise"
+                );
+                // …and allocation-free.
+                assert_eq!(
+                    allocs, 0,
+                    "{kind:?} client {c} warm call {call}: {allocs} heap allocations \
+                     (budget 0); a scratch buffer is being reallocated"
+                );
+            }
+        }
+        assert_eq!(strat.objective.pooled_scratch().0, 1, "serial calls share one scratch");
     }
 }

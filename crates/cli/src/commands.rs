@@ -2,7 +2,7 @@
 
 use crate::args::Args;
 use fedgta_bench::{partition_benchmark, strategy_named, SplitKind, STRATEGY_NAMES};
-use fedgta_data::{load_benchmark, SPECS};
+use fedgta_data::{load_benchmark, Benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
 use fedgta_fed::fgl_models::FedSagePlus;
@@ -257,12 +257,16 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
         None => FaultConfig::default(),
     };
     let defaults = CommsConfig::default();
+    let oversample = a.num_or("oversample", defaults.oversample)?;
+    if !(oversample >= 1.0 && oversample.is_finite()) {
+        return Err(format!("--oversample must be a finite factor of at least 1, got {oversample}").into());
+    }
     Ok(Some(CommsConfig {
         faults,
         fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
         deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
         min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
-        oversample: a.num_or("oversample", defaults.oversample)?,
+        oversample,
         max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
         codec,
         codec_down,
@@ -292,6 +296,21 @@ fn parse_model(s: &str) -> Result<ModelKind, String> {
             "unknown model '{other}' (gcn|sage|sgc|sign|s2gc|gbp|gamlp)"
         )),
     }
+}
+
+/// Loads `name` to split among `clients`, refusing a count no split can
+/// meet: none, or more clients than the graph has nodes. The first is
+/// refused before anything loads.
+fn load_for_split(name: &str, seed: u64, clients: usize) -> Result<Benchmark, Box<dyn Error>> {
+    if clients == 0 {
+        return Err("--clients must be at least 1".into());
+    }
+    let b = load_benchmark(name, seed)?;
+    let nodes = b.graph.num_nodes();
+    if clients > nodes {
+        return Err(format!("--clients {clients} exceeds the {nodes} nodes of {name}: each client needs one").into());
+    }
+    Ok(b)
 }
 
 /// `datasets`: list the catalog.
@@ -334,7 +353,7 @@ pub fn partition(a: &Args) -> CliResult {
     let seed = a.num_or("seed", 0u64)?;
     let clients = a.num_or("clients", 10usize)?;
     let split = parse_split(&a.str_or("method", "louvain"))?;
-    let b = load_benchmark(name, seed)?;
+    let b = load_for_split(name, seed, clients)?;
     let t = Instant::now();
     let parts = partition_benchmark(&b, split, clients, seed);
     let split_s = t.elapsed().as_secs_f64();
@@ -378,6 +397,13 @@ pub fn run(a: &Args) -> CliResult {
     let rounds = a.num_or("rounds", 30usize)?;
     let epochs = a.num_or("epochs", 3usize)?;
     let participation = a.num_or("participation", 1.0f64)?;
+    // NaN fails both comparisons.
+    if !(participation > 0.0 && participation <= 1.0) {
+        return Err(format!("--participation must lie in (0, 1], got {participation}").into());
+    }
+    if rounds == 0 {
+        return Err("--rounds must be at least 1".into());
+    }
     let threads = a.num_or("threads", 0usize)?;
     let split = parse_split(&a.str_or("split", "louvain"))?;
     let model = parse_model(&a.str_or("model", "gamlp"))?;
@@ -396,7 +422,7 @@ pub fn run(a: &Args) -> CliResult {
     let save_params = a.str_opt("save-params");
     a.reject_unread()?;
 
-    let b = load_benchmark(name, seed)?;
+    let b = load_for_split(name, seed, clients_n)?;
     let parts = partition_benchmark(&b, split, clients_n, seed);
     let halo = strategy_name.starts_with("FedGL");
     let build = ClientBuildConfig::paper(ModelConfig::paper(model, 32, seed), halo);
@@ -796,6 +822,48 @@ mod tests {
             words.extend_from_slice(extra);
             let err = run(&args(&words)).unwrap_err().to_string();
             assert!(err.contains(&format!("does not take {}", extra[extra.len() - 2])), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_refuses_degenerate_values_before_anything_loads() {
+        // Each used to run as something else: a participation outside
+        // (0, 1] as one client or all, an oversample below 1 as 1, zero
+        // rounds as a run that never evaluated.
+        let bad = [
+            ("participation", &["nan", "-0.5", "0", "7"][..]),
+            ("oversample", &["nan", "0.2", "inf"]),
+            ("rounds", &["0"]),
+        ];
+        for (flag, values) in bad {
+            for value in values {
+                let words = ["run", "--dataset", "no-such-dataset", &format!("--{flag}"), value];
+                let err = run(&args(&words)).unwrap_err().to_string();
+                assert!(err.starts_with(&format!("--{flag} must")), "--{flag} {value}: {err}");
+            }
+        }
+        // The ends of the valid ranges pass; the run fails at the dataset.
+        let ends = ["--participation", "1", "--oversample", "1", "--rounds", "1"];
+        let err = run(&args(&[&["run", "--dataset", "no-such-dataset"][..], &ends].concat()));
+        assert!(err.unwrap_err().to_string().starts_with("unknown dataset"));
+    }
+
+    #[test]
+    fn zero_clients_are_refused_before_anything_loads() {
+        // `partition_benchmark` panicked on it (`ZeroParts`).
+        for command in [partition, run] {
+            let err = command(&args(&["x", "--dataset", "no-such-dataset", "--clients", "0"]));
+            assert_eq!(err.unwrap_err().to_string(), "--clients must be at least 1");
+        }
+    }
+
+    #[test]
+    fn more_clients_than_nodes_are_refused() {
+        // `partition_benchmark` panicked on it (`TooManyParts`).
+        for command in [partition, run] {
+            let err = command(&args(&["x", "--dataset", "cora", "--clients", "5000"]));
+            let want = "--clients 5000 exceeds the 2708 nodes of cora: each client needs one";
+            assert_eq!(err.unwrap_err().to_string(), want);
         }
     }
 

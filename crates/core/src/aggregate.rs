@@ -141,7 +141,7 @@ pub fn personalized_rows(
         similarity_matrix_threads(sketches, opts.similarity, threads)
     };
     let epsilon = match opts.epsilon_quantile {
-        Some(q) => crate::extensions::adaptive_epsilon(&sim, q),
+        Some(q) => adaptive_epsilon(&sim, q),
         None => opts.epsilon,
     };
     // A non-finite or negative weight source — a diverged client uploads
@@ -178,6 +178,29 @@ pub fn personalized_rows(
         epsilon,
         rejected,
     }
+}
+
+/// Adaptive aggregation (the paper's §5 future work): the ε of a round is
+/// the `quantile`-th value of the finite off-diagonal entries of its
+/// pairwise similarity matrix. A quantile of `0.8` keeps roughly the top
+/// 20% most-similar pairs connected, regardless of how concentrated the
+/// sketches are on this dataset — no per-dataset ε grid search (§4.1).
+///
+/// A diverged client's NaN sketch yields NaN similarities; they are left
+/// out of the quantile and already fail Eq. 6's `sim ≥ ε`.
+fn adaptive_epsilon(similarity: &[Vec<f32>], quantile: f64) -> f32 {
+    let n = similarity.len();
+    let mut off: Vec<f32> = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for (i, row) in similarity.iter().enumerate() {
+        off.extend(row[(i + 1).min(row.len())..].iter().filter(|s| s.is_finite()));
+    }
+    if off.is_empty() {
+        return 1.0; // single client (or no finite pair): isolation is the only option
+    }
+    off.sort_unstable_by(f32::total_cmp);
+    let q = quantile.clamp(0.0, 1.0);
+    let idx = ((off.len() - 1) as f64 * q).round() as usize;
+    off[idx]
 }
 
 #[cfg(test)]
@@ -290,7 +313,7 @@ mod tests {
         let sketches: Vec<&[f32]> = uploads.iter().map(|u| u.moments).collect();
         let sim = crate::similarity::similarity_matrix_threads(&sketches, opts.similarity, 1);
         let epsilon = match opts.epsilon_quantile {
-            Some(q) => crate::extensions::adaptive_epsilon(&sim, q),
+            Some(q) => adaptive_epsilon(&sim, q),
             None => opts.epsilon,
         };
         let mut results = Vec::with_capacity(n);
@@ -418,6 +441,25 @@ mod tests {
         personalized_aggregate(&ups, &opts(0.5));
         fedgta_obs::set_level(fedgta_obs::ObsLevel::Off);
         assert_eq!(rejected.get() - before, 2);
+    }
+
+    #[test]
+    fn adaptive_epsilon_picks_quantiles() {
+        let sim = vec![
+            vec![1.0, 0.1, 0.5],
+            vec![0.1, 1.0, 0.9],
+            vec![0.5, 0.9, 1.0],
+        ];
+        // Off-diagonal = [0.1, 0.5, 0.9].
+        assert_eq!(adaptive_epsilon(&sim, 0.0), 0.1);
+        assert_eq!(adaptive_epsilon(&sim, 0.5), 0.5);
+        assert_eq!(adaptive_epsilon(&sim, 1.0), 0.9);
+    }
+
+    #[test]
+    fn adaptive_epsilon_single_client_isolates() {
+        let sim = vec![vec![1.0]];
+        assert_eq!(adaptive_epsilon(&sim, 0.5), 1.0);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! FedGTA hyperparameters.
 
-use crate::extensions::FeatureMomentConfig;
 use crate::moments::MomentKind;
 use crate::similarity::SimilarityKind;
 
@@ -23,10 +22,6 @@ pub struct FedGtaConfig {
     /// threshold is re-derived every round as the `q`-quantile of the
     /// observed pairwise similarities, overriding `epsilon`.
     pub epsilon_quantile: Option<f64>,
-    /// Propagated-feature moments (paper §5 future work): when `Some`,
-    /// the label sketch is augmented with moments of k-step propagated
-    /// node features.
-    pub feature_moments: Option<FeatureMomentConfig>,
     /// Ablation: use moment-based client selection ("w/o Mom." when
     /// false — every participant aggregates with every other).
     pub use_moments: bool,
@@ -44,7 +39,6 @@ impl Default for FedGtaConfig {
             moment_kind: MomentKind::Central,
             epsilon: 0.5,
             epsilon_quantile: None,
-            feature_moments: None,
             similarity: SimilarityKind::Cosine,
             use_moments: true,
             use_confidence: true,
@@ -74,14 +68,6 @@ impl FedGtaConfig {
     pub fn adaptive(q: f64) -> Self {
         Self {
             epsilon_quantile: Some(q),
-            ..Self::default()
-        }
-    }
-
-    /// The propagated-feature-moments extension (DESIGN.md §5).
-    pub fn with_feature_moments() -> Self {
-        Self {
-            feature_moments: Some(FeatureMomentConfig::default()),
             ..Self::default()
         }
     }

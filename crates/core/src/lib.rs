@@ -31,7 +31,6 @@
 pub mod aggregate;
 pub mod config;
 pub mod confidence;
-pub mod extensions;
 pub mod lp;
 pub mod moments;
 pub mod scratch;
@@ -43,7 +42,6 @@ pub use aggregate::{
     AggregationReport, ClientUpload,
 };
 pub use config::FedGtaConfig;
-pub use extensions::{adaptive_epsilon, feature_moment_sketch, FeatureMomentConfig};
 pub use confidence::local_smoothing_confidence;
 pub use lp::label_propagation;
 pub use lp::label_propagation_into;

@@ -7,12 +7,8 @@
 //! pool owned by the strategy: one instance per concurrently running
 //! worker, sized by the largest client it has served, whatever the client
 //! count. Every buffer is fully rewritten before it is read, so which
-//! instance a worker draws cannot reach a result bit.
-//!
-//! The one value that outlives a call, the feature-moment extension's
-//! round-invariant sketch, is not scratch: the strategy keeps it by client
-//! id ([`crate::strategy::TopologyAware`]), and only when the extension is
-//! configured.
+//! instance a worker draws cannot reach a result bit. Nothing else of the
+//! upload path outlives a call: FedGTA keeps no state per client.
 //!
 //! Warm metric computation performs **zero heap allocations** — proven by
 //! the counting-allocator harness in the bench crate.

@@ -14,7 +14,6 @@
 use crate::aggregate::{personalized_rows, AggregateOptions, AggregationReport};
 use crate::config::FedGtaConfig;
 use crate::confidence::local_smoothing_confidence;
-use crate::extensions::feature_moment_sketch;
 use crate::lp::label_propagation_into;
 use crate::moments::mixed_moments_into;
 use crate::scratch::UploadScratch;
@@ -27,8 +26,6 @@ use fedgta_fed::strategies::{
 use fedgta_fed::ParamTensor;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::JsonVal;
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// FedGTA: [`TopologyAware`] through the one aggregating round.
 /// `FedGta::with_defaults()` has the paper's hyperparameters,
@@ -69,12 +66,6 @@ pub struct TopologyAware {
     /// an instance and gives it back, so at most one exists per
     /// concurrently running worker.
     scratch: Pool<UploadScratch>,
-    /// The feature-moment extension's sketch of each client served, by
-    /// client id. It reads only the client's graph and raw features, which
-    /// never change, so it is computed on the client's first call and
-    /// replayed on every later one. Empty unless `config.feature_moments`
-    /// is set.
-    feature_sketches: Mutex<HashMap<usize, Vec<f32>>>,
 }
 
 impl TopologyAware {
@@ -87,12 +78,6 @@ impl TopologyAware {
     #[doc(hidden)]
     pub fn pooled_scratch(&self) -> (usize, usize) {
         self.scratch.held(UploadScratch::bytes)
-    }
-
-    /// Heap bytes of the feature-moment sketches kept per client.
-    fn kept_sketch_bytes(&self) -> usize {
-        let sketches = self.feature_sketches.lock().expect("feature sketch cache poisoned");
-        sketches.values().map(|f| 4 * f.len()).sum()
     }
 
     fn options(&self) -> AggregateOptions {
@@ -115,11 +100,9 @@ impl TopologyAware {
     /// of them is rewritten in full before it is read (`predict_into`
     /// writes every row of `soft`, each LP step every row of its matrix,
     /// `acc` is cleared per step) — the instance drawn, and whichever
-    /// client it served last, cannot reach a result bit. The one value that
-    /// outlives the call, the feature-moment extension's sketch, stays with
-    /// the strategy under the client's id. Once the pool and `sketch` have
-    /// grown to the largest client, **warm calls perform zero heap
-    /// allocations** (proven by the bench crate's counting-allocator
+    /// client it served last, cannot reach a result bit. Once the pool and
+    /// `sketch` have grown to the largest client, **warm calls perform zero
+    /// heap allocations** (proven by the bench crate's counting-allocator
     /// harness).
     pub fn client_metrics(&self, client: &mut Client, sketch: &mut Vec<f32>) -> f64 {
         let mut s = self.scratch.take();
@@ -144,34 +127,16 @@ impl TopologyAware {
             span.record("h", JsonVal::from(h));
             h
         };
-        let mom = fedgta_obs::span!("moments", order = self.config.moment_order);
-        mixed_moments_into(
-            &s.steps,
-            self.config.moment_order,
-            self.config.moment_kind,
-            &mut s.acc,
-            sketch,
-        );
-        if let Some(fm) = &self.config.feature_moments {
-            assert!(
-                client.data.propagated.is_none(),
-                "FedGTA's feature moments propagate raw features, but client {}'s already are ({:?}): \
-                 pair them with a backbone that reads raw features (SAGE, GAMLP)",
-                client.id,
-                client.data.propagated
+        {
+            let _mom = fedgta_obs::span!("moments", order = self.config.moment_order);
+            mixed_moments_into(
+                &s.steps,
+                self.config.moment_order,
+                self.config.moment_kind,
+                &mut s.acc,
+                sketch,
             );
-            let cache = || self.feature_sketches.lock().expect("feature sketch cache poisoned");
-            let cached = cache().get(&client.id).map(|f| sketch.extend_from_slice(f)).is_some();
-            if !cached {
-                // Computed outside the lock, so workers serving different
-                // clients' first calls do not wait for each other.
-                let (data, c) = (&client.data, &self.config);
-                let f = feature_moment_sketch(&data.adj_norm, &data.features, c.k_lp, c.moment_order, c.moment_kind, fm);
-                sketch.extend_from_slice(&f);
-                cache().insert(client.id, f);
-            }
         }
-        drop(mom);
         self.scratch.give(s);
         h
     }
@@ -215,10 +180,10 @@ impl Objective for TopologyAware {
     fn server(&mut self, round: Arrivals<'_, Self::Upload>) -> Collaboration {
         if fedgta_obs::metrics_on() {
             // Read with every worker's instance back in the pool, next to
-            // the run's `fed.kits.*` reading; the kept sketches count too.
+            // the run's `fed.kits.*` reading.
             fedgta_obs::global()
                 .gauge("fedgta.metric_scratch.bytes")
-                .set_max((self.pooled_scratch().1 + self.kept_sketch_bytes()) as u64);
+                .set_max(self.pooled_scratch().1 as u64);
         }
         let opts = self.options();
         let sketches: Vec<&[f32]> = round.results.iter().map(|r| r.payload.2.as_slice()).collect();
@@ -386,7 +351,6 @@ mod tests {
         assert_eq!(m, first);
         assert_eq!(m.as_ptr(), ptr1, "warm sketch buffer must be reused");
         assert_eq!(s.objective.pooled_scratch().0, 1, "scratch went back to the pool");
-        assert!(s.objective.feature_sketches.lock().unwrap().is_empty(), "nothing kept per client");
     }
 
     /// `(H bits, M bits)` of one `client_metrics` call.
@@ -397,8 +361,7 @@ mod tests {
     }
 
     /// Three clients of strictly decreasing node count: the largest, one
-    /// in between and the smallest of a six-client federation, on GAMLP —
-    /// a backbone the feature extension can read raw features under.
+    /// in between and the smallest of a six-client federation, on GAMLP.
     fn three_sizes(seed: u64) -> Vec<Client> {
         let mut clients = federation_with(ModelKind::Gamlp, seed, 6, 700);
         clients.sort_by_key(|c| std::cmp::Reverse(c.data.num_nodes()));
@@ -413,34 +376,19 @@ mod tests {
     #[test]
     fn one_pooled_scratch_serves_clients_of_any_size_bit_for_bit() {
         // Large → small → large through one strategy (one pooled instance,
-        // shrunk and regrown) against a fresh strategy — an empty pool, no
-        // sketch kept — per call: no stale row leaks through a shrunk
-        // `resize_to`, and with the feature extension each client's sketch
-        // is computed once and replayed to that client alone.
-        for cfg in [FedGtaConfig::default(), FedGtaConfig::with_feature_moments()] {
-            let mut clients = three_sizes(108);
-            let with_cache = cfg.feature_moments.is_some();
-            let shared = FedGta::from(cfg.clone());
-            let mut first_buffer = HashMap::new();
-            for visit in [0usize, 2, 1, 2, 0] {
-                let got = metrics_bits(&shared, &mut clients[visit]);
-                let want = metrics_bits(&FedGta::from(cfg.clone()), &mut clients[visit]);
-                assert_eq!(got, want, "client {visit}, feature moments {with_cache}");
-                // Serial calls: one instance, as large as the largest client.
-                let (instances, bytes) = shared.objective.pooled_scratch();
-                let (n, c) = (clients[0].data.num_nodes(), clients[0].data.num_classes);
-                assert_eq!(instances, 1);
-                assert!(bytes >= 4 * (1 + shared.objective.config.k_lp) * n * c, "{bytes} bytes");
-                // A replay reads the buffer the client's first call filled.
-                let id = clients[visit].id;
-                if let Some(f) = shared.objective.feature_sketches.lock().unwrap().get(&id) {
-                    assert_eq!(*first_buffer.entry(id).or_insert(f.as_ptr()), f.as_ptr(), "client {visit} recomputed");
-                }
-            }
-            // What the strategy keeps is one sketch per client served, and
-            // only if the extension is configured.
-            let kept = shared.objective.feature_sketches.lock().unwrap().len();
-            assert_eq!(kept, if with_cache { clients.len() } else { 0 });
+        // shrunk and regrown) against a fresh strategy — an empty pool —
+        // per call: no stale row leaks through a shrunk `resize_to`.
+        let mut clients = three_sizes(108);
+        let shared = FedGta::with_defaults();
+        for visit in [0usize, 2, 1, 2, 0] {
+            let got = metrics_bits(&shared, &mut clients[visit]);
+            let want = metrics_bits(&FedGta::with_defaults(), &mut clients[visit]);
+            assert_eq!(got, want, "client {visit}");
+            // Serial calls: one instance, as large as the largest client.
+            let (instances, bytes) = shared.objective.pooled_scratch();
+            let (n, c) = (clients[0].data.num_nodes(), clients[0].data.num_classes);
+            assert_eq!(instances, 1);
+            assert!(bytes >= 4 * (1 + shared.objective.config.k_lp) * n * c, "{bytes} bytes");
         }
     }
 
@@ -455,12 +403,10 @@ mod tests {
                 let ctx = RoundCtx::with_threads(1, threads);
                 losses.push(s.round(&mut clients, &parts, &ctx).mean_loss.to_bits());
             }
-            // Full participation: every client went through the pool, and
-            // nothing was kept for any of them.
+            // Full participation: every client went through the pool.
             let (instances, bytes) = s.objective.pooled_scratch();
             assert!((1..=threads).contains(&instances), "{instances} at {threads} threads");
             assert!(bytes > 0);
-            assert!(s.objective.feature_sketches.lock().unwrap().is_empty());
             let metrics: Vec<_> = clients.iter_mut().map(|c| metrics_bits(&s, c)).collect();
             let params: Vec<Vec<f32>> = clients.iter().map(|c| c.model.params()).collect();
             (losses, metrics, params)
@@ -582,40 +528,6 @@ mod tests {
             report.entries.iter().all(|e| e.members.len() < n),
             "adaptive threshold connected everyone"
         );
-    }
-
-    #[test]
-    fn feature_moment_extension_learns_and_extends_sketch() {
-        let mut clients = small_federation(ModelKind::Gamlp, 111);
-        let s = FedGta::from(FedGtaConfig::with_feature_moments());
-        let cfg = &s.objective.config;
-        let c = clients[0].data.num_classes;
-        let label_len = cfg.k_lp * cfg.moment_order * c;
-        let fm = cfg.feature_moments.as_ref().unwrap();
-        let feat_len = cfg.k_lp * cfg.moment_order * fm.dims.min(clients[0].data.num_features());
-        let mut m = Vec::new();
-        s.objective.client_metrics(&mut clients[0], &mut m);
-        assert_eq!(m.len(), label_len + feat_len);
-
-        let mut s = FedGta::from(FedGtaConfig::with_feature_moments());
-        let parts: Vec<usize> = (0..clients.len()).collect();
-        for _ in 0..10 {
-            s.round(&mut clients, &parts, &RoundCtx::plain(2));
-        }
-        assert!(global_test_accuracy(&mut clients) > 0.6);
-    }
-
-    #[test]
-    #[should_panic(expected = "FedGTA's feature moments propagate raw features, but client 0's already are")]
-    fn feature_moments_refuse_a_propagated_client() {
-        let metrics = |kind| {
-            let s = FedGta::from(FedGtaConfig::with_feature_moments());
-            s.objective.client_metrics(&mut small_federation(kind, 111)[0], &mut Vec::new())
-        };
-        // A GCN client holds its first layer's `Â·X`.
-        let gcn = std::panic::catch_unwind(|| metrics(ModelKind::Gcn)).expect_err("GCN is refused");
-        assert!(gcn.downcast_ref::<String>().is_some_and(|m| m.contains("already are (Some((Sgc, 1)))")));
-        metrics(ModelKind::Sgc);
     }
 
     #[test]

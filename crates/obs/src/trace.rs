@@ -858,7 +858,7 @@ pub fn render_report(s: &TraceSummary) -> String {
     let peaks: Vec<(&str, u64)> = [
         ("graph.store.resident_bytes", "graph store resident peak"),
         ("workspace.high_water_bytes", "workspace high-water peak"),
-        ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool + kept sketches"),
+        ("fedgta.metric_scratch.bytes", "FedGTA metric scratch pool"),
         ("fed.kits.bytes", kits.as_str()),
         ("fed.clients.bytes", "client data, params, state"),
         ("fed.store.bytes", "server model store slots"),

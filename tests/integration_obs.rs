@@ -11,7 +11,7 @@
 use fedgta::FedGta;
 use fedgta_fed::round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::federation_with;
-use fedgta_fed::strategies::{FedAvg, Strategy};
+use fedgta_fed::strategies::{FedAvg, RoundCtx, Strategy};
 use fedgta_nn::models::ModelKind;
 use fedgta_obs::{MemorySink, ObsLevel};
 use std::sync::Mutex;
@@ -209,31 +209,26 @@ fn a_metered_wire_run_without_stragglers_still_exports_the_straggler_histogram()
 }
 
 #[test]
-fn the_scratch_gauge_counts_the_kept_feature_sketches() {
+fn the_scratch_gauge_is_the_pooled_scratch() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The same one-worker run with and without the feature extension: the
-    // scratch pool is the same, and the gauge differs by the sketches the
-    // strategy keeps, one per client (GAMLP keeps raw features).
-    let gauge = |cfg: fedgta::FedGtaConfig| {
+    // Everything FedGTA holds between calls is its scratch pool: the gauge
+    // reads exactly the pool's bytes, at any worker count.
+    for threads in [1, 4] {
         fedgta_obs::global().reset();
         fedgta_obs::set_level(ObsLevel::Metrics);
-        let clients = federation_with(ModelKind::Gamlp, 905, 4, 905);
-        let sim_cfg = SimConfig { rounds: 2, local_epochs: 1, threads: 1, ..SimConfig::default() };
-        let mut sim = Simulation::new(clients, Box::new(FedGta::from(cfg)), sim_cfg);
-        sim.run();
+        let mut clients = federation_with(ModelKind::Gamlp, 905, 4, 905);
+        let mut s = FedGta::with_defaults();
+        let all: Vec<usize> = (0..clients.len()).collect();
+        for _ in 0..2 {
+            s.round(&mut clients, &all, &RoundCtx::with_threads(1, threads));
+        }
         fedgta_obs::set_level(ObsLevel::Off);
         let bytes = fedgta_obs::global().gauge("fedgta.metric_scratch.bytes").get();
         fedgta_obs::global().reset();
-        (bytes as usize, sim.clients)
-    };
-    let (plain, clients) = gauge(fedgta::FedGtaConfig::default());
-    let (extended, _) = gauge(fedgta::FedGtaConfig::with_feature_moments());
-    let c = fedgta::FedGtaConfig::with_feature_moments();
-    let dims = c.feature_moments.as_ref().unwrap().dims;
-    let sketches: usize = clients.iter().map(|cl| c.k_lp * c.moment_order * dims.min(cl.data.num_features())).sum();
-    assert!(plain > 0);
-    assert_eq!(extended, plain + 4 * sketches);
-    assert_eq!(gauge(fedgta::FedGtaConfig::default()).0, plain, "nothing kept without the extension");
+        let pooled = s.objective.pooled_scratch().1;
+        assert!(pooled > 0);
+        assert_eq!(bytes as usize, pooled, "{threads} threads");
+    }
 }
 
 #[test]
