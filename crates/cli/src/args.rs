@@ -77,12 +77,7 @@ impl Args {
             }
             first = false;
         }
-        Ok(Self {
-            command,
-            subcommand,
-            flags,
-            read: RefCell::default(),
-        })
+        Ok(Self { command, subcommand, flags, read: RefCell::default() })
     }
 
     fn get(&self, key: &str) -> Option<&String> {
@@ -119,10 +114,7 @@ impl Args {
             None => Ok(false),
             Some("true") | Some("1") => Ok(true),
             Some("false") | Some("0") => Ok(false),
-            Some(v) => Err(ArgError::BadValue {
-                flag: key.to_string(),
-                value: v.to_string(),
-            }),
+            Some(v) => Err(ArgError::BadValue { flag: key.to_string(), value: v.to_string() }),
         }
     }
 
@@ -130,10 +122,9 @@ impl Args {
     pub fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue {
-                flag: key.to_string(),
-                value: v.clone(),
-            }),
+            Some(v) => v
+                .parse()
+                .map_err(|_| ArgError::BadValue { flag: key.to_string(), value: v.clone() }),
         }
     }
 }
@@ -198,9 +189,6 @@ mod tests {
     #[test]
     fn reports_bad_numbers() {
         let a = parse(&["run", "--rounds", "many"]).unwrap();
-        assert!(matches!(
-            a.num_or("rounds", 1usize),
-            Err(ArgError::BadValue { .. })
-        ));
+        assert!(matches!(a.num_or("rounds", 1usize), Err(ArgError::BadValue { .. })));
     }
 }

@@ -220,8 +220,16 @@ fn render(events: &[TraceEvent], summary: &TraceSummary, damaged: &[String]) -> 
 /// direct message path.
 fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     let robust_flags = [
-        "faults", "fault-seed", "deadline", "min-quorum", "oversample", "max-resamples",
-        "codec", "codec-down", "codec-sketch", "error-feedback",
+        "faults",
+        "fault-seed",
+        "deadline",
+        "min-quorum",
+        "oversample",
+        "max-resamples",
+        "codec",
+        "codec-down",
+        "codec-sketch",
+        "error-feedback",
     ];
     // `--codec none` is an explicit request for plain uploads, not a
     // robustness flag — it must not move the run onto the channel.
@@ -259,7 +267,10 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
     let defaults = CommsConfig::default();
     let oversample = a.num_or("oversample", defaults.oversample)?;
     if !(oversample >= 1.0 && oversample.is_finite()) {
-        return Err(format!("--oversample must be a finite factor of at least 1, got {oversample}").into());
+        return Err(format!(
+            "--oversample must be a finite factor of at least 1, got {oversample}"
+        )
+        .into());
     }
     Ok(Some(CommsConfig {
         faults,
@@ -292,9 +303,7 @@ fn parse_model(s: &str) -> Result<ModelKind, String> {
         "s2gc" => Ok(ModelKind::S2gc),
         "gbp" => Ok(ModelKind::Gbp),
         "gamlp" => Ok(ModelKind::Gamlp),
-        other => Err(format!(
-            "unknown model '{other}' (gcn|sage|sgc|sign|s2gc|gbp|gamlp)"
-        )),
+        other => Err(format!("unknown model '{other}' (gcn|sage|sgc|sign|s2gc|gbp|gamlp)")),
     }
 }
 
@@ -308,14 +317,20 @@ fn load_for_split(name: &str, seed: u64, clients: usize) -> Result<Benchmark, Bo
     let b = load_benchmark(name, seed)?;
     let nodes = b.graph.num_nodes();
     if clients > nodes {
-        return Err(format!("--clients {clients} exceeds the {nodes} nodes of {name}: each client needs one").into());
+        return Err(format!(
+            "--clients {clients} exceeds the {nodes} nodes of {name}: each client needs one"
+        )
+        .into());
     }
     Ok(b)
 }
 
 /// `datasets`: list the catalog.
 pub fn datasets() -> CliResult {
-    println!("{:<18} {:>9} {:>6} {:>8} {:>8}  task", "name", "nodes", "feats", "classes", "avg-deg");
+    println!(
+        "{:<18} {:>9} {:>6} {:>8} {:>8}  task",
+        "name", "nodes", "feats", "classes", "avg-deg"
+    );
     for s in SPECS {
         println!(
             "{:<18} {:>9} {:>6} {:>8} {:>8.1}  {:?}",
@@ -414,7 +429,9 @@ pub fn run(a: &Args) -> CliResult {
     })?;
     if strategy_name.contains("FedSage++") && model.propagates() {
         let why = FedSagePlus::NEEDS_RAW_FEATURES;
-        return Err(format!("'{strategy_name}' cannot run on --model {}: {why}", model.name()).into());
+        return Err(
+            format!("'{strategy_name}' cannot run on --model {}: {why}", model.name()).into()
+        );
     }
     let comms = parse_comms(a)?;
     let arm_obs = setup_obs(a);
@@ -451,7 +468,11 @@ pub fn run(a: &Args) -> CliResult {
             println!(
                 "codec: {} ({})",
                 spec.name(),
-                if spec.is_lossless() { "lossless — bit-identical to plain uploads" } else { "lossy" },
+                if spec.is_lossless() {
+                    "lossless — bit-identical to plain uploads"
+                } else {
+                    "lossy"
+                },
             );
         }
     }
@@ -477,7 +498,18 @@ pub fn run(a: &Args) -> CliResult {
     let records = sim.run();
     println!(
         "{:>5} {:>9} {:>7} {:>4} {:>5} {:>4} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10}",
-        "round", "loss", "acc", "ok", "drop", "rty", "round_s", "train_s", "agg_s", "eval_s", "up", "down"
+        "round",
+        "loss",
+        "acc",
+        "ok",
+        "drop",
+        "rty",
+        "round_s",
+        "train_s",
+        "agg_s",
+        "eval_s",
+        "up",
+        "down"
     );
     for r in &records {
         if let Some(acc) = r.test_acc {
@@ -516,11 +548,7 @@ pub fn run(a: &Args) -> CliResult {
         let breakdown = if by_kind.is_empty() {
             "none".to_string()
         } else {
-            by_kind
-                .iter()
-                .map(|(k, n)| format!("{k} {n}"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            by_kind.iter().map(|(k, n)| format!("{k} {n}")).collect::<Vec<_>>().join(", ")
         };
         println!(
             "comms: {completed} uploads accepted, {dropped} participants lost, {retries} retries, {skipped} rounds skipped; fault events: {} ({breakdown})",
@@ -622,8 +650,17 @@ mod tests {
     fn tiny_run_completes() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "2",
-            "--clients", "4",
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
         ]);
         run(&a).unwrap();
     }
@@ -631,11 +668,23 @@ mod tests {
     #[test]
     fn traced_run_then_report_round_trips() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = std::env::temp_dir().join(format!("fedgta-cli-trace-{}.jsonl", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fedgta-cli-trace-{}.jsonl", std::process::id()));
         let p = path.to_string_lossy().to_string();
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "2",
-            "--clients", "4", "--trace-out", &p,
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
+            "--trace-out",
+            &p,
         ]);
         run(&a).unwrap();
         // The trace parses under the current schema and has rounds.
@@ -645,8 +694,8 @@ mod tests {
         assert_eq!(summary.rounds.len(), 2);
         assert!(summary.rounds.iter().all(|r| r.bytes_up > 0));
         // And the report command renders it, with folded stacks.
-        let folded = std::env::temp_dir()
-            .join(format!("fedgta-cli-folded-{}.txt", std::process::id()));
+        let folded =
+            std::env::temp_dir().join(format!("fedgta-cli-folded-{}.txt", std::process::id()));
         let fp = folded.to_string_lossy().to_string();
         let r = args(&["report", &p, "--folded", &fp]);
         report(&r).unwrap();
@@ -672,15 +721,33 @@ mod tests {
             let pm = dir.join(format!("fedgta-cli-pm-{}-{i}.jsonl", std::process::id()));
             let p = pm.to_string_lossy().to_string();
             let a = args(&[
-                "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc",
-                "--rounds", "2", "--clients", "4", "--faults", "crash=1.0",
-                "--fault-seed", "7", "--min-quorum", "2", "--max-resamples", "1",
-                "--postmortem-out", &p,
+                "run",
+                "--dataset",
+                "cora",
+                "--strategy",
+                "FedAvg",
+                "--model",
+                "sgc",
+                "--rounds",
+                "2",
+                "--clients",
+                "4",
+                "--faults",
+                "crash=1.0",
+                "--fault-seed",
+                "7",
+                "--min-quorum",
+                "2",
+                "--max-resamples",
+                "1",
+                "--postmortem-out",
+                &p,
             ]);
             run(&a).unwrap();
             dumps.push(std::fs::read(&pm).unwrap());
             // `report` renders it as a timeline.
-            let (events, damaged) = fedgta_obs::parse_events(std::str::from_utf8(&dumps[i]).unwrap());
+            let (events, damaged) =
+                fedgta_obs::parse_events(std::str::from_utf8(&dumps[i]).unwrap());
             let rendered = render(&events, &fedgta_obs::summarize(&events), &damaged);
             assert!(rendered.contains("reason=quorum_fail"), "{rendered}");
             assert!(rendered.contains("crash"));
@@ -701,8 +768,19 @@ mod tests {
         // Port 0: the OS picks a free port, the run serves for its
         // duration and must release everything on the way out.
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "1",
-            "--clients", "4", "--serve-metrics", "127.0.0.1:0",
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "1",
+            "--clients",
+            "4",
+            "--serve-metrics",
+            "127.0.0.1:0",
         ]);
         run(&a).unwrap();
         assert!(!fedgta_obs::serve::rounds_armed(), "endpoint disarmed after the run");
@@ -711,11 +789,23 @@ mod tests {
     #[test]
     fn report_lists_the_damaged_lines_of_a_cut_trace_or_dump() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = std::env::temp_dir().join(format!("fedgta-cli-cut-{}.jsonl", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fedgta-cli-cut-{}.jsonl", std::process::id()));
         let p = path.to_string_lossy().to_string();
         run(&args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "2",
-            "--clients", "4", "--trace-out", &p,
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
+            "--trace-out",
+            &p,
         ]))
         .unwrap();
         // A run killed mid-write: the file ends inside a line.
@@ -729,7 +819,8 @@ mod tests {
         assert!(rendered.contains("per-round breakdown") && rendered.contains("damaged lines (1)"));
         let _ = std::fs::remove_file(&path);
         // A damaged dump still renders as its timeline.
-        let dump = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"panic\"}\nnot json\n";
+        let dump =
+            "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\",\"reason\":\"panic\"}\nnot json\n";
         let (events, damaged) = fedgta_obs::parse_events(dump);
         let rendered = render(&events, &fedgta_obs::summarize(&events), &damaged);
         assert!(rendered.contains("postmortem: reason=panic round=0"), "{rendered}");
@@ -764,7 +855,8 @@ mod tests {
         // 'none' means plain uploads and leaves the run on the direct path;
         // beside another channel flag it arms no codec.
         assert!(parse_comms(&args(&["run", "--codec", "none"])).unwrap().is_none());
-        let cc = parse_comms(&args(&["run", "--fault-seed", "0", "--codec", "none"])).unwrap().unwrap();
+        let cc =
+            parse_comms(&args(&["run", "--fault-seed", "0", "--codec", "none"])).unwrap().unwrap();
         assert!(cc.codec.is_none());
         // Invalid chains are rejected.
         assert!(parse_comms(&args(&["run", "--codec", "zip"])).is_err());
@@ -775,8 +867,19 @@ mod tests {
     fn coded_run_completes() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedGTA", "--model", "sgc", "--rounds", "2",
-            "--clients", "4", "--codec", "topk=64+quant-i8",
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedGTA",
+            "--model",
+            "sgc",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
+            "--codec",
+            "topk=64+quant-i8",
         ]);
         run(&a).unwrap();
     }
@@ -785,9 +888,23 @@ mod tests {
     fn faulted_run_completes() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "2",
-            "--clients", "4", "--faults", "drop=0.2,corrupt=0.1,crash=0.1,delay=20",
-            "--fault-seed", "7", "--deadline", "500",
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "2",
+            "--clients",
+            "4",
+            "--faults",
+            "drop=0.2,corrupt=0.1,crash=0.1,delay=20",
+            "--fault-seed",
+            "7",
+            "--deadline",
+            "500",
         ]);
         run(&a).unwrap();
     }
@@ -795,7 +912,8 @@ mod tests {
     #[test]
     fn report_refuses_the_retired_profile_flag() {
         // The span table carries self time, so nothing reads `--profile`.
-        let path = std::env::temp_dir().join(format!("fedgta-cli-profile-{}.jsonl", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fedgta-cli-profile-{}.jsonl", std::process::id()));
         let trace = "{\"ev\":\"meta\",\"schema\":\"fedgta-trace/2\"}\n{\"ev\":\"span\",\"name\":\"round\",\"id\":1}\n";
         std::fs::write(&path, trace).unwrap();
         let a = args(&["report", &path.to_string_lossy(), "--profile", "5"]);
@@ -816,7 +934,11 @@ mod tests {
         // `--codec-arg` was retired for `topk=N`, `--obs` and `--transport`
         // for what the output and channel flags imply. All fail before any
         // work, naming the flag.
-        let retired = [&["--obs", "trace"][..], &["--transport", "channel"], &["--codec", "topk", "--codec-arg", "k=8"]];
+        let retired = [
+            &["--obs", "trace"][..],
+            &["--transport", "channel"],
+            &["--codec", "topk", "--codec-arg", "k=8"],
+        ];
         for extra in [&["--round", "1"][..]].into_iter().chain(retired) {
             let mut words = vec!["run", "--dataset", "cora", "--model", "sgc", "--clients", "2"];
             words.extend_from_slice(extra);
@@ -870,13 +992,29 @@ mod tests {
     #[test]
     fn run_refuses_fedsage_on_a_propagating_backbone_before_anything_loads() {
         for model in ["gcn", "sgc", "sign", "s2gc", "gbp"] {
-            let words = ["run", "--dataset", "no-such-dataset", "--strategy", "FedSage++FedAvg", "--model", model];
+            let words = [
+                "run",
+                "--dataset",
+                "no-such-dataset",
+                "--strategy",
+                "FedSage++FedAvg",
+                "--model",
+                model,
+            ];
             let err = run(&args(&words)).unwrap_err().to_string();
             assert!(err.ends_with(FedSagePlus::NEEDS_RAW_FEATURES), "{model}: {err}");
         }
         // SAGE and GAMLP pass the check and fail only at the missing dataset.
         for model in ["sage", "gamlp"] {
-            let words = ["run", "--dataset", "no-such-dataset", "--strategy", "FedSage++FedAvg", "--model", model];
+            let words = [
+                "run",
+                "--dataset",
+                "no-such-dataset",
+                "--strategy",
+                "FedSage++FedAvg",
+                "--model",
+                model,
+            ];
             let err = run(&args(&words)).unwrap_err().to_string();
             assert!(!err.contains("FedSage+ needs"), "{model}: {err}");
         }
@@ -885,11 +1023,23 @@ mod tests {
     #[test]
     fn run_saves_checkpoint_when_asked() {
         let _g = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let path = std::env::temp_dir().join(format!("fedgta-cli-ckpt-{}.fgtp", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("fedgta-cli-ckpt-{}.fgtp", std::process::id()));
         let p = path.to_string_lossy().to_string();
         let a = args(&[
-            "run", "--dataset", "cora", "--strategy", "FedAvg", "--model", "sgc", "--rounds", "1",
-            "--clients", "4", "--save-params", &p,
+            "run",
+            "--dataset",
+            "cora",
+            "--strategy",
+            "FedAvg",
+            "--model",
+            "sgc",
+            "--rounds",
+            "1",
+            "--clients",
+            "4",
+            "--save-params",
+            &p,
         ]);
         run(&a).unwrap();
         let bytes = std::fs::read(&path).unwrap();

@@ -172,12 +172,7 @@ pub fn personalized_rows(
             Row { members, weights, divisor: None }
         })
         .collect();
-    AggregationReport {
-        similarity: sim,
-        entries,
-        epsilon,
-        rejected,
-    }
+    AggregationReport { similarity: sim, entries, epsilon, rejected }
 }
 
 /// Adaptive aggregation (the paper's §5 future work): the ε of a round is
@@ -218,12 +213,7 @@ mod tests {
     }
 
     fn upload<'a>(params: &'a [f32], conf: f64, moments: &'a [f32]) -> ClientUpload<'a> {
-        ClientUpload {
-            params,
-            confidence: conf,
-            moments,
-            n_train: 10,
-        }
+        ClientUpload { params, confidence: conf, moments, n_train: 10 }
     }
 
     #[test]
@@ -234,11 +224,7 @@ mod tests {
         let m_a = [1.0, 0.0];
         let m_b = [0.95, 0.05];
         let m_c = [0.0, 1.0];
-        let ups = vec![
-            upload(&p1, 1.0, &m_a),
-            upload(&p2, 1.0, &m_b),
-            upload(&p3, 1.0, &m_c),
-        ];
+        let ups = vec![upload(&p1, 1.0, &m_a), upload(&p2, 1.0, &m_b), upload(&p3, 1.0, &m_c)];
         let (agg, report) = personalized_aggregate(&ups, &opts(0.9));
         // Clients 0 and 1 merge (equal confidence → mean); client 2 alone.
         assert_eq!(report.entries[0].members, vec![0, 1]);
@@ -265,10 +251,7 @@ mod tests {
         let ma = [1.0, 0.0];
         let mb = [0.0, 1.0]; // orthogonal: would be excluded with moments on
         let ups = vec![upload(&p1, 1.0, &ma), upload(&p2, 1.0, &mb)];
-        let o = AggregateOptions {
-            use_moments: false,
-            ..opts(0.9)
-        };
+        let o = AggregateOptions { use_moments: false, ..opts(0.9) };
         let (agg, _) = personalized_aggregate(&ups, &o);
         assert!((agg[0][0] - 5.0).abs() < 1e-5);
     }
@@ -282,10 +265,7 @@ mod tests {
         u1.n_train = 30;
         let mut u2 = upload(&p2, 1.0, &m);
         u2.n_train = 10;
-        let o = AggregateOptions {
-            use_confidence: false,
-            ..opts(0.5)
-        };
+        let o = AggregateOptions { use_confidence: false, ..opts(0.5) };
         let (agg, _) = personalized_aggregate(&[u1, u2], &o);
         // Weighted 30:10 ⇒ (0·0.75 + 10·0.25).
         assert!((agg[0][0] - 2.5).abs() < 1e-5);
@@ -304,10 +284,7 @@ mod tests {
     /// The serial scalar reference: the seed implementation of Eq. 7,
     /// member-outer loop with `f64` accumulation.
     #[allow(clippy::needless_range_loop)] // mirrors the paper's W̃ᵢ subscripts
-    fn serial_reference(
-        uploads: &[ClientUpload<'_>],
-        opts: &AggregateOptions,
-    ) -> Vec<Vec<f32>> {
+    fn serial_reference(uploads: &[ClientUpload<'_>], opts: &AggregateOptions) -> Vec<Vec<f32>> {
         let n = uploads.len();
         let plen = uploads[0].params.len();
         let sketches: Vec<&[f32]> = uploads.iter().map(|u| u.moments).collect();
@@ -358,9 +335,8 @@ mod tests {
         let params: Vec<Vec<f32>> = (0..n)
             .map(|c| (0..plen).map(|i| ((c * 131 + i * 17) as f32 * 0.071).sin()).collect())
             .collect();
-        let moments: Vec<Vec<f32>> = (0..n)
-            .map(|c| (0..12).map(|i| ((c * 7 + i) as f32 * 0.31).cos()).collect())
-            .collect();
+        let moments: Vec<Vec<f32>> =
+            (0..n).map(|c| (0..12).map(|i| ((c * 7 + i) as f32 * 0.31).cos()).collect()).collect();
         let ups: Vec<ClientUpload<'_>> = (0..n)
             .map(|c| ClientUpload {
                 params: &params[c],
@@ -404,10 +380,8 @@ mod tests {
                 let o = AggregateOptions { use_moments, ..opts(0.5) };
                 let (agg, report) = personalized_aggregate(&ups, &o);
                 let others: Vec<usize> = (0..n).filter(|&c| c != 3).collect();
-                let clean: Vec<ClientUpload<'_>> = others
-                    .iter()
-                    .map(|&c| upload(&params[c], 1.0 + c as f64, &m))
-                    .collect();
+                let clean: Vec<ClientUpload<'_>> =
+                    others.iter().map(|&c| upload(&params[c], 1.0 + c as f64, &m)).collect();
                 let (want, _) = personalized_aggregate(&clean, &o);
                 for (&c, want) in others.iter().zip(&want) {
                     assert_eq!(report.entries[c].members, others, "H = {bad}, client {c}");
@@ -421,9 +395,8 @@ mod tests {
             }
         }
         // "w/o Conf." weighs by `n_train` and never reads the bad `H`.
-        let ups: Vec<ClientUpload<'_>> = (0..n)
-            .map(|c| upload(&params[c], if c == 3 { f64::NAN } else { 1.0 }, &m))
-            .collect();
+        let ups: Vec<ClientUpload<'_>> =
+            (0..n).map(|c| upload(&params[c], if c == 3 { f64::NAN } else { 1.0 }, &m)).collect();
         let o = AggregateOptions { use_confidence: false, ..opts(0.5) };
         let (agg, report) = personalized_aggregate(&ups, &o);
         assert_eq!(report.entries[0].members.len(), n);
@@ -445,11 +418,7 @@ mod tests {
 
     #[test]
     fn adaptive_epsilon_picks_quantiles() {
-        let sim = vec![
-            vec![1.0, 0.1, 0.5],
-            vec![0.1, 1.0, 0.9],
-            vec![0.5, 0.9, 1.0],
-        ];
+        let sim = vec![vec![1.0, 0.1, 0.5], vec![0.1, 1.0, 0.9], vec![0.5, 0.9, 1.0]];
         // Off-diagonal = [0.1, 0.5, 0.9].
         assert_eq!(adaptive_epsilon(&sim, 0.0), 0.1);
         assert_eq!(adaptive_epsilon(&sim, 0.5), 0.5);
@@ -469,9 +438,8 @@ mod tests {
         let params: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32; 3]).collect();
         let good = [0.3f32, -0.2, 0.9];
         let bad = [f32::NAN; 3];
-        let ups: Vec<ClientUpload<'_>> = (0..4)
-            .map(|c| upload(&params[c], 1.0, if c == 2 { &bad } else { &good }))
-            .collect();
+        let ups: Vec<ClientUpload<'_>> =
+            (0..4).map(|c| upload(&params[c], 1.0, if c == 2 { &bad } else { &good })).collect();
         let o = AggregateOptions { epsilon_quantile: Some(0.5), ..opts(0.0) };
         let (agg, report) = personalized_aggregate(&ups, &o);
         assert!(report.epsilon.is_finite());

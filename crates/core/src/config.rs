@@ -49,27 +49,18 @@ impl Default for FedGtaConfig {
 impl FedGtaConfig {
     /// The "w/o Mom." ablation row of Table 6.
     pub fn without_moments() -> Self {
-        Self {
-            use_moments: false,
-            ..Self::default()
-        }
+        Self { use_moments: false, ..Self::default() }
     }
 
     /// The "w/o Conf." ablation row of Table 6.
     pub fn without_confidence() -> Self {
-        Self {
-            use_confidence: false,
-            ..Self::default()
-        }
+        Self { use_confidence: false, ..Self::default() }
     }
 
     /// The adaptive-aggregation extension (DESIGN.md §5): per-round ε from
     /// the `q`-quantile of observed similarities.
     pub fn adaptive(q: f64) -> Self {
-        Self {
-            epsilon_quantile: Some(q),
-            ..Self::default()
-        }
+        Self { epsilon_quantile: Some(q), ..Self::default() }
     }
 }
 

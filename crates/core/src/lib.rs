@@ -29,8 +29,8 @@
 //! (`use_moments`, `use_confidence`).
 
 pub mod aggregate;
-pub mod config;
 pub mod confidence;
+pub mod config;
 pub mod lp;
 pub mod moments;
 pub mod scratch;
@@ -41,8 +41,8 @@ pub use aggregate::{
     personalized_aggregate, personalized_aggregate_into, personalized_rows, AggregateOptions,
     AggregationReport, ClientUpload,
 };
-pub use config::FedGtaConfig;
 pub use confidence::local_smoothing_confidence;
+pub use config::FedGtaConfig;
 pub use lp::label_propagation;
 pub use lp::label_propagation_into;
 pub use moments::{mixed_moments, mixed_moments_into, MomentKind};

@@ -26,7 +26,12 @@ use fedgta_nn::Matrix;
 /// *not* included — moments are computed over propagated steps only).
 ///
 /// Allocating wrapper of [`label_propagation_into`].
-pub fn label_propagation(adj_norm: &Csr, soft_labels: &Matrix, k: usize, alpha: f32) -> Vec<Matrix> {
+pub fn label_propagation(
+    adj_norm: &Csr,
+    soft_labels: &Matrix,
+    k: usize,
+    alpha: f32,
+) -> Vec<Matrix> {
     let mut steps = Vec::new();
     label_propagation_into(adj_norm, soft_labels, k, alpha, &mut steps, &mut Vec::new());
     steps
@@ -54,11 +59,7 @@ pub fn label_propagation_into(
     steps: &mut Vec<Matrix>,
     _prop: &mut Vec<f32>,
 ) {
-    assert_eq!(
-        adj_norm.num_nodes(),
-        soft_labels.rows(),
-        "adjacency and label rows must agree"
-    );
+    assert_eq!(adj_norm.num_nodes(), soft_labels.rows(), "adjacency and label rows must agree");
     let (n, c) = soft_labels.shape();
     let y = soft_labels.as_slice();
     let one_minus = 1.0 - alpha;
@@ -135,14 +136,21 @@ mod tests {
             let mut prop = vec![0f32; y.len()];
             let mut steps: Vec<Vec<f32>> = Vec::new();
             for s in 0..k {
-                fedgta_graph::spmm::spmm_into(a, if s == 0 { y } else { &steps[s - 1] }, c, &mut prop);
-                steps.push(prop.iter().zip(y).map(|(&p, &yv)| p * one_minus + alpha * yv).collect());
+                fedgta_graph::spmm::spmm_into(
+                    a,
+                    if s == 0 { y } else { &steps[s - 1] },
+                    c,
+                    &mut prop,
+                );
+                steps
+                    .push(prop.iter().zip(y).map(|(&p, &yv)| p * one_minus + alpha * yv).collect());
             }
             steps
         }
         let a = line_graph(9);
         for c in [3usize, 16, 17] {
-            let y = Matrix::from_vec(9, c, (0..9 * c).map(|i| (i as f32 * 0.37).sin().abs()).collect());
+            let y =
+                Matrix::from_vec(9, c, (0..9 * c).map(|i| (i as f32 * 0.37).sin().abs()).collect());
             for alpha in [0.0f32, 0.5, 1.0] {
                 let got = label_propagation(&a, &y, 4, alpha);
                 let want = two_pass(&a, &y, 4, alpha);

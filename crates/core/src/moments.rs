@@ -102,10 +102,7 @@ pub fn mixed_moments_into(
         for t0 in (0..n).step_by(TILE) {
             let tile = t0..(t0 + TILE).min(n);
             let mu = &mut mu[..tile.len()];
-            for (m, row) in mu
-                .iter_mut()
-                .zip(data[tile.start * c..tile.end * c].chunks_exact(c))
-            {
+            for (m, row) in mu.iter_mut().zip(data[tile.start * c..tile.end * c].chunks_exact(c)) {
                 *m = match kind {
                     MomentKind::Central => row.iter().sum::<f32>() / c as f32,
                     MomentKind::Raw => 0.0,
@@ -291,12 +288,15 @@ mod tests {
                 // Finite steps, then one salted with NaN / ±Inf / −0.0.
                 let mut steps: Vec<Matrix> = (0..2)
                     .map(|s| {
-                        let data = (0..n * c).map(|i| ((s * 19 + i * 7) as f32 * 0.11).sin()).collect();
+                        let data =
+                            (0..n * c).map(|i| ((s * 19 + i * 7) as f32 * 0.11).sin()).collect();
                         Matrix::from_vec(n, c, data)
                     })
                     .collect();
                 let mut salted = steps[0].clone();
-                for (i, v) in salted.as_mut_slice().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0) {
+                for (i, v) in
+                    salted.as_mut_slice().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0)
+                {
                     *v = special[i / 5 % special.len()];
                 }
                 steps.push(salted);

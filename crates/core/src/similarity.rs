@@ -33,11 +33,7 @@ pub fn moment_similarity(a: &[f32], b: &[f32], kind: SimilarityKind) -> f32 {
             }
         }
         SimilarityKind::InverseL2 => {
-            let d2: f64 = a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| ((x - y) as f64).powi(2))
-                .sum();
+            let d2: f64 = a.iter().zip(b).map(|(&x, &y)| ((x - y) as f64).powi(2)).sum();
             (1.0 / (1.0 + d2.sqrt())) as f32
         }
     }

@@ -12,17 +12,15 @@
 //! is robust to partial participation (paper Fig. 6).
 
 use crate::aggregate::{personalized_rows, AggregateOptions, AggregationReport};
-use crate::config::FedGtaConfig;
 use crate::confidence::local_smoothing_confidence;
+use crate::config::FedGtaConfig;
 use crate::lp::label_propagation_into;
 use crate::moments::mixed_moments_into;
 use crate::scratch::UploadScratch;
 use fedgta_fed::client::Client;
 use fedgta_fed::exec::LocalResult;
 use fedgta_fed::kit::Pool;
-use fedgta_fed::strategies::{
-    Arrivals, Averaged, Collaboration, Next, Objective, RoundCtx, Store,
-};
+use fedgta_fed::strategies::{Arrivals, Averaged, Collaboration, Next, Objective, RoundCtx, Store};
 use fedgta_fed::ParamTensor;
 use fedgta_nn::TrainHooks;
 use fedgta_obs::JsonVal;
@@ -41,10 +39,7 @@ impl From<FedGtaConfig> for FedGta {
     /// "probabilities" that Eq. 4 scores as maximally confident.
     fn from(config: FedGtaConfig) -> Self {
         assert!(config.k_lp >= 1, "FedGtaConfig::k_lp must be at least 1");
-        assert!(
-            config.moment_order >= 1,
-            "FedGtaConfig::moment_order must be at least 1"
-        );
+        assert!(config.moment_order >= 1, "FedGtaConfig::moment_order must be at least 1");
         assert!(
             (0.0..=1.0).contains(&config.alpha),
             "FedGtaConfig::alpha must lie in [0, 1], got {}",
@@ -165,10 +160,7 @@ impl Objective for TopologyAware {
     /// trained: read in place at aggregation, copied only by a stage that
     /// needs bytes of its own.
     fn train(&self, i: usize, c: &mut Client, ctx: &RoundCtx<'_>) -> (f32, Self::Upload) {
-        let mut hooks = TrainHooks {
-            pseudo: ctx.pseudo_for(i),
-            ..TrainHooks::none()
-        };
+        let mut hooks = TrainHooks { pseudo: ctx.pseudo_for(i), ..TrainHooks::none() };
         let loss = c.train_local(ctx.epochs, &mut hooks);
         let mut m = Vec::new();
         let h = self.client_metrics(c, &mut m);
@@ -233,29 +225,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "FedGtaConfig::k_lp")]
     fn zero_lp_steps_are_rejected_at_construction() {
-        let _ = FedGta::from(FedGtaConfig {
-            k_lp: 0,
-            ..FedGtaConfig::default()
-        });
+        let _ = FedGta::from(FedGtaConfig { k_lp: 0, ..FedGtaConfig::default() });
     }
 
     #[test]
     #[should_panic(expected = "FedGtaConfig::moment_order")]
     fn zero_moment_order_is_rejected_at_construction() {
-        let _ = FedGta::from(FedGtaConfig {
-            moment_order: 0,
-            ..FedGtaConfig::default()
-        });
+        let _ = FedGta::from(FedGtaConfig { moment_order: 0, ..FedGtaConfig::default() });
     }
 
     #[test]
     fn alpha_outside_the_unit_interval_is_rejected_at_construction() {
         for alpha in [-0.01f32, 1.01, f32::NAN, f32::INFINITY] {
             let err = std::panic::catch_unwind(|| {
-                FedGta::from(FedGtaConfig {
-                    alpha,
-                    ..FedGtaConfig::default()
-                })
+                FedGta::from(FedGtaConfig { alpha, ..FedGtaConfig::default() })
             })
             .err()
             .unwrap_or_else(|| panic!("alpha {alpha} accepted"));
@@ -263,14 +246,8 @@ mod tests {
             assert!(msg.contains("FedGtaConfig::alpha"), "{msg}");
         }
         // The closed interval's ends are valid restarts.
-        let _ = FedGta::from(FedGtaConfig {
-            alpha: 0.0,
-            ..FedGtaConfig::default()
-        });
-        let _ = FedGta::from(FedGtaConfig {
-            alpha: 1.0,
-            ..FedGtaConfig::default()
-        });
+        let _ = FedGta::from(FedGtaConfig { alpha: 0.0, ..FedGtaConfig::default() });
+        let _ = FedGta::from(FedGtaConfig { alpha: 1.0, ..FedGtaConfig::default() });
     }
 
     #[test]
@@ -311,9 +288,7 @@ mod tests {
         for _ in 0..3 {
             s.round(&mut clients, &parts, &RoundCtx::plain(1));
         }
-        let any_different = clients
-            .windows(2)
-            .any(|w| w[0].model.params() != w[1].model.params());
+        let any_different = clients.windows(2).any(|w| w[0].model.params() != w[1].model.params());
         assert!(any_different, "all clients identical despite epsilon≈1");
     }
 
@@ -474,7 +449,11 @@ mod tests {
             assert_eq!(bits(c), bits(d), "client {}", c.id);
             let (arena, moments) = own_scratch(c);
             assert_eq!(arena, 0);
-            assert_eq!(moments, 2 * 4 * c.model.num_params(), "Adam's m and v stay with the client");
+            assert_eq!(
+                moments,
+                2 * 4 * c.model.num_params(),
+                "Adam's m and v stay with the client"
+            );
         }
     }
 
@@ -486,10 +465,7 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 109);
         let mut s = FedGta::with_defaults();
         let parts = [0usize, 2];
-        let expect: usize = parts
-            .iter()
-            .map(|&i| clients[i].model.num_params() * 4)
-            .sum();
+        let expect: usize = parts.iter().map(|&i| clients[i].model.num_params() * 4).sum();
         let stats = s.round(&mut clients, &parts, &RoundCtx::plain(1));
         assert_eq!(stats.bytes_downloaded, expect);
         // Upload still carries sketch + confidence on top of parameters.

@@ -17,10 +17,7 @@ use fedgta_nn::Matrix;
 use proptest::prelude::*;
 
 /// Random symmetric graph + row-stochastic soft labels over it.
-fn arb_graph_labels(
-    max_n: usize,
-    classes: usize,
-) -> impl Strategy<Value = (Csr, Matrix)> {
+fn arb_graph_labels(max_n: usize, classes: usize) -> impl Strategy<Value = (Csr, Matrix)> {
     (3usize..=max_n).prop_flat_map(move |n| {
         (
             proptest::collection::vec((0..n as u32, 0..n as u32), 0..3 * n),

@@ -222,22 +222,22 @@ fn eq3_label_propagation_matches_the_hand_derivation_bitwise() {
     }
     // α weights the restart term, not the propagated one.
     let quarter = label_propagation(&dataset().adj_norm, &y0(), 1, 0.25);
-    let want = [q(37, 64), q(9, 64), q(55, 128), q(91, 128), q(45, 128), q(101, 128), q(7, 64), q(39, 64)];
+    let want =
+        [q(37, 64), q(9, 64), q(55, 128), q(91, 128), q(45, 128), q(101, 128), q(7, 64), q(39, 64)];
     assert_eq!(bits(quarter[0].as_slice()), bits(&want), "α = ¼: {:?}", quarter[0].as_slice());
 }
 
 #[test]
 fn eq5_mixed_moments_match_the_hand_derivation_bitwise() {
-    let steps: Vec<Matrix> = expected_steps()
-        .into_iter()
-        .map(|s| Matrix::from_vec(4, 2, s))
-        .collect();
+    let steps: Vec<Matrix> =
+        expected_steps().into_iter().map(|s| Matrix::from_vec(4, 2, s)).collect();
     for kind in [MomentKind::Central, MomentKind::Raw] {
         let got = mixed_moments(&steps, 3, kind);
         assert_eq!(bits(&got), bits(&expected_sketch(kind)), "{kind:?}: {got:?}");
         // Orders 1…2 are the leading entries of each step's block.
         let low = mixed_moments(&steps, 2, kind);
-        let want: Vec<f32> = expected_sketch(kind).chunks(6).flat_map(|s| s[..4].to_vec()).collect();
+        let want: Vec<f32> =
+            expected_sketch(kind).chunks(6).flat_map(|s| s[..4].to_vec()).collect();
         assert_eq!(bits(&low), bits(&want), "{kind:?}, order 2");
     }
 }
@@ -253,7 +253,12 @@ impl GraphModel for Fixed {
     fn param_slice_mut(&mut self) -> &mut [f32] {
         &mut []
     }
-    fn train_epoch(&mut self, _: &GraphDataset, _: &mut dyn Optimizer, _: &mut TrainHooks<'_>) -> f32 {
+    fn train_epoch(
+        &mut self,
+        _: &GraphDataset,
+        _: &mut dyn Optimizer,
+        _: &mut TrainHooks<'_>,
+    ) -> f32 {
         0.0
     }
     fn predict_into(&mut self, _: &GraphDataset, out: &mut Matrix) {
@@ -279,8 +284,17 @@ fn client_metrics_uploads_the_hand_derived_h_and_m_through_the_pool() {
     for i in 0..9 {
         ring.push_undirected(i, (i + 1) % 9).unwrap();
     }
-    let ring = GraphDataset::new(&ring.to_csr(), Matrix::zeros(9, 1), vec![0; 9], 2, vec![0], vec![], vec![]);
-    let mut other = client(1, ring, Matrix::from_vec(9, 2, (0..18).map(|i| i as f32 / 18.0).collect()));
+    let ring = GraphDataset::new(
+        &ring.to_csr(),
+        Matrix::zeros(9, 1),
+        vec![0; 9],
+        2,
+        vec![0],
+        vec![],
+        vec![],
+    );
+    let mut other =
+        client(1, ring, Matrix::from_vec(9, 2, (0..18).map(|i| i as f32 / 18.0).collect()));
     let mut example = client(0, dataset(), y0());
 
     let last = Matrix::from_vec(4, 2, expected_steps()[1].clone());
@@ -310,7 +324,8 @@ fn client_metrics_uploads_the_hand_derived_h_and_m_through_the_pool() {
 }
 
 /// `M₀, M₁, M₂` and `W₀, W₁, W₂` of the Eq. 6 / Eq. 7 example.
-const SKETCHES: [[f32; 4]; 3] = [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 0.0, 0.0]];
+const SKETCHES: [[f32; 4]; 3] =
+    [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 0.0, 0.0]];
 const PARAMS: [[f32; 3]; 3] = [[4.0, -8.0, 0.5], [0.0, 16.0, 2.5], [7.0, 7.0, 7.0]];
 
 /// Aggregates the example at `ε = ½` with weight sources `h` / `n_train`,
@@ -355,7 +370,8 @@ fn assert_aggregate(
 
 #[test]
 fn eq6_cosine_is_exact_on_the_example_and_the_boundary_pair_is_selected() {
-    let cos = |i: usize, j: usize| moment_similarity(&SKETCHES[i], &SKETCHES[j], SimilarityKind::Cosine);
+    let cos =
+        |i: usize, j: usize| moment_similarity(&SKETCHES[i], &SKETCHES[j], SimilarityKind::Cosine);
     assert_eq!(cos(0, 1).to_bits(), 0.5f32.to_bits());
     assert_eq!(cos(0, 2).to_bits(), 0f32.to_bits());
     assert_eq!(cos(1, 2).to_bits(), 0f32.to_bits());
