@@ -77,10 +77,7 @@ pub fn load_params<R: Read>(r: &mut R, expected_len: usize) -> Result<Vec<f32>, 
     r.read_exact(&mut len8)?;
     let found = u64::from_le_bytes(len8) as usize;
     if found != expected_len {
-        return Err(CheckpointError::LengthMismatch {
-            expected: expected_len,
-            found,
-        });
+        return Err(CheckpointError::LengthMismatch { expected: expected_len, found });
     }
     let mut out = Vec::with_capacity(found);
     let mut b = [0u8; 4];
@@ -119,10 +116,7 @@ mod tests {
         save_params(&mut buf, &[1.0, 2.0, 3.0]).unwrap();
         assert!(matches!(
             load_params(&mut buf.as_slice(), 4),
-            Err(CheckpointError::LengthMismatch {
-                expected: 4,
-                found: 3
-            })
+            Err(CheckpointError::LengthMismatch { expected: 4, found: 3 })
         ));
     }
 
@@ -137,9 +131,6 @@ mod tests {
         let mut buf = Vec::new();
         save_params(&mut buf, &[1.0; 10]).unwrap();
         buf.truncate(buf.len() - 6);
-        assert!(matches!(
-            load_params(&mut buf.as_slice(), 10),
-            Err(CheckpointError::Io(_))
-        ));
+        assert!(matches!(load_params(&mut buf.as_slice(), 10), Err(CheckpointError::Io(_))));
     }
 }

@@ -39,11 +39,7 @@ pub use workspace::Workspace;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NnError {
     /// Matrix dimensions incompatible for the requested op.
-    ShapeMismatch {
-        context: &'static str,
-        lhs: (usize, usize),
-        rhs: (usize, usize),
-    },
+    ShapeMismatch { context: &'static str, lhs: (usize, usize), rhs: (usize, usize) },
     /// Flat parameter buffer length did not match the model.
     ParamLengthMismatch { expected: usize, found: usize },
 }
@@ -51,11 +47,9 @@ pub enum NnError {
 impl std::fmt::Display for NnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NnError::ShapeMismatch { context, lhs, rhs } => write!(
-                f,
-                "shape mismatch in {context}: {}x{} vs {}x{}",
-                lhs.0, lhs.1, rhs.0, rhs.1
-            ),
+            NnError::ShapeMismatch { context, lhs, rhs } => {
+                write!(f, "shape mismatch in {context}: {}x{} vs {}x{}", lhs.0, lhs.1, rhs.0, rhs.1)
+            }
             NnError::ParamLengthMismatch { expected, found } => {
                 write!(f, "parameter buffer length {found}, model expects {expected}")
             }

@@ -160,11 +160,7 @@ mod tests {
                 lm.set(i, j, lm.get(i, j) - eps);
                 let (dn, _) = softmax_ce(&lm, &labels, &rows);
                 let fd = (up - dn) / (2.0 * eps);
-                assert!(
-                    (fd - grad.get(i, j)).abs() < 1e-3,
-                    "fd {fd} vs grad {}",
-                    grad.get(i, j)
-                );
+                assert!((fd - grad.get(i, j)).abs() < 1e-3, "fd {fd} vs grad {}", grad.get(i, j));
             }
         }
     }
@@ -186,11 +182,7 @@ mod tests {
                 lm.set(i, j, lm.get(i, j) - eps);
                 let (dn, _) = soft_ce(&lm, &targets, &rows, w);
                 let fd = (up - dn) / (2.0 * eps);
-                assert!(
-                    (fd - grad.get(i, j)).abs() < 1e-3,
-                    "fd {fd} vs grad {}",
-                    grad.get(i, j)
-                );
+                assert!((fd - grad.get(i, j)).abs() < 1e-3, "fd {fd} vs grad {}", grad.get(i, j));
             }
         }
     }

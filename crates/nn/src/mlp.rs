@@ -138,13 +138,7 @@ impl Mlp {
             xavier_uniform(&mut params[off..off + fi * fo], fi, fo, &mut rng);
             off += fi * fo + fo; // biases stay zero
         }
-        Self {
-            dims: dims.to_vec(),
-            extra,
-            params,
-            dropout,
-            rng,
-        }
+        Self { dims: dims.to_vec(), extra, params, dropout, rng }
     }
 
     /// The owner's leading parameters (empty unless built
@@ -227,7 +221,12 @@ impl Mlp {
         for l in 0..layers {
             let mut z = ws.take_matrix(rows, self.dims[l + 1]);
             if l + 1 < layers {
-                matmul_bias_relu_into(cur.view(), self.weight_view(l), self.bias(l), z.as_mut_slice());
+                matmul_bias_relu_into(
+                    cur.view(),
+                    self.weight_view(l),
+                    self.bias(l),
+                    z.as_mut_slice(),
+                );
                 let mask = dropout_forward(&mut z, self.dropout, train, &mut self.rng, ws);
                 dropout_masks.push(mask);
             } else {
@@ -236,13 +235,7 @@ impl Mlp {
             inputs.push(cur);
             cur = z;
         }
-        (
-            cur,
-            MlpCache {
-                inputs,
-                dropout_masks,
-            },
-        )
+        (cur, MlpCache { inputs, dropout_masks })
     }
 
     /// Full forward pass on a copy of `x` (convenience wrapper over a
@@ -291,8 +284,7 @@ impl Mlp {
     /// The penultimate representation for inference (input to final layer).
     pub fn infer_hidden(&self, x: &Matrix) -> Matrix {
         let mut ws = Workspace::new();
-        self.infer_hidden_ws(x.view(), self.num_layers() - 1, &mut ws)
-            .unwrap_or_else(|| x.clone())
+        self.infer_hidden_ws(x.view(), self.num_layers() - 1, &mut ws).unwrap_or_else(|| x.clone())
     }
 
     /// Exact backward pass through a workspace: the flat parameter
@@ -433,7 +425,8 @@ mod tests {
     #[test]
     fn gradient_check_two_layer() {
         let mut mlp = Mlp::new(&[3, 5, 4], 0.0, 7);
-        let x = Matrix::from_vec(6, 3, (0..18).map(|i| ((i * 13 % 7) as f32 - 3.0) / 3.0).collect());
+        let x =
+            Matrix::from_vec(6, 3, (0..18).map(|i| ((i * 13 % 7) as f32 - 3.0) / 3.0).collect());
         let labels: Vec<u32> = (0..6).map(|i| (i % 4) as u32).collect();
         let rows: Vec<u32> = (0..6).collect();
 

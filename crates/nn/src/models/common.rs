@@ -63,7 +63,15 @@ impl GraphDataset {
         Self {
             adj_mean_t: adj_mean.transpose(),
             adj_mean,
-            ..Self::for_decoupled(graph, features, labels, num_classes, train_nodes, val_nodes, test_nodes)
+            ..Self::for_decoupled(
+                graph,
+                features,
+                labels,
+                num_classes,
+                train_nodes,
+                val_nodes,
+                test_nodes,
+            )
         }
     }
 
@@ -137,15 +145,24 @@ impl GraphDataset {
     /// The features, which must be the propagation `want` (`None`: raw X).
     pub(crate) fn features_as(&self, want: Option<(PrecomputeKind, usize)>) -> &Matrix {
         let (has, hint) = (self.propagated, "pass it through GraphModel::prepare");
-        assert!(has == want, "the model reads features propagated as {want:?}, the dataset's are {has:?}: {hint}");
+        assert!(
+            has == want,
+            "the model reads features propagated as {want:?}, the dataset's are {has:?}: {hint}"
+        );
         &self.features
     }
 
     /// Heap bytes held: features, adjacencies, labels, splits and degrees.
     pub fn bytes(&self) -> usize {
-        let csr = |a: &Csr| 8 * a.indptr().len() + 4 * a.num_edges() + a.weights().map_or(0, |w| 4 * w.len());
-        let ids = self.labels.len() + self.train_nodes.len() + self.val_nodes.len() + self.test_nodes.len();
-        let adjacencies: usize = [&self.adj_norm, &self.adj_mean, &self.adj_mean_t].map(csr).iter().sum();
+        let csr = |a: &Csr| {
+            8 * a.indptr().len() + 4 * a.num_edges() + a.weights().map_or(0, |w| 4 * w.len())
+        };
+        let ids = self.labels.len()
+            + self.train_nodes.len()
+            + self.val_nodes.len()
+            + self.test_nodes.len();
+        let adjacencies: usize =
+            [&self.adj_norm, &self.adj_mean, &self.adj_mean_t].map(csr).iter().sum();
         4 * (self.features.as_slice().len() + ids + self.degrees_hat.len()) + adjacencies
     }
 }
@@ -213,9 +230,8 @@ pub(crate) fn supervise(
     let mut d_logits = ws.take_matrix(logits.rows(), logits.cols());
     let loss = softmax_ce_into(logits, labels, labeled, &mut d_logits);
     if let Some(pl) = hooks.pseudo {
-        let rows: Vec<u32> = (0..nodes.len() as u32)
-            .filter(|&r| pl.mask[nodes[r as usize] as usize])
-            .collect();
+        let rows: Vec<u32> =
+            (0..nodes.len() as u32).filter(|&r| pl.mask[nodes[r as usize] as usize]).collect();
         if !rows.is_empty() {
             let targets = pl.targets.gather_rows(nodes);
             let mut d_extra = ws.take_matrix(logits.rows(), logits.cols());
@@ -230,7 +246,12 @@ pub(crate) fn supervise(
 
 /// The one optimizer step: the strategy's gradient hook (FedProx, Scaffold,
 /// FedDC) reads the parameters and may rewrite `grads`, then `opt` steps.
-pub(crate) fn step(params: &mut [f32], grads: &mut [f32], opt: &mut dyn Optimizer, hooks: &mut TrainHooks<'_>) {
+pub(crate) fn step(
+    params: &mut [f32],
+    grads: &mut [f32],
+    opt: &mut dyn Optimizer,
+    hooks: &mut TrainHooks<'_>,
+) {
     if let Some(gh) = hooks.grad_hook.as_mut() {
         gh(params, grads);
     }

@@ -159,7 +159,12 @@ impl<C: Conv> Coupled<C> {
             cache.dropout_masks.push(mask);
         }
         let last = layers - 1;
-        cache.inputs.push(Self::lift_layer(data, last, cache.hidden_out.last().unwrap_or(features), &mut ws));
+        cache.inputs.push(Self::lift_layer(
+            data,
+            last,
+            cache.hidden_out.last().unwrap_or(features),
+            &mut ws,
+        ));
         let mut logits = ws.take_matrix(n, self.widths[layers]);
         let x = cache.input(data, last).view();
         matmul_bias_into(x, self.weight(last), self.bias(last), logits.as_mut_slice());
@@ -323,7 +328,14 @@ mod tests {
     fn a_prepared_gcn_matches_lifting_every_forward_bit_for_bit() {
         for (layers, dropout) in [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.5)] {
             let raw = toy_dataset(20 + layers as u64);
-            let cfg = ModelConfig { kind: ModelKind::Gcn, hidden: 16, layers, dropout, seed: 3, ..ModelConfig::default() };
+            let cfg = ModelConfig {
+                kind: ModelKind::Gcn,
+                hidden: 16,
+                layers,
+                dropout,
+                seed: 3,
+                ..ModelConfig::default()
+            };
             let mut m = Gcn::new(&cfg, raw.num_features(), 2);
             let data = m.prepare(raw.clone());
             assert_eq!(data.propagated, Some((PrecomputeKind::Sgc, 1)));
@@ -335,7 +347,11 @@ mod tests {
                 let (logits, cache) = m.forward(&data, train);
                 let (_, d_logits) = softmax_ce(&logits, &data.labels, &data.train_nodes);
                 let grads = m.backward(&data, &cache, &d_logits, None);
-                assert_eq!(bits(logits.as_slice()), bits(want_logits.as_slice()), "{case}, train {train}");
+                assert_eq!(
+                    bits(logits.as_slice()),
+                    bits(want_logits.as_slice()),
+                    "{case}, train {train}"
+                );
                 assert_eq!(bits(&grads), bits(&want_grads), "{case}, train {train}");
             }
             let mut want = lift_every_forward(&mut m.clone(), &raw, false).0;

@@ -115,8 +115,8 @@ impl GraphModel for DecoupledModel {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::models::precompute::precompute;
     use crate::metrics::accuracy;
+    use crate::models::precompute::precompute;
     use crate::optim::Adam;
     use fedgta_graph::EdgeList;
     use rand::rngs::StdRng;
@@ -152,14 +152,7 @@ pub(crate) mod tests {
     }
 
     fn cfg(kind: ModelKind) -> ModelConfig {
-        ModelConfig {
-            kind,
-            hidden: 16,
-            layers: 2,
-            k: 2,
-            batch_size: 16,
-            ..ModelConfig::default()
-        }
+        ModelConfig { kind, hidden: 16, layers: 2, k: 2, batch_size: 16, ..ModelConfig::default() }
     }
 
     /// A model of `kind` and `toy_dataset(seed)` prepared for it.
@@ -204,10 +197,7 @@ pub(crate) mod tests {
         let mut opt = Adam::new(0.01, 0.0);
         let mut calls = 0usize;
         let mut hook = |_p: &[f32], _g: &mut [f32]| calls += 1;
-        let mut hooks = TrainHooks {
-            grad_hook: Some(&mut hook),
-            ..TrainHooks::none()
-        };
+        let mut hooks = TrainHooks { grad_hook: Some(&mut hook), ..TrainHooks::none() };
         m.train_epoch(&data, &mut opt, &mut hooks);
         // 20 train nodes / batch 16 => 2 batches.
         assert_eq!(calls, 2);

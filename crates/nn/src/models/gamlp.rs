@@ -86,7 +86,12 @@ fn combine<'a>(
 }
 
 /// Gate gradient via the softmax Jacobian, into `out` (`k + 1` slots).
-fn gate_grad<'a>(gate: &[f32], d_comb: &Matrix, hops: impl Iterator<Item = &'a [f32]>, out: &mut [f32]) {
+fn gate_grad<'a>(
+    gate: &[f32],
+    d_comb: &Matrix,
+    hops: impl Iterator<Item = &'a [f32]>,
+    out: &mut [f32],
+) {
     // dL/ds_l = <d_comb, H_l>.
     for (ds, hop) in out.iter_mut().zip(hops) {
         *ds = d_comb.as_slice().iter().zip(hop).map(|(&a, &b)| a * b).sum::<f32>();
@@ -186,7 +191,8 @@ impl GraphModel for Gamlp {
         // The same scale-then-axpy per element, on the requested rows only.
         let combine_rows = |r: Range<usize>, ws: &mut Workspace| {
             let gathered = gather_hops(&entry.1, &rows[r.clone()], ws);
-            let x = combine(&gate, hop_slices(&gathered, gate.len()), (r.len(), gathered.cols()), ws);
+            let x =
+                combine(&gate, hop_slices(&gathered, gate.len()), (r.len(), gathered.cols()), ws);
             ws.give_matrix(gathered);
             HeadInput::Pooled(x)
         };
@@ -321,11 +327,7 @@ mod tests {
             p[idx] = orig;
             m.set_params(&p);
             let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - grads[idx]).abs() < 2e-2,
-                "param {idx}: fd {fd} vs {}",
-                grads[idx]
-            );
+            assert!((fd - grads[idx]).abs() < 2e-2, "param {idx}: fd {fd} vs {}", grads[idx]);
         }
     }
 }

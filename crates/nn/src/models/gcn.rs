@@ -70,12 +70,7 @@ mod tests {
     use crate::optim::Adam;
 
     fn cfg() -> ModelConfig {
-        ModelConfig {
-            kind: ModelKind::Gcn,
-            hidden: 16,
-            layers: 2,
-            ..ModelConfig::default()
-        }
+        ModelConfig { kind: ModelKind::Gcn, hidden: 16, layers: 2, ..ModelConfig::default() }
     }
 
     #[test]
@@ -113,11 +108,7 @@ mod tests {
             p[idx] = orig;
             m.set_params(&p);
             let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - grads[idx]).abs() < 2e-2,
-                "param {idx}: fd {fd} vs {}",
-                grads[idx]
-            );
+            assert!((fd - grads[idx]).abs() < 2e-2, "param {idx}: fd {fd} vs {}", grads[idx]);
         }
     }
 

@@ -40,7 +40,13 @@ impl BatchedHead {
     /// (`cfg.layers == 1`: the linear head of the SGC paper; deeper heads
     /// insert `cfg.hidden`-wide ReLU layers) behind `extra` parameters of
     /// the owner's; `salt` separates the owners' batching streams.
-    pub fn new(cfg: &ModelConfig, head_in: usize, num_classes: usize, extra: usize, salt: u64) -> Self {
+    pub fn new(
+        cfg: &ModelConfig,
+        head_in: usize,
+        num_classes: usize,
+        extra: usize,
+        salt: u64,
+    ) -> Self {
         let dims = cfg.widths(head_in, num_classes);
         Self {
             head: Mlp::with_extra(&dims, cfg.dropout, cfg.seed, extra),
@@ -72,7 +78,14 @@ impl BatchedHead {
         opt: &mut dyn Optimizer,
         hooks: &mut TrainHooks<'_>,
         mut input: impl FnMut(&Mlp, &[u32], &mut Workspace) -> (Matrix, K),
-        mut backward: impl FnMut(&Mlp, &MlpCache, &Matrix, Option<&Matrix>, K, &mut Workspace) -> Vec<f32>,
+        mut backward: impl FnMut(
+            &Mlp,
+            &MlpCache,
+            &Matrix,
+            Option<&Matrix>,
+            K,
+            &mut Workspace,
+        ) -> Vec<f32>,
     ) -> f32 {
         let Self { head, batch_size, rng, ws, .. } = self;
         let batches = make_batches(&data.train_nodes, *batch_size, rng);

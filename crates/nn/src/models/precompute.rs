@@ -51,10 +51,7 @@ pub fn hop_features(adj_norm: &Csr, features: &Matrix, k: usize) -> Vec<Matrix> 
         .expect("adjacency and features share the node count");
     let mut out = Vec::with_capacity(k + 1);
     out.push(features.clone());
-    out.extend(
-        hops.into_iter()
-            .map(|s| Matrix::from_vec(features.rows(), features.cols(), s)),
-    );
+    out.extend(hops.into_iter().map(|s| Matrix::from_vec(features.rows(), features.cols(), s)));
     out
 }
 

@@ -89,12 +89,7 @@ mod tests {
     use crate::optim::Adam;
 
     fn cfg() -> ModelConfig {
-        ModelConfig {
-            kind: ModelKind::Sage,
-            hidden: 16,
-            layers: 2,
-            ..ModelConfig::default()
-        }
+        ModelConfig { kind: ModelKind::Sage, hidden: 16, layers: 2, ..ModelConfig::default() }
     }
 
     #[test]
@@ -146,11 +141,7 @@ mod tests {
             p[idx] = orig;
             m.set_params(&p);
             let fd = (lp - lm) / (2.0 * eps);
-            assert!(
-                (fd - grads[idx]).abs() < 2e-2,
-                "param {idx}: fd {fd} vs {}",
-                grads[idx]
-            );
+            assert!((fd - grads[idx]).abs() < 2e-2, "param {idx}: fd {fd} vs {}", grads[idx]);
         }
     }
 }

@@ -472,7 +472,14 @@ pub fn matmul_nt_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
 /// `k < LANES` test, the `k ≥ 8` it implies made the compiler build a dot
 /// product 3–4× slower.
 #[inline(never)]
-fn nt_dot_rows(ad: &[f32], k: usize, bd: &[f32], n: usize, rows: std::ops::Range<usize>, out: &mut [f32]) {
+fn nt_dot_rows(
+    ad: &[f32],
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    rows: std::ops::Range<usize>,
+    out: &mut [f32],
+) {
     for row in rows {
         let arow = &ad[row * k..(row + 1) * k];
         let orow = &mut out[row * n..(row + 1) * n];
@@ -490,7 +497,14 @@ fn nt_dot_rows(ad: &[f32], k: usize, bd: &[f32], n: usize, rows: std::ops::Range
 /// whole bands run the tile on `Bᵀ`, packed and zero-padded per
 /// [`NT_COLS`] output columns. Returns the rows done: the `m % ROW_BLOCK`
 /// left are [`nt_dot_rows`]'.
-fn matmul_nt_short_into(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, out: &mut [f32]) -> usize {
+fn matmul_nt_short_into(
+    ad: &[f32],
+    m: usize,
+    k: usize,
+    bd: &[f32],
+    n: usize,
+    out: &mut [f32],
+) -> usize {
     let rb = m / ROW_BLOCK * ROW_BLOCK;
     out[..rb * n].fill(0.0);
     let mut bt = [0f32; LANES * NT_COLS];
@@ -504,7 +518,8 @@ fn matmul_nt_short_into(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize, ou
             }
         }
         for r in (0..rb).step_by(ROW_BLOCK) {
-            let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+            let arows: [&[f32]; ROW_BLOCK] =
+                std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
             let band = &mut out[r * n..(r + ROW_BLOCK) * n];
             for jb in (0..cols).step_by(TILE_COLS) {
                 let w = TILE_COLS.min(cols - jb);
@@ -608,14 +623,8 @@ fn exp_nonpos(x: f32) -> f32 {
     const MAGIC: f32 = 12_582_912.0;
     const LN2_HI: f32 = 355.0 / 512.0;
     const LN2_LO: f32 = -2.121_944_4e-4;
-    const P: [f32; 6] = [
-        1.987_569_1e-4,
-        1.398_199_9e-3,
-        8.333_452e-3,
-        4.166_579_6e-2,
-        1.666_666_6e-1,
-        0.5,
-    ];
+    const P: [f32; 6] =
+        [1.987_569_1e-4, 1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_6e-1, 0.5];
     let xc = if x < -88.0 { -88.0 } else { x };
     let t = xc * LOG2E + MAGIC;
     let n = t - MAGIC;
@@ -830,11 +839,7 @@ pub fn spmm_csr_into(a: &fedgta_graph::Csr, x: &Matrix, y: &mut Matrix) {
         a.num_nodes(),
         "spmm_csr: dense operand must have one row per adjacency node"
     );
-    assert_eq!(
-        y.shape(),
-        (a.num_nodes(), x.cols()),
-        "spmm_csr: output shape mismatch"
-    );
+    assert_eq!(y.shape(), (a.num_nodes(), x.cols()), "spmm_csr: output shape mismatch");
     fedgta_graph::spmm::spmm_into(a, x.as_slice(), x.cols(), y.as_mut_slice());
 }
 
@@ -997,7 +1002,8 @@ mod tests {
             let rb = m / ROW_BLOCK * ROW_BLOCK;
             let mut r = 0;
             while r < rb {
-                let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+                let arows: [&[f32]; ROW_BLOCK] =
+                    std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
                 rows_tile(&mut out[r * n..(r + ROW_BLOCK) * n], &arows, bd, n);
                 r += ROW_BLOCK;
             }
@@ -1025,7 +1031,8 @@ mod tests {
                     }
                     let band = &mut out[r * n..(r + rows) * n];
                     if rows == ROW_BLOCK {
-                        let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
+                        let arows: [&[f32]; ROW_BLOCK] =
+                            std::array::from_fn(|rr| &panel[rr][..len]);
                         rows_tile(band, &arows, bblk, n);
                     } else {
                         for (rr, prow) in panel.iter().enumerate().take(rows) {
@@ -1043,7 +1050,8 @@ mod tests {
             let mut out = vec![0f32; m * n];
             for row in 0..m {
                 for j in 0..n {
-                    out[row * n + j] = dot_lanes(&ad[row * k..(row + 1) * k], &bd[j * k..(j + 1) * k]);
+                    out[row * n + j] =
+                        dot_lanes(&ad[row * k..(row + 1) * k], &bd[j * k..(j + 1) * k]);
                 }
             }
             out
@@ -1121,13 +1129,22 @@ mod tests {
                         *v = 0.0;
                     }
                 }
-                matmul_bias_relu_into(MatView::new(m, k, &a), MatView::new(k, n, &b), &bias, &mut got);
+                matmul_bias_relu_into(
+                    MatView::new(m, k, &a),
+                    MatView::new(k, n, &b),
+                    &bias,
+                    &mut got,
+                );
                 assert_eq!(bits(&got), bits(&want), "matmul_bias_relu {m}x{k}x{n}");
                 // Aᵀ·B with A: m×k and B: m×n.
                 let b2 = gen(m * n, seed as u64 + 7);
                 let mut got = vec![f32::NAN; k * n];
                 matmul_tn_into(MatView::new(m, k, &a), MatView::new(m, n, &b2), &mut got);
-                assert_eq!(bits(&got), bits(&oracle::tn(&a, m, k, &b2, n)), "matmul_tn {m}x{k}x{n}");
+                assert_eq!(
+                    bits(&got),
+                    bits(&oracle::tn(&a, m, k, &b2, n)),
+                    "matmul_tn {m}x{k}x{n}"
+                );
             }
         }
     }
@@ -1140,7 +1157,11 @@ mod tests {
                     let (a, b) = (gen(m * k, (k * 31 + m) as u64), gen(n * k, (k * 17 + n) as u64));
                     let mut got = vec![f32::NAN; m * n];
                     matmul_nt_into(MatView::new(m, k, &a), MatView::new(n, k, &b), &mut got);
-                    assert_eq!(bits(&got), bits(&oracle::nt(&a, m, k, &b, n)), "matmul_nt {m}x{k}x{n}");
+                    assert_eq!(
+                        bits(&got),
+                        bits(&oracle::nt(&a, m, k, &b, n)),
+                        "matmul_nt {m}x{k}x{n}"
+                    );
                 }
             }
         }
@@ -1183,7 +1204,10 @@ mod tests {
             r,
             c,
             (0..r * c)
-                .map(|i| (((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 97) as f32 / 48.5) - 1.0)
+                .map(|i| {
+                    (((i as u64).wrapping_mul(2654435761).wrapping_add(seed) % 97) as f32 / 48.5)
+                        - 1.0
+                })
                 .collect(),
         )
     }
@@ -1205,7 +1229,8 @@ mod tests {
             }
             // A divisor divides the f64 sum once, before the one rounding.
             for divisor in [None, Some(3.0f64)] {
-                let want: Vec<f32> = agg.iter().map(|&v| (v / divisor.unwrap_or(1.0)) as f32).collect();
+                let want: Vec<f32> =
+                    agg.iter().map(|&v| (v / divisor.unwrap_or(1.0)) as f32).collect();
                 let mut got = vec![9f32; plen]; // garbage: must be overwritten
                 weighted_sum_rows_into(&params, &members, &weights, divisor, &mut got);
                 for (a, b) in got.iter().zip(&want) {

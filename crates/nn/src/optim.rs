@@ -70,12 +70,7 @@ pub struct Sgd {
 impl Sgd {
     /// Creates an SGD optimizer.
     pub fn new(lr: f32, momentum: f32, weight_decay: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            weight_decay,
-            velocity: Vec::new(),
-        }
+        Self { lr, momentum, weight_decay, velocity: Vec::new() }
     }
 }
 
@@ -251,9 +246,7 @@ mod tests {
     ) {
         let n = 1000;
         let grads = |k: usize| -> Vec<f32> {
-            (0..n)
-                .map(|i| ((i * 31 + k * 17) % 23) as f32 / 11.0 - 1.0)
-                .collect()
+            (0..n).map(|i| ((i * 31 + k * 17) % 23) as f32 / 11.0 - 1.0).collect()
         };
         let start: Vec<f32> = (0..n).map(|i| (i % 13) as f32 / 6.0 - 1.0).collect();
 

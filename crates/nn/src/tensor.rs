@@ -80,11 +80,7 @@ impl Default for Matrix {
 impl Matrix {
     /// A `rows × cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
     /// Wraps an existing buffer (`data.len()` must equal `rows * cols`).
@@ -102,11 +98,7 @@ impl Matrix {
             assert_eq!(row.len(), c, "ragged rows");
             data.extend_from_slice(row);
         }
-        Self {
-            rows: r,
-            cols: c,
-            data,
-        }
+        Self { rows: r, cols: c, data }
     }
 
     /// Number of rows.
@@ -147,11 +139,7 @@ impl Matrix {
     /// The empty `0 × 0` matrix (no allocation) — the natural seed for
     /// buffers grown later via [`Matrix::resize_to`].
     pub fn empty() -> Self {
-        Matrix {
-            rows: 0,
-            cols: 0,
-            data: Vec::new(),
-        }
+        Matrix { rows: 0, cols: 0, data: Vec::new() }
     }
 
     /// Reshapes in place to `rows × cols`, reusing the existing buffer
@@ -196,11 +184,7 @@ impl Matrix {
     /// A borrowed view of the whole matrix.
     #[inline]
     pub fn view(&self) -> MatView<'_> {
-        MatView {
-            rows: self.rows,
-            cols: self.cols,
-            data: &self.data,
-        }
+        MatView { rows: self.rows, cols: self.cols, data: &self.data }
     }
 
     /// Copies `other`'s contents into `self` (shapes must match).
@@ -220,11 +204,7 @@ impl Matrix {
     /// (`out.shape() == (idx.len(), self.cols)`); the allocation-free
     /// mini-batch path.
     pub fn gather_rows_into(&self, idx: &[u32], out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (idx.len(), self.cols),
-            "gather_rows_into shape mismatch"
-        );
+        assert_eq!(out.shape(), (idx.len(), self.cols), "gather_rows_into shape mismatch");
         for (o, &i) in idx.iter().enumerate() {
             out.row_mut(o).copy_from_slice(self.row(i as usize));
         }

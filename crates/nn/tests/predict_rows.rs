@@ -29,13 +29,9 @@ fn dataset(n: usize, train_only: bool) -> GraphDataset {
     let features = Matrix::from_vec(
         n,
         6,
-        (0..n * 6)
-            .map(|i| ((i as u64 * 2654435761 % 997) as f32 / 498.5) - 1.0)
-            .collect(),
+        (0..n * 6).map(|i| ((i as u64 * 2654435761 % 997) as f32 / 498.5) - 1.0).collect(),
     );
-    let labels: Vec<u32> = (0..n as u32)
-        .map(|i| (i * 3 + i / 7) % CLASSES as u32)
-        .collect();
+    let labels: Vec<u32> = (0..n as u32).map(|i| (i * 3 + i / 7) % CLASSES as u32).collect();
     let split = |keep: fn(u32) -> bool| (0..n as u32).filter(|&i| keep(i)).collect::<Vec<u32>>();
     let train = split(|i| i % 5 < 3);
     let (val, test) = if train_only {
@@ -149,7 +145,10 @@ fn pieced_predict_into_equals_the_whole_forward_and_pools_nothing_n_sized() {
             let mut arena = Workspace::new();
             model.swap_workspace(&mut arena);
             let largest = arena.largest_pooled();
-            assert!(largest <= PIECE.min(n) * cfg.hidden, "{kind:?} n = {n}: {largest} floats pooled");
+            assert!(
+                largest <= PIECE.min(n) * cfg.hidden,
+                "{kind:?} n = {n}: {largest} floats pooled"
+            );
             if n > 3 * PIECE {
                 assert!(largest < n * CLASSES, "{kind:?}: an n·|Y| buffer is pooled");
             }

@@ -18,8 +18,7 @@ fn gen(r: usize, c: usize, seed: u64) -> Matrix {
         c,
         (0..r * c)
             .map(|i| {
-                (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 7919) % 97) as f32
-                    / 48.5)
+                (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 7919) % 97) as f32 / 48.5)
                     - 1.0
             })
             .collect(),
@@ -29,10 +28,7 @@ fn gen(r: usize, c: usize, seed: u64) -> Matrix {
 fn assert_close(got: &Matrix, want: &Matrix, what: &str) {
     assert_eq!(got.shape(), want.shape(), "{what}: shape");
     for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-        assert!(
-            (x - y).abs() < 1e-4,
-            "{what}: element {i} differs ({x} vs {y})"
-        );
+        assert!((x - y).abs() < 1e-4, "{what}: element {i} differs ({x} vs {y})");
     }
 }
 
@@ -41,32 +37,18 @@ fn assert_close(got: &Matrix, want: &Matrix, what: &str) {
 /// and 16-column block boundaries.
 #[test]
 fn blocked_matches_naive_at_spec_shapes() {
-    for &(m, k, n) in &[
-        (1, 1, 1),
-        (3, 5, 7),
-        (7, 9, 5),
-        (8, 16, 16),
-        (9, 17, 15),
-        (16, 8, 33),
-        (31, 2, 1),
-    ] {
+    for &(m, k, n) in
+        &[(1, 1, 1), (3, 5, 7), (7, 9, 5), (8, 16, 16), (9, 17, 15), (16, 8, 33), (31, 2, 1)]
+    {
         let a = gen(m, k, 1);
         let b = gen(k, n, 2);
         assert_close(&matmul(&a, &b), &ops::naive::matmul(&a, &b), "matmul");
         let a2 = gen(m, k, 3);
         let b2 = gen(m, n, 4);
-        assert_close(
-            &matmul_tn(&a2, &b2),
-            &ops::naive::matmul_tn(&a2, &b2),
-            "matmul_tn",
-        );
+        assert_close(&matmul_tn(&a2, &b2), &ops::naive::matmul_tn(&a2, &b2), "matmul_tn");
         let a3 = gen(m, k, 5);
         let b3 = gen(n, k, 6);
-        assert_close(
-            &matmul_nt(&a3, &b3),
-            &ops::naive::matmul_nt(&a3, &b3),
-            "matmul_nt",
-        );
+        assert_close(&matmul_nt(&a3, &b3), &ops::naive::matmul_nt(&a3, &b3), "matmul_nt");
     }
 }
 
@@ -137,12 +119,20 @@ fn forward_kernel_family_matches_naive_bitwise() {
                 let dy = gen(m, n, (m + n + 1) as u64);
                 let mut out = vec![f32::NAN; k * n];
                 matmul_tn_into(a.view(), dy.view(), &mut out);
-                assert_eq!(bits(&out), bits(ops::naive::matmul_tn(&a, &dy).as_slice()), "matmul_tn {what}");
+                assert_eq!(
+                    bits(&out),
+                    bits(ops::naive::matmul_tn(&a, &dy).as_slice()),
+                    "matmul_tn {what}"
+                );
 
                 let w = gen(k, n, (k + n + 2) as u64);
                 let mut out = vec![f32::NAN; m * n];
                 matmul_into(a.view(), w.view(), &mut out);
-                assert_eq!(bits(&out), bits(ops::naive::matmul(&a, &w).as_slice()), "matmul {what}");
+                assert_eq!(
+                    bits(&out),
+                    bits(ops::naive::matmul(&a, &w).as_slice()),
+                    "matmul {what}"
+                );
 
                 // The fused epilogues seed the accumulator with the bias.
                 let bias: Vec<f32> = (0..n).map(|j| (j as f32 - 10.0) * 0.05).collect();

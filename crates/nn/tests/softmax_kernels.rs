@@ -45,11 +45,8 @@ fn exp_is_within_one_ulp_of_the_correctly_rounded_result() {
     // Every 509th f32 from −0.0 down to the last normal result, 2048 at a
     // time so the vector body and the scalar remainder are both exercised.
     let (lo, stride) = ((-0.0f32).to_bits(), 509usize);
-    let inputs: Vec<f32> = (lo..=LAST_NORMAL)
-        .step_by(stride)
-        .chain([LAST_NORMAL])
-        .map(f32::from_bits)
-        .collect();
+    let inputs: Vec<f32> =
+        (lo..=LAST_NORMAL).step_by(stride).chain([LAST_NORMAL]).map(f32::from_bits).collect();
     let mut worst = 0u32;
     for xs in inputs.chunks(2048 + 5) {
         let mut ys = xs.to_vec();
