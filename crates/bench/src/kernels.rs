@@ -89,6 +89,10 @@ pub struct SoftLabelResult {
 pub struct KernelReport {
     /// `"quick"` or `"full"`.
     pub mode: &'static str,
+    /// The dense kernels' register tile on this CPU
+    /// ([`fedgta_nn::ops::gemm_tile`]): `avx512-8x32` or `portable-8x16`.
+    /// Rates taken under different tiles are not comparable.
+    pub tile: &'static str,
     /// All timed cells, including the square anchor shapes.
     pub results: Vec<KernelResult>,
     /// The softmax / Eq. 4 cells.
@@ -562,6 +566,7 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 
     KernelReport {
         mode: if quick { "quick" } else { "full" },
+        tile: ops::gemm_tile(),
         results,
         soft_labels,
         matmul_speedup_vs_naive: blocked_gflops / naive_gflops,
@@ -583,6 +588,7 @@ pub fn to_json(r: &KernelReport) -> String {
     let mut s = String::with_capacity(4096);
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
+    s.push_str(&format!("  \"tile\": {},\n", json_str(r.tile)));
     // Kernels run on the calling thread; the key stays for readers of
     // earlier BENCH_KERNELS.json files.
     s.push_str("  \"threads\": 1,\n");
@@ -621,7 +627,7 @@ pub fn to_json(r: &KernelReport) -> String {
 /// Plain-text table for terminal output.
 pub fn render_table(r: &KernelReport) -> String {
     let mut s = String::new();
-    s.push_str(&format!("kernel bench ({} mode)\n", r.mode));
+    s.push_str(&format!("kernel bench ({} mode, {} tile)\n", r.mode, r.tile));
     s.push_str(&format!(
         "{:<18} {:>8} {:>7} {:>6} {:>6} {:>10} {:>8}\n",
         "kernel", "variant", "m", "k", "n", "GFLOP/s", "allocs"
@@ -716,6 +722,7 @@ mod tests {
         let json = to_json(&r);
         assert!(json.contains("\"kernel\": \"spmm_axpby_sbm_client\""));
         assert!(json.contains("\"matmul_speedup_vs_naive\""));
+        assert!(json.contains(&format!("\"tile\": \"{}\"", fedgta_nn::ops::gemm_tile())));
         assert!(json.contains("\"matmul_tn_vs_matmul\""));
         assert!(r.matmul_tn_vs_matmul > 0.0 && r.matmul_tn_vs_matmul.is_finite());
         assert!(json.contains("\"lp_step_fused_vs_unfused\""));

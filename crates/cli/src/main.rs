@@ -18,6 +18,8 @@
 //! The paper's tables and figures and the four microbenchmark suites are
 //! `fedgta-bench`'s `repro` binary, not subcommands here.
 
+#![deny(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -28,6 +28,8 @@
 //! next to FedAvg/FedProx/…, with ablation switches for Table 6
 //! (`use_moments`, `use_confidence`).
 
+#![deny(unsafe_code)]
+
 pub mod aggregate;
 pub mod confidence;
 pub mod config;

@@ -16,6 +16,8 @@
 //! [`catalog`] mirrors each paper dataset's node/feature/class counts
 //! (large graphs scaled down; see DESIGN.md §3.1). Everything is seeded.
 
+#![deny(unsafe_code)]
+
 pub mod catalog;
 pub mod features;
 pub mod sbm;

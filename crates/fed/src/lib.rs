@@ -34,6 +34,8 @@
 //!   with mirrored f32 references) that make aggressive sparsification
 //!   accuracy-competitive, with scripted replay semantics under faults.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod codec;
 pub mod ef;

@@ -17,6 +17,8 @@
 //!   contiguous chunks so results are bit-identical regardless of thread
 //!   count.
 
+#![deny(unsafe_code)]
+
 pub mod coo;
 pub mod csr;
 pub mod io;

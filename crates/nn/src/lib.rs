@@ -5,7 +5,8 @@
 //!
 //! - [`tensor::Matrix`]: row-major `f32` dense matrices;
 //! - [`ops`]: blocked, cache-friendly matmul kernels (`A·B`, `Aᵀ·B`, `A·Bᵀ`)
-//!   parallelized over row chunks;
+//!   run on the calling thread; their AVX-512 register tile is the crate's
+//!   only `unsafe` code;
 //! - [`loss`]: masked softmax cross-entropy with exact gradients, plus soft-
 //!   target CE (for FedGL pseudo-labels);
 //! - [`optim`]: SGD-with-momentum and Adam over flat parameter buffers;
@@ -17,6 +18,9 @@
 //!
 //! Every gradient in this crate is validated against finite differences in
 //! tests; federated strategies rely on bit-exact parameter flattening.
+
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod init;
 pub mod io;

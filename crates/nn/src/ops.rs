@@ -16,12 +16,19 @@
 //!   ([`gemm_rows_tile`]): the `C` tile lives in registers across the
 //!   entire `k` loop, each loaded `B` block serves eight output rows (8×
 //!   less `B` traffic than a row-at-a-time axpy), and every output element
-//!   is read and written exactly once. A column tail (`n % 16`: cora's 7
-//!   classes, arxiv's 40) runs the same tile, reading 16 lanes of each `B`
-//!   row in place — the lanes past `n` are computed and never stored —
-//!   and the last few rows, where that read would run past `B`, from a
-//!   zero-padded copy ([`ColumnTail`]). Row tails fall back to
-//!   [`gemm_row`], which processes
+//!   is read and written exactly once. LLVM builds that portable tile from
+//!   256-bit vectors even under `target-cpu=native` on an AVX-512 Xeon (it
+//!   prefers 256-bit code there), so where the CPU reports `avx512f` every
+//!   full 32-column block runs an explicit **8 × 32 tile of 16 `zmm`
+//!   accumulators** instead ([`avx512_tile`]: multiply, then add, never
+//!   fused). The CPU picks the tile once per kernel call; the two compute
+//!   the same chain of IEEE operations per element, so no bit depends on
+//!   the choice. [`gemm_tile`] names the one in use. A column tail
+//!   (`n % 16`: cora's 7 classes, arxiv's 8 of 40) runs the portable
+//!   tile, reading 16 lanes of each `B` row in place — the lanes past `n`
+//!   are computed and never stored — and the last few rows, where that
+//!   read would run past `B`, from a zero-padded copy ([`ColumnTail`]).
+//!   Row tails fall back to [`gemm_row`], which processes
 //!   **4 k-steps per iteration**, broadcasting four `A` scalars against
 //!   four contiguous `B` rows through `chunks_exact` column blocks
 //!   ([`axpy4`]) — the same element-wise accumulation order, so the two
@@ -93,10 +100,11 @@ fn record_matmul_flops(m: usize, k: usize, n: usize) {
     fedgta_obs::counter!("kernel.matmul.flops").add(2 * (m as u64) * (k as u64) * (n as u64));
 }
 
-/// Column-block width shared by the register-blocked kernels. Wide enough
-/// for a full 512-bit vector per block; the per-element accumulation
-/// expression is width-independent, so this constant can be retuned
-/// without changing results bit-for-bit.
+/// Column-block width shared by the auto-vectorized blocked kernels: 16
+/// `f32` lanes, which LLVM emits as 256-bit vectors even where the CPU has
+/// 512-bit ones. The per-element accumulation expression is
+/// width-independent, so this constant can be retuned without changing
+/// results bit-for-bit.
 const COL_BLOCK: usize = 16;
 /// Number of k/i-steps fused per blocked iteration.
 const K_BLOCK: usize = 4;
@@ -136,12 +144,58 @@ fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
 
 /// Rows per register tile of the multi-row GEMM micro-kernel.
 const ROW_BLOCK: usize = 8;
-/// Columns per register tile of the multi-row GEMM micro-kernel: 8 rows ×
-/// 16 columns of `C` stay resident in registers across the entire `k`
-/// loop (one 512-bit vector per row on AVX-512, two 256-bit on AVX2).
-/// Like [`COL_BLOCK`], the tile shape is retunable without changing
-/// results: per-element accumulation order is width-independent.
+/// Columns per portable register tile ([`tile_into`]): 8 rows × 16
+/// columns of `C` stay resident in registers across the entire `k` loop.
+/// LLVM vectorizes it for the build's ISA, which under `target-cpu=native`
+/// on an AVX-512 Xeon is still two 256-bit vectors per row: it prefers
+/// 256-bit code there. Like [`COL_BLOCK`], the tile shape is retunable
+/// without changing results: per-element accumulation order is
+/// width-independent.
 const TILE_COLS: usize = 16;
+
+/// Columns per AVX-512 register tile ([`avx512_tile`]): two 512-bit
+/// vectors per row, so an 8 × 32 block of `C` is 16 `zmm` accumulators.
+#[cfg(target_arch = "x86_64")]
+const WIDE_COLS: usize = 32;
+
+/// Which register tile runs a band's full column blocks. The CPU picks it,
+/// once per kernel call ([`Tile::host`]); both tiles give the same bits.
+#[derive(Clone, Copy, Debug)]
+enum Tile {
+    /// [`tile_into`]'s 8 × 16, vectorized for whatever the build targets.
+    Portable,
+    /// [`avx512_tile`]'s 8 × 32 over every full 32-column block, then the
+    /// portable tile for a remaining 16-column block.
+    #[cfg(target_arch = "x86_64")]
+    Avx512(Avx512F),
+}
+
+/// Proof that the CPU runs AVX-512F: only [`Tile::host`] makes one, after
+/// `is_x86_feature_detected!` said so.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy, Debug)]
+struct Avx512F(());
+
+impl Tile {
+    /// The widest tile this CPU runs.
+    fn host() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return Tile::Avx512(Avx512F(()));
+        }
+        Tile::Portable
+    }
+}
+
+/// The register tile the dense kernels run on this CPU: `avx512-8x32` or
+/// `portable-8x16`. Kernel timings are only comparable under one tile.
+pub fn gemm_tile() -> &'static str {
+    match Tile::host() {
+        Tile::Portable => "portable-8x16",
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512(_) => "avx512-8x32",
+    }
+}
 
 /// The register tile itself: `out[r·n + j + l] += Σ_kk arows[r][kk] ·
 /// b[kk·stride + off + l]` for the `ROW_BLOCK` rows and the first `w ≤
@@ -195,18 +249,119 @@ fn tile_into(
 /// agree bit-for-bit and the `rows % ROW_BLOCK` tail can fall back to the
 /// single-row kernel.
 ///
+/// Under [`Tile::Avx512`] the full 32-column blocks run [`avx512_tile`]
+/// first; a 16-column block left after them runs the portable tile. Each
+/// element's chain is the same either way.
+///
 /// `#[inline(always)]`: forward and weight-gradient callers share this
 /// body, and left out of line it loses a third of the forward rate (see
 /// the module header).
 #[inline(always)]
-fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
+fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize, tile: Tile) {
     debug_assert_eq!(out.len(), ROW_BLOCK * n);
     let nb = n / TILE_COLS * TILE_COLS;
-    let mut j = 0;
+    let mut j = match tile {
+        Tile::Portable => 0,
+        #[cfg(target_arch = "x86_64")]
+        Tile::Avx512(cpu) => {
+            let wb = n / WIDE_COLS * WIDE_COLS;
+            if wb > 0 {
+                avx512_tile(cpu, out, arows, bd, n, wb);
+            }
+            wb
+        }
+    };
     while j < nb {
         tile_into(out, n, j, TILE_COLS, arows, bd, n, j);
         j += TILE_COLS;
     }
+}
+
+/// The AVX-512 register tile: `out[r·n + j] += Σ_kk arows[r][kk] ·
+/// bd[kk·n + j]` for the `ROW_BLOCK` rows and columns `0..wb`, one 8 × 32
+/// block of `C` at a time, held in 16 `zmm` accumulators across the whole
+/// `k` loop. Each step is `_mm512_mul_ps` then `_mm512_add_ps`, never a
+/// fused multiply-add, in strict increasing-`k` order: every element sees
+/// [`tile_into`]'s chain of IEEE operations, so the bits are the portable
+/// tile's.
+///
+/// The only `unsafe` in the crate. The asserts below are the bounds its
+/// inner loop relies on; the [`Avx512F`] token is the CPU check.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn avx512_tile(
+    _cpu: Avx512F,
+    out: &mut [f32],
+    arows: &[&[f32]; ROW_BLOCK],
+    bd: &[f32],
+    n: usize,
+    wb: usize,
+) {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// # Safety
+    ///
+    /// The CPU must run AVX-512F. `out` must hold `ROW_BLOCK` rows of
+    /// stride `n`, `bd` `k` rows of stride `n` and each `a[r]` `k` floats;
+    /// `wb ≤ n` must be a multiple of [`WIDE_COLS`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn band(
+        out: *mut f32,
+        a: [*const f32; ROW_BLOCK],
+        bd: *const f32,
+        k: usize,
+        n: usize,
+        wb: usize,
+    ) {
+        for j in (0..wb).step_by(WIDE_COLS) {
+            let mut acc = [[_mm512_setzero_ps(); 2]; ROW_BLOCK];
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: columns `j..j + 32 ≤ wb ≤ n` of row `r` of `out`.
+                *acc = unsafe {
+                    let o = out.add(r * n + j);
+                    [_mm512_loadu_ps(o), _mm512_loadu_ps(o.add(16))]
+                };
+            }
+            for kk in 0..k {
+                // SAFETY: columns `j..j + 32 ≤ n` of row `kk < k` of `bd`.
+                let (b0, b1): (__m512, __m512) = unsafe {
+                    let b = bd.add(kk * n + j);
+                    (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)))
+                };
+                for (acc, &ar) in acc.iter_mut().zip(&a) {
+                    // SAFETY: `kk < k`, the length of every `a[r]`.
+                    let av = _mm512_set1_ps(unsafe { *ar.add(kk) });
+                    acc[0] = _mm512_add_ps(acc[0], _mm512_mul_ps(av, b0));
+                    acc[1] = _mm512_add_ps(acc[1], _mm512_mul_ps(av, b1));
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                // SAFETY: the same `out` columns the loads above read.
+                unsafe {
+                    let o = out.add(r * n + j);
+                    _mm512_storeu_ps(o, acc[0]);
+                    _mm512_storeu_ps(o.add(16), acc[1]);
+                }
+            }
+        }
+    }
+
+    let k = arows[0].len();
+    assert!(wb.is_multiple_of(WIDE_COLS) && wb <= n, "avx512 tile: {wb} of {n} columns");
+    // `checked_mul`: a wrapped product would let a short slice through.
+    assert_eq!(Some(out.len()), ROW_BLOCK.checked_mul(n), "avx512 tile: output band size");
+    assert!(arows.iter().all(|a| a.len() == k), "avx512 tile: ragged A rows");
+    assert!(
+        k.checked_mul(n).is_some_and(|kn| bd.len() >= kn),
+        "avx512 tile: B has fewer than {k} rows"
+    );
+    let a = std::array::from_fn(|r| arows[r].as_ptr());
+    // SAFETY: `_cpu` exists only where AVX-512F was detected, and the four
+    // asserts above are `band`'s bounds.
+    unsafe { band(out.as_mut_ptr(), a, bd.as_ptr(), k, n, wb) }
 }
 
 /// The `n % TILE_COLS` column tail of `B` (`rows × n`), run through the
@@ -270,14 +425,14 @@ impl ColumnTail {
 /// `m % ROW_BLOCK` tail. Bit-identical to calling [`gemm_row`] on every
 /// row.
 #[inline]
-fn gemm_band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usize) {
+fn gemm_band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usize, tile: Tile) {
     let rb = m / ROW_BLOCK * ROW_BLOCK;
     let tail = if rb > 0 { ColumnTail::new(bd, k, n) } else { None };
     let mut r = 0;
     while r < rb {
         let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
         let band = &mut out[r * n..(r + ROW_BLOCK) * n];
-        gemm_rows_tile(band, &arows, bd, n);
+        gemm_rows_tile(band, &arows, bd, n, tile);
         if let Some(tail) = &tail {
             tail.run(band, n, &arows, bd, 0);
         }
@@ -348,28 +503,14 @@ pub fn matmul_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
 /// microbenchmark can price the observability hook against it.
 #[doc(hidden)]
 pub fn matmul_into_raw(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
-    assert_eq!(a.cols(), b.rows(), "matmul inner dim mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    out.fill(0.0);
-    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
+    dense_into(Tile::host(), a, b, None, out);
 }
 
 /// Fused hidden-layer epilogue: `out = relu(A·B + bias)` (`bias` is
-/// broadcast over rows). One pass: the output row is seeded with the bias,
+/// broadcast over rows). The output row is seeded with the bias,
 /// accumulated, then rectified while still hot.
 pub fn matmul_bias_relu_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: &mut [f32]) {
-    record_matmul_flops(a.rows(), a.cols(), b.cols());
-    assert_eq!(a.cols(), b.rows(), "matmul inner dim mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(bias.len(), n, "bias length mismatch");
-    assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    for orow in out.chunks_exact_mut(n) {
-        orow.copy_from_slice(bias);
-    }
-    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
+    matmul_bias_into(a, b, bias, out);
     for v in out.iter_mut() {
         if *v < 0.0 {
             *v = 0.0;
@@ -380,15 +521,27 @@ pub fn matmul_bias_relu_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: 
 /// Linear-layer epilogue without activation: `out = A·B + bias`.
 pub fn matmul_bias_into(a: MatView<'_>, b: MatView<'_>, bias: &[f32], out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.cols());
+    dense_into(Tile::host(), a, b, Some(bias), out);
+}
+
+/// `out = A·B`, or `A·B + bias` with the bias broadcast over rows, on
+/// `tile`: every output row is seeded (zeros or the bias) and accumulated
+/// by [`gemm_band`].
+fn dense_into(tile: Tile, a: MatView<'_>, b: MatView<'_>, bias: Option<&[f32]>, out: &mut [f32]) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dim mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
-    assert_eq!(bias.len(), n, "bias length mismatch");
     assert_eq!(out.len(), m * n, "matmul output size mismatch");
-    for orow in out.chunks_exact_mut(n) {
-        orow.copy_from_slice(bias);
+    match bias {
+        Some(bias) => {
+            assert_eq!(bias.len(), n, "bias length mismatch");
+            for orow in out.chunks_exact_mut(n) {
+                orow.copy_from_slice(bias);
+            }
+        }
+        None => out.fill(0.0),
     }
-    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n);
+    gemm_band(out, m, a.as_slice(), k, b.as_slice(), n, tile);
 }
 
 /// Outer-dimension (`i`) steps per transpose-packed `A` panel in
@@ -411,6 +564,11 @@ const TN_PANEL: usize = 256;
 /// whatever the panel length or band split.
 pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.cols());
+    tn_into(Tile::host(), a, b, out);
+}
+
+/// [`matmul_tn_into`]'s body, on `tile`.
+fn tn_into(tile: Tile, a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     assert_eq!(a.rows(), b.rows(), "matmul_tn outer dim mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
@@ -436,7 +594,7 @@ pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
             let band = &mut out[r * n..(r + rows) * n];
             if rows == ROW_BLOCK {
                 let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
-                gemm_rows_tile(band, &arows, bblk, n);
+                gemm_rows_tile(band, &arows, bblk, n, tile);
                 if let Some(tail) = &tail {
                     tail.run(band, n, &arows, bd, i0);
                 }
@@ -648,9 +806,9 @@ fn exp_nonpos(x: f32) -> f32 {
 /// correctly rounded `f32` result wherever that result is normal
 /// (`x ≥ −87.336 54`). Results below [`f32::MIN_POSITIVE`] flush to `+0`
 /// (`−∞` included), `±0 ↦ 1`, NaN propagates. Positive inputs are outside
-/// the contract. The body is branch-free, so the loop vectorizes (16
-/// `f32` lanes per 512-bit vector); vector lanes and the scalar remainder
-/// execute the same IEEE operations and agree bit for bit.
+/// the contract. The body is branch-free, so the loop vectorizes; vector
+/// lanes and the scalar remainder execute the same IEEE operations and
+/// agree bit for bit.
 pub fn exp_nonpos_inplace(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x = exp_nonpos(*x);
@@ -1092,6 +1250,72 @@ mod tests {
 
     fn finite(len: usize, seed: u64) -> Vec<f32> {
         hostile(len, seed).into_iter().map(|v| if v.is_finite() { v } else { 0.5 }).collect()
+    }
+
+    /// `init[j] + Σ_kk a[i·k + kk] · b[kk·n + j]` for every `(i, j)`, one
+    /// scalar chain per element in strict increasing-`kk` order: the
+    /// contract of both register tiles. It is [`naive::matmul`] without
+    /// its zero-skip, which on hostile inputs would drop `0·∞` and `0·NaN`.
+    fn chain(init: &[f32], a: &[f32], m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for (j, &c0) in init.iter().enumerate() {
+                out.push((0..k).fold(c0, |c, kk| c + a[i * k + kk] * b[kk * n + j]));
+            }
+        }
+        out
+    }
+
+    /// Both tiles, bit for bit against [`chain`]: the portable one through
+    /// the kernels' private bodies, the host's (AVX-512 where the CPU has
+    /// it) through them and through the public entry points. Widths on both
+    /// sides of every 16- and 32-column block, `k` from empty to an
+    /// `arxiv_sign_128c` input layer, row counts with and without a tail.
+    #[test]
+    fn both_register_tiles_equal_the_scalar_chain_bit_for_bit() {
+        for n in [1, 7, 15, 16, 17, 31, 32, 33, 40, 48, 64, 65, 128] {
+            for k in [0, 1, 7, 768] {
+                for m in [8, 21] {
+                    for gen in [finite, hostile] {
+                        let seed = (n * 10_000 + k * 10 + m) as u64;
+                        let (a, b, b2) =
+                            (gen(m * k, seed), gen(k * n, seed + 1), gen(m * n, seed + 2));
+                        let bias = gen(n, seed + 3);
+                        let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+                        let zero = vec![0f32; n];
+                        let want = chain(&zero, &a, m, k, &b, n);
+                        let want_bias = chain(&bias, &a, m, k, &b, n);
+                        let want_relu: Vec<f32> =
+                            want_bias.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect();
+                        let want_tn = chain(&zero, &at, k, m, &b2, n);
+                        let (av, bv, b2v) = (
+                            MatView::new(m, k, &a),
+                            MatView::new(k, n, &b),
+                            MatView::new(m, n, &b2),
+                        );
+                        let what = format!("{m}x{k}x{n}");
+                        let mut got = vec![f32::NAN; m * n];
+                        let mut got_tn = vec![f32::NAN; k * n];
+                        for tile in [Tile::Portable, Tile::host()] {
+                            dense_into(tile, av, bv, None, &mut got);
+                            assert_eq!(bits(&got), bits(&want), "{tile:?} matmul {what}");
+                            dense_into(tile, av, bv, Some(&bias), &mut got);
+                            assert_eq!(bits(&got), bits(&want_bias), "{tile:?} matmul_bias {what}");
+                            tn_into(tile, av, b2v, &mut got_tn);
+                            assert_eq!(bits(&got_tn), bits(&want_tn), "{tile:?} matmul_tn {what}");
+                        }
+                        matmul_into(av, bv, &mut got);
+                        assert_eq!(bits(&got), bits(&want), "matmul_into {what}");
+                        matmul_bias_into(av, bv, &bias, &mut got);
+                        assert_eq!(bits(&got), bits(&want_bias), "matmul_bias_into {what}");
+                        matmul_bias_relu_into(av, bv, &bias, &mut got);
+                        assert_eq!(bits(&got), bits(&want_relu), "matmul_bias_relu_into {what}");
+                        matmul_tn_into(av, b2v, &mut got_tn);
+                        assert_eq!(bits(&got_tn), bits(&want_tn), "matmul_tn_into {what}");
+                    }
+                }
+            }
+        }
     }
 
     /// Column tails of every width, `k` across the tail panel's boundary,

@@ -46,6 +46,8 @@
 //! (`tests/integration_obs.rs` in the umbrella crate) proves this by
 //! running the same federated round with tracing off/on × 1/4 threads.
 
+#![deny(unsafe_code)]
+
 pub mod metrics;
 pub mod recorder;
 pub mod serve;

@@ -15,6 +15,8 @@
 //! Both produce a [`Partition`]: a per-node client assignment over the
 //! global graph.
 
+#![deny(unsafe_code)]
+
 pub mod assign;
 pub mod louvain;
 pub mod metis;

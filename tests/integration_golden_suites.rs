@@ -37,6 +37,7 @@ fn kernel_cell(kernel: &'static str, variant: &'static str, mnk: (usize, usize, 
 fn kernel_reports() -> [(&'static str, KernelReport); 2] {
     let full = KernelReport {
         mode: "full",
+        tile: "avx512-8x32",
         results: vec![
             kernel_cell("matmul", "blocked", (270, 32, 7), Some(0)),
             kernel_cell("matmul_tn", "blocked", (270, 32, 7), Some(0)),
@@ -57,6 +58,7 @@ fn kernel_reports() -> [(&'static str, KernelReport); 2] {
     };
     let empty = KernelReport {
         mode: "quick",
+        tile: "portable-8x16",
         results: Vec::new(),
         soft_labels: Vec::new(),
         matmul_speedup_vs_naive: f64::NAN,
