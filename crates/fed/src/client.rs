@@ -113,23 +113,13 @@ impl ClientBuildConfig {
     /// The optimizer half of [`ModelConfig::paper`]: Adam at `lr = 0.02`
     /// with weight decay `5e-4`, what the CLI and every table train with.
     pub fn paper(model: ModelConfig, halo: bool) -> Self {
-        Self {
-            model,
-            lr: 0.02,
-            weight_decay: 5e-4,
-            halo,
-        }
+        Self { model, lr: 0.02, weight_decay: 5e-4, halo }
     }
 }
 
 impl Default for ClientBuildConfig {
     fn default() -> Self {
-        Self {
-            model: ModelConfig::default(),
-            lr: 0.01,
-            weight_decay: 5e-4,
-            halo: false,
-        }
+        Self { model: ModelConfig::default(), lr: 0.01, weight_decay: 5e-4, halo: false }
     }
 }
 
@@ -137,7 +127,9 @@ impl Default for ClientBuildConfig {
 /// bit 0 train, bit 1 validation, bit 2 test.
 fn split_flags(bench: &Benchmark) -> Vec<u8> {
     let mut flags = vec![0u8; bench.graph.num_nodes()];
-    for (bit, nodes) in [&bench.split.train, &bench.split.val, &bench.split.test].into_iter().enumerate() {
+    for (bit, nodes) in
+        [&bench.split.train, &bench.split.val, &bench.split.test].into_iter().enumerate()
+    {
         for &v in nodes {
             flags[v as usize] |= 1 << bit;
         }
@@ -149,13 +141,14 @@ fn split_flags(bench: &Benchmark) -> Vec<u8> {
 ///
 /// Only *owned* nodes receive labels and split membership; halo nodes are
 /// present for message passing but never supervised or evaluated.
-fn subgraph_dataset(sg: &Subgraph, bench: &Benchmark, flags: &[u8], train_only: bool) -> GraphDataset {
+fn subgraph_dataset(
+    sg: &Subgraph,
+    bench: &Benchmark,
+    flags: &[u8],
+    train_only: bool,
+) -> GraphDataset {
     let features = bench.features.gather_rows(&sg.global_ids);
-    let labels: Vec<u32> = sg
-        .global_ids
-        .iter()
-        .map(|&g| bench.labels[g as usize])
-        .collect();
+    let labels: Vec<u32> = sg.global_ids.iter().map(|&g| bench.labels[g as usize]).collect();
     let mut splits = [Vec::new(), Vec::new(), Vec::new()];
     let kept = if train_only { 1 } else { 3 };
     // The halo suffix carries no supervision.
@@ -167,15 +160,7 @@ fn subgraph_dataset(sg: &Subgraph, bench: &Benchmark, flags: &[u8], train_only: 
         }
     }
     let [train, val, test] = splits;
-    GraphDataset::new(
-        &sg.graph,
-        features,
-        labels,
-        bench.num_classes,
-        train,
-        val,
-        test,
-    )
+    GraphDataset::new(&sg.graph, features, labels, bench.num_classes, train, val, test)
 }
 
 /// Builds one client per partition part.
@@ -207,21 +192,14 @@ pub fn build_clients(
             Task::Transductive => (subgraph_dataset(&full_sg, bench, &flags, false), None),
             Task::Inductive => {
                 // Training graph: induced on owned train nodes only.
-                let train_nodes: Vec<u32> = nodes
-                    .iter()
-                    .copied()
-                    .filter(|&v| flags[v as usize] & 1 != 0)
-                    .collect();
+                let train_nodes: Vec<u32> =
+                    nodes.iter().copied().filter(|&v| flags[v as usize] & 1 != 0).collect();
                 let eval_view = subgraph_dataset(&full_sg, bench, &flags, false);
                 if train_nodes.is_empty() {
                     (eval_view, None)
                 } else {
-                    let train_sg =
-                        induced_subgraph(&bench.graph, &train_nodes).expect("nonempty");
-                    (
-                        subgraph_dataset(&train_sg, bench, &flags, true),
-                        Some(eval_view),
-                    )
+                    let train_sg = induced_subgraph(&bench.graph, &train_nodes).expect("nonempty");
+                    (subgraph_dataset(&train_sg, bench, &flags, true), Some(eval_view))
                 }
             }
         };
@@ -243,7 +221,7 @@ mod tests {
     use super::*;
     use fedgta_data::load_benchmark;
     use fedgta_nn::models::ModelKind;
-    use fedgta_partition::{louvain, communities_to_clients, LouvainConfig};
+    use fedgta_partition::{communities_to_clients, louvain, LouvainConfig};
 
     fn setup(halo: bool) -> Vec<Client> {
         let bench = load_benchmark("cora", 0).unwrap();

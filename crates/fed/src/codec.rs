@@ -139,10 +139,7 @@ impl Repr {
 
     /// Serializes the repr (self-describing, validated on decode).
     pub fn serialize(&self, out: &mut Vec<u8>) {
-        debug_assert_eq!(
-            self.vals.count(),
-            self.idx.as_ref().map_or(self.len as usize, Vec::len),
-        );
+        debug_assert_eq!(self.vals.count(), self.idx.as_ref().map_or(self.len as usize, Vec::len),);
         out.extend_from_slice(&self.len.to_le_bytes());
         let kind: u8 = match &self.vals {
             Values::F32(_) => 0,
@@ -198,10 +195,8 @@ impl Repr {
                 return Err(IoError::Corrupt("sparse tensor has nnz > len"));
             }
             let bytes = take(input, nnz as usize * 4)?;
-            let idx: Vec<u32> = bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
+            let idx: Vec<u32> =
+                bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
             for w in idx.windows(2) {
                 if w[0] >= w[1] {
                     return Err(IoError::Corrupt("sparse indices not ascending"));
@@ -332,9 +327,7 @@ impl QuantI8 {
     }
 
     fn dequantize(scale: f32, zero: f32, data: &[u8]) -> Vec<f32> {
-        data.iter()
-            .map(|&q| (zero as f64 + q as f64 * scale as f64) as f32)
-            .collect()
+        data.iter().map(|&q| (zero as f64 + q as f64 * scale as f64) as f32).collect()
     }
 }
 
@@ -503,7 +496,9 @@ impl TopK {
             let kv = key(v);
             match (kv >> SHIFT).cmp(&bucket) {
                 std::cmp::Ordering::Greater => kept.push(i as u32),
-                std::cmp::Ordering::Equal => in_bucket.push(u64::from(0x7fff_ffff - kv) << 32 | i as u64),
+                std::cmp::Ordering::Equal => {
+                    in_bucket.push(u64::from(0x7fff_ffff - kv) << 32 | i as u64)
+                }
                 std::cmp::Ordering::Less => {}
             }
         }
@@ -708,10 +703,7 @@ impl CodecSpec {
                 "identity" | "id" => Stage { id: STAGE_IDENTITY, param: 0 },
                 "quant-i8" | "i8" => Stage { id: STAGE_QUANT_I8, param: 0 },
                 "topk" => Stage { id: STAGE_TOPK, param: param.unwrap_or(64) },
-                "sketch" | "sketch-i8" => Stage {
-                    id: STAGE_SKETCH,
-                    param: param.unwrap_or(8),
-                },
+                "sketch" | "sketch-i8" => Stage { id: STAGE_SKETCH, param: param.unwrap_or(8) },
                 other => {
                     return Err(format!(
                         "unknown codec stage '{other}' \
@@ -934,7 +926,12 @@ mod tests {
                 assert_quantize_matches(&few, &format!("few levels len {len}"));
             }
         }
-        for t in [vec![f32::NAN; 20], vec![f32::INFINITY, f32::NEG_INFINITY], vec![3.5; 33], vec![f32::MAX, f32::MIN]] {
+        for t in [
+            vec![f32::NAN; 20],
+            vec![f32::INFINITY, f32::NEG_INFINITY],
+            vec![3.5; 33],
+            vec![f32::MAX, f32::MIN],
+        ] {
             assert_quantize_matches(&t, "degenerate");
         }
     }
@@ -942,7 +939,21 @@ mod tests {
     #[test]
     fn level_rounds_half_away_from_zero_exactly() {
         let oracle = |x: f64| x.round().clamp(0.0, 255.0) as u8;
-        for x in [0.0, -0.0, 0.5, 1.5, 2.5, 254.5, 255.0, 255.4, 255.5, 300.0, -0.5, -3.0, 0.49999999999999994] {
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            254.5,
+            255.0,
+            255.4,
+            255.5,
+            300.0,
+            -0.5,
+            -3.0,
+            0.49999999999999994,
+        ] {
             assert_eq!(level(x), oracle(x), "{x}");
         }
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 5e-324, 1e300] {
@@ -952,7 +963,9 @@ mod tests {
         // each half, and raw bit patterns.
         for i in -40..=1100 {
             let x = i as f64 * 0.25;
-            for x in [x, f64::from_bits(x.to_bits() + 1), f64::from_bits(x.to_bits().wrapping_sub(1))] {
+            for x in
+                [x, f64::from_bits(x.to_bits() + 1), f64::from_bits(x.to_bits().wrapping_sub(1))]
+            {
                 assert_eq!(level(x), oracle(x), "{x:e}");
             }
         }
@@ -969,7 +982,18 @@ mod tests {
     fn counting_selection_equals_the_comparator_selection() {
         let mut next = stream(11);
         // Sign-cleared keys of every kind, and magnitudes that tie.
-        let pool = [0.0f32, -0.0, 1.0, -1.0, 3.0, -3.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN];
+        let pool = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            3.0,
+            -3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
         for len in [1usize, 2, 7, 64, 65, 300, 1000] {
             for trial in 0..12 {
                 let t: Vec<f32> = match trial % 3 {
@@ -978,7 +1002,11 @@ mod tests {
                     _ => (0..len).map(|_| ((next() % 41) as f32 - 20.0) * 0.25).collect(),
                 };
                 for k in [0, 1, 2, len / 3, len / 2, len.saturating_sub(1), len, len + 5] {
-                    assert_eq!(TopK::select(&t, k), select_oracle(&t, k), "len {len} k {k} trial {trial}");
+                    assert_eq!(
+                        TopK::select(&t, k),
+                        select_oracle(&t, k),
+                        "len {len} k {k} trial {trial}"
+                    );
                 }
             }
         }
@@ -1088,9 +1116,8 @@ mod tests {
         let back = roundtrip(&codec, &t);
         assert_eq!(back.len(), t.len());
         for (g, (orig, dec)) in t.chunks(7).zip(back.chunks(7)).enumerate() {
-            let (lo, hi) = orig
-                .iter()
-                .fold((f32::MAX, f32::MIN), |(l, h), &v| (l.min(v), h.max(v)));
+            let (lo, hi) =
+                orig.iter().fold((f32::MAX, f32::MIN), |(l, h), &v| (l.min(v), h.max(v)));
             let scale = (hi - lo) / 255.0;
             for (a, b) in orig.iter().zip(dec) {
                 assert!((a - b).abs() <= scale, "group {g}: {a} vs {b} (scale {scale})");
@@ -1099,11 +1126,8 @@ mod tests {
         // Per-group scaling beats one per-tensor scale by construction:
         // the smallest row would be crushed to ~0 error under the global
         // scale; here it reconstructs within its own tiny scale.
-        let small_err: f32 = t[0..7]
-            .iter()
-            .zip(&back[0..7])
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f32::max);
+        let small_err: f32 =
+            t[0..7].iter().zip(&back[0..7]).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
         assert!(small_err <= (0.01 + 0.01) / 255.0 * 2.0, "small row error {small_err}");
     }
 
@@ -1160,10 +1184,7 @@ mod tests {
         // the other quantizers, and must follow any sparsifier.
         assert_eq!(CodecSpec::parse("sketch=7").unwrap().name(), "sketch=7");
         assert_eq!(CodecSpec::parse("sketch").unwrap().name(), "sketch=8");
-        assert_eq!(
-            CodecSpec::parse("topk=32+sketch-i8=4").unwrap().name(),
-            "topk=32+sketch=4"
-        );
+        assert_eq!(CodecSpec::parse("topk=32+sketch-i8=4").unwrap().name(), "topk=32+sketch=4");
         assert!(CodecSpec::parse("sketch=0").is_err());
         assert!(CodecSpec::parse("sketch+i8").is_err(), "two quantizers");
         assert!(CodecSpec::parse("sketch=4+topk=2").is_err(), "topk after quant");

@@ -140,7 +140,9 @@ impl EfTensor {
     fn commit_in_place(&mut self, decoded: &[f32], accepted: bool) {
         assert_eq!(decoded.len(), self.reference.len(), "EF decode length mismatch");
         if accepted {
-            for ((r, res), &d) in self.reference.iter_mut().zip(self.residual.iter_mut()).zip(decoded) {
+            for ((r, res), &d) in
+                self.reference.iter_mut().zip(self.residual.iter_mut()).zip(decoded)
+            {
                 *r += d;
                 *res -= d as f64;
             }
@@ -377,7 +379,11 @@ mod tests {
             by_hand.tensor(0).rebase(&anchor);
             let folds = [by_hand.tensor(0).fold(&sent.0), by_hand.tensor(1).fold(&sent.2)];
             client.fold_payload(Some(&anchor), &mut sent);
-            assert_eq!(bits(&sent.0), bits(&folds[0].fed), "the payload now carries the folded delta");
+            assert_eq!(
+                bits(&sent.0),
+                bits(&folds[0].fed),
+                "the payload now carries the folded delta"
+            );
             assert_eq!(bits(&sent.2), bits(&folds[1].fed));
             let body = encode_upload_routed(codec, None, 0.5, &sent);
             let (_, mut own): (f32, Upload) = decode_upload_routed(codec, None, &body).unwrap();
@@ -387,9 +393,17 @@ mod tests {
             by_hand.tensor(1).commit(&folds[1], &own.2, accepted);
             for t in 0..2 {
                 let (mine, theirs) = (&client.tensors[t], &by_hand.tensors[t]);
-                assert_eq!(bits(&mine.reference), bits(&theirs.reference), "round {round} tensor {t}");
+                assert_eq!(
+                    bits(&mine.reference),
+                    bits(&theirs.reference),
+                    "round {round} tensor {t}"
+                );
                 let res_bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(res_bits(&mine.residual), res_bits(&theirs.residual), "round {round} tensor {t}");
+                assert_eq!(
+                    res_bits(&mine.residual),
+                    res_bits(&theirs.residual),
+                    "round {round} tensor {t}"
+                );
             }
             if !accepted {
                 continue; // the server never sees this frame

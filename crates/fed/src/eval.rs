@@ -42,9 +42,8 @@ pub(crate) fn micro_average(
     threads: Option<usize>,
     kits: Option<&Pool<Kit>>,
 ) -> (f64, usize) {
-    let per_client = par_map_indexed(clients, threads, |_, c| {
-        lend(kits, c, Moments::Keep, client_accuracy)
-    });
+    let per_client =
+        par_map_indexed(clients, threads, |_, c| lend(kits, c, Moments::Keep, client_accuracy));
     let mut correct = 0f64;
     let mut total = 0usize;
     for (acc, n) in per_client {
@@ -145,10 +144,7 @@ mod tests {
         let me = std::thread::current().id();
         for threads in [1usize, 3] {
             let (clients, probe) = probed_federation();
-            let config = SimConfig {
-                threads,
-                ..SimConfig::default()
-            };
+            let config = SimConfig { threads, ..SimConfig::default() };
             Simulation::new(clients, Box::new(FedAvg::new()), config).test_accuracy();
             let log = probe.forwards.lock().unwrap();
             assert_eq!(log.len(), 6);

@@ -234,10 +234,8 @@ impl CommsRound<'_> {
         // Attached only when tracing is armed *and* the local span is
         // real, so untraced runs (including recorder-only runs) keep the
         // version-1 wire layout byte for byte.
-        let trace = (fedgta_obs::trace_on() && span != 0).then(|| TraceContext {
-            trace_id: fedgta_obs::run_trace_id(),
-            parent_span: span,
-        });
+        let trace = (fedgta_obs::trace_on() && span != 0)
+            .then(|| TraceContext { trace_id: fedgta_obs::run_trace_id(), parent_span: span });
         for (seq, a) in attempts.iter().enumerate() {
             let bit_seed = match a {
                 AttemptFate::Drop => {
@@ -553,12 +551,8 @@ mod tests {
     fn results_follow_participant_order_even_when_unsorted() {
         let mut clients = small_federation(ModelKind::Sgc, 30);
         let order = [2usize, 0, 3];
-        let results = train_participants(
-            &mut clients,
-            &order,
-            &RoundCtx::plain(0),
-            |i, c| (i as f32, c.id),
-        );
+        let results =
+            train_participants(&mut clients, &order, &RoundCtx::plain(0), |i, c| (i as f32, c.id));
         let got: Vec<usize> = results.iter().map(|r| r.client).collect();
         assert_eq!(got, order);
         for r in &results {
@@ -660,7 +654,10 @@ mod tests {
     #[test]
     fn dispatch_sends_exactly_the_scripted_attempts() {
         let t = ChannelTransport::new(4);
-        let s = script(5, &[(0, &[LOST, BAD, OK], &[], false), (2, &[OK], &[], false), (3, &[LOST], &[], false)]);
+        let s = script(
+            5,
+            &[(0, &[LOST, BAD, OK], &[], false), (2, &[OK], &[], false), (3, &[LOST], &[], false)],
+        );
         let legs = Legs::default();
         let w = wire(&t, &s, &legs);
         // Client 1 is a participant the script never sampled: no traffic.
@@ -686,7 +683,10 @@ mod tests {
         let shared = Store::shared(global.to_vec(), 4);
         let coded = w.dispatch(&[0, 2, 3], Some(&shared), 0);
         let body = encode_broadcast_coded(legs.down.as_deref().unwrap(), &global);
-        assert_eq!(coded, BTreeMap::from([(0, body.clone()), (2, body.clone()), (3, body.clone())]));
+        assert_eq!(
+            coded,
+            BTreeMap::from([(0, body.clone()), (2, body.clone()), (3, body.clone())])
+        );
         assert_eq!(w.tally.down_raw.load(Relaxed), 3 * (8 + 4 * 3));
         assert_eq!(w.tally.down_encoded.load(Relaxed), 3 * body.len() as u64);
         let got = Envelope::decode(&t.drain(Endpoint::Client(2))[0]).unwrap();
@@ -711,7 +711,8 @@ mod tests {
         corrupt_frame(&mut mangled, 13);
         t.send(Endpoint::Client(1), mangled).unwrap();
         // The real request — but stamped with another run's trace id.
-        let mut req = frame(MsgKind::BroadcastCoded, 3, SERVER_ID, encode_broadcast_coded(down, &fresh));
+        let mut req =
+            frame(MsgKind::BroadcastCoded, 3, SERVER_ID, encode_broadcast_coded(down, &fresh));
         let foreign = fedgta_obs::run_trace_id() ^ 2;
         req.trace = Some(TraceContext { trace_id: foreign, parent_span: 999 });
         send(req.clone());
@@ -759,7 +760,12 @@ mod tests {
         // (a straggler); client 0 never trained and holds garbage.
         let s = script(
             4,
-            &[(3, &[OK], &[OK], true), (1, &[OK], &[OK], true), (2, &[OK], &[OK], false), (0, &[BAD], &[], false)],
+            &[
+                (3, &[OK], &[OK], true),
+                (1, &[OK], &[OK], true),
+                (2, &[OK], &[OK], false),
+                (0, &[BAD], &[], false),
+            ],
         );
         let legs = Legs::default();
         let w = wire(&t, &s, &legs);
@@ -770,7 +776,9 @@ mod tests {
         corrupt_frame(&mut mangled, 5);
         // Mailbox order is a thread race: 2, 1, garbage, a stale round-3
         // frame from 3, then 3's real upload.
-        for f in [upload(4, 2, 2.0), upload(4, 1, 1.0), mangled, upload(3, 3, 9.0), upload(4, 3, 3.0)] {
+        for f in
+            [upload(4, 2, 2.0), upload(4, 1, 1.0), mangled, upload(3, 3, 9.0), upload(4, 3, 3.0)]
+        {
             t.send(Endpoint::Server, f).unwrap();
         }
         w.dispatch(&[0], None, 0);
@@ -779,7 +787,10 @@ mod tests {
             out.into_iter().map(|r| (r.client, r.loss, r.payload)).collect();
         assert_eq!(got, vec![(3, 3.0, vec![3.0; 2]), (1, 1.0, vec![1.0; 2])]);
         assert_eq!(w.tally.corrupted.load(Relaxed), 2, "one mangled upload, one mangled request");
-        assert!(t.drain(Endpoint::Client(0)).is_empty(), "no stale frame leaks into the next round");
+        assert!(
+            t.drain(Endpoint::Client(0)).is_empty(),
+            "no stale frame leaks into the next round"
+        );
     }
 
     // ---- what a turn leaves the client holding ----
@@ -803,11 +814,8 @@ mod tests {
         // from a vector and a reset — its moments die with this turn.
         let mut clients = small_federation(ModelKind::Sign, 36);
         let (none, kits) = (Store::personal(clients.len()), Pool::default());
-        let ctx = RoundCtx {
-            broadcast: Some(&none),
-            kits: Some(&kits),
-            ..RoundCtx::with_threads(1, 2)
-        };
+        let ctx =
+            RoundCtx { broadcast: Some(&none), kits: Some(&kits), ..RoundCtx::with_threads(1, 2) };
         let results = train_participants(&mut clients, &[0, 1, 2, 3], &ctx, one_epoch);
         assert_eq!(results.len(), 4);
         for c in &clients {
@@ -859,7 +867,9 @@ mod tests {
 
     #[test]
     fn after_a_lost_upload_the_next_broadcast_is_encoded_from_the_servers_slot() {
-        use crate::strategies::{Arrivals, Averaged, Collaboration, Next, Objective, Row, Strategy};
+        use crate::strategies::{
+            Arrivals, Averaged, Collaboration, Next, Objective, Row, Strategy,
+        };
         /// One slot per client, written with the client's own upload.
         struct Own;
         impl Objective for Own {
@@ -873,7 +883,8 @@ mod tests {
             }
             fn server(&mut self, round: Arrivals<'_, ParamTensor>) -> Collaboration {
                 let arrived = round.results.iter().enumerate();
-                let own = |p| Next::Row(Row { members: vec![p], weights: vec![1.0], divisor: None });
+                let own =
+                    |p| Next::Row(Row { members: vec![p], weights: vec![1.0], divisor: None });
                 arrived.map(|(p, r)| (r.client, own(p))).collect()
             }
         }
@@ -882,7 +893,11 @@ mod tests {
         let (t, legs) = (ChannelTransport::new(4), Legs::default());
         let mut round = |clients: &mut [Client], s: &RoundScript| {
             let w = wire(&t, s, &legs);
-            own.round(clients, &[0, 1], &RoundCtx { comms: Some(&w), ..RoundCtx::with_threads(1, 2) });
+            own.round(
+                clients,
+                &[0, 1],
+                &RoundCtx { comms: Some(&w), ..RoundCtx::with_threads(1, 2) },
+            );
         };
         // Round 1: both uploads arrive, and each slot is installed.
         round(&mut clients, &script(1, &[(0, &[OK], &[OK], true), (1, &[OK], &[OK], true)]));
@@ -897,7 +912,10 @@ mod tests {
         let coded = wire(&t, &s3, &down).dispatch(&[0], Some(own.store()), 0);
         let codec = quant_i8().unwrap();
         assert_eq!(coded[&0], encode_broadcast_coded(codec.as_ref(), &slot));
-        assert_ne!(coded[&0], encode_broadcast_coded(codec.as_ref(), clients[0].model.param_slice()));
+        assert_ne!(
+            coded[&0],
+            encode_broadcast_coded(codec.as_ref(), clients[0].model.param_slice())
+        );
     }
 
     #[test]

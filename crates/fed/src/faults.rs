@@ -91,9 +91,8 @@ impl FaultConfig {
                 "slow" => match val.split_once('x') {
                     Some((f, m)) => {
                         cfg.slow_frac = rate(f)?;
-                        cfg.slow_mult = m
-                            .parse()
-                            .map_err(|_| format!("bad multiplier '{m}' for slow"))?;
+                        cfg.slow_mult =
+                            m.parse().map_err(|_| format!("bad multiplier '{m}' for slow"))?;
                         if cfg.slow_mult < 1.0 {
                             return Err(format!("slow multiplier {m} must be ≥ 1"));
                         }
@@ -285,7 +284,14 @@ impl FaultPlan {
     }
 
     /// The fate of one message attempt.
-    fn attempt(&self, dir: u64, round: usize, resample: usize, client: usize, n: u32) -> AttemptFate {
+    fn attempt(
+        &self,
+        dir: u64,
+        round: usize,
+        resample: usize,
+        client: usize,
+        n: u32,
+    ) -> AttemptFate {
         let mut r = self.rng(&[dir, round as u64, resample as u64, client as u64, n as u64]);
         if r.random_bool(self.cfg.drop) {
             return AttemptFate::Drop;
@@ -293,11 +299,8 @@ impl FaultPlan {
         if r.random_bool(self.cfg.corrupt) {
             return AttemptFate::Corrupt { bit_seed: r.random::<u64>() };
         }
-        let delay_ms = if self.cfg.delay_ms > 0 {
-            r.random_range(0..2 * self.cfg.delay_ms + 1)
-        } else {
-            0
-        };
+        let delay_ms =
+            if self.cfg.delay_ms > 0 { r.random_range(0..2 * self.cfg.delay_ms + 1) } else { 0 };
         AttemptFate::Deliver { delay_ms }
     }
 
@@ -384,8 +387,7 @@ impl FaultPlan {
                 sim_ms: compute_done,
             });
         }
-        let retries =
-            (download.len().saturating_sub(1) + upload.len().saturating_sub(1)) as u32;
+        let retries = (download.len().saturating_sub(1) + upload.len().saturating_sub(1)) as u32;
         ClientFate {
             client,
             crashed: false,
@@ -492,7 +494,10 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_keys() {
-        let c = FaultConfig::parse("drop=0.1, corrupt=0.05,crash=0.02,delay=20,slow=0.25x8,compute=5,retries=2,backoff=10").unwrap();
+        let c = FaultConfig::parse(
+            "drop=0.1, corrupt=0.05,crash=0.02,delay=20,slow=0.25x8,compute=5,retries=2,backoff=10",
+        )
+        .unwrap();
         assert_eq!(c.drop, 0.1);
         assert_eq!(c.corrupt, 0.05);
         assert_eq!(c.crash, 0.02);
@@ -547,7 +552,8 @@ mod tests {
 
     #[test]
     fn deadline_rejects_stragglers_and_first_k_caps_acceptance() {
-        let cfg = FaultConfig { delay_ms: 50, slow_frac: 0.5, slow_mult: 10.0, ..FaultConfig::default() };
+        let cfg =
+            FaultConfig { delay_ms: 50, slow_frac: 0.5, slow_mult: 10.0, ..FaultConfig::default() };
         let plan = FaultPlan::new(cfg, 9);
         let sampled: Vec<usize> = (0..20).collect();
         let lax = RoundScript::build(&plan, 1, 0, &sampled, 20, 0);

@@ -30,13 +30,7 @@ pub struct FedGl {
 impl FedGl {
     /// Wraps `inner` with FedGL's global self-supervision.
     pub fn new(inner: Box<dyn Strategy>) -> Self {
-        Self {
-            inner,
-            confidence: 0.8,
-            weight: 0.5,
-            warmup: 2,
-            rounds_seen: 0,
-        }
+        Self { inner, confidence: 0.8, weight: 0.5, warmup: 2, rounds_seen: 0 }
     }
 
     /// Fuses per-node predictions across clients into global soft labels.
@@ -127,11 +121,7 @@ impl Strategy for FedGl {
                     any = true;
                 }
             }
-            pseudo.push(any.then_some(PseudoLabels {
-                targets,
-                mask,
-                weight: self.weight,
-            }));
+            pseudo.push(any.then_some(PseudoLabels { targets, mask, weight: self.weight }));
         }
         let ctx = RoundCtx { pseudo: Some(&pseudo), ..*ctx };
         self.inner.round(clients, participants, &ctx)
@@ -216,9 +206,6 @@ mod tests {
             s.round(&mut clients, &parts, &RoundCtx::plain(3));
         }
         let (_, confident) = s.fuse_predictions(&mut clients, &RoundCtx::plain(0));
-        assert!(
-            confident.iter().any(|&c| c),
-            "no node ever became confident"
-        );
+        assert!(confident.iter().any(|&c| c), "no node ever became confident");
     }
 }

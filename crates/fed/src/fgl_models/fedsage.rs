@@ -20,7 +20,7 @@
 //! graphs (the paper uses GraphSAGE locally).
 
 use crate::client::Client;
-use crate::strategies::{Row, RoundCtx, RoundStats, Strategy};
+use crate::strategies::{RoundCtx, RoundStats, Row, Strategy};
 use fedgta_graph::par::par_map_indexed;
 use fedgta_graph::EdgeList;
 use fedgta_nn::ops::spmm_csr;
@@ -138,7 +138,7 @@ impl FedSagePlus {
 
         // --- Build self-supervision views per client ---------------------
         struct GenTask {
-            input: Matrix,   // [x ‖ mean_neigh] on the visible subgraph
+            input: Matrix,    // [x ‖ mean_neigh] on the visible subgraph
             d_target: Matrix, // hidden-neighbor counts (n_vis × 1)
             f_target: Matrix, // hidden-neighbor feature centroids (n_vis × f)
             weight: f64,
@@ -357,12 +357,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FedSage+ generates raw neighbour features, but client 0's are propagated")]
+    #[should_panic(
+        expected = "FedSage+ generates raw neighbour features, but client 0's are propagated"
+    )]
     fn a_propagated_client_is_refused() {
-        let mend = |kind| FedSagePlus::new(Box::new(FedAvg::new())).mend_all(&mut small_federation(kind, 71), 0);
+        let mend = |kind| {
+            FedSagePlus::new(Box::new(FedAvg::new())).mend_all(&mut small_federation(kind, 71), 0)
+        };
         // A GCN client holds its first layer's `Â·X`.
         let gcn = std::panic::catch_unwind(|| mend(ModelKind::Gcn)).expect_err("GCN is refused");
-        assert!(gcn.downcast_ref::<String>().is_some_and(|m| m.contains("are propagated (Some((Sgc, 1)))")));
+        assert!(gcn
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("are propagated (Some((Sgc, 1)))")));
         mend(ModelKind::Sgc);
     }
 

@@ -37,14 +37,7 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        Self {
-            rounds: 50,
-            local_epochs: 3,
-            participation: 1.0,
-            eval_every: 1,
-            seed: 0,
-            threads: 0,
-        }
+        Self { rounds: 50, local_epochs: 3, participation: 1.0, eval_every: 1, seed: 0, threads: 0 }
     }
 }
 
@@ -282,7 +275,11 @@ impl Simulation {
                 participants_dropped: plan.participants.len() - plan.completed,
                 retries: plan.retries,
             };
-            let held = Held { kits: &self.kits, clients: &self.clients, store: self.strategy.store_bytes() };
+            let held = Held {
+                kits: &self.kits,
+                clients: &self.clients,
+                store: self.strategy.store_bytes(),
+            };
             publish_round(&mut round_span, &record, &strategy_name, aggregate_ns, held);
             records.push(record);
         }
@@ -441,8 +438,7 @@ impl Wire {
     ) -> RoundPlan {
         let cc = &self.cfg;
         let base_k = participation_k(n, participation);
-        let invite_k =
-            ((base_k as f64 * cc.oversample).round() as usize).clamp(base_k, n.max(1));
+        let invite_k = ((base_k as f64 * cc.oversample).round() as usize).clamp(base_k, n.max(1));
         let mut retries = 0u64;
         let mut resample = 0usize;
         loop {
@@ -658,10 +654,7 @@ fn record_script_faults(script: &RoundScript) {
 /// The best (maximum) test accuracy across records — the number the
 /// paper's tables report (best round over federated training).
 pub fn best_accuracy(records: &[RoundRecord]) -> f64 {
-    records
-        .iter()
-        .filter_map(|r| r.test_acc)
-        .fold(0.0, f64::max)
+    records.iter().filter_map(|r| r.test_acc).fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -677,12 +670,7 @@ mod tests {
         let mut sim = Simulation::new(
             clients,
             Box::new(FedAvg::new()),
-            SimConfig {
-                rounds: 10,
-                local_epochs: 2,
-                eval_every: 5,
-                ..SimConfig::default()
-            },
+            SimConfig { rounds: 10, local_epochs: 2, eval_every: 5, ..SimConfig::default() },
         );
         let records = sim.run();
         assert_eq!(records.len(), 10);
@@ -720,10 +708,7 @@ mod tests {
         let sim = Simulation::new(
             clients,
             Box::new(FedAvg::new()),
-            SimConfig {
-                participation: 0.5,
-                ..SimConfig::default()
-            },
+            SimConfig { participation: 0.5, ..SimConfig::default() },
         );
         let mut rng = StdRng::seed_from_u64(0);
         let p = sample_participants(sim.clients.len(), sim.config.participation, &mut rng);
@@ -767,10 +752,7 @@ mod tests {
         let sim = Simulation::new(
             clients,
             Box::new(FedAvg::new()),
-            SimConfig {
-                participation: 0.0,
-                ..SimConfig::default()
-            },
+            SimConfig { participation: 0.0, ..SimConfig::default() },
         );
         let mut rng = StdRng::seed_from_u64(0);
         let p = sample_participants(sim.clients.len(), sim.config.participation, &mut rng);

@@ -77,7 +77,13 @@ pub fn apply_rows(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], threads: us
 }
 
 /// [`apply_rows`] with the kernel's scratch pooled by the caller.
-fn apply_pooled(p: &[&[f32]], rows: &[Row], outs: &mut [Vec<f32>], scratch: &mut Vec<f32>, threads: usize) {
+fn apply_pooled(
+    p: &[&[f32]],
+    rows: &[Row],
+    outs: &mut [Vec<f32>],
+    scratch: &mut Vec<f32>,
+    threads: usize,
+) {
     assert_eq!(rows.len(), outs.len(), "one output per row");
     let plen = p.first().map_or(0, |r| r.len());
     let sources: Vec<Source<'_>> = p.iter().map(|&row| Source::Fixed(row)).collect();
@@ -135,7 +141,11 @@ fn apply_blocked(
     let edge = |w: usize| (w * blocks / workers * APPLY_BLOCK).min(plen);
     let mut parts: Vec<Part<'_>> = (0..workers)
         .zip(scratch.chunks_mut(stride))
-        .map(|(w, scratch)| Part { start: edge(w), cols: Vec::with_capacity(targets.len()), scratch })
+        .map(|(w, scratch)| Part {
+            start: edge(w),
+            cols: Vec::with_capacity(targets.len()),
+            scratch,
+        })
         .collect();
     for target in targets.iter_mut() {
         let mut rest: &mut [f32] = target;
@@ -159,7 +169,13 @@ fn apply_blocked(
                 Source::Target(t) => &cols[t][lo..hi],
             }));
             for (row, out) in rows.iter().zip(scratch.chunks_mut(APPLY_BLOCK)) {
-                weighted_sum_rows_into(&block, &row.members, &row.weights, row.divisor, &mut out[..hi - lo]);
+                weighted_sum_rows_into(
+                    &block,
+                    &row.members,
+                    &row.weights,
+                    row.divisor,
+                    &mut out[..hi - lo],
+                );
             }
             views = recycle(block);
             for (&t, out) in dest.iter().zip(scratch.chunks(APPLY_BLOCK)) {
@@ -321,17 +337,24 @@ impl Store {
         }
         if self.personal && in_memory {
             let arrivals = p.iter().map(|&(client, _)| client);
-            assert!(w.iter().map(|&(slot, _)| slot).eq(arrivals), "W writes the arrivals' slots, in arrival order");
+            assert!(
+                w.iter().map(|&(slot, _)| slot).eq(arrivals),
+                "W writes the arrivals' slots, in arrival order"
+            );
             let rows: Vec<Row> = (w.into_iter())
                 .map(|(slot, next)| match next {
                     Next::Row(row) => row,
-                    Next::Model(_) => panic!("slot {slot} lives in its client's model: W writes it with a row"),
+                    Next::Model(_) => {
+                        panic!("slot {slot} lives in its client's model: W writes it with a row")
+                    }
                 })
                 .collect();
             let mut models: Vec<Option<&mut [f32]>> =
                 clients.iter_mut().map(|c| Some(c.model.param_slice_mut())).collect();
-            let mut targets: Vec<&mut [f32]> =
-                p.iter().map(|&(client, _)| models[client].take().expect("one arrival per slot")).collect();
+            let mut targets: Vec<&mut [f32]> = p
+                .iter()
+                .map(|&(client, _)| models[client].take().expect("one arrival per slot"))
+                .collect();
             let sources: Vec<Source<'_>> = (p.iter().enumerate())
                 .map(|(m, &(_, own))| own.map_or(Source::Target(m), Source::Fixed))
                 .collect();
@@ -577,7 +600,8 @@ mod tests {
     fn uploads(n: usize, plen: usize, weight: impl Fn(usize) -> f64) -> Vec<(Vec<f32>, f64)> {
         (0..n)
             .map(|c| {
-                let p = (0..plen).map(|j| ((c * 131 + j * 17) as f32 * 0.071).sin() * 3.7).collect();
+                let p =
+                    (0..plen).map(|j| ((c * 131 + j * 17) as f32 * 0.071).sin() * 3.7).collect();
                 (p, weight(c))
             })
             .collect()
@@ -660,11 +684,7 @@ mod tests {
             s.round(&mut clients, &[2], &RoundCtx::plain(1));
             let p0 = clients[0].model.params();
             assert!(p0.iter().all(|v| v.is_finite()), "{}", s.name());
-            assert!(
-                clients.iter().all(|c| c.model.params() == p0),
-                "{}",
-                s.name()
-            );
+            assert!(clients.iter().all(|c| c.model.params() == p0), "{}", s.name());
         }
     }
 
@@ -684,7 +704,8 @@ mod tests {
                 (1, Next::Row(Row::average([(0, 1.0), (1, 1.0)]))),
                 (4, Next::Model(b.clone())),
             ];
-            let written = store.write(w, &mut clients, &[(0, Some(&a)), (2, Some(&b))], in_memory, 1);
+            let written =
+                store.write(w, &mut clients, &[(0, Some(&a)), (2, Some(&b))], in_memory, 1);
             assert_eq!(written, [false, true, false, false, true]);
             assert_eq!(store.install(&mut clients, &written), 1);
             assert_eq!(clients[1].model.params(), vec![2.0; plen]);
@@ -722,7 +743,8 @@ mod tests {
             }
             // In memory each slot is its client's model; on the wire it is
             // a buffer the client starts its next turn from.
-            let (bytes, start) = if in_memory { (0, None) } else { (2 * 4 * plen, Some(vec![2.0; plen])) };
+            let (bytes, start) =
+                if in_memory { (0, None) } else { (2 * 4 * plen, Some(vec![2.0; plen])) };
             assert_eq!(store.bytes(), bytes, "in memory: {in_memory}");
             assert_eq!(store.vector_for(2).map(<[f32]>::to_vec), start, "in memory: {in_memory}");
         }
@@ -773,7 +795,8 @@ mod tests {
         // Row `k` writes target `dest[k]`, listed out of order.
         let dest = [1usize, 0, 4, 2, 3, 6, 5];
         for plen in [5, APPLY_BLOCK, 2 * APPLY_BLOCK + 37] {
-            let models: Vec<Vec<f32>> = uploads(7, plen, |_| 0.0).into_iter().map(|u| u.0).collect();
+            let models: Vec<Vec<f32>> =
+                uploads(7, plen, |_| 0.0).into_iter().map(|u| u.0).collect();
             let filtered: Vec<f32> = models[dest[6]].iter().map(|v| v * 0.5 + 0.125).collect();
             let mut oracle_p: Vec<&[f32]> = (0..6).map(|m| models[dest[m]].as_slice()).collect();
             oracle_p.push(&filtered);
@@ -782,11 +805,16 @@ mod tests {
             for threads in [1, 4] {
                 let mut got = models.clone();
                 let mut targets: Vec<&mut [f32]> = got.iter_mut().map(Vec::as_mut_slice).collect();
-                let mut sources: Vec<Source<'_>> = dest[..6].iter().map(|&t| Source::Target(t)).collect();
+                let mut sources: Vec<Source<'_>> =
+                    dest[..6].iter().map(|&t| Source::Target(t)).collect();
                 sources.push(Source::Fixed(&filtered));
                 apply_blocked(&sources, &rows, &dest, &mut targets, &mut Vec::new(), threads);
                 for (k, &t) in dest.iter().enumerate() {
-                    assert_eq!(bits(&got[t]), bits(&want[k]), "row {k}, plen {plen}, {threads} threads");
+                    assert_eq!(
+                        bits(&got[t]),
+                        bits(&want[k]),
+                        "row {k}, plen {plen}, {threads} threads"
+                    );
                 }
             }
         }

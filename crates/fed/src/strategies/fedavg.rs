@@ -2,7 +2,9 @@
 //! (paper Eq. 2) — and the Local-only reference of Fig. 1(b).
 
 use super::averaged::{average, train_weighted};
-use super::{Arrivals, Averaged, Collaboration, Objective, RoundCtx, RoundStats, Strategy, Weighted};
+use super::{
+    Arrivals, Averaged, Collaboration, Objective, RoundCtx, RoundStats, Strategy, Weighted,
+};
 use crate::client::Client;
 use crate::exec::{mean_loss, train_participants};
 use fedgta_nn::TrainHooks;
@@ -59,10 +61,7 @@ impl Strategy for LocalOnly {
         ctx: &RoundCtx<'_>,
     ) -> RoundStats {
         let results = train_participants(clients, participants, ctx, |i, c| {
-            let mut hooks = TrainHooks {
-                pseudo: ctx.pseudo_for(i),
-                ..TrainHooks::none()
-            };
+            let mut hooks = TrainHooks { pseudo: ctx.pseudo_for(i), ..TrainHooks::none() };
             (c.train_local(ctx.epochs, &mut hooks), ())
         });
         RoundStats {
@@ -75,8 +74,8 @@ impl Strategy for LocalOnly {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

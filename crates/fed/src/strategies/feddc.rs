@@ -18,11 +18,7 @@ pub type FedDc = Averaged<DriftCorrected>;
 impl FedDc {
     /// Creates FedDC with penalty λ.
     pub fn new(lambda: f32) -> Self {
-        DriftCorrected {
-            lambda,
-            drift: Vec::new(),
-        }
-        .into()
+        DriftCorrected { lambda, drift: Vec::new() }.into()
     }
 }
 
@@ -68,9 +64,9 @@ impl Objective for DriftCorrected {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

@@ -61,10 +61,10 @@ impl Objective for Proximal {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::super::{l2_norm, sub};
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

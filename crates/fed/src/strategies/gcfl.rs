@@ -204,9 +204,9 @@ pub fn dtw_distance(a: &[Vec<f32>], b: &[Vec<f32>]) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

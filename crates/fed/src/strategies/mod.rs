@@ -16,8 +16,8 @@
 //! client. [`LocalOnly`] aggregates nothing and keeps a round of its own.
 
 pub mod averaged;
-pub mod feddc;
 pub mod fedavg;
+pub mod feddc;
 pub mod fedprox;
 pub mod gcfl;
 pub mod moon;
@@ -27,8 +27,8 @@ pub mod scaffold;
 pub use averaged::{
     apply_rows, Arrivals, Averaged, Collaboration, Next, Objective, Row, Store, Weighted,
 };
-pub use feddc::FedDc;
 pub use fedavg::{FedAvg, LocalOnly};
+pub use feddc::FedDc;
 pub use fedprox::FedProx;
 pub use gcfl::GcflPlus;
 pub use moon::Moon;

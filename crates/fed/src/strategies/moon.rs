@@ -17,12 +17,7 @@ pub type Moon = Averaged<Contrastive>;
 impl Moon {
     /// Creates MOON with contrastive weight `mu` and temperature `tau`.
     pub fn new(mu: f32, tau: f32) -> Self {
-        Contrastive {
-            mu,
-            tau,
-            prev: Vec::new(),
-        }
-        .into()
+        Contrastive { mu, tau, prev: Vec::new() }.into()
     }
 }
 
@@ -147,9 +142,9 @@ impl Objective for Contrastive {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

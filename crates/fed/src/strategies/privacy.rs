@@ -102,9 +102,9 @@ impl Strategy for DpUpload {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::FedAvg;
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]
@@ -121,12 +121,7 @@ mod tests {
         plain.round(&mut clients2, &[0, 1, 2, 3], &RoundCtx::plain(1));
         // reference + (current − reference) re-associates f32 ops, so
         // compare within rounding tolerance.
-        for (a, b) in clients[0]
-            .model
-            .params()
-            .iter()
-            .zip(clients2[0].model.params())
-        {
+        for (a, b) in clients[0].model.params().iter().zip(clients2[0].model.params()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
     }

@@ -39,11 +39,7 @@ pub struct Controlled {
 
 impl Default for Controlled {
     fn default() -> Self {
-        Self {
-            sgd_lr: 0.1,
-            c_server: Vec::new(),
-            c_clients: Vec::new(),
-        }
+        Self { sgd_lr: 0.1, c_server: Vec::new(), c_clients: Vec::new() }
     }
 }
 
@@ -122,9 +118,9 @@ impl Objective for Controlled {
 
 #[cfg(test)]
 mod tests {
-    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use super::super::Strategy;
     use super::*;
+    use crate::{eval::global_test_accuracy, strategies::test_support::small_federation};
     use fedgta_nn::models::ModelKind;
 
     #[test]

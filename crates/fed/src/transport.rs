@@ -417,10 +417,7 @@ impl WirePayload for Vec<f32> {
     fn decode(input: &mut &[u8]) -> Result<Self, IoError> {
         let n = u64::decode(input)? as usize;
         let bytes = take(input, n.checked_mul(4).ok_or(IoError::Corrupt("length overflow"))?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
     fn encode_coded(&self, router: &mut TensorRouter<'_>, out: &mut Vec<u8>) {
         router.next_codec().encode_tensor(self, out);
@@ -594,10 +591,7 @@ mod tests {
     #[test]
     fn unknown_endpoint_errors() {
         let t = ChannelTransport::new(1);
-        assert_eq!(
-            t.send(Endpoint::Client(5), vec![0]),
-            Err(TransportError::UnknownEndpoint)
-        );
+        assert_eq!(t.send(Endpoint::Client(5), vec![0]), Err(TransportError::UnknownEndpoint));
         assert!(t.drain(Endpoint::Client(5)).is_empty());
     }
 
@@ -611,11 +605,12 @@ mod tests {
             42usize,
         );
         let bytes = encode_upload(0.625f32, &payload);
-        let (loss, back): (f32, (Vec<f32>, f64, Vec<f32>, usize)) =
-            decode_upload(&bytes).unwrap();
+        let (loss, back): (f32, (Vec<f32>, f64, Vec<f32>, usize)) = decode_upload(&bytes).unwrap();
         assert_eq!(loss.to_bits(), 0.625f32.to_bits());
-        assert_eq!(back.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                   payload.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        assert_eq!(
+            back.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            payload.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
         assert_eq!(back.1.to_bits(), payload.1.to_bits());
         assert_eq!(back.3, 42);
     }
@@ -654,7 +649,10 @@ mod tests {
         check(&(Vec::<f32>::new(), (1.0f32, vec![2.0f32])));
         // An upload's raw length: the loss, then the payload.
         let payload = (vec![0.25f32; 9], 4usize);
-        assert_eq!(0.5f32.encoded_len() + payload.encoded_len(), encode_upload(0.5, &payload).len());
+        assert_eq!(
+            0.5f32.encoded_len() + payload.encoded_len(),
+            encode_upload(0.5, &payload).len()
+        );
     }
 
     #[test]
@@ -671,12 +669,8 @@ mod tests {
     #[test]
     fn coded_upload_roundtrips_and_rejects_mismatched_codec() {
         use crate::codec::CodecSpec;
-        let payload = (
-            vec![1.5f32, -2.0, 0.25, 9.0, -0.125],
-            0.123456789f64,
-            vec![9.75f32, 0.5],
-            42usize,
-        );
+        let payload =
+            (vec![1.5f32, -2.0, 0.25, 9.0, -0.125], 0.123456789f64, vec![9.75f32, 0.5], 42usize);
         // Lossless codec: bit-exact round-trip, scalars untouched.
         let ident = CodecSpec::parse("identity").unwrap().build();
         let bytes = encode_upload_routed(ident.as_ref(), None, 0.625, &payload);
@@ -707,15 +701,13 @@ mod tests {
 
     #[test]
     fn corrupt_frame_flips_exactly_one_bit() {
-        let clean = Envelope { kind: 1, round: 1, sender: 0, seq: 0, trace: None, payload: vec![0; 8] }.encode();
+        let clean =
+            Envelope { kind: 1, round: 1, sender: 0, seq: 0, trace: None, payload: vec![0; 8] }
+                .encode();
         for seed in [0u64, 13, 255, u64::MAX] {
             let mut bad = clean.clone();
             corrupt_frame(&mut bad, seed);
-            let diff: u32 = clean
-                .iter()
-                .zip(&bad)
-                .map(|(a, b)| (a ^ b).count_ones())
-                .sum();
+            let diff: u32 = clean.iter().zip(&bad).map(|(a, b)| (a ^ b).count_ones()).sum();
             assert_eq!(diff, 1);
             assert!(Envelope::decode(&bad).is_err());
         }

@@ -24,9 +24,7 @@
 
 use fedgta_fed::codec::{Chain, Codec, Identity, QuantI8, SketchQuant, TopK};
 use fedgta_fed::ef::EfTensor;
-use fedgta_fed::transport::{
-    corrupt_frame, decode_upload_routed, encode_upload_routed,
-};
+use fedgta_fed::transport::{corrupt_frame, decode_upload_routed, encode_upload_routed};
 use fedgta_graph::io::Envelope;
 use proptest::prelude::*;
 
@@ -54,7 +52,10 @@ fn tied_bits_tensor(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
         0x7fc0_0001, // NaN, another payload
         0x0000_0001, // smallest subnormal
     ];
-    proptest::collection::vec((0usize..POOL.len()).prop_map(|i| f32::from_bits(POOL[i])), 0..max_len)
+    proptest::collection::vec(
+        (0usize..POOL.len()).prop_map(|i| f32::from_bits(POOL[i])),
+        0..max_len,
+    )
 }
 
 fn finite_tensor(max_len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -74,10 +75,7 @@ fn ef_value() -> impl Strategy<Value = f32> {
 /// An equal-length `(tensor, residual)` pair.
 fn ef_pair(max_len: usize) -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     (1usize..max_len).prop_flat_map(|n| {
-        (
-            proptest::collection::vec(ef_value(), n..=n),
-            proptest::collection::vec(ef_value(), n..=n),
-        )
+        (proptest::collection::vec(ef_value(), n..=n), proptest::collection::vec(ef_value(), n..=n))
     })
 }
 
@@ -93,9 +91,7 @@ fn ef_round(codec: &dyn Codec, v: &[f32], r: &[f32]) -> (Vec<f64>, Vec<f32>, Vec
     let folded = ef.fold(v);
     let mut buf = Vec::new();
     codec.encode_tensor(&folded.fed, &mut buf);
-    let decoded = codec
-        .decode_tensor(&mut buf.as_slice())
-        .expect("own encoding decodes");
+    let decoded = codec.decode_tensor(&mut buf.as_slice()).expect("own encoding decodes");
     ef.commit(&folded, &decoded, true);
     (folded.target, decoded, ef.residual)
 }
@@ -351,7 +347,9 @@ fn retired_f16_wire_ids_are_rejected() {
     let mut body = vec![1u8, 2, 0, 0, 0, 0];
     body.extend_from_slice(&0.5f32.to_le_bytes());
     body.extend_from_slice(&repr);
-    for spec in ["identity", "quant-i8", "topk=64", "sketch=8", "topk=1+quant-i8", "topk=2+sketch=2"] {
+    for spec in
+        ["identity", "quant-i8", "topk=64", "sketch=8", "topk=1+quant-i8", "topk=2+sketch=2"]
+    {
         let codec = CodecSpec::parse(spec).unwrap().build();
         assert!(decode_upload_routed::<Vec<f32>>(codec.as_ref(), None, &body).is_err(), "{spec}");
         let sketch = SketchQuant { group: 7 };

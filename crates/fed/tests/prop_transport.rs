@@ -11,7 +11,9 @@
 
 use fedgta_fed::codec::{decode_header, Codec, QuantI8};
 use fedgta_fed::faults::{FaultConfig, FaultPlan, RoundScript};
-use fedgta_fed::transport::{corrupt_frame, decode_upload, decode_upload_routed, encode_upload, encode_upload_routed};
+use fedgta_fed::transport::{
+    corrupt_frame, decode_upload, decode_upload_routed, encode_upload, encode_upload_routed,
+};
 use fedgta_graph::io::Envelope;
 use proptest::prelude::*;
 
