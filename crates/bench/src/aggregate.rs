@@ -87,11 +87,7 @@ impl Uploads {
             );
             confidence.push(0.5 + rng.random::<f64>());
         }
-        Self {
-            params,
-            moments,
-            confidence,
-        }
+        Self { params, moments, confidence }
     }
 
     fn views(&self) -> Vec<ClientUpload<'_>> {
@@ -134,11 +130,7 @@ impl Grid {
 /// allocation counting when the host binary installed [`crate::alloc`].
 pub fn run(quick: bool, counter: Option<AllocCounter>) -> AggregateReport {
     let grid = Grid::new(quick);
-    let headline = if quick {
-        (grid.participants[0], grid.plens[0])
-    } else {
-        (32, 100_000)
-    };
+    let headline = if quick { (grid.participants[0], grid.plens[0]) } else { (32, 100_000) };
     let opts = AggregateOptions {
         epsilon: 0.0,
         epsilon_quantile: None,
@@ -260,14 +252,16 @@ pub fn to_json(r: &AggregateReport) -> String {
     ));
     s.push_str(&format!("  \"speedup_4v1\": {},\n", json_fixed(r.speedup_4v1, 3)));
     s.push_str(&format!("  \"bit_identical\": {},\n", r.bit_identical));
-    json_rows(&mut s, "results", &r.results, |c| [
-        ("participants", c.participants.to_string()),
-        ("plen", c.plen.to_string()),
-        ("threads", c.threads.to_string()),
-        ("ns_per_call", json_fixed(c.ns_per_call, 0)),
-        ("gbps", json_fixed(c.gbps, 4)),
-        ("allocs_per_call", json_opt(c.allocs_per_call)),
-    ]);
+    json_rows(&mut s, "results", &r.results, |c| {
+        [
+            ("participants", c.participants.to_string()),
+            ("plen", c.plen.to_string()),
+            ("threads", c.threads.to_string()),
+            ("ns_per_call", json_fixed(c.ns_per_call, 0)),
+            ("gbps", json_fixed(c.gbps, 4)),
+            ("allocs_per_call", json_opt(c.allocs_per_call)),
+        ]
+    });
     s.push_str("\n}\n");
     s
 }
@@ -301,10 +295,7 @@ pub fn render_table(r: &AggregateReport) -> String {
         "4-thread vs 1-thread at n={} plen={}: {:.2}x\n",
         r.headline.0, r.headline.1, r.speedup_4v1
     ));
-    s.push_str(&format!(
-        "outputs bit-identical across thread counts: {}\n",
-        r.bit_identical
-    ));
+    s.push_str(&format!("outputs bit-identical across thread counts: {}\n", r.bit_identical));
     s
 }
 
@@ -322,11 +313,7 @@ mod tests {
         let json = to_json(&r);
         assert!(json.contains("\"speedup_4v1\""));
         assert!(json.contains("\"bit_identical\": true"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON braces"
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count(), "unbalanced JSON braces");
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 

@@ -8,7 +8,10 @@ use crate::claims::{Cells, Claim, Verdict};
 use crate::format::Table;
 use crate::runner::{partition_benchmark, SplitKind};
 use fedgta::aggregate::{personalized_aggregate, AggregateOptions, ClientUpload};
-use fedgta::{label_propagation, local_smoothing_confidence, mixed_moments, FedGta, FedGtaConfig, SimilarityKind};
+use fedgta::{
+    label_propagation, local_smoothing_confidence, mixed_moments, FedGta, FedGtaConfig,
+    SimilarityKind,
+};
 use fedgta_data::{generate_from_spec, load_benchmark, Benchmark, DatasetSpec, Task, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::eval::global_test_accuracy;
@@ -83,7 +86,15 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
     });
     out.push_str("Table 1 (client side) — FedGTA metric computation vs subgraph size\n\n");
     let cols = [("LP+moments+conf (ms)", 2), ("per-edge (ns)", 1)];
-    push_table("table1/client", true, &["n (nodes)", "m (edges)"], &cols, rows.collect(), out, cells);
+    push_table(
+        "table1/client",
+        true,
+        &["n (nodes)", "m (edges)"],
+        &cols,
+        rows.collect(),
+        out,
+        cells,
+    );
 
     let (f, hidden, c) = (128usize, 64usize, 40usize);
     let params = f * hidden + hidden + hidden * c + c;
@@ -91,15 +102,28 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
     let floats = |label: String, n: usize| (vec![label], vec![n as f64, 4.0 * n as f64]);
     let rows = vec![
         floats("model weights (all strategies)".into(), params),
-        floats(format!("FedGTA extras (k={}, K={}, c={c})", cfg.k_lp, cfg.moment_order), sketch + 1),
+        floats(
+            format!("FedGTA extras (k={}, K={}, c={c})", cfg.k_lp, cfg.moment_order),
+            sketch + 1,
+        ),
     ];
     out.push_str("\nTable 1 (upload) — bytes per client upload\n\n");
-    push_table("table1/upload", false, &["component"], &[("floats", 0), ("bytes", 0)], rows, out, cells);
+    push_table(
+        "table1/upload",
+        false,
+        &["component"],
+        &[("floats", 0), ("bytes", 0)],
+        rows,
+        out,
+        cells,
+    );
 
     let participants: &[usize] = if full { &[10, 50, 100, 500] } else { &[10, 50, 100] };
     let rows = participants.iter().map(|&n| {
-        let all: Vec<Vec<f32>> = (0..n).map(|i| (0..params).map(|j| ((i * j) % 97) as f32 / 97.0).collect()).collect();
-        let sketches: Vec<Vec<f32>> = (0..n).map(|i| (0..sketch).map(|j| ((i + j) % 13) as f32 / 13.0).collect()).collect();
+        let all: Vec<Vec<f32>> =
+            (0..n).map(|i| (0..params).map(|j| ((i * j) % 97) as f32 / 97.0).collect()).collect();
+        let sketches: Vec<Vec<f32>> =
+            (0..n).map(|i| (0..sketch).map(|j| ((i + j) % 13) as f32 / 13.0).collect()).collect();
         let (_, fedavg) = timed("table1.fedavg_aggregate", || {
             let p: Vec<&[f32]> = all.iter().map(|p| p.as_slice()).collect();
             let mut global = Vec::new();
@@ -107,7 +131,12 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
             global
         });
         let uploads: Vec<ClientUpload<'_>> = (0..n)
-            .map(|i| ClientUpload { params: &all[i], confidence: 1.0 + i as f64, moments: &sketches[i], n_train: 10 })
+            .map(|i| ClientUpload {
+                params: &all[i],
+                confidence: 1.0 + i as f64,
+                moments: &sketches[i],
+                n_train: 10,
+            })
             .collect();
         let options = AggregateOptions {
             epsilon: 0.5,
@@ -116,7 +145,8 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
             use_moments: true,
             use_confidence: true,
         };
-        let (_, gta) = timed("table1.fedgta_aggregate", || personalized_aggregate(&uploads, &options));
+        let (_, gta) =
+            timed("table1.fedgta_aggregate", || personalized_aggregate(&uploads, &options));
         (vec![n.to_string()], vec![ms(fedavg), ms(gta)])
     });
     out.push_str("\nTable 1 (server side) — aggregation time vs participants\n\n");
@@ -131,11 +161,16 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
     let bench = load_benchmark(dataset, 0).expect("catalog dataset");
     let parts = partition_benchmark(&bench, SplitKind::Louvain, 10, 0);
     let rows = ModelKind::all().map(|kind| {
-        let mut clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(ModelConfig::paper(kind, 64, 0), false));
+        let mut clients = build_clients(
+            &bench,
+            &parts,
+            &ClientBuildConfig::paper(ModelConfig::paper(kind, 64, 0), false),
+        );
         // Cold includes GAMLP's one-time hop precompute (the decoupled
         // family propagated at client build); warm is the steady state.
         let seconds = ["table1.inference_cold", "table1.inference_warm"].map(|span| {
-            let (_, ns) = timed(span, || clients.iter_mut().for_each(|c| drop(c.model.predict(&c.data))));
+            let (_, ns) =
+                timed(span, || clients.iter_mut().for_each(|c| drop(c.model.predict(&c.data))));
             ns as f64 / 1e9
         });
         (vec![kind.name().to_string()], seconds.to_vec())
@@ -143,7 +178,15 @@ pub fn table1(full: bool, out: &mut String, cells: &mut Cells) {
     out.push_str(&format!(
         "\nTable 1 (inference) — federation-wide inference seconds on {dataset}, 10-client Louvain split\n\n"
     ));
-    push_table("table1/inference", true, &["model"], &[("cold (s)", 3), ("warm (s)", 3)], rows.into(), out, cells);
+    push_table(
+        "table1/inference",
+        true,
+        &["model"],
+        &[("cold (s)", 3), ("warm (s)", 3)],
+        rows.into(),
+        out,
+        cells,
+    );
 }
 
 /// Table 1's claim; its other three parts are timings.
@@ -164,12 +207,23 @@ pub const TABLE1: &[Claim] = &[Claim {
 /// (DESIGN.md §3); quick mode skips the two largest graphs.
 pub fn table2(full: bool, out: &mut String, cells: &mut Cells) {
     let header = [
-        "Dataset", "#Nodes", "#Features", "#Edges", "#Classes", "#Train/Val/Test", "#Task", "AvgDeg", "Homophily",
+        "Dataset",
+        "#Nodes",
+        "#Features",
+        "#Edges",
+        "#Classes",
+        "#Train/Val/Test",
+        "#Task",
+        "AvgDeg",
+        "Homophily",
     ];
     let mut table = Table::new(&header);
-    for spec in SPECS.iter().filter(|s| full || !["ogbn-papers100m", "ogbn-products"].contains(&s.name)) {
+    for spec in
+        SPECS.iter().filter(|s| full || !["ogbn-papers100m", "ogbn-products"].contains(&s.name))
+    {
         let b = load_benchmark(spec.name, 0).expect("catalog dataset");
-        let counts = [b.graph.num_nodes(), b.features.cols(), b.graph.num_edges() / 2, b.num_classes];
+        let counts =
+            [b.graph.num_nodes(), b.features.cols(), b.graph.num_edges() / 2, b.num_classes];
         for (col, n) in header[1..5].iter().zip(counts) {
             cells.push("table2", spec.name, col, n as f64, 0.0, 1, false);
         }
@@ -196,15 +250,22 @@ pub const TABLE2: &[Claim] = &[Claim {
         rows.dedup();
         let off: Vec<&str> = (rows.iter().copied())
             .filter(|row| {
-                let spec = SPECS.iter().find(|s| s.name == *row).expect("table2 rows are catalog names");
+                let spec =
+                    SPECS.iter().find(|s| s.name == *row).expect("table2 rows are catalog names");
                 [("#Nodes", spec.nodes), ("#Features", spec.features), ("#Classes", spec.classes)]
                     .iter()
-                    .any(|(col, want)| c.get("table2", row, col).is_none_or(|x| x.mean != *want as f64))
+                    .any(|(col, want)| {
+                        c.get("table2", row, col).is_none_or(|x| x.mean != *want as f64)
+                    })
             })
             .collect();
         Verdict {
             holds: Some(off.is_empty() && !rows.is_empty()),
-            measured: if off.is_empty() { format!("{} datasets match", rows.len()) } else { format!("off spec: {}", off.join(", ")) },
+            measured: if off.is_empty() {
+                format!("{} datasets match", rows.len())
+            } else {
+                format!("off spec: {}", off.join(", "))
+            },
         }
     },
 }];
@@ -217,13 +278,17 @@ fn label_heatmap(bench: &Benchmark, parts: &Partition, out: &mut String) -> Vec<
     for (v, &p) in parts.parts.iter().enumerate() {
         counts[p as usize][bench.labels[v] as usize] += 1;
     }
-    let header: Vec<String> = std::iter::once("client".to_string()).chain((0..classes).map(|j| format!("class{j}"))).collect();
+    let header: Vec<String> = std::iter::once("client".to_string())
+        .chain((0..classes).map(|j| format!("class{j}")))
+        .collect();
     let mut table = Table::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     for (i, row) in counts.iter().enumerate() {
         table.row(std::iter::once(i).chain(row.iter().copied()).map(|x| x.to_string()).collect());
     }
     out.push_str(&table.render());
-    let share = |row: &Vec<usize>| *row.iter().max().unwrap_or(&0) as f64 / row.iter().sum::<usize>().max(1) as f64;
+    let share = |row: &Vec<usize>| {
+        *row.iter().max().unwrap_or(&0) as f64 / row.iter().sum::<usize>().max(1) as f64
+    };
     counts.iter().map(share).collect()
 }
 
@@ -233,10 +298,15 @@ pub fn fig1a(_full: bool, out: &mut String, cells: &mut Cells) {
     let bench = load_benchmark("cora", 0).expect("cora");
     let uniform = 1.0 / bench.num_classes as f64;
     for split in [SplitKind::Louvain, SplitKind::Metis] {
-        out.push_str(&format!("\nFig. 1(a) — node counts per client × class, Cora, {} split\n\n", split.name()));
+        out.push_str(&format!(
+            "\nFig. 1(a) — node counts per client × class, Cora, {} split\n\n",
+            split.name()
+        ));
         let shares = label_heatmap(&bench, &partition_benchmark(&bench, split, 10, 0), out);
         let mean = shares.iter().sum::<f64>() / shares.len() as f64;
-        out.push_str(&format!("mean top-class share per client: {mean:.2} (uniform would be {uniform:.2})\n"));
+        out.push_str(&format!(
+            "mean top-class share per client: {mean:.2} (uniform would be {uniform:.2})\n"
+        ));
         cells.push("fig1a", split.name(), "top-class share", mean, 0.0, 1, false);
     }
     cells.push("fig1a", "uniform", "top-class share", uniform, 0.0, 1, false);
@@ -253,7 +323,11 @@ pub fn fig3(full: bool, out: &mut String, cells: &mut Cells) {
     out.push_str("Fig. 3(a) — label distribution per client, Amazon-Photo, Louvain 10 clients\n\n");
     label_heatmap(&bench, &parts, out);
 
-    let mut clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(ModelConfig::paper(ModelKind::Gamlp, 32, 1), false));
+    let mut clients = build_clients(
+        &bench,
+        &parts,
+        &ClientBuildConfig::paper(ModelConfig::paper(ModelKind::Gamlp, 32, 1), false),
+    );
     let mut strategy = FedGta::with_defaults();
     let all: Vec<usize> = (0..clients.len()).collect();
     let mut best = (0f64, None);
@@ -266,14 +340,21 @@ pub fn fig3(full: bool, out: &mut String, cells: &mut Cells) {
         }
     }
     let (acc, report) = (best.0, best.1.expect("at least one round"));
-    out.push_str(&format!("\nFig. 3(b) — aggregation report of the best round (acc {:.1}%)\n\n", 100.0 * acc));
+    out.push_str(&format!(
+        "\nFig. 3(b) — aggregation report of the best round (acc {:.1}%)\n\n",
+        100.0 * acc
+    ));
     out.push_str("similarity matrix (cosine over moment sketches):\n");
     for row in &report.similarity {
-        out.push_str(&format!("  [{}]\n", row.iter().map(|v| format!("{v:+.2}")).collect::<Vec<_>>().join(" ")));
+        out.push_str(&format!(
+            "  [{}]\n",
+            row.iter().map(|v| format!("{v:+.2}")).collect::<Vec<_>>().join(" ")
+        ));
     }
     out.push_str("\naggregation sets and confidence weights:\n");
     for (i, e) in report.entries.iter().enumerate() {
-        let members: Vec<String> = e.members.iter().zip(&e.weights).map(|(m, w)| format!("{m}:{w:.2}")).collect();
+        let members: Vec<String> =
+            e.members.iter().zip(&e.weights).map(|(m, w)| format!("{m}:{w:.2}")).collect();
         out.push_str(&format!("  client {i}: I = {{{}}}\n", members.join(", ")));
     }
     // What Eq. 6 must separate: over all clients, the least similar member
@@ -281,7 +362,9 @@ pub fn fig3(full: bool, out: &mut String, cells: &mut Cells) {
     let (n, report) = (report.entries.len(), &report);
     let sims = |inside: bool| {
         let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
-        pairs.filter(move |(i, j)| report.entries[*i].members.contains(j) == inside).map(|(i, j)| report.similarity[i][j] as f64)
+        pairs
+            .filter(move |(i, j)| report.entries[*i].members.contains(j) == inside)
+            .map(|(i, j)| report.similarity[i][j] as f64)
     };
     for (col, value) in [
         ("epsilon", report.epsilon as f64),
@@ -298,10 +381,13 @@ pub const FIG3: &[Claim] = &[Claim {
     paper: "Each client aggregates exactly with the clients whose moment similarity reaches ε",
     check: |c| {
         let get = |col| c.get("fig3", "report", col).map_or(f64::NAN, |x| x.mean);
-        let (eps, lo, hi) = (get("epsilon"), get("least similar member"), get("most similar outsider"));
+        let (eps, lo, hi) =
+            (get("epsilon"), get("least similar member"), get("most similar outsider"));
         Verdict {
             holds: Some(lo >= eps && hi < eps),
-            measured: format!("least similar member {lo:.2} ≥ ε = {eps} > most similar outsider {hi:.2}"),
+            measured: format!(
+                "least similar member {lo:.2} ≥ ε = {eps} > most similar outsider {hi:.2}"
+            ),
         }
     },
 }];

@@ -34,7 +34,10 @@ fn usage() -> String {
     format!("usage: repro <{}|all|{}> [--full] [--out <file>]", ids.join("|"), SUITES.join("|"))
 }
 
-fn parsed<T: std::str::FromStr>(flags: &BTreeMap<String, String>, flag: &str) -> Result<Option<T>, String> {
+fn parsed<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    flag: &str,
+) -> Result<Option<T>, String> {
     let parse = |v: &String| v.parse().map_err(|_| format!("cannot parse '{v}' for {flag}"));
     flags.get(flag).map(parse).transpose()
 }
@@ -134,7 +137,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     if let Some(flag) = flags.keys().next() {
         return Err(format!("{flag} belongs to the suites; '{target}' takes only --full"));
     }
-    let chosen: Vec<&'static Artefact> = ARTEFACTS.iter().filter(|a| target == "all" || a.id == target).collect();
+    let chosen: Vec<&'static Artefact> =
+        ARTEFACTS.iter().filter(|a| target == "all" || a.id == target).collect();
     if chosen.is_empty() {
         return Err(format!("unknown target '{target}'\n{}", usage()));
     }

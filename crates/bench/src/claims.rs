@@ -72,7 +72,16 @@ fn pm(c: &Cell) -> String {
 impl Cells {
     /// Records one cell.
     #[allow(clippy::too_many_arguments)]
-    pub fn push(&mut self, table: &str, row: &str, col: &str, mean: f64, std: f64, runs: usize, wall_clock: bool) {
+    pub fn push(
+        &mut self,
+        table: &str,
+        row: &str,
+        col: &str,
+        mean: f64,
+        std: f64,
+        runs: usize,
+        wall_clock: bool,
+    ) {
         let (table, row, col) = (table.to_string(), row.to_string(), col.to_string());
         self.0.push(Cell { table, row, col, mean, std, runs, wall_clock });
     }
@@ -101,8 +110,10 @@ impl Cells {
         let mut measured = Vec::new();
         for h in self.of(table).filter(|c| is_row(&c.row, hero) && col.is_none_or(|k| c.col == k)) {
             let group = &h.row[..h.row.len() - hero.len()];
-            let mut found: Vec<&Cell> =
-                rivals.iter().filter_map(|r| self.get(table, &format!("{group}{r}"), &h.col)).collect();
+            let mut found: Vec<&Cell> = rivals
+                .iter()
+                .filter_map(|r| self.get(table, &format!("{group}{r}"), &h.col))
+                .collect();
             found.sort_by(|a, b| b.mean.total_cmp(&a.mean));
             let Some(shown) = found.iter().find(|r| !rule(h, r)).or(found.first()) else {
                 continue;
@@ -133,7 +144,8 @@ impl Cells {
             .filter(|row| {
                 let group = row.rfind('|').map_or("", |i| &row[..=i]);
                 self.of(table).filter(|c| c.row == **row).all(|c| {
-                    self.get(table, &format!("{group}{anchor}"), &c.col).is_some_and(|a| pm(a) == pm(c))
+                    self.get(table, &format!("{group}{anchor}"), &c.col)
+                        .is_some_and(|a| pm(a) == pm(c))
                 })
             })
             .map(|row| row.replace('|', " "))
@@ -142,7 +154,10 @@ impl Cells {
         Verdict {
             holds: Some(twins.is_empty() && anchors > 0),
             measured: if twins.is_empty() {
-                format!("no row equals {anchor} in every cell ({} rows, {anchors} groups)", rows.len())
+                format!(
+                    "no row equals {anchor} in every cell ({} rows, {anchors} groups)",
+                    rows.len()
+                )
             } else {
                 format!("identical to {anchor} in every cell: {}", twins.join(", "))
             },

@@ -94,13 +94,7 @@ pub struct CommsReport {
 }
 
 /// The codec chains the sweep covers (plain baseline first).
-pub const CODECS: &[&str] = &[
-    "none",
-    "identity",
-    "quant-i8",
-    "topk=64",
-    "topk=64+quant-i8",
-];
+pub const CODECS: &[&str] = &["none", "identity", "quant-i8", "topk=64", "topk=64+quant-i8"];
 
 /// One sweep cell's communication configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,9 +120,7 @@ impl Cell {
     }
 
     fn label(&self) -> String {
-        let mut s = self
-            .codec
-            .map_or_else(|| "none".to_string(), spec_name);
+        let mut s = self.codec.map_or_else(|| "none".to_string(), spec_name);
         if self.ef {
             s.push_str("+ef");
         }
@@ -197,9 +189,8 @@ impl Grid {
                 fedgta_extra: Vec::new(),
             }
         } else {
-            let mut cells: Vec<Cell> = CODECS.iter().map(|c| {
-                Cell::plain((*c != "none").then_some(*c))
-            }).collect();
+            let mut cells: Vec<Cell> =
+                CODECS.iter().map(|c| Cell::plain((*c != "none").then_some(*c))).collect();
             cells.push(Cell { ef: true, ..Cell::plain(Some("topk=64")) });
             cells.push(Cell { ef: true, ..Cell::plain(Some("topk=64+quant-i8")) });
             Self {
@@ -356,9 +347,7 @@ pub fn run(quick: bool, over: &Overrides) -> CommsReport {
                 // committed grid sizes only — at override-shrunk round
                 // counts the residual may not have had time to bite, so
                 // warn instead of aborting a what-if sweep.
-                if let Some((_, bare)) =
-                    bare_acc.iter().find(|(c, _)| *c == cell.without_ef())
-                {
+                if let Some((_, bare)) = bare_acc.iter().find(|(c, _)| *c == cell.without_ef()) {
                     let default_size = over.rounds.is_none() && over.clients.is_none();
                     if default_size {
                         assert!(
@@ -424,23 +413,25 @@ pub fn to_json(r: &CommsReport) -> String {
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
     s.push_str(&format!("  \"dataset\": {},\n", json_str(&r.dataset)));
     s.push_str(&format!("  \"rounds\": {},\n", r.rounds));
-    json_rows(&mut s, "results", &r.results, |c| [
-        ("strategy", json_str(&c.strategy)),
-        ("codec", json_str(&c.codec)),
-        ("lossless", c.lossless.to_string()),
-        ("error_feedback", c.error_feedback.to_string()),
-        ("bytes_raw", c.bytes_raw.to_string()),
-        ("bytes_encoded", c.bytes_encoded.to_string()),
-        ("wire_reduction", json_fixed(c.wire_reduction, 3)),
-        ("bytes_down_raw", c.bytes_down_raw.to_string()),
-        ("bytes_down_encoded", c.bytes_down_encoded.to_string()),
-        ("down_reduction", json_opt(c.down_reduction.map(|v| json_fixed(v, 3)))),
-        ("value_compression", json_opt(c.value_compression.map(|v| json_fixed(v, 1)))),
-        ("best_acc", json_f64(c.best_acc)),
-        ("acc_delta_pp", json_fixed(c.acc_delta_pp, 2)),
-        ("bit_identical_threads", c.bit_identical_threads.to_string()),
-        ("matches_plain", json_opt(c.matches_plain)),
-    ]);
+    json_rows(&mut s, "results", &r.results, |c| {
+        [
+            ("strategy", json_str(&c.strategy)),
+            ("codec", json_str(&c.codec)),
+            ("lossless", c.lossless.to_string()),
+            ("error_feedback", c.error_feedback.to_string()),
+            ("bytes_raw", c.bytes_raw.to_string()),
+            ("bytes_encoded", c.bytes_encoded.to_string()),
+            ("wire_reduction", json_fixed(c.wire_reduction, 3)),
+            ("bytes_down_raw", c.bytes_down_raw.to_string()),
+            ("bytes_down_encoded", c.bytes_down_encoded.to_string()),
+            ("down_reduction", json_opt(c.down_reduction.map(|v| json_fixed(v, 3)))),
+            ("value_compression", json_opt(c.value_compression.map(|v| json_fixed(v, 1)))),
+            ("best_acc", json_f64(c.best_acc)),
+            ("acc_delta_pp", json_fixed(c.acc_delta_pp, 2)),
+            ("bit_identical_threads", c.bit_identical_threads.to_string()),
+            ("matches_plain", json_opt(c.matches_plain)),
+        ]
+    });
     s.push_str("\n}\n");
     s
 }
@@ -448,16 +439,8 @@ pub fn to_json(r: &CommsReport) -> String {
 /// Plain-text Pareto table for terminal output.
 pub fn render_table(r: &CommsReport) -> String {
     let mut t = Table::new(&[
-        "strategy",
-        "codec",
-        "raw KiB",
-        "enc KiB",
-        "wire x",
-        "down x",
-        "value x",
-        "best acc",
-        "Δpp",
-        "1t=4t",
+        "strategy", "codec", "raw KiB", "enc KiB", "wire x", "down x", "value x", "best acc",
+        "Δpp", "1t=4t",
     ]);
     for c in &r.results {
         t.row(vec![
@@ -466,22 +449,14 @@ pub fn render_table(r: &CommsReport) -> String {
             format!("{:.1}", c.bytes_raw as f64 / 1024.0),
             format!("{:.1}", c.bytes_encoded as f64 / 1024.0),
             format!("{:.2}", c.wire_reduction),
-            c.down_reduction
-                .map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
-            c.value_compression
-                .map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
+            c.down_reduction.map_or_else(|| "-".to_string(), |v| format!("{v:.2}")),
+            c.value_compression.map_or_else(|| "-".to_string(), |v| format!("{v:.1}")),
             format!("{:.3}", c.best_acc),
             format!("{:+.2}", c.acc_delta_pp),
             if c.bit_identical_threads { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    format!(
-        "comms bench ({} mode, {} rounds on {})\n{}",
-        r.mode,
-        r.rounds,
-        r.dataset,
-        t.render()
-    )
+    format!("comms bench ({} mode, {} rounds on {})\n{}", r.mode, r.rounds, r.dataset, t.render())
 }
 
 #[cfg(test)]
@@ -498,16 +473,9 @@ mod tests {
         assert_eq!(plain.bytes_raw, plain.bytes_encoded);
         let i8c = &r.results[1];
         assert_eq!(i8c.codec, "quant-i8");
-        assert!(
-            i8c.wire_reduction > 3.5,
-            "quant-i8 wire reduction {}",
-            i8c.wire_reduction
-        );
+        assert!(i8c.wire_reduction > 3.5, "quant-i8 wire reduction {}", i8c.wire_reduction);
         let chain = &r.results[3];
-        assert!(
-            chain.wire_reduction > i8c.wire_reduction,
-            "topk chain should beat bare quant-i8"
-        );
+        assert!(chain.wire_reduction > i8c.wire_reduction, "topk chain should beat bare quant-i8");
         // The EF twin keeps the chain's wire reduction (residual folding
         // changes the values, not the framing) and run() hard-asserted
         // it beats the bare chain's accuracy.

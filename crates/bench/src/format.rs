@@ -48,7 +48,8 @@ where
 {
     s.push_str(&format!("  \"{name}\": [\n"));
     for (i, row) in rows.iter().enumerate() {
-        let cells: Vec<String> = fields(row).into_iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+        let cells: Vec<String> =
+            fields(row).into_iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
         let comma = if i + 1 < rows.len() { "," } else { "" };
         s.push_str(&format!("    {{{}}}{comma}\n", cells.join(", ")));
     }
@@ -64,10 +65,7 @@ pub struct Table {
 impl Table {
     /// Starts a table with the given column headers.
     pub fn new(header: &[&str]) -> Self {
-        Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+        Self { header: header.iter().map(|s| s.to_string()).collect(), rows: Vec::new() }
     }
 
     /// Appends a row (must match the header width).

@@ -29,8 +29,7 @@ use fedgta_data::{generate_sbm, SbmConfig};
 use fedgta_graph::spmm::{spmm_axpby_into, spmm_into};
 use fedgta_graph::{normalized_adjacency, Csr, EdgeList, NormKind};
 use fedgta_nn::ops::{
-    self, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into,
-    softmax_rows_inplace,
+    self, matmul_bias_relu_into, matmul_into, matmul_nt_into, matmul_tn_into, softmax_rows_inplace,
 };
 use fedgta_nn::Matrix;
 use rand::rngs::StdRng;
@@ -265,7 +264,8 @@ fn measure_lp_step(grid: &Grid, rng: &mut StdRng) -> f64 {
         }
     };
     let ns_unfused = time_fn(unfused, grid.min_ns, grid.max_calls);
-    let ns_fused = time_fn(|| spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y), grid.min_ns, grid.max_calls);
+    let ns_fused =
+        time_fn(|| spmm_axpby_into(&a, x, cols, 0.5, 0.5, z, &mut y), grid.min_ns, grid.max_calls);
     ns_unfused / ns_fused
 }
 
@@ -426,7 +426,11 @@ pub(crate) enum Timing {
 impl Timing {
     /// Times `call`, then counts the allocations of one more call:
     /// `(ns per call, allocations)`.
-    pub(crate) fn measure(self, counter: Option<AllocCounter>, mut call: impl FnMut()) -> (f64, Option<u64>) {
+    pub(crate) fn measure(
+        self,
+        counter: Option<AllocCounter>,
+        mut call: impl FnMut(),
+    ) -> (f64, Option<u64>) {
         let ns = match self {
             Timing::Grid { min_ns, max_calls } => time_fn(&mut call, min_ns, max_calls),
             Timing::Small { budget_ns } => time_small(&mut call, budget_ns),
@@ -455,7 +459,16 @@ impl Cells {
     ) -> f64 {
         let (ns, allocs_per_call) = self.timing.measure(self.counter, call);
         let gflops = flops / ns;
-        self.results.push(KernelResult { kernel, variant, m, k, n, gflops, ns_per_call: ns, allocs_per_call });
+        self.results.push(KernelResult {
+            kernel,
+            variant,
+            m,
+            k,
+            n,
+            gflops,
+            ns_per_call: ns,
+            allocs_per_call,
+        });
         gflops
     }
 }
@@ -481,13 +494,19 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
             let mut out_dx = vec![0f32; n_rows * f_in];
             let (shape, flops) = ((n_rows, f_in, h), 2.0 * (n_rows * f_in * h) as f64);
             // Z = X · W, then the fused epilogue relu(X · W + b)
-            cells.record("matmul", "blocked", shape, flops, || matmul_into(x.view(), w.view(), &mut out_fwd));
+            cells.record("matmul", "blocked", shape, flops, || {
+                matmul_into(x.view(), w.view(), &mut out_fwd)
+            });
             cells.record("matmul_bias_relu", "blocked", shape, flops, || {
                 matmul_bias_relu_into(x.view(), w.view(), &bias, &mut out_fwd)
             });
             // dW = Xᵀ · dY and dX = dY · Wᵀ
-            cells.record("matmul_tn", "blocked", shape, flops, || matmul_tn_into(x.view(), dy.view(), &mut out_dw));
-            cells.record("matmul_nt", "blocked", shape, flops, || matmul_nt_into(dy.view(), w.view(), &mut out_dx));
+            cells.record("matmul_tn", "blocked", shape, flops, || {
+                matmul_tn_into(x.view(), dy.view(), &mut out_dw)
+            });
+            cells.record("matmul_nt", "blocked", shape, flops, || {
+                matmul_nt_into(dy.view(), w.view(), &mut out_dx)
+            });
 
             // spmm: Y = A · X over the ring lattice (≈10 nnz/row), then
             // label propagation's step Y = β·(A · X) + α·Z (dX from the
@@ -495,7 +514,9 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
             let a = lattice(n_rows);
             let mut y = vec![0f32; n_rows * f_in];
             let (shape, flops) = ((n_rows, f_in, f_in), 2.0 * (a.num_edges() * f_in) as f64);
-            cells.record("spmm", "blocked", shape, flops, || spmm_into(&a, x.as_slice(), f_in, &mut y));
+            cells.record("spmm", "blocked", shape, flops, || {
+                spmm_into(&a, x.as_slice(), f_in, &mut y)
+            });
             let z = out_dx.as_slice();
             cells.record("spmm_axpby", "blocked", shape, flops, || {
                 spmm_axpby_into(&a, x.as_slice(), f_in, 0.5, 0.5, z, &mut y)
@@ -540,7 +561,9 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
     let b = filled(d, d, &mut rng);
     let mut out = vec![0f32; d * d];
     let flops = 2.0 * (d * d * d) as f64;
-    let blocked_gflops = cells.record("matmul", "blocked", (d, d, d), flops, || matmul_into(a.view(), b.view(), &mut out));
+    let blocked_gflops = cells.record("matmul", "blocked", (d, d, d), flops, || {
+        matmul_into(a.view(), b.view(), &mut out)
+    });
     // The naive kernel allocates its output: it has no `_into` count.
     cells.counter = None;
     let naive_gflops = cells.record("matmul", "naive", (d, d, d), flops, || {
@@ -554,7 +577,9 @@ pub fn run(quick: bool, counter: Option<AllocCounter>) -> KernelReport {
 
     let matmul_tn_vs_matmul = results
         .iter()
-        .filter(|c| c.kernel == "matmul_tn" && grid.rows.contains(&c.m) && grid.feats.contains(&c.k))
+        .filter(|c| {
+            c.kernel == "matmul_tn" && grid.rows.contains(&c.m) && grid.feats.contains(&c.k)
+        })
         .map(|tn| {
             let fwd = results
                 .iter()
@@ -602,24 +627,28 @@ pub fn to_json(r: &KernelReport) -> String {
     ] {
         s.push_str(&format!("  \"{key}\": {},\n", json_fixed(v, 3)));
     }
-    json_rows(&mut s, "results", &r.results, |k| [
-        ("kernel", json_str(k.kernel)),
-        ("variant", json_str(k.variant)),
-        ("m", k.m.to_string()),
-        ("k", k.k.to_string()),
-        ("n", k.n.to_string()),
-        ("gflops", json_fixed(k.gflops, 4)),
-        ("ns_per_call", json_fixed(k.ns_per_call, 0)),
-        ("allocs_per_call", json_opt(k.allocs_per_call)),
-    ]);
+    json_rows(&mut s, "results", &r.results, |k| {
+        [
+            ("kernel", json_str(k.kernel)),
+            ("variant", json_str(k.variant)),
+            ("m", k.m.to_string()),
+            ("k", k.k.to_string()),
+            ("n", k.n.to_string()),
+            ("gflops", json_fixed(k.gflops, 4)),
+            ("ns_per_call", json_fixed(k.ns_per_call, 0)),
+            ("allocs_per_call", json_opt(k.allocs_per_call)),
+        ]
+    });
     s.push_str(",\n");
-    json_rows(&mut s, "soft_labels", &r.soft_labels, |k| [
-        ("kernel", json_str(k.kernel)),
-        ("rows", k.rows.to_string()),
-        ("cols", k.cols.to_string()),
-        ("ns_per_element", json_fixed(k.ns_per_element, 3)),
-        ("vs_scalar_libm", json_fixed(k.vs_scalar_libm, 3)),
-    ]);
+    json_rows(&mut s, "soft_labels", &r.soft_labels, |k| {
+        [
+            ("kernel", json_str(k.kernel)),
+            ("rows", k.rows.to_string()),
+            ("cols", k.cols.to_string()),
+            ("ns_per_element", json_fixed(k.ns_per_element, 3)),
+            ("vs_scalar_libm", json_fixed(k.vs_scalar_libm, 3)),
+        ]
+    });
     s.push_str("\n}\n");
     s
 }
@@ -684,11 +713,17 @@ pub fn bars(r: &KernelReport) -> Result<(), String> {
     // The weight-gradient kernel runs on the forward micro-kernel; what it
     // pays on top is the transpose-pack, and that must stay a minor share.
     if r.matmul_tn_vs_matmul < 0.6 {
-        return Err(format!("matmul_tn only {:.2}x matmul at its worst grid cell (need >= 0.6x)", r.matmul_tn_vs_matmul));
+        return Err(format!(
+            "matmul_tn only {:.2}x matmul at its worst grid cell (need >= 0.6x)",
+            r.matmul_tn_vs_matmul
+        ));
     }
     // Compiled-in hooks at ObsLevel::Off, and the same with the flight
     // recorder armed (it records per span, never per kernel op).
-    for (what, pct) in [("ObsLevel::Off hook", r.obs_overhead_pct), ("flight-recorder-armed hook", r.recorder_overhead_pct)] {
+    for (what, pct) in [
+        ("ObsLevel::Off hook", r.obs_overhead_pct),
+        ("flight-recorder-armed hook", r.recorder_overhead_pct),
+    ] {
         if pct > 2.0 {
             return Err(format!("{what} overhead {pct:.2}% exceeds 2% budget"));
         }
@@ -712,11 +747,8 @@ mod tests {
                 "small-shape cell {kernel} {m}x{k}x{n}"
             );
         }
-        let client = r
-            .results
-            .iter()
-            .find(|k| k.kernel == "spmm_sbm_client")
-            .expect("client-shaped cell");
+        let client =
+            r.results.iter().find(|k| k.kernel == "spmm_sbm_client").expect("client-shaped cell");
         assert_eq!((client.m, client.k), (SBM_CLIENT.0, SBM_CLIENT.2));
         assert!(r.results.iter().all(|k| k.gflops > 0.0));
         let json = to_json(&r);
@@ -734,11 +766,7 @@ mod tests {
         assert!(json.contains("\"kernel\": \"softmax\""));
         assert!(json.contains("\"kernel\": \"eq4_entropy\""));
         // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON braces"
-        );
+        assert_eq!(json.matches('{').count(), json.matches('}').count(), "unbalanced JSON braces");
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 

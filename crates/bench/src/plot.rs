@@ -84,10 +84,7 @@ mod tests {
 
     #[test]
     fn single_series_renders_its_glyph_and_legend() {
-        let s = Series {
-            name: "FedGTA".into(),
-            points: vec![(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)],
-        };
+        let s = Series { name: "FedGTA".into(), points: vec![(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)] };
         let chart = render_chart(&[s], 20, 6);
         assert!(chart.contains('*'));
         assert!(chart.contains("legend: * FedGTA"));
@@ -98,24 +95,15 @@ mod tests {
 
     #[test]
     fn two_series_use_distinct_glyphs() {
-        let a = Series {
-            name: "a".into(),
-            points: vec![(0.0, 0.0), (1.0, 1.0)],
-        };
-        let b = Series {
-            name: "b".into(),
-            points: vec![(0.0, 1.0), (1.0, 0.0)],
-        };
+        let a = Series { name: "a".into(), points: vec![(0.0, 0.0), (1.0, 1.0)] };
+        let b = Series { name: "b".into(), points: vec![(0.0, 1.0), (1.0, 0.0)] };
         let chart = render_chart(&[a, b], 15, 5);
         assert!(chart.contains('*') && chart.contains('o'));
     }
 
     #[test]
     fn constant_series_does_not_divide_by_zero() {
-        let s = Series {
-            name: "flat".into(),
-            points: vec![(0.0, 0.7), (5.0, 0.7)],
-        };
+        let s = Series { name: "flat".into(), points: vec![(0.0, 0.7), (5.0, 0.7)] };
         let chart = render_chart(&[s], 12, 4);
         assert!(chart.contains('*'));
     }

@@ -58,7 +58,9 @@ impl CellFmt {
         let at = |n: usize| (1..=n).map(move |i| &hist[i * hist.len() / n - 1]);
         let last = hist.last().expect("at least one round");
         match self {
-            CellFmt::MeanStd | CellFmt::Mean => vec![(self.scalar(r.mean, r.std), r.mean, r.std, false)],
+            CellFmt::MeanStd | CellFmt::Mean => {
+                vec![(self.scalar(r.mean, r.std), r.mean, r.std, false)]
+            }
             CellFmt::SecPerRound => {
                 let s = last.cumulative_s / e.rounds as f64;
                 vec![(format!("{s:.2}"), s, 0.0, true)]
@@ -68,7 +70,14 @@ impl CellFmt {
                 .chain([(self.scalar(r.mean, r.std), r.mean, r.std, false)])
                 .collect(),
             CellFmt::Clock(n) => at(n)
-                .map(|rec| (format!("{:.1}@{:.0}s", 100.0 * acc(rec), rec.cumulative_s), acc(rec), 0.0, false))
+                .map(|rec| {
+                    (
+                        format!("{:.1}@{:.0}s", 100.0 * acc(rec), rec.cumulative_s),
+                        acc(rec),
+                        0.0,
+                        false,
+                    )
+                })
                 .chain([
                     (self.scalar(acc(last), 0.0), acc(last), 0.0, false),
                     (format!("{:.1}", last.cumulative_s), last.cumulative_s, 0.0, true),
@@ -101,12 +110,16 @@ pub struct RowSpec {
 impl RowSpec {
     /// A row from its labels and cells.
     pub fn new(labels: &[&str], cells: impl IntoIterator<Item = CellSpec>) -> Self {
-        Self { labels: labels.iter().map(|s| s.to_string()).collect(), cells: cells.into_iter().collect() }
+        Self {
+            labels: labels.iter().map(|s| s.to_string()).collect(),
+            cells: cells.into_iter().collect(),
+        }
     }
 
     /// Columns the row fills under `fmt`.
     pub fn width(&self, fmt: CellFmt) -> usize {
-        let cells = self.cells.iter().map(|c| if matches!(c, CellSpec::Run(_)) { fmt.width() } else { 1 });
+        let cells =
+            self.cells.iter().map(|c| if matches!(c, CellSpec::Run(_)) { fmt.width() } else { 1 });
         self.labels.len() + cells.sum::<usize>()
     }
 }
@@ -163,9 +176,20 @@ pub fn run_table(spec: &TableSpec, out: &mut String, cells: &mut Cells) {
                     let r = run_experiment(e);
                     if spec.chart.is_some() {
                         let clock = matches!(spec.fmt, CellFmt::Clock(_));
-                        let x = |rec: &RoundRecord| if clock { rec.cumulative_s } else { rec.round as f64 };
-                        let points = r.histories[0].iter().filter_map(|rec| Some((x(rec), 100.0 * rec.test_acc?)));
-                        series.push(Series { name: e.strategy.label.to_string(), points: points.collect() });
+                        let x = |rec: &RoundRecord| {
+                            if clock {
+                                rec.cumulative_s
+                            } else {
+                                rec.round as f64
+                            }
+                        };
+                        let points = r.histories[0]
+                            .iter()
+                            .filter_map(|rec| Some((x(rec), 100.0 * rec.test_acc?)));
+                        series.push(Series {
+                            name: e.strategy.label.to_string(),
+                            points: points.collect(),
+                        });
                     }
                     (e.runs, spec.fmt.render(e, &r))
                 }
@@ -212,8 +236,16 @@ pub const ARTEFACTS: &[Artefact] = &[
     Artefact { id: "table3", parts: &[Part::Grid(tables::table3)], claims: tables::TABLE3 },
     Artefact { id: "table4", parts: &[Part::Grid(tables::table4)], claims: tables::TABLE4 },
     Artefact { id: "table5", parts: &[Part::Grid(tables::table5)], claims: tables::TABLE5 },
-    Artefact { id: "table6", parts: &[Part::Grid(tables::table6), Part::Grid(tables::sweep)], claims: tables::TABLE6 },
-    Artefact { id: "fig1", parts: &[Part::Custom(artefacts::fig1a), Part::Grid(tables::fig1b)], claims: tables::FIG1 },
+    Artefact {
+        id: "table6",
+        parts: &[Part::Grid(tables::table6), Part::Grid(tables::sweep)],
+        claims: tables::TABLE6,
+    },
+    Artefact {
+        id: "fig1",
+        parts: &[Part::Custom(artefacts::fig1a), Part::Grid(tables::fig1b)],
+        claims: tables::FIG1,
+    },
     Artefact { id: "fig3", parts: &[Part::Custom(artefacts::fig3)], claims: artefacts::FIG3 },
     Artefact { id: "fig4", parts: &[Part::Grid(tables::fig4)], claims: tables::FIG4 },
     Artefact { id: "fig5", parts: &[Part::Grid(tables::fig5)], claims: tables::FIG5 },
@@ -238,7 +270,9 @@ pub fn run(artefacts: &[&'static Artefact], full: bool) -> Report {
         let mut text = String::new();
         for part in a.parts {
             match part {
-                Part::Grid(specs) => specs(full).iter().for_each(|s| run_table(s, &mut text, &mut report.cells)),
+                Part::Grid(specs) => {
+                    specs(full).iter().for_each(|s| run_table(s, &mut text, &mut report.cells))
+                }
                 Part::Custom(f) => f(full, &mut text, &mut report.cells),
             }
         }
@@ -298,7 +332,10 @@ impl Report {
                 None => "not judged",
             };
             let deviation = deviation_of(c.id).map_or("—".to_string(), |d| format!("#{d}"));
-            s.push_str(&format!("| `{}` | {artefact} | {} | {} | {verdict} | {deviation} |\n", c.id, c.paper, v.measured));
+            s.push_str(&format!(
+                "| `{}` | {artefact} | {} | {} | {verdict} | {deviation} |\n",
+                c.id, c.paper, v.measured
+            ));
         }
         s.push_str("\n## Deviations\n\nWhere the tip disagrees with the paper. Recorded, not yet explained (ROADMAP item 1c).\n\n");
         for (i, Deviation(claims, what)) in tables::DEVIATIONS.iter().enumerate() {
@@ -312,15 +349,27 @@ impl Report {
     pub fn flipped(&self, committed: &str) -> Vec<String> {
         let recorded: Vec<(String, Option<bool>)> = committed
             .lines()
-            .filter_map(|l| fedgta_obs::trace::parse_flat_object(l.trim().trim_end_matches(',')).ok())
-            .filter_map(|o| Some((o.get("id")?.as_str()?.to_string(), o.get("holds")?.as_f64().map(|h| h != 0.0))))
+            .filter_map(|l| {
+                fedgta_obs::trace::parse_flat_object(l.trim().trim_end_matches(',')).ok()
+            })
+            .filter_map(|o| {
+                Some((
+                    o.get("id")?.as_str()?.to_string(),
+                    o.get("holds")?.as_f64().map(|h| h != 0.0),
+                ))
+            })
             .collect();
         let mut flips = Vec::new();
         for (_, c, v) in &self.verdicts {
             let was = recorded.iter().find(|(id, _)| id == c.id).map(|r| r.1);
             if was != Some(v.holds) {
                 let was = was.map_or("nothing".to_string(), holds_str);
-                flips.push(format!("{}: recorded {was}, measured {} — {}", c.id, holds_str(v.holds), v.measured));
+                flips.push(format!(
+                    "{}: recorded {was}, measured {} — {}",
+                    c.id,
+                    holds_str(v.holds),
+                    v.measured
+                ));
             }
         }
         flips

@@ -5,11 +5,15 @@ use fedgta_data::{load_benchmark, Benchmark};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::fgl_models::{FedGl, FedSagePlus};
 use fedgta_fed::round::{best_accuracy, RoundRecord, SimConfig, Simulation};
-use fedgta_fed::strategies::{FedAvg, FedDc, FedProx, GcflPlus, LocalOnly, Moon, Scaffold, Strategy};
+use fedgta_fed::strategies::{
+    FedAvg, FedDc, FedProx, GcflPlus, LocalOnly, Moon, Scaffold, Strategy,
+};
 use fedgta_nn::metrics::accuracy;
 use fedgta_nn::models::{build_model, ModelConfig, ModelKind};
 use fedgta_nn::{Adam, TrainHooks};
-use fedgta_partition::{communities_to_clients, louvain, metis_kway, LouvainConfig, MetisConfig, Partition};
+use fedgta_partition::{
+    communities_to_clients, louvain, metis_kway, LouvainConfig, MetisConfig, Partition,
+};
 
 /// Which federated split simulation to use (paper §4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +36,16 @@ impl SplitKind {
 
 /// The strategy names the runner accepts.
 pub const STRATEGY_NAMES: &[&str] = &[
-    "Local", "FedAvg", "FedProx", "Scaffold", "MOON", "FedDC", "GCFL+", "FedGTA",
-    "FedGTA-noMom", "FedGTA-noConf",
+    "Local",
+    "FedAvg",
+    "FedProx",
+    "Scaffold",
+    "MOON",
+    "FedDC",
+    "GCFL+",
+    "FedGTA",
+    "FedGTA-noMom",
+    "FedGTA-noConf",
 ];
 
 /// What a table cell trains with: the label its row prints and a
@@ -95,29 +107,19 @@ pub fn partition_benchmark(
             for resolution in [1.0f64, 2.0, 4.0, 8.0, 16.0] {
                 let comm = louvain(
                     &bench.graph,
-                    &LouvainConfig {
-                        seed,
-                        resolution,
-                        ..LouvainConfig::default()
-                    },
+                    &LouvainConfig { seed, resolution, ..LouvainConfig::default() },
                 );
                 if comm.num_parts >= n_clients {
-                    return communities_to_clients(&comm, n_clients)
-                        .expect("enough communities");
+                    return communities_to_clients(&comm, n_clients).expect("enough communities");
                 }
             }
             metis_kway(&bench.graph, n_clients, &MetisConfig { seed, ..MetisConfig::default() })
                 .expect("valid k")
         }
-        SplitKind::Metis => metis_kway(
-            &bench.graph,
-            n_clients,
-            &MetisConfig {
-                seed,
-                ..MetisConfig::default()
-            },
-        )
-        .expect("valid k"),
+        SplitKind::Metis => {
+            metis_kway(&bench.graph, n_clients, &MetisConfig { seed, ..MetisConfig::default() })
+                .expect("valid k")
+        }
     }
 }
 
@@ -219,11 +221,7 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
         histories.push(records);
     }
     let (mean, std) = mean_std(&bests);
-    ExperimentResult {
-        mean,
-        std,
-        histories,
-    }
+    ExperimentResult { mean, std, histories }
 }
 
 /// The "Global" reference of Table 3 and Fig. 1(b): the cell's model
@@ -277,12 +275,17 @@ mod tests {
         use fedgta_fed::strategies::test_support::small_federation;
         use fedgta_fed::strategies::{RoundCtx, RoundStats};
         let bits = |clients: &[Client]| -> Vec<Vec<u32>> {
-            clients.iter().map(|c| c.model.param_slice().iter().map(|v| v.to_bits()).collect()).collect()
+            clients
+                .iter()
+                .map(|c| c.model.param_slice().iter().map(|v| v.to_bits()).collect())
+                .collect()
         };
-        let wrapped = STRATEGY_NAMES.iter().flat_map(|n| [format!("FedGL+{n}"), format!("FedSage++{n}")]);
+        let wrapped =
+            STRATEGY_NAMES.iter().flat_map(|n| [format!("FedGL+{n}"), format!("FedSage++{n}")]);
         for name in STRATEGY_NAMES.iter().map(|n| n.to_string()).chain(wrapped) {
             // FedSage+ mends raw features, which only a SAGE (or GAMLP) client still holds.
-            let model = if name.starts_with("FedSage++") { ModelKind::Sage } else { ModelKind::Gcn };
+            let model =
+                if name.starts_with("FedSage++") { ModelKind::Sage } else { ModelKind::Gcn };
             let mut clients = small_federation(model, 3);
             let before = bits(&clients);
             let stats = make_strategy(&name).round(&mut clients, &[], &RoundCtx::plain(1));

@@ -248,14 +248,21 @@ fn time_spmm(reps: usize, mut spmm: impl FnMut()) -> f64 {
 
 /// Runs one SpMM throughput cell; returns the cell and (when
 /// `keep_raw`) the generated raw graph for reuse.
-pub fn run_cell(n: usize, avg_degree: f64, seed: u64, dir: &Path, keep_raw: bool) -> (ScaleCell, Option<RawGraph>) {
+pub fn run_cell(
+    n: usize,
+    avg_degree: f64,
+    seed: u64,
+    dir: &Path,
+    keep_raw: bool,
+) -> (ScaleCell, Option<RawGraph>) {
     let raw = generate_raw(n, avg_degree, seed, dir).expect("streamed SBM generation");
     let gen_s = raw.gen_s;
     let norm_path = dir.join(format!("scale-norm-{n}-{seed}.fgta2"));
     let t0 = Instant::now();
     let raw_store = ChunkedCsr::open(&raw.path).expect("open raw v2");
     let writer = CsrV2Writer::create(&norm_path, n, CHUNK_ROWS).expect("create norm v2");
-    let summary = normalize_stream(&raw_store, NormKind::Symmetric, writer).expect("streamed normalization");
+    let summary =
+        normalize_stream(&raw_store, NormKind::Symmetric, writer).expect("streamed normalization");
     drop(raw_store);
     let norm_s = t0.elapsed().as_secs_f64();
     let edges = summary.edges as usize;
@@ -340,10 +347,7 @@ fn extract_client_graphs(store: &ChunkedCsr, n: usize, clients: usize) -> Vec<fe
             let (lo, hi) = (ranges[cur].start as u32, ranges[cur].end as u32);
             row.clear();
             row.extend(
-                tile.row_neighbors(r)
-                    .iter()
-                    .filter(|&&v| v >= lo && v < hi)
-                    .map(|&v| v - lo),
+                tile.row_neighbors(r).iter().filter(|&&v| v >= lo && v < hi).map(|&v| v - lo),
             );
             builders[cur].push_row(&row, None).expect("in-range row");
         }
@@ -371,7 +375,12 @@ pub fn build_scale_clients(raw: &RawGraph, clients: usize, seed: u64) -> Vec<Cli
             let (mut train, mut val, mut test) = (Vec::new(), Vec::new(), Vec::new());
             for (local, &lab) in labels.iter().enumerate() {
                 let g_id = (range.start + local) as u32;
-                node_features(g_id, lab, seed, &mut feats[local * FEATURE_DIM..(local + 1) * FEATURE_DIM]);
+                node_features(
+                    g_id,
+                    lab,
+                    seed,
+                    &mut feats[local * FEATURE_DIM..(local + 1) * FEATURE_DIM],
+                );
                 match node_split(g_id, seed) {
                     0 => train.push(local as u32),
                     1 => val.push(local as u32),
@@ -415,7 +424,13 @@ pub fn vm_hwm_bytes() -> Option<u64> {
 }
 
 /// Runs the federated section on an already-generated raw graph.
-pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation: f64, seed: u64) -> ScaleFedStats {
+pub fn run_fed(
+    raw: &RawGraph,
+    grid_clients: usize,
+    rounds: usize,
+    participation: f64,
+    seed: u64,
+) -> ScaleFedStats {
     // The memory proof reads the workspace high-water gauge, which only
     // records while metrics are armed.
     fedgta_obs::set_level(fedgta_obs::ObsLevel::Metrics);
@@ -428,14 +443,7 @@ pub fn run_fed(raw: &RawGraph, grid_clients: usize, rounds: usize, participation
     let mut sim = Simulation::new(
         clients,
         make_strategy("FedGTA"),
-        SimConfig {
-            rounds,
-            local_epochs: 2,
-            participation,
-            eval_every: 1,
-            seed,
-            threads: 0,
-        },
+        SimConfig { rounds, local_epochs: 2, participation, eval_every: 1, seed, threads: 0 },
     );
     let records = sim.run();
     let run_s = t0.elapsed().as_secs_f64();
@@ -501,15 +509,12 @@ pub fn run(quick: bool) -> ScaleReport {
         cells.push(cell);
     }
     let raw = fed_raw.unwrap_or_else(|| {
-        generate_raw(grid.fed_nodes, grid.fed_avg_degree, seed, &dir).expect("streamed SBM generation")
+        generate_raw(grid.fed_nodes, grid.fed_avg_degree, seed, &dir)
+            .expect("streamed SBM generation")
     });
     let fed = run_fed(&raw, grid.fed_clients, grid.fed_rounds, grid.participation, seed);
     let _ = std::fs::remove_file(&raw.path);
-    ScaleReport {
-        mode: if quick { "quick" } else { "full" },
-        cells,
-        fed,
-    }
+    ScaleReport { mode: if quick { "quick" } else { "full" }, cells, fed }
 }
 
 /// Hand-rolled JSON via the [`crate::format`] helpers.
@@ -518,19 +523,21 @@ pub fn to_json(r: &ScaleReport) -> String {
     s.push_str("{\n");
     s.push_str(&format!("  \"mode\": {},\n", json_str(r.mode)));
     s.push_str(&format!("  \"memory_budget_bytes\": {},\n", MEMORY_BUDGET_BYTES));
-    json_rows(&mut s, "cells", &r.cells, |c| [
-        ("nodes", c.nodes.to_string()),
-        ("edges", c.edges.to_string()),
-        ("cols", c.cols.to_string()),
-        ("gen_s", json_fixed(c.gen_s, 3)),
-        ("norm_s", json_fixed(c.norm_s, 3)),
-        ("mem_1t_s", json_fixed(c.mem_1t_s, 4)),
-        ("mem_4t_s", json_fixed(c.mem_4t_s, 4)),
-        ("disk_1t_s", json_fixed(c.disk_1t_s, 4)),
-        ("disk_4t_s", json_fixed(c.disk_4t_s, 4)),
-        ("disk_edges_per_s", json_fixed(c.disk_edges_per_s, 0)),
-        ("bit_identical", c.bit_identical.to_string()),
-    ]);
+    json_rows(&mut s, "cells", &r.cells, |c| {
+        [
+            ("nodes", c.nodes.to_string()),
+            ("edges", c.edges.to_string()),
+            ("cols", c.cols.to_string()),
+            ("gen_s", json_fixed(c.gen_s, 3)),
+            ("norm_s", json_fixed(c.norm_s, 3)),
+            ("mem_1t_s", json_fixed(c.mem_1t_s, 4)),
+            ("mem_4t_s", json_fixed(c.mem_4t_s, 4)),
+            ("disk_1t_s", json_fixed(c.disk_1t_s, 4)),
+            ("disk_4t_s", json_fixed(c.disk_4t_s, 4)),
+            ("disk_edges_per_s", json_fixed(c.disk_edges_per_s, 0)),
+            ("bit_identical", c.bit_identical.to_string()),
+        ]
+    });
     s.push_str(",\n");
     let f = &r.fed;
     let vm = json_opt(f.vm_hwm_bytes);
@@ -652,10 +659,7 @@ mod tests {
         assert_eq!(stats.clients, 4);
         assert!(stats.within_budget);
         assert!(stats.workspace_hwm_bytes > 0, "workspace gauge never rose");
-        assert!(
-            stats.store_resident_peak_bytes > 0,
-            "store resident gauge never rose"
-        );
+        assert!(stats.store_resident_peak_bytes > 0, "store resident gauge never rose");
         // 6 000 nodes in 4 clients: Ŷ⁰ + 5 steps of 1 500 × 16 floats each.
         assert!(stats.metric_scratch_bytes >= 6 * 1_500 * NUM_CLASSES as u64 * 4);
         // The kits hold at least one worker's Adam moments.
@@ -751,11 +755,7 @@ mod tests {
             within_budget: true,
             vm_hwm_bytes: None,
         };
-        let r = ScaleReport {
-            mode: "quick",
-            cells: vec![cell],
-            fed,
-        };
+        let r = ScaleReport { mode: "quick", cells: vec![cell], fed };
         let json = to_json(&r);
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(json.contains("\"tracked_peak_bytes\""));

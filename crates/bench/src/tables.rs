@@ -40,7 +40,8 @@ const FEDDC: StrategySpec = s!("FedDC");
 const GCFL: StrategySpec = s!("GCFL+");
 const FEDGTA: StrategySpec = s!("FedGTA");
 /// The seven FGL optimization strategies of Tables 3–4, FedGTA last.
-const OPTIMIZERS: [StrategySpec; 7] = [FEDAVG, s!("FedProx"), s!("Scaffold"), MOON, FEDDC, GCFL, FEDGTA];
+const OPTIMIZERS: [StrategySpec; 7] =
+    [FEDAVG, s!("FedProx"), s!("Scaffold"), MOON, FEDDC, GCFL, FEDGTA];
 /// FedGTA's federated rivals, by row label.
 const BASELINES: &[&str] = &["FedAvg", "FedProx", "Scaffold", "MOON", "FedDC", "GCFL+"];
 
@@ -53,15 +54,34 @@ fn dp(sigma: f64) -> Box<dyn Strategy> {
 }
 
 fn mode(full: bool) -> &'static str {
-    if full { "full" } else { "quick" }
+    if full {
+        "full"
+    } else {
+        "quick"
+    }
 }
 
 fn header<S: ToString>(labels: &[&str], cols: impl IntoIterator<Item = S>) -> Vec<String> {
     labels.iter().map(|s| s.to_string()).chain(cols.into_iter().map(|c| c.to_string())).collect()
 }
 
-fn table(id: &'static str, before: String, header: Vec<String>, rows: Vec<RowSpec>, fmt: CellFmt) -> TableSpec {
-    TableSpec { id, group: String::new(), before, header, rows, fmt, chart: None, after: String::new() }
+fn table(
+    id: &'static str,
+    before: String,
+    header: Vec<String>,
+    rows: Vec<RowSpec>,
+    fmt: CellFmt,
+) -> TableSpec {
+    TableSpec {
+        id,
+        group: String::new(),
+        before,
+        header,
+        rows,
+        fmt,
+        chart: None,
+        after: String::new(),
+    }
 }
 
 /// Table 3 — transductive accuracy under the Louvain 10-client split: GCN
@@ -71,8 +91,16 @@ fn table(id: &'static str, before: String, header: Vec<String>, rows: Vec<RowSpe
 pub fn table3(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] = if full {
         &[
-            "cora", "citeseer", "pubmed", "amazon-photo", "amazon-computer", "coauthor-cs",
-            "coauthor-physics", "ogbn-arxiv", "ogbn-products", "ogbn-papers100m",
+            "cora",
+            "citeseer",
+            "pubmed",
+            "amazon-photo",
+            "amazon-computer",
+            "coauthor-cs",
+            "coauthor-physics",
+            "ogbn-arxiv",
+            "ogbn-products",
+            "ogbn-papers100m",
         ]
     } else {
         &["cora", "citeseer", "amazon-photo"]
@@ -85,7 +113,13 @@ pub fn table3(full: bool) -> Vec<TableSpec> {
             runs,
             eval_every: 5,
             seed: 7,
-            clients: if !papers { 10 } else if full { 500 } else { 100 },
+            clients: if !papers {
+                10
+            } else if full {
+                500
+            } else {
+                100
+            },
             participation: if papers { 0.2 } else { 1.0 },
             ..ExperimentSpec::new(d, model, s)
         }
@@ -95,12 +129,20 @@ pub fn table3(full: bool) -> Vec<TableSpec> {
         // The paper reports OOM for centralized GCN on papers100M; quick
         // mode skips the two largest stand-ins for wall-clock reasons.
         let global = datasets.iter().map(|d| {
-            let heavy = matches!(*d, "ogbn-papers100m" | "ogbn-products") && model == ModelKind::Gcn;
-            if heavy && !full { Text("skip") } else { Global(ExperimentSpec { runs: runs.min(2), ..spec(d, model, FEDAVG) }) }
+            let heavy =
+                matches!(*d, "ogbn-papers100m" | "ogbn-products") && model == ModelKind::Gcn;
+            if heavy && !full {
+                Text("skip")
+            } else {
+                Global(ExperimentSpec { runs: runs.min(2), ..spec(d, model, FEDAVG) })
+            }
         });
         rows.push(RowSpec::new(&[model.name(), "Global"], global));
         for s in OPTIMIZERS {
-            rows.push(RowSpec::new(&[model.name(), s.label], datasets.iter().map(|d| Run(spec(d, model, s)))));
+            rows.push(RowSpec::new(
+                &[model.name(), s.label],
+                datasets.iter().map(|d| Run(spec(d, model, s))),
+            ));
         }
     }
     // FGL Model rows (FedAvg inside, as in the paper), which reports OOM
@@ -111,11 +153,19 @@ pub fn table3(full: bool) -> Vec<TableSpec> {
     ] {
         let cells = datasets.iter().map(|d| match *d {
             "ogbn-products" | "ogbn-papers100m" => Text("OOM*"),
-            d => Run(ExperimentSpec { rounds: rounds.min(40), runs: runs.min(2), halo, ..spec(d, model, s) }),
+            d => Run(ExperimentSpec {
+                rounds: rounds.min(40),
+                runs: runs.min(2),
+                halo,
+                ..spec(d, model, s)
+            }),
         });
         rows.push(RowSpec::new(&[label, "FedAvg"], cells));
     }
-    let before = format!("Table 3 — transductive accuracy, Louvain split, {rounds} rounds, {runs} runs ({})\n\n", mode(full));
+    let before = format!(
+        "Table 3 — transductive accuracy, Louvain split, {rounds} rounds, {runs} runs ({})\n\n",
+        mode(full)
+    );
     vec![TableSpec {
         after: "\n'OOM*' mirrors the paper's out-of-memory entries for the FGL Model baselines on the largest graphs.\n".into(),
         ..table("table3", before, header(&["Model", "Optimization"], datasets), rows, CellFmt::MeanStd)
@@ -163,11 +213,20 @@ pub fn table4(full: bool) -> Vec<TableSpec> {
                 seed: 11,
                 ..ExperimentSpec::new(d, model, s)
             };
-            rows.push(RowSpec::new(&[model.name(), s.label], datasets.iter().map(|d| Run(spec(d)))));
+            rows.push(RowSpec::new(
+                &[model.name(), s.label],
+                datasets.iter().map(|d| Run(spec(d))),
+            ));
         }
     }
     let before = format!("Table 4 — inductive accuracy, Metis 10-client split, {rounds} rounds, {runs} runs ({})\n\n", mode(full));
-    vec![table("table4", before, header(&["Model", "Optimization"], datasets), rows, CellFmt::MeanStd)]
+    vec![table(
+        "table4",
+        before,
+        header(&["Model", "Optimization"], datasets),
+        rows,
+        CellFmt::MeanStd,
+    )]
 }
 
 /// Table 4's claims.
@@ -185,12 +244,22 @@ pub const TABLE4: &[Claim] = &[
 pub fn table5(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] = if full { &["ogbn-arxiv", "flickr", "reddit"] } else { &["flickr"] };
     let (rounds, runs) = if full { (60, 3) } else { (15, 2) };
-    let gl = [s!("FedAvg" => make_strategy("FedGL+FedAvg")), s!("MOON" => make_strategy("FedGL+MOON")),
-        s!("FedDC" => make_strategy("FedGL+FedDC")), s!("FedGTA" => make_strategy("FedGL+FedGTA"))];
-    let sage = [s!("FedAvg" => make_strategy("FedSage++FedAvg")), s!("MOON" => make_strategy("FedSage++MOON")),
-        s!("FedDC" => make_strategy("FedSage++FedDC")), s!("FedGTA" => make_strategy("FedSage++FedGTA"))];
+    let gl = [
+        s!("FedAvg" => make_strategy("FedGL+FedAvg")),
+        s!("MOON" => make_strategy("FedGL+MOON")),
+        s!("FedDC" => make_strategy("FedGL+FedDC")),
+        s!("FedGTA" => make_strategy("FedGL+FedGTA")),
+    ];
+    let sage = [
+        s!("FedAvg" => make_strategy("FedSage++FedAvg")),
+        s!("MOON" => make_strategy("FedSage++MOON")),
+        s!("FedDC" => make_strategy("FedSage++FedDC")),
+        s!("FedGTA" => make_strategy("FedSage++FedGTA")),
+    ];
     let mut rows = Vec::new();
-    for (label, model, inners) in [("FedGL", ModelKind::Gcn, gl), ("FedSage+", ModelKind::Sage, sage)] {
+    for (label, model, inners) in
+        [("FedGL", ModelKind::Gcn, gl), ("FedSage+", ModelKind::Sage, sage)]
+    {
         for s in inners {
             let spec = |d: &&str| ExperimentSpec {
                 split: SplitKind::Metis,
@@ -208,7 +277,13 @@ pub fn table5(full: bool) -> Vec<TableSpec> {
         "Table 5 — FGL Model × optimization strategy, Metis 10-client split, {rounds} rounds, {runs} runs ({})\n\n",
         mode(full)
     );
-    vec![table("table5", before, header(&["Model", "Optimization"], datasets), rows, CellFmt::MeanStd)]
+    vec![table(
+        "table5",
+        before,
+        header(&["Model", "Optimization"], datasets),
+        rows,
+        CellFmt::MeanStd,
+    )]
 }
 
 /// Table 5's claims.
@@ -226,25 +301,41 @@ pub const TABLE5: &[Claim] = &[
 /// selection and weights by training-set size.
 pub fn table6(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] = if full { &["ogbn-products", "reddit"] } else { &["amazon-photo"] };
-    let models: &[ModelKind] =
-        if full { &[ModelKind::Sgc, ModelKind::Gbp, ModelKind::Sage] } else { &[ModelKind::Sgc, ModelKind::Gbp] };
+    let models: &[ModelKind] = if full {
+        &[ModelKind::Sgc, ModelKind::Gbp, ModelKind::Sage]
+    } else {
+        &[ModelKind::Sgc, ModelKind::Gbp]
+    };
     let (rounds, runs) = if full { (60, 3) } else { (20, 2) };
-    let variants =
-        [s!("w/o Mom." => make_strategy("FedGTA-noMom")), s!("w/o Conf." => make_strategy("FedGTA-noConf")), FEDGTA];
+    let variants = [
+        s!("w/o Mom." => make_strategy("FedGTA-noMom")),
+        s!("w/o Conf." => make_strategy("FedGTA-noConf")),
+        FEDGTA,
+    ];
     let splits = [SplitKind::Louvain, SplitKind::Metis];
     let mut rows = Vec::new();
     for model in models {
         for s in variants {
             let cells = datasets.iter().flat_map(|d| {
                 splits.map(|split| {
-                    Run(ExperimentSpec { split, rounds, runs, eval_every: 5, seed: 17, ..ExperimentSpec::new(d, *model, s) })
+                    Run(ExperimentSpec {
+                        split,
+                        rounds,
+                        runs,
+                        eval_every: 5,
+                        seed: 17,
+                        ..ExperimentSpec::new(d, *model, s)
+                    })
                 })
             });
             rows.push(RowSpec::new(&[model.name(), s.label], cells));
         }
     }
     let cols = datasets.iter().flat_map(|d| splits.map(|split| format!("{d} ({})", split.name())));
-    let before = format!("Table 6 — FedGTA component ablation, {rounds} rounds, {runs} runs ({})\n\n", mode(full));
+    let before = format!(
+        "Table 6 — FedGTA component ablation, {rounds} rounds, {runs} runs ({})\n\n",
+        mode(full)
+    );
     vec![table("table6", before, header(&["Model", "Component"], cols), rows, CellFmt::MeanStd)]
 }
 
@@ -257,30 +348,66 @@ pub fn sweep(full: bool) -> Vec<TableSpec> {
         };
     }
     let knobs = [
-        ("K", "K (order)", vec![
-            gta!("1", moment_order: 1), gta!("2", moment_order: 2), gta!("3", moment_order: 3),
-            gta!("5", moment_order: 5), gta!("8", moment_order: 8),
-        ]),
-        ("epsilon", "epsilon", vec![
-            gta!("0", epsilon: 0.0), gta!("0.25", epsilon: 0.25), gta!("0.5", epsilon: 0.5),
-            gta!("0.75", epsilon: 0.75), gta!("0.9", epsilon: 0.9), gta!("0.99", epsilon: 0.99),
-        ]),
-        ("moments", "moments", vec![
-            gta!("central", moment_kind: MomentKind::Central), gta!("raw", moment_kind: MomentKind::Raw),
-        ]),
-        ("similarity", "similarity", vec![
-            gta!("cosine", similarity: SimilarityKind::Cosine), gta!("inverse-L2", similarity: SimilarityKind::InverseL2),
-        ]),
+        (
+            "K",
+            "K (order)",
+            vec![
+                gta!("1", moment_order: 1),
+                gta!("2", moment_order: 2),
+                gta!("3", moment_order: 3),
+                gta!("5", moment_order: 5),
+                gta!("8", moment_order: 8),
+            ],
+        ),
+        (
+            "epsilon",
+            "epsilon",
+            vec![
+                gta!("0", epsilon: 0.0),
+                gta!("0.25", epsilon: 0.25),
+                gta!("0.5", epsilon: 0.5),
+                gta!("0.75", epsilon: 0.75),
+                gta!("0.9", epsilon: 0.9),
+                gta!("0.99", epsilon: 0.99),
+            ],
+        ),
+        (
+            "moments",
+            "moments",
+            vec![
+                gta!("central", moment_kind: MomentKind::Central),
+                gta!("raw", moment_kind: MomentKind::Raw),
+            ],
+        ),
+        (
+            "similarity",
+            "similarity",
+            vec![
+                gta!("cosine", similarity: SimilarityKind::Cosine),
+                gta!("inverse-L2", similarity: SimilarityKind::InverseL2),
+            ],
+        ),
     ];
     let runs = if full { 3 } else { 2 };
     let mut tables: Vec<TableSpec> = (knobs.into_iter())
         .map(|(group, label, variants)| {
-            let spec = |s| ExperimentSpec { rounds: 20, runs, eval_every: 5, seed: 19, ..ExperimentSpec::new("cora", ModelKind::Sgc, s) };
-            let rows = variants.into_iter().map(|s| RowSpec::new(&[s.label], [Run(spec(s))])).collect();
-            TableSpec { group: group.into(), ..table("sweep", String::new(), header(&[label], ["acc"]), rows, CellFmt::MeanStd) }
+            let spec = |s| ExperimentSpec {
+                rounds: 20,
+                runs,
+                eval_every: 5,
+                seed: 19,
+                ..ExperimentSpec::new("cora", ModelKind::Sgc, s)
+            };
+            let rows =
+                variants.into_iter().map(|s| RowSpec::new(&[s.label], [Run(spec(s))])).collect();
+            TableSpec {
+                group: group.into(),
+                ..table("sweep", String::new(), header(&[label], ["acc"]), rows, CellFmt::MeanStd)
+            }
         })
         .collect();
-    tables[0].before = format!("\nSensitivity sweep on cora (SGC backbone, 20 rounds, {runs} runs)\n\n");
+    tables[0].before =
+        format!("\nSensitivity sweep on cora (SGC backbone, 20 rounds, {runs} runs)\n\n");
     tables
 }
 
@@ -319,7 +446,13 @@ pub const TABLE6: &[Claim] = &[
 pub fn fig1b(full: bool) -> Vec<TableSpec> {
     let (rounds, step) = if full { (100, 10) } else { (30, 5) };
     let points = rounds / step;
-    let spec = |s| ExperimentSpec { rounds, runs: 1, eval_every: 1, seed: 3, ..ExperimentSpec::new("cora", ModelKind::Gcn, s) };
+    let spec = |s| ExperimentSpec {
+        rounds,
+        runs: 1,
+        eval_every: 1,
+        seed: 3,
+        ..ExperimentSpec::new("cora", ModelKind::Gcn, s)
+    };
     let mut global = vec![Text("-"); points];
     global.push(Global(spec(FEDAVG)));
     let mut rows = vec![RowSpec::new(&["Global"], global)];
@@ -372,13 +505,25 @@ pub const FIG1: &[Claim] = &[
 /// Fig. 4 — accuracy over wall-clock on the large stand-ins (GAMLP,
 /// Louvain 10 clients), one table and chart per dataset.
 pub fn fig4(full: bool) -> Vec<TableSpec> {
-    let datasets: &[&str] = if full { &["ogbn-arxiv", "ogbn-products", "flickr", "reddit"] } else { &["ogbn-arxiv", "flickr"] };
+    let datasets: &[&str] = if full {
+        &["ogbn-arxiv", "ogbn-products", "flickr", "reddit"]
+    } else {
+        &["ogbn-arxiv", "flickr"]
+    };
     let rounds = if full { 60 } else { 12 };
     let strategies = [FEDAVG, s!("FedProx"), MOON, FEDDC, GCFL, FEDGTA];
     let tables = datasets.iter().map(|d| {
-        let spec = |s| ExperimentSpec { rounds, runs: 1, eval_every: 1, seed: 23, ..ExperimentSpec::new(d, ModelKind::Gamlp, s) };
+        let spec = |s| ExperimentSpec {
+            rounds,
+            runs: 1,
+            eval_every: 1,
+            seed: 23,
+            ..ExperimentSpec::new(d, ModelKind::Gamlp, s)
+        };
         let rows = strategies.map(|s| RowSpec::new(&[s.label], [Run(spec(s))])).into();
-        let cols = (1..=6).map(|i| format!("t{i}")).chain(["final acc".to_string(), "total s".to_string()]);
+        let cols = (1..=6)
+            .map(|i| format!("t{i}"))
+            .chain(["final acc".to_string(), "total s".to_string()]);
         TableSpec {
             group: d.to_string(),
             chart: Some(14),
@@ -411,11 +556,24 @@ pub fn fig5(full: bool) -> Vec<TableSpec> {
     let counts: &[usize] = if full { &[5, 10, 20, 50] } else { &[5, 10, 20] };
     let rounds = if full { 10 } else { 5 };
     let rows = OPTIMIZERS.map(|s| {
-        let spec = |&clients| ExperimentSpec { clients, rounds, runs: 1, eval_every: 0, seed: 29, ..ExperimentSpec::new(dataset, ModelKind::Sgc, s) };
+        let spec = |&clients| ExperimentSpec {
+            clients,
+            rounds,
+            runs: 1,
+            eval_every: 0,
+            seed: 29,
+            ..ExperimentSpec::new(dataset, ModelKind::Sgc, s)
+        };
         RowSpec::new(&[s.label], counts.iter().map(|n| Run(spec(n))))
     });
     let before = format!("Fig. 5 — seconds per round vs number of clients on {dataset} (SGC)\n\n");
-    vec![table("fig5", before, header(&["strategy"], counts.iter().map(|n| format!("N={n}"))), rows.into(), CellFmt::SecPerRound)]
+    vec![table(
+        "fig5",
+        before,
+        header(&["strategy"], counts.iter().map(|n| format!("N={n}"))),
+        rows.into(),
+        CellFmt::SecPerRound,
+    )]
 }
 
 /// Fig. 5's claim: timings only.
@@ -428,7 +586,11 @@ pub const FIG5: &[Claim] = &[Claim {
 /// Fig. 6 — accuracy against the per-round participation ratio (SGC,
 /// Louvain split; 50 and 500 clients in full mode, as in the paper).
 pub fn fig6(full: bool) -> Vec<TableSpec> {
-    let setups: &[(&str, usize)] = if full { &[("ogbn-products", 50), ("ogbn-papers100m", 500)] } else { &[("ogbn-arxiv", 20)] };
+    let setups: &[(&str, usize)] = if full {
+        &[("ogbn-products", 50), ("ogbn-papers100m", 500)]
+    } else {
+        &[("ogbn-arxiv", 20)]
+    };
     let ratios = [0.1, 0.2, 0.5, 1.0];
     let rounds = if full { 50 } else { 15 };
     let tables = setups.iter().map(|&(dataset, clients)| {
@@ -472,7 +634,8 @@ pub const FIG6: &[Claim] = &[
 /// future-work aggregation, and the DP upload wrapper against base FedGTA
 /// (GAMLP, Louvain 10 clients).
 pub fn extensions(full: bool) -> Vec<TableSpec> {
-    let datasets: &[&str] = if full { &["cora", "amazon-photo", "ogbn-arxiv"] } else { &["cora", "amazon-photo"] };
+    let datasets: &[&str] =
+        if full { &["cora", "amazon-photo", "ogbn-arxiv"] } else { &["cora", "amazon-photo"] };
     let (rounds, runs) = if full { (60, 3) } else { (25, 2) };
     let variants = [
         s!("FedGTA (fixed ε=0.5)" => gta(FedGtaConfig::default())),
@@ -482,10 +645,19 @@ pub fn extensions(full: bool) -> Vec<TableSpec> {
         s!("DP(FedGTA) σ=0.01" => dp(0.01)),
     ];
     let rows = variants.map(|s| {
-        let spec = |d: &&str| ExperimentSpec { rounds, runs, eval_every: 5, seed: 37, ..ExperimentSpec::new(d, ModelKind::Gamlp, s) };
+        let spec = |d: &&str| ExperimentSpec {
+            rounds,
+            runs,
+            eval_every: 5,
+            seed: 37,
+            ..ExperimentSpec::new(d, ModelKind::Gamlp, s)
+        };
         RowSpec::new(&[s.label], datasets.iter().map(|d| Run(spec(d))))
     });
-    let before = format!("Extensions study — GAMLP, Louvain 10 clients, {rounds} rounds, {runs} runs ({})\n\n", mode(full));
+    let before = format!(
+        "Extensions study — GAMLP, Louvain 10 clients, {rounds} rounds, {runs} runs ({})\n\n",
+        mode(full)
+    );
     vec![table("extensions", before, header(&["variant"], datasets), rows.into(), CellFmt::MeanStd)]
 }
 

@@ -26,7 +26,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_client_metrics_performs_zero_heap_allocations() {
-    for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp, ModelKind::Gamlp] {
+    for kind in [ModelKind::Sgc, ModelKind::Sign, ModelKind::S2gc, ModelKind::Gbp, ModelKind::Gamlp]
+    {
         head_backbone_is_allocation_free(kind);
     }
     for kind in [ModelKind::Gcn, ModelKind::Sage] {

@@ -33,8 +33,7 @@ fn gen(r: usize, c: usize, seed: u64) -> Matrix {
         c,
         (0..r * c)
             .map(|i| {
-                (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 7919) % 97) as f32
-                    / 48.5)
+                (((i as u64).wrapping_mul(2654435761).wrapping_add(seed * 7919) % 97) as f32 / 48.5)
                     - 1.0
             })
             .collect(),
@@ -196,10 +195,8 @@ fn mlp_epoch_is_o1_allocations_and_kernels_are_zero() {
     for c in &clients {
         assert!(c.data.test_nodes.len() > c.data.train_nodes.len());
     }
-    let result_rows: usize = clients
-        .iter()
-        .map(|c| c.data.test_nodes.len() * c.data.num_classes)
-        .sum();
+    let result_rows: usize =
+        clients.iter().map(|c| c.data.test_nodes.len() * c.data.num_classes).sum();
     let n_clients = clients.len();
     // Trained and scored the way a run does — through the run's kits, on
     // the one thread it asks for — but with no evaluation before the first

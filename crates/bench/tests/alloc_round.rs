@@ -80,7 +80,9 @@ fn a_warm_in_memory_fedgta_round_copies_no_upload() {
         fedgta.round(&mut clients, &participants, &ctx);
         rounds.push(alloc_bytes() - before);
     }
-    eprintln!("warm FedGTA rounds allocated {rounds:?} bytes; one upload copy per participant: {copies}");
+    eprintln!(
+        "warm FedGTA rounds allocated {rounds:?} bytes; one upload copy per participant: {copies}"
+    );
     assert_eq!(fedgta.store_bytes(), 0, "the store keeps a personalized model of its own");
     for bytes in rounds {
         assert!(
