@@ -49,8 +49,8 @@ pub const STRATEGY_NAMES: &[&str] = &[
 ];
 
 /// What a table cell trains with: the label its row prints and a
-/// constructor, so a sweep over `FedGtaConfig` or a `DpUpload` wrapper is
-/// as much a cell as a named baseline.
+/// constructor, so a sweep over `FedGtaConfig` is as much a cell as a
+/// named baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct StrategySpec {
     /// Row label.

@@ -7,7 +7,7 @@ use crate::claims::{ahead, near, unjudged, Cell, Claim, Deviation, Verdict};
 use crate::repro::{CellFmt, CellSpec, RowSpec, TableSpec};
 use crate::runner::{make_strategy, ExperimentSpec, SplitKind, StrategySpec};
 use fedgta::{FedGta, FedGtaConfig, MomentKind, SimilarityKind};
-use fedgta_fed::strategies::{DpUpload, Strategy};
+use fedgta_fed::strategies::Strategy;
 use fedgta_nn::models::ModelKind;
 use CellSpec::{Global, Run, Text};
 
@@ -47,10 +47,6 @@ const BASELINES: &[&str] = &["FedAvg", "FedProx", "Scaffold", "MOON", "FedDC", "
 
 fn gta(cfg: FedGtaConfig) -> Box<dyn Strategy> {
     Box::new(FedGta::from(cfg))
-}
-
-fn dp(sigma: f64) -> Box<dyn Strategy> {
-    Box::new(DpUpload::new(Box::new(FedGta::with_defaults()), 5.0, sigma, 0))
 }
 
 fn mode(full: bool) -> &'static str {
@@ -631,8 +627,8 @@ pub const FIG6: &[Claim] = &[
 ];
 
 /// The extensions study (DESIGN.md §5): adaptive ε, the paper's
-/// future-work aggregation, and the DP upload wrapper against base FedGTA
-/// (GAMLP, Louvain 10 clients).
+/// future-work aggregation, against base FedGTA (GAMLP, Louvain 10
+/// clients).
 pub fn extensions(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] =
         if full { &["cora", "amazon-photo", "ogbn-arxiv"] } else { &["cora", "amazon-photo"] };
@@ -641,8 +637,6 @@ pub fn extensions(full: bool) -> Vec<TableSpec> {
         s!("FedGTA (fixed ε=0.5)" => gta(FedGtaConfig::default())),
         s!("FedGTA adaptive ε (q=0.8)" => gta(FedGtaConfig::adaptive(0.8))),
         s!("FedGTA adaptive ε (q=0.5)" => gta(FedGtaConfig::adaptive(0.5))),
-        s!("DP(FedGTA) σ=0.002" => dp(0.002)),
-        s!("DP(FedGTA) σ=0.01" => dp(0.01)),
     ];
     let rows = variants.map(|s| {
         let spec = |d: &&str| ExperimentSpec {

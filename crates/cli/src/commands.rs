@@ -265,25 +265,21 @@ fn parse_comms(a: &Args) -> Result<Option<CommsConfig>, Box<dyn Error>> {
         None => FaultConfig::default(),
     };
     let defaults = CommsConfig::default();
-    let oversample = a.num_or("oversample", defaults.oversample)?;
-    if !(oversample >= 1.0 && oversample.is_finite()) {
-        return Err(format!(
-            "--oversample must be a finite factor of at least 1, got {oversample}"
-        )
-        .into());
-    }
-    Ok(Some(CommsConfig {
+    let comms = CommsConfig {
         faults,
         fault_seed: a.num_or("fault-seed", defaults.fault_seed)?,
         deadline_ms: a.num_or("deadline", defaults.deadline_ms)?,
         min_quorum: a.num_or("min-quorum", defaults.min_quorum)?,
-        oversample,
+        oversample: a.num_or("oversample", defaults.oversample)?,
         max_resamples: a.num_or("max-resamples", defaults.max_resamples)?,
         codec,
         codec_down,
         codec_sketch,
         error_feedback,
-    }))
+    };
+    // `validate` names the field, and `--oversample` sets `oversample`.
+    comms.validate().map_err(|e| format!("--{e}"))?;
+    Ok(Some(comms))
 }
 
 fn parse_split(s: &str) -> Result<SplitKind, String> {
@@ -410,16 +406,16 @@ pub fn run(a: &Args) -> CliResult {
     let seed = a.num_or("seed", 0u64)?;
     let clients_n = a.num_or("clients", 10usize)?;
     let rounds = a.num_or("rounds", 30usize)?;
-    let epochs = a.num_or("epochs", 3usize)?;
-    let participation = a.num_or("participation", 1.0f64)?;
-    // NaN fails both comparisons.
-    if !(participation > 0.0 && participation <= 1.0) {
-        return Err(format!("--participation must lie in (0, 1], got {participation}").into());
-    }
-    if rounds == 0 {
-        return Err("--rounds must be at least 1".into());
-    }
-    let threads = a.num_or("threads", 0usize)?;
+    let config = SimConfig {
+        rounds,
+        local_epochs: a.num_or("epochs", 3usize)?,
+        participation: a.num_or("participation", 1.0f64)?,
+        eval_every: 5.min(rounds),
+        seed,
+        threads: a.num_or("threads", 0usize)?,
+    };
+    // `validate` names the field, and each flag sets the field of its name.
+    config.validate().map_err(|e| format!("--{e}"))?;
     let split = parse_split(&a.str_or("split", "louvain"))?;
     let model = parse_model(&a.str_or("model", "gamlp"))?;
     let strategy_name = a.str_or("strategy", "FedGTA");
@@ -446,11 +442,13 @@ pub fn run(a: &Args) -> CliResult {
     let clients = build_clients(&b, &parts, &build);
     let obs = arm_obs()?;
     println!(
-        "running {} on {name}: {} clients ({} split), {rounds} rounds × {epochs} epochs, participation {participation}, {} threads",
+        "running {} on {name}: {} clients ({} split), {rounds} rounds × {} epochs, participation {}, {} threads",
         strategy.name(),
         clients.len(),
         split.name(),
-        fedgta_graph::par::resolve_threads(Some(threads)),
+        config.local_epochs,
+        config.participation,
+        fedgta_graph::par::resolve_threads(Some(config.threads)),
     );
     if let Some(cc) = &comms {
         println!(
@@ -476,18 +474,7 @@ pub fn run(a: &Args) -> CliResult {
             );
         }
     }
-    let mut sim = Simulation::new(
-        clients,
-        strategy,
-        SimConfig {
-            rounds,
-            local_epochs: epochs,
-            participation,
-            eval_every: 5.min(rounds),
-            seed,
-            threads,
-        },
-    );
+    let mut sim = Simulation::new(clients, strategy, config);
     if let Some(cc) = comms.clone() {
         sim = sim.with_comms(cc);
     }

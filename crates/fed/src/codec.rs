@@ -2,12 +2,11 @@
 //! client→server leg.
 //!
 //! Uploads dominate federated graph learning at production scale. This
-//! module compresses them the way [`crate::strategies::privacy`] adds DP
-//! noise: as a wrapper the strategy never sees. Clients encode their
-//! [`crate::transport::WirePayload`] *before* the envelope CRC, the
-//! server decodes *after* CRC acceptance, and the fault layer's
-//! drop/corrupt semantics apply to the encoded frame — exactly what a
-//! real deployment's compression layer would look like on the wire.
+//! module compresses them as a wrapper the strategy never sees. Clients
+//! encode their [`crate::transport::WirePayload`] *before* the envelope
+//! CRC, the server decodes *after* CRC acceptance, and the fault layer's
+//! drop/corrupt semantics apply to the encoded frame — exactly what a real
+//! deployment's compression layer would look like on the wire.
 //!
 //! ## Design
 //!

@@ -62,12 +62,12 @@ pub struct LocalResult<R> {
 /// are order-stable regardless of which worker ran which client.
 ///
 /// One pipeline serves every round: dispatch → per client (receive →
-/// load broadcast → timed train → upload filter → upload) → collect →
-/// server-side error feedback. With `ctx.kits` set, the worker lends the
-/// client a [`crate::kit::Kit`] for that whole turn: its arena, and —
-/// only when the client's slot in the broadcast makes the executor
-/// `reset()` the optimizer anyway — its moment vectors (the client's own
-/// are dead at that point and are freed). A personal slot that lives in
+/// load broadcast → timed train → upload) → collect → server-side error
+/// feedback. With `ctx.kits` set, the worker lends the client a
+/// [`crate::kit::Kit`] for that whole turn: its arena, and — only when the
+/// client's slot in the broadcast makes the executor `reset()` the
+/// optimizer anyway — its moment vectors (the client's own are dead at
+/// that point and are freed). A personal slot that lives in
 /// its client's model ([`crate::strategies::Store`]) is loaded by nothing,
 /// but resets all the same. A turn that starts from no slot trains on the
 /// client's own moments; under a declared broadcast whose upload will
@@ -78,9 +78,8 @@ pub struct LocalResult<R> {
 ///
 /// A payload's [`crate::ParamTensor::Resident`] tensor is given bytes of
 /// its own ([`WirePayload::own_resident`]) only where a stage needs them:
-/// before the upload filter, the error-feedback fold and encoding. In
-/// memory with no filter it returns still resident, for the strategy to
-/// read off the client's model.
+/// before the error-feedback fold and encoding. In memory it returns still
+/// resident, for the strategy to read off the client's model.
 ///
 /// The four wire stages are methods of the
 /// round's [`CommsRound`] and run only when `ctx.comms` carries one; without it
@@ -167,28 +166,11 @@ where
             if holds {
                 c.opt.reset();
             }
-            // What an upload filter measures the update from: the model
-            // this client starts the round with.
-            let filter = ctx.upload_filter.map(|filter| {
-                let from =
-                    start.as_deref().map_or_else(|| Cow::Owned(c.model.params()), Cow::Borrowed);
-                (filter, from)
-            });
             let ct0 = fedgta_obs::metrics_on().then(std::time::Instant::now);
-            let (loss, mut payload) = f(i, c);
+            let (loss, payload) = f(i, c);
             if let Some(ct0) = ct0 {
                 fedgta_obs::histogram!("round.client.train_ns")
                     .observe(ct0.elapsed().as_nanos() as u64);
-            }
-            if let Some((filter, from)) = filter {
-                payload.own_resident(c.model.param_slice());
-                let mut tensor = 0usize;
-                payload.visit_tensors(&mut |params| {
-                    if tensor == 0 {
-                        filter(i, &from, params);
-                    }
-                    tensor += 1;
-                });
             }
             match wire {
                 Some(w) => {
@@ -923,16 +905,6 @@ mod tests {
         let mut clients = small_federation(ModelKind::Sgc, 38);
         let got = train_participants(&mut clients, &[0, 1], &RoundCtx::plain(1), one_epoch);
         assert!(got.iter().all(|r| r.payload == ParamTensor::Resident));
-        // An upload filter rewrites the tensor, so it gets bytes of its own
-        // first: the client's model, then the filter's edit.
-        let filter = |_: usize, _: &[f32], p: &mut [f32]| p[0] += 1.0;
-        let ctx = RoundCtx { upload_filter: Some(&filter), ..RoundCtx::plain(1) };
-        let got = train_participants(&mut clients, &[0, 1], &ctx, one_epoch);
-        for r in got {
-            let mut want = clients[r.client].model.params();
-            want[0] += 1.0;
-            assert_eq!(r.payload, ParamTensor::Owned(want));
-        }
     }
 
     #[test]

@@ -41,6 +41,44 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Refuses a `participation` outside (0, 1] or NaN, which
+    /// [`participation_k`] would run as one client or all, and zero
+    /// `rounds`, a run that never evaluates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        // NaN fails both comparisons.
+        let p = self.participation;
+        ConfigError::check(p > 0.0 && p <= 1.0, "participation", "lie in (0, 1]", p)?;
+        ConfigError::check(self.rounds > 0, "rounds", "be at least 1", self.rounds as f64)
+    }
+}
+
+/// A [`SimConfig`] or [`CommsConfig`] field that would run something other
+/// than what it asks for: `"{field} must {rule}, got {got}"`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConfigError {
+    /// The field's name.
+    pub field: &'static str,
+    /// What its value must do.
+    pub rule: &'static str,
+    /// The value it has.
+    pub got: f64,
+}
+
+impl ConfigError {
+    fn check(ok: bool, field: &'static str, rule: &'static str, got: f64) -> Result<(), Self> {
+        ok.then_some(()).ok_or(Self { field, rule, got })
+    }
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} must {}, got {}", self.field, self.rule, self.got)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Transport + robustness configuration, attached to a [`Simulation`]
 /// via [`Simulation::with_comms`]: rounds then run their wire stages over
 /// a [`ChannelTransport`]. With the default fault model (all rates zero)
@@ -97,6 +135,16 @@ impl Default for CommsConfig {
             codec_sketch: None,
             error_feedback: false,
         }
+    }
+}
+
+impl CommsConfig {
+    /// Refuses an `oversample` below 1 or not finite, which the
+    /// orchestrator would run as 1.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let o = self.oversample;
+        let rule = "be a finite factor of at least 1";
+        ConfigError::check(o >= 1.0 && o.is_finite(), "oversample", rule, o)
     }
 }
 
@@ -187,7 +235,12 @@ pub struct Simulation {
 
 impl Simulation {
     /// Creates a simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`SimConfig::validate`]'s message.
     pub fn new(clients: Vec<Client>, strategy: Box<dyn Strategy>, config: SimConfig) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         Self {
             clients,
             strategy,
@@ -200,8 +253,13 @@ impl Simulation {
     }
 
     /// Attaches a transport/fault configuration (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`CommsConfig::validate`]'s message.
     #[must_use]
     pub fn with_comms(mut self, comms: CommsConfig) -> Self {
+        comms.validate().unwrap_or_else(|e| panic!("{e}"));
         self.comms = Some(comms);
         self
     }
@@ -748,14 +806,31 @@ mod tests {
 
     #[test]
     fn at_least_one_participant() {
+        // A valid fraction too small for one client still samples one.
         let clients = small_federation(ModelKind::Sgc, 52);
         let sim = Simulation::new(
             clients,
             Box::new(FedAvg::new()),
-            SimConfig { participation: 0.0, ..SimConfig::default() },
+            SimConfig { participation: 0.01, ..SimConfig::default() },
         );
         let mut rng = StdRng::seed_from_u64(0);
         let p = sample_participants(sim.clients.len(), sim.config.participation, &mut rng);
         assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "participation must lie in (0, 1], got 0")]
+    fn zero_participation_is_refused() {
+        let config = SimConfig { participation: 0.0, ..SimConfig::default() };
+        let clients = small_federation(ModelKind::Sgc, 52);
+        let _ = Simulation::new(clients, Box::new(FedAvg::new()), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "oversample must be a finite factor of at least 1, got 0.5")]
+    fn an_oversample_below_one_is_refused() {
+        let clients = small_federation(ModelKind::Sgc, 52);
+        let sim = Simulation::new(clients, Box::new(FedAvg::new()), SimConfig::default());
+        let _ = sim.with_comms(CommsConfig { oversample: 0.5, ..CommsConfig::default() });
     }
 }

@@ -21,7 +21,6 @@ pub mod feddc;
 pub mod fedprox;
 pub mod gcfl;
 pub mod moon;
-pub mod privacy;
 pub mod scaffold;
 
 pub use averaged::{
@@ -32,7 +31,6 @@ pub use feddc::FedDc;
 pub use fedprox::FedProx;
 pub use gcfl::GcflPlus;
 pub use moon::Moon;
-pub use privacy::DpUpload;
 pub use scaffold::Scaffold;
 
 use crate::client::Client;
@@ -53,13 +51,10 @@ use fedgta_nn::models::PseudoLabels;
 /// ([`crate::exec::train_participants`]).
 pub type Broadcast<'a> = &'a Store;
 
-/// What [`RoundCtx::upload_filter`] points at: `f(client, start, params)`.
-pub type UploadFilter<'a> = &'a (dyn Fn(usize, &[f32], &mut [f32]) + Sync);
-
 /// Per-round context passed by the driver. A wrapper strategy that changes
 /// one field copies the rest (`RoundCtx { field, ..*ctx }`), so a field
 /// added here reaches every inner strategy.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct RoundCtx<'a> {
     /// Local epochs per round (paper: 3 small / 5 large).
     pub epochs: usize,
@@ -89,16 +84,6 @@ pub struct RoundCtx<'a> {
     /// error-feedback anchor, so a closure reads its anchors off `c.model`,
     /// which the executor has already loaded.
     pub broadcast: Option<Broadcast<'a>>,
-    /// Optional rewrite of what a participant uploads ([`DpUpload`]). The
-    /// executor calls it with the client's index, the model the client
-    /// started the round from (the installed broadcast, else its
-    /// parameters before training) and payload tensor 0 — the parameter
-    /// tensor, the convention [`crate::ef`] folds by — as soon as the
-    /// training closure returns: transport, codecs, error feedback and
-    /// the strategy's aggregation only ever see what it leaves there. It
-    /// runs on the client's worker thread, so it must not draw from shared
-    /// state.
-    pub upload_filter: Option<UploadFilter<'a>>,
     /// The run's pool of per-worker training scratch ([`crate::kit`]): the
     /// executor, evaluation and FedGL's prediction pass lend a client a kit
     /// for the length of its turn. `None` (a context built without a
@@ -117,16 +102,7 @@ impl<'a> RoundCtx<'a> {
     /// A plain context with an explicit worker-thread count
     /// (0 = automatic).
     pub fn with_threads(epochs: usize, threads: usize) -> Self {
-        Self {
-            epochs,
-            pseudo: None,
-            threads,
-            train_clock: None,
-            comms: None,
-            broadcast: None,
-            upload_filter: None,
-            kits: None,
-        }
+        Self { epochs, threads, ..Self::default() }
     }
 
     /// Attaches a train-phase wall-clock accumulator (builder style).

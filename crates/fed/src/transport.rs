@@ -268,7 +268,7 @@ pub trait WirePayload: Sized {
     /// Gives every [`ParamTensor::Resident`] field bytes of its own,
     /// copied from `model` — the uploading client's parameters. The
     /// executor calls it before the stages that need a payload's bytes:
-    /// the upload filter, the error-feedback fold and encoding.
+    /// the error-feedback fold and encoding.
     fn own_resident(&mut self, _model: &[f32]) {}
     /// Tensor 0 — the parameters, the row this upload adds to the server's
     /// `P` — read off `model`, the uploading client's parameters, when
@@ -282,11 +282,11 @@ pub trait WirePayload: Sized {
 /// of its own. A strategy that uploads its client's model unchanged
 /// returns [`ParamTensor::Resident`] instead of a copy; the executor turns
 /// it into [`ParamTensor::Owned`] ([`WirePayload::own_resident`]) before
-/// the upload filter, the error-feedback fold and encoding, and a payload
-/// that returns in memory past none of them reaches the strategy still
-/// resident — the strategy reads it off the client's model
-/// ([`ParamTensor::resolve`]) before installing anything there. Encodes
-/// byte for byte as `Vec<f32>` does and decodes owned.
+/// the error-feedback fold and encoding, and a payload that returns in
+/// memory reaches the strategy still resident — the strategy reads it off
+/// the client's model ([`ParamTensor::resolve`]) before installing
+/// anything there. Encodes byte for byte as `Vec<f32>` does and decodes
+/// owned.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamTensor {
     /// Its bits are the uploading client's model parameters.

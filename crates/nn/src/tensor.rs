@@ -255,11 +255,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt()
-    }
-
     /// Index of the maximum entry of row `i` (first on ties).
     pub fn argmax_row(&self, i: usize) -> usize {
         let row = self.row(i);
@@ -318,7 +313,6 @@ mod tests {
         assert_eq!(a.as_slice(), &[1.0, 1.0]);
         a.scale(3.0);
         assert_eq!(a.as_slice(), &[3.0, 3.0]);
-        assert!((a.norm() - (18.0f64).sqrt()).abs() < 1e-9);
     }
 
     #[test]

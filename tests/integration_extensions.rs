@@ -1,12 +1,12 @@
-//! Integration tests for the extension features: adaptive aggregation,
-//! DP uploads, and real-data ingestion.
+//! Integration tests for the extension features: adaptive aggregation
+//! and real-data ingestion.
 
 use fedgta::{FedGta, FedGtaConfig};
 use fedgta_data::Benchmark;
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::eval::global_test_accuracy;
 use fedgta_fed::strategies::test_support::small_federation;
-use fedgta_fed::strategies::{DpUpload, FedAvg, RoundCtx, Strategy};
+use fedgta_fed::strategies::{FedAvg, RoundCtx, Strategy};
 use fedgta_graph::io::parse_edge_list_text;
 use fedgta_nn::models::{ModelConfig, ModelKind};
 use fedgta_nn::Matrix;
@@ -22,17 +22,6 @@ fn adaptive_variant_runs_end_to_end() {
     }
     let acc = global_test_accuracy(&mut clients);
     assert!(acc > 0.55, "{}: acc {acc}", s.name());
-}
-
-#[test]
-fn dp_wrapped_fedgta_runs() {
-    let mut clients = small_federation(ModelKind::Sgc, 301);
-    let mut s = DpUpload::new(Box::new(FedGta::with_defaults()), 5.0, 0.002, 1);
-    let all: Vec<usize> = (0..clients.len()).collect();
-    for _ in 0..10 {
-        s.round(&mut clients, &all, &RoundCtx::plain(2));
-    }
-    assert!(global_test_accuracy(&mut clients) > 0.5);
 }
 
 #[test]

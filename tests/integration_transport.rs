@@ -19,7 +19,7 @@ use fedgta_fed::faults::{FaultConfig, FaultEvent};
 use fedgta_fed::round::{CommsConfig, RoundRecord, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::federation_with;
 use fedgta_fed::strategies::{
-    DpUpload, FedAvg, FedDc, FedProx, GcflPlus, LocalOnly, Moon, Scaffold, Strategy,
+    FedAvg, FedDc, FedProx, GcflPlus, LocalOnly, Moon, Scaffold, Strategy,
 };
 use fedgta_nn::models::ModelKind;
 
@@ -103,9 +103,6 @@ fn all_strategies() -> Vec<(&'static str, MakeStrategy)> {
         ("MOON", || Box::new(Moon::new(1.0, 0.5))),
         ("FedDC", || Box::new(FedDc::new(0.01))),
         ("GCFL+", || Box::new(GcflPlus::new(4, 2.0))),
-        ("DP+FedAvg", || {
-            Box::new(DpUpload::new(Box::new(FedAvg::new()), 10.0, 0.01, 7))
-        }),
         ("LocalOnly", || Box::new(LocalOnly::new())),
         ("FedGTA", || Box::new(FedGta::with_defaults())),
     ]
