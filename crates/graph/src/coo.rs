@@ -18,12 +18,7 @@ pub struct EdgeList {
 impl EdgeList {
     /// Creates an empty edge list over `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
-        Self {
-            num_nodes,
-            src: Vec::new(),
-            dst: Vec::new(),
-            weights: None,
-        }
+        Self { num_nodes, src: Vec::new(), dst: Vec::new(), weights: None }
     }
 
     /// Creates an empty edge list with capacity for `edges` edges.
@@ -70,9 +65,7 @@ impl EdgeList {
     pub fn push_weighted(&mut self, u: u32, v: u32, w: f32) -> Result<()> {
         self.check(u)?;
         self.check(v)?;
-        let ws = self
-            .weights
-            .get_or_insert_with(|| vec![1.0; self.src.len()]);
+        let ws = self.weights.get_or_insert_with(|| vec![1.0; self.src.len()]);
         ws.push(w);
         self.src.push(u);
         self.dst.push(v);
@@ -90,10 +83,7 @@ impl EdgeList {
 
     fn check(&self, node: u32) -> Result<()> {
         if (node as usize) >= self.num_nodes {
-            return Err(GraphError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
+            return Err(GraphError::NodeOutOfRange { node, num_nodes: self.num_nodes });
         }
         Ok(())
     }
@@ -146,11 +136,7 @@ impl EdgeList {
             indptr[row + 1] = out_cols.len();
         }
         let uniform = out_vals.iter().all(|&w| w == 1.0);
-        Csr::from_raw_parts(
-            indptr,
-            out_cols,
-            if uniform { None } else { Some(out_vals) },
-        )
+        Csr::from_raw_parts(indptr, out_cols, if uniform { None } else { Some(out_vals) })
     }
 }
 
@@ -169,10 +155,7 @@ mod tests {
     #[test]
     fn push_out_of_range_is_rejected() {
         let mut el = EdgeList::new(3);
-        assert!(matches!(
-            el.push(0, 3),
-            Err(GraphError::NodeOutOfRange { node: 3, .. })
-        ));
+        assert!(matches!(el.push(0, 3), Err(GraphError::NodeOutOfRange { node: 3, .. })));
     }
 
     #[test]

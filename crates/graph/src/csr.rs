@@ -81,7 +81,11 @@ impl Csr {
     /// Invariants (checked by debug assertions): `indptr` is monotone,
     /// starts at 0, ends at `indices.len()`; weights, if given, match the
     /// edge count.
-    pub fn from_raw_parts(indptr: Vec<usize>, indices: Vec<u32>, weights: Option<Vec<f32>>) -> Self {
+    pub fn from_raw_parts(
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        weights: Option<Vec<f32>>,
+    ) -> Self {
         debug_assert!(!indptr.is_empty());
         debug_assert_eq!(indptr[0], 0);
         debug_assert_eq!(*indptr.last().unwrap(), indices.len());
@@ -90,12 +94,7 @@ impl Csr {
             debug_assert_eq!(w.len(), indices.len());
         }
         let schedule = degree_schedule(&indptr);
-        Self {
-            indptr,
-            indices,
-            weights,
-            schedule,
-        }
+        Self { indptr, indices, weights, schedule }
     }
 
     /// An empty graph over `n` nodes.
@@ -127,9 +126,7 @@ impl Csr {
     #[inline]
     pub fn neighbor_weights(&self, u: u32) -> Option<&[f32]> {
         let u = u as usize;
-        self.weights
-            .as_ref()
-            .map(|w| &w[self.indptr[u]..self.indptr[u + 1]])
+        self.weights.as_ref().map(|w| &w[self.indptr[u]..self.indptr[u + 1]])
     }
 
     /// The weight of the `k`-th edge out of node `u` (1.0 when unweighted).
@@ -211,10 +208,8 @@ impl Csr {
         let n = self.num_nodes();
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices = Vec::with_capacity(self.num_edges() + n);
-        let mut weights: Option<Vec<f32>> = self
-            .weights
-            .as_ref()
-            .map(|_| Vec::with_capacity(self.num_edges() + n));
+        let mut weights: Option<Vec<f32>> =
+            self.weights.as_ref().map(|_| Vec::with_capacity(self.num_edges() + n));
         indptr.push(0);
         for u in 0..n as u32 {
             let neigh = self.neighbors(u);
@@ -274,8 +269,7 @@ impl Csr {
 
     /// True when the adjacency structure (ignoring weights) is symmetric.
     pub fn is_symmetric(&self) -> bool {
-        (0..self.num_nodes() as u32)
-            .all(|u| self.neighbors(u).iter().all(|&v| self.has_edge(v, u)))
+        (0..self.num_nodes() as u32).all(|u| self.neighbors(u).iter().all(|&v| self.has_edge(v, u)))
     }
 
     /// Validates that all column indices are in range; used after
@@ -284,10 +278,7 @@ impl Csr {
         let n = self.num_nodes();
         for &v in &self.indices {
             if (v as usize) >= n {
-                return Err(GraphError::NodeOutOfRange {
-                    node: v,
-                    num_nodes: n,
-                });
+                return Err(GraphError::NodeOutOfRange { node: v, num_nodes: n });
             }
         }
         if let Some(w) = &self.weights {
@@ -313,8 +304,7 @@ pub(crate) fn skewed_rows(n: u32, max_degree: u32, hub: u32, weighted: bool) -> 
     let mut el = crate::EdgeList::new(n as usize);
     let mut push = |u: u32, v: u32| {
         if weighted {
-            el.push_weighted(u, v, ((u * 31 + v * 17) % 23) as f32 * 0.125 - 1.4)
-                .unwrap();
+            el.push_weighted(u, v, ((u * 31 + v * 17) % 23) as f32 * 0.125 - 1.4).unwrap();
         } else {
             el.push(u, v).unwrap();
         }
@@ -423,11 +413,7 @@ mod tests {
             want.sort_by_key(|&o| g.degree(t0 as u32 + o as u32).min(SCHEDULE_TILE - 1)); // stable
             assert_eq!(got, &want, "tile at {t0}");
         }
-        assert_eq!(
-            *tiles(&g)[1].last().unwrap() as usize,
-            70 - SCHEDULE_TILE,
-            "the hub goes last"
-        );
+        assert_eq!(*tiles(&g)[1].last().unwrap() as usize, 70 - SCHEDULE_TILE, "the hub goes last");
         let copy = g.clone();
         assert_eq!(tiles(&copy), tiles(&g));
         assert_eq!(copy, g);
@@ -439,9 +425,7 @@ mod tests {
             let walked: Vec<u8> = tiles(&g).concat();
             assert_eq!(
                 walked,
-                (0..g.num_nodes())
-                    .map(|r| (r % SCHEDULE_TILE) as u8)
-                    .collect::<Vec<_>>()
+                (0..g.num_nodes()).map(|r| (r % SCHEDULE_TILE) as u8).collect::<Vec<_>>()
             );
         }
     }

@@ -155,7 +155,12 @@ impl V2Meta {
     }
 
     /// Section positions a conforming writer produces for these counts.
-    fn expected_positions(nodes: u64, edges: u64, chunk_rows: u64, has_weights: bool) -> (u64, u64, u64, u64) {
+    fn expected_positions(
+        nodes: u64,
+        edges: u64,
+        chunk_rows: u64,
+        has_weights: bool,
+    ) -> (u64, u64, u64, u64) {
         let nc = (nodes as usize).div_ceil(chunk_rows.max(1) as usize) as u64;
         let dir_pos = V2_HEADER;
         let offsets_pos = dir_pos + 8 * (nc + 1);
@@ -180,7 +185,9 @@ impl V2Meta {
         }
         let (dir, off, idx, wts) =
             Self::expected_positions(self.nodes, self.edges, self.chunk_rows, self.has_weights);
-        if (self.dir_pos, self.offsets_pos, self.indices_pos, self.weights_pos) != (dir, off, idx, wts) {
+        if (self.dir_pos, self.offsets_pos, self.indices_pos, self.weights_pos)
+            != (dir, off, idx, wts)
+        {
             return Err(IoError::Corrupt("section positions inconsistent with counts"));
         }
         Ok(())
@@ -384,7 +391,10 @@ impl CsrV2Writer {
         if self.rows.is_multiple_of(self.chunk_rows) {
             self.dir.push(self.edges);
         }
-        if self.idx_buf.len() >= V2_FLUSH || self.off_buf.len() >= V2_FLUSH || self.w_buf.len() >= V2_FLUSH {
+        if self.idx_buf.len() >= V2_FLUSH
+            || self.off_buf.len() >= V2_FLUSH
+            || self.w_buf.len() >= V2_FLUSH
+        {
             self.flush_buffers()?;
         }
         Ok(())
@@ -623,11 +633,7 @@ impl Envelope {
         let extra = if self.trace.is_some() { TRACE_CONTEXT_BYTES } else { 0 };
         let mut out = Vec::with_capacity(ENVELOPE_HEADER + extra + self.payload.len() + 4);
         out.extend_from_slice(ENVELOPE_MAGIC);
-        out.push(if self.trace.is_some() {
-            ENVELOPE_VERSION_TRACED
-        } else {
-            ENVELOPE_VERSION
-        });
+        out.push(if self.trace.is_some() { ENVELOPE_VERSION_TRACED } else { ENVELOPE_VERSION });
         out.push(self.kind);
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&self.sender.to_le_bytes());
@@ -908,14 +914,8 @@ mod tests {
         let bytes = e.encode();
         assert_eq!(Envelope::decode(&bytes).unwrap(), e);
         // Empty payload too.
-        let e = Envelope {
-            kind: 1,
-            round: 1,
-            sender: u32::MAX,
-            seq: 0,
-            trace: None,
-            payload: vec![],
-        };
+        let e =
+            Envelope { kind: 1, round: 1, sender: u32::MAX, seq: 0, trace: None, payload: vec![] };
         assert_eq!(Envelope::decode(&e.encode()).unwrap(), e);
     }
 
@@ -943,14 +943,8 @@ mod tests {
         // The version-1 layout is a wire contract: a frame without a
         // trace context must be byte-identical to what pre-extension
         // encoders emitted. Reconstruct those bytes by hand.
-        let e = Envelope {
-            kind: 3,
-            round: 9,
-            sender: 2,
-            seq: 4,
-            trace: None,
-            payload: vec![0xAB; 5],
-        };
+        let e =
+            Envelope { kind: 3, round: 9, sender: 2, seq: 4, trace: None, payload: vec![0xAB; 5] };
         let mut want = Vec::new();
         want.extend_from_slice(b"FGTM\x01\x03");
         want.extend_from_slice(&9u32.to_le_bytes());
@@ -998,16 +992,14 @@ mod tests {
         for bit in 0..clean.len() * 8 {
             let mut bad = clean.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(
-                Envelope::decode(&bad).is_err(),
-                "bit flip at {bit} went undetected"
-            );
+            assert!(Envelope::decode(&bad).is_err(), "bit flip at {bit} went undetected");
         }
     }
 
     #[test]
     fn envelope_rejects_truncation_extension_and_hostile_length() {
-        let e = Envelope { kind: 1, round: 1, sender: 0, seq: 0, trace: None, payload: vec![7; 16] };
+        let e =
+            Envelope { kind: 1, round: 1, sender: 0, seq: 0, trace: None, payload: vec![7; 16] };
         let clean = e.encode();
         assert!(Envelope::decode(&clean[..clean.len() - 1]).is_err());
         let mut long = clean.clone();
@@ -1043,7 +1035,8 @@ mod tests {
 
     #[test]
     fn sliced_crc32_equals_the_bitwise_crc_at_every_length_and_offset() {
-        let bytes: Vec<u8> = (0..600u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let bytes: Vec<u8> =
+            (0..600u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
         for start in 0..CRC_SLICES {
             for end in start..bytes.len() {
                 let s = &bytes[start..end];

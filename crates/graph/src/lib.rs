@@ -41,11 +41,7 @@ pub enum GraphError {
     /// An edge endpoint was `>=` the declared node count.
     NodeOutOfRange { node: u32, num_nodes: usize },
     /// A dense operand had incompatible dimensions with the sparse matrix.
-    DimensionMismatch {
-        expected: usize,
-        found: usize,
-        context: &'static str,
-    },
+    DimensionMismatch { expected: usize, found: usize, context: &'static str },
     /// A weight vector length did not match the edge count.
     WeightLengthMismatch { edges: usize, weights: usize },
     /// The requested node subset was empty.
@@ -58,11 +54,9 @@ impl std::fmt::Display for GraphError {
             GraphError::NodeOutOfRange { node, num_nodes } => {
                 write!(f, "node id {node} out of range for graph with {num_nodes} nodes")
             }
-            GraphError::DimensionMismatch {
-                expected,
-                found,
-                context,
-            } => write!(f, "dimension mismatch in {context}: expected {expected}, found {found}"),
+            GraphError::DimensionMismatch { expected, found, context } => {
+                write!(f, "dimension mismatch in {context}: expected {expected}, found {found}")
+            }
             GraphError::WeightLengthMismatch { edges, weights } => {
                 write!(f, "weight vector length {weights} does not match edge count {edges}")
             }

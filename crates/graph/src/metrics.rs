@@ -76,11 +76,7 @@ pub struct DegreeStats {
 pub fn degree_stats(g: &Csr) -> DegreeStats {
     let n = g.num_nodes();
     if n == 0 {
-        return DegreeStats {
-            min: 0,
-            max: 0,
-            mean: 0.0,
-        };
+        return DegreeStats { min: 0, max: 0, mean: 0.0 };
     }
     let mut min = usize::MAX;
     let mut max = 0usize;
@@ -91,11 +87,7 @@ pub fn degree_stats(g: &Csr) -> DegreeStats {
         max = max.max(d);
         sum += d;
     }
-    DegreeStats {
-        min,
-        max,
-        mean: sum as f64 / n as f64,
-    }
+    DegreeStats { min, max, mean: sum as f64 / n as f64 }
 }
 
 #[cfg(test)]

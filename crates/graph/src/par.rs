@@ -148,9 +148,7 @@ where
             *slot = Some(f(idx * per + k, item));
         }
     });
-    out.into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
+    out.into_iter().map(|r| r.expect("worker filled every slot")).collect()
 }
 
 /// Runs `f(chunk_index, out_chunk, row_range)` over `out` split at
@@ -172,10 +170,7 @@ where
     assert!(bounds.len() >= 2, "need at least [0, rows] boundaries");
     let rows = *bounds.last().unwrap();
     assert_eq!(bounds[0], 0, "boundaries must start at row 0");
-    assert!(
-        bounds.windows(2).all(|w| w[0] <= w[1]),
-        "boundaries must be non-decreasing"
-    );
+    assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "boundaries must be non-decreasing");
     assert_eq!(out.len(), rows * row_size, "output buffer size mismatch");
     let nonempty = bounds.windows(2).filter(|w| w[1] > w[0]).count();
     if nonempty <= 1 || in_parallel_worker() {
@@ -324,9 +319,7 @@ mod tests {
             let inner_sums = par_map_indexed(&mut inner, Some(3), |_, w| *w * 2);
             inner_sums.iter().sum::<u32>()
         });
-        let expect: Vec<u32> = (0..6u32)
-            .map(|v| (0..4).map(|k| (v + k) * 2).sum())
-            .collect();
+        let expect: Vec<u32> = (0..6u32).map(|v| (0..4).map(|k| (v + k) * 2).sum()).collect();
         assert_eq!(got, expect);
         assert!(!in_parallel_worker(), "flag must not leak to the caller");
     }
@@ -409,10 +402,7 @@ mod tests {
         refresh_thread_env();
         let mut items: Vec<u32> = (0..12).collect();
         let got = par_map_indexed(&mut items, None, |i, v| {
-            assert!(
-                !in_parallel_worker(),
-                "FEDGTA_THREADS=1 must take the inline path"
-            );
+            assert!(!in_parallel_worker(), "FEDGTA_THREADS=1 must take the inline path");
             *v + i as u32
         });
         assert_eq!(got, (0..12).map(|i| 2 * i).collect::<Vec<_>>());

@@ -180,7 +180,15 @@ fn spmm_row<E: Epilogue>(
     let full = cols / SPMM_BLOCK * SPMM_BLOCK;
     let mut jb = 0;
     while jb < full {
-        spmm_row_block::<true, E>(neigh, ws, &x[jb..], cols, base + jb, &mut out[jb..jb + SPMM_BLOCK], epi);
+        spmm_row_block::<true, E>(
+            neigh,
+            ws,
+            &x[jb..],
+            cols,
+            base + jb,
+            &mut out[jb..jb + SPMM_BLOCK],
+            epi,
+        );
         jb += SPMM_BLOCK;
     }
     if jb < cols {
@@ -206,7 +214,13 @@ fn spmm_row_tail<E: Epilogue>(
 /// [`spmm_row`] with the empty epilogue: the plain product row, for the
 /// tile path in [`crate::store`].
 #[inline]
-pub(crate) fn spmm_one_row(neigh: &[u32], ws: Option<&[f32]>, x: &[f32], cols: usize, out: &mut [f32]) {
+pub(crate) fn spmm_one_row(
+    neigh: &[u32],
+    ws: Option<&[f32]>,
+    x: &[f32],
+    cols: usize,
+    out: &mut [f32],
+) {
     spmm_row(neigh, ws, x, cols, 0, out, Plain);
 }
 
@@ -262,7 +276,15 @@ pub fn spmm_into(a: &Csr, x: &[f32], cols: usize, y: &mut [f32]) {
 /// `0·β + α·z`). Runs on the calling thread. Panics on size mismatch;
 /// records the same `spmm.rows` / `spmm.flops` counters as [`spmm_into`]
 /// (the epilogue is not counted).
-pub fn spmm_axpby_into(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32], y: &mut [f32]) {
+pub fn spmm_axpby_into(
+    a: &Csr,
+    x: &[f32],
+    cols: usize,
+    beta: f32,
+    alpha: f32,
+    z: &[f32],
+    y: &mut [f32],
+) {
     assert_eq!(z.len(), y.len());
     record_spmm(a.num_nodes(), a.num_edges(), cols);
     spmm_rows(a, x, cols, y, 1, Axpby { beta, alpha, z });
@@ -329,15 +351,7 @@ fn spmm_rows<E: Epilogue>(a: &Csr, x: &[f32], cols: usize, y: &mut [f32], thread
                 let local = row - range.start;
                 let out = &mut chunk[local * cols..(local + 1) * cols];
                 let u = row as u32;
-                spmm_row(
-                    a.neighbors(u),
-                    a.neighbor_weights(u),
-                    x,
-                    cols,
-                    row * cols,
-                    out,
-                    epi,
-                );
+                spmm_row(a.neighbors(u), a.neighbor_weights(u), x, cols, row * cols, out, epi);
             }
         }
     };
@@ -447,7 +461,9 @@ mod tests {
                 let out = &mut want[row as usize * cols..(row as usize + 1) * cols];
                 let ws = g.neighbor_weights(row).unwrap();
                 for (&v, &w) in g.neighbors(row).iter().zip(ws) {
-                    for (o, &s) in out.iter_mut().zip(&x[v as usize * cols..(v as usize + 1) * cols]) {
+                    for (o, &s) in
+                        out.iter_mut().zip(&x[v as usize * cols..(v as usize + 1) * cols])
+                    {
                         *o += w * s;
                     }
                 }
@@ -503,12 +519,10 @@ mod tests {
             );
             for cols in [1usize, 7, 16, 17, 33, 40] {
                 for salted in [false, true] {
-                    let mut x: Vec<f32> = (0..n * cols)
-                        .map(|i| ((i * 37 % 19) as f32) * 0.25 - 2.0)
-                        .collect();
-                    let z: Vec<f32> = (0..n * cols)
-                        .map(|i| ((i * 13 % 11) as f32) * 0.5 - 1.5)
-                        .collect();
+                    let mut x: Vec<f32> =
+                        (0..n * cols).map(|i| ((i * 37 % 19) as f32) * 0.25 - 2.0).collect();
+                    let z: Vec<f32> =
+                        (0..n * cols).map(|i| ((i * 13 % 11) as f32) * 0.5 - 1.5).collect();
                     if salted {
                         for (i, v) in x.iter_mut().enumerate().filter(|(i, _)| i % 11 == 0) {
                             *v = special[i / 11 % special.len()];
@@ -516,11 +530,8 @@ mod tests {
                     }
                     let what = format!("weighted={weighted} cols={cols} salted={salted}");
                     let want = row_order_reference(&g, &x, cols);
-                    let want_axpby: Vec<f32> = want
-                        .iter()
-                        .zip(&z)
-                        .map(|(&p, &zv)| p * 0.5 + -1.25 * zv)
-                        .collect();
+                    let want_axpby: Vec<f32> =
+                        want.iter().zip(&z).map(|(&p, &zv)| p * 0.5 + -1.25 * zv).collect();
                     let mut got = vec![7f32; n * cols]; // garbage: fully overwritten
                     spmm_into(&g, &x, cols, &mut got);
                     assert_same_bits_or_nan(&got, &want, &what);
@@ -538,11 +549,7 @@ mod tests {
                             cols,
                             &mut got,
                             threads,
-                            Axpby {
-                                beta: 0.5,
-                                alpha: -1.25,
-                                z: &z,
-                            },
+                            Axpby { beta: 0.5, alpha: -1.25, z: &z },
                         );
                         assert_same_bits_or_nan(&got, &want_axpby, &what);
                     }
@@ -565,20 +572,15 @@ mod tests {
         for g in [star, crate::csr::skewed_rows(320, 40, 150, true)] {
             let n = g.num_nodes();
             for cols in [1usize, 7, 16, 33] {
-                let x: Vec<f32> = (0..n * cols)
-                    .map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0)
-                    .collect();
+                let x: Vec<f32> =
+                    (0..n * cols).map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0).collect();
                 let mut serial = vec![0f32; x.len()];
                 spmm_into_threads(&g, &x, cols, &mut serial, 1);
                 for threads in [2usize, 3, 4, 7, 64] {
                     let mut par = vec![7f32; x.len()]; // garbage: fully overwritten
                     spmm_into_threads(&g, &x, cols, &mut par, threads);
                     for (a, b) in par.iter().zip(&serial) {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "n={n} threads={threads} cols={cols}"
-                        );
+                        assert_eq!(a.to_bits(), b.to_bits(), "n={n} threads={threads} cols={cols}");
                     }
                 }
             }
@@ -609,7 +611,14 @@ mod tests {
 
     /// The two-pass form `spmm_axpby_into` replaces: the plain kernel into
     /// a scratch, then the separate `p·β + α·z` sweep.
-    fn axpby_two_pass(a: &Csr, x: &[f32], cols: usize, beta: f32, alpha: f32, z: &[f32]) -> Vec<f32> {
+    fn axpby_two_pass(
+        a: &Csr,
+        x: &[f32],
+        cols: usize,
+        beta: f32,
+        alpha: f32,
+        z: &[f32],
+    ) -> Vec<f32> {
         let mut prop = vec![f32::NAN; x.len()];
         spmm_into_threads(a, x, cols, &mut prop, 1);
         prop.iter().zip(z).map(|(&p, &zv)| p * beta + alpha * zv).collect()
@@ -637,15 +646,25 @@ mod tests {
         assert!(weighted.neighbors(3).is_empty() && weighted.neighbor_weights(3).is_some());
         for (g, kind) in [(&unweighted, "unweighted"), (&weighted, "weighted")] {
             for cols in [1usize, 3, 15, 16, 17, 33, 40] {
-                let x: Vec<f32> = (0..4 * cols).map(|i| ((i * 37 % 19) as f32) * 0.25 - 2.0).collect();
-                let z: Vec<f32> = (0..4 * cols).map(|i| ((i * 13 % 11) as f32) * 0.5 - 1.5).collect();
+                let x: Vec<f32> =
+                    (0..4 * cols).map(|i| ((i * 37 % 19) as f32) * 0.25 - 2.0).collect();
+                let z: Vec<f32> =
+                    (0..4 * cols).map(|i| ((i * 13 % 11) as f32) * 0.5 - 1.5).collect();
                 for (beta, alpha) in [(0.5f32, 0.5f32), (1.0, 0.0), (0.0, 1.0), (0.3, -1.7)] {
                     let want = axpby_two_pass(g, &x, cols, beta, alpha, &z);
                     let mut got = vec![f32::NAN; x.len()]; // garbage: fully overwritten
                     spmm_axpby_into(g, &x, cols, beta, alpha, &z, &mut got);
-                    assert_same_bits(&got, &want, &format!("{kind} cols={cols} β={beta} α={alpha}"));
+                    assert_same_bits(
+                        &got,
+                        &want,
+                        &format!("{kind} cols={cols} β={beta} α={alpha}"),
+                    );
                     for (o, &zv) in got[3 * cols..].iter().zip(&z[3 * cols..]) {
-                        assert_eq!(o.to_bits(), (0.0 * beta + alpha * zv).to_bits(), "isolated row");
+                        assert_eq!(
+                            o.to_bits(),
+                            (0.0 * beta + alpha * zv).to_bits(),
+                            "isolated row"
+                        );
                     }
                 }
             }
@@ -674,19 +693,23 @@ mod tests {
             el.to_csr()
         };
         let scheduled = crate::csr::skewed_rows(320, 40, 150, true);
-        for (g, kind) in [
-            (&star, "star"),
-            (&skewed, "skewed"),
-            (&scheduled, "scheduled"),
-        ] {
+        for (g, kind) in [(&star, "star"), (&skewed, "skewed"), (&scheduled, "scheduled")] {
             let n = g.num_nodes();
             for cols in [1usize, 7, 16, 33] {
-                let x: Vec<f32> = (0..n * cols).map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0).collect();
+                let x: Vec<f32> =
+                    (0..n * cols).map(|i| ((i * 29 % 23) as f32) * 0.125 - 1.0).collect();
                 let z: Vec<f32> = (0..n * cols).map(|i| (i as f32 * 0.31).sin()).collect();
                 let want = axpby_two_pass(g, &x, cols, 0.5, 0.5, &z);
                 for threads in [1usize, 2, 3, 4, 7, 64] {
                     let mut got = vec![7f32; x.len()];
-                    spmm_rows(g, &x, cols, &mut got, threads, Axpby { beta: 0.5, alpha: 0.5, z: &z });
+                    spmm_rows(
+                        g,
+                        &x,
+                        cols,
+                        &mut got,
+                        threads,
+                        Axpby { beta: 0.5, alpha: 0.5, z: &z },
+                    );
                     assert_same_bits(&got, &want, &format!("{kind} cols={cols} threads={threads}"));
                 }
             }

@@ -33,9 +33,7 @@ fn resident_add(delta: i64) {
         RESIDENT.fetch_sub((-delta) as u64, Ordering::Relaxed) - (-delta) as u64
     };
     static GAUGE: OnceLock<Arc<fedgta_obs::Gauge>> = OnceLock::new();
-    GAUGE
-        .get_or_init(|| fedgta_obs::global().gauge("graph.store.resident_bytes"))
-        .set_max(now);
+    GAUGE.get_or_init(|| fedgta_obs::global().gauge("graph.store.resident_bytes")).set_max(now);
 }
 
 /// Bytes of store buffers (tiles + chunk directories) resident right now.
@@ -81,10 +79,8 @@ impl ChunkedCsr {
         let nc = meta.num_chunks();
         let mut dir_bytes = vec![0u8; 8 * (nc + 1)];
         pread_exact(&file, meta.dir_pos, &mut dir_bytes)?;
-        let dir: Vec<u64> = dir_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let dir: Vec<u64> =
+            dir_bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
         if dir.first() != Some(&0) || dir.last() != Some(&meta.edges) {
             return Err(IoError::Corrupt("chunk directory endpoints"));
         }
@@ -222,7 +218,10 @@ impl TileBuf {
     }
 
     fn capacity_bytes(&self) -> usize {
-        self.offsets.capacity() * 8 + self.indices.capacity() * 4 + self.weights.capacity() * 4 + self.raw.capacity()
+        self.offsets.capacity() * 8
+            + self.indices.capacity() * 4
+            + self.weights.capacity() * 4
+            + self.raw.capacity()
     }
 
     fn reaccount(&mut self) {
@@ -388,9 +387,8 @@ pub fn spmm_chunked_into_threads(
             *err.lock().unwrap() = Some(e);
         }
     };
-    let threads = resolve_threads(Some(threads))
-        .min(crate::spmm::MAX_CHUNKS)
-        .min(a.num_chunks().max(1));
+    let threads =
+        resolve_threads(Some(threads)).min(crate::spmm::MAX_CHUNKS).min(a.num_chunks().max(1));
     if threads <= 1 || n == 0 {
         if n > 0 {
             body(0, y, 0..n);
@@ -510,7 +508,13 @@ impl RowSink for CsrBuilder {
 /// Builds the row `u` of `Â = A + I` from the raw row, replicating
 /// [`Csr::with_self_loops`]: a weight-1.0 loop is inserted at its sorted
 /// position when absent.
-fn hat_row(u: u32, cols: &[u32], ws: Option<&[f32]>, out_cols: &mut Vec<u32>, out_ws: &mut Vec<f32>) {
+fn hat_row(
+    u: u32,
+    cols: &[u32],
+    ws: Option<&[f32]>,
+    out_cols: &mut Vec<u32>,
+    out_ws: &mut Vec<f32>,
+) {
     out_cols.clear();
     out_ws.clear();
     let mut inserted = false;
@@ -542,7 +546,11 @@ fn hat_row(u: u32, cols: &[u32], ws: Option<&[f32]>, out_cols: &mut Vec<u32>, ou
 /// uses. Exactness is what makes out-of-core *decoupled* precompute
 /// possible: propagation is a fixed linear operator, so streaming it tile
 /// by tile changes nothing about the result.
-pub fn normalize_stream<S: RowSink>(src: &ChunkedCsr, kind: NormKind, mut sink: S) -> Result<S::Output, IoError> {
+pub fn normalize_stream<S: RowSink>(
+    src: &ChunkedCsr,
+    kind: NormKind,
+    mut sink: S,
+) -> Result<S::Output, IoError> {
     let n = src.num_nodes();
     let r = kind.r();
     // Pass 1: weighted degrees of Â, summed in row order exactly like
@@ -668,7 +676,8 @@ mod tests {
             write_csr_v2(&path, &g, chunk_rows).unwrap();
             let store = ChunkedCsr::open(&path).unwrap();
             for cols in [1usize, 7, 16, 33] {
-                let x: Vec<f32> = (0..n as usize * cols).map(|i| ((i * 31 % 17) as f32) * 0.21 - 1.0).collect();
+                let x: Vec<f32> =
+                    (0..n as usize * cols).map(|i| ((i * 31 % 17) as f32) * 0.21 - 1.0).collect();
                 let mut mem = vec![0f32; x.len()];
                 crate::spmm::spmm_into(&g, &x, cols, &mut mem);
                 for threads in [1usize, 2, 4, 7] {
@@ -714,7 +723,8 @@ mod tests {
             let mut raw = skewed_graph(150, seed);
             if weighted {
                 // Force an explicitly weighted raw graph.
-                let ws: Vec<f32> = (0..raw.num_edges()).map(|i| 0.5 + (i % 4) as f32 * 0.25).collect();
+                let ws: Vec<f32> =
+                    (0..raw.num_edges()).map(|i| 0.5 + (i % 4) as f32 * 0.25).collect();
                 raw = Csr::from_raw_parts(raw.indptr().to_vec(), raw.indices().to_vec(), Some(ws));
             }
             let path = tmpdir().join(format!("norm-{seed}.fgta2"));
@@ -722,7 +732,8 @@ mod tests {
             let store = ChunkedCsr::open(&path).unwrap();
             for kind in [NormKind::Symmetric, NormKind::RowStochastic, NormKind::ColumnStochastic] {
                 let want = normalized_adjacency(&raw, kind);
-                let got = normalize_stream(&store, kind, CsrBuilder::new(150).keep_weights()).unwrap();
+                let got =
+                    normalize_stream(&store, kind, CsrBuilder::new(150).keep_weights()).unwrap();
                 assert_eq!(got.indptr(), want.indptr());
                 assert_eq!(got.indices(), want.indices());
                 let (gw, ww) = (got.weights().unwrap(), want.weights().unwrap());

@@ -33,9 +33,7 @@ impl Subgraph {
             return Some(i as u32);
         }
         let halo = &self.global_ids[self.num_owned..];
-        halo.binary_search(&global)
-            .ok()
-            .map(|i| (self.num_owned + i) as u32)
+        halo.binary_search(&global).ok().map(|i| (self.num_owned + i) as u32)
     }
 }
 
@@ -55,10 +53,7 @@ pub fn induced_subgraph(global: &Csr, nodes: &[u32]) -> Result<Subgraph> {
     let owned = sorted_unique(nodes);
     for &u in &owned {
         if (u as usize) >= global.num_nodes() {
-            return Err(GraphError::NodeOutOfRange {
-                node: u,
-                num_nodes: global.num_nodes(),
-            });
+            return Err(GraphError::NodeOutOfRange { node: u, num_nodes: global.num_nodes() });
         }
     }
     let mut el = EdgeList::new(owned.len());
@@ -71,11 +66,7 @@ pub fn induced_subgraph(global: &Csr, nodes: &[u32]) -> Result<Subgraph> {
         }
     }
     let num_owned = owned.len();
-    Ok(Subgraph {
-        graph: el.to_csr(),
-        global_ids: owned,
-        num_owned,
-    })
+    Ok(Subgraph { graph: el.to_csr(), global_ids: owned, num_owned })
 }
 
 /// Extracts the subgraph induced by `nodes` plus their 1-hop neighbors as
@@ -89,10 +80,7 @@ pub fn halo_subgraph(global: &Csr, nodes: &[u32]) -> Result<Subgraph> {
     let owned = sorted_unique(nodes);
     for &u in &owned {
         if (u as usize) >= global.num_nodes() {
-            return Err(GraphError::NodeOutOfRange {
-                node: u,
-                num_nodes: global.num_nodes(),
-            });
+            return Err(GraphError::NodeOutOfRange { node: u, num_nodes: global.num_nodes() });
         }
     }
     let mut halo: Vec<u32> = Vec::new();
@@ -133,11 +121,7 @@ pub fn halo_subgraph(global: &Csr, nodes: &[u32]) -> Result<Subgraph> {
             }
         }
     }
-    Ok(Subgraph {
-        graph: el.to_csr(),
-        global_ids,
-        num_owned,
-    })
+    Ok(Subgraph { graph: el.to_csr(), global_ids, num_owned })
 }
 
 #[cfg(test)]
