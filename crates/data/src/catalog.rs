@@ -183,10 +183,7 @@ pub const SPECS: &[DatasetSpec] = &[
 
 /// Looks up a spec by name.
 pub fn spec_by_name(name: &str) -> Result<&'static DatasetSpec, DataError> {
-    SPECS
-        .iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| DataError::UnknownDataset(name.to_string()))
+    SPECS.iter().find(|s| s.name == name).ok_or_else(|| DataError::UnknownDataset(name.to_string()))
 }
 
 /// A generated global benchmark graph.
@@ -243,15 +240,7 @@ impl Benchmark {
             description: "user-supplied graph",
         };
         let blocks = labels.clone();
-        Benchmark {
-            graph,
-            features,
-            labels,
-            num_classes,
-            blocks,
-            split,
-            spec,
-        }
+        Benchmark { graph, features, labels, num_classes, blocks, split, spec }
     }
 
     /// Builds the full-graph [`GraphDataset`] (the "Global" centralized
@@ -365,10 +354,7 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         assert!(spec_by_name("cora").is_ok());
-        assert!(matches!(
-            spec_by_name("imagenet"),
-            Err(DataError::UnknownDataset(_))
-        ));
+        assert!(matches!(spec_by_name("imagenet"), Err(DataError::UnknownDataset(_))));
     }
 
     #[test]

@@ -92,11 +92,7 @@ pub fn class_features(
     }
     let mut x = Matrix::zeros(labels.len(), cfg.dim);
     for (i, (&c, &b)) in labels.iter().zip(blocks).enumerate() {
-        let mode = if modes > 1 {
-            rng.random_range(0..modes)
-        } else {
-            0
-        };
+        let mode = if modes > 1 { rng.random_range(0..modes) } else { 0 };
         let mode_row = c as usize * modes + mode;
         for j in 0..cfg.dim {
             let v = centroids.get(c as usize, j)
@@ -135,10 +131,7 @@ mod tests {
         let n = 400;
         let labels: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
         let blocks = labels.clone();
-        let cfg = FeatureConfig {
-            dim: 16,
-            ..Default::default()
-        };
+        let cfg = FeatureConfig { dim: 16, ..Default::default() };
         let x = class_features(&labels, &blocks, 2, &cfg);
         let c0: Vec<usize> = (0..n).filter(|i| i % 2 == 0).collect();
         let c1: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();
@@ -164,12 +157,7 @@ mod tests {
         // One class, two blocks.
         let labels = vec![0u32; n];
         let blocks: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let cfg = FeatureConfig {
-            dim: 16,
-            block_jitter: 1.0,
-            noise: 0.2,
-            ..Default::default()
-        };
+        let cfg = FeatureConfig { dim: 16, block_jitter: 1.0, noise: 0.2, ..Default::default() };
         let x = class_features(&labels, &blocks, 1, &cfg);
         let b0: Vec<usize> = (0..n).filter(|i| i % 2 == 0).collect();
         let b1: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();

@@ -32,11 +32,7 @@ pub fn stratified_split(
     for (v, &c) in labels.iter().enumerate() {
         by_class[c as usize].push(v as u32);
     }
-    let mut split = Split {
-        train: Vec::new(),
-        val: Vec::new(),
-        test: Vec::new(),
-    };
+    let mut split = Split { train: Vec::new(), val: Vec::new(), test: Vec::new() };
     for nodes in by_class.iter_mut() {
         if nodes.is_empty() {
             continue;
@@ -69,9 +65,7 @@ pub fn stratified_split(
         }
         split.train.extend_from_slice(&nodes[..n_train]);
         split.val.extend_from_slice(&nodes[n_train..n_train + n_val]);
-        split
-            .test
-            .extend_from_slice(&nodes[n_train + n_val..n_train + n_val + n_test]);
+        split.test.extend_from_slice(&nodes[n_train + n_val..n_train + n_val + n_test]);
     }
     split.train.sort_unstable();
     split.val.sort_unstable();

@@ -7,12 +7,12 @@ use proptest::prelude::*;
 
 fn arb_spec() -> impl Strategy<Value = (DatasetSpec, u64)> {
     (
-        200usize..800,   // nodes
-        2usize..6,       // classes
-        1usize..4,       // blocks per class
-        4.0f64..12.0,    // avg degree
-        0.6f64..0.95,    // homophily
-        0u64..1000,      // seed
+        200usize..800, // nodes
+        2usize..6,     // classes
+        1usize..4,     // blocks per class
+        4.0f64..12.0,  // avg degree
+        0.6f64..0.95,  // homophily
+        0u64..1000,    // seed
     )
         .prop_map(|(nodes, classes, bpc, deg, hom, seed)| {
             (
