@@ -261,7 +261,7 @@ pub fn run_cell(
     let t0 = Instant::now();
     let raw_store = ChunkedCsr::open(&raw.path).expect("open raw v2");
     let writer = CsrV2Writer::create(&norm_path, n, CHUNK_ROWS).expect("create norm v2");
-    let summary =
+    let (summary, _) =
         normalize_stream(&raw_store, NormKind::Symmetric, writer).expect("streamed normalization");
     drop(raw_store);
     let norm_s = t0.elapsed().as_secs_f64();

@@ -74,6 +74,46 @@ fn degree_schedule(indptr: &[usize]) -> Vec<u8> {
     schedule
 }
 
+/// Where row `u`'s self-loop sits in its neighbor list `cols`: before the
+/// first neighbor `>= u`, and whether that neighbor is `u` itself. The one
+/// self-loop rule of `Â = A + I` ([`push_hat_row`]; the normalization's
+/// degrees).
+pub(crate) fn self_loop_slot(u: u32, cols: &[u32]) -> (usize, bool) {
+    let at = cols.iter().position(|&v| v >= u).unwrap_or(cols.len());
+    (at, cols.get(at) == Some(&u))
+}
+
+/// Appends row `u` of `Â = A + I` to `cols_out` (its weights, when the
+/// caller keeps them, to `ws_out`): the stored row, with a weight-1.0 loop
+/// inserted at [`self_loop_slot`] when it has none. `None` weights are
+/// 1.0.
+pub(crate) fn push_hat_row(
+    u: u32,
+    cols: &[u32],
+    ws: Option<&[f32]>,
+    cols_out: &mut Vec<u32>,
+    ws_out: Option<&mut Vec<f32>>,
+) {
+    let (at, looped) = self_loop_slot(u, cols);
+    cols_out.extend_from_slice(&cols[..at]);
+    if !looped {
+        cols_out.push(u);
+    }
+    cols_out.extend_from_slice(&cols[at..]);
+    if let Some(out) = ws_out {
+        match ws {
+            Some(ws) => {
+                out.extend_from_slice(&ws[..at]);
+                if !looped {
+                    out.push(1.0);
+                }
+                out.extend_from_slice(&ws[at..]);
+            }
+            None => out.resize(out.len() + cols.len() + usize::from(!looped), 1.0),
+        }
+    }
+}
+
 impl Csr {
     /// Assembles a CSR from raw parts — the one constructor every `Csr`
     /// goes through, which builds its SpMM row schedule.
@@ -153,11 +193,6 @@ impl Csr {
         }
     }
 
-    /// Weighted degrees of all nodes.
-    pub fn weighted_degrees(&self) -> Vec<f32> {
-        (0..self.num_nodes() as u32).map(|u| self.weighted_degree(u)).collect()
-    }
-
     /// Raw row offsets.
     #[inline]
     pub fn indptr(&self) -> &[usize] {
@@ -208,33 +243,11 @@ impl Csr {
         let n = self.num_nodes();
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices = Vec::with_capacity(self.num_edges() + n);
-        let mut weights: Option<Vec<f32>> =
-            self.weights.as_ref().map(|_| Vec::with_capacity(self.num_edges() + n));
+        let mut weights = self.weights.as_ref().map(|_| Vec::with_capacity(self.num_edges() + n));
         indptr.push(0);
         for u in 0..n as u32 {
-            let neigh = self.neighbors(u);
-            let mut inserted = false;
-            for (k, &v) in neigh.iter().enumerate() {
-                if !inserted && v >= u {
-                    if v != u {
-                        indices.push(u);
-                        if let Some(w) = &mut weights {
-                            w.push(1.0);
-                        }
-                    }
-                    inserted = true;
-                }
-                indices.push(v);
-                if let Some(w) = &mut weights {
-                    w.push(self.edge_weight_at(u, k));
-                }
-            }
-            if !inserted {
-                indices.push(u);
-                if let Some(w) = &mut weights {
-                    w.push(1.0);
-                }
-            }
+            let ws = self.neighbor_weights(u);
+            push_hat_row(u, self.neighbors(u), ws, &mut indices, weights.as_mut());
             indptr.push(indices.len());
         }
         Csr::from_raw_parts(indptr, indices, weights)

@@ -13,7 +13,7 @@
 
 use crate::Csr;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"FGTA";
@@ -104,7 +104,6 @@ pub(crate) fn pwrite_all(f: &File, pos: u64, buf: &[u8]) -> io::Result<()> {
 
 #[cfg(not(unix))]
 pub(crate) fn pwrite_all(mut f: &File, pos: u64, buf: &[u8]) -> io::Result<()> {
-    use std::io::{Seek, SeekFrom};
     f.seek(SeekFrom::Start(pos))?;
     f.write_all(buf)
 }
@@ -117,7 +116,7 @@ pub(crate) fn pread_exact(f: &File, pos: u64, buf: &mut [u8]) -> io::Result<()> 
 
 #[cfg(not(unix))]
 pub(crate) fn pread_exact(mut f: &File, pos: u64, buf: &mut [u8]) -> io::Result<()> {
-    use std::io::{Seek, SeekFrom};
+    use std::io::Read;
     f.seek(SeekFrom::Start(pos))?;
     f.read_exact(buf)
 }
@@ -125,6 +124,16 @@ pub(crate) fn pread_exact(mut f: &File, pos: u64, buf: &mut [u8]) -> io::Result<
 #[inline]
 fn align8(x: u64) -> u64 {
     (x + 7) & !7
+}
+
+/// Appends `xs` to `buf` as little-endian bytes, `N` to each: one resize
+/// and one pass that compiles to a copy on a little-endian target.
+fn put_le<T: Copy, const N: usize>(buf: &mut Vec<u8>, xs: &[T], le: impl Fn(T) -> [u8; N]) {
+    let at = buf.len();
+    buf.resize(at + N * xs.len(), 0);
+    for (b, &x) in buf[at..].chunks_exact_mut(N).zip(xs) {
+        b.copy_from_slice(&le(x));
+    }
 }
 
 /// Parsed v2 header: counts plus section positions, sanity-checked.
@@ -275,7 +284,9 @@ pub struct CsrV2Summary {
 /// with `None` weights count as all-1.0; if *every* weight ends up 1.0 the
 /// weights section is dropped entirely — the same uniform rule
 /// `EdgeList::to_csr` applies — unless [`CsrV2Writer::keep_weights`] was
-/// called.
+/// called. A 1.0 is only written once a later weight, or `finish`, needs
+/// the section: until then the side file holds the weights of the first
+/// `w_edges` edges and every edge after them weighs 1.0.
 pub struct CsrV2Writer {
     file: File,
     path: PathBuf,
@@ -293,6 +304,7 @@ pub struct CsrV2Writer {
     idx_buf: Vec<u8>,
     idx_pos: u64,
     w_buf: Vec<u8>,
+    w_edges: u64,
     indices_pos: u64,
     finished: bool,
 }
@@ -338,6 +350,7 @@ impl CsrV2Writer {
             idx_buf: Vec::with_capacity(V2_FLUSH + 16),
             idx_pos: indices_pos,
             w_buf: Vec::with_capacity(V2_FLUSH + 16),
+            w_edges: 0,
             indices_pos,
             finished: false,
         })
@@ -358,32 +371,18 @@ impl CsrV2Writer {
         if self.rows >= self.n {
             return Err(IoError::Corrupt("more rows pushed than declared"));
         }
-        if let Some(ws) = weights {
-            if ws.len() != cols.len() {
-                return Err(IoError::Corrupt("weight/index length mismatch"));
-            }
+        if weights.is_some_and(|ws| ws.len() != cols.len()) {
+            return Err(IoError::Corrupt("weight/index length mismatch"));
         }
-        for &c in cols {
-            if c as usize >= self.n {
-                return Err(IoError::Corrupt("column index out of range"));
-            }
-            self.idx_buf.extend_from_slice(&c.to_le_bytes());
+        if cols.iter().fold(0, |m, &c| m.max(c)) as usize >= self.n {
+            return Err(IoError::Corrupt("column index out of range"));
         }
-        let one = 1.0f32.to_le_bytes();
-        match weights {
-            Some(ws) => {
-                for &w in ws {
-                    if w != 1.0 {
-                        self.all_ones = false;
-                    }
-                    self.w_buf.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            None => {
-                for _ in 0..cols.len() {
-                    self.w_buf.extend_from_slice(&one);
-                }
-            }
+        put_le(&mut self.idx_buf, cols, u32::to_le_bytes);
+        if let Some(ws) = weights.filter(|ws| !self.all_ones || ws.iter().any(|&w| w != 1.0)) {
+            self.all_ones = false;
+            self.put_ones(self.edges)?;
+            put_le(&mut self.w_buf, ws, f32::to_le_bytes);
+            self.w_edges += ws.len() as u64;
         }
         self.edges += cols.len() as u64;
         self.rows += 1;
@@ -396,6 +395,24 @@ impl CsrV2Writer {
             || self.w_buf.len() >= V2_FLUSH
         {
             self.flush_buffers()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the 1.0 weights of the edges from `w_edges` up to `upto`.
+    fn put_ones(&mut self, upto: u64) -> io::Result<()> {
+        while self.w_edges < upto {
+            let k = ((upto - self.w_edges) as usize).min(V2_FLUSH / 4);
+            let at = self.w_buf.len();
+            self.w_buf.resize(at + 4 * k, 0);
+            for w in self.w_buf[at..].chunks_exact_mut(4) {
+                w.copy_from_slice(&1.0f32.to_le_bytes());
+            }
+            self.w_edges += k as u64;
+            if self.w_buf.len() >= V2_FLUSH {
+                self.wfile.write_all(&self.w_buf)?;
+                self.w_buf.clear();
+            }
         }
         Ok(())
     }
@@ -427,27 +444,20 @@ impl CsrV2Writer {
         if self.edges > MAX_DECODE_EDGES {
             return Err(IoError::Corrupt("node/edge count exceeds sanity limit"));
         }
+        let has_weights = !(self.drop_uniform && self.all_ones);
+        if has_weights {
+            self.put_ones(self.edges)?;
+        }
         self.flush_buffers()?;
         if !self.n.is_multiple_of(self.chunk_rows) {
             self.dir.push(self.edges);
         }
-        let has_weights = !(self.drop_uniform && self.all_ones);
         let weights_pos = if has_weights { align8(self.indices_pos + 4 * self.edges) } else { 0 };
         if has_weights {
             // Splice the side file into the main file at its final home.
-            self.wfile.flush()?;
-            let mut src = File::open(&self.wpath)?;
-            let mut pos = weights_pos;
-            let mut buf = vec![0u8; 1 << 20];
-            loop {
-                let got = src.read(&mut buf)?;
-                if got == 0 {
-                    break;
-                }
-                pwrite_all(&self.file, pos, &buf[..got])?;
-                pos += got as u64;
-            }
-            if pos - weights_pos != 4 * self.edges {
+            let mut dst = &self.file;
+            dst.seek(SeekFrom::Start(weights_pos))?;
+            if io::copy(&mut File::open(&self.wpath)?, &mut dst)? != 4 * self.edges {
                 return Err(IoError::Corrupt("weight side file length mismatch"));
             }
         }

@@ -7,6 +7,7 @@
 //! - `r = 0` gives the row-stochastic random-walk matrix `D̂^{-1} Â`
 //!   (the mean aggregator of GraphSAGE).
 
+use crate::store::{normalize_stream, CsrBuilder};
 use crate::Csr;
 
 /// Which member of the normalization family to build.
@@ -37,13 +38,22 @@ impl NormKind {
 ///
 /// Self-loops are added first (`Â = A + I`) so isolated nodes get weight-1
 /// self-edges rather than divisions by zero. The input's own edge weights
-/// participate in the weighted degree.
+/// participate in the weighted degree. [`normalize_stream`] over the
+/// in-memory rows, which also hands back `D̂`.
 pub fn normalized_adjacency(graph: &Csr, kind: NormKind) -> Csr {
+    let sink = CsrBuilder::new(graph.num_nodes()).keep_weights();
+    normalize_stream(graph, kind, sink).expect("an in-memory graph's rows").0
+}
+
+/// The normalization as it was built before [`normalize_stream`] became
+/// its one body — materialize `Â`, take its degrees, scale every edge:
+/// the oracle both paths are checked against.
+#[cfg(test)]
+pub(crate) fn normalized_adjacency_oracle(graph: &Csr, kind: NormKind) -> Csr {
     let hat = graph.with_self_loops();
     let n = hat.num_nodes();
-    let deg = hat.weighted_degrees();
+    let deg: Vec<f32> = (0..n as u32).map(|u| hat.weighted_degree(u)).collect();
     let r = kind.r();
-    // d^{r-1} (left scale) and d^{-r} (right scale) per node.
     let left: Vec<f32> = deg.iter().map(|&d| d.powf(r - 1.0)).collect();
     let right: Vec<f32> = deg.iter().map(|&d| d.powf(-r)).collect();
     let mut weights = Vec::with_capacity(hat.num_edges());

@@ -13,10 +13,12 @@
 //! `workspace.high_water_bytes`), so a scale run can *prove* its memory
 //! ceiling rather than assert it.
 
+use crate::csr::{push_hat_row, self_loop_slot};
 use crate::io::{pread_exact, CsrV2Summary, CsrV2Writer, IoError, V2Meta};
 use crate::par::{par_chunks_mut_at, resolve_threads};
 use crate::spmm::spmm_one_row;
 use crate::{Csr, NormKind};
+use std::borrow::Cow;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -315,15 +317,9 @@ impl TileReader<'_> {
         tile.raw.clear();
         tile.raw.resize(idx_bytes, 0);
         pread_exact(&self.file, meta.indices_pos + 4 * base, &mut tile.raw)?;
-        tile.indices.clear();
-        tile.indices.reserve(nnz);
-        let n = store.num_nodes() as u32;
-        for cbytes in tile.raw.chunks_exact(4) {
-            let v = u32::from_le_bytes(cbytes.try_into().unwrap());
-            if v >= n {
-                return Err(IoError::Corrupt("column index out of range"));
-            }
-            tile.indices.push(v);
+        get_le(&mut tile.indices, &tile.raw, u32::from_le_bytes);
+        if tile.indices.iter().fold(0, |m, &v| m.max(v)) as usize >= store.num_nodes() {
+            return Err(IoError::Corrupt("column index out of range"));
         }
         // Weights.
         tile.weights.clear();
@@ -333,16 +329,27 @@ impl TileReader<'_> {
             tile.raw.clear();
             tile.raw.resize(w_bytes, 0);
             pread_exact(&self.file, meta.weights_pos + 4 * base, &mut tile.raw)?;
-            tile.weights.reserve(nnz);
-            for cbytes in tile.raw.chunks_exact(4) {
-                tile.weights.push(f32::from_le_bytes(cbytes.try_into().unwrap()));
-            }
+            get_le(&mut tile.weights, &tile.raw, f32::from_le_bytes);
             total += w_bytes;
         }
         tile.rows = range;
         tile.reaccount();
         record_tile_read(total as u64);
         Ok(())
+    }
+}
+
+/// Replaces `dst` by the little-endian values of `raw`, `N` bytes each: one
+/// resize and one pass that compiles to a copy on a little-endian target.
+fn get_le<T: Copy + Default, const N: usize>(
+    dst: &mut Vec<T>,
+    raw: &[u8],
+    from: impl Fn([u8; N]) -> T,
+) {
+    dst.clear();
+    dst.resize(raw.len() / N, T::default());
+    for (d, b) in dst.iter_mut().zip(raw.chunks_exact(N)) {
+        *d = from(b.try_into().unwrap());
     }
 }
 
@@ -417,6 +424,10 @@ pub trait RowSink {
     type Output;
     /// Appends the next row (sorted neighbor ids; `None` weights = all 1.0).
     fn push_row(&mut self, cols: &[u32], weights: Option<&[f32]>) -> Result<(), IoError>;
+    /// Says that about `edges` more edges are coming, so a sink that holds
+    /// them can make room once instead of growing; streaming sinks ignore
+    /// it.
+    fn reserve(&mut self, _edges: usize) {}
     /// Finalizes the sink.
     fn finish(self) -> Result<Self::Output, IoError>;
 }
@@ -440,6 +451,8 @@ pub struct CsrBuilder {
     n: usize,
     indptr: Vec<usize>,
     indices: Vec<u32>,
+    /// The weights of the first `weights.len()` edges; every later edge
+    /// weighs 1.0 until a row that is not all-1.0 writes them out.
     weights: Vec<f32>,
     all_ones: bool,
     drop_uniform: bool,
@@ -448,9 +461,11 @@ pub struct CsrBuilder {
 impl CsrBuilder {
     /// A builder over `n` nodes.
     pub fn new(n: usize) -> Self {
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0);
         Self {
             n,
-            indptr: vec![0],
+            indptr,
             indices: Vec::new(),
             weights: Vec::new(),
             all_ones: true,
@@ -473,28 +488,36 @@ impl RowSink for CsrBuilder {
         if self.indptr.len() > self.n {
             return Err(IoError::Corrupt("more rows pushed than declared"));
         }
-        self.indices.extend_from_slice(cols);
-        match weights {
-            Some(ws) => {
-                if ws.len() != cols.len() {
-                    return Err(IoError::Corrupt("weight/index length mismatch"));
-                }
-                if ws.iter().any(|&w| w != 1.0) {
-                    self.all_ones = false;
-                }
-                self.weights.extend_from_slice(ws);
-            }
-            None => self.weights.extend(std::iter::repeat_n(1.0f32, cols.len())),
+        if weights.is_some_and(|ws| ws.len() != cols.len()) {
+            return Err(IoError::Corrupt("weight/index length mismatch"));
         }
+        if let Some(ws) = weights.filter(|ws| !self.all_ones || ws.iter().any(|&w| w != 1.0)) {
+            self.all_ones = false;
+            self.weights.resize(self.indices.len(), 1.0);
+            self.weights.extend_from_slice(ws);
+        }
+        self.indices.extend_from_slice(cols);
         self.indptr.push(self.indices.len());
         Ok(())
     }
 
-    fn finish(self) -> Result<Csr, IoError> {
+    fn reserve(&mut self, edges: usize) {
+        self.indices.reserve_exact(edges);
+        if !self.drop_uniform {
+            self.weights.reserve_exact(edges);
+        }
+    }
+
+    fn finish(mut self) -> Result<Csr, IoError> {
         if self.indptr.len() != self.n + 1 {
             return Err(IoError::Corrupt("fewer rows pushed than declared"));
         }
-        let weights = if self.drop_uniform && self.all_ones { None } else { Some(self.weights) };
+        let weights = if self.drop_uniform && self.all_ones {
+            None
+        } else {
+            self.weights.resize(self.indices.len(), 1.0);
+            Some(self.weights)
+        };
         let g = Csr::from_raw_parts(self.indptr, self.indices, weights);
         g.validate().map_err(|_| IoError::Corrupt("column index out of range"))?;
         Ok(g)
@@ -502,101 +525,111 @@ impl RowSink for CsrBuilder {
 }
 
 // ---------------------------------------------------------------------
-// Streamed normalization: Ã = D̂^{r-1} Â D̂^{-r} without materializing A.
+// Normalization: Ã = D̂^{r-1} Â D̂^{-r}, streamed from memory or from tiles.
 // ---------------------------------------------------------------------
 
-/// Builds the row `u` of `Â = A + I` from the raw row, replicating
-/// [`Csr::with_self_loops`]: a weight-1.0 loop is inserted at its sorted
-/// position when absent.
-fn hat_row(
-    u: u32,
-    cols: &[u32],
-    ws: Option<&[f32]>,
-    out_cols: &mut Vec<u32>,
-    out_ws: &mut Vec<f32>,
-) {
-    out_cols.clear();
-    out_ws.clear();
-    let mut inserted = false;
-    for (k, &v) in cols.iter().enumerate() {
-        if !inserted && v >= u {
-            if v != u {
-                out_cols.push(u);
-                out_ws.push(1.0);
-            }
-            inserted = true;
-        }
-        out_cols.push(v);
-        out_ws.push(ws.map_or(1.0, |w| w[k]));
-    }
-    if !inserted {
-        out_cols.push(u);
-        out_ws.push(1.0);
+/// Yields a graph's rows in order — an in-memory [`Csr`] or a
+/// [`ChunkedCsr`] tile by tile — so [`normalize_stream`] reads either
+/// through one body.
+pub trait RowSource {
+    /// Calls `f(u, neighbors, weights)` for every row `u` in order (`None`
+    /// weights: all 1.0) and stops at the first error.
+    fn try_for_each_row(
+        &self,
+        f: impl FnMut(u32, &[u32], Option<&[f32]>) -> Result<(), IoError>,
+    ) -> Result<(), IoError>;
+}
+
+impl RowSource for Csr {
+    fn try_for_each_row(
+        &self,
+        mut f: impl FnMut(u32, &[u32], Option<&[f32]>) -> Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        (0..self.num_nodes() as u32)
+            .try_for_each(|u| f(u, self.neighbors(u), self.neighbor_weights(u)))
     }
 }
 
-/// Streams the normalized adjacency `D̂^{r-1} Â D̂^{-r}` of a chunked raw
-/// graph into `sink`, bit-identical to
-/// [`crate::normalized_adjacency`] on the materialized graph.
-///
-/// Two passes over the tiles: one accumulating the weighted degrees of
-/// `Â` (an O(n) f32 array — node *metadata* stays resident; only the O(m)
-/// edge data streams), one emitting each normalized row with the exact
-/// per-edge expression `d_u^{r-1} · w · d_v^{-r}` the in-memory builder
-/// uses. Exactness is what makes out-of-core *decoupled* precompute
-/// possible: propagation is a fixed linear operator, so streaming it tile
-/// by tile changes nothing about the result.
-pub fn normalize_stream<S: RowSink>(
-    src: &ChunkedCsr,
-    kind: NormKind,
-    mut sink: S,
-) -> Result<S::Output, IoError> {
-    let n = src.num_nodes();
-    let r = kind.r();
-    // Pass 1: weighted degrees of Â, summed in row order exactly like
-    // `Csr::weighted_degree` on the self-looped graph. For an unweighted
-    // source the hat graph is unweighted too and the degree is the count.
-    let mut deg = vec![0f32; n];
-    let mut reader = src.reader()?;
-    let mut tile = TileBuf::new();
-    let mut hcols: Vec<u32> = Vec::new();
-    let mut hws: Vec<f32> = Vec::new();
-    for c in 0..src.num_chunks() {
-        reader.read_tile(c, &mut tile)?;
-        for lr in 0..tile.num_rows() {
-            let u = (tile.rows.start + lr) as u32;
-            if src.has_weights() {
-                hat_row(u, tile.row_neighbors(lr), tile.row_weights(lr), &mut hcols, &mut hws);
-                deg[u as usize] = hws.iter().sum();
-            } else {
-                let has_loop = tile.row_neighbors(lr).binary_search(&u).is_ok();
-                deg[u as usize] = (tile.row_neighbors(lr).len() + usize::from(!has_loop)) as f32;
+impl RowSource for ChunkedCsr {
+    fn try_for_each_row(
+        &self,
+        mut f: impl FnMut(u32, &[u32], Option<&[f32]>) -> Result<(), IoError>,
+    ) -> Result<(), IoError> {
+        let mut reader = self.reader()?;
+        let mut tile = TileBuf::new();
+        for c in 0..self.num_chunks() {
+            reader.read_tile(c, &mut tile)?;
+            for lr in 0..tile.num_rows() {
+                f((tile.rows.start + lr) as u32, tile.row_neighbors(lr), tile.row_weights(lr))?;
             }
         }
+        Ok(())
     }
+}
+
+/// Streams the normalized adjacency `D̂^{r-1} Â D̂^{-r}` of `src` into
+/// `sink` and hands back `D̂`, the weighted degrees of `Â = A + I` — the
+/// one normalization body: [`crate::normalized_adjacency`] is this over an
+/// in-memory graph into a [`CsrBuilder`].
+///
+/// Two passes over the rows: one summing the weighted degrees of `Â` (an
+/// O(n) f32 array — node *metadata* stays resident; only the O(m) edge
+/// data streams), one emitting each normalized row of `Â`, built once per
+/// row by [`crate::csr::push_hat_row`], with the per-edge expression
+/// `d_u^{r-1} · w · d_v^{-r}`. Exactness is what makes out-of-core
+/// *decoupled* precompute possible: propagation is a fixed linear
+/// operator, so streaming it tile by tile changes nothing about the
+/// result.
+pub fn normalize_stream<R: RowSource, S: RowSink>(
+    src: &R,
+    kind: NormKind,
+    mut sink: S,
+) -> Result<(S::Output, Vec<f32>), IoError> {
+    let r = kind.r();
+    // Pass 1: weighted degrees of Â, each row's weights summed in order,
+    // its loop's 1.0 at its slot. An unweighted row's degree is its count.
+    let (mut deg, mut edges): (Vec<f32>, usize) = (Vec::new(), 0);
+    src.try_for_each_row(|u, cols, ws| {
+        let (at, looped) = self_loop_slot(u, cols);
+        edges += cols.len() + usize::from(!looped);
+        deg.push(match ws {
+            Some(ws) => {
+                let one = (!looped).then_some(&1.0);
+                ws[..at].iter().chain(one).chain(&ws[at..]).sum()
+            }
+            None => (cols.len() + usize::from(!looped)) as f32,
+        });
+        Ok(())
+    })?;
+    // Scales d^{r-1} (left) and d^{-r} (right); one power serves both when
+    // the exponents agree (`Symmetric`: r - 1 = -r).
     let left: Vec<f32> = deg.iter().map(|&d| d.powf(r - 1.0)).collect();
-    let right: Vec<f32> = deg.iter().map(|&d| d.powf(-r)).collect();
-    drop(deg);
+    let right: Cow<[f32]> = if r - 1.0 == -r {
+        Cow::Borrowed(&left)
+    } else {
+        Cow::Owned(deg.iter().map(|&d| d.powf(-r)).collect())
+    };
     // Pass 2: emit each normalized hat row.
-    let mut out_ws: Vec<f32> = Vec::new();
-    for c in 0..src.num_chunks() {
-        reader.read_tile(c, &mut tile)?;
-        for lr in 0..tile.num_rows() {
-            let u = (tile.rows.start + lr) as u32;
-            hat_row(u, tile.row_neighbors(lr), tile.row_weights(lr), &mut hcols, &mut hws);
-            let lu = left[u as usize];
-            out_ws.clear();
-            out_ws.extend(hcols.iter().zip(&hws).map(|(&v, &w)| lu * w * right[v as usize]));
-            sink.push_row(&hcols, Some(&out_ws))?;
+    sink.reserve(edges);
+    let (mut hcols, mut hws) = (Vec::new(), Vec::new());
+    src.try_for_each_row(|u, cols, ws| {
+        hcols.clear();
+        hws.clear();
+        push_hat_row(u, cols, ws, &mut hcols, Some(&mut hws));
+        let lu = left[u as usize];
+        for (w, &v) in hws.iter_mut().zip(&hcols) {
+            *w = lu * *w * right[v as usize];
         }
-    }
-    sink.finish()
+        sink.push_row(&hcols, Some(&hws))
+    })?;
+    Ok((sink.finish()?, deg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::write_csr_v2;
+    use crate::norm::normalized_adjacency_oracle;
     use crate::{normalized_adjacency, EdgeList};
 
     fn tmpdir() -> PathBuf {
@@ -719,26 +752,54 @@ mod tests {
 
     #[test]
     fn normalize_stream_matches_in_memory_normalization() {
-        for (seed, weighted) in [(11u64, false), (12, true)] {
+        // Self-loop-free rows, weighted rows and rows that carry their
+        // loop already, streamed from a file and from memory, against the
+        // materialize-`Â`-first oracle, bit for bit.
+        for (seed, weighted, loops) in [(11u64, false, false), (12, true, false), (13, true, true)]
+        {
             let mut raw = skewed_graph(150, seed);
+            if loops {
+                let mut el = EdgeList::new(150);
+                for u in 0..150u32 {
+                    raw.neighbors(u).iter().for_each(|&v| el.push(u, v).unwrap());
+                    if u % 3 == 0 {
+                        el.push(u, u).unwrap();
+                    }
+                }
+                raw = el.to_csr();
+            }
             if weighted {
                 // Force an explicitly weighted raw graph.
                 let ws: Vec<f32> =
                     (0..raw.num_edges()).map(|i| 0.5 + (i % 4) as f32 * 0.25).collect();
                 raw = Csr::from_raw_parts(raw.indptr().to_vec(), raw.indices().to_vec(), Some(ws));
             }
+            let hat = raw.with_self_loops();
+            let want_deg: Vec<f32> = (0..150).map(|u| hat.weighted_degree(u)).collect();
             let path = tmpdir().join(format!("norm-{seed}.fgta2"));
             write_csr_v2(&path, &raw, 32).unwrap();
             let store = ChunkedCsr::open(&path).unwrap();
-            for kind in [NormKind::Symmetric, NormKind::RowStochastic, NormKind::ColumnStochastic] {
-                let want = normalized_adjacency(&raw, kind);
-                let got =
-                    normalize_stream(&store, kind, CsrBuilder::new(150).keep_weights()).unwrap();
-                assert_eq!(got.indptr(), want.indptr());
-                assert_eq!(got.indices(), want.indices());
-                let (gw, ww) = (got.weights().unwrap(), want.weights().unwrap());
-                for (a, b) in gw.iter().zip(ww) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "seed={seed} kind={kind:?}");
+            for kind in [
+                NormKind::Symmetric,
+                NormKind::RowStochastic,
+                NormKind::ColumnStochastic,
+                NormKind::Kernel(0.3),
+            ] {
+                let want = normalized_adjacency_oracle(&raw, kind);
+                let sink = || CsrBuilder::new(150).keep_weights();
+                let (streamed, streamed_deg) = normalize_stream(&store, kind, sink()).unwrap();
+                let (in_memory, in_memory_deg) = normalize_stream(&raw, kind, sink()).unwrap();
+                for (got, deg) in [
+                    (streamed, streamed_deg),
+                    (in_memory, in_memory_deg),
+                    (normalized_adjacency(&raw, kind), want_deg.clone()),
+                ] {
+                    assert_eq!(got.indptr(), want.indptr());
+                    assert_eq!(got.indices(), want.indices());
+                    let (gw, ww) = (got.weights().unwrap(), want.weights().unwrap());
+                    for (a, b) in gw.iter().zip(ww).chain(deg.iter().zip(&want_deg)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "seed={seed} kind={kind:?}");
+                    }
                 }
             }
             std::fs::remove_file(&path).unwrap();
@@ -756,6 +817,51 @@ mod tests {
         let mut b = CsrBuilder::new(1);
         b.push_row(&[0], Some(&[2.0])).unwrap();
         assert!(b.finish().unwrap().weights().is_some());
+    }
+
+    #[test]
+    fn implicit_ones_are_written_where_a_later_weight_needs_them() {
+        // Unweighted rows, an all-1.0 row, then a weighted one: both sinks
+        // write the 1.0s the first rows left implicit, and the file's bytes
+        // are those of its explicitly weighted twin.
+        type Row = (&'static [u32], Option<&'static [f32]>);
+        let rows: [Row; 5] = [
+            (&[1, 2], None),
+            (&[0], Some(&[1.0])),
+            (&[], None),
+            (&[0, 4], Some(&[2.5, 1.0])),
+            (&[3], None),
+        ];
+        let want = Csr::from_raw_parts(
+            vec![0, 2, 3, 3, 5, 6],
+            vec![1, 2, 0, 0, 4, 3],
+            Some(vec![1.0, 1.0, 1.0, 2.5, 1.0, 1.0]),
+        );
+        let dir = tmpdir();
+        let (lazy, explicit) = (dir.join("lazy.fgta2"), dir.join("explicit.fgta2"));
+        for keep in [false, true] {
+            let mut b = CsrBuilder::new(5);
+            let mut w = CsrV2Writer::create(&lazy, 5, 2).unwrap();
+            if keep {
+                b = b.keep_weights();
+                w.keep_weights();
+            }
+            for (cols, ws) in rows {
+                b.push_row(cols, ws).unwrap();
+                w.push_row(cols, ws).unwrap();
+            }
+            assert_eq!(b.finish().unwrap(), want);
+            w.finish().unwrap();
+            write_csr_v2(&explicit, &want, 2).unwrap();
+            assert_eq!(std::fs::read(&lazy).unwrap(), std::fs::read(&explicit).unwrap());
+        }
+        // Kept weights that never leave 1.0 are written in full at finish.
+        let mut b = CsrBuilder::new(2).keep_weights();
+        b.push_row(&[1], None).unwrap();
+        b.push_row(&[0], None).unwrap();
+        assert_eq!(b.finish().unwrap().weights(), Some(&[1.0, 1.0][..]));
+        std::fs::remove_file(&lazy).unwrap();
+        std::fs::remove_file(&explicit).unwrap();
     }
 
     #[test]

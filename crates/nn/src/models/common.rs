@@ -7,7 +7,8 @@ use crate::loss::{soft_ce_into, softmax_ce_into};
 use crate::optim::Optimizer;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
-use fedgta_graph::{normalized_adjacency, Csr, NormKind};
+use fedgta_graph::store::normalize_stream;
+use fedgta_graph::{normalized_adjacency, Csr, CsrBuilder, NormKind};
 use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -96,9 +97,10 @@ impl GraphDataset {
     ) -> Self {
         assert_eq!(graph.num_nodes(), features.rows(), "feature row mismatch");
         assert_eq!(graph.num_nodes(), labels.len(), "label length mismatch");
-        let adj_norm = normalized_adjacency(graph, NormKind::Symmetric);
-        let degrees_hat = graph.with_self_loops().weighted_degrees();
         let n = graph.num_nodes();
+        let (adj_norm, degrees_hat) =
+            normalize_stream(graph, NormKind::Symmetric, CsrBuilder::new(n).keep_weights())
+                .expect("an in-memory graph's rows");
         Self {
             adj_norm,
             adj_mean: Csr::empty(n),

@@ -34,7 +34,7 @@ fn hex<T: Copy, const N: usize>(xs: &[T], le: impl Fn(T) -> [u8; N]) -> String {
 
 #[test]
 fn scale_setup_matches_the_golden_file() {
-    assert!(NODES > 2 * STREAM_BUCKET_ROWS && NODES > 2 * CHUNK_ROWS);
+    const { assert!(NODES > 2 * STREAM_BUCKET_ROWS && NODES > 2 * CHUNK_ROWS) };
     let dir = std::env::temp_dir().join(format!("fedgta-golden-scale-{}", std::process::id()));
     let raw = generate_raw(NODES, 3.0, SEED, &dir).expect("streamed SBM generation");
     let raw_bytes = std::fs::read(&raw.path).unwrap();
@@ -51,7 +51,7 @@ fn scale_setup_matches_the_golden_file() {
     let norm_path = dir.join("golden-norm.fgta2");
     let store = ChunkedCsr::open(&raw.path).unwrap();
     let writer = CsrV2Writer::create(&norm_path, NODES, CHUNK_ROWS).unwrap();
-    let summary = normalize_stream(&store, NormKind::Symmetric, writer).unwrap();
+    let (summary, _) = normalize_stream(&store, NormKind::Symmetric, writer).unwrap();
     drop(store);
     let norm_bytes = std::fs::read(&norm_path).unwrap();
     got.push(format!(
