@@ -67,11 +67,6 @@ impl Client {
         self.data.train_nodes.len()
     }
 
-    /// The dataset evaluation should run on.
-    pub fn eval_view(&self) -> &GraphDataset {
-        self.eval_data.as_ref().unwrap_or(&self.data)
-    }
-
     /// Heap bytes of what the client holds between rounds: its datasets,
     /// its model's parameter vector, its optimizer's moments and its
     /// error-feedback state.

@@ -214,7 +214,7 @@ fn evaluation_scores_the_same_bits_on_the_requested_worker_count() {
 
     let test_rows: usize = federation_with(ModelKind::Sign, 900, 10, 900)
         .iter()
-        .map(|c| c.eval_view().test_nodes.len())
+        .map(|c| c.eval_data.as_ref().unwrap_or(&c.data).test_nodes.len())
         .sum();
     let events = fedgta_obs::parse_trace(&sink.contents()).expect("trace parses");
     let spans = |wanted: &'static str| {

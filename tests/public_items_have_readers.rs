@@ -3,12 +3,15 @@
 //! The scan collects each `pub` `fn`, `struct`, `enum`, `trait`, `type`,
 //! `const`, `static` and `mod` outside `#[cfg(test)]` items and fails,
 //! naming it, when its identifier occurs nowhere in product code except
-//! where an item of that name is declared. Product code is `crates/*/src`,
-//! `src/`, `examples/` and `benchmark/src`, with comments, string
-//! literals and `#[cfg(test)]` items removed; a `pub use` re-export is
-//! not a reader (a private `use` is: the compiler warns when its name
-//! goes unused). A module counts as read through a re-export of its
-//! items.
+//! where an item of that name is declared, where a `let`, `for`,
+//! `if let` or match-arm pattern or a `fn` or closure parameter binds it,
+//! and as a plain use of such a binding in scope (a local shadows any item
+//! of its name; `x.name`, `name::` and `::name` still read). Product
+//! code is `crates/*/src`, `src/`, `examples/` and `benchmark/src`, with
+//! comments, string literals and `#[cfg(test)]` items removed; a
+//! `pub use` re-export is not a reader (a private `use` is: the compiler
+//! warns when its name goes unused). A module counts as read through a
+//! re-export of its items.
 //!
 //! It is a name scan: two items sharing a name share their readers. An
 //! item that only a test, a tool or the frozen benchmark harness reads
@@ -31,6 +34,11 @@ const ALLOW: &[(&str, &str, &str)] = &[
         "the oracle of the Louvain and SBM tests",
     ),
     ("crates/graph/src/csr.rs", "is_symmetric", "test reader: the graph, subgraph and SBM property tests"),
+    (
+        "crates/graph/src/csr.rs",
+        "with_self_loops",
+        "the materialized Â of the normalization oracle (norm.rs) and of crates/graph/tests/prop_graph.rs",
+    ),
     ("crates/nn/src/ops.rs", "softmax_rows", "test reference for the blocked softmax kernel"),
     (
         "crates/nn/src/ops.rs",
@@ -47,6 +55,16 @@ const ALLOW: &[(&str, &str, &str)] = &[
     ("crates/nn/src/loss.rs", "softmax_ce", "test reference of the row-subset loss and the blocked softmax"),
     ("crates/nn/src/io.rs", "load_params", "the reader of `--save-params` files; tests/integration_models.rs round-trips one"),
     ("crates/nn/src/workspace.rs", "largest_pooled", "test reader: crates/nn/tests/predict_rows.rs bounds the pooled buffers"),
+    (
+        "crates/nn/src/workspace.rs",
+        "pooled",
+        "test reader: the arena's unit tests and crates/nn/tests/softmax_kernels.rs count pooled buffers",
+    ),
+    (
+        "crates/graph/src/subgraph.rs",
+        "local_of",
+        "test reader: the subgraph unit test and crates/graph/tests/prop_graph.rs map global ids back",
+    ),
     ("crates/nn/src/tensor.rs", "from_rows", "test reader: builds small matrices in unit and property tests"),
     ("crates/obs/src/serve.rs", "http_get", "test reader: tests/integration_trace_propagation.rs scrapes /metrics"),
     ("crates/obs/src/sink.rs", "contents", "test reader: the integration tests read traces from the in-memory sink"),
@@ -288,13 +306,140 @@ fn pub_items(src: &Source) -> Vec<Item> {
     items
 }
 
+/// Whether `t[i]` opens (`Some(true)`) or closes (`Some(false)`) a
+/// bracket group.
+fn bracket(t: &[Tok], i: usize) -> Option<bool> {
+    match t.get(i) {
+        Some(Tok::Punct('(' | '[' | '{')) => Some(true),
+        Some(Tok::Punct(')' | ']' | '}')) => Some(false),
+        _ => None,
+    }
+}
+
+/// Whether `t[i]` is a `:` that is not half of a `::`.
+fn single_colon(t: &[Tok], i: usize) -> bool {
+    is_punct(t.get(i), ':')
+        && !is_punct(t.get(i + 1), ':')
+        && !is_punct(t.get(i.wrapping_sub(1)), ':')
+}
+
+/// The first index from `i` where `stop` holds outside any bracket group
+/// opened after `i` (or where such a group would close past `i`).
+fn group_end(t: &[Tok], mut i: usize, mut stop: impl FnMut(usize) -> bool) -> usize {
+    let mut depth = 0usize;
+    while i < t.len() {
+        match bracket(t, i) {
+            Some(true) => depth += 1,
+            Some(false) if depth == 0 => return i,
+            Some(false) => depth -= 1,
+            None if depth == 0 && stop(i) => return i,
+            None => {}
+        }
+        i += 1;
+    }
+    i
+}
+
+/// The names a pattern `t[range]` binds: lowercase identifiers that are
+/// not a path segment, a keyword, a field name or the head of a call,
+/// struct or macro.
+fn pattern_bindings(t: &[Tok], range: std::ops::Range<usize>) -> Vec<usize> {
+    let end = range.end;
+    range
+        .filter(|&i| {
+            let Some(name) = ident(t.get(i)) else { return false };
+            let head = name.chars().next().is_some_and(|c| c.is_lowercase() || c == '_');
+            let next = |c| is_punct(t.get(i + 1), c);
+            let keyword = matches!(name, "mut" | "ref" | "box" | "self" | "_");
+            let field = i + 1 < end && next(':');
+            head && !keyword
+                && !field
+                && !next('(')
+                && !next('{')
+                && !next('!')
+                && !(i > 0 && is_punct(t.get(i - 1), ':'))
+        })
+        .collect()
+}
+
+/// The names a parameter list binds, from `start` (just past its opening
+/// `(` or `|`) to where `close` holds outside any bracket group: each
+/// parameter's pattern, up to its `:` type. Also returns the end index.
+fn param_bindings(t: &[Tok], start: usize, close: impl Fn(usize) -> bool) -> (Vec<usize>, usize) {
+    let mut out = Vec::new();
+    let mut i = start;
+    loop {
+        let end = group_end(t, i, |k| is_punct(t.get(k), ',') || single_colon(t, k) || close(k));
+        out.extend(pattern_bindings(t, i..end));
+        i = end;
+        if single_colon(t, i) {
+            // The type runs to the next `,` outside `<…>` too.
+            let mut angle = 0usize;
+            i = group_end(t, i + 1, |k| {
+                match t.get(k) {
+                    Some(Tok::Punct('<')) => angle += 1,
+                    Some(Tok::Punct('>'))
+                        if !matches!(t.get(k - 1), Some(Tok::Punct('-' | '='))) =>
+                    {
+                        angle = angle.saturating_sub(1)
+                    }
+                    _ => {}
+                }
+                angle == 0 && (is_punct(t.get(k), ',') || close(k))
+            });
+        }
+        if i >= t.len() || !is_punct(t.get(i), ',') {
+            return (out, i);
+        }
+        i += 1;
+    }
+}
+
+/// The names the match arm starting at `s` (or at the `,` before it)
+/// binds: its pattern, up to its `=>` or `if` guard.
+fn arm_bindings(t: &[Tok], mut s: usize) -> Vec<usize> {
+    if is_punct(t.get(s), ',') {
+        s += 1;
+    }
+    let end = group_end(t, s, |k| {
+        (is_punct(t.get(k), '=') && is_punct(t.get(k + 1), '>')) || ident(t.get(k)) == Some("if")
+    });
+    pattern_bindings(t, s..end)
+}
+
+/// Whether a `|` at `i` opens a closure's parameter list rather than
+/// being an or.
+fn closure_opens(t: &[Tok], i: usize) -> bool {
+    is_punct(t.get(i), '|')
+        && i > 0
+        && match &t[i - 1] {
+            Tok::Punct('(' | ',' | '=' | '{' | '[' | ';') => true,
+            Tok::Punct('>') => is_punct(t.get(i.wrapping_sub(2)), '='),
+            Tok::Ident(k) => matches!(k.as_str(), "move" | "return"),
+            _ => false,
+        }
+}
+
 /// Reads of each identifier: occurrences that are not the name of a
-/// declaration. `reexports` says whether `pub use` statements count.
+/// declaration or a binding site (a `let`, `for`, `if let` or match-arm
+/// pattern, a `fn` or closure parameter), and not a plain use of a binding
+/// in scope
+/// — a local shadows any item of its name. `reexports` says whether
+/// `pub use` statements count.
 fn reads(sources: &[Source], reexports: bool) -> HashMap<String, usize> {
     let mut n = HashMap::new();
     for src in sources {
         let t = &src.toks;
         let mut decl = vec![false; t.len()];
+        // Names in scope: one set per open bracket group, the file's first.
+        let mut scopes: Vec<Vec<String>> = vec![Vec::new()];
+        // Bindings waiting for the block they scope (at the given depth)
+        // or, for a `let` statement, for its `;`.
+        let mut for_block: Vec<(usize, Vec<String>)> = Vec::new();
+        let mut for_semi: Vec<(usize, Vec<String>)> = Vec::new();
+        // `match` keywords waiting for their block, and open match blocks,
+        // by depth: an arm's bindings live in its match block.
+        let (mut match_next, mut match_open) = (Vec::new(), Vec::new());
         let mut i = 0;
         while i < t.len() {
             if !reexports && ident(t.get(i)) == Some("pub") && ident(t.get(i + 1)) == Some("use") {
@@ -303,11 +448,122 @@ fn reads(sources: &[Source], reexports: bool) -> HashMap<String, usize> {
                 }
                 continue;
             }
+            let depth = scopes.len();
+            let names = |idx: &[usize]| -> Vec<String> {
+                idx.iter().map(|&k| ident(t.get(k)).unwrap().to_string()).collect()
+            };
+            match (&t[i], bracket(t, i)) {
+                (_, Some(true)) => {
+                    let mut scope = Vec::new();
+                    if is_punct(t.get(i), '{') {
+                        for (_, names) in for_block.extract_if(.., |(d, _)| *d == depth) {
+                            scope.extend(names);
+                        }
+                        if match_next.last() == Some(&depth) {
+                            match_next.pop();
+                            match_open.push(depth + 1);
+                            let bound = arm_bindings(t, i + 1);
+                            bound.iter().for_each(|&b| decl[b] = true);
+                            scope.extend(names(&bound));
+                        }
+                    }
+                    scopes.push(scope);
+                }
+                (_, Some(false)) => {
+                    if scopes.len() > 1 {
+                        scopes.pop();
+                    }
+                    for_block.retain(|(d, _)| *d <= scopes.len());
+                    for_semi.retain(|(d, _)| *d <= scopes.len());
+                    match_next.retain(|&d| d <= scopes.len());
+                    match_open.retain(|&d| d <= scopes.len());
+                    if is_punct(t.get(i), '}') && match_open.last() == Some(&scopes.len()) {
+                        // An arm's block body closed: the next arm starts.
+                        let bound = arm_bindings(t, i + 1);
+                        bound.iter().for_each(|&b| decl[b] = true);
+                        scopes.last_mut().unwrap().extend(names(&bound));
+                    }
+                }
+                (Tok::Punct(','), None) if match_open.last() == Some(&depth) => {
+                    let bound = arm_bindings(t, i + 1);
+                    bound.iter().for_each(|&b| decl[b] = true);
+                    scopes.last_mut().unwrap().extend(names(&bound));
+                }
+                (Tok::Ident(k), None) if k == "match" => match_next.push(depth),
+                (Tok::Punct(';'), None) => {
+                    for_block.retain(|(d, _)| *d != depth);
+                    for (_, names) in for_semi.extract_if(.., |(d, _)| *d == depth) {
+                        scopes.last_mut().unwrap().extend(names);
+                    }
+                }
+                (Tok::Ident(k), None) if k == "let" || k == "for" => {
+                    let end = group_end(t, i + 1, |j| {
+                        if k == "for" {
+                            ident(t.get(j)) == Some("in")
+                        } else {
+                            (is_punct(t.get(j), '=') && !is_punct(t.get(j + 1), '='))
+                                || single_colon(t, j)
+                                || is_punct(t.get(j), ';')
+                        }
+                    });
+                    let bound = pattern_bindings(t, i + 1..end);
+                    bound.iter().for_each(|&b| decl[b] = true);
+                    let scoped_by_block = k == "for"
+                        || matches!(ident(t.get(i.wrapping_sub(1))), Some("if" | "while"))
+                        || is_punct(t.get(i.wrapping_sub(1)), '&');
+                    let waiting = if scoped_by_block { &mut for_block } else { &mut for_semi };
+                    waiting.push((depth, names(&bound)));
+                }
+                (Tok::Ident(k), None) if k == "fn" && ident(t.get(i + 1)).is_some() => {
+                    let mut open = i + 2;
+                    if is_punct(t.get(open), '<') {
+                        let mut angle = 0usize;
+                        while open < t.len() {
+                            match t.get(open) {
+                                Some(Tok::Punct('<')) => angle += 1,
+                                Some(Tok::Punct('>')) if !is_punct(t.get(open - 1), '-') => {
+                                    angle -= 1;
+                                    if angle == 0 {
+                                        open += 1;
+                                        break;
+                                    }
+                                }
+                                _ => {}
+                            }
+                            open += 1;
+                        }
+                    }
+                    if is_punct(t.get(open), '(') {
+                        let (bound, _) = param_bindings(t, open + 1, |k| is_punct(t.get(k), ')'));
+                        bound.iter().for_each(|&b| decl[b] = true);
+                        for_block.push((depth, names(&bound)));
+                    }
+                }
+                _ if closure_opens(t, i) => {
+                    let (bound, end) = param_bindings(t, i + 1, |k| is_punct(t.get(k), '|'));
+                    bound.iter().for_each(|&b| decl[b] = true);
+                    if is_punct(t.get(end + 1), '{') {
+                        for_block.push((depth, names(&bound)));
+                    } else {
+                        // An expression body: the bindings live while the
+                        // group around the closure does.
+                        scopes.last_mut().unwrap().extend(names(&bound));
+                    }
+                    i = end + 1;
+                    continue;
+                }
+                _ => {}
+            }
             if let Some(name) = declared_name(t, i) {
                 decl[name] = true;
             }
             if let (Tok::Ident(s), false) = (&t[i], decl[i]) {
-                *n.entry(s.clone()).or_insert(0) += 1;
+                let path = is_punct(t.get(i + 1), ':') && is_punct(t.get(i + 2), ':');
+                let member = i > 0 && (is_punct(t.get(i - 1), '.') || is_punct(t.get(i - 1), ':'));
+                let local = !path && !member && scopes.iter().any(|sc| sc.contains(s));
+                if !local {
+                    *n.entry(s.clone()).or_insert(0) += 1;
+                }
             }
             i += 1;
         }
@@ -418,6 +674,15 @@ fn the_scan_names_planted_and_stale_entries() {
         );
         sources.push(source(lib, &planted));
     }
+    // Dead `pub fn`s named like common locals: each name occurs in product
+    // code, but only bound by a `let`, a parameter or a closure and used
+    // as that binding, so none of it reads the function.
+    let locals = ["deg", "total"];
+    for name in locals {
+        let tok = Tok::Ident(name.to_string());
+        assert!(sources.iter().any(|s| s.toks.contains(&tok)), "`{name}` is no local name");
+        sources.push(source("crates/graph/src/lib.rs", &format!("pub fn {name}() {{}}\n")));
+    }
     let stale = [
         ("crates/graph/src/metrics.rs", "no_such_item", "gone"),
         ("crates/graph/src/csr.rs", "num_nodes", "read everywhere"),
@@ -430,7 +695,11 @@ fn the_scan_names_planted_and_stale_entries() {
     }
     assert!(problems.iter().any(|p| p.contains("crates/graph/src/metrics.rs: `no_such_item` is gone")));
     assert!(problems.iter().any(|p| p.contains("crates/graph/src/csr.rs: `num_nodes` now has a reader")));
-    assert_eq!(problems.len(), libs.len() + 2, "{problems:#?}");
+    for name in locals {
+        let want = format!("crates/graph/src/lib.rs: `pub fn {name}` has no reader");
+        assert!(problems.iter().any(|p| p.starts_with(&want)), "{want} missing from {problems:#?}");
+    }
+    assert_eq!(problems.len(), libs.len() + locals.len() + 2, "{problems:#?}");
 }
 
 #[test]
