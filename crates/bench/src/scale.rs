@@ -344,12 +344,17 @@ fn extract_client_graphs(store: &ChunkedCsr, n: usize, clients: usize) -> Vec<fe
             while g >= ranges[cur].end {
                 cur += 1;
             }
-            let (lo, hi) = (ranges[cur].start as u32, ranges[cur].end as u32);
-            row.clear();
-            row.extend(
-                tile.row_neighbors(r).iter().filter(|&&v| v >= lo && v < hi).map(|&v| v - lo),
-            );
-            builders[cur].push_row(&row, None).expect("in-range row");
+            let (lo, len) = (ranges[cur].start as u32, ranges[cur].len() as u32);
+            // Keep the neighbors inside the range, shifted to local ids:
+            // every one is written, and only those inside advance the end.
+            let nbrs = tile.row_neighbors(r);
+            row.resize(nbrs.len(), 0);
+            let mut kept = 0;
+            for &v in nbrs {
+                row[kept] = v.wrapping_sub(lo);
+                kept += usize::from(row[kept] < len);
+            }
+            builders[cur].push_row(&row[..kept], None).expect("in-range row");
         }
     }
     builders.into_iter().map(|b| b.finish().expect("client CSR")).collect()
