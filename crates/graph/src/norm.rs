@@ -45,9 +45,9 @@ pub fn normalized_adjacency(graph: &Csr, kind: NormKind) -> Csr {
     normalize_stream(graph, kind, sink).expect("an in-memory graph's rows").0
 }
 
-/// The normalization as it was built before [`normalize_stream`] became
-/// its one body — materialize `Â`, take its degrees, scale every edge:
-/// the oracle both paths are checked against.
+/// The normalization with `Â` materialized first — its degrees taken from
+/// it, then every edge scaled: the oracle both [`normalize_stream`] paths
+/// are checked against.
 #[cfg(test)]
 pub(crate) fn normalized_adjacency_oracle(graph: &Csr, kind: NormKind) -> Csr {
     let hat = graph.with_self_loops();
