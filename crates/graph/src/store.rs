@@ -575,7 +575,7 @@ impl RowSource for ChunkedCsr {
 /// Two passes over the rows: one summing the weighted degrees of `Â` (an
 /// O(n) f32 array — node *metadata* stays resident; only the O(m) edge
 /// data streams), one emitting each normalized row of `Â`, built once per
-/// row by [`crate::csr::push_hat_row`], with the per-edge expression
+/// row by `csr::push_hat_row`, with the per-edge expression
 /// `d_u^{r-1} · w · d_v^{-r}`. Exactness is what makes out-of-core
 /// *decoupled* precompute possible: propagation is a fixed linear
 /// operator, so streaming it tile by tile changes nothing about the
