@@ -29,30 +29,20 @@ pub fn communities_to_clients(
     let sizes = communities.sizes();
     // (size, community id) sorted descending by size, id ascending for ties:
     // deterministic LPT.
-    let mut order: Vec<(usize, u32)> = sizes
-        .iter()
-        .enumerate()
-        .map(|(c, &s)| (s, c as u32))
-        .collect();
+    let mut order: Vec<(usize, u32)> =
+        sizes.iter().enumerate().map(|(c, &s)| (s, c as u32)).collect();
     order.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
     let mut load = vec![0usize; n_clients];
     let mut comm_client = vec![0u32; communities.num_parts];
     for (size, comm) in order {
         // Lightest client (lowest id on ties).
-        let (client, _) = load
-            .iter()
-            .enumerate()
-            .min_by_key(|&(i, &l)| (l, i))
-            .expect("n_clients > 0");
+        let (client, _) =
+            load.iter().enumerate().min_by_key(|&(i, &l)| (l, i)).expect("n_clients > 0");
         comm_client[comm as usize] = client as u32;
         load[client] += size;
     }
-    let parts = communities
-        .parts
-        .iter()
-        .map(|&c| comm_client[c as usize])
-        .collect();
+    let parts = communities.parts.iter().map(|&c| comm_client[c as usize]).collect();
     Ok(Partition::new(parts).compact())
 }
 

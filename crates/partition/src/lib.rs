@@ -89,10 +89,7 @@ impl Partition {
             }
             parts.push(*r);
         }
-        Partition {
-            parts,
-            num_parts: next as usize,
-        }
+        Partition { parts, num_parts: next as usize }
     }
 }
 
@@ -140,11 +137,7 @@ impl Partition {
             }
             skews.iter().sum::<f64>() / skews.len().max(1) as f64
         };
-        PartitionQuality {
-            cut_ratio,
-            imbalance,
-            mean_label_skew,
-        }
+        PartitionQuality { cut_ratio, imbalance, mean_label_skew }
     }
 }
 
@@ -215,7 +208,7 @@ mod tests {
         assert!((q.cut_ratio - 1.0 / 3.0).abs() < 1e-12);
         assert!((q.imbalance - 1.0).abs() < 1e-12);
         assert!((q.mean_label_skew - 1.0).abs() < 1e-12); // single-class parts
-        // Mixed labels lower the skew.
+                                                          // Mixed labels lower the skew.
         let q2 = p.quality(&g, &[0, 1, 0, 1]);
         assert!((q2.mean_label_skew - 0.5).abs() < 1e-12);
         // Empty labels skip the statistic.

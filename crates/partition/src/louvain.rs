@@ -35,13 +35,7 @@ pub struct LouvainConfig {
 
 impl Default for LouvainConfig {
     fn default() -> Self {
-        Self {
-            seed: 0,
-            min_gain: 1e-6,
-            max_sweeps: 32,
-            max_levels: 16,
-            resolution: 1.0,
-        }
+        Self { seed: 0, min_gain: 1e-6, max_sweeps: 32, max_levels: 16, resolution: 1.0 }
     }
 }
 
@@ -226,20 +220,8 @@ mod tests {
     #[test]
     fn higher_resolution_gives_no_fewer_communities() {
         let g = two_clusters(8);
-        let lo = louvain(
-            &g,
-            &LouvainConfig {
-                resolution: 0.5,
-                ..LouvainConfig::default()
-            },
-        );
-        let hi = louvain(
-            &g,
-            &LouvainConfig {
-                resolution: 4.0,
-                ..LouvainConfig::default()
-            },
-        );
+        let lo = louvain(&g, &LouvainConfig { resolution: 0.5, ..LouvainConfig::default() });
+        let hi = louvain(&g, &LouvainConfig { resolution: 4.0, ..LouvainConfig::default() });
         assert!(hi.num_parts >= lo.num_parts);
     }
 

@@ -35,12 +35,7 @@ pub struct MetisConfig {
 
 impl Default for MetisConfig {
     fn default() -> Self {
-        Self {
-            seed: 0,
-            coarsen_factor: 30,
-            imbalance: 1.05,
-            refine_passes: 8,
-        }
+        Self { seed: 0, coarsen_factor: 30, imbalance: 1.05, refine_passes: 8 }
     }
 }
 
@@ -67,7 +62,8 @@ impl WorkGraph {
         let adjwgt = match g.weights() {
             None => vec![1; g.num_edges()],
             Some(w) => {
-                let multiplicity = |x: f32| (1.0..=MAX_EDGE_WEIGHT).contains(&x) && x.fract() == 0.0;
+                let multiplicity =
+                    |x: f32| (1.0..=MAX_EDGE_WEIGHT).contains(&x) && x.fract() == 0.0;
                 if let Some(e) = w.iter().position(|&x| !multiplicity(x)) {
                     let node = g.indptr().partition_point(|&start| start <= e) - 1;
                     return Err(PartitionError::EdgeWeight {
@@ -201,10 +197,7 @@ mod tests {
             let ideal = 500.0 / k as f64;
             for (i, &s) in sizes.iter().enumerate() {
                 assert!(s > 0, "part {i} empty for k={k}");
-                assert!(
-                    (s as f64) <= ideal * 1.30,
-                    "part {i} size {s} too large for k={k}"
-                );
+                assert!((s as f64) <= ideal * 1.30, "part {i} size {s} too large for k={k}");
             }
         }
     }
@@ -227,7 +220,10 @@ mod tests {
     #[test]
     fn rejects_degenerate_requests() {
         let g = random_graph(10, 0, 0);
-        assert!(matches!(metis_kway(&g, 0, &MetisConfig::default()), Err(PartitionError::ZeroParts)));
+        assert!(matches!(
+            metis_kway(&g, 0, &MetisConfig::default()),
+            Err(PartitionError::ZeroParts)
+        ));
         assert!(matches!(
             metis_kway(&g, 11, &MetisConfig::default()),
             Err(PartitionError::TooManyParts { .. })

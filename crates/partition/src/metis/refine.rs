@@ -137,7 +137,9 @@ mod tests {
         WorkGraph {
             xadj: g.indptr().to_vec(),
             adjncy: g.indices().to_vec(),
-            adjwgt: g.weights().map_or(vec![1; g.num_edges()], |w| w.iter().map(|&x| x as i64).collect()),
+            adjwgt: g
+                .weights()
+                .map_or(vec![1; g.num_edges()], |w| w.iter().map(|&x| x as i64).collect()),
             vwgt: vec![1; g.num_nodes()],
         }
     }
@@ -160,10 +162,7 @@ mod tests {
         let mut parts: Vec<u32> = (0..20).map(|i| (i % 2) as u32).collect();
         let before = Partition::new(parts.clone()).edge_cut(&g);
         let mut rng = StdRng::seed_from_u64(0);
-        let cfg = MetisConfig {
-            refine_passes: 40,
-            ..MetisConfig::default()
-        };
+        let cfg = MetisConfig { refine_passes: 40, ..MetisConfig::default() };
         let carried = refine(&wg, &mut parts, before as i64, 2, &cfg, &mut rng);
         let after = Partition::new(parts.clone()).edge_cut(&g);
         assert_eq!(carried, after as i64);

@@ -29,16 +29,18 @@ fn arb_connected(max_n: usize) -> impl Strategy<Value = Csr> {
 /// so that most cases coarsen before the initial partition.
 fn arb_multigraph() -> impl Strategy<Value = Csr> {
     (16usize..=400).prop_flat_map(|n| {
-        proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..=5), 0..3 * n).prop_map(move |edges| {
-            let mut el = EdgeList::new(n);
-            for (u, v, w) in edges {
-                if u != v {
-                    el.push_weighted(u, v, w as f32).unwrap();
-                    el.push_weighted(v, u, w as f32).unwrap();
+        proptest::collection::vec((0..n as u32, 0..n as u32, 1u32..=5), 0..3 * n).prop_map(
+            move |edges| {
+                let mut el = EdgeList::new(n);
+                for (u, v, w) in edges {
+                    if u != v {
+                        el.push_weighted(u, v, w as f32).unwrap();
+                        el.push_weighted(v, u, w as f32).unwrap();
+                    }
                 }
-            }
-            el.to_csr()
-        })
+                el.to_csr()
+            },
+        )
     })
 }
 
