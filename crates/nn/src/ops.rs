@@ -34,16 +34,15 @@
 //!   ([`axpy4`]) — the same element-wise accumulation order, so the two
 //!   paths agree bit-for-bit.
 //! - [`matmul_tn_into`] runs on the **same micro-kernel**: a band of 8
-//!   rows of `C = Aᵀ·B` is `(8 × m panel of Aᵀ)·B`, so it transpose-packs
-//!   8 columns of `A` into a stack panel ([`TN_PANEL`] outer steps at a
-//!   time) and calls [`gemm_rows_tile`] / [`gemm_row`] on it. The tile
-//!   loads its accumulators from `out`, so chunked accumulation keeps the
-//!   strict increasing-`i` order. Two measured pitfalls: accumulating
-//!   `acc[rr][l]` straight off the unpacked `A` rows makes LLVM vectorize
-//!   across `rr` with stack gathers (16 → 5.2 GFLOP/s), and sharing
-//!   [`gemm_rows_tile`] under plain `#[inline]` leaves it out of line and
-//!   costs the *forward* kernel a third of its rate (65 → 44 GFLOP/s at
-//!   cora shapes) — hence `#[inline(always)]`.
+//!   rows of `C = Aᵀ·B` is `(8 columns of A)ᵀ·B`, and the tiles read `A`
+//!   through 8 row starts and a step ([`ARows`]) — `A`'s rows with step 1
+//!   forward, the band's columns with step `k` in `tn` — so `Aᵀ` is read
+//!   where it lies, [`TN_BLOCK`] outer steps at a time. Two measured
+//!   pitfalls: an `A` value read other than as one scalar per row and step
+//!   makes LLVM vectorize across rows with gathers (16 → 5.2 GFLOP/s), and
+//!   sharing [`gemm_rows_tile`] under plain `#[inline]` leaves it out of
+//!   line and costs the *forward* kernel a third of its rate (65 → 44
+//!   GFLOP/s at cora shapes) — hence `#[inline(always)]`.
 //! - [`matmul_nt_into`] computes each output element as a dot product over
 //!   **8 independent accumulator lanes** ([`dot_lanes`]), breaking the
 //!   add-latency chain that serializes a naive dot product. With fewer
@@ -197,7 +196,16 @@ pub fn gemm_tile() -> &'static str {
     }
 }
 
-/// The register tile itself: `out[r·n + j + l] += Σ_kk arows[r][kk] ·
+/// The [`ROW_BLOCK`] rows of `A` a register tile reads: element `(r, kk)`
+/// is `at[r][kk·step]` for `kk < len`. The forward GEMM passes `A`'s rows
+/// with step 1, [`matmul_tn_into`] 8 columns of `A` with step `k`.
+struct ARows<'a> {
+    at: [&'a [f32]; ROW_BLOCK],
+    step: usize,
+    len: usize,
+}
+
+/// The register tile itself: `out[r·n + j + l] += Σ_kk a(r, kk) ·
 /// b[kk·stride + off + l]` for the `ROW_BLOCK` rows and the first `w ≤
 /// TILE_COLS` lanes, with the whole `8×16` accumulator block held in
 /// registers across the `k` loop. Every `B` block read is `TILE_COLS`
@@ -211,26 +219,26 @@ fn tile_into(
     n: usize,
     j: usize,
     w: usize,
-    arows: &[&[f32]; ROW_BLOCK],
+    a: &ARows<'_>,
     b: &[f32],
     stride: usize,
     off: usize,
 ) {
     let mut acc = [[0f32; TILE_COLS]; ROW_BLOCK];
-    for (r, a) in acc.iter_mut().enumerate() {
-        a[..w].copy_from_slice(&out[r * n + j..r * n + j + w]);
+    for (r, c) in acc.iter_mut().enumerate() {
+        c[..w].copy_from_slice(&out[r * n + j..r * n + j + w]);
     }
-    for kk in 0..arows[0].len() {
+    for kk in 0..a.len {
         let b = &b[kk * stride + off..kk * stride + off + TILE_COLS];
-        for (r, a) in acc.iter_mut().enumerate() {
-            let av = arows[r][kk];
+        for (r, c) in acc.iter_mut().enumerate() {
+            let av = a.at[r][kk * a.step];
             for l in 0..TILE_COLS {
-                a[l] += av * b[l];
+                c[l] += av * b[l];
             }
         }
     }
-    for (r, a) in acc.iter().enumerate() {
-        out[r * n + j..r * n + j + w].copy_from_slice(&a[..w]);
+    for (r, c) in acc.iter().enumerate() {
+        out[r * n + j..r * n + j + w].copy_from_slice(&c[..w]);
     }
 }
 
@@ -257,7 +265,7 @@ fn tile_into(
 /// body, and left out of line it loses a third of the forward rate (see
 /// the module header).
 #[inline(always)]
-fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize, tile: Tile) {
+fn gemm_rows_tile(out: &mut [f32], a: &ARows<'_>, bd: &[f32], n: usize, tile: Tile) {
     debug_assert_eq!(out.len(), ROW_BLOCK * n);
     let nb = n / TILE_COLS * TILE_COLS;
     let mut j = match tile {
@@ -266,22 +274,22 @@ fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: u
         Tile::Avx512(cpu) => {
             let wb = n / WIDE_COLS * WIDE_COLS;
             if wb > 0 {
-                avx512_tile(cpu, out, arows, bd, n, wb);
+                avx512_tile(cpu, out, a, bd, n, wb);
             }
             wb
         }
     };
     while j < nb {
-        tile_into(out, n, j, TILE_COLS, arows, bd, n, j);
+        tile_into(out, n, j, TILE_COLS, a, bd, n, j);
         j += TILE_COLS;
     }
 }
 
-/// The AVX-512 register tile: `out[r·n + j] += Σ_kk arows[r][kk] ·
-/// bd[kk·n + j]` for the `ROW_BLOCK` rows and columns `0..wb`, one 8 × 32
-/// block of `C` at a time, held in 16 `zmm` accumulators across the whole
-/// `k` loop. Each step is `_mm512_mul_ps` then `_mm512_add_ps`, never a
-/// fused multiply-add, in strict increasing-`k` order: every element sees
+/// The AVX-512 register tile: `out[r·n + j] += Σ_kk a(r, kk) · bd[kk·n +
+/// j]` for the `ROW_BLOCK` rows and columns `0..wb`, one 8 × 32 block of
+/// `C` at a time, held in 16 `zmm` accumulators across the whole `k` loop.
+/// Each step is `_mm512_mul_ps` then `_mm512_add_ps`, never a fused
+/// multiply-add, in strict increasing-`k` order: every element sees
 /// [`tile_into`]'s chain of IEEE operations, so the bits are the portable
 /// tile's.
 ///
@@ -289,14 +297,7 @@ fn gemm_rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: u
 /// inner loop relies on; the [`Avx512F`] token is the CPU check.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
-fn avx512_tile(
-    _cpu: Avx512F,
-    out: &mut [f32],
-    arows: &[&[f32]; ROW_BLOCK],
-    bd: &[f32],
-    n: usize,
-    wb: usize,
-) {
+fn avx512_tile(_cpu: Avx512F, out: &mut [f32], a: &ARows<'_>, bd: &[f32], n: usize, wb: usize) {
     use std::arch::x86_64::{
         __m512, _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
@@ -305,12 +306,15 @@ fn avx512_tile(
     /// # Safety
     ///
     /// The CPU must run AVX-512F. `out` must hold `ROW_BLOCK` rows of
-    /// stride `n`, `bd` `k` rows of stride `n` and each `a[r]` `k` floats;
+    /// stride `n`, `bd` `k` rows of stride `n`, and each `a[r]` must be
+    /// readable at `kk·step` for every `kk < k` (the furthest read is
+    /// `(k − 1)·step`; a `tn` band's last start is 7 past its first);
     /// `wb ≤ n` must be a multiple of [`WIDE_COLS`].
     #[target_feature(enable = "avx512f")]
     unsafe fn band(
         out: *mut f32,
         a: [*const f32; ROW_BLOCK],
+        step: usize,
         bd: *const f32,
         k: usize,
         n: usize,
@@ -332,8 +336,8 @@ fn avx512_tile(
                     (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)))
                 };
                 for (acc, &ar) in acc.iter_mut().zip(&a) {
-                    // SAFETY: `kk < k`, the length of every `a[r]`.
-                    let av = _mm512_set1_ps(unsafe { *ar.add(kk) });
+                    // SAFETY: `kk·step ≤ (k − 1)·step`, inside every `a[r]`.
+                    let av = _mm512_set1_ps(unsafe { *ar.add(kk * step) });
                     acc[0] = _mm512_add_ps(acc[0], _mm512_mul_ps(av, b0));
                     acc[1] = _mm512_add_ps(acc[1], _mm512_mul_ps(av, b1));
                 }
@@ -349,19 +353,22 @@ fn avx512_tile(
         }
     }
 
-    let k = arows[0].len();
+    let k = a.len;
     assert!(wb.is_multiple_of(WIDE_COLS) && wb <= n, "avx512 tile: {wb} of {n} columns");
     // `checked_mul`: a wrapped product would let a short slice through.
     assert_eq!(Some(out.len()), ROW_BLOCK.checked_mul(n), "avx512 tile: output band size");
-    assert!(arows.iter().all(|a| a.len() == k), "avx512 tile: ragged A rows");
+    let last = k.checked_sub(1).map(|kl| kl.checked_mul(a.step));
+    let reach = |l: Option<usize>| l.is_some_and(|l| a.at.iter().all(|r| l < r.len()));
+    assert!(last.is_none_or(reach), "avx512 tile: A rows shorter than {k} steps of {}", a.step);
     assert!(
         k.checked_mul(n).is_some_and(|kn| bd.len() >= kn),
         "avx512 tile: B has fewer than {k} rows"
     );
-    let a = std::array::from_fn(|r| arows[r].as_ptr());
+    let at = std::array::from_fn(|r| a.at[r].as_ptr());
     // SAFETY: `_cpu` exists only where AVX-512F was detected, and the four
-    // asserts above are `band`'s bounds.
-    unsafe { band(out.as_mut_ptr(), a, bd.as_ptr(), k, n, wb) }
+    // asserts above are `band`'s bounds: the third covers the furthest
+    // strided read `(k − 1)·step` of every `A` row start.
+    unsafe { band(out.as_mut_ptr(), at, a.step, bd.as_ptr(), k, n, wb) }
 }
 
 /// The `n % TILE_COLS` column tail of `B` (`rows × n`), run through the
@@ -400,21 +407,21 @@ impl ColumnTail {
         Some(Self { j0, direct, pad })
     }
 
-    /// Adds `arows · B[r0..r0 + len, j0..n]` into the tail columns of the
-    /// `ROW_BLOCK`-row `band`, for `len = arows[i].len()`: the rows before
-    /// `direct` in place, the rest from the padded copy.
+    /// Adds `A · B[r0..r0 + a.len, j0..n]` into the tail columns of the
+    /// `ROW_BLOCK`-row `band`: the rows before `direct` in place, the rest
+    /// from the padded copy.
     #[inline(always)]
-    fn run(&self, band: &mut [f32], n: usize, arows: &[&[f32]; ROW_BLOCK], bd: &[f32], r0: usize) {
-        let (j0, w, len) = (self.j0, n - self.j0, arows[0].len());
-        let split = self.direct.saturating_sub(r0).min(len);
+    fn run(&self, band: &mut [f32], n: usize, a: &ARows<'_>, bd: &[f32], r0: usize) {
+        let (j0, w) = (self.j0, n - self.j0);
+        let split = self.direct.saturating_sub(r0).min(a.len);
         if split > 0 {
-            let head: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &arows[i][..split]);
-            tile_into(band, n, j0, w, &head, &bd[r0 * n..], n, j0);
+            let at = std::array::from_fn(|r| &a.at[r][..(split - 1) * a.step + 1]);
+            tile_into(band, n, j0, w, &ARows { at, len: split, ..*a }, &bd[r0 * n..], n, j0);
         }
-        if split < len {
-            let rest: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &arows[i][split..]);
+        if split < a.len {
             let pad = &self.pad[(r0 + split - self.direct) * TILE_COLS..];
-            tile_into(band, n, j0, w, &rest, pad, TILE_COLS, 0);
+            let at = std::array::from_fn(|r| &a.at[r][split * a.step..]);
+            tile_into(band, n, j0, w, &ARows { at, len: a.len - split, ..*a }, pad, TILE_COLS, 0);
         }
     }
 }
@@ -430,31 +437,32 @@ fn gemm_band(out: &mut [f32], m: usize, ad: &[f32], k: usize, bd: &[f32], n: usi
     let tail = if rb > 0 { ColumnTail::new(bd, k, n) } else { None };
     let mut r = 0;
     while r < rb {
-        let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+        let at = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+        let a = ARows { at, step: 1, len: k };
         let band = &mut out[r * n..(r + ROW_BLOCK) * n];
-        gemm_rows_tile(band, &arows, bd, n, tile);
+        gemm_rows_tile(band, &a, bd, n, tile);
         if let Some(tail) = &tail {
-            tail.run(band, n, &arows, bd, 0);
+            tail.run(band, n, &a, bd, 0);
         }
         r += ROW_BLOCK;
     }
     while r < m {
-        gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], bd, n);
+        gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], 1, k, bd, n);
         r += 1;
     }
 }
 
-/// One output row of `C = A·B`: `out += arow · B`, k-blocked by 4.
+/// One output row of `C = A·B`: `out += a · B` for the `len` values
+/// `a[kk·step]`, k-blocked by 4.
 ///
 /// `out` must be pre-initialized (zero, or the bias for the fused
 /// epilogue); accumulation order over `k` is fixed.
 #[inline]
-fn gemm_row(out: &mut [f32], arow: &[f32], bd: &[f32], n: usize) {
-    let k = arow.len();
-    let kb = k / K_BLOCK * K_BLOCK;
+fn gemm_row(out: &mut [f32], a: &[f32], step: usize, len: usize, bd: &[f32], n: usize) {
+    let kb = len / K_BLOCK * K_BLOCK;
     let mut kk = 0;
     while kk < kb {
-        let a = [arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]];
+        let a = [a[kk * step], a[(kk + 1) * step], a[(kk + 2) * step], a[(kk + 3) * step]];
         let b0 = &bd[kk * n..(kk + 1) * n];
         let b1 = &bd[(kk + 1) * n..(kk + 2) * n];
         let b2 = &bd[(kk + 2) * n..(kk + 3) * n];
@@ -462,8 +470,8 @@ fn gemm_row(out: &mut [f32], arow: &[f32], bd: &[f32], n: usize) {
         axpy4(out, a, b0, b1, b2, b3);
         kk += K_BLOCK;
     }
-    while kk < k {
-        axpy1(out, arow[kk], &bd[kk * n..(kk + 1) * n]);
+    while kk < len {
+        axpy1(out, a[kk * step], &bd[kk * n..(kk + 1) * n]);
         kk += 1;
     }
 }
@@ -544,11 +552,11 @@ fn dense_into(tile: Tile, a: MatView<'_>, b: MatView<'_>, bias: Option<&[f32]>, 
     gemm_band(out, m, a.as_slice(), k, b.as_slice(), n, tile);
 }
 
-/// Outer-dimension (`i`) steps per transpose-packed `A` panel in
-/// [`matmul_tn_into`]: `ROW_BLOCK × TN_PANEL` floats (8 KiB) of stack.
-/// Retunable without changing results — accumulation stays strict
-/// increasing-`i` across panels.
-const TN_PANEL: usize = 256;
+/// Outer-dimension (`i`) steps per block of `B` in [`matmul_tn_into`]:
+/// the `TN_BLOCK × n` block stays cached across every band. Retunable
+/// without changing results — accumulation stays strict increasing-`i`
+/// across blocks.
+const TN_BLOCK: usize = 256;
 
 /// `C = Aᵀ · B` with `A: m×k`, `B: m×n`, written into `out` (`k·n`,
 /// fully overwritten). Allocation-free.
@@ -556,12 +564,11 @@ const TN_PANEL: usize = 256;
 /// This is the weight-gradient kernel (`dW = Xᵀ · dY`); `out` may alias a
 /// sub-slice of a flat gradient buffer, which is exactly how
 /// [`crate::mlp::Mlp::backward_ws`] uses it. A band of [`ROW_BLOCK`]
-/// output rows is `(8 × m panel of Aᵀ)·B`: 8 columns of `A` are
-/// transpose-packed into a stack panel, [`TN_PANEL`] outer steps at a
-/// time, and fed to the forward micro-kernel ([`gemm_rows_tile`], or
-/// [`gemm_row`] per row of a short last band). Both accumulate onto
-/// `out`, so accumulation per element is strict increasing-`i` order
-/// whatever the panel length or band split.
+/// output rows is `(8 columns of A)ᵀ·B`: the forward micro-kernel
+/// ([`gemm_rows_tile`], or [`gemm_row`] per row of a short last band)
+/// reads those columns in place, with step `k`, [`TN_BLOCK`] outer steps
+/// at a time. Both accumulate onto `out`, so accumulation per element is
+/// strict increasing-`i` order whatever the block length or band split.
 pub fn matmul_tn_into(a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     record_matmul_flops(a.rows(), a.cols(), b.cols());
     tn_into(Tile::host(), a, b, out);
@@ -575,35 +582,28 @@ fn tn_into(tile: Tile, a: MatView<'_>, b: MatView<'_>, out: &mut [f32]) {
     assert_eq!(out.len(), k * n, "matmul_tn output size mismatch");
     let (ad, bd) = (a.as_slice(), b.as_slice());
     out.fill(0.0);
-    let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
     let tail = if k >= ROW_BLOCK { ColumnTail::new(bd, m, n) } else { None };
-    // Panels outermost: `B` and `A` stream through once, and the
-    // `TN_PANEL × n` block of `B` stays cached across every band.
-    for i0 in (0..m).step_by(TN_PANEL) {
-        let len = TN_PANEL.min(m - i0);
+    // Blocks outermost: `B` and `A` stream through once.
+    for i0 in (0..m).step_by(TN_BLOCK) {
+        let len = TN_BLOCK.min(m - i0);
         let bblk = &bd[i0 * n..(i0 + len) * n];
-        let mut r = 0;
-        while r < k {
+        // Column `c` of this block of `A`: one length for all, so the
+        // tile's eight bounds checks per step fold into one.
+        let col = |c: usize| &ad[i0 * k + c..][..(len - 1) * k + 1];
+        for r in (0..k).step_by(ROW_BLOCK) {
             let rows = ROW_BLOCK.min(k - r);
-            for ii in 0..len {
-                let ablk = &ad[(i0 + ii) * k + r..][..rows];
-                for (prow, &av) in panel.iter_mut().zip(ablk) {
-                    prow[ii] = av;
-                }
-            }
             let band = &mut out[r * n..(r + rows) * n];
             if rows == ROW_BLOCK {
-                let arows: [&[f32]; ROW_BLOCK] = std::array::from_fn(|rr| &panel[rr][..len]);
-                gemm_rows_tile(band, &arows, bblk, n, tile);
+                let a = ARows { at: std::array::from_fn(|c| col(r + c)), step: k, len };
+                gemm_rows_tile(band, &a, bblk, n, tile);
                 if let Some(tail) = &tail {
-                    tail.run(band, n, &arows, bd, i0);
+                    tail.run(band, n, &a, bd, i0);
                 }
             } else {
-                for (rr, prow) in panel.iter().enumerate().take(rows) {
-                    gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
+                for c in 0..rows {
+                    gemm_row(&mut band[c * n..(c + 1) * n], col(r + c), k, len, bblk, n);
                 }
             }
-            r += rows;
         }
     }
 }
@@ -676,12 +676,12 @@ fn matmul_nt_short_into(
             }
         }
         for r in (0..rb).step_by(ROW_BLOCK) {
-            let arows: [&[f32]; ROW_BLOCK] =
-                std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+            let at = std::array::from_fn(|i| &ad[(r + i) * k..(r + i + 1) * k]);
+            let a = ARows { at, step: 1, len: k };
             let band = &mut out[r * n..(r + ROW_BLOCK) * n];
             for jb in (0..cols).step_by(TILE_COLS) {
                 let w = TILE_COLS.min(cols - jb);
-                tile_into(band, n, c0 + jb, w, &arows, &bt, stride, jb);
+                tile_into(band, n, c0 + jb, w, &a, &bt, stride, jb);
             }
         }
     }
@@ -1111,7 +1111,7 @@ mod tests {
     /// band and a lane-split dot product per element. The oracle the
     /// tiled paths must match bit for bit.
     mod oracle {
-        use super::super::{dot_lanes, gemm_row, ROW_BLOCK, TILE_COLS, TN_PANEL};
+        use super::super::{dot_lanes, gemm_row, ROW_BLOCK, TILE_COLS, TN_BLOCK};
 
         fn rows_tile(out: &mut [f32], arows: &[&[f32]; ROW_BLOCK], bd: &[f32], n: usize) {
             let k = arows[0].len();
@@ -1166,7 +1166,7 @@ mod tests {
                 r += ROW_BLOCK;
             }
             while r < m {
-                gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], bd, n);
+                gemm_row(&mut out[r * n..(r + 1) * n], &ad[r * k..(r + 1) * k], 1, k, bd, n);
                 r += 1;
             }
         }
@@ -1174,9 +1174,9 @@ mod tests {
         /// `Aᵀ·B` (`A: m×k`, `B: m×n`).
         pub fn tn(ad: &[f32], m: usize, k: usize, bd: &[f32], n: usize) -> Vec<f32> {
             let mut out = vec![0f32; k * n];
-            let mut panel = [[0f32; TN_PANEL]; ROW_BLOCK];
-            for i0 in (0..m).step_by(TN_PANEL) {
-                let len = TN_PANEL.min(m - i0);
+            let mut panel = [[0f32; TN_BLOCK]; ROW_BLOCK];
+            for i0 in (0..m).step_by(TN_BLOCK) {
+                let len = TN_BLOCK.min(m - i0);
                 let bblk = &bd[i0 * n..(i0 + len) * n];
                 let mut r = 0;
                 while r < k {
@@ -1194,7 +1194,14 @@ mod tests {
                         rows_tile(band, &arows, bblk, n);
                     } else {
                         for (rr, prow) in panel.iter().enumerate().take(rows) {
-                            gemm_row(&mut band[rr * n..(rr + 1) * n], &prow[..len], bblk, n);
+                            gemm_row(
+                                &mut band[rr * n..(rr + 1) * n],
+                                &prow[..len],
+                                1,
+                                len,
+                                bblk,
+                                n,
+                            );
                         }
                     }
                     r += rows;
@@ -1270,50 +1277,49 @@ mod tests {
     /// the kernels' private bodies, the host's (AVX-512 where the CPU has
     /// it) through them and through the public entry points. Widths on both
     /// sides of every 16- and 32-column block, `k` from empty to an
-    /// `arxiv_sign_128c` input layer, row counts with and without a tail.
+    /// `arxiv_sign_128c` input layer, row counts with and without a tail,
+    /// then the weight-gradient shapes of a `cora_gcn_wire` GCN and an
+    /// `arxiv_sign_128c` SIGN input layer, whose `A` the tiles read with
+    /// step 256 and 768.
     #[test]
     fn both_register_tiles_equal_the_scalar_chain_bit_for_bit() {
-        for n in [1, 7, 15, 16, 17, 31, 32, 33, 40, 48, 64, 65, 128] {
-            for k in [0, 1, 7, 768] {
-                for m in [8, 21] {
-                    for gen in [finite, hostile] {
-                        let seed = (n * 10_000 + k * 10 + m) as u64;
-                        let (a, b, b2) =
-                            (gen(m * k, seed), gen(k * n, seed + 1), gen(m * n, seed + 2));
-                        let bias = gen(n, seed + 3);
-                        let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
-                        let zero = vec![0f32; n];
-                        let want = chain(&zero, &a, m, k, &b, n);
-                        let want_bias = chain(&bias, &a, m, k, &b, n);
-                        let want_relu: Vec<f32> =
-                            want_bias.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect();
-                        let want_tn = chain(&zero, &at, k, m, &b2, n);
-                        let (av, bv, b2v) = (
-                            MatView::new(m, k, &a),
-                            MatView::new(k, n, &b),
-                            MatView::new(m, n, &b2),
-                        );
-                        let what = format!("{m}x{k}x{n}");
-                        let mut got = vec![f32::NAN; m * n];
-                        let mut got_tn = vec![f32::NAN; k * n];
-                        for tile in [Tile::Portable, Tile::host()] {
-                            dense_into(tile, av, bv, None, &mut got);
-                            assert_eq!(bits(&got), bits(&want), "{tile:?} matmul {what}");
-                            dense_into(tile, av, bv, Some(&bias), &mut got);
-                            assert_eq!(bits(&got), bits(&want_bias), "{tile:?} matmul_bias {what}");
-                            tn_into(tile, av, b2v, &mut got_tn);
-                            assert_eq!(bits(&got_tn), bits(&want_tn), "{tile:?} matmul_tn {what}");
-                        }
-                        matmul_into(av, bv, &mut got);
-                        assert_eq!(bits(&got), bits(&want), "matmul_into {what}");
-                        matmul_bias_into(av, bv, &bias, &mut got);
-                        assert_eq!(bits(&got), bits(&want_bias), "matmul_bias_into {what}");
-                        matmul_bias_relu_into(av, bv, &bias, &mut got);
-                        assert_eq!(bits(&got), bits(&want_relu), "matmul_bias_relu_into {what}");
-                        matmul_tn_into(av, b2v, &mut got_tn);
-                        assert_eq!(bits(&got_tn), bits(&want_tn), "matmul_tn_into {what}");
-                    }
+        let ns = [1, 7, 15, 16, 17, 31, 32, 33, 40, 48, 64, 65, 128];
+        let grid = ns
+            .into_iter()
+            .flat_map(|n| [0, 1, 7, 768].into_iter().flat_map(move |k| [8, 21].map(|m| (m, k, n))));
+        for (m, k, n) in grid.chain([(270, 256, 32), (187, 768, 128)]) {
+            for gen in [finite, hostile] {
+                let seed = (n * 10_000 + k * 10 + m) as u64;
+                let (a, b, b2) = (gen(m * k, seed), gen(k * n, seed + 1), gen(m * n, seed + 2));
+                let bias = gen(n, seed + 3);
+                let at: Vec<f32> = (0..k * m).map(|x| a[(x % m) * k + x / m]).collect();
+                let zero = vec![0f32; n];
+                let want = chain(&zero, &a, m, k, &b, n);
+                let want_bias = chain(&bias, &a, m, k, &b, n);
+                let want_relu: Vec<f32> =
+                    want_bias.iter().map(|&v| if v < 0.0 { 0.0 } else { v }).collect();
+                let want_tn = chain(&zero, &at, k, m, &b2, n);
+                let (av, bv, b2v) =
+                    (MatView::new(m, k, &a), MatView::new(k, n, &b), MatView::new(m, n, &b2));
+                let what = format!("{m}x{k}x{n}");
+                let mut got = vec![f32::NAN; m * n];
+                let mut got_tn = vec![f32::NAN; k * n];
+                for tile in [Tile::Portable, Tile::host()] {
+                    dense_into(tile, av, bv, None, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{tile:?} matmul {what}");
+                    dense_into(tile, av, bv, Some(&bias), &mut got);
+                    assert_eq!(bits(&got), bits(&want_bias), "{tile:?} matmul_bias {what}");
+                    tn_into(tile, av, b2v, &mut got_tn);
+                    assert_eq!(bits(&got_tn), bits(&want_tn), "{tile:?} matmul_tn {what}");
                 }
+                matmul_into(av, bv, &mut got);
+                assert_eq!(bits(&got), bits(&want), "matmul_into {what}");
+                matmul_bias_into(av, bv, &bias, &mut got);
+                assert_eq!(bits(&got), bits(&want_bias), "matmul_bias_into {what}");
+                matmul_bias_relu_into(av, bv, &bias, &mut got);
+                assert_eq!(bits(&got), bits(&want_relu), "matmul_bias_relu_into {what}");
+                matmul_tn_into(av, b2v, &mut got_tn);
+                assert_eq!(bits(&got_tn), bits(&want_tn), "matmul_tn_into {what}");
             }
         }
     }

@@ -104,16 +104,18 @@ fn bits(xs: &[f32]) -> Vec<u32> {
 /// The kernels built on the forward micro-kernel accumulate every output
 /// element in strict increasing-`k` (`matmul_tn`: increasing-`i`) order —
 /// the order of the scalar loops in `ops::naive` — so they agree with them
-/// by `to_bits`, whatever the tile, band and panel boundaries: `m` around
-/// `matmul_tn`'s 256-step panels, short last bands (`k % 8 ≠ 0`), column
-/// tails (`n % 16 ≠ 0`), an `out` pre-filled with garbage. (`gen` yields no
+/// by `to_bits`, whatever the tile, band and block boundaries: `m` around
+/// `matmul_tn`'s 256-step blocks, short last bands (`k % 8 ≠ 0`), `A` read
+/// in place with step `k` up to an arxiv input layer's 768, column tails
+/// (`n % 16 ≠ 0`), widths with and without a 32-column AVX-512 block and a
+/// 16-column block after it, an `out` pre-filled with garbage. (`gen` yields no
 /// zero, so `naive`'s zero-skip never fires. `matmul_nt_into` sums in
 /// lanes, not in `naive`'s order; the tolerance tests above cover it.)
 #[test]
 fn forward_kernel_family_matches_naive_bitwise() {
     for &m in &[0usize, 1, 255, 256, 257, 513] {
-        for &k in &[3usize, 9, 20, 67] {
-            for &n in &[7usize, 16, 17, 40] {
+        for &k in &[3usize, 8, 9, 20, 67, 768] {
+            for &n in &[7usize, 16, 17, 32, 40, 48, 128] {
                 let what = format!("m={m} k={k} n={n}");
                 let a = gen(m, k, (m + k) as u64);
                 let dy = gen(m, n, (m + n + 1) as u64);
