@@ -350,37 +350,47 @@ impl Registry {
     /// covers `[2^(i-1), 2^i)`, the *inclusive* upper bound `le = 2^i - 1`
     /// is exact, not approximate (bucket 0 holds zeros → `le="0"`). The
     /// exact observed maximum is kept as a companion `_max` gauge.
+    ///
+    /// `+Inf` and `_count` are the sum of the same bucket snapshot the
+    /// finite lines add up: the histogram's sample counter is read apart
+    /// from its buckets, so under a concurrent `observe` it may lag them.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        for s in self.snapshot() {
-            let base = prometheus_name(&s.name);
-            match s.kind {
-                MetricKind::Counter | MetricKind::Gauge => {
-                    let kind = s.kind.as_str();
-                    out.push_str(&format!("# TYPE {base} {kind}\n{base} {}\n", s.value));
+        render_snapshots(&self.snapshot())
+    }
+}
+
+/// [`Registry::render_prometheus`] over a given snapshot.
+fn render_snapshots(snapshot: &[MetricSnapshot]) -> String {
+    let mut out = String::with_capacity(1024);
+    for s in snapshot {
+        let base = prometheus_name(&s.name);
+        match s.kind {
+            MetricKind::Counter | MetricKind::Gauge => {
+                let kind = s.kind.as_str();
+                out.push_str(&format!("# TYPE {base} {kind}\n{base} {}\n", s.value));
+            }
+            MetricKind::Histogram => {
+                out.push_str(&format!("# TYPE {base} histogram\n"));
+                let hi = s
+                    .buckets
+                    .iter()
+                    .rposition(|&c| c > 0)
+                    .map(|i| i.min(HIST_BUCKETS - 2))
+                    .unwrap_or(0);
+                let mut cum = 0u64;
+                for (i, &c) in s.buckets.iter().enumerate().take(hi + 1) {
+                    cum += c;
+                    out.push_str(&format!("{base}_bucket{{le=\"{}\"}} {cum}\n", bucket_le(i)));
                 }
-                MetricKind::Histogram => {
-                    out.push_str(&format!("# TYPE {base} histogram\n"));
-                    let hi = s
-                        .buckets
-                        .iter()
-                        .rposition(|&c| c > 0)
-                        .map(|i| i.min(HIST_BUCKETS - 2))
-                        .unwrap_or(0);
-                    let mut cum = 0u64;
-                    for (i, &c) in s.buckets.iter().enumerate().take(hi + 1) {
-                        cum += c;
-                        out.push_str(&format!("{base}_bucket{{le=\"{}\"}} {cum}\n", bucket_le(i)));
-                    }
-                    out.push_str(&format!("{base}_bucket{{le=\"+Inf\"}} {}\n", s.count));
-                    out.push_str(&format!("{base}_sum {}\n", s.value));
-                    out.push_str(&format!("{base}_count {}\n", s.count));
-                    out.push_str(&format!("# TYPE {base}_max gauge\n{base}_max {}\n", s.max));
-                }
+                let count: u64 = s.buckets.iter().sum();
+                out.push_str(&format!("{base}_bucket{{le=\"+Inf\"}} {count}\n"));
+                out.push_str(&format!("{base}_sum {}\n", s.value));
+                out.push_str(&format!("{base}_count {count}\n"));
+                out.push_str(&format!("# TYPE {base}_max gauge\n{base}_max {}\n", s.max));
             }
         }
-        out
     }
+    out
 }
 
 /// Inclusive `le` label for log2 bucket `i`: bucket 0 holds zeros, bucket
@@ -525,6 +535,36 @@ mod tests {
         r.reset();
         assert_eq!(r.counter("a.count").get(), 0);
         set_level(ObsLevel::Off);
+    }
+
+    /// A snapshot taken while `observe` runs on another thread can read a
+    /// sample count that lags its buckets. The exposition stays a
+    /// cumulative, monotone series whose `+Inf` and `_count` agree with
+    /// the buckets it printed.
+    #[test]
+    fn a_count_lagging_its_buckets_renders_monotone() {
+        let mut buckets = vec![0u64; HIST_BUCKETS];
+        (buckets[2], buckets[5]) = (3, 2);
+        let snap = MetricSnapshot {
+            name: "c.hist".into(),
+            kind: MetricKind::Histogram,
+            value: 60,
+            count: 4,
+            p50: 3,
+            p95: 31,
+            max: 20,
+            buckets,
+        };
+        let prom = render_snapshots(&[snap]);
+        assert!(prom.contains("fedgta_c_hist_bucket{le=\"31\"} 5\n"), "{prom}");
+        assert!(prom.contains("fedgta_c_hist_bucket{le=\"+Inf\"} 5\n"), "{prom}");
+        assert!(prom.contains("fedgta_c_hist_count 5\n"), "{prom}");
+        let cum: Vec<u64> = prom
+            .lines()
+            .filter(|l| l.starts_with("fedgta_c_hist_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert!(cum.windows(2).all(|w| w[0] <= w[1]), "{cum:?}");
     }
 
     #[test]
