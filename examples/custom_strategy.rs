@@ -81,9 +81,6 @@ fn main() {
             },
         );
         let records = sim.run();
-        println!(
-            "{name:<12} best accuracy: {:.1}%",
-            100.0 * best_accuracy(&records)
-        );
+        println!("{name:<12} best accuracy: {:.1}%", 100.0 * best_accuracy(&records));
     }
 }

@@ -41,13 +41,8 @@ fn main() {
     let bench = generate_from_spec(&spec, 7);
     // Higher resolution keeps Louvain from merging the planted communities
     // below the number of hospitals.
-    let communities = louvain(
-        &bench.graph,
-        &LouvainConfig {
-            resolution: 4.0,
-            ..LouvainConfig::default()
-        },
-    );
+    let communities =
+        louvain(&bench.graph, &LouvainConfig { resolution: 4.0, ..LouvainConfig::default() });
     let partition = communities_to_clients(&communities, 8).expect("8 hospitals");
     let hospitals = partition.num_parts;
 
@@ -105,12 +100,8 @@ fn main() {
     let report = gta.objective.last_report().expect("round ran");
     println!("\nFedGTA aggregation sets (hospital: partners with weights):");
     for (h, e) in report.entries.iter().enumerate() {
-        let members: Vec<String> = e
-            .members
-            .iter()
-            .zip(&e.weights)
-            .map(|(m, w)| format!("{m}({w:.2})"))
-            .collect();
+        let members: Vec<String> =
+            e.members.iter().zip(&e.weights).map(|(m, w)| format!("{m}({w:.2})")).collect();
         println!("  hospital {h}: {}", members.join(" "));
     }
 }

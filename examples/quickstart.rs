@@ -30,10 +30,9 @@ fn main() {
     let partition = communities_to_clients(&communities, 10).expect("10 clients");
 
     // 3–4. Run each strategy for 30 rounds and compare.
-    for strategy in [
-        Box::new(FedAvg::new()) as Box<dyn Strategy>,
-        Box::new(FedGta::with_defaults()),
-    ] {
+    for strategy in
+        [Box::new(FedAvg::new()) as Box<dyn Strategy>, Box::new(FedGta::with_defaults())]
+    {
         let clients = build_clients(
             &bench,
             &partition,

@@ -22,9 +22,8 @@ pub struct TestRng {
 impl TestRng {
     /// The stream for case index `case` (offset so case 0 is well mixed).
     pub fn for_case(case: u64) -> Self {
-        let mut rng = Self {
-            state: case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4E5B,
-        };
+        let mut rng =
+            Self { state: case.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4E5B };
         let _ = rng.next_u64();
         rng
     }
@@ -268,9 +267,7 @@ impl<T: Arbitrary> Strategy for Any<T> {
 
 /// Strategy for any value of `T` (subset: types implementing [`Arbitrary`]).
 pub fn any<T: Arbitrary>() -> Any<T> {
-    Any {
-        _marker: std::marker::PhantomData,
-    }
+    Any { _marker: std::marker::PhantomData }
 }
 
 /// Collection strategies.
@@ -464,12 +461,8 @@ mod tests {
 
     #[test]
     fn cases_are_deterministic() {
-        let a: Vec<u64> = (0..5)
-            .map(|c| crate::TestRng::for_case(c).next_u64())
-            .collect();
-        let b: Vec<u64> = (0..5)
-            .map(|c| crate::TestRng::for_case(c).next_u64())
-            .collect();
+        let a: Vec<u64> = (0..5).map(|c| crate::TestRng::for_case(c).next_u64()).collect();
+        let b: Vec<u64> = (0..5).map(|c| crate::TestRng::for_case(c).next_u64()).collect();
         assert_eq!(a, b);
     }
 

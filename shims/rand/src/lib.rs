@@ -157,9 +157,7 @@ pub mod rngs {
             // One mixing round so that nearby seeds start decorrelated.
             let mut rng = StdRng { state };
             let _ = rng.next_u64();
-            Self {
-                state: state ^ rng.next_u64().rotate_left(17),
-            }
+            Self { state: state ^ rng.next_u64().rotate_left(17) }
         }
     }
 }

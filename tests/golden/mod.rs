@@ -18,9 +18,7 @@ pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 }
 
 fn path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(file)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
 }
 
 /// The text of `tests/golden/<file>`, empty when there is none.
@@ -33,24 +31,14 @@ pub fn read(file: &str) -> String {
 pub fn check(file: &str, got: &[String]) {
     let golden = read(file);
     if std::env::var_os("FEDGTA_GOLDEN_BLESS").is_some() {
-        let mut text: String = golden
-            .lines()
-            .filter(|l| l.starts_with('#'))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        let mut text: String =
+            golden.lines().filter(|l| l.starts_with('#')).map(|l| format!("{l}\n")).collect();
         text.extend(got.iter().map(|l| format!("{l}\n")));
         std::fs::write(path(file), text).unwrap();
         return;
     }
-    let want: Vec<&str> = golden
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-        .collect();
-    assert_eq!(
-        want.len(),
-        got.len(),
-        "{file}: line count, golden file vs test"
-    );
+    let want: Vec<&str> = golden.lines().filter(|l| !l.starts_with('#') && !l.is_empty()).collect();
+    assert_eq!(want.len(), got.len(), "{file}: line count, golden file vs test");
     for (w, g) in want.iter().zip(got) {
         assert_eq!(w, g, "{file}: golden line moved");
     }

@@ -12,9 +12,9 @@
 use fedgta::{FedGta, FedGtaConfig};
 use fedgta_data::{generate_from_spec, spec_by_name, DatasetSpec, Task};
 use fedgta_fed::client::{build_clients, Client, ClientBuildConfig};
+use fedgta_fed::faults::FaultConfig;
 use fedgta_fed::fgl_models::FedGl;
 use fedgta_fed::kit::Kit;
-use fedgta_fed::faults::FaultConfig;
 use fedgta_fed::round::{CommsConfig, SimConfig, Simulation};
 use fedgta_fed::strategies::test_support::{federation_with, small_federation};
 use fedgta_fed::strategies::{
@@ -73,8 +73,13 @@ fn inductive(kind: ModelKind) -> Vec<Client> {
     let bench = generate_from_spec(&spec, SEED);
     let comm = louvain(&bench.graph, &LouvainConfig::default());
     let parts = communities_to_clients(&comm, 4).unwrap();
-    let model = ModelConfig { kind, hidden: 16, layers: 2, k: 2, seed: SEED, ..ModelConfig::default() };
-    build_clients(&bench, &parts, &ClientBuildConfig { model, lr: 0.03, weight_decay: 0.0, halo: false })
+    let model =
+        ModelConfig { kind, hidden: 16, layers: 2, k: 2, seed: SEED, ..ModelConfig::default() };
+    build_clients(
+        &bench,
+        &parts,
+        &ClientBuildConfig { model, lr: 0.03, weight_decay: 0.0, halo: false },
+    )
 }
 
 /// One cell: its name, its clients, its strategy, its round count, the
@@ -157,15 +162,35 @@ fn cells() -> Vec<Cell> {
         cell("FedGTA/SIGN", || small_federation(ModelKind::Sign, SEED), fedgta, 3),
         cell("FedGTA/S2GC", || small_federation(ModelKind::S2gc, SEED), fedgta, 3),
         cell("FedGTA/GBP", || small_federation(ModelKind::Gbp, SEED), fedgta, 3),
-        cell("FedProx/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedProx::new(0.1)), 3),
-        cell("FedDC/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(FedDc::new(0.01)), 3),
-        cell("Scaffold/SGC", || small_federation(ModelKind::Sgc, SEED), || Box::new(Scaffold::new()), 3),
+        cell(
+            "FedProx/SGC",
+            || small_federation(ModelKind::Sgc, SEED),
+            || Box::new(FedProx::new(0.1)),
+            3,
+        ),
+        cell(
+            "FedDC/SGC",
+            || small_federation(ModelKind::Sgc, SEED),
+            || Box::new(FedDc::new(0.01)),
+            3,
+        ),
+        cell(
+            "Scaffold/SGC",
+            || small_federation(ModelKind::Sgc, SEED),
+            || Box::new(Scaffold::new()),
+            3,
+        ),
         cell("GCFL+/SGC", || small_federation(ModelKind::Sgc, SEED), gcfl, 6),
         cell("FedGL+FedAvg/SGC/halo", || federation(ModelKind::Sgc, 0.0, 0, true), fedgl, 5),
         cell("FedGL+FedAvg/GCN/halo", || federation(ModelKind::Gcn, 0.0, 0, true), fedgl, 5),
         cell("FedAvg/GCN/dropout", || federation(ModelKind::Gcn, 0.5, 0, false), fedavg, 3),
         cell("FedAvg/SAGE/dropout", || federation(ModelKind::Sage, 0.5, 0, false), fedavg, 3),
-        cell("FedAvg/SIGN/dropout/batch32", || federation(ModelKind::Sign, 0.5, 32, false), fedavg, 3),
+        cell(
+            "FedAvg/SIGN/dropout/batch32",
+            || federation(ModelKind::Sign, 0.5, 32, false),
+            fedavg,
+            3,
+        ),
         cell("FedGTA/SIGN/inductive", || inductive(ModelKind::Sign), fedgta, 3),
         Cell {
             participation: 0.5,
@@ -175,7 +200,12 @@ fn cells() -> Vec<Cell> {
         Cell {
             participation: 0.5,
             comms: Some(gcfl_lossy_channel),
-            ..cell("GCFL+/SGC/half/lossy", || small_federation(ModelKind::Sgc, SEED), gcfl, GCFL_LOSSY_ROUNDS)
+            ..cell(
+                "GCFL+/SGC/half/lossy",
+                || small_federation(ModelKind::Sgc, SEED),
+                gcfl,
+                GCFL_LOSSY_ROUNDS,
+            )
         },
         cell(
             "FedGTA(w/o Conf.)/SGC",
@@ -257,8 +287,12 @@ fn kits_full_of_nan_cannot_reach_a_result_bit() {
         }
     };
     let golden = golden::read(GOLDEN);
-    let prox_gcn =
-        cell("FedProx/GCN", || small_federation(ModelKind::Gcn, SEED), || Box::new(FedProx::new(0.1)), 3);
+    let prox_gcn = cell(
+        "FedProx/GCN",
+        || small_federation(ModelKind::Gcn, SEED),
+        || Box::new(FedProx::new(0.1)),
+        3,
+    );
     let cells = cells();
     let gta_sign = cells.iter().find(|c| c.name == "FedGTA/SIGN").expect("cell");
     for threads in [1, 4] {
@@ -281,7 +315,12 @@ impl Strategy for Logged {
         self.inner.name()
     }
 
-    fn round(&mut self, clients: &mut [Client], participants: &[usize], ctx: &RoundCtx<'_>) -> RoundStats {
+    fn round(
+        &mut self,
+        clients: &mut [Client],
+        participants: &[usize],
+        ctx: &RoundCtx<'_>,
+    ) -> RoundStats {
         let script = ctx.comms.expect("the lossy cell runs over the wire").script;
         let trained = participants.iter().filter_map(|&c| script.fate(c).filter(|f| f.trains));
         self.turns.lock().unwrap().extend(trained.map(|f| (script.round, f.client, f.accepted)));
@@ -306,7 +345,9 @@ fn the_lossy_cell_loses_a_first_upload_and_starts_a_client_late() {
     let golden = golden::read(GOLDEN);
     assert!(golden.lines().any(|l| l == dirty), "logging moved a bit: {dirty}");
     let turns = turns.lock().unwrap();
-    let of = |c: usize| turns.iter().filter(move |t| t.1 == c).map(|&(round, _, accepted)| (round, accepted));
+    let of = |c: usize| {
+        turns.iter().filter(move |t| t.1 == c).map(|&(round, _, accepted)| (round, accepted))
+    };
     let clients = 0..(lossy.clients)().len();
     let relearns = clients.clone().find(|&c| {
         let mut mine = of(c);
@@ -332,9 +373,15 @@ impl Strategy for Watched {
         self.inner.name()
     }
 
-    fn round(&mut self, clients: &mut [Client], participants: &[usize], ctx: &RoundCtx<'_>) -> RoundStats {
+    fn round(
+        &mut self,
+        clients: &mut [Client],
+        participants: &[usize],
+        ctx: &RoundCtx<'_>,
+    ) -> RoundStats {
         let script = ctx.comms.expect("the GCFL+ lossy cell runs over the wire").script;
-        let arrived = participants.iter().copied().filter(|&c| script.fate(c).is_some_and(|f| f.accepted));
+        let arrived =
+            participants.iter().copied().filter(|&c| script.fate(c).is_some_and(|f| f.accepted));
         let seen = (self.inner.clusters().to_vec(), arrived.collect());
         self.rounds.lock().unwrap().push(seen);
         self.inner.round(clients, participants, ctx)
@@ -355,7 +402,8 @@ fn the_lossy_gcfl_cell_splits_and_leaves_a_cluster_without_arrivals() {
     let golden = golden::read(GOLDEN);
     assert!(golden.lines().any(|l| l == dirty), "watching moved a bit: {dirty}");
     let rounds = rounds.lock().unwrap();
-    let has_arrival = |cluster: &[usize], arrived: &[usize]| cluster.iter().any(|c| arrived.contains(c));
+    let has_arrival =
+        |cluster: &[usize], arrived: &[usize]| cluster.iter().any(|c| arrived.contains(c));
     let idle = rounds.iter().position(|(clusters, arrived)| {
         clusters.len() > 1
             && clusters.iter().any(|k| has_arrival(k, arrived))

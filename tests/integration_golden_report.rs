@@ -40,7 +40,15 @@ fn span(name: &str, id: u64, parent: u64, dur_ns: u64, fields: &[(&str, JsonVal)
 }
 
 fn metric(name: &str, kind: &str, value: u64) -> TraceEvent {
-    TraceEvent::Metric { name: name.into(), kind: kind.into(), value, count: 0, p50: 0, p95: 0, max: 0 }
+    TraceEvent::Metric {
+        name: name.into(),
+        kind: kind.into(),
+        value,
+        count: 0,
+        p50: 0,
+        p95: 0,
+        max: 0,
+    }
 }
 
 fn num(v: f64) -> JsonVal {
@@ -51,7 +59,12 @@ fn num(v: f64) -> JsonVal {
 fn trace() -> Vec<TraceEvent> {
     let client = |c: u64| [("client", num(c as f64))];
     let decision = |eps: f64, members: f64, above: f64, rejected: f64| {
-        [("epsilon", num(eps)), ("members_mean", num(members)), ("sim_above_eps", num(above)), ("rejected", num(rejected))]
+        [
+            ("epsilon", num(eps)),
+            ("members_mean", num(members)),
+            ("sim_above_eps", num(above)),
+            ("rejected", num(rejected)),
+        ]
     };
     let round = |r: f64, up: f64, completed: f64, dropped: f64, retries: f64, acc: f64| {
         vec![
@@ -66,7 +79,12 @@ fn trace() -> Vec<TraceEvent> {
             ("test_acc", num(acc)),
         ]
     };
-    let mut events = vec![TraceEvent::Meta { schema: fedgta_obs::TRACE_SCHEMA.into(), reason: None, round: 0, fault_seed: 0 }];
+    let mut events = vec![TraceEvent::Meta {
+        schema: fedgta_obs::TRACE_SCHEMA.into(),
+        reason: None,
+        round: 0,
+        fault_seed: 0,
+    }];
     events.extend([
         span("client_train", 3, 2, 2_400_000, &client(0)),
         span("lp", 6, 3, 400_000, &client(0)),
@@ -124,7 +142,12 @@ fn trace() -> Vec<TraceEvent> {
 fn dump() -> Vec<TraceEvent> {
     let reason = Some("quorum_fail".to_string());
     vec![
-        TraceEvent::Meta { schema: fedgta_obs::TRACE_SCHEMA.into(), reason, round: 3, fault_seed: 7 },
+        TraceEvent::Meta {
+            schema: fedgta_obs::TRACE_SCHEMA.into(),
+            reason,
+            round: 3,
+            fault_seed: 7,
+        },
         span("client_train", 0, 0, 0, &[("round", num(3.0)), ("client", num(1.0))]),
         span("round", 0, 0, 0, &[("round", num(2.0))]),
         TraceEvent::Note { name: "round_skip".into(), round: 3, value: 1 },
@@ -132,7 +155,15 @@ fn dump() -> Vec<TraceEvent> {
         TraceEvent::Fault { round: 3, client: Some(2), kind: "crash".into(), sim_ms: 0 },
         TraceEvent::Fault { round: 3, client: None, kind: "quorum_fail".into(), sim_ms: 400 },
         metric("comms.retries", "counter", 5),
-        TraceEvent::Metric { name: "round.client.train_ns".into(), kind: "histogram".into(), value: 0, count: 4, p50: 0, p95: 0, max: 0 },
+        TraceEvent::Metric {
+            name: "round.client.train_ns".into(),
+            kind: "histogram".into(),
+            value: 0,
+            count: 4,
+            p50: 0,
+            p95: 0,
+            max: 0,
+        },
         metric("workspace.high_water_bytes", "gauge", 0),
         TraceEvent::End,
     ]
@@ -170,8 +201,12 @@ fn obs_renderings_match_golden() {
     recorder::record_span_close("aggregate", 2, recorder::NO_CLIENT, 500);
     recorder::record_note("quorum_fail", 3, 1);
     recorder::record_span_close("round", 3, recorder::NO_CLIENT, 0);
-    let fault_log = [TraceEvent::Fault { round: 2, client: Some(3), kind: "up-drop".into(), sim_ms: 120 }];
-    got.push(pin("dump_string", &recorder::dump_string("quorum_fail", 3, 7, Some(&fault_log), &registry)));
+    let fault_log =
+        [TraceEvent::Fault { round: 2, client: Some(3), kind: "up-drop".into(), sim_ms: 120 }];
+    got.push(pin(
+        "dump_string",
+        &recorder::dump_string("quorum_fail", 3, 7, Some(&fault_log), &registry),
+    ));
     recorder::disarm();
     fedgta_obs::set_level(ObsLevel::Off);
 

@@ -28,10 +28,24 @@ fn pin(name: &str, text: &str) -> String {
     format!("{name} len={} fnv={:016x}", text.len(), golden::fnv1a(text.bytes()))
 }
 
-fn kernel_cell(kernel: &'static str, variant: &'static str, mnk: (usize, usize, usize), allocs: Option<u64>) -> KernelResult {
+fn kernel_cell(
+    kernel: &'static str,
+    variant: &'static str,
+    mnk: (usize, usize, usize),
+    allocs: Option<u64>,
+) -> KernelResult {
     let (m, k, n) = mnk;
     let ns = (m * k + n) as f64 * 1.375;
-    KernelResult { kernel, variant, m, k, n, gflops: 2.0 * (m * k * n) as f64 / ns, ns_per_call: ns, allocs_per_call: allocs }
+    KernelResult {
+        kernel,
+        variant,
+        m,
+        k,
+        n,
+        gflops: 2.0 * (m * k * n) as f64 / ns,
+        ns_per_call: ns,
+        allocs_per_call: allocs,
+    }
 }
 
 fn kernel_reports() -> [(&'static str, KernelReport); 2] {
@@ -46,8 +60,20 @@ fn kernel_reports() -> [(&'static str, KernelReport); 2] {
             kernel_cell("matmul", "naive", (512, 512, 512), None),
         ],
         soft_labels: vec![
-            SoftLabelResult { kernel: "softmax", rows: 32_000, cols: 7, ns_per_element: 0.8125, vs_scalar_libm: 6.25 },
-            SoftLabelResult { kernel: "eq4_entropy", rows: 32_000, cols: 40, ns_per_element: 1.0625, vs_scalar_libm: f64::NAN },
+            SoftLabelResult {
+                kernel: "softmax",
+                rows: 32_000,
+                cols: 7,
+                ns_per_element: 0.8125,
+                vs_scalar_libm: 6.25,
+            },
+            SoftLabelResult {
+                kernel: "eq4_entropy",
+                rows: 32_000,
+                cols: 40,
+                ns_per_element: 1.0625,
+                vs_scalar_libm: f64::NAN,
+            },
         ],
         matmul_speedup_vs_naive: 17.5,
         anchor_dim: 512,
@@ -72,18 +98,23 @@ fn kernel_reports() -> [(&'static str, KernelReport); 2] {
 }
 
 fn aggregate_reports() -> [(&'static str, AggregateReport); 2] {
-    let cell = |participants: usize, plen: usize, threads: usize, allocs: Option<u64>| AggregateResult {
-        participants,
-        plen,
-        threads,
-        ns_per_call: (participants * plen) as f64 / threads as f64 * 0.625,
-        gbps: threads as f64 * 3.125,
-        allocs_per_call: allocs,
-    };
+    let cell =
+        |participants: usize, plen: usize, threads: usize, allocs: Option<u64>| AggregateResult {
+            participants,
+            plen,
+            threads,
+            ns_per_call: (participants * plen) as f64 / threads as f64 * 0.625,
+            gbps: threads as f64 * 3.125,
+            allocs_per_call: allocs,
+        };
     let full = AggregateReport {
         mode: "full",
         cores: 2,
-        results: vec![cell(8, 10_000, 1, Some(41)), cell(8, 10_000, 4, Some(53)), cell(32, 100_000, 4, None)],
+        results: vec![
+            cell(8, 10_000, 1, Some(41)),
+            cell(8, 10_000, 4, Some(53)),
+            cell(32, 100_000, 4, None),
+        ],
         speedup_4v1: f64::NAN,
         headline: (32, 100_000),
         bit_identical: true,
@@ -134,8 +165,18 @@ fn comms_reports() -> [(&'static str, CommsReport); 2] {
         bit_identical_threads: false,
         matches_plain: None,
     };
-    let full = CommsReport { mode: "full", dataset: "cora".into(), rounds: 40, results: vec![plain, lossy] };
-    let empty = CommsReport { mode: "quick", dataset: "ogbn-\"arxiv\"".into(), rounds: 0, results: Vec::new() };
+    let full = CommsReport {
+        mode: "full",
+        dataset: "cora".into(),
+        rounds: 40,
+        results: vec![plain, lossy],
+    };
+    let empty = CommsReport {
+        mode: "quick",
+        dataset: "ogbn-\"arxiv\"".into(),
+        rounds: 0,
+        results: Vec::new(),
+    };
     [("full", full), ("empty", empty)]
 }
 

@@ -17,8 +17,7 @@
 use fedgta_fed::codec::{Codec, CodecSpec};
 use fedgta_fed::ef::EfState;
 use fedgta_fed::transport::{
-    decode_upload_routed, encode_broadcast_coded, encode_upload, encode_upload_routed,
-    ParamTensor,
+    decode_upload_routed, encode_broadcast_coded, encode_upload, encode_upload_routed, ParamTensor,
 };
 use fedgta_graph::io::{crc32, Envelope, TraceContext};
 
@@ -29,7 +28,8 @@ mod golden;
 type Upload = (ParamTensor, f64, Vec<f32>, usize);
 
 /// Every stage chain the golden file covers, in file order.
-const CHAINS: &[&str] = &["quant-i8", "topk=512+quant-i8", "topk=64+quant-i8", "sketch", "topk=64+sketch"];
+const CHAINS: &[&str] =
+    &["quant-i8", "topk=512+quant-i8", "topk=64+quant-i8", "sketch", "topk=64+sketch"];
 
 /// The length of the model the `cora_gcn_wire` benchmark workload uploads.
 const MODEL_LEN: usize = 8455;
@@ -63,7 +63,9 @@ fn tensors() -> Vec<(&'static str, Vec<f32>)> {
     let mut s = Stream(0x9e37_79b9_7f4a_7c15);
     // A trained model's spread of magnitudes, with every non-finite kind.
     let mut model: Vec<f32> = (0..MODEL_LEN).map(|_| s.unit() * 0.3).collect();
-    for (i, v) in [(17, f32::NAN), (4000, f32::INFINITY), (4001, f32::NEG_INFINITY), (8000, -f32::NAN)] {
+    for (i, v) in
+        [(17, f32::NAN), (4000, f32::INFINITY), (4001, f32::NEG_INFINITY), (8000, -f32::NAN)]
+    {
         model[i] = v;
     }
     // Few distinct magnitudes: exact ties at every rank, 64 and 512 among
@@ -150,7 +152,9 @@ fn lines() -> Vec<String> {
     let bcast = encode_broadcast_coded(down.as_ref(), model);
     out.push(pin("broadcast quant-i8 model", &bcast));
     let sketch_of = |r: usize| -> Vec<f32> {
-        (0..7 * 2 * 3).map(|i| ((i * 7 + r) as f32 * 0.37).sin() * 10f32.powi((i / 7) as i32 % 3 - 1)).collect()
+        (0..7 * 2 * 3)
+            .map(|i| ((i * 7 + r) as f32 * 0.37).sin() * 10f32.powi((i / 7) as i32 % 3 - 1))
+            .collect()
     };
     let plain: Upload = (ParamTensor::Owned(model.clone()), 0.75, sketch_of(0), 270);
     out.push(pin("upload plain", &encode_upload(0.625, &plain)));
@@ -163,8 +167,10 @@ fn lines() -> Vec<String> {
     let mut bodies = Vec::new();
     for (round, accepted) in [(1usize, true), (2, false), (3, true)] {
         let params: Vec<f32> = anchor.iter().map(|a| a + 0.01 * s.unit()).collect();
-        let payload: Upload = (ParamTensor::Owned(params), 0.5 + 0.1 * round as f64, sketch_of(round), 270);
-        let body = ef_upload(&mut state, codec.as_ref(), sketch.as_ref(), &anchor, payload, accepted);
+        let payload: Upload =
+            (ParamTensor::Owned(params), 0.5 + 0.1 * round as f64, sketch_of(round), 270);
+        let body =
+            ef_upload(&mut state, codec.as_ref(), sketch.as_ref(), &anchor, payload, accepted);
         out.push(pin(&format!("ef round={round} accepted={accepted}"), &body));
         bodies.push(body);
         // The next round's broadcast moved the anchor.

@@ -80,11 +80,7 @@ fn training_improves_over_initialization_for_every_backbone() {
             c.model.train_epoch(&c.data, &mut opt, &mut TrainHooks::none());
         }
         let after = accuracy(&c.model.predict(&c.data), &c.data.labels, &c.data.test_nodes);
-        assert!(
-            after > before + 0.1,
-            "{}: {before:.3} -> {after:.3}",
-            kind.name()
-        );
+        assert!(after > before + 0.1, "{}: {before:.3} -> {after:.3}", kind.name());
     }
 }
 
@@ -120,7 +116,12 @@ fn a_decoupled_client_holds_its_propagation_and_predicts_as_before() {
                 head.set_params(&c.model.params());
                 let mut want = head.infer_ws(combined.view(), &mut Workspace::new());
                 softmax_rows_inplace(&mut want);
-                assert_eq!(bits(probs), bits(&want), "{kind:?} client {} at {threads} threads", c.id);
+                assert_eq!(
+                    bits(probs),
+                    bits(&want),
+                    "{kind:?} client {} at {threads} threads",
+                    c.id
+                );
             }
         }
         // Nothing is cached beside the dataset: a forward reads what the

@@ -37,7 +37,11 @@ fn run_sim(strategy: Box<dyn Strategy>, threads: usize, rounds: usize) -> Vec<Ro
 
 /// Runs a simulation with tracing armed into an in-memory sink; returns
 /// the records and the captured trace text.
-fn run_traced(strategy: Box<dyn Strategy>, threads: usize, rounds: usize) -> (Vec<RoundRecord>, String) {
+fn run_traced(
+    strategy: Box<dyn Strategy>,
+    threads: usize,
+    rounds: usize,
+) -> (Vec<RoundRecord>, String) {
     let sink = MemorySink::new();
     fedgta_obs::init_writer(Box::new(sink.clone())).expect("install sink");
     fedgta_obs::set_level(ObsLevel::Trace);
@@ -96,14 +100,26 @@ fn traced_run_emits_complete_round_span_tree() {
     }
     // All phases appear in the span-name stats.
     let names: Vec<&str> = summary.span_stats.iter().map(|s| s.key.as_str()).collect();
-    for expected in ["round", "sample", "train", "client_train", "aggregate", "eval", "lp", "confidence", "moments"] {
+    for expected in [
+        "round",
+        "sample",
+        "train",
+        "client_train",
+        "aggregate",
+        "eval",
+        "lp",
+        "confidence",
+        "moments",
+    ] {
         assert!(names.contains(&expected), "missing span name '{expected}' in {names:?}");
     }
     // Eq. 4 is a stage with a value: every client's `H`, every round.
     let confidences: Vec<&fedgta_obs::JsonVal> = events
         .iter()
         .filter_map(|e| match e {
-            fedgta_obs::TraceEvent::Span { name, fields, .. } if name == "confidence" => fields.get("h"),
+            fedgta_obs::TraceEvent::Span { name, fields, .. } if name == "confidence" => {
+                fields.get("h")
+            }
             _ => None,
         })
         .collect();
@@ -174,10 +190,7 @@ fn metrics_level_accumulates_without_a_sink() {
     assert_eq!(get("comms.upload_bytes"), Some(expected_up));
     assert_eq!(get("comms.download_bytes"), Some(expected_down));
     // Per-client train histogram saw participants × rounds samples.
-    let train = snaps
-        .iter()
-        .find(|s| s.name == "round.client.train_ns")
-        .expect("train histogram");
+    let train = snaps.iter().find(|s| s.name == "round.client.train_ns").expect("train histogram");
     assert_eq!(train.count, (4 * records.len()) as u64);
     // Kernel and workspace instrumentation fired on the hot path.
     assert!(get("kernel.matmul.flops").unwrap_or(0) > 0);

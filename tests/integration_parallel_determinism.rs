@@ -28,14 +28,7 @@ fn run_sim(
     let mut sim = Simulation::new(
         clients,
         strategy,
-        SimConfig {
-            rounds: 6,
-            local_epochs: 2,
-            participation,
-            eval_every: 2,
-            seed: 900,
-            threads,
-        },
+        SimConfig { rounds: 6, local_epochs: 2, participation, eval_every: 2, seed: 900, threads },
     );
     sim.run()
 }
@@ -62,11 +55,7 @@ fn assert_bit_identical(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
             ra.test_acc,
             rb.test_acc
         );
-        assert_eq!(
-            ra.bytes_uploaded, rb.bytes_uploaded,
-            "{label} round {}: bytes",
-            ra.round
-        );
+        assert_eq!(ra.bytes_uploaded, rb.bytes_uploaded, "{label} round {}: bytes", ra.round);
     }
 }
 
@@ -160,31 +149,12 @@ fn fgl_model_wrappers_stay_deterministic() {
     // FedGL's prediction fusion and FedSage+'s generator training are
     // client-parallel too; their RNG-sharing parts (hide masks, mending
     // noise) stay sequential by design.
-    let one = run_sim(
-        Box::new(FedGl::new(Box::new(FedAvg::new()))),
-        ModelKind::Gcn,
-        1,
-        1.0,
-    );
-    let four = run_sim(
-        Box::new(FedGl::new(Box::new(FedAvg::new()))),
-        ModelKind::Gcn,
-        4,
-        1.0,
-    );
+    let one = run_sim(Box::new(FedGl::new(Box::new(FedAvg::new()))), ModelKind::Gcn, 1, 1.0);
+    let four = run_sim(Box::new(FedGl::new(Box::new(FedAvg::new()))), ModelKind::Gcn, 4, 1.0);
     assert_bit_identical(&one, &four, "FedGL+FedAvg");
-    let one = run_sim(
-        Box::new(FedSagePlus::new(Box::new(FedAvg::new()))),
-        ModelKind::Sage,
-        1,
-        1.0,
-    );
-    let four = run_sim(
-        Box::new(FedSagePlus::new(Box::new(FedAvg::new()))),
-        ModelKind::Sage,
-        4,
-        1.0,
-    );
+    let one = run_sim(Box::new(FedSagePlus::new(Box::new(FedAvg::new()))), ModelKind::Sage, 1, 1.0);
+    let four =
+        run_sim(Box::new(FedSagePlus::new(Box::new(FedAvg::new()))), ModelKind::Sage, 4, 1.0);
     assert_bit_identical(&one, &four, "FedSage++FedAvg");
 }
 
@@ -219,13 +189,9 @@ fn evaluation_scores_the_same_bits_on_the_requested_worker_count() {
     let events = fedgta_obs::parse_trace(&sink.contents()).expect("trace parses");
     let spans = |wanted: &'static str| {
         events.iter().filter_map(move |e| match e {
-            TraceEvent::Span {
-                name,
-                id,
-                parent,
-                fields,
-                ..
-            } if name == wanted => Some((*id, *parent, fields)),
+            TraceEvent::Span { name, id, parent, fields, .. } if name == wanted => {
+                Some((*id, *parent, fields))
+            }
             _ => None,
         })
     };

@@ -43,13 +43,7 @@ fn full_pipeline_cora_fedgta() {
     let mut sim = Simulation::new(
         clients,
         Box::new(FedGta::with_defaults()),
-        SimConfig {
-            rounds: 10,
-            local_epochs: 2,
-            eval_every: 2,
-            seed: 1,
-            ..SimConfig::default()
-        },
+        SimConfig { rounds: 10, local_epochs: 2, eval_every: 2, seed: 1, ..SimConfig::default() },
     );
     let records = sim.run();
     assert_eq!(records.len(), 10);

@@ -53,28 +53,16 @@ fn every_optimization_strategy_learns() {
 
 #[test]
 fn fgl_model_wrappers_learn() {
-    let acc = run(
-        Box::new(FedGl::new(Box::new(FedAvg::new()))),
-        ModelKind::Gcn,
-        10,
-    );
+    let acc = run(Box::new(FedGl::new(Box::new(FedAvg::new()))), ModelKind::Gcn, 10);
     assert!(acc > 0.55, "FedGL acc {acc}");
-    let acc = run(
-        Box::new(FedSagePlus::new(Box::new(FedAvg::new()))),
-        ModelKind::Sage,
-        10,
-    );
+    let acc = run(Box::new(FedSagePlus::new(Box::new(FedAvg::new()))), ModelKind::Sage, 10);
     assert!(acc > 0.55, "FedSage+ acc {acc}");
 }
 
 #[test]
 fn fedgta_drives_fgl_models_too() {
     // The Table 5 combination: FedGL + FedGTA inner aggregation.
-    let acc = run(
-        Box::new(FedGl::new(Box::new(FedGta::with_defaults()))),
-        ModelKind::Gcn,
-        10,
-    );
+    let acc = run(Box::new(FedGl::new(Box::new(FedGta::with_defaults()))), ModelKind::Gcn, 10);
     assert!(acc > 0.55, "FedGL+FedGTA acc {acc}");
 }
 

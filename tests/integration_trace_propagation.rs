@@ -49,7 +49,11 @@ fn build_sim(threads: usize, rounds: usize, comms: Option<CommsConfig>) -> Simul
 }
 
 /// Runs with tracing armed into a memory sink; returns (records, trace).
-fn run_traced(threads: usize, rounds: usize, comms: Option<CommsConfig>) -> (Vec<RoundRecord>, String) {
+fn run_traced(
+    threads: usize,
+    rounds: usize,
+    comms: Option<CommsConfig>,
+) -> (Vec<RoundRecord>, String) {
     let sink = MemorySink::new();
     fedgta_obs::init_writer(Box::new(sink.clone())).expect("install sink");
     fedgta_obs::set_level(ObsLevel::Trace);
@@ -121,13 +125,8 @@ fn assert_same_numbers(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
 fn channel_span_tree_is_isomorphic_to_direct_tree() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (rec_direct, trace_direct) = run_traced(2, 3, None);
-    let (rec_channel, trace_channel) = run_traced(
-        2,
-        3,
-        Some(CommsConfig {
-            ..CommsConfig::default()
-        }),
-    );
+    let (rec_channel, trace_channel) =
+        run_traced(2, 3, Some(CommsConfig { ..CommsConfig::default() }));
     // Clean transport is numerically the direct path (byte tallies are
     // metered differently — wire frames carry the loss — so compare the
     // learning numbers, not the accounting)…

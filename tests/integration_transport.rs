@@ -34,14 +34,7 @@ fn run_sim(
     let mut sim = Simulation::new(
         clients,
         strategy,
-        SimConfig {
-            rounds: 6,
-            local_epochs: 2,
-            participation,
-            eval_every: 2,
-            seed: 900,
-            threads,
-        },
+        SimConfig { rounds: 6, local_epochs: 2, participation, eval_every: 2, seed: 900, threads },
     );
     if let Some(cc) = comms {
         sim = sim.with_comms(cc);
@@ -72,11 +65,7 @@ fn assert_bit_identical(a: &[RoundRecord], b: &[RoundRecord], label: &str) {
             ra.test_acc,
             rb.test_acc
         );
-        assert_eq!(
-            ra.bytes_uploaded, rb.bytes_uploaded,
-            "{label} round {}: bytes",
-            ra.round
-        );
+        assert_eq!(ra.bytes_uploaded, rb.bytes_uploaded, "{label} round {}: bytes", ra.round);
         assert_eq!(
             (ra.participants_completed, ra.participants_dropped, ra.retries),
             (rb.participants_completed, rb.participants_dropped, rb.retries),
@@ -386,8 +375,7 @@ fn error_feedback_with_download_and_sketch_codecs_is_bit_deterministic() {
     // aggregation, so round 1's download leg is legitimately empty).
     for (n, r) in r1.iter().enumerate() {
         assert!(
-            r.bytes_uploaded_encoded > 0
-                && r.bytes_uploaded_encoded < r.bytes_uploaded_raw / 3,
+            r.bytes_uploaded_encoded > 0 && r.bytes_uploaded_encoded < r.bytes_uploaded_raw / 3,
             "round {}: upload codec not biting",
             r.round
         );
@@ -510,10 +498,7 @@ fn chaos_with_error_feedback_replays_bit_identically() {
         a.iter().any(|r| r.participants_dropped > 0),
         "no upload was ever rejected — replay semantics untested"
     );
-    assert!(
-        a.iter().any(|r| r.participants_completed > 0),
-        "no round ever aggregated"
-    );
+    assert!(a.iter().any(|r| r.participants_completed > 0), "no round ever aggregated");
 }
 
 #[test]
@@ -559,10 +544,7 @@ fn chaos_with_quantized_uploads_stays_reproducible() {
     // Contract 2 extended: faults bite the *encoded* frames, and the
     // whole (codec ∘ chaos) composition replays bit-identically from the
     // fault seed at any thread count.
-    let comms = || CommsConfig {
-        codec: Some(CodecSpec::parse("quant-i8").unwrap()),
-        ..chaos()
-    };
+    let comms = || CommsConfig { codec: Some(CodecSpec::parse("quant-i8").unwrap()), ..chaos() };
     let (a, ev_a) = run_sim(Box::new(FedGta::with_defaults()), 1, 0.8, Some(comms()));
     let (b, ev_b) = run_sim(Box::new(FedGta::with_defaults()), 1, 0.8, Some(comms()));
     let (c, ev_c) = run_sim(Box::new(FedGta::with_defaults()), 4, 0.8, Some(comms()));
@@ -573,8 +555,9 @@ fn chaos_with_quantized_uploads_stays_reproducible() {
     assert!(!ev_a.is_empty(), "chaos config produced no fault events");
     // Compression actually happened on the surviving uploads.
     assert!(
-        a.iter().any(|r| r.bytes_uploaded_encoded > 0
-            && r.bytes_uploaded_encoded < r.bytes_uploaded_raw / 3),
+        a.iter()
+            .any(|r| r.bytes_uploaded_encoded > 0
+                && r.bytes_uploaded_encoded < r.bytes_uploaded_raw / 3),
         "quant-i8 never compressed an accepted round"
     );
 }

@@ -130,7 +130,9 @@ fn lex(src: &str) -> Vec<Tok> {
                 i += 2;
                 continue;
             }
-            if c[i] == '"' && c[i + 1..].iter().take(hashes).filter(|&&h| h == '#').count() == hashes {
+            if c[i] == '"'
+                && c[i + 1..].iter().take(hashes).filter(|&&h| h == '#').count() == hashes
+            {
                 return i + 1 + hashes;
             }
             i += 1;
@@ -180,7 +182,9 @@ fn lex(src: &str) -> Vec<Tok> {
             }
         } else if ch.is_ascii_digit() {
             while i < c.len()
-                && (c[i].is_alphanumeric() || c[i] == '_' || (c[i] == '.' && c.get(i + 1).is_some_and(char::is_ascii_digit)))
+                && (c[i].is_alphanumeric()
+                    || c[i] == '_'
+                    || (c[i] == '.' && c.get(i + 1).is_some_and(char::is_ascii_digit)))
             {
                 i += 1;
             }
@@ -191,7 +195,9 @@ fn lex(src: &str) -> Vec<Tok> {
             }
             let word: String = c[start..i].iter().collect();
             let raw = matches!(word.as_str(), "r" | "br");
-            if matches!(word.as_str(), "b" | "r" | "br") && matches!(c.get(i), Some('"') | Some('#')) {
+            if matches!(word.as_str(), "b" | "r" | "br")
+                && matches!(c.get(i), Some('"') | Some('#'))
+            {
                 let hashes = c[i..].iter().take_while(|&&h| h == '#').count();
                 if raw && c.get(i + hashes) == Some(&'"') {
                     i = skip_str(i + hashes, true, hashes);
@@ -291,7 +297,8 @@ fn pub_items(src: &Source) -> Vec<Item> {
         }
         let mut j = i + 1;
         while matches!(ident(t.get(j)), Some("unsafe" | "async" | "extern"))
-            || (ident(t.get(j)) == Some("const") && matches!(ident(t.get(j + 1)), Some("fn" | "unsafe")))
+            || (ident(t.get(j)) == Some("const")
+                && matches!(ident(t.get(j + 1)), Some("fn" | "unsafe")))
         {
             j += 1;
         }
@@ -580,11 +587,8 @@ fn scan(sources: &[Source], allow: &[(&str, &str, &str)]) -> Vec<String> {
         let n = if it.kind == "mod" { &with_reexports } else { &plain };
         n.get(&it.name).copied().unwrap_or(0) == 0
     };
-    let items: Vec<Item> = sources
-        .iter()
-        .filter(|s| s.path.starts_with("crates/"))
-        .flat_map(pub_items)
-        .collect();
+    let items: Vec<Item> =
+        sources.iter().filter(|s| s.path.starts_with("crates/")).flat_map(pub_items).collect();
     let allowed = |it: &Item| allow.iter().any(|&(p, n, _)| p == it.path && n == it.name);
     let mut problems: Vec<String> = items
         .iter()
@@ -639,7 +643,8 @@ fn product_sources() -> Vec<Source> {
     files
         .iter()
         .map(|f| {
-            let rel = f.strip_prefix(root).expect("under the root").to_string_lossy().replace('\\', "/");
+            let rel =
+                f.strip_prefix(root).expect("under the root").to_string_lossy().replace('\\', "/");
             source(&rel, &std::fs::read_to_string(f).expect("source reads"))
         })
         .collect()
@@ -659,7 +664,8 @@ fn the_scan_names_planted_and_stale_entries() {
     let libs: Vec<String> = sources
         .iter()
         .filter(|s| {
-            s.path.starts_with("crates/") && (s.path.ends_with("/src/lib.rs") || s.path.ends_with("/src/main.rs"))
+            s.path.starts_with("crates/")
+                && (s.path.ends_with("/src/lib.rs") || s.path.ends_with("/src/main.rs"))
         })
         .map(|s| s.path.clone())
         .collect();
@@ -693,8 +699,12 @@ fn the_scan_names_planted_and_stale_entries() {
         let want = format!("{lib}: `pub fn planted_{k}` has no reader");
         assert!(problems.iter().any(|p| p.starts_with(&want)), "{want} missing from {problems:#?}");
     }
-    assert!(problems.iter().any(|p| p.contains("crates/graph/src/metrics.rs: `no_such_item` is gone")));
-    assert!(problems.iter().any(|p| p.contains("crates/graph/src/csr.rs: `num_nodes` now has a reader")));
+    assert!(problems
+        .iter()
+        .any(|p| p.contains("crates/graph/src/metrics.rs: `no_such_item` is gone")));
+    assert!(problems
+        .iter()
+        .any(|p| p.contains("crates/graph/src/csr.rs: `num_nodes` now has a reader")));
     for name in locals {
         let want = format!("crates/graph/src/lib.rs: `pub fn {name}` has no reader");
         assert!(problems.iter().any(|p| p.starts_with(&want)), "{want} missing from {problems:#?}");
