@@ -10,10 +10,13 @@
 //!    four ways: in-memory and out-of-core, at 1 and 4 worker threads.
 //!    Every cell hard-asserts all four outputs **bitwise identical** —
 //!    the determinism contract of the shared per-row kernel.
-//! 2. **Federated run** — the largest graph is partitioned into
-//!    contiguous-block clients, each client gets a lean decoupled dataset
-//!    ([`GraphDataset::for_decoupled`]), and FedGTA runs ≥ 2 federated
-//!    SGC rounds. The run reports the tracked memory peaks — the
+//! 2. **Federated run** — the largest graph is split into contiguous
+//!    node ranges, every client's induced subgraph is read from the v2
+//!    file in one pass by the extraction in-memory clients use
+//!    ([`fedgta_graph::induced_subgraphs`], edge weights kept), each client
+//!    gets a lean decoupled dataset ([`GraphDataset::for_decoupled`]), and
+//!    FedGTA runs ≥ 2 federated SGC rounds. The run reports the tracked
+//!    memory peaks — the
 //!    `workspace.high_water_bytes` arena gauge, the
 //!    `graph.store.resident_bytes` tile gauge, FedGTA's pooled
 //!    `fedgta.metric_scratch.bytes` and the per-worker training kits'
@@ -32,10 +35,8 @@ use fedgta_fed::client::Client;
 use fedgta_fed::round::{SimConfig, Simulation};
 use fedgta_graph::io::{CsrV2Writer, IoError};
 use fedgta_graph::spmm::spmm_into_threads;
-use fedgta_graph::store::{
-    normalize_stream, spmm_chunked_into_threads, ChunkedCsr, CsrBuilder, RowSink, TileBuf,
-};
-use fedgta_graph::NormKind;
+use fedgta_graph::store::{normalize_stream, spmm_chunked_into_threads, ChunkedCsr};
+use fedgta_graph::{induced_subgraphs, NormKind};
 use fedgta_nn::models::{build_model, ModelConfig, ModelKind};
 use fedgta_nn::{Adam, GraphDataset, Matrix};
 use std::path::{Path, PathBuf};
@@ -46,8 +47,8 @@ pub const MEMORY_BUDGET_BYTES: u64 = 4 << 30;
 
 /// Classes in every generated graph.
 const NUM_CLASSES: usize = 16;
-/// Blocks per class — 512 blocks total, so client counts dividing 512
-/// give contiguous per-client node ranges.
+/// Blocks per class — 512 blocks total, so a client count dividing 512
+/// gives each client whole blocks.
 const BLOCKS_PER_CLASS: usize = 32;
 /// Feature width of the synthetic node features.
 const FEATURE_DIM: usize = 16;
@@ -317,84 +318,54 @@ pub fn run_cell(
     )
 }
 
-/// Contiguous node range of client `c` out of `clients` (grouping
-/// consecutive blocks, mirroring the SBM's block geometry).
+/// Contiguous node range of client `c` out of `clients`: `n·c / clients ..
+/// n·(c+1) / clients`. At a client count dividing the 512 SBM blocks these
+/// are whole runs of consecutive blocks.
 fn client_range(n: usize, clients: usize, c: usize) -> std::ops::Range<usize> {
-    let num_blocks = NUM_CLASSES * BLOCKS_PER_CLASS;
-    let bpc = num_blocks / clients;
-    let b0 = c * bpc;
-    let b1 = (c + 1) * bpc;
-    (n * b0 / num_blocks)..(n * b1 / num_blocks)
+    (n * c / clients)..(n * (c + 1) / clients)
 }
 
-/// Extracts every client's induced subgraph in **one pass** over the v2
-/// file's tiles: client ranges are contiguous and ascending, so each row
-/// lands in exactly one in-flight [`CsrBuilder`].
-fn extract_client_graphs(store: &ChunkedCsr, n: usize, clients: usize) -> Vec<fedgta_graph::Csr> {
-    let ranges: Vec<_> = (0..clients).map(|c| client_range(n, clients, c)).collect();
-    let mut builders: Vec<CsrBuilder> = ranges.iter().map(|r| CsrBuilder::new(r.len())).collect();
-    let mut reader = store.reader().expect("tile reader");
-    let mut tile = TileBuf::new();
-    let mut cur = 0usize;
-    let mut row: Vec<u32> = Vec::new();
-    for c in 0..store.num_chunks() {
-        reader.read_tile(c, &mut tile).expect("tile read");
-        for r in 0..tile.num_rows() {
-            let g = tile.rows.start + r;
-            while g >= ranges[cur].end {
-                cur += 1;
-            }
-            let (lo, len) = (ranges[cur].start as u32, ranges[cur].len() as u32);
-            // Keep the neighbors inside the range, shifted to local ids:
-            // every one is written, and only those inside advance the end.
-            let nbrs = tile.row_neighbors(r);
-            row.resize(nbrs.len(), 0);
-            let mut kept = 0;
-            for &v in nbrs {
-                row[kept] = v.wrapping_sub(lo);
-                kept += usize::from(row[kept] < len);
-            }
-            builders[cur].push_row(&row[..kept], None).expect("in-range row");
-        }
-    }
-    builders.into_iter().map(|b| b.finish().expect("client CSR")).collect()
-}
-
-/// Builds the federated clients from a generated raw graph: lean
-/// decoupled datasets (no mean-aggregation matrices), deterministic
-/// features/splits, SGC backbones. `Client::new` propagates each client's
-/// features in place, so none keeps its raw `X`.
+/// Builds the federated clients from a generated raw graph: contiguous
+/// node ranges, each client's induced subgraph extracted in one pass over
+/// the v2 file's tiles ([`induced_subgraphs`], the in-memory clients'
+/// extraction, so a duplicated edge keeps its weight), lean decoupled
+/// datasets (no mean-aggregation matrices), deterministic features/splits
+/// and SGC backbones. `Client::new` propagates each client's features in
+/// place, so none keeps its raw `X`. Panics unless `1 <= clients <= n`.
 pub fn build_scale_clients(raw: &RawGraph, clients: usize, seed: u64) -> Vec<Client> {
+    let n = raw.labels.len();
+    assert!(
+        (1..=n).contains(&clients),
+        "cannot split {n} nodes into {clients} scale clients: need 1 to {n}"
+    );
+    let parts: Vec<u32> =
+        (0..clients).flat_map(|c| client_range(n, clients, c).map(move |_| c as u32)).collect();
     let store = ChunkedCsr::open(&raw.path).expect("open raw v2");
-    let n = store.num_nodes();
-    let graphs = extract_client_graphs(&store, n, clients);
-    drop(store);
+    let graphs = induced_subgraphs(&store, &parts, clients).expect("client extraction");
+    drop((store, parts));
     graphs
         .into_iter()
         .enumerate()
-        .map(|(id, g)| {
-            let range = client_range(n, clients, id);
-            let nc = range.len();
-            let mut feats = vec![0f32; nc * FEATURE_DIM];
-            let labels: Vec<u32> = raw.labels[range.clone()].to_vec();
+        .map(|(id, sg)| {
+            let mut feats = vec![0f32; sg.num_owned * FEATURE_DIM];
+            let labels: Vec<u32> = sg.global_ids.iter().map(|&g| raw.labels[g as usize]).collect();
             let (mut train, mut val, mut test) = (Vec::new(), Vec::new(), Vec::new());
-            for (local, &lab) in labels.iter().enumerate() {
-                let g_id = (range.start + local) as u32;
+            for (local, (&g, &lab)) in sg.global_ids.iter().zip(&labels).enumerate() {
                 node_features(
-                    g_id,
+                    g,
                     lab,
                     seed,
                     &mut feats[local * FEATURE_DIM..(local + 1) * FEATURE_DIM],
                 );
-                match node_split(g_id, seed) {
+                match node_split(g, seed) {
                     0 => train.push(local as u32),
                     1 => val.push(local as u32),
                     _ => test.push(local as u32),
                 }
             }
             let data = GraphDataset::for_decoupled(
-                &g,
-                Matrix::from_vec(nc, FEATURE_DIM, feats),
+                &sg.graph,
+                Matrix::from_vec(sg.num_owned, FEATURE_DIM, feats),
                 labels,
                 NUM_CLASSES,
                 train,
@@ -412,7 +383,7 @@ pub fn build_scale_clients(raw: &RawGraph, clients: usize, seed: u64) -> Vec<Cli
             };
             let model = build_model(&model_cfg, FEATURE_DIM, NUM_CLASSES);
             Client {
-                global_ids: range.map(|v| v as u32).collect(),
+                global_ids: sg.global_ids,
                 ..Client::new(id, data, model, Box::new(Adam::new(0.02, 5e-4)))
             }
         })
@@ -717,14 +688,41 @@ mod tests {
     #[test]
     fn client_ranges_partition_the_nodes() {
         let n = 10_007;
-        let clients = 16;
-        let mut prev_end = 0;
-        for c in 0..clients {
-            let r = client_range(n, clients, c);
-            assert_eq!(r.start, prev_end);
-            prev_end = r.end;
+        for clients in [3, 4, 7, 16, 32, 64, 100] {
+            let mut prev_end = 0;
+            for c in 0..clients {
+                let r = client_range(n, clients, c);
+                assert_eq!(r.start, prev_end);
+                assert!(!r.is_empty(), "client {c} of {clients} is empty");
+                prev_end = r.end;
+            }
+            assert_eq!(prev_end, n, "{clients} clients");
         }
-        assert_eq!(prev_end, n);
+        // At a divisor of the 512 blocks, each client is whole blocks.
+        let blocks = NUM_CLASSES * BLOCKS_PER_CLASS;
+        for clients in [4, 32, 64] {
+            let per = blocks / clients;
+            for c in 0..clients {
+                let by_block = (n * c * per / blocks)..(n * (c + 1) * per / blocks);
+                assert_eq!(client_range(n, clients, c), by_block, "client {c} of {clients}");
+            }
+        }
+    }
+
+    #[test]
+    fn scale_clients_for_any_count_and_refused_outside_one_to_n() {
+        let dir = scratch_dir().join("counts-test");
+        let raw = generate_raw(600, 4.0, 9, &dir).expect("generate");
+        let clients = build_scale_clients(&raw, 3, 9);
+        let sizes: Vec<usize> = clients.iter().map(|c| c.global_ids.len()).collect();
+        assert_eq!(sizes, [200, 200, 200]);
+        for bad in [0, 601] {
+            let err =
+                std::panic::catch_unwind(|| build_scale_clients(&raw, bad, 9).len()).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains(&format!("{bad} scale clients")), "{msg}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub fn label_propagation(
 /// through before the restart term moved into the kernel. It is neither
 /// sized, read nor written, and stays in the signature only because the
 /// frozen `benchmark/` package calls this function with six arguments
-/// (ROADMAP item 2 records its removal).
+/// (ROADMAP item 22 records its removal).
 ///
 /// Each element is `p·(1−α) + α·ŷ⁰` with `p` the f32 SpMM row sum —
 /// expression and evaluation order unchanged from the two-pass version,

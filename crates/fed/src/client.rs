@@ -1,7 +1,7 @@
 //! Federated clients and their construction from a partitioned benchmark.
 
 use fedgta_data::{Benchmark, Task};
-use fedgta_graph::{halo_subgraph, induced_subgraph, Subgraph};
+use fedgta_graph::{halo_subgraph, induced_subgraphs, Subgraph};
 use fedgta_nn::models::{build_model, ModelConfig};
 use fedgta_nn::{Adam, GraphDataset, GraphModel, Optimizer, TrainHooks};
 use fedgta_partition::Partition;
@@ -171,32 +171,34 @@ pub fn build_clients(
     partition: &Partition,
     cfg: &ClientBuildConfig,
 ) -> Vec<Client> {
-    let members = partition.members();
     let flags = split_flags(bench);
-    let mut clients = Vec::with_capacity(members.len());
-    for (id, nodes) in members.iter().enumerate() {
-        if nodes.is_empty() {
-            continue;
-        }
-        let full_sg = if cfg.halo {
-            halo_subgraph(&bench.graph, nodes).expect("nonempty client")
-        } else {
-            induced_subgraph(&bench.graph, nodes).expect("nonempty client")
+    let induced = |parts: &[u32]| {
+        induced_subgraphs(&bench.graph, parts, partition.num_parts)
+            .expect("a partition of the benchmark's nodes")
+    };
+    let full_views: Vec<Option<Subgraph>> = if cfg.halo {
+        let halo = |nodes: &Vec<u32>| {
+            (!nodes.is_empty()).then(|| halo_subgraph(&bench.graph, nodes).expect("client nodes"))
         };
-        let (data, eval_data) = match bench.spec.task {
-            Task::Transductive => (subgraph_dataset(&full_sg, bench, &flags, false), None),
-            Task::Inductive => {
-                // Training graph: induced on owned train nodes only.
-                let train_nodes: Vec<u32> =
-                    nodes.iter().copied().filter(|&v| flags[v as usize] & 1 != 0).collect();
-                let eval_view = subgraph_dataset(&full_sg, bench, &flags, false);
-                if train_nodes.is_empty() {
-                    (eval_view, None)
-                } else {
-                    let train_sg = induced_subgraph(&bench.graph, &train_nodes).expect("nonempty");
-                    (subgraph_dataset(&train_sg, bench, &flags, true), Some(eval_view))
-                }
-            }
+        partition.members().iter().map(halo).collect()
+    } else {
+        induced(&partition.parts).into_iter().map(|sg| (sg.num_owned > 0).then_some(sg)).collect()
+    };
+    // Inductive training views: each client's graph induced on its owned
+    // train nodes only — every other node is in no part.
+    let train_part = |(&p, &f): (&u32, &u8)| if f & 1 != 0 { p } else { u32::MAX };
+    let mut train_views = (bench.spec.task == Task::Inductive)
+        .then(|| induced(&partition.parts.iter().zip(&flags).map(train_part).collect::<Vec<_>>()))
+        .into_iter()
+        .flatten();
+    let mut clients = Vec::with_capacity(full_views.len());
+    for (id, full_sg) in full_views.into_iter().enumerate() {
+        let train_sg = train_views.next();
+        let Some(full_sg) = full_sg else { continue };
+        let view = subgraph_dataset(&full_sg, bench, &flags, false);
+        let (data, eval_data) = match train_sg {
+            Some(t) if t.num_owned > 0 => (subgraph_dataset(&t, bench, &flags, true), Some(view)),
+            _ => (view, None),
         };
         let mut model_cfg = cfg.model.clone();
         model_cfg.seed = cfg.model.seed.wrapping_add(id as u64 * 1013);

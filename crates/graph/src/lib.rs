@@ -33,7 +33,7 @@ pub use coo::EdgeList;
 pub use csr::Csr;
 pub use norm::{normalized_adjacency, NormKind};
 pub use store::{ChunkedCsr, CsrBuilder, RowSink, TileBuf, TileReader};
-pub use subgraph::{halo_subgraph, induced_subgraph, Subgraph};
+pub use subgraph::{halo_subgraph, induced_subgraphs, Subgraph};
 
 /// Errors produced by graph construction and kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]

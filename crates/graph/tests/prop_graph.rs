@@ -6,7 +6,7 @@ use fedgta_graph::{
     metrics::modularity,
     norm::{normalized_adjacency, NormKind},
     spmm::{propagate_steps_into, spmm, spmm_into_threads},
-    subgraph::{halo_subgraph, induced_subgraph},
+    subgraph::{halo_subgraph, induced_subgraphs},
     ChunkedCsr, Csr, EdgeList,
 };
 use proptest::prelude::*;
@@ -131,41 +131,54 @@ proptest! {
     }
 
     #[test]
-    fn induced_subgraph_preserves_edges(g in arb_graph(20, 80), pick in proptest::collection::vec(any::<bool>(), 20)) {
-        let nodes: Vec<u32> = (0..g.num_nodes() as u32)
-            .filter(|&u| pick.get(u as usize).copied().unwrap_or(false))
-            .collect();
-        prop_assume!(!nodes.is_empty());
-        let sg = induced_subgraph(&g, &nodes).unwrap();
-        // Every local edge corresponds to a global edge and vice versa.
-        for lu in 0..sg.graph.num_nodes() as u32 {
-            for &lv in sg.graph.neighbors(lu) {
-                let (gu, gv) = (sg.global_ids[lu as usize], sg.global_ids[lv as usize]);
-                prop_assert!(g.has_edge(gu, gv));
-            }
-        }
-        for &gu in &nodes {
-            for &gv in g.neighbors(gu) {
-                if nodes.binary_search(&gv).is_ok() {
-                    let lu = sg.local_of(gu).unwrap();
-                    let lv = sg.local_of(gv).unwrap();
-                    prop_assert!(sg.graph.has_edge(lu, lv));
+    fn induced_subgraph_preserves_edges(g in arb_graph(20, 80), pick in proptest::collection::vec(0u32..4, 20)) {
+        // Three parts; part 3 is none, so some nodes are in no subgraph.
+        // Parts in node order take the path that reads no slot table.
+        let parts: Vec<u32> = (0..g.num_nodes()).map(|u| pick[u]).collect();
+        let mut in_order = parts.clone();
+        in_order.sort_unstable();
+        for parts in [parts, in_order] {
+            let sgs = induced_subgraphs(&g, &parts, 3).unwrap();
+            prop_assert_eq!(sgs.len(), 3);
+            for (p, sg) in (0u32..).zip(&sgs) {
+                let members: Vec<u32> = (0..g.num_nodes() as u32).filter(|&u| parts[u as usize] == p).collect();
+                prop_assert_eq!(&sg.global_ids, &members);
+                prop_assert_eq!(sg.num_owned, members.len());
+                // Every local edge is a global edge of the same weight, and
+                // every global edge inside the part is a local one.
+                for lu in 0..sg.graph.num_nodes() as u32 {
+                    for (k, &lv) in sg.graph.neighbors(lu).iter().enumerate() {
+                        let (gu, gv) = (sg.global_ids[lu as usize], sg.global_ids[lv as usize]);
+                        let gk = g.neighbors(gu).binary_search(&gv);
+                        prop_assert!(gk.is_ok());
+                        prop_assert_eq!(sg.graph.edge_weight_at(lu, k), g.edge_weight_at(gu, gk.unwrap()));
+                    }
+                }
+                for &gu in &members {
+                    for &gv in g.neighbors(gu) {
+                        if parts[gv as usize] == p {
+                            let lu = sg.global_ids.binary_search(&gu).unwrap() as u32;
+                            let lv = sg.global_ids.binary_search(&gv).unwrap() as u32;
+                            prop_assert!(sg.graph.has_edge(lu, lv));
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn halo_contains_induced(g in arb_graph(20, 80), pick in proptest::collection::vec(any::<bool>(), 20)) {
-        let nodes: Vec<u32> = (0..g.num_nodes() as u32)
-            .filter(|&u| pick.get(u as usize).copied().unwrap_or(false))
-            .collect();
-        prop_assume!(!nodes.is_empty());
-        let ind = induced_subgraph(&g, &nodes).unwrap();
-        let hal = halo_subgraph(&g, &nodes).unwrap();
-        prop_assert_eq!(hal.num_owned, ind.graph.num_nodes());
-        prop_assert!(hal.graph.num_edges() >= ind.graph.num_edges());
-        prop_assert!(hal.graph.is_symmetric());
+    fn halo_contains_induced(g in arb_graph(20, 80), pick in proptest::collection::vec(0u32..4, 20)) {
+        let parts: Vec<u32> = (0..g.num_nodes()).map(|u| pick[u]).collect();
+        for ind in induced_subgraphs(&g, &parts, 3).unwrap() {
+            if ind.global_ids.is_empty() {
+                continue;
+            }
+            let hal = halo_subgraph(&g, &ind.global_ids).unwrap();
+            prop_assert_eq!(&hal.global_ids[..hal.num_owned], &ind.global_ids[..]);
+            prop_assert!(hal.graph.num_edges() >= ind.graph.num_edges());
+            prop_assert!(hal.graph.is_symmetric());
+        }
     }
 
     #[test]

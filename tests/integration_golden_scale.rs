@@ -7,6 +7,10 @@
 //! the streamed generator, the v2 writer or reader, the normalization or
 //! the client build that moves one byte moves a line.
 //!
+//! A second test checks the scale clients against the in-memory path, bit
+//! for bit: each client's graph built from the raw graph's in-range edges
+//! through `EdgeList`, then `normalized_adjacency`.
+//!
 //! To re-bless after an intended change:
 //! `FEDGTA_GOLDEN_BLESS=1 cargo test --test integration_golden_scale`
 //! and commit the diff (the header lines starting with `#` are kept).
@@ -15,7 +19,7 @@ use fedgta_bench::scale::{build_scale_clients, generate_raw};
 use fedgta_data::sbm::STREAM_BUCKET_ROWS;
 use fedgta_graph::io::CsrV2Writer;
 use fedgta_graph::store::{normalize_stream, ChunkedCsr};
-use fedgta_graph::NormKind;
+use fedgta_graph::{normalized_adjacency, EdgeList, NormKind};
 
 mod golden;
 
@@ -86,4 +90,46 @@ fn scale_setup_matches_the_golden_file() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     golden::check("scale.txt", &got);
+}
+
+#[test]
+fn scale_clients_are_the_in_memory_clients() {
+    let dir = std::env::temp_dir().join(format!("fedgta-scale-vs-mem-{}", std::process::id()));
+    let raw = generate_raw(NODES, 3.0, SEED, &dir).expect("streamed SBM generation");
+    let global = ChunkedCsr::open(&raw.path).unwrap().to_csr().unwrap();
+    assert!(global.weights().is_some(), "the pinned graph has no duplicate edge");
+    let clients = build_scale_clients(&raw, CLIENTS, SEED);
+    let _ = std::fs::remove_dir_all(&dir);
+    let same_bits =
+        |a: &[f32], b: &[f32]| a.iter().map(|x| x.to_bits()).eq(b.iter().map(|x| x.to_bits()));
+    let mut start = 0;
+    for c in &clients {
+        let range = start as u32..(NODES * (c.id + 1) / CLIENTS) as u32;
+        start = range.end as usize;
+        assert!(c.global_ids.iter().copied().eq(range.clone()), "client {} nodes", c.id);
+        let mut el = EdgeList::new(range.len());
+        for u in range.clone() {
+            for (k, &v) in global.neighbors(u).iter().enumerate() {
+                if range.contains(&v) {
+                    let w = global.edge_weight_at(u, k);
+                    el.push_weighted(u - range.start, v - range.start, w).unwrap();
+                }
+            }
+        }
+        let local = el.to_csr();
+        let want = normalized_adjacency(&local, NormKind::Symmetric);
+        let hat = local.with_self_loops();
+        let degrees_hat: Vec<f32> =
+            (0..hat.num_nodes() as u32).map(|u| hat.weighted_degree(u)).collect();
+        let got = &c.data.adj_norm;
+        assert!(got.indptr() == want.indptr(), "client {} indptr", c.id);
+        assert!(got.indices() == want.indices(), "client {} indices", c.id);
+        assert!(
+            same_bits(got.weights().unwrap(), want.weights().unwrap()),
+            "client {} weights",
+            c.id
+        );
+        assert!(same_bits(&c.data.degrees_hat, &degrees_hat), "client {} degrees_hat", c.id);
+    }
+    assert_eq!(start, NODES);
 }

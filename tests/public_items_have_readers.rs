@@ -60,11 +60,6 @@ const ALLOW: &[(&str, &str, &str)] = &[
         "pooled",
         "test reader: the arena's unit tests and crates/nn/tests/softmax_kernels.rs count pooled buffers",
     ),
-    (
-        "crates/graph/src/subgraph.rs",
-        "local_of",
-        "test reader: the subgraph unit test and crates/graph/tests/prop_graph.rs map global ids back",
-    ),
     ("crates/nn/src/tensor.rs", "from_rows", "test reader: builds small matrices in unit and property tests"),
     ("crates/obs/src/serve.rs", "http_get", "test reader: tests/integration_trace_propagation.rs scrapes /metrics"),
     ("crates/obs/src/sink.rs", "contents", "test reader: the integration tests read traces from the in-memory sink"),
