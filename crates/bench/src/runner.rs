@@ -150,8 +150,6 @@ pub struct ExperimentSpec {
     /// Evaluate every this many rounds (trade accuracy-curve resolution
     /// for wall-clock).
     pub eval_every: usize,
-    /// Build halo (ghost-node) clients — FedGL reads them.
-    pub halo: bool,
     /// Base seed.
     pub seed: u64,
 }
@@ -170,7 +168,6 @@ impl ExperimentSpec {
             runs: 2,
             participation: 1.0,
             eval_every: 1,
-            halo: false,
             seed: 0,
         }
     }
@@ -202,11 +199,13 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
         let seed = spec.seed + run as u64;
         let bench = load_benchmark(&spec.dataset, seed).expect("known dataset");
         let parts = partition_benchmark(&bench, spec.split, spec.clients, seed);
+        let strategy = (spec.strategy.make)();
+        let halo = strategy.halo_views(spec.model).unwrap_or_else(|why| panic!("{why}"));
         let model = ModelConfig::paper(spec.model, HIDDEN, seed);
-        let clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(model, spec.halo));
+        let clients = build_clients(&bench, &parts, &ClientBuildConfig::paper(model, halo));
         let mut sim = Simulation::new(
             clients,
-            (spec.strategy.make)(),
+            strategy,
             SimConfig {
                 rounds: spec.rounds,
                 local_epochs: spec.epochs,
@@ -284,11 +283,12 @@ mod tests {
             STRATEGY_NAMES.iter().flat_map(|n| [format!("FedGL+{n}"), format!("FedSage++{n}")]);
         for name in STRATEGY_NAMES.iter().map(|n| n.to_string()).chain(wrapped) {
             // FedSage+ mends raw features, which only a SAGE (or GAMLP) client still holds.
-            let model =
-                if name.starts_with("FedSage++") { ModelKind::Sage } else { ModelKind::Gcn };
-            let mut clients = small_federation(model, 3);
+            let mut strategy = make_strategy(&name);
+            let gcn = strategy.halo_views(ModelKind::Gcn).is_ok();
+            let mut clients =
+                small_federation(if gcn { ModelKind::Gcn } else { ModelKind::Sage }, 3);
             let before = bits(&clients);
-            let stats = make_strategy(&name).round(&mut clients, &[], &RoundCtx::plain(1));
+            let stats = strategy.round(&mut clients, &[], &RoundCtx::plain(1));
             assert_eq!(stats, RoundStats::default(), "{name}");
             assert_eq!(bits(&clients), before, "{name}");
         }

@@ -143,16 +143,15 @@ pub fn table3(full: bool) -> Vec<TableSpec> {
     }
     // FGL Model rows (FedAvg inside, as in the paper), which reports OOM
     // for both on the two largest graphs.
-    for (label, model, s, halo) in [
-        ("FedGL", ModelKind::Gcn, s!("FedGL+FedAvg"), true),
-        ("FedSage", ModelKind::Sage, s!("FedSage++FedAvg"), false),
+    for (label, model, s) in [
+        ("FedGL", ModelKind::Gcn, s!("FedGL+FedAvg")),
+        ("FedSage", ModelKind::Sage, s!("FedSage++FedAvg")),
     ] {
         let cells = datasets.iter().map(|d| match *d {
             "ogbn-products" | "ogbn-papers100m" => Text("OOM*"),
             d => Run(ExperimentSpec {
                 rounds: rounds.min(40),
                 runs: runs.min(2),
-                halo,
                 ..spec(d, model, s)
             }),
         });
@@ -236,7 +235,9 @@ pub const TABLE4: &[Claim] = &[
 ];
 
 /// Table 5 — FedGL and FedSage+ over {FedAvg, MOON, FedDC, FedGTA}, Metis
-/// 10-client split with halo clients.
+/// 10-client split, each on the clients its strategy asks for
+/// ([`Strategy::halo_views`](fedgta_fed::strategies::Strategy::halo_views)):
+/// FedGL's halo views, FedSage+'s owned-node ones.
 pub fn table5(full: bool) -> Vec<TableSpec> {
     let datasets: &[&str] = if full { &["ogbn-arxiv", "flickr", "reddit"] } else { &["flickr"] };
     let (rounds, runs) = if full { (60, 3) } else { (15, 2) };
@@ -262,7 +263,6 @@ pub fn table5(full: bool) -> Vec<TableSpec> {
                 rounds,
                 runs,
                 eval_every: 5,
-                halo: true,
                 seed: 13,
                 ..ExperimentSpec::new(d, model, s)
             };

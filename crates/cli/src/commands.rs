@@ -5,7 +5,6 @@ use fedgta_bench::{partition_benchmark, strategy_named, SplitKind, STRATEGY_NAME
 use fedgta_data::{load_benchmark, Benchmark, SPECS};
 use fedgta_fed::client::{build_clients, ClientBuildConfig};
 use fedgta_fed::faults::FaultConfig;
-use fedgta_fed::fgl_models::FedSagePlus;
 use fedgta_fed::round::{best_accuracy, CommsConfig, SimConfig, Simulation};
 use fedgta_fed::CodecSpec;
 use fedgta_graph::metrics::{degree_stats, edge_homophily};
@@ -423,12 +422,9 @@ pub fn run(a: &Args) -> CliResult {
         let known = STRATEGY_NAMES.join("|");
         format!("unknown strategy '{strategy_name}' ({known}, each also as FedGL+X or FedSage++X)")
     })?;
-    if strategy_name.contains("FedSage++") && model.propagates() {
-        let why = FedSagePlus::NEEDS_RAW_FEATURES;
-        return Err(
-            format!("'{strategy_name}' cannot run on --model {}: {why}", model.name()).into()
-        );
-    }
+    let halo = strategy.halo_views(model).map_err(|why| {
+        format!("'{strategy_name}' cannot run on --model {}: {why}", model.name())
+    })?;
     let comms = parse_comms(a)?;
     let arm_obs = setup_obs(a);
     let pm_path = a.str_opt("postmortem-out").map(std::path::PathBuf::from);
@@ -437,7 +433,6 @@ pub fn run(a: &Args) -> CliResult {
 
     let b = load_for_split(name, seed, clients_n)?;
     let parts = partition_benchmark(&b, split, clients_n, seed);
-    let halo = strategy_name.starts_with("FedGL");
     let build = ClientBuildConfig::paper(ModelConfig::paper(model, 32, seed), halo);
     let clients = build_clients(&b, &parts, &build);
     let obs = arm_obs()?;
@@ -584,6 +579,7 @@ pub fn run(a: &Args) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedgta_fed::fgl_models::FedSagePlus;
 
     fn args(words: &[&str]) -> Args {
         Args::parse(words.iter().map(|s| s.to_string())).unwrap()

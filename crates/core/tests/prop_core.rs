@@ -5,7 +5,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use fedgta::aggregate::{
-    personalized_aggregate, personalized_aggregate_into, AggregateOptions, ClientUpload,
+    personalized_aggregate, personalized_aggregate_into, personalized_rows, AggregateOptions,
+    ClientUpload,
 };
 use fedgta::{
     label_propagation, local_smoothing_confidence, mixed_moments, moment_similarity,
@@ -15,6 +16,43 @@ use fedgta_graph::{normalized_adjacency, Csr, EdgeList, NormKind};
 use fedgta_nn::ops::softmax_rows;
 use fedgta_nn::Matrix;
 use proptest::prelude::*;
+
+/// Classes of the class-relabelling relation's federations.
+const C: usize = 5;
+
+/// Moment order `K` of the class-relabelling relation.
+const K: usize = 3;
+
+/// `m` with column `j` moved to column `pi[j]`.
+fn permute_columns(m: &Matrix, pi: &[usize]) -> Matrix {
+    let mut out = Matrix::zeros(m.rows(), m.cols());
+    for i in 0..m.rows() {
+        for (j, &v) in m.row(i).iter().enumerate() {
+            out.set(i, pi[j], v);
+        }
+    }
+    out
+}
+
+/// A sketch (`k·K` blocks of `|Y|` classes) with each block's class `j`
+/// moved to `pi[j]`.
+fn permute_sketch(sketch: &[f32], pi: &[usize]) -> Vec<f32> {
+    let mut out = vec![0f32; sketch.len()];
+    for (block, moved) in sketch.chunks(pi.len()).zip(out.chunks_mut(pi.len())) {
+        for (j, &v) in block.iter().enumerate() {
+            moved[pi[j]] = v;
+        }
+    }
+    out
+}
+
+fn norm(v: &[f32]) -> f64 {
+    v.iter().map(|&x| (x as f64).powi(2)).sum::<f64>().sqrt()
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Random symmetric graph + row-stochastic soft labels over it.
 fn arb_graph_labels(max_n: usize, classes: usize) -> impl Strategy<Value = (Csr, Matrix)> {
@@ -270,6 +308,132 @@ proptest! {
         for i in 0..n {
             for j in 0..4 {
                 prop_assert!((agg[i][j] - params[i][j]).abs() < 1e-6);
+            }
+        }
+    }
+
+    /// Class relabelling (ROADMAP item 25). LP and the raw moments act
+    /// class by class, so permuting `Ŷ⁰`'s columns by π permutes every LP
+    /// step and every raw moment block by π, bit for bit. The central
+    /// moments subtract the per-node mean, which sums the classes in
+    /// another order: each moves by at most `2·K·|Y|` f32 epsilons, as
+    /// `|ŷ − μ| ≤ 1`. Eq. 4 sums the classes too, so `H` moves by at most
+    /// `4·|Y|` f64 epsilons relative (its summands are non-negative). An
+    /// Eq. 6 similarity moves by at most twice the sketches' relative
+    /// perturbations, and every ε-selected set stays the same where no
+    /// similarity lies within that bound of ε.
+    #[test]
+    fn class_relabelling_permutes_lp_and_moments(
+        clients in proptest::collection::vec(arb_graph_labels(12, C), 2..5),
+        keys in proptest::collection::vec(0u32..1000, C),
+        eps in -0.5f32..1.0,
+    ) {
+        let mut pi: Vec<usize> = (0..C).collect();
+        pi.sort_by_key(|&j| keys[j]);
+        let moment_tol = 2.0 * (K * C) as f32 * f32::EPSILON;
+        let mut sketches = Vec::new();
+        let mut moved = Vec::new();
+        let mut hs = Vec::new();
+        for (adj, soft) in &clients {
+            let steps = label_propagation(adj, soft, 3, 0.5);
+            let permuted = label_propagation(adj, &permute_columns(soft, &pi), 3, 0.5);
+            for (s, p) in steps.iter().zip(&permuted) {
+                prop_assert_eq!(bits(permute_columns(s, &pi).as_slice()), bits(p.as_slice()));
+            }
+            let raw = mixed_moments(&steps, K, MomentKind::Raw);
+            let raw_moved = mixed_moments(&permuted, K, MomentKind::Raw);
+            prop_assert_eq!(bits(&permute_sketch(&raw, &pi)), bits(&raw_moved));
+            let central = mixed_moments(&steps, K, MomentKind::Central);
+            let central_moved = mixed_moments(&permuted, K, MomentKind::Central);
+            for (a, b) in permute_sketch(&central, &pi).iter().zip(&central_moved) {
+                prop_assert!((a - b).abs() <= moment_tol, "central moment {} vs {}", a, b);
+            }
+            let degrees: Vec<f32> = (0..adj.num_nodes()).map(|i| (1 + i % 3) as f32).collect();
+            let h = local_smoothing_confidence(steps.last().unwrap(), &degrees);
+            let h_moved = local_smoothing_confidence(permuted.last().unwrap(), &degrees);
+            prop_assert!(
+                (h - h_moved).abs() <= 4.0 * C as f64 * f64::EPSILON * h.abs(),
+                "H {} vs {}", h, h_moved
+            );
+            sketches.push(central);
+            moved.push(central_moved);
+            hs.push(h);
+        }
+        // How far each sketch moved, relative to its norm.
+        let shift: Vec<f64> = sketches
+            .iter()
+            .zip(&moved)
+            .map(|(s, m)| {
+                let d: Vec<f32> = permute_sketch(s, &pi).iter().zip(m).map(|(a, b)| a - b).collect();
+                norm(&d) / norm(s).max(f64::MIN_POSITIVE)
+            })
+            .collect();
+        let a: Vec<&[f32]> = sketches.iter().map(Vec::as_slice).collect();
+        let b: Vec<&[f32]> = moved.iter().map(Vec::as_slice).collect();
+        let n = a.len();
+        // A sketch too small for its cosine to mean anything is left out.
+        let tiny = |i: usize| norm(a[i]) < 1e-3 || norm(b[i]) < 1e-3;
+        let bound = |i: usize, j: usize| 2.0 * (shift[i] + shift[j]) + 1e-6;
+        let opts = AggregateOptions {
+            epsilon: eps,
+            epsilon_quantile: None,
+            similarity: SimilarityKind::Cosine,
+            use_moments: true,
+            use_confidence: true,
+        };
+        for threads in [1usize, 4] {
+            let before = personalized_rows(&a, &hs, &opts, threads);
+            let after = personalized_rows(&b, &hs, &opts, threads);
+            for i in 0..n {
+                let mut tie = false;
+                for j in 0..n {
+                    if tiny(i) || tiny(j) {
+                        tie = true;
+                        continue;
+                    }
+                    let (x, y) = (before.similarity[i][j] as f64, after.similarity[i][j] as f64);
+                    prop_assert!((x - y).abs() <= bound(i, j), "sim[{}][{}] {} vs {}", i, j, x, y);
+                    tie |= (x - eps as f64).abs() <= bound(i, j);
+                }
+                if !tie {
+                    prop_assert_eq!(&before.entries[i].members, &after.entries[i].members);
+                }
+            }
+        }
+    }
+
+    /// Identical sketches (ROADMAP item 25). When every participant
+    /// uploads the same non-zero sketch, every similarity is 1 up to
+    /// rounding, above any ε < 1, so every receiver's set is every
+    /// participant and every row is the same `H`-weighted average.
+    #[test]
+    fn identical_sketches_give_every_receiver_one_h_weighted_average(
+        n in 2usize..7,
+        dim in 1usize..24,
+        vals in proptest::collection::vec(-3.0f32..3.0, 24),
+        hs in proptest::collection::vec(0.1f64..5.0, 7),
+        eps in -0.5f32..0.999,
+    ) {
+        let sketch = &vals[..dim];
+        prop_assume!(norm(sketch) > 1e-3);
+        let sketches = vec![sketch; n];
+        let sources = &hs[..n];
+        let total: f64 = sources.iter().sum();
+        let want: Vec<u32> = sources.iter().map(|&h| ((h / total) as f32).to_bits()).collect();
+        for similarity in [SimilarityKind::Cosine, SimilarityKind::InverseL2] {
+            let opts = AggregateOptions {
+                epsilon: eps,
+                epsilon_quantile: None,
+                similarity,
+                use_moments: true,
+                use_confidence: true,
+            };
+            for threads in [1usize, 4] {
+                let report = personalized_rows(&sketches, sources, &opts, threads);
+                for row in &report.entries {
+                    prop_assert_eq!(&row.members, &(0..n).collect::<Vec<_>>());
+                    prop_assert_eq!(&bits(&row.weights), &want);
+                }
             }
         }
     }

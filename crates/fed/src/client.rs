@@ -193,12 +193,12 @@ pub fn build_clients(
         .flatten();
     let mut clients = Vec::with_capacity(full_views.len());
     for (id, full_sg) in full_views.into_iter().enumerate() {
-        let train_sg = train_views.next();
+        let train_sg = train_views.next().filter(|t| t.num_owned > 0);
         let Some(full_sg) = full_sg else { continue };
         let view = subgraph_dataset(&full_sg, bench, &flags, false);
-        let (data, eval_data) = match train_sg {
-            Some(t) if t.num_owned > 0 => (subgraph_dataset(&t, bench, &flags, true), Some(view)),
-            _ => (view, None),
+        let (data, eval_data, global_ids) = match train_sg {
+            Some(t) => (subgraph_dataset(&t, bench, &flags, true), Some(view), t.global_ids),
+            None => (view, None, full_sg.global_ids),
         };
         let mut model_cfg = cfg.model.clone();
         model_cfg.seed = cfg.model.seed.wrapping_add(id as u64 * 1013);
@@ -206,7 +206,7 @@ pub fn build_clients(
         let opt = Box::new(Adam::new(cfg.lr, cfg.weight_decay));
         clients.push(Client {
             eval_data: eval_data.map(|d| model.prepare(d)),
-            global_ids: full_sg.global_ids,
+            global_ids,
             ..Client::new(id, data, model, opt)
         });
     }
@@ -273,6 +273,23 @@ mod tests {
         }
         let l1 = c.train_local(1, &mut TrainHooks::none());
         assert!(l1 < l0, "loss {l0} -> {l1}");
+    }
+
+    #[test]
+    fn an_inductive_clients_global_ids_map_its_training_view() {
+        let bench = load_benchmark("flickr", 0).unwrap();
+        let comm = louvain(&bench.graph, &LouvainConfig::default());
+        let parts = communities_to_clients(&comm, 4).unwrap();
+        for halo in [false, true] {
+            let cfg = ClientBuildConfig { halo, ..ClientBuildConfig::default() };
+            for c in &build_clients(&bench, &parts, &cfg) {
+                assert!(c.eval_data.is_some(), "client {} is inductive", c.id);
+                assert_eq!(c.global_ids.len(), c.data.num_nodes(), "client {} halo {halo}", c.id);
+                for (local, &g) in c.global_ids.iter().enumerate() {
+                    assert_eq!(c.data.labels[local], bench.labels[g as usize], "client {}", c.id);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! FedGL (Chen et al. 2021): federated graph learning with global
 //! self-supervision.
 //!
-//! Clients hold *overlapping* subgraphs (build them with
-//! `ClientBuildConfig { halo: true, .. }`). Each round the server fuses
-//! every client's soft predictions per global node, keeps the confident
-//! ones as global pseudo-labels, and broadcasts them back; clients add a
-//! soft-target cross-entropy on their unlabeled (including ghost) nodes.
-//! Parameter aggregation is delegated to any inner strategy — the paper's
-//! Table 5 plugs in FedAvg, MOON, FedDC, and FedGTA.
+//! Clients hold *overlapping* subgraphs: FedGL asks for halo views
+//! ([`Strategy::halo_views`]). Each round the server fuses the round's
+//! participants' soft predictions per global node into one matrix, keeps
+//! the confident nodes as global pseudo-labels, and each participant reads
+//! its rows of that matrix through its `global_ids`: a soft-target
+//! cross-entropy on its unlabeled (including ghost) nodes. Parameter
+//! aggregation is delegated to any inner strategy — the paper's Table 5
+//! plugs in FedAvg, MOON, FedDC, and FedGTA.
 
 use crate::client::Client;
 use crate::exec::par_clients;
 use crate::strategies::{RoundCtx, RoundStats, Strategy};
-use fedgta_nn::models::PseudoLabels;
+use fedgta_nn::models::{ModelKind, PseudoLabels};
 use fedgta_nn::Matrix;
 
 /// FedGL wrapper strategy.
@@ -33,52 +34,34 @@ impl FedGl {
         Self { inner, confidence: 0.8, weight: 0.5, warmup: 2, rounds_seen: 0 }
     }
 
-    /// Fuses per-node predictions across clients into global soft labels.
+    /// The participants' soft predictions fused per global node: row `g`
+    /// is their mean over the participants that hold node `g`.
     ///
     /// Per-client prediction runs client-parallel on `ctx.threads` workers
     /// through their lent arenas; the fusion sums stay on the driver in
-    /// client order, so the result is thread-count-independent.
-    fn fuse_predictions(&self, clients: &mut [Client], ctx: &RoundCtx<'_>) -> (Matrix, Vec<bool>) {
-        let num_classes = clients[0].data.num_classes;
-        let num_global = clients
-            .iter()
-            .flat_map(|c| c.global_ids.iter())
-            .copied()
-            .max()
-            .map_or(0, |m| m as usize + 1);
-        let mut sum = Matrix::zeros(num_global, num_classes);
+    /// participant order, so the result is thread-count-independent.
+    fn fuse_predictions(clients: &mut [Client], participants: &[usize], ctx: &RoundCtx) -> Matrix {
+        let ids = |i: &usize| clients[*i].global_ids.iter().copied();
+        let num_global = participants.iter().flat_map(ids).max().map_or(0, |m| m as usize + 1);
+        let mut sum = Matrix::zeros(num_global, clients[participants[0]].data.num_classes);
         let mut count = vec![0u32; num_global];
-        let all: Vec<usize> = (0..clients.len()).collect();
-        let predictions =
-            par_clients(clients, &all, ctx.threads, ctx.kits, |_, c| c.model.predict(&c.data));
-        for (c, probs) in clients.iter().zip(&predictions) {
+        let predict = |_, c: &mut Client| c.model.predict(&c.data);
+        let predictions = par_clients(clients, participants, ctx.threads, ctx.kits, predict);
+        for (&i, probs) in participants.iter().zip(&predictions) {
+            let c = &clients[i];
+            assert_eq!(c.global_ids.len(), c.data.num_nodes(), "client {i}'s id map");
             for (local, &g) in c.global_ids.iter().enumerate() {
-                if local >= c.data.num_nodes() {
-                    break;
-                }
-                let row = probs.row(local);
-                let out = sum.row_mut(g as usize);
-                for (o, &p) in out.iter_mut().zip(row) {
+                for (o, &p) in sum.row_mut(g as usize).iter_mut().zip(probs.row(local)) {
                     *o += p;
                 }
                 count[g as usize] += 1;
             }
         }
-        let mut confident = vec![false; num_global];
-        for g in 0..num_global {
-            if count[g] == 0 {
-                continue;
-            }
-            let inv = 1.0 / count[g] as f32;
-            let row = sum.row_mut(g);
-            let mut max = 0f32;
-            for v in row.iter_mut() {
-                *v *= inv;
-                max = max.max(*v);
-            }
-            confident[g] = max >= self.confidence;
+        for (g, &n) in count.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let inv = 1.0 / n as f32;
+            sum.row_mut(g).iter_mut().for_each(|v| *v *= inv);
         }
-        (sum, confident)
+        sum
     }
 }
 
@@ -91,6 +74,10 @@ impl Strategy for FedGl {
         self.inner.store_bytes()
     }
 
+    fn halo_views(&self, model: ModelKind) -> Result<bool, &'static str> {
+        self.inner.halo_views(model).map(|_| true)
+    }
+
     fn round(
         &mut self,
         clients: &mut [Client],
@@ -98,30 +85,29 @@ impl Strategy for FedGl {
         ctx: &RoundCtx<'_>,
     ) -> RoundStats {
         self.rounds_seen += 1;
-        if self.rounds_seen <= self.warmup {
+        if self.rounds_seen <= self.warmup || participants.is_empty() {
             return self.inner.round(clients, participants, ctx);
         }
-        let (global_soft, confident) = self.fuse_predictions(clients, ctx);
-        // Per-client pseudo-label payloads over *local* node ids.
-        let mut pseudo: Vec<Option<PseudoLabels>> = Vec::with_capacity(clients.len());
-        for c in clients.iter() {
-            let n = c.data.num_nodes();
-            let mut targets = Matrix::zeros(n, c.data.num_classes);
-            let mut mask = vec![false; n];
-            let mut in_train = vec![false; n];
+        let fused = Self::fuse_predictions(clients, participants, ctx);
+        let max = |g: u32| fused.row(g as usize).iter().fold(0f32, |m, &v| m.max(v));
+        // Per participant, the fused row each local node reads: its global
+        // id where that node is confident and not a training node.
+        let none = PseudoLabels::NONE;
+        let mut rows = Vec::with_capacity(participants.len());
+        for &i in participants {
+            let c = &clients[i];
+            let read = |&g: &u32| if max(g) >= self.confidence { g } else { none };
+            let mut own: Vec<u32> = c.global_ids.iter().map(read).collect();
             for &t in &c.data.train_nodes {
-                in_train[t as usize] = true;
+                own[t as usize] = none;
             }
-            let mut any = false;
-            for local in 0..n {
-                let g = c.global_ids[local] as usize;
-                if confident[g] && !in_train[local] {
-                    targets.row_mut(local).copy_from_slice(global_soft.row(g));
-                    mask[local] = true;
-                    any = true;
-                }
+            rows.push(own);
+        }
+        let mut pseudo = vec![None; clients.len()];
+        for (&i, own) in participants.iter().zip(&rows) {
+            if own.iter().any(|&g| g != none) {
+                pseudo[i] = Some(PseudoLabels { targets: &fused, rows: own, weight: self.weight });
             }
-            pseudo.push(any.then_some(PseudoLabels { targets, mask, weight: self.weight }));
         }
         let ctx = RoundCtx { pseudo: Some(&pseudo), ..*ctx };
         self.inner.round(clients, participants, &ctx)
@@ -137,6 +123,7 @@ mod tests {
     use fedgta_data::{generate_from_spec, DatasetSpec, Task};
     use fedgta_nn::models::{ModelConfig, ModelKind};
     use fedgta_partition::{communities_to_clients, louvain, LouvainConfig};
+    use std::sync::{Arc, Mutex};
 
     fn halo_federation(seed: u64) -> Vec<Client> {
         let spec = DatasetSpec {
@@ -205,7 +192,86 @@ mod tests {
         for _ in 0..15 {
             s.round(&mut clients, &parts, &RoundCtx::plain(3));
         }
-        let (_, confident) = s.fuse_predictions(&mut clients, &RoundCtx::plain(0));
-        assert!(confident.iter().any(|&c| c), "no node ever became confident");
+        let fused = FedGl::fuse_predictions(&mut clients, &parts, &RoundCtx::plain(0));
+        let confident = |g| fused.row(g).iter().any(|&p| p >= s.confidence);
+        assert!((0..fused.rows()).any(confident), "no node ever became confident");
+    }
+
+    /// FedGL with its pseudo-labels on from round 1 for every node it fuses.
+    fn eager() -> FedGl {
+        let mut s = FedGl::new(Box::new(FedAvg::new()));
+        s.confidence = 0.0;
+        s.warmup = 0;
+        s
+    }
+
+    #[test]
+    fn a_non_participant_never_reaches_the_fusion() {
+        let mut clients = halo_federation(62);
+        let nan = vec![f32::NAN; clients[3].model.num_params()];
+        clients[3].model.set_params(&nan);
+        eager().round(&mut clients, &[0, 1, 2], &RoundCtx::plain(1));
+        for c in &clients[..3] {
+            assert!(c.model.param_slice().iter().all(|v| v.is_finite()), "client {}", c.id);
+        }
+    }
+
+    /// Per round, what each client's pseudo-labels were: the address of
+    /// the matrix they read and the length of their row map.
+    type Seen = Vec<Option<(usize, usize)>>;
+
+    /// Notes the pseudo-labels the round hands each client, then trains.
+    struct Spy {
+        inner: FedAvg,
+        seen: Arc<Mutex<Vec<Seen>>>,
+    }
+
+    impl Strategy for Spy {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn round(
+            &mut self,
+            clients: &mut [Client],
+            participants: &[usize],
+            ctx: &RoundCtx<'_>,
+        ) -> RoundStats {
+            let seen = (0..clients.len())
+                .map(|i| {
+                    ctx.pseudo_for(i).map(|p| (p.targets as *const Matrix as usize, p.rows.len()))
+                })
+                .collect();
+            self.seen.lock().unwrap().push(seen);
+            self.inner.round(clients, participants, ctx)
+        }
+    }
+
+    #[test]
+    fn participants_read_one_fused_matrix_through_their_ids() {
+        let mut clients = halo_federation(63);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let spy = Spy { inner: FedAvg::new(), seen: Arc::clone(&seen) };
+        let mut s = FedGl { inner: Box::new(spy), ..eager() };
+        s.round(&mut clients, &[0, 2, 3], &RoundCtx::plain(1));
+        let seen = seen.lock().unwrap();
+        let round = &seen[0];
+        assert!(round[1].is_none(), "a non-participant got pseudo-labels");
+        let matrix = round[0].expect("participant 0 has pseudo-labels").0;
+        for i in [0, 2, 3] {
+            let (targets, rows) = round[i].expect("every participant has pseudo-labels");
+            assert_eq!(targets, matrix, "client {i} reads a matrix of its own");
+            assert_eq!(rows, clients[i].data.num_nodes(), "client {i}");
+        }
+    }
+
+    #[test]
+    fn halo_views_are_asked_for_and_refusals_pass_through() {
+        use crate::fgl_models::FedSagePlus;
+        let fedgl = FedGl::new(Box::new(FedAvg::new()));
+        assert_eq!(fedgl.halo_views(ModelKind::Gcn), Ok(true));
+        let nested = FedGl::new(Box::new(FedSagePlus::new(Box::new(FedAvg::new()))));
+        assert_eq!(nested.halo_views(ModelKind::Gcn), Err(FedSagePlus::NEEDS_RAW_FEATURES));
+        assert_eq!(nested.halo_views(ModelKind::Sage), Ok(true));
     }
 }

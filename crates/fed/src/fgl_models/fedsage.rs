@@ -22,7 +22,8 @@
 use crate::client::Client;
 use crate::strategies::{RoundCtx, RoundStats, Row, Strategy};
 use fedgta_graph::par::par_map_indexed;
-use fedgta_graph::EdgeList;
+use fedgta_graph::{normalized_adjacency, Csr, EdgeList, NormKind};
+use fedgta_nn::models::ModelKind;
 use fedgta_nn::ops::spmm_csr;
 use fedgta_nn::{GraphDataset, Matrix, Mlp, Workspace};
 use rand::rngs::StdRng;
@@ -79,10 +80,10 @@ impl NeighGen {
     }
 }
 
-/// Node representation for the generator: `[X ‖ Ā X]`.
-fn gen_input(data: &GraphDataset) -> Matrix {
-    let agg = spmm_csr(&data.adj_mean, &data.features);
-    data.features.hcat(&agg)
+/// Node representation for the generator: `[X ‖ Ā X]`, with `Ā` the
+/// row-stochastic adjacency.
+fn gen_input(adj_mean: &Csr, features: &Matrix) -> Matrix {
+    features.hcat(&spmm_csr(adj_mean, features))
 }
 
 /// One MSE training epoch of an Mlp regressor (exact gradient through the
@@ -107,8 +108,8 @@ impl FedSagePlus {
     /// Why FedSage+ refuses a backbone that
     /// [`fedgta_nn::models::ModelKind::propagates`]: its
     /// clients no longer hold the raw features the generator learns and
-    /// writes. A caller checks the backbone before it builds clients; the
-    /// strategy checks the prepared data before it mends.
+    /// writes. [`Strategy::halo_views`] gives it before a caller builds
+    /// clients; the strategy checks the prepared data before it mends.
     pub const NEEDS_RAW_FEATURES: &'static str =
         "FedSage+ needs a backbone that reads raw features (sage, gamlp)";
 
@@ -191,19 +192,9 @@ impl FedSagePlus {
                     f_target.row_mut(i).copy_from_slice(&row);
                 }
             }
-            let vis_graph = el.to_csr();
-            let vis_feats = c.data.features.gather_rows(&visible);
-            let vis_data = GraphDataset::new(
-                &vis_graph,
-                vis_feats,
-                vec![0; visible.len()],
-                1,
-                Vec::new(),
-                Vec::new(),
-                Vec::new(),
-            );
+            let vis_adj = normalized_adjacency(&el.to_csr(), NormKind::RowStochastic);
             tasks.push(GenTask {
-                input: gen_input(&vis_data),
+                input: gen_input(&vis_adj, &c.data.features.gather_rows(&visible)),
                 d_target,
                 f_target,
                 weight: visible.len() as f64,
@@ -240,7 +231,7 @@ impl FedSagePlus {
 
         // --- Mend every client's graph ------------------------------------
         for c in clients.iter_mut() {
-            let input = gen_input(&c.data);
+            let input = gen_input(&c.data.adj_mean, &c.data.features);
             let counts = global_gen.dgen.infer(&input);
             let feats = global_gen.fgen.infer(&input);
             let n = c.data.num_nodes();
@@ -302,6 +293,13 @@ impl Strategy for FedSagePlus {
 
     fn store_bytes(&self) -> usize {
         self.inner.store_bytes()
+    }
+
+    fn halo_views(&self, model: ModelKind) -> Result<bool, &'static str> {
+        if model.propagates() {
+            return Err(Self::NEEDS_RAW_FEATURES);
+        }
+        self.inner.halo_views(model)
     }
 
     fn round(

@@ -1,12 +1,12 @@
 //! GCFL+ (Xie et al. 2021): gradient-sequence clustered federated
 //! learning.
 //!
-//! Clients start in one cluster sharing a FedAvg model. A cluster splits
-//! when its members' parameter updates disagree (mean update norm small
-//! while the maximum is large — the GCFL criterion); the bipartition uses
-//! dynamic-time-warping distance over each client's recent *gradient
-//! signature sequence* (GCFL+'s series-based clustering). Aggregation then
-//! happens within clusters only.
+//! Clients start in one cluster sharing a FedAvg model. After `warmup`
+//! rounds, a cluster splits when max `‖Δw‖ > gap ·` mean `‖Δw‖` over its
+//! members — one ratio, not GCFL's mean `< ε₁` *and* max `> ε₂` (ROADMAP
+//! item 2, deviation #4). The bipartition uses dynamic-time-warping
+//! distance over each client's recent *gradient signature sequence*
+//! (GCFL+'s series-based clustering), then aggregation stays in clusters.
 //!
 //! Substitution note (DESIGN.md): the DTW series elements are fixed random
 //! projections of the full update vector (32 dims) instead of the raw

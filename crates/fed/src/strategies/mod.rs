@@ -35,7 +35,7 @@ pub use scaffold::Scaffold;
 
 use crate::client::Client;
 use crate::kit::{Kit, Pool};
-use fedgta_nn::models::PseudoLabels;
+use fedgta_nn::models::{ModelKind, PseudoLabels};
 
 /// The start-of-round model broadcast: a view of the strategy's model
 /// store, each participant with a slot loading its model (and resetting
@@ -60,7 +60,7 @@ pub struct RoundCtx<'a> {
     pub epochs: usize,
     /// Optional FedGL-style pseudo-labels, indexed by position in the
     /// clients slice.
-    pub pseudo: Option<&'a [Option<PseudoLabels>]>,
+    pub pseudo: Option<&'a [Option<PseudoLabels<'a>>]>,
     /// Worker threads for client-parallel local training (0 = auto:
     /// `FEDGTA_THREADS` env var, else available parallelism). By the
     /// executor's determinism contract the value never changes results —
@@ -113,8 +113,8 @@ impl<'a> RoundCtx<'a> {
     }
 
     /// The pseudo-labels for client `i`, if any.
-    pub fn pseudo_for(&self, i: usize) -> Option<&'a PseudoLabels> {
-        self.pseudo.and_then(|p| p.get(i)).and_then(|p| p.as_ref())
+    pub fn pseudo_for(&self, i: usize) -> Option<PseudoLabels<'a>> {
+        self.pseudo.and_then(|p| p.get(i).copied().flatten())
     }
 }
 
@@ -147,6 +147,12 @@ pub trait Strategy: Send {
     /// ([`Store::bytes`]); 0 for one that keeps none.
     fn store_bytes(&self) -> usize {
         0
+    }
+    /// The clients the strategy needs on backbone `model`: `Ok(true)` for
+    /// halo (ghost-node) views, `Ok(false)` for owned-node ones, `Err(why)`
+    /// when it refuses `model`. A wrapper asks its inner strategy.
+    fn halo_views(&self, _model: ModelKind) -> Result<bool, &'static str> {
+        Ok(false)
     }
 }
 

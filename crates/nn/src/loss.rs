@@ -81,17 +81,16 @@ pub fn softmax_ce_into(logits: &Matrix, labels: &[u32], rows: &[u32], grad: &mut
 /// Soft-target cross-entropy over `rows`, scaled by `weight`, with the
 /// logits gradient written into `grad`, a zeroed matrix of `logits`' shape.
 ///
-/// `targets` rows must be probability vectors. Returns the weighted mean
-/// loss; `grad[i,·] = weight · (softmax − target) / |rows|` on selected
-/// rows.
-pub fn soft_ce_into(
+/// `targets(i)` is logits row `i`'s target, a probability vector. Returns
+/// the weighted mean loss; `grad[i,·] = weight · (softmax − target) /
+/// |rows|` on selected rows.
+pub fn soft_ce_into<'t>(
     logits: &Matrix,
-    targets: &Matrix,
+    targets: impl Fn(usize) -> &'t [f32],
     rows: &[u32],
     weight: f32,
     grad: &mut Matrix,
 ) -> f32 {
-    assert_eq!(logits.shape(), targets.shape(), "target shape mismatch");
     assert_eq!(logits.shape(), grad.shape(), "gradient shape mismatch");
     if rows.is_empty() || weight == 0.0 {
         return 0.0;
@@ -99,8 +98,10 @@ pub fn soft_ce_into(
     let inv = weight / rows.len() as f32;
     let mut loss = 0f64;
     softmax_selected(logits, rows, grad, |i, g| {
+        let target = targets(i);
+        assert_eq!(target.len(), g.len(), "target width mismatch");
         let mut row_loss = 0f64;
-        for (gj, &tj) in g.iter_mut().zip(targets.row(i)) {
+        for (gj, &tj) in g.iter_mut().zip(target) {
             let pj = *gj;
             *gj = inv * (pj - tj);
             if tj > 0.0 {
@@ -118,7 +119,7 @@ mod tests {
 
     fn soft_ce(logits: &Matrix, targets: &Matrix, rows: &[u32], weight: f32) -> (f32, Matrix) {
         let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-        (soft_ce_into(logits, targets, rows, weight, &mut grad), grad)
+        (soft_ce_into(logits, |i| targets.row(i), rows, weight, &mut grad), grad)
     }
 
     #[test]

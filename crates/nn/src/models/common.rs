@@ -169,15 +169,22 @@ impl GraphDataset {
     }
 }
 
-/// FedGL-style soft pseudo-label supervision.
-#[derive(Debug, Clone)]
-pub struct PseudoLabels {
-    /// Soft targets per node (`n × |Y|`); rows outside `mask` are ignored.
-    pub targets: Matrix,
-    /// Which nodes carry a pseudo-label.
-    pub mask: Vec<bool>,
+/// FedGL-style soft pseudo-label supervision: rows of one matrix of soft
+/// targets, shared by every client that reads it.
+#[derive(Debug, Clone, Copy)]
+pub struct PseudoLabels<'a> {
+    /// Soft targets, one row per node of the federation.
+    pub targets: &'a Matrix,
+    /// The row of `targets` each local node reads, [`PseudoLabels::NONE`]
+    /// for a node that carries no pseudo-label.
+    pub rows: &'a [u32],
     /// Loss weight λ.
     pub weight: f32,
+}
+
+impl PseudoLabels<'_> {
+    /// The `rows` entry of a node without a pseudo-label.
+    pub const NONE: u32 = u32::MAX;
 }
 
 /// Gradient-modification hook: `f(current_params, &mut grads)`.
@@ -198,7 +205,7 @@ pub struct TrainHooks<'a> {
     /// MOON's model-contrastive loss plugs in here.
     pub hidden_hook: Option<HiddenHook<'a>>,
     /// Soft pseudo-label supervision on unlabeled nodes (FedGL).
-    pub pseudo: Option<&'a PseudoLabels>,
+    pub pseudo: Option<PseudoLabels<'a>>,
 }
 
 impl<'a> TrainHooks<'a> {
@@ -232,12 +239,13 @@ pub(crate) fn supervise(
     let mut d_logits = ws.take_matrix(logits.rows(), logits.cols());
     let loss = softmax_ce_into(logits, labels, labeled, &mut d_logits);
     if let Some(pl) = hooks.pseudo {
+        let target = |r: usize| pl.rows[nodes[r] as usize];
         let rows: Vec<u32> =
-            (0..nodes.len() as u32).filter(|&r| pl.mask[nodes[r as usize] as usize]).collect();
+            (0..nodes.len() as u32).filter(|&r| target(r as usize) != PseudoLabels::NONE).collect();
         if !rows.is_empty() {
-            let targets = pl.targets.gather_rows(nodes);
             let mut d_extra = ws.take_matrix(logits.rows(), logits.cols());
-            soft_ce_into(logits, &targets, &rows, pl.weight, &mut d_extra);
+            let targets = |r| pl.targets.row(target(r) as usize);
+            soft_ce_into(logits, targets, &rows, pl.weight, &mut d_extra);
             d_logits.axpy(1.0, &d_extra);
             ws.give_matrix(d_extra);
         }
